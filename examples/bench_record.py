@@ -1,32 +1,27 @@
 #!/usr/bin/env python3
 """Record the engine's wall-clock trajectory as a benchmark artifact.
 
-    python examples/bench_record.py [--out BENCH_10.json] [--kernels a,b]
+    python examples/bench_record.py [--out BENCH_13.json] [--kernels a,b]
                                     [--reps 2] [--min-geomean 1.0]
                                     [--min-codegen-geomean 1.0]
                                     [--autotune]
 
-Runs every fig4 kernel's Parsimony build under the engine generations
-that successive PRs stacked on the interpreter —
+Runs every fig4 kernel's Parsimony build on the three legs of the
+engine ladder —
 
-* ``predecoded``  — pre-decoded dispatch, superinstructions off,
-                    gang batching off (the PR 1 engine);
-* ``fused``       — decode-level superinstructions on, batching off
-                    (the PR 4 engine);
-* ``batched``     — gang batching on top of fusion (the PR 5 engine);
-* ``codegen``     — whole-kernel codegen on top of batching: the whole
+* ``predecoded``  — pre-decoded dispatch, gang batching off (the
+                    trap-replay / bailout / shard-worker tier);
+* ``batched``     — the same engine on the gang-batched build;
+* ``codegen``     — whole-kernel codegen on the batched build: the
                     kernel compiled to one generated Python function,
-                    the dispatch loop retired (the PR 8 engine, deepened
-                    in PR 10 with localized accounting, batch-factor
-                    specialization, superinstruction folding, and the
-                    dispatch-variable exit merge);
-* ``autotuned``   — profile-guided engine/batch/codegen selection
-                    (``--autotune``: the PR 6 engine, ``REPRO_AUTOTUNE=1``)
+                    the dispatch loop retired (the default engine);
+* ``autotuned``   — profile-guided batch-factor selection on the
+                    default engine (``--autotune``, ``REPRO_AUTOTUNE=1``)
 
 — asserts all configurations agree bitwise on outputs *and*
 ``ExecStats`` (every layer is accounting-transparent by contract), and
-writes a JSON artifact with per-kernel wall-clock for each generation
-plus the batched-vs-fused and codegen-vs-batched geomean speedups.
+writes a JSON artifact with per-kernel wall-clock for each leg plus the
+batched-vs-predecoded and codegen-vs-batched geomean speedups.
 With ``--autotune`` the artifact and the table also record which
 configuration the tuner selected for each kernel and why (the measured
 candidate ranking).  Exits non-zero on any divergence or if either
@@ -34,8 +29,9 @@ geomean falls below its floor (``--min-geomean``,
 ``--min-codegen-geomean``).
 
 The artifact is the PR-over-PR trajectory record: CI uploads one per
-run, and the checked-in ``BENCH_10.json`` snapshots the machine that
-validated this PR's ≥1.70× codegen-vs-batched acceptance bar.  The
+run, and the checked-in ``BENCH_13.json`` snapshots the three-leg
+ladder on the machine that removed the fused-window tier
+(``BENCH_10.json`` is the last record with a ``fused`` leg).  The
 codegen configuration must additionally record **zero bailouts** on
 every fig4 kernel (the coverage floor).
 """
@@ -51,7 +47,7 @@ from repro import telemetry
 from repro.benchsuite import geomean, run_impl
 from repro.benchsuite.ispc_suite import BENCHMARKS
 
-CONFIGS = ("predecoded", "fused", "batched", "codegen")
+CONFIGS = ("predecoded", "batched", "codegen")
 
 
 def _run_once(session, spec, config):
@@ -68,19 +64,13 @@ def _run_once(session, spec, config):
     neighbor) then lands on every configuration instead of biasing
     whichever block of reps it overlapped.
     """
-    no_batch = config in ("predecoded", "fused")
-    fuse = config != "predecoded"
-    # Explicit False freezes ambient REPRO_CODEGEN out of the ladder
-    # configs; the autotuned config passes None so the tuner owns the
-    # codegen leg along with the batch factor.
-    codegen = {"codegen": True, "autotuned": None}.get(config, False)
     try:
-        if no_batch:
+        if config == "predecoded":
             os.environ["REPRO_NO_BATCH"] = "1"
         if config == "autotuned":
             os.environ["REPRO_AUTOTUNE"] = "1"
-        result = run_impl(spec, "parsimony", superinstructions=fuse,
-                          codegen=codegen)
+        result = run_impl(spec, "parsimony",
+                          codegen=config in ("codegen", "autotuned"))
         run = session.vm_runs[-1]
         return result, run.get("wall_seconds") or 0.0, run.get("autotune")
     finally:
@@ -90,15 +80,16 @@ def _run_once(session, spec, config):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_10.json", metavar="PATH",
-                        help="artifact path (default: BENCH_10.json)")
+    parser.add_argument("--out", default="BENCH_13.json", metavar="PATH",
+                        help="artifact path (default: BENCH_13.json)")
     parser.add_argument("--kernels", metavar="NAMES",
                         help="comma-separated subset of fig4 kernels")
     parser.add_argument("--reps", type=int, default=2,
                         help="timing repetitions per configuration, "
                              "interleaved round-robin (min wins)")
     parser.add_argument("--min-geomean", type=float, default=1.0,
-                        help="fail if batched-vs-fused geomean drops below this")
+                        help="fail if batched-vs-predecoded geomean drops "
+                             "below this")
     parser.add_argument("--min-codegen-geomean", type=float, default=1.0,
                         help="fail if codegen-vs-batched geomean drops "
                              "below this")
@@ -156,7 +147,8 @@ def main():
                 ):
                     failures.append(f"{spec.name}: {config} outputs diverge")
 
-            speedup = walls["fused"] / walls["batched"] if walls["batched"] else None
+            speedup = (walls["predecoded"] / walls["batched"]
+                       if walls["batched"] else None)
             cg_speedup = (walls["batched"] / walls["codegen"]
                           if walls["codegen"] else None)
             kernels[spec.name] = {
@@ -180,12 +172,12 @@ def main():
     gm_cg = geomean([k["codegen_speedup"] for k in kernels.values()
                      if k["codegen_speedup"]])
     print("-" * (20 + 14 * len(configs) + 24))
-    print(f"{'geomean batched-vs-fused':48s}{gm:18.2f}")
+    print(f"{'geomean batched-vs-predecoded':48s}{gm:18.2f}")
     print(f"{'geomean codegen-vs-batched':48s}{gm_cg:18.2f}")
 
     doc = {
         "schema": "repro-bench/1",
-        "pr": 10,
+        "pr": 13,
         "configs": list(configs),
         "kernels": kernels,
         "geomean_batched_speedup": gm,
@@ -198,7 +190,8 @@ def main():
 
     if gm < args.min_geomean:
         failures.append(
-            f"batched-vs-fused geomean {gm:.2f} below floor {args.min_geomean}")
+            f"batched-vs-predecoded geomean {gm:.2f} below floor "
+            f"{args.min_geomean}")
     if gm_cg < args.min_codegen_geomean:
         failures.append(
             f"codegen-vs-batched geomean {gm_cg:.2f} below floor "

@@ -9,16 +9,13 @@ benchmarks, normalized to LLVM auto-vectorization (paper §6).
 ``--kernels`` selects an arbitrary comma-separated subset;
 ``--telemetry PATH`` collects pipeline observability — pass timings,
 vectorizer shape/memory-form counters, per-function VM cycle
-attribution, ``vm.fuse.*`` superinstruction counters, and
-``vm.codegen.*`` whole-kernel-codegen counters — and writes it as
-structured JSON.  ``--no-fuse`` disables the VM's decode-level
-superinstructions; ``--disk-cache`` enables the persistent compile cache;
-``--autotune`` enables the profile-guided engine/batch selector
+attribution, and ``vm.codegen.*`` whole-kernel-codegen counters — and
+writes it as structured JSON.  ``--disk-cache`` enables the persistent
+compile cache; ``--autotune`` enables the profile-guided batch selector
 (``REPRO_AUTOTUNE=1``) and prints, per kernel, which batch configuration
 it chose and why (pinned profile vs fresh measurement sweep);
-``--codegen`` runs the VM through whole-kernel codegen
-(``REPRO_CODEGEN=1``) and prints, per kernel, the compile/cache/bailout
-activity.
+``--codegen`` prints, per kernel, the compile/cache/bailout activity of
+the whole-kernel codegen engine every run uses.
 
 ``--telemetry-diff OLD NEW`` compares two telemetry documents PR-over-PR
 (per-pass timing, per-kernel cycles/wall-clock, every counter) and prints
@@ -43,15 +40,12 @@ from repro.driver import set_disk_cache
 IMPLS = ("scalar", "autovec", "parsimony", "ispc")
 
 
-def report(specs, superinstructions=None):
+def report(specs):
     print("Figure 4 — speedup over LLVM auto-vectorization (model cycles)")
     print(f"{'benchmark':20s} {'parsimony':>10s} {'ispc':>10s} {'psim/ispc':>10s}")
     rows = []
     for spec in specs:
-        cycles = {
-            impl: run_impl(spec, impl, superinstructions=superinstructions).cycles
-            for impl in IMPLS
-        }
+        cycles = {impl: run_impl(spec, impl).cycles for impl in IMPLS}
         base = cycles["autovec"]
         parsimony = base / cycles["parsimony"]
         ispc = base / cycles["ispc"]
@@ -100,7 +94,7 @@ def _print_autotune(session):
     rehydrate) plus the session's ``vm.autotune.*`` event totals.
     """
     print()
-    print("autotune decisions (profile-guided engine/batch selection)")
+    print("autotune decisions (profile-guided batch selection)")
     latest = {}
     for run in session.vm_runs:
         if run.get("autotune"):
@@ -130,8 +124,7 @@ def _print_codegen(session):
         if run.get("codegen"):
             latest[run["label"]] = run["codegen"]
     if not latest:
-        print("  none recorded — codegen disabled or overridden by "
-              "REPRO_NO_CODEGEN")
+        print("  none recorded")
         return
     for label, cg in latest.items():
         bailouts = cg.get("bailouts") or {}
@@ -232,7 +225,7 @@ def main():
     parser.add_argument(
         "--telemetry", metavar="PATH",
         help="write pipeline telemetry (pass timings, vectorizer counters, "
-             "VM hot-spots, vm.fuse.* counters) as JSON to PATH",
+             "VM hot-spots, vm.codegen.* counters) as JSON to PATH",
     )
     parser.add_argument(
         "--telemetry-diff", nargs=2, metavar=("OLD", "NEW"),
@@ -243,22 +236,18 @@ def main():
         help="with --telemetry-diff: also write the diff as JSON to PATH",
     )
     parser.add_argument(
-        "--no-fuse", action="store_true",
-        help="disable the VM's decode-level superinstruction fusion",
-    )
-    parser.add_argument(
         "--no-batch", action="store_true",
         help="disable the gang-batching layer (sets REPRO_NO_BATCH=1)",
     )
     parser.add_argument(
         "--autotune", action="store_true",
-        help="enable profile-guided engine/batch selection "
+        help="enable profile-guided batch selection "
              "(sets REPRO_AUTOTUNE=1) and report the decisions",
     )
     parser.add_argument(
         "--codegen", action="store_true",
-        help="run kernels through whole-kernel codegen "
-             "(sets REPRO_CODEGEN=1) and report compile/bailout activity",
+        help="report the codegen engine's per-kernel compile/cache/"
+             "bailout activity",
     )
     parser.add_argument(
         "--per-function", action="store_true",
@@ -281,8 +270,6 @@ def main():
         os.environ["REPRO_NO_BATCH"] = "1"
     if args.autotune:
         os.environ["REPRO_AUTOTUNE"] = "1"
-    if args.codegen:
-        os.environ["REPRO_CODEGEN"] = "1"
     if args.disk_cache:
         set_disk_cache(True)
 
@@ -296,13 +283,11 @@ def main():
             parser.error(f"unknown kernels: {sorted(unknown)}")
         specs = [s for s in BENCHMARKS if s.name in wanted]
 
-    superinstructions = False if args.no_fuse else None
-
     if args.telemetry or args.autotune or args.codegen:
         # --autotune/--codegen collect a session even without
         # --telemetry: their reports read the per-run records.
         with telemetry.collect() as session:
-            report(specs, superinstructions)
+            report(specs)
         _print_degradations(session)
         if args.autotune:
             _print_autotune(session)
@@ -316,7 +301,7 @@ def main():
             session.write(args.telemetry)
             print(f"\ntelemetry written to {args.telemetry}")
     else:
-        report(specs, superinstructions)
+        report(specs)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ the 72 Simd Library kernels, for hand-written intrinsics, Parsimony, and
 LLVM auto-vectorization (paper §6).
 
     python examples/fig5_report.py [--full] [--telemetry out.json]
-                                  [--no-fuse] [--disk-cache]
+                                  [--disk-cache]
 
 ``--telemetry PATH`` collects pipeline observability — pass timings,
 vectorizer shape/memory-form counters, per-function VM cycle
@@ -23,13 +23,13 @@ from repro.benchsuite.simdlib import KERNELS
 from repro.driver import set_disk_cache
 
 
-def report(full: bool, superinstructions=None):
+def report(full: bool):
     print("Figure 5 — speedup over scalar (model cycles), 72 Simd Library kernels")
     if full:
         print(f"{'#':>3s} {'kernel':38s} {'autovec':>8s} {'psim':>8s} {'hand':>8s}")
     rows = []
     for index, spec in enumerate(KERNELS, 1):
-        speedups = measure_kernel(spec, superinstructions=superinstructions)
+        speedups = measure_kernel(spec)
         rows.append((spec.name, speedups))
         if full:
             print(
@@ -61,10 +61,6 @@ def main():
              "VM hot-spots) as JSON to PATH",
     )
     parser.add_argument(
-        "--no-fuse", action="store_true",
-        help="disable the VM's decode-level superinstruction fusion",
-    )
-    parser.add_argument(
         "--disk-cache", action="store_true",
         help="enable the persistent on-disk compile cache",
     )
@@ -72,17 +68,16 @@ def main():
 
     if args.disk_cache:
         set_disk_cache(True)
-    superinstructions = False if args.no_fuse else None
 
     if args.telemetry:
         with telemetry.collect() as session:
-            report(args.full, superinstructions)
+            report(args.full)
         session.meta["figure"] = "fig5"
         session.meta["cycles_by_kernel"] = summarize_telemetry(session)
         session.write(args.telemetry)
         print(f"\ntelemetry written to {args.telemetry}")
     else:
-        report(args.full, superinstructions)
+        report(args.full)
 
 
 if __name__ == "__main__":

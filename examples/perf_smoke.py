@@ -4,38 +4,40 @@
     python examples/perf_smoke.py [--kernels a,b] [--impls scalar,parsimony]
                                   [--out telemetry.json] [--autotune]
 
-Runs each selected kernel under the pre-decoded VM in four configurations
-— batched+fused (the default engine), batched+unfused, unbatched+fused
-(``REPRO_NO_BATCH=1``), and whole-kernel codegen (``codegen=True``, the
-top of the engine ladder) — and **fails (exit 1)** if:
+Runs each selected kernel in three configurations — batched (the
+default: whole-kernel codegen on the gang-batched build), unbatched
+(``REPRO_NO_BATCH=1``), and the predecoded twin (``codegen=False`` on
+the batched build: what a trap replay, a bailout or a shard worker
+runs) — and **fails (exit 1)** if:
 
 * any configuration's outputs diverge bit-for-bit from any other,
 * any configuration's ``ExecStats`` (cycles, instructions, per-opcode
-  counts) diverge (the accounting-transparency contract: neither fusion,
-  gang batching, nor whole-kernel codegen may change what the machine
-  model charges),
-* any kernel/impl records zero ``vm.fuse.window`` hits on the unbatched
-  fused run,
+  counts) diverge (the accounting-transparency contract: neither gang
+  batching nor whole-kernel codegen may change what the machine model
+  charges),
 * the parsimony implementation never engages gang batching across the
   sweep (``vm.batch.applied`` stays zero — the layer silently died),
-* the codegen engine never compiles a kernel across the sweep
+* the codegen engine never runs a compiled kernel across the sweep
   (``vm.codegen.calls`` stays zero — every kernel bailed out), or a
   kernel where codegen *did* engage runs slower than the codegen floor
-  (default 0.9× the batched engine, measured interleaved),
-* any parsimony kernel records a codegen bailout at all (the coverage
-  floor: every fig4 kernel must compile — a new bailout reason is a
-  coverage regression, not an acceptable fallback).
+  (default 0.9× its predecoded twin, measured interleaved),
+* any build of the fig4 **or** fig5 suite (every kernel × every
+  implementation) records a codegen bailout or a trap replay: the
+  coverage floor — every suite build must compile and complete on the
+  default engine; a new bailout reason is a coverage regression, not an
+  acceptable fallback.  (Skipped under ``--shards``, whose jobs test the
+  supervisor.)
 
-``--bailout-out`` writes the per-kernel codegen bailout histogram as a
+``--bailout-out`` writes the per-build codegen bailout histogram as a
 JSON artifact so a coverage regression names the reason in CI.
 
-``--autotune`` adds a fourth configuration for the parsimony
-implementation: profile-guided selection (``REPRO_AUTOTUNE=1``).  It
-additionally **fails** if any kernel's autotuned configuration runs
-slower than 0.95× plain unbatched — the regression the tuner exists to
-prevent (a statically mis-batched kernel like stencil losing wall-clock
-to the unbatched engine) — or if the autotuned outputs/``ExecStats``
-diverge from the other configurations.
+``--autotune`` adds a configuration for the parsimony implementation:
+profile-guided batch selection (``REPRO_AUTOTUNE=1``).  It additionally
+**fails** if any kernel's autotuned configuration runs slower than 0.95×
+plain unbatched — the regression the tuner exists to prevent (a
+statically mis-batched kernel like stencil losing wall-clock to the
+unbatched engine) — or if the autotuned outputs/``ExecStats`` diverge
+from the other configurations.
 
 ``--shards N`` adds a sharded configuration: every kernel/impl also runs
 through the supervised multi-process executor (``REPRO_SHARDS=N``, see
@@ -48,12 +50,12 @@ and the sweep additionally **fails** if an armed worker fault fires
 without a recorded retry/degradation, or never fires at all on a sharded
 launch.
 
-``--out`` writes the collected telemetry JSON (flattened ``vm.fuse.*``,
-``vm.batch.*``, ``vm.autotune.*``, ``vm.shard.*``, and ``vm.codegen.*``
-counters, per-run wall-clock) for upload as a CI artifact; per-kernel
-wall-clock for all configurations plus the fused-vs-unfused,
-batched-vs-unbatched, codegen-vs-batched, and autotuned-vs-unbatched
-ratios land in ``meta.perf_smoke``.
+``--out`` writes the collected telemetry JSON (flattened ``vm.batch.*``,
+``vm.autotune.*``, ``vm.shard.*``, and ``vm.codegen.*`` counters,
+per-run wall-clock) for upload as a CI artifact; per-kernel wall-clock
+for all configurations plus the batched-vs-unbatched,
+codegen-vs-predecoded, and autotuned-vs-unbatched ratios land in
+``meta.perf_smoke``.
 """
 
 import argparse
@@ -64,11 +66,18 @@ import sys
 import numpy as np
 
 from repro import faultinject, telemetry
-from repro.benchsuite import run_impl
+from repro.benchsuite import IMPLEMENTATIONS, run_impl
 from repro.benchsuite.ispc_suite import BENCHMARKS
+from repro.benchsuite.simdlib import KERNELS
 
 DEFAULT_KERNELS = "mandelbrot,noise,stencil"
 DEFAULT_IMPLS = "scalar,parsimony"
+
+#: Every (suite, implementations) pair the figure reports build.
+COVERAGE_SUITES = (
+    (BENCHMARKS, ("scalar", "autovec", "parsimony", "ispc")),
+    (KERNELS, IMPLEMENTATIONS),
+)
 
 
 def _stats_equal(a, b):
@@ -86,14 +95,33 @@ def _outputs_equal(a, b):
     )
 
 
-def _timed_pair(session, spec, impl, superinstructions):
-    """Two reps; min() reports steady-state dispatch cost (the first run
-    also pays one-time decode/window/batch codegen)."""
-    run_impl(spec, impl, superinstructions=superinstructions)
-    result = run_impl(spec, impl, superinstructions=superinstructions)
+def _timed_pair(session, spec, impl):
+    """Two reps on the default engine; min() reports steady-state cost
+    (the first run also pays the one-time emission and ``compile()``)."""
+    run_impl(spec, impl)
+    result = run_impl(spec, impl)
     runs = session.vm_runs[-2:]
     wall = min(r.get("wall_seconds") or 0.0 for r in runs)
     return result, runs[-1], wall
+
+
+def _coverage_sweep(session, failures):
+    """Run every fig4 and fig5 build once on the default engine; returns
+    the per-build bailout histogram (empty dicts when all compiled)."""
+    per_build = {}
+    for suite, impls in COVERAGE_SUITES:
+        for spec in suite:
+            for impl in impls:
+                name = f"{spec.name}/{impl}"
+                run_impl(spec, impl)
+                report = session.vm_runs[-1].get("codegen") or {}
+                bailouts = dict(report.get("bailouts") or {})
+                per_build[name] = bailouts
+                if bailouts or report.get("replays") or not report.get("calls"):
+                    failures.append(
+                        f"{name}: coverage floor is zero bailouts and zero "
+                        f"replays on the default engine: {report}")
+    return per_build
 
 
 def main():
@@ -114,10 +142,10 @@ def main():
                              "(default: 0.95)")
     parser.add_argument("--codegen-floor", type=float, default=0.9,
                         metavar="RATIO",
-                        help="minimum batched/codegen wall-clock ratio for "
+                        help="minimum predecoded/codegen wall-clock ratio for "
                              "kernels where codegen engaged (default: 0.9)")
     parser.add_argument("--bailout-out", metavar="PATH",
-                        help="write the per-kernel codegen bailout "
+                        help="write the per-build codegen bailout "
                              "histogram JSON (CI artifact)")
     parser.add_argument("--shards", type=int, default=0, metavar="N",
                         help="also sweep the sharded multi-process executor "
@@ -136,12 +164,11 @@ def main():
     failures = []
     rows = {}
     faults_fired = 0
-    bailouts_by_kernel = {}
-    saved_no_batch = os.environ.get("REPRO_NO_BATCH")
-    saved_autotune = os.environ.get("REPRO_AUTOTUNE")
-    saved_shards = os.environ.get("REPRO_SHARDS")
-    saved_codegen = os.environ.get("REPRO_CODEGEN")
-    saved_no_codegen = os.environ.get("REPRO_NO_CODEGEN")
+    bailouts_by_build = {}
+    saved_env = {
+        name: os.environ.pop(name, None)
+        for name in ("REPRO_NO_BATCH", "REPRO_AUTOTUNE", "REPRO_SHARDS")
+    }
     with telemetry.collect() as session:
         for spec in specs:
             for impl in impls:
@@ -149,48 +176,27 @@ def main():
                 # The compile cache keys on the batch request, so toggling
                 # the environment between runs compiles fresh modules
                 # rather than rehydrating the other configuration's twin.
-                os.environ.pop("REPRO_NO_BATCH", None)
-                os.environ.pop("REPRO_AUTOTUNE", None)
-                os.environ.pop("REPRO_SHARDS", None)
-                os.environ.pop("REPRO_CODEGEN", None)
-                os.environ.pop("REPRO_NO_CODEGEN", None)
-                fused, fused_run, wall_f = _timed_pair(
-                    session, spec, impl, superinstructions=True)
-                unfused, _, wall_uf = _timed_pair(
-                    session, spec, impl, superinstructions=False)
+                batched, batched_run, wall_b = _timed_pair(session, spec, impl)
                 try:
                     os.environ["REPRO_NO_BATCH"] = "1"
-                    nobatch, nobatch_run, wall_nb = _timed_pair(
-                        session, spec, impl, superinstructions=True)
+                    nobatch, _, wall_nb = _timed_pair(session, spec, impl)
                 finally:
                     os.environ.pop("REPRO_NO_BATCH", None)
-                # Whole-kernel codegen: same interleaved idiom as the
-                # autotune floor — alternating batched/codegen samples so
-                # machine-phase noise lands on both sides of the ratio.
-                # The first codegen run pays the one-time compile; min(3)
-                # reports the steady-state call-through cost.
-                walls_cgb, walls_cg = [], []
-                cgres = cg_run = None
+                # The predecoded twin of the same batched build,
+                # interleaved with codegen samples so machine-phase noise
+                # lands on both sides of the ratio (min of 3 each).
+                walls_pd, walls_cg = [], []
+                twin = None
                 for _ in range(3):
-                    run_impl(spec, impl, superinstructions=True)
-                    walls_cgb.append(
+                    twin = run_impl(spec, impl, codegen=False)
+                    walls_pd.append(
                         session.vm_runs[-1].get("wall_seconds") or 0.0)
-                    cgres = run_impl(spec, impl, superinstructions=True,
-                                     codegen=True)
-                    cg_run = session.vm_runs[-1]
-                    walls_cg.append(cg_run.get("wall_seconds") or 0.0)
-                wall_cgb, wall_cg = min(walls_cgb), min(walls_cg)
-                cg_report = cg_run.get("codegen") or {}
-                cg_bailouts = dict(cg_report.get("bailouts") or {})
-                bailouts_by_kernel[name] = cg_bailouts
-                if impl == "parsimony" and cg_bailouts:
-                    # The coverage floor: every fig4 kernel must compile.
-                    # A bailout silently runs the kernel decoded — legal
-                    # for correctness, but a coverage regression CI must
-                    # name and fail.
-                    failures.append(
-                        f"{name}: codegen bailed out on a fig4 kernel "
-                        f"(coverage floor is zero bailouts): {cg_bailouts}")
+                    run_impl(spec, impl)
+                    walls_cg.append(
+                        session.vm_runs[-1].get("wall_seconds") or 0.0)
+                wall_pd, wall_cg = min(walls_pd), min(walls_cg)
+                cg_report = batched_run.get("codegen") or {}
+                bailouts_by_build[name] = dict(cg_report.get("bailouts") or {})
 
                 tuned = tuned_run = wall_at = wall_nbi = None
                 if args.autotune and impl == "parsimony":
@@ -205,15 +211,14 @@ def main():
                     for _ in range(3):
                         try:
                             os.environ["REPRO_NO_BATCH"] = "1"
-                            run_impl(spec, impl, superinstructions=True)
+                            run_impl(spec, impl)
                         finally:
                             os.environ.pop("REPRO_NO_BATCH", None)
                         walls_nbi.append(
                             session.vm_runs[-1].get("wall_seconds") or 0.0)
                         try:
                             os.environ["REPRO_AUTOTUNE"] = "1"
-                            tuned = run_impl(spec, impl,
-                                             superinstructions=True)
+                            tuned = run_impl(spec, impl)
                         finally:
                             os.environ.pop("REPRO_AUTOTUNE", None)
                         tuned_run = session.vm_runs[-1]
@@ -235,12 +240,10 @@ def main():
                     # does not eat the plans' firing budget.
                     plans = faultinject.plans_from_env()
                     with faultinject.inject(*plans) as fstate:
-                        shard_base = run_impl(spec, impl,
-                                              superinstructions=True)
+                        shard_base = run_impl(spec, impl)
                         try:
                             os.environ["REPRO_SHARDS"] = str(args.shards)
-                            shard_result = run_impl(spec, impl,
-                                                    superinstructions=True)
+                            shard_result = run_impl(spec, impl)
                         finally:
                             os.environ.pop("REPRO_SHARDS", None)
                         fault_log = list(fstate.log)
@@ -249,58 +252,41 @@ def main():
                     wall_sh = shard_run.get("wall_seconds") or 0.0
                     faults_fired += len(fault_log)
 
-                stats_ok = _stats_equal(fused, unfused)
-                if not stats_ok:
-                    failures.append(f"{name}: fused ExecStats diverge from unfused")
-                out_ok = _outputs_equal(fused, unfused)
-                if not out_ok:
-                    failures.append(f"{name}: fused outputs diverge from unfused")
-                batch_stats_ok = _stats_equal(fused, nobatch)
-                if not batch_stats_ok:
-                    failures.append(
-                        f"{name}: batched ExecStats diverge from unbatched")
-                batch_out_ok = _outputs_equal(fused, nobatch)
-                if not batch_out_ok:
-                    failures.append(
-                        f"{name}: batched outputs diverge from unbatched")
-                # Batched bodies decode straight to batch blocks, so the
-                # fusion-coverage check belongs to the unbatched run.
-                hits = nobatch_run.get("fusion", {}).get("hits", {})
-                if not hits.get("window"):
-                    failures.append(f"{name}: zero vm.fuse.window hits")
-
-                cg_stats_ok = _stats_equal(fused, cgres)
-                if not cg_stats_ok:
-                    failures.append(
-                        f"{name}: codegen ExecStats diverge from batched")
-                cg_out_ok = _outputs_equal(fused, cgres)
-                if not cg_out_ok:
-                    failures.append(
-                        f"{name}: codegen outputs diverge from batched")
+                stats_ok = out_ok = True
+                for label, other in (("unbatched", nobatch),
+                                     ("predecoded twin", twin)):
+                    if not _stats_equal(batched, other):
+                        stats_ok = False
+                        failures.append(
+                            f"{name}: batched codegen ExecStats diverge "
+                            f"from {label}")
+                    if not _outputs_equal(batched, other):
+                        out_ok = False
+                        failures.append(
+                            f"{name}: batched codegen outputs diverge "
+                            f"from {label}")
                 # The floor only binds where codegen actually engaged: a
                 # bailed-out kernel runs the decoded engine on both sides
                 # of the ratio, so comparing it against the floor would
                 # just measure noise against itself.
-                cg_ratio = (wall_cgb / wall_cg) if wall_cg else None
+                cg_ratio = (wall_pd / wall_cg) if wall_cg else None
                 if (cg_ratio is not None and cg_ratio < args.codegen_floor
                         and cg_report.get("calls")):
                     failures.append(
-                        f"{name}: codegen config runs at {cg_ratio:.2f}x "
-                        f"batched (< {args.codegen_floor} floor): "
+                        f"{name}: codegen runs at {cg_ratio:.2f}x its "
+                        f"predecoded twin (< {args.codegen_floor} floor): "
                         f"{cg_report}")
 
                 rows[name] = {
-                    "wall_batched": wall_f,
-                    "wall_unfused": wall_uf,
+                    "wall_batched": wall_b,
                     "wall_unbatched": wall_nb,
+                    "wall_predecoded": wall_pd,
                     "wall_codegen": wall_cg,
-                    "dispatch_speedup": (wall_uf / wall_f) if wall_f else None,
-                    "batch_speedup": (wall_nb / wall_f) if wall_f else None,
+                    "batch_speedup": (wall_nb / wall_b) if wall_b else None,
                     "codegen_speedup": cg_ratio,
-                    "stats_identical": stats_ok and batch_stats_ok and cg_stats_ok,
-                    "outputs_identical": out_ok and batch_out_ok and cg_out_ok,
-                    "fuse_hits": dict(hits),
-                    "batch": fused_run.get("batch"),
+                    "stats_identical": stats_ok,
+                    "outputs_identical": out_ok,
+                    "batch": batched_run.get("batch"),
                     "codegen": cg_report,
                 }
                 tuned_note = ""
@@ -360,37 +346,28 @@ def main():
                         "faults_fired": len(fault_log),
                     }
                     shard_note = f"sharded={wall_sh * 1e3:7.1f}ms [{mode}] "
-                all_stats_ok = stats_ok and batch_stats_ok and cg_stats_ok
-                all_out_ok = out_ok and batch_out_ok and cg_out_ok
                 print(
                     f"{name:32s} unbatched={wall_nb * 1e3:7.1f}ms "
-                    f"unfused={wall_uf * 1e3:7.1f}ms "
-                    f"batched={wall_f * 1e3:7.1f}ms "
-                    f"codegen={wall_cg * 1e3:7.1f}ms "
+                    f"batched={wall_b * 1e3:7.1f}ms "
+                    f"predecoded={wall_pd * 1e3:7.1f}ms "
                     f"{tuned_note}{shard_note}"
                     f"batchx={rows[name]['batch_speedup']:5.2f} "
                     f"cgx={cg_ratio:5.2f} "
-                    f"stats={'ok' if all_stats_ok else 'DIVERGED'} "
-                    f"out={'ok' if all_out_ok else 'DIVERGED'}"
+                    f"stats={'ok' if stats_ok else 'DIVERGED'} "
+                    f"out={'ok' if out_ok else 'DIVERGED'}"
                 )
 
-    if saved_no_batch is not None:
-        os.environ["REPRO_NO_BATCH"] = saved_no_batch
-    if saved_autotune is not None:
-        os.environ["REPRO_AUTOTUNE"] = saved_autotune
-    if saved_shards is not None:
-        os.environ["REPRO_SHARDS"] = saved_shards
-    if saved_codegen is not None:
-        os.environ["REPRO_CODEGEN"] = saved_codegen
-    if saved_no_codegen is not None:
-        os.environ["REPRO_NO_CODEGEN"] = saved_no_codegen
+        if not args.shards:
+            bailouts_by_build.update(_coverage_sweep(session, failures))
+
+    for name, value in saved_env.items():
+        if value is not None:
+            os.environ[name] = value
 
     session.meta["perf_smoke"] = rows
-    fuse_totals = session.vm_fuse_totals()
     batch_totals = session.vm_batch_totals()
     codegen_totals = session.vm_codegen_totals()
-    print(f"\nvm.fuse totals: {fuse_totals}")
-    print(f"vm.batch totals: {batch_totals}")
+    print(f"\nvm.batch totals: {batch_totals}")
     print(f"vm.codegen totals: {codegen_totals}")
     if not codegen_totals.get("vm.codegen.calls"):
         failures.append("whole-kernel codegen never ran a compiled kernel "
@@ -421,14 +398,14 @@ def main():
         print(f"telemetry written to {args.out}")
     if args.bailout_out:
         histogram = {}
-        for per_kernel in bailouts_by_kernel.values():
-            for reason, n in per_kernel.items():
+        for per_build in bailouts_by_build.values():
+            for reason, n in per_build.items():
                 histogram[reason] = histogram.get(reason, 0) + int(n)
         with open(args.bailout_out, "w") as fh:
             json.dump({
                 "schema": "repro-codegen-bailouts/1",
                 "histogram": histogram,
-                "per_kernel": bailouts_by_kernel,
+                "per_kernel": bailouts_by_build,
             }, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"codegen bailout histogram written to {args.bailout_out}")
@@ -438,8 +415,10 @@ def main():
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         sys.exit(1)
-    print("\nperf-smoke OK: batched/fused/codegen engines bit-identical "
-          "to baseline")
+    print("\nperf-smoke OK: batched/unbatched/predecoded-twin bit-identical"
+          + ("" if args.shards else
+             f", {len(bailouts_by_build)} suite builds compiled with zero "
+             "bailouts and zero replays"))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""``repro.autotune`` — profile-guided engine and batch-factor selection.
+"""``repro.autotune`` — profile-guided batch-factor selection.
 
 The static cost model behind :func:`repro.backend.costmodel.suggest_batch_factor`
 picks a batch factor from the gang size alone, and `BENCH_5.json` showed it
@@ -12,9 +12,8 @@ How it works
 
 * **Keying.**  Samples are stored per ``(kernel content fingerprint,
   engine config, batch factor B)``.  The fingerprint is a SHA-256 of the
-  kernel source; the engine config names the machine model and whether
-  decode-level fusion is on (``avx512/fused``).  Factor ``1`` means
-  "batching off / not applied".
+  kernel source; the engine config names the machine model
+  (``avx512``).  Factor ``1`` means "batching off / not applied".
 
 * **First run: measure.**  When a kernel has no pinned choice, the runner
   compiles and times a small candidate set — unbatched (request ``0``),
@@ -26,10 +25,9 @@ How it works
   wall-clock sampling noise must not pin a config that merely tied.
   Real batching wins are multiples (4–6× on mandelbrot/aobench), far
   above the margin; losses and ties land on the safe unbatched side.
-  Since v2 every deduped factor is timed twice — decoded engine and
-  whole-kernel codegen (:mod:`repro.backend.codegen`) — and the pin
-  carries a ``codegen`` flag chosen by :func:`choose_config`: codegen
-  wins its leg only past :data:`CODEGEN_MARGIN` hysteresis.
+  Candidates are timed on the default engine (whole-kernel codegen):
+  the engine is not a tuned axis — ``BENCH_10.json`` has codegen ahead
+  of the batched decoded engine on every fig4 kernel (min 1.75×).
 
 * **Steady state: pinned.**  Later runs (and later *processes* — the store
   lives on disk next to :mod:`repro.diskcache`'s entries) compile straight
@@ -80,7 +78,6 @@ from .envflags import env_flag
 __all__ = [
     "AUTOTUNE_VERSION",
     "CANDIDATE_REQUESTS",
-    "CODEGEN_MARGIN",
     "DEOPT_RATIO",
     "DEOPT_WINDOW",
     "PIN_MARGIN",
@@ -93,8 +90,6 @@ __all__ = [
     "stats",
     "reset_stats",
     "choose_factor",
-    "choose_config",
-    "sample_key",
     "decision",
     "pinned_request",
     "record_measurement",
@@ -105,10 +100,10 @@ __all__ = [
 
 #: Bump on any incompatible change to the entry schema; mismatched entries
 #: are discarded on load, like :data:`repro.diskcache.CACHE_VERSION`.
-#: v2: the whole-kernel codegen engine is a fourth measured configuration —
-#: samples are keyed ``"<factor>"`` / ``"<factor>/cg"`` and pins carry a
-#: ``codegen`` flag alongside the batch factor.
-AUTOTUNE_VERSION = 2
+#: v3: the engine is no longer a tuned axis — samples are keyed
+#: ``"<factor>"`` only and pins carry no ``codegen`` field, so v2 pins
+#: (which may name the decoded engine) are dropped, not misread.
+AUTOTUNE_VERSION = 3
 
 #: Batch *requests* measured on a kernel's first run: unbatched, the
 #: smallest useful factor, and whatever the static cost model suggests
@@ -121,18 +116,6 @@ CANDIDATE_REQUESTS: Tuple[Optional[int], ...] = (0, 2, None)
 #: against sampling noise pinning a batched config that merely tied
 #: unbatched (the genuine wins this layer chases are ≥2×).
 PIN_MARGIN = 1.25
-
-#: Hysteresis for the codegen leg of the winning factor: whole-kernel
-#: codegen is pinned only when the decoded engine's wall exceeds this
-#: multiple of the codegen wall.  Smaller than :data:`PIN_MARGIN` because
-#: both legs run the *same* module (no compile-shape risk) and codegen is
-#: bit-identical by contract — the hysteresis only has to absorb timing
-#: noise, not protect against a structurally different configuration.
-#: Note the measurement is honest per configuration: generated code is
-#: batch-factor specialized (emission keyed by batch fingerprint), so
-#: each factor's codegen leg times code emitted *for that factor*, never
-#: a stale emission from another candidate.
-CODEGEN_MARGIN = 1.05
 
 #: A pinned choice deopts when the *best* of the last ``DEOPT_WINDOW``
 #: samples is slower than ``DEOPT_RATIO`` × the pinned baseline.
@@ -154,7 +137,7 @@ def enabled() -> bool:
     """Whether profile-guided selection is active."""
     if _ENABLED is not None:
         return _ENABLED
-    return os.environ.get("REPRO_AUTOTUNE", "") in ("1", "true")
+    return env_flag("REPRO_AUTOTUNE")
 
 
 def set_enabled(value: Optional[bool]) -> None:
@@ -165,7 +148,7 @@ def set_enabled(value: Optional[bool]) -> None:
 
 def measure_reps() -> int:
     """Timing repetitions per candidate on a measurement run (min wins).
-    Three by default: the first pays one-time decode/window/batch codegen,
+    Three by default: the first pays the one-time decode and emission,
     and min-of-the-rest resists one slow machine phase landing on one
     candidate's turn."""
     try:
@@ -187,52 +170,13 @@ def choose_factor(measured: Dict[int, float]) -> int:
     raise AssertionError("unreachable: best sample is within its own margin")
 
 
-def sample_key(factor: int, codegen: bool = False) -> str:
-    """The entry-sample key for one measured configuration.
-
-    Decoded-engine samples keep the bare ``"<factor>"`` key; whole-kernel
-    codegen samples get a ``"/cg"`` suffix so the two legs never pollute
-    each other's history."""
-    return f"{int(factor)}/cg" if codegen else str(int(factor))
-
-
-def choose_config(measured: Dict[Tuple[int, bool], float]) -> Tuple[int, bool]:
-    """The ``(factor, codegen)`` configuration to pin.
-
-    Two-stage hysteresis.  The batch factor is chosen first via
-    :func:`choose_factor` over each factor's *best* leg (either engine may
-    represent a factor — the batching decision should not be distorted by
-    codegen winning on one leg only).  Then, within the winning factor,
-    whole-kernel codegen is selected only when the decoded engine's wall
-    exceeds :data:`CODEGEN_MARGIN` × the codegen wall; a missing leg
-    forfeits to the one that was measured.
-    """
-    by_factor: Dict[int, float] = {}
-    for (factor, _cg), wall in measured.items():
-        prev = by_factor.get(factor)
-        if prev is None or wall < prev:
-            by_factor[factor] = wall
-    factor = choose_factor(by_factor)
-    plain = measured.get((factor, False))
-    cg = measured.get((factor, True))
-    if cg is None:
-        return factor, False
-    if plain is None:
-        return factor, True
-    return factor, plain > CODEGEN_MARGIN * cg
-
-
-def engine_config(superinstructions: Optional[bool] = None,
-                  machine=None) -> str:
+def engine_config(machine=None) -> str:
     """Name the engine configuration samples are keyed under.
 
-    Wall-clock depends on the machine model and on whether decode-level
-    fusion is active, so pins must not leak across those configurations.
+    Wall-clock depends on the machine model, so pins must not leak
+    across machines.
     """
-    if superinstructions is None:
-        superinstructions = not env_flag("REPRO_NO_FUSE")
-    name = machine.name if machine is not None else "avx512"
-    return f"{name}/{'fused' if superinstructions else 'nofuse'}"
+    return machine.name if machine is not None else "avx512"
 
 
 def fingerprint(source: str) -> str:
@@ -315,8 +259,8 @@ def _fresh_entry(fp: str, engine: str) -> dict:
         "version": AUTOTUNE_VERSION,
         "fingerprint": fp,
         "engine": engine,
-        "samples": {},   # sample_key(factor, codegen) -> [wall, ...]
-        "pinned": None,  # {"factor", "request", "codegen", "wall", "reason"}
+        "samples": {},   # str(factor) -> [wall, ...]
+        "pinned": None,  # {"factor", "request", "wall", "reason"}
         "recent": [],    # pinned-factor samples since the pin (deopt window)
         "deopts": 0,
     }
@@ -395,8 +339,8 @@ def _pinned_request_of(pinned: dict) -> Optional[int]:
 def decision(fp: str, engine: str) -> dict:
     """What the next run of this kernel should do.
 
-    ``{"state": "pinned", "request": r, "factor": f, "codegen": bool,
-    "reason": ...}`` when a measured winner exists; ``{"state": "measure",
+    ``{"state": "pinned", "request": r, "factor": f, "reason": ...}``
+    when a measured winner exists; ``{"state": "measure",
     "requests": (...), "reason": ...}`` when candidates must be
     (re-)measured.
     """
@@ -411,7 +355,6 @@ def decision(fp: str, engine: str) -> dict:
             "state": "pinned",
             "request": _pinned_request_of(pinned),
             "factor": pinned["factor"],
-            "codegen": bool(pinned.get("codegen", False)),
             "reason": reason,
         }
     reason = ("re-measuring after deopt" if entry.get("deopts")
@@ -435,37 +378,27 @@ def pinned_request(fp: str, engine: str) -> Optional[int]:
     return _pinned_request_of(pinned)
 
 
-def record_measurement(fp: str, engine: str, factor: int, wall: float,
-                       codegen: bool = False) -> None:
+def record_measurement(fp: str, engine: str, factor: int,
+                       wall: float) -> None:
     """One candidate's wall-clock sample from a measurement sweep."""
     _STATS["measurements"] += 1
     with _entry_lock(fp, engine):
         entry = _load_entry(fp, engine)
-        samples = entry["samples"].setdefault(sample_key(factor, codegen), [])
+        samples = entry["samples"].setdefault(str(int(factor)), [])
         samples.append(wall)
         del samples[:-MAX_SAMPLES]
         _store_entry(entry)
     telemetry.record_autotune(
         "measure",
-        {"fingerprint": fp, "engine": engine, "factor": factor,
-         "codegen": bool(codegen), "wall": wall},
+        {"fingerprint": fp, "engine": engine, "factor": factor, "wall": wall},
     )
 
 
 _REQUEST_UNSET = object()
 
 
-def _cfg_label(key) -> str:
-    """Human/JSON label for a measured key: bare ``int`` factors (legacy
-    callers) or ``(factor, codegen)`` tuples from the v2 sweep."""
-    if isinstance(key, tuple):
-        return sample_key(key[0], key[1])
-    return str(int(key))
-
-
 def pin(fp: str, engine: str, factor: int, wall: float,
-        measured: Dict,
-        request=_REQUEST_UNSET, codegen: bool = False) -> str:
+        measured: Dict[int, float], request=_REQUEST_UNSET) -> str:
     """Pin the measured winner; returns the human-readable reason.
 
     ``request`` is the batch request the winning candidate *compiled
@@ -473,16 +406,15 @@ def pin(fp: str, engine: str, factor: int, wall: float,
     the measured module bit-for-bit, since a forced factor and the auto
     mode can batch a multi-loop kernel differently.  When omitted it is
     derived from ``factor`` (exact only for single-gang-loop kernels).
-    ``measured`` keys may be bare factors or ``(factor, codegen)`` tuples.
     """
     if request is _REQUEST_UNSET:
         request = _request_for(factor)
     _STATS["pins"] += 1
-    labeled = {_cfg_label(k): w for k, w in measured.items()}
+    labeled = {str(int(k)): w for k, w in measured.items()}
     ranked = ", ".join(
         f"B={k}:{w * 1e3:.2f}ms" for k, w in sorted(labeled.items())
     )
-    chosen = sample_key(factor, codegen)
+    chosen = str(int(factor))
     fastest = min(labeled, key=labeled.get) if labeled else chosen
     if chosen == fastest:
         reason = f"measured fastest of {{{ranked}}}"
@@ -492,33 +424,30 @@ def pin(fp: str, engine: str, factor: int, wall: float,
     with _entry_lock(fp, engine):
         entry = _load_entry(fp, engine)
         entry["pinned"] = {"factor": int(factor), "request": request,
-                           "codegen": bool(codegen),
                            "wall": wall, "reason": reason}
         entry["recent"] = []
         _store_entry(entry)
     telemetry.record_autotune(
         "pin",
         {"fingerprint": fp, "engine": engine, "factor": factor,
-         "request": request, "codegen": bool(codegen), "wall": wall,
-         "measured": labeled},
+         "request": request, "wall": wall, "measured": labeled},
     )
     return reason
 
 
-def observe(fp: str, engine: str, factor: int, wall: float,
-            codegen: bool = False) -> Optional[str]:
+def observe(fp: str, engine: str, factor: int,
+            wall: float) -> Optional[str]:
     """Record a steady-state sample; returns ``"deopt"`` when the pinned
     choice just regressed past the threshold (the pin is dropped and the
     next :func:`decision` re-measures)."""
     event = None
     with _entry_lock(fp, engine):
         entry = _load_entry(fp, engine)
-        samples = entry["samples"].setdefault(sample_key(factor, codegen), [])
+        samples = entry["samples"].setdefault(str(int(factor)), [])
         samples.append(wall)
         del samples[:-MAX_SAMPLES]
         pinned = entry.get("pinned")
-        if (pinned and int(pinned["factor"]) == int(factor)
-                and bool(pinned.get("codegen", False)) == bool(codegen)):
+        if pinned and int(pinned["factor"]) == int(factor):
             if wall < pinned["wall"]:
                 # New best: ratchet the baseline down and forgive the window.
                 pinned["wall"] = wall

@@ -60,6 +60,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..diagnostics import emit_warning
+from ..envflags import env_flag
 from ..ir.cfg import Loop, find_loops, reverse_postorder
 from ..ir.instructions import Instruction, REDUCE_OPS
 from ..ir.module import BasicBlock, ExternalFunction, Function, Module
@@ -123,7 +124,7 @@ def batching_request() -> Optional[int]:
     request for auto mode: it falls back to the cost model but emits a
     structured :class:`~repro.diagnostics.ReproWarning` saying so.
     """
-    if os.environ.get("REPRO_NO_BATCH", "") in ("1", "true"):
+    if env_flag("REPRO_NO_BATCH"):
         return 0
     forced = os.environ.get("REPRO_BATCH", "")
     if forced:

@@ -1,12 +1,15 @@
 """Whole-kernel codegen: one generated Python function per IR function.
 
-The engine ladder so far (reference → predecoded thunks →
-superinstruction windows → gang batching) still pays a Python-level
-fetch/decode step at every basic-block boundary: a dict lookup for the
-decoded block, per-phi resolver calls, tuple unpacks per body entry, and
-a terminator dispatch.  This module retires that loop entirely — at
-decode time it *linearizes* a function's structurized CFG into a single
-generated Python function over the live payloads:
+The default tier of the three-tier VM (reference → predecoded →
+codegen, see :mod:`repro.vm.interp`) and the only module in the tree
+that generates source and calls ``compile()`` on it.  The predecoded
+engine pays a Python-level fetch/decode step at every basic-block
+boundary: a dict lookup for the decoded block, per-phi resolver calls,
+tuple unpacks per body entry, and a terminator dispatch.  This module
+retires that loop — at decode time it *linearizes* a function's
+structurized CFG into a single generated Python function over the live
+payloads; what it cannot express bails out to the predecoded engine,
+and what traps replays there:
 
 * every SSA value becomes a Python local (``v7``), so the per-value
   ``env`` dict disappears along with its reads and writes;
@@ -24,14 +27,14 @@ generated Python function over the live payloads:
   mask-converted) scalar condition, with the structural join computed
   from the immediate postdominator.  A trailing single-use scalar
   compare or mask reduction feeding the ``condbr`` folds straight into
-  the ``if`` header (the fused engine's ``cmp_condbr`` pattern) instead
-  of materializing a 0/1 local;
-* the superinstruction window emitter's scalar expression inliner
-  (:meth:`Interpreter._inline_expr` — inlined f32 rounding, literal int
-  masks) is reused verbatim, and vector ops additionally inline to raw
-  numpy expressions (``v34 * v34`` instead of an impl-closure call) —
-  the whole body runs under a saved/restored ``np.seterr(all="ignore")``
-  so the inlined forms match the impls' per-call ``errstate`` guards;
+  the ``if`` header instead of materializing a 0/1 local;
+* hot scalar ops inline to raw Python expressions
+  (:func:`_inline_expr` — inlined f32 rounding, literal int masks,
+  XOR-sign-bit signed compares) and vector ops to raw numpy expressions
+  (``v34 * v34`` instead of an impl-closure call); everything else calls
+  a pre-resolved :func:`_value_impl` closure.  The whole body runs under
+  a saved/restored ``np.seterr(all="ignore")`` so the inlined forms
+  match the impls' per-call ``errstate`` guards;
 * gang-batched blocks inline their narrow-prototype charging
   (multiplicity × per-item cost) exactly as the reference engine
   interprets it; divergent-loop activity state lives in *specialized
@@ -51,9 +54,9 @@ that completes, and the trap-replay protocol covers the rest:
   instructions (``_ni``), and one integer local per distinct counter key
   (``_k0``…) accumulate in plain Python locals and flush into
   ``ExecStats`` once, in the function's ``finally``.  Cycle costs are
-  dyadic rationals well inside float53 (the window emitter's bulk-charge
-  argument), so the locally-accumulated sums are bit-identical to the
-  reference engine's sequential accumulation under *any* association;
+  dyadic rationals well inside float53, so the locally-accumulated sums
+  are bit-identical to the reference engine's sequential accumulation
+  under *any* association;
   instruction and opcode counts are integers and commute.  Counter keys
   flush only when nonzero, so a key the reference engine never created
   never appears.  Around an internal call the accumulators flush and
@@ -127,26 +130,50 @@ import numpy as np
 
 from .. import diskcache
 from ..ir.cfg import Loop, find_loops, reverse_postorder
-from ..ir.instructions import REDUCE_OPS
+from ..ir.instructions import (
+    ATOMIC_RMW_OPS,
+    CAST_OPS,
+    FLOAT_BINOPS,
+    INT_BINOPS,
+    Instruction,
+    REDUCE_OPS,
+    UNARY_OPS,
+)
 from ..ir.module import BasicBlock, ExternalFunction, Function
 from ..ir.types import FloatType, IntType, VectorType
 from ..ir.values import Constant, UndefValue, Value
 from ..vm.interp import (
-    _GROUP_OPS,
-    _budget_trap,
+    ExecutionLimitExceeded,
     _constant_payload,
     _undef_payload,
-    _uses_exactly,
 )
 from ..vm.nputil import (
     as_unsigned,
     elem_dtype,
+    mask_int,
     signed_dtype,
     signed_view,
+    to_signed,
 )
-from ..vm.ops import VMTrap, gang_activity_count
+from ..vm.ops import (
+    VMTrap,
+    _c_float,
+    eval_scalar_cast,
+    eval_scalar_unop,
+    eval_vector_cast,
+    eval_vector_fcmp,
+    eval_vector_icmp,
+    eval_vector_unop,
+    gang_activity_count,
+    round_float,
+    scalar_binop_impl,
+    scalar_fcmp_impl,
+    scalar_icmp_impl,
+    vector_binop_impl,
+)
 
-__all__ = ["CodegenBailout", "emit_function", "compiled_code", "bind_code"]
+__all__ = ["CodegenBailout", "emit_function", "forget_emission",
+           "compiled_code", "bind_code"]
 
 #: Emission refuses functions above this static instruction count — the
 #: generated source would dwarf the decode win and slow ``compile()``.
@@ -171,6 +198,21 @@ _CODE_CACHE: Dict[str, object] = {}
 #: bindings is interpreter-independent or re-derivable from a recipe).
 _FIXED_BINDINGS = frozenset(
     ("_s", "_c", "_interp", "_mem", "_fname", "_trap", "_exec", "_gac", "_VMTrap")
+)
+
+_BINOPS = INT_BINOPS | FLOAT_BINOPS
+
+#: Every body opcode :func:`_value_impl` can compute — all of them except
+#: ``call`` (calls re-enter the interpreter, see ``emit_call``).
+_COMPUTE_OPS = frozenset(
+    _BINOPS | UNARY_OPS | CAST_OPS | REDUCE_OPS
+    | {
+        "icmp", "fcmp", "select", "fma", "gep", "broadcast",
+        "extractelement", "insertelement", "shuffle", "shuffle2", "sad",
+        "mask_any", "mask_all", "mask_popcnt",
+        "load", "store", "vload", "vstore", "gather", "scatter",
+        "alloca", "atomicrmw",
+    }
 )
 
 #: Ops whose ``_value_impl`` closure captures interpreter state (memory,
@@ -208,9 +250,6 @@ _VEC_IBIN = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "
 _VEC_BBIN = {"and": "&", "umin": "&", "mul": "&", "smax": "&",
              "or": "|", "umax": "|",
              "xor": "^", "add": "^", "sub": "^"}
-_VEC_CMP_U = {"eq": "==", "ne": "!=", "ult": "<", "ule": "<=",
-              "ugt": ">", "uge": ">="}
-_VEC_CMP_S = {"slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
 #: Vector fcmp inlines the ordered-mask form of ops.eval_vector_fcmp;
 #: unlike the scalar table, ``one`` is safe here (the explicit
 #: ``~(isnan|isnan)`` mask owns the NaN behaviour, not the operator).
@@ -221,13 +260,23 @@ _VEC_CAST_ASTYPE = frozenset(
     ("ptrtoint", "inttoptr", "trunc", "zext", "fptrunc", "fpext", "uitofp")
 )
 
-#: Scalar condbr-condition folds: predicate → raw truthy Python operator.
-_COND_CMP_U = _VEC_CMP_U
-_COND_CMP_S = _VEC_CMP_S
-#: Ordered fcmp preds where the Python operator already yields False on
-#: NaN, matching eval_scalar_fcmp's unordered→0 rule ("one" is NOT
-#: foldable: Python ``nan != x`` is True but the reference returns 0).
-_COND_FCMP = {"oeq": "==", "olt": "<", "ole": "<=", "ogt": ">", "oge": ">="}
+#: Integer compare predicate → operator, shared by the scalar inliner,
+#: the vector inliner and the condbr-condition fold (signed forms apply
+#: after a sign-bit XOR, or to a signed view of the lanes).
+_CMP_U = {"eq": "==", "ne": "!=", "ult": "<", "ule": "<=",
+          "ugt": ">", "uge": ">="}
+_CMP_S = {"slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
+#: Ordered *scalar* fcmp preds where the Python operator already yields
+#: False on NaN, matching eval_scalar_fcmp's unordered→0 rule ("one" is
+#: NOT inlinable: Python ``nan != x`` is True but the reference returns 0).
+_SCALAR_FCMP = {"oeq": "==", "olt": "<", "ole": "<=", "ogt": ">", "oge": ">="}
+
+#: Scalar opcodes the emitter writes as raw Python expressions instead of
+#: impl-callable invocations.  Each template must reproduce the
+#: corresponding ops.py impl bit-for-bit — see :func:`_inline_expr`.
+_INLINE_FBIN = {"fadd": "+", "fsub": "-", "fmul": "*"}
+_INLINE_IBIN = {"add": "+", "sub": "-", "mul": "*"}
+_INLINE_IBIT = {"and": "&", "or": "|", "xor": "^"}
 
 
 class CodegenBailout(Exception):
@@ -237,6 +286,252 @@ class CodegenBailout(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
+
+
+def _budget_trap(interp, fname: str):
+    """Raise the budget trap exactly as the dispatch loops word it."""
+    limit = interp.max_instructions
+    raise ExecutionLimitExceeded(f"exceeded {limit} instructions in @{fname}")
+
+
+def _uses_exactly(value: Value, user, idx: int) -> bool:
+    """True iff ``value`` has exactly one use: operand ``idx`` of ``user``."""
+    uses = value.uses
+    return len(uses) == 1 and uses[0][0] is user and uses[0][1] == idx
+
+
+def _binop_impl(instr: Instruction):
+    """One pre-resolved 2-arg callable for a scalar or vector binop."""
+    if isinstance(instr.type, VectorType):
+        return vector_binop_impl(instr.opcode, instr.type.elem)
+    return scalar_binop_impl(instr.opcode, instr.type)
+
+
+def _value_impl(interp, instr: Instruction):
+    """A value-level callable ``fn(*operand_payloads) -> payload``.
+
+    Unlike :meth:`Interpreter._decode_instr` thunks, these do not read
+    ``env`` — the emitter wires operands itself (every SSA value is a
+    Python local).  Defined for every ``_COMPUTE_OPS`` opcode; operands
+    map positionally.  Closures for ``_REBIND_OPS`` capture ``interp``.
+    """
+    op = instr.opcode
+    ops = instr.operands
+    vec = isinstance(instr.type, VectorType)
+
+    if op in _BINOPS:
+        return _binop_impl(instr)
+    if op in UNARY_OPS:
+        if vec:
+            elem = instr.type.elem
+            return lambda a: eval_vector_unop(op, elem, a)
+        t = instr.type
+        return lambda a: eval_scalar_unop(op, t, a)
+    if op == "icmp":
+        pred = instr.attrs["pred"]
+        src_t = ops[0].type
+        if isinstance(src_t, VectorType):
+            elem = src_t.elem
+            return lambda a, b: eval_vector_icmp(pred, elem, a, b)
+        return scalar_icmp_impl(pred, src_t)
+    if op == "fcmp":
+        pred = instr.attrs["pred"]
+        if isinstance(ops[0].type, VectorType):
+            return lambda a, b: eval_vector_fcmp(pred, a, b)
+        return scalar_fcmp_impl(pred)
+    if op in CAST_OPS:
+        from_t, to_t = ops[0].type, instr.type
+        if isinstance(to_t, VectorType):
+            from_e, to_e = from_t.elem, to_t.elem
+            return lambda v: eval_vector_cast(op, from_e, to_e, v)
+        return lambda v: eval_scalar_cast(op, from_t, to_t, v)
+    if op == "select":
+        if isinstance(ops[0].type, VectorType) or vec:
+            return lambda c, a, b: np.where(c, a, b)
+        return lambda c, a, b: a if c else b
+    if op == "fma":
+        if vec:
+            return lambda a, b, c: a * b + c
+        t = instr.type
+        return lambda a, b, c: round_float(t, round_float(t, a * b) + c)
+    if op == "gep":
+        bits = ops[1].type.bits
+        esize = instr.type.pointee.size_bytes()
+        return lambda base, idx: mask_int(
+            base + to_signed(idx, bits) * esize, 64
+        )
+    if op == "broadcast":
+        count = instr.type.count
+        dtype = elem_dtype(instr.type.elem)
+        return lambda s: np.full(count, s, dtype=dtype)
+    if op == "extractelement":
+        if instr.type.is_float:
+            return lambda v, i: float(v[int(i) % len(v)])
+        return lambda v, i: int(v[int(i) % len(v)])
+    if op == "insertelement":
+        def _insert(v, i, e):
+            v = v.copy()
+            v[int(i) % len(v)] = e
+            return v
+        return _insert
+    if op == "shuffle":
+        return lambda a, i: a[i.astype(np.int64) % len(a)]
+    if op == "shuffle2":
+        def _shuffle2(lo, hi, i):
+            both = np.concatenate([lo, hi])
+            return both[i.astype(np.int64) % len(both)]
+        return _shuffle2
+    if op == "sad":
+        def _sad(a, b):
+            diffs = np.abs(
+                a.astype(np.int64) - b.astype(np.int64)
+            ).reshape(-1, 8).sum(axis=1)
+            return diffs.astype(np.uint64)
+        return _sad
+    if op in REDUCE_OPS:
+        reduce = interp._reduce
+        return lambda v: reduce(op, instr, v)
+    if op == "mask_any":
+        return lambda m: 1 if bool(m.any()) else 0
+    if op == "mask_all":
+        return lambda m: 1 if bool(m.all()) else 0
+    if op == "mask_popcnt":
+        return lambda m: int(m.sum())
+
+    # -- memory ops (closures capture ``interp.memory``: see _REBIND_OPS) --------
+    memory = interp.memory
+    if op == "load":
+        t = instr.type
+        return lambda addr: memory.load_scalar(addr, t)
+    if op == "store":
+        t = ops[0].type
+        def _store(v, addr):
+            memory.store_scalar(addr, t, v)
+            return None
+        return _store
+    if op == "vload":
+        elem, count = instr.type.elem, instr.type.count
+        return lambda addr, mask: memory.load_packed(addr, elem, count, mask)
+    if op == "vstore":
+        elem = ops[0].type.elem
+        def _vstore(v, addr, mask):
+            memory.store_packed(addr, elem, v, mask)
+            return None
+        return _vstore
+    if op == "gather":
+        elem = instr.type.elem
+        return lambda addrs, mask: memory.gather(addrs, elem, mask)
+    if op == "scatter":
+        elem = ops[0].type.elem
+        def _scatter(v, addrs, mask):
+            memory.scatter(addrs, elem, v, mask)
+            return None
+        return _scatter
+    if op == "alloca":
+        size = max(
+            instr.type.pointee.size_bytes() * instr.attrs.get("count", 1), 1
+        )
+        return lambda: memory.alloc(size)
+    if op == "atomicrmw":
+        rmw = instr.attrs["op"]
+        if rmw not in ATOMIC_RMW_OPS:
+            raise VMTrap(f"atomicrmw: unsupported op {rmw!r}")
+        t = ops[1].type
+        impl = scalar_binop_impl(rmw, t)
+        def _atomicrmw(addr, val):
+            old = memory.load_scalar(addr, t)
+            memory.store_scalar(addr, t, impl(old, val))
+            return old
+        return _atomicrmw
+    raise NotImplementedError(f"codegen: opcode {op}")
+
+
+def _inline_expr(instr: Instruction, argrefs, hoist):
+    """Emit a scalar op as a plain expression, or ``None`` to fall back.
+
+    Skips the impl-lambda call layer (and for f32 floats the
+    round_float wrapper) for the ops that dominate benchsuite
+    dispatch.  Every template is bit-identical to the ops.py impl;
+    vectors and anything subtle (shifts, division, signed-overflowing
+    casts to float, ...) fall back to :func:`_value_impl`.
+    """
+    op = instr.opcode
+    t = instr.type
+    if isinstance(t, VectorType):
+        return None
+    # Mask reductions: scalar-typed with one vector operand; they gate
+    # every divergent-loop backedge, so skipping the closure layer
+    # matters.  Same truthiness as the _value_impl lambdas.
+    if op == "mask_any":
+        return f"(1 if {argrefs[0]}.any() else 0)"
+    if op == "mask_all":
+        return f"(1 if {argrefs[0]}.all() else 0)"
+    if op == "mask_popcnt":
+        # Hoisted: generated code runs with empty __builtins__.
+        i = hoist(int, key=("b", "int"))
+        return f"{i}({argrefs[0]}.sum())"
+    sym = _INLINE_FBIN.get(op)
+    if sym is not None and isinstance(t, FloatType):
+        a, b = argrefs
+        if t.bits == 32:
+            cf = hoist(_c_float, key=("cf",))
+            return f"{cf}({a} {sym} {b}).value"
+        return f"({a} {sym} {b})"
+    if isinstance(t, IntType):
+        sym = _INLINE_IBIN.get(op)
+        if sym is not None:
+            a, b = argrefs
+            mask = (1 << t.bits) - 1
+            return f"(({a} {sym} {b}) & {mask:#x})"
+        sym = _INLINE_IBIT.get(op)
+        if sym is not None:
+            a, b = argrefs
+            return f"({a} {sym} {b})"
+    if op in ("icmp", "fcmp"):
+        src_t = instr.operands[0].type
+        if isinstance(src_t, VectorType):
+            return None
+        pred = instr.attrs["pred"]
+        a, b = argrefs
+        if op == "fcmp":
+            sym = _SCALAR_FCMP.get(pred)
+            return None if sym is None else f"(1 if {a} {sym} {b} else 0)"
+        sym = _CMP_U.get(pred)
+        if sym is not None:
+            return f"(1 if {a} {sym} {b} else 0)"
+        sym = _CMP_S.get(pred)
+        if sym is not None:
+            # XOR with the sign bit maps two's-complement order onto
+            # unsigned order, so no to_signed() calls are needed.
+            sb = 1 << (getattr(src_t, "bits", 64) - 1)
+            return f"(1 if ({a} ^ {sb:#x}) {sym} ({b} ^ {sb:#x}) else 0)"
+        return None
+    if op == "select" and not isinstance(instr.operands[0].type, VectorType):
+        c, a, b = argrefs
+        return f"({a} if {c} else {b})"
+    if op == "gep":
+        base, idx = argrefs
+        bits = instr.operands[1].type.bits
+        esize = t.pointee.size_bytes()
+        ts = hoist(to_signed, key=("ts",))
+        return (
+            f"(({base} + {ts}({idx}, {bits}) * {esize})"
+            " & 0xffffffffffffffff)"
+        )
+    if op in ("trunc", "zext", "sext") and isinstance(t, IntType):
+        src_t = instr.operands[0].type
+        if not isinstance(src_t, IntType):
+            return None
+        (v,) = argrefs
+        if op == "zext":
+            return v
+        if op == "trunc":
+            mask = (1 << t.bits) - 1
+            return f"({v} & {mask:#x})"
+        sb = 1 << (src_t.bits - 1)
+        mask = (1 << t.bits) - 1
+        return f"((({v} ^ {sb:#x}) - {sb:#x}) & {mask:#x})"
+    return None
 
 
 def _postdominators(function: Function) -> Dict[BasicBlock, object]:
@@ -644,8 +939,8 @@ class _Emitter:
     def _vec_expr(self, ins, argrefs) -> Optional[str]:
         """Emit a vector op as a raw numpy expression, or ``None``.
 
-        The superinstruction analogue of the scalar ``_inline_expr``:
-        every template is the exact expression the ops.py impl evaluates
+        The vector analogue of the scalar :func:`_inline_expr`: every
+        template is the exact expression the ops.py impl evaluates
         (the per-call ``errstate`` guards are covered by the generated
         function's body-wide ``np.seterr(all="ignore")``); anything
         subtle — shifts, trapping division, saturating forms,
@@ -660,10 +955,10 @@ class _Emitter:
             pred = ins.attrs["pred"]
             a, b = argrefs
             if op == "icmp":
-                sym = _VEC_CMP_U.get(pred)
+                sym = _CMP_U.get(pred)
                 if sym is not None:
                     return f"({a} {sym} {b})"
-                sym = _VEC_CMP_S.get(pred)
+                sym = _CMP_S.get(pred)
                 sv = self._np(signed_view)
                 return f"({sv}({a}) {sym} {sv}({b}))"
             sym = _VEC_FCMP.get(pred)
@@ -766,12 +1061,12 @@ class _Emitter:
 
     def emit_compute(self, ins) -> None:
         argrefs = [self.ref(o) for o in ins.operands]
-        expr = self.interp._inline_expr(ins, argrefs, self.hoist)
+        expr = _inline_expr(ins, argrefs, self.hoist)
         if expr is None:
             expr = self._vec_expr(ins, argrefs)
         if expr is None:
             impl = self.hoist(
-                self.interp._value_impl(ins), key=("impl", id(ins))
+                _value_impl(self.interp, ins), key=("impl", id(ins))
             )
             if ins.opcode in _REBIND_OPS:
                 self.impl_instrs[impl] = ins
@@ -957,9 +1252,8 @@ class _Emitter:
     def _fold_cond(self, body, term):
         """The trailing body instruction, when it is a single-use scalar
         compare / mask reduction consumed only by this ``condbr`` and
-        expressible as a raw truthy Python expression (the fused
-        engine's ``cmp_condbr`` pattern, extended to mask reductions);
-        ``None`` otherwise."""
+        expressible as a raw truthy Python expression; ``None``
+        otherwise."""
         if term.opcode != "condbr" or not body:
             return None
         cond = body[-1]
@@ -974,7 +1268,7 @@ class _Emitter:
             return None
         pred = cond.attrs["pred"]
         if op == "fcmp":
-            return cond if pred in _COND_FCMP else None
+            return cond if pred in _SCALAR_FCMP else None
         return cond
 
     def _fold_cond_expr(self, cond) -> str:
@@ -1000,14 +1294,14 @@ class _Emitter:
         a = self.ref(cond.operands[0])
         b = self.ref(cond.operands[1])
         if op == "fcmp":
-            return f"{a} {_COND_FCMP[pred]} {b}"
-        sym = _COND_CMP_U.get(pred)
+            return f"{a} {_SCALAR_FCMP[pred]} {b}"
+        sym = _CMP_U.get(pred)
         if sym is not None:
             return f"{a} {sym} {b}"
         # XOR with the sign bit maps two's-complement order onto
         # unsigned order (same trick as the scalar inliner).
         sb = 1 << (getattr(cond.operands[0].type, "bits", 64) - 1)
-        return f"({a} ^ {sb:#x}) {_COND_CMP_S[pred]} ({b} ^ {sb:#x})"
+        return f"({a} ^ {sb:#x}) {_CMP_S[pred]} ({b} ^ {sb:#x})"
 
     def emit_block(self, block: BasicBlock,
                    stop: Optional[BasicBlock]) -> Optional[BasicBlock]:
@@ -1030,7 +1324,7 @@ class _Emitter:
             op = ins.opcode
             if op == "call":
                 self.emit_call(ins)
-            elif op in _GROUP_OPS:
+            elif op in _COMPUTE_OPS:
                 self.emit_compute(ins)
             else:
                 raise CodegenBailout(f"opcode:{op}")
@@ -1302,6 +1596,14 @@ def _emit_cache_key(function: Function):
     return (stamp, nblocks, ninstrs)
 
 
+def forget_emission(function: Function) -> None:
+    """Drop ``function``'s cached emissions: its IR was mutated in place,
+    which neither object identity nor the structural key can see."""
+    key = _emit_cache_key(function)
+    cache = _EMIT_CACHE if isinstance(key, tuple) else _EMIT_CACHE_BY_FN
+    cache.pop(key, None)
+
+
 def emit_function(interp, function: Function) -> Tuple[str, Dict[str, object]]:
     """Linearize ``function`` against ``interp``'s machine/cost bindings.
 
@@ -1336,7 +1638,7 @@ def emit_function(interp, function: Function) -> Tuple[str, Dict[str, object]]:
                 bindings = _fixed_bindings(interp, function)
                 for name, ins, obj in recipe:
                     bindings[name] = (
-                        obj if ins is None else interp._value_impl(ins)
+                        obj if ins is None else _value_impl(interp, ins)
                     )
                 return source, bindings
     emitter = _Emitter(interp, function)

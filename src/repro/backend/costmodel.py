@@ -156,17 +156,6 @@ class CostModel:
             return max(float(factor), bandwidth)
         return base * factor
 
-    def sequence_cost(self, instrs, machine: Machine) -> float:
-        """Total charge for a superinstruction group.
-
-        The accounting-transparency contract of the VM's decode-level
-        fusion: a composite thunk charges exactly the sum of its
-        constituents' individual costs — fusion changes dispatch overhead,
-        never modeled cycles.  Kept as the single composite-cost query so a
-        future discount for fused groups has one place to live.
-        """
-        return sum(self.cost(instr, machine) for instr in instrs)
-
 
 #: Shared default instance.
 DEFAULT_COST_MODEL = CostModel()

@@ -15,7 +15,7 @@ One carve-out: a kernel containing a cross-lane intrinsic
 has **no scalar execution strategy** — cross-lane communication cannot
 be scalarized, so degraded compiles raise ``CompileError`` instead of
 falling back (``has_reduction``/``has_shuffle`` flag this for the test
-harness).  The vector-engine strategies (decoded, fused, batched,
+harness).  The vector-engine strategies (decoded, batched,
 codegen) still all apply and must still agree bitwise; reductions may
 additionally sit inside a uniform-trip-count loop *after* the divergent
 body, so the sync point executes repeatedly under loop control flow.

@@ -90,15 +90,13 @@ def _effective_factor(module: Module) -> int:
 
 
 def _timed_run(module: Module, machine: Machine, workload: Workload,
-               predecode: bool, superinstructions: Optional[bool],
-               codegen: Optional[bool] = None) -> float:
+               predecode: bool, codegen: bool) -> float:
     """One untelemetered wall-clock sample of ``kernel`` on ``workload``.
 
     A fresh interpreter per sample; ``alloc_array`` copies the workload
     into VM memory, so the caller's arrays stay pristine for the real run.
     """
     interp = Interpreter(module, machine=machine, predecode=predecode,
-                         superinstructions=superinstructions,
                          codegen=codegen)
     addrs = []
     for array in workload.arrays:
@@ -111,35 +109,29 @@ def _timed_run(module: Module, machine: Machine, workload: Workload,
 
 
 def _autotune_parsimony(spec: KernelSpec, machine: Machine,
-                        workload: Workload, predecode: bool,
-                        superinstructions: Optional[bool],
-                        codegen: Optional[bool] = None):
+                        workload: Workload, predecode: bool, codegen: bool):
     """Profile-guided module selection for the parsimony implementation.
 
     Consults the persisted profile for this kernel's content fingerprint:
     a pinned winner compiles straight to its batch request; an unpinned
     kernel triggers a measurement sweep over the candidate requests
-    (deduped by the effective factor each one compiles to) crossed with
-    the execution engine — decoded vs whole-kernel codegen — pins the
-    winning ``(factor, codegen)`` pair, and runs that.  An explicit
-    ``codegen`` argument freezes that axis: only the requested leg is
-    measured and pinned.  Returns ``(module, info, use_codegen)`` where
-    ``info`` is the ``autotune`` record attached to the run's telemetry
-    entry and ``use_codegen`` is the engine leg the real run should use.
+    (deduped by the effective factor each one compiles to) on the engine
+    the real run will use, pins the winning factor, and runs that.
+    Returns ``(module, info)`` where ``info`` is the ``autotune`` record
+    attached to the run's telemetry entry.
     """
     fp = autotune.fingerprint(spec.psim_src)
-    engine = autotune.engine_config(superinstructions, machine)
+    engine = autotune.engine_config(machine)
     name = f"{spec.name}.parsimony"
     dec = autotune.decision(fp, engine)
     if dec["state"] == "pinned":
         module = compile_parsimony(spec.psim_src, module_name=name,
                                    batch_request=dec["request"])
-        use_cg = dec["codegen"] if codegen is None else bool(codegen)
         return module, {
             "state": "pinned", "fingerprint": fp, "engine": engine,
             "factor": dec["factor"], "request": dec["request"],
-            "codegen": use_cg, "reason": dec["reason"],
-        }, use_cg
+            "reason": dec["reason"],
+        }
     reps = autotune.measure_reps()
     # Candidate requests dedupe by the *effective* factor each compiles to
     # (an 8-gang kernel's auto suggestion may be 2, collapsing with the
@@ -152,74 +144,53 @@ def _autotune_parsimony(spec: KernelSpec, machine: Machine,
                                       batch_request=request)
         candidates.setdefault(_effective_factor(candidate),
                               (request, candidate))
-    legs = (False, True) if codegen is None else (bool(codegen),)
     # Interleave the candidates round-robin rather than timing each one's
     # repetitions back-to-back: a slow machine phase (CPU throttling, a
     # noisy neighbor) then lands on every candidate instead of sinking
     # whichever one it coincided with.
-    walls: Dict[tuple, list] = {
-        (factor, cg): [] for factor in candidates for cg in legs}
+    walls: Dict[int, list] = {factor: [] for factor in candidates}
     for _ in range(reps):
         for factor, (_, candidate) in sorted(candidates.items()):
-            for cg in legs:
-                walls[(factor, cg)].append(
-                    _timed_run(candidate, machine, workload, predecode,
-                               superinstructions, codegen=cg))
-    measured: Dict[tuple, float] = {}
-    for key in sorted(walls):
-        wall = min(walls[key])
-        autotune.record_measurement(fp, engine, key[0], wall, codegen=key[1])
-        measured[key] = wall
-    # Smallest factor within PIN_MARGIN of the fastest leg, then codegen
-    # within that factor only past CODEGEN_MARGIN: each axis must win
-    # decisively, else noise pins a config that merely tied.
-    if codegen is None:
-        best, best_cg = autotune.choose_config(measured)
-    else:
-        best = autotune.choose_factor(
-            {f: w for (f, _), w in measured.items()})
-        best_cg = legs[0]
+            walls[factor].append(
+                _timed_run(candidate, machine, workload, predecode, codegen))
+    measured: Dict[int, float] = {}
+    for factor in sorted(walls):
+        measured[factor] = min(walls[factor])
+        autotune.record_measurement(fp, engine, factor, measured[factor])
+    best = autotune.choose_factor(measured)
     best_request, best_module = candidates[best]
-    reason = autotune.pin(fp, engine, best, measured[(best, best_cg)],
-                          measured, request=best_request, codegen=best_cg)
+    reason = autotune.pin(fp, engine, best, measured[best], measured,
+                          request=best_request)
     return best_module, {
         "state": "measured", "fingerprint": fp, "engine": engine,
-        "factor": best, "request": best_request, "codegen": best_cg,
-        "reason": reason,
-        "measured": {autotune.sample_key(f, cg): w
-                     for (f, cg), w in measured.items()},
-    }, best_cg
+        "factor": best, "request": best_request, "reason": reason,
+        "measured": {str(f): w for f, w in measured.items()},
+    }
 
 
 def run_impl(spec: KernelSpec, impl: str, machine: Machine = AVX512,
              module: Optional[Module] = None,
              workload: Optional[Workload] = None,
              predecode: bool = True,
-             superinstructions: Optional[bool] = None,
-             codegen: Optional[bool] = None) -> KernelResult:
+             codegen: bool = True) -> KernelResult:
     """Execute one implementation on the kernel's seeded workload.
 
-    ``superinstructions`` forwards to the interpreter's decode-level
-    fusion toggle (``None`` → default on, ``REPRO_NO_FUSE`` honored);
-    ``codegen`` forwards to the whole-kernel codegen engine toggle
-    (``None`` → ``REPRO_CODEGEN``/``REPRO_NO_CODEGEN`` honored).
+    ``predecode``/``codegen`` select the VM tier exactly as
+    :class:`~repro.vm.Interpreter` does (default: whole-kernel codegen).
 
     With ``REPRO_AUTOTUNE=1`` (and no explicit ``REPRO_BATCH`` /
     ``REPRO_NO_BATCH`` override, which always wins), the parsimony
-    implementation is selected by the profile-guided tuner instead of the
-    static cost model — including which engine leg (decoded vs codegen)
-    the kernel runs on, unless ``codegen`` is passed explicitly: see
-    :mod:`repro.autotune`.
+    implementation's batch factor is selected by the profile-guided
+    tuner instead of the static cost model: see :mod:`repro.autotune`.
     """
     workload = workload or spec.workload()
     autotune_info = None
     if (module is None and impl == "parsimony" and autotune.enabled()
             and batching_request() is None and not faultinject.active()):
-        module, autotune_info, codegen = _autotune_parsimony(
-            spec, machine, workload, predecode, superinstructions, codegen)
+        module, autotune_info = _autotune_parsimony(
+            spec, machine, workload, predecode, codegen)
     module = module or build_impl(spec, impl, machine)
     interp = Interpreter(module, machine=machine, predecode=predecode,
-                         superinstructions=superinstructions,
                          codegen=codegen)
     addrs = []
     for array in workload.arrays:
@@ -242,7 +213,7 @@ def run_impl(spec: KernelSpec, impl: str, machine: Machine = AVX512,
         engine = shard.run_sharded(
             module, "kernel", (*addrs, *workload.scalars),
             machine=machine, memory=interp.memory, shards=shards,
-            predecode=predecode, superinstructions=superinstructions,
+            predecode=predecode,
             label=f"{spec.name}/{impl}", recipe=recipe,
         )
         returned = engine.returned
@@ -265,15 +236,14 @@ def run_impl(spec: KernelSpec, impl: str, machine: Machine = AVX512,
         # and the next run re-measures.
         if autotune.observe(autotune_info["fingerprint"],
                             autotune_info["engine"],
-                            autotune_info["factor"], wall,
-                            codegen=autotune_info["codegen"]) == "deopt":
+                            autotune_info["factor"], wall) == "deopt":
             autotune_info["deopt"] = True
     codegen_report = None
     if getattr(engine, "codegen", False):
         codegen_report = engine.codegen_report()
     telemetry.record_vm_run(
         f"{spec.name}/{impl}", engine.stats, engine.hotspots(),
-        fusion=engine.fusion_report(), wall_seconds=wall, batch=batch,
+        wall_seconds=wall, batch=batch,
         autotune=autotune_info, shard=shard_report, codegen=codegen_report,
     )
     outputs = [
@@ -322,13 +292,9 @@ def check_kernel(spec: KernelSpec, machine: Machine = AVX512,
 
 
 def measure_kernel(spec: KernelSpec, machine: Machine = AVX512,
-                   impls: Sequence[str] = IMPLEMENTATIONS,
-                   superinstructions: Optional[bool] = None) -> Dict[str, float]:
+                   impls: Sequence[str] = IMPLEMENTATIONS) -> Dict[str, float]:
     """Speedup of every implementation relative to scalar."""
-    results = {
-        impl: run_impl(spec, impl, machine, superinstructions=superinstructions)
-        for impl in impls
-    }
+    results = {impl: run_impl(spec, impl, machine) for impl in impls}
     scalar = results["scalar"].cycles
     return {impl: scalar / r.cycles for impl, r in results.items()}
 

@@ -38,6 +38,7 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Optional
 
+from .envflags import env_flag
 from .ir.module import ExternalFunction, Module
 
 __all__ = [
@@ -83,7 +84,7 @@ def enabled() -> bool:
     """Whether the disk layer is active."""
     if _ENABLED is not None:
         return _ENABLED
-    return os.environ.get("REPRO_DISK_CACHE", "") in ("1", "true")
+    return env_flag("REPRO_DISK_CACHE")
 
 
 def set_enabled(value: Optional[bool]) -> None:

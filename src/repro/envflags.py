@@ -1,13 +1,13 @@
-"""Shared boolean environment-flag parsing with structured diagnostics.
+"""The one parser for boolean environment knobs.
 
-Engine escape hatches (``REPRO_NO_FUSE``, ``REPRO_NO_CODEGEN``,
-``REPRO_CODEGEN``, ...) are booleans, but they historically parsed with
-``value in ("1", "true")`` — which silently *ignores* a misspelled value
-like ``REPRO_NO_FUSE=yes`` and runs the engine the user asked to turn
-off.  An unparsable value is a misconfiguration, not a silent request
-for the default: it falls back to the default but emits a structured
-:class:`~repro.diagnostics.ReproWarning` saying so, matching the
-``REPRO_BATCH``/``REPRO_SHARDS`` precedent.
+``REPRO_AUTOTUNE``, ``REPRO_DISK_CACHE``, ``REPRO_NO_BATCH`` and
+``REPRO_PARANOID`` are on/off switches.  Ad-hoc parsing gets them wrong
+in both directions: ``value in ("1", "true")`` silently ignores
+``REPRO_NO_BATCH=yes``, and ``value not in ("", "0")`` turns
+``REPRO_PARANOID=false`` *on*.  An unparsable value is a
+misconfiguration, not a silent request for the default: it keeps the
+default but emits a structured :class:`~repro.diagnostics.ReproWarning`
+saying so, matching the ``REPRO_BATCH``/``REPRO_SHARDS`` precedent.
 """
 
 from __future__ import annotations

@@ -26,11 +26,11 @@ Verification levels:
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Callable, Iterable, List, Optional
 
 from .. import faultinject, telemetry
+from ..envflags import env_flag
 from ..ir.module import Function, Module
 from ..ir.verifier import VerificationError, verify_function, verify_module
 
@@ -63,7 +63,7 @@ def paranoid_enabled() -> bool:
     """The process-wide paranoid default (override, else environment)."""
     if _paranoid_override is not None:
         return _paranoid_override
-    return os.environ.get("REPRO_PARANOID", "") not in ("", "0")
+    return env_flag("REPRO_PARANOID")
 
 
 def _pass_name(pass_: FunctionPass) -> str:

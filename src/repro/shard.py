@@ -79,8 +79,7 @@ Limitations (documented contract):
   disarmed under a shard controller: codegen only arms inside the
   replayable wrapper, which sharded runs bypass, so workers execute the
   decoded engine — the controller's per-dispatch interception has no
-  seam in a compiled kernel body.  ``REPRO_CODEGEN`` is therefore a
-  no-op for the sharded portion of a launch, by design.
+  seam in a compiled kernel body.
 """
 
 from __future__ import annotations
@@ -97,7 +96,6 @@ import numpy as np
 from . import diskcache, faultinject
 from .backend.machine import AVX512, ExecStats, Machine
 from .diagnostics import ExecutionError, ReproError, emit_warning
-from .envflags import env_flag
 from .ir.cfg import DominatorTree, Loop, find_loops
 from .ir.instructions import Instruction
 from .ir.module import Function, Module
@@ -435,7 +433,7 @@ class _ShardController:
             stats.cycles, stats.instructions, dict(stats.counts),
             dict(interp.func_cycles), dict(interp.func_calls),
             dict(interp.edge_cycles), dict(interp.edge_calls),
-            dict(interp.fuse_hits), interp._child_cycles,
+            interp._child_cycles,
         )
 
     def _restore(self) -> None:
@@ -448,11 +446,10 @@ class _ShardController:
         for live, saved in (
             (interp.func_cycles, snap[3]), (interp.func_calls, snap[4]),
             (interp.edge_cycles, snap[5]), (interp.edge_calls, snap[6]),
-            (interp.fuse_hits, snap[7]),
         ):
             live.clear()
             live.update(saved)
-        interp._child_cycles = snap[8]
+        interp._child_cycles = snap[7]
 
     def step(self, block, prev, env):
         """Called at the top of the dispatch loop for every block.
@@ -590,8 +587,6 @@ def _execute_shard(interp: Interpreter, plan: ShardPlan, index: int,
         "func_calls": func_calls,
         "edge_cycles": dict(interp.edge_cycles),
         "edge_calls": edge_calls,
-        "fuse_hits": dict(interp.fuse_hits),
-        "fuse_static": dict(interp.fuse_static),
         "ranges": ranges,
         "blob": blob,
         "crc": crc,
@@ -669,8 +664,6 @@ def _worker_main(conn, spec: Dict[str, object]) -> None:
         machine=spec["machine"],
         cost_model=spec["cost_model"],
         memory=memory,
-        predecode=True,
-        superinstructions=spec["superinstructions"],
     )
     plan = ShardPlan(module, spec["function"])
     args = spec["args"]
@@ -725,20 +718,16 @@ def _worker_main(conn, spec: Dict[str, object]) -> None:
 class ShardResult:
     """What :func:`run_sharded` returns — duck-compatible with the slice of
     :class:`~repro.vm.interp.Interpreter` the benchsuite runner reads
-    (``stats`` / ``hotspots()`` / ``fusion_report()`` / ``batch_replays``)."""
+    (``stats`` / ``hotspots()`` / ``batch_replays``)."""
 
     def __init__(self, stats: ExecStats, func_cycles, func_calls,
-                 edge_cycles, edge_calls, fuse_hits, fuse_static,
-                 superinstructions: bool, report: Dict[str, object],
+                 edge_cycles, edge_calls, report: Dict[str, object],
                  returned=None, batch_replays: int = 0):
         self.stats = stats
         self.func_cycles = func_cycles
         self.func_calls = func_calls
         self.edge_cycles = edge_cycles
         self.edge_calls = edge_calls
-        self.fuse_hits = fuse_hits
-        self.fuse_static = fuse_static
-        self.superinstructions = superinstructions
         self.report = report
         self.returned = returned
         self.batch_replays = batch_replays
@@ -750,7 +739,7 @@ class ShardResult:
                 "inclusive_cycles": cycles,
                 "calls": self.edge_calls.get((caller, callee), 0),
             }
-        entries: List[Dict[str, object]] = [
+        return [
             {
                 "function": name,
                 "exclusive_cycles": cycles,
@@ -761,24 +750,6 @@ class ShardResult:
                 self.func_cycles.items(), key=lambda kv: -kv[1]
             )
         ]
-        if any(self.fuse_hits.values()):
-            entries.append(
-                {
-                    "function": "(vm.fuse)",
-                    "exclusive_cycles": 0.0,
-                    "calls": 0,
-                    "callers": {},
-                    "fusion": self.fusion_report(),
-                }
-            )
-        return entries
-
-    def fusion_report(self) -> Dict[str, object]:
-        return {
-            "superinstructions": self.superinstructions,
-            "sites": dict(self.fuse_static),
-            "hits": dict(self.fuse_hits),
-        }
 
 
 class _KernelFailed(Exception):
@@ -806,7 +777,7 @@ class _WorkerSlot:
 
 class _Supervisor:
     def __init__(self, module, function_name, args, machine, memory, count,
-                 timeout, workers, superinstructions, cost_model, label,
+                 timeout, workers, cost_model, label,
                  max_attempts, recipe, plan):
         self.module = module
         self.function_name = function_name
@@ -815,7 +786,6 @@ class _Supervisor:
         self.memory = memory
         self.count = count
         self.timeout = timeout
-        self.superinstructions = superinstructions
         self.cost_model = cost_model
         self.label = label
         self.max_attempts = max_attempts
@@ -847,7 +817,6 @@ class _Supervisor:
             "args": self.args,
             "machine": self.machine,
             "cost_model": self.cost_model,
-            "superinstructions": self.superinstructions,
             "initial": self.initial,
             "brk": self.brk,
             "hb": self.hb,
@@ -936,8 +905,6 @@ class _Supervisor:
                 machine=self.machine,
                 cost_model=self.cost_model,
                 memory=Memory(size=self.initial.size),
-                predecode=True,
-                superinstructions=self.superinstructions,
             )
         interp.memory.data[:] = self.initial
         interp.memory._brk = self.brk
@@ -1082,8 +1049,6 @@ class _Supervisor:
         func_calls: Dict[str, int] = {}
         edge_cycles: Dict[Tuple[str, str], float] = {}
         edge_calls: Dict[Tuple[str, str], int] = {}
-        fuse_hits: Dict[str, int] = {}
-        fuse_static: Dict[str, int] = {}
         for index in range(self.count):
             payload = self.results[index]
             stats.cycles += payload["cycles"]
@@ -1097,14 +1062,9 @@ class _Supervisor:
                     live[key] = live.get(key, 0.0) + v
             for live, field in (
                 (func_calls, "func_calls"), (edge_calls, "edge_calls"),
-                (fuse_hits, "fuse_hits"),
             ):
                 for key, v in payload[field].items():
                     live[key] = live.get(key, 0) + v
-            for key, v in payload["fuse_static"].items():
-                # Decode artifact, not a run counter: the in-process value
-                # is the decoded superset, which the busiest shard decodes.
-                fuse_static[key] = max(fuse_static.get(key, 0), v)
         # The launch makes exactly one root call (each shard's was
         # decremented in its payload).
         func_calls[self.function_name] = (
@@ -1134,17 +1094,10 @@ class _Supervisor:
                 offset += n
         self.memory._brk = self.brk
 
-        report = self.report("sharded")
         return ShardResult(
             stats, func_cycles, func_calls, edge_cycles, edge_calls,
-            fuse_hits, fuse_static, self._superinstructions_flag(),
-            report,
+            self.report("sharded"),
         )
-
-    def _superinstructions_flag(self) -> bool:
-        if self.superinstructions is not None:
-            return bool(self.superinstructions)
-        return not env_flag("REPRO_NO_FUSE")
 
     def report(self, mode: str, **extra) -> Dict[str, object]:
         rep: Dict[str, object] = {
@@ -1164,15 +1117,13 @@ class _Supervisor:
 
 
 def _run_inprocess(module, function_name, args, machine, memory,
-                   superinstructions, cost_model, predecode,
-                   report) -> ShardResult:
+                   cost_model, predecode, report) -> ShardResult:
     interp = Interpreter(
         module,
         machine=machine,
         cost_model=cost_model,
         memory=memory,
         predecode=predecode,
-        superinstructions=superinstructions,
     )
     interp.reset_stats()
     returned = interp.run(function_name, *args)
@@ -1180,8 +1131,7 @@ def _run_inprocess(module, function_name, args, machine, memory,
         interp.stats,
         dict(interp.func_cycles), dict(interp.func_calls),
         dict(interp.edge_cycles), dict(interp.edge_calls),
-        dict(interp.fuse_hits), dict(interp.fuse_static),
-        interp.superinstructions, report,
+        report,
         returned=returned, batch_replays=interp.batch_replays,
     )
 
@@ -1190,7 +1140,7 @@ def run_sharded(module: Module, function_name: str = "kernel", args=(), *,
                 machine: Machine = AVX512, memory: Optional[Memory] = None,
                 shards: Optional[int] = None, timeout: Optional[float] = None,
                 workers: Optional[int] = None, predecode: bool = True,
-                superinstructions=None, cost_model=None,
+                cost_model=None,
                 label: Optional[str] = None,
                 max_attempts: int = MAX_ATTEMPTS,
                 recipe: Optional[Dict[str, object]] = None) -> ShardResult:
@@ -1230,7 +1180,7 @@ def run_sharded(module: Module, function_name: str = "kernel", args=(), *,
         }
         return _run_inprocess(
             module, function_name, args, machine, memory,
-            superinstructions, cost_model, predecode, report,
+            cost_model, predecode, report,
         )
 
     import multiprocessing as mp
@@ -1239,7 +1189,7 @@ def run_sharded(module: Module, function_name: str = "kernel", args=(), *,
         workers = max(2, min(count, (os.cpu_count() or 2), 8))
     sup = _Supervisor(
         module, function_name, args, machine, memory, count, timeout,
-        workers, superinstructions, cost_model, label, max_attempts,
+        workers, cost_model, label, max_attempts,
         recipe, plan,
     )
     try:
@@ -1250,7 +1200,7 @@ def run_sharded(module: Module, function_name: str = "kernel", args=(), *,
         report = sup.report("degraded", reason="fork start method unavailable")
         return _run_inprocess(
             module, function_name, args, machine, memory,
-            superinstructions, cost_model, predecode, report,
+            cost_model, predecode, report,
         )
 
     try:
@@ -1270,7 +1220,7 @@ def run_sharded(module: Module, function_name: str = "kernel", args=(), *,
         try:
             return _run_inprocess(
                 module, function_name, args, machine, memory,
-                superinstructions, cost_model, predecode, report,
+                cost_model, predecode, report,
             )
         except ReproError as err:
             if isinstance(err.diagnostic.detail, dict):

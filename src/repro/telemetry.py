@@ -52,7 +52,10 @@ __all__ = [
 #: v6: per-reason bailout counters — ``vm.codegen.bailout.<reason>``
 #: alongside the aggregate, so coverage regressions name the reason in
 #: telemetry diffs.
-SCHEMA = "repro-telemetry/6"
+#: v7: the fused-window tier is gone — runs carry no ``fusion`` record
+#: and ``vm`` no ``fuse_totals``; diff mode still reads a v6 document and
+#: shows its fusion counters with the new side at 0.
+SCHEMA = "repro-telemetry/7"
 DIFF_SCHEMA = "repro-telemetry-diff/2"
 
 
@@ -166,7 +169,6 @@ class Telemetry:
         label: str,
         stats,
         hotspots: List[Dict],
-        fusion: Optional[Dict[str, object]] = None,
         wall_seconds: Optional[float] = None,
         batch: Optional[Dict[str, object]] = None,
         autotune: Optional[Dict[str, object]] = None,
@@ -180,8 +182,6 @@ class Telemetry:
             "counts": dict(stats.counts),
             "hotspots": list(hotspots),
         }
-        if fusion is not None:
-            entry["fusion"] = dict(fusion)
         if wall_seconds is not None:
             entry["wall_seconds"] = wall_seconds
         if batch is not None:
@@ -321,19 +321,6 @@ class Telemetry:
                 totals[key] = totals.get(key, 0) + int(n)
         return totals
 
-    def vm_fuse_totals(self) -> Dict[str, int]:
-        """Superinstruction hit counters summed over runs, flattened to the
-        ``vm.fuse.<pattern>`` keys the perf-smoke CI job asserts on."""
-        totals: Dict[str, int] = {}
-        for run in self.vm_runs:
-            fusion = run.get("fusion")
-            if not fusion:
-                continue
-            for pattern, hits in fusion.get("hits", {}).items():  # type: ignore[union-attr]
-                key = f"vm.fuse.{pattern}"
-                totals[key] = totals.get(key, 0) + int(hits)
-        return totals
-
     def as_dict(self) -> Dict[str, object]:
         from . import driver
 
@@ -350,7 +337,6 @@ class Telemetry:
             },
             "vm": {
                 "runs": self.vm_runs,
-                "fuse_totals": self.vm_fuse_totals(),
                 "batch_totals": self.vm_batch_totals(),
                 "autotune": self.autotune_events,
                 "autotune_totals": self.vm_autotune_totals(),
@@ -409,10 +395,10 @@ def record_vectorization(function_name, gang_size, shapes, memory_forms,
         )
 
 
-def record_vm_run(label, stats, hotspots, fusion=None, wall_seconds=None,
+def record_vm_run(label, stats, hotspots, wall_seconds=None,
                   batch=None, autotune=None, shard=None, codegen=None):
     if _current is not None:
-        _current.record_vm_run(label, stats, hotspots, fusion, wall_seconds,
+        _current.record_vm_run(label, stats, hotspots, wall_seconds,
                                batch, autotune, shard, codegen)
 
 
@@ -447,16 +433,12 @@ def _flat_counters(doc: Dict) -> Dict[str, float]:
     for section, counters in totals.items():
         for key, n in counters.items():
             flat[f"vectorizer.{section}.{key}"] = n
-    for key, n in doc.get("vm", {}).get("fuse_totals", {}).items():
-        flat[key] = n  # already vm.fuse.<pattern>
-    for key, n in doc.get("vm", {}).get("batch_totals", {}).items():
-        flat[key] = n  # already vm.batch.<counter>
-    for key, n in doc.get("vm", {}).get("autotune_totals", {}).items():
-        flat[key] = n  # already vm.autotune.<counter>
-    for key, n in doc.get("vm", {}).get("shard_totals", {}).items():
-        flat[key] = n  # already vm.shard.<counter>
-    for key, n in doc.get("vm", {}).get("codegen_totals", {}).items():
-        flat[key] = n  # already vm.codegen.<counter>
+    # Every ``vm.*_totals`` table is already keyed ``vm.<layer>.<counter>``.
+    # Taking whatever tables the document has (not a fixed list) is what
+    # lets an older document's retired layers diff against 0.
+    for section, table in doc.get("vm", {}).items():
+        if section.endswith("_totals"):
+            flat.update(table)
     for section in ("compile_cache", "disk_cache"):
         for key, n in doc.get(section, {}).items():
             if isinstance(n, (int, float)):
@@ -478,7 +460,7 @@ def diff_documents(old: Dict, new: Dict) -> Dict[str, object]:
     """Machine-readable PR-over-PR delta of two telemetry documents.
 
     Compares per-pass timing/size aggregates, per-label VM runs, and every
-    flat counter (vectorizer totals, ``vm.fuse.*``, cache stats); names
+    flat counter (vectorizer totals, ``vm.*`` totals, cache stats); names
     present in only one document appear with the other side as 0.
     """
     runs_old = {r["label"]: r for r in old.get("vm", {}).get("runs", [])}

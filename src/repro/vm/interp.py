@@ -14,83 +14,46 @@ counts.
 Execution engines
 -----------------
 
-The interpreter has two engines that produce bit-identical results *and*
-bit-identical ``ExecStats``:
+Three tiers, bit-identical in results, ``ExecStats``, trap identity and
+trap-point stats; each one falls back to the tier above it in this list:
 
-* the **pre-decoded engine** (default): each basic block is decoded once,
-  on first entry, into a :class:`_DecodedBlock` — a list of
+* the **reference engine** (``predecode=False``): the opcode-string
+  dispatch loop, kept as the executable specification every other tier
+  is compared against;
+* the **pre-decoded engine** (``codegen=False``): each basic block is
+  decoded once, on first entry, into a :class:`_DecodedBlock` — a list of
   ``(instr, opcode, cost, thunk)`` tuples whose thunks have already
   resolved the opcode dispatch, operand lookups, cost-model query, and
-  type-directed specialization.  The per-dynamic-instruction work drops to
-  one tuple unpack, three counter updates, and one call;
-* the **reference engine** (``predecode=False``): the original
-  opcode-string dispatch loop, kept as the executable specification the
-  equivalence tests compare against.
+  type-directed specialization.  It charges per instruction in the
+  reference engine's charge-then-execute order, so it is what codegen
+  traps replay on, what a codegen bailout runs, and what shard workers
+  and fault-injected runs execute (gang-batched blocks included, see
+  :meth:`Interpreter._decode_batch_block`);
+* **whole-kernel codegen** (the default): each function linearized into
+  one generated Python function by :mod:`repro.backend.codegen` — the
+  only module that generates source.  It is tried first and only under
+  :meth:`Interpreter._run_replayable`; a function it cannot express
+  (:class:`~repro.backend.codegen.CodegenBailout`) runs pre-decoded, and
+  any trap rolls the launch back and replays it on the pre-decoded twin,
+  whose outcome is authoritative.
 
-Superinstructions
------------------
-
-On top of pre-decoding, the decoder peephole-fuses the dominant dynamic
-chains into single composite thunks (``superinstructions=True``, the
-default; ``REPRO_NO_FUSE=1`` disables it process-wide):
-
-=====================  =========================================================
-pattern                fused chain
-=====================  =========================================================
-``window``             maximal call-free run of body instructions (ALU ops,
-                       cmps, casts, selects, shuffles, and the memory ops)
-                       compiled by decode-time codegen into one generated
-                       Python function; the hottest scalar ops are inlined
-                       as raw expressions (no impl-callable either)
-``gep_load``           address computation + dependent scalar load,
-                       embedded in a ``window`` and counted per pair
-``gep_store``          address computation + dependent scalar store,
-                       embedded in a ``window`` and counted per pair
-``binop_binop``        dependent int/float binop chains (accumulation),
-                       embedded in a ``window`` and counted per pair
-``vload_binop_vstore`` streaming triple packed load → vector binop → packed
-                       store, embedded in a ``window`` and counted per triple
-``cmp_condbr``         scalar icmp/fcmp + the conditional branch it feeds
-                       (block terminator fusion, outside windows)
-=====================  =========================================================
-
-Phi runs are batched the same way: one resolver sweep, one bulk charge,
-one ``dict.update`` per block entry.
-
-Fusion is **accounting-transparent**: inside a window, trapping or
-side-effecting constituents (loads, stores, divisions, float→int casts)
-keep the exact per-constituent accounting of the reference engine —
-charge the cost-model cycles, bump the per-opcode counter, check the
-instruction budget, *then* execute — in program order, so ``ExecStats``
-stays bit-identical to the reference engine even when a constituent
-traps mid-group.  Pure runs between them, and batched phi sweeps, are
-bulk-charged (nothing in them can trap, so the reorder is unobservable);
-an instruction budget crossing inside a bulk charge is rolled back to
-the exact reference trap point before raising.  An intermediate value is only
-elided from the environment when every consumer is inside the same group
-(checked against the IR's def-use chains), which is what removes the
-per-instruction env writes and tuple unpacks the dispatch loop otherwise
-pays.
-
-Both engines assume the module is not mutated once execution has started;
+All engines assume the module is not mutated once execution has started;
 call :meth:`Interpreter.clear_decode_cache` after transforming a function
-that has already run (this also drops fused blocks and decode-time fusion
-counters).  Constant payloads are shared across dynamic uses in
-the decoded engine — no opcode mutates its operand arrays, so this is
+that has already run (this also drops compiled functions and the replay
+twin).  Constant payloads are shared across dynamic uses in the decoded
+and codegen engines — no opcode mutates its operand arrays, so this is
 observationally equivalent to the reference engine's fresh-per-use arrays.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .. import faultinject
 from ..backend.costmodel import DEFAULT_COST_MODEL, CostModel
-from ..envflags import env_flag
 from ..backend.machine import AVX512, ExecStats, Machine
 from ..ir.instructions import (
     ATOMIC_RMW_OPS,
@@ -108,7 +71,6 @@ from .memory import Memory, MemoryError_
 from .nputil import elem_dtype, mask_int, to_signed
 from .ops import (
     VMTrap,
-    _c_float,
     gang_activity_count,
     eval_scalar_binop,
     eval_scalar_cast,
@@ -124,7 +86,6 @@ from .ops import (
     scalar_binop_impl,
     scalar_fcmp_impl,
     scalar_icmp_impl,
-    vector_binop_impl,
 )
 
 __all__ = ["Interpreter", "VMTrap", "ExecutionLimitExceeded"]
@@ -145,169 +106,12 @@ _T_BR = 0
 _T_CONDBR = 1
 _T_RET = 2
 _T_UNREACHABLE = 3
-_T_FUSED_CMPBR = 4
-
-#: Names of every fusion pattern the decoder reports.  ``window`` is the
-#: carrier group (one codegen superinstruction per call-free run); the
-#: named chains of the fusion table are detected *inside* windows and
-#: counted per embedded occurrence.
-FUSION_PATTERNS = (
-    "window",
-    "vload_binop_vstore",
-    "gep_load",
-    "gep_store",
-    "binop_binop",
-    "cmp_condbr",
-)
-
-#: Opcodes that are pure and can never trap: safe to bulk-charge inside a
-#: codegen window.  Integer div/rem trap on zero and scalar fptosi/fptoui
-#: raise on nan/inf, so they get exact interleaved accounting instead.
-_PURE_OPS = frozenset(
-    (INT_BINOPS - {"sdiv", "udiv", "srem", "urem"})
-    | FLOAT_BINOPS
-    | UNARY_OPS
-    | (CAST_OPS - {"fptosi", "fptoui"})
-    | REDUCE_OPS
-    | {
-        "icmp", "fcmp", "select", "fma", "gep", "broadcast",
-        "extractelement", "insertelement", "shuffle", "shuffle2", "sad",
-        "mask_any", "mask_all", "mask_popcnt",
-    }
-)
-
-#: Opcodes that can trap (or touch VM state) mid-group: fusable, but each
-#: one keeps the reference engine's exact charge-then-execute accounting
-#: inside the generated window.
-_EXACT_OPS = frozenset(
-    {
-        "load", "store", "vload", "vstore", "gather", "scatter",
-        "alloca", "atomicrmw",
-        "sdiv", "udiv", "srem", "urem",
-        "fptosi", "fptoui",
-    }
-)
-
-#: Everything a window may contain — every body opcode except ``call``
-#: (calls re-enter the interpreter and split the group).
-_GROUP_OPS = _PURE_OPS | _EXACT_OPS
-
-_BINOPS = INT_BINOPS | FLOAT_BINOPS
-
-
-def _budget_trap(interp, fname: str):
-    """Raise the budget trap exactly as the main dispatch loop words it."""
-    limit = interp.max_instructions
-    raise ExecutionLimitExceeded(f"exceeded {limit} instructions in @{fname}")
-
-
-#: Generated window source → compiled code object.  The source text embeds
-#: only structure (opcode strings, costs, hoisted-name wiring), never
-#: payloads, so groups with the same shape share one ``compile()`` across
-#: all interpreters in the process; per-group state binds at ``exec`` time
-#: through default arguments.
-_WINDOW_CODE_CACHE: Dict[str, object] = {}
-
-
-def _bulk_limit_repair(stats: ExecStats, meta, limit: int, fname: str):
-    """Exact trap point for a bulk-charged group that crossed the budget.
-
-    ``meta`` is the ``(opcode, cost)`` list of the bulk-charged
-    constituents, in program order.  The reference engine raises while
-    charging instruction ``limit + 1``; roll back every charge past that
-    point, then raise with the counters exactly as the reference engine
-    would leave them.
-    """
-    over = stats.instructions - (limit + 1)
-    if over > 0:
-        counts = stats.counts
-        for opcode, cost in meta[len(meta) - over:]:
-            stats.cycles -= cost
-            remaining = counts[opcode] - 1
-            if remaining:
-                counts[opcode] = remaining
-            else:
-                # The reference engine creates a counter key only when it
-                # charges the opcode; a full rollback must erase the key,
-                # not leave a zero (counts compare with ``==``).
-                del counts[opcode]
-    stats.instructions = limit + 1
-    raise ExecutionLimitExceeded(f"exceeded {limit} instructions in @{fname}")
-
-
-def _uses_exactly(value: Value, user, idx: int) -> bool:
-    """True iff ``value`` has exactly one use: operand ``idx`` of ``user``."""
-    uses = value.uses
-    return len(uses) == 1 and uses[0][0] is user and uses[0][1] == idx
-
-
-def _all_uses_by(value: Value, user) -> bool:
-    """True iff every use of ``value`` is an operand of ``user``."""
-    uses = value.uses
-    return bool(uses) and all(u is user for u, _ in uses)
-
-
-def _cmp_condbr_fusible(cond_instr: Instruction, term_instr: Instruction) -> bool:
-    """True iff the block's trailing scalar cmp can fuse into its condbr."""
-    cond = term_instr.operands[0]
-    return (
-        cond is cond_instr
-        and cond.opcode in ("icmp", "fcmp")
-        and not isinstance(cond.operands[0].type, VectorType)
-        and _uses_exactly(cond, term_instr, 0)
-    )
-
-
-def _embedded_idioms(group) -> Dict[str, int]:
-    """Count the named fusion chains embedded in one codegen group.
-
-    The decode-level pattern table (``gep_load``, ``gep_store``,
-    ``binop_binop``, ``vload_binop_vstore``) is realized *inside* windows:
-    the group keeps the producer's value in a Python local, which is
-    exactly what each named chain's dedicated thunk would do.  This
-    function recovers the per-pattern telemetry counters.
-    """
-    idioms: Dict[str, int] = {}
-
-    def bump(pattern: str) -> None:
-        idioms[pattern] = idioms.get(pattern, 0) + 1
-
-    for x, y in zip(group, group[1:]):
-        xo, yo = x.opcode, y.opcode
-        if xo == "gep" and yo == "load" and y.operands[0] is x and _uses_exactly(x, y, 0):
-            bump("gep_load")
-        elif xo == "gep" and yo == "store" and y.operands[1] is x and _uses_exactly(x, y, 1):
-            bump("gep_store")
-        elif (
-            xo in _BINOPS
-            and yo in _BINOPS
-            and (y.operands[0] is x or y.operands[1] is x)
-        ):
-            bump("binop_binop")
-    for v, o, s in zip(group, group[1:], group[2:]):
-        if (
-            v.opcode == "vload"
-            and s.opcode == "vstore"
-            and o.opcode in _BINOPS
-            and isinstance(o.type, VectorType)
-            and (o.operands[0] is v or o.operands[1] is v)
-            and s.operands[0] is o
-            and _all_uses_by(v, o)
-            and _uses_exactly(o, s, 0)
-        ):
-            bump("vload_binop_vstore")
-    return idioms
 
 
 class _DecodedBlock:
     """One basic block, decoded for the fast engine.
 
     ``phis``  — list of ``(instr, {pred_block: resolver})``;
-    ``phi_plan`` — with superinstructions on, ``{pred_block: (targets,
-    resolvers)}`` for batched parallel-phi assignment (``None`` when fusion
-    is off); a predecessor missing from any phi's edge map has no plan
-    entry, and the runtime falls back to the per-phi walk to raise the
-    reference error;
     ``body``  — list of ``(instr, opcode, cost, thunk)`` for the non-phi,
     non-terminator instructions, where ``thunk(env, depth)`` computes the
     value;
@@ -320,11 +124,10 @@ class _DecodedBlock:
     (and the other fields are unused).
     """
 
-    __slots__ = ("phis", "phi_plan", "body", "term", "batch")
+    __slots__ = ("phis", "body", "term", "batch")
 
-    def __init__(self, phis, body, term, phi_plan=None, batch=None):
+    def __init__(self, phis, body, term, batch=None):
         self.phis = phis
-        self.phi_plan = phi_plan
         self.body = body
         self.term = term
         self.batch = batch
@@ -341,8 +144,7 @@ class Interpreter:
         memory: Optional[Memory] = None,
         max_instructions: int = 500_000_000,
         predecode: bool = True,
-        superinstructions: Optional[bool] = None,
-        codegen: Optional[bool] = None,
+        codegen: bool = True,
     ):
         self.module = module
         self.machine = machine
@@ -350,15 +152,6 @@ class Interpreter:
         self.memory = memory or Memory()
         self.max_instructions = max_instructions
         self.predecode = predecode
-        if superinstructions is None:
-            superinstructions = not env_flag("REPRO_NO_FUSE")
-        self.superinstructions = superinstructions
-        if codegen is None:
-            codegen = env_flag("REPRO_CODEGEN")
-        if env_flag("REPRO_NO_CODEGEN"):
-            # The escape hatch beats everything, including an explicit
-            # ``codegen=True`` — it must restore the prior engine exactly.
-            codegen = False
         #: Whole-kernel codegen engine (see :mod:`repro.backend.codegen`):
         #: linearized functions bypass the dispatch loop entirely.  Rides
         #: on top of predecode (the decoded engine stays the bailout and
@@ -373,10 +166,6 @@ class Interpreter:
         #: The root edge uses caller name ``"<root>"``.
         self.edge_cycles: Dict[Tuple[str, str], float] = {}
         self.edge_calls: Dict[Tuple[str, str], int] = {}
-        #: Dynamic executions per fusion pattern (run counter, like stats).
-        self.fuse_hits: Dict[str, int] = {}
-        #: Fused sites per pattern, counted at decode time (decode artifact).
-        self.fuse_static: Dict[str, int] = {}
         self._call_stack: List[str] = []
         self._child_cycles = 0.0
         self._cost_cache: Dict[Instruction, float] = {}
@@ -465,7 +254,7 @@ class Interpreter:
             stats.cycles, stats.instructions, dict(stats.counts),
             dict(self.func_cycles), dict(self.func_calls),
             dict(self.edge_cycles), dict(self.edge_calls),
-            dict(self.fuse_hits), self._child_cycles,
+            self._child_cycles,
         )
         self._codegen_armed = self.codegen
         try:
@@ -479,11 +268,10 @@ class Interpreter:
             for live, saved in (
                 (self.func_cycles, snap[3]), (self.func_calls, snap[4]),
                 (self.edge_cycles, snap[5]), (self.edge_calls, snap[6]),
-                (self.fuse_hits, snap[7]),
             ):
                 live.clear()
                 live.update(saved)
-            self._child_cycles = snap[8]
+            self._child_cycles = snap[7]
             if fallback_module is self.module:
                 self.codegen_stats["replays"] += 1
             else:
@@ -497,7 +285,6 @@ class Interpreter:
                     memory=memory,
                     max_instructions=self.max_instructions,
                     predecode=self.predecode,
-                    superinstructions=self.superinstructions,
                     codegen=False,
                 )
             fb.reset_stats()
@@ -516,7 +303,6 @@ class Interpreter:
                 for live, other in (
                     (self.func_calls, fb.func_calls),
                     (self.edge_calls, fb.edge_calls),
-                    (self.fuse_hits, fb.fuse_hits),
                 ):
                     for k, v in other.items():
                         live[k] = live.get(k, 0) + v
@@ -539,7 +325,6 @@ class Interpreter:
         self.func_calls.clear()
         self.edge_cycles.clear()
         self.edge_calls.clear()
-        self.fuse_hits.clear()
         self._child_cycles = 0.0
         self.batch_replays = 0
         self.codegen_stats["calls"] = 0
@@ -547,17 +332,22 @@ class Interpreter:
         return stats
 
     def clear_decode_cache(self) -> None:
-        """Drop decoded blocks and cached costs (after mutating the module).
+        """Drop decoded blocks, compiled functions (with their cached
+        emissions) and cached costs, after mutating the module.
 
-        Fused blocks are invalidated along with plain ones; the decode-time
-        fusion site counters reset with them (dynamic ``fuse_hits`` are run
-        counters and belong to :meth:`reset_stats` instead).
+        The trap-replay twin goes too: it decoded the same module into
+        its own caches, and replays are authoritative.
         """
         self._decoded.clear()
         self._cost_cache.clear()
         self._batch_cache.clear()
-        self.fuse_static.clear()
-        self._codegen_fns.clear()
+        self._fallback_interp = None
+        if self._codegen_fns:
+            from ..backend.codegen import forget_emission
+
+            for function in self._codegen_fns:
+                forget_emission(function)
+            self._codegen_fns.clear()
         self.codegen_bailouts.clear()
         for key in ("compiles", "cache_hits", "disk_hits"):
             self.codegen_stats[key] = 0
@@ -568,8 +358,6 @@ class Interpreter:
         Each entry carries the function's exclusive cycles plus its incoming
         call edges (``callers``: caller name → inclusive cycles and dynamic
         calls along that edge; the entry function's caller is ``"<root>"``).
-        When superinstruction fusion fired, a final ``"(vm.fuse)"`` entry
-        reports the decode-time fusion sites and dynamic hits per pattern.
         """
         incoming: Dict[str, Dict[str, Dict[str, object]]] = {}
         for (caller, callee), cycles in self.edge_cycles.items():
@@ -577,7 +365,7 @@ class Interpreter:
                 "inclusive_cycles": cycles,
                 "calls": self.edge_calls.get((caller, callee), 0),
             }
-        entries: List[Dict[str, object]] = [
+        return [
             {
                 "function": name,
                 "exclusive_cycles": cycles,
@@ -588,17 +376,6 @@ class Interpreter:
                 self.func_cycles.items(), key=lambda kv: -kv[1]
             )
         ]
-        if any(self.fuse_hits.values()):
-            entries.append(
-                {
-                    "function": "(vm.fuse)",
-                    "exclusive_cycles": 0.0,
-                    "calls": 0,
-                    "callers": {},
-                    "fusion": self.fusion_report(),
-                }
-            )
-        return entries
 
     def call_edges(self) -> List[Dict[str, object]]:
         """Caller→callee cycle edges, heaviest first (for telemetry)."""
@@ -613,15 +390,6 @@ class Interpreter:
                 self.edge_cycles.items(), key=lambda kv: -kv[1]
             )
         ]
-
-    def fusion_report(self) -> Dict[str, object]:
-        """Decode-time fusion summary: sites fused per pattern and dynamic
-        executions per pattern (``vm.fuse.<pattern>`` in telemetry)."""
-        return {
-            "superinstructions": self.superinstructions,
-            "sites": dict(self.fuse_static),
-            "hits": dict(self.fuse_hits),
-        }
 
     # -- execution ---------------------------------------------------------------------
 
@@ -648,7 +416,7 @@ class Interpreter:
                     function, _CODEGEN_UNCOMPILED
                 )
                 if kfn is _CODEGEN_UNCOMPILED:
-                    kfn = self._codegen_compile(function)
+                    kfn = self._codegen_lower(function)
                 if kfn is not None:
                     self.codegen_stats["calls"] += 1
                     return kfn(argvals, depth)
@@ -672,7 +440,7 @@ class Interpreter:
 
     # -- whole-kernel codegen engine -------------------------------------------------
 
-    def _codegen_compile(self, function: Function):
+    def _codegen_lower(self, function: Function):
         """Linearize ``function`` into one generated callable (or ``None``).
 
         Bailouts are sticky per function (the reason lands in
@@ -729,7 +497,6 @@ class Interpreter:
         stats = self.stats
         counts = stats.counts
         limit = self.max_instructions
-        fuse_hits = self.fuse_hits
         block = function.entry
         prev: Optional[BasicBlock] = None
         if function.attrs.get("batched"):
@@ -764,55 +531,24 @@ class Interpreter:
                     continue
                 phis = d.phis
                 if phis:
-                    plan_map = d.phi_plan
-                    if plan_map is not None:
-                        # Batched parallel-phi assignment: resolve every
-                        # incoming value (pure), bulk-charge the group, then
-                        # assign via dict.update.  phi cost is 0.0, so the
-                        # bulk charge touches only the instruction counter;
-                        # a budget crossing is repaired to the exact
-                        # reference trap point before raising.
-                        plan = plan_map.get(prev)
-                        if plan is None:
-                            for _, edges in phis:
-                                if prev not in edges:
-                                    raise KeyError(
-                                        f"phi has no incoming edge from block {prev.name}"
-                                    )
+                    # Evaluate phis in parallel against the incoming edge.
+                    phi_vals = []
+                    for _, edges in phis:
+                        resolver = edges.get(prev)
+                        if resolver is None:
                             raise KeyError(
                                 f"phi has no incoming edge from block {prev.name}"
                             )
-                        resolvers = plan[1]
-                        vals = [r(env) for r in resolvers]
-                        ni = stats.instructions + len(vals)
-                        stats.instructions = ni
-                        counts["phi"] = counts.get("phi", 0) + len(vals)
-                        if ni > limit:
-                            counts["phi"] -= ni - limit - 1
-                            stats.instructions = limit + 1
+                        phi_vals.append(resolver(env))
+                        stats.cycles += 0.0
+                        stats.instructions += 1
+                        counts["phi"] = counts.get("phi", 0) + 1
+                        if stats.instructions > limit:
                             raise ExecutionLimitExceeded(
                                 f"exceeded {limit} instructions in @{function.name}"
                             )
-                        env.update(zip(plan[0], vals))
-                    else:
-                        # Evaluate phis in parallel against the incoming edge.
-                        phi_vals = []
-                        for _, edges in phis:
-                            resolver = edges.get(prev)
-                            if resolver is None:
-                                raise KeyError(
-                                    f"phi has no incoming edge from block {prev.name}"
-                                )
-                            phi_vals.append(resolver(env))
-                            stats.cycles += 0.0
-                            stats.instructions += 1
-                            counts["phi"] = counts.get("phi", 0) + 1
-                            if stats.instructions > limit:
-                                raise ExecutionLimitExceeded(
-                                    f"exceeded {limit} instructions in @{function.name}"
-                                )
-                        for (instr, _), val in zip(phis, phi_vals):
-                            env[instr] = val
+                    for (instr, _), val in zip(phis, phi_vals):
+                        env[instr] = val
                 for instr, opcode, cost, thunk in d.body:
                     stats.cycles += cost
                     stats.instructions += 1
@@ -824,29 +560,6 @@ class Interpreter:
                     env[instr] = thunk(env, depth)
                 term = d.term
                 kind = term[0]
-                if kind == _T_FUSED_CMPBR:
-                    # Fused cmp+condbr: per-constituent accounting in the
-                    # reference engine's charge-then-execute order.
-                    stats.cycles += term[1]
-                    stats.instructions += 1
-                    opcode = term[2]
-                    counts[opcode] = counts.get(opcode, 0) + 1
-                    if stats.instructions > limit:
-                        raise ExecutionLimitExceeded(
-                            f"exceeded {limit} instructions in @{function.name}"
-                        )
-                    cond = term[3](env)
-                    stats.cycles += term[6]
-                    stats.instructions += 1
-                    counts["condbr"] = counts.get("condbr", 0) + 1
-                    if stats.instructions > limit:
-                        raise ExecutionLimitExceeded(
-                            f"exceeded {limit} instructions in @{function.name}"
-                        )
-                    fuse_hits["cmp_condbr"] = fuse_hits.get("cmp_condbr", 0) + 1
-                    prev = block
-                    block = term[4] if cond else term[5]
-                    continue
                 stats.cycles += term[1]
                 stats.instructions += 1
                 opcode = term[2]
@@ -892,43 +605,19 @@ class Interpreter:
             i += 1
         body_instrs = instructions[i:-1]
         term_instr = instructions[-1]
-        phi_plan = None
-        if self.superinstructions:
-            if phis:
-                targets = tuple(instr for instr, _ in phis)
-                common = set(phis[0][1])
-                for _, edges in phis[1:]:
-                    common &= set(edges)
-                phi_plan = {
-                    pred: (targets, tuple(edges[pred] for _, edges in phis))
-                    for pred in common
-                }
-            reserve = (
-                term_instr.opcode == "condbr"
-                and bool(body_instrs)
-                and _cmp_condbr_fusible(body_instrs[-1], term_instr)
-            )
-            body = self._fuse_body(body_instrs, function, reserve)
-        else:
-            body = [
-                (instr, instr.opcode, self._cost(instr), self._decode_instr(instr))
-                for instr in body_instrs
-            ]
+        body = [
+            (instr, instr.opcode, self._cost(instr), self._decode_instr(instr))
+            for instr in body_instrs
+        ]
         cost = self._cost(term_instr)
         op = term_instr.opcode
         tops = term_instr.operands
         if op == "br":
             term: Tuple = (_T_BR, cost, op, tops[0])
         elif op == "condbr":
-            fused_term = None
-            if self.superinstructions and body:
-                fused_term = self._fuse_cmp_condbr(body, term_instr, cost)
-            if fused_term is not None:
-                term = fused_term
-            else:
-                term = (
-                    _T_CONDBR, cost, op, self._resolver(tops[0]), tops[1], tops[2]
-                )
+            term = (
+                _T_CONDBR, cost, op, self._resolver(tops[0]), tops[1], tops[2]
+            )
         elif op == "ret":
             if tops:
                 resolver = self._resolver(tops[0])
@@ -946,7 +635,7 @@ class Interpreter:
             term = (_T_UNREACHABLE, cost, op)
         else:
             raise NotImplementedError(f"interpreter: terminator {op}")
-        return _DecodedBlock(phis, body, term, phi_plan)
+        return _DecodedBlock(phis, body, term)
 
     # -- gang-batched blocks ----------------------------------------------------------
     #
@@ -958,9 +647,7 @@ class Interpreter:
     # ×B, header bookkeeping ×0) or a tuple of divergent-loop ids ending
     # in the static B; the VM resolves the first id with a live activity
     # count, so code under a divergent loop charges once per gang that
-    # would still be iterating in the unbatched engine.  Superinstruction
-    # fusion never applies inside batched blocks (their remainder twins
-    # carry no annotations and fuse normally).
+    # would still be iterating in the unbatched engine.
 
     def _batch_info(self, instr: Instruction):
         """``(charge_items, multspec)`` for an annotated instruction.
@@ -1142,491 +829,6 @@ class Interpreter:
                     pending.pop(lid, None)
             return False, target
         raise VMTrap(f"reached 'unreachable' in @{function.name}")
-
-    # -- superinstruction fusion ------------------------------------------------------
-    #
-    # Every composite thunk preserves the reference engine's accounting
-    # contract per constituent: charge cycles, bump the opcode counter,
-    # check the instruction budget, then execute — in program order.  The
-    # main loop performs that sequence for the group's FIRST constituent
-    # (the body tuple carries its opcode and cost); the thunk does it for
-    # the rest.  A constituent trapping mid-group therefore leaves
-    # ``ExecStats`` exactly as the reference engine would.
-
-    def _fuse_body(self, instrs, function: Function, reserve_last: bool = False):
-        """Decode a block body, fusing call-free runs into codegen windows.
-
-        Returns the decoded body list; fused entries are
-        ``(last_instr, first_opcode, first_cost, composite_thunk)`` so the
-        main loop's accounting covers the first constituent and its env
-        write lands on the group's result.
-
-        A window is a maximal run of non-call instructions compiled into
-        one generated Python function (see :meth:`_codegen_group`); the
-        named chains of the fusion table (``gep_load``, ``gep_store``,
-        ``binop_binop``, ``vload_binop_vstore``) are detected inside each
-        window and counted per embedded occurrence.  With ``reserve_last``
-        the final instruction is left un-fused so the terminator decode
-        can claim it for ``cmp_condbr``.
-        """
-        fname = function.name
-        body = []
-        fuse_static = self.fuse_static
-        n = len(instrs)
-        m = n - 1 if reserve_last else n
-        j = 0
-        while j < m:
-            instr = instrs[j]
-            op = instr.opcode
-            if op in _GROUP_OPS:
-                k = j + 1
-                while k < m and instrs[k].opcode in _GROUP_OPS:
-                    k += 1
-                if k - j >= 2:
-                    group = instrs[j:k]
-                    thunk, idioms = self._codegen_group(group, fname)
-                    body.append((group[-1], op, self._cost(instr), thunk))
-                    fuse_static["window"] = fuse_static.get("window", 0) + 1
-                    for pat, cnt in idioms.items():
-                        fuse_static[pat] = fuse_static.get(pat, 0) + cnt
-                    j = k
-                    continue
-            body.append(
-                (instr, op, self._cost(instr), self._decode_instr(instr))
-            )
-            j += 1
-        if reserve_last:
-            instr = instrs[n - 1]
-            body.append(
-                (instr, instr.opcode, self._cost(instr), self._decode_instr(instr))
-            )
-        return body
-
-    def _fuse_cmp_condbr(self, body, term_instr: Instruction, br_cost: float):
-        """Try to fuse the block's trailing scalar cmp into its condbr.
-
-        Returns a ``_T_FUSED_CMPBR`` term tuple (and pops the cmp off
-        ``body``), or ``None`` when the pattern does not apply.
-        """
-        cond = term_instr.operands[0]
-        if not _cmp_condbr_fusible(body[-1][0], term_instr):
-            return None
-        a = self._resolver(cond.operands[0])
-        b = self._resolver(cond.operands[1])
-        pred = cond.attrs["pred"]
-        if cond.opcode == "icmp":
-            impl = scalar_icmp_impl(pred, cond.operands[0].type)
-        else:
-            impl = scalar_fcmp_impl(pred)
-        body.pop()
-        self.fuse_static["cmp_condbr"] = self.fuse_static.get("cmp_condbr", 0) + 1
-        return (
-            _T_FUSED_CMPBR,
-            self._cost(cond),
-            cond.opcode,
-            lambda env: impl(a(env), b(env)),
-            term_instr.operands[1],
-            term_instr.operands[2],
-            br_cost,
-        )
-
-    def _binop_impl(self, instr: Instruction):
-        """One pre-resolved 2-arg callable for a scalar or vector binop."""
-        if isinstance(instr.type, VectorType):
-            return vector_binop_impl(instr.opcode, instr.type.elem)
-        return scalar_binop_impl(instr.opcode, instr.type)
-
-    def _value_impl(self, instr: Instruction):
-        """A value-level callable ``fn(*operand_payloads) -> payload``.
-
-        Unlike :meth:`_decode_instr` thunks, these do not read ``env`` —
-        the window codegen wires operands itself (locals for in-window
-        values, ``env`` reads only at the window boundary).  Defined for
-        every ``_GROUP_OPS`` opcode; operands map positionally.
-        """
-        op = instr.opcode
-        ops = instr.operands
-        vec = isinstance(instr.type, VectorType)
-
-        if op in _BINOPS:
-            return self._binop_impl(instr)
-        if op in UNARY_OPS:
-            if vec:
-                elem = instr.type.elem
-                return lambda a: eval_vector_unop(op, elem, a)
-            t = instr.type
-            return lambda a: eval_scalar_unop(op, t, a)
-        if op == "icmp":
-            pred = instr.attrs["pred"]
-            src_t = ops[0].type
-            if isinstance(src_t, VectorType):
-                elem = src_t.elem
-                return lambda a, b: eval_vector_icmp(pred, elem, a, b)
-            return scalar_icmp_impl(pred, src_t)
-        if op == "fcmp":
-            pred = instr.attrs["pred"]
-            if isinstance(ops[0].type, VectorType):
-                return lambda a, b: eval_vector_fcmp(pred, a, b)
-            return scalar_fcmp_impl(pred)
-        if op in CAST_OPS:
-            from_t, to_t = ops[0].type, instr.type
-            if isinstance(to_t, VectorType):
-                from_e, to_e = from_t.elem, to_t.elem
-                return lambda v: eval_vector_cast(op, from_e, to_e, v)
-            return lambda v: eval_scalar_cast(op, from_t, to_t, v)
-        if op == "select":
-            if isinstance(ops[0].type, VectorType) or vec:
-                return lambda c, a, b: np.where(c, a, b)
-            return lambda c, a, b: a if c else b
-        if op == "fma":
-            if vec:
-                return lambda a, b, c: a * b + c
-            t = instr.type
-            return lambda a, b, c: round_float(t, round_float(t, a * b) + c)
-        if op == "gep":
-            bits = ops[1].type.bits
-            esize = instr.type.pointee.size_bytes()
-            return lambda base, idx: mask_int(
-                base + to_signed(idx, bits) * esize, 64
-            )
-        if op == "broadcast":
-            count = instr.type.count
-            dtype = elem_dtype(instr.type.elem)
-            return lambda s: np.full(count, s, dtype=dtype)
-        if op == "extractelement":
-            if instr.type.is_float:
-                return lambda v, i: float(v[int(i) % len(v)])
-            return lambda v, i: int(v[int(i) % len(v)])
-        if op == "insertelement":
-            def _insert(v, i, e):
-                v = v.copy()
-                v[int(i) % len(v)] = e
-                return v
-            return _insert
-        if op == "shuffle":
-            return lambda a, i: a[i.astype(np.int64) % len(a)]
-        if op == "shuffle2":
-            def _shuffle2(lo, hi, i):
-                both = np.concatenate([lo, hi])
-                return both[i.astype(np.int64) % len(both)]
-            return _shuffle2
-        if op == "sad":
-            def _sad(a, b):
-                diffs = np.abs(
-                    a.astype(np.int64) - b.astype(np.int64)
-                ).reshape(-1, 8).sum(axis=1)
-                return diffs.astype(np.uint64)
-            return _sad
-        if op in REDUCE_OPS:
-            reduce = self._reduce
-            return lambda v: reduce(op, instr, v)
-        if op == "mask_any":
-            return lambda m: 1 if bool(m.any()) else 0
-        if op == "mask_all":
-            return lambda m: 1 if bool(m.all()) else 0
-        if op == "mask_popcnt":
-            return lambda m: int(m.sum())
-
-        # -- trapping / side-effecting ops (exact interleaved accounting) -------------
-        memory = self.memory
-        if op == "load":
-            t = instr.type
-            return lambda addr: memory.load_scalar(addr, t)
-        if op == "store":
-            t = ops[0].type
-            def _store(v, addr):
-                memory.store_scalar(addr, t, v)
-                return None
-            return _store
-        if op == "vload":
-            elem, count = instr.type.elem, instr.type.count
-            return lambda addr, mask: memory.load_packed(addr, elem, count, mask)
-        if op == "vstore":
-            elem = ops[0].type.elem
-            def _vstore(v, addr, mask):
-                memory.store_packed(addr, elem, v, mask)
-                return None
-            return _vstore
-        if op == "gather":
-            elem = instr.type.elem
-            return lambda addrs, mask: memory.gather(addrs, elem, mask)
-        if op == "scatter":
-            elem = ops[0].type.elem
-            def _scatter(v, addrs, mask):
-                memory.scatter(addrs, elem, v, mask)
-                return None
-            return _scatter
-        if op == "alloca":
-            size = max(
-                instr.type.pointee.size_bytes() * instr.attrs.get("count", 1), 1
-            )
-            return lambda: memory.alloc(size)
-        if op == "atomicrmw":
-            rmw = instr.attrs["op"]
-            if rmw not in ATOMIC_RMW_OPS:
-                raise VMTrap(f"atomicrmw: unsupported op {rmw!r}")
-            t = ops[1].type
-            impl = scalar_binop_impl(rmw, t)
-            def _atomicrmw(addr, val):
-                old = memory.load_scalar(addr, t)
-                memory.store_scalar(addr, t, impl(old, val))
-                return old
-            return _atomicrmw
-        raise NotImplementedError(f"window codegen: opcode {op}")
-
-    # Scalar opcodes the window codegen emits as raw Python expressions
-    # instead of impl-callable invocations.  Each template must reproduce
-    # the corresponding ops.py impl bit-for-bit (incl. NaN behaviour) —
-    # see _inline_expr.
-    _INLINE_FBIN = {"fadd": "+", "fsub": "-", "fmul": "*"}
-    _INLINE_IBIN = {"add": "+", "sub": "-", "mul": "*"}
-    _INLINE_IBIT = {"and": "&", "or": "|", "xor": "^"}
-    _INLINE_CMP_U = {"eq": "==", "ne": "!=", "ult": "<", "ule": "<=",
-                     "ugt": ">", "uge": ">="}
-    _INLINE_CMP_S = {"slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
-    # Ordered fcmp preds where the Python operator already yields False on
-    # NaN, matching eval_scalar_fcmp's unordered->0 rule.  "one" is NOT
-    # inlinable: Python `nan != x` is True but the reference returns 0.
-    _INLINE_FCMP = {"oeq": "==", "olt": "<", "ole": "<=",
-                    "ogt": ">", "oge": ">="}
-
-    def _inline_expr(self, instr: Instruction, argrefs, hoist):
-        """Emit a scalar op as a plain expression, or ``None`` to fall back.
-
-        Skips the impl-lambda call layer (and for f32 floats the
-        round_float wrapper) for the ops that dominate benchsuite
-        dispatch.  Every template is bit-identical to the ops.py impl;
-        vectors and anything subtle (shifts, division, signed-overflowing
-        casts to float, ...) fall back to :meth:`_value_impl`.
-        """
-        op = instr.opcode
-        t = instr.type
-        if isinstance(t, VectorType):
-            return None
-        # Mask reductions: scalar-typed with one vector operand; they gate
-        # every divergent-loop backedge, so skipping the closure layer
-        # matters.  Same truthiness as the _value_impl lambdas.
-        if op == "mask_any":
-            return f"(1 if {argrefs[0]}.any() else 0)"
-        if op == "mask_all":
-            return f"(1 if {argrefs[0]}.all() else 0)"
-        if op == "mask_popcnt":
-            # Hoisted: window code objects exec with empty __builtins__.
-            i = hoist(int, key=("b", "int"))
-            return f"{i}({argrefs[0]}.sum())"
-        sym = self._INLINE_FBIN.get(op)
-        if sym is not None and isinstance(t, FloatType):
-            a, b = argrefs
-            if t.bits == 32:
-                cf = hoist(_c_float, key=("cf",))
-                return f"{cf}({a} {sym} {b}).value"
-            return f"({a} {sym} {b})"
-        if isinstance(t, IntType):
-            sym = self._INLINE_IBIN.get(op)
-            if sym is not None:
-                a, b = argrefs
-                mask = (1 << t.bits) - 1
-                return f"(({a} {sym} {b}) & {mask:#x})"
-            sym = self._INLINE_IBIT.get(op)
-            if sym is not None:
-                a, b = argrefs
-                return f"({a} {sym} {b})"
-        if op in ("icmp", "fcmp"):
-            src_t = instr.operands[0].type
-            if isinstance(src_t, VectorType):
-                return None
-            pred = instr.attrs["pred"]
-            a, b = argrefs
-            if op == "fcmp":
-                sym = self._INLINE_FCMP.get(pred)
-                return None if sym is None else f"(1 if {a} {sym} {b} else 0)"
-            sym = self._INLINE_CMP_U.get(pred)
-            if sym is not None:
-                return f"(1 if {a} {sym} {b} else 0)"
-            sym = self._INLINE_CMP_S.get(pred)
-            if sym is not None:
-                # XOR with the sign bit maps two's-complement order onto
-                # unsigned order, so no to_signed() calls are needed.
-                sb = 1 << (getattr(src_t, "bits", 64) - 1)
-                return f"(1 if ({a} ^ {sb:#x}) {sym} ({b} ^ {sb:#x}) else 0)"
-            return None
-        if op == "select" and not isinstance(instr.operands[0].type, VectorType):
-            c, a, b = argrefs
-            return f"({a} if {c} else {b})"
-        if op == "gep":
-            base, idx = argrefs
-            bits = instr.operands[1].type.bits
-            esize = t.pointee.size_bytes()
-            ts = hoist(to_signed, key=("ts",))
-            return (
-                f"(({base} + {ts}({idx}, {bits}) * {esize})"
-                " & 0xffffffffffffffff)"
-            )
-        if op in ("trunc", "zext", "sext") and isinstance(t, IntType):
-            src_t = instr.operands[0].type
-            if not isinstance(src_t, IntType):
-                return None
-            (v,) = argrefs
-            if op == "zext":
-                return v
-            if op == "trunc":
-                mask = (1 << t.bits) - 1
-                return f"({v} & {mask:#x})"
-            sb = 1 << (src_t.bits - 1)
-            mask = (1 << t.bits) - 1
-            return f"((({v} ^ {sb:#x}) - {sb:#x}) & {mask:#x})"
-        return None
-
-    def _codegen_group(self, group, fname: str):
-        """Compile a call-free run of instructions into one window thunk.
-
-        Decode-time codegen: the group becomes a single generated Python
-        function whose operand values live in locals — no per-op dispatch,
-        no tuple unpacks, and ``env`` writes only for values used outside
-        the group.  Accounting follows the kind of each constituent:
-
-        * **pure runs** (``_PURE_OPS``) are bulk-charged — one cycles add,
-          one instruction add, one merged counter update per opcode, one
-          budget check — before their computations execute; nothing in the
-          run can trap, so the reordering is unobservable, and a budget
-          crossing is rolled back to the exact reference trap point by
-          :func:`_bulk_limit_repair`;
-        * **trapping/side-effecting ops** (``_EXACT_OPS``) keep the
-          reference engine's exact charge-then-execute interleave, so a
-          mid-group trap leaves ``ExecStats`` bit-identical.
-
-        The group's first constituent is charged by the main dispatch loop
-        (the body tuple carries its opcode and cost), so its accounting is
-        omitted here.  Every hoisted object is bound as a default
-        argument, so the generated code runs on locals only.  Costs are
-        dyadic rationals well inside float53, so a merged cycles add is
-        bit-identical to sequential accumulation.
-
-        Returns ``(thunk, idioms)`` where ``idioms`` counts the named
-        fusion chains embedded in the group (``gep_load``, ``gep_store``,
-        ``binop_binop``, ``vload_binop_vstore``), each reported under its
-        own ``vm.fuse.<pattern>`` counter.
-        """
-        stats = self.stats
-        hoisted = {
-            "_s": stats,
-            "_c": stats.counts,
-            "_interp": self,
-            "_repair": _bulk_limit_repair,
-            "_trap": _budget_trap,
-            "_fh": self.fuse_hits,
-            "_fname": fname,
-        }
-        memo: Dict[object, str] = {}
-
-        def hoist(obj, key=None):
-            key = id(obj) if key is None else key
-            name = memo.get(key)
-            if name is None:
-                name = f"_h{len(memo)}"
-                memo[key] = name
-                hoisted[name] = obj
-            return name
-
-        local: Dict[Value, str] = {}
-        lines: List[str] = []
-
-        def emit_bulk_acct(instrs):
-            total = 0.0
-            opcount: Dict[str, int] = {}
-            meta = []
-            for ins in instrs:
-                c = self._cost(ins)
-                total += c
-                opcount[ins.opcode] = opcount.get(ins.opcode, 0) + 1
-                meta.append((ins.opcode, c))
-            if total:
-                lines.append(f"    _s.cycles += {total!r}")
-            lines.append(f"    _s.instructions += {len(meta)}")
-            for opc, cnt in opcount.items():
-                lines.append(f"    _c[{opc!r}] = _c.get({opc!r}, 0) + {cnt}")
-            lines.append("    if _s.instructions > _interp.max_instructions:")
-            lines.append(
-                f"        _repair(_s, {hoist(tuple(meta))},"
-                " _interp.max_instructions, _fname)"
-            )
-
-        def emit_exact_acct(ins):
-            c = self._cost(ins)
-            if c:
-                lines.append(f"    _s.cycles += {c!r}")
-            lines.append("    _s.instructions += 1")
-            opc = ins.opcode
-            lines.append(f"    _c[{opc!r}] = _c.get({opc!r}, 0) + 1")
-            lines.append("    if _s.instructions > _interp.max_instructions:")
-            lines.append("        _trap(_interp, _fname)")
-
-        def emit_compute(s, ins):
-            argrefs = []
-            for v in ins.operands:
-                name = local.get(v)
-                if name is not None:
-                    argrefs.append(name)
-                elif isinstance(v, Constant):
-                    argrefs.append(hoist(_constant_payload(v), key=("c", id(v))))
-                elif isinstance(v, UndefValue):
-                    argrefs.append(hoist(_undef_payload(v.type), key=("u", id(v))))
-                else:
-                    argrefs.append(f"env[{hoist(v)}]")
-            expr = self._inline_expr(ins, argrefs, hoist)
-            if expr is None:
-                fn = hoist(self._value_impl(ins))
-                expr = f"{fn}({', '.join(argrefs)})"
-            local[ins] = f"v{s}"
-            lines.append(f"    v{s} = {expr}")
-
-        pending: List[Tuple[int, Instruction]] = []
-
-        def flush_pure():
-            if not pending:
-                return
-            accted = [ins for s, ins in pending if s != 0]
-            if accted:
-                emit_bulk_acct(accted)
-            for s, ins in pending:
-                emit_compute(s, ins)
-            pending.clear()
-
-        for s, ins in enumerate(group):
-            if ins.opcode in _EXACT_OPS:
-                flush_pure()
-                if s != 0:
-                    emit_exact_acct(ins)
-                emit_compute(s, ins)
-            else:
-                pending.append((s, ins))
-        flush_pure()
-
-        idioms = _embedded_idioms(group)
-        lines.append("    _fh['window'] = _fh.get('window', 0) + 1")
-        for pat, cnt in idioms.items():
-            lines.append(f"    _fh[{pat!r}] = _fh.get({pat!r}, 0) + {cnt}")
-        inside = set(group)
-        for s, ins in enumerate(group[:-1]):
-            if any(u not in inside for u, _ in ins.uses):
-                lines.append(f"    env[{hoist(ins)}] = v{s}")
-        lines.append(f"    return v{len(group) - 1}")
-
-        params = ", ".join(f"{k}={k}" for k in hoisted)
-        src = f"def _win(env, depth, {params}):\n" + "\n".join(lines)
-        code = _WINDOW_CODE_CACHE.get(src)
-        if code is None:
-            code = _WINDOW_CODE_CACHE[src] = compile(
-                src, "<repro-vm-window>", "exec"
-            )
-        g = dict(hoisted)
-        # Hygiene-empty builtins (every name must be hoisted), except
-        # __import__: numpy's lazy C-level imports resolve it through the
-        # calling frame's builtins, so the first .sum()/.any() ever run
-        # inside a window would raise KeyError('__import__') without it.
-        g["__builtins__"] = {"__import__": __import__}
-        exec(code, g)
-        return g["_win"], idioms
 
     def _resolver(self, value: Value):
         """A 1-arg callable ``resolver(env)`` producing the operand's payload."""

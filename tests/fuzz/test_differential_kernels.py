@@ -106,9 +106,9 @@ def _xproc_cache_dir():
     return _XPROC_DIR
 
 
-def _run(module, seed):
+def _run(module, seed, **engine):
     A, B, C, OUT, IOUT, sv, si = workload_arrays(seed)
-    interp = Interpreter(module)
+    interp = Interpreter(module, **engine)
     a = interp.memory.alloc_array(A)
     b = interp.memory.alloc_array(B)
     c = interp.memory.alloc_array(C)
@@ -143,7 +143,9 @@ def test_differential_fuzz_kernel(seed):
     context = f"seed={seed} gang={kernel.gang_size}\n{kernel.source}"
 
     plain = compile_parsimony(kernel.source)
-    plain_out, plain_stats = _run(plain, seed)
+    # The oracle leg runs predecoded; every other leg runs the default
+    # engine (whole-kernel codegen), so each comparison also crosses tiers.
+    plain_out, plain_stats = _run(plain, seed, codegen=False)
 
     if kernel.has_reduction or kernel.has_shuffle:
         # Cross-lane communication (reductions, lane exchanges) has no

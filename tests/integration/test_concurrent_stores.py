@@ -58,7 +58,7 @@ def test_autotune_concurrent_writers_lose_no_samples(tmp_path, monkeypatch):
     body = (
         "from repro import autotune\n"
         "fp = autotune.fingerprint('concurrent-stress')\n"
-        "engine = autotune.engine_config(True)\n"
+        "engine = autotune.engine_config()\n"
         f"for s in range({_SAMPLES_EACH}):\n"
         "    autotune.record_measurement(fp, engine, @WRITER@, 0.5 + s)\n"
     )
@@ -66,7 +66,7 @@ def test_autotune_concurrent_writers_lose_no_samples(tmp_path, monkeypatch):
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     fp = autotune.fingerprint("concurrent-stress")
-    engine = autotune.engine_config(True)
+    engine = autotune.engine_config()
     entry = autotune._load_entry(fp, engine)
     assert set(entry["samples"]) == {str(w) for w in range(_WRITERS)}
     for writer in range(_WRITERS):
@@ -105,7 +105,7 @@ def test_corrupt_entries_are_recorded_not_fatal(tmp_path, monkeypatch):
 
     # Autotune: a scribbled entry loads as fresh and counts an error.
     fp = autotune.fingerprint("corrupt-stress")
-    engine = autotune.engine_config(True)
+    engine = autotune.engine_config()
     autotune.record_measurement(fp, engine, 2, 1.0)
     path = autotune._entry_path(fp, engine)
     path.write_text("{not json")
@@ -137,7 +137,7 @@ def test_concurrent_sampling_respects_max_samples(tmp_path, monkeypatch):
     hammer the same factor key."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     fp = autotune.fingerprint("window-stress")
-    engine = autotune.engine_config(True)
+    engine = autotune.engine_config()
     for i in range(autotune.MAX_SAMPLES + 10):
         autotune.record_measurement(fp, engine, 4, float(i))
     entry = autotune._load_entry(fp, engine)

@@ -236,7 +236,7 @@ def test_autotune_pin_survives_process_restart(disk_cache):
 
     spec = {s.name: s for s in BENCHMARKS}["stencil"]
     dec = autotune.decision(autotune.fingerprint(spec.psim_src),
-                            autotune.engine_config(True))
+                            autotune.engine_config())
     assert dec["state"] == "pinned"
     assert dec["factor"] == first["autotune"]["factor"]
 

@@ -107,16 +107,20 @@ def test_diff_documents_reports_deltas_and_union_of_names():
         _compile_and_run()
         telemetry.record_vm_run(
             "t/extra", Interpreter(driver.compile_parsimony(SRC)).stats, [],
-            fusion={"superinstructions": True, "sites": {}, "hits": {"window": 3}},
             wall_seconds=0.5,
         )
 
     old_doc = json.loads(old_session.to_json())
     new_doc = json.loads(new_session.to_json())
+    # The old side is a v6 document: it still carries the totals table of
+    # the layer v7 dropped.
+    retired = "fuse"
+    old_doc["schema"] = "repro-telemetry/6"
+    old_doc["vm"][f"{retired}_totals"] = {f"vm.{retired}.window": 3}
     diff = telemetry.diff_documents(old_doc, new_doc)
 
     assert diff["schema"] == telemetry.DIFF_SCHEMA
-    assert diff["base_schemas"] == {"old": telemetry.SCHEMA,
+    assert diff["base_schemas"] == {"old": "repro-telemetry/6",
                                     "new": telemetry.SCHEMA}
 
     # Identical compiles: per-pass call counts cancel out.
@@ -130,8 +134,10 @@ def test_diff_documents_reports_deltas_and_union_of_names():
     extra = diff["vm_runs"]["t/extra"]
     assert extra["wall_seconds"] == {"old": 0, "new": 0.5, "delta": 0.5}
 
-    # Flat counters include vm.fuse.* totals from the fusion record.
-    assert diff["counters"]["vm.fuse.window"]["value"]["new"] == 3
+    # A counter only the v6 document has shows as removed, not as a crash.
+    assert diff["counters"][f"vm.{retired}.window"]["value"] == {
+        "old": 3, "new": 0, "delta": -3}
+    assert "vm.codegen.calls" in diff["counters"]
 
     # The diff document itself must be JSON-serialisable (CI artifact).
     json.dumps(diff)

@@ -56,17 +56,6 @@ def test_fig4_batched_matches_unbatched(name, monkeypatch):
         np.testing.assert_array_equal(got, want, err_msg=name)
 
 
-def test_batched_fused_matches_batched_unfused():
-    """Superinstruction fusion composes with batching: the batched module's
-    remainder/entry blocks still fuse, and stats stay identical."""
-    spec = SPECS["mandelbrot"]
-    fused = run_impl(spec, "parsimony", superinstructions=True)
-    unfused = run_impl(spec, "parsimony", superinstructions=False)
-    _assert_stats_equal(fused.stats, unfused.stats, "mandelbrot fused-vs-unfused")
-    for got, want in zip(fused.output_signature(), unfused.output_signature()):
-        np.testing.assert_array_equal(got, want)
-
-
 # ---------------------------------------------------------------------------
 # mid-batch budget-trap replay
 # ---------------------------------------------------------------------------
@@ -360,8 +349,8 @@ def test_choose_factor_needs_a_decisive_win():
 
 def test_measure_pin_decision_cycle(tuner_store):
     fp = autotune.fingerprint("void kernel() {}")
-    engine = autotune.engine_config(True)
-    assert engine == "avx512/fused"
+    engine = autotune.engine_config()
+    assert engine == "avx512"
 
     dec = autotune.decision(fp, engine)
     assert dec["state"] == "measure"
@@ -388,7 +377,7 @@ def test_measure_pin_decision_cycle(tuner_store):
 
 def test_pin_margin_prefers_smaller_factor_reason(tuner_store):
     fp = autotune.fingerprint("tie")
-    engine = autotune.engine_config(True)
+    engine = autotune.engine_config()
     measured = {1: 0.010, 2: 0.009}
     best = autotune.choose_factor(measured)
     assert best == 1
@@ -400,7 +389,7 @@ def test_pin_margin_prefers_smaller_factor_reason(tuner_store):
 
 def test_deopt_drops_pin_after_sustained_regression(tuner_store):
     fp = autotune.fingerprint("deopt")
-    engine = autotune.engine_config(True)
+    engine = autotune.engine_config()
     autotune.pin(fp, engine, 8, 0.010, {1: 0.050, 8: 0.010}, request=8)
 
     slow = autotune.DEOPT_RATIO * 0.010 * 1.1
@@ -422,7 +411,7 @@ def test_deopt_drops_pin_after_sustained_regression(tuner_store):
 
 def test_corrupt_profile_entry_is_discarded(tuner_store):
     fp = autotune.fingerprint("corrupt")
-    engine = autotune.engine_config(True)
+    engine = autotune.engine_config()
     autotune.pin(fp, engine, 2, 0.001, {1: 0.010, 2: 0.001}, request=2)
     path = autotune._entry_path(fp, engine)
     assert path.exists()

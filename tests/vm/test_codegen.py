@@ -5,21 +5,21 @@ kernel's structurized CFG into ONE generated Python function and retires
 the per-block dispatch loop.  Its contract is accounting transparency:
 bit-identical outputs, memory images, and ``ExecStats`` (cycles,
 instruction counts, per-opcode tallies, per-function attribution) versus
-every prior engine — reference, predecoded, fused, batched — for
+the other tiers — reference and predecoded, batched and unbatched — for
 completed runs, and exact trap-point state via wholesale replay on the
 predecoded twin for trapped runs.
 
 Covered here:
 
-- fig4-wide bitwise matrix: codegen vs reference / predecoded / fused;
+- fig4-wide bitwise matrix: codegen vs reference / predecoded, on the
+  batched and the unbatched build;
 - mid-kernel budget-trap replay (trap identity, trap-point stats, and
-  memory bitwise vs the decoded engine, plus the replay counter);
+  memory bitwise vs the decoded engine, plus the replay counter), and
+  the replay twin being dropped by ``clear_decode_cache``;
 - mask-seam kernels: nested divergent loops, break/continue lowering,
   masked early exit, and an IR-level early ``ret`` under a branch;
 - fault injection at the ``codegen`` site (bails to the decoded engine);
-- ``REPRO_NO_CODEGEN=1`` escape hatch restores the prior engine exactly;
-- disk-cache rehydration of the generated source in a child process;
-- unparsable engine env flags emit a structured ``ReproWarning``.
+- disk-cache rehydration of the generated source in a child process.
 """
 
 import json
@@ -31,11 +31,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import autotune, diskcache
+from repro import diskcache
 from repro.backend import codegen as cg
 from repro.benchsuite.ispc_suite import BENCHMARKS
-from repro.benchsuite.runner import _GUARD_BYTES, build_impl
-from repro.diagnostics import ReproWarning
+from repro.benchsuite.runner import _GUARD_BYTES
 from repro.driver import compile_parsimony
 from repro.faultinject import FaultPlan, inject
 from repro.ir import (
@@ -94,29 +93,28 @@ def _assert_bitwise(got, want, context):
 
 # -- fig4-wide bitwise matrix -------------------------------------------------
 
-ORACLES = {
-    "reference": dict(predecode=False),
-    "predecoded": dict(predecode=True, superinstructions=False),
-    "fused": dict(predecode=True, superinstructions=True),
-}
-
-
 @pytest.mark.parametrize("spec", BENCHMARKS, ids=lambda s: s.name)
 def test_codegen_matches_every_engine_on_fig4(spec):
-    """Outputs, memory, ExecStats, and attribution bitwise vs all prior
-    engines; the codegen engine must actually compile (no bailouts)."""
+    """Outputs, memory, ExecStats, and attribution bitwise across
+    reference / predecoded / codegen × batched / unbatched; the codegen
+    engine must actually compile (no bailouts)."""
     workload = spec.workload()
-    module = build_impl(spec, "parsimony")
-    _, want = _run_workload(module, workload, codegen=False,
-                            **ORACLES["reference"])
-    for label, kw in list(ORACLES.items())[1:]:
-        _, got = _run_workload(module, workload, codegen=False, **kw)
-        _assert_bitwise(got, want, f"{spec.name}: {label} vs reference")
-    interp, got = _run_workload(module, workload, codegen=True)
-    report = interp.codegen_report()
-    assert not report["bailouts"], f"{spec.name}: {report['bailouts']}"
-    assert report["calls"] > 0, f"{spec.name}: codegen never engaged"
-    _assert_bitwise(got, want, f"{spec.name}: codegen vs reference")
+    want = None
+    for build, request in (("batched", None), ("unbatched", 0)):
+        module = compile_parsimony(
+            spec.psim_src, module_name=f"{spec.name}.parsimony",
+            batch_request=request)
+        _, ref = _run_workload(module, workload, predecode=False)
+        if want is None:
+            want = ref
+        _assert_bitwise(ref, want, f"{spec.name}: {build} vs batched reference")
+        _, got = _run_workload(module, workload, codegen=False)
+        _assert_bitwise(got, want, f"{spec.name}: {build} predecoded")
+        interp, got = _run_workload(module, workload)
+        report = interp.codegen_report()
+        assert not report["bailouts"], f"{spec.name}: {report['bailouts']}"
+        assert report["calls"] > 0, f"{spec.name}: codegen never engaged"
+        _assert_bitwise(got, want, f"{spec.name}: {build} codegen")
 
 
 # -- mid-kernel budget-trap replay --------------------------------------------
@@ -164,9 +162,49 @@ def test_budget_trap_replays_on_predecoded_twin():
     np.testing.assert_array_equal(compiled.memory.data, decoded.memory.data)
 
 
+def test_clear_decode_cache_drops_the_replay_twin():
+    """The twin decodes the module into its own caches; after a module
+    mutation + ``clear_decode_cache()`` a replayed trap must report the
+    *new* instructions, as the reference engine does."""
+    def build():
+        module = Module("t")
+        f = Function("f", FunctionType(I32, (I32, I32)), ["x", "y"])
+        module.add_function(f)
+        b = IRBuilder(f, f.add_block("entry"))
+        b.ret(b.binop("mul", b.binop("add", f.args[0], f.args[1]), f.args[1]))
+        verify_function(f)
+        return module
+
+    def trap_twice(**kw):
+        module = build()
+        interp = Interpreter(module, max_instructions=2, **kw)
+        with pytest.raises(ExecutionLimitExceeded):
+            interp.run("f", 3, 5)
+        body = module.functions["f"].blocks[0].instructions
+        body[0].opcode, body[1].opcode = "sub", "xor"
+        interp.clear_decode_cache()
+        interp.reset_stats()
+        with pytest.raises(ExecutionLimitExceeded):
+            interp.run("f", 3, 5)
+        return dict(interp.stats.counts)
+
+    want = trap_twice(predecode=False)
+    assert want == {"sub": 1, "xor": 1, "ret": 1}
+    assert trap_twice(codegen=True) == want
+    assert trap_twice(codegen=False) == want
+
+
+def test_default_engine_is_codegen():
+    module = compile_parsimony(TRAP_SRC)
+    assert Interpreter(module).codegen is True
+    assert Interpreter(module, codegen=False).codegen is False
+    # Codegen rides on predecode: the reference engine never arms it.
+    assert Interpreter(module, predecode=False).codegen is False
+
+
 def test_completed_run_does_not_replay():
     module = compile_parsimony(TRAP_SRC)
-    interp = Interpreter(module, codegen=True)
+    interp = Interpreter(module)
     addr = interp.memory.alloc_array(np.zeros(37, np.float32))
     interp.run("kernel", addr, 37)
     report = interp.codegen_report()
@@ -563,7 +601,7 @@ def test_codegen_fault_site_bails_to_decoded():
     interp = Interpreter(module, codegen=True)
     function = module.get("kernel")
     with inject(FaultPlan(site="codegen")):
-        kfn = interp._codegen_compile(function)
+        kfn = interp._codegen_lower(function)
     assert kfn is None
     assert interp.codegen_bailouts == {"injected-fault": 1}
     # The bailout is sticky: the armed engine now runs decoded, with
@@ -590,47 +628,6 @@ def test_active_fault_plan_disarms_codegen():
     with inject(FaultPlan(site="worker_crash")):  # unrelated site, armed
         interp.run("kernel", addr, 37)
     assert interp.codegen_report()["calls"] == 0
-
-
-# -- escape hatch -------------------------------------------------------------
-
-def test_no_codegen_escape_hatch(monkeypatch):
-    """``REPRO_NO_CODEGEN=1`` beats even an explicit ``codegen=True`` and
-    restores the prior engine exactly."""
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "1")
-    module = compile_parsimony(TRAP_SRC)
-    interp = Interpreter(module, codegen=True)
-    assert interp.codegen is False
-    addr = interp.memory.alloc_array(np.zeros(37, np.float32))
-    interp.run("kernel", addr, 37)
-    report = interp.codegen_report()
-    assert report["enabled"] is False
-    assert report["calls"] == 0 and report["compiles"] == 0
-
-    monkeypatch.delenv("REPRO_NO_CODEGEN")
-    ref = Interpreter(module, codegen=False)
-    ref_addr = ref.memory.alloc_array(np.zeros(37, np.float32))
-    ref.run("kernel", ref_addr, 37)
-    assert interp.stats.cycles == ref.stats.cycles
-    assert interp.stats.instructions == ref.stats.instructions
-    assert dict(interp.stats.counts) == dict(ref.stats.counts)
-
-
-def test_unparsable_engine_flags_warn(monkeypatch):
-    """Garbage in an engine env flag is a visible misconfiguration, not a
-    silent request for the default (the historical ``in ("1", "true")``
-    parse ignored it)."""
-    module = compile_parsimony(TRAP_SRC)
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "yes-please")
-    with pytest.warns(ReproWarning, match="REPRO_NO_CODEGEN"):
-        interp = Interpreter(module)
-    assert interp.codegen is False  # default kept
-    monkeypatch.delenv("REPRO_NO_CODEGEN")
-
-    monkeypatch.setenv("REPRO_NO_FUSE", "nope")
-    with pytest.warns(ReproWarning, match="REPRO_NO_FUSE"):
-        engine = autotune.engine_config(None, None)
-    assert engine.endswith("/fused")  # default (fusion on) kept
 
 
 # -- disk-cache rehydration in a child process --------------------------------
@@ -666,7 +663,6 @@ def test_generated_source_rehydrates_from_disk_in_child(tmp_path):
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
     env["REPRO_CACHE_DIR"] = str(tmp_path)
     env["REPRO_DISK_CACHE"] = "1"
-    env.pop("REPRO_NO_CODEGEN", None)
 
     # Parent leg: same kernel through the codegen engine with the disk
     # layer on, which persists the compiled code object.

@@ -176,18 +176,16 @@ def test_reset_stats_zeroes_in_place():
 @pytest.mark.parametrize("impl", ["scalar", "autovec", "parsimony", "ispc"])
 @pytest.mark.parametrize("spec", BENCHMARKS, ids=lambda s: s.name)
 def test_predecode_matches_reference(spec, impl):
-    """All three engines — fused, unfused pre-decoded, reference — must
-    produce bit-identical outputs and bit-identical ``ExecStats``."""
+    """All three engines — codegen, pre-decoded, reference — must produce
+    bit-identical outputs and bit-identical ``ExecStats``."""
     from repro.benchsuite.runner import build_impl
 
     module = build_impl(spec, impl)
-    fused = run_impl(spec, impl, module=module, predecode=True,
-                     superinstructions=True)
-    unfused = run_impl(spec, impl, module=module, predecode=True,
-                       superinstructions=False)
+    codegen = run_impl(spec, impl, module=module)
+    decoded = run_impl(spec, impl, module=module, codegen=False)
     slow = run_impl(spec, impl, module=module, predecode=False)
 
-    for fast in (fused, unfused):
+    for fast in (codegen, decoded):
         assert fast.stats.cycles == slow.stats.cycles
         assert fast.stats.instructions == slow.stats.instructions
         assert fast.stats.counts == slow.stats.counts
