@@ -61,8 +61,8 @@ def check_seed(seed, counts):
     want, base = run(plain, seed)
 
     builds = []
-    if kernel.has_reduction:
-        # No scalar strategy exists for cross-lane reductions: the
+    if kernel.refuses_whole_fallback:
+        # No scalar strategy exists for cross-lane communication: the
         # whole-function degraded compile must refuse, never mistranslate.
         try:
             with inject(FaultPlan(site="vectorize")):
@@ -70,7 +70,7 @@ def check_seed(seed, counts):
         except CompileError:
             counts["refused"] += 1
         else:
-            print(f"  FAIL seed {seed}: reduction kernel scalarized "
+            print(f"  FAIL seed {seed}: cross-lane kernel scalarized "
                   f"whole-function instead of refusing\n{kernel.source}")
             return False
     else:
@@ -84,11 +84,11 @@ def check_seed(seed, counts):
             with inject(plan):
                 builds.append(("partial", compile_parsimony(kernel.source)))
         except CompileError:
-            # Legal only for reduction kernels, when the faulted region
+            # Legal only for cross-lane kernels, when the faulted region
             # contains the sync point.
-            if not kernel.has_reduction:
+            if not kernel.refuses_whole_fallback:
                 print(f"  FAIL seed {seed}: partial fallback refused a "
-                      f"reduction-free kernel\n{kernel.source}")
+                      f"kernel without cross-lane ops\n{kernel.source}")
                 return False
             counts["refused"] += 1
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro import Interpreter, Machine, compile_parsimony
 from repro.backend.legalize import legalize_module
+from repro.passes import clone_module
 
 N = 4096
 
@@ -38,6 +39,8 @@ MACHINES = [
 def run(machine, legalized):
     module = compile_parsimony(SRC)
     if legalized:
+        # Compiled modules are frozen hand-outs; legalization rewrites IR.
+        module = clone_module(module)
         legalize_module(module, machine)
     interp = Interpreter(module, machine=machine)
     rng = np.random.default_rng(11)

@@ -68,6 +68,7 @@ class _Rejected(Exception):
 
 def auto_vectorize_module(module: Module, machine: Machine,
                           config: Optional[AutoVecConfig] = None) -> Dict[str, LoopVecReport]:
+    module.require_mutable("auto_vectorize_module")
     config = config or AutoVecConfig()
     reports = {}
     for function in list(module.functions.values()):

@@ -700,6 +700,7 @@ def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport
     pass every legality check; the caller stashes an unbatched clone in
     ``module.attrs["batch_fallback"]`` when anything was applied.
     """
+    module.require_mutable("batch_module")
     applied: List[str] = []
     rejected: List[Tuple[str, str, str]] = []
     factor = 1

@@ -113,12 +113,20 @@ strings, batch factors, hoisted-name wiring); payloads and impls bind at
 ``exec`` time through default arguments, so the *code object* is
 shareable.  Sources are cached process-wide and the compiled code
 objects persist across processes via :mod:`repro.diskcache`
-(``store_code``/``load_code``).  Because batch-specialized and generic
-emissions of one kernel differ only in attrs (not block/instruction
-counts), emission-cache entries additionally carry a **batch
-fingerprint** — the ``batched`` attr plus the count of annotated
-instructions — so a bailout or emission memoized against one batching
-configuration never answers for another.
+(``store_code``/``load_code``).  Emissions (source + binding recipe, or
+a bailout reason) hang off the ``Function`` they were emitted for
+(``Function._emissions``): the compile cache hands every caller the
+same frozen module, so identity finds them, and they live exactly as
+long as their module — no process-global table references IR.  Because
+batch-specialized and generic emissions of one function differ only in
+attrs, entries additionally carry a **batch fingerprint** — the
+``batched`` attr plus the count of annotated instructions — so a
+bailout or emission memoized against one batching configuration never
+answers for another.
+
+Generated functions never own their interpreter (see "Ownership" in
+:mod:`repro.vm.interp`): they bind a weak reference and dereference it
+once per call.
 """
 
 from __future__ import annotations
@@ -146,6 +154,7 @@ from ..vm.interp import (
     ExecutionLimitExceeded,
     _constant_payload,
     _undef_payload,
+    reduce_lanes,
 )
 from ..vm.nputil import (
     as_unsigned,
@@ -197,7 +206,7 @@ _CODE_CACHE: Dict[str, object] = {}
 #: Hoisted prologue names rebuilt per interpreter (everything else in the
 #: bindings is interpreter-independent or re-derivable from a recipe).
 _FIXED_BINDINGS = frozenset(
-    ("_s", "_c", "_interp", "_mem", "_fname", "_trap", "_exec", "_gac", "_VMTrap")
+    ("_s", "_c", "_iw", "_mem", "_fname", "_trap", "_gac", "_VMTrap")
 )
 
 _BINOPS = INT_BINOPS | FLOAT_BINOPS
@@ -215,28 +224,13 @@ _COMPUTE_OPS = frozenset(
     }
 )
 
-#: Ops whose ``_value_impl`` closure captures interpreter state (memory,
-#: or the interpreter itself for cross-lane reduces) and must be rebuilt
-#: when a cached emission rebinds to another interpreter; every other
-#: impl closure depends only on the instruction and is shared.
-_REBIND_OPS = REDUCE_OPS | frozenset(
+#: Ops whose ``_value_impl`` closure captures the interpreter's memory
+#: and must be rebuilt when a cached emission rebinds to another
+#: interpreter; every other impl closure depends only on the instruction
+#: and is shared.  None captures the interpreter itself.
+_REBIND_OPS = frozenset(
     ("load", "store", "vload", "vstore", "gather", "scatter",
      "alloca", "atomicrmw")
-)
-
-#: Key → [(machine, cost_model, fingerprint, source, recipe, reason)]:
-#: emission (linearization + postdominators) amortizes across fresh
-#: interpreters — and, via the driver's ``emit_key`` stamps, across
-#: fresh compile-cache clones — of the same kernel; only the prologue
-#: names and the memory-capturing impl closures rebind per interpreter.
-#: Stamped structural keys (tuples) live in a capped plain dict;
-#: unstamped functions key the weak side so hand-built IR can't leak.
-#: ``fingerprint`` guards against attrs-only batching mutations that
-#: leave block/instruction counts unchanged (see :func:`_batch_fingerprint`).
-_EMIT_CACHE: Dict[tuple, list] = {}
-_EMIT_CACHE_CAPACITY = 512
-_EMIT_CACHE_BY_FN: "weakref.WeakKeyDictionary[Function, list]" = (
-    weakref.WeakKeyDictionary()
 )
 
 #: Vector-op inline templates.  Each form must be bit-identical to the
@@ -313,7 +307,8 @@ def _value_impl(interp, instr: Instruction):
     Unlike :meth:`Interpreter._decode_instr` thunks, these do not read
     ``env`` — the emitter wires operands itself (every SSA value is a
     Python local).  Defined for every ``_COMPUTE_OPS`` opcode; operands
-    map positionally.  Closures for ``_REBIND_OPS`` capture ``interp``.
+    map positionally.  Closures for ``_REBIND_OPS`` capture
+    ``interp.memory``.
     """
     op = instr.opcode
     ops = instr.operands
@@ -389,8 +384,7 @@ def _value_impl(interp, instr: Instruction):
             return diffs.astype(np.uint64)
         return _sad
     if op in REDUCE_OPS:
-        reduce = interp._reduce
-        return lambda v: reduce(op, instr, v)
+        return lambda v: reduce_lanes(op, instr, v)
     if op == "mask_any":
         return lambda m: 1 if bool(m.any()) else 0
     if op == "mask_all":
@@ -641,17 +635,9 @@ class _Emitter:
         self.names: Dict[Value, str] = {}
         for i, arg in enumerate(function.args):
             self.names[arg] = f"a{i}"
-        self.hoisted: Dict[str, object] = {
-            "_s": interp.stats,
-            "_c": interp.stats.counts,
-            "_interp": interp,
-            "_mem": interp.memory,
-            "_fname": function.name,
-            "_trap": _budget_trap,
-            "_exec": interp._exec_function,
-            "_gac": gang_activity_count,
-            "_VMTrap": VMTrap,
-        }
+        self.hoisted: Dict[str, object] = _fixed_bindings(interp, function)
+        #: An internal call was emitted: the prologue binds ``_exec``.
+        self.calls_internal = False
         self._memo: Dict[object, str] = {}
         #: Hoisted name → Instruction for ``_value_impl`` closures, which
         #: may capture this interpreter's memory and must be rebuilt when
@@ -1088,6 +1074,7 @@ class _Emitter:
             # The callee charges ExecStats directly: flush the local
             # accumulators around the call and re-derive the headroom.
             fref = self.hoist(callee, key=("fn", callee.name))
+            self.calls_internal = True
             self.line(_FLUSH)
             self.line(
                 f"{self.name_of(ins)} = _exec({fref}, [{args}], depth + 1)"
@@ -1506,6 +1493,9 @@ class _Emitter:
         if fn.args:
             names = ", ".join(self.names[a] for a in fn.args)
             head.append(f"    {names}{',' if len(fn.args) == 1 else ''} = _args")
+        head.append("    _interp = _iw()")
+        if self.calls_internal:
+            head.append("    _exec = _interp._exec_function")
         head.append("    _L = _interp.max_instructions")
         head.append("    _rem = _L - _s.instructions")
         head.append("    _mk = _mem._brk")
@@ -1548,14 +1538,19 @@ class _Emitter:
 
 
 def _fixed_bindings(interp, function: Function) -> Dict[str, object]:
+    """The per-interpreter prologue names.  The interpreter owns the
+    generated function (``Interpreter._codegen_fns``), so the function
+    must not own the interpreter back: it holds a weak reference
+    (``_iw``) and dereferences it once per call, in its prologue — no
+    reference cycle, so dropping the last reference to an interpreter
+    frees it and its ``Memory`` at once, without the cyclic collector."""
     return {
         "_s": interp.stats,
         "_c": interp.stats.counts,
-        "_interp": interp,
+        "_iw": weakref.ref(interp),
         "_mem": interp.memory,
         "_fname": function.name,
         "_trap": _budget_trap,
-        "_exec": interp._exec_function,
         "_gac": gang_activity_count,
         "_VMTrap": VMTrap,
     }
@@ -1565,9 +1560,9 @@ def _batch_fingerprint(function: Function) -> tuple:
     """Batching configuration visible to emission: the ``batched`` attr
     (the batch factor, or ``None``) and the number of annotated
     instructions.  Attrs-only mutations — stripping or re-running the
-    batch pass on the same clone — leave block/instruction counts
-    untouched, so the structural key alone would replay a stale emission
-    (or worse, a stale *bailout*) for a configuration it never saw."""
+    batch pass on the same unfrozen module — keep the function's
+    identity, which alone would replay a stale emission (or worse, a
+    stale *bailout*) for a configuration it never saw."""
     n = 0
     for b in function.blocks:
         for ins in b.instructions:
@@ -1576,76 +1571,52 @@ def _batch_fingerprint(function: Function) -> tuple:
     return (function.attrs.get("batched"), n)
 
 
-def _emit_cache_key(function: Function):
-    """Cache key stable across ``clone_module`` copies of one function.
-
-    The driver's compile cache hands out a fresh clone per compile call,
-    so object identity never repeats across runs; canonical modules are
-    stamped with a process-unique ``emit_key`` attr that clones inherit.
-    Block/instruction counts ride along as a structural guard: a pass
-    mutating a clone *after* compilation (extra DCE, a test rewriting
-    IR) changes the counts and misses rather than replaying stale code.
-    Unstamped functions (hand-built IR, fault-injected compiles) fall
-    back to object identity.
-    """
-    stamp = function.attrs.get("emit_key")
-    if stamp is None:
-        return function
-    nblocks = len(function.blocks)
-    ninstrs = sum(len(b.instructions) for b in function.blocks)
-    return (stamp, nblocks, ninstrs)
-
-
 def forget_emission(function: Function) -> None:
     """Drop ``function``'s cached emissions: its IR was mutated in place,
-    which neither object identity nor the structural key can see."""
-    key = _emit_cache_key(function)
-    cache = _EMIT_CACHE if isinstance(key, tuple) else _EMIT_CACHE_BY_FN
-    cache.pop(key, None)
+    which object identity cannot see."""
+    function._emissions = None
 
 
 def emit_function(interp, function: Function) -> Tuple[str, Dict[str, object]]:
     """Linearize ``function`` against ``interp``'s machine/cost bindings.
 
     Returns ``(source, bindings)``; raises :class:`CodegenBailout` when
-    the function cannot be linearized.  Emissions (and bailouts) are
-    cached per function/machine/cost-model/batch-fingerprint — keyed
-    structurally (see :func:`_emit_cache_key`), so a fresh interpreter
-    over a fresh compile-cache clone of the same kernel reuses the
-    cached source and only rebinds the prologue names plus the impl
+    the function cannot be linearized.  Emissions (and bailouts) hang off
+    the function object itself (``Function._emissions``: a list of
+    ``(machine, cost_model, fingerprint, source, recipe, reason)``), so
+    they are found by identity — the compile cache hands every caller of
+    a kernel the same frozen module — and live exactly as long as their
+    module: nothing process-global references a ``Function`` or its
+    ``Instruction`` s.  A fresh interpreter over the same kernel reuses
+    the cached source and only rebinds the prologue names plus the impl
     closures that capture interpreter memory.  The fingerprint match
     keeps a bailout memoized against one batching configuration from
-    suppressing emission for another (attrs-only mutations leave the
-    structural key unchanged).
+    suppressing emission for another (an attrs-only mutation of an
+    unfrozen function is invisible to identity).
     """
-    key = _emit_cache_key(function)
-    cache = _EMIT_CACHE if isinstance(key, tuple) else _EMIT_CACHE_BY_FN
-    if cache is _EMIT_CACHE and len(cache) >= _EMIT_CACHE_CAPACITY:
-        # Stamps of compile-cache-evicted modules accumulate; a blunt
-        # reset only costs re-emission, never correctness.
-        cache.clear()
     fingerprint = _batch_fingerprint(function)
-    entries = cache.get(key)
-    if entries is not None:
-        for machine, cost_model, fp, source, recipe, reason in entries:
-            if (
-                machine is interp.machine
-                and cost_model is interp.cost_model
-                and fp == fingerprint
-            ):
-                if reason is not None:
-                    raise CodegenBailout(reason)
-                bindings = _fixed_bindings(interp, function)
-                for name, ins, obj in recipe:
-                    bindings[name] = (
-                        obj if ins is None else _value_impl(interp, ins)
-                    )
-                return source, bindings
+    entries = function._emissions
+    if entries is None:
+        entries = function._emissions = []
+    for machine, cost_model, fp, source, recipe, reason in entries:
+        if (
+            machine is interp.machine
+            and cost_model is interp.cost_model
+            and fp == fingerprint
+        ):
+            if reason is not None:
+                raise CodegenBailout(reason)
+            bindings = _fixed_bindings(interp, function)
+            for name, ins, obj in recipe:
+                bindings[name] = (
+                    obj if ins is None else _value_impl(interp, ins)
+                )
+            return source, bindings
     emitter = _Emitter(interp, function)
     try:
         source, bindings = emitter.emit()
     except CodegenBailout as exc:
-        cache.setdefault(key, []).append(
+        entries.append(
             (interp.machine, interp.cost_model, fingerprint, None, None,
              exc.reason)
         )
@@ -1658,7 +1629,7 @@ def emit_function(interp, function: Function) -> Tuple[str, Dict[str, object]]:
         if name not in _FIXED_BINDINGS
         for ins in (emitter.impl_instrs.get(name),)
     )
-    cache.setdefault(key, []).append(
+    entries.append(
         (interp.machine, interp.cost_model, fingerprint, source, recipe, None)
     )
     return source, bindings
@@ -1685,12 +1656,14 @@ def compiled_code(source: str) -> Tuple[object, str]:
 
 def bind_code(code, bindings: Dict[str, object]):
     """Bind a compiled code object to one interpreter's live payloads."""
-    g = dict(bindings)
-    # Empty-ish builtins keep emitted code honest (every name must be a
-    # hoisted binding), but numpy's lazy C-level imports resolve
-    # __import__ through the *calling* frame's builtins — leave it in or
-    # the first .sum()/.any() ever run inside generated code dies with
-    # KeyError('__import__').
-    g["__builtins__"] = {"__import__": __import__}
-    exec(code, g)
-    return g["_kfn"]
+    # The bindings are evaluated as ``_kfn``'s default arguments out of a
+    # throwaway *locals* dict; its globals hold nothing but builtins, so
+    # the function is not reachable from its own globals (a cycle only
+    # the cyclic collector could free).  Empty-ish builtins keep emitted
+    # code honest (every name must be a hoisted binding), but numpy's
+    # lazy C-level imports resolve __import__ through the *calling*
+    # frame's builtins — leave it in or the first .sum()/.any() ever run
+    # inside generated code dies with KeyError('__import__').
+    scope = dict(bindings)
+    exec(code, {"__builtins__": {"__import__": __import__}}, scope)
+    return scope["_kfn"]

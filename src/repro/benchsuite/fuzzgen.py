@@ -14,8 +14,8 @@ One carve-out: a kernel containing a cross-lane intrinsic
 (``psim_reduce_*_sync``, or the ``psim_shuffle_sync`` lane exchanges)
 has **no scalar execution strategy** — cross-lane communication cannot
 be scalarized, so degraded compiles raise ``CompileError`` instead of
-falling back (``has_reduction``/``has_shuffle`` flag this for the test
-harness).  The vector-engine strategies (decoded, batched,
+falling back (``FuzzKernel.refuses_whole_fallback`` flags this for the
+test harness and ``examples/fuzz_smoke.py``).  The vector-engine strategies (decoded, batched,
 codegen) still all apply and must still agree bitwise; reductions may
 additionally sit inside a uniform-trip-count loop *after* the divergent
 body, so the sync point executes repeatedly under loop control flow.
@@ -59,6 +59,13 @@ class FuzzKernel:
     #: Kernel calls ``psim_shuffle_sync`` (cross-lane exchange): like
     #: reductions, no scalar strategy exists.
     has_shuffle: bool = False
+
+    @property
+    def refuses_whole_fallback(self) -> bool:
+        """Cross-lane communication (reductions, lane exchanges) has no
+        scalar strategy: a degraded compile must raise ``CompileError``,
+        never fall back to a semantically different kernel."""
+        return self.has_reduction or self.has_shuffle
 
 
 _REDUCTIONS = ("psim_reduce_add_sync", "psim_reduce_min_sync",

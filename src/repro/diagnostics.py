@@ -36,6 +36,7 @@ __all__ = [
     "ReproWarning",
     "CompileError",
     "ExecutionError",
+    "FrozenModuleError",
     "attach_location",
     "emit_warning",
 ]
@@ -250,3 +251,20 @@ class ExecutionError(ReproError):
     """An error while *running* IR (VM traps, memory faults)."""
 
     default_stage = "vm"
+
+
+class FrozenModuleError(ReproError):
+    """A mutation reached a frozen module.
+
+    Every ``repro.driver.compile_*`` result is one shared, sealed
+    hand-out (see ``Module.freeze``); ``what`` names the refused write
+    and the message names the way out, ``clone_module``.
+    """
+
+    def __init__(self, what: str, **kwargs):
+        super().__init__(
+            f"{what}: the module is frozen (compiled modules are shared, "
+            "immutable hand-outs); call repro.passes.clone_module(module) "
+            "for a mutable copy",
+            **kwargs,
+        )

@@ -17,8 +17,6 @@ plus :class:`~repro.backend.machine.ExecStats` (the measurement harness).
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import uuid
 from collections import OrderedDict
 from typing import Callable, Dict, Optional, Tuple
 
@@ -52,31 +50,20 @@ __all__ = [
 #
 # The five paper configurations recompile identical kernels for every
 # benchmark repetition; compilation is pure in (flow, source, machine,
-# config), so results are memoized on that content key.  The cached module
-# is never handed out: every return (the first included) is a
-# ``clone_module`` deep copy, so callers mutating the result — re-running
-# passes, renaming functions — cannot poison later cache hits.
+# config), so results are memoized on that content key.  A hit hands out
+# the cached module *itself*, in O(1): it was sealed by ``Module.freeze``
+# at insertion, so a caller cannot poison later hits — an in-place pass
+# fails at its first write (``FrozenModuleError``) instead of being
+# absorbed by a private deep copy nobody asked for.  One contract for
+# every ``compile_*`` result, cached or not: frozen; the rare caller that
+# transforms IR takes ``clone_module(module)``.  What hangs off a function
+# object downstream (codegen emissions) is therefore shared by every user
+# of a kernel and dies with its cache entry.
 
 _COMPILE_CACHE: "OrderedDict[tuple, Module]" = OrderedDict()
 _COMPILE_CACHE_CAPACITY = 64
 _COMPILE_CACHE_ENABLED = True
 _COMPILE_CACHE_STATS = {"hits": 0, "misses": 0}
-
-# Every hand-out is a ``clone_module`` copy, so object identity cannot key
-# anything across runs.  Canonical functions get a process-unique
-# ``emit_key`` attr at insertion (clones copy attrs), giving downstream
-# structural caches — the whole-kernel codegen emission cache — a stable
-# key that survives cloning.  The uuid namespace keeps keys from ever
-# colliding with a key another process persisted inside a module.
-_EMIT_KEY_NS = uuid.uuid4().hex[:12]
-_EMIT_KEY_SEQ = itertools.count()
-
-
-def _stamp_emit_keys(module: Module) -> None:
-    for function in module.functions.values():
-        function.attrs.setdefault(
-            "emit_key", f"{_EMIT_KEY_NS}:{next(_EMIT_KEY_SEQ)}"
-        )
 
 
 def set_compile_cache(enabled: bool) -> None:
@@ -124,7 +111,7 @@ def _cached_compile(key: tuple, build: Callable[[], Module]) -> Module:
     # compiled before the faults were armed, nor let a fault-degraded
     # module poison the cache for later clean compiles.
     if not _COMPILE_CACHE_ENABLED or faultinject.active():
-        return build()
+        return build().freeze()
     cached = _COMPILE_CACHE.get(key)
     if cached is None:
         _COMPILE_CACHE_STATS["misses"] += 1
@@ -132,17 +119,13 @@ def _cached_compile(key: tuple, build: Callable[[], Module]) -> Module:
         if cached is None:
             cached = build()
             diskcache.store(key, cached)
-        # Stamp after the disk store: emit keys are process-local, and a
-        # persisted copy must rehydrate unstamped in other processes.
-        _stamp_emit_keys(cached)
-        _COMPILE_CACHE[key] = cached
-        _COMPILE_CACHE.move_to_end(key)
+        _COMPILE_CACHE[key] = cached.freeze()
         if len(_COMPILE_CACHE) > _COMPILE_CACHE_CAPACITY:
             _COMPILE_CACHE.popitem(last=False)
     else:
         _COMPILE_CACHE_STATS["hits"] += 1
         _COMPILE_CACHE.move_to_end(key)
-    return clone_module(cached)
+    return cached
 
 
 def compile_scalar(source: str, module_name: str = "scalar") -> Module:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..diagnostics import FrozenModuleError
 from .types import Type, VOID
 from .values import Value
 
@@ -92,7 +93,9 @@ class Instruction(Value):
 
     Operands are held in a private list with def-use bookkeeping: mutating
     them must go through ``set_operand`` so that ``Value.uses`` stays
-    consistent and ``replace_all_uses_with`` works.
+    consistent and ``replace_all_uses_with`` works.  ``Module.freeze``
+    seals the list (and ``uses`` and ``attrs``); the mutators then raise
+    :class:`~repro.diagnostics.FrozenModuleError`.
     """
 
     def __init__(
@@ -117,14 +120,26 @@ class Instruction(Value):
     def operands(self) -> tuple:
         return tuple(self._operands)
 
+    def _refuse(self, what: str) -> None:
+        function = getattr(self.parent, "parent", None)
+        raise FrozenModuleError(
+            f"{what} on {self!r}",
+            function=getattr(function, "name", ""),
+            instruction=self.name,
+        )
+
     def _append_operand(self, value: Value) -> None:
         if not isinstance(value, Value):
             raise TypeError(f"operand of {self.opcode} is not a Value: {value!r}")
+        if type(self._operands) is tuple:
+            self._refuse("append_operand")
         idx = len(self._operands)
         self._operands.append(value)
         value.uses.append((self, idx))
 
     def set_operand(self, idx: int, value: Value) -> None:
+        if type(self._operands) is tuple:
+            self._refuse("set_operand")
         old = self._operands[idx]
         old.uses.remove((self, idx))
         self._operands[idx] = value
@@ -136,12 +151,16 @@ class Instruction(Value):
 
     def drop_operands(self) -> None:
         """Remove this instruction from the use lists of its operands."""
+        if type(self._operands) is tuple:
+            self._refuse("drop_operands")
         for idx, op in enumerate(self._operands):
             op.uses.remove((self, idx))
         self._operands = []
 
     def erase(self) -> None:
         """Unlink from the parent block and drop all operand uses."""
+        if type(self._operands) is tuple:
+            self._refuse("erase")
         if self.uses:
             raise RuntimeError(
                 f"erasing {self.opcode} '{self.name}' which still has uses"

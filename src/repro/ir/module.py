@@ -4,16 +4,36 @@
 so that branch and phi instructions can reference blocks through the normal
 operand/def-use machinery; CFG edge rewriting then falls out of
 ``replace_all_uses_with``.
+
+Freezing
+--------
+
+``Module.freeze()`` seals a finished module: every structural container
+reachable from it — ``functions`` / ``externals`` / ``attrs`` (module,
+function and instruction level), ``Function.blocks``,
+``BasicBlock.instructions``, ``Instruction._operands`` and every
+``Value.uses``, the ``batch_fallback`` twin included — is swapped for its
+immutable form (``MappingProxyType`` / tuple / frozenset).  Readers see
+no difference; the IR mutator methods raise
+:class:`~repro.diagnostics.FrozenModuleError` naming ``clone_module``,
+and a write that bypasses them dies on the sealed container itself.
+That is what lets the driver's compile cache hand the *same* module to
+every caller.  Attribute *values* (types, ``SpmdInfo``, batch charge
+tables) were always shared payloads nobody writes.  There is no
+``unfreeze``: ``repro.passes.clone_module`` builds a mutable copy, and a
+frozen module pickles as its mutable form (``thawed_state``).
 """
 
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 from typing import Callable, Dict, List, Optional
 
+from ..diagnostics import FrozenModuleError
 from .instructions import Instruction
 from .types import FunctionType, Type, VOID
-from .values import Argument, Value
+from .values import Argument, Value, thawed_state
 
 __all__ = ["BasicBlock", "Function", "ExternalFunction", "Module", "SpmdInfo"]
 
@@ -27,6 +47,8 @@ class BasicBlock(Value):
         self.parent: Optional["Function"] = None
 
     def append(self, instr: Instruction) -> Instruction:
+        if type(self.instructions) is tuple:
+            raise FrozenModuleError(f"append to {self!r}", block=self.name)
         if self.instructions and self.instructions[-1].is_terminator:
             raise RuntimeError(f"appending after terminator in block {self.name}")
         instr.parent = self
@@ -34,6 +56,8 @@ class BasicBlock(Value):
         return instr
 
     def insert(self, index: int, instr: Instruction) -> Instruction:
+        if type(self.instructions) is tuple:
+            raise FrozenModuleError(f"insert into {self!r}", block=self.name)
         instr.parent = self
         self.instructions.insert(index, instr)
         return instr
@@ -128,6 +152,15 @@ class Function(Value):
         self._name_counter = itertools.count()
         self._used_names: set = set()
 
+    #: Back-end emissions of this very function object (owned by
+    #: ``repro.backend.codegen``): they live and die with the function,
+    #: are never cloned and never pickled.
+    _emissions = None
+
+    @property
+    def frozen(self) -> bool:
+        return type(self.blocks) is tuple
+
     @property
     def return_type(self) -> Type:
         return self.ftype.ret
@@ -137,6 +170,8 @@ class Function(Value):
         return self.blocks[0]
 
     def add_block(self, name: str = "bb", before: Optional[BasicBlock] = None) -> BasicBlock:
+        if self.frozen:
+            raise FrozenModuleError(f"add_block to {self!r}", function=self.name)
         block = BasicBlock(self.unique_name(name))
         block.parent = self
         if before is None:
@@ -146,6 +181,10 @@ class Function(Value):
         return block
 
     def remove_block(self, block: BasicBlock) -> None:
+        if self.frozen:
+            raise FrozenModuleError(
+                f"remove_block from {self!r}", function=self.name
+            )
         for instr in list(block.instructions):
             instr.drop_operands()
             instr.parent = None
@@ -168,6 +207,26 @@ class Function(Value):
         """Iterate over every instruction in block order."""
         for block in self.blocks:
             yield from block.instructions
+
+    def _freeze(self) -> None:
+        self.uses = tuple(self.uses)
+        for arg in self.args:
+            arg.uses = tuple(arg.uses)
+        for block in self.blocks:
+            for instr in block.instructions:
+                # Operands reach what nothing else lists: constants,
+                # undefs, externals.
+                for op in instr._operands:
+                    if type(op.uses) is list:
+                        op.uses = tuple(op.uses)
+                instr._operands = tuple(instr._operands)
+                instr.uses = tuple(instr.uses)
+                instr.attrs = MappingProxyType(instr.attrs)
+            block.uses = tuple(block.uses)
+            block.instructions = tuple(block.instructions)
+        self.blocks = tuple(self.blocks)
+        self.attrs = MappingProxyType(self.attrs)
+        self._used_names = frozenset(self._used_names)
 
     def __repr__(self) -> str:
         return f"<function {self.name}>"
@@ -208,13 +267,45 @@ class Module:
         #: except for keys it knows hold module references.
         self.attrs: Dict[str, object] = {}
 
+    __getstate__ = thawed_state
+
+    @property
+    def frozen(self) -> bool:
+        return type(self.functions) is MappingProxyType
+
+    def freeze(self) -> "Module":
+        """Seal this module (and its ``batch_fallback`` twin) against
+        mutation — see the module docstring — and return it."""
+        if self.frozen:
+            return self
+        twin = self.attrs.get("batch_fallback")
+        if isinstance(twin, Module):
+            twin.freeze()
+        for ext in self.externals.values():
+            ext.uses = tuple(ext.uses)
+        for function in self.functions.values():
+            function._freeze()
+        self.functions = MappingProxyType(self.functions)
+        self.externals = MappingProxyType(self.externals)
+        self.attrs = MappingProxyType(self.attrs)
+        return self
+
+    def require_mutable(self, what: str) -> None:
+        """Entry check for whole-module transforms (pass pipelines, gang
+        batching, legalization): refuse a frozen module up front instead
+        of at whichever write the transform happens to reach first."""
+        if self.frozen:
+            raise FrozenModuleError(f"{what} on {self!r}")
+
     def add_function(self, func: Function) -> Function:
+        self.require_mutable("add_function")
         if func.name in self.functions:
             raise ValueError(f"duplicate function name: {func.name}")
         self.functions[func.name] = func
         return func
 
     def add_external(self, ext: ExternalFunction) -> ExternalFunction:
+        self.require_mutable("add_external")
         self.externals[ext.name] = ext
         return ext
 

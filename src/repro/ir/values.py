@@ -7,11 +7,36 @@ track their uses (def-use chains) so that passes can rewrite the graph with
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import List, Optional, Tuple, Union
 
 from .types import IntType, Type, VectorType
 
 __all__ = ["Value", "Constant", "UndefValue", "Argument", "const_int", "const_bool"]
+
+#: The containers ``Module.freeze`` seals (list -> tuple, dict ->
+#: ``MappingProxyType``, set -> frozenset).  Named, not inferred from the
+#: value's type: a vector ``Constant.value`` is a tuple by construction.
+_SEALED_LISTS = ("uses", "_operands", "instructions", "blocks")
+
+
+def thawed_state(node) -> dict:
+    """``__getstate__`` for IR nodes: the node's ``__dict__`` with sealed
+    containers back in their mutable form and identity-scoped caches
+    dropped, so a frozen module pickles to exactly what its unfrozen self
+    would have (``mappingproxy`` does not pickle at all) and unpickles
+    mutable."""
+    state = dict(node.__dict__)
+    state.pop("_emissions", None)
+    for key in _SEALED_LISTS:
+        if type(state.get(key)) is tuple:
+            state[key] = list(state[key])
+    for key, value in state.items():
+        if type(value) is MappingProxyType:
+            state[key] = dict(value)
+        elif type(value) is frozenset:
+            state[key] = set(value)
+    return state
 
 
 class Value:
@@ -20,8 +45,11 @@ class Value:
     def __init__(self, type: Type, name: str = ""):
         self.type = type
         self.name = name
-        #: Def-use chain: list of ``(user_instruction, operand_index)`` pairs.
+        #: Def-use chain: list of ``(user_instruction, operand_index)`` pairs
+        #: (a tuple once the owning module is frozen).
         self.uses: List[Tuple["Value", int]] = []
+
+    __getstate__ = thawed_state
 
     @property
     def users(self):

@@ -23,6 +23,11 @@ def clone_blocks(
     ``value_map`` maps source values (typically arguments) to target values
     and is extended in place with every cloned instruction and block.
     Returns the source→clone block mapping.
+
+    The source blocks are only read: a forward reference (a phi naming
+    an instruction cloned later) is built on a placeholder operand until
+    the fix-up pass, never on the source instruction — which would append
+    to the *source's* ``uses`` — so a frozen source clones fine.
     """
     block_map: Dict[BasicBlock, BasicBlock] = {}
     for block in source_blocks:
@@ -40,13 +45,14 @@ def clone_blocks(
                 mapped = value_map.get(op, op)
                 if isinstance(op, Instruction) and op not in value_map:
                     needs_fixup = True  # forward reference (via phi)
+                    mapped = UndefValue(op.type)
                 operands.append(mapped)
             new = Instruction(
                 instr.opcode,
                 instr.type,
                 operands,
                 target.unique_name(instr.name or instr.opcode),
-                dict(instr.attrs),
+                instr.attrs,  # copied by the constructor
             )
             clone.instructions.append(new)
             new.parent = clone
@@ -78,14 +84,16 @@ def clone_function(source: Function, new_name: str, module=None) -> Function:
 
 
 def clone_module(source: Module, name: Optional[str] = None) -> Module:
-    """Deep-copy a whole module into a fresh, fully disjoint one.
+    """Deep-copy a whole module into a fresh, fully disjoint, *mutable* one.
 
     Every ``Value`` with def-use bookkeeping — functions, externals,
     constants, undefs, arguments, instructions, blocks — is freshly
-    created, so passes mutating the clone can never corrupt ``source``
-    (the property the driver's compile cache relies on).  Immutable
-    payloads (types, ``SpmdInfo``, external ``impl`` callables) are
-    shared.
+    created, so passes mutating the clone can never corrupt ``source``.
+    This is the one way to get a mutable module out of a frozen one (the
+    driver's ``compile_*`` results — see ``Module.freeze``): ``source`` is
+    only read, and the clone (its ``batch_fallback`` twin included) comes
+    back unfrozen.  Immutable payloads (types, ``SpmdInfo``, external
+    ``impl`` callables, attr values) are shared.
     """
     clone = Module(name if name is not None else source.name)
     value_map: Dict[Value, Value] = {}

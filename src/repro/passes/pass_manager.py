@@ -137,6 +137,7 @@ class PassManager:
             ) from exc
 
     def run(self, module: Module) -> bool:
+        module.require_mutable("running a pass pipeline")
         changed = False
         paranoid = self._paranoid()
         for pass_ in self.passes:

@@ -102,7 +102,7 @@ from .ir.module import Function, Module
 from .ir.types import IntType, VectorType
 from .ir.values import Argument, Constant
 from .vm.interp import Interpreter
-from .vm.memory import Memory
+from .vm.memory import Memory, MemorySnapshot
 
 __all__ = [
     "MAX_SHARDS",
@@ -536,10 +536,17 @@ class _ShardController:
 # -- shard execution (shared by workers and the local drain) -------------------
 
 
-def _memory_delta(initial: np.ndarray, final: np.ndarray):
-    """Dirty byte ranges of ``final`` vs ``initial`` plus a CRC over the
+def _memory_delta(initial: MemorySnapshot, memory: Memory):
+    """Dirty byte ranges of ``memory`` vs ``initial`` plus a CRC over the
     (ranges, bytes) staging payload."""
-    dirty = np.flatnonzero(initial != final)
+    # Above the snapshot's extent the launch image was all zero, and
+    # above the live extent it still is.
+    final = memory.data
+    kept = initial.image.size
+    dirty = np.concatenate((
+        np.flatnonzero(initial.image != final[:kept]),
+        kept + np.flatnonzero(final[kept : max(memory.extent, kept)]),
+    ))
     if dirty.size == 0:
         return [], b"", zlib.crc32(b"")
     breaks = np.flatnonzero(np.diff(dirty) > _MERGE_GAP)
@@ -558,8 +565,8 @@ def _delta_crc(ranges, blob) -> int:
 
 def _execute_shard(interp: Interpreter, plan: ShardPlan, index: int,
                    count: int, function_name: str, args,
-                   initial: np.ndarray) -> Dict[str, object]:
-    """Run one shard on ``interp`` (memory already reset to ``initial``)
+                   initial: MemorySnapshot) -> Dict[str, object]:
+    """Run one shard on ``interp`` (memory already restored to ``initial``)
     and package counters + staged memory delta.
 
     Every shard executes the kernel once, so the root call is decremented
@@ -572,7 +579,7 @@ def _execute_shard(interp: Interpreter, plan: ShardPlan, index: int,
     finally:
         interp.shard = None
     stats = interp.stats
-    ranges, blob, crc = _memory_delta(initial, interp.memory.data)
+    ranges, blob, crc = _memory_delta(initial, interp.memory)
     func_calls = dict(interp.func_calls)
     func_calls[function_name] = func_calls.get(function_name, 1) - 1
     edge_calls = dict(interp.edge_calls)
@@ -657,7 +664,7 @@ def _worker_main(conn, spec: Dict[str, object]) -> None:
     if module is None:
         module = spec["module"]
 
-    initial: np.ndarray = spec["initial"]
+    initial: MemorySnapshot = spec["initial"]
     memory = Memory(size=initial.size)
     interp = Interpreter(
         module,
@@ -668,7 +675,6 @@ def _worker_main(conn, spec: Dict[str, object]) -> None:
     plan = ShardPlan(module, spec["function"])
     args = spec["args"]
     function_name = spec["function"]
-    brk = spec["brk"]
 
     try:
         while True:
@@ -679,8 +685,7 @@ def _worker_main(conn, spec: Dict[str, object]) -> None:
             if msg[0] == "quit":
                 break
             _, index, count, directive = msg
-            memory.data[:] = initial
-            memory._brk = brk
+            memory.restore(initial)
             try:
                 payload = _execute_shard(
                     interp, plan, index, count, function_name, args, initial
@@ -792,8 +797,7 @@ class _Supervisor:
         self.recipe = recipe
         self.plan = plan
         self.workers = workers
-        self.initial = memory.data.copy()
-        self.brk = memory._brk
+        self.initial = memory.snapshot()
         self.hb = min(1.0, max(timeout / 4.0, 0.05))
         self.retries = 0
         self.degraded = 0
@@ -818,7 +822,6 @@ class _Supervisor:
             "machine": self.machine,
             "cost_model": self.cost_model,
             "initial": self.initial,
-            "brk": self.brk,
             "hb": self.hb,
         }
         try:
@@ -906,8 +909,7 @@ class _Supervisor:
                 cost_model=self.cost_model,
                 memory=Memory(size=self.initial.size),
             )
-        interp.memory.data[:] = self.initial
-        interp.memory._brk = self.brk
+        interp.memory.restore(self.initial)
         try:
             self.results[index] = _execute_shard(
                 interp, self.plan, index, self.count,
@@ -1080,19 +1082,18 @@ class _Supervisor:
 
         # Apply validated deltas to the pristine image in shard order —
         # the order the in-process engine wrote them.
-        data = self.memory.data
-        data[:] = self.initial
+        memory = self.memory
+        memory.restore(self.initial)
         for index in range(self.count):
             payload = self.results[index]
             blob = payload["blob"]
             offset = 0
             for start, end in payload["ranges"]:
                 n = end - start
-                data[start:end] = np.frombuffer(
+                memory.write_array(start, np.frombuffer(
                     blob, dtype=np.uint8, count=n, offset=offset
-                )
+                ))
                 offset += n
-        self.memory._brk = self.brk
 
         return ShardResult(
             stats, func_cycles, func_calls, edge_cycles, edge_calls,
@@ -1211,8 +1212,7 @@ def run_sharded(module: Module, function_name: str = "kernel", args=(), *,
         # semantics on batched modules — or the result).
         sup._shutdown()
         sup.degraded += 1
-        memory.data[:] = sup.initial
-        memory._brk = sup.brk
+        memory.restore(sup.initial)
         report = sup.report(
             "degraded", reason="kernel error in shard",
             failed_shard=failure.shard_index,

@@ -55,7 +55,11 @@ __all__ = [
 #: v7: the fused-window tier is gone — runs carry no ``fusion`` record
 #: and ``vm`` no ``fuse_totals``; diff mode still reads a v6 document and
 #: shows its fusion counters with the new side at 0.
-SCHEMA = "repro-telemetry/7"
+#: v8: fallback and partial-fallback records name their ``module`` —
+#: every kernel's SPMD function is ``kernel.psim0``, so (function, gang
+#: size, reason) alone made one session record only its first kernel's
+#: degradation.  Diff mode counts the records and reads v7 as before.
+SCHEMA = "repro-telemetry/8"
 DIFF_SCHEMA = "repro-telemetry-diff/2"
 
 
@@ -129,7 +133,8 @@ class Telemetry:
         )
 
     def record_fallback(
-        self, function_name: str, gang_size: int, reason: Dict[str, object]
+        self, module_name: str, function_name: str, gang_size: int,
+        reason: Dict[str, object],
     ) -> None:
         """One SPMD function degraded to the scalar lane loop (and why).
 
@@ -137,9 +142,11 @@ class Telemetry:
         driver bypasses the compile cache, so the same source compiled
         twice degrades the same functions twice — one *distinct*
         degradation, not two (``vectorizer.fallbacks`` used to
-        double-count here).
+        double-count here).  The module name is part of the identity:
+        SPMD function names repeat across kernels.
         """
         entry = {
+            "module": module_name,
             "function": function_name,
             "gang_size": gang_size,
             "reason": dict(reason),
@@ -148,7 +155,8 @@ class Telemetry:
             self.fallbacks.append(entry)
 
     def record_partial_fallback(
-        self, function_name: str, gang_size: int, info: Dict[str, object]
+        self, module_name: str, function_name: str, gang_size: int,
+        info: Dict[str, object],
     ) -> None:
         """One SPMD function vectorized with scalar-outlined regions.
 
@@ -157,9 +165,10 @@ class Telemetry:
         fractions.  Deduplicated like :meth:`record_fallback`.
         """
         entry = {
+            "module": module_name,
             "function": function_name,
             "gang_size": gang_size,
-            **{k: v for k, v in info.items()},
+            **info,
         }
         if entry not in self.partial_fallbacks:
             self.partial_fallbacks.append(entry)
@@ -497,11 +506,13 @@ def diff_documents(old: Dict, new: Dict) -> Dict[str, object]:
     }
 
 
-def record_fallback(function_name, gang_size, reason):
+def record_fallback(module_name, function_name, gang_size, reason):
     if _current is not None:
-        _current.record_fallback(function_name, gang_size, reason)
+        _current.record_fallback(module_name, function_name, gang_size, reason)
 
 
-def record_partial_fallback(function_name, gang_size, info):
+def record_partial_fallback(module_name, function_name, gang_size, info):
     if _current is not None:
-        _current.record_partial_fallback(function_name, gang_size, info)
+        _current.record_partial_fallback(
+            module_name, function_name, gang_size, info
+        )

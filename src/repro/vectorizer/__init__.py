@@ -191,6 +191,7 @@ def vectorize_module(
     horizontal intrinsic in a body the vectorizer rejected): there is no
     correct code to emit for it.
     """
+    module.require_mutable("vectorize_module")
     results = []
     for function in list(module.functions.values()):
         if function.spmd is None or function.name.endswith(".scalarref"):
@@ -325,7 +326,7 @@ def _try_partial_fallback(
             "instr_fraction": min(1.0, instrs_scalarized / max(1, instrs_total)),
         }
         vectorized.attrs["parsimony_partial_fallback"] = info
-        telemetry.record_partial_fallback(name, gang_size, info)
+        telemetry.record_partial_fallback(module.name, name, gang_size, info)
         return vectorized
 
     return give_up()
@@ -368,7 +369,7 @@ def _fall_back_to_scalar(
         ) from exc
 
     pristine.attrs["parsimony_fallback"] = reason
-    telemetry.record_fallback(name, gang_size, reason)
+    telemetry.record_fallback(module.name, name, gang_size, reason)
 
 
 def _fallback_reason(exc: Exception) -> Dict[str, object]:

@@ -37,10 +37,33 @@ trap-point stats; each one falls back to the tier above it in this list:
   any trap rolls the launch back and replays it on the pre-decoded twin,
   whose outcome is authoritative.
 
-All engines assume the module is not mutated once execution has started;
+Ownership
+---------
+
+References run one way, so an interpreter is reclaimed by reference
+counting the moment its last user drops it — and its 4 MB
+:class:`~repro.vm.memory.Memory` with it — without waiting for the
+cyclic collector::
+
+    Interpreter ──► Memory, ExecStats              (plain data)
+        ├──► _codegen_fns: generated functions ──► Memory, ExecStats,
+        │        impl closures (capture Memory only), weakref(Interpreter)
+        ├──► _decoded: thunks ──► resolvers, Memory, ExecStats.charge;
+        │        the internal-call thunk holds weakref(Interpreter)
+        ├──► _fallback_interp: the replay twin ──► the same Memory
+        └──► module (shared, frozen; never references an interpreter)
+
+Nothing an interpreter owns may hold it strongly: generated functions
+dereference their weak reference once per call, in the prologue (no
+extra Python frame on the internal-call path), and helpers that need no
+interpreter state (:func:`reduce_lanes`) are module-level functions, not
+bound methods.
+
+All engines assume the module is not mutated once execution has started
+(the driver's ``compile_*`` results are frozen, so they cannot be);
 call :meth:`Interpreter.clear_decode_cache` after transforming a function
-that has already run (this also drops compiled functions and the replay
-twin).  Constant payloads are shared across dynamic uses in the decoded
+of a hand-built module that has already run (this also drops compiled
+functions and the replay twin).  Constant payloads are shared across dynamic uses in the decoded
 and codegen engines — no opcode mutates its operand arrays, so this is
 observationally equivalent to the reference engine's fresh-per-use arrays.
 """
@@ -48,6 +71,7 @@ observationally equivalent to the reference engine's fresh-per-use arrays.
 from __future__ import annotations
 
 import operator
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -235,7 +259,8 @@ class Interpreter:
         Any :class:`ExecutionError` raised while running a batched module
         (a genuine kernel trap, a budget trap, or a spurious batched-only
         trap from a finished gang's unmasked lanes) rolls the VM back to
-        the pre-run state and replays the call wholesale on
+        the pre-run state (an extent-bounded :meth:`Memory.snapshot`,
+        not a copy of the whole image) and replays the call wholesale on
         ``fallback_module`` — the unbatched twin stashed in
         ``module.attrs["batch_fallback"]``, or the module itself under
         the codegen engine (the fallback interpreter always runs with
@@ -247,8 +272,7 @@ class Interpreter:
         one-shot fault plans.
         """
         memory = self.memory
-        saved_data = memory.data.copy()
-        saved_brk = memory._brk
+        rollback = memory.snapshot()
         stats = self.stats
         snap = (
             stats.cycles, stats.instructions, dict(stats.counts),
@@ -260,8 +284,7 @@ class Interpreter:
         try:
             return self._exec_function(function, argvals, depth=0)
         except (VMTrap, MemoryError_):
-            memory.data[:] = saved_data
-            memory._brk = saved_brk
+            memory.restore(rollback)
             stats.cycles, stats.instructions = snap[0], snap[1]
             stats.counts.clear()
             stats.counts.update(snap[2])
@@ -1039,8 +1062,7 @@ class Interpreter:
             return _sad
         if op in REDUCE_OPS:
             v = self._resolver(ops[0])
-            reduce = self._reduce
-            return lambda env, depth: reduce(op, instr, v(env))
+            return lambda env, depth: reduce_lanes(op, instr, v(env))
         if op == "mask_any":
             m = self._resolver(ops[0])
             return lambda env, depth: 1 if bool(m(env).any()) else 0
@@ -1062,12 +1084,15 @@ class Interpreter:
                 cost = float(cost)
                 label = f"ext:{callee.name}"
                 impl = callee.impl
+                charge = self.stats.charge
                 def _ext_call(env, depth):
-                    self.stats.charge(label, cost)
+                    charge(label, cost)
                     return impl(*[r(env) for r in arg_resolvers])
                 return _ext_call
+            # Weak: the interpreter owns this thunk (see "Ownership").
+            this = weakref.ref(self)
             def _call(env, depth):
-                return self._exec_function(
+                return this()._exec_function(
                     callee, [r(env) for r in arg_resolvers], depth + 1
                 )
             return _call
@@ -1300,7 +1325,7 @@ class Interpreter:
             diffs = np.abs(a - b).reshape(-1, 8).sum(axis=1)
             return diffs.astype(np.uint64)
         if op in REDUCE_OPS:
-            return self._reduce(op, instr, self._value(env, ops[0]))
+            return reduce_lanes(op, instr, self._value(env, ops[0]))
         if op == "mask_any":
             return 1 if bool(self._value(env, ops[0]).any()) else 0
         if op == "mask_all":
@@ -1321,36 +1346,6 @@ class Interpreter:
             return self._exec_function(callee, args, depth + 1)
 
         raise NotImplementedError(f"interpreter: opcode {op}")
-
-    def _reduce(self, op: str, instr: Instruction, v: np.ndarray):
-        elem = instr.operands[0].type.elem
-        if op == "reduce_add":
-            if elem.is_float:
-                return round_float(instr.type, float(np.sum(v, dtype=v.dtype)))
-            if elem.bits == 1:
-                return 1 if bool(np.bitwise_xor.reduce(v)) else 0
-            return int(np.add.reduce(v, dtype=v.dtype))
-        if op in ("reduce_min_s", "reduce_max_s"):
-            from .nputil import from_signed, signed_view
-
-            sv = signed_view(v)
-            r = int(sv.min() if op.endswith("min_s") else sv.max())
-            return from_signed(r, elem.bits)
-        if op == "reduce_min_u":
-            r = v.min()
-            return float(r) if elem.is_float else int(r)
-        if op == "reduce_max_u":
-            r = v.max()
-            return float(r) if elem.is_float else int(r)
-        if op == "reduce_and":
-            if elem.bits == 1:
-                return 1 if bool(v.all()) else 0
-            return int(np.bitwise_and.reduce(v))
-        if op == "reduce_or":
-            if elem.bits == 1:
-                return 1 if bool(v.any()) else 0
-            return int(np.bitwise_or.reduce(v))
-        raise NotImplementedError(op)
 
     # -- helpers --------------------------------------------------------------------
 
@@ -1373,6 +1368,38 @@ class Interpreter:
             cost = self.cost_model.cost(instr, self.machine)
             self._cost_cache[instr] = cost
         return cost
+
+
+def reduce_lanes(op: str, instr: Instruction, v: np.ndarray):
+    """A horizontal ``reduce_*`` over one vector payload (all engines)."""
+    elem = instr.operands[0].type.elem
+    if op == "reduce_add":
+        if elem.is_float:
+            return round_float(instr.type, float(np.sum(v, dtype=v.dtype)))
+        if elem.bits == 1:
+            return 1 if bool(np.bitwise_xor.reduce(v)) else 0
+        return int(np.add.reduce(v, dtype=v.dtype))
+    if op in ("reduce_min_s", "reduce_max_s"):
+        from .nputil import from_signed, signed_view
+
+        sv = signed_view(v)
+        r = int(sv.min() if op.endswith("min_s") else sv.max())
+        return from_signed(r, elem.bits)
+    if op == "reduce_min_u":
+        r = v.min()
+        return float(r) if elem.is_float else int(r)
+    if op == "reduce_max_u":
+        r = v.max()
+        return float(r) if elem.is_float else int(r)
+    if op == "reduce_and":
+        if elem.bits == 1:
+            return 1 if bool(v.all()) else 0
+        return int(np.bitwise_and.reduce(v))
+    if op == "reduce_or":
+        if elem.bits == 1:
+            return 1 if bool(v.any()) else 0
+        return int(np.bitwise_or.reduce(v))
+    raise NotImplementedError(op)
 
 
 def _constant_payload(const: Constant):

@@ -20,6 +20,19 @@ order, identical to what a per-lane reference loop would report.
 Fault injection: :func:`repro.faultinject.maybe_fail` hooks the bounds
 checks (site ``"memory"``, names ``"check"`` / ``"lanes"``) so tests can
 force deterministic memory faults without constructing bad addresses.
+
+Extent and snapshots: the buffer is 4 MB but a kernel's live footprint is
+a few KB, so rollback (trap replay, shard retries) must not pay for the
+whole image.  ``Memory.extent`` is one past the highest byte ever
+allocated or written, and the invariant **``data[extent:] == 0``** always
+holds: every write path (``alloc``, ``alloc_array``, ``write_array``,
+``store_scalar``, ``store_packed``, ``scatter``) raises the extent before
+it writes, and nothing outside this module assigns into ``data``.
+:meth:`Memory.snapshot` therefore copies only ``[0, extent)`` and
+:meth:`Memory.restore` puts those bytes back and re-zeroes whatever the
+rolled-back run touched above them — bit-identical to restoring an eager
+full-image copy.  Popping allocas lowers ``_brk`` but never the extent
+(the popped frame's bytes are still in the image).
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ from ..diagnostics import ExecutionError
 from ..ir.types import Type
 from .nputil import elem_dtype
 
-__all__ = ["Memory", "MemoryError_"]
+__all__ = ["Memory", "MemorySnapshot", "MemoryError_"]
 
 
 class MemoryError_(ExecutionError):
@@ -41,16 +54,58 @@ class MemoryError_(ExecutionError):
 _NULL_GUARD = 16
 
 
+class MemorySnapshot:
+    """A rollback point: the image below the extent, plus the allocator
+    break.  Restorable into any :class:`Memory` of the same size (shard
+    workers rebuild the launch image in their own buffer)."""
+
+    __slots__ = ("image", "brk", "size")
+
+    def __init__(self, image: np.ndarray, brk: int, size: int):
+        self.image = image
+        self.brk = brk
+        self.size = size
+
+
 class Memory:
     """Flat memory with a bump allocator."""
 
     def __init__(self, size: int = 1 << 22):
         self.data = np.zeros(size, dtype=np.uint8)
         self._brk = 64  # leave a NULL guard region at the bottom
+        self._extent = 0
 
     @property
     def size(self) -> int:
         return len(self.data)
+
+    @property
+    def extent(self) -> int:
+        """One past the highest byte ever allocated or written; every
+        byte at or above it is zero."""
+        return self._extent
+
+    # -- rollback -----------------------------------------------------------------
+
+    def snapshot(self) -> MemorySnapshot:
+        """Copy ``[0, extent)`` and the allocator break."""
+        return MemorySnapshot(
+            self.data[: self._extent].copy(), self._brk, self.size
+        )
+
+    def restore(self, snapshot: MemorySnapshot) -> None:
+        """Make the image bit-identical to what it was at ``snapshot``."""
+        if snapshot.size != self.size:
+            raise ValueError(
+                f"snapshot of a {snapshot.size}-byte memory restored into "
+                f"{self.size} bytes"
+            )
+        kept = len(snapshot.image)
+        self.data[:kept] = snapshot.image
+        if self._extent > kept:
+            self.data[kept : self._extent] = 0
+        self._extent = kept
+        self._brk = snapshot.brk
 
     # -- allocation ---------------------------------------------------------------
 
@@ -62,6 +117,8 @@ class Memory:
                 f"out of VM memory: want {nbytes} bytes at {addr}, size {self.size}"
             )
         self._brk = addr + nbytes
+        if self._brk > self._extent:
+            self._extent = self._brk
         return addr
 
     def alloc_array(self, array: np.ndarray, align: int = 64) -> int:
@@ -82,7 +139,7 @@ class Memory:
     def write_array(self, addr: int, array: np.ndarray) -> None:
         flat = np.ascontiguousarray(array).reshape(-1)
         raw = flat.view(np.uint8)
-        self._check(addr, raw.nbytes)
+        self._check_write(addr, raw.nbytes)
         self.data[addr : addr + raw.nbytes] = raw
 
     # -- scalar access ------------------------------------------------------------
@@ -97,7 +154,7 @@ class Memory:
 
     def store_scalar(self, addr: int, type: Type, value) -> None:
         dtype = elem_dtype(type)
-        self._check(addr, dtype.itemsize)
+        self._check_write(addr, dtype.itemsize)
         self.data[addr : addr + dtype.itemsize].view(dtype)[0] = value
 
     # -- vector access ------------------------------------------------------------
@@ -131,14 +188,14 @@ class Memory:
         dtype = elem_dtype(type)
         if mask is None or mask.all():
             nbytes = dtype.itemsize * len(values)
-            self._check(addr, nbytes)
+            self._check_write(addr, nbytes)
             self.data[addr : addr + nbytes].view(dtype)[:] = values.astype(dtype, copy=False)
             return
         if not mask.any():
             return
         needed = int(np.nonzero(mask)[0][-1]) + 1
         nbytes = dtype.itemsize * needed
-        self._check(addr, nbytes)
+        self._check_write(addr, nbytes)
         view = self.data[addr : addr + nbytes].view(dtype)
         view[mask[:needed]] = values.astype(dtype, copy=False)[:needed][mask[:needed]]
 
@@ -189,7 +246,9 @@ class Memory:
         if active.size == 0:
             return
         itemsize = dtype.itemsize
-        self._check_lanes(active, itemsize)
+        end = self._check_lanes(active, itemsize)
+        if end > self._extent:
+            self._extent = end
         byte_idx = active[:, None].astype(np.int64) + np.arange(itemsize, dtype=np.int64)
         if dtype.kind == "b":
             raw = vals.astype(np.uint8).reshape(-1, 1)
@@ -208,18 +267,26 @@ class Memory:
                 f"out-of-bounds access: [{addr}, {addr + nbytes}) of {self.size}"
             )
 
-    def _check_lanes(self, addrs: np.ndarray, nbytes: int) -> None:
-        """Batched bounds check over a vector of lane addresses.
+    def _check_write(self, addr: int, nbytes: int) -> None:
+        """Bounds-check a write and raise the extent over it."""
+        self._check(addr, nbytes)
+        if addr + nbytes > self._extent:
+            self._extent = addr + nbytes
+
+    def _check_lanes(self, addrs: np.ndarray, nbytes: int) -> int:
+        """Batched bounds check over a vector of lane addresses; returns
+        one past the highest byte the access touches.
 
         Runs before any lane is read or written (trap-before-any-write is
-        canonical — see the VM contract in DESIGN.md).  The comparison is
-        phrased as ``addr > size - nbytes`` (not ``addr + nbytes > size``)
-        so uint64 addresses near 2**64 cannot wrap around the addition and
-        slip past the check.
+        canonical — see the VM contract in DESIGN.md).  The bounds are
+        compared as Python ints, so uint64 addresses near 2**64 cannot
+        wrap around an addition and slip past the check.
         """
         faultinject.maybe_fail("memory", "lanes")
-        bad = (addrs < _NULL_GUARD) | (addrs > self.size - nbytes)
-        if bad.any():
+        top = int(addrs.max())
+        if int(addrs.min()) < _NULL_GUARD or top > self.size - nbytes:
             # Delegate the first offending lane (in lane order) to the
             # scalar check so the error message is identical.
+            bad = (addrs < _NULL_GUARD) | (addrs > self.size - nbytes)
             self._check(int(addrs[int(np.nonzero(bad)[0][0])]), nbytes)
+        return top + nbytes

@@ -17,6 +17,7 @@ import pytest
 from repro.backend import AVX2, AVX512, SSE4
 from repro.backend.legalize import legalize_module
 from repro.driver import compile_parsimony
+from repro.passes import clone_module
 from repro.ir import VectorType, verify_module
 from repro.vm import Interpreter
 
@@ -82,7 +83,7 @@ def test_legalized_code_matches_unlegalized(name, machine):
     src = KERNELS[name]
     reference, _ = run(compile_parsimony(src), machine)
 
-    module = compile_parsimony(src)
+    module = clone_module(compile_parsimony(src))
     assert legalize_module(module, machine)
     verify_module(module)
     got, _ = run(module, machine)
@@ -91,7 +92,7 @@ def test_legalized_code_matches_unlegalized(name, machine):
 
 @pytest.mark.parametrize("machine", [SSE4, AVX2], ids=["sse4", "avx2"])
 def test_no_wide_vectors_remain(machine):
-    module = compile_parsimony(KERNELS["elementwise"])
+    module = clone_module(compile_parsimony(KERNELS["elementwise"]))
     legalize_module(module, machine)
     for function in module.functions.values():
         if ".scalarref" in function.name:
@@ -115,7 +116,7 @@ def test_cost_model_matches_real_legalization(name):
     src = KERNELS[name]
     machine = AVX2  # gang 64 x u8 = 512b -> 2 chunks
     _, modeled = run(compile_parsimony(src), machine)
-    module = compile_parsimony(src)
+    module = clone_module(compile_parsimony(src))
     legalize_module(module, machine)
     _, measured = run(module, machine)
     ratio = measured.cycles / modeled.cycles
@@ -143,5 +144,5 @@ def test_already_narrow_code_untouched(monkeypatch):
     # their narrow prototypes); this test is about the pre-batch pipeline.
     monkeypatch.setenv("REPRO_NO_BATCH", "1")
     # gang 8: even the tail variant's i64 lane-index vectors fit in 512b
-    module = compile_parsimony(src)
+    module = clone_module(compile_parsimony(src))
     assert not legalize_module(module, AVX512)

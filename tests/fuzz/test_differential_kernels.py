@@ -147,7 +147,7 @@ def test_differential_fuzz_kernel(seed):
     # engine (whole-kernel codegen), so each comparison also crosses tiers.
     plain_out, plain_stats = _run(plain, seed, codegen=False)
 
-    if kernel.has_reduction or kernel.has_shuffle:
+    if kernel.refuses_whole_fallback:
         # Cross-lane communication (reductions, lane exchanges) has no
         # scalar strategy: the degraded legs must refuse loudly
         # (CompileError), never fall back to a semantically different

@@ -295,6 +295,10 @@ def test_module_pickle_preserves_external_identity(disk_cache):
     module = driver.compile_parsimony(SRC)
     blob = diskcache._dumps(module)
     loaded = diskcache._loads(blob)
+    # A frozen module pickles as its mutable form (same on-disk format).
+    assert module.frozen and not loaded.frozen
+    assert not loaded.attrs["batch_fallback"].frozen
+    assert type(loaded.functions["kernel"].blocks) is list
     exts = {
         name: ext for name, ext in loaded.externals.items()
         if name.startswith("ml.")

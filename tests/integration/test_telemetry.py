@@ -179,6 +179,44 @@ def test_partial_fallback_counter_not_inflated_by_recompiles():
     assert flat["vectorizer.partial_fallbacks"] == len(once)
 
 
+def test_fallbacks_of_two_kernels_in_one_session_are_both_recorded():
+    """Every kernel's SPMD function is ``kernel.psim0``: the dedup key must
+    include the module, or a session records only its first kernel's
+    degradation (and ``vectorizer.fallbacks`` under-counts)."""
+    from repro.faultinject import FaultPlan, inject
+
+    def forced_partial(module_name):
+        with inject(FaultPlan(site="vectorize_block", after=1, times=1)):
+            driver.compile_parsimony(SRC, module_name=module_name)
+
+    with telemetry.collect() as session:
+        with inject(FaultPlan(site="vectorize")):
+            driver.compile_parsimony(SRC, module_name="first")
+            one = len(session.fallbacks)
+            driver.compile_parsimony(SRC, module_name="second")
+        forced_partial("first")
+        one_partial = len(session.partial_fallbacks)
+        forced_partial("second")
+    assert one and len(session.fallbacks) == 2 * one
+    assert {e["module"] for e in session.fallbacks} == {"first", "second"}
+    assert one_partial and len(session.partial_fallbacks) == 2 * one_partial
+    assert {e["module"] for e in session.partial_fallbacks} == {
+        "first", "second"}
+    doc = json.loads(session.to_json())
+    assert telemetry._flat_counters(doc)["vectorizer.fallbacks"] == 2 * one
+
+    # Diff mode still reads a v7 document (records without ``module``).
+    old = json.loads(session.to_json())
+    old["schema"] = "repro-telemetry/7"
+    for entry in (old["vectorizer"]["fallbacks"]
+                  + old["vectorizer"]["partial_fallbacks"]):
+        del entry["module"]
+    diff = telemetry.diff_documents(old, doc)
+    assert diff["base_schemas"] == {"old": "repro-telemetry/7",
+                                    "new": telemetry.SCHEMA}
+    assert diff["counters"]["vectorizer.fallbacks"]["value"]["delta"] == 0
+
+
 def test_nested_sessions_restore_the_outer_one():
     with telemetry.collect() as outer:
         with telemetry.collect() as inner:

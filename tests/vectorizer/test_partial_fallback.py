@@ -20,6 +20,7 @@ from repro.benchsuite import build_impl, run_impl
 from repro.benchsuite.ispc_suite import BENCHMARKS, BY_NAME
 from repro.faultinject import FaultPlan, inject
 from repro.ir.verifier import VerificationError, verify_function
+from repro.passes import clone_module
 
 
 def _count_block_emissions(spec):
@@ -145,7 +146,7 @@ def test_verifier_enforces_seam_invariants():
         with inject(FaultPlan(site="vectorize_block", after=i, times=1)):
             candidate = build_impl(spec, "parsimony")
         if _region_helpers(candidate):
-            module = candidate
+            module = clone_module(candidate)  # the test edits attrs below
             break
     assert module is not None
     helper = _region_helpers(module)[0]

@@ -25,6 +25,7 @@ from repro.diagnostics import ReproWarning
 from repro.driver import compile_parsimony
 from repro.faultinject import FaultPlan, inject
 from repro.ir import Constant, Function, FunctionType, I32, IRBuilder, Module
+from repro.passes import clone_module
 from repro.vm import ExecutionLimitExceeded, Interpreter
 
 SPECS = {spec.name: spec for spec in BENCHMARKS}
@@ -203,7 +204,7 @@ def test_partial_fallback_seam_is_rejected():
 
     # Fault injection already gates batching off in the driver; feeding the
     # seamed module to the pass directly must hit the legality wall too.
-    report = batch_module(seam, None)
+    report = batch_module(clone_module(seam), None)
     assert not report["applied"]
     assert report["rejected"], report
     # Outlining stages region state through allocas and an internal call;

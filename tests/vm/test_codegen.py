@@ -22,10 +22,12 @@ Covered here:
 - disk-cache rehydration of the generated source in a child process.
 """
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +117,50 @@ def test_codegen_matches_every_engine_on_fig4(spec):
         assert not report["bailouts"], f"{spec.name}: {report['bailouts']}"
         assert report["calls"] > 0, f"{spec.name}: codegen never engaged"
         _assert_bitwise(got, want, f"{spec.name}: {build} codegen")
+
+
+# -- ownership: interpreters die by reference counting ------------------------
+
+@pytest.mark.parametrize("engine", ["codegen", "predecoded"])
+@pytest.mark.parametrize("spec", BENCHMARKS, ids=lambda s: s.name)
+def test_interpreter_is_reclaimed_without_the_cyclic_collector(spec, engine):
+    """Nothing an interpreter owns (generated functions, decoded thunks,
+    the replay twin) may own it back: with the collector off, dropping
+    the last reference must free the ``Interpreter`` and its ``Memory``
+    at once — after a clean run and after a trap replay."""
+    module = compile_parsimony(
+        spec.psim_src, module_name=f"{spec.name}.parsimony")
+    workload = spec.workload()
+    kw = {} if engine == "codegen" else {"codegen": False}
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for budget in (None, 400):
+            if budget is not None:
+                kw["max_instructions"] = budget
+            interp = Interpreter(module, **kw)
+            addrs = []
+            for array in workload.arrays:
+                addrs.append(interp.memory.alloc_array(array))
+                interp.memory.alloc(_GUARD_BYTES)
+            if budget is None:
+                interp.run("kernel", *addrs, *workload.scalars)
+            else:
+                with pytest.raises(ExecutionLimitExceeded):
+                    interp.run("kernel", *addrs, *workload.scalars)
+                replays = (interp.batch_replays
+                           + interp.codegen_report()["replays"])
+                # Predecoded replays only a batched build (on its twin).
+                assert replays == (engine == "codegen"
+                                   or "batch_fallback" in module.attrs)
+            alive = weakref.ref(interp), weakref.ref(interp.memory)
+            del interp
+            assert [ref() for ref in alive] == [None, None], (
+                f"{spec.name}/{engine}/budget={budget}: a reference cycle "
+                "keeps the interpreter alive")
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # -- mid-kernel budget-trap replay --------------------------------------------

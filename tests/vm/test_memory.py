@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ir.types import F32, I8, I16, I32
 from repro.vm import Memory, MemoryError_
@@ -138,3 +140,85 @@ def test_injected_memory_faults_fire_per_site():
             mem.scatter(addrs, I32, np.zeros(2, np.uint32))
         # trap-before-any-write holds for injected faults too
     assert mem.read_array(addr, np.uint32, 4).tolist() == [0, 1, 2, 3]
+
+
+# -- extent-bounded snapshots ----------------------------------------------------------
+
+_OPS = ("alloc", "alloc_array", "scalar", "packed", "scatter", "write_array",
+        "frame", "trap")
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_snapshot_restore_matches_an_eager_full_copy(data):
+    """Random interleavings of every write path — including stores far
+    above the allocator break and alloca-style frames that pop it — then
+    ``restore``: the whole image must equal an eager ``data.copy()`` taken
+    at ``snapshot`` time, and the extent invariant must hold throughout."""
+    mem = Memory()
+    size = mem.size
+
+    def anywhere(nbytes):
+        # Mostly near the live region, sometimes anywhere in the buffer.
+        hi = data.draw(st.sampled_from((mem.extent + 4096, size))) - nbytes
+        return data.draw(st.integers(16, max(16, min(hi, size - nbytes))))
+
+    def step():
+        op = data.draw(st.sampled_from(_OPS))
+        if op == "alloc":
+            mem.alloc(data.draw(st.integers(1, 5000)),
+                      data.draw(st.sampled_from((1, 8, 64))))
+        elif op == "alloc_array":
+            mem.alloc_array(np.full(data.draw(st.integers(1, 300)), 0xAB,
+                                    np.uint8))
+        elif op == "scalar":
+            mem.store_scalar(anywhere(4), I32, data.draw(st.integers(1, 2**31)))
+        elif op == "packed":
+            n = data.draw(st.integers(1, 64))
+            mask = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                               max_size=n)))
+            mem.store_packed(anywhere(2 * n), I16,
+                             np.arange(1, n + 1, dtype=np.uint16),
+                             data.draw(st.sampled_from((None, mask))))
+        elif op == "scatter":
+            n = data.draw(st.integers(1, 16))
+            addrs = np.array([anywhere(4) for _ in range(n)], dtype=np.uint64)
+            mask = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                               max_size=n)))
+            mem.scatter(addrs, I32, np.arange(1, n + 1, dtype=np.uint32),
+                        data.draw(st.sampled_from((None, mask))))
+        elif op == "write_array":
+            n = data.draw(st.integers(1, 500))
+            mem.write_array(anywhere(n), np.full(n, 0xCD, np.uint8))
+        elif op == "frame":
+            # What every engine does around a call: allocas bump the
+            # break, the frame exit pops it, the bytes stay behind.
+            mark = mem._brk
+            addr = mem.alloc(data.draw(st.integers(1, 2000)))
+            mem.store_scalar(addr, I32, 0xDEAD)
+            mem._brk = mark
+        else:
+            with pytest.raises(MemoryError_):
+                mem.scatter(np.array([anywhere(4), size], dtype=np.uint64),
+                            I32, np.ones(2, np.uint32))
+        assert not mem.data[mem.extent:].any()
+
+    for _ in range(data.draw(st.integers(0, 8))):
+        step()
+    oracle, oracle_brk = mem.data.copy(), mem._brk
+    snap = mem.snapshot()
+    assert len(snap.image) == mem.extent  # the copy is extent-bounded
+    for _ in range(data.draw(st.integers(0, 12))):
+        step()
+    mem.restore(snap)
+    np.testing.assert_array_equal(mem.data, oracle)
+    assert mem._brk == oracle_brk and mem.extent == len(snap.image)
+    assert not mem.data[mem.extent:].any()
+
+    # A snapshot restores into any memory of the same size (shard workers).
+    other = Memory()
+    other.store_scalar(size - 8, I32, 7)
+    other.restore(snap)
+    np.testing.assert_array_equal(other.data, oracle)
+    with pytest.raises(ValueError):
+        Memory(size=4096).restore(snap)
