@@ -10,8 +10,9 @@ on arrays wide enough to amortize dispatch, the same way ispc's wider
 targets amortize instruction count.
 
 The rewrite runs after the whole optimization pipeline, on the final
-module, and is paired with an untouched clone (the *fallback*) that the
-driver stashes in ``module.attrs["batch_fallback"]``:
+module, and is paired with the same build left unbatched (the *twin*),
+which the driver describes in ``module.attrs["unbatched_recipe"]`` and
+:func:`unbatched_twin` compiles the first time a launch traps:
 
 * **Structure.**  The canonical gang loop — single scalar induction
   ``p = phi [0, entry], [p + G, latch]`` tested ``icmp ult p, bound`` —
@@ -45,7 +46,7 @@ driver stashes in ``module.attrs["batch_fallback"]``:
   independent: the SPMD model's unordered-threads contract already makes
   a cross-gang read-after-write a data race.
 * **Traps.**  Any trap inside a batched run is replayed wholesale on the
-  fallback module by the interpreter, so trap ordering, messages, and
+  twin by the interpreter, so trap ordering, messages, and
   trap-point ``ExecStats`` stay bit-identical to the unbatched engine.
   Spurious batched-only traps (a finished gang's unmasked arithmetic
   feeding ``sdiv``, say) are therefore harmless: the replay completes
@@ -585,7 +586,9 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
                 return None  # widened in place
             return tile(v)
         if isinstance(v, Constant):
-            return Constant(VectorType(t.elem, wide), tuple(v.value) * batch)
+            return Constant.from_canonical(
+                VectorType(t.elem, wide), v.value * batch
+            )
         if isinstance(v, UndefValue):
             return UndefValue(VectorType(t.elem, wide))
         return tile(v)  # vector-typed argument
@@ -697,8 +700,9 @@ def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport
     """Batch every legal gang loop in ``module`` in place.
 
     Returns a :class:`BatchReport`.  Mutation happens only for loops that
-    pass every legality check; the caller stashes an unbatched clone in
-    ``module.attrs["batch_fallback"]`` when anything was applied.
+    pass every legality check; when anything was applied the caller
+    leaves the recipe for the unbatched build in
+    ``module.attrs["unbatched_recipe"]`` (see :func:`unbatched_twin`).
     """
     module.require_mutable("batch_module")
     applied: List[str] = []
@@ -744,3 +748,21 @@ def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport
         {"function": f, "loop": l, "reason": r} for f, l, r in rejected
     ]
     return report
+
+
+def unbatched_twin(module: Module) -> Optional[Module]:
+    """The trap-replay twin of a batched ``module``, or ``None`` when it
+    is not batched.
+
+    ``module.attrs["unbatched_recipe"]`` is a picklable callable returning
+    the same compile with batching off.  It runs on the first call — a
+    launch that trapped — and the frozen result hangs off ``module``
+    itself: it takes no compile-cache slot, dies with the module, and is
+    neither cloned nor pickled with it.
+    """
+    twin = module._unbatched_twin
+    if twin is None:
+        recipe = module.attrs.get("unbatched_recipe")
+        if recipe is not None:
+            twin = module._unbatched_twin = recipe().freeze()
+    return twin

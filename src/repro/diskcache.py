@@ -60,7 +60,7 @@ __all__ = [
 
 #: Bump on any incompatible change to the IR pickle layout or cache format.
 #: v2: gang-batched modules — ``Module.attrs`` carries the unbatched
-#: fallback twin and instructions carry batch-charge prototypes.
+#: fallback twin (until v5) and instructions carry batch-charge prototypes.
 #: v3: whole-kernel codegen — generated-source code objects share the
 #: cache directory (``.code`` entries), keyed per interpreter bytecode
 #: magic; module digests move with them.
@@ -68,7 +68,10 @@ __all__ = [
 #: factors, localized accounting, and folded superinstruction forms, so
 #: v3 code objects describe a different accounting protocol and must not
 #: rehydrate.
-CACHE_VERSION = 4
+#: v5: lazy trap-replay twin — a batched module's ``attrs`` carries the
+#: recipe for its unbatched twin instead of the pickled twin; a v4 entry
+#: read as v5 would be a batched module with no way to its twin.
+CACHE_VERSION = 5
 
 _PID_PREFIX = "repro-ext:"
 

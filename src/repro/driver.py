@@ -17,6 +17,7 @@ plus :class:`~repro.backend.machine.ExecStats` (the measurement harness).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import OrderedDict
 from typing import Callable, Dict, Optional, Tuple
 
@@ -26,9 +27,9 @@ from .backend.costmodel import CostModel
 from .backend.machine import AVX512, ExecStats, Machine
 from .frontend import compile_source
 from .ir.module import Module
+from .ir.verifier import verify_module
 from .ispc import ispc_compile
 from .passes import standard_pipeline
-from .passes.clone import clone_module
 from .vectorizer import VectorizeConfig, vectorize_module
 from .vm import Interpreter, Memory
 
@@ -106,18 +107,28 @@ def disk_cache_stats() -> Dict[str, int]:
     return diskcache.stats()
 
 
+def _verified(module: Module) -> Module:
+    """The one whole-module verification of a compile.  The pass manager
+    re-verifies a function only after a pass that reported a change, and
+    the stages that follow it (vector cleanup, gang batching) verify
+    nothing; whatever they — or a pass whose ``False`` was a lie — left
+    behind is checked here, once, before the module is sealed."""
+    verify_module(module)
+    return module
+
+
 def _cached_compile(key: tuple, build: Callable[[], Module]) -> Module:
     # Armed fault plans make compilation impure: neither serve a module
     # compiled before the faults were armed, nor let a fault-degraded
     # module poison the cache for later clean compiles.
     if not _COMPILE_CACHE_ENABLED or faultinject.active():
-        return build().freeze()
+        return _verified(build()).freeze()
     cached = _COMPILE_CACHE.get(key)
     if cached is None:
         _COMPILE_CACHE_STATS["misses"] += 1
         cached = diskcache.load(key)
         if cached is None:
-            cached = build()
+            cached = _verified(build())
             diskcache.store(key, cached)
         _COMPILE_CACHE[key] = cached.freeze()
         if len(_COMPILE_CACHE) > _COMPILE_CACHE_CAPACITY:
@@ -196,28 +207,39 @@ def compile_parsimony(source: str, config: Optional[VectorizeConfig] = None,
             if pinned is not None:
                 batch_request = pinned
 
-    def build() -> Module:
-        module = compile_source(source, module_name)
-        standard_pipeline().run(module)
-        vectorize_module(module, config, strict=strict)
-        post_vectorize_cleanup(module)
-        # Gang batching runs after the full pipeline, over final IR; the
-        # pre-batch module is kept as the trap-replay twin.  Skipped under
-        # fault injection: fault plans are keyed to narrow external names
-        # and one-shot plans must not be consumed by a replayed run.
-        if batch_request != 0 and not faultinject.active():
-            fallback = clone_module(module)
-            report = batch_module(module, batch_request)
-            if report["applied"]:
-                module.attrs["batch_fallback"] = fallback
-        return module
-
     config_key = None if config is None else dataclasses.astuple(config)
     return _cached_compile(
         ("parsimony", source, module_name, config_key, strict,
          ("batch", batch_request)),
-        build,
+        lambda: _build_parsimony(source, config, module_name, strict,
+                                 batch_request),
     )
+
+
+def _build_parsimony(source: str, config: Optional[VectorizeConfig],
+                     module_name: str, strict: bool, batch_request) -> Module:
+    """``compile_parsimony`` on a miss."""
+    module = compile_source(source, module_name)
+    standard_pipeline().run(module)
+    vectorize_module(module, config, strict=strict)
+    post_vectorize_cleanup(module)
+    # Gang batching runs after the full pipeline, over final IR.  Skipped
+    # under fault injection: fault plans are keyed to narrow external names
+    # and one-shot plans must not be consumed by a replayed run.
+    if batch_request != 0 and not faultinject.active():
+        if batch_module(module, batch_request)["applied"]:
+            # The trap-replay twin is this build with batching off.  Only
+            # a launch that traps reads it, so the module carries the
+            # recipe and ``unbatched_twin`` compiles it on the first trap.
+            module.attrs["unbatched_recipe"] = functools.partial(
+                _build_unbatched_twin, source, config, module_name, strict
+            )
+    return module
+
+
+def _build_unbatched_twin(source: str, config: Optional[VectorizeConfig],
+                          module_name: str, strict: bool) -> Module:
+    return _verified(_build_parsimony(source, config, module_name, strict, 0))
 
 
 def post_vectorize_cleanup(module: Module) -> None:

@@ -60,13 +60,17 @@ class DominatorTree:
         entry = self.function.entry
         idom: Dict[BasicBlock, Optional[BasicBlock]] = {b: None for b in self.rpo}
         idom[entry] = entry
+        # Edges do not move while the fixpoint runs: list each block's
+        # reachable predecessors once, not once per round.
+        reachable_preds = {
+            block: [p for p in block.predecessors if p in idom]
+            for block in self.rpo if block is not entry
+        }
         changed = True
         while changed:
             changed = False
-            for block in self.rpo:
-                if block is entry:
-                    continue
-                preds = [p for p in block.predecessors if idom.get(p) is not None]
+            for block, all_preds in reachable_preds.items():
+                preds = [p for p in all_preds if idom[p] is not None]
                 if not preds:
                     continue
                 new_idom = preds[0]
@@ -140,10 +144,16 @@ class Loop:
             return outside[0]
         return None
 
+    def ordered_blocks(self) -> List[BasicBlock]:
+        """The body in function order.  ``blocks`` is a set hashed by
+        address: whatever names, emits or moves IR per block walks this
+        instead, so a compile prints the same IR every time."""
+        return [b for b in self.header.parent.blocks if b in self.blocks]
+
     def exiting_blocks(self) -> List[BasicBlock]:
         """Blocks inside the loop with a successor outside it."""
         result = []
-        for block in self.blocks:
+        for block in self.ordered_blocks():
             if any(s not in self.blocks for s in block.successors):
                 result.append(block)
         return result
@@ -151,7 +161,7 @@ class Loop:
     def exit_blocks(self) -> List[BasicBlock]:
         """Blocks outside the loop that are branched to from inside."""
         result = []
-        for block in self.blocks:
+        for block in self.ordered_blocks():
             for succ in block.successors:
                 if succ not in self.blocks and succ not in result:
                     result.append(succ)

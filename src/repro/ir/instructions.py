@@ -114,6 +114,22 @@ class Instruction(Value):
         for op in operands:
             self._append_operand(op)
 
+    @classmethod
+    def copy_of(cls, source: "Instruction", operands: List[Value],
+                name: str) -> "Instruction":
+        """A detached copy of ``source`` over ``operands`` (taken over, not
+        copied).  For cloners: the operands stand in for ones ``source``
+        already holds, so they are not validated a second time."""
+        new = cls.__new__(cls)
+        Value.__init__(new, source.type, name)
+        new.opcode = source.opcode
+        new.attrs = dict(source.attrs)
+        new.parent = None
+        new._operands = operands
+        for idx, op in enumerate(operands):
+            op.uses.append((new, idx))
+        return new
+
     # -- operand/use management --------------------------------------------------
 
     @property

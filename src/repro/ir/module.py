@@ -12,9 +12,9 @@ Freezing
 reachable from it — ``functions`` / ``externals`` / ``attrs`` (module,
 function and instruction level), ``Function.blocks``,
 ``BasicBlock.instructions``, ``Instruction._operands`` and every
-``Value.uses``, the ``batch_fallback`` twin included — is swapped for its
-immutable form (``MappingProxyType`` / tuple / frozenset).  Readers see
-no difference; the IR mutator methods raise
+``Value.uses`` — is swapped for its immutable form
+(``MappingProxyType`` / tuple / frozenset).  Readers see no difference;
+the IR mutator methods raise
 :class:`~repro.diagnostics.FrozenModuleError` naming ``clone_module``,
 and a write that bypasses them dies on the sealed container itself.
 That is what lets the driver's compile cache hand the *same* module to
@@ -262,10 +262,14 @@ class Module:
         self.functions: Dict[str, Function] = {}
         self.externals: Dict[str, ExternalFunction] = {}
         #: Module-level metadata (e.g. the gang-batching layer stores its
-        #: batch factor, per-loop rejection reasons, and the unbatched
-        #: fallback module here).  Cloned shallowly by ``clone_module``
-        #: except for keys it knows hold module references.
+        #: batch factor, per-loop rejection reasons, and the recipe for
+        #: its unbatched twin here).  Cloned shallowly by ``clone_module``.
         self.attrs: Dict[str, object] = {}
+
+    #: The unbatched trap-replay twin of this very module object, once a
+    #: trap made ``repro.backend.batch.unbatched_twin`` compile it: like
+    #: ``Function._emissions`` it is never cloned and never pickled.
+    _unbatched_twin = None
 
     __getstate__ = thawed_state
 
@@ -274,13 +278,10 @@ class Module:
         return type(self.functions) is MappingProxyType
 
     def freeze(self) -> "Module":
-        """Seal this module (and its ``batch_fallback`` twin) against
-        mutation — see the module docstring — and return it."""
+        """Seal this module against mutation — see the module docstring —
+        and return it."""
         if self.frozen:
             return self
-        twin = self.attrs.get("batch_fallback")
-        if isinstance(twin, Module):
-            twin.freeze()
         for ext in self.externals.values():
             ext.uses = tuple(ext.uses)
         for function in self.functions.values():

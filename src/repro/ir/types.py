@@ -54,7 +54,11 @@ class Type:
     _key: tuple = ()
 
     def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) and self._key == other._key  # type: ignore[attr-defined]
+        # Every type but ``FunctionType`` is interned, so the common
+        # "equal" answer is an identity test.
+        return self is other or (
+            type(self) is type(other) and self._key == other._key  # type: ignore[attr-defined]
+        )
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, self._key))

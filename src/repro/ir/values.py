@@ -28,6 +28,7 @@ def thawed_state(node) -> dict:
     mutable."""
     state = dict(node.__dict__)
     state.pop("_emissions", None)
+    state.pop("_unbatched_twin", None)
     for key in _SEALED_LISTS:
         if type(state.get(key)) is tuple:
             state[key] = list(state[key])
@@ -86,9 +87,14 @@ class Constant(Value):
     def __init__(self, type: Type, value):
         super().__init__(type)
         if isinstance(type, VectorType):
-            value = tuple(
-                _canonical_scalar(type.elem, v) for v in value
-            )
+            elem = type.elem
+            if isinstance(elem, IntType):
+                # Per lane what ``_canonical_scalar`` does, minus a call
+                # and a type test each: lane tables run to 64 entries.
+                mask = (1 << elem.bits) - 1
+                value = tuple([int(v) & mask for v in value])
+            else:
+                value = tuple([_canonical_scalar(elem, v) for v in value])
             if len(value) != type.count:
                 raise ValueError(
                     f"vector constant has {len(value)} lanes, type wants {type.count}"
@@ -96,6 +102,16 @@ class Constant(Value):
         else:
             value = _canonical_scalar(type, value)
         self.value = value
+
+    @classmethod
+    def from_canonical(cls, type: Type, value) -> "Constant":
+        """A constant whose payload is already canonical for ``type`` —
+        taken, whole or lane by lane, from constants of the same element
+        type (cloning one, tiling one) — so nothing is re-normalized."""
+        const = cls.__new__(cls)
+        Value.__init__(const, type)
+        const.value = value
+        return const
 
     def as_signed(self) -> Union[int, float, tuple]:
         """Interpret integer payload(s) as signed two's complement."""

@@ -8,9 +8,10 @@ be inserted "anywhere in the optimization pipeline" (§4.2) with confidence.
 
 from __future__ import annotations
 
+from .. import faultinject
 from ..diagnostics import CompileError
 from .cfg import DominatorTree
-from .instructions import Instruction
+from .instructions import TERMINATORS, Instruction
 from .module import BasicBlock, Function, Module
 from .printer import format_instruction, print_function
 from .types import I1
@@ -47,35 +48,43 @@ def _fail(
 
 
 def verify_function(function: Function) -> None:
-    from .. import faultinject
-
     faultinject.maybe_fail("verify", function.name)
     if not function.blocks:
         _fail(function, "function has no blocks")
 
-    # Structural checks per block.
+    # Structural checks per block (and each instruction's position, for
+    # the dominance check below).
+    positions = {}
     for block in function.blocks:
         if block.parent is not function:
             _fail(function, f"block {block.name} has wrong parent")
         if block.terminator is None:
             _fail(function, f"block {block.name} lacks a terminator")
+        instructions = block.instructions
+        last = instructions[-1]
         seen_non_phi = False
-        for instr in block.instructions:
+        for idx, instr in enumerate(instructions):
             if instr.parent is not block:
                 _fail(function, f"instr {format_instruction(instr)} has wrong parent")
-            if instr.opcode == "phi":
+            opcode = instr.opcode
+            if opcode == "phi":
                 if seen_non_phi:
                     _fail(function, f"phi after non-phi in {block.name}")
             else:
                 seen_non_phi = True
-            if instr.is_terminator and instr is not block.instructions[-1]:
+            if opcode in TERMINATORS and instr is not last:
                 _fail(function, f"terminator mid-block in {block.name}")
             _check_instruction(function, instr)
+            positions[instr] = (block, idx)
 
-    # Phi / predecessor agreement.
+    # Phi / predecessor agreement (phis lead their block: checked above).
     for block in function.blocks:
+        if block.instructions[0].opcode != "phi":
+            continue
         preds = block.predecessors
-        for phi in block.phis():
+        for phi in block.instructions:
+            if phi.opcode != "phi":
+                break
             incoming = dict((b, v) for v, b in phi.phi_incoming())
             if set(incoming) != set(preds):
                 _fail(
@@ -88,21 +97,17 @@ def verify_function(function: Function) -> None:
                 if value.type != phi.type and not isinstance(value, UndefValue):
                     _fail(function, f"phi %{phi.name} incoming type mismatch")
 
-    # SSA dominance: every use is dominated by its definition.
-    dt = DominatorTree(function)
-    reachable = set(dt.rpo)
-    positions = {}
-    for block in function.blocks:
-        for idx, instr in enumerate(block.instructions):
-            positions[instr] = (block, idx)
+    # SSA dominance: every use is dominated by its definition.  A
+    # single-block function has no cross-block case to consult a tree for:
+    # "dominates" is "comes earlier in the block", checked by position.
+    dt = DominatorTree(function) if len(function.blocks) > 1 else None
+    reachable = set(dt.rpo) if dt is not None else {function.entry}
     for block in function.blocks:
         if block not in reachable:
             continue
         for idx, instr in enumerate(block.instructions):
-            operand_blocks = (
-                [b for _, b in instr.phi_incoming()] if instr.opcode == "phi" else None
-            )
-            for op_index, op in enumerate(instr.operands):
+            is_phi = instr.opcode == "phi"
+            for op_index, op in enumerate(instr._operands):
                 if not isinstance(op, Instruction):
                     continue
                 def_block, def_idx = positions.get(op, (None, None))
@@ -111,10 +116,10 @@ def verify_function(function: Function) -> None:
                         function,
                         f"use of detached instruction %{op.name} in {format_instruction(instr)}",
                     )
-                if instr.opcode == "phi":
+                if is_phi:
                     # The def must dominate the end of the incoming block.
-                    pred = instr.operands[op_index + 1] if op_index % 2 == 0 else None
-                    if pred is not None and pred in reachable:
+                    pred = instr._operands[op_index + 1] if op_index % 2 == 0 else None
+                    if dt is not None and pred is not None and pred in reachable:
                         if not dt.dominates(def_block, pred):
                             _fail(
                                 function,

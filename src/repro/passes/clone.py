@@ -41,18 +41,16 @@ def clone_blocks(
         for instr in block.instructions:
             operands = []
             needs_fixup = False
-            for op in instr.operands:
-                mapped = value_map.get(op, op)
-                if isinstance(op, Instruction) and op not in value_map:
-                    needs_fixup = True  # forward reference (via phi)
-                    mapped = UndefValue(op.type)
+            for op in instr._operands:
+                mapped = value_map.get(op)
+                if mapped is None:
+                    mapped = op
+                    if isinstance(op, Instruction):
+                        needs_fixup = True  # forward reference (via phi)
+                        mapped = UndefValue(op.type)
                 operands.append(mapped)
-            new = Instruction(
-                instr.opcode,
-                instr.type,
-                operands,
-                target.unique_name(instr.name or instr.opcode),
-                instr.attrs,  # copied by the constructor
+            new = Instruction.copy_of(
+                instr, operands, target.unique_name(instr.name or instr.opcode)
             )
             clone.instructions.append(new)
             new.parent = clone
@@ -91,9 +89,10 @@ def clone_module(source: Module, name: Optional[str] = None) -> Module:
     created, so passes mutating the clone can never corrupt ``source``.
     This is the one way to get a mutable module out of a frozen one (the
     driver's ``compile_*`` results — see ``Module.freeze``): ``source`` is
-    only read, and the clone (its ``batch_fallback`` twin included) comes
-    back unfrozen.  Immutable payloads (types, ``SpmdInfo``, external
-    ``impl`` callables, attr values) are shared.
+    only read, and the clone comes back unfrozen.  Immutable payloads
+    (types, ``SpmdInfo``, external ``impl`` callables, attr values — the
+    recipe for a batched module's unbatched twin among them) are shared;
+    a twin the source already compiled is not carried over.
     """
     clone = Module(name if name is not None else source.name)
     value_map: Dict[Value, Value] = {}
@@ -121,15 +120,9 @@ def clone_module(source: Module, name: Optional[str] = None) -> Module:
                 if op in value_map:
                     continue
                 if isinstance(op, Constant):
-                    value_map[op] = Constant(op.type, op.value)
+                    value_map[op] = Constant.from_canonical(op.type, op.value)
                 elif isinstance(op, UndefValue):
                     value_map[op] = UndefValue(op.type, op.name)
         clone_blocks(func.blocks, shell, value_map)
     clone.attrs = dict(source.attrs)
-    # The gang-batching layer stashes its unbatched twin under
-    # ``batch_fallback``; the clone must get its own disjoint copy so a
-    # trap replay on the clone can never touch the source's fallback.
-    fallback = clone.attrs.get("batch_fallback")
-    if isinstance(fallback, Module):
-        clone.attrs["batch_fallback"] = clone_module(fallback)
     return clone

@@ -9,11 +9,11 @@ of labour as LLVM's inline + LICM cleanup.
 
 from __future__ import annotations
 
-from ..ir.cfg import Loop, find_loops
+from ..ir.cfg import Loop
 from ..ir.instructions import CAST_OPS, FLOAT_BINOPS, INT_BINOPS, Instruction, UNARY_OPS
 from ..ir.module import Function
 from ..ir.values import Value
-from .loop_simplify import loop_simplify
+from .loop_simplify import simplified_loops
 
 __all__ = ["licm"]
 
@@ -26,10 +26,9 @@ _HOISTABLE = (
 
 
 def licm(function: Function) -> bool:
-    loop_simplify(function)
-    changed = False
+    changed, loops = simplified_loops(function)
     # Process outermost loops last so code migrates as far out as possible.
-    for loop in sorted(find_loops(function), key=lambda l: -l.depth):
+    for loop in sorted(loops, key=lambda l: -l.depth):
         changed |= _hoist_loop(loop)
     return changed
 
@@ -42,7 +41,7 @@ def _hoist_loop(loop: Loop) -> bool:
     progress = True
     while progress:
         progress = False
-        for block in list(loop.blocks):
+        for block in loop.ordered_blocks():
             for instr in list(block.instructions):
                 if instr.opcode not in _HOISTABLE or instr.type.is_void:
                     continue

@@ -11,34 +11,38 @@ the dedicated exit blocks.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from ..ir.cfg import Loop, find_loops
 from ..ir.instructions import Instruction
 from ..ir.module import BasicBlock, Function
 from ..ir.types import VOID
 
-__all__ = ["loop_simplify"]
+__all__ = ["loop_simplify", "simplified_loops"]
 
 
 def loop_simplify(function: Function) -> bool:
+    return simplified_loops(function)[0]
+
+
+def simplified_loops(function: Function) -> Tuple[bool, List[Loop]]:
+    """Canonicalize, and also return the loops of the canonical CFG — the
+    analysis the last (change-free) round ran on — so a caller that goes
+    on to transform loops (LICM) need not rebuild dominators for it."""
     changed = False
     # Recompute loops after each structural change batch.
-    progress = True
-    while progress:
-        progress = False
-        for loop in find_loops(function):
-            if _ensure_preheader(function, loop):
-                progress = True
+    while True:
+        loops = find_loops(function)
+        for loop in loops:
+            if (
+                _ensure_preheader(function, loop)
+                or _ensure_single_latch(function, loop)
+                or _ensure_dedicated_exits(function, loop)
+            ):
+                changed = True
                 break
-            if _ensure_single_latch(function, loop):
-                progress = True
-                break
-            if _ensure_dedicated_exits(function, loop):
-                progress = True
-                break
-        changed |= progress
-    return changed
+        else:
+            return changed, loops
 
 
 def _redirect_edges(

@@ -66,6 +66,12 @@ def mem2reg(function: Function) -> bool:
                 if frontier in placed:
                     continue
                 placed.add(frontier)
+                if frontier not in def_blocks:
+                    worklist.append(frontier)
+        # The iterated frontier is a set of blocks (hashed by address);
+        # name and insert the phis in RPO so compiled IR is reproducible.
+        for frontier in dt.rpo:
+            if frontier in placed:
                 phi = Instruction(
                     "phi",
                     alloca.type.pointee,
@@ -74,8 +80,6 @@ def mem2reg(function: Function) -> bool:
                 )
                 frontier.insert(0, phi)
                 phis[phi] = alloca
-                if frontier not in def_blocks:
-                    worklist.append(frontier)
 
     # 2. Rename: walk the dominator tree, tracking the live value per alloca.
     to_erase: List[Instruction] = []
@@ -117,15 +121,16 @@ def mem2reg(function: Function) -> bool:
             alloca.erase()
 
     # Prune phis that ended up trivial (all-same or only-undef incoming).
-    _prune_trivial_phis(function)
+    _prune_trivial_phis(function, dt)
     return True
 
 
-def _prune_trivial_phis(function: Function) -> None:
+def _prune_trivial_phis(function: Function, dt: DominatorTree) -> None:
+    """``dt`` is the tree mem2reg renamed along: promotion and pruning
+    rewrite values, never edges, so it stays valid throughout."""
     changed = True
     while changed:
         changed = False
-        dt = DominatorTree(function)
         for block in function.blocks:
             for phi in list(block.phis()):
                 values = {v for v, _ in phi.phi_incoming() if v is not phi}

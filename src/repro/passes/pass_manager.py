@@ -11,17 +11,25 @@ pipeline around the vectorizer.
 
 Verification levels:
 
-* ``verify_each`` (default on) — verify the function a pass just ran on;
-  failures are wrapped in :class:`PassVerificationError`, which names the
-  offending pass and function in its diagnostic.
+* ``verify_each`` (default on) — verify the function a pass just ran on
+  **when the pass reported a change** (or an injected ``corrupt`` fault
+  fired): three quarters of pass applications change nothing, and IR
+  that did not change was verified when it last did.  Failures are
+  wrapped in :class:`PassVerificationError`, which names the offending
+  pass and function in its diagnostic.  What this level trusts — a
+  pass's ``False`` — the driver backstops by verifying every finished
+  module once, and paranoid mode checks directly.
 * *paranoid* — verify the **whole module** after every pass invocation,
   catching a pass that corrupts a function other than the one it was
-  handed.  Enable per-manager (``PassManager(..., paranoid=True)``),
-  process-wide (:func:`set_paranoid`), or via the ``REPRO_PARANOID``
-  environment variable (any value but ``0``; this is what the CI paranoid
-  job sets).  The environment default never *weakens* an explicit
-  ``verify_each=False`` — managers that opted out of verification keep
-  their opt-out unless paranoia is requested explicitly.
+  handed, and check that a pass returning ``False`` left the printed
+  function byte-identical (so the condition ``verify_each`` skips on is
+  itself verified).  Enable per-manager (``PassManager(...,
+  paranoid=True)``), process-wide (:func:`set_paranoid`), or via the
+  ``REPRO_PARANOID`` environment variable (any value but ``0``; this is
+  what the CI paranoid job sets).  The environment default never
+  *weakens* an explicit ``verify_each=False`` — managers that opted out
+  of verification keep their opt-out unless paranoia is requested
+  explicitly.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from typing import Callable, Iterable, List, Optional
 from .. import faultinject, telemetry
 from ..envflags import env_flag
 from ..ir.module import Function, Module
+from ..ir.printer import print_function
 from ..ir.verifier import VerificationError, verify_function, verify_module
 
 __all__ = [
@@ -99,9 +108,13 @@ class PassManager:
         # The env default only upgrades managers that already verify.
         return self.verify_each and paranoid_enabled()
 
-    def _apply(self, pass_: FunctionPass, function: Function) -> bool:
+    def _apply(self, pass_: FunctionPass, function: Function,
+               paranoid: bool) -> bool:
+        """Run one pass; true when ``function`` must be verified again —
+        the pass reported a change, or an injected fault corrupted it."""
         name = _pass_name(pass_)
         faultinject.maybe_fail("pass", f"{name}:{function.name}")
+        before_ir = print_function(function) if paranoid else None
         if telemetry.current() is None:
             changed = pass_(function)
         else:
@@ -112,8 +125,15 @@ class PassManager:
             telemetry.record_pass(
                 name, function.name, seconds, before, _instr_count(function)
             )
-        faultinject.maybe_corrupt(f"{name}:{function.name}", function)
-        return changed
+        if paranoid and not changed and print_function(function) != before_ir:
+            raise PassVerificationError(
+                f"pass '{name}' returned changed=False but rewrote "
+                f"@{function.name}",
+                pass_name=name,
+                function=function.name,
+            )
+        corrupted = faultinject.maybe_corrupt(f"{name}:{function.name}", function)
+        return bool(changed) or corrupted
 
     def _verify_after(self, pass_: FunctionPass, function: Function,
                       module: Optional[Module] = None) -> None:
@@ -144,11 +164,11 @@ class PassManager:
             for function in list(module.functions.values()):
                 if not function.blocks:
                     continue
-                if self._apply(pass_, function):
-                    changed = True
+                dirty = self._apply(pass_, function, paranoid)
+                changed |= dirty
                 if paranoid:
                     self._verify_after(pass_, function, module)
-                elif self.verify_each:
+                elif dirty and self.verify_each:
                     self._verify_after(pass_, function)
         return changed
 
@@ -156,8 +176,8 @@ class PassManager:
         changed = False
         paranoid = self._paranoid()
         for pass_ in self.passes:
-            if self._apply(pass_, function):
-                changed = True
-            if paranoid or self.verify_each:
+            dirty = self._apply(pass_, function, paranoid)
+            changed |= dirty
+            if paranoid or (dirty and self.verify_each):
                 self._verify_after(pass_, function)
         return changed

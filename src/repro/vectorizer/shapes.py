@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from ..ir.cfg import DominatorTree, Loop, find_loops, reverse_postorder
+from ..ir.cfg import DominatorTree, Loop, find_loops
 from ..ir.instructions import FLOAT_BINOPS, INT_BINOPS, Instruction
 from ..ir.module import BasicBlock, ExternalFunction, Function
 from ..ir.types import VectorType
@@ -69,6 +69,11 @@ class ShapeAnalysis:
         self.divergent_loops: List[Loop] = []
         self._range_widenings: Dict[Value, int] = {}
         self.soa_allocas: Set[Instruction] = self._find_soa_allocas(function)
+        #: CFG analyses of ``function``, built once here and read by the
+        #: :class:`~repro.vectorizer.transform.Vectorizer` that consumes
+        #: this analysis (nothing rewrites ``function`` in between).
+        self.dt = DominatorTree(function)
+        self.loops: List[Loop] = find_loops(function, self.dt)
         self.run()
 
     @staticmethod
@@ -142,7 +147,7 @@ class ShapeAnalysis:
             else:
                 self.facts[arg] = TOP
 
-        rpo_blocks = reverse_postorder(function)
+        rpo_blocks = self.dt.rpo
         for _ in range(_MAX_ITERATIONS):
             changed = False
             for block in rpo_blocks:
@@ -441,8 +446,7 @@ class ShapeAnalysis:
     def _apply_control_divergence(self, rpo_blocks: List[BasicBlock]) -> None:
         """Taint phis joined under divergent branches and values escaping
         divergent loops, iterating until stable (taints can cascade)."""
-        function = self.function
-        loops = find_loops(function)
+        loops = self.loops
         block_set = set(rpo_blocks)
 
         for _ in range(_MAX_ITERATIONS):

@@ -136,9 +136,12 @@ def _check_one(rule: RuleSpec, env: dict, bits: int, mask: int) -> None:
 
 _RULE_STATUS: Dict[str, bool] = {}
 
-#: Quick-probe budget: exhaustive at 4 bits plus a few full-width samples
-#: finishes in well under a millisecond per rule; the wall-clock ceiling
-#: exists for pathological rules and injected timeouts.
+#: Quick-probe budget: exhaustive at 4 bits plus a few full-width samples.
+#: Measured, a probe takes 2-130 ms depending on the rule's variable and
+#: parameter count (``add_indexed`` is the slowest), once per process and
+#: rule.  ``xor_low_mask`` (about 23 ms) is the only rule any of the 79
+#: benchsuite kernels probes, and no fig4 kernel probes any.  The
+#: wall-clock ceiling exists for pathological rules and injected timeouts.
 _PROBE_BUDGET_SECONDS = 0.25
 
 

@@ -39,7 +39,7 @@ from ..ir import (
 )
 from .. import faultinject
 from ..diagnostics import CompileError, ReproError, attach_location
-from ..ir.cfg import DominatorTree, Loop, find_loops, reverse_postorder
+from ..ir.cfg import Loop
 from ..ir.instructions import CAST_OPS, FLOAT_BINOPS, INT_BINOPS, UNARY_OPS
 from ..ir.module import BasicBlock, ExternalFunction
 from ..ir.types import FloatType, IntType, PointerType, Type, VectorType
@@ -106,9 +106,9 @@ class Vectorizer:
         self.memform_counts: Dict[str, int] = {}
 
         self.mask_type = VectorType(I1, self.gang)
-        self.rpo = reverse_postorder(sfunc)
-        self.dt = DominatorTree(sfunc)
-        self.loops = find_loops(sfunc, self.dt)
+        self.dt = analysis.dt
+        self.rpo = self.dt.rpo
+        self.loops = analysis.loops
         self._loop_of: Dict[BasicBlock, Optional[Loop]] = {}
         for block in self.rpo:
             innermost = None
@@ -404,11 +404,7 @@ class Vectorizer:
             raise
 
     def _emit_loop_body(self, loop: Loop) -> None:
-        # Loop objects come from a separate find_loops run than the shape
-        # analysis' — compare by header block.
-        divergent = any(
-            l.header is loop.header for l in self.shapes.divergent_loops
-        )
+        divergent = loop in self.shapes.divergent_loops
         pre_block = self.b.block
         entry_vec = self.block_vec.get(loop.preheader)
         entry_sc = self.block_sc.get(loop.preheader)
@@ -445,7 +441,7 @@ class Vectorizer:
 
         # Exit-mask accumulators (one per exit edge).
         exit_edges = []
-        for block in loop.blocks:
+        for block in loop.ordered_blocks():
             for succ in block.successors:
                 if succ not in loop.blocks:
                     exit_edges.append((block, succ))
@@ -521,7 +517,7 @@ class Vectorizer:
 
     def _escaping_values(self, loop: Loop) -> List[Value]:
         result = []
-        for block in loop.blocks:
+        for block in loop.ordered_blocks():
             for instr in block.instructions:
                 if instr.type.is_void:
                     continue

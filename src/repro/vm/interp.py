@@ -234,26 +234,18 @@ class Interpreter:
         argvals = [
             _coerce_arg(a.type, v) for a, v in zip(function.args, args)
         ]
-        if not faultinject.active() and self.shard is None:
-            # Sharded runs bypass trap replay: a shard that traps fails the
-            # whole launch over to the supervisor's full in-process rerun,
-            # which takes this path and is authoritative.
-            batch_twin = self.module.attrs.get("batch_fallback")
-            if batch_twin is not None:
-                return self._run_replayable(function, argvals, args, batch_twin)
-            if self.codegen:
-                # Codegen traps replay on the predecoded twin of the same
-                # module, so trap identity / trap-point stats / memory
-                # effects are authoritative even across emission seams.
-                return self._run_replayable(
-                    function, argvals, args, self.module
-                )
+        if (
+            (self.codegen or "unbatched_recipe" in self.module.attrs)
+            and not faultinject.active() and self.shard is None
+        ):
+            # A batched module and the codegen engine both run under the
+            # trap-replay contract.  Sharded runs bypass it: a shard that
+            # traps fails the whole launch over to the supervisor's full
+            # in-process rerun, which takes this path and is authoritative.
+            return self._run_replayable(function, argvals, args)
         return self._exec_function(function, argvals, depth=0)
 
-    def _run_replayable(
-        self, function: Function, argvals: List, args,
-        fallback_module: Module,
-    ):
+    def _run_replayable(self, function: Function, argvals: List, args):
         """Top-level run with the gang-batching trap-replay contract.
 
         Any :class:`ExecutionError` raised while running a batched module
@@ -261,10 +253,10 @@ class Interpreter:
         trap from a finished gang's unmasked lanes) rolls the VM back to
         the pre-run state (an extent-bounded :meth:`Memory.snapshot`,
         not a copy of the whole image) and replays the call wholesale on
-        ``fallback_module`` — the unbatched twin stashed in
-        ``module.attrs["batch_fallback"]``, or the module itself under
-        the codegen engine (the fallback interpreter always runs with
-        ``codegen=False``, i.e. the predecoded twin).  The replay's
+        the module's :func:`~repro.backend.batch.unbatched_twin` — compiled
+        now if this is its first trap — or, when the module is not
+        batched, on the module itself (the fallback interpreter always
+        runs with ``codegen=False``, i.e. the predecoded twin).  The replay's
         outcome — result or trap — is authoritative, so trap identity,
         trap-point ``ExecStats``, and attribution all match the fallback
         engine bit-for-bit.  Skipped under active fault injection: the
@@ -295,14 +287,18 @@ class Interpreter:
                 live.clear()
                 live.update(saved)
             self._child_cycles = snap[7]
-            if fallback_module is self.module:
+            # (Imported here: backend.batch sits above the VM.)
+            from ..backend.batch import unbatched_twin
+
+            twin = unbatched_twin(self.module) or self.module
+            if twin is self.module:
                 self.codegen_stats["replays"] += 1
             else:
                 self.batch_replays += 1
             fb = self._fallback_interp
             if fb is None:
                 fb = self._fallback_interp = Interpreter(
-                    fallback_module,
+                    twin,
                     machine=self.machine,
                     cost_model=self.cost_model,
                     memory=memory,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import diskcache, driver
-from repro.backend.batch import batch_module
+from repro.backend.batch import batch_module, unbatched_twin
 from repro.benchsuite.ispc_suite import BY_NAME
 from repro.benchsuite.simdlib import KERNELS as SIMDLIB
 from repro.diagnostics import FrozenModuleError, ReproError
@@ -100,7 +100,7 @@ def _vandalize(module):
         kernel.attrs["vandal"] = True
     with pytest.raises(TypeError):
         instr.attrs["vandal"] = True
-    twin = module.attrs.get("batch_fallback")
+    twin = unbatched_twin(module)
     if twin is not None:
         assert twin.frozen
         with pytest.raises(AttributeError):
@@ -203,7 +203,7 @@ def test_clone_module_only_reads_its_source():
     clone = clone_module(module)
     assert _use_lists(module) == before
 
-    assert not clone.frozen and not clone.attrs["batch_fallback"].frozen
+    assert not clone.frozen
     standard_pipeline().run(clone)  # mutable: an in-place pipeline runs
     kernel = clone.functions["kernel"]
     kernel.attrs["touched"] = True

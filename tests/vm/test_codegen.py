@@ -152,7 +152,7 @@ def test_interpreter_is_reclaimed_without_the_cyclic_collector(spec, engine):
                            + interp.codegen_report()["replays"])
                 # Predecoded replays only a batched build (on its twin).
                 assert replays == (engine == "codegen"
-                                   or "batch_fallback" in module.attrs)
+                                   or "unbatched_recipe" in module.attrs)
             alive = weakref.ref(interp), weakref.ref(interp.memory)
             del interp
             assert [ref() for ref in alive] == [None, None], (
