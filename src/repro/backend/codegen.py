@@ -35,6 +35,10 @@ and what traps replays there:
   a pre-resolved :func:`_value_impl` closure.  The whole body runs under
   a saved/restored ``np.seterr(all="ignore")`` so the inlined forms
   match the impls' per-call ``errstate`` guards;
+* memory accesses are specialized at emit time (see "Memory access"
+  below): dtype, byte count and a constant all-true mask are resolved
+  from the IR, and the in-bounds case runs inline against the
+  interpreter's buffer;
 * gang-batched blocks inline their narrow-prototype charging
   (multiplicity × per-item cost) exactly as the reference engine
   interprets it; divergent-loop activity state lives in *specialized
@@ -105,33 +109,68 @@ merge cannot structure), ``no-terminator`` / ``use-before-def``
 has no narrow-prototype emission), and ``injected-fault`` (fault plans
 must not be double-counted through generated code).
 
-Caching
--------
+Memory access
+-------------
 
-Generated source embeds only structure (costs as literals, opcode
-strings, batch factors, hoisted-name wiring); payloads and impls bind at
-``exec`` time through default arguments, so the *code object* is
-shareable.  Sources are cached process-wide and the compiled code
-objects persist across processes via :mod:`repro.diskcache`
-(``store_code``/``load_code``).  Emissions (source + binding recipe, or
-a bailout reason) hang off the ``Function`` they were emitted for
-(``Function._emissions``): the compile cache hands every caller the
-same frozen module, so identity finds them, and they live exactly as
-long as their module — no process-global table references IR.  Because
-batch-specialized and generic emissions of one function differ only in
-attrs, entries additionally carry a **batch fingerprint** — the
-``batched`` attr plus the count of annotated instructions — so a
-bailout or emission memoized against one batching configuration never
-answers for another.
+For ``load``/``store``/``atomicrmw`` the emitter resolves the cell's
+``struct`` format from the IR type; for ``vload``/``vstore`` whose mask
+operand is a *constant all-true vector* it resolves lane dtype, lane
+count and byte count.  Both emit one range test and the access itself:
+scalars ``unpack_from``/``pack_into`` the byte buffer
+(``16 <= addr and end <= len(_mem.data)``), packed accesses slice the
+typed view ``_mem.lanes[i]`` (the same test in lane units, plus an
+alignment bit).  Whatever the test rejects — NULL page, out of bounds,
+an address past the physical buffer, a misaligned packed address — and
+every form that is not resolved at emit time (runtime masks, gather,
+scatter, i1 cells) calls the one implementation in
+:class:`~repro.vm.memory.Memory`, which owns trap text, lane order,
+trap-before-any-write, growth and the ``faultinject`` hook; runtime-
+masked packed accesses still pass a pre-resolved dtype
+(``load_lanes``/``store_lanes``) and gather/scatter under a constant
+all-true mask pass ``None`` for it.  The inline paths skip the fault
+hook: generated code runs only under ``Interpreter._run_replayable``,
+which ``Interpreter.run`` never enters while a fault plan is armed.
 
-Generated functions never own their interpreter (see "Ownership" in
-:mod:`repro.vm.interp`): they bind a weak reference and dereference it
-once per call.
+Caching and ownership
+---------------------
+
+A generated function is a pure function of *(function, machine, cost
+model)*: it takes the interpreter as its first argument and reads
+``stats``, ``memory``, ``max_instructions`` (and ``_exec_function`` when
+it makes internal calls) from it in the prologue; everything else —
+payloads, impls, dtypes — binds once, at ``exec`` time, through default
+arguments.  So one emission serves every interpreter: the entry on
+``Function._emissions`` (``(machine, cost_model, fingerprint, source,
+kfn, reason)``) owns the bound callable (and through it the code
+object), the compile cache hands every caller the same frozen module,
+identity finds the entry, and a second ``Interpreter`` over the same
+module does no emission work at all.  Entries live exactly as long as
+their module — no process-global table references IR — and a generated
+function references no interpreter, so there is no cycle to avoid.
+Module → function → emission → (code, callable); interpreters own only
+stats and memory.
+
+Entries carry a **batch fingerprint** — the ``batched`` attr plus the
+count of annotated instructions — so a bailout or emission memoized
+against one batching configuration of a *mutable* function never
+answers for another (an attrs-only mutation is invisible to identity).
+A frozen function cannot change, and freezing drops whatever was emitted
+while it was mutable, so its entries need no fingerprint walk.
+
+Source → code object is a bounded process-wide LRU
+(:data:`CODE_CACHE_ENTRIES`), persisted across processes by
+:mod:`repro.diskcache` (``store_code``/``load_code``).  Each source
+compiles under its own filename, ``<repro-vm-codegen:NAME:DIGEST8>``,
+registered with :mod:`linecache` for as long as the LRU holds it, so
+profiles name the kernel and tracebacks show the emitted line.
 """
 
 from __future__ import annotations
 
-import weakref
+import hashlib
+import linecache
+import struct
+from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -154,8 +193,10 @@ from ..vm.interp import (
     ExecutionLimitExceeded,
     _constant_payload,
     _undef_payload,
+    batch_charge_items,
     reduce_lanes,
 )
+from ..vm.memory import LANE_DTYPES, NULL_GUARD
 from ..vm.nputil import (
     as_unsigned,
     elem_dtype,
@@ -173,7 +214,6 @@ from ..vm.ops import (
     eval_vector_fcmp,
     eval_vector_icmp,
     eval_vector_unop,
-    gang_activity_count,
     round_float,
     scalar_binop_impl,
     scalar_fcmp_impl,
@@ -181,8 +221,8 @@ from ..vm.ops import (
     vector_binop_impl,
 )
 
-__all__ = ["CodegenBailout", "emit_function", "forget_emission",
-           "compiled_code", "bind_code"]
+__all__ = ["CodegenBailout", "lower_function", "forget_emission",
+           "compiled_code", "clear_code_cache"]
 
 #: Emission refuses functions above this static instruction count — the
 #: generated source would dwarf the decode win and slow ``compile()``.
@@ -199,39 +239,42 @@ _EXIT = object()
 #: (the full set of counter locals is only known once emission finishes).
 _FLUSH = "\x00flush"
 
-#: Generated source → compiled code object, shared across every
-#: interpreter in the process (the source embeds no payloads).
-_CODE_CACHE: Dict[str, object] = {}
+#: Most generated sources the process keeps compiled at once.  The whole
+#: fig4 + fig5 suite, batched and unbatched, is under 200 sources.
+CODE_CACHE_ENTRIES = 512
 
-#: Hoisted prologue names rebuilt per interpreter (everything else in the
-#: bindings is interpreter-independent or re-derivable from a recipe).
-_FIXED_BINDINGS = frozenset(
-    ("_s", "_c", "_iw", "_mem", "_fname", "_trap", "_gac", "_VMTrap")
-)
+#: Generated source → compiled code object, least recently used first
+#: (the source embeds no payloads, so the code is shareable).
+_CODE_CACHE: "OrderedDict[str, object]" = OrderedDict()
 
 _BINOPS = INT_BINOPS | FLOAT_BINOPS
 
-#: Every body opcode :func:`_value_impl` can compute — all of them except
-#: ``call`` (calls re-enter the interpreter, see ``emit_call``).
+#: Every body opcode :func:`_value_impl` can compute: all of them except
+#: ``call`` (calls re-enter the interpreter, see ``emit_call``) and the
+#: memory ops (``emit_memory`` writes those against ``_mem``).
 _COMPUTE_OPS = frozenset(
     _BINOPS | UNARY_OPS | CAST_OPS | REDUCE_OPS
     | {
         "icmp", "fcmp", "select", "fma", "gep", "broadcast",
         "extractelement", "insertelement", "shuffle", "shuffle2", "sad",
         "mask_any", "mask_all", "mask_popcnt",
-        "load", "store", "vload", "vstore", "gather", "scatter",
-        "alloca", "atomicrmw",
     }
 )
 
-#: Ops whose ``_value_impl`` closure captures the interpreter's memory
-#: and must be rebuilt when a cached emission rebinds to another
-#: interpreter; every other impl closure depends only on the instruction
-#: and is shared.  None captures the interpreter itself.
-_REBIND_OPS = frozenset(
+_MEMORY_OPS = frozenset(
     ("load", "store", "vload", "vstore", "gather", "scatter",
      "alloca", "atomicrmw")
 )
+
+#: Lane dtype → index into ``Memory.lanes``.
+_LANE_INDEX = {dtype: i for i, dtype in enumerate(LANE_DTYPES)}
+
+#: Memory-cell dtype → ``struct`` format of the inline scalar access
+#: (``=``: native byte order, as the numpy views ``Memory`` reads cells
+#: through).  i1 cells stay on ``Memory.load_scalar``/``store_scalar``
+#: (a bool cell reads any nonzero byte as 1, which no struct format does).
+_CELL_FORMAT = {"u1": "=B", "u2": "=H", "u4": "=I", "u8": "=Q",
+                "f4": "=f", "f8": "=d"}
 
 #: Vector-op inline templates.  Each form must be bit-identical to the
 #: corresponding ops.py impl *under* ``np.seterr(all="ignore")`` — the
@@ -301,14 +344,13 @@ def _binop_impl(instr: Instruction):
     return scalar_binop_impl(instr.opcode, instr.type)
 
 
-def _value_impl(interp, instr: Instruction):
+def _value_impl(instr: Instruction):
     """A value-level callable ``fn(*operand_payloads) -> payload``.
 
     Unlike :meth:`Interpreter._decode_instr` thunks, these do not read
     ``env`` — the emitter wires operands itself (every SSA value is a
     Python local).  Defined for every ``_COMPUTE_OPS`` opcode; operands
-    map positionally.  Closures for ``_REBIND_OPS`` capture
-    ``interp.memory``.
+    map positionally.  The closures depend on the instruction alone.
     """
     op = instr.opcode
     ops = instr.operands
@@ -392,51 +434,6 @@ def _value_impl(interp, instr: Instruction):
     if op == "mask_popcnt":
         return lambda m: int(m.sum())
 
-    # -- memory ops (closures capture ``interp.memory``: see _REBIND_OPS) --------
-    memory = interp.memory
-    if op == "load":
-        t = instr.type
-        return lambda addr: memory.load_scalar(addr, t)
-    if op == "store":
-        t = ops[0].type
-        def _store(v, addr):
-            memory.store_scalar(addr, t, v)
-            return None
-        return _store
-    if op == "vload":
-        elem, count = instr.type.elem, instr.type.count
-        return lambda addr, mask: memory.load_packed(addr, elem, count, mask)
-    if op == "vstore":
-        elem = ops[0].type.elem
-        def _vstore(v, addr, mask):
-            memory.store_packed(addr, elem, v, mask)
-            return None
-        return _vstore
-    if op == "gather":
-        elem = instr.type.elem
-        return lambda addrs, mask: memory.gather(addrs, elem, mask)
-    if op == "scatter":
-        elem = ops[0].type.elem
-        def _scatter(v, addrs, mask):
-            memory.scatter(addrs, elem, v, mask)
-            return None
-        return _scatter
-    if op == "alloca":
-        size = max(
-            instr.type.pointee.size_bytes() * instr.attrs.get("count", 1), 1
-        )
-        return lambda: memory.alloc(size)
-    if op == "atomicrmw":
-        rmw = instr.attrs["op"]
-        if rmw not in ATOMIC_RMW_OPS:
-            raise VMTrap(f"atomicrmw: unsupported op {rmw!r}")
-        t = ops[1].type
-        impl = scalar_binop_impl(rmw, t)
-        def _atomicrmw(addr, val):
-            old = memory.load_scalar(addr, t)
-            memory.store_scalar(addr, t, impl(old, val))
-            return old
-        return _atomicrmw
     raise NotImplementedError(f"codegen: opcode {op}")
 
 
@@ -624,10 +621,12 @@ class _LoopFrame:
 
 
 class _Emitter:
-    """Linearizes one function into generated Python source + bindings."""
+    """Linearizes one function into generated Python source + bindings,
+    for one machine and cost model (no interpreter is involved)."""
 
-    def __init__(self, interp, function: Function):
-        self.interp = interp
+    def __init__(self, function: Function, machine, cost_model):
+        self.machine = machine
+        self._cost = lambda ins: cost_model.cost(ins, machine)
         self.fn = function
         self.fn_batched = bool(function.attrs.get("batched"))
         self.lines: List[str] = []
@@ -635,14 +634,14 @@ class _Emitter:
         self.names: Dict[Value, str] = {}
         for i, arg in enumerate(function.args):
             self.names[arg] = f"a{i}"
-        self.hoisted: Dict[str, object] = _fixed_bindings(interp, function)
+        self.hoisted: Dict[str, object] = {
+            "_fname": function.name,
+            "_trap": _budget_trap,
+            "_VMTrap": VMTrap,
+        }
         #: An internal call was emitted: the prologue binds ``_exec``.
         self.calls_internal = False
         self._memo: Dict[object, str] = {}
-        #: Hoisted name → Instruction for ``_value_impl`` closures, which
-        #: may capture this interpreter's memory and must be rebuilt when
-        #: the cached emission rebinds to another interpreter.
-        self.impl_instrs: Dict[str, object] = {}
         #: Stack of open Python loops (innermost last).
         self.open: List[_LoopFrame] = []
         self.open_headers: Set[BasicBlock] = set()
@@ -780,6 +779,9 @@ class _Emitter:
         dt = elem_dtype(elem)
         return self.hoist(dt, key=("dt", dt.str))
 
+    def _type(self, t) -> str:
+        return self.hoist(t, key=("t", id(t)))
+
     def name_of(self, instr: Value) -> str:
         name = self.names.get(instr)
         if name is None:
@@ -837,7 +839,7 @@ class _Emitter:
     def _ext_cost(self, callee: ExternalFunction, arg_types) -> float:
         cost = callee.cost
         if callable(cost):
-            cost = cost(self.interp.machine, list(arg_types))
+            cost = cost(self.machine, list(arg_types))
         return float(cost)
 
     def emit_charges(self, block: BasicBlock) -> None:
@@ -856,7 +858,7 @@ class _Emitter:
         under any association; counts commute); a trap's exact
         trap-point stats come from the replay.
         """
-        cost = self.interp._cost
+        cost = self._cost
         cycles = 0.0
         instrs = 0
         counts: Dict[str, int] = {}
@@ -864,7 +866,8 @@ class _Emitter:
         groups: Dict[tuple, list] = {}
         for ins in block.instructions:
             if self.fn_batched and "batch_mult" in ins.attrs:
-                items, spec = self.interp._batch_info(ins)
+                items = batch_charge_items(ins, self.machine, cost)
+                spec = ins.attrs["batch_mult"]
                 if isinstance(spec, int):
                     m = spec
                     if m:
@@ -1051,13 +1054,136 @@ class _Emitter:
         if expr is None:
             expr = self._vec_expr(ins, argrefs)
         if expr is None:
-            impl = self.hoist(
-                _value_impl(self.interp, ins), key=("impl", id(ins))
-            )
-            if ins.opcode in _REBIND_OPS:
-                self.impl_instrs[impl] = ins
+            impl = self.hoist(_value_impl(ins), key=("impl", id(ins)))
             expr = f"{impl}({', '.join(argrefs)})"
         self.line(f"{self.name_of(ins)} = {expr}")
+
+    # -- memory access (see "Memory access" in the module docstring) -------------
+
+    def _all_true(self, mask: Value) -> bool:
+        """The mask operand is a constant vector with every lane set."""
+        return isinstance(mask, Constant) and all(mask.value)
+
+    def _mask_ref(self, mask: Value) -> str:
+        return "None" if self._all_true(mask) else self.ref(mask)
+
+    def emit_memory(self, ins) -> None:
+        op = ins.opcode
+        ops = ins.operands
+        if op == "alloca":
+            size = max(
+                ins.type.pointee.size_bytes() * ins.attrs.get("count", 1), 1
+            )
+            self.line(f"{self.name_of(ins)} = _mem.alloc({size})")
+        elif op == "load":
+            self._emit_cell(ins, ins.type, self.ref(ops[0]))
+        elif op == "store":
+            self._emit_cell(ins, ops[0].type, self.ref(ops[1]),
+                            store=self.ref(ops[0]))
+        elif op == "atomicrmw":
+            rmw = ins.attrs["op"]
+            if rmw not in ATOMIC_RMW_OPS:
+                # The decoded engine raises the VMTrap for it.
+                raise CodegenBailout("atomicrmw-op")
+            t = ops[1].type
+            impl = self.hoist(scalar_binop_impl(rmw, t), key=("rmw", rmw, id(t)))
+            self._emit_cell(
+                ins, t, self.ref(ops[0]),
+                store=f"{impl}({self.name_of(ins)}, {self.ref(ops[1])})",
+            )
+        elif op == "vload":
+            self._emit_packed(ins, ins.type, self.ref(ops[0]), ops[1])
+        elif op == "vstore":
+            self._emit_packed(ins, ops[0].type, self.ref(ops[1]), ops[2],
+                              store=self.ref(ops[0]))
+        elif op == "gather":
+            self.line(
+                f"{self.name_of(ins)} = _mem.gather({self.ref(ops[0])},"
+                f" {self._type(ins.type.elem)}, {self._mask_ref(ops[1])})"
+            )
+        else:  # scatter
+            self.line(
+                f"_mem.scatter({self.ref(ops[1])}, {self._type(ops[0].type.elem)},"
+                f" {self.ref(ops[0])}, {self._mask_ref(ops[2])})"
+            )
+
+    def _emit_cell(self, ins, t, addr: str, store: Optional[str] = None) -> None:
+        """A scalar ``load`` (``store`` is None), ``store``, or — when
+        ``store`` reads this instruction's own name — ``atomicrmw``:
+        one range test, then ``struct`` straight on the byte buffer."""
+        loads = ins.opcode != "store"
+        dst = self.name_of(ins) if loads else None
+        tref = self._type(t)
+        slow: List[str] = []
+        if loads:
+            slow.append(f"{dst} = _mem.load_scalar({addr}, {tref})")
+        if store is not None:
+            slow.append(f"_mem.store_scalar({addr}, {tref}, {store})")
+        fmt = _CELL_FORMAT.get(elem_dtype(t).str[1:])
+        if fmt is None:
+            for text in slow:
+                self.line(text)
+            return
+        cell = struct.Struct(fmt)
+        ln = self.hoist(len, key=("b", "len"))
+        self.line("_d = _mem.data")
+        self.line(f"_e = {addr} + {cell.size}")
+        self.line(f"if {NULL_GUARD} <= {addr} and _e <= {ln}(_d):")
+        self.indent += 1
+        if loads:
+            unpack = self.hoist(cell.unpack_from, key=("unpack", fmt))
+            self.line(f"{dst} = {unpack}(_d, {addr})[0]")
+        if store is not None:
+            pack = self.hoist(cell.pack_into, key=("pack", fmt))
+            self.line("if _e > _mem._extent:")
+            self.line("    _mem._extent = _e")
+            self.line(f"{pack}(_d, {addr}, {store})")
+        self.indent -= 1
+        self.line("else:")
+        self.indent += 1
+        for text in slow:
+            self.line(text)
+        self.indent -= 1
+
+    def _emit_packed(self, ins, vtype, addr: str, mask: Value,
+                     store: Optional[str] = None) -> None:
+        """``vload`` (``store`` is None) or ``vstore``.  Under a constant
+        all-true mask: one range test in lane units, then a slice of the
+        typed view; otherwise the masked implementation in ``Memory``,
+        with the dtype already resolved."""
+        dtype = elem_dtype(vtype.elem)
+        dt = self._dtype(vtype.elem)
+        count = vtype.count
+        if store is None:
+            dst = self.name_of(ins)
+            slow = f"{dst} = _mem.load_lanes({addr}, {dt}, {count}, %s)"
+        else:
+            slow = f"_mem.store_lanes({addr}, {dt}, {store}, %s)"
+        if not self._all_true(mask):
+            self.line(slow % self.ref(mask))
+            return
+        shift = dtype.itemsize.bit_length() - 1
+        ln = self.hoist(len, key=("b", "len"))
+        self.line(f"_w = _mem.lanes[{_LANE_INDEX[dtype]}]")
+        if shift:
+            self.line(f"_i = {addr} >> {shift}")
+            bad = f"{addr} & {dtype.itemsize - 1} or "
+        else:
+            self.line(f"_i = {addr}")
+            bad = ""
+        first = NULL_GUARD >> shift
+        self.line(f"if {bad}_i < {first} or _i + {count} > {ln}(_w):")
+        self.line("    " + slow % "None")
+        self.line("else:")
+        self.indent += 1
+        if store is None:
+            self.line(f"{dst} = _w[_i:_i + {count}].copy()")
+        else:
+            self.line(f"_e = {addr} + {count * dtype.itemsize}")
+            self.line("if _e > _mem._extent:")
+            self.line("    _mem._extent = _e")
+            self.line(f"_w[_i:_i + {count}] = {store}")
+        self.indent -= 1
 
     def emit_call(self, ins) -> None:
         callee = ins.operands[0]
@@ -1313,6 +1439,8 @@ class _Emitter:
                 self.emit_call(ins)
             elif op in _COMPUTE_OPS:
                 self.emit_compute(ins)
+            elif op in _MEMORY_OPS:
+                self.emit_memory(ins)
             else:
                 raise CodegenBailout(f"opcode:{op}")
             if self.fn_batched:
@@ -1493,7 +1621,9 @@ class _Emitter:
         if fn.args:
             names = ", ".join(self.names[a] for a in fn.args)
             head.append(f"    {names}{',' if len(fn.args) == 1 else ''} = _args")
-        head.append("    _interp = _iw()")
+        head.append("    _s = _interp.stats")
+        head.append("    _c = _s.counts")
+        head.append("    _mem = _interp.memory")
         if self.calls_internal:
             head.append("    _exec = _interp._exec_function")
         head.append("    _L = _interp.max_instructions")
@@ -1531,29 +1661,10 @@ class _Emitter:
             tail.append(f"            _c[{key!r}] = _c.get({key!r}, 0) + {name}")
         params = ", ".join(f"{k}={k}" for k in self.hoisted)
         source = (
-            f"def _kfn(_args, depth, {params}):\n"
+            f"def _kfn(_interp, _args, depth, {params}):\n"
             + "\n".join(head + body + tail)
         )
         return source, self.hoisted
-
-
-def _fixed_bindings(interp, function: Function) -> Dict[str, object]:
-    """The per-interpreter prologue names.  The interpreter owns the
-    generated function (``Interpreter._codegen_fns``), so the function
-    must not own the interpreter back: it holds a weak reference
-    (``_iw``) and dereferences it once per call, in its prologue — no
-    reference cycle, so dropping the last reference to an interpreter
-    frees it and its ``Memory`` at once, without the cyclic collector."""
-    return {
-        "_s": interp.stats,
-        "_c": interp.stats.counts,
-        "_iw": weakref.ref(interp),
-        "_mem": interp.memory,
-        "_fname": function.name,
-        "_trap": _budget_trap,
-        "_gac": gang_activity_count,
-        "_VMTrap": VMTrap,
-    }
 
 
 def _batch_fingerprint(function: Function) -> tuple:
@@ -1577,85 +1688,100 @@ def forget_emission(function: Function) -> None:
     function._emissions = None
 
 
-def emit_function(interp, function: Function) -> Tuple[str, Dict[str, object]]:
-    """Linearize ``function`` against ``interp``'s machine/cost bindings.
+def lower_function(function: Function, machine, cost_model):
+    """The generated callable for ``function`` on ``machine`` under
+    ``cost_model``: ``(kfn, origin)``, to be called as
+    ``kfn(interp, argvals, depth)``.
 
-    Returns ``(source, bindings)``; raises :class:`CodegenBailout` when
-    the function cannot be linearized.  Emissions (and bailouts) hang off
-    the function object itself (``Function._emissions``: a list of
-    ``(machine, cost_model, fingerprint, source, recipe, reason)``), so
-    they are found by identity — the compile cache hands every caller of
-    a kernel the same frozen module — and live exactly as long as their
-    module: nothing process-global references a ``Function`` or its
-    ``Instruction`` s.  A fresh interpreter over the same kernel reuses
-    the cached source and only rebinds the prologue names plus the impl
-    closures that capture interpreter memory.  The fingerprint match
-    keeps a bailout memoized against one batching configuration from
-    suppressing emission for another (an attrs-only mutation of an
-    unfrozen function is invisible to identity).
+    Raises :class:`CodegenBailout` when the function cannot be
+    linearized.  Emissions (and bailouts) hang off the function object
+    itself (``Function._emissions``: a list of ``(machine, cost_model,
+    fingerprint, source, kfn, reason)``), so they are found by identity —
+    the compile cache hands every caller of a kernel the same frozen
+    module — and live exactly as long as their module: nothing
+    process-global references a ``Function`` or its ``Instruction`` s.
+    Finding an entry is all a second interpreter over the same kernel
+    pays (``origin == "cache"``); otherwise ``origin`` says where the code
+    object came from (see :func:`compiled_code`).  A mutable function's
+    entries match on the batch fingerprint too, which keeps a bailout
+    memoized against one batching configuration from suppressing emission
+    for another; a frozen function's entries were all made after it froze
+    (``Function._freeze`` drops earlier ones), so they need no walk.
     """
-    fingerprint = _batch_fingerprint(function)
     entries = function._emissions
     if entries is None:
         entries = function._emissions = []
-    for machine, cost_model, fp, source, recipe, reason in entries:
+    fingerprint = None if function.frozen else _batch_fingerprint(function)
+    for entry_machine, entry_cost_model, fp, _, kfn, reason in entries:
         if (
-            machine is interp.machine
-            and cost_model is interp.cost_model
+            entry_machine is machine
+            and entry_cost_model is cost_model
             and fp == fingerprint
         ):
             if reason is not None:
                 raise CodegenBailout(reason)
-            bindings = _fixed_bindings(interp, function)
-            for name, ins, obj in recipe:
-                bindings[name] = (
-                    obj if ins is None else _value_impl(interp, ins)
-                )
-            return source, bindings
-    emitter = _Emitter(interp, function)
+            return kfn, "cache"
     try:
-        source, bindings = emitter.emit()
+        source, bindings = _Emitter(function, machine, cost_model).emit()
     except CodegenBailout as exc:
         entries.append(
-            (interp.machine, interp.cost_model, fingerprint, None, None,
-             exc.reason)
+            (machine, cost_model, fingerprint, None, None, exc.reason)
         )
         raise
-    # Impl-closure entries store only the Instruction (the closure itself
-    # captures the emitting interpreter's memory and must not be pinned).
-    recipe = tuple(
-        (name, ins, None if ins is not None else obj)
-        for name, obj in bindings.items()
-        if name not in _FIXED_BINDINGS
-        for ins in (emitter.impl_instrs.get(name),)
-    )
-    entries.append(
-        (interp.machine, interp.cost_model, fingerprint, source, recipe, None)
-    )
-    return source, bindings
+    code, origin = compiled_code(source, function.name)
+    kfn = _bind(code, bindings)
+    entries.append((machine, cost_model, fingerprint, source, kfn, None))
+    return kfn, origin
 
 
-def compiled_code(source: str) -> Tuple[object, str]:
+def _register(source: str, code) -> None:
+    """Enter ``code`` in the LRU (evicting past the cap) and show its
+    source to :mod:`linecache` under the filename it was compiled with."""
+    _CODE_CACHE[source] = code
+    filename = code.co_filename
+    # mtime None: ``linecache.checkcache`` leaves the entry alone.
+    linecache.cache[filename] = (
+        len(source), None, source.splitlines(True), filename
+    )
+    while len(_CODE_CACHE) > CODE_CACHE_ENTRIES:
+        _, evicted = _CODE_CACHE.popitem(last=False)
+        linecache.cache.pop(evicted.co_filename, None)
+
+
+def clear_code_cache() -> None:
+    """Drop every compiled source (and its :mod:`linecache` entry).
+    Functions already bound keep working; the next emission of the same
+    source compiles again."""
+    for code in _CODE_CACHE.values():
+        linecache.cache.pop(code.co_filename, None)
+    _CODE_CACHE.clear()
+
+
+def compiled_code(source: str, name: str) -> Tuple[object, str]:
     """Code object for a generated source: process cache → disk → compile.
 
     Returns ``(code, origin)`` with origin in ``{"cache", "disk",
-    "compiled"}`` for the ``vm.codegen.*`` counters.
+    "compiled"}`` for the ``vm.codegen.*`` counters.  ``name`` (the IR
+    function's) goes into the filename a fresh compile gets.
     """
     code = _CODE_CACHE.get(source)
     if code is not None:
+        _CODE_CACHE.move_to_end(source)
         return code, "cache"
     code = diskcache.load_code(source)
     if code is not None:
-        _CODE_CACHE[source] = code
+        _register(source, code)
         return code, "disk"
-    code = compile(source, "<repro-vm-codegen>", "exec")
-    _CODE_CACHE[source] = code
+    digest = hashlib.sha256(source.encode()).hexdigest()[:8]
+    code = compile(source, f"<repro-vm-codegen:{name}:{digest}>", "exec")
+    _register(source, code)
     diskcache.store_code(source, code)
     return code, "compiled"
 
 
-def bind_code(code, bindings: Dict[str, object]):
-    """Bind a compiled code object to one interpreter's live payloads."""
+def _bind(code, bindings: Dict[str, object]):
+    """Bind a compiled code object to its emission's payloads: once per
+    emission, for every interpreter that will ever run it."""
     # The bindings are evaluated as ``_kfn``'s default arguments out of a
     # throwaway *locals* dict; its globals hold nothing but builtins, so
     # the function is not reachable from its own globals (a cycle only

@@ -23,6 +23,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from . import autotune, diskcache, faultinject
 from .backend.batch import batch_module, batching_request
+from .backend.codegen import clear_code_cache
 from .backend.costmodel import CostModel
 from .backend.machine import AVX512, ExecStats, Machine
 from .frontend import compile_source
@@ -76,8 +77,10 @@ def set_compile_cache(enabled: bool) -> None:
 
 
 def clear_compile_cache() -> None:
-    """Drop all cached modules and zero the hit/miss counters."""
+    """Drop all cached modules — and the code objects compiled from their
+    generated sources — and zero the hit/miss counters."""
     _COMPILE_CACHE.clear()
+    clear_code_cache()
     _COMPILE_CACHE_STATS["hits"] = 0
     _COMPILE_CACHE_STATS["misses"] = 0
 

@@ -189,6 +189,8 @@ def _matching_plan(site: str, name: str) -> Optional[FaultPlan]:
 
 def maybe_fail(site: str, name: str = "") -> None:
     """Raise if an armed plan matches ``(site, name)``; no-op otherwise."""
+    if _state is None:  # nothing armed: the hot path of every hooked site
+        return
     plan = _matching_plan(site, name)
     if plan is None:
         return

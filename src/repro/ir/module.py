@@ -209,6 +209,9 @@ class Function(Value):
             yield from block.instructions
 
     def _freeze(self) -> None:
+        # Whatever was emitted while the function could still change is
+        # dropped, so a frozen function's emissions all describe it.
+        self._emissions = None
         self.uses = tuple(self.uses)
         for arg in self.args:
             arg.uses = tuple(arg.uses)

@@ -541,11 +541,11 @@ def _memory_delta(initial: MemorySnapshot, memory: Memory):
     (ranges, bytes) staging payload."""
     # Above the snapshot's extent the launch image was all zero, and
     # above the live extent it still is.
-    final = memory.data
     kept = initial.image.size
+    final = memory.image(max(memory.extent, kept))
     dirty = np.concatenate((
         np.flatnonzero(initial.image != final[:kept]),
-        kept + np.flatnonzero(final[kept : max(memory.extent, kept)]),
+        kept + np.flatnonzero(final[kept:]),
     ))
     if dirty.size == 0:
         return [], b"", zlib.crc32(b"")

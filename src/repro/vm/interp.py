@@ -40,24 +40,30 @@ trap-point stats; each one falls back to the tier above it in this list:
 Ownership
 ---------
 
-References run one way, so an interpreter is reclaimed by reference
-counting the moment its last user drops it — and its 4 MB
-:class:`~repro.vm.memory.Memory` with it — without waiting for the
-cyclic collector::
+Generated code belongs to the module, not to an interpreter::
+
+    Module ──► Function ──► _emissions: one entry per (machine, cost
+                   model) ──► (code object, the one bound callable)
 
     Interpreter ──► Memory, ExecStats              (plain data)
-        ├──► _codegen_fns: generated functions ──► Memory, ExecStats,
-        │        impl closures (capture Memory only), weakref(Interpreter)
+        ├──► _codegen_fns: Function ──► that callable (a reference, or
+        │        ``None`` for a sticky bailout; nothing is built here)
         ├──► _decoded: thunks ──► resolvers, Memory, ExecStats.charge;
         │        the internal-call thunk holds weakref(Interpreter)
         ├──► _fallback_interp: the replay twin ──► the same Memory
         └──► module (shared, frozen; never references an interpreter)
 
-Nothing an interpreter owns may hold it strongly: generated functions
-dereference their weak reference once per call, in the prologue (no
-extra Python frame on the internal-call path), and helpers that need no
-interpreter state (:func:`reduce_lanes`) are module-level functions, not
-bound methods.
+A generated function takes the interpreter as an argument and reads its
+stats and memory in the prologue, so it references no interpreter at
+all, and a second interpreter over the same module binds by looking the
+callable up.  References run one way, so an interpreter — and its
+:class:`~repro.vm.memory.Memory`, whose buffer is as large as what the
+launch touched, not the 4 MB it may address — is reclaimed by reference
+counting the moment its last user drops it, without waiting for the
+cyclic collector.  Nothing an interpreter owns may hold it strongly:
+the predecoded internal-call thunk holds a weak reference, and helpers
+that need no interpreter state (:func:`reduce_lanes`) are module-level
+functions, not bound methods.
 
 All engines assume the module is not mutated once execution has started
 (the driver's ``compile_*`` results are frozen, so they cannot be);
@@ -198,8 +204,9 @@ class Interpreter:
         self.batch_replays = 0
         self._fallback_interp: Optional["Interpreter"] = None
         self._batch_cache: Dict[Instruction, tuple] = {}
-        #: Linearized function cache: Function -> generated callable, or
-        #: ``None`` (sticky) when emission bailed out.
+        #: Function -> its generated callable (owned by the function's
+        #: emission, shared with every other interpreter), or ``None``
+        #: (sticky) when emission bailed out.
         self._codegen_fns: Dict[Function, object] = {}
         #: ``vm.codegen.*`` counters.  compiles/cache_hits/disk_hits are
         #: decode artifacts; calls/replays are run counters
@@ -438,7 +445,7 @@ class Interpreter:
                     kfn = self._codegen_lower(function)
                 if kfn is not None:
                     self.codegen_stats["calls"] += 1
-                    return kfn(argvals, depth)
+                    return kfn(self, argvals, depth)
             if self.predecode:
                 return self._exec_decoded(function, argvals, depth)
             return self._exec_reference(function, argvals, depth)
@@ -460,12 +467,14 @@ class Interpreter:
     # -- whole-kernel codegen engine -------------------------------------------------
 
     def _codegen_lower(self, function: Function):
-        """Linearize ``function`` into one generated callable (or ``None``).
+        """Look up (first time per module: emit, compile and bind)
+        ``function``'s generated callable, or ``None``.
 
         Bailouts are sticky per function (the reason lands in
-        ``codegen_bailouts``); successful compiles report their source
-        origin in ``codegen_stats`` (``compiles`` / ``cache_hits`` /
-        ``disk_hits``).  Emission failures of *any* kind degrade to the
+        ``codegen_bailouts``); successes report where the code came from
+        in ``codegen_stats`` (``compiles`` / ``cache_hits`` /
+        ``disk_hits``; an emission another interpreter already bound is a
+        cache hit).  Emission failures of *any* kind degrade to the
         decoded engine — codegen is an accelerator, never a requirement.
         """
         from ..backend import codegen as _cg
@@ -474,9 +483,9 @@ class Interpreter:
         kfn = None
         try:
             faultinject.maybe_fail("codegen", function.name)
-            source, bindings = _cg.emit_function(self, function)
-            code, origin = _cg.compiled_code(source)
-            kfn = _cg.bind_code(code, bindings)
+            kfn, origin = _cg.lower_function(
+                function, self.machine, self.cost_model
+            )
         except _cg.CodegenBailout as exc:
             bailouts[exc.reason] = bailouts.get(exc.reason, 0) + 1
         except faultinject.InjectedFault:
@@ -677,20 +686,10 @@ class Interpreter:
         cached = self._batch_cache.get(instr)
         if cached is not None:
             return cached
-        items = []
-        for proto in instr.attrs["batch_charges"]:
-            if proto.opcode == "call":
-                callee = proto.operands[0]
-                ext_cost = callee.cost
-                if callable(ext_cost):
-                    ext_cost = ext_cost(
-                        self.machine, [o.type for o in proto.operands[1:]]
-                    )
-                items.append(("call", self._cost(proto)))
-                items.append((f"ext:{callee.name}", float(ext_cost)))
-            else:
-                items.append((proto.opcode, self._cost(proto)))
-        info = (tuple(items), instr.attrs["batch_mult"])
+        info = (
+            batch_charge_items(instr, self.machine, self._cost),
+            instr.attrs["batch_mult"],
+        )
         self._batch_cache[instr] = info
         return info
 
@@ -1020,17 +1019,17 @@ class Interpreter:
         if op == "vload":
             addr = self._resolver(ops[0])
             mask = self._resolver(ops[1])
-            elem, count = instr.type.elem, instr.type.count
-            return lambda env, depth: memory.load_packed(
-                addr(env), elem, count, mask(env)
+            dtype, count = elem_dtype(instr.type.elem), instr.type.count
+            return lambda env, depth: memory.load_lanes(
+                addr(env), dtype, count, mask(env)
             )
         if op == "vstore":
             value = self._resolver(ops[0])
             addr = self._resolver(ops[1])
             mask = self._resolver(ops[2])
-            elem = ops[0].type.elem
+            dtype = elem_dtype(ops[0].type.elem)
             def _vstore(env, depth):
-                memory.store_packed(addr(env), elem, value(env), mask(env))
+                memory.store_lanes(addr(env), dtype, value(env), mask(env))
                 return None
             return _vstore
         if op == "gather":
@@ -1364,6 +1363,26 @@ class Interpreter:
             cost = self.cost_model.cost(instr, self.machine)
             self._cost_cache[instr] = cost
         return cost
+
+
+def batch_charge_items(instr: Instruction, machine: Machine, cost) -> tuple:
+    """The narrow charges one annotated instruction stands for: a tuple
+    of ``(counts_key, narrow_cost)``, ``cost`` being ``instr -> cycles``
+    (all engines, and the code generator, charge from this)."""
+    items = []
+    for proto in instr.attrs["batch_charges"]:
+        if proto.opcode == "call":
+            callee = proto.operands[0]
+            ext_cost = callee.cost
+            if callable(ext_cost):
+                ext_cost = ext_cost(
+                    machine, [o.type for o in proto.operands[1:]]
+                )
+            items.append(("call", cost(proto)))
+            items.append((f"ext:{callee.name}", float(ext_cost)))
+        else:
+            items.append((proto.opcode, cost(proto)))
+    return tuple(items)
 
 
 def reduce_lanes(op: str, instr: Instruction, v: np.ndarray):

@@ -47,7 +47,7 @@ def _attribution(engine):
 def _baseline(module, workload):
     interp, addrs = _setup(module, workload)
     interp.run("kernel", *addrs, *workload.scalars)
-    return _attribution(interp), interp.memory.data.copy()
+    return _attribution(interp), interp.memory.image()
 
 
 def _sharded(module, workload, **kwargs):
@@ -56,7 +56,7 @@ def _sharded(module, workload, **kwargs):
         module, "kernel", (*addrs, *workload.scalars),
         memory=interp.memory, **kwargs,
     )
-    return result, _attribution(result), interp.memory.data
+    return result, _attribution(result), interp.memory.image()
 
 
 def _build(spec, batch=None):

@@ -37,7 +37,7 @@ from repro import diskcache
 from repro.backend import codegen as cg
 from repro.benchsuite.ispc_suite import BENCHMARKS
 from repro.benchsuite.runner import _GUARD_BYTES
-from repro.driver import compile_parsimony
+from repro.driver import clear_compile_cache, compile_parsimony
 from repro.faultinject import FaultPlan, inject
 from repro.ir import (
     I32,
@@ -69,7 +69,7 @@ def _run_workload(module, workload, **kw):
 def _snapshot(interp, ret):
     s = interp.stats
     return {
-        "mem": interp.memory.data.copy(),
+        "mem": interp.memory.image(),
         "ret": None if ret is None else np.asarray(ret).copy(),
         "cycles": s.cycles,
         "instructions": s.instructions,
@@ -205,7 +205,9 @@ def test_budget_trap_replays_on_predecoded_twin():
     assert compiled.stats.instructions == decoded.stats.instructions
     assert compiled.stats.cycles == decoded.stats.cycles
     assert dict(compiled.stats.counts) == dict(decoded.stats.counts)
-    np.testing.assert_array_equal(compiled.memory.data, decoded.memory.data)
+    np.testing.assert_array_equal(
+        compiled.memory.image(), decoded.memory.image()
+    )
 
 
 def test_clear_decode_cache_drops_the_replay_twin():
@@ -608,7 +610,7 @@ def test_batched_internal_call_bailout_pinned():
     module, f = _batched_internal_call_module()
     interp = Interpreter(module)
     with pytest.raises(cg.CodegenBailout) as exc:
-        cg.emit_function(interp, f)
+        cg.lower_function(f, interp.machine, interp.cost_model)
     assert exc.value.reason == "batched-internal-call"
 
 
@@ -621,9 +623,10 @@ def test_bailout_memo_keyed_by_batch_fingerprint():
     module, f = _batched_internal_call_module()
     interp = Interpreter(module)
     with pytest.raises(cg.CodegenBailout):
-        cg.emit_function(interp, f)
+        cg.lower_function(f, interp.machine, interp.cost_model)
     with pytest.raises(cg.CodegenBailout):
-        cg.emit_function(interp, f)  # memoized replay, still a bailout
+        # memoized replay, still a bailout
+        cg.lower_function(f, interp.machine, interp.cost_model)
 
     # Unbatched re-run of the same Function object: attrs-only mutation.
     del f.attrs["batched"]
@@ -631,8 +634,9 @@ def test_bailout_memo_keyed_by_batch_fingerprint():
         for ins in block.instructions:
             ins.attrs.pop("batch_mult", None)
             ins.attrs.pop("batch_charges", None)
-    source, bindings = cg.emit_function(interp, f)  # must NOT replay
-    assert "_kfn" in source
+    # must NOT replay the bailout
+    kfn, _ = cg.lower_function(f, interp.machine, interp.cost_model)
+    assert kfn.__name__ == "_kfn"
 
     # And the plain configuration actually runs, bitwise.
     _run_scalar_pair(module, f, [(3,), (12,)])
@@ -716,7 +720,9 @@ def test_generated_source_rehydrates_from_disk_in_child(tmp_path):
     os.environ["REPRO_CACHE_DIR"] = str(tmp_path)
     diskcache.set_enabled(True)
     diskcache.reset_stats()
-    cg._CODE_CACHE.clear()
+    # A module an earlier test already ran keeps its bound emission, and
+    # with it nothing would be compiled (or written) here.
+    clear_compile_cache()
     try:
         module = compile_parsimony(REHYDRATE_SRC)
         interp = Interpreter(module, codegen=True)

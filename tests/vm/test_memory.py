@@ -30,6 +30,39 @@ def test_out_of_bounds_traps():
         mem.load_scalar(4095, I32)
 
 
+def test_negative_sizes_are_rejected_before_touching_state():
+    """``nbytes < 0`` used to make ``addr + nbytes > size`` false: a
+    negative count read ``[]`` from any address, even one past the end,
+    and a negative allocation moved the break back into live data."""
+    mem = Memory(size=4096)
+    addr = mem.alloc_array(np.arange(8, dtype=np.uint32))
+    brk, extent = mem._brk, mem.extent
+    for bad in (addr, 4096, 1 << 40):
+        with pytest.raises(ValueError):
+            mem.read_array(bad, np.uint32, -1)
+    with pytest.raises(ValueError):
+        mem.alloc(-100)
+    assert (mem._brk, mem.extent) == (brk, extent)
+    assert mem.alloc(4) >= addr + 32  # the live array was not handed out again
+    assert mem.read_array(addr, np.uint32, 8).tolist() == list(range(8))
+
+
+def test_physical_buffer_grows_on_demand_under_a_fixed_logical_size():
+    mem = Memory()
+    assert mem.size == 1 << 22 and mem.data.nbytes <= 64 * 1024
+    addr = mem.alloc_array(np.arange(3000, dtype=np.uint32))
+    assert mem.extent <= mem.data.nbytes < 2 * (mem.extent + 4096)
+    assert mem.read_array(addr, np.uint32, 3000)[-1] == 2999
+    # Above the physical buffer the image is zero, and still bounded by
+    # the logical size in checks and messages.
+    assert mem.load_scalar(mem.size - 4, I32) == 0
+    with pytest.raises(MemoryError_, match=f"of {mem.size}"):
+        mem.load_scalar(mem.size - 3, I32)
+    image = mem.image()
+    assert image.nbytes == mem.size and not image[mem.extent:].any()
+    assert mem.image(addr + 8)[addr:].view(np.uint32).tolist() == [0, 1]
+
+
 def test_scalar_roundtrip_types():
     mem = Memory()
     addr = mem.alloc(64)
@@ -145,7 +178,16 @@ def test_injected_memory_faults_fire_per_site():
 # -- extent-bounded snapshots ----------------------------------------------------------
 
 _OPS = ("alloc", "alloc_array", "scalar", "packed", "scatter", "write_array",
-        "frame", "trap")
+        "read", "frame", "trap")
+
+
+def _eager(size=1 << 22):
+    """A memory whose whole logical image is physical and zeroed up
+    front — what every ``Memory`` was before buffers grew on demand."""
+    mem = Memory(size)
+    mem._grow(size)
+    assert len(mem.data) == size
+    return mem
 
 
 @given(st.data())
@@ -154,71 +196,108 @@ def test_snapshot_restore_matches_an_eager_full_copy(data):
     """Random interleavings of every write path — including stores far
     above the allocator break and alloca-style frames that pop it — then
     ``restore``: the whole image must equal an eager ``data.copy()`` taken
-    at ``snapshot`` time, and the extent invariant must hold throughout."""
-    mem = Memory()
+    at ``snapshot`` time, and the extent invariant must hold throughout.
+
+    Every operation runs in lock-step on a demand-grown memory and on an
+    eagerly zeroed 4 MB one: image, extent and break must never differ,
+    whatever the physical capacity is at the time."""
+    mem, eager = Memory(), _eager()
     size = mem.size
+    assert len(mem.data) <= 64 * 1024
 
     def anywhere(nbytes):
         # Mostly near the live region, sometimes anywhere in the buffer.
         hi = data.draw(st.sampled_from((mem.extent + 4096, size))) - nbytes
         return data.draw(st.integers(16, max(16, min(hi, size - nbytes))))
 
+    def both(fn):
+        assert fn(mem) == fn(eager)
+
+    def frame(m, nbytes):
+        # What every engine does around a call: allocas bump the
+        # break, the frame exit pops it, the bytes stay behind.
+        mark = m._brk
+        addr = m.alloc(nbytes)
+        m.store_scalar(addr, I32, 0xDEAD)
+        m._brk = mark
+
+    def trap(m, addrs):
+        with pytest.raises(MemoryError_):
+            m.scatter(addrs, I32, np.ones(2, np.uint32))
+
     def step():
         op = data.draw(st.sampled_from(_OPS))
         if op == "alloc":
-            mem.alloc(data.draw(st.integers(1, 5000)),
-                      data.draw(st.sampled_from((1, 8, 64))))
+            nbytes = data.draw(st.integers(1, 5000))
+            align = data.draw(st.sampled_from((1, 8, 64)))
+            both(lambda m: m.alloc(nbytes, align))
         elif op == "alloc_array":
-            mem.alloc_array(np.full(data.draw(st.integers(1, 300)), 0xAB,
-                                    np.uint8))
+            array = np.full(data.draw(st.integers(1, 300)), 0xAB, np.uint8)
+            both(lambda m: m.alloc_array(array))
         elif op == "scalar":
-            mem.store_scalar(anywhere(4), I32, data.draw(st.integers(1, 2**31)))
+            addr, value = anywhere(4), data.draw(st.integers(1, 2**31))
+            both(lambda m: m.store_scalar(addr, I32, value))
         elif op == "packed":
             n = data.draw(st.integers(1, 64))
             mask = np.array(data.draw(st.lists(st.booleans(), min_size=n,
                                                max_size=n)))
-            mem.store_packed(anywhere(2 * n), I16,
-                             np.arange(1, n + 1, dtype=np.uint16),
-                             data.draw(st.sampled_from((None, mask))))
+            mask = data.draw(st.sampled_from((None, mask)))
+            addr = anywhere(2 * n)
+            both(lambda m: m.store_packed(
+                addr, I16, np.arange(1, n + 1, dtype=np.uint16), mask))
         elif op == "scatter":
             n = data.draw(st.integers(1, 16))
             addrs = np.array([anywhere(4) for _ in range(n)], dtype=np.uint64)
             mask = np.array(data.draw(st.lists(st.booleans(), min_size=n,
                                                max_size=n)))
-            mem.scatter(addrs, I32, np.arange(1, n + 1, dtype=np.uint32),
-                        data.draw(st.sampled_from((None, mask))))
+            mask = data.draw(st.sampled_from((None, mask)))
+            both(lambda m: m.scatter(
+                addrs, I32, np.arange(1, n + 1, dtype=np.uint32), mask))
         elif op == "write_array":
             n = data.draw(st.integers(1, 500))
-            mem.write_array(anywhere(n), np.full(n, 0xCD, np.uint8))
+            addr = anywhere(n)
+            both(lambda m: m.write_array(addr, np.full(n, 0xCD, np.uint8)))
+        elif op == "read":
+            # Reads may make bytes physical; they must all read as zero
+            # above the extent and never move it.
+            n = data.draw(st.integers(1, 64))
+            addr = anywhere(4 * n)
+            both(lambda m: m.load_packed(addr, I32, n).tolist())
         elif op == "frame":
-            # What every engine does around a call: allocas bump the
-            # break, the frame exit pops it, the bytes stay behind.
-            mark = mem._brk
-            addr = mem.alloc(data.draw(st.integers(1, 2000)))
-            mem.store_scalar(addr, I32, 0xDEAD)
-            mem._brk = mark
+            nbytes = data.draw(st.integers(1, 2000))
+            both(lambda m: frame(m, nbytes))
         else:
-            with pytest.raises(MemoryError_):
-                mem.scatter(np.array([anywhere(4), size], dtype=np.uint64),
-                            I32, np.ones(2, np.uint32))
+            addrs = np.array([anywhere(4), size], dtype=np.uint64)
+            both(lambda m: trap(m, addrs))
+        assert mem.extent == eager.extent and mem._brk == eager._brk
+        assert mem.extent <= len(mem.data) <= size
         assert not mem.data[mem.extent:].any()
+        np.testing.assert_array_equal(mem.image(), eager.data)
 
     for _ in range(data.draw(st.integers(0, 8))):
         step()
-    oracle, oracle_brk = mem.data.copy(), mem._brk
+    oracle, oracle_brk = eager.data.copy(), mem._brk
     snap = mem.snapshot()
     assert len(snap.image) == mem.extent  # the copy is extent-bounded
+    both(lambda m: m.restore(snap))  # a no-op, on either capacity
     for _ in range(data.draw(st.integers(0, 12))):
         step()
-    mem.restore(snap)
-    np.testing.assert_array_equal(mem.data, oracle)
+    both(lambda m: m.restore(snap))
+    np.testing.assert_array_equal(mem.image(), oracle)
+    np.testing.assert_array_equal(eager.data, oracle)
     assert mem._brk == oracle_brk and mem.extent == len(snap.image)
     assert not mem.data[mem.extent:].any()
 
-    # A snapshot restores into any memory of the same size (shard workers).
+    # A snapshot restores into any memory of the same logical size (shard
+    # workers): one whose physical buffer is smaller than the snapshot,
+    # and one that had grown to the very top.
+    small = Memory()
+    small.restore(snap)
+    np.testing.assert_array_equal(small.image(), oracle)
+    assert len(small.data) < size or mem.extent > size // 2
     other = Memory()
     other.store_scalar(size - 8, I32, 7)
     other.restore(snap)
-    np.testing.assert_array_equal(other.data, oracle)
+    np.testing.assert_array_equal(other.image(), oracle)
     with pytest.raises(ValueError):
         Memory(size=4096).restore(snap)
