@@ -15,7 +15,10 @@ compile cache; ``--autotune`` enables the profile-guided batch selector
 (``REPRO_AUTOTUNE=1``) and prints, per kernel, which batch configuration
 it chose and why (pinned profile vs fresh measurement sweep);
 ``--codegen`` prints, per kernel, the compile/cache/bailout activity of
-the whole-kernel codegen engine every run uses.
+the whole-kernel codegen engine every run uses; ``--dump-codegen KERNEL``
+prints the Python source that engine generates for one kernel (under a
+header: lines, values folded at emit time, inline vs ``Memory``-only
+accesses, hoisted bindings by kind) and exits.
 
 ``--telemetry-diff OLD NEW`` compares two telemetry documents PR-over-PR
 (per-pass timing, per-kernel cycles/wall-clock, every counter) and prints
@@ -33,8 +36,9 @@ import json
 import os
 
 from repro import telemetry
-from repro.benchsuite import geomean, run_impl, summarize_telemetry
-from repro.benchsuite.ispc_suite import BENCHMARKS
+from repro.benchsuite import (dump_codegen, geomean, run_impl,
+                              summarize_telemetry)
+from repro.benchsuite.ispc_suite import BENCHMARKS, BY_NAME
 from repro.driver import set_disk_cache
 
 IMPLS = ("scalar", "autovec", "parsimony", "ispc")
@@ -250,6 +254,11 @@ def main():
              "bailout activity",
     )
     parser.add_argument(
+        "--dump-codegen", metavar="KERNEL",
+        help="print the source the codegen engine generates for KERNEL's "
+             "Parsimony build, with its emit-time summary, and exit",
+    )
+    parser.add_argument(
         "--per-function", action="store_true",
         help="with --telemetry: print per-function pass-timing breakdowns; "
              "with --telemetry-diff: diff them",
@@ -272,6 +281,11 @@ def main():
         os.environ["REPRO_AUTOTUNE"] = "1"
     if args.disk_cache:
         set_disk_cache(True)
+    if args.dump_codegen:
+        if args.dump_codegen not in BY_NAME:
+            parser.error(f"unknown kernel: {args.dump_codegen}")
+        print(dump_codegen(BY_NAME[args.dump_codegen]))
+        return
 
     specs = BENCHMARKS
     if args.smoke:

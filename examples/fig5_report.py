@@ -4,11 +4,15 @@ the 72 Simd Library kernels, for hand-written intrinsics, Parsimony, and
 LLVM auto-vectorization (paper §6).
 
     python examples/fig5_report.py [--full] [--telemetry out.json]
-                                  [--disk-cache]
+                                  [--disk-cache] [--dump-codegen KERNEL]
 
 ``--telemetry PATH`` collects pipeline observability — pass timings,
 vectorizer shape/memory-form counters, per-function VM cycle
-attribution — and writes it as structured JSON.
+attribution — and writes it as structured JSON.  ``--dump-codegen
+KERNEL`` prints the Python source the whole-kernel codegen engine
+generates for one kernel (under a header: lines, values folded at emit
+time, inline vs ``Memory``-only accesses, hoisted bindings by kind) and
+exits.
 
 Paper reference points: geomeans 7.91x (hand-written), 7.70x (Parsimony),
 3.46x (auto-vectorization); Parsimony reaches 0.97x of hand-written and
@@ -18,8 +22,9 @@ Paper reference points: geomeans 7.91x (hand-written), 7.70x (Parsimony),
 import argparse
 
 from repro import telemetry
-from repro.benchsuite import geomean, measure_kernel, summarize_telemetry
-from repro.benchsuite.simdlib import KERNELS
+from repro.benchsuite import (dump_codegen, geomean, measure_kernel,
+                              summarize_telemetry)
+from repro.benchsuite.simdlib import BY_NAME, KERNELS
 from repro.driver import set_disk_cache
 
 
@@ -64,10 +69,20 @@ def main():
         "--disk-cache", action="store_true",
         help="enable the persistent on-disk compile cache",
     )
+    parser.add_argument(
+        "--dump-codegen", metavar="KERNEL",
+        help="print the source the codegen engine generates for KERNEL's "
+             "Parsimony build, with its emit-time summary, and exit",
+    )
     args = parser.parse_args()
 
     if args.disk_cache:
         set_disk_cache(True)
+    if args.dump_codegen:
+        if args.dump_codegen not in BY_NAME:
+            parser.error(f"unknown kernel: {args.dump_codegen}")
+        print(dump_codegen(BY_NAME[args.dump_codegen]))
+        return
 
     if args.telemetry:
         with telemetry.collect() as session:

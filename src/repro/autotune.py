@@ -1,11 +1,14 @@
 """``repro.autotune`` — profile-guided batch-factor selection.
 
 The static cost model behind :func:`repro.backend.costmodel.suggest_batch_factor`
-picks a batch factor from the gang size alone, and `BENCH_5.json` showed it
-guessing wrong: gang batching *lost* wall-clock on stencil (0.85×) and
-barely paid on binomial (1.13×) while winning 4–5.5× elsewhere.  This
-module replaces the guess with measured data, goSLP-style: decisions come
-from profiles, not from a shape-blind heuristic.
+picks a batch factor from the gang size and one bit of loop shape — a
+straight-line gang loop aims for 512 lanes, one with a loop in its body
+for 256 — and nothing else; `BENCH_5.json` showed what that leaves out:
+gang batching *lost* wall-clock on stencil (0.85×) and barely paid on
+binomial (1.13×) while winning 4–5.5× elsewhere.  This module replaces
+the guess with measured data, goSLP-style: decisions come from profiles,
+not from a heuristic that cannot see the workload, and a pin always
+overrides the static rule.
 
 How it works
 ------------

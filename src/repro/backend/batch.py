@@ -100,12 +100,13 @@ class BatchReport(dict):
 
 
 def select_batch_factor(gang_size: int, requested: Optional[int] = None,
-                        machine=None) -> int:
+                        machine=None, straight_line: bool = False) -> int:
     """Resolve the batch factor for one gang loop.
 
     ``requested`` comes from ``REPRO_BATCH`` (rounded down to a power of
     two); ``None`` asks the cost model, which honors ``machine``'s
-    register/lane width when one is given.  Returns 1 when batching is not
+    register/lane width when one is given and aims higher for a
+    ``straight_line`` loop body.  Returns 1 when batching is not
     worthwhile.
     """
     if requested is not None:
@@ -115,7 +116,7 @@ def select_batch_factor(gang_size: int, requested: Optional[int] = None,
         while b * 2 <= requested:
             b *= 2
         return b
-    return suggest_batch_factor(gang_size, machine)
+    return suggest_batch_factor(gang_size, machine, straight_line)
 
 
 def batching_request() -> Optional[int]:
@@ -711,7 +712,8 @@ def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport
     for function in list(module.functions.values()):
         if function.spmd is not None or not function.blocks:
             continue  # SPMD variants are bodies, not drivers
-        matches = [gl for loop in find_loops(function)
+        loops = find_loops(function)
+        matches = [gl for loop in loops
                    for gl in [_match_gang_loop(loop)] if gl is not None]
         # Process innermost candidates only: drop any match that contains
         # another matched gang loop.
@@ -727,7 +729,12 @@ def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport
                 rejected.append((function.name, gl.loop.header.name,
                                  f"non-power-of-two gang size {gl.gang}"))
                 continue
-            b = select_batch_factor(gl.gang, requested)
+            # The one bit of loop shape the lane target looks at.
+            straight_line = not any(
+                inner.header is not gl.loop.header
+                and inner.header in gl.loop.blocks for inner in loops)
+            b = select_batch_factor(gl.gang, requested,
+                                    straight_line=straight_line)
             if b < 2:
                 rejected.append((function.name, gl.loop.header.name,
                                  "gang already at the lane target"))

@@ -28,17 +28,21 @@ and what traps replays there:
   from the immediate postdominator.  A trailing single-use scalar
   compare or mask reduction feeding the ``condbr`` folds straight into
   the ``if`` header instead of materializing a 0/1 local;
+* what the emitter already knows is computed once, at emit time (see
+  "Emit-time folding" below), not on every launch;
 * hot scalar ops inline to raw Python expressions
-  (:func:`_inline_expr` — inlined f32 rounding, literal int masks,
-  XOR-sign-bit signed compares) and vector ops to raw numpy expressions
-  (``v34 * v34`` instead of an impl-closure call); everything else calls
-  a pre-resolved :func:`_value_impl` closure.  The whole body runs under
-  a saved/restored ``np.seterr(all="ignore")`` so the inlined forms
-  match the impls' per-call ``errstate`` guards;
+  (:meth:`_Emitter._scalar_expr` — inlined f32 rounding, literal int
+  masks, XOR-sign-bit signed compares and sign extension) and vector ops
+  to raw numpy expressions (``v34 * v34`` instead of an impl-closure
+  call); everything else calls a pre-resolved :func:`_value_impl`
+  closure.  A body that contains a float or an integer-division op runs
+  under a saved/restored ``np.seterr(all="ignore")`` so the inlined
+  forms match the impls' per-call ``errstate`` guards; an integer-only
+  kernel can raise no floating-point flag and gets no ``seterr`` pair;
 * memory accesses are specialized at emit time (see "Memory access"
-  below): dtype, byte count and a constant all-true mask are resolved
-  from the IR, and the in-bounds case runs inline against the
-  interpreter's buffer;
+  below): dtype, byte count and — when the mask is known — which lanes
+  the access needs are resolved by the emitter, and the in-bounds case
+  runs inline against the interpreter's buffer;
 * gang-batched blocks inline their narrow-prototype charging
   (multiplicity × per-item cost) exactly as the reference engine
   interprets it; divergent-loop activity state lives in *specialized
@@ -53,6 +57,12 @@ Accounting contract
 ``ExecStats`` stays bit-identical to the reference engine for every run
 that completes, and the trap-replay protocol covers the rest:
 
+* a block's charges are a **static histogram of its IR**: what the
+  emitter folded, inlined or left to an impl never enters it, so an
+  instruction whose value is known at emit time (and emits no line) is
+  charged exactly like one that runs.  A batched multiplicity that is a
+  literal (``(4,)``: outside every divergent loop) multiplies in at emit
+  time; only a divergent one is resolved at run time;
 * all charges of one basic block merge into a single prologue, and the
   accumulators themselves are **function-local**: cycles (``_cy``),
   instructions (``_ni``), and one integer local per distinct counter key
@@ -109,27 +119,72 @@ merge cannot structure), ``no-terminator`` / ``use-before-def``
 has no narrow-prototype emission), and ``injected-fault`` (fault plans
 must not be double-counted through generated code).
 
+Emit-time folding
+-----------------
+
+The emitter keeps a map of SSA values whose payload it knows
+(:attr:`_Emitter.known`): IR ``Constant`` s, and any ``_COMPUTE_OPS``
+instruction all of whose operands are known.  Such an instruction is
+evaluated once, with its own :func:`_value_impl` closure — the single
+definition of every op the folder evaluates — under
+``errstate(all="ignore")``; the result is hoisted read-only (every
+launch shares it) and no line is emitted.  An evaluation that raises is
+not folded: the instruction is emitted as usual and raises at run time,
+where the replay gives the trap its authoritative text.  Knownness is
+decided from the IR alone; a payload is only built for a constant that
+ends up hoisted or folded with, once per distinct constant.
+
+On top of the map: a ``shuffle`` with a known index binds the
+precomputed ``intp`` selector; a ``gep`` with a known index adds a
+literal byte offset; ``extractelement`` with a known index reads a
+literal lane; a packed access with a known mask resolves which lanes it
+needs (below).  And where several host primitives compute the same
+value the emitter picks the cheapest once: ``count_nonzero`` (the C
+function, :mod:`repro.vm.nputil`) for ``mask_any``/``mask_all``/
+``mask_popcnt`` and folded branch conditions, ``empty`` + ``fill`` for
+``broadcast`` (``np.full`` for 64-bit integer lanes, whose ``fill``
+rejects Python ints >= 2**63 on some numpy versions), no sign extension
+for a 64-bit ``gep`` index (identity modulo 2**64), ``(old OP x) &
+MASK`` for integer ``atomicrmw add/sub/and/or/xor``, and the live view
+instead of a ``.copy()`` for a loaded slice whose only use is an
+``.astype`` cast.
+
+The first body line of every generated source is a comment —
+``# folded=N inline=N slow=N hoisted: kind=N ...`` — that
+``examples/fig5_report.py --dump-codegen KERNEL`` reads back.
+
 Memory access
 -------------
 
 For ``load``/``store``/``atomicrmw`` the emitter resolves the cell's
-``struct`` format from the IR type; for ``vload``/``vstore`` whose mask
-operand is a *constant all-true vector* it resolves lane dtype, lane
-count and byte count.  Both emit one range test and the access itself:
-scalars ``unpack_from``/``pack_into`` the byte buffer
-(``16 <= addr and end <= len(_mem.data)``), packed accesses slice the
-typed view ``_mem.lanes[i]`` (the same test in lane units, plus an
-alignment bit).  Whatever the test rejects — NULL page, out of bounds,
-an address past the physical buffer, a misaligned packed address — and
-every form that is not resolved at emit time (runtime masks, gather,
-scatter, i1 cells) calls the one implementation in
-:class:`~repro.vm.memory.Memory`, which owns trap text, lane order,
-trap-before-any-write, growth and the ``faultinject`` hook; runtime-
-masked packed accesses still pass a pre-resolved dtype
-(``load_lanes``/``store_lanes``) and gather/scatter under a constant
-all-true mask pass ``None`` for it.  The inline paths skip the fault
-hook: generated code runs only under ``Interpreter._run_replayable``,
-which ``Interpreter.run`` never enters while a fault plan is armed.
+``struct`` format from the IR type and emits one range test and the
+access itself: ``unpack_from``/``pack_into`` on the byte buffer under
+``16 <= addr and end <= len(_mem.data)``.
+
+For ``vload``/``vstore`` it resolves lane dtype and count, and — when
+the mask is *known* (a constant, or folded from constants) — how many
+lanes are active, ``needed`` (one past the last active lane: bounds are
+only required up to there, as in :class:`~repro.vm.memory.Memory`) and
+whether there are holes below it.  The access is one range test in lane
+units over ``needed`` lanes plus an alignment bit, then a slice of the
+typed view ``_mem.lanes[i]``: all lanes → slice copy / slice assign; a
+prefix → ``zeros`` + slice assign / ``values[:needed]``; holes →
+``copyto(..., where=KEEP)`` with the hoisted keep-vector; no active
+lane → ``zeros`` / nothing at all, the address never validated.  A
+*runtime* mask joins the range test (``count_nonzero(mask) == count``)
+and takes the all-active form.
+
+Whatever the test rejects — NULL page, out of bounds, an address past
+the physical buffer, a misaligned packed address, a runtime mask with
+a lane clear — and every form that is not resolved at emit time
+(gather, scatter, i1 cells) calls the one implementation in
+:class:`~repro.vm.memory.Memory`, with the *original* mask: it owns
+trap text, lane order, trap-before-any-write, growth and the
+``faultinject`` hook (``load_lanes``/``store_lanes`` take a pre-resolved
+dtype; gather/scatter under a known all-true mask pass ``None`` for
+it).  The inline paths skip the fault hook: generated code runs only
+under ``Interpreter._run_replayable``, which ``Interpreter.run`` never
+enters while a fault plan is armed.
 
 Caching and ownership
 ---------------------
@@ -167,6 +222,7 @@ profiles name the kernel and tracebacks show the emitted line.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import linecache
 import struct
@@ -199,6 +255,7 @@ from ..vm.interp import (
 from ..vm.memory import LANE_DTYPES, NULL_GUARD
 from ..vm.nputil import (
     as_unsigned,
+    count_nonzero,
     elem_dtype,
     mask_int,
     signed_dtype,
@@ -277,8 +334,9 @@ _CELL_FORMAT = {"u1": "=B", "u2": "=H", "u4": "=I", "u8": "=Q",
                 "f4": "=f", "f8": "=d"}
 
 #: Vector-op inline templates.  Each form must be bit-identical to the
-#: corresponding ops.py impl *under* ``np.seterr(all="ignore")`` — the
-#: generated function installs that errstate for its whole body, exactly
+#: corresponding ops.py impl *under* ``np.seterr(all="ignore")`` — a
+#: generated function that can raise a floating-point flag at all
+#: (:data:`_FP_FLAG_OPS`) installs that errstate for its whole body, exactly
 #: covering the per-call ``errstate`` guards the impls carry.
 _VEC_FBIN = {"fadd": "+", "fsub": "-", "fmul": "*", "fdiv": "/"}
 _VEC_IBIN = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
@@ -308,12 +366,36 @@ _CMP_S = {"slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
 #: NOT inlinable: Python ``nan != x`` is True but the reference returns 0).
 _SCALAR_FCMP = {"oeq": "==", "olt": "<", "ole": "<=", "ogt": ">", "oge": ">="}
 
+#: Opcodes whose host evaluation can raise a numpy floating-point flag:
+#: float arithmetic, the compares and casts that consume or produce
+#: floats, integer division (divide by zero), and reductions (when over
+#: float lanes).  Moves of floats — loads, shuffles, selects, phis —
+#: raise none.
+_FP_FLAG_OPS = FLOAT_BINOPS | REDUCE_OPS | frozenset(
+    ("fneg", "fabs", "fsqrt", "fma", "fcmp", "fptosi", "fptoui", "sitofp",
+     "uitofp", "fptrunc", "fpext", "sdiv", "udiv", "srem", "urem"))
+
 #: Scalar opcodes the emitter writes as raw Python expressions instead of
 #: impl-callable invocations.  Each template must reproduce the
-#: corresponding ops.py impl bit-for-bit — see :func:`_inline_expr`.
+#: corresponding ops.py impl bit-for-bit — see
+#: :meth:`_Emitter._scalar_expr`.
 _INLINE_FBIN = {"fadd": "+", "fsub": "-", "fmul": "*"}
 _INLINE_IBIN = {"add": "+", "sub": "-", "mul": "*"}
 _INLINE_IBIT = {"and": "&", "or": "|", "xor": "^"}
+
+
+def _int_binop_expr(op: str, bits: int, a: str, b: str) -> Optional[str]:
+    """A scalar integer ``add``/``sub``/``mul``/``and``/``or``/``xor`` on
+    canonical unsigned operands as a Python expression (``None`` for any
+    other opcode): arithmetic masks back to ``bits``, bitwise forms cannot
+    leave the range."""
+    sym = _INLINE_IBIN.get(op)
+    if sym is not None:
+        return f"(({a} {sym} {b}) & {(1 << bits) - 1:#x})"
+    sym = _INLINE_IBIT.get(op)
+    if sym is not None:
+        return f"({a} {sym} {b})"
+    return None
 
 
 class CodegenBailout(Exception):
@@ -428,101 +510,13 @@ def _value_impl(instr: Instruction):
     if op in REDUCE_OPS:
         return lambda v: reduce_lanes(op, instr, v)
     if op == "mask_any":
-        return lambda m: 1 if bool(m.any()) else 0
+        return lambda m: 1 if count_nonzero(m) else 0
     if op == "mask_all":
-        return lambda m: 1 if bool(m.all()) else 0
+        return lambda m: 1 if count_nonzero(m) == len(m) else 0
     if op == "mask_popcnt":
-        return lambda m: int(m.sum())
+        return lambda m: int(count_nonzero(m))
 
     raise NotImplementedError(f"codegen: opcode {op}")
-
-
-def _inline_expr(instr: Instruction, argrefs, hoist):
-    """Emit a scalar op as a plain expression, or ``None`` to fall back.
-
-    Skips the impl-lambda call layer (and for f32 floats the
-    round_float wrapper) for the ops that dominate benchsuite
-    dispatch.  Every template is bit-identical to the ops.py impl;
-    vectors and anything subtle (shifts, division, signed-overflowing
-    casts to float, ...) fall back to :func:`_value_impl`.
-    """
-    op = instr.opcode
-    t = instr.type
-    if isinstance(t, VectorType):
-        return None
-    # Mask reductions: scalar-typed with one vector operand; they gate
-    # every divergent-loop backedge, so skipping the closure layer
-    # matters.  Same truthiness as the _value_impl lambdas.
-    if op == "mask_any":
-        return f"(1 if {argrefs[0]}.any() else 0)"
-    if op == "mask_all":
-        return f"(1 if {argrefs[0]}.all() else 0)"
-    if op == "mask_popcnt":
-        # Hoisted: generated code runs with empty __builtins__.
-        i = hoist(int, key=("b", "int"))
-        return f"{i}({argrefs[0]}.sum())"
-    sym = _INLINE_FBIN.get(op)
-    if sym is not None and isinstance(t, FloatType):
-        a, b = argrefs
-        if t.bits == 32:
-            cf = hoist(_c_float, key=("cf",))
-            return f"{cf}({a} {sym} {b}).value"
-        return f"({a} {sym} {b})"
-    if isinstance(t, IntType):
-        sym = _INLINE_IBIN.get(op)
-        if sym is not None:
-            a, b = argrefs
-            mask = (1 << t.bits) - 1
-            return f"(({a} {sym} {b}) & {mask:#x})"
-        sym = _INLINE_IBIT.get(op)
-        if sym is not None:
-            a, b = argrefs
-            return f"({a} {sym} {b})"
-    if op in ("icmp", "fcmp"):
-        src_t = instr.operands[0].type
-        if isinstance(src_t, VectorType):
-            return None
-        pred = instr.attrs["pred"]
-        a, b = argrefs
-        if op == "fcmp":
-            sym = _SCALAR_FCMP.get(pred)
-            return None if sym is None else f"(1 if {a} {sym} {b} else 0)"
-        sym = _CMP_U.get(pred)
-        if sym is not None:
-            return f"(1 if {a} {sym} {b} else 0)"
-        sym = _CMP_S.get(pred)
-        if sym is not None:
-            # XOR with the sign bit maps two's-complement order onto
-            # unsigned order, so no to_signed() calls are needed.
-            sb = 1 << (getattr(src_t, "bits", 64) - 1)
-            return f"(1 if ({a} ^ {sb:#x}) {sym} ({b} ^ {sb:#x}) else 0)"
-        return None
-    if op == "select" and not isinstance(instr.operands[0].type, VectorType):
-        c, a, b = argrefs
-        return f"({a} if {c} else {b})"
-    if op == "gep":
-        base, idx = argrefs
-        bits = instr.operands[1].type.bits
-        esize = t.pointee.size_bytes()
-        ts = hoist(to_signed, key=("ts",))
-        return (
-            f"(({base} + {ts}({idx}, {bits}) * {esize})"
-            " & 0xffffffffffffffff)"
-        )
-    if op in ("trunc", "zext", "sext") and isinstance(t, IntType):
-        src_t = instr.operands[0].type
-        if not isinstance(src_t, IntType):
-            return None
-        (v,) = argrefs
-        if op == "zext":
-            return v
-        if op == "trunc":
-            mask = (1 << t.bits) - 1
-            return f"({v} & {mask:#x})"
-        sb = 1 << (src_t.bits - 1)
-        mask = (1 << t.bits) - 1
-        return f"((({v} ^ {sb:#x}) - {sb:#x}) & {mask:#x})"
-    return None
 
 
 def _postdominators(function: Function) -> Dict[BasicBlock, object]:
@@ -626,7 +620,7 @@ class _Emitter:
 
     def __init__(self, function: Function, machine, cost_model):
         self.machine = machine
-        self._cost = lambda ins: cost_model.cost(ins, machine)
+        self._cost = functools.partial(cost_model.cost, machine=machine)
         self.fn = function
         self.fn_batched = bool(function.attrs.get("batched"))
         self.lines: List[str] = []
@@ -642,6 +636,18 @@ class _Emitter:
         #: An internal call was emitted: the prologue binds ``_exec``.
         self.calls_internal = False
         self._memo: Dict[object, str] = {}
+        #: ``id(value)`` → payload known at emit time (see "Emit-time
+        #: folding"): folded instructions, and constants once something
+        #: asked for their payload.  Knownness itself never builds one;
+        #: identity keys spare constants their by-value hash and compare.
+        self.known: Dict[int, object] = {}
+        self.folded = 0
+        #: Inline / ``Memory``-only access sites, for the source header.
+        self.inline_sites = 0
+        self.slow_sites = 0
+        #: Something emitted can raise a numpy floating-point flag (see
+        #: :data:`_FP_FLAG_OPS`): the body needs ``np.seterr(all="ignore")``.
+        self.raises_fp_flags = False
         #: Stack of open Python loops (innermost last).
         self.open: List[_LoopFrame] = []
         self.open_headers: Set[BasicBlock] = set()
@@ -775,6 +781,13 @@ class _Emitter:
     def _np(self, fn) -> str:
         return self.hoist(fn, key=("np", fn.__name__))
 
+    def _cnz(self) -> str:
+        return self.hoist(count_nonzero, key=("np", "count_nonzero"))
+
+    def _int(self) -> str:
+        # Hoisted: generated code runs with empty __builtins__.
+        return self.hoist(int, key=("b", "int"))
+
     def _dtype(self, elem) -> str:
         dt = elem_dtype(elem)
         return self.hoist(dt, key=("dt", dt.str))
@@ -788,12 +801,24 @@ class _Emitter:
             name = self.names[instr] = f"v{len(self.names)}"
         return name
 
+    def is_known(self, v: Value) -> bool:
+        return isinstance(v, Constant) or id(v) in self.known
+
+    def payload(self, v: Value):
+        """Emit-time payload of a known value (one per constant)."""
+        value = self.known.get(id(v))
+        if value is None:
+            value = self.known[id(v)] = _constant_payload(v)
+        return value
+
     def ref(self, v: Value) -> str:
+        if isinstance(v, Constant):  # before ``names`` hashes it by value
+            return self.hoist(self.payload(v), key=("c", id(v)))
         name = self.names.get(v)
         if name is not None:
             return name
-        if isinstance(v, Constant):
-            return self.hoist(_constant_payload(v), key=("c", id(v)))
+        if id(v) in self.known:
+            return self.hoist(self.known[id(v)], key=("k", id(v)))
         if isinstance(v, UndefValue):
             return self.hoist(_undef_payload(v.type), key=("u", id(v)))
         if getattr(v, "opcode", None) == "phi":
@@ -865,9 +890,17 @@ class _Emitter:
         # Divergent-multiplicity groups: spec -> [cycles/_m, instrs/_m, counts/_m]
         groups: Dict[tuple, list] = {}
         for ins in block.instructions:
+            if ins.opcode in _FP_FLAG_OPS and (
+                ins.opcode not in REDUCE_OPS
+                or ins.operands[0].type.elem.is_float
+            ):
+                # This walk is the one that visits every instruction.
+                self.raises_fp_flags = True
             if self.fn_batched and "batch_mult" in ins.attrs:
                 items = batch_charge_items(ins, self.machine, cost)
                 spec = ins.attrs["batch_mult"]
+                if isinstance(spec, tuple) and isinstance(spec[0], int):
+                    spec = spec[0]  # outside every divergent loop: literal B
                 if isinstance(spec, int):
                     m = spec
                     if m:
@@ -906,7 +939,7 @@ class _Emitter:
             self.line(f"{self._count_local(key)} += {n}")
         for spec, (gcycles, ginstrs, gcounts) in groups.items():
             mref = self._mult_expr(spec)
-            if not mref.isidentifier() and not mref.isdigit():
+            if not mref.isidentifier():
                 self.line(f"_m = {mref}")
                 mref = "_m"
             self.line(f"if {mref}:")
@@ -928,7 +961,7 @@ class _Emitter:
     def _vec_expr(self, ins, argrefs) -> Optional[str]:
         """Emit a vector op as a raw numpy expression, or ``None``.
 
-        The vector analogue of the scalar :func:`_inline_expr`: every
+        The vector analogue of :meth:`_scalar_expr`: every
         template is the exact expression the ops.py impl evaluates
         (the per-call ``errstate`` guards are covered by the generated
         function's body-wide ``np.seterr(all="ignore")``); anything
@@ -1015,13 +1048,11 @@ class _Emitter:
         if op == "fma":
             a, b, c = argrefs
             return f"({a} * {b} + {c})"
-        if op == "broadcast":
-            return (
-                f"{self._np(np.full)}({t.count}, {argrefs[0]},"
-                f" {self._dtype(elem)})"
-            )
         if op == "shuffle":
             n = ins.operands[0].type.count
+            index = ins.operands[1]
+            if self.is_known(index):
+                return f"{argrefs[0]}[{self._selector(index, n)}]"
             i64 = self.hoist(np.int64, key=("np", "int64"))
             return f"{argrefs[0]}[{argrefs[1]}.astype({i64}) % {n}]"
         if op in _VEC_CAST_ASTYPE or op in ("bitcast", "sext", "sitofp"):
@@ -1048,9 +1079,168 @@ class _Emitter:
             return f"{v}.astype({dt})"
         return None
 
+    def _scalar_expr(self, instr: Instruction, argrefs) -> Optional[str]:
+        """Emit a scalar op as a plain expression, or ``None`` to fall back.
+
+        Skips the impl-lambda call layer (and for f32 floats the
+        round_float wrapper) for the ops that dominate benchsuite
+        dispatch.  Every template is bit-identical to the ops.py impl;
+        vectors and anything subtle (shifts, division, signed-overflowing
+        casts to float, ...) fall back to :func:`_value_impl`.
+        """
+        op = instr.opcode
+        t = instr.type
+        if isinstance(t, VectorType):
+            return None
+        # Mask reductions: scalar-typed with one vector operand; they gate
+        # every divergent-loop backedge, so skipping the closure layer
+        # matters.  Same values as the _value_impl lambdas.
+        if op == "mask_any":
+            return f"(1 if {self._cnz()}({argrefs[0]}) else 0)"
+        if op == "mask_all":
+            n = instr.operands[0].type.count
+            return f"(1 if {self._cnz()}({argrefs[0]}) == {n} else 0)"
+        if op == "mask_popcnt":
+            return f"{self._int()}({self._cnz()}({argrefs[0]}))"
+        if op == "extractelement":
+            lane = instr.operands[1]
+            if not self.is_known(lane):
+                return None
+            k = int(self.payload(lane)) % instr.operands[0].type.count
+            conv = self.hoist(float, key=("b", "float")) if t.is_float \
+                else self._int()
+            return f"{conv}({argrefs[0]}[{k}])"
+        sym = _INLINE_FBIN.get(op)
+        if sym is not None and isinstance(t, FloatType):
+            a, b = argrefs
+            if t.bits == 32:
+                cf = self.hoist(_c_float, key=("cf",))
+                return f"{cf}({a} {sym} {b}).value"
+            return f"({a} {sym} {b})"
+        if isinstance(t, IntType) and len(argrefs) == 2:
+            expr = _int_binop_expr(op, t.bits, *argrefs)
+            if expr is not None:
+                return expr
+        if op in ("icmp", "fcmp"):
+            src_t = instr.operands[0].type
+            if isinstance(src_t, VectorType):
+                return None
+            pred = instr.attrs["pred"]
+            a, b = argrefs
+            if op == "fcmp":
+                sym = _SCALAR_FCMP.get(pred)
+                return None if sym is None else f"(1 if {a} {sym} {b} else 0)"
+            sym = _CMP_U.get(pred)
+            if sym is not None:
+                return f"(1 if {a} {sym} {b} else 0)"
+            sym = _CMP_S.get(pred)
+            if sym is not None:
+                # XOR with the sign bit maps two's-complement order onto
+                # unsigned order, so no to_signed() calls are needed.
+                sb = 1 << (getattr(src_t, "bits", 64) - 1)
+                return f"(1 if ({a} ^ {sb:#x}) {sym} ({b} ^ {sb:#x}) else 0)"
+            return None
+        if op == "select" and not isinstance(instr.operands[0].type, VectorType):
+            c, a, b = argrefs
+            return f"({a} if {c} else {b})"
+        if op == "gep":
+            return self._gep_expr(instr, *argrefs)
+        if op in ("trunc", "zext", "sext") and isinstance(t, IntType):
+            src_t = instr.operands[0].type
+            if not isinstance(src_t, IntType):
+                return None
+            (v,) = argrefs
+            if op == "zext":
+                return v
+            if op == "trunc":
+                mask = (1 << t.bits) - 1
+                return f"({v} & {mask:#x})"
+            sb = 1 << (src_t.bits - 1)
+            mask = (1 << t.bits) - 1
+            return f"((({v} ^ {sb:#x}) - {sb:#x}) & {mask:#x})"
+        return None
+
+    def _gep_expr(self, instr: Instruction, base: str, idx: str) -> str:
+        """``(base + signed(idx) * esize) mod 2**64``, with what the index
+        type and value already decide left out: a known index is a literal
+        byte offset; a 64-bit one needs no sign extension (the sum is
+        masked to 64 bits anyway); a narrower one extends by XOR/subtract
+        of its sign bit."""
+        index = instr.operands[1]
+        bits = index.type.bits
+        esize = instr.type.pointee.size_bytes()
+        if self.is_known(index):
+            off = repr(to_signed(self.payload(index), bits) * esize)
+        else:
+            if bits == 64:
+                off = idx
+            else:
+                sb = 1 << (bits - 1)
+                off = f"(({idx} ^ {sb:#x}) - {sb:#x})"
+            if esize != 1:
+                off = f"{off} * {esize}"
+        return f"(({base} + {off}) & 0xffffffffffffffff)"
+
+    def _selector(self, index: Value, n: int) -> str:
+        """The ``intp`` selector a ``shuffle`` impl would derive from a
+        known index vector on every launch, hoisted once."""
+        lanes = self.payload(index)
+        key = ("sel", id(lanes), n)
+        name = self._memo.get(key)
+        if name is None:
+            sel = (lanes.astype(np.int64) % n).astype(np.intp, copy=False)
+            sel.setflags(write=False)
+            name = self.hoist(sel, key=key)
+        return name
+
+    def _emit_broadcast(self, ins: Instruction, scalar: str) -> None:
+        """``np.full`` is ``empty`` + a generic ``copyto``; ``fill`` is the
+        same store at under half the dispatch.  64-bit integer lanes keep
+        ``np.full``: ``fill`` rejects Python ints >= 2**63 on numpy
+        versions whose ``np.full`` takes them."""
+        t = ins.type
+        dtype = elem_dtype(t.elem)
+        dst = self.name_of(ins)
+        if dtype.kind == "u" and dtype.itemsize == 8:
+            self.line(f"{dst} = {self._np(np.full)}({t.count}, {scalar},"
+                      f" {self._dtype(t.elem)})")
+        else:
+            self.line(f"{dst} = {self._np(np.empty)}({t.count},"
+                      f" {self._dtype(t.elem)})")
+            self.line(f"{dst}.fill({scalar})")
+
+    def _fold(self, ins: Instruction) -> bool:
+        """Evaluate ``ins``, whose operands are all known, now: the value
+        joins :attr:`known` (arrays read-only: every launch will share it)
+        and no line is emitted.  The block's charge prologue still counts
+        the instruction.  Evaluation goes through the instruction's own
+        :func:`_value_impl` under the errstate generated code runs in
+        (:meth:`emit` installs it around the whole walk); an evaluation
+        that raises (a trapping division by a zero lane, an overflow) is
+        left to run time, which raises it there."""
+        try:
+            value = _value_impl(ins)(*map(self.payload, ins.operands))
+        except Exception:
+            return False
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        self.known[id(ins)] = value
+        self.folded += 1
+        return True
+
     def emit_compute(self, ins) -> None:
+        known = self.known
+        for o in ins.operands:  # the common answer is "no", on the first
+            if not isinstance(o, Constant) and id(o) not in known:
+                break
+        else:
+            if self._fold(ins):
+                return
         argrefs = [self.ref(o) for o in ins.operands]
-        expr = _inline_expr(ins, argrefs, self.hoist)
+        if ins.opcode == "broadcast":
+            self._emit_broadcast(ins, argrefs[0])
+            return
+        expr = self._scalar_expr(ins, argrefs)
         if expr is None:
             expr = self._vec_expr(ins, argrefs)
         if expr is None:
@@ -1060,12 +1250,32 @@ class _Emitter:
 
     # -- memory access (see "Memory access" in the module docstring) -------------
 
-    def _all_true(self, mask: Value) -> bool:
-        """The mask operand is a constant vector with every lane set."""
-        return isinstance(mask, Constant) and all(mask.value)
+    def _mask_lanes(self, mask: Value) -> Optional[Tuple[int, int]]:
+        """``(active, needed)`` of a mask known at emit time — how many
+        lanes are set, and one past the last set lane — or ``None`` for a
+        runtime mask.  Reads a constant's lanes without building its
+        payload."""
+        if isinstance(mask, Constant):
+            lanes = mask.value
+        elif id(mask) in self.known:
+            lanes = self.known[id(mask)].tolist()
+        else:
+            return None
+        count = len(lanes)
+        if all(lanes):
+            return count, count
+        needed = count
+        while needed and not lanes[needed - 1]:
+            needed -= 1
+        return count - lanes.count(0), needed
 
-    def _mask_ref(self, mask: Value) -> str:
-        return "None" if self._all_true(mask) else self.ref(mask)
+    def _mask_ref(self, mask: Value, lanes) -> str:
+        """The mask argument of a ``Memory`` call, given
+        :meth:`_mask_lanes` of it: ``None`` when every lane is known to
+        be set."""
+        if lanes is not None and lanes[0] == mask.type.count:
+            return "None"
+        return self.ref(mask)
 
     def emit_memory(self, ins) -> None:
         op = ins.opcode
@@ -1086,25 +1296,32 @@ class _Emitter:
                 # The decoded engine raises the VMTrap for it.
                 raise CodegenBailout("atomicrmw-op")
             t = ops[1].type
-            impl = self.hoist(scalar_binop_impl(rmw, t), key=("rmw", rmw, id(t)))
-            self._emit_cell(
-                ins, t, self.ref(ops[0]),
-                store=f"{impl}({self.name_of(ins)}, {self.ref(ops[1])})",
-            )
+            old, x = self.name_of(ins), self.ref(ops[1])
+            new = _int_binop_expr(rmw, t.bits, old, x) \
+                if isinstance(t, IntType) else None
+            if new is None:
+                impl = self.hoist(scalar_binop_impl(rmw, t),
+                                  key=("rmw", rmw, id(t)))
+                new = f"{impl}({old}, {x})"
+            self._emit_cell(ins, t, self.ref(ops[0]), store=new)
         elif op == "vload":
             self._emit_packed(ins, ins.type, self.ref(ops[0]), ops[1])
         elif op == "vstore":
             self._emit_packed(ins, ops[0].type, self.ref(ops[1]), ops[2],
                               store=self.ref(ops[0]))
         elif op == "gather":
+            self.slow_sites += 1
             self.line(
                 f"{self.name_of(ins)} = _mem.gather({self.ref(ops[0])},"
-                f" {self._type(ins.type.elem)}, {self._mask_ref(ops[1])})"
+                f" {self._type(ins.type.elem)},"
+                f" {self._mask_ref(ops[1], self._mask_lanes(ops[1]))})"
             )
         else:  # scatter
+            self.slow_sites += 1
             self.line(
                 f"_mem.scatter({self.ref(ops[1])}, {self._type(ops[0].type.elem)},"
-                f" {self.ref(ops[0])}, {self._mask_ref(ops[2])})"
+                f" {self.ref(ops[0])},"
+                f" {self._mask_ref(ops[2], self._mask_lanes(ops[2]))})"
             )
 
     def _emit_cell(self, ins, t, addr: str, store: Optional[str] = None) -> None:
@@ -1121,9 +1338,11 @@ class _Emitter:
             slow.append(f"_mem.store_scalar({addr}, {tref}, {store})")
         fmt = _CELL_FORMAT.get(elem_dtype(t).str[1:])
         if fmt is None:
+            self.slow_sites += 1
             for text in slow:
                 self.line(text)
             return
+        self.inline_sites += 1
         cell = struct.Struct(fmt)
         ln = self.hoist(len, key=("b", "len"))
         self.line("_d = _mem.data")
@@ -1147,43 +1366,87 @@ class _Emitter:
 
     def _emit_packed(self, ins, vtype, addr: str, mask: Value,
                      store: Optional[str] = None) -> None:
-        """``vload`` (``store`` is None) or ``vstore``.  Under a constant
-        all-true mask: one range test in lane units, then a slice of the
-        typed view; otherwise the masked implementation in ``Memory``,
-        with the dtype already resolved."""
+        """``vload`` (``store`` is None) or ``vstore``: one range test in
+        lane units over the lanes the access needs, then a slice of the
+        typed view.  A mask known at emit time decides ``needed`` (one
+        past its last active lane), whether there are holes below it, and
+        whether there is an access at all; a runtime mask joins the test
+        (``count_nonzero(mask) == count``) and takes the all-active form.
+        Whatever the test rejects calls ``Memory`` with the original
+        mask."""
         dtype = elem_dtype(vtype.elem)
         dt = self._dtype(vtype.elem)
         count = vtype.count
+        lanes = self._mask_lanes(mask)
+        active, needed = lanes if lanes is not None else (count, count)
+        mref = self._mask_ref(mask, lanes)
         if store is None:
             dst = self.name_of(ins)
-            slow = f"{dst} = _mem.load_lanes({addr}, {dt}, {count}, %s)"
+            slow = f"{dst} = _mem.load_lanes({addr}, {dt}, {count}, {mref})"
         else:
-            slow = f"_mem.store_lanes({addr}, {dt}, {store}, %s)"
-        if not self._all_true(mask):
-            self.line(slow % self.ref(mask))
+            slow = f"_mem.store_lanes({addr}, {dt}, {store}, {mref})"
+        self.inline_sites += 1
+        if not needed:
+            # No active lane: the address is never validated.
+            if store is None:
+                self.line(f"{dst} = {self._np(np.zeros)}({count}, {dt})")
             return
         shift = dtype.itemsize.bit_length() - 1
         ln = self.hoist(len, key=("b", "len"))
-        self.line(f"_w = _mem.lanes[{_LANE_INDEX[dtype]}]")
+        test = f"_i < {NULL_GUARD >> shift} or _i + {needed} > {ln}(_w)"
         if shift:
-            self.line(f"_i = {addr} >> {shift}")
-            bad = f"{addr} & {dtype.itemsize - 1} or "
+            test = f"{addr} & {dtype.itemsize - 1} or {test}"
+        if lanes is None:
+            test += f" or {self._cnz()}({mref}) != {count}"
+        span = f"_w[_i:_i + {needed}]"
+        part = "" if needed == count else f"[:{needed}]"
+        keep = None
+        if active != needed:  # holes below the last active lane
+            whole = self.payload(mask)
+            keep = whole[:needed].copy()
+            keep.setflags(write=False)
+            keep = self.hoist(keep, key=("keep", id(whole)))
+        if store is not None:
+            inline = [f"_e = {addr} + {needed * dtype.itemsize}",
+                      "if _e > _mem._extent:",
+                      "    _mem._extent = _e",
+                      f"{span} = {store}{part}" if keep is None else
+                      f"{self._np(np.copyto)}({span}, {store}{part},"
+                      f" where={keep})"]
+        elif not part and keep is None:
+            copy = "" if self._cast_copies(ins) else ".copy()"
+            inline = [f"{dst} = {span}{copy}"]
         else:
-            self.line(f"_i = {addr}")
-            bad = ""
-        first = NULL_GUARD >> shift
-        self.line(f"if {bad}_i < {first} or _i + {count} > {ln}(_w):")
-        self.line("    " + slow % "None")
-        self.line("else:")
-        self.indent += 1
-        if store is None:
-            self.line(f"{dst} = _w[_i:_i + {count}].copy()")
-        else:
-            self.line(f"_e = {addr} + {count * dtype.itemsize}")
-            self.line("if _e > _mem._extent:")
-            self.line("    _mem._extent = _e")
-            self.line(f"_w[_i:_i + {count}] = {store}")
-        self.indent -= 1
+            inline = [f"{dst} = {self._np(np.zeros)}({count}, {dt})",
+                      f"{dst}{part} = {span}" if keep is None else
+                      f"{self._np(np.copyto)}({dst}{part}, {span},"
+                      f" where={keep})"]
+        pad = "    " * self.indent
+        self.lines += [
+            f"{pad}_w = _mem.lanes[{_LANE_INDEX[dtype]}]",
+            f"{pad}_i = {addr} >> {shift}" if shift else f"{pad}_i = {addr}",
+            f"{pad}if {test}:",
+            f"{pad}    {slow}",
+            f"{pad}else:",
+        ]
+        pad += "    "
+        self.lines += [pad + text for text in inline]
+
+    def _cast_copies(self, load: Instruction) -> bool:
+        """The loaded slice's only use is an ``.astype`` cast later in the
+        same block with no store or call in between: the cast makes the
+        copy, so the load may hand it the live view."""
+        uses = load.uses
+        if len(uses) != 1:
+            return False
+        user = uses[0][0]
+        if not (isinstance(user, Instruction) and user.parent is load.parent
+                and user.opcode in _VEC_CAST_ASTYPE):
+            return False
+        block = load.parent.instructions
+        between = block[block.index(load) + 1:block.index(user)]
+        return all(i.opcode in _COMPUTE_OPS or i.opcode == "vload"
+                   for i in between)
 
     def emit_call(self, ins) -> None:
         callee = ins.operands[0]
@@ -1213,8 +1476,8 @@ class _Emitter:
         (specializing :func:`gang_activity_count`)."""
         mask = self.ref(ins.operands[0])
         lid, batch = ba[0], ba[1]
-        i_ = self.hoist(int, key=("b", "int"))
-        expr = f"{i_}({mask}.reshape({batch}, -1).any(axis=1).sum())"
+        expr = (f"{self._int()}({self._cnz()}("
+                f"{mask}.reshape({batch}, -1).any(axis=1)))")
         p = self.lid_pend.get(lid)
         if p is not None:
             self.line(f"{p} = {expr}")
@@ -1397,12 +1660,13 @@ class _Emitter:
                 self.emit_pend(cond, ba)
                 p = self.lid_pend.get(ba[0])
                 return p if p is not None else f"_pend[{ba[0]!r}]"
-            return f"{self.ref(cond.operands[0])}.any()"
+            return f"{self._cnz()}({self.ref(cond.operands[0])})"
         if op == "mask_all":
             ba = cond.attrs.get("batch_activity") if self.fn_batched else None
             if ba is not None:  # pragma: no cover - activity sits on mask_any
                 self.emit_pend(cond, ba)
-            return f"{self.ref(cond.operands[0])}.all()"
+            n = cond.operands[0].type.count
+            return f"{self._cnz()}({self.ref(cond.operands[0])}) == {n}"
         pred = cond.attrs["pred"]
         a = self.ref(cond.operands[0])
         b = self.ref(cond.operands[1])
@@ -1463,8 +1727,9 @@ class _Emitter:
             if term.operands:
                 v = term.operands[0]
                 r = self.ref(v)
-                if isinstance(v, (Constant, UndefValue)) and isinstance(
-                    v.type, VectorType
+                if isinstance(v.type, VectorType) and (
+                    isinstance(v, (Constant, UndefValue))
+                    or id(v) in self.known
                 ):
                     # Shared constant payloads must not leak to callers
                     # who may mutate the returned array.
@@ -1599,11 +1864,11 @@ class _Emitter:
         size = sum(len(b.instructions) for b in fn.blocks)
         if size > MAX_CODEGEN_INSTRS:
             raise CodegenBailout("function-too-large")
-        seterr = self.hoist(np.seterr, key=("np", "seterr"))
-        self.emit_from(fn.entry, None)
+        with np.errstate(all="ignore"):  # as generated code will run
+            self.emit_from(fn.entry, None)
         body: List[str] = []
         for text in self.lines:
-            if text.lstrip() != _FLUSH:
+            if _FLUSH not in text:
                 body.append(text)
                 continue
             # Internal-call flush: push the local accumulators into
@@ -1647,22 +1912,32 @@ class _Emitter:
             else:
                 head.append("    _act = {}")
                 head.append("    _pend = {}")
-        head.append(f"    _es = {seterr}(all='ignore')")
+        tail = ["    finally:", "        _mem._brk = _mk"]
+        if self.raises_fp_flags:
+            # The inlined forms rely on the errstate the impls install
+            # per call; integer-only kernels have nothing to silence.
+            seterr = self.hoist(np.seterr, key=("np", "seterr"))
+            head.append(f"    _es = {seterr}(all='ignore')")
+            tail.append(f"        {seterr}(**_es)")
         head.append("    try:")
-        tail = [
-            "    finally:",
-            "        _mem._brk = _mk",
-            f"        {seterr}(**_es)",
-            "        _s.cycles += _cy",
-            "        _s.instructions += _ni",
-        ]
+        tail += ["        _s.cycles += _cy", "        _s.instructions += _ni"]
         for key, name in self.count_locals.items():
             tail.append(f"        if {name}:")
             tail.append(f"            _c[{key!r}] = _c.get({key!r}, 0) + {name}")
         params = ", ".join(f"{k}={k}" for k in self.hoisted)
+        kinds: Dict[str, int] = {}
+        for key in self._memo:
+            kind = key[0] if isinstance(key, tuple) else "obj"
+            kinds[kind] = kinds.get(kind, 0) + 1
+        # What --dump-codegen (examples/fig*_report.py) reads back.
+        summary = (
+            f"    # folded={self.folded} inline={self.inline_sites}"
+            f" slow={self.slow_sites} hoisted: "
+            + " ".join(f"{k}={n}" for k, n in sorted(kinds.items()))
+        )
         source = (
             f"def _kfn(_interp, _args, depth, {params}):\n"
-            + "\n".join(head + body + tail)
+            + "\n".join([summary] + head + body + tail)
         )
         return source, self.hoisted
 

@@ -7,6 +7,7 @@ from .runner import (
     KernelResult,
     build_impl,
     check_kernel,
+    dump_codegen,
     geomean,
     measure_kernel,
     run_impl,
@@ -17,6 +18,6 @@ from .workloads import Workload, f32_array, gray_image, planar_image, rng_for
 __all__ = [
     "KernelSpec", "elementwise_sources", "reduction_sources", "rowwise_sources",
     "IMPLEMENTATIONS", "KernelResult", "build_impl", "check_kernel",
-    "geomean", "measure_kernel", "run_impl", "summarize_telemetry",
+    "dump_codegen", "geomean", "measure_kernel", "run_impl", "summarize_telemetry",
     "Workload", "f32_array", "gray_image", "planar_image", "rng_for",
 ]

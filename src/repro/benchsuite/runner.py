@@ -34,6 +34,7 @@ __all__ = [
     "measure_kernel",
     "geomean",
     "summarize_telemetry",
+    "dump_codegen",
 ]
 
 IMPLEMENTATIONS = ("scalar", "autovec", "parsimony", "handwritten")
@@ -318,3 +319,53 @@ def summarize_telemetry(session: "telemetry.Telemetry") -> Dict[str, Dict[str, f
         kernel, _, impl = run["label"].partition("/")
         table.setdefault(kernel, {})[impl] = run["cycles"]
     return table
+
+
+#: What the kinds in a generated source's ``hoisted:`` summary stand for.
+_HOISTED_KINDS = {
+    "b": "builtins", "c": "constants", "k": "folded values",
+    "sel": "shuffle selectors", "keep": "mask keep-vectors",
+    "np": "numpy functions", "dt": "dtypes", "sdt": "signed dtypes",
+    "t": "IR types", "impl": "op impls", "rmw": "atomic impls",
+    "cf": "f32 rounding", "pack": "cell writers", "unpack": "cell readers",
+    "ext": "externals", "fn": "callees", "u": "undef payloads",
+}
+
+
+def dump_codegen(spec: KernelSpec, machine: Machine = AVX512) -> str:
+    """What the whole-kernel code generator emits for ``spec``'s Parsimony
+    build (``--dump-codegen`` in ``examples/fig4_report.py`` and
+    ``fig5_report.py``): per function, a header — lines, values folded at
+    emit time, inline vs ``Memory``-only accesses, hoisted bindings by
+    kind — then the source, its bindings-as-defaults signature elided."""
+    from ..backend import codegen
+    from ..backend.costmodel import DEFAULT_COST_MODEL
+
+    module = build_impl(spec, "parsimony", machine)
+    out = [f"{module.name}: batch factor {_effective_factor(module)}"]
+    for function in module.functions.values():
+        if not function.blocks:
+            continue
+        try:
+            kfn, _ = codegen.lower_function(function, machine,
+                                            DEFAULT_COST_MODEL)
+        except codegen.CodegenBailout as exc:
+            out.append(f"== @{function.name}: not compiled ({exc.reason})")
+            continue
+        source = next(entry[3] for entry in function._emissions
+                      if entry[4] is kfn)
+        signature, summary, *body = source.splitlines()
+        counts, _, hoisted = summary.strip("# ").partition(" hoisted: ")
+        fields = dict(item.split("=") for item in counts.split())
+        bindings = ", ".join(
+            f"{n} {_HOISTED_KINDS.get(kind, kind)}"
+            for kind, n in (item.split("=") for item in hoisted.split()))
+        out.append(
+            f"== @{function.name}: {len(body)} lines; "
+            f"{fields['folded']} values folded at emit time; accesses: "
+            f"{fields['inline']} inline, {fields['slow']} Memory-only; "
+            f"hoisted: {bindings}")
+        out.append(f"def _kfn(_interp, _args, depth, "
+                   f"<{signature.count('=')} bindings>):")
+        out.extend(body)
+    return "\n".join(out)

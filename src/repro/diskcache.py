@@ -71,7 +71,10 @@ __all__ = [
 #: v5: lazy trap-replay twin — a batched module's ``attrs`` carries the
 #: recipe for its unbatched twin instead of the pickled twin; a v4 entry
 #: read as v5 would be a batched module with no way to its twin.
-CACHE_VERSION = 5
+#: v6: two lane targets — a straight-line gang loop batches to 512 lanes,
+#: so the same key compiles to a different module (and its generated
+#: source folds constants at emit time); v5 entries must not answer.
+CACHE_VERSION = 6
 
 _PID_PREFIX = "repro-ext:"
 

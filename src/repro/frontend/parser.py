@@ -9,7 +9,20 @@ from . import ast
 from .ctypes import CType, ptr, type_by_name
 from .lexer import Token, tokenize
 
-__all__ = ["ParseError", "parse_program", "parse_expression"]
+__all__ = ["ParseError", "MAX_NESTING", "parse_program", "parse_expression"]
+
+#: The nesting budget: how many parser levels one path through the source
+#: may open at once — a level per nested statement (block, ``if``/``else``
+#: arm, loop body, ``psim`` region), per ``else``-side ternary, per
+#: operator-precedence step and per unary/cast/primary operand (so a pair
+#: of parentheses, a subscript or a call argument costs two), plus one
+#: per operator of a left-associative chain, which deepens the tree
+#: without recursing here.  Every later stage recurses over the tree the
+#: parser built, so the budget is what keeps hostile nesting a
+#: :class:`ParseError` with a line instead of a ``RecursionError`` from
+#: wherever the interpreter stack happened to run out.  Hand-written
+#: kernels stay below 40.
+MAX_NESTING = 200
 
 
 class ParseError(CompileError, SyntaxError):
@@ -35,6 +48,8 @@ class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        #: Levels of :data:`MAX_NESTING` currently open.
+        self.depth = 0
 
     # -- token plumbing ---------------------------------------------------------
 
@@ -58,6 +73,15 @@ class _Parser:
                 f"line {tok.line}: expected {want!r}, found {tok.text!r}"
             )
         return self.advance()
+
+    def deeper(self) -> None:
+        """Open one nesting level (the caller closes it)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"line {self.tok.line}: nesting deeper than {MAX_NESTING} "
+                "levels"
+            )
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
         tok = self.tok
@@ -116,6 +140,13 @@ class _Parser:
         return ast.Block(line=line, stmts=stmts)
 
     def parse_statement(self) -> ast.Stmt:
+        self.deeper()
+        try:
+            return self._parse_statement()
+        finally:
+            self.depth -= 1
+
+    def _parse_statement(self) -> ast.Stmt:
         tok = self.tok
         if tok.kind == "op" and tok.text == "{":
             return self.parse_block()
@@ -253,22 +284,40 @@ class _Parser:
         if self.accept("op", "?"):
             then = self.parse_expression()
             self.expect("op", ":")
-            els = self.parse_ternary()
+            self.deeper()
+            try:
+                els = self.parse_ternary()
+            finally:
+                self.depth -= 1
             return ast.Ternary(line=cond.line, cond=cond, then=then, els=els)
         return cond
 
     def parse_binary(self, min_prec: int) -> ast.Expr:
-        left = self.parse_unary()
-        while True:
-            tok = self.tok
-            prec = _PRECEDENCE.get(tok.text) if tok.kind == "op" else None
-            if prec is None or prec < min_prec:
-                return left
-            self.advance()
-            right = self.parse_binary(prec + 1)
-            left = ast.Binary(line=tok.line, op=tok.text, left=left, right=right)
+        mark = self.depth
+        self.deeper()
+        try:
+            left = self.parse_unary()
+            while True:
+                tok = self.tok
+                prec = _PRECEDENCE.get(tok.text) if tok.kind == "op" else None
+                if prec is None or prec < min_prec:
+                    return left
+                self.advance()
+                self.deeper()  # ``left`` moves one level down the tree
+                right = self.parse_binary(prec + 1)
+                left = ast.Binary(line=tok.line, op=tok.text, left=left,
+                                  right=right)
+        finally:
+            self.depth = mark
 
     def parse_unary(self) -> ast.Expr:
+        self.deeper()
+        try:
+            return self._parse_unary()
+        finally:
+            self.depth -= 1
+
+    def _parse_unary(self) -> ast.Expr:
         tok = self.tok
         if tok.kind == "op" and tok.text in ("-", "!", "~", "+"):
             self.advance()

@@ -63,7 +63,7 @@ import numpy as np
 from .. import faultinject
 from ..diagnostics import ExecutionError
 from ..ir.types import Type
-from .nputil import elem_dtype
+from .nputil import count_nonzero, elem_dtype
 
 __all__ = ["Memory", "MemorySnapshot", "MemoryError_"]
 
@@ -258,7 +258,7 @@ class Memory:
         loads never faulting on inactive lanes).
         """
         if mask is not None:
-            active = np.count_nonzero(mask)
+            active = count_nonzero(mask)
             if active != len(mask):
                 if not active:
                     return np.zeros(count, dtype=dtype)
@@ -280,7 +280,7 @@ class Memory:
     def store_lanes(self, addr: int, dtype: np.dtype, values: np.ndarray, mask=None) -> None:
         """:meth:`store_packed` with the lane dtype already resolved."""
         if mask is not None:
-            active = np.count_nonzero(mask)
+            active = count_nonzero(mask)
             if active != len(mask):
                 if not active:
                     return

@@ -94,3 +94,55 @@ def test_suggest_batch_factor_honors_machine():
     # Non-power-of-two and degenerate gangs still mean "don't batch".
     assert suggest_batch_factor(12, AVX2) == 1
     assert suggest_batch_factor(0, SSE4) == 1
+
+
+def test_straight_line_gang_loops_get_twice_the_lane_target():
+    """The one bit of loop shape the cost model sees: a gang loop with no
+    loop inside wastes no lane on divergence and batches to 512 lanes;
+    the machine cap scales alike."""
+    from repro.backend.costmodel import (
+        TARGET_BATCHED_LANES,
+        TARGET_STRAIGHT_LINE_LANES,
+        suggest_batch_factor,
+    )
+
+    assert TARGET_STRAIGHT_LINE_LANES == 2 * TARGET_BATCHED_LANES == 512
+    for gang in (2, 4, 8, 16, 32, 64, 128, 256):
+        wide = suggest_batch_factor(gang, straight_line=True)
+        assert wide == 2 * suggest_batch_factor(gang)
+        assert gang * wide == TARGET_STRAIGHT_LINE_LANES
+        for machine, lanes in ((AVX512, 512), (AVX2, 256), (SSE4, 128)):
+            factor = suggest_batch_factor(gang, machine, straight_line=True)
+            assert factor == max(1, lanes // gang)
+    assert suggest_batch_factor(512, straight_line=True) == 1
+    assert suggest_batch_factor(12, straight_line=True) == 1
+
+
+def test_batch_module_reads_the_loop_shape():
+    """A flat gang loop batches to 512 lanes, one with a divergent inner
+    loop to 256; a forced factor overrides both."""
+    from repro.driver import compile_parsimony
+
+    flat = """
+    void kernel(u8* a, u64 n) {
+        psim (gang_size=64, num_threads=n) {
+            u64 i = psim_get_thread_num();
+            a[i] = a[i] + (u8)1;
+        }
+    }
+    """
+    looping = """
+    void kernel(u32* a, u64 n) {
+        psim (gang_size=64, num_threads=n) {
+            u64 i = psim_get_thread_num();
+            u32 x = a[i];
+            while (x > (u32)3) { x = x >> (u32)1; }
+            a[i] = x;
+        }
+    }
+    """
+    assert compile_parsimony(flat).attrs["batch_factor"] == 8
+    assert compile_parsimony(looping).attrs["batch_factor"] == 4
+    assert compile_parsimony(flat, batch_request=2).attrs["batch_factor"] == 2
+    assert compile_parsimony(looping, batch_request=16) \
+        .attrs["batch_factor"] == 16

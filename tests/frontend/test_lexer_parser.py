@@ -111,3 +111,61 @@ def test_increment_sugar():
     program = parse_program("void f() { for (i32 i = 0; i < 4; i++) { } }")
     step = program.functions[0].body.stmts[0].step
     assert isinstance(step, ast.Assign) and step.op == "+="
+
+
+# -- the nesting budget ---------------------------------------------------------------
+#
+# Hostile nesting used to leave every ``compile_*`` entry point as a bare
+# ``RecursionError`` from whichever stage ran out of stack first.
+
+
+def _nested_kernel(shape: str, depth: int) -> str:
+    """A one-statement kernel (the statement on line 4) nested ``depth``
+    deep in one way."""
+    statement = {
+        "parens": "a[i] = " + "(" * depth + "1" + ")" * depth + ";",
+        "sum": "a[i] = " + " + ".join(["a[i]"] * (depth + 1)) + ";",
+        "ternary": "a[i] = " + "a[i] > 0 ? 1 : " * depth + "2;",
+        "subscript": "a[i] = " + "a[" * depth + "i" + "]" * depth + ";",
+        "blocks": "{" * depth + "a[i] = 1;" + "}" * depth,
+        "ifs": "if (a[i] > 0) " * depth + "a[i] = 1;",
+    }[shape]
+    return ("void kernel(u64* a, u64 n) {\n"
+            "    psim (gang_size=8, num_threads=n) {\n"
+            "        u64 i = psim_get_thread_num();\n"
+            f"        {statement}\n"
+            "    }\n"
+            "}\n")
+
+
+@pytest.mark.parametrize(
+    "shape", ["parens", "sum", "ternary", "subscript", "blocks", "ifs"])
+def test_hostile_nesting_is_a_compile_error_with_a_line(shape):
+    import repro
+    from repro.diagnostics import CompileError
+
+    source = _nested_kernel(shape, 3000)
+    for compile_ in (repro.compile_parsimony, repro.compile_scalar,
+                     repro.compile_autovec, repro.compile_ispc):
+        with pytest.raises(CompileError, match=r"line 4: nesting") as info:
+            compile_(source)
+        assert info.value.diagnostic.stage == "frontend"
+
+
+def test_nesting_at_the_edge_of_the_budget_compiles():
+    import repro
+    from repro.frontend.parser import MAX_NESTING
+
+    # The psim region and the assignment are two statement levels; every
+    # pair of parentheses (and the literal inside them) is a precedence
+    # step and an operand.
+    edge = (MAX_NESTING - 4) // 2
+    module = repro.compile_parsimony(_nested_kernel("parens", edge))
+    assert "kernel" in module.functions
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        repro.compile_parsimony(_nested_kernel("parens", edge + 1))
+    # Statement nesting spends one level each; the innermost assignment's
+    # ``a[i]`` opens four more (two operands, a precedence step each).
+    repro.compile_parsimony(_nested_kernel("blocks", MAX_NESTING - 6))
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        repro.compile_parsimony(_nested_kernel("blocks", MAX_NESTING - 5))

@@ -2,13 +2,15 @@
 specializes at emit time.
 
 Every access form {scalar load/store, packed load/store under a constant
-all-true mask, packed load/store under a runtime mask (full, tail, holes,
-all-inactive), gather, scatter (constant and runtime mask), atomicrmw} is
-driven at {an in-bounds address, the NULL page, one byte past the logical
-end, straddling the physical capacity, an address >= 2**63} on the
-codegen engine, the predecoded engine and the reference engine, which
-must agree on the returned value, ``ExecStats``, trap class and message,
-``Memory.image()`` and ``Memory.extent``.
+mask (all-true, prefix, holes, all-inactive), under a mask the emitter
+folds at emit time (constant shuffle ``&`` constant) and under a runtime
+mask (full, tail, holes, all-inactive), gather, scatter (constant and
+runtime mask), atomicrmw} is driven at {an in-bounds address, the NULL
+page, one byte past the logical end, straddling the physical capacity,
+an address >= 2**63, an in-bounds address that is not lane-aligned} on
+the codegen engine, the predecoded engine and the reference engine,
+which must agree on the returned value, ``ExecStats``, trap class and
+message, ``Memory.image()`` and ``Memory.extent``.
 """
 
 import numpy as np
@@ -91,16 +93,48 @@ MASKS = {
     "full": [1] * LANES,
     "tail": [1, 1, 1, 0, 0, 0, 0, 0],
     "holes": [0, 1, 0, 1, 1, 0, 1, 0],
+    "gaps": [0, 1, 1, 0, 1, 1, 0, 1],  # holes, and the last lane active
     "none": [0] * LANES,
 }
 
+
+def _folded(b, lanes):
+    """``lanes`` as the emitter meets it in AoS kernels: a constant
+    shuffle ANDed with a constant, known only once both are folded."""
+    rotated = Constant(MASK, lanes[1:] + lanes[:1])
+    index = Constant(VectorType(I32, LANES),
+                     [(i - 1) % LANES for i in range(LANES)])
+    return b.and_(b.shuffle(rotated, index), ALL_TRUE)
+
+
+# ``.c<mask>``: the mask operand is that constant; ``.f<mask>``: it folds
+# to it at emit time.  What is active decides ``needed`` as in ``.mask``.
+for _name, _lanes in MASKS.items():
+    if _name == "full":
+        continue  # ``.const`` above
+    for _tag, _mask in (("c", lambda b, lanes=_lanes: Constant(MASK, lanes)),
+                        ("f", lambda b, lanes=_lanes: _folded(b, lanes))):
+        FORMS[f"vload.{_tag}{_name}"] = _function(
+            VEC, [PTR], ["p"],
+            lambda b, p, mask=_mask: b.vload(p, LANES, mask(b)))
+        FORMS[f"vstore.{_tag}{_name}"] = _function(
+            VOID, [PTR, VEC], ["p", "v"],
+            lambda b, p, v, mask=_mask: b.vstore(v, p, mask(b)) and None)
+
 VALUES = np.arange(1, LANES + 1, dtype=np.uint32) * 0x01010101
+
+
+def _static_mask(form):
+    """The ``MASKS`` key a ``.c*``/``.f*`` form bakes in, else ``None``."""
+    tag = form.partition(".")[2]
+    return tag[1:] if tag[:1] in ("c", "f") and tag[1:] in MASKS else None
 
 
 def _cases():
     for form in FORMS:
         for mask in MASKS if form.endswith(".mask") else (None,):
-            for where in ("inside", "null", "past-end", "straddle", "huge"):
+            for where in ("inside", "null", "past-end", "straddle", "huge",
+                          "misaligned"):
                 yield pytest.param(form, mask, where,
                                    id=f"{form}-{mask or 'x'}-{where}")
 
@@ -114,6 +148,8 @@ def _address(where, nbytes, base, capacity):
         # (and, at 4 bytes, not lane-aligned either).
         "straddle": capacity - (nbytes // 2 if nbytes > 4 else 2),
         "huge": (1 << 63) + 64,
+        # In bounds, but off the typed view generated code slices.
+        "misaligned": base + 18,
     }[where]
 
 
@@ -134,7 +170,8 @@ def _drive(form, mask, where, engine):
         args = [addrs]
     elif kind in ("vload", "vstore"):
         # A masked packed access is bounded by its last active lane.
-        active = np.flatnonzero(MASKS[mask]) if mask else np.arange(LANES)
+        lanes = MASKS[mask or _static_mask(form) or "full"]
+        active = np.flatnonzero(lanes)
         needed = int(active[-1]) + 1 if active.size else LANES
         args = [_address(where, 4 * needed, base, capacity)]
     else:
@@ -168,7 +205,7 @@ def test_access_forms_agree_across_engines(form, mask, where):
     # lane that carries it is active.
     lane2_active = mask is None or MASKS[mask][2]
     touches = (lane2_active if form.split(".")[0] in ("gather", "scatter")
-               else mask != "none")
+               else "none" not in (mask, _static_mask(form)))
     assert trapped == (where in ("null", "past-end", "huge") and touches)
     if trapped:
         expected = "NULL-page" if where == "null" else f"of {SIZE}"
@@ -189,9 +226,47 @@ def test_access_forms_agree_across_engines(form, mask, where):
 def test_a_trapping_store_leaves_the_image_untouched():
     """Trap-before-any-write on the inline paths: the range test covers
     the whole access, so nothing is written before the slow path traps."""
-    for form in ("store", "vstore.const", "atomicrmw"):
-        before, _ = _drive("load", None, "inside", "codegen")
-        got, _ = _drive(form, None, "past-end", "codegen")
-        assert got["outcome"][0] == "MemoryError_"
+    before, _ = _drive("load", None, "inside", "codegen")
+    for form, mask in (("store", None), ("vstore.const", None),
+                       ("atomicrmw", None), ("vstore.ctail", None),
+                       ("vstore.choles", None), ("vstore.fholes", None),
+                       ("vstore.mask", "full")):
+        got, _ = _drive(form, mask, "past-end", "codegen")
+        assert got["outcome"][0] == "MemoryError_", form
         np.testing.assert_array_equal(got["image"], before["image"])
         assert got["extent"] == before["extent"]
+
+
+def _packed_inline_cases():
+    for form in FORMS:
+        if form.split(".")[0] in ("vload", "vstore"):
+            for mask in MASKS if form.endswith(".mask") else (None,):
+                yield pytest.param(form, mask, id=f"{form}-{mask or 'x'}")
+
+
+@pytest.mark.parametrize("form,mask", _packed_inline_cases())
+def test_which_packed_accesses_stay_out_of_memory(form, mask, monkeypatch):
+    """An aligned in-bounds packed access runs inline whenever its mask is
+    known at emit time — constant or folded, whatever its shape — or is a
+    runtime mask with every lane set; a partial runtime mask, and
+    anything off the typed view, goes to the one implementation in
+    ``Memory`` (which the other two engines always call)."""
+    calls = []
+    for name in ("load_lanes", "store_lanes"):
+        real = getattr(Memory, name)
+        monkeypatch.setattr(
+            Memory, name,
+            lambda self, *a, _real=real, _name=name: (
+                calls.append(_name), _real(self, *a))[1])
+    _, interp = _drive(form, mask, "inside", "codegen")
+    slow = {"vload": "load_lanes", "vstore": "store_lanes"}[form.split(".")[0]]
+    assert calls == ([] if mask in (None, "full") else [slow])
+    if _static_mask(form) and ".f" in form:
+        (entry,) = interp.module.functions["f"]._emissions
+        assert "folded=2 " in entry[3]  # the shuffle and the ``and``
+    calls.clear()
+    _drive(form, mask, "misaligned", "codegen")
+    assert len(calls) == (0 if _static_mask(form) == "none" else 1)
+    calls.clear()
+    _drive(form, mask, "inside", "predecoded")
+    assert len(calls) == 1

@@ -5,12 +5,16 @@ Generated code is bound once per module, so the second and every later
 ``Memory`` is as large as its extent; generated code (whose inline
 accesses skip the ``memory`` fault hook) never runs while a fault plan is
 armed; the source→code cache is bounded and cleared with the compile
-cache; and every generated source compiles under its own filename, with
-its text in ``linecache``.
+cache; every generated source compiles under its own filename, with
+its text in ``linecache``; and a launch makes a bounded number of host
+calls per kernel, because the emitter folds what it knows at emit time.
 """
 
 import builtins
+import cProfile
 import linecache
+import pstats
+import re
 import traceback
 
 import numpy as np
@@ -18,9 +22,11 @@ import pytest
 
 from repro.backend import codegen as cg
 from repro.benchsuite.runner import _GUARD_BYTES
-from repro.benchsuite.simdlib import BY_NAME
+from repro.benchsuite.simdlib import BY_NAME, KERNELS
 from repro.driver import clear_compile_cache, compile_parsimony
 from repro.faultinject import FaultPlan, InjectedFault, inject
+from repro.ir.types import VectorType
+from repro.ir.values import Constant
 from repro.vm import Interpreter, Memory, MemoryError_
 
 COPY = BY_NAME["Copy"]
@@ -216,3 +222,79 @@ def test_a_trap_in_generated_code_shows_the_emitted_line():
     assert name == function.name and len(digest) == 8
     assert "_mem.load_lanes(" in frame.line or "_mem.load_scalar(" in frame.line
     assert frame.line == linecache.getline(frame.filename, frame.lineno).strip()
+
+
+# -- host work per launch ----------------------------------------------------------
+
+#: Profiled calls one warm launch may make (measured / at the commit
+#: before emit-time folding): BgrToBgra 3183 / 16570, Histogram 9862 /
+#: 25662, FillBgr 214 / 1049, Copy 69 / 135.
+CALL_BUDGET = {"BgrToBgra": 4000, "Histogram": 12000, "FillBgr": 400,
+               "Copy": 110}
+
+
+@pytest.mark.parametrize("kernel", sorted(CALL_BUDGET))
+def test_a_launch_makes_a_bounded_number_of_host_calls(kernel):
+    spec = BY_NAME[kernel]
+    workload = spec.workload()
+    interp, addrs = _launch(compile_parsimony(spec.psim_src), workload)
+    for addr, array in zip(addrs, workload.arrays):
+        interp.memory.write_array(addr, array)
+    profile = cProfile.Profile()
+    profile.enable()
+    interp.run("kernel", *addrs, *workload.scalars)
+    profile.disable()
+    report = interp.codegen_report()
+    assert not report["bailouts"] and not report["replays"]
+    assert pstats.Stats(profile).total_calls <= CALL_BUDGET[kernel]
+
+
+def test_generated_source_recomputes_nothing_it_knew_at_emit_time():
+    spec = BY_NAME["BgrToBgra"]
+    module = compile_parsimony(spec.psim_src)
+    _launch(module, spec.workload())
+    (entry,) = module.functions["kernel"]._emissions
+    lines = entry[3].splitlines()
+    # A constant shuffle index is a hoisted selector, not a per-launch
+    # ``IDX.astype(int64) % n``.
+    assert not any(re.search(r"_h\d+\.astype\(", line) for line in lines)
+    # ``Memory`` is only ever the arm a failed range test falls into.
+    slow = [i for i, line in enumerate(lines)
+            if "_mem.load_lanes(" in line or "_mem.store_lanes(" in line]
+    assert slow
+    for i in slow:
+        assert re.match(r"\s+if .*_i \+ \d+ > _h\d+\(_w\).*:$", lines[i - 1])
+    header = lines[1]
+    assert header.lstrip().startswith("# folded=")
+    assert int(re.search(r"folded=(\d+)", header).group(1)) >= 30
+    assert " slow=0 " in header
+
+
+def test_emission_builds_one_payload_per_distinct_constant(monkeypatch):
+    """Knownness is decided from the IR; a payload is only built for a
+    constant operand that is hoisted or folded with, once however often
+    it is used."""
+    built = []
+    real = cg._constant_payload
+
+    def counting(const):
+        value = real(const)
+        if isinstance(value, np.ndarray):
+            built.append(const)
+        return value
+
+    monkeypatch.setattr(cg, "_constant_payload", counting)
+    clear_compile_cache()
+    distinct = 0
+    for spec in KERNELS:
+        module = compile_parsimony(spec.psim_src)
+        _launch(module, spec.workload())
+        for function in module.functions.values():
+            if function._emissions:
+                distinct += len({
+                    id(operand) for ins in function.instructions()
+                    for operand in ins.operands
+                    if isinstance(operand, Constant)
+                    and isinstance(operand.type, VectorType)})
+    assert 0 < len(built) <= distinct
+    assert len({id(const) for const in built}) == len(built)  # one each
