@@ -352,12 +352,12 @@ def _proto(instr: Instruction) -> Instruction:
         for op in instr.operands
         if not isinstance(op, (BasicBlock, Function))
     ]
-    return Instruction(instr.opcode, instr.type, operands, attrs=dict(instr.attrs))
+    return Instruction.unregistered(instr.opcode, instr.type, operands, instr.attrs)
 
 
 def _scalar_proto(opcode: str, rtype: Type, operand_types=(), attrs=None) -> Instruction:
-    return Instruction(
-        opcode, rtype, [UndefValue(t) for t in operand_types], attrs=dict(attrs or {})
+    return Instruction.unregistered(
+        opcode, rtype, [UndefValue(t) for t in operand_types], attrs
     )
 
 

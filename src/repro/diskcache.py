@@ -74,7 +74,11 @@ __all__ = [
 #: v6: two lane targets — a straight-line gang loop batches to 512 lanes,
 #: so the same key compiles to a different module (and its generated
 #: source folds constants at emit time); v5 entries must not answer.
-CACHE_VERSION = 6
+#: v7: global DCE after re-inlining — a compiled module no longer holds
+#: the outlined SPMD functions (their ``parsimony_*`` attrs move to
+#: ``attrs["parsimony_provenance"]``), so the same key compiles to a
+#: smaller module; v6 entries must not answer.
+CACHE_VERSION = 7
 
 _PID_PREFIX = "repro-ext:"
 

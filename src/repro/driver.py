@@ -245,19 +245,32 @@ def _build_unbatched_twin(source: str, config: Optional[VectorizeConfig],
     return _verified(_build_parsimony(source, config, module_name, strict, 0))
 
 
+def _is_spmd_region(function) -> bool:
+    """An outlined SPMD region (``kernel.psim0``, its ``.tail`` variant and
+    their ``.scalarref`` originals) — never a source-level function, and
+    never a partial-fallback helper, whose name avoids the marker."""
+    return ".psim" in function.name
+
+
 def post_vectorize_cleanup(module: Module) -> None:
     """Re-inline vectorized SPMD functions into their gang loops (§4.1:
-    "the vectorized function can later be re-inlined by the back-end") and
-    run LICM + CSE so gang-invariant work leaves the per-gang loop."""
-    from .passes import constant_fold, cse, dce, licm, narrow_ints, simplify_cfg
+    "the vectorized function can later be re-inlined by the back-end"),
+    delete the region functions nothing calls any more — their
+    ``parsimony_*`` attrs move to the module's provenance record, see
+    :func:`repro.vectorizer.parsimony_records` — and run LICM + CSE over
+    what is left so gang-invariant work leaves the per-gang loop."""
+    from .passes import (constant_fold, cse, dce, delete_dead_functions, licm,
+                         narrow_ints, simplify_cfg)
     from .passes.inline import inline_function_calls
+    from .vectorizer import record_provenance
 
+    for function in list(module.functions.values()):
+        if function.spmd is None and not _is_spmd_region(function):
+            inline_function_calls(function, should_inline=_is_spmd_region)
+    record_provenance(module, delete_dead_functions(module, _is_spmd_region))
     for function in list(module.functions.values()):
         if function.spmd is not None:
             continue
-        inline_function_calls(
-            function, should_inline=lambda callee: ".psim" in callee.name
-        )
         constant_fold(function)
         simplify_cfg(function)
         # Vectorized selects/blends reintroduce widened trees; narrow again.

@@ -1,8 +1,20 @@
-"""Lexer for PsimC."""
+"""Lexer for PsimC: one compiled master pattern, one match per token.
+
+Literal rules: a ``0x``/``0X`` prefix makes a hex integer (digits
+``[0-9a-fA-F]*``); otherwise decimal digits with an optional ``.fraction``
+and ``e[+-]exponent`` (either makes a float).  Both take any run of
+``fFuUlL`` suffixes, and an ``f``/``F`` among them makes a float — since
+hex digits swallow ``f``, only after a ``u``/``l`` in a hex literal.
+Identifiers are ``\\w`` runs (``str.isalnum`` or ``_``) that do not start
+with a decimal digit, so a character that is numeric but not decimal
+(``²``, ``½``) starts an identifier — an undeclared one, reported by
+sema — rather than a literal no parser could convert.
+"""
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional
+import re
+from typing import List, NamedTuple
 
 from ..diagnostics import CompileError
 
@@ -23,6 +35,29 @@ _OPERATORS = [
     "(", ")", "{", "}", "[", "]", ",", ";", "?", ":",
 ]
 
+# Each alternative is one capture group, so ``match.lastindex`` names the
+# token class; blanks before a token are skipped inside the same match.
+# A literal is an ``int`` only when nothing after its digits (and its
+# ``u``/``l`` suffixes) could make it a float: the lookaheads pin each run
+# at its longest, so no backtracking can split it.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:"
+    r"(\n)"                                                  # 1 newline
+    r"|([^\W\d]\w*)"                                         # 2 ident/keyword
+    r"|(0[xX][0-9a-fA-F]*(?![0-9a-fA-F])[uUlL]*(?![fFuUlL]))"  # 3 hex int
+    r"|(0[xX][0-9a-fA-F]*[fFuUlL]*)"                         # 4 hex float
+    r"|(\d+(?![\d.eE])[uUlL]*(?![fFuUlL]))"                  # 5 decimal int
+    r"|((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d*)?[fFuUlL]*)"  # 6 decimal float
+    r"|(//[^\n]*)"                                           # 7 line comment
+    r"|(/\*(?s:.*?)\*/)"                                     # 8 block comment
+    r"|(/\*)"                                                # 9 unterminated
+    r"|(" + "|".join(map(re.escape, _OPERATORS)) + r")"      # 10 operator
+    r"|(\Z)"                                                 # 11 end (blanks)
+    r"|((?s:.))"                                             # 12 anything else
+    r")"
+)
+_KIND = (None, None, None, "int", "float", "int", "float", None, None, None, "op")
+
 
 class Token(NamedTuple):
     kind: str  # 'ident' | 'keyword' | 'int' | 'float' | 'op' | 'eof'
@@ -42,82 +77,30 @@ class LexError(CompileError, SyntaxError):
 
 def tokenize(source: str) -> List[Token]:
     tokens: List[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
     line_start = 0
-    n = len(source)
-
-    def col() -> int:
-        return i - line_start + 1
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    for match in _TOKEN.finditer(source):
+        group = match.lastindex
+        start = match.start(group)
+        if group == 1:
             line += 1
-            i += 1
-            line_start = i
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise LexError(f"unterminated block comment at line {line}")
-            line += source.count("\n", i, end)
-            i = end + 2
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, start - line_start + 1))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            start = i
-            is_float = False
-            if source.startswith("0x", i) or source.startswith("0X", i):
-                i += 2
-                while i < n and (source[i] in "0123456789abcdefABCDEF"):
-                    i += 1
-            else:
-                while i < n and source[i].isdigit():
-                    i += 1
-                if i < n and source[i] == ".":
-                    is_float = True
-                    i += 1
-                    while i < n and source[i].isdigit():
-                        i += 1
-                if i < n and source[i] in "eE":
-                    is_float = True
-                    i += 1
-                    if i < n and source[i] in "+-":
-                        i += 1
-                    while i < n and source[i].isdigit():
-                        i += 1
-            # Suffixes: f (float), u/U (unsigned), l/L (long), combinations.
-            while i < n and source[i] in "fFuUlL":
-                if source[i] in "fF":
-                    is_float = True
-                i += 1
-            text = source[start:i]
-            tokens.append(
-                Token("float" if is_float else "int", text, line, start - line_start + 1)
+            line_start = start + 1
+        elif group == 2:
+            text = match[2]
+            append(Token("keyword" if text in KEYWORDS else "ident", text,
+                         line, start - line_start + 1))
+        elif group <= 6 or group == 10:
+            append(Token(_KIND[group], match[group], line, start - line_start + 1))
+        elif group == 8:
+            # Columns keep counting from the line the comment opened on.
+            line += match[8].count("\n")
+        elif group == 9:
+            raise LexError(f"unterminated block comment at line {line}")
+        elif group == 12:
+            raise LexError(
+                f"unexpected character {match[12]!r} at line {line}, "
+                f"col {start - line_start + 1}"
             )
-            continue
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line, col()))
-                i += len(op)
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r} at line {line}, col {col()}")
-
-    tokens.append(Token("eof", "", line, col()))
+    append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens

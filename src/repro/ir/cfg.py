@@ -3,6 +3,14 @@
 Implements the Cooper–Harvey–Kennedy iterative dominator algorithm and
 classic back-edge based natural-loop discovery.  These feed mem2reg, the
 auto-vectorizer's loop finder, and the Parsimony structurizer/mask builder.
+
+Every consumer takes its tree from :func:`dominator_tree`, which hands
+back the tree it last built for a function while the function's CFG —
+entry block plus each block's successor list — is unchanged.  The memo is
+keyed by that CFG itself, not by a counter a pass must remember to bump,
+so no direct write to ``blocks``/``instructions``/``_operands`` can make
+it stale; under ``REPRO_PARANOID`` every hit is checked against a fresh
+tree.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from .module import BasicBlock, Function
 __all__ = [
     "reverse_postorder",
     "DominatorTree",
+    "dominator_tree",
     "dominance_frontiers",
     "Loop",
     "find_loops",
@@ -105,6 +114,46 @@ class DominatorTree:
         return a is not b and self.dominates(a, b)
 
 
+def _cfg_key(function: Function) -> tuple:
+    """Everything a dominator tree of ``function`` is computed from."""
+    return (function.entry,
+            tuple([(block, tuple(block.successors)) for block in function.blocks]))
+
+
+def dominator_tree(function: Function) -> DominatorTree:
+    """The dominator tree of ``function``'s current CFG, reused from the
+    last call while the CFG is unchanged.  Callers only read the tree.  A
+    frozen function keeps no memo (``Function._freeze`` drops it): its
+    readers run once per emission and the memo would only add objects for
+    the collector to walk in every cached module."""
+    key = _cfg_key(function)
+    memo = function._dominators
+    if memo is not None and memo[0] == key:
+        tree = memo[1]
+        from ..passes.pass_manager import paranoid_enabled
+
+        if paranoid_enabled():
+            _check_memo(function, tree)
+        return tree
+    tree = DominatorTree(function)
+    if not function.frozen:
+        function._dominators = (key, tree)
+    return tree
+
+
+def _check_memo(function: Function, tree: DominatorTree) -> None:
+    fresh = DominatorTree(function)
+    if (tree.rpo != fresh.rpo or tree.idom != fresh.idom
+            or tree.children != fresh.children):
+        from .verifier import VerificationError
+
+        raise VerificationError(
+            f"memoized dominator tree of @{function.name} differs from a "
+            f"fresh one over the same CFG key",
+            function=function.name,
+        )
+
+
 def dominance_frontiers(dt: DominatorTree) -> Dict[BasicBlock, Set[BasicBlock]]:
     """Cytron et al. dominance frontiers, for SSA phi placement."""
     df: Dict[BasicBlock, Set[BasicBlock]] = {b: set() for b in dt.rpo}
@@ -185,7 +234,7 @@ class Loop:
 def find_loops(function: Function, dt: Optional[DominatorTree] = None) -> List[Loop]:
     """Discover natural loops via back edges; returns loops nested-outermost
     first, with parent/child links populated."""
-    dt = dt or DominatorTree(function)
+    dt = dt or dominator_tree(function)
     loops_by_header: Dict[BasicBlock, Loop] = {}
     for block in dt.rpo:
         for succ in block.successors:

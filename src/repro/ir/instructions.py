@@ -130,6 +130,21 @@ class Instruction(Value):
             op.uses.append((new, idx))
         return new
 
+    @classmethod
+    def unregistered(cls, opcode: str, type: Type, operands: List[Value],
+                     attrs: Optional[Dict] = None) -> "Instruction":
+        """An instruction that holds ``operands`` without appearing in
+        their ``uses``: a description (a batch charge prototype), never
+        placed in a block, so no def-use walk may find it.  Its operand
+        tuple is sealed like a frozen module's."""
+        new = cls.__new__(cls)
+        Value.__init__(new, type)
+        new.opcode = opcode
+        new.attrs = dict(attrs or {})
+        new.parent = None
+        new._operands = tuple(operands)
+        return new
+
     # -- operand/use management --------------------------------------------------
 
     @property

@@ -157,6 +157,10 @@ class Function(Value):
     #: are never cloned and never pickled.
     _emissions = None
 
+    #: ``(cfg key, DominatorTree)`` memo of ``repro.ir.cfg.dominator_tree``
+    #: while the function can still change; never cloned, never pickled.
+    _dominators = None
+
     @property
     def frozen(self) -> bool:
         return type(self.blocks) is tuple
@@ -212,6 +216,7 @@ class Function(Value):
         # Whatever was emitted while the function could still change is
         # dropped, so a frozen function's emissions all describe it.
         self._emissions = None
+        self._dominators = None
         self.uses = tuple(self.uses)
         for arg in self.args:
             arg.uses = tuple(arg.uses)

@@ -28,6 +28,7 @@ def thawed_state(node) -> dict:
     mutable."""
     state = dict(node.__dict__)
     state.pop("_emissions", None)
+    state.pop("_dominators", None)
     state.pop("_unbatched_twin", None)
     for key in _SEALED_LISTS:
         if type(state.get(key)) is tuple:

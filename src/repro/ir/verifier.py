@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .. import faultinject
 from ..diagnostics import CompileError
-from .cfg import DominatorTree
+from .cfg import dominator_tree
 from .instructions import TERMINATORS, Instruction
 from .module import BasicBlock, Function, Module
 from .printer import format_instruction, print_function
@@ -100,7 +100,7 @@ def verify_function(function: Function) -> None:
     # SSA dominance: every use is dominated by its definition.  A
     # single-block function has no cross-block case to consult a tree for:
     # "dominates" is "comes earlier in the block", checked by position.
-    dt = DominatorTree(function) if len(function.blocks) > 1 else None
+    dt = dominator_tree(function) if len(function.blocks) > 1 else None
     reachable = set(dt.rpo) if dt is not None else {function.entry}
     for block in function.blocks:
         if block not in reachable:

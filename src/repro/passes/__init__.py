@@ -1,6 +1,6 @@
 """``repro.passes`` — the scalar middle-end: pass manager and standard
 optimizations (mem2reg, constant folding, DCE, CFG simplification,
-inlining).  The Parsimony vectorizer (``repro.vectorizer``) slots into
+inlining, dead-function elimination).  The Parsimony vectorizer (``repro.vectorizer``) slots into
 this pipeline as one more IR-to-IR pass."""
 
 from .pass_manager import FunctionPass, PassManager
@@ -9,6 +9,7 @@ from .simplify_cfg import remove_unreachable_blocks, simplify_cfg
 from .constfold import constant_fold
 from .dce import dce
 from .inline import inline_call, inline_function_calls, inline_module_calls
+from .globaldce import delete_dead_functions
 from .clone import clone_blocks, clone_function, clone_module
 from .loop_simplify import loop_simplify
 from .cse import cse
@@ -26,6 +27,7 @@ __all__ = [
     "inline_call",
     "inline_function_calls",
     "inline_module_calls",
+    "delete_dead_functions",
     "clone_blocks",
     "clone_function",
     "clone_module",

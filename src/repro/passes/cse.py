@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..ir.cfg import DominatorTree
+from ..ir.cfg import dominator_tree
 from ..ir.instructions import CAST_OPS, FLOAT_BINOPS, INT_BINOPS, Instruction, UNARY_OPS
 from ..ir.module import BasicBlock, Function
 
@@ -34,7 +34,7 @@ def _key(instr: Instruction) -> Tuple:
 
 def cse(function: Function) -> bool:
     changed = False
-    dt = DominatorTree(function)
+    dt = dominator_tree(function)
     available: Dict[Tuple, Instruction] = {}
 
     def visit(block: BasicBlock, scope: Dict[Tuple, Instruction]) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from ..ir.cfg import DominatorTree, dominance_frontiers
+from ..ir.cfg import DominatorTree, dominance_frontiers, dominator_tree
 from ..ir.instructions import Instruction
 from ..ir.module import BasicBlock, Function
 from ..ir.values import UndefValue, Value
@@ -46,7 +46,7 @@ def mem2reg(function: Function) -> bool:
     if not allocas:
         return False
 
-    dt = DominatorTree(function)
+    dt = dominator_tree(function)
     frontiers = dominance_frontiers(dt)
     reachable = set(dt.rpo)
 

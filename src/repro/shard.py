@@ -96,7 +96,7 @@ import numpy as np
 from . import diskcache, faultinject
 from .backend.machine import AVX512, ExecStats, Machine
 from .diagnostics import ExecutionError, ReproError, emit_warning
-from .ir.cfg import DominatorTree, Loop, find_loops
+from .ir.cfg import DominatorTree, Loop, dominator_tree, find_loops
 from .ir.instructions import Instruction
 from .ir.module import Function, Module
 from .ir.types import IntType, VectorType
@@ -321,7 +321,7 @@ def _find_shard_loops(function: Function) -> Dict[object, _LoopDesc]:
     which a worker that skimmed those units never computed.  Such kernels
     reject and run in-process rather than risk a wrong answer.
     """
-    dt = DominatorTree(function)
+    dt = dominator_tree(function)
     descs: Dict[object, _LoopDesc] = {}
     for loop in find_loops(function, dt):  # sorted outer-first by depth
         if loop.parent is not None:

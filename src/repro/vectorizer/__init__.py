@@ -15,6 +15,14 @@ minimal single-entry region around the failure into a scalar helper and
 retries, so the rest of the function still vectorizes; only when no such
 region exists (or the failure carries no block provenance) does the
 whole function drop to the sequential lane loop of :mod:`.scalarize`.
+
+What the pass records about a function — ``parsimony_fallback``,
+``parsimony_partial_fallback``, ``parsimony_warnings``,
+``parsimony_telemetry`` — is stamped on its ``attrs``.  The driver's
+cleanup re-inlines the region functions and deletes them, moving their
+attrs to one module-level record (:func:`record_provenance`);
+:func:`parsimony_records` reads both, so a compiled module still says
+whether it degraded, and why.
 """
 
 from typing import Dict, List, Optional
@@ -38,9 +46,42 @@ __all__ = [
     "VectorizeConfig",
     "VectorizeError",
     "Vectorizer",
+    "parsimony_records",
+    "record_provenance",
     "vectorize_function",
     "vectorize_module",
 ]
+
+#: ``Module.attrs`` key of the provenance record: function name -> the
+#: ``parsimony_*`` attrs of a function deleted after re-inlining.
+PROVENANCE = "parsimony_provenance"
+
+
+def _parsimony_attrs(function: Function) -> Dict[str, object]:
+    return {k: v for k, v in function.attrs.items() if k.startswith("parsimony_")}
+
+
+def record_provenance(module: Module, deleted: List[Function]) -> None:
+    """Move the ``parsimony_*`` attrs of ``deleted`` — functions just
+    removed from ``module`` — into the module's provenance record."""
+    record = module.attrs.setdefault(PROVENANCE, {})
+    for function in deleted:
+        attrs = _parsimony_attrs(function)
+        if attrs:
+            record[function.name] = attrs
+
+
+def parsimony_records(module: Module) -> Dict[str, Dict[str, object]]:
+    """Function name -> the ``parsimony_*`` attrs the pass stamped on it,
+    over the module's live functions and the provenance record of the
+    ones cleanup deleted: the one place to ask whether (and why) a compile
+    fell back, partially fell back, or warned."""
+    records = dict(module.attrs.get(PROVENANCE, {}))
+    for function in module.functions.values():
+        attrs = _parsimony_attrs(function)
+        if attrs:
+            records[function.name] = attrs
+    return records
 
 #: Cap on outlined regions per function before giving up on partial
 #: fallback: each attempt re-runs normalization plus the vectorizer, and a
@@ -88,7 +129,8 @@ def _splice_and_record(
     analysis: ShapeAnalysis,
 ) -> None:
     """Install ``vectorized`` under ``name``; keep ``scalar_source`` as
-    ``<name>.scalarref`` for inspection; rewire all call sites."""
+    ``<name>.scalarref`` (until the driver's cleanup deletes both with the
+    other re-inlined region functions); rewire all call sites."""
     registered = module.functions.pop(name)
     scalar_source.name = name + ".scalarref"
     module.functions[scalar_source.name] = scalar_source
@@ -120,9 +162,10 @@ def vectorize_function(
 ) -> Function:
     """Vectorize one SPMD-annotated function and splice it into the module.
 
-    The scalar original is kept (renamed ``<name>.scalarref``) for
-    inspection; every call site is rewired to the vector version, which
-    takes over the original name.
+    The scalar original stays in the module, renamed ``<name>.scalarref``;
+    every call site is rewired to the vector version, which takes over the
+    original name.  Past ``repro.driver.post_vectorize_cleanup`` neither
+    is kept: both are re-inlined or unreferenced, and deleted.
     """
     config = config or VectorizeConfig()
     faultinject.maybe_fail("vectorize", function.name)

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from ..diagnostics import CompileError
-from ..ir.cfg import DominatorTree
+from ..ir.cfg import DominatorTree, dominator_tree
 from ..ir.instructions import Instruction
 from ..ir.module import BasicBlock, Function, Module
 from ..ir.types import I64, VOID, FunctionType, PointerType
@@ -127,7 +127,7 @@ def compute_fallback_region(function: Function, block_name: str) -> FallbackRegi
             function=function.name,
             detail={"block": block_name},
         )
-    dt = DominatorTree(function)
+    dt = dominator_tree(function)
     if target not in dt.idom:
         raise RegionError(
             f"block {block_name} is unreachable in @{function.name}",

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from ..ir.cfg import DominatorTree, Loop, find_loops
+from ..ir.cfg import Loop, dominator_tree, find_loops
 from ..ir.instructions import FLOAT_BINOPS, INT_BINOPS, Instruction
 from ..ir.module import BasicBlock, ExternalFunction, Function
 from ..ir.types import VectorType
@@ -72,7 +72,7 @@ class ShapeAnalysis:
         #: CFG analyses of ``function``, built once here and read by the
         #: :class:`~repro.vectorizer.transform.Vectorizer` that consumes
         #: this analysis (nothing rewrites ``function`` in between).
-        self.dt = DominatorTree(function)
+        self.dt = dominator_tree(function)
         self.loops: List[Loop] = find_loops(function, self.dt)
         self.run()
 

@@ -95,8 +95,6 @@ def test_no_wide_vectors_remain(machine):
     module = clone_module(compile_parsimony(KERNELS["elementwise"]))
     legalize_module(module, machine)
     for function in module.functions.values():
-        if ".scalarref" in function.name:
-            continue
         from repro.ir import Constant
 
         for instr in function.instructions():

@@ -58,6 +58,7 @@ from repro.benchsuite.fuzzgen import N_THREADS, generate_kernel, workload_arrays
 from repro.diagnostics import CompileError
 from repro.driver import clear_compile_cache, compile_parsimony
 from repro.faultinject import FaultPlan, inject
+from repro.vectorizer import parsimony_records
 from repro.vm import Interpreter
 
 FUZZ_N = int(os.environ.get("REPRO_FUZZ_N", "200"))
@@ -123,12 +124,11 @@ def _run(module, seed, **engine):
 
 
 def _classify(module):
-    for f in module.functions.values():
-        if f.attrs.get("parsimony_partial_fallback"):
-            return "partial"
-    for f in module.functions.values():
-        if f.attrs.get("parsimony_fallback"):
-            return "whole"
+    records = parsimony_records(module).values()
+    if any(r.get("parsimony_partial_fallback") for r in records):
+        return "partial"
+    if any(r.get("parsimony_fallback") for r in records):
+        return "whole"
     return "clean"
 
 

@@ -14,7 +14,9 @@ block sets while naming and emitting IR — ``Loop.exiting_blocks`` /
 vectorizer's exit edges and escaping values — so 16–19 of the 79 kernels
 printed differently from run to run; the digests are of that commit with
 those walks put in function/RPO order, which is what made a golden file
-possible at all.)
+possible at all.)  They were re-recorded once since, when cleanup began
+deleting the re-inlined SPMD functions: each of the 135 functions that
+survive printed byte-identically before and after, and 524 were removed.
 
 Regenerate (only when a PR means to change compiled IR, and says so)::
 

@@ -2,13 +2,15 @@
 
 Wall-clock floors are noise in a shared sandbox; call counts are not.  One
 ``compile_parsimony`` miss used to run ``verify_function`` 37 times and
-build 71 ``DominatorTree``s for every fig5 kernel (30 of the former after
+compute 71 dominator trees for every fig5 kernel (30 of the former after
 passes that had changed nothing, 37 of the latter inside those
-verifications).  Verification now follows change and passes share their
-CFG analyses, so the counts depend on the kernel — pinned here, as upper
-bounds, for three fig5 kernels and ``mandelbrot``.  The counts repeat
-exactly from compile to compile, so a bound that trips is a regression
-in the pipeline, never a slow machine.
+verifications).  Verification now follows change, every consumer takes
+its tree from ``repro.ir.cfg.dominator_tree`` (recomputed only when the
+function's CFG changed), and cleanup deletes the re-inlined SPMD
+functions before optimizing what is left — so the counts depend on the
+kernel and are pinned here, as upper bounds, for three fig5 kernels and
+``mandelbrot``.  The counts repeat exactly from compile to compile, so a
+bound that trips is a regression in the pipeline, never a slow machine.
 """
 
 import sys
@@ -24,20 +26,21 @@ from repro.passes.pass_manager import set_paranoid
 
 FIG5 = {spec.name: spec for spec in KERNELS}
 
-#: kernel -> (verify_function calls, DominatorTree constructions) per miss;
-#: all four were (37, 71) — mandelbrot (37, 75) — before.
+#: kernel -> (verify_function calls, dominator computations) per miss;
+#: (16, 34), (23, 38), (17, 43), (19, 49) before the dominator memo and
+#: global DCE, and (37, 71) — mandelbrot (37, 75) — before that.
 BOUNDS = {
-    "AbsDifference": (16, 34),
-    "GaussianBlur3x3": (23, 38),
-    "GetStatistic": (17, 43),
-    "mandelbrot": (19, 49),
+    "AbsDifference": (12, 4),
+    "GaussianBlur3x3": (19, 5),
+    "GetStatistic": (13, 7),
+    "mandelbrot": (15, 9),
 }
 
 
 def work_counts(spec):
-    """(verify_function calls, DominatorTree constructions) of one miss,
+    """(verify_function calls, dominator computations) of one miss,
     counted by code object so that no import style escapes the count."""
-    counts = {verify_function.__code__: 0, DominatorTree.__init__.__code__: 0}
+    counts = {verify_function.__code__: 0, DominatorTree._compute.__code__: 0}
 
     def on_call(frame, event, arg):
         if event == "call" and frame.f_code in counts:
@@ -57,7 +60,8 @@ def work_counts(spec):
 @pytest.fixture(autouse=True)
 def default_verification():
     """The bounds describe the default mode; the CI ``paranoid`` job sets
-    ``REPRO_PARANOID=1``, under which every pass re-verifies the module."""
+    ``REPRO_PARANOID=1``, under which every pass re-verifies the module
+    and every memoized dominator tree is checked against a fresh one."""
     set_paranoid(False)
     yield
     set_paranoid(None)
@@ -72,4 +76,22 @@ def test_compile_miss_work_is_bounded_and_repeatable(name):
     assert verifies <= BOUNDS[name][0], (
         f"{name}: {verifies} verify_function calls per compile miss")
     assert trees <= BOUNDS[name][1], (
-        f"{name}: {trees} DominatorTree constructions per compile miss")
+        f"{name}: {trees} dominator computations per compile miss")
+
+
+def _compiled(spec):
+    return driver.compile_parsimony(spec.psim_src, module_name=f"{spec.name}.parsimony")
+
+
+@pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s.name)
+def test_fig5_module_holds_only_the_kernel(spec):
+    assert list(_compiled(spec).functions) == ["kernel"]
+
+
+@pytest.mark.parametrize("name", sorted(FIG4))
+def test_fig4_module_holds_the_kernel_and_its_source_functions(name):
+    """Source-level helpers stay even when every call was inlined; the
+    outlined SPMD functions and their scalar originals are gone."""
+    expected = {"aobench": ["sphere_hit", "kernel"],
+                "noise": ["latticehash", "kernel"]}.get(name, ["kernel"])
+    assert list(_compiled(FIG4[name]).functions) == expected

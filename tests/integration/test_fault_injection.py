@@ -17,6 +17,7 @@ from repro.benchsuite.ispc_suite import BENCHMARKS
 from repro.diagnostics import CompileError
 from repro.driver import compile_parsimony
 from repro.faultinject import FaultPlan, InjectedFault, fired_log, inject
+from repro.vectorizer import parsimony_records
 
 SPECS = {spec.name: spec for spec in BENCHMARKS}
 
@@ -84,11 +85,11 @@ def test_fault_plans_do_not_poison_the_compile_cache():
         degraded = compile_parsimony(spec.psim_src, module_name="cachechk")
     clean_after = compile_parsimony(spec.psim_src, module_name="cachechk")
     assert any(
-        f.attrs.get("parsimony_fallback") for f in degraded.functions.values()
+        r.get("parsimony_fallback") for r in parsimony_records(degraded).values()
     )
     for module in (clean_before, clean_after):
         assert not any(
-            f.attrs.get("parsimony_fallback") for f in module.functions.values()
+            r.get("parsimony_fallback") for r in parsimony_records(module).values()
         )
 
 

@@ -125,3 +125,65 @@ def test_nested_loop_depths():
     assert inner.parent is outer
     assert inner in outer.children
     assert not outer.is_innermost()
+
+
+# -- the dominator-tree memo ---------------------------------------------------
+
+
+def test_dominator_tree_is_reused_until_the_cfg_changes():
+    from repro.ir import VOID, Instruction, dominator_tree
+
+    f, entry, then, els, join = diamond()
+    first = dominator_tree(f)
+    assert dominator_tree(f) is first
+    assert first.idom[join] is entry
+
+    # An edge moved through the mutator API...
+    then.terminator.set_operand(0, els)
+    second = dominator_tree(f)
+    assert second is not first and second.idom[join] is els
+
+    # ...or written straight into a block's instruction list: the memo is
+    # keyed by the CFG itself, so no write can leave it stale.
+    then.instructions[-1].drop_operands()
+    then.instructions[-1] = Instruction("br", VOID, [join])
+    then.instructions[-1].parent = then
+    third = dominator_tree(f)
+    assert third is not second and third.idom[join] is entry
+
+
+def test_paranoid_mode_checks_every_memo_hit():
+    import pytest
+
+    from repro.ir import dominator_tree
+    from repro.ir.verifier import VerificationError
+    from repro.passes.pass_manager import set_paranoid
+
+    f, entry, then, els, join = diamond()
+    tree = dominator_tree(f)
+    set_paranoid(True)
+    try:
+        assert dominator_tree(f) is tree  # a sound memo passes the check
+        tree.idom[join] = then  # a memo gone wrong
+        with pytest.raises(VerificationError, match="memoized dominator tree"):
+            dominator_tree(f)
+        set_paranoid(False)
+        assert dominator_tree(f) is tree  # unchecked outside paranoid mode
+    finally:
+        set_paranoid(None)
+
+
+def test_freezing_and_pickling_drop_the_memo():
+    from repro.ir import Module, dominator_tree
+    from repro.ir.values import thawed_state
+
+    f, *_ = diamond()
+    module = Module()
+    module.add_function(f)
+    dominator_tree(f)
+    assert f._dominators is not None
+    assert "_dominators" not in thawed_state(f)
+    module.freeze()
+    assert f._dominators is None
+    dominator_tree(f)
+    assert f._dominators is None  # a frozen function keeps no memo

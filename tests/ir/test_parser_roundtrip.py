@@ -7,7 +7,6 @@ import pytest
 from repro.driver import compile_autovec, compile_parsimony, compile_scalar
 from repro.ir import print_function, print_module, verify_module
 from repro.ir.parser import IRParseError, parse_ir
-from repro.passes import clone_module
 from repro.vm import Interpreter
 
 
@@ -134,12 +133,10 @@ void kernel(u8* a, u8* b, u64 n) {
 )
 def test_roundtrip_real_compiler_output(module_factory):
     """print(parse(print(M))) == print(M) for real pipeline output."""
-    module = clone_module(module_factory())  # compile results are frozen
-    # The textual form does not carry spmd annotations or external impls;
-    # restrict to the executable, annotation-free functions.
-    for f in list(module.functions.values()):
-        if f.spmd is not None or ".scalarref" in f.name:
-            del module.functions[f.name]
+    module = module_factory()
+    # A compiled module holds only executable, annotation-free functions:
+    # cleanup deleted the SPMD regions the textual form could not carry.
+    assert all(f.spmd is None for f in module.functions.values())
     text = print_module(module)
     reparsed = parse_ir(text)
     verify_module(reparsed)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.driver import compile_parsimony
-from repro.vectorizer import VectorizeConfig
+from repro.vectorizer import VectorizeConfig, parsimony_records
 from repro.vm import Interpreter
 
 
@@ -118,8 +118,8 @@ def test_uniform_store_of_varying_value_warns():
     """
     module = compile_parsimony(src)
     warnings = []
-    for f in module.functions.values():
-        warnings += f.attrs.get("parsimony_warnings", [])
+    for record in parsimony_records(module).values():
+        warnings += record.get("parsimony_warnings", [])
     assert any("racy" in w for w in warnings)
 
     interp = Interpreter(module)

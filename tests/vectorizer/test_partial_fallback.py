@@ -21,6 +21,7 @@ from repro.benchsuite.ispc_suite import BENCHMARKS, BY_NAME
 from repro.faultinject import FaultPlan, inject
 from repro.ir.verifier import VerificationError, verify_function
 from repro.passes import clone_module
+from repro.vectorizer import parsimony_records
 
 
 def _count_block_emissions(spec):
@@ -48,8 +49,8 @@ def _assert_bit_identical(got, want, context):
 
 def _partial_functions(module):
     return [
-        f for f in module.functions.values()
-        if f.attrs.get("parsimony_partial_fallback")
+        name for name, record in parsimony_records(module).items()
+        if record.get("parsimony_partial_fallback")
     ]
 
 

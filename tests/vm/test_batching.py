@@ -26,6 +26,7 @@ from repro.driver import compile_parsimony
 from repro.faultinject import FaultPlan, inject
 from repro.ir import Constant, Function, FunctionType, I32, IRBuilder, Module
 from repro.passes import clone_module
+from repro.vectorizer import parsimony_records
 from repro.vm import ExecutionLimitExceeded, Interpreter
 
 SPECS = {spec.name: spec for spec in BENCHMARKS}
@@ -196,8 +197,8 @@ def test_partial_fallback_seam_is_rejected():
     for after in range(8):
         with inject(FaultPlan(site="vectorize_block", after=after, times=1)):
             module = compile_parsimony(src, module_name=f"seam.{after}")
-        if any(f.attrs.get("parsimony_partial_fallback")
-               for f in module.functions.values()):
+        if any(r.get("parsimony_partial_fallback")
+               for r in parsimony_records(module).values()):
             seam = module
             break
     assert seam is not None, "no fault offset produced a partial fallback"
