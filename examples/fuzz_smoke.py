@@ -50,7 +50,7 @@ def run(module, seed, codegen=False):
     interp.run("kernel", *addrs, sv, si, N_THREADS)
     outs = (
         interp.memory.read_array(addrs[3], np.float32, N_THREADS),
-        interp.memory.read_array(addrs[4], np.int32, N_THREADS),
+        interp.memory.read_array(addrs[4], np.int32, N_THREADS + 1),
     )
     return outs, interp
 

@@ -37,11 +37,13 @@ MACHINES = [
 
 
 def run(machine, legalized):
-    module = compile_parsimony(SRC)
     if legalized:
-        # Compiled modules are frozen hand-outs; legalization rewrites IR.
-        module = clone_module(module)
+        # Legalization takes gang-width IR (gang batching widens the other
+        # way), and compiled modules are frozen hand-outs it must not edit.
+        module = clone_module(compile_parsimony(SRC, batch_request=0))
         legalize_module(module, machine)
+    else:
+        module = compile_parsimony(SRC)
     interp = Interpreter(module, machine=machine)
     rng = np.random.default_rng(11)
     a = interp.memory.alloc_array(rng.integers(0, 256, N).astype(np.uint8))

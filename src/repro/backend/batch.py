@@ -4,10 +4,10 @@ The paper's back-end (§4.3) legalizes gang-width vector IR *down* to
 machine width.  In this interpreted reproduction the economics are
 inverted: numpy dispatch overhead is per-op, so wall-clock is dominated
 by the gang loop re-dispatching the kernel body once per gang over tiny
-8–32 lane arrays.  This pass widens the gang loop *up* — from G lanes to
-G×B — so one trip through the loop body executes B gangs' worth of work
-on arrays wide enough to amortize dispatch, the same way ispc's wider
-targets amortize instruction count.
+8–32 lane arrays.  This pass widens the gang loop *up* — from G to
+G×B lanes — so one trip through the loop body executes B gangs' worth of
+work on arrays wide enough to amortize dispatch, the same way ispc's
+wider targets amortize instruction count.
 
 The rewrite runs after the whole optimization pipeline, on the final
 module, and is paired with the same build left unbatched (the *twin*),
@@ -20,16 +20,31 @@ which the driver describes in ``module.attrs["unbatched_recipe"]`` and
   ``n_batch = bound & -(G·B)``, and an unmodified clone of the loop (the
   *remainder loop*) picks up ``p`` at ``n_batch`` to run the last
   ``< B`` gangs one at a time at the original width.
-* **Widening.**  Vector values inside the loop scale from G to G·B
-  lanes; vector constants tile per gang; gang-width vectors defined
-  outside the loop (LICM-hoisted splats) are tiled once in the header
-  via a shuffle.  Scalars affine in ``__gang_base`` (``v = v0 +
-  δ·gang_base``) stay scalar: the batched loop keeps gang 0's value, and
-  every ``broadcast`` of a ``δ≠0`` scalar gains a per-gang offset vector
-  ``+ k·δ·G`` (indexed shapes grow per-gang ``gang_base + stride``
-  offset blocks; see :func:`widen_indexed_shape`).  Packed accesses
-  whose address advances by exactly one element per thread widen in
-  place; other affine loads become gathers over a per-lane offset table.
+* **Widening.**  A ``c``-lane vector inside the loop becomes ``c·B``
+  lanes: B per-gang blocks side by side.  Vector constants tile per gang
+  (each distinct constant once per loop); vectors defined outside the
+  loop (LICM-hoisted splats) are tiled once in the header.  Scalars
+  affine in ``__gang_base`` (``v = v0 + δ·gang_base``) stay scalar: the
+  batched loop keeps gang 0's value, and every ``broadcast`` of a
+  ``δ≠0`` scalar gains a per-gang offset vector ``+ k·δ·G``.
+* **Per-gang segments.**  The paper's model (§3) makes horizontal
+  operations synchronize the lanes of *one* gang, so the B gangs of a
+  batched trip are B independent segments.  A ``shuffle`` whose index is
+  the same for every gang (a constant, or computed before the loop)
+  keeps its narrow index and gets ``segments = B``; an integer
+  ``reduce_*`` gets ``segments = B`` and yields B lanes, one per gang
+  (``sad`` is lane-local in groups of 8 and simply widens).
+  Scalars computed from those lanes are *per-gang*: integer ops over B
+  lanes, gang-invariant operands broadcast to B lanes by zero-charge
+  helpers.  A per-gang value may reach two sinks only: a ``broadcast``
+  (``segments = B``: each lane repeated over its gang) and an integer
+  ``atomicrmw`` on a gang-invariant cell with an unused result
+  (``segments = B``: it folds its B lanes with its own op — exact mod
+  2**n, whatever the order — and updates the cell once).
+* **Memory.**  An affine ``vload``/``vstore`` whose address advances by
+  Δ bytes per gang is contiguous when Δ is its own width; otherwise it
+  keeps its opcode and becomes *row-strided* (``segments = B``,
+  ``row_stride = Δ``): B rows of its narrow lanes, Δ bytes apart.
 * **Accounting.**  Every original loop instruction is annotated with
   narrow *charge prototypes* plus a multiplicity (``B``, or the live
   gang count of the enclosing divergent loop), so the VM charges exactly
@@ -37,14 +52,25 @@ which the driver describes in ``module.attrs["unbatched_recipe"]`` and
   by construction.  Inserted helper instructions charge nothing; the
   gang backedge charges the whole per-gang loop overhead
   (phi/icmp/condbr/add/br) ×B.
-* **Legality.**  Kernels using cross-gang-unsafe features — atomics,
-  private allocas reused across gangs, scalar or scattered stores that
-  may alias across gangs, ``psim.*`` sync, partial-fallback seams,
-  non-affine gang-dependent scalars, values escaping the loop — are
-  rejected with a reason (surfaced as ``vm.batch.rejected`` telemetry)
-  and run unbatched.  Argument-rooted *loads* are assumed gang-
-  independent: the SPMD model's unordered-threads contract already makes
-  a cross-gang read-after-write a data race.
+* **Legality.**  Rejected with a reason (surfaced as
+  ``vm.batch.rejected`` telemetry), the loop then runs unbatched:
+  private allocas reused across gangs; scalar ``load``/``store``,
+  ``scatter``, ``insertelement``/``extractelement``, ``shuffle2``,
+  ``mask_all``/``mask_popcnt`` and ``psim.*`` calls; a shuffle whose
+  index the loop computes (a runtime index); float reductions and float
+  atomics; per-gang values reaching an address, a branch, a store or any
+  other op; an atomic on a gang-dependent cell, under a divergent loop
+  or with a used result; partial-fallback seams; non-affine
+  gang-dependent scalars; gang-dependent branches; values escaping the
+  loop; accesses whose rows would overlap (Δ below the access's width);
+  and stores that may overlap across gangs.  That last check groups the
+  loop's stores by symbolic base (the sum of the address's
+  loop-invariant terms), needs one Δ per base, and rejects when an
+  active byte of one gang shares a byte with another gang's — masks read
+  at batch time from constants, a runtime mask counting as all lanes.
+  Stores to different bases, and *loads*, are assumed gang-independent:
+  the SPMD model's unordered-threads contract already makes a cross-gang
+  data race unspecified.
 * **Traps.**  Any trap inside a batched run is replayed wholesale on the
   twin by the interpreter, so trap ordering, messages, and
   trap-point ``ExecStats`` stay bit-identical to the unbatched engine.
@@ -56,43 +82,48 @@ which the driver describes in ``module.attrs["unbatched_recipe"]`` and
 from __future__ import annotations
 
 import os
+import struct
 from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
 
 from ..diagnostics import emit_warning
 from ..envflags import env_flag
 from ..ir.cfg import Loop, find_loops, reverse_postorder
-from ..ir.instructions import Instruction, REDUCE_OPS
+from ..ir.instructions import Instruction, INT_BINOPS, REDUCE_OPS
 from ..ir.module import BasicBlock, ExternalFunction, Function, Module
 from ..ir.types import (
     IntType,
-    PointerType,
     Type,
     VectorType,
     I1,
     I32,
-    I64,
     VOID,
 )
-from ..ir.values import Argument, Constant, UndefValue, Value
+from ..ir.values import Constant, UndefValue, Value
 from ..runtime.mathlib import vector_math_external
-from ..vectorizer.shape import Shape
-from ..vectorizer.shapes import widen_indexed_shape
 from .costmodel import suggest_batch_factor
 
 __all__ = ["batch_module", "batching_request", "select_batch_factor", "BatchReport"]
 
 
 #: Opcodes that are never legal inside a batched gang loop.  Scalar
-#: ``store``/``load`` are cross-gang hazards (a later gang may observe or
-#: clobber an earlier gang's memory within one widened trip); the
-#: horizontal ops reduce across lanes of *one* gang and have no
-#: per-gang-block widening.
-_FORBIDDEN = REDUCE_OPS | frozenset(
-    """alloca atomicrmw extractelement insertelement shuffle shuffle2
-       sad mask_popcnt mask_all store load scatter ret""".split()
+#: ``store``/``load`` and ``scatter`` are cross-gang hazards (a later gang
+#: may observe or clobber an earlier gang's memory within one widened
+#: trip); the remaining lane-position ops have no per-gang form.
+_FORBIDDEN = frozenset(
+    """alloca extractelement insertelement shuffle2 mask_popcnt mask_all
+       store load scatter ret""".split()
 )
+
+#: Scalar ops a per-gang value may flow through: lane-wise integer
+#: arithmetic, evaluated over B lanes, one per gang.
+_PER_GANG_OPS = INT_BINOPS | frozenset(
+    "icmp select trunc zext sext not iabs".split()
+)
+
+#: What a per-gang value reaching these opcodes becomes (any other
+#: opcode is named as it is).
+_PER_GANG_SINKS = {"gep": "an address", "inttoptr": "an address",
+                   "condbr": "a branch"}
 
 
 class BatchReport(dict):
@@ -275,19 +306,26 @@ def _match_divergent_loop(inner: Loop, gang: int):
     return _DivergentLoop(inner, inner.header.name, cond, term, taken_idx), None
 
 
-# -- affine (gang_base) classification -----------------------------------------------
+# -- scalar forms: affine in gang_base, or per-gang ----------------------------------
 
 
-def _affine_deltas(gl: _GangLoop, blocks_rpo: List[BasicBlock],
-                   loop_blocks: Set[BasicBlock], skip: Set[Instruction]):
-    """δ per scalar value, where ``v = v0 + δ·gang_base`` along the gang
-    loop; ``None`` marks a gang-dependent scalar with no affine form.
+def _scalar_forms(gl: _GangLoop, blocks_rpo: List[BasicBlock],
+                  loop_blocks: Set[BasicBlock], skip: Set[Instruction]):
+    """Classify the loop's scalars.  Returns ``(deltas, per_gang,
+    delta_of)``:
 
-    Values defined outside the loop are gang-invariant by definition
-    (δ=0); constants and arguments likewise.  Returns ``(deltas,
-    delta_of)`` where ``delta_of`` also resolves non-instruction values.
+    * ``deltas`` — δ per scalar, where ``v = v0 + δ·gang_base`` along the
+      gang loop; ``None`` marks a gang-dependent scalar with no affine
+      form.  Values defined outside the loop are gang-invariant by
+      definition (δ=0); constants and arguments likewise (``delta_of``
+      also resolves those).
+    * ``per_gang`` — the integer reductions and every scalar computed
+      from one, in RPO (a dict used as an ordered set, so rejection
+      reasons are deterministic): a different value per gang, which the
+      batched loop holds as B lanes.
     """
     deltas: Dict[Value, Optional[int]] = {gl.phi: 1}
+    per_gang: Dict[Instruction, None] = {}
 
     def delta_of(v: Value) -> Optional[int]:
         if isinstance(v, Instruction):
@@ -303,7 +341,10 @@ def _affine_deltas(gl: _GangLoop, blocks_rpo: List[BasicBlock],
             op = instr.opcode
             ops = instr.operands
             if op in ("br", "condbr", "ret", "unreachable", "vstore",
-                      "scatter", "store", "mask_any"):
+                      "scatter", "store", "mask_any", "atomicrmw"):
+                continue
+            if op in REDUCE_OPS or any(o in per_gang for o in ops):
+                per_gang[instr] = None
                 continue
             if any(isinstance(o.type, VectorType) for o in ops):
                 deltas[instr] = None  # scalar extracted from vector state
@@ -335,30 +376,199 @@ def _affine_deltas(gl: _GangLoop, blocks_rpo: List[BasicBlock],
                     # Any op over gang-invariant scalars is gang-invariant.
                     d = 0
             deltas[instr] = d
-    return deltas, delta_of
+    return deltas, per_gang, delta_of
+
+
+def _per_gang_reason(per_gang: Dict[Instruction, None], delta_of) -> Optional[str]:
+    """Why the per-gang values cannot stay per-gang, or ``None``: each
+    use must be a lane-wise integer op over other per-gang values and
+    gang-invariant scalars, a ``broadcast``, or the value of an
+    ``atomicrmw`` (checked with the other atomics)."""
+    lane_wise = []
+    for value in per_gang:
+        for user, idx in value.uses:
+            op = user.opcode
+            if op == "broadcast" or (op == "atomicrmw" and idx == 1):
+                continue
+            if op in _PER_GANG_OPS and isinstance(user.type, IntType):
+                lane_wise.append(user)
+                continue
+            return f"per-gang value reaches {_PER_GANG_SINKS.get(op, op)}"
+    for user in lane_wise:
+        for o in user.operands:
+            if o not in per_gang and delta_of(o) != 0:
+                return "per-gang value meets a gang-affine scalar"
+    return None
+
+
+# -- memory footprints ---------------------------------------------------------------
+
+
+def _address_form(addr: Value, gl: _GangLoop, loop_blocks: Set[BasicBlock]):
+    """``(base, offset)`` of an affine address: ``base`` is the multiset
+    of its loop-invariant terms (value → coefficient in bytes), ``offset``
+    its constant bytes; the ``gang_base`` term is left out (its δ comes
+    from :func:`_scalar_forms`).  Stencil addresses such as ``src + row
+    + w + x`` are sums, so a single root would not do."""
+    terms: Dict[Value, int] = {}
+    offset = 0
+    work = [(addr, 1)]
+    while work:
+        v, k = work.pop()
+        if isinstance(v, Constant):
+            offset += k * _signed(v)
+            continue
+        if v is gl.phi:
+            continue
+        if isinstance(v, Instruction) and v.parent in loop_blocks:
+            op = v.opcode
+            ops = v.operands
+            if op == "add":
+                work += [(ops[0], k), (ops[1], k)]
+                continue
+            if op == "sub":
+                work += [(ops[0], k), (ops[1], -k)]
+                continue
+            if op == "gep":
+                esize = v.type.pointee.size_bytes()
+                work += [(ops[0], k), (ops[1], k * esize)]
+                continue
+            if op in ("ptrtoint", "inttoptr"):
+                work.append((ops[0], k))
+                continue
+            if op == "mul" and isinstance(ops[1], Constant):
+                work.append((ops[0], k * _signed(ops[1])))
+                continue
+            if op == "mul" and isinstance(ops[0], Constant):
+                work.append((ops[1], k * _signed(ops[0])))
+                continue
+            if op == "shl" and isinstance(ops[1], Constant):
+                work.append((ops[0], k << _signed(ops[1])))
+                continue
+        terms[v] = terms.get(v, 0) + k
+    return frozenset((v, k) for v, k in terms.items() if k), offset
+
+
+def _known_lanes(v: Value, memo: Dict[Value, Optional[tuple]]) -> Optional[tuple]:
+    """The canonical lane payloads of an integer vector known at batch
+    time — a constant, or an expression over constants (the masks the
+    vectorizer's packed forms compute and LICM hoists) — else ``None``."""
+    if isinstance(v, Constant):
+        return v.value if isinstance(v.type, VectorType) else None
+    if not isinstance(v, Instruction) or not isinstance(v.type, VectorType):
+        return None
+    if v in memo:
+        return memo[v]
+    memo[v] = None
+    op = v.opcode
+    ops = v.operands
+    lanes = None
+    if op in ("and", "or", "xor"):
+        a, b = _known_lanes(ops[0], memo), _known_lanes(ops[1], memo)
+        if a is not None and b is not None:
+            fn = {"and": int.__and__, "or": int.__or__, "xor": int.__xor__}[op]
+            lanes = tuple(map(fn, a, b))
+    elif op == "shuffle":
+        src, idx = _known_lanes(ops[0], memo), _known_lanes(ops[1], memo)
+        if src is not None and idx is not None:
+            # As the engines index: a 64-bit lane with its top bit set is
+            # negative (narrower lanes never have bit 63).
+            lanes = tuple(src[(i - (1 << 64) if i >> 63 else i) % len(src)]
+                          for i in idx)
+    elif op == "select" and isinstance(ops[0].type, VectorType):
+        c = _known_lanes(ops[0], memo)
+        a, b = _known_lanes(ops[1], memo), _known_lanes(ops[2], memo)
+        if c is not None and a is not None and b is not None:
+            lanes = tuple(x if k else y for k, x, y in zip(c, a, b))
+    elif op == "broadcast" and isinstance(ops[0], Constant):
+        lanes = (ops[0].value,) * v.type.count
+    memo[v] = lanes
+    return lanes
+
+
+def _store_bytes(lanes: Optional[tuple], count: int, esize: int) -> int:
+    """The bytes a packed store writes, as a bitset over its own span
+    (``lanes``: its known mask, ``None`` for a runtime one = every lane)."""
+    if lanes is None:
+        return (1 << (count * esize)) - 1
+    cell = (1 << esize) - 1
+    bits = 0
+    for lane, on in enumerate(lanes):
+        if on:
+            bits |= cell << (lane * esize)
+    return bits
+
+
+def _footprint_reason(groups: Dict[frozenset, list]) -> Optional[str]:
+    """One check over every store to one symbolic base: with a per-gang
+    byte delta Δ, gang k writes each byte of gang 0's footprint plus k·Δ,
+    so two gangs meet exactly when two written bytes differ by a nonzero
+    multiple of Δ — the footprint cut into Δ-byte chunks then has two
+    chunks sharing a bit.  Integer bitsets only."""
+    for stores in groups.values():
+        steps = {step for _, step, _ in stores}
+        if len(steps) != 1:
+            return "stores to one base advance by different per-gang deltas"
+        step = steps.pop()
+        low = min(offset for offset, _, _ in stores)
+        footprint = 0
+        for offset, _, bits in stores:
+            footprint |= bits << (offset - low)
+        chunk = (1 << step) - 1
+        seen = 0
+        while footprint:
+            part = footprint & chunk
+            if seen & part:
+                return "stores may overlap across gangs"
+            seen |= part
+            footprint >>= step
+    return None
 
 
 # -- annotation helpers --------------------------------------------------------------
 
 
-def _proto(instr: Instruction) -> Instruction:
-    """A detached narrow charge prototype: same opcode/type/attrs, operand
+class _Prototypes:
+    """Detached narrow charge prototypes: same opcode/type/attrs, operand
     *types* preserved as undefs (the callee of a ``call`` is kept, so the
     VM can charge the narrow external's cost).  Built before widening, so
     the VM recomputes the exact narrow cost under whatever cost model and
-    machine actually run."""
-    operands = [
-        op if isinstance(op, ExternalFunction) else UndefValue(op.type)
-        for op in instr.operands
-        if not isinstance(op, (BasicBlock, Function))
-    ]
-    return Instruction.unregistered(instr.opcode, instr.type, operands, instr.attrs)
+    machine actually run.  A prototype is a description no walk ever
+    reaches, so one per distinct signature serves every instruction that
+    has it (and one undef per type every prototype)."""
 
+    def __init__(self):
+        self._undefs: Dict[Type, UndefValue] = {}
+        self._memo: Dict[tuple, Instruction] = {}
 
-def _scalar_proto(opcode: str, rtype: Type, operand_types=(), attrs=None) -> Instruction:
-    return Instruction.unregistered(
-        opcode, rtype, [UndefValue(t) for t in operand_types], attrs
-    )
+    def make(self, opcode: str, rtype: Type, operands, attrs=None) -> Instruction:
+        """``operands``: operand types, or the external a call invokes."""
+        try:
+            key = (opcode, rtype, tuple(operands),
+                   tuple(sorted((attrs or {}).items())))
+            proto = self._memo.get(key)
+        except TypeError:  # an unhashable attr: describe it on its own
+            key = proto = None
+        if proto is None:
+            proto = Instruction.unregistered(opcode, rtype, [
+                op if isinstance(op, ExternalFunction) else self._undef(op)
+                for op in operands], attrs)
+            if key is not None:
+                self._memo[key] = proto
+        return proto
+
+    def of(self, instr: Instruction) -> Instruction:
+        return self.make(instr.opcode, instr.type, [
+            op if isinstance(op, ExternalFunction) else op.type
+            for op in instr.operands
+            if not isinstance(op, (BasicBlock, Function))
+        ], instr.attrs)
+
+    def _undef(self, t: Type) -> UndefValue:
+        undef = self._undefs.get(t)
+        if undef is None:
+            undef = self._undefs[t] = UndefValue(t)
+        return undef
 
 
 def _annotate(instr: Instruction, charges: Tuple[Instruction, ...], mult) -> None:
@@ -377,16 +587,23 @@ def _annotate(instr: Instruction, charges: Tuple[Instruction, ...], mult) -> Non
     instr.attrs["batch_mult"] = mult
 
 
+def _constant_key(c: Constant):
+    """Identity of a constant's payload: by value, except float lanes,
+    which go by their bits (``0.0 == -0.0``, and NaN equals nothing)."""
+    if c.type.elem.is_float:
+        return c.type, struct.pack(f"{len(c.value)}d", *c.value)
+    return c.type, c.value
+
+
 # -- the rewrite ---------------------------------------------------------------------
 
 
 def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
-                    module: Module) -> Optional[str]:
+                    module: Module, protos: _Prototypes) -> Optional[str]:
     """Batch one matched gang loop in place; returns a rejection reason or
     ``None`` on success.  All legality checks run before any mutation."""
     loop = gl.loop
     gang = gl.gang
-    wide = gang * batch
     loop_blocks = loop.blocks
     # Deterministic orders: function block order for rewriting, RPO for
     # the dataflow scan.
@@ -445,6 +662,12 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
                 return f"{op} in gang loop"
             if op == "mask_any":
                 return "mask_any outside a divergent backedge"
+            if op == "shuffle":
+                index = instr.operands[1]
+                if isinstance(index, Instruction) and index.parent in loop_blocks:
+                    return "shuffle with a runtime index"
+            if op in REDUCE_OPS and instr.operands[0].type.elem.is_float:
+                return f"float {op} in gang loop"
             if op == "call":
                 callee = instr.operands[0]
                 if isinstance(callee, Function):
@@ -457,41 +680,70 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
             if op == "phi" and not isinstance(instr.type, VectorType) \
                     and instr is not gl.phi:
                 return "scalar loop-carried state in gang loop"
-            # Uniform vector width G throughout the loop.
-            types = [instr.type] + [
-                o.type for o in instr.operands
-                if isinstance(o, (Instruction, Argument, Constant, UndefValue))
-            ]
-            for t in types:
-                if isinstance(t, VectorType) and t.count != gang:
-                    return "mixed vector widths in gang loop"
         for instr in block.instructions:
             for user, _ in instr.uses:
                 if isinstance(user, Instruction) and user.parent not in loop_blocks:
                     return "value escapes the gang loop"
 
-    # ---- legality: affine classification -------------------------------------------
+    # ---- legality: affine and per-gang scalars -------------------------------------
     skip_affine = header_fixed | control
-    deltas, delta_of = _affine_deltas(gl, rpo, loop_blocks, skip_affine)
+    deltas, per_gang, delta_of = _scalar_forms(gl, rpo, loop_blocks, skip_affine)
     for block in rpo:
         for instr in block.instructions:
             if deltas.get(instr, 0) is None:
                 return f"gang-dependent scalar {instr.opcode} is not affine"
+    reason = _per_gang_reason(per_gang, delta_of)
+    if reason is not None:
+        return reason
 
-    # ---- legality: memory access and branch forms ----------------------------------
+    # ---- legality: memory access, atomic and branch forms --------------------------
+    row_strides: Dict[Instruction, int] = {}
+    stores: Dict[frozenset, list] = {}
+    atomic_bases: List[frozenset] = []
+    known: Dict[Value, Optional[tuple]] = {}
     for block in ordered:
         for instr in block.instructions:
-            if instr.opcode == "vstore":
-                esize = instr.operands[0].type.elem.size_bytes()
-                if delta_of(instr.operands[1]) != esize:
-                    return "non-contiguous store may alias across gangs"
-            elif instr.opcode == "vload":
-                if delta_of(instr.operands[0]) is None:  # pragma: no cover
-                    return "gang-dependent load address is not affine"
-            elif (instr.opcode == "condbr" and instr not in control
+            op = instr.opcode
+            if op in ("vload", "vstore"):
+                data = instr.type if op == "vload" else instr.operands[0].type
+                addr = instr.operands[0 if op == "vload" else 1]
+                esize = data.elem.size_bytes()
+                row = data.count * esize
+                step = delta_of(addr) * gang  # affine: checked above
+                if step != row:
+                    if step < row:
+                        return (f"{op} rows overlap across gangs (stride"
+                                f" {step} below the {row}-byte row)")
+                    row_strides[instr] = step
+                if op == "vstore":
+                    base, offset = _address_form(addr, gl, loop_blocks)
+                    lanes = _known_lanes(instr.operands[2], known)
+                    stores.setdefault(base, []).append(
+                        (offset, step, _store_bytes(lanes, data.count, esize)))
+            elif op == "atomicrmw":
+                t = instr.type
+                if not isinstance(t, IntType) or t.bits < 8:
+                    return f"{t} atomicrmw in gang loop"
+                if instr.uses:
+                    return "atomicrmw result is used in gang loop"
+                if delta_of(instr.operands[0]) != 0:
+                    return "atomicrmw cell is not gang-invariant"
+                value = instr.operands[1]
+                if value not in per_gang and delta_of(value) != 0:
+                    return "atomicrmw value is gang-affine"
+                if len(chain[block]) > 1:
+                    return "atomicrmw under a divergent loop"
+                atomic_bases.append(
+                    _address_form(instr.operands[0], gl, loop_blocks)[0])
+            elif (op == "condbr" and instr not in control
                     and instr is not gl.condbr):
                 if delta_of(instr.operands[0]) != 0:
                     return "gang-dependent scalar branch"
+    if any(base in stores for base in atomic_bases):
+        return "atomicrmw and vstore share a base"
+    reason = _footprint_reason(stores)
+    if reason is not None:
+        return reason
 
     # ======= point of no return: all checks passed, start mutating ==================
 
@@ -516,7 +768,7 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
         mult = chain[block]
         for instr in block.instructions:
             if instr not in header_fixed:
-                _annotate(instr, (_proto(instr),), mult)
+                _annotate(instr, (protos.of(instr),), mult)
     # Header bookkeeping executes once per *batched* iteration and charges
     # nothing; the backedge br instead charges the whole per-gang loop
     # overhead — phi copy, bound check, branch out of the header, the
@@ -526,11 +778,11 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
     for instr in (gl.phi, gl.icmp, gl.condbr, gl.inc):
         _annotate(instr, zero, 0)
     overhead = (
-        _scalar_proto("br", VOID),
-        _scalar_proto("phi", ptype),
-        _scalar_proto("icmp", I1, (ptype, ptype), {"pred": "ult"}),
-        _scalar_proto("condbr", VOID, (I1,)),
-        _scalar_proto("add", ptype, (ptype, ptype)),
+        protos.make("br", VOID, ()),
+        protos.make("phi", ptype, ()),
+        protos.make("icmp", I1, (ptype, ptype), {"pred": "ult"}),
+        protos.make("condbr", VOID, (I1,)),
+        protos.make("add", ptype, (ptype, ptype)),
     )
     _annotate(gl.latch.terminator, overhead, batch)
     for dl in divergent:
@@ -539,6 +791,7 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
 
     # ---- rewire the batched loop ---------------------------------------------------
     header = loop.header
+    wide = gang * batch
     n_batch = Instruction(
         "and", gl.bound.type,
         [gl.bound, Constant(gl.bound.type, -wide)],
@@ -560,59 +813,110 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
     # ---- widening ------------------------------------------------------------------
     inserted: Set[Instruction] = {n_batch}
     tiles: Dict[Value, Instruction] = {}
+    tile_indices: Dict[int, Constant] = {}
+    constants: Dict[object, Constant] = {}
+
+    def helper(opcode: str, rtype: Type, operands, stem: str,
+               block: BasicBlock, before: Instruction) -> Instruction:
+        """A zero-charge instruction inserted before ``before``."""
+        ins = Instruction(opcode, rtype, operands,
+                          name=function.unique_name(stem))
+        _annotate(ins, zero, 0)
+        inserted.add(ins)
+        block.insert(block.instructions.index(before), ins)
+        return ins
 
     def tile(v: Value) -> Instruction:
-        """Widen a loop-invariant G-lane vector once, in the header."""
+        """Widen a loop-invariant c-lane vector once, in the header."""
         existing = tiles.get(v)
         if existing is not None:
             return existing
-        idx_const = Constant(VectorType(I32, wide), tuple(range(gang)) * batch)
-        sh = Instruction(
-            "shuffle", VectorType(v.type.elem, wide), [v, idx_const],
-            name=function.unique_name("batch.tile"),
-        )
-        _annotate(sh, zero, 0)
-        inserted.add(sh)
-        header.insert(header.first_non_phi_index(), sh)
+        count = v.type.count
+        index = tile_indices.get(count)
+        if index is None:
+            index = tile_indices[count] = Constant.from_canonical(
+                VectorType(I32, count * batch), tuple(range(count)) * batch)
+        sh = helper("shuffle", VectorType(v.type.elem, count * batch),
+                    [v, index], "batch.tile", header, header.instructions[
+                        header.first_non_phi_index()])
         tiles[v] = sh
         return sh
 
     def map_operand(v: Value) -> Optional[Value]:
         """Wide replacement for a narrow vector operand, or None to keep."""
         t = v.type
-        if not (isinstance(t, VectorType) and t.count == gang):
+        if not isinstance(t, VectorType):
             return None
         if isinstance(v, Instruction):
             if v.parent in loop_blocks:
                 return None  # widened in place
             return tile(v)
         if isinstance(v, Constant):
-            return Constant.from_canonical(
-                VectorType(t.elem, wide), v.value * batch
-            )
+            key = _constant_key(v)
+            wide_const = constants.get(key)
+            if wide_const is None:
+                wide_const = constants[key] = Constant.from_canonical(
+                    VectorType(t.elem, t.count * batch), v.value * batch)
+            return wide_const
         if isinstance(v, UndefValue):
-            return UndefValue(VectorType(t.elem, wide))
+            return UndefValue(VectorType(t.elem, t.count * batch))
         return tile(v)  # vector-typed argument
+
+    def per_gang_operand(v: Value, block: BasicBlock,
+                         user: Instruction) -> Optional[Value]:
+        """A gang-invariant scalar operand of a per-gang op, as B lanes
+        (``None``: already per-gang)."""
+        if v in per_gang:
+            return None
+        lanes = VectorType(v.type, batch)
+        if isinstance(v, Constant):
+            return Constant.from_canonical(lanes, (v.value,) * batch)
+        return helper("broadcast", lanes, [v], "batch.lift", block, user)
 
     for block in ordered:
         for instr in list(block.instructions):
             if instr in inserted or instr in header_fixed:
                 continue
             op = instr.opcode
+            t = instr.type
+
+            if instr in per_gang:
+                # One lane per gang: a segmented reduction, or a lane-wise
+                # integer op over per-gang values.
+                instr.type = VectorType(t, batch)
+                if op in REDUCE_OPS:
+                    instr.attrs["segments"] = batch
+                    m = map_operand(instr.operands[0])
+                    if m is not None:
+                        instr.set_operand(0, m)
+                    continue
+                for idx, o in enumerate(instr.operands):
+                    m = per_gang_operand(o, block, instr)
+                    if m is not None:
+                        instr.set_operand(idx, m)
+                continue
+
+            if op == "atomicrmw":
+                instr.attrs["segments"] = batch
+                m = per_gang_operand(instr.operands[1], block, instr)
+                if m is not None:
+                    instr.set_operand(1, m)
+                continue
 
             if op == "broadcast":
-                d = delta_of(instr.operands[0]) or 0
-                instr.type = VectorType(instr.type.elem, wide)
+                scalar = instr.operands[0]
+                instr.type = VectorType(t.elem, t.count * batch)
+                if scalar in per_gang:
+                    instr.attrs["segments"] = batch
+                    continue
+                d = delta_of(scalar) or 0
                 if d:
                     # Gang k's scalar is offset by k·δ·G from gang 0's;
-                    # materialize the per-gang offset blocks and add them.
-                    off = widen_indexed_shape(
-                        Shape.uniform(gang), batch, d * gang
-                    ).offsets
-                    off_const = Constant(instr.type,
-                                         tuple(int(x) for x in off))
+                    # add the per-gang offset blocks.
+                    offsets = Constant(instr.type, tuple(
+                        k * d * gang for k in range(batch) for _ in range(t.count)))
                     adjusted = Instruction(
-                        "add", instr.type, [instr, off_const],
+                        "add", instr.type, [instr, offsets],
                         name=function.unique_name("batch.off"),
                     )
                     _annotate(adjusted, zero, 0)
@@ -623,60 +927,24 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
                             user.set_operand(idx, adjusted)
                 continue
 
-            if op == "vload":
-                addr = instr.operands[0]
-                esize = instr.type.elem.size_bytes()
-                d = delta_of(addr)
-                if d != esize:
-                    # Affine but non-contiguous across gangs (including
-                    # gang-invariant): gather over a per-lane offset
-                    # table.  Lane (k, i) reads  addr + i·esize + k·G·δ.
-                    narrow_sh = Shape.indexed(
-                        np.arange(gang, dtype=np.int64) * esize)
-                    offs_arr = widen_indexed_shape(
-                        narrow_sh, batch, gang * d).offsets
-                    where = block.instructions.index(instr)
-                    seq: List[Instruction] = []
-                    if isinstance(addr.type, PointerType):
-                        a_int = Instruction(
-                            "ptrtoint", I64, [addr],
-                            name=function.unique_name("batch.addr"))
-                        seq.append(a_int)
-                    else:  # pragma: no cover - addresses are pointers
-                        a_int = addr
-                    bcast = Instruction(
-                        "broadcast", VectorType(I64, wide), [a_int],
-                        name=function.unique_name("batch.abase"))
-                    offs = Constant(VectorType(I64, wide),
-                                    tuple(int(x) for x in offs_arr))
-                    addv = Instruction(
-                        "add", VectorType(I64, wide), [bcast, offs],
-                        name=function.unique_name("batch.aoff"))
-                    aptr = Instruction(
-                        "inttoptr",
-                        VectorType(PointerType(instr.type.elem), wide),
-                        [addv], name=function.unique_name("batch.addrs"))
-                    seq += [bcast, addv, aptr]
-                    for j, ins in enumerate(seq):
-                        _annotate(ins, zero, 0)
-                        inserted.add(ins)
-                        block.insert(where + j, ins)
-                    instr.opcode = "gather"
-                    instr.set_operand(0, aptr)
-                instr.type = VectorType(instr.type.elem, wide)
-                m = map_operand(instr.operands[1])
+            if op == "shuffle":
+                # The narrow constant index applies within each gang.
+                instr.attrs["segments"] = batch
+                instr.type = VectorType(t.elem, t.count * batch)
+                m = map_operand(instr.operands[0])
                 if m is not None:
-                    instr.set_operand(1, m)
+                    instr.set_operand(0, m)
                 continue
 
             if op == "call":
                 callee = instr.operands[0]
                 parts = callee.name.split(".")  # ml.<flavour>.<fn>.<fN>x<G>
                 wide_ext = vector_math_external(
-                    module, parts[2], callee.ftype.ret.elem, wide, parts[1]
+                    module, parts[2], callee.ftype.ret.elem, t.count * batch,
+                    parts[1]
                 )
                 instr.set_operand(0, wide_ext)
-                instr.type = VectorType(instr.type.elem, wide)
+                instr.type = VectorType(t.elem, t.count * batch)
                 for idx, o in enumerate(instr.operands):
                     if idx == 0:
                         continue
@@ -685,9 +953,14 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
                         instr.set_operand(idx, m)
                 continue
 
-            # Generic elementwise / vstore / mask_any / phi / condbr path.
-            if isinstance(instr.type, VectorType) and instr.type.count == gang:
-                instr.type = VectorType(instr.type.elem, wide)
+            # Generic elementwise / vload / vstore / sad / mask_any / phi /
+            # condbr path.
+            stride = row_strides.get(instr)
+            if stride is not None:
+                instr.attrs["segments"] = batch
+                instr.attrs["row_stride"] = stride
+            if isinstance(t, VectorType):
+                instr.type = VectorType(t.elem, t.count * batch)
             for idx, o in enumerate(instr.operands):
                 m = map_operand(o)
                 if m is not None:
@@ -709,6 +982,7 @@ def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport
     applied: List[str] = []
     rejected: List[Tuple[str, str, str]] = []
     factor = 1
+    protos = _Prototypes()
     for function in list(module.functions.values()):
         if function.spmd is not None or not function.blocks:
             continue  # SPMD variants are bodies, not drivers
@@ -739,7 +1013,7 @@ def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport
                 rejected.append((function.name, gl.loop.header.name,
                                  "gang already at the lane target"))
                 continue
-            reason = _batch_one_loop(function, gl, b, module)
+            reason = _batch_one_loop(function, gl, b, module, protos)
             if reason is None:
                 applied.append(f"{function.name}:{gl.loop.header.name}")
                 factor = max(factor, b)

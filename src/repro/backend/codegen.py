@@ -271,10 +271,14 @@ from ..vm.ops import (
     eval_vector_fcmp,
     eval_vector_icmp,
     eval_vector_unop,
+    fold_lanes,
+    reduce_segments,
+    repeat_lanes,
     round_float,
     scalar_binop_impl,
     scalar_fcmp_impl,
     scalar_icmp_impl,
+    shuffle_segments,
     vector_binop_impl,
 )
 
@@ -479,8 +483,11 @@ def _value_impl(instr: Instruction):
         return lambda base, idx: mask_int(
             base + to_signed(idx, bits) * esize, 64
         )
+    segments = instr.attrs.get("segments")
     if op == "broadcast":
         count = instr.type.count
+        if segments is not None:
+            return lambda s: repeat_lanes(s, count)
         dtype = elem_dtype(instr.type.elem)
         return lambda s: np.full(count, s, dtype=dtype)
     if op == "extractelement":
@@ -494,6 +501,8 @@ def _value_impl(instr: Instruction):
             return v
         return _insert
     if op == "shuffle":
+        if segments is not None:
+            return lambda a, i: shuffle_segments(a, i, segments)
         return lambda a, i: a[i.astype(np.int64) % len(a)]
     if op == "shuffle2":
         def _shuffle2(lo, hi, i):
@@ -508,6 +517,8 @@ def _value_impl(instr: Instruction):
             return diffs.astype(np.uint64)
         return _sad
     if op in REDUCE_OPS:
+        if segments is not None:
+            return lambda v: reduce_segments(op, v, segments)
         return lambda v: reduce_lanes(op, instr, v)
     if op == "mask_any":
         return lambda m: 1 if count_nonzero(m) else 0
@@ -658,6 +669,10 @@ class _Emitter:
         self.pdom = _postdominators(function)
         #: Counter key → integer accumulator local (``_k0``…).
         self.count_locals: Dict[str, str] = {}
+        #: Charge prototypes → their ``(counts_key, cost)`` items: gang
+        #: batching shares one prototype per signature, so most batched
+        #: instructions repeat a tuple already priced.
+        self._charge_items: Dict[tuple, tuple] = {}
         self.exit_counter = 0
         self._scan_batch_shapes()
 
@@ -897,7 +912,11 @@ class _Emitter:
                 # This walk is the one that visits every instruction.
                 self.raises_fp_flags = True
             if self.fn_batched and "batch_mult" in ins.attrs:
-                items = batch_charge_items(ins, self.machine, cost)
+                charges = ins.attrs["batch_charges"]
+                items = self._charge_items.get(charges)
+                if items is None:
+                    items = self._charge_items[charges] = batch_charge_items(
+                        ins, self.machine, cost)
                 spec = ins.attrs["batch_mult"]
                 if isinstance(spec, tuple) and isinstance(spec[0], int):
                     spec = spec[0]  # outside every divergent loop: literal B
@@ -1051,10 +1070,31 @@ class _Emitter:
         if op == "shuffle":
             n = ins.operands[0].type.count
             index = ins.operands[1]
+            segments = ins.attrs.get("segments")
+            if segments is not None:
+                # Per-gang segments: one narrow selector for every gang.
+                if not self.is_known(index):
+                    return None
+                row = n // segments
+                return (f"{argrefs[0]}.reshape({segments}, {row})"
+                        f"[:, {self._selector(index, row)}].reshape(-1)")
             if self.is_known(index):
                 return f"{argrefs[0]}[{self._selector(index, n)}]"
             i64 = self.hoist(np.int64, key=("np", "int64"))
             return f"{argrefs[0]}[{argrefs[1]}.astype({i64}) % {n}]"
+        if op in REDUCE_OPS:
+            # Per-gang (segmented) integer reductions; everything else
+            # calls its impl.  ``add`` wraps in the lane dtype, as
+            # ops.reduce_segments does.
+            src = ins.operands[0].type.elem
+            if getattr(src, "bits", 1) == 1 or op not in (
+                    "reduce_add", "reduce_min_u", "reduce_max_u"):
+                return None
+            rows = f"{argrefs[0]}.reshape({ins.attrs['segments']}, -1)"
+            if op == "reduce_add":
+                add = self.hoist(np.add.reduce, key=("np", "add.reduce"))
+                return f"{add}({rows}, axis=1, dtype={self._dtype(src)})"
+            return f"{rows}.{'min' if op == 'reduce_min_u' else 'max'}(axis=1)"
         if op in _VEC_CAST_ASTYPE or op in ("bitcast", "sext", "sitofp"):
             src_t = ins.operands[0].type
             if not isinstance(src_t, VectorType):
@@ -1238,6 +1278,12 @@ class _Emitter:
                 return
         argrefs = [self.ref(o) for o in ins.operands]
         if ins.opcode == "broadcast":
+            segments = ins.attrs.get("segments")
+            if segments is not None:
+                # A per-gang value: each lane over its gang's lanes.
+                self.line(f"{self.name_of(ins)} = {argrefs[0]}.repeat("
+                          f"{ins.type.count // segments})")
+                return
             self._emit_broadcast(ins, argrefs[0])
             return
         expr = self._scalar_expr(ins, argrefs)
@@ -1250,17 +1296,23 @@ class _Emitter:
 
     # -- memory access (see "Memory access" in the module docstring) -------------
 
-    def _mask_lanes(self, mask: Value) -> Optional[Tuple[int, int]]:
+    def _mask_lanes(self, mask: Value, rows: int = 1) -> Optional[Tuple[int, int]]:
         """``(active, needed)`` of a mask known at emit time — how many
         lanes are set, and one past the last set lane — or ``None`` for a
-        runtime mask.  Reads a constant's lanes without building its
-        payload."""
+        runtime mask.  With ``rows``, those of each of that many equal
+        rows (``None`` when the rows differ).  Reads a constant's lanes
+        without building its payload."""
         if isinstance(mask, Constant):
             lanes = mask.value
         elif id(mask) in self.known:
             lanes = self.known[id(mask)].tolist()
         else:
             return None
+        if rows > 1:
+            row = lanes[:len(lanes) // rows]
+            if row * rows != lanes:
+                return None
+            lanes = row
         count = len(lanes)
         if all(lanes):
             return count, count
@@ -1295,8 +1347,13 @@ class _Emitter:
             if rmw not in ATOMIC_RMW_OPS:
                 # The decoded engine raises the VMTrap for it.
                 raise CodegenBailout("atomicrmw-op")
-            t = ops[1].type
+            t = ins.type
             old, x = self.name_of(ins), self.ref(ops[1])
+            if "segments" in ins.attrs:
+                # Per-gang lanes: one read-modify-write with their fold.
+                fold = self.hoist(fold_lanes, key=("fold",))
+                self.line(f"_f = {fold}({rmw!r}, {t.bits}, {x})")
+                x = "_f"
             new = _int_binop_expr(rmw, t.bits, old, x) \
                 if isinstance(t, IntType) else None
             if new is None:
@@ -1305,10 +1362,14 @@ class _Emitter:
                 new = f"{impl}({old}, {x})"
             self._emit_cell(ins, t, self.ref(ops[0]), store=new)
         elif op == "vload":
-            self._emit_packed(ins, ins.type, self.ref(ops[0]), ops[1])
+            emit = self._emit_rows if "row_stride" in ins.attrs \
+                else self._emit_packed
+            emit(ins, ins.type, self.ref(ops[0]), ops[1])
         elif op == "vstore":
-            self._emit_packed(ins, ops[0].type, self.ref(ops[1]), ops[2],
-                              store=self.ref(ops[0]))
+            emit = self._emit_rows if "row_stride" in ins.attrs \
+                else self._emit_packed
+            emit(ins, ops[0].type, self.ref(ops[1]), ops[2],
+                 store=self.ref(ops[0]))
         elif op == "gather":
             self.slow_sites += 1
             self.line(
@@ -1400,12 +1461,7 @@ class _Emitter:
             test += f" or {self._cnz()}({mref}) != {count}"
         span = f"_w[_i:_i + {needed}]"
         part = "" if needed == count else f"[:{needed}]"
-        keep = None
-        if active != needed:  # holes below the last active lane
-            whole = self.payload(mask)
-            keep = whole[:needed].copy()
-            keep.setflags(write=False)
-            keep = self.hoist(keep, key=("keep", id(whole)))
+        keep = self._keep(mask, active, needed)
         if store is not None:
             inline = [f"_e = {addr} + {needed * dtype.itemsize}",
                       "if _e > _mem._extent:",
@@ -1431,6 +1487,81 @@ class _Emitter:
         ]
         pad += "    "
         self.lines += [pad + text for text in inline]
+
+    def _emit_rows(self, ins, vtype, addr: str, mask: Value,
+                   store: Optional[str] = None) -> None:
+        """A row-strided ``vload``/``vstore`` of gang batching: B rows of
+        the narrow width, ``row_stride`` bytes apart.  One range test over
+        the whole span, then a 2-D strided view of the byte buffer.  A
+        mask known at emit time and the same in every row decides, as for
+        packed accesses, how many lanes each row needs and whether
+        ``copyto(where=KEEP)`` skips holes; any other mask joins the test
+        (every lane active) and takes the all-lanes form.  Whatever the
+        test rejects calls ``Memory.load_rows``/``store_rows`` with the
+        original mask."""
+        rows = ins.attrs["segments"]
+        stride = ins.attrs["row_stride"]
+        dtype = elem_dtype(vtype.elem)
+        dt = self._dtype(vtype.elem)
+        count = vtype.count
+        width = count // rows
+        lanes = self._mask_lanes(mask, rows)
+        active, needed = lanes if lanes is not None else (width, width)
+        keep = self._keep(mask, active, needed)
+        mref = "None" if lanes is not None and active == width \
+            else self.ref(mask)
+        if store is None:
+            dst = self.name_of(ins)
+            slow = (f"{dst} = _mem.load_rows({addr}, {dt}, {count}, {rows},"
+                    f" {stride}, {mref})")
+        else:
+            slow = (f"_mem.store_rows({addr}, {dt}, {store}, {rows},"
+                    f" {stride}, {mref})")
+        self.inline_sites += 1
+        if not needed:
+            # No active lane: the address is never validated.
+            if store is None:
+                self.line(f"{dst} = {self._np(np.zeros)}({count}, {dt})")
+            return
+        span = (rows - 1) * stride + needed * dtype.itemsize
+        ln = self.hoist(len, key=("b", "len"))
+        test = f"{addr} < {NULL_GUARD} or {addr} + {span} > {ln}(_d)"
+        if lanes is None:
+            test += f" or {self._cnz()}({mref}) != {count}"
+        nd = self.hoist(np.ndarray, key=("np", "ndarray"))
+        view = (f"{nd}(({rows}, {needed}), {dt}, _d, {addr},"
+                f" ({stride}, {dtype.itemsize}))")
+        part = "" if needed == width else f"[:, :{needed}]"
+        copyto = self._np(np.copyto)
+        if store is not None:
+            src = f"{store}.reshape({rows}, {width}){part}"
+            inline = [f"_e = {addr} + {span}",
+                      "if _e > _mem._extent:",
+                      "    _mem._extent = _e",
+                      f"{view}[...] = {src}" if keep is None else
+                      f"{copyto}({view}, {src}, where={keep})"]
+        elif not part and keep is None:
+            inline = [f"{dst} = {view}.flatten()"]
+        else:
+            inline = [f"{dst} = {self._np(np.zeros)}(({rows}, {width}), {dt})",
+                      f"{dst}{part} = {view}" if keep is None else
+                      f"{copyto}({dst}{part}, {view}, where={keep})",
+                      f"{dst} = {dst}.reshape(-1)"]
+        pad = "    " * self.indent
+        self.lines += [f"{pad}_d = _mem.data", f"{pad}if {test}:",
+                       f"{pad}    {slow}", f"{pad}else:"]
+        self.lines += [f"{pad}    {text}" for text in inline]
+
+    def _keep(self, mask: Value, active: int, needed: int) -> Optional[str]:
+        """The hoisted keep-vector of a known mask whose first ``needed``
+        lanes have holes (``None`` without holes): its lanes below
+        ``needed`` — for a row-strided access, those of its first row."""
+        if active == needed:
+            return None
+        whole = self.payload(mask)
+        keep = whole[:needed].copy()
+        keep.setflags(write=False)
+        return self.hoist(keep, key=("keep", id(whole), needed))
 
     def _cast_copies(self, load: Instruction) -> bool:
         """The loaded slice's only use is an ``.astype`` cast later in the

@@ -493,7 +493,17 @@ class _Legalizer:
 
 def legalize_function(function: Function, machine: Machine,
                       module: Optional[Module] = None) -> bool:
-    """Split all vector operations wider than the machine registers."""
+    """Split all vector operations wider than the machine registers.
+
+    Takes gang-width IR.  Gang batching (:mod:`repro.backend.batch`)
+    widens the other way, for the VM, with per-gang forms no register
+    split expresses; legalize the unbatched build instead
+    (``compile_parsimony(..., batch_request=0)``)."""
+    if function.attrs.get("batched"):
+        raise ValueError(
+            f"@{function.name} is gang-batched; legalize the unbatched "
+            f"build (batch_request=0)"
+        )
     return _Legalizer(function, machine, module).run()
 
 

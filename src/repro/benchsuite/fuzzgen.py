@@ -19,6 +19,10 @@ test harness and ``examples/fuzz_smoke.py``).  The vector-engine strategies (dec
 codegen) still all apply and must still agree bitwise; reductions may
 additionally sit inside a uniform-trip-count loop *after* the divergent
 body, so the sync point executes repeatedly under loop control flow.
+Integer reductions sit *before* the divergent body and feed the
+per-lane state back (a broadcast of the per-gang result) and, half the
+time, one gang-wide atomic on the cell ``IOUT[n]`` past the per-lane
+outputs: the forms gang batching keeps per gang.
 
 Everything is derived from one integer seed via ``random.Random``, so a
 failing kernel reproduces from its seed alone.
@@ -59,6 +63,11 @@ class FuzzKernel:
     #: Kernel calls ``psim_shuffle_sync`` (cross-lane exchange): like
     #: reductions, no scalar strategy exists.
     has_shuffle: bool = False
+    #: Kernel reduces integer state across the gang (counted in
+    #: ``has_reduction`` too) ...
+    has_int_reduction: bool = False
+    #: ... and adds the result into ``IOUT[n]`` with one atomic per gang.
+    has_atomic: bool = False
 
     @property
     def refuses_whole_fallback(self) -> bool:
@@ -70,6 +79,7 @@ class FuzzKernel:
 
 _REDUCTIONS = ("psim_reduce_add_sync", "psim_reduce_min_sync",
                "psim_reduce_max_sync")
+_ATOMICS = ("psim_atomic_add", "psim_atomic_min", "psim_atomic_max")
 
 #: Lane-private array length; every generated index is reduced mod this.
 _PRIVATE_LEN = 4
@@ -289,6 +299,24 @@ class _Gen:
             else:
                 reduce_line = (f"        f32 red = {fn}(x);\n"
                                "        y = y + red;\n")
+        # Integer reductions (drawn last, so every earlier draw — and the
+        # source of a kernel without them — is what it was before they
+        # existed) sit before the divergent body: the gang's mask is still
+        # the launch's there, so the atomic's one-lane guard is the same
+        # for every gang.
+        int_line = ""
+        int_reduction = self.rng.random() < 0.30
+        atomic = False
+        if int_reduction:
+            fn = self.rng.choice(_REDUCTIONS)
+            int_line = (f"        i32 ired = {fn}(q * 3 + p);\n"
+                        "        q = q + ired % 7;\n")
+            atomic = self.rng.random() < 0.5
+            if atomic:
+                int_line += (
+                    "        if (psim_get_lane_num() == 0) {\n"
+                    f"            {self.rng.choice(_ATOMICS)}(IOUT + n, ired);\n"
+                    "        }\n")
         source = f"""
 void kernel(f32* A, f32* B, i32* C, f32* OUT, i32* IOUT,
             f32 sv, i32 si, u64 n) {{
@@ -300,16 +328,19 @@ void kernel(f32* A, f32* B, i32* C, f32* OUT, i32* IOUT,
         f32 x = va * 0.5f;
         f32 y = sv - vb;
         i32 q = si + p;
-{decls}{body}
+{int_line}{decls}{body}
 {shuffle_line}{reduce_line}        OUT[i] = x + y;
         IOUT[i] = p + q * 3;
     }}
 }}
 """
         return FuzzKernel(seed=self.seed, gang_size=self.gang,
-                          source=source, has_reduction=self.reduction,
+                          source=source,
+                          has_reduction=self.reduction or int_reduction,
                           has_private=self.private,
-                          has_shuffle=self.shuffle)
+                          has_shuffle=self.shuffle,
+                          has_int_reduction=int_reduction,
+                          has_atomic=atomic)
 
 
 def generate_kernel(seed: int) -> FuzzKernel:
@@ -318,13 +349,16 @@ def generate_kernel(seed: int) -> FuzzKernel:
 
 
 def workload_arrays(seed: int):
-    """Deterministic inputs for a fuzz kernel: ``(A, B, C, OUT, IOUT, sv, si)``."""
+    """Deterministic inputs for a fuzz kernel: ``(A, B, C, OUT, IOUT, sv, si)``.
+
+    ``IOUT`` holds ``N_THREADS + 1`` cells: one per thread, then the cell
+    the gang-wide atomics update."""
     rng = np.random.default_rng(0xF0770 + seed)
     A = (rng.random(N_THREADS, dtype=np.float32) * 8 - 4).astype(np.float32)
     B = (rng.random(N_THREADS, dtype=np.float32) * 8 - 4).astype(np.float32)
     C = rng.integers(-50, 51, N_THREADS).astype(np.int32)
     OUT = np.zeros(N_THREADS, np.float32)
-    IOUT = np.zeros(N_THREADS, np.int32)
+    IOUT = np.zeros(N_THREADS + 1, np.int32)
     sv = float(np.float32(rng.random() * 4 - 2))
     si = int(rng.integers(-20, 21))
     return A, B, C, OUT, IOUT, sv, si

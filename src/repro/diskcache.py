@@ -78,7 +78,10 @@ __all__ = [
 #: the outlined SPMD functions (their ``parsimony_*`` attrs move to
 #: ``attrs["parsimony_provenance"]``), so the same key compiles to a
 #: smaller module; v6 entries must not answer.
-CACHE_VERSION = 7
+#: v8: gang-local horizontal ops batch — shuffles, integer reductions and
+#: strided accesses carry ``segments``/``row_stride`` forms, so 21 more
+#: fig5 kernels compile to batched modules; v7 entries must not answer.
+CACHE_VERSION = 8
 
 _PID_PREFIX = "repro-ext:"
 

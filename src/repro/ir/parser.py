@@ -51,6 +51,7 @@ from .types import (
 )
 from ..diagnostics import CompileError
 from .values import Constant, UndefValue, Value
+from .printer import BATCH_FORM_ATTRS
 from .verifier import verify_module
 
 __all__ = ["parse_ir", "IRParseError"]
@@ -458,6 +459,16 @@ class _Parser:
                 rtype = I1
         else:
             raise IRParseError(f"unknown opcode {opcode!r}")
+        for key in BATCH_FORM_ATTRS:
+            if self.accept(key):
+                attrs[key] = int(self.advance()[1])
+        if "segments" in attrs:
+            # Per-gang forms: a reduction yields one lane per segment; an
+            # atomic folds its per-gang lanes and returns the cell's type.
+            if opcode in REDUCE_OPS:
+                rtype = VectorType(rtype, attrs["segments"])
+            elif opcode == "atomicrmw" and isinstance(rtype, VectorType):
+                rtype = rtype.elem
 
         instr = Instruction(opcode, rtype, ops, "", attrs)
         for idx, ref in late:

@@ -38,7 +38,22 @@ def _format_bare(value: Value) -> str:
     return f"%{value.name}"
 
 
+#: Gang-batching attrs (see :mod:`repro.backend.batch`), printed after
+#: the instruction as ``name value`` pairs: per-gang ``segments`` and the
+#: byte ``row_stride`` of a row-strided ``vload``/``vstore``.
+BATCH_FORM_ATTRS = ("segments", "row_stride")
+
+
 def format_instruction(instr: Instruction) -> str:
+    text = _format_instruction(instr)
+    attrs = instr.attrs
+    for key in BATCH_FORM_ATTRS:
+        if key in attrs:
+            text += f" {key} {attrs[key]}"
+    return text
+
+
+def _format_instruction(instr: Instruction) -> str:
     ops = instr.operands
     attrs = instr.attrs
 

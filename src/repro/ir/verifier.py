@@ -11,10 +11,10 @@ from __future__ import annotations
 from .. import faultinject
 from ..diagnostics import CompileError
 from .cfg import dominator_tree
-from .instructions import TERMINATORS, Instruction
+from .instructions import REDUCE_OPS, TERMINATORS, Instruction
 from .module import BasicBlock, Function, Module
 from .printer import format_instruction, print_function
-from .types import I1
+from .types import I1, VectorType
 from .values import Argument, Constant, UndefValue, Value
 
 __all__ = ["VerificationError", "verify_function", "verify_module"]
@@ -281,9 +281,55 @@ def _check_instruction(function: Function, instr: Instruction) -> None:
                 f"{op} operand is not a <N x i1> mask: {format_instruction(instr)}",
                 block, instr,
             )
-    elif op == "broadcast":
+    elif op == "broadcast" and "segments" not in instr.attrs:
         if not instr.type.is_vector or instr.type.elem != ops[0].type:
             _fail(function, f"bad broadcast: {format_instruction(instr)}", block, instr)
+    if "segments" in instr.attrs or "row_stride" in instr.attrs:
+        _check_batch_form(function, instr)
+
+
+def _check_batch_form(function: Function, instr: Instruction) -> None:
+    """The gang-batched forms (:mod:`repro.backend.batch`): ``segments``
+    splits an op's lanes into per-gang segments, which must divide the
+    lane count; a ``row_stride`` access reads or writes one row per
+    segment, rows no closer than their own width."""
+    op = instr.opcode
+    ops = instr.operands
+    segments = instr.attrs.get("segments")
+
+    def bad(why: str) -> None:
+        _fail(function, f"{why}: {format_instruction(instr)}", instr.parent, instr)
+
+    if not isinstance(segments, int) or segments < 1:
+        bad("batch form without a positive segment count")
+    if op == "shuffle":
+        src, idx = ops[0].type, ops[1].type
+        if not (src.is_vector and idx.is_vector and instr.type.is_vector):
+            bad("segmented shuffle of a scalar")
+        if src.count % segments or idx.count * segments != instr.type.count:
+            bad("segmented shuffle lane count not divisible by its segments")
+    elif op in REDUCE_OPS:
+        if not ops[0].type.is_vector or ops[0].type.count % segments:
+            bad("segmented reduction lane count not divisible by its segments")
+        if instr.type != VectorType(ops[0].type.elem, segments):
+            bad("segmented reduction must yield one lane per segment")
+    elif op == "broadcast":
+        if ops[0].type != VectorType(instr.type.elem, segments) \
+                or instr.type.count % segments:
+            bad("segmented broadcast lane count not divisible by its segments")
+    elif op == "atomicrmw":
+        if ops[1].type != VectorType(instr.type, segments):
+            bad("segmented atomicrmw must fold one lane per segment")
+    elif op in ("vload", "vstore"):
+        data = instr.type if op == "vload" else ops[0].type
+        if data.count % segments:
+            bad(f"{op} lane count not divisible by its segments")
+        row = data.count // segments * data.elem.size_bytes()
+        stride = instr.attrs.get("row_stride")
+        if not isinstance(stride, int) or stride < row:
+            bad(f"{op} row stride smaller than its {row}-byte row")
+    else:
+        bad(f"{op} has no per-gang segment form")
 
 
 def verify_module(module: Module) -> None:

@@ -29,24 +29,8 @@ from . import facts as F
 from .facts import Facts, TOP
 from .shape import Shape, lane_shape
 
-__all__ = ["ShapeAnalysis", "ABI_MAX_THREADS_LOG2", "widen_indexed_shape"]
+__all__ = ["ShapeAnalysis", "ABI_MAX_THREADS_LOG2"]
 
-
-def widen_indexed_shape(shape: Shape, batch: int, gang_delta: int) -> Shape:
-    """Batch-widening metadata for an indexed shape (gang-batching layer).
-
-    A G-lane indexed value ``base + offsets[lane]`` executed for ``batch``
-    consecutive gangs becomes a G×B-lane indexed value whose per-gang
-    blocks are shifted copies of the original offsets: gang ``k`` sees
-    ``base + offsets[lane] + k * gang_delta``, where ``gang_delta`` is the
-    value's per-gang stride (its ``__gang_base`` coefficient times the
-    gang size, in the value's own units).  Varying shapes have no offset
-    table to widen and are returned unchanged.
-    """
-    if shape.is_varying:
-        return shape
-    blocks = [shape.offsets + np.int64(k) * np.int64(gang_delta) for k in range(batch)]
-    return Shape.indexed(np.concatenate(blocks))
 
 #: ABI guarantee used to seed range facts: num_spmd_threads < 2**48.
 ABI_MAX_THREADS_LOG2 = 48

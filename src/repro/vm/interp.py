@@ -112,10 +112,14 @@ from .ops import (
     eval_vector_fcmp,
     eval_vector_icmp,
     eval_vector_unop,
+    fold_lanes,
+    reduce_segments,
+    repeat_lanes,
     round_float,
     scalar_binop_impl,
     scalar_fcmp_impl,
     scalar_icmp_impl,
+    shuffle_segments,
 )
 
 __all__ = ["Interpreter", "VMTrap", "ExecutionLimitExceeded"]
@@ -965,8 +969,11 @@ class Interpreter:
                 raise VMTrap(f"atomicrmw: unsupported op {rmw!r}")
             addr = self._resolver(ops[0])
             val = self._resolver(ops[1])
-            t = ops[1].type
+            t = instr.type
             impl = scalar_binop_impl(rmw, t)
+            if "segments" in instr.attrs:
+                lanes, bits = val, t.bits
+                val = lambda env: fold_lanes(rmw, bits, lanes(env))
             def _atomicrmw(env, depth):
                 a = addr(env)
                 old = memory.load_scalar(a, t)
@@ -978,6 +985,8 @@ class Interpreter:
         if op == "broadcast":
             scalar = self._resolver(ops[0])
             count = instr.type.count
+            if "segments" in instr.attrs:
+                return lambda env, depth: repeat_lanes(scalar(env), count)
             dtype = elem_dtype(instr.type.elem)
             return lambda env, depth: np.full(count, scalar(env), dtype=dtype)
         if op == "extractelement":
@@ -1004,6 +1013,10 @@ class Interpreter:
         if op == "shuffle":
             src = self._resolver(ops[0])
             idx = self._resolver(ops[1])
+            segments = instr.attrs.get("segments")
+            if segments is not None:
+                return lambda env, depth: shuffle_segments(
+                    src(env), idx(env), segments)
             def _shuffle(env, depth):
                 a = src(env)
                 return a[idx(env).astype(np.int64) % len(a)]
@@ -1020,6 +1033,12 @@ class Interpreter:
             addr = self._resolver(ops[0])
             mask = self._resolver(ops[1])
             dtype, count = elem_dtype(instr.type.elem), instr.type.count
+            stride = instr.attrs.get("row_stride")
+            if stride is not None:
+                rows = instr.attrs["segments"]
+                return lambda env, depth: memory.load_rows(
+                    addr(env), dtype, count, rows, stride, mask(env)
+                )
             return lambda env, depth: memory.load_lanes(
                 addr(env), dtype, count, mask(env)
             )
@@ -1028,6 +1047,14 @@ class Interpreter:
             addr = self._resolver(ops[1])
             mask = self._resolver(ops[2])
             dtype = elem_dtype(ops[0].type.elem)
+            stride = instr.attrs.get("row_stride")
+            if stride is not None:
+                rows = instr.attrs["segments"]
+                def _vstore(env, depth):
+                    memory.store_rows(addr(env), dtype, value(env), rows,
+                                      stride, mask(env))
+                    return None
+                return _vstore
             def _vstore(env, depth):
                 memory.store_lanes(addr(env), dtype, value(env), mask(env))
                 return None
@@ -1057,6 +1084,9 @@ class Interpreter:
             return _sad
         if op in REDUCE_OPS:
             v = self._resolver(ops[0])
+            segments = instr.attrs.get("segments")
+            if segments is not None:
+                return lambda env, depth: reduce_segments(op, v(env), segments)
             return lambda env, depth: reduce_lanes(op, instr, v(env))
         if op == "mask_any":
             m = self._resolver(ops[0])
@@ -1265,14 +1295,19 @@ class Interpreter:
                 raise VMTrap(f"atomicrmw: unsupported op {rmw!r}")
             addr = self._value(env, ops[0])
             val = self._value(env, ops[1])
-            old = self.memory.load_scalar(addr, ops[1].type)
-            new = eval_scalar_binop(rmw, ops[1].type, old, val)
-            self.memory.store_scalar(addr, ops[1].type, new)
+            t = instr.type
+            if "segments" in instr.attrs:
+                val = fold_lanes(rmw, t.bits, val)
+            old = self.memory.load_scalar(addr, t)
+            new = eval_scalar_binop(rmw, t, old, val)
+            self.memory.store_scalar(addr, t, new)
             return old
 
         # -- vector -------------------------------------------------------------------
         if op == "broadcast":
             scalar = self._value(env, ops[0])
+            if "segments" in instr.attrs:
+                return repeat_lanes(scalar, instr.type.count)
             return np.full(instr.type.count, scalar, dtype=elem_dtype(instr.type.elem))
         if op == "extractelement":
             v = self._value(env, ops[0])
@@ -1286,6 +1321,9 @@ class Interpreter:
             return v
         if op == "shuffle":
             src = self._value(env, ops[0])
+            if "segments" in instr.attrs:
+                return shuffle_segments(src, self._value(env, ops[1]),
+                                        instr.attrs["segments"])
             idx = self._value(env, ops[1]).astype(np.int64) % len(src)
             return src[idx]
         if op == "shuffle2":
@@ -1297,11 +1335,20 @@ class Interpreter:
         if op == "vload":
             addr = self._value(env, ops[0])
             mask = self._value(env, ops[1])
+            if "row_stride" in instr.attrs:
+                return self.memory.load_rows(
+                    addr, elem_dtype(instr.type.elem), instr.type.count,
+                    instr.attrs["segments"], instr.attrs["row_stride"], mask)
             return self.memory.load_packed(addr, instr.type.elem, instr.type.count, mask)
         if op == "vstore":
             value = self._value(env, ops[0])
             addr = self._value(env, ops[1])
             mask = self._value(env, ops[2])
+            if "row_stride" in instr.attrs:
+                self.memory.store_rows(
+                    addr, elem_dtype(ops[0].type.elem), value,
+                    instr.attrs["segments"], instr.attrs["row_stride"], mask)
+                return None
             self.memory.store_packed(addr, ops[0].type.elem, value, mask)
             return None
         if op == "gather":
@@ -1320,6 +1367,9 @@ class Interpreter:
             diffs = np.abs(a - b).reshape(-1, 8).sum(axis=1)
             return diffs.astype(np.uint64)
         if op in REDUCE_OPS:
+            if "segments" in instr.attrs:
+                return reduce_segments(op, self._value(env, ops[0]),
+                                       instr.attrs["segments"])
             return reduce_lanes(op, instr, self._value(env, ops[0]))
         if op == "mask_any":
             return 1 if bool(self._value(env, ops[0]).any()) else 0

@@ -47,6 +47,10 @@ __all__ = [
     "scalar_icmp_impl",
     "scalar_fcmp_impl",
     "vector_binop_impl",
+    "shuffle_segments",
+    "repeat_lanes",
+    "reduce_segments",
+    "fold_lanes",
     "gang_activity_count",
 ]
 
@@ -679,6 +683,80 @@ def eval_vector_cast(opcode: str, from_elem: Type, to_elem: Type, v: np.ndarray)
             return v.astype(dst)
         return v.astype(dst)
     raise NotImplementedError(f"vector cast {opcode}")
+
+
+# --------------------------------------------------------------------------------
+# per-gang segments (gang batching, see repro.backend.batch)
+# --------------------------------------------------------------------------------
+#
+# A batched gang loop lays B gangs side by side; an op with a ``segments``
+# attr treats its operand as B independent segments, one per gang.  Every
+# engine (and the code generator, for what it does not inline) evaluates
+# the forms through these functions.
+
+
+def shuffle_segments(a: np.ndarray, idx: np.ndarray, segments: int) -> np.ndarray:
+    """``shuffle`` within each segment: the narrow index selects from
+    every one of ``segments`` equal slices of ``a``."""
+    row = len(a) // segments
+    return a.reshape(segments, row)[:, idx.astype(np.int64) % row].reshape(-1)
+
+
+def repeat_lanes(v: np.ndarray, count: int) -> np.ndarray:
+    """``broadcast`` of a per-gang value: each lane repeated over its
+    gang's ``count // len(v)`` lanes."""
+    return np.repeat(v, count // len(v))
+
+
+def reduce_segments(op: str, v: np.ndarray, segments: int) -> np.ndarray:
+    """An integer ``reduce_*`` per segment: one lane per segment, in the
+    lane dtype, each equal to what the unsegmented reduction returns for
+    that segment (wrapping sums, i1 sums as xor)."""
+    rows = v.reshape(segments, -1)
+    if v.dtype.kind == "b":
+        if op == "reduce_add":
+            return np.bitwise_xor.reduce(rows, axis=1)
+        if op in ("reduce_and", "reduce_min_u", "reduce_min_s"):
+            return rows.all(axis=1)
+        return rows.any(axis=1)
+    if op == "reduce_add":
+        return np.add.reduce(rows, axis=1, dtype=v.dtype)
+    if op == "reduce_min_u":
+        return rows.min(axis=1)
+    if op == "reduce_max_u":
+        return rows.max(axis=1)
+    if op == "reduce_min_s":
+        return as_unsigned(signed_view(rows).min(axis=1))
+    if op == "reduce_max_s":
+        return as_unsigned(signed_view(rows).max(axis=1))
+    if op == "reduce_and":
+        return np.bitwise_and.reduce(rows, axis=1)
+    if op == "reduce_or":
+        return np.bitwise_or.reduce(rows, axis=1)
+    raise NotImplementedError(op)
+
+
+def fold_lanes(rmw: str, bits: int, v: np.ndarray) -> int:
+    """The one operand an ``atomicrmw`` over per-gang lanes applies: B
+    read-modify-writes of one cell with ``rmw`` equal one with this fold
+    (``sub`` subtracts the sum; every op is exact mod 2**bits)."""
+    if rmw in ("add", "sub"):
+        return int(np.add.reduce(v, dtype=v.dtype))
+    if rmw == "and":
+        return int(np.bitwise_and.reduce(v))
+    if rmw == "or":
+        return int(np.bitwise_or.reduce(v))
+    if rmw == "xor":
+        return int(np.bitwise_xor.reduce(v))
+    if rmw == "umin":
+        return int(v.min())
+    if rmw == "umax":
+        return int(v.max())
+    if rmw == "smin":
+        return from_signed(int(signed_view(v).min()), bits)
+    if rmw == "smax":
+        return from_signed(int(signed_view(v).max()), bits)
+    raise NotImplementedError(rmw)
 
 
 def gang_activity_count(mask, batch: int) -> int:

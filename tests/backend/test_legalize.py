@@ -16,10 +16,16 @@ import pytest
 
 from repro.backend import AVX2, AVX512, SSE4
 from repro.backend.legalize import legalize_module
-from repro.driver import compile_parsimony
+from repro.driver import compile_parsimony as _compile
 from repro.passes import clone_module
 from repro.ir import VectorType, verify_module
 from repro.vm import Interpreter
+
+def compile_parsimony(src):
+    """Gang-width IR: legalization narrows what gang batching would widen,
+    so it takes the unbatched build (a batched one is refused)."""
+    return _compile(src, batch_request=0)
+
 
 KERNELS = {
     "elementwise": """
@@ -129,7 +135,7 @@ def test_cost_model_matches_real_legalization(name):
     )
 
 
-def test_already_narrow_code_untouched(monkeypatch):
+def test_already_narrow_code_untouched():
     src = """
     void kernel(f32* x, f32* y, u64 n) {
         psim (gang_size=8, num_threads=n) {
@@ -138,9 +144,13 @@ def test_already_narrow_code_untouched(monkeypatch):
         }
     }
     """
-    # Gang batching deliberately emits machine-wide vectors (the VM charges
-    # their narrow prototypes); this test is about the pre-batch pipeline.
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
     # gang 8: even the tail variant's i64 lane-index vectors fit in 512b
     module = clone_module(compile_parsimony(src))
     assert not legalize_module(module, AVX512)
+
+
+def test_batched_functions_are_refused():
+    module = clone_module(_compile(KERNELS["elementwise"]))
+    assert module.attrs["batch_applied"]
+    with pytest.raises(ValueError, match="gang-batched"):
+        legalize_module(module, SSE4)

@@ -34,7 +34,9 @@ Every third seed additionally pits a **gang-batched** build (forced
 threads and route everything through the remainder loop) against an
 unbatched build, comparing outputs *and* ``ExecStats`` bitwise: gang
 batching is accounting-transparent by contract, so cycles, instruction
-counts, and per-opcode tallies must not move.
+counts, and per-opcode tallies must not move.  The leg reaches the
+per-gang forms: constant-index shuffles, integer reductions and the
+atomics that fold them.
 
 Tier-1 runs ``REPRO_FUZZ_N`` seeds (default 200); CI's fuzz-smoke job and
 local soak runs scale it up via the environment::
@@ -77,6 +79,11 @@ _BATCH_EVERY = 3
 #: assert the batching layer actually engages on the fuzz corpus.
 _BATCH_CORPUS = {"batched": 0, "rejected": 0}
 
+#: Batched kernels carrying each gang-local horizontal form (lane
+#: exchanges, integer reductions, the atomics folding them): the leg must
+#: reach every per-gang segment form, not only elementwise code.
+_BATCH_FORMS = {"shuffle": 0, "int_reduction": 0, "atomic": 0}
+
 #: Every Nth seed also runs the forced-codegen differential below.
 _CODEGEN_EVERY = 5
 
@@ -118,7 +125,7 @@ def _run(module, seed, **engine):
     interp.run("kernel", a, b, c, out, iout, sv, si, N_THREADS)
     outputs = (
         interp.memory.read_array(out, np.float32, N_THREADS),
-        interp.memory.read_array(iout, np.int32, N_THREADS),
+        interp.memory.read_array(iout, np.int32, N_THREADS + 1),
     )
     return outputs, interp.stats
 
@@ -223,6 +230,11 @@ def _batched_differential(kernel, seed, plain_out, context):
                 os.environ[key] = value
     applied = bool(batched.attrs.get("batch_applied"))
     _BATCH_CORPUS["batched" if applied else "rejected"] += 1
+    if applied:
+        for form, present in (("shuffle", kernel.has_shuffle),
+                              ("int_reduction", kernel.has_int_reduction),
+                              ("atomic", kernel.has_atomic)):
+            _BATCH_FORMS[form] += present
 
     ref_out, ref_stats = _run(reference, seed)
     got_out, got_stats = _run(batched, seed)
@@ -248,7 +260,7 @@ def _codegen_differential(kernel, plain, seed, plain_out, plain_stats,
     interp.run("kernel", *addrs, sv, si, N_THREADS)
     got_out = (
         interp.memory.read_array(addrs[3], np.float32, N_THREADS),
-        interp.memory.read_array(addrs[4], np.int32, N_THREADS),
+        interp.memory.read_array(addrs[4], np.int32, N_THREADS + 1),
     )
     report = interp.codegen_report()
     _CODEGEN_CORPUS["bailed" if report["bailouts"] else "compiled"] += 1
@@ -275,7 +287,7 @@ def _run_sharded(module, seed, shards=3):
     )
     outputs = (
         interp.memory.read_array(addrs[3], np.float32, N_THREADS),
-        interp.memory.read_array(addrs[4], np.int32, N_THREADS),
+        interp.memory.read_array(addrs[4], np.int32, N_THREADS + 1),
     )
     return outputs, result.stats, result.report
 
@@ -348,6 +360,8 @@ def test_zz_corpus_exercised_batching():
     where batching never applies means the hook fuzzes a dead layer)."""
     assert sum(_BATCH_CORPUS.values()) == len(range(0, FUZZ_N, _BATCH_EVERY))
     assert _BATCH_CORPUS["batched"] > 0, _BATCH_CORPUS
+    if FUZZ_N >= 200:
+        assert all(_BATCH_FORMS.values()), _BATCH_FORMS
 
 
 def test_zz_corpus_exercised_codegen():

@@ -122,22 +122,36 @@ void kernel(u8* a, u8* b, u64 n) {
 """
 
 
+def _fig5(name):
+    from repro.benchsuite.simdlib import BY_NAME
+
+    return compile_parsimony(BY_NAME[name].psim_src)
+
+
 @pytest.mark.parametrize(
-    "module_factory",
+    "module_factory, forms",
     [
-        lambda: compile_scalar(SRC_SCALAR),
-        lambda: compile_autovec(SRC_SCALAR),
-        lambda: compile_parsimony(SRC_SPMD),
+        (lambda: compile_scalar(SRC_SCALAR), ()),
+        (lambda: compile_autovec(SRC_SCALAR), ()),
+        (lambda: compile_parsimony(SRC_SPMD), ()),
+        # Gang-batched forms: row-strided accesses and segmented shuffles
+        # (BgrToBgra); segmented reductions, per-gang lanes and atomics
+        # folding them (GetStatistic).
+        (lambda: _fig5("BgrToBgra"), ("row_stride", "shuffle")),
+        (lambda: _fig5("GetStatistic"), ("reduce_min_u", "atomicrmw")),
     ],
-    ids=["scalar", "autovec", "parsimony"],
+    ids=["scalar", "autovec", "parsimony", "batched_rows", "batched_segments"],
 )
-def test_roundtrip_real_compiler_output(module_factory):
+def test_roundtrip_real_compiler_output(module_factory, forms):
     """print(parse(print(M))) == print(M) for real pipeline output."""
     module = module_factory()
     # A compiled module holds only executable, annotation-free functions:
     # cleanup deleted the SPMD regions the textual form could not carry.
     assert all(f.spmd is None for f in module.functions.values())
     text = print_module(module)
+    for form in forms:
+        assert any(form in line and " segments " in line
+                   for line in text.splitlines()), form
     reparsed = parse_ir(text)
     verify_module(reparsed)
     assert print_module(reparsed) == text

@@ -150,6 +150,36 @@ def test_mask_reduction_operand_rejected():
         verify_function(f)
 
 
+def test_segments_not_dividing_the_lane_count_rejected():
+    """A per-gang ``segments`` attr (gang batching) must split the lanes
+    evenly: 12 lanes are not 8 segments."""
+    f, entry = _void_function()
+    b = IRBuilder(f, entry)
+    src = UndefValue(VectorType(I32, 12), "v")
+    _append_raw(entry, Instruction("reduce_add", VectorType(I32, 8), [src], "r",
+                                   {"segments": 8}))
+    b.ret()
+    with pytest.raises(VerificationError, match="not divisible by its segments"):
+        verify_function(f)
+
+
+def test_row_stride_below_its_row_rejected():
+    """A row-strided access's rows may not overlap: 4 rows of 8 f32 lanes
+    (32 bytes each) need a stride of at least 32."""
+    f = Function("f", FunctionType(VOID, (PointerType(F32),)), ["p"])
+    entry = f.add_block("entry")
+    b = IRBuilder(f, entry)
+    mask = Constant(VectorType(I1, 32), [1] * 32)
+    vld = Instruction("vload", VectorType(F32, 32), [f.args[0], mask], "v",
+                      {"segments": 4, "row_stride": 16})
+    _append_raw(entry, vld)
+    b.ret()
+    with pytest.raises(VerificationError, match="row stride smaller than its 32-byte row"):
+        verify_function(f)
+    vld.attrs["row_stride"] = 32
+    verify_function(f)
+
+
 def test_select_vector_cond_count_mismatch_rejected():
     f, entry = _void_function()
     b = IRBuilder(f, entry)

@@ -9,9 +9,13 @@ and must be **invisible** to everything but wall-clock:
 * a budget trap that lands inside a batched chunk replays that chunk on
   the unbatched twin, reproducing the trap's message, stats, and memory
   effects exactly;
-* cross-gang-unsafe kernels (atomics, gang-sync shuffles/reductions,
-  private alloca storage, partial-fallback seams) are rejected by the
-  legality scan, run unbatched, and surface in ``vm.batch.rejected``.
+* cross-gang-unsafe kernels (per-lane atomics, runtime-index shuffles,
+  per-gang values reaching an address, private alloca storage,
+  partial-fallback seams) are rejected by the legality scan, run
+  unbatched, and surface in ``vm.batch.rejected``;
+* the gang-local horizontal forms — constant-index shuffles, integer
+  reductions feeding a broadcast or an atomic — and strided stores batch,
+  bit-identically (the acceptance matrix).
 """
 
 import numpy as np
@@ -150,13 +154,17 @@ REJECTED = {
         "u32 v = a[i];\n        psim_atomic_add(out, v);",
         "in gang loop",
     ),
+    # A constant-index shuffle batches (ACCEPTED below); an index read
+    # from memory differs per gang.
     "gang_shuffle": (
-        "u32 v = a[i];\n        out[i] = psim_shuffle_sync(v, psim_get_lane_num() ^ 1);",
-        "shuffle",
+        "u32 v = a[i];\n        out[i] = psim_shuffle_sync(v, a[i] & 7u);",
+        "shuffle with a runtime index",
     ),
+    # A per-gang sum may feed a broadcast or an atomic, not an address.
     "gang_reduction": (
-        "u32 v = psim_reduce_add_sync(a[i]);\n        out[i] = v;",
-        "reduce",
+        "u32 s = psim_reduce_add_sync(a[i]);\n"
+        "        out[i] = a[i + (u64)(s & 7u)];",
+        "per-gang value reaches an address",
     ),
     "private_alloca": (
         "u32 V[4];\n        V[0] = a[i];\n        V[1] = V[0] + 1u;\n"
@@ -184,6 +192,130 @@ def test_legality_rejects_cross_gang_unsafe_kernels(case):
     out = interp.memory.alloc_array(np.zeros(32, np.uint32))
     interp.run("kernel", a, out, 32)
     assert interp.batch_replays == 0
+
+
+# ---------------------------------------------------------------------------
+# legality-acceptance matrix: the gang-local forms that batch
+# ---------------------------------------------------------------------------
+
+#: case -> (kernel body, a batched form its IR must print).
+ACCEPTED = {
+    "constant_shuffle": (
+        "u32 v = a[i];\n        out[i] = psim_shuffle_sync(v, psim_get_lane_num() ^ 1);",
+        "segments",
+    ),
+    "stride3_store": (
+        "u32 v = a[i];\n        out[3 * i] = v;\n        out[3 * i + 1] = v + 1u;\n"
+        "        out[3 * i + 2] = v + 2u;",
+        "row_stride",
+    ),
+    "reduce_atomic_add": (
+        "u32 s = psim_reduce_add_sync(a[i] * 3u);\n"
+        "        if (psim_get_lane_num() == 0) { psim_atomic_add(out, s); }",
+        "segments",
+    ),
+    "reduce_atomic_umin": (
+        "u32 s = psim_reduce_min_sync(a[i] ^ 5u);\n"
+        "        if (psim_get_lane_num() == 0) { psim_atomic_min(out, s); }",
+        "segments",
+    ),
+    "reduce_broadcast_store": (
+        "u32 s = psim_reduce_add_sync(a[i]);\n        out[i] = a[i] + s;",
+        "segments",
+    ),
+}
+
+#: Threads for the acceptance runs: not a multiple of G·B, so batched
+#: trips and the remainder loop both run.
+_N_ACCEPT = 200
+
+
+def _run_accepted(module, **engine):
+    interp = Interpreter(module, **engine)
+    rng = np.random.default_rng(11)
+    a = interp.memory.alloc_array(
+        rng.integers(0, 1 << 32, _N_ACCEPT, dtype=np.uint64).astype(np.uint32))
+    init = np.zeros(3 * _N_ACCEPT, np.uint32)
+    init[0] = 0xFFFFFFFF  # the atomic-min cell starts high
+    out = interp.memory.alloc_array(init)
+    interp.run("kernel", a, out, _N_ACCEPT)
+    return {
+        "out": interp.memory.read_array(out, np.uint32, 3 * _N_ACCEPT).tolist(),
+        "stats": (interp.stats.cycles, interp.stats.instructions,
+                  dict(interp.stats.counts)),
+        "image": interp.memory.image().tobytes(),
+        "extent": interp.memory.extent,
+        "replays": interp.batch_replays,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(ACCEPTED))
+def test_legality_accepts_gang_local_forms(case):
+    """Constant-index shuffles, strided stores, and integer reductions
+    feeding an atomic or a broadcast batch — and stay invisible: outputs,
+    ``ExecStats``, the memory image and its extent match the unbatched
+    build on all three engines, at the cost model's factor and at B=4."""
+    from repro.ir.printer import print_module
+
+    body, form = ACCEPTED[case]
+    src = _TEMPLATE.format(body=body)
+    want = _run_accepted(compile_parsimony(src, batch_request=0), codegen=False)
+    for request in (None, 4):
+        module = compile_parsimony(src, module_name=f"accept.{case}",
+                                   batch_request=request)
+        assert module.attrs.get("batch_applied"), module.attrs.get("batch_rejected")
+        assert form in print_module(module), case
+        for engine in ({}, {"codegen": False}, {"predecode": False}):
+            assert _run_accepted(module, **engine) == want, (case, request, engine)
+
+
+#: Two stores whose footprints interleave across gangs: thread i writes
+#: dst[i] and dst[i + 1], so gang k's second store writes the byte gang
+#: k+1's first store writes.  Both stores advance one element per thread,
+#: which a per-store rule accepts; in the batched order gang k's second
+#: store would clobber gang k+1's first one.
+OVERLAP_SRC = """
+void kernel(u8* a, u8* dst, u64 n) {
+    psim (gang_size=64, num_threads=n) {
+        u64 i = psim_get_thread_num();
+        dst[i] = a[i];
+        dst[i + 1] = a[i] + (u8)1;
+    }
+}
+"""
+
+#: Two stores to one base advancing by different per-gang deltas.
+TWO_DELTA_SRC = """
+void kernel(u8* a, u8* dst, u64 n) {
+    psim (gang_size=64, num_threads=n) {
+        u64 i = psim_get_thread_num();
+        dst[i] = a[i];
+        dst[2 * i + 1] = a[i] + (u8)1;
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("src, reason", [
+    (OVERLAP_SRC, "stores may overlap across gangs"),
+    (TWO_DELTA_SRC, "stores to one base advance by different per-gang deltas"),
+], ids=["overlapping_stores", "two_deltas_one_base"])
+def test_stores_that_may_meet_across_gangs_stay_unbatched(src, reason):
+    n = 1024
+
+    def run(module):
+        interp = Interpreter(module)
+        rng = np.random.default_rng(3)
+        a = interp.memory.alloc_array(rng.integers(0, 256, n, dtype=np.uint8))
+        dst = interp.memory.alloc_array(np.zeros(4 * n, np.uint8))
+        interp.run("kernel", a, dst, n)
+        return interp.memory.read_array(dst, np.uint8, 4 * n)
+
+    module = compile_parsimony(src)
+    reasons = [r["reason"] for r in module.attrs.get("batch_rejected", ())]
+    want = run(compile_parsimony(src, batch_request=0))
+    np.testing.assert_array_equal(run(module), want)
+    assert reasons == [reason], reasons
 
 
 def test_partial_fallback_seam_is_rejected():
