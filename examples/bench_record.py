@@ -4,7 +4,6 @@
     python examples/bench_record.py [--out BENCH_13.json] [--kernels a,b]
                                     [--reps 2] [--min-geomean 1.0]
                                     [--min-codegen-geomean 1.0]
-                                    [--autotune]
 
 Runs every fig4 kernel's Parsimony build on the three legs of the
 engine ladder —
@@ -14,17 +13,13 @@ engine ladder —
 * ``batched``     — the same engine on the gang-batched build;
 * ``codegen``     — whole-kernel codegen on the batched build: the
                     kernel compiled to one generated Python function,
-                    the dispatch loop retired (the default engine);
-* ``autotuned``   — profile-guided batch-factor selection on the
-                    default engine (``--autotune``, ``REPRO_AUTOTUNE=1``)
+                    the dispatch loop retired (the default engine)
 
 — asserts all configurations agree bitwise on outputs *and*
 ``ExecStats`` (every layer is accounting-transparent by contract), and
 writes a JSON artifact with per-kernel wall-clock for each leg plus the
 batched-vs-predecoded and codegen-vs-batched geomean speedups.
-With ``--autotune`` the artifact and the table also record which
-configuration the tuner selected for each kernel and why (the measured
-candidate ranking).  Exits non-zero on any divergence or if either
+Exits non-zero on any divergence or if either
 geomean falls below its floor (``--min-geomean``,
 ``--min-codegen-geomean``).
 
@@ -51,13 +46,11 @@ CONFIGS = ("predecoded", "batched", "codegen")
 
 
 def _run_once(session, spec, config):
-    """One VM run of ``config``; returns ``(result, wall, autotune)``.
+    """One VM run of ``config``; returns ``(result, wall)``.
 
     Wall-clock covers ``interp.run`` only (the telemetry measurement),
     not compilation or workload setup — the trajectory tracks execution
-    engine cost, and the compile cache already absorbs rebuilds.  The
-    ``autotuned`` configuration's measurement sweep is untelemetered, so
-    its wall-clock is the pinned configuration's steady-state cost.
+    engine cost, and the compile cache already absorbs rebuilds.
 
     Reps are interleaved round-robin across configurations by the
     caller: a slow machine phase (CPU quota throttling, a noisy
@@ -67,15 +60,10 @@ def _run_once(session, spec, config):
     try:
         if config == "predecoded":
             os.environ["REPRO_NO_BATCH"] = "1"
-        if config == "autotuned":
-            os.environ["REPRO_AUTOTUNE"] = "1"
-        result = run_impl(spec, "parsimony",
-                          codegen=config in ("codegen", "autotuned"))
-        run = session.vm_runs[-1]
-        return result, run.get("wall_seconds") or 0.0, run.get("autotune")
+        result = run_impl(spec, "parsimony", codegen=config == "codegen")
+        return result, session.vm_runs[-1].get("wall_seconds") or 0.0
     finally:
         os.environ.pop("REPRO_NO_BATCH", None)
-        os.environ.pop("REPRO_AUTOTUNE", None)
 
 
 def main():
@@ -93,10 +81,6 @@ def main():
     parser.add_argument("--min-codegen-geomean", type=float, default=1.0,
                         help="fail if codegen-vs-batched geomean drops "
                              "below this")
-    parser.add_argument("--autotune", action="store_true",
-                        help="also run the profile-guided autotuned "
-                             "configuration (REPRO_AUTOTUNE=1) and record "
-                             "which config it selected and why")
     args = parser.parse_args()
 
     specs = BENCHMARKS
@@ -107,24 +91,20 @@ def main():
             parser.error(f"unknown kernels: {sorted(unknown)}")
         specs = [s for s in BENCHMARKS if s.name in wanted]
 
-    configs = CONFIGS + ("autotuned",) if args.autotune else CONFIGS
     failures = []
     kernels = {}
-    print(f"{'kernel':20s}" + "".join(f"{c:>14s}" for c in configs)
+    print(f"{'kernel':20s}" + "".join(f"{c:>14s}" for c in CONFIGS)
           + f"{'batched x':>12s}{'codegen x':>12s}")
     with telemetry.collect() as session:
         for spec in specs:
-            results, tuned = {}, None
-            samples = {config: [] for config in configs}
+            results = {}
+            samples = {config: [] for config in CONFIGS}
             cg_bailouts = {}
             for _ in range(args.reps):
-                for config in configs:
-                    results[config], wall, info = _run_once(
-                        session, spec, config)
+                for config in CONFIGS:
+                    results[config], wall = _run_once(session, spec, config)
                     samples[config].append(wall)
-                    if config == "autotuned":
-                        tuned = info
-                    elif config == "codegen":
+                    if config == "codegen":
                         report = session.vm_runs[-1].get("codegen") or {}
                         cg_bailouts = dict(report.get("bailouts") or {})
             walls = {config: min(s) for config, s in samples.items()}
@@ -135,7 +115,7 @@ def main():
                     f"{spec.name}: codegen bailed out: {cg_bailouts}")
 
             base = results["predecoded"]
-            for config in configs[1:]:
+            for config in CONFIGS[1:]:
                 r = results[config]
                 if not (r.stats.cycles == base.stats.cycles
                         and r.stats.instructions == base.stats.instructions
@@ -158,27 +138,22 @@ def main():
                 "batched_speedup": speedup,
                 "codegen_speedup": cg_speedup,
             }
-            if tuned is not None:
-                kernels[spec.name]["autotune"] = tuned
             print(f"{spec.name:20s}"
-                  + "".join(f"{walls[c] * 1e3:12.1f}ms" for c in configs)
+                  + "".join(f"{walls[c] * 1e3:12.1f}ms" for c in CONFIGS)
                   + f"{speedup:12.2f}{cg_speedup:12.2f}")
-            if tuned is not None:
-                print(f"{'':20s}  autotune chose B={tuned['factor']}: "
-                      f"{tuned['reason']}")
 
     gm = geomean([k["batched_speedup"] for k in kernels.values()
                   if k["batched_speedup"]])
     gm_cg = geomean([k["codegen_speedup"] for k in kernels.values()
                      if k["codegen_speedup"]])
-    print("-" * (20 + 14 * len(configs) + 24))
+    print("-" * (20 + 14 * len(CONFIGS) + 24))
     print(f"{'geomean batched-vs-predecoded':48s}{gm:18.2f}")
     print(f"{'geomean codegen-vs-batched':48s}{gm_cg:18.2f}")
 
     doc = {
         "schema": "repro-bench/1",
         "pr": 13,
-        "configs": list(configs),
+        "configs": list(CONFIGS),
         "kernels": kernels,
         "geomean_batched_speedup": gm,
         "geomean_codegen_speedup": gm_cg,

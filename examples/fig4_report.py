@@ -11,10 +11,7 @@ benchmarks, normalized to LLVM auto-vectorization (paper §6).
 vectorizer shape/memory-form counters, per-function VM cycle
 attribution, and ``vm.codegen.*`` whole-kernel-codegen counters — and
 writes it as structured JSON.  ``--disk-cache`` enables the persistent
-compile cache; ``--autotune`` enables the profile-guided batch selector
-(``REPRO_AUTOTUNE=1``) and prints, per kernel, which batch configuration
-it chose and why (pinned profile vs fresh measurement sweep);
-``--codegen`` prints, per kernel, the compile/cache/bailout activity of
+compile cache; ``--codegen`` prints, per kernel, the compile/cache/bailout activity of
 the whole-kernel codegen engine every run uses; ``--dump-codegen KERNEL``
 prints the Python source that engine generates for one kernel (under a
 header: lines, values folded at emit time, inline vs ``Memory``-only
@@ -88,30 +85,6 @@ def _print_degradations(session):
     for entry in fulls:
         reason = entry["reason"].get("error", "?")
         print(f"  whole   {entry['function']}: {reason}")
-
-
-def _print_autotune(session):
-    """Per-kernel profile-guided selection report (``--autotune``).
-
-    Shows the *last* decision per run label (the steady state: a
-    measurement sweep on the first run pins a winner that later runs
-    rehydrate) plus the session's ``vm.autotune.*`` event totals.
-    """
-    print()
-    print("autotune decisions (profile-guided batch selection)")
-    latest = {}
-    for run in session.vm_runs:
-        if run.get("autotune"):
-            latest[run["label"]] = run["autotune"]
-    if not latest:
-        print("  none recorded — tuner disabled or overridden by "
-              "REPRO_BATCH/REPRO_NO_BATCH")
-        return
-    for label, at in latest.items():
-        print(f"  {label:28s} B={at['factor']:<3d} [{at['state']}] "
-              f"{at['reason']}")
-    totals = session.vm_autotune_totals()
-    print(f"  totals: " + ", ".join(f"{k}={v}" for k, v in totals.items()))
 
 
 def _print_codegen(session):
@@ -244,11 +217,6 @@ def main():
         help="disable the gang-batching layer (sets REPRO_NO_BATCH=1)",
     )
     parser.add_argument(
-        "--autotune", action="store_true",
-        help="enable profile-guided batch selection "
-             "(sets REPRO_AUTOTUNE=1) and report the decisions",
-    )
-    parser.add_argument(
         "--codegen", action="store_true",
         help="report the codegen engine's per-kernel compile/cache/"
              "bailout activity",
@@ -277,8 +245,6 @@ def main():
 
     if args.no_batch:
         os.environ["REPRO_NO_BATCH"] = "1"
-    if args.autotune:
-        os.environ["REPRO_AUTOTUNE"] = "1"
     if args.disk_cache:
         set_disk_cache(True)
     if args.dump_codegen:
@@ -297,14 +263,12 @@ def main():
             parser.error(f"unknown kernels: {sorted(unknown)}")
         specs = [s for s in BENCHMARKS if s.name in wanted]
 
-    if args.telemetry or args.autotune or args.codegen:
-        # --autotune/--codegen collect a session even without
-        # --telemetry: their reports read the per-run records.
+    if args.telemetry or args.codegen:
+        # --codegen collects a session even without --telemetry: its
+        # report reads the per-run records.
         with telemetry.collect() as session:
             report(specs)
         _print_degradations(session)
-        if args.autotune:
-            _print_autotune(session)
         if args.codegen:
             _print_codegen(session)
         if args.per_function:

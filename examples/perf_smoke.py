@@ -2,7 +2,7 @@
 """CI perf-smoke: reduced ispc-suite sweep across engine configurations.
 
     python examples/perf_smoke.py [--kernels a,b] [--impls scalar,parsimony]
-                                  [--out telemetry.json] [--autotune]
+                                  [--out telemetry.json]
 
 Runs each selected kernel in three configurations — batched (the
 default: whole-kernel codegen on the gang-batched build), unbatched
@@ -16,7 +16,10 @@ runs) — and **fails (exit 1)** if:
   batching nor whole-kernel codegen may change what the machine model
   charges),
 * the parsimony implementation never engages gang batching across the
-  sweep (``vm.batch.applied`` stays zero — the layer silently died),
+  sweep (``vm.batch.applied`` stays zero — the layer silently died), or
+  a kernel whose build batched runs slower than the batch floor (default
+  0.95× its unbatched build, measured interleaved — the stencil
+  regression the nesting rule in ``select_batch_factor`` fixed),
 * the codegen engine never runs a compiled kernel across the sweep
   (``vm.codegen.calls`` stays zero — every kernel bailed out), or a
   kernel where codegen *did* engage runs slower than the codegen floor
@@ -31,14 +34,6 @@ runs) — and **fails (exit 1)** if:
 ``--bailout-out`` writes the per-build codegen bailout histogram as a
 JSON artifact so a coverage regression names the reason in CI.
 
-``--autotune`` adds a configuration for the parsimony implementation:
-profile-guided batch selection (``REPRO_AUTOTUNE=1``).  It additionally
-**fails** if any kernel's autotuned configuration runs slower than 0.95×
-plain unbatched — the regression the tuner exists to prevent (a
-statically mis-batched kernel like stencil losing wall-clock to the
-unbatched engine) — or if the autotuned outputs/``ExecStats`` diverge
-from the other configurations.
-
 ``--shards N`` adds a sharded configuration: every kernel/impl also runs
 through the supervised multi-process executor (``REPRO_SHARDS=N``, see
 :mod:`repro.shard`) and **fails** if its outputs or ``ExecStats`` diverge
@@ -51,10 +46,9 @@ without a recorded retry/degradation, or never fires at all on a sharded
 launch.
 
 ``--out`` writes the collected telemetry JSON (flattened ``vm.batch.*``,
-``vm.autotune.*``, ``vm.shard.*``, and ``vm.codegen.*`` counters,
-per-run wall-clock) for upload as a CI artifact; per-kernel wall-clock
-for all configurations plus the batched-vs-unbatched,
-codegen-vs-predecoded, and autotuned-vs-unbatched ratios land in
+``vm.shard.*``, and ``vm.codegen.*`` counters, per-run wall-clock) for
+upload as a CI artifact; per-kernel wall-clock for all configurations
+plus the batched-vs-unbatched and codegen-vs-predecoded ratios land in
 ``meta.perf_smoke``.
 """
 
@@ -95,16 +89,6 @@ def _outputs_equal(a, b):
     )
 
 
-def _timed_pair(session, spec, impl):
-    """Two reps on the default engine; min() reports steady-state cost
-    (the first run also pays the one-time emission and ``compile()``)."""
-    run_impl(spec, impl)
-    result = run_impl(spec, impl)
-    runs = session.vm_runs[-2:]
-    wall = min(r.get("wall_seconds") or 0.0 for r in runs)
-    return result, runs[-1], wall
-
-
 def _coverage_sweep(session, failures):
     """Run every fig4 and fig5 build once on the default engine; returns
     the per-build bailout histogram (empty dicts when all compiled)."""
@@ -132,14 +116,10 @@ def main():
                         help="comma-separated implementations to run")
     parser.add_argument("--out", metavar="PATH",
                         help="write telemetry JSON (CI artifact)")
-    parser.add_argument("--autotune", action="store_true",
-                        help="also sweep the profile-guided configuration "
-                             "(REPRO_AUTOTUNE=1) and fail if it runs slower "
-                             "than 0.95x plain unbatched on any kernel")
-    parser.add_argument("--autotune-floor", type=float, default=0.95,
+    parser.add_argument("--batch-floor", type=float, default=0.95,
                         metavar="RATIO",
-                        help="minimum unbatched/autotuned wall-clock ratio "
-                             "(default: 0.95)")
+                        help="minimum unbatched/batched wall-clock ratio for "
+                             "kernels whose build batched (default: 0.95)")
     parser.add_argument("--codegen-floor", type=float, default=0.9,
                         metavar="RATIO",
                         help="minimum predecoded/codegen wall-clock ratio for "
@@ -167,21 +147,30 @@ def main():
     bailouts_by_build = {}
     saved_env = {
         name: os.environ.pop(name, None)
-        for name in ("REPRO_NO_BATCH", "REPRO_AUTOTUNE", "REPRO_SHARDS")
+        for name in ("REPRO_NO_BATCH", "REPRO_SHARDS")
     }
     with telemetry.collect() as session:
         for spec in specs:
             for impl in impls:
                 name = f"{spec.name}/{impl}"
+                # Batched and unbatched samples alternate (min of 3 each),
+                # so a slow machine phase lands on both sides of the ratio.
                 # The compile cache keys on the batch request, so toggling
                 # the environment between runs compiles fresh modules
-                # rather than rehydrating the other configuration's twin.
-                batched, batched_run, wall_b = _timed_pair(session, spec, impl)
-                try:
-                    os.environ["REPRO_NO_BATCH"] = "1"
-                    nobatch, _, wall_nb = _timed_pair(session, spec, impl)
-                finally:
-                    os.environ.pop("REPRO_NO_BATCH", None)
+                # rather than rehydrating the other configuration's.
+                walls_b, walls_nb = [], []
+                for _ in range(3):
+                    batched = run_impl(spec, impl)
+                    batched_run = session.vm_runs[-1]
+                    walls_b.append(batched_run.get("wall_seconds") or 0.0)
+                    try:
+                        os.environ["REPRO_NO_BATCH"] = "1"
+                        nobatch = run_impl(spec, impl)
+                    finally:
+                        os.environ.pop("REPRO_NO_BATCH", None)
+                    walls_nb.append(
+                        session.vm_runs[-1].get("wall_seconds") or 0.0)
+                wall_b, wall_nb = min(walls_b), min(walls_nb)
                 # The predecoded twin of the same batched build,
                 # interleaved with codegen samples so machine-phase noise
                 # lands on both sides of the ratio (min of 3 each).
@@ -197,35 +186,6 @@ def main():
                 wall_pd, wall_cg = min(walls_pd), min(walls_cg)
                 cg_report = batched_run.get("codegen") or {}
                 bailouts_by_build[name] = dict(cg_report.get("bailouts") or {})
-
-                tuned = tuned_run = wall_at = wall_nbi = None
-                if args.autotune and impl == "parsimony":
-                    # The floor compares *interleaved* unbatched/autotuned
-                    # samples (min of 3 each): alternating the two configs
-                    # run-by-run means a slow machine phase (CPU quota
-                    # throttling, a noisy neighbor) lands on both sides of
-                    # the ratio instead of biasing whichever ran last.
-                    # The first autotuned run sweeps candidates and pins;
-                    # the rest run the pinned configuration.
-                    walls_nbi, walls_at = [], []
-                    for _ in range(3):
-                        try:
-                            os.environ["REPRO_NO_BATCH"] = "1"
-                            run_impl(spec, impl)
-                        finally:
-                            os.environ.pop("REPRO_NO_BATCH", None)
-                        walls_nbi.append(
-                            session.vm_runs[-1].get("wall_seconds") or 0.0)
-                        try:
-                            os.environ["REPRO_AUTOTUNE"] = "1"
-                            tuned = run_impl(spec, impl)
-                        finally:
-                            os.environ.pop("REPRO_AUTOTUNE", None)
-                        tuned_run = session.vm_runs[-1]
-                        walls_at.append(
-                            tuned_run.get("wall_seconds") or 0.0)
-                    wall_at = min(walls_at)
-                    wall_nbi = min(walls_nbi)
 
                 shard_base = shard_result = shard_report = None
                 fault_log = []
@@ -276,48 +236,29 @@ def main():
                         f"{name}: codegen runs at {cg_ratio:.2f}x its "
                         f"predecoded twin (< {args.codegen_floor} floor): "
                         f"{cg_report}")
+                # The batch floor binds where batching applied: elsewhere
+                # both sides of the ratio run the same unbatched module.
+                batch = batched_run.get("batch") or {}
+                batch_ratio = (wall_nb / wall_b) if wall_b else None
+                if (batch_ratio is not None and batch_ratio < args.batch_floor
+                        and batch.get("applied")):
+                    failures.append(
+                        f"{name}: batched build runs at {batch_ratio:.2f}x "
+                        f"its unbatched build (< {args.batch_floor} floor): "
+                        f"{batch}")
 
                 rows[name] = {
                     "wall_batched": wall_b,
                     "wall_unbatched": wall_nb,
                     "wall_predecoded": wall_pd,
                     "wall_codegen": wall_cg,
-                    "batch_speedup": (wall_nb / wall_b) if wall_b else None,
+                    "batch_speedup": batch_ratio,
                     "codegen_speedup": cg_ratio,
                     "stats_identical": stats_ok,
                     "outputs_identical": out_ok,
                     "batch": batched_run.get("batch"),
                     "codegen": cg_report,
                 }
-                tuned_note = ""
-                if tuned is not None:
-                    if not _stats_equal(tuned, nobatch):
-                        failures.append(
-                            f"{name}: autotuned ExecStats diverge from unbatched")
-                    if not _outputs_equal(tuned, nobatch):
-                        failures.append(
-                            f"{name}: autotuned outputs diverge from unbatched")
-                    # The bug this layer closes: a statically mis-batched
-                    # kernel must never run slower autotuned than plain
-                    # unbatched (beyond noise).  A tuned factor of 1 means
-                    # the tuner *chose* the unbatched engine — both sides
-                    # of the ratio run the identical module, so the floor
-                    # is vacuously met (comparing noise against itself).
-                    ratio = (wall_nbi / wall_at) if wall_at else None
-                    tuned_factor = (tuned_run.get("autotune") or {}).get("factor")
-                    if (ratio is not None and ratio < args.autotune_floor
-                            and tuned_factor != 1):
-                        failures.append(
-                            f"{name}: autotuned config runs at {ratio:.2f}x "
-                            f"unbatched (< {args.autotune_floor} floor): "
-                            f"{tuned_run.get('autotune')}")
-                    rows[name]["wall_autotuned"] = wall_at
-                    rows[name]["autotune_speedup"] = ratio
-                    rows[name]["autotune"] = tuned_run.get("autotune")
-                    tuned_note = (
-                        f"autotuned={wall_at * 1e3:7.1f}ms "
-                        f"atx={ratio:5.2f} "
-                        f"B={tuned_run.get('autotune', {}).get('factor')} ")
                 shard_note = ""
                 if shard_result is not None:
                     if not _stats_equal(shard_base, shard_result):
@@ -350,7 +291,7 @@ def main():
                     f"{name:32s} unbatched={wall_nb * 1e3:7.1f}ms "
                     f"batched={wall_b * 1e3:7.1f}ms "
                     f"predecoded={wall_pd * 1e3:7.1f}ms "
-                    f"{tuned_note}{shard_note}"
+                    f"{shard_note}"
                     f"batchx={rows[name]['batch_speedup']:5.2f} "
                     f"cgx={cg_ratio:5.2f} "
                     f"stats={'ok' if stats_ok else 'DIVERGED'} "
@@ -372,16 +313,6 @@ def main():
     if not codegen_totals.get("vm.codegen.calls"):
         failures.append("whole-kernel codegen never ran a compiled kernel "
                         "across the sweep (every kernel bailed out)")
-    if args.autotune:
-        autotune_totals = session.vm_autotune_totals()
-        print(f"vm.autotune totals: {autotune_totals}")
-        # A persisted pin from an earlier process produces no fresh pin
-        # event, so the liveness check is the per-run decision record.
-        if "parsimony" in impls and not any(
-            r.get("autotune") for r in session.vm_runs
-        ):
-            failures.append("autotuner made no decisions across the "
-                            "parsimony sweep (layer silently dead)")
     if "parsimony" in impls and not batch_totals.get("vm.batch.applied"):
         failures.append("gang batching never applied across the parsimony sweep")
     if args.shards:

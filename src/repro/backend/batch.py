@@ -131,14 +131,18 @@ class BatchReport(dict):
 
 
 def select_batch_factor(gang_size: int, requested: Optional[int] = None,
-                        machine=None, straight_line: bool = False) -> int:
+                        machine=None, straight_line: bool = False,
+                        nested: bool = False) -> int:
     """Resolve the batch factor for one gang loop.
 
     ``requested`` comes from ``REPRO_BATCH`` (rounded down to a power of
     two); ``None`` asks the cost model, which honors ``machine``'s
     register/lane width when one is given and aims higher for a
-    ``straight_line`` loop body.  Returns 1 when batching is not
-    worthwhile.
+    ``straight_line`` loop body.  A ``nested`` gang loop — one inside
+    another loop, re-entered once per outer iteration to cover one row —
+    gets at most 2: at wider factors its batched trip is empty on a short
+    row, yet every entry still pays for it (stencil's 62-thread rows run
+    fastest at B=2).  Returns 1 when batching is not worthwhile.
     """
     if requested is not None:
         if requested < 2:
@@ -147,7 +151,8 @@ def select_batch_factor(gang_size: int, requested: Optional[int] = None,
         while b * 2 <= requested:
             b *= 2
         return b
-    return suggest_batch_factor(gang_size, machine, straight_line)
+    suggestion = suggest_batch_factor(gang_size, machine, straight_line)
+    return min(2, suggestion) if nested else suggestion
 
 
 def batching_request() -> Optional[int]:
@@ -1003,12 +1008,13 @@ def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport
                 rejected.append((function.name, gl.loop.header.name,
                                  f"non-power-of-two gang size {gl.gang}"))
                 continue
-            # The one bit of loop shape the lane target looks at.
+            # The two bits of loop shape the factor looks at.
             straight_line = not any(
                 inner.header is not gl.loop.header
                 and inner.header in gl.loop.blocks for inner in loops)
             b = select_batch_factor(gl.gang, requested,
-                                    straight_line=straight_line)
+                                    straight_line=straight_line,
+                                    nested=gl.loop.parent is not None)
             if b < 2:
                 rejected.append((function.name, gl.loop.header.name,
                                  "gang already at the lane target"))

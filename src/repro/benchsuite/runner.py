@@ -16,8 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .. import autotune, diskcache, faultinject, shard, telemetry
-from ..backend.batch import batching_request
+from .. import diskcache, shard, telemetry
 from ..backend.machine import AVX512, ExecStats, Machine
 from ..driver import compile_autovec, compile_ispc, compile_parsimony, compile_scalar
 from ..ir.module import Module
@@ -84,91 +83,6 @@ def build_impl(spec: KernelSpec, impl: str, machine: Machine = AVX512) -> Module
     raise ValueError(f"unknown implementation {impl!r}")
 
 
-def _effective_factor(module: Module) -> int:
-    """The batch factor a compiled parsimony module actually runs at
-    (1 = unbatched, whether batching was off, rejected, or not requested)."""
-    return int(module.attrs.get("batch_factor", 1))
-
-
-def _timed_run(module: Module, machine: Machine, workload: Workload,
-               predecode: bool, codegen: bool) -> float:
-    """One untelemetered wall-clock sample of ``kernel`` on ``workload``.
-
-    A fresh interpreter per sample; ``alloc_array`` copies the workload
-    into VM memory, so the caller's arrays stay pristine for the real run.
-    """
-    interp = Interpreter(module, machine=machine, predecode=predecode,
-                         codegen=codegen)
-    addrs = []
-    for array in workload.arrays:
-        addrs.append(interp.memory.alloc_array(array))
-        interp.memory.alloc(_GUARD_BYTES)
-    interp.reset_stats()
-    start = time.perf_counter()
-    interp.run("kernel", *addrs, *workload.scalars)
-    return time.perf_counter() - start
-
-
-def _autotune_parsimony(spec: KernelSpec, machine: Machine,
-                        workload: Workload, predecode: bool, codegen: bool):
-    """Profile-guided module selection for the parsimony implementation.
-
-    Consults the persisted profile for this kernel's content fingerprint:
-    a pinned winner compiles straight to its batch request; an unpinned
-    kernel triggers a measurement sweep over the candidate requests
-    (deduped by the effective factor each one compiles to) on the engine
-    the real run will use, pins the winning factor, and runs that.
-    Returns ``(module, info)`` where ``info`` is the ``autotune`` record
-    attached to the run's telemetry entry.
-    """
-    fp = autotune.fingerprint(spec.psim_src)
-    engine = autotune.engine_config(machine)
-    name = f"{spec.name}.parsimony"
-    dec = autotune.decision(fp, engine)
-    if dec["state"] == "pinned":
-        module = compile_parsimony(spec.psim_src, module_name=name,
-                                   batch_request=dec["request"])
-        return module, {
-            "state": "pinned", "fingerprint": fp, "engine": engine,
-            "factor": dec["factor"], "request": dec["request"],
-            "reason": dec["reason"],
-        }
-    reps = autotune.measure_reps()
-    # Candidate requests dedupe by the *effective* factor each compiles to
-    # (an 8-gang kernel's auto suggestion may be 2, collapsing with the
-    # explicit B=2 candidate); the pin keeps the request, since only the
-    # original request — auto picks per-loop factors, a forced B does not —
-    # reproduces the measured module exactly.
-    candidates: Dict[int, tuple] = {}
-    for request in dec["requests"]:
-        candidate = compile_parsimony(spec.psim_src, module_name=name,
-                                      batch_request=request)
-        candidates.setdefault(_effective_factor(candidate),
-                              (request, candidate))
-    # Interleave the candidates round-robin rather than timing each one's
-    # repetitions back-to-back: a slow machine phase (CPU throttling, a
-    # noisy neighbor) then lands on every candidate instead of sinking
-    # whichever one it coincided with.
-    walls: Dict[int, list] = {factor: [] for factor in candidates}
-    for _ in range(reps):
-        for factor, (_, candidate) in sorted(candidates.items()):
-            walls[factor].append(
-                _timed_run(candidate, machine, workload, predecode, codegen))
-    measured: Dict[int, float] = {}
-    for factor in sorted(walls):
-        measured[factor] = min(walls[factor])
-        autotune.record_measurement(fp, engine, factor, measured[factor])
-    best = autotune.choose_factor(measured)
-    best_request, best_module = candidates[best]
-    reason = autotune.pin(fp, engine, best, measured[best], measured,
-                          request=best_request)
-    return best_module, {
-        "state": "measured", "fingerprint": fp, "engine": engine,
-        "factor": best, "request": best_request, "reason": reason,
-        "measured": {str(f): w for f, w in measured.items()},
-    }
-
-
 def run_impl(spec: KernelSpec, impl: str, machine: Machine = AVX512,
              module: Optional[Module] = None,
              workload: Optional[Workload] = None,
@@ -178,18 +92,8 @@ def run_impl(spec: KernelSpec, impl: str, machine: Machine = AVX512,
 
     ``predecode``/``codegen`` select the VM tier exactly as
     :class:`~repro.vm.Interpreter` does (default: whole-kernel codegen).
-
-    With ``REPRO_AUTOTUNE=1`` (and no explicit ``REPRO_BATCH`` /
-    ``REPRO_NO_BATCH`` override, which always wins), the parsimony
-    implementation's batch factor is selected by the profile-guided
-    tuner instead of the static cost model: see :mod:`repro.autotune`.
     """
     workload = workload or spec.workload()
-    autotune_info = None
-    if (module is None and impl == "parsimony" and autotune.enabled()
-            and batching_request() is None and not faultinject.active()):
-        module, autotune_info = _autotune_parsimony(
-            spec, machine, workload, predecode, codegen)
     module = module or build_impl(spec, impl, machine)
     interp = Interpreter(module, machine=machine, predecode=predecode,
                          codegen=codegen)
@@ -208,7 +112,7 @@ def run_impl(spec: KernelSpec, impl: str, machine: Machine = AVX512,
         # identical to the in-process engine, or an in-process run with a
         # ``rejected``/``degraded`` shard report — see :mod:`repro.shard`.
         recipe = None
-        if impl == "parsimony" and autotune_info is None and diskcache.enabled():
+        if impl == "parsimony" and diskcache.enabled():
             recipe = {"source": spec.psim_src,
                       "module_name": f"{spec.name}.parsimony"}
         engine = shard.run_sharded(
@@ -231,21 +135,13 @@ def run_impl(spec: KernelSpec, impl: str, machine: Machine = AVX512,
             "rejected": len(module.attrs.get("batch_rejected", ())),
             "replays": engine.batch_replays,
         }
-    if autotune_info is not None:
-        # The telemetered run doubles as a steady-state sample; a pinned
-        # choice that regresses past the deopt threshold is dropped here
-        # and the next run re-measures.
-        if autotune.observe(autotune_info["fingerprint"],
-                            autotune_info["engine"],
-                            autotune_info["factor"], wall) == "deopt":
-            autotune_info["deopt"] = True
     codegen_report = None
     if getattr(engine, "codegen", False):
         codegen_report = engine.codegen_report()
     telemetry.record_vm_run(
         f"{spec.name}/{impl}", engine.stats, engine.hotspots(),
         wall_seconds=wall, batch=batch,
-        autotune=autotune_info, shard=shard_report, codegen=codegen_report,
+        shard=shard_report, codegen=codegen_report,
     )
     outputs = [
         interp.memory.read_array(addrs[idx], workload.arrays[idx].dtype,
@@ -342,7 +238,7 @@ def dump_codegen(spec: KernelSpec, machine: Machine = AVX512) -> str:
     from ..backend.costmodel import DEFAULT_COST_MODEL
 
     module = build_impl(spec, "parsimony", machine)
-    out = [f"{module.name}: batch factor {_effective_factor(module)}"]
+    out = [f"{module.name}: batch factor {module.attrs.get('batch_factor', 1)}"]
     for function in module.functions.values():
         if not function.blocks:
             continue

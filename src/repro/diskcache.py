@@ -81,7 +81,10 @@ __all__ = [
 #: v8: gang-local horizontal ops batch — shuffles, integer reductions and
 #: strided accesses carry ``segments``/``row_stride`` forms, so 21 more
 #: fig5 kernels compile to batched modules; v7 entries must not answer.
-CACHE_VERSION = 8
+#: v9: a nested gang loop batches at most 2 gangs on the auto request,
+#: so stencil and the 14 fig5 row-wise kernels compile at B=2 under the
+#: same key; a v8 entry would rehydrate stencil at B=32.
+CACHE_VERSION = 9
 
 _PID_PREFIX = "repro-ext:"
 

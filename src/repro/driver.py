@@ -21,7 +21,7 @@ import functools
 from collections import OrderedDict
 from typing import Callable, Dict, Optional, Tuple
 
-from . import autotune, diskcache, faultinject
+from . import diskcache, faultinject
 from .backend.batch import batch_module, batching_request
 from .backend.codegen import clear_code_cache
 from .backend.costmodel import CostModel
@@ -176,7 +176,7 @@ def compile_autovec(source: str, machine: Machine = AVX512,
 
 
 #: Sentinel: ``compile_parsimony(batch_request=...)`` not passed — resolve
-#: from the environment, then from the autotuner's pinned profile.
+#: from the environment.
 _BATCH_UNSET = object()
 
 
@@ -194,21 +194,15 @@ def compile_parsimony(source: str, config: Optional[VectorizeConfig] = None,
 
     ``batch_request`` pins the gang-batching configuration (``0`` = off,
     ``N`` = forced factor, ``None`` = cost-model auto).  When omitted it
-    resolves from ``REPRO_BATCH``/``REPRO_NO_BATCH``; if those leave the
-    choice on auto and the profile-guided tuner is enabled
-    (``REPRO_AUTOTUNE=1``), a pinned measured winner for this kernel's
-    content fingerprint — persisted across processes next to the disk
-    cache — wins over the static cost model.
+    resolves from ``REPRO_BATCH``/``REPRO_NO_BATCH``.  A request below 2
+    batches nothing, so it is the unbatched build and shares its cache
+    entry.
     """
 
     if batch_request is _BATCH_UNSET:
         batch_request = batching_request()
-        if batch_request is None and autotune.enabled():
-            pinned = autotune.pinned_request(
-                autotune.fingerprint(source), autotune.engine_config()
-            )
-            if pinned is not None:
-                batch_request = pinned
+    if batch_request is not None and batch_request < 2:
+        batch_request = 0
 
     config_key = None if config is None else dataclasses.astuple(config)
     return _cached_compile(

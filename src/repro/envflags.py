@@ -1,7 +1,7 @@
 """The one parser for boolean environment knobs.
 
-``REPRO_AUTOTUNE``, ``REPRO_DISK_CACHE``, ``REPRO_NO_BATCH`` and
-``REPRO_PARANOID`` are on/off switches.  Ad-hoc parsing gets them wrong
+``REPRO_DISK_CACHE``, ``REPRO_NO_BATCH`` and ``REPRO_PARANOID`` are
+on/off switches.  Ad-hoc parsing gets them wrong
 in both directions: ``value in ("1", "true")`` silently ignores
 ``REPRO_NO_BATCH=yes``, and ``value not in ("", "0")`` turns
 ``REPRO_PARANOID=false`` *on*.  An unparsable value is a

@@ -646,9 +646,8 @@ def _worker_main(conn, spec: Dict[str, object]) -> None:
     module = None
     recipe = spec.get("recipe")
     if recipe is not None:
-        # Warm start: recompile through the driver so the disk cache and
-        # pinned autotune decisions are exercised; any failure falls back
-        # to the fork-inherited module.
+        # Warm start: recompile through the driver so the disk cache is
+        # exercised; any failure falls back to the fork-inherited module.
         try:
             if "pickled" in recipe:
                 module = diskcache.loads_module(recipe["pickled"])

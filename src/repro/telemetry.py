@@ -34,7 +34,6 @@ __all__ = [
     "collect",
     "current",
     "diff_documents",
-    "record_autotune",
     "record_fallback",
     "record_partial_fallback",
     "record_pass",
@@ -42,8 +41,8 @@ __all__ = [
     "record_vm_run",
 ]
 
-#: v3: autotuner evidence — ``vm.autotune`` events/totals and the chosen
-#: configuration on each VM run.
+#: v3: profile-guided batch-tuner evidence — events, totals and the
+#: chosen configuration on each VM run (gone since v9).
 #: v4: sharded-execution evidence — a per-run ``shard`` record (mode,
 #: shard/worker counts, retries, degradations) and ``vm.shard.*`` totals.
 #: v5: whole-kernel codegen evidence — a per-run ``codegen`` record
@@ -59,7 +58,10 @@ __all__ = [
 #: every kernel's SPMD function is ``kernel.psim0``, so (function, gang
 #: size, reason) alone made one session record only its first kernel's
 #: degradation.  Diff mode counts the records and reads v7 as before.
-SCHEMA = "repro-telemetry/8"
+#: v9: the batch tuner is gone — ``vm`` carries neither its event list
+#: nor its totals table, and runs no tuner record; diff mode still reads a
+#: v8 document and shows its tuner counters with the new side at 0.
+SCHEMA = "repro-telemetry/9"
 DIFF_SCHEMA = "repro-telemetry-diff/2"
 
 
@@ -81,8 +83,6 @@ class Telemetry:
         self.partial_fallbacks: List[Dict[str, object]] = []
         #: one entry per VM run
         self.vm_runs: List[Dict[str, object]] = []
-        #: one entry per autotuner event (measure / pin / deopt)
-        self.autotune_events: List[Dict[str, object]] = []
         self.meta: Dict[str, object] = {"started_at": time.time()}
 
     # -- recording -------------------------------------------------------------------
@@ -180,7 +180,6 @@ class Telemetry:
         hotspots: List[Dict],
         wall_seconds: Optional[float] = None,
         batch: Optional[Dict[str, object]] = None,
-        autotune: Optional[Dict[str, object]] = None,
         shard: Optional[Dict[str, object]] = None,
         codegen: Optional[Dict[str, object]] = None,
     ) -> None:
@@ -195,10 +194,6 @@ class Telemetry:
             entry["wall_seconds"] = wall_seconds
         if batch is not None:
             entry["batch"] = dict(batch)
-        if autotune is not None:
-            # The chosen engine/batch configuration and why it was chosen
-            # (pinned profile, fresh measurement, deopt, ...).
-            entry["autotune"] = dict(autotune)
         if shard is not None:
             # The merged supervisor report for a sharded launch: mode
             # (sharded / rejected / degraded variants), shard and worker
@@ -210,12 +205,6 @@ class Telemetry:
             # calls, trap replays on the predecoded twin, and bailouts.
             entry["codegen"] = dict(codegen)
         self.vm_runs.append(entry)
-
-    def record_autotune(self, event: str, info: Dict[str, object]) -> None:
-        """One profile-guided-selection event: ``measure`` (a candidate
-        configuration was timed), ``pin`` (a winner was persisted), or
-        ``deopt`` (a pinned choice regressed and was dropped)."""
-        self.autotune_events.append({"event": event, **info})
 
     # -- reporting -------------------------------------------------------------------
 
@@ -272,18 +261,6 @@ class Telemetry:
             totals["vm.batch.applied"] += int(batch.get("applied", 0))
             totals["vm.batch.rejected"] += int(batch.get("rejected", 0))
             totals["vm.batch.replays"] += int(batch.get("replays", 0))
-        return totals
-
-    def vm_autotune_totals(self) -> Dict[str, int]:
-        """Autotuner counters, flattened to the ``vm.autotune.*`` keys the
-        perf-smoke CI job and diff mode read: candidate measurements,
-        pinned winners, and deopts."""
-        totals = {"vm.autotune.measure": 0, "vm.autotune.pin": 0,
-                  "vm.autotune.deopt": 0}
-        for entry in self.autotune_events:
-            key = f"vm.autotune.{entry.get('event')}"
-            if key in totals:
-                totals[key] += 1
         return totals
 
     def vm_shard_totals(self) -> Dict[str, int]:
@@ -347,8 +324,6 @@ class Telemetry:
             "vm": {
                 "runs": self.vm_runs,
                 "batch_totals": self.vm_batch_totals(),
-                "autotune": self.autotune_events,
-                "autotune_totals": self.vm_autotune_totals(),
                 "shard_totals": self.vm_shard_totals(),
                 "codegen_totals": self.vm_codegen_totals(),
             },
@@ -405,15 +380,10 @@ def record_vectorization(function_name, gang_size, shapes, memory_forms,
 
 
 def record_vm_run(label, stats, hotspots, wall_seconds=None,
-                  batch=None, autotune=None, shard=None, codegen=None):
+                  batch=None, shard=None, codegen=None):
     if _current is not None:
         _current.record_vm_run(label, stats, hotspots, wall_seconds,
-                               batch, autotune, shard, codegen)
-
-
-def record_autotune(event, info):
-    if _current is not None:
-        _current.record_autotune(event, info)
+                               batch, shard, codegen)
 
 
 # -- PR-over-PR diffing ----------------------------------------------------------

@@ -1,11 +1,9 @@
-"""Concurrent multi-writer hardening of the on-disk stores (issue 7).
+"""Concurrent multi-writer hardening of the on-disk compile cache.
 
-Many worker processes hit the same disk-cache and autotune entries at
-once (the shard supervisor warm-starts workers through both).  The
-contract: concurrent writers never lose each other's updates (the
-autotune store is read-modify-write, so it takes an advisory lock) and
-never observe a torn entry; corrupt entries are recorded and survived,
-not fatal.
+Many worker processes hit the same disk-cache entries at once (the shard
+supervisor warm-starts workers through it).  The contract: concurrent
+writers never observe a torn entry; corrupt entries are recorded and
+survived, not fatal.
 """
 
 import os
@@ -13,7 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro import autotune, diskcache
+from repro import diskcache
 from repro.driver import compile_parsimony
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
@@ -28,7 +26,6 @@ void kernel(f32* out, u64 n) {
 """
 
 _WRITERS = 6
-_SAMPLES_EACH = 5
 
 
 def _spawn_children(tmp_path, body):
@@ -49,31 +46,6 @@ def _spawn_children(tmp_path, body):
         if proc.returncode != 0:
             failures.append(f"writer {writer}: {err.decode()[-500:]}")
     assert not failures, "\n".join(failures)
-
-
-def test_autotune_concurrent_writers_lose_no_samples(tmp_path, monkeypatch):
-    """N processes append samples to the *same* entry under distinct
-    factor keys; every sample must survive (the lost-update detector:
-    unlocked read-modify-write drops a whole writer's key)."""
-    body = (
-        "from repro import autotune\n"
-        "fp = autotune.fingerprint('concurrent-stress')\n"
-        "engine = autotune.engine_config()\n"
-        f"for s in range({_SAMPLES_EACH}):\n"
-        "    autotune.record_measurement(fp, engine, @WRITER@, 0.5 + s)\n"
-    )
-    _spawn_children(tmp_path, body)
-
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    fp = autotune.fingerprint("concurrent-stress")
-    engine = autotune.engine_config()
-    entry = autotune._load_entry(fp, engine)
-    assert set(entry["samples"]) == {str(w) for w in range(_WRITERS)}
-    for writer in range(_WRITERS):
-        samples = entry["samples"][str(writer)]
-        assert len(samples) == _SAMPLES_EACH, (
-            f"writer {writer} lost samples: {samples}"
-        )
 
 
 def test_diskcache_concurrent_compile_store_load(tmp_path, monkeypatch):
@@ -103,17 +75,6 @@ def test_diskcache_concurrent_compile_store_load(tmp_path, monkeypatch):
 def test_corrupt_entries_are_recorded_not_fatal(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
 
-    # Autotune: a scribbled entry loads as fresh and counts an error.
-    fp = autotune.fingerprint("corrupt-stress")
-    engine = autotune.engine_config()
-    autotune.record_measurement(fp, engine, 2, 1.0)
-    path = autotune._entry_path(fp, engine)
-    path.write_text("{not json")
-    before = autotune.stats()["errors"]
-    entry = autotune._load_entry(fp, engine)
-    assert entry["samples"] == {}
-    assert autotune.stats()["errors"] == before + 1
-
     # Disk cache: a scribbled pickle is dropped and the compile succeeds.
     diskcache.set_enabled(True)
     diskcache.reset_stats()
@@ -131,14 +92,3 @@ def test_corrupt_entries_are_recorded_not_fatal(tmp_path, monkeypatch):
     finally:
         diskcache.set_enabled(None)
 
-
-def test_concurrent_sampling_respects_max_samples(tmp_path, monkeypatch):
-    """The per-factor sample window stays bounded even when many writers
-    hammer the same factor key."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    fp = autotune.fingerprint("window-stress")
-    engine = autotune.engine_config()
-    for i in range(autotune.MAX_SAMPLES + 10):
-        autotune.record_measurement(fp, engine, 4, float(i))
-    entry = autotune._load_entry(fp, engine)
-    assert len(entry["samples"]["4"]) == autotune.MAX_SAMPLES

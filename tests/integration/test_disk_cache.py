@@ -1,21 +1,11 @@
 """Persistent on-disk compile cache: round-trip fidelity, version/toolchain
 keying, and the corruption-tolerance contract (a damaged entry must fall
-back to recompilation, never fail the compile).  The autotune profile
-store (issue 6) lives alongside the cache and shares its persistence
-contract: pins measured in one process must drive compiles in the next."""
-
-import json
-import os
-import pickle
-import subprocess
-import sys
-from pathlib import Path
+back to recompilation, never fail the compile)."""
 
 import numpy as np
 import pytest
 
-import repro
-from repro import autotune, diskcache, driver
+from repro import diskcache, driver
 from repro.runtime.mathlib import rehydrate_external
 from repro.vm import Interpreter
 
@@ -163,116 +153,6 @@ def test_forced_batch_factor_is_part_of_the_key(disk_cache, monkeypatch):
     stats = diskcache.stats()
     assert stats["hits"] == 0 and stats["writes"] == 1, stats
     assert forced.attrs.get("batch_factor") != other.attrs.get("batch_factor")
-
-
-# ---------------------------------------------------------------------------
-# autotune profile store (issue 6): pins persist across processes
-# ---------------------------------------------------------------------------
-
-#: One telemetered autotuned run of the regression kernel (stencil), its
-#: ExecStats and output digest printed as JSON.  First process: sweep +
-#: pin; second process: rehydrate the pin from disk.
-_SWEEP_SCRIPT = """
-import hashlib, json
-import numpy as np
-from repro import telemetry
-from repro.benchsuite import run_impl
-from repro.benchsuite.ispc_suite import BENCHMARKS
-
-spec = {s.name: s for s in BENCHMARKS}["stencil"]
-with telemetry.collect() as session:
-    result = run_impl(spec, "parsimony")
-run = session.vm_runs[-1]
-digest = hashlib.sha256(
-    b"".join(np.ascontiguousarray(o).tobytes() for o in result.outputs)
-).hexdigest()
-print(json.dumps({
-    "autotune": run["autotune"],
-    "cycles": result.stats.cycles,
-    "instructions": result.stats.instructions,
-    "counts": sorted(dict(result.stats.counts).items()),
-    "out": digest,
-}))
-"""
-
-
-def _autotuned_run_in_subprocess(cache_dir):
-    env = dict(os.environ)
-    env["REPRO_CACHE_DIR"] = str(cache_dir)
-    env["REPRO_AUTOTUNE"] = "1"
-    env["REPRO_AUTOTUNE_REPS"] = "1"
-    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
-    env.pop("REPRO_NO_BATCH", None)
-    env.pop("REPRO_BATCH", None)
-    proc = subprocess.run([sys.executable, "-c", _SWEEP_SCRIPT],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def test_autotune_pin_survives_process_restart(disk_cache):
-    """Issue-6 acceptance: measure in one process, rehydrate the pin in a
-    second one, with outputs and ExecStats bitwise identical across both."""
-    first = _autotuned_run_in_subprocess(disk_cache)
-    assert first["autotune"]["state"] == "measured"
-    assert len(first["autotune"]["measured"]) >= 2
-
-    entries = list((disk_cache / "autotune").glob("*.json"))
-    assert entries, "measurement sweep persisted no profile entry"
-
-    second = _autotuned_run_in_subprocess(disk_cache)
-    assert second["autotune"]["state"] == "pinned", second["autotune"]
-    assert second["autotune"]["factor"] == first["autotune"]["factor"]
-    assert second["autotune"]["request"] == first["autotune"]["request"]
-
-    # The accounting-transparency contract across the process boundary.
-    assert second["out"] == first["out"]
-    assert second["cycles"] == first["cycles"]
-    assert second["instructions"] == first["instructions"]
-    assert second["counts"] == first["counts"]
-
-    # This (third) process reads the same store.
-    from repro.benchsuite.ispc_suite import BENCHMARKS
-
-    spec = {s.name: s for s in BENCHMARKS}["stencil"]
-    dec = autotune.decision(autotune.fingerprint(spec.psim_src),
-                            autotune.engine_config())
-    assert dec["state"] == "pinned"
-    assert dec["factor"] == first["autotune"]["factor"]
-
-
-def test_pinned_request_drives_compiles(disk_cache, monkeypatch):
-    """A pin is consulted at *compile* time — any compile_parsimony caller
-    lands on the measured configuration — and an explicit REPRO_NO_BATCH /
-    REPRO_BATCH override always beats the tuner."""
-    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-    fp = autotune.fingerprint(SRC)
-    engine = autotune.engine_config()
-    autotune.pin(fp, engine, 2, 0.001, {1: 0.010, 2: 0.001}, request=2)
-
-    monkeypatch.setenv("REPRO_AUTOTUNE", "1")
-    pinned = driver.compile_parsimony(SRC)
-    assert pinned.attrs.get("batch_factor") == 2
-
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    driver.clear_compile_cache()
-    overridden = driver.compile_parsimony(SRC)
-    assert "batch_factor" not in overridden.attrs
-    monkeypatch.delenv("REPRO_NO_BATCH")
-
-    # Without the opt-in, the pin is dormant and the cost model decides.
-    monkeypatch.delenv("REPRO_AUTOTUNE")
-    driver.clear_compile_cache()
-    static = driver.compile_parsimony(SRC)
-    assert static.attrs.get("batch_factor", 1) != 2
-
-    out_p, cycles_p = _run(pinned)
-    out_o, cycles_o = _run(overridden)
-    out_s, cycles_s = _run(static)
-    np.testing.assert_array_equal(out_p, out_o)
-    np.testing.assert_array_equal(out_p, out_s)
-    assert cycles_p == cycles_o == cycles_s
 
 
 def test_rehydrate_external_names():

@@ -217,6 +217,34 @@ def test_fallbacks_of_two_kernels_in_one_session_are_both_recorded():
     assert diff["counters"]["vectorizer.fallbacks"]["value"]["delta"] == 0
 
 
+def test_diff_lists_the_retired_tuner_counters_of_a_v8_document():
+    """v9 dropped the batch tuner.  A v8 document still carries its event
+    list, its totals table and a tuner record per run; diff mode reads it
+    and lists the tuner counters as removed."""
+    with telemetry.collect() as session:
+        _compile_and_run()
+    doc = json.loads(session.to_json())
+    layer = "auto" "tune"  # the layer v9 retired
+    assert layer not in doc["vm"] and f"{layer}_totals" not in doc["vm"]
+
+    old = json.loads(session.to_json())
+    old["schema"] = "repro-telemetry/8"
+    old["vm"][layer] = [{"event": "pin", "factor": 8}]
+    counts = {"measure": 3, "pin": 1, "deopt": 0}
+    old["vm"][f"{layer}_totals"] = {
+        f"vm.{layer}.{key}": n for key, n in counts.items()}
+    for run in old["vm"]["runs"]:
+        run[layer] = {"state": "pinned", "factor": 8}
+    diff = telemetry.diff_documents(old, doc)
+    assert diff["base_schemas"] == {"old": "repro-telemetry/8",
+                                    "new": telemetry.SCHEMA}
+    removed = {key: entry["value"] for key, entry in diff["counters"].items()
+               if key.startswith(f"vm.{layer}.")}
+    assert removed == {f"vm.{layer}.{key}": {"old": n, "new": 0, "delta": -n}
+                       for key, n in counts.items()}
+    assert diff["vm_runs"]["t/parsimony"]["cycles"]["delta"] == 0
+
+
 def test_nested_sessions_restore_the_outer_one():
     with telemetry.collect() as outer:
         with telemetry.collect() as inner:

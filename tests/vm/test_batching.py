@@ -15,16 +15,19 @@ and must be **invisible** to everything but wall-clock:
   unbatched, and surface in ``vm.batch.rejected``;
 * the gang-local horizontal forms — constant-index shuffles, integer
   reductions feeding a broadcast or an atomic — and strided stores batch,
-  bit-identically (the acceptance matrix).
+  bit-identically (the acceptance matrix);
+* the auto factor is the cost model's lane target, capped at 2 for a
+  gang loop nested in another loop, and a forced request beats both.
 """
 
 import numpy as np
 import pytest
 
-from repro import autotune, telemetry
+from repro import telemetry
 from repro.backend.batch import batch_module, batching_request, select_batch_factor
 from repro.benchsuite import run_impl
 from repro.benchsuite.ispc_suite import BENCHMARKS
+from repro.benchsuite.simdlib import KERNELS
 from repro.diagnostics import ReproWarning
 from repro.driver import compile_parsimony
 from repro.faultinject import FaultPlan, inject
@@ -364,11 +367,82 @@ def test_batch_factor_selection():
     # Auto: largest power of two keeping G*B within the lane target.
     assert select_batch_factor(8) * 8 <= 256
     assert select_batch_factor(8) >= 2
+    # A nested gang loop is capped at 2 on the auto path only.
+    assert select_batch_factor(8, nested=True) == 2
+    assert select_batch_factor(512, nested=True) == 1
+    assert select_batch_factor(8, 8, nested=True) == 8
     # Requests floor to a power of two; 0/1 disable.
     assert select_batch_factor(8, 8) == 8
     assert select_batch_factor(8, 7) == 4
     assert select_batch_factor(8, 1) == 1
     assert select_batch_factor(8, 0) == 1
+
+
+#: The auto factor of every fig4 and fig5 kernel.  A gang loop inside
+#: another loop — stencil, and the fig5 kernels that walk an image row by
+#: row — gets B=2; every other kernel sits at the cost model's lane target
+#: (1: nothing batched, see ``test_batch_forms.py`` for why).
+AUTO_FACTORS = {
+    1: "AbsDifferenceSumMasked Histogram HistogramMasked Reorder16bit "
+       "Reorder32bit binomial_options",
+    2: "AbsGradientSaturatedSum GaussianBlur3x3 GetAbsDyRowSums GetRowSums "
+       "Laplace LaplaceAbs LbpEstimate MeanFilter3x3 MedianFilter3x3 "
+       "MedianFilterRhomb3x3 SobelDx SobelDxAbs SobelDy SobelDyAbs stencil",
+    8: "AbsDifference AbsDifferenceSum AlphaBlending AlphaFilling "
+       "AlphaPremultiply BackgroundAdjustRange BackgroundGrowRangeFast "
+       "BackgroundGrowRangeSlow BackgroundIncrementCount BackgroundInitMask "
+       "BackgroundShiftRange BgrToBgra BgrToGray BgraToBgr BgraToGray "
+       "Binarization ChangeColors ConditionalCount8u Copy CorrelationSum "
+       "DeinterleaveUv EdgeBackgroundGrowRangeFast EdgeBackgroundGrowRangeSlow "
+       "Fill FillBgr FillBgra GetStatistic GrayToBgr GrayToBgra InterleaveUv "
+       "OperationBinary8uAnd OperationBinary8uAverage OperationBinary8uMaximum "
+       "OperationBinary8uMinimum OperationBinary8uOr "
+       "OperationBinary8uSaturatedAddition "
+       "OperationBinary8uSaturatedSubtraction ReduceGray2x2 "
+       "SegmentationChangeIndex ShiftBilinear SquareSum SquaredDifference "
+       "SquaredDifferenceSum StretchGray2x2 TextureBoostedUv "
+       "TexturePerformCompensation ValueSum",
+    16: "Int16ToGray InterferenceDecrement InterferenceIncrement "
+        "OperationBinary16iAddition OperationBinary16iSaturatedSubtraction "
+        "aobench mandelbrot volume_rendering",
+    32: "NeuralConvert noise options",
+}
+
+
+def test_auto_factor_of_every_suite_kernel(monkeypatch):
+    monkeypatch.delenv("REPRO_BATCH", raising=False)
+    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
+    want = {name: factor for factor, names in AUTO_FACTORS.items()
+            for name in names.split()}
+    specs = list(BENCHMARKS) + list(KERNELS)
+    assert sorted(want) == sorted(spec.name for spec in specs)
+    got = {
+        spec.name: compile_parsimony(
+            spec.psim_src, module_name=f"{spec.name}.parsimony",
+        ).attrs.get("batch_factor", 1)
+        for spec in specs
+    }
+    assert got == want
+
+
+def test_forced_batch_request_overrides_the_nesting_rule(monkeypatch):
+    src = SPECS["stencil"].psim_src
+    assert compile_parsimony(src, batch_request=8).attrs["batch_factor"] == 8
+    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
+    monkeypatch.setenv("REPRO_BATCH", "16")
+    assert compile_parsimony(src).attrs["batch_factor"] == 16
+
+
+def test_batch_request_of_one_is_the_unbatched_build(monkeypatch):
+    """A request below 2 batches nothing: it hands out the unbatched build
+    itself (one compile, one cache slot), not a second copy that ran the
+    batcher for nothing and recorded a rejection."""
+    off = compile_parsimony(TRAP_SRC, batch_request=0)
+    assert compile_parsimony(TRAP_SRC, batch_request=1) is off
+    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
+    monkeypatch.setenv("REPRO_BATCH", "1")
+    assert compile_parsimony(TRAP_SRC) is off
+    assert "batch_rejected" not in off.attrs
 
 
 # ---------------------------------------------------------------------------
@@ -450,139 +524,3 @@ def test_non_power_of_two_gang_size_is_a_recorded_rejection():
     pow2 = _step_loop_module(8)
     report = batch_module(pow2, None)
     assert not any("non-power-of-two" in r for _, _, r in report["rejected"])
-
-
-# ---------------------------------------------------------------------------
-# profile-guided selection (issue 6 tentpole): the autotune state machine
-# ---------------------------------------------------------------------------
-
-@pytest.fixture
-def tuner_store(tmp_path, monkeypatch):
-    """Isolated on-disk profile store + clean counters per test."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_AUTOTUNE", raising=False)
-    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-    autotune.reset_stats()
-    yield tmp_path
-    autotune.clear()
-    autotune.reset_stats()
-
-
-def test_choose_factor_needs_a_decisive_win():
-    # Real batching wins are multiples: far outside the margin.
-    assert autotune.choose_factor({1: 10.0, 16: 2.0}) == 16
-    # A batched config that merely ties (within PIN_MARGIN) loses to the
-    # safe unbatched side — sampling noise must not pin it.
-    assert autotune.choose_factor({1: 10.0, 2: 9.0}) == 1
-    # Just inside the margin still ties; decisively past it, batching wins.
-    assert autotune.choose_factor({1: 10.0, 2: 10.0 / autotune.PIN_MARGIN}) == 1
-    assert autotune.choose_factor({1: 10.0, 2: 10.0 / autotune.PIN_MARGIN - 1e-6}) == 2
-    assert autotune.choose_factor({1: 26.0}) == 1
-
-
-def test_measure_pin_decision_cycle(tuner_store):
-    fp = autotune.fingerprint("void kernel() {}")
-    engine = autotune.engine_config()
-    assert engine == "avx512"
-
-    dec = autotune.decision(fp, engine)
-    assert dec["state"] == "measure"
-    assert dec["requests"] == autotune.CANDIDATE_REQUESTS
-
-    measured = {1: 0.010, 16: 0.002}
-    for factor, wall in measured.items():
-        autotune.record_measurement(fp, engine, factor, wall)
-    best = autotune.choose_factor(measured)
-    assert best == 16
-    reason = autotune.pin(fp, engine, best, measured[best], measured,
-                          request=None)
-    assert "measured fastest" in reason
-
-    dec = autotune.decision(fp, engine)
-    assert dec["state"] == "pinned"
-    assert dec["factor"] == 16
-    # The pin replays the *request* the winner compiled from (auto here):
-    # a forced factor batches multi-gang-loop kernels differently.
-    assert dec["request"] is None
-    assert autotune.stats()["pins"] == 1
-    assert autotune.stats()["measurements"] == 2
-
-
-def test_pin_margin_prefers_smaller_factor_reason(tuner_store):
-    fp = autotune.fingerprint("tie")
-    engine = autotune.engine_config()
-    measured = {1: 0.010, 2: 0.009}
-    best = autotune.choose_factor(measured)
-    assert best == 1
-    reason = autotune.pin(fp, engine, best, measured[best], measured,
-                          request=0)
-    assert "preferring simpler B" in reason
-    assert autotune.pinned_request(fp, engine) == 0
-
-
-def test_deopt_drops_pin_after_sustained_regression(tuner_store):
-    fp = autotune.fingerprint("deopt")
-    engine = autotune.engine_config()
-    autotune.pin(fp, engine, 8, 0.010, {1: 0.050, 8: 0.010}, request=8)
-
-    slow = autotune.DEOPT_RATIO * 0.010 * 1.1
-    # One-off noise (fewer than DEOPT_WINDOW slow samples) is forgiven...
-    for _ in range(autotune.DEOPT_WINDOW - 1):
-        assert autotune.observe(fp, engine, 8, slow) is None
-    assert autotune.decision(fp, engine)["state"] == "pinned"
-    # ...a faster sample ratchets the baseline and clears the window...
-    assert autotune.observe(fp, engine, 8, 0.008) is None
-    for _ in range(autotune.DEOPT_WINDOW - 1):
-        assert autotune.observe(fp, engine, 8, slow) is None
-    # ...but a full window of slow samples drops the pin.
-    assert autotune.observe(fp, engine, 8, slow) == "deopt"
-    dec = autotune.decision(fp, engine)
-    assert dec["state"] == "measure"
-    assert "deopt" in dec["reason"]
-    assert autotune.stats()["deopts"] == 1
-
-
-def test_corrupt_profile_entry_is_discarded(tuner_store):
-    fp = autotune.fingerprint("corrupt")
-    engine = autotune.engine_config()
-    autotune.pin(fp, engine, 2, 0.001, {1: 0.010, 2: 0.001}, request=2)
-    path = autotune._entry_path(fp, engine)
-    assert path.exists()
-
-    autotune._ENTRY_CACHE.clear()
-    path.write_text("{ not json")
-    dec = autotune.decision(fp, engine)
-    assert dec["state"] == "measure"
-    assert not path.exists()  # damaged entry unlinked, not resurrected
-    assert autotune.stats()["errors"] >= 1
-
-
-def test_autotuned_stencil_matches_unbatched_bitwise(tuner_store, monkeypatch):
-    """The issue-6 acceptance pair: REPRO_AUTOTUNE=1 on the regression
-    kernel (stencil) yields outputs and ExecStats bit-identical to the
-    plain unbatched engine, and the sweep surfaces measure/pin telemetry."""
-    monkeypatch.setenv("REPRO_AUTOTUNE_REPS", "1")
-    spec = SPECS["stencil"]
-
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    unbatched = run_impl(spec, "parsimony")
-    monkeypatch.delenv("REPRO_NO_BATCH")
-
-    monkeypatch.setenv("REPRO_AUTOTUNE", "1")
-    with telemetry.collect() as session:
-        tuned = run_impl(spec, "parsimony")   # measurement sweep + pin
-        pinned = run_impl(spec, "parsimony")  # rehydrates the pin
-
-    _assert_stats_equal(tuned.stats, unbatched.stats, "stencil autotuned")
-    _assert_stats_equal(pinned.stats, unbatched.stats, "stencil pinned")
-    for got, want in zip(tuned.output_signature(),
-                         unbatched.output_signature()):
-        np.testing.assert_array_equal(got, want)
-
-    totals = session.vm_autotune_totals()
-    assert totals.get("vm.autotune.measure", 0) >= 2, totals
-    assert totals.get("vm.autotune.pin") == 1, totals
-    states = [r["autotune"]["state"] for r in session.vm_runs
-              if r.get("autotune")]
-    assert states == ["measured", "pinned"], states
