@@ -5,30 +5,28 @@
                                     [--reps 2] [--min-geomean 1.0]
                                     [--min-codegen-geomean 1.0]
 
-Runs every fig4 kernel's Parsimony build on the three legs of the
-engine ladder —
+Runs every fig4 kernel's Parsimony build in three configurations —
 
-* ``predecoded``  — pre-decoded dispatch, gang batching off (the
-                    trap-replay / bailout / shard-worker tier);
-* ``batched``     — the same engine on the gang-batched build;
-* ``codegen``     — whole-kernel codegen on the batched build: the
-                    kernel compiled to one generated Python function,
-                    the dispatch loop retired (the default engine)
+* ``reference``  — the reference engine, gang batching off (what a trap
+                   replays on and a codegen bailout runs);
+* ``unbatched``  — whole-kernel codegen, gang batching off;
+* ``codegen``    — whole-kernel codegen on the gang-batched build (the
+                   default)
 
 — asserts all configurations agree bitwise on outputs *and*
 ``ExecStats`` (every layer is accounting-transparent by contract), and
-writes a JSON artifact with per-kernel wall-clock for each leg plus the
-batched-vs-predecoded and codegen-vs-batched geomean speedups.
-Exits non-zero on any divergence or if either
-geomean falls below its floor (``--min-geomean``,
+writes a JSON artifact with per-kernel wall-clock for each leg plus two
+geomean speedups: batched (``unbatched`` over ``codegen``) and codegen
+(``reference`` over ``unbatched``).  Exits non-zero on any divergence or
+if either geomean falls below its floor (``--min-geomean``,
 ``--min-codegen-geomean``).
 
 The artifact is the PR-over-PR trajectory record: CI uploads one per
-run, and the checked-in ``BENCH_13.json`` snapshots the three-leg
-ladder on the machine that removed the fused-window tier
-(``BENCH_10.json`` is the last record with a ``fused`` leg).  The
-codegen configuration must additionally record **zero bailouts** on
-every fig4 kernel (the coverage floor).
+run.  The checked-in ``BENCH_13.json`` is the last record of the
+three-engine ladder (``predecoded`` / ``batched`` / ``codegen`` legs),
+``BENCH_10.json`` the last with a ``fused`` leg.  The codegen
+configuration must additionally record **zero bailouts** on every fig4
+kernel (the coverage floor).
 """
 
 import argparse
@@ -42,7 +40,7 @@ from repro import telemetry
 from repro.benchsuite import geomean, run_impl
 from repro.benchsuite.ispc_suite import BENCHMARKS
 
-CONFIGS = ("predecoded", "batched", "codegen")
+CONFIGS = ("reference", "unbatched", "codegen")
 
 
 def _run_once(session, spec, config):
@@ -58,9 +56,9 @@ def _run_once(session, spec, config):
     whichever block of reps it overlapped.
     """
     try:
-        if config == "predecoded":
+        if config != "codegen":
             os.environ["REPRO_NO_BATCH"] = "1"
-        result = run_impl(spec, "parsimony", codegen=config == "codegen")
+        result = run_impl(spec, "parsimony", codegen=config != "reference")
         return result, session.vm_runs[-1].get("wall_seconds") or 0.0
     finally:
         os.environ.pop("REPRO_NO_BATCH", None)
@@ -76,10 +74,10 @@ def main():
                         help="timing repetitions per configuration, "
                              "interleaved round-robin (min wins)")
     parser.add_argument("--min-geomean", type=float, default=1.0,
-                        help="fail if batched-vs-predecoded geomean drops "
+                        help="fail if batched-vs-unbatched geomean drops "
                              "below this")
     parser.add_argument("--min-codegen-geomean", type=float, default=1.0,
-                        help="fail if codegen-vs-batched geomean drops "
+                        help="fail if codegen-vs-reference geomean drops "
                              "below this")
     args = parser.parse_args()
 
@@ -110,11 +108,12 @@ def main():
             walls = {config: min(s) for config, s in samples.items()}
             if cg_bailouts:
                 # Coverage floor: every fig4 kernel must compile — a
-                # bailout silently runs decoded and poisons the ratio.
+                # bailout silently runs the reference engine and poisons
+                # the ratio.
                 failures.append(
                     f"{spec.name}: codegen bailed out: {cg_bailouts}")
 
-            base = results["predecoded"]
+            base = results["reference"]
             for config in CONFIGS[1:]:
                 r = results[config]
                 if not (r.stats.cycles == base.stats.cycles
@@ -127,10 +126,10 @@ def main():
                 ):
                     failures.append(f"{spec.name}: {config} outputs diverge")
 
-            speedup = (walls["predecoded"] / walls["batched"]
-                       if walls["batched"] else None)
-            cg_speedup = (walls["batched"] / walls["codegen"]
-                          if walls["codegen"] else None)
+            speedup = (walls["unbatched"] / walls["codegen"]
+                       if walls["codegen"] else None)
+            cg_speedup = (walls["reference"] / walls["unbatched"]
+                          if walls["unbatched"] else None)
             kernels[spec.name] = {
                 "wall_seconds": walls,
                 "cycles": base.stats.cycles,
@@ -147,12 +146,11 @@ def main():
     gm_cg = geomean([k["codegen_speedup"] for k in kernels.values()
                      if k["codegen_speedup"]])
     print("-" * (20 + 14 * len(CONFIGS) + 24))
-    print(f"{'geomean batched-vs-predecoded':48s}{gm:18.2f}")
-    print(f"{'geomean codegen-vs-batched':48s}{gm_cg:18.2f}")
+    print(f"{'geomean batched-vs-unbatched':48s}{gm:18.2f}")
+    print(f"{'geomean codegen-vs-reference':48s}{gm_cg:18.2f}")
 
     doc = {
-        "schema": "repro-bench/1",
-        "pr": 13,
+        "schema": "repro-bench/2",
         "configs": list(CONFIGS),
         "kernels": kernels,
         "geomean_batched_speedup": gm,
@@ -165,11 +163,11 @@ def main():
 
     if gm < args.min_geomean:
         failures.append(
-            f"batched-vs-predecoded geomean {gm:.2f} below floor "
+            f"batched-vs-unbatched geomean {gm:.2f} below floor "
             f"{args.min_geomean}")
     if gm_cg < args.min_codegen_geomean:
         failures.append(
-            f"codegen-vs-batched geomean {gm_cg:.2f} below floor "
+            f"codegen-vs-reference geomean {gm_cg:.2f} below floor "
             f"{args.min_codegen_geomean}")
     if failures:
         print("\nBENCH-RECORD FAILURES:", file=sys.stderr)

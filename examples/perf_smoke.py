@@ -6,9 +6,9 @@
 
 Runs each selected kernel in three configurations — batched (the
 default: whole-kernel codegen on the gang-batched build), unbatched
-(``REPRO_NO_BATCH=1``), and the predecoded twin (``codegen=False`` on
-the batched build: what a trap replay, a bailout or a shard worker
-runs) — and **fails (exit 1)** if:
+(``REPRO_NO_BATCH=1``), and the reference engine (``codegen=False`` on
+the batched build: what a trap replay or a bailout runs) — and **fails
+(exit 1)** if:
 
 * any configuration's outputs diverge bit-for-bit from any other,
 * any configuration's ``ExecStats`` (cycles, instructions, per-opcode
@@ -23,32 +23,20 @@ runs) — and **fails (exit 1)** if:
 * the codegen engine never runs a compiled kernel across the sweep
   (``vm.codegen.calls`` stays zero — every kernel bailed out), or a
   kernel where codegen *did* engage runs slower than the codegen floor
-  (default 0.9× its predecoded twin, measured interleaved),
+  (default 0.9× the reference engine, measured interleaved),
 * any build of the fig4 **or** fig5 suite (every kernel × every
   implementation) records a codegen bailout or a trap replay: the
   coverage floor — every suite build must compile and complete on the
   default engine; a new bailout reason is a coverage regression, not an
-  acceptable fallback.  (Skipped under ``--shards``, whose jobs test the
-  supervisor.)
+  acceptable fallback.
 
 ``--bailout-out`` writes the per-build codegen bailout histogram as a
 JSON artifact so a coverage regression names the reason in CI.
 
-``--shards N`` adds a sharded configuration: every kernel/impl also runs
-through the supervised multi-process executor (``REPRO_SHARDS=N``, see
-:mod:`repro.shard`) and **fails** if its outputs or ``ExecStats`` diverge
-from the in-process run, or if sharding never engages across the sweep.
-With ``REPRO_FAULT_PLAN`` set (e.g.
-``worker_crash::0:1;worker_hang::0:1``), the same plans are armed around
-both the in-process comparator and the sharded run — the fault matrix —
-and the sweep additionally **fails** if an armed worker fault fires
-without a recorded retry/degradation, or never fires at all on a sharded
-launch.
-
-``--out`` writes the collected telemetry JSON (flattened ``vm.batch.*``,
-``vm.shard.*``, and ``vm.codegen.*`` counters, per-run wall-clock) for
-upload as a CI artifact; per-kernel wall-clock for all configurations
-plus the batched-vs-unbatched and codegen-vs-predecoded ratios land in
+``--out`` writes the collected telemetry JSON (flattened ``vm.batch.*``
+and ``vm.codegen.*`` counters, per-run wall-clock) for upload as a CI
+artifact; per-kernel wall-clock for all configurations plus the
+batched-vs-unbatched and codegen-vs-reference ratios land in
 ``meta.perf_smoke``.
 """
 
@@ -59,7 +47,7 @@ import sys
 
 import numpy as np
 
-from repro import faultinject, telemetry
+from repro import telemetry
 from repro.benchsuite import IMPLEMENTATIONS, run_impl
 from repro.benchsuite.ispc_suite import BENCHMARKS
 from repro.benchsuite.simdlib import KERNELS
@@ -122,16 +110,11 @@ def main():
                              "kernels whose build batched (default: 0.95)")
     parser.add_argument("--codegen-floor", type=float, default=0.9,
                         metavar="RATIO",
-                        help="minimum predecoded/codegen wall-clock ratio for "
+                        help="minimum reference/codegen wall-clock ratio for "
                              "kernels where codegen engaged (default: 0.9)")
     parser.add_argument("--bailout-out", metavar="PATH",
                         help="write the per-build codegen bailout "
                              "histogram JSON (CI artifact)")
-    parser.add_argument("--shards", type=int, default=0, metavar="N",
-                        help="also sweep the sharded multi-process executor "
-                             "(REPRO_SHARDS=N) and fail on any divergence "
-                             "from the in-process run; honors "
-                             "REPRO_FAULT_PLAN worker-fault matrices")
     args = parser.parse_args()
 
     wanted = args.kernels.split(",")
@@ -143,12 +126,8 @@ def main():
 
     failures = []
     rows = {}
-    faults_fired = 0
     bailouts_by_build = {}
-    saved_env = {
-        name: os.environ.pop(name, None)
-        for name in ("REPRO_NO_BATCH", "REPRO_SHARDS")
-    }
+    saved_no_batch = os.environ.pop("REPRO_NO_BATCH", None)
     with telemetry.collect() as session:
         for spec in specs:
             for impl in impls:
@@ -171,50 +150,25 @@ def main():
                     walls_nb.append(
                         session.vm_runs[-1].get("wall_seconds") or 0.0)
                 wall_b, wall_nb = min(walls_b), min(walls_nb)
-                # The predecoded twin of the same batched build,
+                # The reference engine on the same batched build,
                 # interleaved with codegen samples so machine-phase noise
                 # lands on both sides of the ratio (min of 3 each).
-                walls_pd, walls_cg = [], []
-                twin = None
+                walls_ref, walls_cg = [], []
+                reference = None
                 for _ in range(3):
-                    twin = run_impl(spec, impl, codegen=False)
-                    walls_pd.append(
+                    reference = run_impl(spec, impl, codegen=False)
+                    walls_ref.append(
                         session.vm_runs[-1].get("wall_seconds") or 0.0)
                     run_impl(spec, impl)
                     walls_cg.append(
                         session.vm_runs[-1].get("wall_seconds") or 0.0)
-                wall_pd, wall_cg = min(walls_pd), min(walls_cg)
+                wall_ref, wall_cg = min(walls_ref), min(walls_cg)
                 cg_report = batched_run.get("codegen") or {}
                 bailouts_by_build[name] = dict(cg_report.get("bailouts") or {})
 
-                shard_base = shard_result = shard_report = None
-                fault_log = []
-                wall_sh = plans = None
-                if args.shards:
-                    # Worker-fault plans stay armed around *both* runs:
-                    # while any plan is active the compile cache is
-                    # bypassed, so the in-process comparator must live
-                    # under the same injection state as the sharded run to
-                    # execute an identical module.  Worker sites are only
-                    # consumed by the shard supervisor, so the comparator
-                    # does not eat the plans' firing budget.
-                    plans = faultinject.plans_from_env()
-                    with faultinject.inject(*plans) as fstate:
-                        shard_base = run_impl(spec, impl)
-                        try:
-                            os.environ["REPRO_SHARDS"] = str(args.shards)
-                            shard_result = run_impl(spec, impl)
-                        finally:
-                            os.environ.pop("REPRO_SHARDS", None)
-                        fault_log = list(fstate.log)
-                    shard_run = session.vm_runs[-1]
-                    shard_report = shard_run.get("shard") or {}
-                    wall_sh = shard_run.get("wall_seconds") or 0.0
-                    faults_fired += len(fault_log)
-
                 stats_ok = out_ok = True
                 for label, other in (("unbatched", nobatch),
-                                     ("predecoded twin", twin)):
+                                     ("reference engine", reference)):
                     if not _stats_equal(batched, other):
                         stats_ok = False
                         failures.append(
@@ -226,15 +180,15 @@ def main():
                             f"{name}: batched codegen outputs diverge "
                             f"from {label}")
                 # The floor only binds where codegen actually engaged: a
-                # bailed-out kernel runs the decoded engine on both sides
+                # bailed-out kernel runs the reference engine on both sides
                 # of the ratio, so comparing it against the floor would
                 # just measure noise against itself.
-                cg_ratio = (wall_pd / wall_cg) if wall_cg else None
+                cg_ratio = (wall_ref / wall_cg) if wall_cg else None
                 if (cg_ratio is not None and cg_ratio < args.codegen_floor
                         and cg_report.get("calls")):
                     failures.append(
-                        f"{name}: codegen runs at {cg_ratio:.2f}x its "
-                        f"predecoded twin (< {args.codegen_floor} floor): "
+                        f"{name}: codegen runs at {cg_ratio:.2f}x the "
+                        f"reference engine (< {args.codegen_floor} floor): "
                         f"{cg_report}")
                 # The batch floor binds where batching applied: elsewhere
                 # both sides of the ratio run the same unbatched module.
@@ -250,7 +204,7 @@ def main():
                 rows[name] = {
                     "wall_batched": wall_b,
                     "wall_unbatched": wall_nb,
-                    "wall_predecoded": wall_pd,
+                    "wall_reference": wall_ref,
                     "wall_codegen": wall_cg,
                     "batch_speedup": batch_ratio,
                     "codegen_speedup": cg_ratio,
@@ -259,51 +213,20 @@ def main():
                     "batch": batched_run.get("batch"),
                     "codegen": cg_report,
                 }
-                shard_note = ""
-                if shard_result is not None:
-                    if not _stats_equal(shard_base, shard_result):
-                        failures.append(
-                            f"{name}: sharded ExecStats diverge from "
-                            f"in-process")
-                    if not _outputs_equal(shard_base, shard_result):
-                        failures.append(
-                            f"{name}: sharded outputs diverge from "
-                            f"in-process")
-                    mode = shard_report.get("mode")
-                    if mode == "degraded" and not plans:
-                        failures.append(
-                            f"{name}: sharded launch degraded with no "
-                            f"faults armed: {shard_report}")
-                    if fault_log and not (shard_report.get("retries")
-                                          or shard_report.get("degraded")):
-                        failures.append(
-                            f"{name}: worker faults fired but no retry or "
-                            f"degradation was recorded: {shard_report}")
-                    rows[name]["shard"] = {
-                        "wall": wall_sh,
-                        "mode": mode,
-                        "retries": shard_report.get("retries"),
-                        "degraded": shard_report.get("degraded"),
-                        "faults_fired": len(fault_log),
-                    }
-                    shard_note = f"sharded={wall_sh * 1e3:7.1f}ms [{mode}] "
                 print(
                     f"{name:32s} unbatched={wall_nb * 1e3:7.1f}ms "
                     f"batched={wall_b * 1e3:7.1f}ms "
-                    f"predecoded={wall_pd * 1e3:7.1f}ms "
-                    f"{shard_note}"
+                    f"reference={wall_ref * 1e3:7.1f}ms "
                     f"batchx={rows[name]['batch_speedup']:5.2f} "
                     f"cgx={cg_ratio:5.2f} "
                     f"stats={'ok' if stats_ok else 'DIVERGED'} "
                     f"out={'ok' if out_ok else 'DIVERGED'}"
                 )
 
-        if not args.shards:
-            bailouts_by_build.update(_coverage_sweep(session, failures))
+        bailouts_by_build.update(_coverage_sweep(session, failures))
 
-    for name, value in saved_env.items():
-        if value is not None:
-            os.environ[name] = value
+    if saved_no_batch is not None:
+        os.environ["REPRO_NO_BATCH"] = saved_no_batch
 
     session.meta["perf_smoke"] = rows
     batch_totals = session.vm_batch_totals()
@@ -315,15 +238,6 @@ def main():
                         "across the sweep (every kernel bailed out)")
     if "parsimony" in impls and not batch_totals.get("vm.batch.applied"):
         failures.append("gang batching never applied across the parsimony sweep")
-    if args.shards:
-        shard_totals = session.vm_shard_totals()
-        print(f"vm.shard totals: {shard_totals}")
-        if "parsimony" in impls and not shard_totals.get("vm.shard.sharded"):
-            failures.append("sharded executor never engaged across the "
-                            "sweep (every launch was rejected)")
-        if faultinject.plans_from_env() and not faults_fired:
-            failures.append("REPRO_FAULT_PLAN armed worker faults but none "
-                            "fired across the sweep")
     if args.out:
         session.write(args.out)
         print(f"telemetry written to {args.out}")
@@ -346,10 +260,9 @@ def main():
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         sys.exit(1)
-    print("\nperf-smoke OK: batched/unbatched/predecoded-twin bit-identical"
-          + ("" if args.shards else
-             f", {len(bailouts_by_build)} suite builds compiled with zero "
-             "bailouts and zero replays"))
+    print("\nperf-smoke OK: batched/unbatched/reference bit-identical, "
+          f"{len(bailouts_by_build)} suite builds compiled with zero "
+          "bailouts and zero replays")
 
 
 if __name__ == "__main__":

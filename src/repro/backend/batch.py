@@ -579,7 +579,7 @@ class _Prototypes:
 def _annotate(instr: Instruction, charges: Tuple[Instruction, ...], mult) -> None:
     """Attach the accounting contract both downstream engines consume.
 
-    The decoded engine reads these attrs per visit; the whole-kernel
+    The reference engine reads these attrs per visit; the whole-kernel
     codegen emitter instead *specializes on them at emission time* —
     ``batch_mult`` ints become literal constants in the generated
     source and lid-tuple multiplicities become per-loop activity

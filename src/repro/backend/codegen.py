@@ -1,15 +1,14 @@
 """Whole-kernel codegen: one generated Python function per IR function.
 
-The default tier of the three-tier VM (reference → predecoded →
-codegen, see :mod:`repro.vm.interp`) and the only module in the tree
-that generates source and calls ``compile()`` on it.  The predecoded
-engine pays a Python-level fetch/decode step at every basic-block
-boundary: a dict lookup for the decoded block, per-phi resolver calls,
-tuple unpacks per body entry, and a terminator dispatch.  This module
-retires that loop — at decode time it *linearizes* a function's
-structurized CFG into a single generated Python function over the live
-payloads; what it cannot express bails out to the predecoded engine,
-and what traps replays there:
+The default engine of the two-engine VM (codegen, with the reference
+engine behind it — see :mod:`repro.vm.interp`) and the only module in
+the tree that generates source and calls ``compile()`` on it.  The
+reference engine pays an opcode-string dispatch per instruction and an
+``env`` lookup per operand.  This module retires that loop — on a
+function's first launch it *linearizes* the function's structurized CFG
+into a single generated Python function over the live payloads; what it
+cannot express bails out to the reference engine, and what traps
+replays there:
 
 * every SSA value becomes a Python local (``v7``), so the per-value
   ``env`` dict disappears along with its reads and writes;
@@ -93,31 +92,32 @@ that completes, and the trap-replay protocol covers the rest:
   :meth:`Interpreter._run_replayable`, which snapshots memory + stats,
   rolls back on any ``VMTrap``/``MemoryError_`` (including the partial
   flush the ``finally`` performed on the way out), and re-runs on the
-  predecoded twin (``codegen=False``), whose outcome is authoritative —
+  reference engine (``codegen=False``), whose outcome is authoritative —
   the same contract gang batching established.  The interpreter arms the
-  codegen engine *only* inside that wrapper, so fault-injected and
-  sharded runs (which skip the wrapper) transparently use the decoded
-  engine.
+  codegen engine *only* inside that wrapper, so fault-injected runs
+  (which skip the wrapper) run on the reference engine.
 
 Bailout taxonomy
 ----------------
 
 Linearization is best-effort: any shape the structurer cannot express as
 native Python control flow raises :class:`CodegenBailout` with a reason
-and the function falls back to the decoded engine.  Reasons are tallied
+and the function falls back to the reference engine.  Reasons are tallied
 per interpreter and surface as ``vm.codegen.bailouts`` telemetry.
 
 Retired (now compiled): ``multi-exit-loop``, ``multi-level-break`` and
 ``multi-level-continue`` (dispatch-variable exit merge), ``ret`` inside
-batched bodies, and mixed annotated/plain batched blocks (charged
-per-instruction exactly as the reference engine does).
+batched bodies, mixed annotated/plain batched blocks (charged
+per-instruction exactly as the reference engine does), and
+``batched-internal-call`` (an annotated internal call's narrow
+prototypes join the block prologue like any other annotated
+instruction's; the call itself is the plain flush + ``_exec``).
 
 Kept deliberately: ``function-too-large`` / ``deep-nesting`` (size
 guards), ``block-re-emitted`` (irreducible control flow the dispatch
 merge cannot structure), ``no-terminator`` / ``use-before-def``
-(malformed IR), ``batched-internal-call`` (an *annotated* internal call
-has no narrow-prototype emission), and ``injected-fault`` (fault plans
-must not be double-counted through generated code).
+(malformed IR), and ``injected-fault`` (fault plans must not be
+double-counted through generated code).
 
 Emit-time folding
 -----------------
@@ -286,7 +286,7 @@ __all__ = ["CodegenBailout", "lower_function", "forget_emission",
            "compiled_code", "clear_code_cache"]
 
 #: Emission refuses functions above this static instruction count — the
-#: generated source would dwarf the decode win and slow ``compile()``.
+#: generated source would dwarf the dispatch win and slow ``compile()``.
 MAX_CODEGEN_INSTRS = 8000
 
 #: Emission refuses nesting deeper than this (the CPython tokenizer caps
@@ -404,7 +404,7 @@ def _int_binop_expr(op: str, bits: int, a: str, b: str) -> Optional[str]:
 
 class CodegenBailout(Exception):
     """This function's CFG or opcode mix cannot be linearized; the caller
-    falls back to the decoded engine and records ``reason``."""
+    falls back to the reference engine and records ``reason``."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -433,10 +433,10 @@ def _binop_impl(instr: Instruction):
 def _value_impl(instr: Instruction):
     """A value-level callable ``fn(*operand_payloads) -> payload``.
 
-    Unlike :meth:`Interpreter._decode_instr` thunks, these do not read
-    ``env`` — the emitter wires operands itself (every SSA value is a
-    Python local).  Defined for every ``_COMPUTE_OPS`` opcode; operands
-    map positionally.  The closures depend on the instruction alone.
+    These do not read an ``env`` — the emitter wires operands itself
+    (every SSA value is a Python local).  Defined for every
+    ``_COMPUTE_OPS`` opcode; operands map positionally.  The closures
+    depend on the instruction alone.
     """
     op = instr.opcode
     ops = instr.operands
@@ -885,9 +885,9 @@ class _Emitter:
     def emit_charges(self, block: BasicBlock) -> None:
         """One merged charge prologue for everything the block executes.
 
-        The reference engines' per-instruction charges (including the
-        decoded engine's phi sweep and the batched engine's narrow
-        prototypes × multiplicity) fold into at most one cycles add, one
+        The reference engine's per-instruction charges (including its
+        phi sweep and the batched blocks' narrow prototypes ×
+        multiplicity) fold into at most one cycles add, one
         instruction add, one counter-local update per distinct key, one
         multiplicity resolve per divergent spec, and one budget check —
         all against the function-local accumulators.  Instructions
@@ -1345,7 +1345,7 @@ class _Emitter:
         elif op == "atomicrmw":
             rmw = ins.attrs["op"]
             if rmw not in ATOMIC_RMW_OPS:
-                # The decoded engine raises the VMTrap for it.
+                # The reference engine raises the VMTrap for it.
                 raise CodegenBailout("atomicrmw-op")
             t = ins.type
             old, x = self.name_of(ins), self.ref(ops[1])
@@ -1588,11 +1588,10 @@ class _Emitter:
             # the impl invocation remains here.
             impl = self.hoist(callee.impl, key=("ext", callee.name))
             self.line(f"{self.name_of(ins)} = {impl}({args})")
-        elif self.fn_batched and "batch_mult" in ins.attrs:
-            raise CodegenBailout("batched-internal-call")
         else:
             # The callee charges ExecStats directly: flush the local
             # accumulators around the call and re-derive the headroom.
+            # (An annotated call's narrow charges are in the prologue.)
             fref = self.hoist(callee, key=("fn", callee.name))
             self.calls_internal = True
             self.line(_FLUSH)

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .. import diskcache, shard, telemetry
+from .. import telemetry
 from ..backend.machine import AVX512, ExecStats, Machine
 from ..driver import compile_autovec, compile_ispc, compile_parsimony, compile_scalar
 from ..ir.module import Module
@@ -86,17 +86,16 @@ def build_impl(spec: KernelSpec, impl: str, machine: Machine = AVX512) -> Module
 def run_impl(spec: KernelSpec, impl: str, machine: Machine = AVX512,
              module: Optional[Module] = None,
              workload: Optional[Workload] = None,
-             predecode: bool = True,
              codegen: bool = True) -> KernelResult:
     """Execute one implementation on the kernel's seeded workload.
 
-    ``predecode``/``codegen`` select the VM tier exactly as
-    :class:`~repro.vm.Interpreter` does (default: whole-kernel codegen).
+    ``codegen`` selects the VM engine exactly as
+    :class:`~repro.vm.Interpreter` does (default: whole-kernel codegen;
+    ``False``: the reference engine).
     """
     workload = workload or spec.workload()
     module = module or build_impl(spec, impl, machine)
-    interp = Interpreter(module, machine=machine, predecode=predecode,
-                         codegen=codegen)
+    interp = Interpreter(module, machine=machine, codegen=codegen)
     addrs = []
     for array in workload.arrays:
         addrs.append(interp.memory.alloc_array(array))
@@ -104,28 +103,8 @@ def run_impl(spec: KernelSpec, impl: str, machine: Machine = AVX512,
     # Interpreter stats accumulate across run() calls; start this
     # measurement from a known-zero state.
     interp.reset_stats()
-    shards = shard.shard_count()
-    shard_report = None
     start = time.perf_counter()
-    if shards >= 2:
-        # Supervised multi-process execution (REPRO_SHARDS): bitwise
-        # identical to the in-process engine, or an in-process run with a
-        # ``rejected``/``degraded`` shard report — see :mod:`repro.shard`.
-        recipe = None
-        if impl == "parsimony" and diskcache.enabled():
-            recipe = {"source": spec.psim_src,
-                      "module_name": f"{spec.name}.parsimony"}
-        engine = shard.run_sharded(
-            module, "kernel", (*addrs, *workload.scalars),
-            machine=machine, memory=interp.memory, shards=shards,
-            predecode=predecode,
-            label=f"{spec.name}/{impl}", recipe=recipe,
-        )
-        returned = engine.returned
-        shard_report = engine.report
-    else:
-        engine = interp
-        returned = interp.run("kernel", *addrs, *workload.scalars)
+    returned = interp.run("kernel", *addrs, *workload.scalars)
     wall = time.perf_counter() - start
     batch = None
     if "batch_factor" in module.attrs:
@@ -133,15 +112,12 @@ def run_impl(spec: KernelSpec, impl: str, machine: Machine = AVX512,
             "factor": module.attrs["batch_factor"],
             "applied": len(module.attrs.get("batch_applied", ())),
             "rejected": len(module.attrs.get("batch_rejected", ())),
-            "replays": engine.batch_replays,
+            "replays": interp.batch_replays,
         }
-    codegen_report = None
-    if getattr(engine, "codegen", False):
-        codegen_report = engine.codegen_report()
     telemetry.record_vm_run(
-        f"{spec.name}/{impl}", engine.stats, engine.hotspots(),
+        f"{spec.name}/{impl}", interp.stats, interp.hotspots(),
         wall_seconds=wall, batch=batch,
-        shard=shard_report, codegen=codegen_report,
+        codegen=interp.codegen_report() if interp.codegen else None,
     )
     outputs = [
         interp.memory.read_array(addrs[idx], workload.arrays[idx].dtype,
@@ -150,8 +126,8 @@ def run_impl(spec: KernelSpec, impl: str, machine: Machine = AVX512,
     ]
     return KernelResult(
         impl=impl,
-        cycles=engine.stats.cycles,
-        stats=engine.stats,
+        cycles=interp.stats.cycles,
+        stats=interp.stats,
         outputs=outputs,
         returned=returned if workload.returns_value else None,
     )

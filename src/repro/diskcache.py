@@ -46,8 +46,6 @@ __all__ = [
     "cache_dir",
     "enabled",
     "set_enabled",
-    "dumps_module",
-    "loads_module",
     "load",
     "store",
     "load_code",
@@ -222,22 +220,6 @@ def _loads(data: bytes) -> Module:
     if version != CACHE_VERSION or not isinstance(module, Module):
         raise pickle.UnpicklingError("stale or foreign cache entry")
     return module
-
-
-def dumps_module(module: Module) -> bytes:
-    """Serialize one module with the cache's pickler (version-stamped,
-    ``ml.*`` externals by persistent id).  The byte string round-trips
-    through :func:`loads_module` in another process — this is how
-    :mod:`repro.shard` ships an explicit module to a worker that cannot
-    inherit it, and how cross-process tests move modules around without
-    going through a cache directory."""
-    return _dumps(module)
-
-
-def loads_module(data: bytes) -> Module:
-    """Inverse of :func:`dumps_module`; raises ``pickle.UnpicklingError``
-    on a stale or foreign payload."""
-    return _loads(data)
 
 
 # -- the cache API used by repro.driver ----------------------------------------

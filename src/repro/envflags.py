@@ -7,7 +7,7 @@ in both directions: ``value in ("1", "true")`` silently ignores
 ``REPRO_PARANOID=false`` *on*.  An unparsable value is a
 misconfiguration, not a silent request for the default: it keeps the
 default but emits a structured :class:`~repro.diagnostics.ReproWarning`
-saying so, matching the ``REPRO_BATCH``/``REPRO_SHARDS`` precedent.
+saying so, matching the ``REPRO_BATCH`` precedent.
 """
 
 from __future__ import annotations

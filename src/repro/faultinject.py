@@ -25,26 +25,14 @@ Hook sites (the ``site`` of a :class:`FaultPlan`):
 * ``"smt"``       — entry of the SMT rule probe (name = rule name);
 * ``"memory"``    — inside ``vm.Memory`` bounds checks (name = ``"check"``
   for scalar accesses, ``"lanes"`` for vector accesses);
+* ``"codegen"``   — in ``Interpreter._codegen_lower``, before a function's
+  generated code is looked up or emitted (name = function name): the
+  function runs on the reference engine, its bailout counted as
+  ``injected-fault``.  ``Interpreter.run`` never arms codegen while a
+  plan is active, so only a direct call reaches this site;
 * ``"corrupt"``   — after each pass, *silently corrupts the IR* instead of
   raising (drops the entry block's terminator), so tests can prove the
   paranoid verifier catches miscompiles and names the offending pass.
-
-Worker sites (consumed by :mod:`repro.shard`'s supervisor, never raised
-in-process — the supervisor polls :func:`should_fire` at each shard
-dispatch and ships the directive to the worker with the job, so a plan's
-state survives the worker it kills):
-
-* ``"worker_crash"``   — the worker ``os._exit``\\ s after computing the
-  shard but before shipping it (SIGKILL/OOM stand-in);
-* ``"worker_hang"``    — the worker stalls until the supervisor's
-  per-shard deadline kills it;
-* ``"worker_corrupt"`` — the worker flips a byte in the shard's staged
-  memory delta *after* checksumming, so the supervisor must catch the
-  mismatch and discard the staging slice;
-* ``"ipc_drop"``       — the worker computes the shard but never sends the
-  result (a lost message).
-
-For all four the qualified name is ``"<label>:<shard_index>"``.
 
 Usage::
 
@@ -59,32 +47,20 @@ injected failures can never leak into — or be masked by — cached modules.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
 
-from .diagnostics import CompileError, emit_warning
+from .diagnostics import CompileError
 
 __all__ = [
     "FaultPlan",
     "InjectedFault",
-    "WORKER_SITES",
-    "armed_sites",
     "inject",
     "active",
     "maybe_fail",
     "maybe_corrupt",
-    "plans_from_env",
-    "should_fire",
 ]
-
-#: Sites decided supervisor-side and obeyed by shard workers; these are the
-#: only sites that may stay armed while a launch runs sharded (any other
-#: armed site would fire once per *worker* instead of once per run).
-WORKER_SITES = frozenset(
-    {"worker_crash", "worker_hang", "worker_corrupt", "ipc_drop"}
-)
 
 
 class InjectedFault(CompileError):
@@ -127,19 +103,6 @@ _state: Optional[_InjectionState] = None
 def active() -> bool:
     """True when any fault plan is armed (drivers bypass caches then)."""
     return _state is not None and bool(_state.plans)
-
-
-def armed_sites() -> List[str]:
-    """The sites of every armed plan (empty when nothing is armed).
-
-    :mod:`repro.shard` refuses to shard while any *non-worker* site is
-    armed — a ``memory``/``mathlib``/``costmodel`` plan would otherwise
-    fire independently in every worker process instead of exactly as many
-    times as the in-process engine would fire it.
-    """
-    if _state is None:
-        return []
-    return [plan.site for plan in _state.plans]
 
 
 def fired_log() -> List[Dict[str, str]]:
@@ -200,56 +163,6 @@ def maybe_fail(site: str, name: str = "") -> None:
         f"injected fault at {site}:{name or '<any>'}",
         detail={"site": site, "name": name},
     )
-
-
-def should_fire(site: str, name: str = "") -> bool:
-    """Consume one firing of a matching plan without raising.
-
-    The shard supervisor polls this at each dispatch (worker sites are
-    *decisions*, not exceptions): a ``True`` return has consumed one of the
-    plan's ``times`` and logged the firing, exactly like
-    :func:`maybe_fail`, so a bounded plan lets the retry of the shard it
-    killed succeed.
-    """
-    return _matching_plan(site, name) is not None
-
-
-def plans_from_env(raw: Optional[str] = None) -> List[FaultPlan]:
-    """Parse ``REPRO_FAULT_PLAN`` into :class:`FaultPlan`\\ s (for CI).
-
-    Grammar: plans separated by ``;``, each ``site[:match[:after[:times]]]``
-    — e.g. ``worker_crash::0:1;worker_hang:stencil:0:1`` arms one crash on
-    the first dispatch of any shard plus one hang on a stencil shard.
-    Malformed entries emit a structured :class:`ReproWarning` and are
-    skipped; they never take the run down.
-    """
-    if raw is None:
-        raw = os.environ.get("REPRO_FAULT_PLAN", "")
-    plans: List[FaultPlan] = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        site = parts[0].strip()
-        try:
-            if not site:
-                raise ValueError("empty site")
-            match = parts[1] if len(parts) > 1 else ""
-            after = int(parts[2]) if len(parts) > 2 and parts[2] else 0
-            times = int(parts[3]) if len(parts) > 3 and parts[3] else None
-            if after < 0 or (times is not None and times < 0):
-                raise ValueError("negative after/times")
-        except ValueError:
-            emit_warning(
-                f"unparsable REPRO_FAULT_PLAN entry {chunk!r} "
-                "(expected site[:match[:after[:times]]]); skipping it",
-                stage="faultinject",
-                detail={"variable": "REPRO_FAULT_PLAN", "value": chunk},
-            )
-            continue
-        plans.append(FaultPlan(site=site, match=match, after=after, times=times))
-    return plans
 
 
 def maybe_corrupt(name: str, function) -> bool:

@@ -43,8 +43,8 @@ __all__ = [
 
 #: v3: profile-guided batch-tuner evidence — events, totals and the
 #: chosen configuration on each VM run (gone since v9).
-#: v4: sharded-execution evidence — a per-run ``shard`` record (mode,
-#: shard/worker counts, retries, degradations) and ``vm.shard.*`` totals.
+#: v4: sharded-execution evidence — a per-run ``shard`` record and
+#: ``vm.shard.*`` totals (gone since v10).
 #: v5: whole-kernel codegen evidence — a per-run ``codegen`` record
 #: (compiles, cache/disk hits, calls, trap replays, bailouts) and
 #: ``vm.codegen.*`` totals.
@@ -61,7 +61,10 @@ __all__ = [
 #: v9: the batch tuner is gone — ``vm`` carries neither its event list
 #: nor its totals table, and runs no tuner record; diff mode still reads a
 #: v8 document and shows its tuner counters with the new side at 0.
-SCHEMA = "repro-telemetry/9"
+#: v10: the sharded executor is gone — runs carry no ``shard`` record and
+#: ``vm`` no ``shard_totals``; diff mode still reads a v9 document and
+#: shows its ``vm.shard.*`` counters with the new side at 0.
+SCHEMA = "repro-telemetry/10"
 DIFF_SCHEMA = "repro-telemetry-diff/2"
 
 
@@ -180,7 +183,6 @@ class Telemetry:
         hotspots: List[Dict],
         wall_seconds: Optional[float] = None,
         batch: Optional[Dict[str, object]] = None,
-        shard: Optional[Dict[str, object]] = None,
         codegen: Optional[Dict[str, object]] = None,
     ) -> None:
         entry: Dict[str, object] = {
@@ -194,15 +196,10 @@ class Telemetry:
             entry["wall_seconds"] = wall_seconds
         if batch is not None:
             entry["batch"] = dict(batch)
-        if shard is not None:
-            # The merged supervisor report for a sharded launch: mode
-            # (sharded / rejected / degraded variants), shard and worker
-            # counts, retries, and per-shard degradations.
-            entry["shard"] = dict(shard)
         if codegen is not None:
             # The whole-kernel codegen engine's report for this run:
             # compiles vs in-memory/disk cache hits, compiled-function
-            # calls, trap replays on the predecoded twin, and bailouts.
+            # calls, trap replays on the reference engine, and bailouts.
             entry["codegen"] = dict(codegen)
         self.vm_runs.append(entry)
 
@@ -263,30 +260,11 @@ class Telemetry:
             totals["vm.batch.replays"] += int(batch.get("replays", 0))
         return totals
 
-    def vm_shard_totals(self) -> Dict[str, int]:
-        """Sharded-execution counters summed over runs, flattened to the
-        ``vm.shard.*`` keys the shard-smoke CI job reads: launches that ran
-        sharded, shard retries, recorded per-shard degradations, and
-        launches the legality analysis rejected back to in-process."""
-        totals = {"vm.shard.sharded": 0, "vm.shard.retries": 0,
-                  "vm.shard.degraded": 0, "vm.shard.rejected": 0}
-        for run in self.vm_runs:
-            shard = run.get("shard")
-            if not shard:
-                continue
-            if shard.get("mode") == "rejected":
-                totals["vm.shard.rejected"] += 1
-            else:
-                totals["vm.shard.sharded"] += 1
-            totals["vm.shard.retries"] += int(shard.get("retries", 0))
-            totals["vm.shard.degraded"] += int(shard.get("degraded", 0))
-        return totals
-
     def vm_codegen_totals(self) -> Dict[str, int]:
         """Whole-kernel codegen counters summed over runs, flattened to the
         ``vm.codegen.*`` keys the perf-smoke CI job and diff mode read:
         fresh compiles, in-memory and disk source-cache hits, compiled
-        calls, trap replays on the predecoded twin, and bailouts — the
+        calls, trap replays on the reference engine, and bailouts — the
         latter both as an aggregate and per reason
         (``vm.codegen.bailout.<reason>``), so a coverage regression (a
         new bailout reason appearing) is visible in the telemetry diff."""
@@ -324,7 +302,6 @@ class Telemetry:
             "vm": {
                 "runs": self.vm_runs,
                 "batch_totals": self.vm_batch_totals(),
-                "shard_totals": self.vm_shard_totals(),
                 "codegen_totals": self.vm_codegen_totals(),
             },
             "compile_cache": driver.compile_cache_stats(),
@@ -380,10 +357,10 @@ def record_vectorization(function_name, gang_size, shapes, memory_forms,
 
 
 def record_vm_run(label, stats, hotspots, wall_seconds=None,
-                  batch=None, shard=None, codegen=None):
+                  batch=None, codegen=None):
     if _current is not None:
         _current.record_vm_run(label, stats, hotspots, wall_seconds,
-                               batch, shard, codegen)
+                               batch, codegen)
 
 
 # -- PR-over-PR diffing ----------------------------------------------------------

@@ -14,28 +14,24 @@ counts.
 Execution engines
 -----------------
 
-Three tiers, bit-identical in results, ``ExecStats``, trap identity and
-trap-point stats; each one falls back to the tier above it in this list:
+Two, bit-identical in results, ``ExecStats``, trap identity and
+trap-point stats:
 
-* the **reference engine** (``predecode=False``): the opcode-string
-  dispatch loop, kept as the executable specification every other tier
-  is compared against;
-* the **pre-decoded engine** (``codegen=False``): each basic block is
-  decoded once, on first entry, into a :class:`_DecodedBlock` — a list of
-  ``(instr, opcode, cost, thunk)`` tuples whose thunks have already
-  resolved the opcode dispatch, operand lookups, cost-model query, and
-  type-directed specialization.  It charges per instruction in the
-  reference engine's charge-then-execute order, so it is what codegen
-  traps replay on, what a codegen bailout runs, and what shard workers
-  and fault-injected runs execute (gang-batched blocks included, see
-  :meth:`Interpreter._decode_batch_block`);
 * **whole-kernel codegen** (the default): each function linearized into
   one generated Python function by :mod:`repro.backend.codegen` — the
-  only module that generates source.  It is tried first and only under
+  only module that generates source.  It runs only under
   :meth:`Interpreter._run_replayable`; a function it cannot express
-  (:class:`~repro.backend.codegen.CodegenBailout`) runs pre-decoded, and
-  any trap rolls the launch back and replays it on the pre-decoded twin,
-  whose outcome is authoritative.
+  (:class:`~repro.backend.codegen.CodegenBailout`) runs on the reference
+  engine, and any trap rolls the launch back and replays it there, on
+  the unbatched twin of a batched module;
+* the **reference engine** (``codegen=False``): the opcode-string
+  dispatch loop, charging per instruction in charge-then-execute order.
+  It is the executable specification codegen is compared against, and
+  it is what a trap replay, a codegen bailout and a fault-injected run
+  execute.  Its replay outcome is authoritative.
+
+``predecode=False`` is an older spelling of ``codegen=False``, kept for
+callers that still pass it.
 
 Ownership
 ---------
@@ -48,8 +44,6 @@ Generated code belongs to the module, not to an interpreter::
     Interpreter ──► Memory, ExecStats              (plain data)
         ├──► _codegen_fns: Function ──► that callable (a reference, or
         │        ``None`` for a sticky bailout; nothing is built here)
-        ├──► _decoded: thunks ──► resolvers, Memory, ExecStats.charge;
-        │        the internal-call thunk holds weakref(Interpreter)
         ├──► _fallback_interp: the replay twin ──► the same Memory
         └──► module (shared, frozen; never references an interpreter)
 
@@ -61,23 +55,21 @@ callable up.  References run one way, so an interpreter — and its
 launch touched, not the 4 MB it may address — is reclaimed by reference
 counting the moment its last user drops it, without waiting for the
 cyclic collector.  Nothing an interpreter owns may hold it strongly:
-the predecoded internal-call thunk holds a weak reference, and helpers
-that need no interpreter state (:func:`reduce_lanes`) are module-level
-functions, not bound methods.
+helpers that need no interpreter state (:func:`reduce_lanes`) are
+module-level functions, not bound methods.
 
-All engines assume the module is not mutated once execution has started
+Both engines assume the module is not mutated once execution has started
 (the driver's ``compile_*`` results are frozen, so they cannot be);
 call :meth:`Interpreter.clear_decode_cache` after transforming a function
-of a hand-built module that has already run (this also drops compiled
-functions and the replay twin).  Constant payloads are shared across dynamic uses in the decoded
-and codegen engines — no opcode mutates its operand arrays, so this is
-observationally equivalent to the reference engine's fresh-per-use arrays.
+of a hand-built module that has already run (this drops compiled
+functions, cached costs and the replay twin).  Constant payloads are
+shared across dynamic uses in generated code — no opcode mutates its
+operand arrays, so this is observationally equivalent to the reference
+engine's fresh-per-use arrays.
 """
 
 from __future__ import annotations
 
-import operator
-import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -116,9 +108,6 @@ from .ops import (
     reduce_segments,
     repeat_lanes,
     round_float,
-    scalar_binop_impl,
-    scalar_fcmp_impl,
-    scalar_icmp_impl,
     shuffle_segments,
 )
 
@@ -134,37 +123,6 @@ _MAX_CALL_DEPTH = 256
 #: Sentinel distinguishing "never attempted" from a sticky ``None``
 #: bailout in the per-function codegen memo.
 _CODEGEN_UNCOMPILED = object()
-
-# Terminator kinds in decoded form.
-_T_BR = 0
-_T_CONDBR = 1
-_T_RET = 2
-_T_UNREACHABLE = 3
-
-
-class _DecodedBlock:
-    """One basic block, decoded for the fast engine.
-
-    ``phis``  — list of ``(instr, {pred_block: resolver})``;
-    ``body``  — list of ``(instr, opcode, cost, thunk)`` for the non-phi,
-    non-terminator instructions, where ``thunk(env, depth)`` computes the
-    value;
-    ``term``  — ``(_T_BR, cost, opcode, target)`` |
-    ``(_T_CONDBR, cost, opcode, cond_resolver, iftrue, iffalse)`` |
-    ``(_T_RET, cost, opcode, resolver_or_None)`` |
-    ``(_T_UNREACHABLE, cost, opcode)``;
-    ``batch`` — ``None`` for ordinary blocks, else the gang-batched decode
-    ``(phis, body, term)`` described at :meth:`Interpreter._decode_batch_block`
-    (and the other fields are unused).
-    """
-
-    __slots__ = ("phis", "body", "term", "batch")
-
-    def __init__(self, phis, body, term, batch=None):
-        self.phis = phis
-        self.body = body
-        self.term = term
-        self.batch = batch
 
 
 class Interpreter:
@@ -185,11 +143,9 @@ class Interpreter:
         self.cost_model = cost_model or DEFAULT_COST_MODEL
         self.memory = memory or Memory()
         self.max_instructions = max_instructions
-        self.predecode = predecode
-        #: Whole-kernel codegen engine (see :mod:`repro.backend.codegen`):
-        #: linearized functions bypass the dispatch loop entirely.  Rides
-        #: on top of predecode (the decoded engine stays the bailout and
-        #: trap-replay fallback).
+        #: Whole-kernel codegen engine (see :mod:`repro.backend.codegen`);
+        #: off, every function runs on the reference engine, which is also
+        #: the bailout and trap-replay target.
         self.codegen = bool(codegen) and predecode
         self.stats = ExecStats()
         #: Exclusive (self-only) cycles per function name, for hot-spot telemetry.
@@ -203,7 +159,6 @@ class Interpreter:
         self._call_stack: List[str] = []
         self._child_cycles = 0.0
         self._cost_cache: Dict[Instruction, float] = {}
-        self._decoded: Dict[Function, Dict[BasicBlock, _DecodedBlock]] = {}
         #: Trap replays on the unbatched twin this run (see :meth:`run`).
         self.batch_replays = 0
         self._fallback_interp: Optional["Interpreter"] = None
@@ -213,24 +168,19 @@ class Interpreter:
         #: (sticky) when emission bailed out.
         self._codegen_fns: Dict[Function, object] = {}
         #: ``vm.codegen.*`` counters.  compiles/cache_hits/disk_hits are
-        #: decode artifacts; calls/replays are run counters
+        #: binding artifacts; calls/replays are run counters
         #: (:meth:`reset_stats` zeroes only the latter).
         self.codegen_stats: Dict[str, int] = {
             "compiles": 0, "cache_hits": 0, "disk_hits": 0,
             "calls": 0, "replays": 0,
         }
-        #: Bailout reason -> count (decode artifact).
+        #: Bailout reason -> count (binding artifact).
         self.codegen_bailouts: Dict[str, int] = {}
         #: True only while executing under :meth:`_run_replayable`: the
         #: generated code's block-merged charges are exact for completed
         #: runs but approximate at trap points, so the codegen engine
         #: requires the replay umbrella.
         self._codegen_armed = False
-        #: When set (a ``repro.shard._ShardRun``), the top-level decoded
-        #: dispatch loop executes only this shard's slice of every matched
-        #: gang loop and rolls serial charges back on shards > 0 — see
-        #: :mod:`repro.shard`.  ``None`` = normal full execution.
-        self.shard = None
 
     # -- public API -----------------------------------------------------------------
 
@@ -247,12 +197,10 @@ class Interpreter:
         ]
         if (
             (self.codegen or "unbatched_recipe" in self.module.attrs)
-            and not faultinject.active() and self.shard is None
+            and not faultinject.active()
         ):
             # A batched module and the codegen engine both run under the
-            # trap-replay contract.  Sharded runs bypass it: a shard that
-            # traps fails the whole launch over to the supervisor's full
-            # in-process rerun, which takes this path and is authoritative.
+            # trap-replay contract.
             return self._run_replayable(function, argvals, args)
         return self._exec_function(function, argvals, depth=0)
 
@@ -266,13 +214,12 @@ class Interpreter:
         not a copy of the whole image) and replays the call wholesale on
         the module's :func:`~repro.backend.batch.unbatched_twin` — compiled
         now if this is its first trap — or, when the module is not
-        batched, on the module itself (the fallback interpreter always
-        runs with ``codegen=False``, i.e. the predecoded twin).  The replay's
-        outcome — result or trap — is authoritative, so trap identity,
-        trap-point ``ExecStats``, and attribution all match the fallback
-        engine bit-for-bit.  Skipped under active fault injection: the
-        driver never batches then, and replaying would double-fire
-        one-shot fault plans.
+        batched, on the module itself.  The replay runs on the reference
+        engine, and its outcome — result or trap — is authoritative, so
+        trap identity, trap-point ``ExecStats``, and attribution all match
+        the reference engine bit-for-bit.  Skipped under active fault
+        injection: the driver never batches then, and replaying would
+        double-fire one-shot fault plans.
         """
         memory = self.memory
         rollback = memory.snapshot()
@@ -314,7 +261,6 @@ class Interpreter:
                     cost_model=self.cost_model,
                     memory=memory,
                     max_instructions=self.max_instructions,
-                    predecode=self.predecode,
                     codegen=False,
                 )
             fb.reset_stats()
@@ -362,13 +308,12 @@ class Interpreter:
         return stats
 
     def clear_decode_cache(self) -> None:
-        """Drop decoded blocks, compiled functions (with their cached
-        emissions) and cached costs, after mutating the module.
+        """Drop compiled functions (with their cached emissions) and
+        cached costs, after mutating the module.
 
-        The trap-replay twin goes too: it decoded the same module into
-        its own caches, and replays are authoritative.
+        The trap-replay twin goes too: it cached costs of the same module,
+        and replays are authoritative.
         """
-        self._decoded.clear()
         self._cost_cache.clear()
         self._batch_cache.clear()
         self._fallback_interp = None
@@ -438,10 +383,9 @@ class Interpreter:
             if self._codegen_armed:
                 # Armed only inside _run_replayable: the generated code
                 # bulk-charges per block, so its trap-point stats are
-                # approximate and a replay on the predecoded twin must be
-                # standing by.  Sharded and fault-injected runs skip the
-                # wrapper and therefore transparently use the decoded
-                # engine.
+                # approximate and a replay on the reference engine must be
+                # standing by.  Fault-injected runs skip the wrapper and
+                # therefore run on the reference engine.
                 kfn = self._codegen_fns.get(
                     function, _CODEGEN_UNCOMPILED
                 )
@@ -450,8 +394,6 @@ class Interpreter:
                 if kfn is not None:
                     self.codegen_stats["calls"] += 1
                     return kfn(self, argvals, depth)
-            if self.predecode:
-                return self._exec_decoded(function, argvals, depth)
             return self._exec_reference(function, argvals, depth)
         finally:
             stack.pop()
@@ -479,7 +421,7 @@ class Interpreter:
         in ``codegen_stats`` (``compiles`` / ``cache_hits`` /
         ``disk_hits``; an emission another interpreter already bound is a
         cache hit).  Emission failures of *any* kind degrade to the
-        decoded engine — codegen is an accelerator, never a requirement.
+        reference engine — codegen is an accelerator, never a requirement.
         """
         from ..backend import codegen as _cg
 
@@ -517,159 +459,7 @@ class Interpreter:
             "bailouts": dict(self.codegen_bailouts),
         }
 
-    # -- pre-decoded engine ---------------------------------------------------------
-
-    def _exec_decoded(self, function: Function, argvals: List, depth: int):
-        decoded = self._decoded.get(function)
-        if decoded is None:
-            decoded = self._decoded[function] = {}
-        env: Dict[Value, object] = dict(zip(function.args, argvals))
-        memory = self.memory
-        stack_mark = memory._brk  # frame-local alloca discipline
-        stats = self.stats
-        counts = stats.counts
-        limit = self.max_instructions
-        block = function.entry
-        prev: Optional[BasicBlock] = None
-        if function.attrs.get("batched"):
-            # Per-frame divergent-loop gang-activity state (see
-            # ``_exec_batch_block``): loop id -> committed / pending count.
-            activity: Dict[str, int] = {}
-            pending: Dict[str, int] = {}
-        else:
-            activity = pending = None  # type: ignore[assignment]
-        shard = self.shard
-        ctl = (shard.controller(function, self)
-               if shard is not None and depth == 0 else None)
-        try:
-            while True:
-                if ctl is not None:
-                    jump = ctl.step(block, prev, env)
-                    if jump is not None:
-                        prev, block = jump
-                        continue
-                d = decoded.get(block)
-                if d is None:
-                    d = decoded[block] = self._decode_block(block, function)
-                if d.batch is not None:
-                    done, payload = self._exec_batch_block(
-                        d.batch, env, depth, function, prev, activity, pending
-                    )
-                    if done:
-                        if ctl is not None:
-                            ctl.finish()
-                        return payload
-                    prev, block = block, payload
-                    continue
-                phis = d.phis
-                if phis:
-                    # Evaluate phis in parallel against the incoming edge.
-                    phi_vals = []
-                    for _, edges in phis:
-                        resolver = edges.get(prev)
-                        if resolver is None:
-                            raise KeyError(
-                                f"phi has no incoming edge from block {prev.name}"
-                            )
-                        phi_vals.append(resolver(env))
-                        stats.cycles += 0.0
-                        stats.instructions += 1
-                        counts["phi"] = counts.get("phi", 0) + 1
-                        if stats.instructions > limit:
-                            raise ExecutionLimitExceeded(
-                                f"exceeded {limit} instructions in @{function.name}"
-                            )
-                    for (instr, _), val in zip(phis, phi_vals):
-                        env[instr] = val
-                for instr, opcode, cost, thunk in d.body:
-                    stats.cycles += cost
-                    stats.instructions += 1
-                    counts[opcode] = counts.get(opcode, 0) + 1
-                    if stats.instructions > limit:
-                        raise ExecutionLimitExceeded(
-                            f"exceeded {limit} instructions in @{function.name}"
-                        )
-                    env[instr] = thunk(env, depth)
-                term = d.term
-                kind = term[0]
-                stats.cycles += term[1]
-                stats.instructions += 1
-                opcode = term[2]
-                counts[opcode] = counts.get(opcode, 0) + 1
-                if stats.instructions > limit:
-                    raise ExecutionLimitExceeded(
-                        f"exceeded {limit} instructions in @{function.name}"
-                    )
-                if kind == _T_BR:
-                    prev, block = block, term[3]
-                elif kind == _T_CONDBR:
-                    prev = block
-                    block = term[4] if term[3](env) else term[5]
-                elif kind == _T_RET:
-                    if ctl is not None:
-                        ctl.finish()
-                    resolver = term[3]
-                    return resolver(env) if resolver is not None else None
-                else:
-                    raise VMTrap(f"reached 'unreachable' in @{function.name}")
-        finally:
-            memory._brk = stack_mark
-
-    # -- decoding --------------------------------------------------------------------
-
-    def _decode_block(self, block: BasicBlock, function: Function) -> _DecodedBlock:
-        instructions = block.instructions
-        if not instructions or not instructions[-1].is_terminator:
-            raise VMTrap(
-                f"block {block.name} in @{function.name} has no terminator"
-            )
-        if any("batch_mult" in instr.attrs for instr in instructions):
-            return self._decode_batch_block(block, function)
-        phis = []
-        i = 0
-        while i < len(instructions) and instructions[i].opcode == "phi":
-            instr = instructions[i]
-            edges = {
-                pred: self._resolver(value)
-                for value, pred in instr.phi_incoming()
-            }
-            phis.append((instr, edges))
-            i += 1
-        body_instrs = instructions[i:-1]
-        term_instr = instructions[-1]
-        body = [
-            (instr, instr.opcode, self._cost(instr), self._decode_instr(instr))
-            for instr in body_instrs
-        ]
-        cost = self._cost(term_instr)
-        op = term_instr.opcode
-        tops = term_instr.operands
-        if op == "br":
-            term: Tuple = (_T_BR, cost, op, tops[0])
-        elif op == "condbr":
-            term = (
-                _T_CONDBR, cost, op, self._resolver(tops[0]), tops[1], tops[2]
-            )
-        elif op == "ret":
-            if tops:
-                resolver = self._resolver(tops[0])
-                if isinstance(tops[0], (Constant, UndefValue)) and isinstance(
-                    tops[0].type, VectorType
-                ):
-                    # Shared constant payloads must not leak to callers who
-                    # may mutate the returned array.
-                    inner = resolver
-                    resolver = lambda env: inner(env).copy()
-                term = (_T_RET, cost, op, resolver)
-            else:
-                term = (_T_RET, cost, op, None)
-        elif op == "unreachable":
-            term = (_T_UNREACHABLE, cost, op)
-        else:
-            raise NotImplementedError(f"interpreter: terminator {op}")
-        return _DecodedBlock(phis, body, term)
-
-    # -- gang-batched blocks ----------------------------------------------------------
+    # -- reference engine ------------------------------------------------------------
     #
     # Blocks annotated by ``repro.backend.batch`` execute B gangs per VM
     # step.  Each annotated instruction carries narrow charge prototypes
@@ -679,7 +469,12 @@ class Interpreter:
     # ×B, header bookkeeping ×0) or a tuple of divergent-loop ids ending
     # in the static B; the VM resolves the first id with a live activity
     # count, so code under a divergent loop charges once per gang that
-    # would still be iterating in the unbatched engine.
+    # would still be iterating in the unbatched engine.  Each narrow
+    # charge item is applied ``m`` times at once (``cycles += cost·m`` is
+    # exact — the cost table is dyadic), with a single budget check per
+    # instruction: prefix sums of the unbatched charge sequence are a
+    # superset, so a budget crossing happens here iff the unbatched build
+    # traps, and the replay protocol reproduces its exact trap point.
 
     def _batch_info(self, instr: Instruction):
         """``(charge_items, multspec)`` for an annotated instruction.
@@ -709,423 +504,6 @@ class Interpreter:
                 return live
         return 0  # pragma: no cover - specs always end in the static B
 
-    def _batch_thunk(self, instr: Instruction):
-        """Value thunk for a batched instruction.  Identical to the plain
-        decode except for external calls, whose normal thunk charges the
-        wide ``ext:`` cost internally — batched charging comes exclusively
-        from the narrow prototypes."""
-        if instr.opcode == "call" and isinstance(
-            instr.operands[0], ExternalFunction
-        ):
-            impl = instr.operands[0].impl
-            arg_resolvers = [self._resolver(o) for o in instr.operands[1:]]
-            return lambda env, depth: impl(*[r(env) for r in arg_resolvers])
-        return self._decode_instr(instr)
-
-    def _decode_batch_block(self, block: BasicBlock, function: Function):
-        """Decode an annotated block into ``(phis, body, term)``:
-
-        ``phis`` — ``(instr, {pred: resolver}, items, multspec)``;
-        ``body`` — ``(instr, items, multspec, thunk, activity)`` where
-        ``activity`` is ``None`` or ``(loop_id, B, mask_resolver)`` for
-        the divergent-loop ``mask_any``;
-        ``term`` — ``(_T_BR, items, multspec, target)`` |
-        ``(_T_CONDBR, items, multspec, cond_resolver, iftrue, iffalse,
-        backedge_or_None)`` | ``(_T_UNREACHABLE, items, multspec)``.
-        """
-        instructions = block.instructions
-        phis = []
-        i = 0
-        while instructions[i].opcode == "phi":
-            instr = instructions[i]
-            edges = {
-                pred: self._resolver(value)
-                for value, pred in instr.phi_incoming()
-            }
-            items, spec = self._batch_info(instr)
-            phis.append((instr, edges, items, spec))
-            i += 1
-        body = []
-        for instr in instructions[i:-1]:
-            items, spec = self._batch_info(instr)
-            act = None
-            ba = instr.attrs.get("batch_activity")
-            if ba is not None:
-                act = (ba[0], ba[1], self._resolver(instr.operands[0]))
-            body.append((instr, items, spec, self._batch_thunk(instr), act))
-        term_instr = instructions[-1]
-        items, spec = self._batch_info(term_instr)
-        op = term_instr.opcode
-        tops = term_instr.operands
-        if op == "br":
-            term: Tuple = (_T_BR, items, spec, tops[0])
-        elif op == "condbr":
-            term = (
-                _T_CONDBR, items, spec, self._resolver(tops[0]),
-                tops[1], tops[2], term_instr.attrs.get("batch_backedge"),
-            )
-        elif op == "unreachable":
-            term = (_T_UNREACHABLE, items, spec)
-        else:  # pragma: no cover - legality forbids ret/other inside the loop
-            raise NotImplementedError(f"interpreter: batched terminator {op}")
-        return _DecodedBlock((), (), None, batch=(tuple(phis), tuple(body), term))
-
-    def _exec_batch_block(self, batch, env, depth, function, prev,
-                          activity, pending):
-        """Run one batched block; returns ``(False, next_block)`` or
-        ``(True, return_value)``.
-
-        Charging per instruction: each narrow charge item is applied
-        ``m`` times at once (``cycles += cost·m`` is exact — the cost
-        table is dyadic), with a single budget check per instruction.
-        Prefix sums of the unbatched engine's charge sequence are a
-        superset, so a budget crossing happens here iff the unbatched
-        engine traps; the replay protocol then reproduces its exact trap
-        point.
-        """
-        stats = self.stats
-        counts = stats.counts
-        limit = self.max_instructions
-        phis, body, term = batch
-        if phis:
-            vals = []
-            for instr, edges, items, spec in phis:
-                resolver = edges.get(prev)
-                if resolver is None:
-                    raise KeyError(
-                        f"phi has no incoming edge from block {prev.name}"
-                    )
-                vals.append(resolver(env))
-                m = self._batch_mult(spec, activity)
-                if m:
-                    for key, cost in items:
-                        stats.cycles += cost * m
-                        stats.instructions += m
-                        counts[key] = counts.get(key, 0) + m
-                    if stats.instructions > limit:
-                        raise ExecutionLimitExceeded(
-                            f"exceeded {limit} instructions in @{function.name}"
-                        )
-            for (instr, _, _, _), val in zip(phis, vals):
-                env[instr] = val
-        for instr, items, spec, thunk, act in body:
-            m = self._batch_mult(spec, activity)
-            if m:
-                for key, cost in items:
-                    stats.cycles += cost * m
-                    stats.instructions += m
-                    counts[key] = counts.get(key, 0) + m
-                if stats.instructions > limit:
-                    raise ExecutionLimitExceeded(
-                        f"exceeded {limit} instructions in @{function.name}"
-                    )
-            env[instr] = thunk(env, depth)
-            if act is not None:
-                pending[act[0]] = gang_activity_count(act[2](env), act[1])
-        kind = term[0]
-        m = self._batch_mult(term[2], activity)
-        if m:
-            for key, cost in term[1]:
-                stats.cycles += cost * m
-                stats.instructions += m
-                counts[key] = counts.get(key, 0) + m
-            if stats.instructions > limit:
-                raise ExecutionLimitExceeded(
-                    f"exceeded {limit} instructions in @{function.name}"
-                )
-        if kind == _T_BR:
-            return False, term[3]
-        if kind == _T_CONDBR:
-            target = term[4] if term[3](env) else term[5]
-            backedge = term[6]
-            if backedge is not None:
-                # Divergent-loop backedge: the condbr charged with the
-                # *previous* iteration's activity above; commit the count
-                # the mask_any just computed before the next iteration
-                # (or drop the loop's state on exit).
-                lid, taken_idx = backedge
-                if target is (term[4] if taken_idx == 1 else term[5]):
-                    activity[lid] = pending[lid]
-                else:
-                    activity.pop(lid, None)
-                    pending.pop(lid, None)
-            return False, target
-        raise VMTrap(f"reached 'unreachable' in @{function.name}")
-
-    def _resolver(self, value: Value):
-        """A 1-arg callable ``resolver(env)`` producing the operand's payload."""
-        if isinstance(value, (Instruction, Argument)):
-            return operator.itemgetter(value)
-        if isinstance(value, Constant):
-            payload = _constant_payload(value)
-            return lambda env: payload
-        if isinstance(value, UndefValue):
-            payload = _undef_payload(value.type)
-            return lambda env: payload
-        if isinstance(value, (BasicBlock, Function, ExternalFunction)):
-            return lambda env: value
-        raise TypeError(f"cannot evaluate {value!r}")
-
-    def _decode_instr(self, instr: Instruction):
-        """Compile one non-phi, non-terminator instruction into a thunk.
-
-        The thunk signature is ``thunk(env, depth) -> payload``; opcode
-        dispatch, operand resolution strategy, cost lookup, and
-        type-directed specialization all happen here, once per static
-        instruction.
-        """
-        op = instr.opcode
-        ops = instr.operands
-        vec = isinstance(instr.type, VectorType)
-
-        if op in INT_BINOPS or op in FLOAT_BINOPS:
-            a = self._resolver(ops[0])
-            b = self._resolver(ops[1])
-            if vec:
-                elem = instr.type.elem
-                return lambda env, depth: eval_vector_binop(op, elem, a(env), b(env))
-            impl = scalar_binop_impl(op, instr.type)
-            return lambda env, depth: impl(a(env), b(env))
-        if op in UNARY_OPS:
-            a = self._resolver(ops[0])
-            if vec:
-                elem = instr.type.elem
-                return lambda env, depth: eval_vector_unop(op, elem, a(env))
-            t = instr.type
-            return lambda env, depth: eval_scalar_unop(op, t, a(env))
-        if op == "icmp":
-            a = self._resolver(ops[0])
-            b = self._resolver(ops[1])
-            pred = instr.attrs["pred"]
-            src_t = ops[0].type
-            if isinstance(src_t, VectorType):
-                elem = src_t.elem
-                return lambda env, depth: eval_vector_icmp(pred, elem, a(env), b(env))
-            impl = scalar_icmp_impl(pred, src_t)
-            return lambda env, depth: impl(a(env), b(env))
-        if op == "fcmp":
-            a = self._resolver(ops[0])
-            b = self._resolver(ops[1])
-            pred = instr.attrs["pred"]
-            if isinstance(ops[0].type, VectorType):
-                return lambda env, depth: eval_vector_fcmp(pred, a(env), b(env))
-            impl = scalar_fcmp_impl(pred)
-            return lambda env, depth: impl(a(env), b(env))
-        if op in CAST_OPS:
-            v = self._resolver(ops[0])
-            from_t, to_t = ops[0].type, instr.type
-            if isinstance(to_t, VectorType):
-                from_e, to_e = from_t.elem, to_t.elem
-                return lambda env, depth: eval_vector_cast(op, from_e, to_e, v(env))
-            return lambda env, depth: eval_scalar_cast(op, from_t, to_t, v(env))
-        if op == "select":
-            cond = self._resolver(ops[0])
-            a = self._resolver(ops[1])
-            b = self._resolver(ops[2])
-            if isinstance(ops[0].type, VectorType) or vec:
-                return lambda env, depth: np.where(cond(env), a(env), b(env))
-            return lambda env, depth: a(env) if cond(env) else b(env)
-        if op == "fma":
-            a = self._resolver(ops[0])
-            b = self._resolver(ops[1])
-            c = self._resolver(ops[2])
-            if vec:
-                return lambda env, depth: a(env) * b(env) + c(env)
-            t = instr.type
-            return lambda env, depth: round_float(
-                t, round_float(t, a(env) * b(env)) + c(env)
-            )
-
-        # -- memory -------------------------------------------------------------------
-        memory = self.memory
-        if op == "load":
-            addr = self._resolver(ops[0])
-            t = instr.type
-            return lambda env, depth: memory.load_scalar(addr(env), t)
-        if op == "store":
-            value = self._resolver(ops[0])
-            addr = self._resolver(ops[1])
-            t = ops[0].type
-            def _store(env, depth):
-                memory.store_scalar(addr(env), t, value(env))
-                return None
-            return _store
-        if op == "gep":
-            base = self._resolver(ops[0])
-            idx = self._resolver(ops[1])
-            bits = ops[1].type.bits
-            esize = instr.type.pointee.size_bytes()
-            return lambda env, depth: mask_int(
-                base(env) + to_signed(idx(env), bits) * esize, 64
-            )
-        if op == "alloca":
-            size = max(
-                instr.type.pointee.size_bytes() * instr.attrs.get("count", 1), 1
-            )
-            return lambda env, depth: memory.alloc(size)
-        if op == "atomicrmw":
-            rmw = instr.attrs["op"]
-            if rmw not in ATOMIC_RMW_OPS:
-                raise VMTrap(f"atomicrmw: unsupported op {rmw!r}")
-            addr = self._resolver(ops[0])
-            val = self._resolver(ops[1])
-            t = instr.type
-            impl = scalar_binop_impl(rmw, t)
-            if "segments" in instr.attrs:
-                lanes, bits = val, t.bits
-                val = lambda env: fold_lanes(rmw, bits, lanes(env))
-            def _atomicrmw(env, depth):
-                a = addr(env)
-                old = memory.load_scalar(a, t)
-                memory.store_scalar(a, t, impl(old, val(env)))
-                return old
-            return _atomicrmw
-
-        # -- vector -------------------------------------------------------------------
-        if op == "broadcast":
-            scalar = self._resolver(ops[0])
-            count = instr.type.count
-            if "segments" in instr.attrs:
-                return lambda env, depth: repeat_lanes(scalar(env), count)
-            dtype = elem_dtype(instr.type.elem)
-            return lambda env, depth: np.full(count, scalar(env), dtype=dtype)
-        if op == "extractelement":
-            v = self._resolver(ops[0])
-            idx = self._resolver(ops[1])
-            if instr.type.is_float:
-                def _extract(env, depth):
-                    a = v(env)
-                    return float(a[int(idx(env)) % len(a)])
-            else:
-                def _extract(env, depth):
-                    a = v(env)
-                    return int(a[int(idx(env)) % len(a)])
-            return _extract
-        if op == "insertelement":
-            v = self._resolver(ops[0])
-            idx = self._resolver(ops[1])
-            elt = self._resolver(ops[2])
-            def _insert(env, depth):
-                a = v(env).copy()
-                a[int(idx(env)) % len(a)] = elt(env)
-                return a
-            return _insert
-        if op == "shuffle":
-            src = self._resolver(ops[0])
-            idx = self._resolver(ops[1])
-            segments = instr.attrs.get("segments")
-            if segments is not None:
-                return lambda env, depth: shuffle_segments(
-                    src(env), idx(env), segments)
-            def _shuffle(env, depth):
-                a = src(env)
-                return a[idx(env).astype(np.int64) % len(a)]
-            return _shuffle
-        if op == "shuffle2":
-            lo = self._resolver(ops[0])
-            hi = self._resolver(ops[1])
-            idx = self._resolver(ops[2])
-            def _shuffle2(env, depth):
-                both = np.concatenate([lo(env), hi(env)])
-                return both[idx(env).astype(np.int64) % len(both)]
-            return _shuffle2
-        if op == "vload":
-            addr = self._resolver(ops[0])
-            mask = self._resolver(ops[1])
-            dtype, count = elem_dtype(instr.type.elem), instr.type.count
-            stride = instr.attrs.get("row_stride")
-            if stride is not None:
-                rows = instr.attrs["segments"]
-                return lambda env, depth: memory.load_rows(
-                    addr(env), dtype, count, rows, stride, mask(env)
-                )
-            return lambda env, depth: memory.load_lanes(
-                addr(env), dtype, count, mask(env)
-            )
-        if op == "vstore":
-            value = self._resolver(ops[0])
-            addr = self._resolver(ops[1])
-            mask = self._resolver(ops[2])
-            dtype = elem_dtype(ops[0].type.elem)
-            stride = instr.attrs.get("row_stride")
-            if stride is not None:
-                rows = instr.attrs["segments"]
-                def _vstore(env, depth):
-                    memory.store_rows(addr(env), dtype, value(env), rows,
-                                      stride, mask(env))
-                    return None
-                return _vstore
-            def _vstore(env, depth):
-                memory.store_lanes(addr(env), dtype, value(env), mask(env))
-                return None
-            return _vstore
-        if op == "gather":
-            addrs = self._resolver(ops[0])
-            mask = self._resolver(ops[1])
-            elem = instr.type.elem
-            return lambda env, depth: memory.gather(addrs(env), elem, mask(env))
-        if op == "scatter":
-            value = self._resolver(ops[0])
-            addrs = self._resolver(ops[1])
-            mask = self._resolver(ops[2])
-            elem = ops[0].type.elem
-            def _scatter(env, depth):
-                memory.scatter(addrs(env), elem, value(env), mask(env))
-                return None
-            return _scatter
-        if op == "sad":
-            a = self._resolver(ops[0])
-            b = self._resolver(ops[1])
-            def _sad(env, depth):
-                diffs = np.abs(
-                    a(env).astype(np.int64) - b(env).astype(np.int64)
-                ).reshape(-1, 8).sum(axis=1)
-                return diffs.astype(np.uint64)
-            return _sad
-        if op in REDUCE_OPS:
-            v = self._resolver(ops[0])
-            segments = instr.attrs.get("segments")
-            if segments is not None:
-                return lambda env, depth: reduce_segments(op, v(env), segments)
-            return lambda env, depth: reduce_lanes(op, instr, v(env))
-        if op == "mask_any":
-            m = self._resolver(ops[0])
-            return lambda env, depth: 1 if bool(m(env).any()) else 0
-        if op == "mask_all":
-            m = self._resolver(ops[0])
-            return lambda env, depth: 1 if bool(m(env).all()) else 0
-        if op == "mask_popcnt":
-            m = self._resolver(ops[0])
-            return lambda env, depth: int(m(env).sum())
-
-        # -- calls --------------------------------------------------------------------
-        if op == "call":
-            callee = ops[0]
-            arg_resolvers = [self._resolver(o) for o in ops[1:]]
-            if isinstance(callee, ExternalFunction):
-                cost = callee.cost
-                if callable(cost):
-                    cost = cost(self.machine, [o.type for o in ops[1:]])
-                cost = float(cost)
-                label = f"ext:{callee.name}"
-                impl = callee.impl
-                charge = self.stats.charge
-                def _ext_call(env, depth):
-                    charge(label, cost)
-                    return impl(*[r(env) for r in arg_resolvers])
-                return _ext_call
-            # Weak: the interpreter owns this thunk (see "Ownership").
-            this = weakref.ref(self)
-            def _call(env, depth):
-                return this()._exec_function(
-                    callee, [r(env) for r in arg_resolvers], depth + 1
-                )
-            return _call
-
-        raise NotImplementedError(f"interpreter: opcode {op}")
-
-    # -- reference engine ------------------------------------------------------------
-
     def _exec_reference(self, function: Function, argvals: List, depth: int):
         env: Dict[Value, object] = dict(zip(function.args, argvals))
         stack_mark = self.memory._brk  # frame-local alloca discipline
@@ -1134,7 +512,9 @@ class Interpreter:
         stats = self.stats
         counts = stats.counts
         batched = function.attrs.get("batched")
-        # Divergent-loop gang-activity state; see _exec_batch_block.
+        # Divergent-loop gang-activity state: loop id -> the committed
+        # live-gang count, and the count its ``mask_any`` just computed
+        # (committed at the backedge, dropped at the exit).
         activity: Dict[str, int] = {}
         pending: Dict[str, int] = {}
 

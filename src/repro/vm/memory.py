@@ -39,7 +39,7 @@ callers that want to compare whole memories.  Growth replaces ``data``
 (and the typed ``lanes`` views over it), so nothing may hold either
 across a call that can allocate or access memory.
 
-Extent and snapshots: rollback (trap replay, shard retries) must not pay
+Extent and snapshots: rollback (trap replay) must not pay
 for the whole image either.  ``Memory.extent`` is one past the highest
 byte ever allocated or written, ``extent <= len(data)``, and the
 invariant **``data[extent:] == 0``** always holds: every write path
@@ -105,8 +105,7 @@ class _LaneViews(dict):
 class MemorySnapshot:
     """A rollback point: the image below the extent, plus the allocator
     break.  Restorable into any :class:`Memory` of the same logical size,
-    whatever its physical capacity (shard workers rebuild the launch
-    image in their own buffer)."""
+    whatever its physical capacity."""
 
     __slots__ = ("image", "brk", "size")
 

@@ -767,7 +767,7 @@ def gang_activity_count(mask, batch: int) -> int:
     divergent-loop iteration once per gang that would still be looping in
     the unbatched engine.  That multiplicity is exactly the number of
     per-gang blocks of the loop's continue-mask with any active lane,
-    which the decoded engines obtain from this helper.
+    which the reference engine obtains from this helper.
 
     The whole-kernel codegen emitter is batch-factor specialized and
     inlines this computation with a **literal** ``batch`` instead of

@@ -88,7 +88,7 @@ def test_catching_the_roots_spans_the_pipeline():
         compile_parsimony("void kernel( {", module_name="syntaxerr")
 
 
-# -- pickling (issue 7: errors cross the shard supervisor's pipes) -------------
+# -- pickling (errors cross process boundaries) --------------------------------
 
 
 def test_pickle_round_trip_preserves_provenance():
@@ -100,7 +100,7 @@ def test_pickle_round_trip_preserves_provenance():
         function="kernel",
         block="body",
         instruction="st",
-        detail={"addr": 123, "shard": 2},
+        detail={"addr": 123, "lane": 2},
     )
     clone = pickle.loads(pickle.dumps(err))
     assert type(clone) is ExecutionError
@@ -110,7 +110,7 @@ def test_pickle_round_trip_preserves_provenance():
     assert diag.function == "kernel"
     assert diag.block == "body"
     assert diag.instruction == "st"
-    assert diag.detail == {"addr": 123, "shard": 2}
+    assert diag.detail == {"addr": 123, "lane": 2}
 
 
 def test_pickle_round_trip_preserves_cause_chain():

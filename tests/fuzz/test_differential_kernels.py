@@ -25,9 +25,10 @@ vector-engine differentials below still apply to them.
 Every fifth seed additionally runs the plain module through the
 **whole-kernel codegen** engine (``Interpreter(codegen=True)``, see
 ``repro.backend.codegen``) and compares outputs *and* ``ExecStats``
-bitwise against the decoded engine: codegen is accounting-transparent by
-contract.  Bailouts are legal (the kernel silently runs decoded) but
-tallied, so a corpus where codegen never compiles fails the suite.
+bitwise against the reference engine: codegen is accounting-transparent
+by contract.  Bailouts are legal (the kernel silently runs on the
+reference engine) but tallied, so a corpus where codegen never compiles
+fails the suite.
 
 Every third seed additionally pits a **gang-batched** build (forced
 ``REPRO_BATCH=2`` — auto selection would pick a batch too wide for 37
@@ -37,6 +38,11 @@ batching is accounting-transparent by contract, so cycles, instruction
 counts, and per-opcode tallies must not move.  The leg reaches the
 per-gang forms: constant-index shuffles, integer reductions and the
 atomics that fold them.
+
+Every ~25th seed compiles the kernel in a *subprocess* with the disk
+cache on, rehydrates that entry in this process, and runs it: cold,
+cross-process builds must agree bitwise with the in-process one,
+``ExecStats`` included.
 
 Tier-1 runs ``REPRO_FUZZ_N`` seeds (default 200); CI's fuzz-smoke job and
 local soak runs scale it up via the environment::
@@ -55,7 +61,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import diskcache, shard
+from repro import diskcache
 from repro.benchsuite.fuzzgen import N_THREADS, generate_kernel, workload_arrays
 from repro.diagnostics import CompileError
 from repro.driver import clear_compile_cache, compile_parsimony
@@ -96,12 +102,12 @@ _CODEGEN_CORPUS = {"compiled": 0, "bailed": 0, "shuffle": 0}
 
 #: Every ~25th seed additionally runs the cross-process differential:
 #: compile + persist in a *subprocess* (disk cache), rehydrate in the
-#: parent, run sharded across worker processes, compare bitwise.
+#: parent, compare bitwise.
 _XPROC_EVERY = 25
 
-#: Tally of how the sharded launches landed (legality rejections are
-#: fine; a corpus where sharding never engages fuzzes a dead layer).
-_XPROC_CORPUS = {"sharded": 0, "rejected": 0}
+#: How many rehydrated modules ran, and how many of them ran generated
+#: code (a corpus that never reaches the disk layer fuzzes nothing).
+_XPROC_CORPUS = {"rehydrated": 0, "compiled": 0}
 
 _XPROC_DIR = None
 
@@ -150,8 +156,9 @@ def test_differential_fuzz_kernel(seed):
     context = f"seed={seed} gang={kernel.gang_size}\n{kernel.source}"
 
     plain = compile_parsimony(kernel.source)
-    # The oracle leg runs predecoded; every other leg runs the default
-    # engine (whole-kernel codegen), so each comparison also crosses tiers.
+    # The oracle leg runs on the reference engine; every other leg runs
+    # the default engine (whole-kernel codegen), so each comparison also
+    # crosses engines.
     plain_out, plain_stats = _run(plain, seed, codegen=False)
 
     if kernel.refuses_whole_fallback:
@@ -207,7 +214,8 @@ def test_differential_fuzz_kernel(seed):
                               context)
 
     if seed % _XPROC_EVERY == 1:
-        _cross_process_differential(kernel, seed, plain_out, context)
+        _cross_process_differential(kernel, seed, plain_out, plain_stats,
+                                    context)
 
 
 def _batched_differential(kernel, seed, plain_out, context):
@@ -250,10 +258,11 @@ def _batched_differential(kernel, seed, plain_out, context):
 
 def _codegen_differential(kernel, plain, seed, plain_out, plain_stats,
                           context):
-    """Whole-kernel codegen engine vs decoded engine on the same module:
+    """Whole-kernel codegen engine vs reference engine on the same module:
     outputs and ExecStats must agree bitwise (accounting transparency is
-    the codegen contract — block-merged charges sum to the exact decoded
-    totals because every per-instruction cost is a dyadic rational)."""
+    the codegen contract — block-merged charges sum to the exact
+    reference totals because every per-instruction cost is a dyadic
+    rational)."""
     A, B, C, OUT, IOUT, sv, si = workload_arrays(seed)
     interp = Interpreter(plain, codegen=True)
     addrs = [interp.memory.alloc_array(a) for a in (A, B, C, OUT, IOUT)]
@@ -266,7 +275,7 @@ def _codegen_differential(kernel, plain, seed, plain_out, plain_stats,
     _CODEGEN_CORPUS["bailed" if report["bailouts"] else "compiled"] += 1
     if kernel.has_shuffle:
         _CODEGEN_CORPUS["shuffle"] += 1
-    _assert_same(got_out, plain_out, f"codegen vs decoded: {context}")
+    _assert_same(got_out, plain_out, f"codegen vs reference: {context}")
     got_stats = interp.stats
     assert got_stats.cycles == plain_stats.cycles, (
         f"codegen cycles diverge: {context}")
@@ -276,26 +285,11 @@ def _codegen_differential(kernel, plain, seed, plain_out, plain_stats,
         f"codegen per-opcode counts diverge: {context}")
 
 
-def _run_sharded(module, seed, shards=3):
-    """Like :func:`_run`, but through the supervised multi-process engine."""
-    A, B, C, OUT, IOUT, sv, si = workload_arrays(seed)
-    interp = Interpreter(module)
-    addrs = [interp.memory.alloc_array(a) for a in (A, B, C, OUT, IOUT)]
-    result = shard.run_sharded(
-        module, "kernel", (*addrs, sv, si, N_THREADS),
-        memory=interp.memory, shards=shards,
-    )
-    outputs = (
-        interp.memory.read_array(addrs[3], np.float32, N_THREADS),
-        interp.memory.read_array(addrs[4], np.int32, N_THREADS + 1),
-    )
-    return outputs, result.stats, result.report
-
-
-def _cross_process_differential(kernel, seed, plain_out, context):
+def _cross_process_differential(kernel, seed, plain_out, plain_stats,
+                                context):
     """Compile + persist in a subprocess, rehydrate from the disk cache in
-    the parent, run sharded across worker processes: outputs and ExecStats
-    must agree bitwise end-to-end."""
+    the parent, run: outputs and ExecStats must agree bitwise with the
+    in-process build's reference run."""
     cache_dir = _xproc_cache_dir()
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
@@ -332,17 +326,24 @@ def _cross_process_differential(kernel, seed, plain_out, context):
         else:
             os.environ["REPRO_CACHE_DIR"] = saved_dir
 
-    ref_out, ref_stats = _run(module, seed)
-    _assert_same(ref_out, plain_out, f"rehydrated vs plain: {context}")
-    got_out, got_stats, report = _run_sharded(module, seed)
-    _XPROC_CORPUS["sharded" if report["mode"] == "sharded" else "rejected"] += 1
-    _assert_same(got_out, ref_out, f"sharded vs in-process: {context}")
-    assert got_stats.cycles == ref_stats.cycles, (
-        f"sharded cycles diverge: {context}")
-    assert got_stats.instructions == ref_stats.instructions, (
-        f"sharded instruction count diverges: {context}")
-    assert dict(got_stats.counts) == dict(ref_stats.counts), (
-        f"sharded per-opcode counts diverge: {context}")
+    A, B, C, OUT, IOUT, sv, si = workload_arrays(seed)
+    interp = Interpreter(module)
+    addrs = [interp.memory.alloc_array(a) for a in (A, B, C, OUT, IOUT)]
+    interp.run("kernel", *addrs, sv, si, N_THREADS)
+    got_out = (
+        interp.memory.read_array(addrs[3], np.float32, N_THREADS),
+        interp.memory.read_array(addrs[4], np.int32, N_THREADS + 1),
+    )
+    _XPROC_CORPUS["rehydrated"] += 1
+    _XPROC_CORPUS["compiled"] += bool(interp.codegen_report()["calls"])
+    _assert_same(got_out, plain_out, f"rehydrated vs plain: {context}")
+    got_stats = interp.stats
+    assert got_stats.cycles == plain_stats.cycles, (
+        f"rehydrated cycles diverge: {context}")
+    assert got_stats.instructions == plain_stats.instructions, (
+        f"rehydrated instruction count diverges: {context}")
+    assert dict(got_stats.counts) == dict(plain_stats.counts), (
+        f"rehydrated per-opcode counts diverge: {context}")
 
 
 def test_zz_corpus_exercised_partial_fallback():
@@ -379,11 +380,11 @@ def test_zz_corpus_exercised_codegen():
         assert _CODEGEN_CORPUS["shuffle"] > 0, _CODEGEN_CORPUS
 
 
-def test_zz_corpus_exercised_cross_process_sharding():
-    """The cross-process differential must have run on every ~25th seed
-    and actually sharded kernels across worker processes."""
+def test_zz_corpus_exercised_cross_process_rehydration():
+    """The cross-process differential must have run on every ~25th seed,
+    and the rehydrated modules must have run generated code."""
     expected = len([s for s in range(FUZZ_N) if s % _XPROC_EVERY == 1])
     if expected == 0:
         pytest.skip("FUZZ_N too small for the cross-process cadence")
-    assert sum(_XPROC_CORPUS.values()) == expected
-    assert _XPROC_CORPUS["sharded"] > 0, _XPROC_CORPUS
+    assert _XPROC_CORPUS["rehydrated"] == expected
+    assert _XPROC_CORPUS["compiled"] > 0, _XPROC_CORPUS

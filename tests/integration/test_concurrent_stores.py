@@ -1,7 +1,7 @@
 """Concurrent multi-writer hardening of the on-disk compile cache.
 
-Many worker processes hit the same disk-cache entries at once (the shard
-supervisor warm-starts workers through it).  The contract: concurrent
+Many processes hit the same disk-cache entries at once (each compiling
+the same source with ``REPRO_DISK_CACHE`` on).  The contract: concurrent
 writers never observe a torn entry; corrupt entries are recorded and
 survived, not fatal.
 """

@@ -245,6 +245,34 @@ def test_diff_lists_the_retired_tuner_counters_of_a_v8_document():
     assert diff["vm_runs"]["t/parsimony"]["cycles"]["delta"] == 0
 
 
+def test_diff_lists_the_retired_shard_counters_of_a_v9_document():
+    """v10 dropped the sharded executor.  A v9 document still carries a
+    ``shard_totals`` table and a ``shard`` record per run; diff mode reads
+    it and lists the ``vm.shard.*`` counters as removed."""
+    with telemetry.collect() as session:
+        _compile_and_run()
+    doc = json.loads(session.to_json())
+    assert doc["schema"] == "repro-telemetry/10"
+    assert "shard_totals" not in doc["vm"]
+    assert all("shard" not in run for run in doc["vm"]["runs"])
+
+    old = json.loads(session.to_json())
+    old["schema"] = "repro-telemetry/9"
+    counts = {"sharded": 1, "retries": 2, "degraded": 1, "rejected": 0}
+    old["vm"]["shard_totals"] = {
+        f"vm.shard.{key}": n for key, n in counts.items()}
+    for run in old["vm"]["runs"]:
+        run["shard"] = {"mode": "sharded", "shards": 4, "retries": 2}
+    diff = telemetry.diff_documents(old, doc)
+    assert diff["base_schemas"] == {"old": "repro-telemetry/9",
+                                    "new": telemetry.SCHEMA}
+    removed = {key: entry["value"] for key, entry in diff["counters"].items()
+               if key.startswith("vm.shard.")}
+    assert removed == {f"vm.shard.{key}": {"old": n, "new": 0, "delta": -n}
+                       for key, n in counts.items()}
+    assert diff["vm_runs"]["t/parsimony"]["cycles"]["delta"] == 0
+
+
 def test_nested_sessions_restore_the_outer_one():
     with telemetry.collect() as outer:
         with telemetry.collect() as inner:

@@ -8,8 +8,7 @@ mask (full, tail, holes, all-inactive), gather, scatter (constant and
 runtime mask), atomicrmw} is driven at {an in-bounds address, the NULL
 page, one byte past the logical end, straddling the physical capacity,
 an address >= 2**63, an in-bounds address that is not lane-aligned} on
-the codegen engine, the predecoded engine and the reference engine,
-which must agree on the returned value, ``ExecStats``, trap class and
+the codegen engine and the reference engine, which must agree on the returned value, ``ExecStats``, trap class and
 message, ``Memory.image()`` and ``Memory.extent``.
 """
 
@@ -41,8 +40,7 @@ ALL_TRUE = Constant(MASK, [1] * LANES)
 
 ENGINES = {
     "codegen": {},
-    "predecoded": {"codegen": False},
-    "reference": {"predecode": False},
+    "reference": {"codegen": False},
 }
 
 
@@ -210,17 +208,15 @@ def test_access_forms_agree_across_engines(form, mask, where):
     if trapped:
         expected = "NULL-page" if where == "null" else f"of {SIZE}"
         assert expected in want["outcome"][1]
-    for engine in ("predecoded", "codegen"):
-        got, interp = _drive(form, mask, where, engine)
-        context = f"{form}/{mask}/{where} on {engine}"
-        for key in ("outcome", "cycles", "instructions", "counts", "extent"):
-            assert got[key] == want[key], f"{context}: {key}"
-        np.testing.assert_array_equal(got["image"], want["image"],
-                                      err_msg=f"{context}: image")
-        if engine == "codegen":
-            report = interp.codegen_report()
-            assert not report["bailouts"], report
-            assert report["calls"] == 1 and report["replays"] == trapped
+    got, interp = _drive(form, mask, where, "codegen")
+    context = f"{form}/{mask}/{where} on codegen"
+    for key in ("outcome", "cycles", "instructions", "counts", "extent"):
+        assert got[key] == want[key], f"{context}: {key}"
+    np.testing.assert_array_equal(got["image"], want["image"],
+                                  err_msg=f"{context}: image")
+    report = interp.codegen_report()
+    assert not report["bailouts"], report
+    assert report["calls"] == 1 and report["replays"] == trapped
 
 
 def test_a_trapping_store_leaves_the_image_untouched():
@@ -250,7 +246,7 @@ def test_which_packed_accesses_stay_out_of_memory(form, mask, monkeypatch):
     known at emit time — constant or folded, whatever its shape — or is a
     runtime mask with every lane set; a partial runtime mask, and
     anything off the typed view, goes to the one implementation in
-    ``Memory`` (which the other two engines always call)."""
+    ``Memory`` (which the reference engine always calls)."""
     calls = []
     for name in ("load_lanes", "store_lanes"):
         real = getattr(Memory, name)
@@ -268,5 +264,5 @@ def test_which_packed_accesses_stay_out_of_memory(form, mask, monkeypatch):
     _drive(form, mask, "misaligned", "codegen")
     assert len(calls) == (0 if _static_mask(form) == "none" else 1)
     calls.clear()
-    _drive(form, mask, "inside", "predecoded")
+    _drive(form, mask, "inside", "reference")
     assert len(calls) == 1

@@ -6,7 +6,7 @@ row-strided ``vload``/``vstore`` — change how many lanes one VM step
 covers, never what a launch computes or what it is charged:
 
 * every fig4 and fig5 kernel, built at forced batch factors 2, 4, 8 and
-  16, matches its unbatched build on the codegen and the predecoded
+  16, matches its unbatched build on the codegen and the reference
   engine: outputs, ``ExecStats`` (cycles, instructions, per-opcode
   counts), the memory ``image()`` and its ``extent``;
 * a budget trap and an out-of-bounds access inside a batched trip replay

@@ -257,7 +257,7 @@ def test_legality_accepts_gang_local_forms(case):
     """Constant-index shuffles, strided stores, and integer reductions
     feeding an atomic or a broadcast batch — and stay invisible: outputs,
     ``ExecStats``, the memory image and its extent match the unbatched
-    build on all three engines, at the cost model's factor and at B=4."""
+    build on both engines, at the cost model's factor and at B=4."""
     from repro.ir.printer import print_module
 
     body, form = ACCEPTED[case]
@@ -268,7 +268,7 @@ def test_legality_accepts_gang_local_forms(case):
                                    batch_request=request)
         assert module.attrs.get("batch_applied"), module.attrs.get("batch_rejected")
         assert form in print_module(module), case
-        for engine in ({}, {"codegen": False}, {"predecode": False}):
+        for engine in ({}, {"codegen": False}):
             assert _run_accepted(module, **engine) == want, (case, request, engine)
 
 

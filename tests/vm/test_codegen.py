@@ -5,20 +5,21 @@ kernel's structurized CFG into ONE generated Python function and retires
 the per-block dispatch loop.  Its contract is accounting transparency:
 bit-identical outputs, memory images, and ``ExecStats`` (cycles,
 instruction counts, per-opcode tallies, per-function attribution) versus
-the other tiers — reference and predecoded, batched and unbatched — for
-completed runs, and exact trap-point state via wholesale replay on the
-predecoded twin for trapped runs.
+the reference engine, batched and unbatched — for completed runs, and
+exact trap-point state via wholesale replay on the reference engine for
+trapped runs.
 
 Covered here:
 
-- fig4-wide bitwise matrix: codegen vs reference / predecoded, on the
-  batched and the unbatched build;
+- fig4-wide bitwise matrix: codegen vs reference, on the batched and the
+  unbatched build;
 - mid-kernel budget-trap replay (trap identity, trap-point stats, and
-  memory bitwise vs the decoded engine, plus the replay counter), and
+  memory bitwise vs the reference engine, plus the replay counter), and
   the replay twin being dropped by ``clear_decode_cache``;
 - mask-seam kernels: nested divergent loops, break/continue lowering,
   masked early exit, and an IR-level early ``ret`` under a branch;
-- fault injection at the ``codegen`` site (bails to the decoded engine);
+- fault injection at the ``codegen`` site (bails to the reference
+  engine);
 - disk-cache rehydration of the generated source in a child process.
 """
 
@@ -98,20 +99,18 @@ def _assert_bitwise(got, want, context):
 @pytest.mark.parametrize("spec", BENCHMARKS, ids=lambda s: s.name)
 def test_codegen_matches_every_engine_on_fig4(spec):
     """Outputs, memory, ExecStats, and attribution bitwise across
-    reference / predecoded / codegen × batched / unbatched; the codegen
-    engine must actually compile (no bailouts)."""
+    reference / codegen × batched / unbatched; the codegen engine must
+    actually compile (no bailouts)."""
     workload = spec.workload()
     want = None
     for build, request in (("batched", None), ("unbatched", 0)):
         module = compile_parsimony(
             spec.psim_src, module_name=f"{spec.name}.parsimony",
             batch_request=request)
-        _, ref = _run_workload(module, workload, predecode=False)
+        _, ref = _run_workload(module, workload, codegen=False)
         if want is None:
             want = ref
         _assert_bitwise(ref, want, f"{spec.name}: {build} vs batched reference")
-        _, got = _run_workload(module, workload, codegen=False)
-        _assert_bitwise(got, want, f"{spec.name}: {build} predecoded")
         interp, got = _run_workload(module, workload)
         report = interp.codegen_report()
         assert not report["bailouts"], f"{spec.name}: {report['bailouts']}"
@@ -121,10 +120,10 @@ def test_codegen_matches_every_engine_on_fig4(spec):
 
 # -- ownership: interpreters die by reference counting ------------------------
 
-@pytest.mark.parametrize("engine", ["codegen", "predecoded"])
+@pytest.mark.parametrize("engine", ["codegen", "reference"])
 @pytest.mark.parametrize("spec", BENCHMARKS, ids=lambda s: s.name)
 def test_interpreter_is_reclaimed_without_the_cyclic_collector(spec, engine):
-    """Nothing an interpreter owns (generated functions, decoded thunks,
+    """Nothing an interpreter owns (generated functions, cached costs,
     the replay twin) may own it back: with the collector off, dropping
     the last reference must free the ``Interpreter`` and its ``Memory``
     at once — after a clean run and after a trap replay."""
@@ -150,7 +149,8 @@ def test_interpreter_is_reclaimed_without_the_cyclic_collector(spec, engine):
                     interp.run("kernel", *addrs, *workload.scalars)
                 replays = (interp.batch_replays
                            + interp.codegen_report()["replays"])
-                # Predecoded replays only a batched build (on its twin).
+                # The reference engine replays only a batched build (on
+                # its twin).
                 assert replays == (engine == "codegen"
                                    or "unbatched_recipe" in module.attrs)
             alive = weakref.ref(interp), weakref.ref(interp.memory)
@@ -181,11 +181,11 @@ void kernel(f32* OUT, u64 n) {
 """
 
 
-def test_budget_trap_replays_on_predecoded_twin():
+def test_budget_trap_replays_on_the_reference_engine():
     """A mid-kernel budget trap under codegen must replay wholesale on the
-    predecoded twin: trap identity, trap-point stats, and memory all match
-    the decoded engine bit-for-bit (the block-merged charges alone would
-    only be approximate at the trap point)."""
+    reference engine: trap identity, trap-point stats, and memory all
+    match a reference-engine run bit-for-bit (the block-merged charges
+    alone would only be approximate at the trap point)."""
     module = compile_parsimony(TRAP_SRC)
     out = np.zeros(37, np.float32)
 
@@ -196,24 +196,24 @@ def test_budget_trap_replays_on_predecoded_twin():
             interp.run("kernel", addr, 37)
         return interp
 
-    decoded = trap_run(False)
+    reference = trap_run(False)
     compiled = trap_run(True)
     assert compiled.codegen_stats["replays"] == 1
     # Trap fires on exactly the first instruction past the budget, and the
-    # replayed trap point matches the decoded engine's bitwise.
-    assert decoded.stats.instructions == 501
-    assert compiled.stats.instructions == decoded.stats.instructions
-    assert compiled.stats.cycles == decoded.stats.cycles
-    assert dict(compiled.stats.counts) == dict(decoded.stats.counts)
+    # replayed trap point matches the reference engine's bitwise.
+    assert reference.stats.instructions == 501
+    assert compiled.stats.instructions == reference.stats.instructions
+    assert compiled.stats.cycles == reference.stats.cycles
+    assert dict(compiled.stats.counts) == dict(reference.stats.counts)
     np.testing.assert_array_equal(
-        compiled.memory.image(), decoded.memory.image()
+        compiled.memory.image(), reference.memory.image()
     )
 
 
 def test_clear_decode_cache_drops_the_replay_twin():
-    """The twin decodes the module into its own caches; after a module
-    mutation + ``clear_decode_cache()`` a replayed trap must report the
-    *new* instructions, as the reference engine does."""
+    """The twin caches the module's costs; after a module mutation +
+    ``clear_decode_cache()`` a replayed trap must report the *new*
+    instructions, as a fresh reference engine does."""
     def build():
         module = Module("t")
         f = Function("f", FunctionType(I32, (I32, I32)), ["x", "y"])
@@ -236,17 +236,16 @@ def test_clear_decode_cache_drops_the_replay_twin():
             interp.run("f", 3, 5)
         return dict(interp.stats.counts)
 
-    want = trap_twice(predecode=False)
+    want = trap_twice(codegen=False)
     assert want == {"sub": 1, "xor": 1, "ret": 1}
     assert trap_twice(codegen=True) == want
-    assert trap_twice(codegen=False) == want
 
 
 def test_default_engine_is_codegen():
     module = compile_parsimony(TRAP_SRC)
     assert Interpreter(module).codegen is True
     assert Interpreter(module, codegen=False).codegen is False
-    # Codegen rides on predecode: the reference engine never arms it.
+    # The older spelling of the switch selects the same reference engine.
     assert Interpreter(module, predecode=False).codegen is False
 
 
@@ -390,16 +389,16 @@ def test_ir_early_return_under_branch(x, expect):
 # -- bailout burn-down matrix -------------------------------------------------
 #
 # Shapes behind the retired bailout reasons (multi-exit-loop,
-# multi-level-break/continue, batched-terminator:ret, mixed-batch-body)
-# must now compile AND run bitwise-identical to the reference engine;
-# reasons kept deliberately (function-too-large, batched-internal-call)
-# get pinning tests so retirements stay intentional.
+# multi-level-break/continue, batched-terminator:ret, mixed-batch-body,
+# batched-internal-call) must now compile AND run bitwise-identical to the
+# reference engine; the reason kept deliberately (function-too-large)
+# gets a pinning test so retirements stay intentional.
 
 
 def _run_scalar_pair(module, f, args_list):
     """Run ``f`` through the reference and codegen engines over each arg
     tuple; asserts bitwise-equal results and ExecStats, zero bailouts."""
-    ref = Interpreter(module, predecode=False, codegen=False)
+    ref = Interpreter(module, codegen=False)
     got = Interpreter(module, codegen=True)
     for args in args_list:
         assert ref.run(f, *args) == got.run(f, *args), args
@@ -546,9 +545,7 @@ def _mixed_batched_module():
     """Hand-built batched function whose body mixes annotated and plain
     instructions and ends in an annotated ``ret`` — the shapes behind the
     retired ``mixed-batch-body`` and ``batched-terminator:ret`` bailouts.
-    The decoded engine cannot run mixed blocks at all (its batch decode
-    requires annotations on every instruction), so the oracle is the
-    reference engine, which gates per instruction."""
+    The reference engine gates batched charging per instruction."""
     module = Module("t")
     f = Function("f", FunctionType(I32, (I32,)), ["x"])
     module.add_function(f)
@@ -571,7 +568,8 @@ def test_mixed_batch_body_and_batched_ret_retired():
 
 def test_function_too_large_bailout_pinned(monkeypatch):
     """The size guard stays: an oversized function must bail (not emit a
-    pathological source) and still run bitwise via the decoded engine."""
+    pathological source) and still run bitwise via the reference
+    engine."""
     monkeypatch.setattr(cg, "MAX_CODEGEN_INSTRS", 4)
     module, f = _early_ret_module()
     ref = Interpreter(module, codegen=False)
@@ -603,30 +601,26 @@ def _batched_internal_call_module():
     return module, f
 
 
-def test_batched_internal_call_bailout_pinned():
-    """An *annotated* internal call has no narrow-prototype emission: the
-    bailout is deliberate (unannotated internal calls in batched bodies
-    do compile)."""
+def test_batched_internal_call_retired():
+    """An *annotated* internal call compiles: its narrow charges join the
+    block prologue, and the call is the plain flush + ``_exec``."""
     module, f = _batched_internal_call_module()
-    interp = Interpreter(module)
-    with pytest.raises(cg.CodegenBailout) as exc:
-        cg.lower_function(f, interp.machine, interp.cost_model)
-    assert exc.value.reason == "batched-internal-call"
+    _run_scalar_pair(module, f, [(0,), (5,), (41,)])
 
 
 def test_bailout_memo_keyed_by_batch_fingerprint():
-    """Satellite bugfix: a bailout memoized against one batching
-    configuration must not suppress emission for another.  Stripping the
-    batch annotations mutates only attrs — block/instruction counts (and
-    object identity) are unchanged, so only the batch fingerprint in the
-    memo separates the two configurations."""
+    """Satellite bugfix: a memo entry — an emission or a bailout —
+    recorded against one batching configuration must not answer for
+    another.  Stripping the batch annotations mutates only attrs —
+    block/instruction counts (and object identity) are unchanged, so only
+    the batch fingerprint in the memo separates the two
+    configurations."""
     module, f = _batched_internal_call_module()
     interp = Interpreter(module)
-    with pytest.raises(cg.CodegenBailout):
-        cg.lower_function(f, interp.machine, interp.cost_model)
-    with pytest.raises(cg.CodegenBailout):
-        # memoized replay, still a bailout
-        cg.lower_function(f, interp.machine, interp.cost_model)
+    batched, _ = cg.lower_function(f, interp.machine, interp.cost_model)
+    # memoized: the same callable
+    assert cg.lower_function(f, interp.machine, interp.cost_model) == (
+        batched, "cache")
 
     # Unbatched re-run of the same Function object: attrs-only mutation.
     del f.attrs["batched"]
@@ -634,9 +628,9 @@ def test_bailout_memo_keyed_by_batch_fingerprint():
         for ins in block.instructions:
             ins.attrs.pop("batch_mult", None)
             ins.attrs.pop("batch_charges", None)
-    # must NOT replay the bailout
-    kfn, _ = cg.lower_function(f, interp.machine, interp.cost_model)
-    assert kfn.__name__ == "_kfn"
+    # must NOT replay the batched emission (it charges the ×2 prototypes)
+    plain, _ = cg.lower_function(f, interp.machine, interp.cost_model)
+    assert plain is not batched and plain.__name__ == "_kfn"
 
     # And the plain configuration actually runs, bitwise.
     _run_scalar_pair(module, f, [(3,), (12,)])
@@ -644,9 +638,9 @@ def test_bailout_memo_keyed_by_batch_fingerprint():
 
 # -- fault injection at the codegen site --------------------------------------
 
-def test_codegen_fault_site_bails_to_decoded():
+def test_codegen_fault_site_bails_to_reference():
     """An injected fault at the ``codegen`` site must land in the bailout
-    table and degrade to the decoded engine — never trap the run."""
+    table and degrade to the reference engine — never trap the run."""
     module = compile_parsimony(TRAP_SRC)
     interp = Interpreter(module, codegen=True)
     function = module.get("kernel")
@@ -654,8 +648,8 @@ def test_codegen_fault_site_bails_to_decoded():
         kfn = interp._codegen_lower(function)
     assert kfn is None
     assert interp.codegen_bailouts == {"injected-fault": 1}
-    # The bailout is sticky: the armed engine now runs decoded, with
-    # results identical to a codegen=False interpreter.
+    # The bailout is sticky: the armed engine now runs the reference
+    # engine, with results identical to a codegen=False interpreter.
     addr = interp.memory.alloc_array(np.zeros(37, np.float32))
     interp.run("kernel", addr, 37)
     assert interp.codegen_report()["calls"] == 0
@@ -675,7 +669,7 @@ def test_active_fault_plan_disarms_codegen():
     module = compile_parsimony(TRAP_SRC)
     interp = Interpreter(module, codegen=True)
     addr = interp.memory.alloc_array(np.zeros(37, np.float32))
-    with inject(FaultPlan(site="worker_crash")):  # unrelated site, armed
+    with inject(FaultPlan(site="mathlib", match="never")):  # armed, idle
         interp.run("kernel", addr, 37)
     assert interp.codegen_report()["calls"] == 0
 

@@ -5,8 +5,8 @@ it knows at emit time, and picks cheaper host primitives for a few ops
 (``count_nonzero`` for the mask reductions, ``empty``+``fill`` for
 ``broadcast``, a sign-bit XOR for a narrow ``gep`` index, a literal lane
 for ``extractelement``, a masked Python expression for integer
-``atomicrmw``).  Each case runs on the codegen, predecoded and reference
-engines, which must agree on the returned value, ``ExecStats`` and the
+``atomicrmw``).  Each case runs on the codegen and the reference
+engine, which must agree on the returned value, ``ExecStats`` and the
 trap.
 """
 
@@ -33,8 +33,7 @@ from repro.vm.nputil import mask_int, to_signed
 
 ENGINES = {
     "codegen": {},
-    "predecoded": {"codegen": False},
-    "reference": {"predecode": False},
+    "reference": {"codegen": False},
 }
 LANES = 8
 VEC = VectorType(I32, LANES)
@@ -78,18 +77,16 @@ def _source(interp):
 
 
 def _agree(seen):
-    want = seen["reference"]
-    for engine in ("predecoded", "codegen"):
-        got = seen[engine]
-        np.testing.assert_equal(got[0], want[0], err_msg=engine)
-        assert got[1:] == want[1:], engine
+    want, got = seen["reference"], seen["codegen"]
+    np.testing.assert_equal(got[0], want[0])
+    assert got[1:] == want[1:]
     return want[0]
 
 
 @pytest.mark.parametrize("op", ["udiv", "urem", "sdiv", "srem"])
 def test_constant_division_by_a_zero_lane_traps_at_run_time(op):
     """All operands constant, but evaluating it raises: not folded, and
-    the launch traps with the predecoded engine's words."""
+    the launch traps with the reference engine's words."""
     num = Constant(VEC, list(range(1, LANES + 1)))
     den = Constant(VEC, [3, 1, 0, 2, 5, 7, 1, 1])
     module = _module(VEC, [], lambda b: b.binop(op, num, den))

@@ -5,8 +5,9 @@
 - Budget enforcement inside phi evaluation (previously unmetered, so a
   phi-only spin loop could run forever).
 - ``reset_stats`` in-place semantics.
-- Pre-decoded engine equivalence: identical results *and* bit-identical
-  ``ExecStats`` versus the reference interpreter on the fig4 suite.
+- Engine equivalence: identical results *and* bit-identical
+  ``ExecStats`` from the default engine (``predecode=True``: codegen)
+  versus the reference interpreter on the fig4 suite.
 """
 
 import numpy as np
@@ -65,6 +66,8 @@ def test_atomic_cases_cover_every_rmw_op():
     assert {case[0] for case in ATOMIC_CASES} == set(ATOMIC_RMW_OPS)
 
 
+# ``predecode`` is the engine switch's older spelling: True selects the
+# default engine (codegen), False the reference engine.
 @pytest.mark.parametrize("predecode", [True, False], ids=["decoded", "reference"])
 @pytest.mark.parametrize("op,before,operand,after", ATOMIC_CASES,
                          ids=[c[0] for c in ATOMIC_CASES])
@@ -171,28 +174,27 @@ def test_reset_stats_zeroes_in_place():
     assert second == first, "a reset run must re-measure from zero"
 
 
-# -- pre-decoded vs reference equivalence on the fig4 suite -------------------
+# -- default engine vs reference equivalence on the fig4 suite ----------------
 
 @pytest.mark.parametrize("impl", ["scalar", "autovec", "parsimony", "ispc"])
 @pytest.mark.parametrize("spec", BENCHMARKS, ids=lambda s: s.name)
 def test_predecode_matches_reference(spec, impl):
-    """All three engines — codegen, pre-decoded, reference — must produce
-    bit-identical outputs and bit-identical ``ExecStats``."""
+    """Both engines — codegen (what ``predecode=True`` selects) and the
+    reference engine — must produce bit-identical outputs and
+    bit-identical ``ExecStats``."""
     from repro.benchsuite.runner import build_impl
 
     module = build_impl(spec, impl)
-    codegen = run_impl(spec, impl, module=module)
-    decoded = run_impl(spec, impl, module=module, codegen=False)
-    slow = run_impl(spec, impl, module=module, predecode=False)
+    fast = run_impl(spec, impl, module=module)
+    slow = run_impl(spec, impl, module=module, codegen=False)
 
-    for fast in (codegen, decoded):
-        assert fast.stats.cycles == slow.stats.cycles
-        assert fast.stats.instructions == slow.stats.instructions
-        assert fast.stats.counts == slow.stats.counts
-        assert len(fast.outputs) == len(slow.outputs)
-        for got, want in zip(fast.outputs, slow.outputs):
-            np.testing.assert_array_equal(got, want)
-        if fast.returned is not None or slow.returned is not None:
-            np.testing.assert_array_equal(
-                np.asarray(fast.returned), np.asarray(slow.returned)
-            )
+    assert fast.stats.cycles == slow.stats.cycles
+    assert fast.stats.instructions == slow.stats.instructions
+    assert fast.stats.counts == slow.stats.counts
+    assert len(fast.outputs) == len(slow.outputs)
+    for got, want in zip(fast.outputs, slow.outputs):
+        np.testing.assert_array_equal(got, want)
+    if fast.returned is not None or slow.returned is not None:
+        np.testing.assert_array_equal(
+            np.asarray(fast.returned), np.asarray(slow.returned)
+        )

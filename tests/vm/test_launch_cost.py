@@ -120,7 +120,7 @@ def test_armed_memory_fault_plan_never_enters_generated_code():
     """The inline accesses skip ``faultinject``; that is only sound
     because ``run()`` keeps generated code out while a plan is armed, and
     then every access goes through the hooked ``Memory`` methods: the plan
-    sees exactly the hits the predecoded engine gives it."""
+    sees exactly the hits the reference engine gives it."""
     module = compile_parsimony(COPY.psim_src)
     workload = COPY.workload()
 
@@ -209,7 +209,7 @@ def test_a_trap_in_generated_code_shows_the_emitted_line():
     function = module.functions["kernel"]
     kfn = interp._codegen_fns[function]
     # Called directly: under run() the replay would swallow this frame
-    # and raise the predecoded twin's (identical) trap instead.
+    # and raise the reference engine's (identical) trap instead.
     with pytest.raises(MemoryError_, match="out-of-bounds") as caught:
         kfn(interp, [interp.memory.size - 8] + addrs[1:]
             + list(workload.scalars), 0)

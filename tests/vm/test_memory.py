@@ -288,9 +288,9 @@ def test_snapshot_restore_matches_an_eager_full_copy(data):
     assert mem._brk == oracle_brk and mem.extent == len(snap.image)
     assert not mem.data[mem.extent:].any()
 
-    # A snapshot restores into any memory of the same logical size (shard
-    # workers): one whose physical buffer is smaller than the snapshot,
-    # and one that had grown to the very top.
+    # A snapshot restores into any memory of the same logical size: one
+    # whose physical buffer is smaller than the snapshot, and one that had
+    # grown to the very top.
     small = Memory()
     small.restore(snap)
     np.testing.assert_array_equal(small.image(), oracle)

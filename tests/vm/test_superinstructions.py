@@ -1,11 +1,11 @@
 """Engine-ladder tests on small hand-built modules.
 
-Every module here runs on all three tiers — reference, predecoded,
-codegen — on randomized inputs and must produce bit-identical results
-*and* bit-identical ``ExecStats``, including when the instruction budget
-traps mid-block (trap identity, exact trap-point stats, and the memory
-image).  Also covers decode-cache invalidation after a module mutation
-and call-edge attribution.
+Every module here runs on both engines — reference and codegen — on
+randomized inputs and must produce bit-identical results *and*
+bit-identical ``ExecStats``, including when the instruction budget traps
+mid-block (trap identity, exact trap-point stats, and the memory image).
+Also covers invalidating compiled code after a module mutation and
+call-edge attribution.
 
 (The module keeps the path of the deleted fused-window tier's tests: the
 behaviours below outlived the tier, and their test ids are pinned.)
@@ -29,8 +29,7 @@ from repro.vm import ExecutionLimitExceeded, Interpreter
 
 ENGINES = {
     "codegen": dict(),
-    "predecoded": dict(codegen=False),
-    "reference": dict(predecode=False),
+    "reference": dict(codegen=False),
 }
 
 
@@ -44,12 +43,12 @@ def _stats_snapshot(interp):
 
 
 def _compare_engines(module, run, seeds=range(8)):
-    """Run every tier on identical randomized inputs.
+    """Run both engines on identical randomized inputs.
 
     ``run(interp, rng)`` executes the kernel and returns a comparable
-    result; all tiers must agree bit-for-bit on it and on ``ExecStats``.
-    The codegen tier must have compiled the function (otherwise the
-    equivalence claim is vacuous).
+    result; the engines must agree bit-for-bit on it and on
+    ``ExecStats``.  The codegen engine must have compiled the function
+    (otherwise the equivalence claim is vacuous).
     """
     for seed in seeds:
         outcomes = {}
@@ -60,16 +59,15 @@ def _compare_engines(module, run, seeds=range(8)):
             if mode == "codegen":
                 report = interp.codegen_report()
                 assert report["calls"] > 0 and not report["bailouts"], report
-        for mode in ("codegen", "predecoded"):
-            got_result, got_stats = outcomes[mode]
-            want_result, want_stats = outcomes["reference"]
-            np.testing.assert_array_equal(
-                np.asarray(got_result), np.asarray(want_result),
-                err_msg=f"seed {seed}: {mode} result differs from reference",
-            )
-            assert got_stats == want_stats, (
-                f"seed {seed}: {mode} ExecStats differ from reference"
-            )
+        got_result, got_stats = outcomes["codegen"]
+        want_result, want_stats = outcomes["reference"]
+        np.testing.assert_array_equal(
+            np.asarray(got_result), np.asarray(want_result),
+            err_msg=f"seed {seed}: codegen result differs from reference",
+        )
+        assert got_stats == want_stats, (
+            f"seed {seed}: codegen ExecStats differ from reference"
+        )
 
 
 # -- equivalence matrix -------------------------------------------------------
@@ -230,8 +228,8 @@ def test_vload_binop_vstore_pattern():
 # -- instruction-budget traps --------------------------------------------------
 
 def _trap_outcomes(module, limit, *args):
-    """Trap message + trap-point stats per tier; codegen must have got
-    there by replaying on its predecoded twin."""
+    """Trap message + trap-point stats per engine; codegen must have got
+    there by replaying on the reference engine."""
     outcomes = {}
     for mode in ENGINES:
         interp = _interp(module, mode, max_instructions=limit)
@@ -250,7 +248,6 @@ def test_budget_trap_mid_window_matches_reference(limit):
     module = _binop_chain_module(("add", "mul", "xor", "sub", "and", "or"), I32)
     outcomes = _trap_outcomes(module, limit, 7, 9)
     assert outcomes["codegen"] == outcomes["reference"]
-    assert outcomes["predecoded"] == outcomes["reference"]
 
 
 @pytest.mark.parametrize("limit", [3, 4, 5, 10, 17])
@@ -258,7 +255,6 @@ def test_budget_trap_in_loop_matches_reference(limit):
     module = _cmp_condbr_module("icmp")
     outcomes = _trap_outcomes(module, limit, 1000)
     assert outcomes["codegen"] == outcomes["reference"]
-    assert outcomes["predecoded"] == outcomes["reference"]
 
 
 def test_budget_trap_mid_memory_window_leaves_exact_state():
@@ -285,31 +281,29 @@ def test_budget_trap_mid_memory_window_leaves_exact_state():
         cells[mode] = interp.memory.read_array(addr, np.uint32, 3).tolist()
     assert cells["reference"] == [11, 0, 0]
     assert cells["codegen"] == cells["reference"]
-    assert cells["predecoded"] == cells["reference"]
 
 
-# -- decode-cache invalidation ------------------------------------------------
+# -- compiled-code invalidation -----------------------------------------------
 
 def test_clear_decode_cache_invalidates_fused_blocks():
-    for mode in ("codegen", "predecoded"):
-        module = _binop_chain_module(("add", "mul"), I32)
-        interp = _interp(module, mode)
-        assert interp.run("f", 3, 5) == (3 + 5) * 5
+    module = _binop_chain_module(("add", "mul"), I32)
+    interp = _interp(module, "codegen")
+    assert interp.run("f", 3, 5) == (3 + 5) * 5
 
-        # Transform the module: the accumulation chain becomes sub/xor.
-        f = module.functions["f"]
-        instrs = [
-            i for i in f.blocks[0].instructions if i.opcode in ("add", "mul")
-        ]
-        instrs[0].opcode = "sub"
-        instrs[1].opcode = "xor"
+    # Transform the module: the accumulation chain becomes sub/xor.
+    f = module.functions["f"]
+    instrs = [
+        i for i in f.blocks[0].instructions if i.opcode in ("add", "mul")
+    ]
+    instrs[0].opcode = "sub"
+    instrs[1].opcode = "xor"
 
-        # Stale decode: the cached function still computes the old chain.
-        assert interp.run("f", 3, 5) == (3 + 5) * 5, mode
+    # Stale code: the generated function still computes the old chain.
+    assert interp.run("f", 3, 5) == (3 + 5) * 5
 
-        interp.clear_decode_cache()
-        assert interp.run("f", 3, 5) == ((3 - 5) & 0xFFFFFFFF) ^ 5, mode
-        assert set(interp.stats.counts) >= {"sub", "xor"}, mode
+    interp.clear_decode_cache()
+    assert interp.run("f", 3, 5) == ((3 - 5) & 0xFFFFFFFF) ^ 5
+    assert set(interp.stats.counts) >= {"sub", "xor"}
 
 
 # -- call-edge attribution ----------------------------------------------------
@@ -352,4 +346,3 @@ def test_call_edge_attribution():
         assert hot["main"]["callers"]["<root>"]["calls"] == 1
         edges_by_mode[mode] = (edges, hot)
     assert edges_by_mode["codegen"] == edges_by_mode["reference"]
-    assert edges_by_mode["predecoded"] == edges_by_mode["reference"]
