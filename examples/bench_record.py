@@ -8,7 +8,8 @@
 Runs every fig4 kernel's Parsimony build in three configurations —
 
 * ``reference``  — the reference engine, gang batching off (what a trap
-                   replays on and a codegen bailout runs);
+                   replays on, a codegen bailout runs, and what
+                   ``codegen=False`` runs on the batched build);
 * ``unbatched``  — whole-kernel codegen, gang batching off;
 * ``codegen``    — whole-kernel codegen on the gang-batched build (the
                    default)
@@ -31,7 +32,6 @@ kernel (the coverage floor).
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -39,6 +39,7 @@ import numpy as np
 from repro import telemetry
 from repro.benchsuite import geomean, run_impl
 from repro.benchsuite.ispc_suite import BENCHMARKS
+from repro.driver import compile_parsimony
 
 CONFIGS = ("reference", "unbatched", "codegen")
 
@@ -55,13 +56,14 @@ def _run_once(session, spec, config):
     neighbor) then lands on every configuration instead of biasing
     whichever block of reps it overlapped.
     """
-    try:
-        if config != "codegen":
-            os.environ["REPRO_NO_BATCH"] = "1"
-        result = run_impl(spec, "parsimony", codegen=config != "reference")
-        return result, session.vm_runs[-1].get("wall_seconds") or 0.0
-    finally:
-        os.environ.pop("REPRO_NO_BATCH", None)
+    module = None
+    if config != "codegen":
+        module = compile_parsimony(spec.psim_src,
+                                   module_name=f"{spec.name}.parsimony",
+                                   batch_request=0)
+    result = run_impl(spec, "parsimony", module=module,
+                      codegen=config != "reference")
+    return result, session.vm_runs[-1].get("wall_seconds") or 0.0
 
 
 def main():

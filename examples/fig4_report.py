@@ -36,7 +36,7 @@ from repro import telemetry
 from repro.benchsuite import (dump_codegen, geomean, run_impl,
                               summarize_telemetry)
 from repro.benchsuite.ispc_suite import BENCHMARKS, BY_NAME
-from repro.driver import set_disk_cache
+from repro import diskcache
 
 IMPLS = ("scalar", "autovec", "parsimony", "ispc")
 
@@ -214,7 +214,7 @@ def main():
     )
     parser.add_argument(
         "--no-batch", action="store_true",
-        help="disable the gang-batching layer (sets REPRO_NO_BATCH=1)",
+        help="disable the gang-batching layer (sets REPRO_BATCH=0)",
     )
     parser.add_argument(
         "--codegen", action="store_true",
@@ -244,9 +244,9 @@ def main():
         return
 
     if args.no_batch:
-        os.environ["REPRO_NO_BATCH"] = "1"
+        os.environ["REPRO_BATCH"] = "0"
     if args.disk_cache:
-        set_disk_cache(True)
+        diskcache.set_enabled(True)
     if args.dump_codegen:
         if args.dump_codegen not in BY_NAME:
             parser.error(f"unknown kernel: {args.dump_codegen}")

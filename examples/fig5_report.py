@@ -25,7 +25,7 @@ from repro import telemetry
 from repro.benchsuite import (dump_codegen, geomean, measure_kernel,
                               summarize_telemetry)
 from repro.benchsuite.simdlib import BY_NAME, KERNELS
-from repro.driver import set_disk_cache
+from repro import diskcache
 
 
 def report(full: bool):
@@ -77,7 +77,7 @@ def main():
     args = parser.parse_args()
 
     if args.disk_cache:
-        set_disk_cache(True)
+        diskcache.set_enabled(True)
     if args.dump_codegen:
         if args.dump_codegen not in BY_NAME:
             parser.error(f"unknown kernel: {args.dump_codegen}")

@@ -6,9 +6,9 @@
 
 Runs each selected kernel in three configurations — batched (the
 default: whole-kernel codegen on the gang-batched build), unbatched
-(``REPRO_NO_BATCH=1``), and the reference engine (``codegen=False`` on
-the batched build: what a trap replay or a bailout runs) — and **fails
-(exit 1)** if:
+(``batch_request=0``), and the reference engine (``codegen=False`` on
+the batched build, which runs its unbatched twin: what a trap replay or
+a bailout runs) — and **fails (exit 1)** if:
 
 * any configuration's outputs diverge bit-for-bit from any other,
 * any configuration's ``ExecStats`` (cycles, instructions, per-opcode
@@ -42,7 +42,6 @@ batched-vs-unbatched and codegen-vs-reference ratios land in
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -51,6 +50,7 @@ from repro import telemetry
 from repro.benchsuite import IMPLEMENTATIONS, run_impl
 from repro.benchsuite.ispc_suite import BENCHMARKS
 from repro.benchsuite.simdlib import KERNELS
+from repro.driver import compile_parsimony
 
 DEFAULT_KERNELS = "mandelbrot,noise,stencil"
 DEFAULT_IMPLS = "scalar,parsimony"
@@ -75,6 +75,16 @@ def _outputs_equal(a, b):
     return len(sig_a) == len(sig_b) and all(
         np.array_equal(x, y) for x, y in zip(sig_a, sig_b)
     )
+
+
+def _unbatched(spec, impl):
+    """``impl``'s build with gang batching off (only the Parsimony flow
+    batches), for ``run_impl(module=...)``."""
+    if impl != "parsimony":
+        return None
+    return compile_parsimony(spec.psim_src,
+                             module_name=f"{spec.name}.parsimony",
+                             batch_request=0)
 
 
 def _coverage_sweep(session, failures):
@@ -127,32 +137,26 @@ def main():
     failures = []
     rows = {}
     bailouts_by_build = {}
-    saved_no_batch = os.environ.pop("REPRO_NO_BATCH", None)
     with telemetry.collect() as session:
         for spec in specs:
             for impl in impls:
                 name = f"{spec.name}/{impl}"
                 # Batched and unbatched samples alternate (min of 3 each),
                 # so a slow machine phase lands on both sides of the ratio.
-                # The compile cache keys on the batch request, so toggling
-                # the environment between runs compiles fresh modules
-                # rather than rehydrating the other configuration's.
                 walls_b, walls_nb = [], []
                 for _ in range(3):
                     batched = run_impl(spec, impl)
                     batched_run = session.vm_runs[-1]
                     walls_b.append(batched_run.get("wall_seconds") or 0.0)
-                    try:
-                        os.environ["REPRO_NO_BATCH"] = "1"
-                        nobatch = run_impl(spec, impl)
-                    finally:
-                        os.environ.pop("REPRO_NO_BATCH", None)
+                    nobatch = run_impl(spec, impl,
+                                       module=_unbatched(spec, impl))
                     walls_nb.append(
                         session.vm_runs[-1].get("wall_seconds") or 0.0)
                 wall_b, wall_nb = min(walls_b), min(walls_nb)
-                # The reference engine on the same batched build,
-                # interleaved with codegen samples so machine-phase noise
-                # lands on both sides of the ratio (min of 3 each).
+                # The reference engine on the same batched build (so on
+                # its unbatched twin), interleaved with codegen samples so
+                # machine-phase noise lands on both sides of the ratio
+                # (min of 3 each).
                 walls_ref, walls_cg = [], []
                 reference = None
                 for _ in range(3):
@@ -224,9 +228,6 @@ def main():
                 )
 
         bailouts_by_build.update(_coverage_sweep(session, failures))
-
-    if saved_no_batch is not None:
-        os.environ["REPRO_NO_BATCH"] = saved_no_batch
 
     session.meta["perf_smoke"] = rows
     batch_totals = session.vm_batch_totals()

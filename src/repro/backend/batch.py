@@ -12,7 +12,10 @@ wider targets amortize instruction count.
 The rewrite runs after the whole optimization pipeline, on the final
 module, and is paired with the same build left unbatched (the *twin*),
 which the driver describes in ``module.attrs["unbatched_recipe"]`` and
-:func:`unbatched_twin` compiles the first time a launch traps:
+:func:`unbatched_twin` compiles the first time a launch needs the
+reference engine — a trap replay, a codegen bailout, ``codegen=False``
+or a run under an armed fault plan; batched IR itself runs only as
+generated code:
 
 * **Structure.**  The canonical gang loop — single scalar induction
   ``p = phi [0, entry], [p + G, latch]`` tested ``icmp ult p, bound`` —
@@ -47,10 +50,10 @@ which the driver describes in ``module.attrs["unbatched_recipe"]`` and
   ``row_stride = Δ``): B rows of its narrow lanes, Δ bytes apart.
 * **Accounting.**  Every original loop instruction is annotated with
   narrow *charge prototypes* plus a multiplicity (``B``, or the live
-  gang count of the enclosing divergent loop), so the VM charges exactly
-  what the unbatched engine would have — ``ExecStats`` stay bit-identical
-  by construction.  Inserted helper instructions charge nothing; the
-  gang backedge charges the whole per-gang loop overhead
+  gang count of the enclosing divergent loop), so generated code charges
+  exactly what the unbatched build would have — ``ExecStats`` stay
+  bit-identical by construction.  Inserted helper instructions charge
+  nothing; the gang backedge charges the whole per-gang loop overhead
   (phi/icmp/condbr/add/br) ×B.
 * **Legality.**  Rejected with a reason (surfaced as
   ``vm.batch.rejected`` telemetry), the loop then runs unbatched:
@@ -85,8 +88,8 @@ import os
 import struct
 from typing import Dict, List, Optional, Set, Tuple
 
+from .. import faultinject
 from ..diagnostics import emit_warning
-from ..envflags import env_flag
 from ..ir.cfg import Loop, find_loops, reverse_postorder
 from ..ir.instructions import Instruction, INT_BINOPS, REDUCE_OPS
 from ..ir.module import BasicBlock, ExternalFunction, Function, Module
@@ -156,14 +159,13 @@ def select_batch_factor(gang_size: int, requested: Optional[int] = None,
 
 
 def batching_request() -> Optional[int]:
-    """Environment knobs: ``0`` = disabled, int = forced B, ``None`` = auto.
+    """``REPRO_BATCH``: ``0`` = disabled, int = forced B, unset = ``None``
+    (auto).
 
     An unparsable ``REPRO_BATCH`` is a *misconfiguration*, not a silent
     request for auto mode: it falls back to the cost model but emits a
     structured :class:`~repro.diagnostics.ReproWarning` saying so.
     """
-    if env_flag("REPRO_NO_BATCH"):
-        return 0
     forced = os.environ.get("REPRO_BATCH", "")
     if forced:
         try:
@@ -577,10 +579,10 @@ class _Prototypes:
 
 
 def _annotate(instr: Instruction, charges: Tuple[Instruction, ...], mult) -> None:
-    """Attach the accounting contract both downstream engines consume.
+    """Attach the accounting contract generated code charges from.
 
-    The reference engine reads these attrs per visit; the whole-kernel
-    codegen emitter instead *specializes on them at emission time* —
+    The whole-kernel codegen emitter *specializes on these attrs at
+    emission time* —
     ``batch_mult`` ints become literal constants in the generated
     source and lid-tuple multiplicities become per-loop activity
     locals.  Because the generated code bakes these values in, the
@@ -645,7 +647,7 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
         control.add(dl.condbr)
 
     # chain[block]: lids of enclosing divergent loops, innermost first,
-    # ending in the static batch factor.  The VM resolves the first lid
+    # ending in the static batch factor.  Codegen resolves the first lid
     # with a live activity count (a divergent loop that has completed an
     # iteration knows how many gangs continue); before that it falls
     # through to the outer loop's count or to B.
@@ -1038,18 +1040,26 @@ def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport
 
 
 def unbatched_twin(module: Module) -> Optional[Module]:
-    """The trap-replay twin of a batched ``module``, or ``None`` when it
-    is not batched.
+    """The unbatched twin of a batched ``module`` — what the reference
+    engine runs in its place — or ``None`` when it is not batched.
 
     ``module.attrs["unbatched_recipe"]`` is a picklable callable returning
     the same compile with batching off.  It runs on the first call — a
-    launch that trapped — and the frozen result hangs off ``module``
-    itself: it takes no compile-cache slot, dies with the module, and is
-    neither cloned nor pickled with it.
+    launch that left generated code — and the frozen result hangs off
+    ``module`` itself: it takes no compile-cache slot, dies with the
+    module, and is neither cloned nor pickled with it.
     """
     twin = module._unbatched_twin
     if twin is None:
         recipe = module.attrs.get("unbatched_recipe")
         if recipe is not None:
-            twin = module._unbatched_twin = recipe().freeze()
+            if faultinject.active():
+                # A run under armed fault plans builds the spec it runs
+                # on: suspend the plans, or a compile-site fault would
+                # degrade the twin.
+                with faultinject.inject():
+                    twin = recipe()
+            else:
+                twin = recipe()
+            twin = module._unbatched_twin = twin.freeze()
     return twin

@@ -8,7 +8,8 @@ reference engine pays an opcode-string dispatch per instruction and an
 function's first launch it *linearizes* the function's structurized CFG
 into a single generated Python function over the live payloads; what it
 cannot express bails out to the reference engine, and what traps
-replays there:
+replays there (a batched module's launch on its unbatched twin — batched
+IR runs nowhere else):
 
 * every SSA value becomes a Python local (``v7``), so the per-value
   ``env`` dict disappears along with its reads and writes;
@@ -42,19 +43,19 @@ replays there:
   below): dtype, byte count and — when the mask is known — which lanes
   the access needs are resolved by the emitter, and the in-bounds case
   runs inline against the interpreter's buffer;
-* gang-batched blocks inline their narrow-prototype charging
-  (multiplicity × per-item cost) exactly as the reference engine
-  interprets it; divergent-loop activity state lives in *specialized
-  Python locals* (``_a0``/``_p0``) with the batch factor, gang width,
-  and mask reshape emitted as literals (batch-factor specialization) —
-  the activity-dict protocol only remains as a fallback for shapes the
-  specializer cannot prove.
+* gang-batched blocks charge what the unbatched build would (see
+  "Accounting contract"); divergent-loop activity state lives in
+  *specialized Python locals* (``_a0``/``_p0``) with the batch factor,
+  gang width, and mask reshape emitted as literals (batch-factor
+  specialization) — the activity-dict protocol only remains as a
+  fallback for shapes the specializer cannot prove.
 
 Accounting contract
 -------------------
 
-``ExecStats`` stays bit-identical to the reference engine for every run
-that completes, and the trap-replay protocol covers the rest:
+``ExecStats`` stays bit-identical to the reference engine running the
+unbatched build for every run that completes, and the trap-replay
+protocol covers the rest:
 
 * a block's charges are a **static histogram of its IR**: what the
   emitter folded, inlined or left to an impl never enters it, so an
@@ -75,11 +76,24 @@ that completes, and the trap-replay protocol covers the rest:
   never appears.  Around an internal call the accumulators flush and
   reset (the callee charges ``ExecStats`` directly), and the budget
   headroom re-derives;
-* batched blocks fold their narrow-prototype charges the same way,
-  grouped by multiplicity spec: static multiplicities fold at emit time,
-  divergent ones resolve through the specialized activity locals
-  (activity is constant within a block — it only changes at backedge
-  commits);
+* batched blocks execute B gangs per step, and charge what those B
+  gangs cost unbatched.  ``repro.backend.batch`` gives each annotated
+  instruction narrow charge prototypes (``batch_charges``, read through
+  :func:`batch_charge_items`) and a multiplicity spec (``batch_mult``):
+  how many unbatched executions one batched step stands for.  A spec is
+  an int (loop-invariant code charges ×B, header bookkeeping ×0) or a
+  tuple of divergent-loop ids ending in the static B; the first id with
+  a live activity count wins, so code under a divergent loop charges
+  once per gang that would still be iterating unbatched.  A loop's
+  pending count (its ``batch_activity`` ``mask_any``: the gangs with an
+  active lane) commits at its ``batch_backedge`` and drops at its exit.
+  Charges fold like plain ones, grouped by spec: static multiplicities
+  fold at emit time, divergent ones resolve through the specialized
+  activity locals (activity is constant within a block — it only
+  changes at backedge commits).  Prefix sums of the unbatched charge
+  sequence are a superset of the batched ones, so a budget crossing
+  happens here iff the unbatched build traps, and the replay reproduces
+  its exact trap point;
 * the per-block budget check compares ``_ni`` against the headroom
   ``_rem = max_instructions - stats.instructions`` captured at entry
   (and after each internal call), which is exactly the reference
@@ -92,8 +106,8 @@ that completes, and the trap-replay protocol covers the rest:
   :meth:`Interpreter._run_replayable`, which snapshots memory + stats,
   rolls back on any ``VMTrap``/``MemoryError_`` (including the partial
   flush the ``finally`` performed on the way out), and re-runs on the
-  reference engine (``codegen=False``), whose outcome is authoritative —
-  the same contract gang batching established.  The interpreter arms the
+  reference engine (``codegen=False``; a batched module's unbatched
+  twin), whose outcome is authoritative.  The interpreter arms the
   codegen engine *only* inside that wrapper, so fault-injected runs
   (which skip the wrapper) run on the reference engine.
 
@@ -102,13 +116,15 @@ Bailout taxonomy
 
 Linearization is best-effort: any shape the structurer cannot express as
 native Python control flow raises :class:`CodegenBailout` with a reason
-and the function falls back to the reference engine.  Reasons are tallied
-per interpreter and surface as ``vm.codegen.bailouts`` telemetry.
+and the function falls back to the reference engine — a batched one
+replays its launch on the unbatched twin, like a trap.  Reasons are
+tallied per interpreter and surface as ``vm.codegen.bailouts``
+telemetry.
 
 Retired (now compiled): ``multi-exit-loop``, ``multi-level-break`` and
 ``multi-level-continue`` (dispatch-variable exit merge), ``ret`` inside
-batched bodies, mixed annotated/plain batched blocks (charged
-per-instruction exactly as the reference engine does), and
+batched bodies, mixed annotated/plain batched blocks (each instruction
+charged by its own annotation, or plainly without one), and
 ``batched-internal-call`` (an annotated internal call's narrow
 prototypes join the block prologue like any other annotated
 instruction's; the call itself is the plain flush + ``_exec``).
@@ -249,7 +265,6 @@ from ..vm.interp import (
     ExecutionLimitExceeded,
     _constant_payload,
     _undef_payload,
-    batch_charge_items,
     reduce_lanes,
 )
 from ..vm.memory import LANE_DTYPES, NULL_GUARD
@@ -404,11 +419,37 @@ def _int_binop_expr(op: str, bits: int, a: str, b: str) -> Optional[str]:
 
 class CodegenBailout(Exception):
     """This function's CFG or opcode mix cannot be linearized; the caller
-    falls back to the reference engine and records ``reason``."""
+    records ``reason`` and falls back to the reference engine (for a
+    batched function: replays the launch on the unbatched twin)."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
+
+
+def batch_charge_items(instr: Instruction, machine, cost) -> tuple:
+    """The narrow charges one batch-annotated instruction stands for: a
+    tuple of ``(counts_key, narrow_cost)``, ``cost`` being ``instr ->
+    cycles``.  An external-call prototype contributes the unbatched
+    engine's two charges (``call`` dispatch + the narrow ``ext:`` cost)."""
+    items = []
+    for proto in instr.attrs["batch_charges"]:
+        if proto.opcode == "call":
+            callee = proto.operands[0]
+            items.append(("call", cost(proto)))
+            items.append((f"ext:{callee.name}", _ext_cost(
+                callee, machine, (o.type for o in proto.operands[1:]))))
+        else:
+            items.append((proto.opcode, cost(proto)))
+    return tuple(items)
+
+
+def _ext_cost(callee: ExternalFunction, machine, arg_types) -> float:
+    """An external call's ``ext:`` charge on ``machine``."""
+    cost = callee.cost
+    if callable(cost):
+        cost = cost(machine, list(arg_types))
+    return float(cost)
 
 
 def _budget_trap(interp, fname: str):
@@ -688,7 +729,8 @@ class _Emitter:
         lid (its loop's only exiting edge is the committing latch) is
         additionally re-initialized at loop entry so reads collapse to
         the bare local.  Anything the scan cannot prove falls back to the
-        dict protocol, which mirrors the reference engine move for move.
+        dict protocol, which commits and drops activity per loop id at
+        run time.
         """
         self.act_ok = False
         self.lid_act: Dict[str, str] = {}
@@ -754,9 +796,8 @@ class _Emitter:
             self.lid_pend[lid] = f"_p{n}"
 
     def _mult_expr(self, spec: tuple) -> str:
-        """Runtime multiplicity of a divergent spec (mirrors
-        ``Interpreter._batch_mult``: first live lid wins, the trailing
-        static B backstops)."""
+        """Runtime multiplicity of a divergent spec: the first lid with a
+        live activity count wins, the trailing static B backstops."""
         if self.act_ok:
             x = spec[0]
             if isinstance(x, int):
@@ -876,24 +917,17 @@ class _Emitter:
             self.count_locals[key] = name
         return name
 
-    def _ext_cost(self, callee: ExternalFunction, arg_types) -> float:
-        cost = callee.cost
-        if callable(cost):
-            cost = cost(self.machine, list(arg_types))
-        return float(cost)
-
     def emit_charges(self, block: BasicBlock) -> None:
         """One merged charge prologue for everything the block executes.
 
         The reference engine's per-instruction charges (including its
-        phi sweep and the batched blocks' narrow prototypes ×
-        multiplicity) fold into at most one cycles add, one
-        instruction add, one counter-local update per distinct key, one
-        multiplicity resolve per divergent spec, and one budget check —
-        all against the function-local accumulators.  Instructions
-        without batch annotations charge plainly even inside a batched
-        function, mirroring the reference engine's per-instruction gate
-        (this is what the remainder loop and mixed blocks rely on).
+        phi sweep), and a batched block's narrow prototypes ×
+        multiplicity, fold into at most one cycles add, one instruction
+        add, one counter-local update per distinct key, one multiplicity
+        resolve per divergent spec, and one budget check — all against
+        the function-local accumulators.  Instructions without batch
+        annotations charge plainly even inside a batched function (this
+        is what the remainder loop and mixed blocks rely on).
         Completed-run totals are bit-identical (dyadic costs sum exactly
         under any association; counts commute); a trap's exact
         trap-point stats come from the replay.
@@ -943,8 +977,9 @@ class _Emitter:
                     callee = ins.operands[0]
                     if isinstance(callee, ExternalFunction):
                         label = f"ext:{callee.name}"
-                        cycles += self._ext_cost(
-                            callee, (o.type for o in ins.operands[1:])
+                        cycles += _ext_cost(
+                            callee, self.machine,
+                            (o.type for o in ins.operands[1:])
                         )
                         instrs += 1
                         counts[label] = counts.get(label, 0) + 1
@@ -1601,9 +1636,10 @@ class _Emitter:
             self.line("_rem = _L - _s.instructions")
 
     def emit_pend(self, ins, ba) -> None:
-        """Divergent-loop pending activity: the lane mask's per-gang
-        any-reduction, with the batch factor inlined as a literal
-        (specializing :func:`gang_activity_count`)."""
+        """Divergent-loop pending activity: the number of gangs with an
+        active lane in the loop's continue-mask — each charges one more
+        trip, as the unbatched build would — with the batch factor
+        inlined as a literal."""
         mask = self.ref(ins.operands[0])
         lid, batch = ba[0], ba[1]
         expr = (f"{self._int()}({self._cnz()}("

@@ -148,8 +148,9 @@ class ReproError(Exception):
         The default ``BaseException`` reduce re-runs ``__init__`` with the
         *formatted* message, which demotes the structured provenance
         (stage/pass/function/detail) to free text and silently drops the
-        ``__cause__``/``__context__`` chain.  Shard workers ship errors to
-        the supervisor over a pipe, so the round-trip must be lossless.
+        ``__cause__``/``__context__`` chain.  An embedding caller that
+        ships errors between processes (``multiprocessing``, a worker
+        pool) must get them back whole, so the round-trip is lossless.
         """
         attrs = {k: v for k, v in self.__dict__.items() if k != "diagnostic"}
         return (

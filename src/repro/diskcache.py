@@ -4,22 +4,23 @@ Compilation is pure in (flow, source, machine, config), so the in-memory
 content-keyed cache in :mod:`repro.driver` can be extended to disk:
 benchmark *reruns* then skip compilation entirely.  The layer is opt-in
 (``REPRO_DISK_CACHE=1`` or :func:`set_enabled`), keyed by a SHA-256 digest
-of the in-memory cache key plus a cache-version stamp plus a toolchain
-fingerprint (size+mtime of every ``repro`` source file), and stored as one
-pickle file per entry under ``$REPRO_CACHE_DIR`` (default
-``~/.cache/repro``).
+of the in-memory cache key plus a toolchain fingerprint (the bytes of
+every ``repro`` source file, the Python version and the numpy version),
+and stored as one pickle file per entry under ``$REPRO_CACHE_DIR``
+(default ``~/.cache/repro``).
 
 Robustness contract:
 
-* **corruption-tolerant loads** — any failure to read, unpickle, or
-  version-match an entry is swallowed, the bad file is dropped, and the
-  caller recompiles; the disk layer can never fail a compile;
+* **corruption-tolerant loads** — any failure to read or unpickle an
+  entry is swallowed, the bad file is dropped, and the caller
+  recompiles; the disk layer can never fail a compile;
 * **atomic writes** — entries are written to a temp file and
   ``os.replace``'d into place, so a crashed writer leaves no torn entry;
-* **stale-by-construction invalidation** — editing any compiler source
-  changes the toolchain fingerprint, which changes every digest, so old
-  entries are simply never hit again (and a version bump in
-  :data:`CACHE_VERSION` does the same explicitly).
+* **stale-by-construction invalidation** — changing any byte of any
+  compiler source changes the toolchain fingerprint, which changes every
+  digest, so old entries are simply never hit again.  Content, not
+  size and mtime: ``tar x``, ``cp -p`` and ``rsync -a`` keep mtimes, so
+  two trees that differ in one byte may agree on both.
 
 ``ml.*`` math externals hold closure impls that cannot be pickled; they
 are serialized as persistent ids (their name) and rebuilt on load by
@@ -42,7 +43,6 @@ from .envflags import env_flag
 from .ir.module import ExternalFunction, Module
 
 __all__ = [
-    "CACHE_VERSION",
     "cache_dir",
     "enabled",
     "set_enabled",
@@ -55,34 +55,6 @@ __all__ = [
     "stats",
     "reset_stats",
 ]
-
-#: Bump on any incompatible change to the IR pickle layout or cache format.
-#: v2: gang-batched modules — ``Module.attrs`` carries the unbatched
-#: fallback twin (until v5) and instructions carry batch-charge prototypes.
-#: v3: whole-kernel codegen — generated-source code objects share the
-#: cache directory (``.code`` entries), keyed per interpreter bytecode
-#: magic; module digests move with them.
-#: v4: batch-specialized emission — generated sources inline batch
-#: factors, localized accounting, and folded superinstruction forms, so
-#: v3 code objects describe a different accounting protocol and must not
-#: rehydrate.
-#: v5: lazy trap-replay twin — a batched module's ``attrs`` carries the
-#: recipe for its unbatched twin instead of the pickled twin; a v4 entry
-#: read as v5 would be a batched module with no way to its twin.
-#: v6: two lane targets — a straight-line gang loop batches to 512 lanes,
-#: so the same key compiles to a different module (and its generated
-#: source folds constants at emit time); v5 entries must not answer.
-#: v7: global DCE after re-inlining — a compiled module no longer holds
-#: the outlined SPMD functions (their ``parsimony_*`` attrs move to
-#: ``attrs["parsimony_provenance"]``), so the same key compiles to a
-#: smaller module; v6 entries must not answer.
-#: v8: gang-local horizontal ops batch — shuffles, integer reductions and
-#: strided accesses carry ``segments``/``row_stride`` forms, so 21 more
-#: fig5 kernels compile to batched modules; v7 entries must not answer.
-#: v9: a nested gang loop batches at most 2 gangs on the auto request,
-#: so stencil and the 14 fig5 row-wise kernels compile at B=2 under the
-#: same key; a v8 entry would rehydrate stencil at B=32.
-CACHE_VERSION = 9
 
 _PID_PREFIX = "repro-ext:"
 
@@ -142,25 +114,36 @@ def clear() -> None:
 _FINGERPRINT: Optional[str] = None
 
 
+def _tree_digest(root: Path) -> str:
+    """Digest of the path and bytes of every ``*.py`` file under ``root``."""
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        try:
+            data = path.read_bytes()
+        except OSError:
+            continue
+        rel = path.relative_to(root).as_posix()
+        h.update(f"{rel}:{len(data)}\n".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 def _toolchain_fingerprint() -> str:
-    """Digest of every compiler source file's (path, size, mtime)."""
+    """What a compiled entry depends on besides its key: the compiler's
+    sources, the Python that ran them, and numpy (constant payloads)."""
     global _FINGERPRINT
     if _FINGERPRINT is None:
-        h = hashlib.sha256()
+        import numpy
+
         root = Path(__file__).resolve().parent
-        for path in sorted(root.rglob("*.py")):
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            rel = path.relative_to(root)
-            h.update(f"{rel}:{st.st_size}:{st.st_mtime_ns}\n".encode())
-        _FINGERPRINT = h.hexdigest()
+        _FINGERPRINT = hashlib.sha256(
+            f"{_tree_digest(root)}|{sys.version}|{numpy.__version__}".encode()
+        ).hexdigest()
     return _FINGERPRINT
 
 
 def _digest(key: tuple) -> str:
-    text = f"v{CACHE_VERSION}|{_toolchain_fingerprint()}|{key!r}"
+    text = f"{_toolchain_fingerprint()}|{key!r}"
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -202,9 +185,7 @@ def _dumps(module: Module) -> bytes:
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old, _PICKLE_RECURSION_LIMIT))
     try:
-        _ModulePickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(
-            (CACHE_VERSION, module)
-        )
+        _ModulePickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(module)
     finally:
         sys.setrecursionlimit(old)
     return buf.getvalue()
@@ -214,11 +195,11 @@ def _loads(data: bytes) -> Module:
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old, _PICKLE_RECURSION_LIMIT))
     try:
-        version, module = _ModuleUnpickler(io.BytesIO(data)).load()
+        module = _ModuleUnpickler(io.BytesIO(data)).load()
     finally:
         sys.setrecursionlimit(old)
-    if version != CACHE_VERSION or not isinstance(module, Module):
-        raise pickle.UnpicklingError("stale or foreign cache entry")
+    if not isinstance(module, Module):
+        raise pickle.UnpicklingError("foreign cache entry")
     return module
 
 
@@ -295,7 +276,7 @@ def code_stats() -> Dict[str, int]:
 def _code_path(source: str) -> Path:
     import importlib.util
 
-    text = f"v{CACHE_VERSION}|code|{importlib.util.MAGIC_NUMBER!r}|{source}"
+    text = f"code|{importlib.util.MAGIC_NUMBER!r}|{source}"
     return cache_dir() / f"{hashlib.sha256(text.encode()).hexdigest()}.code"
 
 

@@ -42,9 +42,6 @@ __all__ = [
     "execute",
     "clear_compile_cache",
     "compile_cache_stats",
-    "set_compile_cache",
-    "set_disk_cache",
-    "disk_cache_stats",
 ]
 
 
@@ -64,16 +61,7 @@ __all__ = [
 
 _COMPILE_CACHE: "OrderedDict[tuple, Module]" = OrderedDict()
 _COMPILE_CACHE_CAPACITY = 64
-_COMPILE_CACHE_ENABLED = True
 _COMPILE_CACHE_STATS = {"hits": 0, "misses": 0}
-
-
-def set_compile_cache(enabled: bool) -> None:
-    """Globally enable/disable compile memoization (enabled by default)."""
-    global _COMPILE_CACHE_ENABLED
-    _COMPILE_CACHE_ENABLED = enabled
-    if not enabled:
-        _COMPILE_CACHE.clear()
 
 
 def clear_compile_cache() -> None:
@@ -94,22 +82,6 @@ def compile_cache_stats() -> Dict[str, int]:
     }
 
 
-def set_disk_cache(enabled: Optional[bool]) -> None:
-    """Enable/disable the persistent on-disk cache layer.
-
-    ``None`` defers to the ``REPRO_DISK_CACHE`` environment variable (the
-    default).  Entries live under ``$REPRO_CACHE_DIR`` (default
-    ``~/.cache/repro``); see :mod:`repro.diskcache`.
-    """
-    diskcache.set_enabled(enabled)
-
-
-def disk_cache_stats() -> Dict[str, int]:
-    """Disk-layer hit/miss/write/error counters (kept separate from
-    :func:`compile_cache_stats` so existing in-memory expectations hold)."""
-    return diskcache.stats()
-
-
 def _verified(module: Module) -> Module:
     """The one whole-module verification of a compile.  The pass manager
     re-verifies a function only after a pass that reported a change, and
@@ -124,7 +96,7 @@ def _cached_compile(key: tuple, build: Callable[[], Module]) -> Module:
     # Armed fault plans make compilation impure: neither serve a module
     # compiled before the faults were armed, nor let a fault-degraded
     # module poison the cache for later clean compiles.
-    if not _COMPILE_CACHE_ENABLED or faultinject.active():
+    if faultinject.active():
         return _verified(build()).freeze()
     cached = _COMPILE_CACHE.get(key)
     if cached is None:
@@ -194,7 +166,7 @@ def compile_parsimony(source: str, config: Optional[VectorizeConfig] = None,
 
     ``batch_request`` pins the gang-batching configuration (``0`` = off,
     ``N`` = forced factor, ``None`` = cost-model auto).  When omitted it
-    resolves from ``REPRO_BATCH``/``REPRO_NO_BATCH``.  A request below 2
+    resolves from ``REPRO_BATCH``.  A request below 2
     batches nothing, so it is the unbatched build and shares its cache
     entry.
     """
@@ -225,9 +197,10 @@ def _build_parsimony(source: str, config: Optional[VectorizeConfig],
     # and one-shot plans must not be consumed by a replayed run.
     if batch_request != 0 and not faultinject.active():
         if batch_module(module, batch_request)["applied"]:
-            # The trap-replay twin is this build with batching off.  Only
-            # a launch that traps reads it, so the module carries the
-            # recipe and ``unbatched_twin`` compiles it on the first trap.
+            # The unbatched twin is this build with batching off.  Only a
+            # launch that leaves generated code (a trap replay, a
+            # bailout, the reference engine) runs it, so the module
+            # carries the recipe and ``unbatched_twin`` compiles it then.
             module.attrs["unbatched_recipe"] = functools.partial(
                 _build_unbatched_twin, source, config, module_name, strict
             )

@@ -1,10 +1,9 @@
 """The one parser for boolean environment knobs.
 
-``REPRO_DISK_CACHE``, ``REPRO_NO_BATCH`` and ``REPRO_PARANOID`` are
-on/off switches.  Ad-hoc parsing gets them wrong
-in both directions: ``value in ("1", "true")`` silently ignores
-``REPRO_NO_BATCH=yes``, and ``value not in ("", "0")`` turns
-``REPRO_PARANOID=false`` *on*.  An unparsable value is a
+``REPRO_DISK_CACHE`` and ``REPRO_PARANOID`` are on/off switches.
+Ad-hoc parsing gets them wrong in both directions: ``value in ("1",
+"true")`` silently ignores ``REPRO_DISK_CACHE=yes``, and ``value not in
+("", "0")`` turns ``REPRO_PARANOID=false`` *on*.  An unparsable value is a
 misconfiguration, not a silent request for the default: it keeps the
 default but emits a structured :class:`~repro.diagnostics.ReproWarning`
 saying so, matching the ``REPRO_BATCH`` precedent.

@@ -286,7 +286,7 @@ class Telemetry:
         return totals
 
     def as_dict(self) -> Dict[str, object]:
-        from . import driver
+        from . import diskcache, driver
 
         return {
             "schema": SCHEMA,
@@ -305,7 +305,7 @@ class Telemetry:
                 "codegen_totals": self.vm_codegen_totals(),
             },
             "compile_cache": driver.compile_cache_stats(),
-            "disk_cache": driver.disk_cache_stats(),
+            "disk_cache": diskcache.stats(),
         }
 
     def to_json(self, indent: int = 2) -> str:

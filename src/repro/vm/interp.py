@@ -20,15 +20,23 @@ trap-point stats:
 * **whole-kernel codegen** (the default): each function linearized into
   one generated Python function by :mod:`repro.backend.codegen` — the
   only module that generates source.  It runs only under
-  :meth:`Interpreter._run_replayable`; a function it cannot express
-  (:class:`~repro.backend.codegen.CodegenBailout`) runs on the reference
-  engine, and any trap rolls the launch back and replays it there, on
-  the unbatched twin of a batched module;
+  :meth:`Interpreter._run_replayable`; any trap rolls the launch back
+  and replays it on the reference engine.  An unbatched function it
+  cannot express (:class:`~repro.backend.codegen.CodegenBailout`) runs
+  on the reference engine in place; a batched one is handled like a
+  trap;
 * the **reference engine** (``codegen=False``): the opcode-string
   dispatch loop, charging per instruction in charge-then-execute order.
-  It is the executable specification codegen is compared against, and
-  it is what a trap replay, a codegen bailout and a fault-injected run
-  execute.  Its replay outcome is authoritative.
+  It interprets *unbatched* IR only, and is the executable
+  specification codegen is compared against.  Its replay outcome is
+  authoritative.
+
+Gang batching (:mod:`repro.backend.batch`) promises outputs and
+``ExecStats`` equal to the unbatched build, so that build is the spec of
+batched IR.  Batched IR runs only as generated code; every other launch
+of a batched module — ``codegen=False``, a run while a fault plan is
+armed, a trap replay, a bailout — runs the module's
+:func:`~repro.backend.batch.unbatched_twin` on the reference engine.
 
 ``predecode=False`` is an older spelling of ``codegen=False``, kept for
 callers that still pass it.
@@ -44,7 +52,8 @@ Generated code belongs to the module, not to an interpreter::
     Interpreter ──► Memory, ExecStats              (plain data)
         ├──► _codegen_fns: Function ──► that callable (a reference, or
         │        ``None`` for a sticky bailout; nothing is built here)
-        ├──► _fallback_interp: the replay twin ──► the same Memory
+        ├──► _fallback_interp: the reference engine over the module, or
+        │        over its unbatched twin ──► the same Memory
         └──► module (shared, frozen; never references an interpreter)
 
 A generated function takes the interpreter as an argument and reads its
@@ -77,6 +86,7 @@ import numpy as np
 from .. import faultinject
 from ..backend.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..backend.machine import AVX512, ExecStats, Machine
+from ..diagnostics import ExecutionError
 from ..ir.instructions import (
     ATOMIC_RMW_OPS,
     CAST_OPS,
@@ -93,7 +103,6 @@ from .memory import Memory, MemoryError_
 from .nputil import elem_dtype, mask_int, to_signed
 from .ops import (
     VMTrap,
-    gang_activity_count,
     eval_scalar_binop,
     eval_scalar_cast,
     eval_scalar_fcmp,
@@ -104,11 +113,7 @@ from .ops import (
     eval_vector_fcmp,
     eval_vector_icmp,
     eval_vector_unop,
-    fold_lanes,
-    reduce_segments,
-    repeat_lanes,
     round_float,
-    shuffle_segments,
 )
 
 __all__ = ["Interpreter", "VMTrap", "ExecutionLimitExceeded"]
@@ -116,6 +121,17 @@ __all__ = ["Interpreter", "VMTrap", "ExecutionLimitExceeded"]
 
 class ExecutionLimitExceeded(VMTrap):
     """The dynamic instruction budget was exhausted (likely infinite loop)."""
+
+
+class _BatchedBailout(Exception):
+    """Codegen bailed out on a batched function: the launch rolls back and
+    runs on the unbatched twin, as after a trap."""
+
+
+def _holds_batched_ir(module: Module) -> bool:
+    return "unbatched_recipe" in module.attrs or any(
+        f.attrs.get("batched") for f in module.functions.values()
+    )
 
 
 _MAX_CALL_DEPTH = 256
@@ -144,8 +160,9 @@ class Interpreter:
         self.memory = memory or Memory()
         self.max_instructions = max_instructions
         #: Whole-kernel codegen engine (see :mod:`repro.backend.codegen`);
-        #: off, every function runs on the reference engine, which is also
-        #: the bailout and trap-replay target.
+        #: off, every launch runs on the reference engine (a batched
+        #: module's on its unbatched twin), which is also the bailout and
+        #: trap-replay target.
         self.codegen = bool(codegen) and predecode
         self.stats = ExecStats()
         #: Exclusive (self-only) cycles per function name, for hot-spot telemetry.
@@ -159,10 +176,10 @@ class Interpreter:
         self._call_stack: List[str] = []
         self._child_cycles = 0.0
         self._cost_cache: Dict[Instruction, float] = {}
-        #: Trap replays on the unbatched twin this run (see :meth:`run`).
+        #: Trap (and batched-bailout) replays on the unbatched twin this
+        #: run (see :meth:`_run_replayable`).
         self.batch_replays = 0
         self._fallback_interp: Optional["Interpreter"] = None
-        self._batch_cache: Dict[Instruction, tuple] = {}
         #: Function -> its generated callable (owned by the function's
         #: emission, shared with every other interpreter), or ``None``
         #: (sticky) when emission bailed out.
@@ -195,31 +212,30 @@ class Interpreter:
         argvals = [
             _coerce_arg(a.type, v) for a, v in zip(function.args, args)
         ]
-        if (
-            (self.codegen or "unbatched_recipe" in self.module.attrs)
-            and not faultinject.active()
-        ):
-            # A batched module and the codegen engine both run under the
-            # trap-replay contract.
-            return self._run_replayable(function, argvals, args)
+        if self.codegen and not faultinject.active():
+            return self._run_replayable(function, argvals)
+        if _holds_batched_ir(self.module):
+            # The reference engine interprets unbatched IR only.
+            return self._run_reference(function, argvals)
         return self._exec_function(function, argvals, depth=0)
 
-    def _run_replayable(self, function: Function, argvals: List, args):
-        """Top-level run with the gang-batching trap-replay contract.
+    def _run_replayable(self, function: Function, argvals: List):
+        """Top-level run of the codegen engine, with the trap-replay
+        contract.
 
-        Any :class:`ExecutionError` raised while running a batched module
-        (a genuine kernel trap, a budget trap, or a spurious batched-only
-        trap from a finished gang's unmasked lanes) rolls the VM back to
-        the pre-run state (an extent-bounded :meth:`Memory.snapshot`,
-        not a copy of the whole image) and replays the call wholesale on
-        the module's :func:`~repro.backend.batch.unbatched_twin` — compiled
-        now if this is its first trap — or, when the module is not
-        batched, on the module itself.  The replay runs on the reference
-        engine, and its outcome — result or trap — is authoritative, so
-        trap identity, trap-point ``ExecStats``, and attribution all match
-        the reference engine bit-for-bit.  Skipped under active fault
-        injection: the driver never batches then, and replaying would
-        double-fire one-shot fault plans.
+        Any trap (a genuine kernel trap, a budget trap, or a spurious
+        batched-only trap from a finished gang's unmasked lanes), and a
+        codegen bailout on a batched function, rolls the VM back to the
+        pre-run state (an extent-bounded :meth:`Memory.snapshot`, not a
+        copy of the whole image) and replays the call wholesale on the
+        reference engine (:meth:`_run_reference`): on the module's
+        :func:`~repro.backend.batch.unbatched_twin` — compiled now if this
+        is its first replay — or, when the module is not batched, on the
+        module itself.  The replay's outcome — result or trap — is
+        authoritative, so trap identity, trap-point ``ExecStats``, and
+        attribution all match the reference engine bit-for-bit.  Never
+        entered under active fault injection: replaying would double-fire
+        one-shot fault plans.
         """
         memory = self.memory
         rollback = memory.snapshot()
@@ -233,7 +249,7 @@ class Interpreter:
         self._codegen_armed = self.codegen
         try:
             return self._exec_function(function, argvals, depth=0)
-        except (VMTrap, MemoryError_):
+        except (VMTrap, MemoryError_, _BatchedBailout):
             memory.restore(rollback)
             stats.cycles, stats.instructions = snap[0], snap[1]
             stats.counts.clear()
@@ -245,46 +261,70 @@ class Interpreter:
                 live.clear()
                 live.update(saved)
             self._child_cycles = snap[7]
+        finally:
+            self._codegen_armed = False
+        fb = self._reference_interp()
+        if fb.module is self.module:
+            self.codegen_stats["replays"] += 1
+        else:
+            self.batch_replays += 1
+        return self._run_reference(function, argvals)
+
+    def _reference_interp(self) -> "Interpreter":
+        """The reference engine this interpreter replays on, sharing its
+        memory: over the module, or over the unbatched twin of a batched
+        one."""
+        fb = self._fallback_interp
+        if fb is None:
             # (Imported here: backend.batch sits above the VM.)
             from ..backend.batch import unbatched_twin
 
-            twin = unbatched_twin(self.module) or self.module
-            if twin is self.module:
-                self.codegen_stats["replays"] += 1
-            else:
-                self.batch_replays += 1
-            fb = self._fallback_interp
-            if fb is None:
-                fb = self._fallback_interp = Interpreter(
-                    twin,
-                    machine=self.machine,
-                    cost_model=self.cost_model,
-                    memory=memory,
-                    max_instructions=self.max_instructions,
-                    codegen=False,
-                )
-            fb.reset_stats()
-            try:
-                return fb.run(function.name, *args)
-            finally:
-                # Merge whatever the replay charged — including a trap's
-                # partial charges — into this interpreter's counters.
-                stats.merge(fb.stats)
-                for live, other in (
-                    (self.func_cycles, fb.func_cycles),
-                    (self.edge_cycles, fb.edge_cycles),
-                ):
-                    for k, v in other.items():
-                        live[k] = live.get(k, 0.0) + v
-                for live, other in (
-                    (self.func_calls, fb.func_calls),
-                    (self.edge_calls, fb.edge_calls),
-                ):
-                    for k, v in other.items():
-                        live[k] = live.get(k, 0) + v
-                self._child_cycles += fb._child_cycles
+            target = unbatched_twin(self.module)
+            if target is None:
+                if _holds_batched_ir(self.module):
+                    raise ExecutionError(
+                        f"module {self.module.name!r} holds batched IR but no"
+                        " unbatched recipe: batched IR runs only as"
+                        " generated code, and the reference engine needs"
+                        " the unbatched build (compile_parsimony leaves its"
+                        " recipe in attrs['unbatched_recipe'])"
+                    )
+                target = self.module
+            fb = self._fallback_interp = Interpreter(
+                target,
+                machine=self.machine,
+                cost_model=self.cost_model,
+                memory=self.memory,
+                max_instructions=self.max_instructions,
+                codegen=False,
+            )
+        return fb
+
+    def _run_reference(self, function: Function, argvals: List):
+        """Run the call on :meth:`_reference_interp` and merge whatever it
+        charged — including a trap's partial charges — into this
+        interpreter's counters."""
+        fb = self._reference_interp()
+        fb.reset_stats()
+        try:
+            return fb._exec_function(
+                fb.module.get(function.name), argvals, depth=0
+            )
         finally:
-            self._codegen_armed = False
+            self.stats.merge(fb.stats)
+            for live, other in (
+                (self.func_cycles, fb.func_cycles),
+                (self.edge_cycles, fb.edge_cycles),
+            ):
+                for k, v in other.items():
+                    live[k] = live.get(k, 0.0) + v
+            for live, other in (
+                (self.func_calls, fb.func_calls),
+                (self.edge_calls, fb.edge_calls),
+            ):
+                for k, v in other.items():
+                    live[k] = live.get(k, 0) + v
+            self._child_cycles += fb._child_cycles
 
     def reset_stats(self) -> ExecStats:
         """Zero all counters in place (``self.stats`` stays the same object).
@@ -315,7 +355,6 @@ class Interpreter:
         and replays are authoritative.
         """
         self._cost_cache.clear()
-        self._batch_cache.clear()
         self._fallback_interp = None
         if self._codegen_fns:
             from ..backend.codegen import forget_emission
@@ -385,7 +424,8 @@ class Interpreter:
                 # bulk-charges per block, so its trap-point stats are
                 # approximate and a replay on the reference engine must be
                 # standing by.  Fault-injected runs skip the wrapper and
-                # therefore run on the reference engine.
+                # therefore run on the reference engine.  Batched IR has no
+                # reference execution: its bailout replays like a trap.
                 kfn = self._codegen_fns.get(
                     function, _CODEGEN_UNCOMPILED
                 )
@@ -394,6 +434,8 @@ class Interpreter:
                 if kfn is not None:
                     self.codegen_stats["calls"] += 1
                     return kfn(self, argvals, depth)
+                if function.attrs.get("batched"):
+                    raise _BatchedBailout(function.name)
             return self._exec_reference(function, argvals, depth)
         finally:
             stack.pop()
@@ -421,7 +463,8 @@ class Interpreter:
         in ``codegen_stats`` (``compiles`` / ``cache_hits`` /
         ``disk_hits``; an emission another interpreter already bound is a
         cache hit).  Emission failures of *any* kind degrade to the
-        reference engine — codegen is an accelerator, never a requirement.
+        reference engine (a batched function's launch to its unbatched
+        twin) — codegen is an accelerator, never a requirement.
         """
         from ..backend import codegen as _cg
 
@@ -460,78 +503,20 @@ class Interpreter:
         }
 
     # -- reference engine ------------------------------------------------------------
-    #
-    # Blocks annotated by ``repro.backend.batch`` execute B gangs per VM
-    # step.  Each annotated instruction carries narrow charge prototypes
-    # (``batch_charges``) and a multiplicity spec (``batch_mult``): the
-    # number of unbatched-engine executions one batched step stands for.
-    # A spec is an int (static multiplicity — loop-invariant code charges
-    # ×B, header bookkeeping ×0) or a tuple of divergent-loop ids ending
-    # in the static B; the VM resolves the first id with a live activity
-    # count, so code under a divergent loop charges once per gang that
-    # would still be iterating in the unbatched engine.  Each narrow
-    # charge item is applied ``m`` times at once (``cycles += cost·m`` is
-    # exact — the cost table is dyadic), with a single budget check per
-    # instruction: prefix sums of the unbatched charge sequence are a
-    # superset, so a budget crossing happens here iff the unbatched build
-    # traps, and the replay protocol reproduces its exact trap point.
-
-    def _batch_info(self, instr: Instruction):
-        """``(charge_items, multspec)`` for an annotated instruction.
-
-        ``charge_items`` is a tuple of ``(counts_key, narrow_cost)``; an
-        external-call prototype contributes the unbatched engine's two
-        charges (``call`` dispatch + the narrow ``ext:`` cost)."""
-        cached = self._batch_cache.get(instr)
-        if cached is not None:
-            return cached
-        info = (
-            batch_charge_items(instr, self.machine, self._cost),
-            instr.attrs["batch_mult"],
-        )
-        self._batch_cache[instr] = info
-        return info
-
-    @staticmethod
-    def _batch_mult(spec, activity) -> int:
-        if type(spec) is int:
-            return spec
-        for lid in spec:
-            if type(lid) is int:
-                return lid
-            live = activity.get(lid)
-            if live is not None:
-                return live
-        return 0  # pragma: no cover - specs always end in the static B
 
     def _exec_reference(self, function: Function, argvals: List, depth: int):
+        if function.attrs.get("batched"):
+            raise ExecutionError(
+                f"the reference engine interprets unbatched IR only; run"
+                f" @{function.name}'s module through Interpreter.run, which"
+                f" replays a batched module on its unbatched twin"
+            )
         env: Dict[Value, object] = dict(zip(function.args, argvals))
         stack_mark = self.memory._brk  # frame-local alloca discipline
         block = function.entry
         prev: Optional[BasicBlock] = None
         stats = self.stats
-        counts = stats.counts
-        batched = function.attrs.get("batched")
-        # Divergent-loop gang-activity state: loop id -> the committed
-        # live-gang count, and the count its ``mask_any`` just computed
-        # (committed at the backedge, dropped at the exit).
-        activity: Dict[str, int] = {}
-        pending: Dict[str, int] = {}
-
-        def charge_batched(instr) -> None:
-            items, spec = self._batch_info(instr)
-            m = self._batch_mult(spec, activity)
-            if m:
-                for key, cost in items:
-                    stats.cycles += cost * m
-                    stats.instructions += m
-                    counts[key] = counts.get(key, 0) + m
-                if stats.instructions > self.max_instructions:
-                    raise ExecutionLimitExceeded(
-                        f"exceeded {self.max_instructions} instructions"
-                        f" in @{function.name}"
-                    )
-
+        limit = self.max_instructions
         try:
             while True:
                 instructions = block.instructions
@@ -546,27 +531,20 @@ class Interpreter:
                         phi_vals.append(
                             self._value(env, instr.phi_value_for(prev))
                         )
-                        if batched and "batch_mult" in instr.attrs:
-                            charge_batched(instr)
-                        else:
-                            stats.charge("phi", 0.0)
-                            if stats.instructions > self.max_instructions:
-                                raise ExecutionLimitExceeded(
-                                    f"exceeded {self.max_instructions} instructions"
-                                    f" in @{function.name}"
-                                )
+                        stats.charge("phi", 0.0)
+                        if stats.instructions > limit:
+                            raise ExecutionLimitExceeded(
+                                f"exceeded {limit} instructions"
+                                f" in @{function.name}"
+                            )
                     for instr, val in zip(instructions[:n_phi], phi_vals):
                         env[instr] = val
                 for instr in instructions[n_phi:]:
-                    annotated = batched and "batch_mult" in instr.attrs
-                    if annotated:
-                        charge_batched(instr)
-                    else:
-                        stats.charge(instr.opcode, self._cost(instr))
-                        if stats.instructions > self.max_instructions:
-                            raise ExecutionLimitExceeded(
-                                f"exceeded {self.max_instructions} instructions in @{function.name}"
-                            )
+                    stats.charge(instr.opcode, self._cost(instr))
+                    if stats.instructions > limit:
+                        raise ExecutionLimitExceeded(
+                            f"exceeded {limit} instructions in @{function.name}"
+                        )
                     op = instr.opcode
                     if op == "br":
                         prev, block = block, instr.operands[0]
@@ -574,15 +552,6 @@ class Interpreter:
                     if op == "condbr":
                         cond = self._value(env, instr.operands[0])
                         target = instr.operands[1] if cond else instr.operands[2]
-                        if annotated:
-                            backedge = instr.attrs.get("batch_backedge")
-                            if backedge is not None:
-                                lid, taken_idx = backedge
-                                if target is instr.operands[taken_idx]:
-                                    activity[lid] = pending[lid]
-                                else:
-                                    activity.pop(lid, None)
-                                    pending.pop(lid, None)
                         prev, block = block, target
                         break
                     if op == "ret":
@@ -591,21 +560,7 @@ class Interpreter:
                         return None
                     if op == "unreachable":
                         raise VMTrap(f"reached 'unreachable' in @{function.name}")
-                    if annotated and op == "call" and isinstance(
-                        instr.operands[0], ExternalFunction
-                    ):
-                        # Batched charging comes from the narrow prototypes;
-                        # bypass the impl path that charges the wide cost.
-                        env[instr] = instr.operands[0].impl(
-                            *[self._value(env, o) for o in instr.operands[1:]]
-                        )
-                    else:
-                        env[instr] = self._exec_instr(env, instr, depth)
-                    ba = instr.attrs.get("batch_activity") if annotated else None
-                    if ba is not None:
-                        pending[ba[0]] = gang_activity_count(
-                            self._value(env, instr.operands[0]), ba[1]
-                        )
+                    env[instr] = self._exec_instr(env, instr, depth)
         finally:
             self.memory._brk = stack_mark
 
@@ -676,8 +631,6 @@ class Interpreter:
             addr = self._value(env, ops[0])
             val = self._value(env, ops[1])
             t = instr.type
-            if "segments" in instr.attrs:
-                val = fold_lanes(rmw, t.bits, val)
             old = self.memory.load_scalar(addr, t)
             new = eval_scalar_binop(rmw, t, old, val)
             self.memory.store_scalar(addr, t, new)
@@ -686,8 +639,6 @@ class Interpreter:
         # -- vector -------------------------------------------------------------------
         if op == "broadcast":
             scalar = self._value(env, ops[0])
-            if "segments" in instr.attrs:
-                return repeat_lanes(scalar, instr.type.count)
             return np.full(instr.type.count, scalar, dtype=elem_dtype(instr.type.elem))
         if op == "extractelement":
             v = self._value(env, ops[0])
@@ -701,9 +652,6 @@ class Interpreter:
             return v
         if op == "shuffle":
             src = self._value(env, ops[0])
-            if "segments" in instr.attrs:
-                return shuffle_segments(src, self._value(env, ops[1]),
-                                        instr.attrs["segments"])
             idx = self._value(env, ops[1]).astype(np.int64) % len(src)
             return src[idx]
         if op == "shuffle2":
@@ -715,20 +663,11 @@ class Interpreter:
         if op == "vload":
             addr = self._value(env, ops[0])
             mask = self._value(env, ops[1])
-            if "row_stride" in instr.attrs:
-                return self.memory.load_rows(
-                    addr, elem_dtype(instr.type.elem), instr.type.count,
-                    instr.attrs["segments"], instr.attrs["row_stride"], mask)
             return self.memory.load_packed(addr, instr.type.elem, instr.type.count, mask)
         if op == "vstore":
             value = self._value(env, ops[0])
             addr = self._value(env, ops[1])
             mask = self._value(env, ops[2])
-            if "row_stride" in instr.attrs:
-                self.memory.store_rows(
-                    addr, elem_dtype(ops[0].type.elem), value,
-                    instr.attrs["segments"], instr.attrs["row_stride"], mask)
-                return None
             self.memory.store_packed(addr, ops[0].type.elem, value, mask)
             return None
         if op == "gather":
@@ -747,9 +686,6 @@ class Interpreter:
             diffs = np.abs(a - b).reshape(-1, 8).sum(axis=1)
             return diffs.astype(np.uint64)
         if op in REDUCE_OPS:
-            if "segments" in instr.attrs:
-                return reduce_segments(op, self._value(env, ops[0]),
-                                       instr.attrs["segments"])
             return reduce_lanes(op, instr, self._value(env, ops[0]))
         if op == "mask_any":
             return 1 if bool(self._value(env, ops[0]).any()) else 0
@@ -793,26 +729,6 @@ class Interpreter:
             cost = self.cost_model.cost(instr, self.machine)
             self._cost_cache[instr] = cost
         return cost
-
-
-def batch_charge_items(instr: Instruction, machine: Machine, cost) -> tuple:
-    """The narrow charges one annotated instruction stands for: a tuple
-    of ``(counts_key, narrow_cost)``, ``cost`` being ``instr -> cycles``
-    (all engines, and the code generator, charge from this)."""
-    items = []
-    for proto in instr.attrs["batch_charges"]:
-        if proto.opcode == "call":
-            callee = proto.operands[0]
-            ext_cost = callee.cost
-            if callable(ext_cost):
-                ext_cost = ext_cost(
-                    machine, [o.type for o in proto.operands[1:]]
-                )
-            items.append(("call", cost(proto)))
-            items.append((f"ext:{callee.name}", float(ext_cost)))
-        else:
-            items.append((proto.opcode, cost(proto)))
-    return tuple(items)
 
 
 def reduce_lanes(op: str, instr: Instruction, v: np.ndarray):

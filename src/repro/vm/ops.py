@@ -51,7 +51,6 @@ __all__ = [
     "repeat_lanes",
     "reduce_segments",
     "fold_lanes",
-    "gang_activity_count",
 ]
 
 
@@ -690,9 +689,9 @@ def eval_vector_cast(opcode: str, from_elem: Type, to_elem: Type, v: np.ndarray)
 # --------------------------------------------------------------------------------
 #
 # A batched gang loop lays B gangs side by side; an op with a ``segments``
-# attr treats its operand as B independent segments, one per gang.  Every
-# engine (and the code generator, for what it does not inline) evaluates
-# the forms through these functions.
+# attr treats its operand as B independent segments, one per gang.  Only
+# generated code runs batched IR; it evaluates what it does not inline
+# through these functions.
 
 
 def shuffle_segments(a: np.ndarray, idx: np.ndarray, segments: int) -> np.ndarray:
@@ -757,23 +756,3 @@ def fold_lanes(rmw: str, bits: int, v: np.ndarray) -> int:
     if rmw == "smax":
         return from_signed(int(signed_view(v).max()), bits)
     raise NotImplementedError(rmw)
-
-
-def gang_activity_count(mask, batch: int) -> int:
-    """Number of gangs with at least one active lane in a batched mask.
-
-    The gang-batching layer executes ``batch`` gangs per VM step over
-    ``batch × G``-lane values; its `ExecStats` accounting charges each
-    divergent-loop iteration once per gang that would still be looping in
-    the unbatched engine.  That multiplicity is exactly the number of
-    per-gang blocks of the loop's continue-mask with any active lane,
-    which the reference engine obtains from this helper.
-
-    The whole-kernel codegen emitter is batch-factor specialized and
-    inlines this computation with a **literal** ``batch`` instead of
-    calling here (``int(mask.reshape(B, -1).any(axis=1).sum())``) —
-    keep the two forms in lockstep if the multiplicity definition
-    ever changes.
-    """
-    m = np.asarray(mask)
-    return int(m.reshape(batch, -1).any(axis=1).sum())

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from repro import diskcache
-from repro.backend.batch import batching_request
 from repro.diagnostics import ReproWarning
 from repro.passes import pass_manager
 
@@ -15,7 +14,6 @@ ROOT = Path(__file__).resolve().parents[2]
 #: Boolean knob -> reader of its effective value (all default to off).
 BOOLEAN_KNOBS = {
     "REPRO_DISK_CACHE": diskcache.enabled,
-    "REPRO_NO_BATCH": lambda: batching_request() == 0,
     "REPRO_PARANOID": pass_manager.paranoid_enabled,
 }
 
@@ -25,7 +23,6 @@ def no_overrides(monkeypatch):
     """Programmatic overrides beat the environment; park them."""
     monkeypatch.setattr(diskcache, "_ENABLED", None)
     monkeypatch.setattr(pass_manager, "_paranoid_override", None)
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
 
 
 @pytest.mark.parametrize("value,expected", [
@@ -59,6 +56,6 @@ def test_knob_census_matches_readme():
     table = table[:table.index("\n## ")]
     documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)`", table, re.M))
     in_src = _knobs_read_under(ROOT / "src")
-    assert len(in_src) == 5, sorted(in_src)
+    assert len(in_src) == 4, sorted(in_src)
     assert in_src | {"REPRO_FUZZ_N"} == documented
     assert "REPRO_FUZZ_N" in _knobs_read_under(ROOT / "tests")

@@ -31,7 +31,7 @@ reference engine) but tallied, so a corpus where codegen never compiles
 fails the suite.
 
 Every third seed additionally pits a **gang-batched** build (forced
-``REPRO_BATCH=2`` — auto selection would pick a batch too wide for 37
+``batch_request=2`` — auto selection would pick a batch too wide for 37
 threads and route everything through the remainder loop) against an
 unbatched build, comparing outputs *and* ``ExecStats`` bitwise: gang
 batching is accounting-transparent by contract, so cycles, instruction
@@ -156,9 +156,10 @@ def test_differential_fuzz_kernel(seed):
     context = f"seed={seed} gang={kernel.gang_size}\n{kernel.source}"
 
     plain = compile_parsimony(kernel.source)
-    # The oracle leg runs on the reference engine; every other leg runs
-    # the default engine (whole-kernel codegen), so each comparison also
-    # crosses engines.
+    # The oracle leg runs on the reference engine — on the unbatched twin
+    # when the auto build batched; every other leg runs the default
+    # engine (whole-kernel codegen), so each comparison also crosses
+    # engines, and batching.
     plain_out, plain_stats = _run(plain, seed, codegen=False)
 
     if kernel.refuses_whole_fallback:
@@ -220,22 +221,10 @@ def test_differential_fuzz_kernel(seed):
 
 def _batched_differential(kernel, seed, plain_out, context):
     """Forced-batch build vs unbatched build: outputs and ExecStats."""
-    saved = {k: os.environ.get(k) for k in ("REPRO_BATCH", "REPRO_NO_BATCH")}
-    try:
-        os.environ.pop("REPRO_BATCH", None)
-        os.environ["REPRO_NO_BATCH"] = "1"
-        reference = compile_parsimony(kernel.source)
-        del os.environ["REPRO_NO_BATCH"]
-        # B=2: small enough that batched bodies execute real trips at
-        # every gang size (auto selection over 37 threads would not).
-        os.environ["REPRO_BATCH"] = "2"
-        batched = compile_parsimony(kernel.source)
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    reference = compile_parsimony(kernel.source, batch_request=0)
+    # B=2: small enough that batched bodies execute real trips at every
+    # gang size (auto selection over 37 threads would not).
+    batched = compile_parsimony(kernel.source, batch_request=2)
     applied = bool(batched.attrs.get("batch_applied"))
     _BATCH_CORPUS["batched" if applied else "rejected"] += 1
     if applied:

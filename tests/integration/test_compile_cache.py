@@ -17,6 +17,7 @@ from repro.backend.batch import batch_module, unbatched_twin
 from repro.benchsuite.ispc_suite import BY_NAME
 from repro.benchsuite.simdlib import KERNELS as SIMDLIB
 from repro.diagnostics import FrozenModuleError, ReproError
+from repro.faultinject import FaultPlan, inject
 from repro.ir import Function, FunctionType, VOID
 from repro.passes import clone_module, standard_pipeline
 from repro.vm import Interpreter
@@ -36,10 +37,8 @@ SRC_B = SRC.replace("(u32)3", "(u32)5")
 @pytest.fixture(autouse=True)
 def fresh_cache():
     driver.clear_compile_cache()
-    driver.set_compile_cache(True)
     yield
     driver.clear_compile_cache()
-    driver.set_compile_cache(True)
 
 
 def _run(module):
@@ -122,19 +121,20 @@ def test_cached_modules_are_isolated_clones():
 
 
 def test_every_compile_result_is_frozen_cache_or_not(tmp_path, monkeypatch):
-    """One contract whether the result came from a build with the cache
-    off, from a miss, or from a disk-cache rehydration."""
-    driver.set_compile_cache(False)
-    uncached = driver.compile_parsimony(SRC)
-    assert uncached.frozen and uncached is not driver.compile_parsimony(SRC)
+    """One contract whether the result came from a build that bypassed
+    the cache (an armed fault plan, here one that never fires), from a
+    miss, or from a disk-cache rehydration."""
+    with inject(FaultPlan(site="vectorize", match="no-such-function")):
+        uncached = driver.compile_parsimony(SRC)
+        assert uncached.frozen and uncached is not driver.compile_parsimony(SRC)
+        for compile_, src in ((driver.compile_scalar, SRC),
+                              (driver.compile_autovec, SRC),
+                              (driver.compile_ispc, SRC)):
+            assert compile_(src).frozen
+    assert driver.compile_cache_stats()["entries"] == 0
     _vandalize(uncached)
     np.testing.assert_array_equal(_run(uncached), np.arange(8, dtype=np.uint32) * 3)
-    for compile_, src in ((driver.compile_scalar, SRC),
-                          (driver.compile_autovec, SRC),
-                          (driver.compile_ispc, SRC)):
-        assert compile_(src).frozen
 
-    driver.set_compile_cache(True)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     diskcache.set_enabled(True)
     try:
@@ -150,13 +150,6 @@ def test_every_compile_result_is_frozen_cache_or_not(tmp_path, monkeypatch):
     _vandalize(rehydrated)
     np.testing.assert_array_equal(
         _run(rehydrated), np.arange(8, dtype=np.uint32) * 3)
-
-
-def test_cache_disable_bypasses_memoization():
-    driver.set_compile_cache(False)
-    driver.compile_parsimony(SRC)
-    driver.compile_parsimony(SRC)
-    assert driver.compile_cache_stats()["entries"] == 0
 
 
 def test_clear_resets_counters():

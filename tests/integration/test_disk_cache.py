@@ -1,6 +1,8 @@
-"""Persistent on-disk compile cache: round-trip fidelity, version/toolchain
-keying, and the corruption-tolerance contract (a damaged entry must fall
-back to recompilation, never fail the compile)."""
+"""Persistent on-disk compile cache: round-trip fidelity, toolchain
+keying by content, and the corruption-tolerance contract (a damaged
+entry must fall back to recompilation, never fail the compile)."""
+
+import os
 
 import numpy as np
 import pytest
@@ -81,14 +83,23 @@ def test_corrupt_entry_falls_back_to_recompile(disk_cache):
     assert np.isfinite(out).all()
 
 
-def test_version_bump_misses_old_entries(disk_cache, monkeypatch):
-    driver.compile_parsimony(SRC)
-    driver.clear_compile_cache()
-    diskcache.reset_stats()
-    monkeypatch.setattr(diskcache, "CACHE_VERSION", diskcache.CACHE_VERSION + 1)
-    driver.compile_parsimony(SRC)
-    stats = diskcache.stats()
-    assert stats["hits"] == 0 and stats["misses"] == 1 and stats["writes"] == 1
+def test_toolchain_digest_reads_bytes_not_sizes_and_mtimes(tmp_path):
+    """Two trees alike in every file's size and mtime — what ``tar x``,
+    ``cp -p`` and ``rsync -a`` leave — but one byte apart must not share
+    cache keys."""
+    trees = []
+    for byte in (b"1", b"2"):
+        root = tmp_path / byte.decode()
+        (root / "pkg").mkdir(parents=True)
+        for name, data in (("a.py", b"X = 1\n"), ("pkg/b.py", b"Y = " + byte)):
+            path = root / name
+            path.write_bytes(data)
+            os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+        trees.append(root)
+    stats = [[(p.stat().st_size, p.stat().st_mtime_ns)
+              for p in sorted(root.rglob("*.py"))] for root in trees]
+    assert stats[0] == stats[1]
+    assert diskcache._tree_digest(trees[0]) != diskcache._tree_digest(trees[1])
 
 
 def test_memory_layer_shields_disk_layer(disk_cache):
@@ -110,14 +121,14 @@ def test_batch_configuration_is_part_of_the_key(disk_cache, monkeypatch):
     """Regression: a cached unbatched module must never be rehydrated into
     a batched run (or vice versa) — the batch request is part of both the
     in-memory and the on-disk cache key."""
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
+    monkeypatch.setenv("REPRO_BATCH", "0")
     unbatched = driver.compile_parsimony(SRC)
     assert "batch_factor" not in unbatched.attrs
     assert diskcache.stats()["writes"] == 1
 
     # Same source, batching re-enabled, fresh "process": the unbatched disk
     # entry must miss and a batched module must be compiled and stored.
-    monkeypatch.delenv("REPRO_NO_BATCH")
+    monkeypatch.delenv("REPRO_BATCH")
     driver.clear_compile_cache()
     diskcache.reset_stats()
     batched = driver.compile_parsimony(SRC)
@@ -131,7 +142,7 @@ def test_batch_configuration_is_part_of_the_key(disk_cache, monkeypatch):
     again = driver.compile_parsimony(SRC)
     assert diskcache.stats()["hits"] == 1
     assert again.attrs.get("batch_applied")
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
+    monkeypatch.setenv("REPRO_BATCH", "0")
     driver.clear_compile_cache()
     again = driver.compile_parsimony(SRC)
     assert diskcache.stats()["hits"] == 2

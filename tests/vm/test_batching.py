@@ -55,7 +55,7 @@ def _assert_stats_equal(got, want, context):
 def test_fig4_batched_matches_unbatched(name, monkeypatch):
     spec = SPECS[name]
     batched = run_impl(spec, "parsimony")
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
+    monkeypatch.setenv("REPRO_BATCH", "0")
     unbatched = run_impl(spec, "parsimony")
 
     _assert_stats_equal(batched.stats, unbatched.stats, name)
@@ -108,10 +108,8 @@ def _run_trapping(module, budget):
 def test_mid_batch_budget_trap_replays_bit_exactly(monkeypatch):
     batched = compile_parsimony(TRAP_SRC)
     assert batched.attrs.get("batch_applied"), batched.attrs.get("batch_rejected")
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    reference = compile_parsimony(TRAP_SRC)
+    reference = compile_parsimony(TRAP_SRC, batch_request=0)
     assert "batch_factor" not in reference.attrs
-    monkeypatch.delenv("REPRO_NO_BATCH")
 
     # Total instruction count of a clean run, to aim budgets mid-stream.
     _, clean_stats, clean_out, _ = _run_trapping(reference, 500_000_000)
@@ -411,7 +409,6 @@ AUTO_FACTORS = {
 
 def test_auto_factor_of_every_suite_kernel(monkeypatch):
     monkeypatch.delenv("REPRO_BATCH", raising=False)
-    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
     want = {name: factor for factor, names in AUTO_FACTORS.items()
             for name in names.split()}
     specs = list(BENCHMARKS) + list(KERNELS)
@@ -428,7 +425,6 @@ def test_auto_factor_of_every_suite_kernel(monkeypatch):
 def test_forced_batch_request_overrides_the_nesting_rule(monkeypatch):
     src = SPECS["stencil"].psim_src
     assert compile_parsimony(src, batch_request=8).attrs["batch_factor"] == 8
-    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
     monkeypatch.setenv("REPRO_BATCH", "16")
     assert compile_parsimony(src).attrs["batch_factor"] == 16
 
@@ -439,7 +435,6 @@ def test_batch_request_of_one_is_the_unbatched_build(monkeypatch):
     batcher for nothing and recorded a rejection."""
     off = compile_parsimony(TRAP_SRC, batch_request=0)
     assert compile_parsimony(TRAP_SRC, batch_request=1) is off
-    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
     monkeypatch.setenv("REPRO_BATCH", "1")
     assert compile_parsimony(TRAP_SRC) is off
     assert "batch_rejected" not in off.attrs
@@ -450,13 +445,14 @@ def test_batch_request_of_one_is_the_unbatched_build(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_batching_request_env_parsing(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
     monkeypatch.delenv("REPRO_BATCH", raising=False)
     assert batching_request() is None
     monkeypatch.setenv("REPRO_BATCH", "8")
     assert batching_request() == 8
-    # Disable always wins over a forced factor.
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
+    # 0 disables; a negative request does too.
+    monkeypatch.setenv("REPRO_BATCH", "0")
+    assert batching_request() == 0
+    monkeypatch.setenv("REPRO_BATCH", "-3")
     assert batching_request() == 0
 
 
@@ -464,7 +460,6 @@ def test_unparsable_batch_request_warns(monkeypatch):
     """An unparsable REPRO_BATCH is a misconfiguration, not a silent auto
     request: the fallback to the cost model must come with a structured
     warning (issue 6 satellite)."""
-    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
     monkeypatch.setenv("REPRO_BATCH", "banana")
     with pytest.warns(ReproWarning, match="unparsable REPRO_BATCH") as caught:
         assert batching_request() is None

@@ -5,14 +5,14 @@ kernel's structurized CFG into ONE generated Python function and retires
 the per-block dispatch loop.  Its contract is accounting transparency:
 bit-identical outputs, memory images, and ``ExecStats`` (cycles,
 instruction counts, per-opcode tallies, per-function attribution) versus
-the reference engine, batched and unbatched — for completed runs, and
+the reference engine on the unbatched build — for completed runs, and
 exact trap-point state via wholesale replay on the reference engine for
 trapped runs.
 
 Covered here:
 
-- fig4-wide bitwise matrix: codegen vs reference, on the batched and the
-  unbatched build;
+- fig4-wide bitwise matrix: codegen on the batched and the unbatched
+  build vs the reference engine on the unbatched build;
 - mid-kernel budget-trap replay (trap identity, trap-point stats, and
   memory bitwise vs the reference engine, plus the replay counter), and
   the replay twin being dropped by ``clear_decode_cache``;
@@ -20,6 +20,8 @@ Covered here:
   masked early exit, and an IR-level early ``ret`` under a branch;
 - fault injection at the ``codegen`` site (bails to the reference
   engine);
+- hand-batched IR (no twin) checked against a hand count of the
+  batching contract;
 - disk-cache rehydration of the generated source in a child process.
 """
 
@@ -38,6 +40,7 @@ from repro import diskcache
 from repro.backend import codegen as cg
 from repro.benchsuite.ispc_suite import BENCHMARKS
 from repro.benchsuite.runner import _GUARD_BYTES
+from repro.diagnostics import ExecutionError
 from repro.driver import clear_compile_cache, compile_parsimony
 from repro.faultinject import FaultPlan, inject
 from repro.ir import (
@@ -98,19 +101,19 @@ def _assert_bitwise(got, want, context):
 
 @pytest.mark.parametrize("spec", BENCHMARKS, ids=lambda s: s.name)
 def test_codegen_matches_every_engine_on_fig4(spec):
-    """Outputs, memory, ExecStats, and attribution bitwise across
-    reference / codegen × batched / unbatched; the codegen engine must
-    actually compile (no bailouts)."""
+    """Outputs, memory, ExecStats, and attribution bitwise: codegen on the
+    batched and on the unbatched build against the reference engine on
+    the unbatched build (which is what ``codegen=False`` runs for the
+    batched one); the codegen engine must actually compile (no
+    bailouts)."""
     workload = spec.workload()
     want = None
-    for build, request in (("batched", None), ("unbatched", 0)):
+    for build, request in (("unbatched", 0), ("batched", None)):
         module = compile_parsimony(
             spec.psim_src, module_name=f"{spec.name}.parsimony",
             batch_request=request)
-        _, ref = _run_workload(module, workload, codegen=False)
         if want is None:
-            want = ref
-        _assert_bitwise(ref, want, f"{spec.name}: {build} vs batched reference")
+            _, want = _run_workload(module, workload, codegen=False)
         interp, got = _run_workload(module, workload)
         report = interp.codegen_report()
         assert not report["bailouts"], f"{spec.name}: {report['bailouts']}"
@@ -149,10 +152,9 @@ def test_interpreter_is_reclaimed_without_the_cyclic_collector(spec, engine):
                     interp.run("kernel", *addrs, *workload.scalars)
                 replays = (interp.batch_replays
                            + interp.codegen_report()["replays"])
-                # The reference engine replays only a batched build (on
-                # its twin).
-                assert replays == (engine == "codegen"
-                                   or "unbatched_recipe" in module.attrs)
+                # The reference engine runs a batched build's twin
+                # outright: it has nothing to replay.
+                assert replays == (engine == "codegen")
             alive = weakref.ref(interp), weakref.ref(interp.memory)
             del interp
             assert [ref() for ref in alive] == [None, None], (
@@ -541,11 +543,58 @@ def _annotate(instr, mult):
     instr.attrs["batch_mult"] = mult
 
 
+def _by_the_contract(f, machine, cost_model):
+    """``(cycles, counts)`` of one pass over straight-line ``f``, counted
+    by hand from the batching contract: an annotated instruction charges
+    its narrow prototypes × its multiplicity, any other instruction
+    itself, and an internal call adds what its callee charges."""
+    cycles, counts = 0.0, {}
+
+    def charge(ins, m):
+        nonlocal cycles
+        cycles += m * cost_model.cost(ins, machine)
+        counts[ins.opcode] = counts.get(ins.opcode, 0) + m
+
+    (block,) = f.blocks
+    for ins in block.instructions:
+        if "batch_mult" in ins.attrs:
+            for proto in ins.attrs["batch_charges"]:
+                charge(proto, ins.attrs["batch_mult"])
+        else:
+            charge(ins, 1)
+        callee = ins.operands[0] if ins.opcode == "call" else None
+        if isinstance(callee, Function):
+            c, n = _by_the_contract(callee, machine, cost_model)
+            cycles += c
+            for key, k in n.items():
+                counts[key] = counts.get(key, 0) + k
+    return cycles, counts
+
+
+def _run_batched_by_hand(module, f, cases):
+    """Hand-batched IR has no unbatched twin, so no reference run: check
+    codegen against ``cases`` (args -> result) and the hand count."""
+    got = Interpreter(module, codegen=True)
+    for args, want in cases:
+        assert got.run(f, *args) == want, args
+    report = got.codegen_report()
+    assert not report["bailouts"], report
+    assert report["calls"] > 0, report
+    cycles, counts = _by_the_contract(f, got.machine, got.cost_model)
+    runs = len(cases)
+    assert got.stats.cycles == runs * cycles
+    assert dict(got.stats.counts) == {k: runs * n for k, n in counts.items()}
+    assert got.stats.instructions == runs * sum(counts.values())
+    # The reference engine refuses batched IR outright.
+    with pytest.raises(ExecutionError, match="unbatched recipe"):
+        Interpreter(module, codegen=False).run(f, *cases[0][0])
+
+
 def _mixed_batched_module():
     """Hand-built batched function whose body mixes annotated and plain
     instructions and ends in an annotated ``ret`` — the shapes behind the
     retired ``mixed-batch-body`` and ``batched-terminator:ret`` bailouts.
-    The reference engine gates batched charging per instruction."""
+    Charging is gated per instruction."""
     module = Module("t")
     f = Function("f", FunctionType(I32, (I32,)), ["x"])
     module.add_function(f)
@@ -563,7 +612,7 @@ def _mixed_batched_module():
 
 def test_mixed_batch_body_and_batched_ret_retired():
     module, f = _mixed_batched_module()
-    _run_scalar_pair(module, f, [(0,), (5,), (41,)])
+    _run_batched_by_hand(module, f, [((0,), 21), ((5,), 36), ((41,), 144)])
 
 
 def test_function_too_large_bailout_pinned(monkeypatch):
@@ -605,7 +654,7 @@ def test_batched_internal_call_retired():
     """An *annotated* internal call compiles: its narrow charges join the
     block prologue, and the call is the plain flush + ``_exec``."""
     module, f = _batched_internal_call_module()
-    _run_scalar_pair(module, f, [(0,), (5,), (41,)])
+    _run_batched_by_hand(module, f, [((0,), 1), ((5,), 6), ((41,), 42)])
 
 
 def test_bailout_memo_keyed_by_batch_fingerprint():

@@ -13,6 +13,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.benchsuite import run_impl
 from repro.benchsuite.ispc_suite import BENCHMARKS
 from repro.driver import compile_parsimony
@@ -181,11 +182,20 @@ def test_reset_stats_zeroes_in_place():
 def test_predecode_matches_reference(spec, impl):
     """Both engines — codegen (what ``predecode=True`` selects) and the
     reference engine — must produce bit-identical outputs and
-    bit-identical ``ExecStats``."""
+    bit-identical ``ExecStats``.  The reference engine runs a batched
+    Parsimony build's unbatched twin, so it runs the unbatched build
+    here, from the compile cache."""
     from repro.benchsuite.runner import build_impl
 
     module = build_impl(spec, impl)
-    fast = run_impl(spec, impl, module=module)
+    with telemetry.collect() as session:
+        fast = run_impl(spec, impl, module=module)
+    report = session.vm_runs[-1]["codegen"]
+    assert report["calls"] > 0 and not report["bailouts"], report
+    if impl == "parsimony":
+        module = compile_parsimony(spec.psim_src,
+                                   module_name=f"{spec.name}.parsimony",
+                                   batch_request=0)
     slow = run_impl(spec, impl, module=module, codegen=False)
 
     assert fast.stats.cycles == slow.stats.cycles

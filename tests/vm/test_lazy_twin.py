@@ -1,9 +1,10 @@
-"""The trap-replay twin is compiled on the first trap, not on every miss.
+"""The unbatched twin is compiled on the first trap, not on every miss.
 
 A batched module carries the *recipe* for its unbatched twin
 (``module.attrs["unbatched_recipe"]``, the same compile with batching
 off); ``repro.backend.batch.unbatched_twin`` runs it the first time a
-launch traps and hangs the frozen result off the batched module.  The
+launch leaves generated code (here: traps) and hangs the frozen result
+off the batched module.  The
 replay contract is unchanged: a trap inside a batched chunk reproduces
 the unbatched engine's trap, ``ExecStats`` and memory effects exactly —
 here for a budget trap and an out-of-bounds trap, on a fresh hand-out,
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import diskcache, driver
+from repro import driver
 from repro.backend.batch import unbatched_twin
 from repro.diagnostics import ExecutionError
 from repro.ir.printer import print_module
@@ -186,55 +187,3 @@ def test_rehydrated_module_replays_in_a_second_process(tmp_path):
     assert len(list(tmp_path.glob("*.pkl"))) == 1
     for kind in TRAPS:
         assert first["runs"][kind] == second["runs"][kind] == expect(kind)
-
-
-# -- CACHE_VERSION 4 -> 5: the pickled entry lost the twin ---------------------
-
-
-def _v4_payload():
-    """What the previous format stored for ``SRC``: the batched module
-    with its unbatched twin pickled inside ``attrs`` and no recipe."""
-    batched = clone_module(driver.compile_parsimony(SRC))
-    del batched.attrs["unbatched_recipe"]
-    batched.attrs["batch_fallback"] = clone_module(
-        driver.compile_parsimony(SRC, batch_request=0))
-    return batched
-
-
-def test_v4_disk_entry_is_ignored_not_misread(tmp_path, monkeypatch):
-    current = diskcache.CACHE_VERSION
-    assert current >= 5
-    old = _v4_payload()
-    driver.clear_compile_cache()
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    diskcache.set_enabled(True)
-    diskcache.reset_stats()
-    try:
-        key = ("parsimony", SRC, "parsimony", None, False, ("batch", None))
-
-        # Stored by a v4 toolchain: filed under a digest v5 never asks for.
-        monkeypatch.setattr(diskcache, "CACHE_VERSION", 4)
-        diskcache.store(key, old)
-        (v4_entry,) = tmp_path.glob("*.pkl")
-        monkeypatch.setattr(diskcache, "CACHE_VERSION", current)
-        diskcache.reset_stats()
-        module = driver.compile_parsimony(SRC)
-        assert diskcache.stats() == {
-            "hits": 0, "misses": 1, "writes": 1, "errors": 0}
-        assert "batch_fallback" not in module.attrs
-        (v5_entry,) = set(tmp_path.glob("*.pkl")) - {v4_entry}
-
-        # And were its bytes to turn up under the v5 name anyway, the
-        # version stamp inside refuses them: dropped and recompiled, never
-        # handed out as a batched module with no way to its twin.
-        v5_entry.write_bytes(v4_entry.read_bytes())
-        driver.clear_compile_cache()
-        diskcache.reset_stats()
-        module = driver.compile_parsimony(SRC)
-        stats = diskcache.stats()
-        assert stats["errors"] == 1 and stats["hits"] == 0 and stats["writes"] == 1
-        assert "unbatched_recipe" in module.attrs
-        assert run_trapping(module, **TRAPS["budget"]) == expect("budget")
-    finally:
-        diskcache.set_enabled(None)
-        diskcache.reset_stats()
