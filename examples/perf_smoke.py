@@ -52,7 +52,9 @@ from repro.benchsuite.ispc_suite import BENCHMARKS
 from repro.benchsuite.simdlib import KERNELS
 from repro.driver import compile_parsimony
 
-DEFAULT_KERNELS = "mandelbrot,noise,stencil"
+#: stencil's three full gangs per row run as one predicated trip, and
+#: binomial_options batches with its lattice expanded per gang.
+DEFAULT_KERNELS = "mandelbrot,noise,stencil,binomial_options"
 DEFAULT_IMPLS = "scalar,parsimony"
 
 #: Every (suite, implementations) pair the figure reports build.

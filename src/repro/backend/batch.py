@@ -19,17 +19,23 @@ generated code:
 
 * **Structure.**  The canonical gang loop — single scalar induction
   ``p = phi [0, entry], [p + G, latch]`` tested ``icmp ult p, bound`` —
-  is batched in place: its step becomes ``G·B``, its trip bound becomes
-  ``n_batch = bound & -(G·B)``, and an unmodified clone of the loop (the
-  *remainder loop*) picks up ``p`` at ``n_batch`` to run the last
-  ``< B`` gangs one at a time at the original width.
+  is batched in place: its step becomes ``G·B`` and its header
+  ``condbr`` carries ``batch_trip = (G, B)``.  A trip runs the ``r =
+  min(B, ⌈(bound − p)/G⌉)`` gangs left, so the last ``r < B`` gangs run
+  as one *predicated trip*: generated code masks off the inactive gangs'
+  loads, stores and atomics and counts only the active gangs in activity
+  counts and charges.  A ``batch.exit`` block on the exit edge charges
+  the unbatched loop's last header visit.
 * **Widening.**  A ``c``-lane vector inside the loop becomes ``c·B``
   lanes: B per-gang blocks side by side.  Vector constants tile per gang
   (each distinct constant once per loop); vectors defined outside the
-  loop (LICM-hoisted splats) are tiled once in the header.  Scalars
+  loop (LICM-hoisted splats) are tiled once, before the loop.  Scalars
   affine in ``__gang_base`` (``v = v0 + δ·gang_base``) stay scalar: the
   batched loop keeps gang 0's value, and every ``broadcast`` of a
-  ``δ≠0`` scalar gains a per-gang offset vector ``+ k·δ·G``.
+  ``δ≠0`` scalar gains a per-gang offset vector ``+ k·δ·G``.  A scalar
+  phi must be gang-invariant (δ=0, an optimistic fixpoint); in a
+  divergent loop it keeps stepping while any gang of the trip iterates,
+  so nothing computed from it may leave that loop.
 * **Per-gang segments.**  The paper's model (§3) makes horizontal
   operations synchronize the lanes of *one* gang, so the B gangs of a
   batched trip are B independent segments.  A ``shuffle`` whose index is
@@ -48,23 +54,35 @@ generated code:
   Δ bytes per gang is contiguous when Δ is its own width; otherwise it
   keeps its opcode and becomes *row-strided* (``segments = B``,
   ``row_stride = Δ``): B rows of its narrow lanes, Δ bytes apart.
+* **Private storage.**  An alloca outside the loop whose in-loop uses
+  are packed ``vload``/``vstore`` at gang-invariant offsets (the §4.2.3
+  SoA rows, reached through ``gep`` only) is expanded per gang: those
+  accesses get the VM block's layout, ``private = rows`` and
+  ``row_bytes``, and generated code serves them from a ``(rows, G·B)``
+  array, flagging each row a trip stores for every active lane.  The VM
+  block keeps its size and receives the last active gang's flagged rows
+  at the end of every trip; a read of an unflagged row or a partial
+  store replays the launch on the twin.
 * **Accounting.**  Every original loop instruction is annotated with
-  narrow *charge prototypes* plus a multiplicity (``B``, or the live
-  gang count of the enclosing divergent loop), so generated code charges
-  exactly what the unbatched build would have — ``ExecStats`` stay
-  bit-identical by construction.  Inserted helper instructions charge
-  nothing; the gang backedge charges the whole per-gang loop overhead
-  (phi/icmp/condbr/add/br) ×B.
+  narrow *charge prototypes* plus a multiplicity (the trip's active gang
+  count, or the live gang count of the enclosing divergent loop), so
+  generated code charges exactly what the unbatched build would have —
+  ``ExecStats`` stay bit-identical by construction.  Inserted helper
+  instructions charge nothing; the gang backedge charges the whole
+  per-gang loop overhead (phi/icmp/condbr/add/br) once per active gang,
+  and the exit block the last header visit.
 * **Legality.**  Rejected with a reason (surfaced as
-  ``vm.batch.rejected`` telemetry), the loop then runs unbatched:
-  private allocas reused across gangs; scalar ``load``/``store``,
+  ``vm.batch.rejected`` telemetry), the loop then runs unbatched: an
+  alloca in the loop, private storage read through a gather or whose
+  address escapes; scalar ``load``/``store``,
   ``scatter``, ``insertelement``/``extractelement``, ``shuffle2``,
   ``mask_all``/``mask_popcnt`` and ``psim.*`` calls; a shuffle whose
   index the loop computes (a runtime index); float reductions and float
   atomics; per-gang values reaching an address, a branch, a store or any
   other op; an atomic on a gang-dependent cell, under a divergent loop
   or with a used result; partial-fallback seams; non-affine
-  gang-dependent scalars; gang-dependent branches; values escaping the
+  gang-dependent scalars and phis; scalar loop state leaving its
+  divergent loop; gang-dependent branches; values escaping the
   loop; accesses whose rows would overlap (Δ below the access's width);
   and stores that may overlap across gangs.  That last check groups the
   loop's stores by symbolic base (the sum of the address's
@@ -77,9 +95,9 @@ generated code:
 * **Traps.**  Any trap inside a batched run is replayed wholesale on the
   twin by the interpreter, so trap ordering, messages, and
   trap-point ``ExecStats`` stay bit-identical to the unbatched engine.
-  Spurious batched-only traps (a finished gang's unmasked arithmetic
-  feeding ``sdiv``, say) are therefore harmless: the replay completes
-  cleanly and its results stand.
+  Spurious batched-only traps (a finished or inactive gang's unmasked
+  arithmetic feeding ``sdiv``, say) are therefore harmless: the replay
+  completes cleanly and its results stand.
 """
 
 from __future__ import annotations
@@ -133,6 +151,10 @@ class BatchReport(dict):
     """``{"factor": B, "applied": [...], "rejected": [(fn, loop, reason)]}``."""
 
 
+#: Lanes a nested gang loop's trip may span (see :func:`select_batch_factor`).
+NESTED_TRIP_LANES = 64
+
+
 def select_batch_factor(gang_size: int, requested: Optional[int] = None,
                         machine=None, straight_line: bool = False,
                         nested: bool = False) -> int:
@@ -143,9 +165,10 @@ def select_batch_factor(gang_size: int, requested: Optional[int] = None,
     register/lane width when one is given and aims higher for a
     ``straight_line`` loop body.  A ``nested`` gang loop — one inside
     another loop, re-entered once per outer iteration to cover one row —
-    gets at most 2: at wider factors its batched trip is empty on a short
-    row, yet every entry still pays for it (stencil's 62-thread rows run
-    fastest at B=2).  Returns 1 when batching is not worthwhile.
+    gets at most :data:`NESTED_TRIP_LANES` lanes, and at least 2 gangs: a
+    short row holds few gangs, and every row pays for whole trips however
+    few of them it fills (stencil's 62-thread rows run as one trip at
+    G=16, B=4).  Returns 1 when batching is not worthwhile.
     """
     if requested is not None:
         if requested < 2:
@@ -155,7 +178,9 @@ def select_batch_factor(gang_size: int, requested: Optional[int] = None,
             b *= 2
         return b
     suggestion = suggest_batch_factor(gang_size, machine, straight_line)
-    return min(2, suggestion) if nested else suggestion
+    if nested:
+        return min(suggestion, max(2, NESTED_TRIP_LANES // gang_size))
+    return suggestion
 
 
 def batching_request() -> Optional[int]:
@@ -192,15 +217,14 @@ def _signed(c: Constant) -> int:
 
 
 class _GangLoop:
-    __slots__ = ("loop", "phi", "icmp", "condbr", "bound", "inc", "gang",
+    __slots__ = ("loop", "phi", "icmp", "condbr", "inc", "gang",
                  "entry_pred", "latch")
 
-    def __init__(self, loop, phi, icmp, condbr, bound, inc, gang, entry_pred, latch):
+    def __init__(self, loop, phi, icmp, condbr, inc, gang, entry_pred, latch):
         self.loop = loop
         self.phi = phi
         self.icmp = icmp
         self.condbr = condbr
-        self.bound = bound
         self.inc = inc
         self.gang = gang
         self.entry_pred = entry_pred
@@ -263,7 +287,7 @@ def _match_gang_loop(loop: Loop) -> Optional[_GangLoop]:
         return None
     if not (isinstance(init, Constant) and init.value == 0):
         return None
-    return _GangLoop(loop, p, cmp, term, bound, inc, gang, entry_preds[0], latch)
+    return _GangLoop(loop, p, cmp, term, inc, gang, entry_preds[0], latch)
 
 
 # -- divergent inner loops -----------------------------------------------------------
@@ -306,10 +330,6 @@ def _match_divergent_loop(inner: Loop, gang: int):
         return None, "divergent condbr has no in-loop edge"
     if term.operands[3 - taken_idx] in inner.blocks:
         return None, "divergent condbr never exits"
-    for block in inner.blocks:
-        for phi in block.phis():
-            if not isinstance(phi.type, VectorType):
-                return None, "scalar loop-carried state in divergent loop"
     return _DivergentLoop(inner, inner.header.name, cond, term, taken_idx), None
 
 
@@ -330,9 +350,15 @@ def _scalar_forms(gl: _GangLoop, blocks_rpo: List[BasicBlock],
       from one, in RPO (a dict used as an ordered set, so rejection
       reasons are deterministic): a different value per gang, which the
       batched loop holds as B lanes.
+
+    Scalar phis start at δ=0 and keep it when every incoming value comes
+    out δ=0 (an optimistic fixpoint); any other phi gets ``None``.
     """
     deltas: Dict[Value, Optional[int]] = {gl.phi: 1}
     per_gang: Dict[Instruction, None] = {}
+    phis = [phi for block in blocks_rpo for phi in block.phis()
+            if phi not in skip and not isinstance(phi.type, VectorType)]
+    deltas.update(dict.fromkeys(phis, 0))
 
     def delta_of(v: Value) -> Optional[int]:
         if isinstance(v, Instruction):
@@ -343,7 +369,8 @@ def _scalar_forms(gl: _GangLoop, blocks_rpo: List[BasicBlock],
 
     for block in blocks_rpo:
         for instr in block.instructions:
-            if instr in skip or isinstance(instr.type, VectorType):
+            if instr in skip or instr in deltas or isinstance(
+                    instr.type, VectorType):
                 continue
             op = instr.opcode
             ops = instr.operands
@@ -383,7 +410,85 @@ def _scalar_forms(gl: _GangLoop, blocks_rpo: List[BasicBlock],
                     # Any op over gang-invariant scalars is gang-invariant.
                     d = 0
             deltas[instr] = d
+    for phi in phis:
+        if any(delta_of(v) != 0 for v, _ in phi.phi_incoming()):
+            deltas[phi] = None
     return deltas, per_gang, delta_of
+
+
+def _loop_state_reason(divergent: List["_DivergentLoop"],
+                       ordered: List[BasicBlock]) -> Optional[str]:
+    """A scalar phi in a divergent loop steps while *any* gang of the
+    trip iterates: nothing computed from it may leave the innermost
+    divergent loop holding it."""
+    for block in ordered:
+        loops = [dl.loop.blocks for dl in divergent if block in dl.loop.blocks]
+        if not loops:
+            continue
+        inner = min(loops, key=len)
+        work = [p for p in block.phis() if not isinstance(p.type, VectorType)]
+        seen = set(work)
+        while work:
+            for user, _ in work.pop().uses:
+                if user.parent not in inner:
+                    return "scalar loop state leaves its divergent loop"
+                if user not in seen and not isinstance(user.type, VectorType):
+                    seen.add(user)
+                    work.append(user)
+    return None
+
+
+#: Which operand of a memory op is its address.
+_ADDRESS_OPERAND = {"load": 0, "vload": 0, "gather": 0, "atomicrmw": 0,
+                    "store": 1, "vstore": 1, "scatter": 1}
+
+
+def _private_storage(function: Function, loop_blocks: Set[BasicBlock],
+                     delta_of):
+    """The allocas the loop expands per gang, ``{alloca: (rows,
+    row_bytes, accesses)}`` (see the module docstring), or a rejection
+    reason.  Accesses outside the loop use the VM block, which every
+    trip leaves as the unbatched gangs would."""
+    expanded = {}
+    for alloca in function.instructions():
+        if alloca.opcode != "alloca" or alloca.parent in loop_blocks:
+            continue
+        chain, seen, work = {alloca}, {alloca}, [alloca]
+        accesses: List[Instruction] = []
+        escapes = False
+        while work:
+            v = work.pop()
+            for user, idx in v.uses:
+                op = user.opcode
+                inside = user.parent in loop_blocks
+                if op in ("call", "ret") or idx != _ADDRESS_OPERAND.get(op, idx):
+                    return "private storage escapes"  # passed, or stored
+                if inside and op == "gather":
+                    return "private storage read through a gather"
+                if op in ("vload", "vstore") and v in chain:
+                    if inside:
+                        accesses.append(user)
+                elif (op == "gep" and idx == 0 and v in chain
+                        and not isinstance(user.type, VectorType)
+                        and (not inside or delta_of(user) == 0)):
+                    chain.add(user)
+                else:
+                    escapes = escapes or inside
+                if user not in seen and op not in _ADDRESS_OPERAND:
+                    seen.add(user)
+                    work.append(user)
+        if escapes:
+            return "private storage escapes"
+        if accesses:
+            types = {a.type if a.opcode == "vload" else a.operands[0].type
+                     for a in accesses}
+            if len(types) > 1:
+                return "private storage accessed at different widths"
+            (vtype,) = types
+            row = vtype.count * vtype.elem.size_bytes()
+            size = alloca.type.pointee.size_bytes() * alloca.attrs.get("count", 1)
+            expanded[alloca] = (size // row, row, accesses)
+    return expanded
 
 
 def _per_gang_reason(per_gang: Dict[Instruction, None], delta_of) -> Optional[str]:
@@ -606,9 +711,10 @@ def _constant_key(c: Constant):
 
 
 def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
-                    module: Module, protos: _Prototypes) -> Optional[str]:
-    """Batch one matched gang loop in place; returns a rejection reason or
-    ``None`` on success.  All legality checks run before any mutation."""
+                    module: Module, protos: _Prototypes):
+    """Batch one matched gang loop in place; returns a rejection reason,
+    or on success the allocas it expanded (see :func:`_private_storage`).
+    All legality checks run before any mutation."""
     loop = gl.loop
     gang = gl.gang
     loop_blocks = loop.blocks
@@ -619,10 +725,7 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
 
     header_fixed = {gl.phi, gl.icmp, gl.condbr, gl.inc}
 
-    # ---- legality: function- and loop-shape hazards --------------------------------
-    for instr in function.instructions():
-        if instr.opcode == "alloca":
-            return "private alloca storage is reused across gangs"
+    # ---- legality: loop-shape hazards ---------------------------------------------
     if gl.latch.terminator is None or gl.latch.terminator.opcode != "br":
         return "gang backedge is conditional"
     gang_exiting = [b for b in ordered
@@ -684,9 +787,6 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
                         and isinstance(instr.type, VectorType)
                         and len(callee.name.split(".")) == 4):
                     return f"cross-gang-unsafe call to {callee.name}"
-            if op == "phi" and not isinstance(instr.type, VectorType) \
-                    and instr is not gl.phi:
-                return "scalar loop-carried state in gang loop"
         for instr in block.instructions:
             for user, _ in instr.uses:
                 if isinstance(user, Instruction) and user.parent not in loop_blocks:
@@ -699,9 +799,14 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
         for instr in block.instructions:
             if deltas.get(instr, 0) is None:
                 return f"gang-dependent scalar {instr.opcode} is not affine"
-    reason = _per_gang_reason(per_gang, delta_of)
+    reason = (_per_gang_reason(per_gang, delta_of)
+              or _loop_state_reason(divergent, ordered))
     if reason is not None:
         return reason
+    private = _private_storage(function, loop_blocks, delta_of)
+    if isinstance(private, str):
+        return private
+    served = {a for _, _, accesses in private.values() for a in accesses}
 
     # ---- legality: memory access, atomic and branch forms --------------------------
     row_strides: Dict[Instruction, int] = {}
@@ -711,7 +816,7 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
     for block in ordered:
         for instr in block.instructions:
             op = instr.opcode
-            if op in ("vload", "vstore"):
+            if op in ("vload", "vstore") and instr not in served:
                 data = instr.type if op == "vload" else instr.operands[0].type
                 addr = instr.operands[0 if op == "vload" else 1]
                 esize = data.elem.size_bytes()
@@ -754,21 +859,6 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
 
     # ======= point of no return: all checks passed, start mutating ==================
 
-    # ---- remainder loop clone (of the still-unmodified loop) -----------------------
-    from ..passes.clone import clone_blocks
-
-    value_map: Dict[Value, Value] = {}
-    clone_blocks(ordered, function, value_map, name_suffix=".rem")
-    rheader = value_map[loop.header]
-    rphi = value_map[gl.phi]
-    # The remainder picks up the induction where the batched loop stops:
-    # its entry edge becomes (p, batched-header) instead of (0, entry).
-    for idx in range(1, len(rphi.operands), 2):
-        if rphi.operands[idx] is gl.entry_pred:
-            rphi.set_operand(idx - 1, gl.phi)
-            rphi.set_operand(idx, loop.header)
-            break
-
     # ---- annotate originals with narrow charge prototypes --------------------------
     ptype = gl.phi.type
     for block in ordered:
@@ -779,8 +869,9 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
     # Header bookkeeping executes once per *batched* iteration and charges
     # nothing; the backedge br instead charges the whole per-gang loop
     # overhead — phi copy, bound check, branch out of the header, the
-    # induction add, and the backedge itself — ×B, which reconciles the
-    # narrow engine's header accounting exactly.
+    # induction add, and the backedge itself — once per active gang, and
+    # the exit block the last header visit, which reconciles the narrow
+    # engine's header accounting exactly.
     zero: Tuple[Instruction, ...] = ()
     for instr in (gl.phi, gl.icmp, gl.condbr, gl.inc):
         _annotate(instr, zero, 0)
@@ -791,34 +882,32 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
         protos.make("condbr", VOID, (I1,)),
         protos.make("add", ptype, (ptype, ptype)),
     )
-    _annotate(gl.latch.terminator, overhead, batch)
+    _annotate(gl.latch.terminator, overhead, (batch,))
     for dl in divergent:
         dl.mask_any.attrs["batch_activity"] = (dl.lid, batch, gang)
         dl.condbr.attrs["batch_backedge"] = (dl.lid, dl.taken_idx)
+    for rows, row, accesses in private.values():
+        for access in accesses:
+            access.attrs["private"] = rows
+            access.attrs["row_bytes"] = row
 
-    # ---- rewire the batched loop ---------------------------------------------------
+    # ---- rewire: a wider step, and an exit block -----------------------------------
     header = loop.header
     wide = gang * batch
-    n_batch = Instruction(
-        "and", gl.bound.type,
-        [gl.bound, Constant(gl.bound.type, -wide)],
-        name=function.unique_name("batch.n"),
-    )
-    _annotate(n_batch, zero, 0)
-    header.insert(header.first_non_phi_index(), n_batch)
-    gl.icmp.set_operand(1, n_batch)
-    exit_target = gl.condbr.operands[2]
-    gl.condbr.set_operand(2, rheader)
     gl.inc.set_operand(1, Constant(ptype, wide))
-    # The sole exit edge now leaves from the remainder header; exit-block
-    # phis naming the batched header as predecessor must follow it.
+    gl.condbr.attrs["batch_trip"] = (gang, batch)
+    exit_target = gl.condbr.operands[2]
+    done = function.add_block("batch.exit", before=exit_target)
+    done.append(Instruction("br", VOID, [exit_target]))
+    _annotate(done.terminator, overhead[1:4], 1)
+    gl.condbr.set_operand(2, done)
     for phi in exit_target.phis():
         for idx in range(1, len(phi.operands), 2):
             if phi.operands[idx] is header:
-                phi.set_operand(idx, rheader)
+                phi.set_operand(idx, done)
 
     # ---- widening ------------------------------------------------------------------
-    inserted: Set[Instruction] = {n_batch}
+    inserted: Set[Instruction] = set()
     tiles: Dict[Value, Instruction] = {}
     tile_indices: Dict[int, Constant] = {}
     constants: Dict[object, Constant] = {}
@@ -834,7 +923,7 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
         return ins
 
     def tile(v: Value) -> Instruction:
-        """Widen a loop-invariant c-lane vector once, in the header."""
+        """Widen a loop-invariant c-lane vector once, before the loop."""
         existing = tiles.get(v)
         if existing is not None:
             return existing
@@ -843,9 +932,9 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
         if index is None:
             index = tile_indices[count] = Constant.from_canonical(
                 VectorType(I32, count * batch), tuple(range(count)) * batch)
+        entry = gl.entry_pred
         sh = helper("shuffle", VectorType(v.type.elem, count * batch),
-                    [v, index], "batch.tile", header, header.instructions[
-                        header.first_non_phi_index()])
+                    [v, index], "batch.tile", entry, entry.terminator)
         tiles[v] = sh
         return sh
 
@@ -974,7 +1063,7 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
                     instr.set_operand(idx, m)
 
     function.attrs["batched"] = batch
-    return None
+    return private
 
 
 def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport:
@@ -1021,12 +1110,14 @@ def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport
                 rejected.append((function.name, gl.loop.header.name,
                                  "gang already at the lane target"))
                 continue
-            reason = _batch_one_loop(function, gl, b, module, protos)
-            if reason is None:
-                applied.append(f"{function.name}:{gl.loop.header.name}")
-                factor = max(factor, b)
+            result = _batch_one_loop(function, gl, b, module, protos)
+            if isinstance(result, str):
+                rejected.append((function.name, gl.loop.header.name, result))
             else:
-                rejected.append((function.name, gl.loop.header.name, reason))
+                applied.append(f"{function.name}:{gl.loop.header.name}" + "".join(
+                    f" private %{alloca.name} {rows} rows x {row} bytes"
+                    for alloca, (rows, row, _) in result.items()))
+                factor = max(factor, b)
     if not applied and not rejected:
         rejected.append(("<module>", "<none>", "no batchable gang loop found"))
     report = BatchReport(factor=factor if applied else 1,

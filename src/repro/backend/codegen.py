@@ -48,7 +48,17 @@ IR runs nowhere else):
   *specialized Python locals* (``_a0``/``_p0``) with the batch factor,
   gang width, and mask reshape emitted as literals (batch-factor
   specialization) — the activity-dict protocol only remains as a
-  fallback for shapes the specializer cannot prove.
+  fallback for shapes the specializer cannot prove;
+* a batched gang loop (its header ``condbr`` carries ``batch_trip``)
+  sets ``_r``, the gangs the trip runs, on entering each trip.  The
+  last trip may run fewer than B — the *predicated trip*: stores write
+  the active gangs' lanes only, every ``Memory`` slow path gets its mask
+  cut to them (:func:`_active_mask`), activity counts and atomic folds
+  take the first ``_r`` gangs; loads may read inactive lanes inside the
+  physical buffer, which carry no meaning.  Accesses to an alloca
+  expanded per gang (``private`` rows) use a ``(rows, G·B)`` array and
+  per-trip row flags instead of VM memory (:meth:`_Emitter._emit_private`),
+  written back at the gang backedge (:func:`_private_writeback`).
 
 Accounting contract
 -------------------
@@ -76,15 +86,16 @@ protocol covers the rest:
   never appears.  Around an internal call the accumulators flush and
   reset (the callee charges ``ExecStats`` directly), and the budget
   headroom re-derives;
-* batched blocks execute B gangs per step, and charge what those B
+* batched blocks execute up to B gangs per step, and charge what those
   gangs cost unbatched.  ``repro.backend.batch`` gives each annotated
   instruction narrow charge prototypes (``batch_charges``, read through
   :func:`batch_charge_items`) and a multiplicity spec (``batch_mult``):
   how many unbatched executions one batched step stands for.  A spec is
-  an int (loop-invariant code charges ×B, header bookkeeping ×0) or a
-  tuple of divergent-loop ids ending in the static B; the first id with
-  a live activity count wins, so code under a divergent loop charges
-  once per gang that would still be iterating unbatched.  A loop's
+  an int (header bookkeeping ×0, the exit block's last header visit ×1)
+  or a tuple of divergent-loop ids ending in the static B, which inside
+  the gang loop stands for ``_r``; the first id with a live activity
+  count wins, so code under a divergent loop charges once per gang that
+  would still be iterating unbatched.  A loop's
   pending count (its ``batch_activity`` ``mask_any``: the gangs with an
   active lane) commits at its ``batch_backedge`` and drops at its exit.
   Charges fold like plain ones, grouped by spec: static multiplicities
@@ -131,9 +142,10 @@ instruction's; the call itself is the plain flush + ``_exec``).
 
 Kept deliberately: ``function-too-large`` / ``deep-nesting`` (size
 guards), ``block-re-emitted`` (irreducible control flow the dispatch
-merge cannot structure), ``no-terminator`` / ``use-before-def``
-(malformed IR), and ``injected-fault`` (fault plans must not be
-double-counted through generated code).
+merge cannot structure), ``no-terminator`` / ``use-before-def`` /
+``batch-spec-outside-gang-loop`` / ``batch-trip-shape`` (malformed
+IR), and ``injected-fault`` (fault plans must not be double-counted
+through generated code).
 
 Emit-time folding
 -----------------
@@ -242,7 +254,7 @@ import functools
 import hashlib
 import linecache
 import struct
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -263,6 +275,7 @@ from ..ir.types import FloatType, IntType, VectorType
 from ..ir.values import Constant, UndefValue, Value
 from ..vm.interp import (
     ExecutionLimitExceeded,
+    _BatchedBailout,
     _constant_payload,
     _undef_payload,
     reduce_lanes,
@@ -456,6 +469,48 @@ def _budget_trap(interp, fname: str):
     """Raise the budget trap exactly as the dispatch loops word it."""
     limit = interp.max_instructions
     raise ExecutionLimitExceeded(f"exceeded {limit} instructions in @{fname}")
+
+
+def _active_mask(mask, count: int, lanes: int):
+    """``mask`` (``None``: every lane) cut to its first ``lanes`` lanes —
+    the active gangs of a predicated trip — for a ``Memory`` call."""
+    out = np.zeros(count, dtype=bool)
+    out[:lanes] = True if mask is None else mask[:lanes]
+    return out
+
+
+def _private_miss(mask, lanes: int, count: int, dtype):
+    """A load the expanded private copy cannot serve (a row this trip
+    has not stored, or an offset off the rows): zeros when no active
+    lane reads, else the launch replays on the unbatched twin."""
+    if mask is not None and not count_nonzero(mask[:lanes]):
+        return np.zeros(count, dtype)
+    raise _BatchedBailout("private storage read before the trip wrote it")
+
+
+def _private_writeback(memory, base: int, private, flags, lo: int, hi: int):
+    """End of a batched trip: every row of the VM block the trip stored
+    gets the last active gang's lanes ``private[k, lo:hi]`` — what the
+    unbatched gangs leave there."""
+    rows = [k for k, flag in enumerate(flags) if flag]
+    if rows:
+        block = np.ndarray((len(flags), hi - lo), private.dtype,
+                           memory.data, base)
+        block[rows] = private[rows, lo:hi]
+
+
+#: The gang loop being emitted: its ``batch_trip`` factors, header, and
+#: the allocas it expands, each ``alloca -> (rows, row bytes, lanes per
+#: gang, array local, flags local)``.
+_Trip = namedtuple("_Trip", "gang batch header privates")
+
+
+def _private_alloca(access: Instruction) -> Instruction:
+    """The alloca an access to expanded storage reaches through ``gep`` s."""
+    base = access.operands[0 if access.opcode == "vload" else 1]
+    while base.opcode == "gep":
+        base = base.operands[0]
+    return base
 
 
 def _uses_exactly(value: Value, user, idx: int) -> bool:
@@ -715,6 +770,8 @@ class _Emitter:
         #: instructions repeat a tuple already priced.
         self._charge_items: Dict[tuple, tuple] = {}
         self.exit_counter = 0
+        #: The gang loop being emitted (a :data:`_Trip`), or ``None``.
+        self.trip = None
         self._scan_batch_shapes()
 
     # -- divergent-activity specialization ---------------------------------------
@@ -796,26 +853,21 @@ class _Emitter:
             self.lid_pend[lid] = f"_p{n}"
 
     def _mult_expr(self, spec: tuple) -> str:
-        """Runtime multiplicity of a divergent spec: the first lid with a
-        live activity count wins, the trailing static B backstops."""
+        """Runtime multiplicity of a spec: the first lid with a live
+        activity count wins, the trip's gang count ``_r`` (the trailing
+        static B) backstops."""
         if self.act_ok:
             x = spec[0]
             if isinstance(x, int):
-                return str(x)
+                return "_r"
             a = self.lid_act[x]
             if self.lid_clean.get(x):
                 # Entry-init makes the local total: committed activity
                 # while iterating, the chain fallback otherwise.
                 return a
             return f"({a} if {a} is not None else {self._mult_expr(spec[1:])})"
-        lids: List[str] = []
-        tail = 0
-        for x in spec:
-            if isinstance(x, int):
-                tail = x
-                break
-            lids.append(x)
-        expr = repr(tail)
+        lids = [x for x in spec if isinstance(x, str)]
+        expr = "_r"
         for lid in reversed(lids):
             expr = f"_act.get({lid!r}, {expr})"
         return expr
@@ -925,9 +977,11 @@ class _Emitter:
         multiplicity, fold into at most one cycles add, one instruction
         add, one counter-local update per distinct key, one multiplicity
         resolve per divergent spec, and one budget check — all against
-        the function-local accumulators.  Instructions without batch
-        annotations charge plainly even inside a batched function (this
-        is what the remainder loop and mixed blocks rely on).
+        the function-local accumulators.  Inside a gang loop a spec's
+        static B stands for ``_r``, the gangs the trip runs (fewer than B
+        on the predicated last trip).  Instructions without batch
+        annotations charge plainly even inside a batched function (the
+        code around the gang loop, and mixed blocks, rely on this).
         Completed-run totals are bit-identical (dyadic costs sum exactly
         under any association; counts commute); a trap's exact
         trap-point stats come from the replay.
@@ -952,8 +1006,8 @@ class _Emitter:
                     items = self._charge_items[charges] = batch_charge_items(
                         ins, self.machine, cost)
                 spec = ins.attrs["batch_mult"]
-                if isinstance(spec, tuple) and isinstance(spec[0], int):
-                    spec = spec[0]  # outside every divergent loop: literal B
+                if isinstance(spec, tuple) and not self.trip:
+                    raise CodegenBailout("batch-spec-outside-gang-loop")
                 if isinstance(spec, int):
                     m = spec
                     if m:
@@ -996,15 +1050,18 @@ class _Emitter:
             if not mref.isidentifier():
                 self.line(f"_m = {mref}")
                 mref = "_m"
-            self.line(f"if {mref}:")
-            self.indent += 1
+            guard = mref != "_r"  # a trip runs at least one gang
+            if guard:
+                self.line(f"if {mref}:")
+                self.indent += 1
             if gcycles:
                 self.line(f"_cy += {gcycles!r} * {mref}")
             self.line(f"_ni += {ginstrs} * {mref}")
             for key, n in gcounts.items():
                 mult = mref if n == 1 else f"{n} * {mref}"
                 self.line(f"{self._count_local(key)} += {mult}")
-            self.indent -= 1
+            if guard:
+                self.indent -= 1
             checked = True
         if checked:
             self.line("if _ni > _rem:")
@@ -1385,8 +1442,11 @@ class _Emitter:
             t = ins.type
             old, x = self.name_of(ins), self.ref(ops[1])
             if "segments" in ins.attrs:
-                # Per-gang lanes: one read-modify-write with their fold.
+                # Per-gang lanes: one read-modify-write with the fold of
+                # the trip's active gangs.
                 fold = self.hoist(fold_lanes, key=("fold",))
+                if self.trip:
+                    x = f"{x}[:_r]"
                 self.line(f"_f = {fold}({rmw!r}, {t.bits}, {x})")
                 x = "_f"
             new = _int_binop_expr(rmw, t.bits, old, x) \
@@ -1396,21 +1456,22 @@ class _Emitter:
                                   key=("rmw", rmw, id(t)))
                 new = f"{impl}({old}, {x})"
             self._emit_cell(ins, t, self.ref(ops[0]), store=new)
-        elif op == "vload":
-            emit = self._emit_rows if "row_stride" in ins.attrs \
-                else self._emit_packed
-            emit(ins, ins.type, self.ref(ops[0]), ops[1])
-        elif op == "vstore":
-            emit = self._emit_rows if "row_stride" in ins.attrs \
-                else self._emit_packed
-            emit(ins, ops[0].type, self.ref(ops[1]), ops[2],
-                 store=self.ref(ops[0]))
+        elif op in ("vload", "vstore"):
+            attrs = ins.attrs
+            emit = self._emit_private if "private" in attrs else \
+                self._emit_rows if "row_stride" in attrs else self._emit_packed
+            if op == "vload":
+                emit(ins, ins.type, self.ref(ops[0]), ops[1])
+            else:
+                emit(ins, ops[0].type, self.ref(ops[1]), ops[2],
+                     store=self.ref(ops[0]))
         elif op == "gather":
             self.slow_sites += 1
+            mref = self._mask_ref(ops[1], self._mask_lanes(ops[1]))
             self.line(
                 f"{self.name_of(ins)} = _mem.gather({self.ref(ops[0])},"
                 f" {self._type(ins.type.elem)},"
-                f" {self._mask_ref(ops[1], self._mask_lanes(ops[1]))})"
+                f" {self._slow_mask(mref, ins.type.count)})"
             )
         else:  # scatter
             self.slow_sites += 1
@@ -1476,11 +1537,12 @@ class _Emitter:
         lanes = self._mask_lanes(mask)
         active, needed = lanes if lanes is not None else (count, count)
         mref = self._mask_ref(mask, lanes)
+        smask = self._slow_mask(mref, count)
         if store is None:
             dst = self.name_of(ins)
-            slow = f"{dst} = _mem.load_lanes({addr}, {dt}, {count}, {mref})"
+            slow = f"{dst} = _mem.load_lanes({addr}, {dt}, {count}, {smask})"
         else:
-            slow = f"_mem.store_lanes({addr}, {dt}, {store}, {mref})"
+            slow = f"_mem.store_lanes({addr}, {dt}, {store}, {smask})"
         self.inline_sites += 1
         if not needed:
             # No active lane: the address is never validated.
@@ -1489,16 +1551,28 @@ class _Emitter:
             return
         shift = dtype.itemsize.bit_length() - 1
         ln = self.hoist(len, key=("b", "len"))
-        test = f"_i < {NULL_GUARD >> shift} or _i + {needed} > {ln}(_w)"
+        keep = self._keep(mask, active, needed)
+        reach = needed
+        part = "" if needed == count else f"[:{needed}]"
+        if store is not None and self.trip:
+            # A store writes the active gangs' lanes only (a load may
+            # read the others: inactive lanes carry no meaning).
+            n = f"_r * {count // self.trip.batch}"
+            self.line(f"_n = {n}" if needed == count
+                      else f"_n = {needed} if {n} > {needed} else {n}")
+            reach, part = "_n", "[:_n]"
+            if keep is not None:
+                keep += "[:_n]"
+        test = f"_i < {NULL_GUARD >> shift} or _i + {reach} > {ln}(_w)"
         if shift:
             test = f"{addr} & {dtype.itemsize - 1} or {test}"
         if lanes is None:
             test += f" or {self._cnz()}({mref}) != {count}"
-        span = f"_w[_i:_i + {needed}]"
-        part = "" if needed == count else f"[:{needed}]"
-        keep = self._keep(mask, active, needed)
+        span = f"_w[_i:_i + {reach}]"
         if store is not None:
-            inline = [f"_e = {addr} + {needed * dtype.itemsize}",
+            nbytes = needed * dtype.itemsize if reach == needed \
+                else f"_n * {dtype.itemsize}"
+            inline = [f"_e = {addr} + {nbytes}",
                       "if _e > _mem._extent:",
                       "    _mem._extent = _e",
                       f"{span} = {store}{part}" if keep is None else
@@ -1545,31 +1619,37 @@ class _Emitter:
         keep = self._keep(mask, active, needed)
         mref = "None" if lanes is not None and active == width \
             else self.ref(mask)
+        smask = self._slow_mask(mref, count)
         if store is None:
             dst = self.name_of(ins)
             slow = (f"{dst} = _mem.load_rows({addr}, {dt}, {count}, {rows},"
-                    f" {stride}, {mref})")
+                    f" {stride}, {smask})")
         else:
             slow = (f"_mem.store_rows({addr}, {dt}, {store}, {rows},"
-                    f" {stride}, {mref})")
+                    f" {stride}, {smask})")
         self.inline_sites += 1
         if not needed:
             # No active lane: the address is never validated.
             if store is None:
                 self.line(f"{dst} = {self._np(np.zeros)}({count}, {dt})")
             return
-        span = (rows - 1) * stride + needed * dtype.itemsize
+        # A store in a gang loop writes the rows of the trip's active
+        # gangs only (a load may read the others).
+        live = "_r" if store is not None and self.trip else rows
+        span = (rows - 1) * stride + needed * dtype.itemsize if live == rows \
+            else f"(_r - 1) * {stride} + {needed * dtype.itemsize}"
         ln = self.hoist(len, key=("b", "len"))
         test = f"{addr} < {NULL_GUARD} or {addr} + {span} > {ln}(_d)"
         if lanes is None:
             test += f" or {self._cnz()}({mref}) != {count}"
         nd = self.hoist(np.ndarray, key=("np", "ndarray"))
-        view = (f"{nd}(({rows}, {needed}), {dt}, _d, {addr},"
+        view = (f"{nd}(({live}, {needed}), {dt}, _d, {addr},"
                 f" ({stride}, {dtype.itemsize}))")
         part = "" if needed == width else f"[:, :{needed}]"
         copyto = self._np(np.copyto)
         if store is not None:
-            src = f"{store}.reshape({rows}, {width}){part}"
+            src = f"{store}.reshape({rows}, {width})"
+            src += part if live == rows else f"[:_r]{part}"
             inline = [f"_e = {addr} + {span}",
                       "if _e > _mem._extent:",
                       "    _mem._extent = _e",
@@ -1586,6 +1666,68 @@ class _Emitter:
         self.lines += [f"{pad}_d = _mem.data", f"{pad}if {test}:",
                        f"{pad}    {slow}", f"{pad}else:"]
         self.lines += [f"{pad}    {text}" for text in inline]
+
+    def _slow_mask(self, mref: str, count: int) -> str:
+        """The mask a ``Memory`` call gets: in a gang loop, cut to the
+        active gangs' lanes on a predicated trip."""
+        if not self.trip:
+            return mref
+        batch = self.trip.batch
+        cut = self.hoist(_active_mask, key=("b", "active_mask"))
+        return (f"({mref} if _r == {batch} else"
+                f" {cut}({mref}, {count}, _r * {count // batch}))")
+
+    def _emit_private(self, ins, vtype, addr: str, mask: Value,
+                      store: Optional[str] = None) -> None:
+        """A ``vload``/``vstore`` of per-gang expanded storage (see
+        :mod:`repro.backend.batch`): row ``(addr - alloca) / row_bytes``
+        of the trip's ``(rows, G·B)`` array.  A store whose mask covers
+        every active lane writes the row and flags it; any other store
+        with an active lane, and a load with an active lane from an
+        unflagged row or an offset off the rows, replay the launch on the
+        unbatched twin (``_BatchedBailout``)."""
+        base = _private_alloca(ins)
+        rows, row_bytes, lanes_per_gang, array, flags = \
+            self.trip.privates[base]
+        count = vtype.count
+        lanes = self._mask_lanes(mask)
+        if lanes is not None and not lanes[1]:
+            if store is None:  # no active lane: nothing read or checked
+                self.line(f"{self.name_of(ins)} = {self._np(np.zeros)}("
+                          f"{count}, {self._dtype(vtype.elem)})")
+            return
+        self.inline_sites += 1
+        full = lanes is not None and lanes[0] == count
+        mref = self._mask_ref(mask, lanes)
+        n = f"_r * {lanes_per_gang}"
+        cnz = self._cnz()
+        off = f"_o % {row_bytes} or not 0 <= _k < {rows}"
+        self.line(f"_o = {addr} - {self.ref(base)}")
+        self.line(f"_k = _o // {row_bytes}")
+        if store is not None:
+            bail = self.hoist(_BatchedBailout, key=("b", "bailout"))
+            if not full:
+                self.line(f"_n = {cnz}({mref}[:{n}])")
+                self.line("if _n:")
+                self.indent += 1
+                off += f" or _n != {n}"
+            self.line(f"if {off}:")
+            self.line(f"    raise {bail}('partial store to private storage')")
+            self.line(f"{array}[_k] = {store}")
+            self.line(f"{flags}[_k] = 1")
+            if not full:
+                self.indent -= 1
+            return
+        dst = self.name_of(ins)
+        miss = self.hoist(_private_miss, key=("b", "private_miss"))
+        self.line(f"if {off} or not {flags}[_k]:")
+        self.line(f"    {dst} = {miss}({mref}, {n}, {count},"
+                  f" {self._dtype(vtype.elem)})")
+        self.line("else:")
+        self.line(f"    {dst} = {array}[_k].copy()")
+        if not full:
+            self.line(f"    if {cnz}({mref}[:{n}]) != {n}:")
+            self.line(f"        {dst}[~{mref}] = 0")
 
     def _keep(self, mask: Value, active: int, needed: int) -> Optional[str]:
         """The hoisted keep-vector of a known mask whose first ``needed``
@@ -1642,8 +1784,9 @@ class _Emitter:
         inlined as a literal."""
         mask = self.ref(ins.operands[0])
         lid, batch = ba[0], ba[1]
+        active = "[:_r]" if self.trip else ""  # the trip's gangs only
         expr = (f"{self._int()}({self._cnz()}("
-                f"{mask}.reshape({batch}, -1).any(axis=1)))")
+                f"{mask}.reshape({batch}, -1){active}.any(axis=1)))")
         p = self.lid_pend.get(lid)
         if p is not None:
             self.line(f"{p} = {expr}")
@@ -1730,6 +1873,10 @@ class _Emitter:
                 tail = self.lid_tail.get(lid)
                 if tail is not None:
                     self.line(f"{self.lid_act[lid]} = {self._mult_expr(tail)}")
+        outer_trip = self.trip
+        trip = self.fn_batched and header.instructions[-1].attrs.get("batch_trip")
+        if trip:
+            self._emit_trip_entry(loop, trip)
         frame = _LoopFrame(loop)
         self.line("while True:")
         self.open.append(frame)
@@ -1737,6 +1884,7 @@ class _Emitter:
         self._suite(lambda: self.emit_from(header, None))
         self.open.pop()
         self.open_headers.discard(header)
+        self.trip = outer_trip
         targets = frame.targets
         if not targets:
             return None  # infinite loop: nothing after is reachable
@@ -1777,6 +1925,49 @@ class _Emitter:
                 lambda t=target: self._emit_dispatch_arm(t, arm_stop)
             )
         return join
+
+    def _emit_trip_entry(self, loop: Loop, trip: tuple) -> None:
+        """Entering a batched gang loop: its trip state, and one
+        ``(rows, G·B)`` array per alloca it expands."""
+        gang, batch = trip
+        privates = {}
+        for block in loop.ordered_blocks():
+            for ins in block.instructions:
+                rows = ins.attrs.get("private")
+                if rows is None:
+                    continue
+                base = _private_alloca(ins)
+                if base not in privates:
+                    name = self.ref(base)
+                    vtype = ins.type if ins.opcode == "vload" \
+                        else ins.operands[0].type
+                    row_bytes = ins.attrs["row_bytes"]
+                    privates[base] = (
+                        rows, row_bytes, row_bytes // vtype.elem.size_bytes(),
+                        f"_P{name}", f"_F{name}")
+                    self.line(f"_P{name} = {self._np(np.empty)}(({rows},"
+                              f" {vtype.count}), {self._dtype(vtype.elem)})")
+        self.trip = _Trip(gang, batch, loop.header, privates)
+
+    def _emit_trip_count(self, term) -> None:
+        """Entering a trip of the gang loop: ``_r``, the gangs it runs —
+        B, or the ``r < B`` left for the predicated last trip — and no
+        private row stored yet."""
+        gang, batch = term.attrs["batch_trip"]
+        cond = term.operands[0]
+        left = f"{self.ref(cond.operands[1])} - {self.ref(cond.operands[0])}"
+        self.line(f"_r = {batch} if {left} >= {gang * batch} else"
+                  f" ({left} + {gang - 1}) >> {gang.bit_length() - 1}")
+        for rows, _, _, _, flags in self.trip.privates.values():
+            self.line(f"{flags} = [0] * {rows}")
+
+    def _emit_writeback(self) -> None:
+        """End of a trip (the gang backedge): each expanded alloca's VM
+        block gets the last active gang's stored rows."""
+        wb = self.hoist(_private_writeback, key=("b", "writeback"))
+        for base, (_, _, lanes, array, flags) in self.trip.privates.items():
+            self.line(f"{wb}(_mem, {self.ref(base)}, {array}, {flags},"
+                      f" (_r - 1) * {lanes}, _r * {lanes})")
 
     def _emit_dispatch_arm(self, target: BasicBlock,
                            stop: Optional[BasicBlock]) -> None:
@@ -1865,6 +2056,14 @@ class _Emitter:
         emit_n = len(body) - 1 if fold is not None else len(body)
         for ins in body[:emit_n]:
             op = ins.opcode
+            ba = ins.attrs.get("batch_activity") if self.fn_batched else None
+            if ba is not None:
+                # A divergent backedge's mask_any the condbr does not fold:
+                # the trip's gangs with an active lane, and whether any is.
+                self.emit_pend(ins, ba)
+                pend = self.lid_pend.get(ba[0], f"_pend[{ba[0]!r}]")
+                self.line(f"{self.name_of(ins)} = 1 if {pend} else 0")
+                continue
             if op == "call":
                 self.emit_call(ins)
             elif op in _COMPUTE_OPS:
@@ -1873,10 +2072,6 @@ class _Emitter:
                 self.emit_memory(ins)
             else:
                 raise CodegenBailout(f"opcode:{op}")
-            if self.fn_batched:
-                ba = ins.attrs.get("batch_activity")
-                if ba is not None:
-                    self.emit_pend(ins, ba)
         cond_expr = self._fold_cond_expr(fold) if fold is not None else None
         return self.emit_terminator(block, term, stop, cond_expr)
 
@@ -1908,6 +2103,8 @@ class _Emitter:
             self.line(f"raise _VMTrap({self._unreachable_msg()!r})")
             return None
         if op == "br":
+            if self.trip and term.operands[0] is self.trip.header:
+                self._emit_writeback()
             self.emit_phi_moves(block, term.operands[0])
             return self._goto(term.operands[0], stop)
         if op == "condbr":
@@ -1936,9 +2133,16 @@ class _Emitter:
                         f"_pend.pop({lid!r}, None)",
                     ]
                 commits = (commit, drop) if taken_idx == 1 else (drop, commit)
-            return self.emit_condbr(
+            body = self.emit_condbr(
                 block, cond, term.operands[1], term.operands[2], stop, commits
             )
+            if self.fn_batched and "batch_trip" in term.attrs:
+                # The gang loop's header: the exit was a guarded break,
+                # and what follows is its body.
+                if body is not term.operands[1]:
+                    raise CodegenBailout("batch-trip-shape")
+                self._emit_trip_count(term)
+            return body
         raise CodegenBailout(f"terminator:{op}")
 
     def _goto(self, target: BasicBlock,

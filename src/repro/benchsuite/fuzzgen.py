@@ -22,7 +22,14 @@ body, so the sync point executes repeatedly under loop control flow.
 Integer reductions sit *before* the divergent body and feed the
 per-lane state back (a broadcast of the per-gang result) and, half the
 time, one gang-wide atomic on the cell ``IOUT[n]`` past the per-lane
-outputs: the forms gang batching keeps per gang.
+outputs: the forms gang batching keeps per gang.  A per-thread array
+written and then read at *uniform* indices (``u[k]`` in counted loops:
+packed SoA rows, which gang batching expands per gang) sits before the
+divergent body, where the loop counters are still uniform.  In its
+*read-before-write* variant the writes skip row 0, which no thread
+writes, so every build reads the zeroed block there — and a batched
+build, which holds no copy of an unwritten row, replays on its unbatched
+twin (``FuzzKernel.reads_unwritten``).
 
 Everything is derived from one integer seed via ``random.Random``, so a
 failing kernel reproduces from its seed alone.
@@ -58,7 +65,8 @@ class FuzzKernel:
     #: exists, so degraded compiles must raise instead of falling back.
     has_reduction: bool = False
     #: Kernel declares a lane-private array (exercises the SoA-swizzled
-    #: blocked layout and, under gang batching, its legality rejection).
+    #: blocked layout and, read through a gather, the batching legality
+    #: rejection).
     has_private: bool = False
     #: Kernel calls ``psim_shuffle_sync`` (cross-lane exchange): like
     #: reductions, no scalar strategy exists.
@@ -68,6 +76,11 @@ class FuzzKernel:
     has_int_reduction: bool = False
     #: ... and adds the result into ``IOUT[n]`` with one atomic per gang.
     has_atomic: bool = False
+    #: Kernel writes and reads a per-thread array at uniform indices ...
+    has_uniform_array: bool = False
+    #: ... and reads a row of it no thread writes: a batched build that
+    #: expands the array replays on its unbatched twin.
+    reads_unwritten: bool = False
 
     @property
     def refuses_whole_fallback(self) -> bool:
@@ -317,6 +330,25 @@ class _Gen:
                     "        if (psim_get_lane_num() == 0) {\n"
                     f"            {self.rng.choice(_ATOMICS)}(IOUT + n, ired);\n"
                     "        }\n")
+        # Per-thread array at uniform indices (drawn after everything
+        # else, like the integer reductions): written in one counted loop,
+        # read in the next; the read-before-write variant skips row 0.
+        uniform_line = ""
+        uniform = self.rng.random() < 0.50
+        unwritten = uniform and self.rng.random() < 0.40
+        if uniform:
+            uniform_line = (
+                f"        f32 u[{_PRIVATE_LEN}];\n"
+                f"        i32 uw = {int(unwritten)};\n"
+                f"        while (uw < {_PRIVATE_LEN}) {{\n"
+                "            u[(u64)uw] = x * 0.5f + (f32)uw;\n"
+                "            uw = uw + 1;\n"
+                "        }\n"
+                "        i32 ur = 0;\n"
+                f"        while (ur < {_PRIVATE_LEN}) {{\n"
+                "            y = y + u[(u64)ur] * 0.25f;\n"
+                "            ur = ur + 1;\n"
+                "        }\n")
         source = f"""
 void kernel(f32* A, f32* B, i32* C, f32* OUT, i32* IOUT,
             f32 sv, i32 si, u64 n) {{
@@ -328,7 +360,7 @@ void kernel(f32* A, f32* B, i32* C, f32* OUT, i32* IOUT,
         f32 x = va * 0.5f;
         f32 y = sv - vb;
         i32 q = si + p;
-{int_line}{decls}{body}
+{int_line}{decls}{uniform_line}{body}
 {shuffle_line}{reduce_line}        OUT[i] = x + y;
         IOUT[i] = p + q * 3;
     }}
@@ -340,7 +372,9 @@ void kernel(f32* A, f32* B, i32* C, f32* OUT, i32* IOUT,
                           has_private=self.private,
                           has_shuffle=self.shuffle,
                           has_int_reduction=int_reduction,
-                          has_atomic=atomic)
+                          has_atomic=atomic,
+                          has_uniform_array=uniform,
+                          reads_unwritten=unwritten)
 
 
 def generate_kernel(seed: int) -> FuzzKernel:

@@ -39,9 +39,11 @@ def _format_bare(value: Value) -> str:
 
 
 #: Gang-batching attrs (see :mod:`repro.backend.batch`), printed after
-#: the instruction as ``name value`` pairs: per-gang ``segments`` and the
-#: byte ``row_stride`` of a row-strided ``vload``/``vstore``.
-BATCH_FORM_ATTRS = ("segments", "row_stride")
+#: the instruction as ``name value`` pairs: per-gang ``segments``, the
+#: byte ``row_stride`` of a row-strided ``vload``/``vstore``, and the
+#: ``private`` row count and ``row_bytes`` of an access to per-gang
+#: expanded storage.
+BATCH_FORM_ATTRS = ("segments", "row_stride", "private", "row_bytes")
 
 
 def format_instruction(instr: Instruction) -> str:

@@ -30,14 +30,17 @@ by contract.  Bailouts are legal (the kernel silently runs on the
 reference engine) but tallied, so a corpus where codegen never compiles
 fails the suite.
 
-Every third seed additionally pits a **gang-batched** build (forced
-``batch_request=2`` — auto selection would pick a batch too wide for 37
-threads and route everything through the remainder loop) against an
-unbatched build, comparing outputs *and* ``ExecStats`` bitwise: gang
-batching is accounting-transparent by contract, so cycles, instruction
-counts, and per-opcode tallies must not move.  The leg reaches the
-per-gang forms: constant-index shuffles, integer reductions and the
-atomics that fold them.
+Every third seed additionally pits two **gang-batched** builds — forced
+``batch_request=2``, which runs full trips and a predicated last trip,
+and the cost model's factor, whose one trip over 37 threads is
+predicated — against an unbatched build, comparing outputs *and*
+``ExecStats`` bitwise: gang batching is accounting-transparent by
+contract, so cycles, instruction counts, and per-opcode tallies must not
+move.  The leg reaches the per-gang forms: constant-index shuffles,
+integer reductions and the atomics that fold them, and per-thread arrays
+at uniform indices expanded per gang.  A kernel that reads a row of such
+an array no thread writes (``FuzzKernel.reads_unwritten``) must replay on
+the unbatched twin.
 
 Every ~25th seed compiles the kernel in a *subprocess* with the disk
 cache on, rehydrates that entry in this process, and runs it: cold,
@@ -85,10 +88,12 @@ _BATCH_EVERY = 3
 #: assert the batching layer actually engages on the fuzz corpus.
 _BATCH_CORPUS = {"batched": 0, "rejected": 0}
 
-#: Batched kernels carrying each gang-local horizontal form (lane
-#: exchanges, integer reductions, the atomics folding them): the leg must
-#: reach every per-gang segment form, not only elementwise code.
-_BATCH_FORMS = {"shuffle": 0, "int_reduction": 0, "atomic": 0}
+#: Batched kernels carrying each gang-local form (lane exchanges, integer
+#: reductions, the atomics folding them, storage expanded per gang, and a
+#: read of an unwritten row that replayed): the leg must reach every one,
+#: not only elementwise code.
+_BATCH_FORMS = {"shuffle": 0, "int_reduction": 0, "atomic": 0,
+                "expanded": 0, "replayed": 0}
 
 #: Every Nth seed also runs the forced-codegen differential below.
 _CODEGEN_EVERY = 5
@@ -120,7 +125,9 @@ def _xproc_cache_dir():
     return _XPROC_DIR
 
 
-def _run(module, seed, **engine):
+def _run(module, seed, replays=None, **engine):
+    """Outputs and ``ExecStats`` of one launch; with ``replays``, assert
+    how many times it replayed on the unbatched twin."""
     A, B, C, OUT, IOUT, sv, si = workload_arrays(seed)
     interp = Interpreter(module, **engine)
     a = interp.memory.alloc_array(A)
@@ -133,6 +140,8 @@ def _run(module, seed, **engine):
         interp.memory.read_array(out, np.float32, N_THREADS),
         interp.memory.read_array(iout, np.int32, N_THREADS + 1),
     )
+    if replays is not None:
+        assert interp.batch_replays == replays
     return outputs, interp.stats
 
 
@@ -220,29 +229,35 @@ def test_differential_fuzz_kernel(seed):
 
 
 def _batched_differential(kernel, seed, plain_out, context):
-    """Forced-batch build vs unbatched build: outputs and ExecStats."""
+    """Batched builds (forced B=2, and the cost model's factor) vs the
+    unbatched build: outputs and ExecStats."""
     reference = compile_parsimony(kernel.source, batch_request=0)
-    # B=2: small enough that batched bodies execute real trips at every
-    # gang size (auto selection over 37 threads would not).
-    batched = compile_parsimony(kernel.source, batch_request=2)
-    applied = bool(batched.attrs.get("batch_applied"))
-    _BATCH_CORPUS["batched" if applied else "rejected"] += 1
-    if applied:
-        for form, present in (("shuffle", kernel.has_shuffle),
-                              ("int_reduction", kernel.has_int_reduction),
-                              ("atomic", kernel.has_atomic)):
-            _BATCH_FORMS[form] += present
-
-    ref_out, ref_stats = _run(reference, seed)
-    got_out, got_stats = _run(batched, seed)
+    ref_out, ref_stats = _run(reference, seed, replays=0)
     _assert_same(ref_out, plain_out, f"unbatched vs plain: {context}")
-    _assert_same(got_out, ref_out, f"batched vs unbatched: {context}")
-    assert got_stats.cycles == ref_stats.cycles, (
-        f"batched cycles diverge: {context}")
-    assert got_stats.instructions == ref_stats.instructions, (
-        f"batched instruction count diverges: {context}")
-    assert dict(got_stats.counts) == dict(ref_stats.counts), (
-        f"batched per-opcode counts diverge: {context}")
+    for request in (2, None):
+        batched = compile_parsimony(kernel.source, batch_request=request)
+        applied = batched.attrs.get("batch_applied", [])
+        expanded = any(" private " in entry for entry in applied)
+        replays = int(kernel.reads_unwritten and expanded)
+        got_out, got_stats = _run(batched, seed, replays=replays)
+        if request == 2:
+            _BATCH_CORPUS["batched" if applied else "rejected"] += 1
+            if applied:
+                for form, present in (
+                        ("shuffle", kernel.has_shuffle),
+                        ("int_reduction", kernel.has_int_reduction),
+                        ("atomic", kernel.has_atomic),
+                        ("expanded", kernel.has_uniform_array and expanded),
+                        ("replayed", replays)):
+                    _BATCH_FORMS[form] += bool(present)
+        where = f"B={request or 'auto'}: {context}"
+        _assert_same(got_out, ref_out, f"batched vs unbatched, {where}")
+        assert got_stats.cycles == ref_stats.cycles, (
+            f"batched cycles diverge, {where}")
+        assert got_stats.instructions == ref_stats.instructions, (
+            f"batched instruction count diverges, {where}")
+        assert dict(got_stats.counts) == dict(ref_stats.counts), (
+            f"batched per-opcode counts diverge, {where}")
 
 
 def _codegen_differential(kernel, plain, seed, plain_out, plain_stats,

@@ -19,7 +19,12 @@ deleting the re-inlined SPMD functions: each of the 135 functions that
 survive printed byte-identically before and after, and 524 were removed.
 And once more when gang batching learned the gang-local horizontal ops:
 exactly the 21 fig5 kernels that began to batch changed, each new twin
-hashing to the kernel's old (unbatched) digest.
+hashing to the kernel's old (unbatched) digest.  And once more when the
+remainder loop gave way to a predicated last trip (with a ``batch.exit``
+block, tiles in the preheader, private storage expanded per gang, and
+stencil's nested gang loop at B=4 under a 64-lane cap): the 74 batched
+kernels' module digests changed, no twin digest moved, and
+``binomial_options``' new twin hashes to its old module digest.
 
 Regenerate (only when a PR means to change compiled IR, and says so)::
 

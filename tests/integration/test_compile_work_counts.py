@@ -31,7 +31,8 @@ FIG5 = {spec.name: spec for spec in KERNELS}
 #: global DCE, and (37, 71) — mandelbrot (37, 75) — before that.
 #: GetStatistic gang-batches since its reductions became per-gang
 #: segments: the final verification takes one tree of the batched CFG
-#: (the remainder loop's blocks), (13, 7) when it ran unbatched.
+#: (the gang loop with its ``batch.exit`` block), (13, 7) when it ran
+#: unbatched.
 BOUNDS = {
     "AbsDifference": (12, 4),
     "GaussianBlur3x3": (19, 5),

@@ -14,10 +14,20 @@ covers, never what a launch computes or what it is charged:
 * a budget trap and an out-of-bounds access inside a batched trip replay
   on the unbatched twin bit-identically (``BgrToBgra``: row-strided
   stores; ``AbsDifferenceSum``: segmented sums folded into an atomic);
+* the predicated last trip: every gang count from 1 to B+1, with and
+  without a partial tail gang, at every B, over private storage,
+  divergent loops, row-strided stores and atomics; with the arrays at the
+  very end of memory (an inactive gang that touched anything would trap
+  and replay); a budget trap inside a predicated trip and inside the
+  expanded-storage loops of ``binomial_options``; a private array read
+  before it is written, which replays on the twin;
 * ``Memory.load_rows``/``store_rows``, the slow path of the row form, go
   row by row through ``load_lanes``/``store_lanes``: a row traps with the
   unbatched access's text before any of its lanes is written.
 """
+
+import linecache
+import sys
 
 import numpy as np
 import pytest
@@ -178,3 +188,214 @@ def test_rows_go_through_the_lane_accesses_row_by_row():
     written = memory.read_array(top - 40, u2, 20)
     np.testing.assert_array_equal(written[:6], values[:6] + 100)
     np.testing.assert_array_equal(written[10:16], values[6:12] + 100)
+
+
+# ---------------------------------------------------------------------------
+# the predicated last trip, and private storage expanded per gang
+# ---------------------------------------------------------------------------
+
+_MATRIX_TEMPLATE = """
+void kernel(u32* a, u32* out, u64 n) {{
+    psim (gang_size=8, num_threads=n) {{
+        u64 i = psim_get_thread_num();
+        u32 v = a[i];
+        {body}
+    }}
+}}
+"""
+
+#: kernel -> body: each a batched form the predicated trip must mask.
+MATRIX = {
+    # SoA rows of a private array at uniform offsets, written and read in
+    # divergent loops whose counters are gang-invariant scalar phis.
+    "private": "u32 V[4];\n"
+               "        for (i32 k = 0; k < 4; k++) { V[(u64)k] = v + (u32)k; }\n"
+               "        u32 acc = 0u;\n"
+               "        for (i32 k = 0; k < 4; k++) {\n"
+               "            acc = acc + V[(u64)k] * (u32)(k + 1);\n        }\n"
+               "        out[i] = acc;",
+    # Per-lane trip counts: activity counts over the active gangs only.
+    "divergent": "u32 k = 0u;\n"
+                 "        while (v > 1u && k < 40u) {\n"
+                 "            if ((v & 1u) == 1u) { v = 3u * v + 1u; } else { v = v >> 1; }\n"
+                 "            k = k + 1u;\n        }\n"
+                 "        out[i] = k;",
+    "row_strided": "out[3 * i] = v;\n        out[3 * i + 1] = v + 1u;\n"
+                   "        out[3 * i + 2] = v + 2u;",
+    "atomic": "u32 s = psim_reduce_add_sync(v * 3u);\n"
+              "        if (psim_get_lane_num() == 0) { psim_atomic_add(out, s); }",
+}
+
+#: A private row read before any thread wrote it: the unbatched gangs read
+#: the zeroed block, the batched trip has no copy of it and replays.
+READ_BEFORE_WRITE = (
+    "u32 V[4];\n"
+    "        for (i32 k = 1; k < 4; k++) { V[(u64)k] = v + (u32)k; }\n"
+    "        u32 acc = 0u;\n"
+    "        for (i32 k = 0; k < 4; k++) { acc = acc + V[(u64)k]; }\n"
+    "        out[i] = acc;")
+
+
+def _matrix_launch(module, n, budget=500_000_000, last=None):
+    """One launch over ``n`` threads.  With ``last`` (``"a"`` or
+    ``"out"``), that array is allocated last and memory ends where it
+    does — past the kernel's allocas, which the launch allocates after
+    it."""
+    rng = np.random.default_rng(n)
+    arrays = {"a": rng.integers(0, 1 << 16, n, dtype=np.uint32),
+              "out": np.zeros(3 * n + 1, np.uint32)}
+    order = ["out", "a"] if last == "a" else ["a", "out"]
+    size = 1 << 22
+    if last is not None:
+        size = 64
+        for nbytes in [arrays[name].nbytes for name in order] + [
+                i.type.pointee.size_bytes() * i.attrs.get("count", 1)
+                for i in module.get("kernel").instructions()
+                if i.opcode == "alloca"]:
+            size = (size + 63) // 64 * 64 + nbytes
+    interp = Interpreter(module, max_instructions=budget, memory=Memory(size))
+    addrs = {name: interp.memory.alloc_array(arrays[name]) for name in order}
+    trap = None
+    try:
+        interp.run("kernel", addrs["a"], addrs["out"], n)
+    except ExecutionError as exc:
+        trap = f"{type(exc).__name__}: {exc}"
+    stats = interp.stats
+    return {
+        "trap": trap,
+        "stats": (stats.cycles, stats.instructions, dict(stats.counts)),
+        "image": interp.memory.image().tobytes(),
+        "extent": interp.memory.extent,
+    }, interp
+
+
+def _matrix_module(body, factor):
+    module = driver.compile_parsimony(_MATRIX_TEMPLATE.format(body=body),
+                                      batch_request=factor)
+    if factor:
+        assert module.attrs["batch_factor"] == factor, module.attrs.get(
+            "batch_rejected")
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX))
+def test_predicated_trip_at_every_gang_count(name):
+    """1…B+1 gangs, each with and without a partial tail gang: full trips,
+    a predicated last trip, both, or (one gang at B=2) a trip whose second
+    gang is inactive — bitwise against the unbatched build, no bailout,
+    no replay.  With the input or the output array ending memory, no
+    inactive gang may touch it."""
+    body = MATRIX[name]
+    unbatched = _matrix_module(body, 0)
+    wants = {}
+    for factor in (2, 4, 8, 16):
+        module = _matrix_module(body, factor)
+        for gangs in range(1, factor + 2):
+            for n in (8 * gangs, 8 * gangs + 3):
+                for last in (None, "a", "out"):
+                    key = (n, last)
+                    if key not in wants:
+                        wants[key] = _matrix_launch(unbatched, n, last=last)[0]
+                    got, interp = _matrix_launch(module, n, last=last)
+                    report = interp.codegen_report()
+                    assert got == wants[key], (name, factor, n, last)
+                    assert got["trap"] is None, (name, factor, n, last)
+                    assert interp.batch_replays == 0, (name, factor, n, last)
+                    assert report["calls"] and not report["bailouts"]
+
+
+@pytest.mark.parametrize("kind", ["predicated", "private"])
+def test_budget_trap_in_a_predicated_trip_replays_bit_identically(kind):
+    """``predicated``: three gangs at B=4 run as one predicated trip, and
+    the budget runs out halfway through it.  ``private``:
+    ``binomial_options`` — eight gangs at B=16, one predicated trip —
+    runs out inside the loops over its expanded lattice."""
+    if kind == "predicated":
+        batched = _matrix_module(MATRIX["private"], 4)
+        unbatched = _matrix_module(MATRIX["private"], 0)
+
+        def launch(module, budget):
+            got, interp = _matrix_launch(module, 24, budget=budget)
+            return got, interp.batch_replays
+    else:
+        spec = SPECS["binomial_options"]
+        batched = driver.compile_parsimony(spec.psim_src)
+        unbatched = driver.compile_parsimony(spec.psim_src, batch_request=0)
+        assert batched.attrs["batch_applied"]
+
+        def launch(module, budget):
+            return _trapping_launch(module, spec, budget=budget)
+    clean, _ = launch(unbatched, 500_000_000)
+    budget = clean["stats"][1] // 2
+    want, _ = launch(unbatched, budget)
+    assert want["trap"] is not None
+    got, replays = launch(batched, budget)
+    assert replays == 1
+    assert got == want
+
+
+def test_private_row_read_before_written_replays_on_the_twin():
+    """Row 0 of ``V`` is read but never written: the unbatched gangs read
+    the zeroed block; the batched trip holds no copy of that row, so the
+    launch replays on the twin — bitwise, and visibly."""
+    module = _matrix_module(READ_BEFORE_WRITE, 4)
+    assert "private" in " ".join(module.attrs["batch_applied"])
+    want, _ = _matrix_launch(_matrix_module(READ_BEFORE_WRITE, 0), 40)
+    got, interp = _matrix_launch(module, 40)
+    assert interp.batch_replays == 1
+    assert got == want
+
+
+def _trips(module, spec):
+    """The active-gang count of every batched trip one launch runs, read
+    off the generated code's ``_r`` as it executes."""
+    trips = []
+    after = []
+
+    def local(frame, event, arg):
+        if event == "line":
+            if after:
+                trips.append(frame.f_locals["_r"])
+                after.clear()
+            text = linecache.getline(frame.f_code.co_filename, frame.f_lineno)
+            if text.strip().startswith("_r = "):
+                after.append(True)
+        return local
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename.startswith("<repro-vm-codegen:"):
+            return local
+        return None
+
+    workload = spec.workload()
+    interp = Interpreter(module)
+    addrs = [interp.memory.alloc_array(a) for a in workload.arrays]
+    sys.settrace(tracer)
+    try:
+        interp.run("kernel", *addrs, *workload.scalars)
+    finally:
+        sys.settrace(None)
+    assert not interp.codegen_report()["bailouts"] and not interp.batch_replays
+    return trips
+
+
+def test_binomial_batches_with_its_lattice_expanded_per_gang():
+    """``binomial_options`` batches at the cost model's factor with its
+    ``f32 V[16]`` lattice expanded per gang (16 rows of 16 lanes), and
+    runs — like ``FillBgra`` — as exactly one predicated trip."""
+    module = driver.compile_parsimony(SPECS["binomial_options"].psim_src)
+    assert module.attrs["batch_factor"] == 16
+    assert module.attrs["batch_applied"] == [
+        "kernel:gang.header private %V.0 16 rows x 64 bytes"]
+    assert _trips(module, SPECS["binomial_options"]) == [8]
+    fill = driver.compile_parsimony(SPECS["FillBgra"].psim_src)
+    assert fill.attrs["batch_factor"] == 8
+    assert _trips(fill, SPECS["FillBgra"]) == [4]
+
+
+def test_no_compiled_module_holds_a_remainder_loop():
+    for spec in SPECS.values():
+        for factor in (None, 2):
+            module = driver.compile_parsimony(spec.psim_src, batch_request=factor)
+            names = [b.name for f in module.functions.values() for b in f.blocks]
+            assert not [n for n in names if n.endswith(".rem")], spec.name

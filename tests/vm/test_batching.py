@@ -10,14 +10,15 @@ and must be **invisible** to everything but wall-clock:
   the unbatched twin, reproducing the trap's message, stats, and memory
   effects exactly;
 * cross-gang-unsafe kernels (per-lane atomics, runtime-index shuffles,
-  per-gang values reaching an address, private alloca storage,
-  partial-fallback seams) are rejected by the legality scan, run
+  per-gang values reaching an address, private storage read through a
+  gather, partial-fallback seams) are rejected by the legality scan, run
   unbatched, and surface in ``vm.batch.rejected``;
 * the gang-local horizontal forms — constant-index shuffles, integer
   reductions feeding a broadcast or an atomic — and strided stores batch,
   bit-identically (the acceptance matrix);
-* the auto factor is the cost model's lane target, capped at 2 for a
-  gang loop nested in another loop, and a forced request beats both.
+* the auto factor is the cost model's lane target, capped at 64 lanes
+  (but not below 2 gangs) for a gang loop nested in another loop, and a
+  forced request beats both.
 """
 
 import numpy as np
@@ -167,11 +168,13 @@ REJECTED = {
         "        out[i] = a[i + (u64)(s & 7u)];",
         "per-gang value reaches an address",
     ),
+    # Private storage read at a varying index: a gather, which per-gang
+    # expansion does not serve (packed rows at uniform offsets only).
     "private_alloca": (
         "u32 V[4];\n        V[0] = a[i];\n        V[1] = V[0] + 1u;\n"
         "        V[2] = V[1] + 1u;\n        V[3] = V[2] + 1u;\n"
         "        out[i] = V[(u64)(a[i] % 4u)];",
-        "alloca",
+        "private storage read through a gather",
     ),
 }
 
@@ -226,8 +229,8 @@ ACCEPTED = {
     ),
 }
 
-#: Threads for the acceptance runs: not a multiple of G·B, so batched
-#: trips and the remainder loop both run.
+#: Threads for the acceptance runs: not a multiple of G·B, so full
+#: batched trips and a predicated last trip both run.
 _N_ACCEPT = 200
 
 
@@ -349,7 +352,7 @@ def test_partial_fallback_seam_is_rejected():
 
 
 def test_rejections_surface_in_telemetry():
-    spec = SPECS["binomial_options"]
+    spec = {s.name: s for s in KERNELS}["Histogram"]
     with telemetry.collect() as session:
         run_impl(spec, "parsimony")
     totals = session.vm_batch_totals()
@@ -365,8 +368,11 @@ def test_batch_factor_selection():
     # Auto: largest power of two keeping G*B within the lane target.
     assert select_batch_factor(8) * 8 <= 256
     assert select_batch_factor(8) >= 2
-    # A nested gang loop is capped at 2 on the auto path only.
-    assert select_batch_factor(8, nested=True) == 2
+    # A nested gang loop's trip is capped at 64 lanes, not below 2 gangs,
+    # on the auto path only.
+    assert select_batch_factor(8, nested=True) == 8
+    assert select_batch_factor(16, nested=True) == 4
+    assert select_batch_factor(64, nested=True) == 2
     assert select_batch_factor(512, nested=True) == 1
     assert select_batch_factor(8, 8, nested=True) == 8
     # Requests floor to a power of two; 0/1 disable.
@@ -377,15 +383,17 @@ def test_batch_factor_selection():
 
 
 #: The auto factor of every fig4 and fig5 kernel.  A gang loop inside
-#: another loop — stencil, and the fig5 kernels that walk an image row by
-#: row — gets B=2; every other kernel sits at the cost model's lane target
-#: (1: nothing batched, see ``test_batch_forms.py`` for why).
+#: another loop spans at most 64 lanes, and at least 2 gangs — stencil
+#: (G=16) gets B=4, the fig5 kernels that walk an image row by row (G=64)
+#: B=2; every other kernel sits at the cost model's lane target (1:
+#: nothing batched, see ``test_batch_forms.py`` for why).
 AUTO_FACTORS = {
     1: "AbsDifferenceSumMasked Histogram HistogramMasked Reorder16bit "
-       "Reorder32bit binomial_options",
+       "Reorder32bit",
     2: "AbsGradientSaturatedSum GaussianBlur3x3 GetAbsDyRowSums GetRowSums "
        "Laplace LaplaceAbs LbpEstimate MeanFilter3x3 MedianFilter3x3 "
-       "MedianFilterRhomb3x3 SobelDx SobelDxAbs SobelDy SobelDyAbs stencil",
+       "MedianFilterRhomb3x3 SobelDx SobelDxAbs SobelDy SobelDyAbs",
+    4: "stencil",
     8: "AbsDifference AbsDifferenceSum AlphaBlending AlphaFilling "
        "AlphaPremultiply BackgroundAdjustRange BackgroundGrowRangeFast "
        "BackgroundGrowRangeSlow BackgroundIncrementCount BackgroundInitMask "
@@ -402,7 +410,7 @@ AUTO_FACTORS = {
        "TexturePerformCompensation ValueSum",
     16: "Int16ToGray InterferenceDecrement InterferenceIncrement "
         "OperationBinary16iAddition OperationBinary16iSaturatedSubtraction "
-        "aobench mandelbrot volume_rendering",
+        "aobench binomial_options mandelbrot volume_rendering",
     32: "NeuralConvert noise options",
 }
 
