@@ -9,10 +9,13 @@ and compares the fully vectorized build bitwise against the
 whole-function-scalarized build (``vectorize`` fault).  On a
 deterministic 10% of the seeds a single-shot ``vectorize_block`` fault
 additionally forces the region-granular partial-fallback path, and that
-build must agree bitwise too.  Every 5th seed also runs the plain build
-through the whole-kernel codegen engine (``codegen=True``), which must
-agree bitwise on outputs *and* on cycles/instructions (the accounting
-contract).
+build must agree bitwise too.  Every seed also runs the plain build —
+gang-batched at the cost model's factor — as generated code
+(``codegen=True``) against its unbatched twin on the reference engine,
+which must agree bitwise on outputs *and* on cycles/instructions (the
+accounting contract).  A kernel whose region sits in a row loop must
+collapse the nest when it can, and its in-place variant (the output one
+row below the input) must fall back to one row per trip.
 
 Kernels containing a ``psim_reduce_*_sync`` intrinsic have no scalar
 execution strategy — cross-lane communication cannot be scalarized — so
@@ -36,7 +39,12 @@ import sys
 import numpy as np
 
 from repro import telemetry
-from repro.benchsuite.fuzzgen import N_THREADS, generate_kernel, workload_arrays
+from repro.benchsuite.fuzzgen import (
+    N_CELLS,
+    N_THREADS,
+    generate_kernel,
+    workload_arrays,
+)
 from repro.diagnostics import CompileError
 from repro.driver import compile_parsimony
 from repro.faultinject import FaultPlan, inject
@@ -50,7 +58,8 @@ def run(module, seed, codegen=False):
     interp.run("kernel", *addrs, sv, si, N_THREADS)
     outs = (
         interp.memory.read_array(addrs[3], np.float32, N_THREADS),
-        interp.memory.read_array(addrs[4], np.int32, N_THREADS + 1),
+        interp.memory.read_array(addrs[4], np.int32, N_CELLS),
+        interp.memory.read_array(addrs[1], np.float32, N_THREADS),
     )
     return outs, interp
 
@@ -96,28 +105,35 @@ def check_seed(seed, counts):
     for label, module in builds:
         got, _ = run(module, seed)
         for g, w in zip(got, want):
-            if not np.array_equal(g, w):
+            if not np.array_equal(g, w, equal_nan=True):
                 print(f"  FAIL seed {seed} ({label} vs plain):\n{kernel.source}")
                 ok = False
                 break
 
-    if seed % 5 == 2:
-        # Whole-kernel codegen leg: same module, compiled dispatch.
-        got, engine = run(plain, seed, codegen=True)
-        report = engine.codegen_report()
-        if report["bailouts"]:
-            counts["bailed"] += 1
-        else:
-            counts["compiled"] += 1
-        if not all(np.array_equal(g, w) for g, w in zip(got, want)):
-            print(f"  FAIL seed {seed} (codegen vs plain):\n{kernel.source}")
+    # Batched leg: same module as generated code, every seed.
+    got, engine = run(plain, seed, codegen=True)
+    report = engine.codegen_report()
+    if report["bailouts"]:
+        counts["bailed"] += 1
+    else:
+        counts["compiled"] += 1
+    if any(" rows of " in e for e in plain.attrs.get("batch_applied", ())):
+        counts["collapsed"] += 1
+        counts["fell_back"] += report["row_fallbacks"]
+        if kernel.in_place != bool(report["row_fallbacks"]):
+            print(f"  FAIL seed {seed}: in-place {kernel.in_place}, row"
+                  f" fallbacks {report['row_fallbacks']}\n{kernel.source}")
             ok = False
-        elif (engine.stats.cycles != base.stats.cycles
-              or engine.stats.instructions != base.stats.instructions):
-            print(f"  FAIL seed {seed}: codegen ExecStats diverge "
-                  f"({engine.stats.cycles} vs {base.stats.cycles} cycles)"
-                  f"\n{kernel.source}")
-            ok = False
+    if not all(np.array_equal(g, w, equal_nan=True)
+               for g, w in zip(got, want)):
+        print(f"  FAIL seed {seed} (codegen vs plain):\n{kernel.source}")
+        ok = False
+    elif (engine.stats.cycles != base.stats.cycles
+          or engine.stats.instructions != base.stats.instructions):
+        print(f"  FAIL seed {seed}: codegen ExecStats diverge "
+              f"({engine.stats.cycles} vs {base.stats.cycles} cycles)"
+              f"\n{kernel.source}")
+        ok = False
     return ok
 
 
@@ -134,9 +150,10 @@ def main():
     args = parser.parse_args()
 
     print(f"differential kernel fuzz — {args.n} seeds, "
-          f"partial fallback forced on every 10th, codegen on every 5th")
+          f"partial fallback forced on every 10th, codegen on every seed")
     failures = 0
-    counts = {"refused": 0, "compiled": 0, "bailed": 0}
+    counts = {"refused": 0, "compiled": 0, "bailed": 0, "collapsed": 0,
+              "fell_back": 0}
     with telemetry.collect() as session:
         for seed in range(args.n):
             if not check_seed(seed, counts):
@@ -148,6 +165,9 @@ def main():
     if args.n >= 15 and counts["compiled"] == 0:
         print("FAIL: codegen seeds never ran compiled code")
         failures += 1
+    if args.n >= 200 and not (counts["collapsed"] and counts["fell_back"]):
+        print(f"FAIL: no row nest collapsed, or none fell back: {counts}")
+        failures += 1
 
     session.meta["harness"] = "fuzz_smoke"
     session.meta["cases"] = args.n
@@ -155,6 +175,8 @@ def main():
     session.meta["reduction_refusals"] = counts["refused"]
     session.meta["codegen_compiled"] = counts["compiled"]
     session.meta["codegen_bailed"] = counts["bailed"]
+    session.meta["row_nests_collapsed"] = counts["collapsed"]
+    session.meta["row_fallbacks"] = counts["fell_back"]
     session.meta["failures"] = failures
 
     if args.telemetry:

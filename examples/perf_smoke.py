@@ -4,7 +4,8 @@
     python examples/perf_smoke.py [--kernels a,b] [--impls scalar,parsimony]
                                   [--out telemetry.json]
 
-Runs each selected kernel in three configurations — batched (the
+``--kernels`` takes fig4 and fig5 names.  Runs each selected kernel in
+three configurations — batched (the
 default: whole-kernel codegen on the gang-batched build), unbatched
 (``batch_request=0``), and the reference engine (``codegen=False`` on
 the batched build, which runs its unbatched twin: what a trap replay or
@@ -18,14 +19,17 @@ a bailout runs) — and **fails (exit 1)** if:
 * the parsimony implementation never engages gang batching across the
   sweep (``vm.batch.applied`` stays zero — the layer silently died), or
   a kernel whose build batched runs slower than the batch floor (default
-  0.95× its unbatched build, measured interleaved — the stencil
-  regression the nesting rule in ``select_batch_factor`` fixed),
+  0.95× its unbatched build, measured interleaved; the default sweep
+  holds four row nests that collapse into the gang trip — stencil,
+  ``Laplace``, ``LbpEstimate`` and ``GetRowSums`` with its per-row
+  atomic cells),
 * the codegen engine never runs a compiled kernel across the sweep
   (``vm.codegen.calls`` stays zero — every kernel bailed out), or a
   kernel where codegen *did* engage runs slower than the codegen floor
   (default 0.9× the reference engine, measured interleaved),
 * any build of the fig4 **or** fig5 suite (every kernel × every
-  implementation) records a codegen bailout or a trap replay: the
+  implementation) records a codegen bailout, a trap replay, or a row
+  nest that ran one row per trip because its no-alias check failed: the
   coverage floor — every suite build must compile and complete on the
   default engine; a new bailout reason is a coverage regression, not an
   acceptable fallback.
@@ -52,9 +56,10 @@ from repro.benchsuite.ispc_suite import BENCHMARKS
 from repro.benchsuite.simdlib import KERNELS
 from repro.driver import compile_parsimony
 
-#: stencil's three full gangs per row run as one predicated trip, and
-#: binomial_options batches with its lattice expanded per gang.
-DEFAULT_KERNELS = "mandelbrot,noise,stencil,binomial_options"
+#: binomial_options batches with its lattice expanded per gang; stencil
+#: and the three fig5 filters collapse their row nests.
+DEFAULT_KERNELS = ("mandelbrot,noise,stencil,binomial_options,"
+                   "Laplace,LbpEstimate,GetRowSums")
 DEFAULT_IMPLS = "scalar,parsimony"
 
 #: Every (suite, implementations) pair the figure reports build.
@@ -101,10 +106,13 @@ def _coverage_sweep(session, failures):
                 report = session.vm_runs[-1].get("codegen") or {}
                 bailouts = dict(report.get("bailouts") or {})
                 per_build[name] = bailouts
-                if bailouts or report.get("replays") or not report.get("calls"):
+                if (bailouts or report.get("replays")
+                        or report.get("row_fallbacks")
+                        or not report.get("calls")):
                     failures.append(
-                        f"{name}: coverage floor is zero bailouts and zero "
-                        f"replays on the default engine: {report}")
+                        f"{name}: coverage floor is zero bailouts, zero "
+                        f"replays and zero row fallbacks on the default "
+                        f"engine: {report}")
     return per_build
 
 
@@ -130,7 +138,7 @@ def main():
     args = parser.parse_args()
 
     wanted = args.kernels.split(",")
-    specs = [s for s in BENCHMARKS if s.name in wanted]
+    specs = [s for s in list(BENCHMARKS) + list(KERNELS) if s.name in wanted]
     unknown = set(wanted) - {s.name for s in specs}
     if unknown:
         parser.error(f"unknown kernels: {sorted(unknown)}")

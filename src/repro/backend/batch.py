@@ -92,6 +92,35 @@ generated code:
   Stores to different bases, and *loads*, are assumed gang-independent:
   the SPMD model's unordered-threads contract already makes a cross-gang
   data race unspecified.
+* **Row nests.**  A gang loop inside a counted row loop (step 1, bound
+  invariant) whose body is a straight-line scalar prologue affine in the
+  row index (``row = y*w``, ``sums[y] = 0``), the gang loop with a
+  thread count that does not vary by row, a tail check, a tail and the
+  latch collapses into the gang trip (OpenMP's ``collapse``): one outer
+  trip runs R rows, chosen at nest entry — ``B // P`` for P full gangs
+  per row, when P ≤ B and a zero-charge no-alias check passes, else 1,
+  the unbatched order.  The rows' full gangs run as one trip of R·P
+  gangs (gang slot ``k`` is gang ``k % P`` of row ``k // P``), their tail
+  gangs as one predicated trip of R gangs (the tail is widened like a
+  gang loop, with the row as the gang, and its accesses carry
+  ``row_stride row``); accesses become ``(rows, gangs, lanes)`` views
+  whose row stride generated code evaluates at nest entry from the
+  address's :func:`row_form`.  Prologue stores run once per row, in row
+  order, and an atomic folds each row's gangs into that row's cell
+  (``sums + y``).  The check (``codegen._rows_disjoint``) takes each
+  access's byte hull over the nest's rows from its row form — prologue
+  stores, body and tail accesses, atomics — and allows R > 1 only when
+  every store's rows are disjoint from each other and from every other
+  access's rows: hulls that do not meet, or the same row stride with both
+  footprints inside one stride.  It costs nothing (no IR, no charge); a
+  failed check is counted per launch (``codegen_report()
+  ["row_fallbacks"]``).  The outer blocks (header, prologue, tail check,
+  latch) and the gang loop's exit block charge once per row of the outer
+  trip (``batch_mult = "rows"``), the gang loop ``R·P`` per trip, the
+  tail ``R``.  A row loop that cannot collapse is reported in
+  ``batch_rejected`` with its reason (``row prologue scalar not affine in
+  the row index``, ``thread count varies by row``, ...); its gang loop
+  still batches on its own.
 * **Traps.**  Any trap inside a batched run is replayed wholesale on the
   twin by the interpreter, so trap ordering, messages, and
   trap-point ``ExecStats`` stay bit-identical to the unbatched engine.
@@ -117,6 +146,7 @@ from ..ir.types import (
     VectorType,
     I1,
     I32,
+    I64,
     VOID,
 )
 from ..ir.values import Constant, UndefValue, Value
@@ -151,24 +181,17 @@ class BatchReport(dict):
     """``{"factor": B, "applied": [...], "rejected": [(fn, loop, reason)]}``."""
 
 
-#: Lanes a nested gang loop's trip may span (see :func:`select_batch_factor`).
-NESTED_TRIP_LANES = 64
-
-
 def select_batch_factor(gang_size: int, requested: Optional[int] = None,
-                        machine=None, straight_line: bool = False,
-                        nested: bool = False) -> int:
+                        machine=None, straight_line: bool = False) -> int:
     """Resolve the batch factor for one gang loop.
 
     ``requested`` comes from ``REPRO_BATCH`` (rounded down to a power of
     two); ``None`` asks the cost model, which honors ``machine``'s
     register/lane width when one is given and aims higher for a
-    ``straight_line`` loop body.  A ``nested`` gang loop — one inside
-    another loop, re-entered once per outer iteration to cover one row —
-    gets at most :data:`NESTED_TRIP_LANES` lanes, and at least 2 gangs: a
-    short row holds few gangs, and every row pays for whole trips however
-    few of them it fills (stencil's 62-thread rows run as one trip at
-    G=16, B=4).  Returns 1 when batching is not worthwhile.
+    ``straight_line`` loop body.  A gang loop nested in a row loop gets
+    the same lane target: its trip spans the gangs of several rows (see
+    the module docstring), so a short row no longer pays for whole trips.
+    Returns 1 when batching is not worthwhile.
     """
     if requested is not None:
         if requested < 2:
@@ -177,10 +200,7 @@ def select_batch_factor(gang_size: int, requested: Optional[int] = None,
         while b * 2 <= requested:
             b *= 2
         return b
-    suggestion = suggest_batch_factor(gang_size, machine, straight_line)
-    if nested:
-        return min(suggestion, max(2, NESTED_TRIP_LANES // gang_size))
-    return suggestion
+    return suggest_batch_factor(gang_size, machine, straight_line)
 
 
 def batching_request() -> Optional[int]:
@@ -336,13 +356,14 @@ def _match_divergent_loop(inner: Loop, gang: int):
 # -- scalar forms: affine in gang_base, or per-gang ----------------------------------
 
 
-def _scalar_forms(gl: _GangLoop, blocks_rpo: List[BasicBlock],
+def _scalar_forms(phi: Optional[Instruction], blocks_rpo: List[BasicBlock],
                   loop_blocks: Set[BasicBlock], skip: Set[Instruction]):
     """Classify the loop's scalars.  Returns ``(deltas, per_gang,
     delta_of)``:
 
     * ``deltas`` — δ per scalar, where ``v = v0 + δ·gang_base`` along the
-      gang loop; ``None`` marks a gang-dependent scalar with no affine
+      gang loop ``phi`` (a row tail has none: its scalars are
+      gang-invariant or per-gang); ``None`` marks a gang-dependent scalar with no affine
       form.  Values defined outside the loop are gang-invariant by
       definition (δ=0); constants and arguments likewise (``delta_of``
       also resolves those).
@@ -354,7 +375,7 @@ def _scalar_forms(gl: _GangLoop, blocks_rpo: List[BasicBlock],
     Scalar phis start at δ=0 and keep it when every incoming value comes
     out δ=0 (an optimistic fixpoint); any other phi gets ``None``.
     """
-    deltas: Dict[Value, Optional[int]] = {gl.phi: 1}
+    deltas: Dict[Value, Optional[int]] = {} if phi is None else {phi: 1}
     per_gang: Dict[Instruction, None] = {}
     phis = [phi for block in blocks_rpo for phi in block.phis()
             if phi not in skip and not isinstance(phi.type, VectorType)]
@@ -710,11 +731,101 @@ def _constant_key(c: Constant):
 # -- the rewrite ---------------------------------------------------------------------
 
 
+def _instr_reason(instr: Instruction, region: Set[BasicBlock],
+                  where: str) -> Optional[str]:
+    """Why ``instr`` cannot run B gangs wide in ``region`` (a gang loop, or
+    a row tail), judged by its opcode and form alone; ``None`` if it can."""
+    op = instr.opcode
+    if op in _FORBIDDEN:
+        return f"{op} in {where}"
+    if op == "mask_any":
+        return "mask_any outside a divergent backedge"
+    if op == "shuffle":
+        index = instr.operands[1]
+        if isinstance(index, Instruction) and index.parent in region:
+            return "shuffle with a runtime index"
+    if op in REDUCE_OPS and instr.operands[0].type.elem.is_float:
+        return f"float {op} in {where}"
+    if op == "call":
+        callee = instr.operands[0]
+        if isinstance(callee, Function):
+            return f"internal call (partial-fallback seam) in {where}"
+        if not (isinstance(callee, ExternalFunction)
+                and callee.name.startswith("ml.")
+                and isinstance(instr.type, VectorType)
+                and len(callee.name.split(".")) == 4):
+            return f"cross-gang-unsafe call to {callee.name}"
+    return None
+
+
+def _atomic_reason(instr: Instruction, per_gang, delta_of,
+                   divergent: bool) -> Optional[str]:
+    """Why an ``atomicrmw`` cannot fold its B gangs into one update."""
+    t = instr.type
+    if not isinstance(t, IntType) or t.bits < 8:
+        return f"{t} atomicrmw in gang loop"
+    if instr.uses:
+        return "atomicrmw result is used in gang loop"
+    if delta_of(instr.operands[0]) != 0:
+        return "atomicrmw cell is not gang-invariant"
+    value = instr.operands[1]
+    if value not in per_gang and delta_of(value) != 0:
+        return "atomicrmw value is gang-affine"
+    if divergent:
+        return "atomicrmw under a divergent loop"
+    return None
+
+
+def _divergent_loops(function: Function, region: Set[BasicBlock],
+                     ordered: List[BasicBlock], gang: int, batch: int,
+                     header: Optional[BasicBlock] = None):
+    """The divergent loops inside ``region`` — a gang loop's blocks (less
+    its ``header``), or a row tail's — as ``(divergent, control, chain)``,
+    or why one is not canonical.  ``control`` holds their ``mask_any``
+    and backedge ``condbr`` s; ``chain[block]`` the lids of the divergent
+    loops enclosing it, innermost first, ending in the static batch
+    factor.  Codegen resolves the first lid with a live activity count (a
+    divergent loop that has completed an iteration knows how many gangs
+    continue); before that it falls through to the outer loop's count or
+    to B."""
+    divergent: List[_DivergentLoop] = []
+    control: Set[Instruction] = set()
+    for inner in find_loops(function):
+        if (inner.header is header or inner.header not in region
+                or not inner.blocks <= region):
+            continue
+        dl, reason = _match_divergent_loop(inner, gang)
+        if dl is None:
+            return reason
+        divergent.append(dl)
+        control.add(dl.mask_any)
+        control.add(dl.condbr)
+    chain: Dict[BasicBlock, tuple] = {}
+    for block in ordered:
+        enclosing = sorted(
+            (dl for dl in divergent if block in dl.loop.blocks),
+            key=lambda dl: len(dl.loop.blocks),
+        )
+        chain[block] = tuple(dl.lid for dl in enclosing) + (batch,)
+    return divergent, control, chain
+
+
+def _mark_divergent(divergent: List[_DivergentLoop], batch: int,
+                    gang: int) -> None:
+    """The activity contract of each divergent loop (see codegen)."""
+    for dl in divergent:
+        dl.mask_any.attrs["batch_activity"] = (dl.lid, batch, gang)
+        dl.condbr.attrs["batch_backedge"] = (dl.lid, dl.taken_idx)
+
+
 def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
-                    module: Module, protos: _Prototypes):
+                    module: Module, protos: _Prototypes,
+                    nest: Optional["_RowNest"] = None):
     """Batch one matched gang loop in place; returns a rejection reason,
     or on success the allocas it expanded (see :func:`_private_storage`).
-    All legality checks run before any mutation."""
+    Inside a row ``nest`` that collapses, the exit block charges once per
+    row and loop-invariant vectors tile before the nest.  All legality
+    checks run before any mutation."""
     loop = gl.loop
     gang = gl.gang
     loop_blocks = loop.blocks
@@ -734,59 +845,20 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
         return "gang loop has side exits"
 
     # ---- legality: divergent inner loops -------------------------------------------
-    inner_loops = [
-        l for l in find_loops(function)
-        if l.header is not loop.header
-        and l.header in loop_blocks and l.blocks <= loop_blocks
-    ]
-    divergent: List[_DivergentLoop] = []
-    control: Set[Instruction] = set()  # mask_any/condbr with a canonical role
-    for inner in inner_loops:
-        dl, reason = _match_divergent_loop(inner, gang)
-        if dl is None:
-            return reason
-        divergent.append(dl)
-        control.add(dl.mask_any)
-        control.add(dl.condbr)
-
-    # chain[block]: lids of enclosing divergent loops, innermost first,
-    # ending in the static batch factor.  Codegen resolves the first lid
-    # with a live activity count (a divergent loop that has completed an
-    # iteration knows how many gangs continue); before that it falls
-    # through to the outer loop's count or to B.
-    chain: Dict[BasicBlock, tuple] = {}
-    for block in ordered:
-        enclosing = sorted(
-            (dl for dl in divergent if block in dl.loop.blocks),
-            key=lambda dl: len(dl.loop.blocks),
-        )
-        chain[block] = tuple(dl.lid for dl in enclosing) + (batch,)
+    found = _divergent_loops(function, loop_blocks, ordered, gang, batch,
+                             loop.header)
+    if isinstance(found, str):
+        return found
+    divergent, control, chain = found
 
     # ---- legality: per-instruction scan --------------------------------------------
     for block in ordered:
         for instr in block.instructions:
             if instr in header_fixed or instr in control:
                 continue
-            op = instr.opcode
-            if op in _FORBIDDEN:
-                return f"{op} in gang loop"
-            if op == "mask_any":
-                return "mask_any outside a divergent backedge"
-            if op == "shuffle":
-                index = instr.operands[1]
-                if isinstance(index, Instruction) and index.parent in loop_blocks:
-                    return "shuffle with a runtime index"
-            if op in REDUCE_OPS and instr.operands[0].type.elem.is_float:
-                return f"float {op} in gang loop"
-            if op == "call":
-                callee = instr.operands[0]
-                if isinstance(callee, Function):
-                    return "internal call (partial-fallback seam) in gang loop"
-                if not (isinstance(callee, ExternalFunction)
-                        and callee.name.startswith("ml.")
-                        and isinstance(instr.type, VectorType)
-                        and len(callee.name.split(".")) == 4):
-                    return f"cross-gang-unsafe call to {callee.name}"
+            reason = _instr_reason(instr, loop_blocks, "gang loop")
+            if reason is not None:
+                return reason
         for instr in block.instructions:
             for user, _ in instr.uses:
                 if isinstance(user, Instruction) and user.parent not in loop_blocks:
@@ -794,7 +866,8 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
 
     # ---- legality: affine and per-gang scalars -------------------------------------
     skip_affine = header_fixed | control
-    deltas, per_gang, delta_of = _scalar_forms(gl, rpo, loop_blocks, skip_affine)
+    deltas, per_gang, delta_of = _scalar_forms(gl.phi, rpo, loop_blocks,
+                                               skip_affine)
     for block in rpo:
         for instr in block.instructions:
             if deltas.get(instr, 0) is None:
@@ -833,18 +906,10 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
                     stores.setdefault(base, []).append(
                         (offset, step, _store_bytes(lanes, data.count, esize)))
             elif op == "atomicrmw":
-                t = instr.type
-                if not isinstance(t, IntType) or t.bits < 8:
-                    return f"{t} atomicrmw in gang loop"
-                if instr.uses:
-                    return "atomicrmw result is used in gang loop"
-                if delta_of(instr.operands[0]) != 0:
-                    return "atomicrmw cell is not gang-invariant"
-                value = instr.operands[1]
-                if value not in per_gang and delta_of(value) != 0:
-                    return "atomicrmw value is gang-affine"
-                if len(chain[block]) > 1:
-                    return "atomicrmw under a divergent loop"
+                reason = _atomic_reason(instr, per_gang, delta_of,
+                                        len(chain[block]) > 1)
+                if reason is not None:
+                    return reason
                 atomic_bases.append(
                     _address_form(instr.operands[0], gl, loop_blocks)[0])
             elif (op == "condbr" and instr not in control
@@ -856,6 +921,8 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
     reason = _footprint_reason(stores)
     if reason is not None:
         return reason
+    if nest is not None and private:
+        return "private storage in a row nest"
 
     # ======= point of no return: all checks passed, start mutating ==================
 
@@ -870,8 +937,9 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
     # nothing; the backedge br instead charges the whole per-gang loop
     # overhead — phi copy, bound check, branch out of the header, the
     # induction add, and the backedge itself — once per active gang, and
-    # the exit block the last header visit, which reconciles the narrow
-    # engine's header accounting exactly.
+    # the exit block the last header visit (of every row of a collapsed
+    # nest), which reconciles the narrow engine's header accounting
+    # exactly.
     zero: Tuple[Instruction, ...] = ()
     for instr in (gl.phi, gl.icmp, gl.condbr, gl.inc):
         _annotate(instr, zero, 0)
@@ -883,9 +951,7 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
         protos.make("add", ptype, (ptype, ptype)),
     )
     _annotate(gl.latch.terminator, overhead, (batch,))
-    for dl in divergent:
-        dl.mask_any.attrs["batch_activity"] = (dl.lid, batch, gang)
-        dl.condbr.attrs["batch_backedge"] = (dl.lid, dl.taken_idx)
+    _mark_divergent(divergent, batch, gang)
     for rows, row, accesses in private.values():
         for access in accesses:
             access.attrs["private"] = rows
@@ -899,14 +965,31 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
     exit_target = gl.condbr.operands[2]
     done = function.add_block("batch.exit", before=exit_target)
     done.append(Instruction("br", VOID, [exit_target]))
-    _annotate(done.terminator, overhead[1:4], 1)
+    _annotate(done.terminator, overhead[1:4], ROWS if nest else 1)
     gl.condbr.set_operand(2, done)
     for phi in exit_target.phis():
         for idx in range(1, len(phi.operands), 2):
             if phi.operands[idx] is header:
                 phi.set_operand(idx, done)
 
-    # ---- widening ------------------------------------------------------------------
+    _widen(function, module, ordered, header_fixed, batch, gang, per_gang,
+           delta_of, row_strides, nest.preheader if nest else gl.entry_pred)
+    function.attrs["batched"] = batch
+    return private
+
+
+def _widen(function: Function, module: Module, ordered: List[BasicBlock],
+           fixed: Set[Instruction], batch: int, gang: int, per_gang,
+           delta_of, row_strides: Dict[Instruction, int],
+           tile_block: BasicBlock, rows_at_runtime: bool = False) -> None:
+    """Widen the blocks ``ordered`` — a gang loop's, or a row tail's —
+    ``batch`` gangs wide in place (see "Widening", "Per-gang segments" and
+    "Memory" in the module docstring); loop-invariant vectors tile once,
+    at the end of ``tile_block``.  In a row tail (``rows_at_runtime``)
+    every packed access becomes B rows whose stride generated code reads
+    from the nest (``segments = B``, ``row_stride = "row"``)."""
+    region = set(ordered)
+    zero: Tuple[Instruction, ...] = ()
     inserted: Set[Instruction] = set()
     tiles: Dict[Value, Instruction] = {}
     tile_indices: Dict[int, Constant] = {}
@@ -932,9 +1015,8 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
         if index is None:
             index = tile_indices[count] = Constant.from_canonical(
                 VectorType(I32, count * batch), tuple(range(count)) * batch)
-        entry = gl.entry_pred
         sh = helper("shuffle", VectorType(v.type.elem, count * batch),
-                    [v, index], "batch.tile", entry, entry.terminator)
+                    [v, index], "batch.tile", tile_block, tile_block.terminator)
         tiles[v] = sh
         return sh
 
@@ -944,7 +1026,7 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
         if not isinstance(t, VectorType):
             return None
         if isinstance(v, Instruction):
-            if v.parent in loop_blocks:
+            if v.parent in region:
                 return None  # widened in place
             return tile(v)
         if isinstance(v, Constant):
@@ -971,7 +1053,7 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
 
     for block in ordered:
         for instr in list(block.instructions):
-            if instr in inserted or instr in header_fixed:
+            if instr in inserted or instr in fixed:
                 continue
             op = instr.opcode
             t = instr.type
@@ -1055,6 +1137,9 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
             if stride is not None:
                 instr.attrs["segments"] = batch
                 instr.attrs["row_stride"] = stride
+            elif rows_at_runtime and op in ("vload", "vstore"):
+                instr.attrs["segments"] = batch
+                instr.attrs["row_stride"] = "row"
             if isinstance(t, VectorType):
                 instr.type = VectorType(t.elem, t.count * batch)
             for idx, o in enumerate(instr.operands):
@@ -1062,17 +1147,341 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
                 if m is not None:
                     instr.set_operand(idx, m)
 
-    function.attrs["batched"] = batch
-    return private
+
+# -- row nests -----------------------------------------------------------------------
+
+#: Monomials of a row form (see :func:`row_form`) besides atoms: the
+#: constant 1, the row index and the gang base.  ``(ROW, atom)`` is the
+#: row index times an atom.
+ONE, ROW, GANG = ("1",), ("y",), ("p",)
+
+#: The multiplicity spec of a row nest's outer blocks (and of its gang
+#: loop's exit block): the rows the outer trip runs.
+ROWS = "rows"
+
+_M64 = (1 << 64) - 1
+
+
+def _form_sum(a: dict, b: dict, k: int = 1) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = (out.get(m, 0) + k * c) & _M64
+    return {m: c for m, c in out.items() if c}
+
+
+def _form_product(a: dict, b: dict) -> Optional[dict]:
+    """The product of two forms, or ``None`` when it is not of degree
+    one in the row index or has a product of two atoms."""
+    if set(a) <= {ONE}:
+        a, b = b, a
+    if set(b) <= {ONE}:
+        k = b.get(ONE, 0)
+        return {m: c * k & _M64 for m, c in a.items() if c * k & _M64}
+    out: Dict[object, int] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            if ma is ROW and not isinstance(mb, tuple):
+                m = ("y", mb)
+            elif mb is ROW and not isinstance(ma, tuple):
+                m = ("y", ma)
+            else:
+                return None
+            out[m] = (out.get(m, 0) + ca * cb) & _M64
+    return {m: c for m, c in out.items() if c}
+
+
+def row_form(v: Value, nest: Set[BasicBlock], row: Value,
+             gang: Optional[Value], memo: Dict[Value, Optional[dict]]
+             ) -> Optional[dict]:
+    """``v`` as ``{monomial: coefficient mod 2**64}`` — a sum of the
+    constant, atoms (values defined outside the ``nest`` blocks), the
+    ``row`` index, the row index times an atom, and the ``gang`` base —
+    or ``None`` when it has no such form (a 64-bit ``add``/``sub``/
+    ``mul``/``shl``/``gep``/pointer cast chain is affine; anything else in
+    the nest is not).  Generated code evaluates the form at a row to get
+    an address, and its row-index part to get the row stride."""
+    if isinstance(v, Constant):
+        if isinstance(v.type, VectorType) or not isinstance(v.value, int):
+            return None
+        return {ONE: v.value & _M64} if v.value else {}
+    if v is row:
+        return {ROW: 1}
+    if v is gang:
+        return {GANG: 1}
+    if not isinstance(v, Instruction) or v.parent not in nest:
+        t = v.type
+        return {v: 1} if isinstance(t, IntType) or t.is_pointer else None
+    if v in memo:
+        return memo[v]
+    memo[v] = None  # a cycle (through a phi) is not affine
+    t = v.type
+    op = v.opcode
+    ops = v.operands
+    form = None
+    wide = (isinstance(t, IntType) and t.bits == 64) or t.is_pointer
+    if wide and op in ("add", "sub", "mul", "shl", "gep", "ptrtoint",
+                       "inttoptr"):
+        parts = [row_form(o, nest, row, gang, memo) for o in ops]
+        if None not in parts:
+            a = parts[0]
+            if op in ("ptrtoint", "inttoptr"):
+                form = a
+            elif op == "add":
+                form = _form_sum(a, parts[1])
+            elif op == "sub":
+                form = _form_sum(a, parts[1], -1)
+            elif op == "mul":
+                form = _form_product(a, parts[1])
+            elif set(parts[1]) <= {ONE}:
+                k = parts[1].get(ONE, 0)
+                if op == "shl" and k < 64:
+                    form = _form_product(a, {ONE: 1 << k})
+                elif op == "gep":
+                    bits = ops[1].type.bits
+                    index = k - (1 << bits) if k >> (bits - 1) else k
+                    esize = t.pointee.size_bytes()
+                    form = _form_sum(a, {ONE: index * esize & _M64})
+            elif op == "gep" and ops[1].type.bits == 64:
+                esize = t.pointee.size_bytes()
+                form = _form_sum(a, _form_product(parts[1], {ONE: esize}))
+    memo[v] = form
+    return form
+
+
+def row_dependent(form: Optional[dict]) -> bool:
+    """A form with a row-index monomial."""
+    return bool(form) and any(m is ROW or (isinstance(m, tuple) and len(m) == 2)
+                              for m in form)
+
+
+class _RowNest:
+    """A row loop around a gang loop (see "Row nests" in the module
+    docstring): the counted loop's ``phi``/``icmp``/``condbr``/``inc``,
+    the block entering it, the prologue, tail check, tail and latch
+    blocks, and what the tail's widening needs (``per_gang``,
+    ``delta_of``, its divergent loops and their ``chain``)."""
+
+    __slots__ = ("loop", "phi", "icmp", "condbr", "inc", "preheader",
+                 "prologue", "tailcheck", "tail", "latch", "per_gang",
+                 "delta_of", "divergent", "chain")
+
+    def __init__(self, **parts):
+        for key, value in parts.items():
+            setattr(self, key, value)
+
+
+def _dead_phi(phi: Instruction) -> bool:
+    """Nothing observes ``phi``: its uses, followed through phis, end in
+    phis (stencil's ``row`` is declared in the row loop and never read)."""
+    seen, work = {phi}, [phi]
+    while work:
+        for user, _ in work.pop().uses:
+            if user.opcode != "phi":
+                return False
+            if user not in seen:
+                seen.add(user)
+                work.append(user)
+    return True
+
+
+def _invariant(v: Value, blocks: Set[BasicBlock]) -> bool:
+    return not (isinstance(v, Instruction) and v.parent in blocks)
+
+
+def _match_row_nest(function: Function, gl: _GangLoop, batch: int):
+    """The row loop around ``gl`` as a :class:`_RowNest`, or why it cannot
+    collapse into the gang trip.  Runs before any mutation."""
+    outer = gl.loop.parent
+    blocks = outer.blocks
+    header = outer.header
+    if len(outer.latches) != 1 or outer.exiting_blocks() != [header]:
+        return "row loop has several latches or exits"
+    latch = outer.latches[0]
+    preds = [b for b in header.predecessors if b not in blocks]
+    rest = header.non_phi_instructions()
+    counted = None
+    if len(preds) == 1 and len(rest) == 2 and rest[1].opcode == "condbr":
+        cmp, term = rest
+        y = cmp.operands[0] if cmp.opcode == "icmp" else None
+        if (cmp.attrs.get("pred") == "ult" and term.operands[0] is cmp
+                and isinstance(y, Instruction) and y.opcode == "phi"
+                and y.parent is header and y.type == I64
+                and _invariant(cmp.operands[1], blocks)
+                and term.operands[1] in blocks):
+            inc = y.phi_value_for(latch)
+            if (isinstance(inc, Instruction) and inc.opcode == "add"
+                    and inc.operands[0] is y and inc.parent is latch
+                    and isinstance(inc.operands[1], Constant)
+                    and inc.operands[1].value == 1):
+                counted = (y, cmp, term, inc)
+    if counted is None:
+        return "row loop is not a counted step-1 loop"
+    y, cmp, term, inc = counted
+    if any(phi is not y and not _dead_phi(phi) for phi in header.phis()):
+        return "row loop carries scalar state"
+    if latch.instructions != [inc, latch.terminator]:
+        return "row latch does more than step the row index"
+
+    # Shape: prologue -> gang loop -> tail check -> tail -> latch.
+    prologue: List[BasicBlock] = []
+    block = term.operands[1]
+    while block is not gl.loop.header:
+        if (block in prologue or block.phis() or len(block.successors) != 1
+                or block.terminator.opcode != "br"):
+            return "row prologue is not straight-line"
+        prologue.append(block)
+        block = block.successors[0]
+    if not prologue or prologue[-1] is not gl.entry_pred:
+        return "row prologue is not straight-line"
+    if not _invariant(gl.icmp.operands[1], blocks):
+        return "thread count varies by row"
+    check = gl.condbr.operands[2]
+    tailcheck, tail = None, []
+    if check is not latch:
+        cterm = check.terminator
+        if (len(check.instructions) != 1 or cterm.opcode != "condbr"
+                or latch not in cterm.operands[1:]):
+            return "row loop body after the gang loop is not a tail check"
+        if not _invariant(cterm.operands[0], blocks):
+            return "thread count varies by row"
+        tailcheck = check
+        work = [s for s in cterm.operands[1:] if s is not latch]
+        while work:
+            block = work.pop()
+            if block in tail or block is latch:
+                continue
+            if block not in blocks or block is header or block in gl.loop.blocks:
+                return "row tail leaves the row loop"
+            tail.append(block)
+            work += block.successors
+    tail_set = set(tail)
+    parts = {header, latch, *prologue, *gl.loop.blocks, *tail}
+    if tailcheck is not None:
+        parts.add(tailcheck)
+    if parts != blocks:
+        return "row loop body has blocks outside the gang loop and its tail"
+    if any(i.opcode == "alloca" for i in function.instructions()):
+        return "private storage in a row nest"
+
+    # The row index may reach only affine scalars, the addresses of
+    # accesses and the prologue's stored values; every access address
+    # must have a row form (the no-alias check at nest entry reads it).
+    memo: Dict[Value, Optional[dict]] = {}
+    in_prologue = {i for b in prologue for i in b.instructions}
+    ordered = [b for b in function.blocks if b in blocks]
+    dependent: Set[Value] = {y}  # the scalars computed from the row index
+    work = [y]
+    while work:
+        for user, _ in work.pop().uses:
+            if (user not in dependent and user.parent in blocks
+                    and user.parent is not header
+                    and user.opcode not in _ADDRESS_OPERAND
+                    and not isinstance(user.type, VectorType)):
+                dependent.add(user)
+                work.append(user)
+    for block in ordered:
+        for instr in block.instructions:
+            op = instr.opcode
+            if instr in in_prologue:
+                if isinstance(instr.type, VectorType):
+                    return "row prologue computes a vector"
+                if op in ("call", "alloca") or (
+                        op in _ADDRESS_OPERAND and op != "store"):
+                    return f"{op} in a row prologue"
+                if op not in ("store", "br") and row_form(
+                        instr, blocks, y, gl.phi, memo) is None:
+                    return "row prologue scalar not affine in the row index"
+            if op in ("gather", "scatter"):
+                return f"{op} in a row nest"
+            if op in _ADDRESS_OPERAND and row_form(
+                    instr.operands[_ADDRESS_OPERAND[op]], blocks, y, gl.phi,
+                    memo) is None:
+                return "row nest address not affine in the row index"
+            if instr in (cmp, inc) or (op == "phi" and instr.parent is header):
+                continue  # the loop's own test and step, and dead phis
+            for idx, o in enumerate(instr.operands):
+                if o not in dependent:
+                    continue
+                if _ADDRESS_OPERAND.get(op) == idx or instr in in_prologue:
+                    continue  # an address, or a stored row form
+                if instr in dependent:
+                    if row_form(instr, blocks, y, gl.phi, memo) is None:
+                        return (f"row-dependent scalar {op} is not affine in"
+                                " the row index")
+                    continue
+                return f"row index reaches {_PER_GANG_SINKS.get(op, op)}"
+
+    # The tail runs its R rows as one trip of R gangs: the gang loop's
+    # rules, with the row as the gang.
+    tail_ordered = [b for b in function.blocks if b in tail_set]
+    found = _divergent_loops(function, tail_set, tail_ordered, gl.gang, batch)
+    if isinstance(found, str):
+        return found
+    divergent, control, chain = found
+    for block in tail_ordered:
+        for instr in block.instructions:
+            reason = None if instr in control else \
+                _instr_reason(instr, tail_set, "row tail")
+            if reason is not None:
+                return reason
+            if any(user.parent not in tail_set for user, _ in instr.uses):
+                return "value escapes the row tail"
+    tail_rpo = [b for b in reverse_postorder(function) if b in tail_set]
+    deltas, per_gang, delta_of = _scalar_forms(None, tail_rpo, tail_set,
+                                               control)
+    for instr, delta in deltas.items():
+        if delta is None:
+            return f"gang-dependent scalar {instr.opcode} is not affine"
+    reason = (_per_gang_reason(per_gang, delta_of)
+              or _loop_state_reason(divergent, tail_ordered))
+    if reason is not None:
+        return reason
+    for block in tail_ordered:
+        for instr in block.instructions:
+            if instr.opcode == "atomicrmw":
+                reason = _atomic_reason(instr, per_gang, delta_of,
+                                        len(chain[block]) > 1)
+                if reason is not None:
+                    return reason
+    return _RowNest(loop=outer, phi=y, icmp=cmp, condbr=term, inc=inc,
+                    preheader=preds[0], prologue=prologue,
+                    tailcheck=tailcheck, tail=tail_ordered, latch=latch,
+                    per_gang=per_gang, delta_of=delta_of,
+                    divergent=divergent, chain=chain)
+
+
+def _collapse(function: Function, nest: _RowNest, gl: _GangLoop, batch: int,
+              module: Module, protos: _Prototypes) -> None:
+    """Collapse a legal row nest whose gang loop is already batched: the
+    outer blocks charge once per row of the outer trip, and the tail
+    widens into one trip of B row slots."""
+    outer = [nest.loop.header, *nest.prologue, nest.latch]
+    if nest.tailcheck is not None:
+        outer.append(nest.tailcheck)
+        nest.tailcheck.terminator.attrs["row_tail"] = batch
+    for block in outer:
+        for instr in block.instructions:
+            _annotate(instr, (protos.of(instr),), ROWS)
+    for block in nest.tail:
+        for instr in block.instructions:
+            _annotate(instr, (protos.of(instr),), nest.chain[block])
+    _mark_divergent(nest.divergent, batch, gl.gang)
+    _widen(function, module, nest.tail, set(), batch, gl.gang,
+           nest.per_gang, nest.delta_of, {}, nest.preheader,
+           rows_at_runtime=True)
+    nest.condbr.attrs["row_nest"] = (gl.gang, batch)
 
 
 def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport:
-    """Batch every legal gang loop in ``module`` in place.
+    """Batch every legal gang loop in ``module`` in place, collapsing the
+    row loop around it when that is legal too.
 
     Returns a :class:`BatchReport`.  Mutation happens only for loops that
     pass every legality check; when anything was applied the caller
     leaves the recipe for the unbatched build in
-    ``module.attrs["unbatched_recipe"]`` (see :func:`unbatched_twin`).
+    ``module.attrs["unbatched_recipe"]`` (see :func:`unbatched_twin`).  A
+    row loop that cannot collapse is reported in ``rejected`` with its
+    reason; its gang loop may still batch on its own.
     """
     module.require_mutable("batch_module")
     applied: List[str] = []
@@ -1099,25 +1508,39 @@ def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport
                 rejected.append((function.name, gl.loop.header.name,
                                  f"non-power-of-two gang size {gl.gang}"))
                 continue
-            # The two bits of loop shape the factor looks at.
+            # The bit of loop shape the factor looks at.
             straight_line = not any(
                 inner.header is not gl.loop.header
                 and inner.header in gl.loop.blocks for inner in loops)
             b = select_batch_factor(gl.gang, requested,
-                                    straight_line=straight_line,
-                                    nested=gl.loop.parent is not None)
+                                    straight_line=straight_line)
             if b < 2:
                 rejected.append((function.name, gl.loop.header.name,
                                  "gang already at the lane target"))
                 continue
-            result = _batch_one_loop(function, gl, b, module, protos)
+            nest = None
+            if gl.loop.parent is not None:
+                nest = _match_row_nest(function, gl, b)
+                if isinstance(nest, str):
+                    rejected.append((function.name,
+                                     gl.loop.parent.header.name, nest))
+                    nest = None
+            result = _batch_one_loop(function, gl, b, module, protos, nest)
             if isinstance(result, str):
                 rejected.append((function.name, gl.loop.header.name, result))
-            else:
-                applied.append(f"{function.name}:{gl.loop.header.name}" + "".join(
-                    f" private %{alloca.name} {rows} rows x {row} bytes"
-                    for alloca, (rows, row, _) in result.items()))
-                factor = max(factor, b)
+                continue
+            entry = f"{function.name}:{gl.loop.header.name}" + "".join(
+                f" private %{alloca.name} {rows} rows x {row} bytes"
+                for alloca, (rows, row, _) in result.items())
+            if nest is not None:
+                _collapse(function, nest, gl, b, module, protos)
+                bound = gl.icmp.operands[1]
+                count = bound.value if isinstance(bound, Constant) \
+                    else f"%{bound.name}"
+                entry += (f" rows of {nest.loop.header.name}:"
+                          f" P = {count} / {gl.gang} gangs per row")
+            applied.append(entry)
+            factor = max(factor, b)
     if not applied and not rejected:
         rejected.append(("<module>", "<none>", "no batchable gang loop found"))
     report = BatchReport(factor=factor if applied else 1,

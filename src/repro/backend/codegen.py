@@ -58,7 +58,16 @@ IR runs nowhere else):
   physical buffer, which carry no meaning.  Accesses to an alloca
   expanded per gang (``private`` rows) use a ``(rows, G·B)`` array and
   per-trip row flags instead of VM memory (:meth:`_Emitter._emit_private`),
-  written back at the gang backedge (:func:`_private_writeback`).
+  written back at the gang backedge (:func:`_private_writeback`);
+* a collapsed row nest (its header ``condbr`` carries ``row_nest``)
+  computes its accesses' row strides and ``_Rn``, the rows per outer
+  trip, at entry (:meth:`_Emitter._emit_nest_entry`, with the no-alias
+  check :func:`_rows_disjoint`); each outer trip runs ``_R`` rows, its
+  gang loop trips ``_g`` gangs of each (``_r = _R * _g``) and its tail one
+  gang per row (``_g = 1``, ``_r = _R``).  Packed accesses in those trips
+  are ``(_R, _g, lanes)`` views (:meth:`_Emitter._emit_slots`),
+  prologue stores and per-row atomics update ``_R`` cells a row stride
+  apart (:func:`_store_rows`, :func:`_rmw_rows`).
 
 Accounting contract
 -------------------
@@ -91,8 +100,9 @@ protocol covers the rest:
   instruction narrow charge prototypes (``batch_charges``, read through
   :func:`batch_charge_items`) and a multiplicity spec (``batch_mult``):
   how many unbatched executions one batched step stands for.  A spec is
-  an int (header bookkeeping ×0, the exit block's last header visit ×1)
-  or a tuple of divergent-loop ids ending in the static B, which inside
+  an int (header bookkeeping ×0, the exit block's last header visit ×1),
+  ``"rows"`` (a collapsed row nest's outer blocks and gang-loop exit: the
+  rows of the outer trip, ``_R``), or a tuple of divergent-loop ids ending in the static B, which inside
   the gang loop stands for ``_r``; the first id with a live activity
   count wins, so code under a divergent loop charges once per gang that
   would still be iterating unbatched.  A loop's
@@ -102,7 +112,9 @@ protocol covers the rest:
   fold at emit time, divergent ones resolve through the specialized
   activity locals (activity is constant within a block — it only
   changes at backedge commits).  Prefix sums of the unbatched charge
-  sequence are a superset of the batched ones, so a budget crossing
+  sequence are a superset of the batched ones — in a collapsed row nest
+  the charges of an outer trip's R rows run ahead of the unbatched order
+  but never past its total for those rows — so a budget crossing
   happens here iff the unbatched build traps, and the replay reproduces
   its exact trap point;
 * the per-block budget check compares ``_ni`` against the headroom
@@ -198,9 +210,12 @@ units over ``needed`` lanes plus an alignment bit, then a slice of the
 typed view ``_mem.lanes[i]``: all lanes → slice copy / slice assign; a
 prefix → ``zeros`` + slice assign / ``values[:needed]``; holes →
 ``copyto(..., where=KEEP)`` with the hoisted keep-vector; no active
-lane → ``zeros`` / nothing at all, the address never validated.  A
-*runtime* mask joins the range test (``count_nonzero(mask) == count``)
-and takes the all-active form.
+lane → ``zeros`` / nothing at all, the address never validated.  Under
+a *runtime* mask the in-bounds access is the all-active form when every
+lane is set; otherwise a load zeroes the inactive lanes (``copyto(...,
+where=mask)`` into ``zeros``) and a store writes the active ones and
+raises the extent to the end of its last active lane, as
+``Memory.store_lanes`` does.
 
 Whatever the test rejects — NULL page, out of bounds, an address past
 the physical buffer, a misaligned packed address, a runtime mask with
@@ -261,6 +276,7 @@ import numpy as np
 
 from .. import diskcache
 from ..ir.cfg import Loop, find_loops, reverse_postorder
+from .batch import GANG, ONE, ROW, ROWS, row_dependent, row_form
 from ..ir.instructions import (
     ATOMIC_RMW_OPS,
     CAST_OPS,
@@ -501,8 +517,208 @@ def _private_writeback(memory, base: int, private, flags, lo: int, hi: int):
 
 #: The gang loop being emitted: its ``batch_trip`` factors, header, and
 #: the allocas it expands, each ``alloca -> (rows, row bytes, lanes per
-#: gang, array local, flags local)``.
+#: gang, array local, flags local)``.  A row tail's trip has no header.
 _Trip = namedtuple("_Trip", "gang batch header privates")
+
+_M64 = (1 << 64) - 1
+
+
+def _rows_disjoint(rows: int, accesses) -> bool:
+    """The no-alias check at a row nest's entry: may the nest's ``rows``
+    run R at a time?  ``accesses`` holds ``(a0, rho, hi, store)`` per
+    access: its address at the first row and gang 0, its row stride, the
+    bytes ``[a0, a0 + hi)`` it may touch in one row, and whether it writes.
+    Yes iff every store's rows are disjoint from each other and from every
+    other access's rows — hulls over all rows that do not meet, or the
+    same row stride with both footprints inside one stride (a per-row
+    cell and the prologue store that resets it)."""
+    spans = []
+    for a0, rho, hi, store in accesses:
+        if hi <= 0:
+            continue  # never runs: a body access of a row without full gangs
+        if rho < 0:
+            return False
+        spans.append((a0, a0 + hi + (rows - 1) * rho, a0 + hi, rho, store))
+    for n, (lo, top, hi, rho, store) in enumerate(spans):
+        if not store:
+            continue
+        if hi - lo > rho:
+            return False  # the store's rows overlap each other
+        for m, (lo2, top2, hi2, rho2, _) in enumerate(spans):
+            if m == n or lo2 >= top or lo >= top2:
+                continue
+            if rho2 != rho or max(hi, hi2) - min(lo, lo2) > rho:
+                return False
+    return True
+
+
+def _slot_lanes(memory, addr: int, dtype, count: int, batch: int, rows: int,
+                gangs: int, rho: int, delta: int, mask, values=None):
+    """The ``Memory`` path of a trip's packed access over ``(rows, gangs,
+    lanes)`` slots (:meth:`_Emitter._emit_slots`): row by row, each a
+    row-strided access of its ``gangs`` gangs ``delta`` bytes apart, so
+    every gang validates and traps as its unbatched access does."""
+    span = gangs * (count // batch)
+    out = np.zeros(count, dtype) if values is None else None
+    for i in range(rows):
+        at = (addr + i * rho) & _M64
+        lo = i * span
+        part = None if mask is None else mask[lo:lo + span]
+        if values is None:
+            out[lo:lo + span] = memory.load_rows(at, dtype, span, gangs,
+                                                 delta, part)
+        else:
+            memory.store_rows(at, dtype, values[lo:lo + span], gangs, delta,
+                              part)
+    return out
+
+
+#: ``atomicrmw`` ops :func:`_rmw_rows` applies to a row of cells at once.
+_ROW_RMW = {"add": np.add, "sub": np.subtract, "and": np.bitwise_and,
+            "or": np.bitwise_or, "xor": np.bitwise_xor,
+            "umin": np.minimum, "umax": np.maximum}
+
+
+def _row_cells(memory, addr: int, rho: int, rows: int, dtype):
+    """The cells ``addr + i·rho`` (``i < rows``) of a collapsed nest as
+    one strided view, after raising the extent over them — or ``None``
+    when one is outside the physical buffer or two overlap (then the
+    caller goes row by row through ``Memory``)."""
+    size = dtype.itemsize
+    end = addr + (rows - 1) * rho + size
+    if addr < NULL_GUARD or end > len(memory.data) or (
+            rows > 1 and rho < size):
+        return None
+    if end > memory._extent:
+        memory._extent = end
+    return np.ndarray((rows,), dtype, memory.data, addr, (rho,))
+
+
+def _store_rows(memory, addr: int, rho: int, rows: int, ctype, value,
+                step: int) -> None:
+    """A row prologue's scalar store for each row of the outer trip, in
+    row order: row ``i`` stores ``value + i·step`` at ``addr + i·rho``."""
+    values = [(value + i * step) & _M64 for i in range(rows)] if step \
+        else [value] * rows
+    cells = _row_cells(memory, addr, rho, rows, elem_dtype(ctype))
+    if cells is not None:
+        cells[...] = values
+        return
+    for i, v in enumerate(values):
+        memory.store_scalar((addr + i * rho) & _M64, ctype, v)
+
+
+def _rmw_rows(memory, addr: int, rho: int, rows: int, ctype, rmw: str,
+              lanes, gangs: int) -> None:
+    """A per-gang ``atomicrmw`` in a collapsed trip: row ``i`` folds its
+    gangs' lanes into the cell at ``addr + i·rho`` (a per-row cell,
+    ``sums + y``; rows update in row order)."""
+    folds = lanes[:rows * gangs].reshape(rows, gangs)
+    ufunc = _ROW_RMW.get(rmw)
+    cells = None if ufunc is None else \
+        _row_cells(memory, addr, rho, rows, lanes.dtype)
+    if cells is not None:
+        cells[...] = ufunc(cells, ufunc.reduce(folds, axis=1,
+                                               dtype=lanes.dtype)
+                           if rmw != "sub" else
+                           np.add.reduce(folds, axis=1, dtype=lanes.dtype))
+        return
+    apply = scalar_binop_impl(rmw, ctype)
+    for i in range(rows):
+        at = (addr + i * rho) & _M64
+        old = memory.load_scalar(at, ctype)
+        memory.store_scalar(at, ctype, apply(
+            old, fold_lanes(rmw, ctype.bits, folds[i])))
+
+
+def _mask_end(mask, width: int) -> int:
+    """One past the last active lane of a row tail's first slot (every
+    slot holds the same tail mask), or 0."""
+    lanes = mask[:width].nonzero()[0]
+    return int(lanes[-1]) + 1 if len(lanes) else 0
+
+
+#: :func:`_mask_bound` of a mask with no lane set.
+_EMPTY = object()
+
+
+def _mask_bound(mask: Value, nest: Set[BasicBlock], memo: dict):
+    """A mask computed before the ``nest`` whose lanes include every lane
+    ``mask`` can set — ``_EMPTY`` when it sets none, ``None`` when no such
+    mask is known.  An ``and`` is bounded by either operand, an ``or``,
+    ``select`` or ``phi`` by the one bound of all of theirs (a phi is
+    assumed empty while its own cycle is followed: the loop-exit masks of
+    divergent loops accumulate from an all-false start)."""
+    if not (isinstance(mask, Instruction) and mask.parent in nest):
+        if isinstance(mask, Constant) and not any(mask.value):
+            return _EMPTY
+        return mask
+    if mask in memo:
+        return memo[mask]
+    memo[mask] = _EMPTY
+    op = mask.opcode
+    if op == "and":
+        bounds = [_mask_bound(o, nest, memo) for o in mask.operands]
+        bound = _EMPTY if any(b is _EMPTY for b in bounds) else next(
+            (b for b in bounds if b is not None), None)
+    elif op in ("or", "select", "phi"):
+        values = mask.operands[1:] if op == "select" else \
+            mask.operands if op == "or" else [v for v, _ in mask.phi_incoming()]
+        bound = _EMPTY
+        for v in values:
+            b = _mask_bound(v, nest, memo)
+            if b is None or (bound is not _EMPTY and b is not _EMPTY
+                             and b is not bound):
+                bound = None
+                break
+            if b is not _EMPTY:
+                bound = b
+    else:
+        bound = None
+    memo[mask] = bound
+    return bound
+
+
+def _last_lane_end(mask, width: int, gangs: int, rho: int, delta: int,
+                   itemsize: int) -> int:
+    """One past the last active lane of a collapsed trip's runtime
+    ``mask`` (its active slots, flattened), relative to the access's
+    address — what ``store_lanes`` raises the extent to — or 0."""
+    lanes = mask.nonzero()[0]
+    if not len(lanes):
+        return 0
+    last = int(lanes[-1])
+    (i, j), lane = divmod(last // width, gangs), last % width
+    return i * rho + j * delta + (lane + 1) * itemsize
+
+
+class _Nest:
+    """A collapsed row nest being emitted (its header ``condbr`` carries
+    ``row_nest``): the row index, its bound and step, the nest's blocks
+    and gang base (for :func:`~repro.backend.batch.row_form`), and the
+    row-stride locals computed at nest entry."""
+
+    __slots__ = ("header", "row", "bound", "inc", "blocks", "gang_phi",
+                 "gang", "batch", "memo", "strides")
+
+    def __init__(self, loop: Loop, gang: int, batch: int):
+        term = loop.header.instructions[-1]
+        self.header = loop.header
+        self.row, self.bound = term.operands[0].operands
+        self.inc = self.row.phi_value_for(loop.latches[0])
+        self.blocks = loop.blocks
+        gang_header = next(
+            b for b in loop.ordered_blocks()
+            if "batch_trip" in b.instructions[-1].attrs)
+        self.gang_phi = gang_header.instructions[0]
+        self.gang = gang
+        self.batch = batch
+        self.memo: Dict[Value, Optional[dict]] = {}
+        #: Row part of a form -> the local holding its signed row stride.
+        self.strides: Dict[frozenset, str] = {}
+
+    def form(self, v: Value) -> dict:
+        return row_form(v, self.blocks, self.row, self.gang_phi, self.memo)
 
 
 def _private_alloca(access: Instruction) -> Instruction:
@@ -772,6 +988,10 @@ class _Emitter:
         self.exit_counter = 0
         #: The gang loop being emitted (a :data:`_Trip`), or ``None``.
         self.trip = None
+        #: The collapsed row nest being emitted (a :class:`_Nest`), or
+        #: ``None``; whether any nest's no-alias check was emitted.
+        self.nest: Optional[_Nest] = None
+        self.row_checks = False
         self._scan_batch_shapes()
 
     # -- divergent-activity specialization ---------------------------------------
@@ -855,7 +1075,10 @@ class _Emitter:
     def _mult_expr(self, spec: tuple) -> str:
         """Runtime multiplicity of a spec: the first lid with a live
         activity count wins, the trip's gang count ``_r`` (the trailing
-        static B) backstops."""
+        static B) backstops.  A row nest's outer blocks charge once per
+        row of the outer trip (``_R``)."""
+        if spec == ROWS:
+            return "_R"
         if self.act_ok:
             x = spec[0]
             if isinstance(x, int):
@@ -1008,6 +1231,8 @@ class _Emitter:
                 spec = ins.attrs["batch_mult"]
                 if isinstance(spec, tuple) and not self.trip:
                     raise CodegenBailout("batch-spec-outside-gang-loop")
+                if spec == ROWS and not self.nest:
+                    raise CodegenBailout("batch-spec-outside-row-nest")
                 if isinstance(spec, int):
                     m = spec
                     if m:
@@ -1050,7 +1275,7 @@ class _Emitter:
             if not mref.isidentifier():
                 self.line(f"_m = {mref}")
                 mref = "_m"
-            guard = mref != "_r"  # a trip runs at least one gang
+            guard = mref not in ("_r", "_R")  # a trip runs a gang, a row
             if guard:
                 self.line(f"if {mref}:")
                 self.indent += 1
@@ -1361,6 +1586,11 @@ class _Emitter:
         return True
 
     def emit_compute(self, ins) -> None:
+        if self.nest is not None and ins is self.nest.inc:
+            # The row loop steps by the rows its outer trip ran.
+            self.line(f"{self.name_of(ins)} = ({self.ref(ins.operands[0])}"
+                      f" + _R) & {_M64:#x}")
+            return
         known = self.known
         for o in ins.operands:  # the common answer is "no", on the first
             if not isinstance(o, Constant) and id(o) not in known:
@@ -1431,7 +1661,7 @@ class _Emitter:
             self.line(f"{self.name_of(ins)} = _mem.alloc({size})")
         elif op == "load":
             self._emit_cell(ins, ins.type, self.ref(ops[0]))
-        elif op == "store":
+        elif op == "store" and self.nest is None:
             self._emit_cell(ins, ops[0].type, self.ref(ops[1]),
                             store=self.ref(ops[0]))
         elif op == "atomicrmw":
@@ -1441,7 +1671,16 @@ class _Emitter:
                 raise CodegenBailout("atomicrmw-op")
             t = ins.type
             old, x = self.name_of(ins), self.ref(ops[1])
-            if "segments" in ins.attrs:
+            addr = self.ref(ops[0])
+            segments = "segments" in ins.attrs
+            if segments and self.nest is not None:
+                # A collapsed row nest: each row of the trip folds its
+                # gangs into its own cell (``sums + y``).
+                rows = self.hoist(_rmw_rows, key=("b", "rmw_rows"))
+                self.line(f"{rows}(_mem, {addr}, {self._row_stride(ops[0])},"
+                          f" _R, {self._type(t)}, {rmw!r}, {x}, _g)")
+                return
+            if segments:
                 # Per-gang lanes: one read-modify-write with the fold of
                 # the trip's active gangs.
                 fold = self.hoist(fold_lanes, key=("fold",))
@@ -1455,11 +1694,20 @@ class _Emitter:
                 impl = self.hoist(scalar_binop_impl(rmw, t),
                                   key=("rmw", rmw, id(t)))
                 new = f"{impl}({old}, {x})"
-            self._emit_cell(ins, t, self.ref(ops[0]), store=new)
+            self._emit_cell(ins, t, addr, store=new)
+        elif op == "store":
+            # A row prologue's store runs once per row, in row order.
+            step = self._row_stride(ops[0]) \
+                if row_dependent(self.nest.form(ops[0])) else 0
+            rows = self.hoist(_store_rows, key=("b", "store_rows"))
+            self.line(f"{rows}(_mem, {self.ref(ops[1])},"
+                      f" {self._row_stride(ops[1])}, _R, {self._type(ops[0].type)},"
+                      f" {self.ref(ops[0])}, {step})")
         elif op in ("vload", "vstore"):
             attrs = ins.attrs
             emit = self._emit_private if "private" in attrs else \
-                self._emit_rows if "row_stride" in attrs else self._emit_packed
+                self._emit_slots if self.nest and self.trip \
+                or "row_stride" in attrs else self._emit_packed
             if op == "vload":
                 emit(ins, ins.type, self.ref(ops[0]), ops[1])
             else:
@@ -1566,10 +1814,11 @@ class _Emitter:
         test = f"_i < {NULL_GUARD >> shift} or _i + {reach} > {ln}(_w)"
         if shift:
             test = f"{addr} & {dtype.itemsize - 1} or {test}"
-        if lanes is None:
-            test += f" or {self._cnz()}({mref}) != {count}"
         span = f"_w[_i:_i + {reach}]"
-        if store is not None:
+        if lanes is None:
+            inline = self._masked_inline(ins, dt, dtype.itemsize, count, addr,
+                                         mref, span, reach, part, store)
+        elif store is not None:
             nbytes = needed * dtype.itemsize if reach == needed \
                 else f"_n * {dtype.itemsize}"
             inline = [f"_e = {addr} + {nbytes}",
@@ -1597,75 +1846,149 @@ class _Emitter:
         pad += "    "
         self.lines += [pad + text for text in inline]
 
-    def _emit_rows(self, ins, vtype, addr: str, mask: Value,
-                   store: Optional[str] = None) -> None:
-        """A row-strided ``vload``/``vstore`` of gang batching: B rows of
-        the narrow width, ``row_stride`` bytes apart.  One range test over
-        the whole span, then a 2-D strided view of the byte buffer.  A
-        mask known at emit time and the same in every row decides, as for
-        packed accesses, how many lanes each row needs and whether
-        ``copyto(where=KEEP)`` skips holes; any other mask joins the test
-        (every lane active) and takes the all-lanes form.  Whatever the
-        test rejects calls ``Memory.load_rows``/``store_rows`` with the
-        original mask."""
-        rows = ins.attrs["segments"]
-        stride = ins.attrs["row_stride"]
-        dtype = elem_dtype(vtype.elem)
-        dt = self._dtype(vtype.elem)
-        count = vtype.count
-        width = count // rows
-        lanes = self._mask_lanes(mask, rows)
-        active, needed = lanes if lanes is not None else (width, width)
-        keep = self._keep(mask, active, needed)
-        mref = "None" if lanes is not None and active == width \
-            else self.ref(mask)
-        smask = self._slow_mask(mref, count)
+    def _masked_inline(self, ins, dt: str, itemsize: int, count: int,
+                       addr: str, mref: str, span: str, reach, part: str,
+                       store: Optional[str]) -> List[str]:
+        """The in-bounds form of a packed access under a runtime mask: all
+        lanes active is a plain slice; otherwise a load zeroes its inactive
+        lanes (``copyto(where=mask)`` into zeros) and a store writes its
+        active ones, raising the extent to the end of its last active lane
+        as ``Memory.store_lanes`` does (no active lane: no write)."""
+        cnz = self._cnz()
+        copyto = self._np(np.copyto)
         if store is None:
             dst = self.name_of(ins)
-            slow = (f"{dst} = _mem.load_rows({addr}, {dt}, {count}, {rows},"
-                    f" {stride}, {smask})")
-        else:
-            slow = (f"_mem.store_rows({addr}, {dt}, {store}, {rows},"
-                    f" {stride}, {smask})")
-        self.inline_sites += 1
+            copy = "" if self._cast_copies(ins) else ".copy()"
+            return [f"if {cnz}({mref}) == {count}:",
+                    f"    {dst} = {span}{copy}",
+                    "else:",
+                    f"    {dst} = {self._np(np.zeros)}({count}, {dt})",
+                    f"    {copyto}({dst}, {span}, where={mref})"]
+        m = f"{mref}{part}"
+        nbytes = reach * itemsize if isinstance(reach, int) \
+            else f"{reach} * {itemsize}"
+        last = f"({self._int()}({m}.nonzero()[0][-1]) + 1) * {itemsize}"
+        return [f"_nc = {cnz}({m})",
+                f"if _nc == {reach}:",
+                f"    _e = {addr} + {nbytes}",
+                "    if _e > _mem._extent:",
+                "        _mem._extent = _e",
+                f"    {span} = {store}{part}",
+                "elif _nc:",
+                f"    _e = {addr} + {last}",
+                "    if _e > _mem._extent:",
+                "        _mem._extent = _e",
+                f"    {copyto}({span}, {store}{part}, where={m})"]
+
+    def _emit_slots(self, ins, vtype, addr: str, mask: Value,
+                    store: Optional[str] = None) -> None:
+        """A ``vload``/``vstore`` of a trip as slots: slot ``k < _r`` is
+        gang ``k % gangs`` of row ``k // gangs``, at ``addr + (k //
+        gangs)·ρ + (k % gangs)·Δ`` — Δ the per-gang delta (``row_stride``,
+        or the access's width when its gangs are contiguous).  A flat gang
+        loop's trip is one row of ``_r`` gangs (the row-strided form), a
+        ``(gangs, lanes)`` view; a collapsed row nest's is ``_R`` rows of
+        ``_g`` gangs, ρ the address's row stride (a row tail runs one gang
+        per row), a ``(rows, gangs, lanes)`` view.  One range test over the
+        trip's span, then the view of the byte buffer; a mask known at emit
+        time and the same in every slot decides how many lanes each slot
+        needs and whether ``copyto(where=KEEP)`` skips holes, a runtime
+        mask becomes the ``where`` of the copy.  Whatever the test rejects
+        goes row by row through ``Memory.load_rows``/``store_rows``
+        (:func:`_slot_lanes`)."""
+        batch = self.trip.batch
+        dtype = elem_dtype(vtype.elem)
+        es = dtype.itemsize
+        dt = self._dtype(vtype.elem)
+        count = vtype.count
+        width = count // batch
+        step = ins.attrs.get("row_stride")
+        delta = step if isinstance(step, int) else width * es
+        lanes = self._mask_lanes(mask, batch)
+        active, needed = lanes if lanes is not None else (width, width)
         if not needed:
             # No active lane: the address is never validated.
             if store is None:
-                self.line(f"{dst} = {self._np(np.zeros)}({count}, {dt})")
+                self.line(f"{self.name_of(ins)} = {self._np(np.zeros)}("
+                          f"{count}, {dt})")
             return
-        # A store in a gang loop writes the rows of the trip's active
-        # gangs only (a load may read the others).
-        live = "_r" if store is not None and self.trip else rows
-        span = (rows - 1) * stride + needed * dtype.itemsize if live == rows \
-            else f"(_r - 1) * {stride} + {needed * dtype.itemsize}"
-        ln = self.hoist(len, key=("b", "len"))
-        test = f"{addr} < {NULL_GUARD} or {addr} + {span} > {ln}(_d)"
-        if lanes is None:
-            test += f" or {self._cnz()}({mref}) != {count}"
-        nd = self.hoist(np.ndarray, key=("np", "ndarray"))
-        view = (f"{nd}(({live}, {needed}), {dt}, _d, {addr},"
-                f" ({stride}, {dtype.itemsize}))")
-        part = "" if needed == width else f"[:, :{needed}]"
-        copyto = self._np(np.copyto)
-        if store is not None:
-            src = f"{store}.reshape({rows}, {width})"
-            src += part if live == rows else f"[:_r]{part}"
-            inline = [f"_e = {addr} + {span}",
-                      "if _e > _mem._extent:",
-                      "    _mem._extent = _e",
-                      f"{view}[...] = {src}" if keep is None else
-                      f"{copyto}({view}, {src}, where={keep})"]
-        elif not part and keep is None:
-            inline = [f"{dst} = {view}.flatten()"]
+        self.inline_sites += 1
+        lanes_of = "" if needed == width else f":{needed}"
+        if self.nest:
+            rho = self._row_stride(ins.operands[0 if store is None else 1])
+            rows, gangs, lead = "_R", "_g", "_R, _g"
+            strides = f"{rho}, {delta}, {es}"
+            reach = f"(_R - 1) * {rho} + (_g - 1) * {delta}"
+
+            def slots(rows_by_gang: str) -> str:
+                """The trip's slots of a ``(B, width)`` array, by row."""
+                return (f"{rows_by_gang}[:_r].reshape(_R, _g, {width})"
+                        + (f"[:, :, {lanes_of}]" if lanes_of else ""))
         else:
-            inline = [f"{dst} = {self._np(np.zeros)}(({rows}, {width}), {dt})",
-                      f"{dst}{part} = {view}" if keep is None else
-                      f"{copyto}({dst}{part}, {view}, where={keep})",
-                      f"{dst} = {dst}.reshape(-1)"]
+            rho, rows, gangs, lead = "0", "1", "_r", "_r"
+            strides = f"{delta}, {es}"
+            reach = f"(_r - 1) * {delta}"
+
+            def slots(rows_by_gang: str) -> str:
+                return f"{rows_by_gang}[:_r{', ' + lanes_of if lanes_of else ''}]"
+        keep = self._keep(mask, active, needed) if lanes is not None else None
+        mref = "None" if lanes is not None and active == width \
+            else self.ref(mask)
+        where = keep if lanes is not None else \
+            slots(f"{mref}.reshape({batch}, {width})")
+        nd = self.hoist(np.ndarray, key=("np", "ndarray"))
+        copyto = self._np(np.copyto)
+        view = f"{nd}(({lead}, {needed}), {dt}, _d, {addr}, ({strides}))"
+        end = f"{reach} + {needed * es}"
+        ln = self.hoist(len, key=("b", "len"))
+        lanes_fn = self.hoist(_slot_lanes, key=("b", "slot_lanes"))
+        slow = (f"{lanes_fn}(_mem, {addr}, {dt}, {count}, {batch}, {rows},"
+                f" {gangs}, {rho}, {delta}, {mref}")
         pad = "    " * self.indent
-        self.lines += [f"{pad}_d = _mem.data", f"{pad}if {test}:",
-                       f"{pad}    {slow}", f"{pad}else:"]
-        self.lines += [f"{pad}    {text}" for text in inline]
+        self.lines += [f"{pad}_d = _mem.data",
+                       f"{pad}if {addr} < {NULL_GUARD} or {addr} + {end}"
+                       f" > {ln}(_d):"]
+        if store is None:
+            dst = self.name_of(ins)
+            self.lines.append(f"{pad}    {dst} = {slow})")
+            self.lines.append(f"{pad}else:")
+            body = []
+            if where is None and not lanes_of:
+                body += [f"if _r == {batch}:",
+                         f"    {dst} = {view}.flatten()",
+                         "else:"]
+                indent = "    "
+            else:
+                indent = ""
+            fill = slots(dst)
+            body += [indent + f"{dst} = {self._np(np.zeros)}(({batch},"
+                     f" {width}), {dt})",
+                     indent + (f"{fill}[...] = {view}" if where is None else
+                               f"{copyto}({fill}, {view}, where={where})"),
+                     indent + f"{dst} = {dst}.reshape(-1)"]
+            self.lines += [f"{pad}    {text}" for text in body]
+            return
+        self.lines.append(f"{pad}    {slow}, {store})")
+        self.lines.append(f"{pad}else:")
+        src = slots(f"{store}.reshape({batch}, {width})")
+        if lanes is None:
+            # A runtime mask: the extent rises to its last active lane.
+            last = self.hoist(_last_lane_end, key=("b", "last_lane_end"))
+            body = [f"_m = {mref}.reshape({batch}, {width})",
+                    f"_e = {last}(_m[:_r].reshape(-1), {width}, {gangs},"
+                    f" {rho}, {delta}, {es})",
+                    "if _e:",
+                    f"    _e += {addr}",
+                    "    if _e > _mem._extent:",
+                    "        _mem._extent = _e",
+                    f"    {copyto}({view}, {src}, where={slots('_m')})"]
+        else:
+            body = [f"_e = {addr} + {end}",
+                    "if _e > _mem._extent:",
+                    "    _mem._extent = _e",
+                    f"{view}[...] = {src}" if keep is None else
+                    f"{copyto}({view}, {src}, where={keep})"]
+        self.lines += [f"{pad}    {text}" for text in body]
 
     def _slow_mask(self, mref: str, count: int) -> str:
         """The mask a ``Memory`` call gets: in a gang loop, cut to the
@@ -1873,10 +2196,13 @@ class _Emitter:
                 tail = self.lid_tail.get(lid)
                 if tail is not None:
                     self.line(f"{self.lid_act[lid]} = {self._mult_expr(tail)}")
-        outer_trip = self.trip
-        trip = self.fn_batched and header.instructions[-1].attrs.get("batch_trip")
+        outer_trip, outer_nest = self.trip, self.nest
+        term = header.instructions[-1]
+        trip = self.fn_batched and term.attrs.get("batch_trip")
         if trip:
             self._emit_trip_entry(loop, trip)
+        elif self.fn_batched and "row_nest" in term.attrs:
+            self._emit_nest_entry(loop, term)
         frame = _LoopFrame(loop)
         self.line("while True:")
         self.open.append(frame)
@@ -1884,7 +2210,7 @@ class _Emitter:
         self._suite(lambda: self.emit_from(header, None))
         self.open.pop()
         self.open_headers.discard(header)
-        self.trip = outer_trip
+        self.trip, self.nest = outer_trip, outer_nest
         targets = frame.targets
         if not targets:
             return None  # infinite loop: nothing after is reachable
@@ -1956,8 +2282,12 @@ class _Emitter:
         gang, batch = term.attrs["batch_trip"]
         cond = term.operands[0]
         left = f"{self.ref(cond.operands[1])} - {self.ref(cond.operands[0])}"
-        self.line(f"_r = {batch} if {left} >= {gang * batch} else"
+        gangs = "_g" if self.nest else "_r"
+        self.line(f"{gangs} = {batch} if {left} >= {gang * batch} else"
                   f" ({left} + {gang - 1}) >> {gang.bit_length() - 1}")
+        if self.nest:
+            # The trip runs those gangs of each row of the outer trip.
+            self.line("_r = _R * _g")
         for rows, _, _, _, flags in self.trip.privates.values():
             self.line(f"{flags} = [0] * {rows}")
 
@@ -1968,6 +2298,123 @@ class _Emitter:
         for base, (_, _, lanes, array, flags) in self.trip.privates.items():
             self.line(f"{wb}(_mem, {self.ref(base)}, {array}, {flags},"
                       f" (_r - 1) * {lanes}, _r * {lanes})")
+
+    # -- collapsed row nests -----------------------------------------------------
+
+    def _form_expr(self, form: dict, stride: bool) -> str:
+        """A row form as Python: its value at the current row and gang 0,
+        or (``stride``) its row-index part — the row stride."""
+        row = self.ref(self.nest.row)
+        terms = []
+        for m, c in form.items():
+            by_row = m is ROW or (isinstance(m, tuple) and len(m) == 2)
+            if m is GANG or (stride and not by_row):
+                continue  # gang 0; a stride keeps the row-index part
+            if m is ONE:
+                terms.append(str(c))
+            elif m is ROW:
+                terms.append(str(c) if stride else f"{c} * {row}")
+            elif isinstance(m, tuple):  # the row index times an atom
+                atom = f"{c} * {self.ref(m[1])}"
+                terms.append(atom if stride else f"{atom} * {row}")
+            else:
+                terms.append(f"{c} * {self.ref(m)}")
+        return f"({' + '.join(terms) or '0'})"
+
+    def _row_stride(self, v: Value) -> str:
+        """The signed row stride of ``v`` (an address or stored value in
+        the nest): a local computed at nest entry, or ``0``."""
+        nest = self.nest
+        form = nest.form(v)
+        part = frozenset((m, c) for m, c in form.items()
+                         if m is ROW or (isinstance(m, tuple) and len(m) == 2))
+        if not part:
+            return "0"
+        name = nest.strides.get(part)
+        if name is None:
+            name = nest.strides[part] = f"_rs{len(nest.strides)}"
+            half = 1 << 63
+            self.line(f"{name} = ({self._form_expr(form, True)} + {half:#x}"
+                      f" & {_M64:#x}) - {half:#x}")
+        return name
+
+    def _emit_nest_entry(self, loop: Loop, term) -> None:
+        """Entering a collapsed row nest: the row strides its accesses
+        need, and ``_Rn``, the rows one outer trip runs — ``B // P`` when
+        a row's P full gangs fit a trip and the zero-charge no-alias check
+        (:func:`_rows_disjoint`) passes, else 1, the unbatched order."""
+        gang, batch = term.attrs["row_nest"]
+        nest = self.nest = _Nest(loop, gang, batch)
+        gang_loop = self.loops_by_header[nest.gang_phi.parent]
+        latch = loop.latches[0]
+        runs = "True"  # whether the tail runs (its check is row-invariant)
+        for block in loop.ordered_blocks():
+            check = block.instructions[-1]
+            if "row_tail" in check.attrs:
+                cond = self.ref(check.operands[0])
+                runs = cond if check.operands[2] is latch else f"not {cond}"
+        entries = []
+        for block in loop.ordered_blocks():
+            in_tail = block not in gang_loop.blocks and \
+                block.instructions[-1].attrs.get("batch_mult") != ROWS
+            for ins in block.instructions:
+                op = ins.opcode
+                if op not in ("vload", "vstore", "atomicrmw", "store"):
+                    continue
+                addr = ins.operands[1 if op in ("vstore", "store") else 0]
+                form = nest.form(addr)
+                if form is None:
+                    raise CodegenBailout("row-nest-address")
+                if op in ("vload", "vstore"):
+                    vtype = ins.type if op == "vload" else ins.operands[0].type
+                    row = vtype.count // batch * vtype.elem.size_bytes()
+                    step = ins.attrs.get("row_stride")
+                    if block in gang_loop.blocks:
+                        step = step if isinstance(step, int) else row
+                        hi = f"(_Pn - 1) * {step} + {row} if _Pn else 0"
+                    else:
+                        hi = self._tail_reach(ins, vtype, batch)
+                        hi = f"{hi} if {runs} else 0"
+                else:
+                    cell = ins.type if op == "atomicrmw" else ins.operands[0].type
+                    hi = str(cell.size_bytes())
+                    if in_tail:
+                        hi = f"{hi} if {runs} else 0"
+                    if op == "store" and row_dependent(nest.form(ins.operands[0])):
+                        self._row_stride(ins.operands[0])
+                entries.append(f"({self._form_expr(form, False)} & {_M64:#x},"
+                               f" {self._row_stride(addr)}, {hi}, {op != 'vload'})")
+        y, bound = self.ref(nest.row), self.ref(nest.bound)
+        gbound = self.ref(nest.gang_phi.parent.instructions[-2].operands[1])
+        check = self.hoist(_rows_disjoint, key=("b", "rows_disjoint"))
+        self.row_checks = True
+        self.line(f"_Pn = ({gbound} + {gang - 1}) >> {gang.bit_length() - 1}")
+        self.line(f"_Rn = {bound} - {y} if {y} < {bound} else 0")
+        self.line(f"if _Rn < 2 or _Pn > {batch}:")
+        self.line("    _Rn = 1")
+        self.line(f"elif {check}(_Rn, ({', '.join(entries)},)):")
+        self.line(f"    _Rn = {batch} // _Pn if _Pn else {batch}")
+        self.line("else:")
+        self.line("    _Rn = _fb = 1")
+
+    def _tail_reach(self, ins, vtype, batch: int) -> str:
+        """The bytes a row tail's access reaches in one row: up to the
+        last lane its mask can set — the same in every row when the mask
+        is bounded by one computed before the nest (the tail's launch
+        mask, see :func:`_mask_bound`) — else its width."""
+        mask = ins.operands[1 if ins.opcode == "vload" else 2]
+        width = vtype.count // batch
+        es = vtype.elem.size_bytes()
+        bound = _mask_bound(mask, self.nest.blocks, {})
+        if bound is _EMPTY:
+            return "0"
+        if bound is None:
+            return str(width * es)
+        lanes = self._mask_lanes(bound, batch)
+        if lanes is not None:
+            return str(lanes[1] * es)
+        end = self.hoist(_mask_end, key=("b", "mask_end"))
+        return f"{es} * {end}({self.ref(bound)}, {width})"
 
     def _emit_dispatch_arm(self, target: BasicBlock,
                            stop: Optional[BasicBlock]) -> None:
@@ -2047,6 +2494,12 @@ class _Emitter:
         instrs = block.instructions
         if not instrs or not instrs[-1].is_terminator:
             raise CodegenBailout("no-terminator")
+        if self.nest is not None and block is self.nest.header:
+            # The rows this outer trip runs: R, the rows left, or 1 on
+            # the last header visit (the exit test charges once).
+            y, bound = self.ref(self.nest.row), self.ref(self.nest.bound)
+            self.line(f"_R = 1 if {y} >= {bound} else ({bound} - {y}"
+                      f" if {bound} - {y} < _Rn else _Rn)")
         self.emit_charges(block)
         nphi = 0
         while nphi < len(instrs) and instrs[nphi].opcode == "phi":
@@ -2133,9 +2586,17 @@ class _Emitter:
                         f"_pend.pop({lid!r}, None)",
                     ]
                 commits = (commit, drop) if taken_idx == 1 else (drop, commit)
+            tail = self.nest is not None and "row_tail" in term.attrs
+            if tail:
+                # A row tail: one predicated trip of a gang per row.
+                self.line("_g = 1")
+                self.line("_r = _R")
+                self.trip = _Trip(self.nest.gang, self.nest.batch, None, {})
             body = self.emit_condbr(
                 block, cond, term.operands[1], term.operands[2], stop, commits
             )
+            if tail:
+                self.trip = None
             if self.fn_batched and "batch_trip" in term.attrs:
                 # The gang loop's header: the exit was a guarded break,
                 # and what follows is its body.
@@ -2270,6 +2731,8 @@ class _Emitter:
             head.append(
                 "    " + " = ".join(self.count_locals.values()) + " = 0"
             )
+        if self.row_checks:
+            head.append("    _fb = 0")
         if self.fn_batched:
             if self.act_ok:
                 unclean = [
@@ -2291,6 +2754,9 @@ class _Emitter:
             tail.append(f"        {seterr}(**_es)")
         head.append("    try:")
         tail += ["        _s.cycles += _cy", "        _s.instructions += _ni"]
+        if self.row_checks:
+            # A launch in which a row nest's no-alias check failed.
+            tail.append("        _interp.row_fallbacks += _fb")
         for key, name in self.count_locals.items():
             tail.append(f"        if {name}:")
             tail.append(f"            _c[{key!r}] = _c.get({key!r}, 0) + {name}")

@@ -31,6 +31,17 @@ writes, so every build reads the zeroed block there — and a batched
 build, which holds no copy of an unwritten row, replays on its unbatched
 twin (``FuzzKernel.reads_unwritten``).
 
+A third of the kernels put the region inside a row loop — three rows of
+``n / 3`` threads, thread ``i = row + x`` with ``row = r * w``: the row
+nest of the Simd Library filters, which gang batching collapses into the
+gang trip.  Their gang atomics update a per-row cell ``IOUT[n + 1 + r]``,
+and they declare no per-thread array at uniform indices.
+In the *in-place* variant (``FuzzKernel.in_place``) two rows run and each
+also writes ``B`` one row down (from its own row's ``B``), which the next
+row reads: the output
+aliases the input one row apart, so a collapsed nest's no-alias check
+fails and the rows run one per trip.
+
 Everything is derived from one integer seed via ``random.Random``, so a
 failing kernel reproduces from its seed alone.
 """
@@ -38,16 +49,22 @@ failing kernel reproduces from its seed alone.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
-__all__ = ["FuzzKernel", "generate_kernel", "workload_arrays", "N_THREADS"]
+__all__ = ["FuzzKernel", "generate_kernel", "workload_arrays", "N_THREADS",
+           "N_CELLS"]
 
 #: Thread count for every fuzz kernel: deliberately not a multiple of any
 #: gang size below, so the tail gang (partial last gang) is always covered.
 N_THREADS = 37
+
+#: ``IOUT`` cells: one per thread, the gang atomics' cell ``IOUT[n]``, and
+#: the per-row cells of the row variant.
+N_CELLS = N_THREADS + 4
 
 _GANGS = (4, 8, 16)
 
@@ -81,6 +98,10 @@ class FuzzKernel:
     #: ... and reads a row of it no thread writes: a batched build that
     #: expands the array replays on its unbatched twin.
     reads_unwritten: bool = False
+    #: The region sits in a row loop (``row = r * w`` addressing) ...
+    rows: bool = False
+    #: ... and writes ``B`` one row down, which the next row reads.
+    in_place: bool = False
 
     @property
     def refuses_whole_fallback(self) -> bool:
@@ -93,6 +114,9 @@ class FuzzKernel:
 _REDUCTIONS = ("psim_reduce_add_sync", "psim_reduce_min_sync",
                "psim_reduce_max_sync")
 _ATOMICS = ("psim_atomic_add", "psim_atomic_min", "psim_atomic_max")
+
+#: A gather leaf of :meth:`_Gen.f_leaf` (its index is an integer leaf).
+_GATHER = re.compile(r"A\[\(u64\)abs\(([^()\[\]]*)\)\]")
 
 #: Lane-private array length; every generated index is reduced mod this.
 _PRIVATE_LEN = 4
@@ -349,10 +373,16 @@ class _Gen:
                 "            y = y + u[(u64)ur] * 0.25f;\n"
                 "            ur = ur + 1;\n"
                 "        }\n")
-        source = f"""
-void kernel(f32* A, f32* B, i32* C, f32* OUT, i32* IOUT,
-            f32 sv, i32 si, u64 n) {{
-    psim (gang_size={self.gang}, num_threads=n) {{
+        # The row loop (drawn last of all).  A row kernel keeps no
+        # per-thread array at uniform indices and reads no gathers (their
+        # indices become values): private storage and data-dependent
+        # addresses keep a row nest from collapsing.
+        rows = self.rng.random() < 0.35
+        in_place = rows and self.rng.random() < 0.35
+        if rows:
+            uniform_line, uniform, unwritten = "", False, False
+            body = _GATHER.sub(r"(f32)abs(\1)", body)
+        region = f"""    psim (gang_size={self.gang}, num_threads=n) {{
         u64 i = psim_get_thread_num();
         f32 va = A[i];
         f32 vb = B[i];
@@ -364,7 +394,26 @@ void kernel(f32* A, f32* B, i32* C, f32* OUT, i32* IOUT,
 {shuffle_line}{reduce_line}        OUT[i] = x + y;
         IOUT[i] = p + q * 3;
     }}
-}}
+"""
+        if rows:
+            region = region.replace(
+                "num_threads=n", "num_threads=w").replace(
+                "u64 i = psim_get_thread_num();",
+                "u64 i = row + psim_get_thread_num();").replace(
+                "(IOUT + n,", "(IOUT + n + 1 + r,")
+            if in_place:
+                region = region.replace(
+                    "        OUT[i] = x + y;",
+                    "        B[i + w] = x - vb;\n        OUT[i] = x + y;")
+            region = "\n".join("    " + line if line else line
+                                for line in region.split("\n"))
+            region = (f"    u64 w = n / 3;\n"
+                      f"    for (u64 r = 0; r < {2 if in_place else 3}; r++) {{\n"
+                      f"        u64 row = r * w;\n{region}    }}\n")
+        source = f"""
+void kernel(f32* A, f32* B, i32* C, f32* OUT, i32* IOUT,
+            f32 sv, i32 si, u64 n) {{
+{region}}}
 """
         return FuzzKernel(seed=self.seed, gang_size=self.gang,
                           source=source,
@@ -374,7 +423,8 @@ void kernel(f32* A, f32* B, i32* C, f32* OUT, i32* IOUT,
                           has_int_reduction=int_reduction,
                           has_atomic=atomic,
                           has_uniform_array=uniform,
-                          reads_unwritten=unwritten)
+                          reads_unwritten=unwritten,
+                          rows=rows, in_place=in_place)
 
 
 def generate_kernel(seed: int) -> FuzzKernel:
@@ -385,14 +435,14 @@ def generate_kernel(seed: int) -> FuzzKernel:
 def workload_arrays(seed: int):
     """Deterministic inputs for a fuzz kernel: ``(A, B, C, OUT, IOUT, sv, si)``.
 
-    ``IOUT`` holds ``N_THREADS + 1`` cells: one per thread, then the cell
-    the gang-wide atomics update."""
+    ``IOUT`` holds :data:`N_CELLS` cells: one per thread, the cell the
+    gang-wide atomics update, then one per row of the row variant."""
     rng = np.random.default_rng(0xF0770 + seed)
     A = (rng.random(N_THREADS, dtype=np.float32) * 8 - 4).astype(np.float32)
     B = (rng.random(N_THREADS, dtype=np.float32) * 8 - 4).astype(np.float32)
     C = rng.integers(-50, 51, N_THREADS).astype(np.int32)
     OUT = np.zeros(N_THREADS, np.float32)
-    IOUT = np.zeros(N_THREADS + 1, np.int32)
+    IOUT = np.zeros(N_CELLS, np.int32)
     sv = float(np.float32(rng.random() * 4 - 2))
     si = int(rng.integers(-20, 21))
     return A, B, C, OUT, IOUT, sv, si

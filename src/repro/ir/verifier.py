@@ -292,7 +292,9 @@ def _check_batch_form(function: Function, instr: Instruction) -> None:
     """The gang-batched forms (:mod:`repro.backend.batch`): ``segments``
     splits an op's lanes into per-gang segments, which must divide the
     lane count; a ``row_stride`` access reads or writes one row per
-    segment, rows no closer than their own width."""
+    segment, rows no closer than their own width — or, in a collapsed row
+    nest's tail (``row_stride row``), one row per row of the nest, at the
+    stride generated code reads from the nest."""
     op = instr.opcode
     ops = instr.operands
     segments = instr.attrs.get("segments")
@@ -326,7 +328,7 @@ def _check_batch_form(function: Function, instr: Instruction) -> None:
             bad(f"{op} lane count not divisible by its segments")
         row = data.count // segments * data.elem.size_bytes()
         stride = instr.attrs.get("row_stride")
-        if not isinstance(stride, int) or stride < row:
+        if stride != "row" and (not isinstance(stride, int) or stride < row):
             bad(f"{op} row stride smaller than its {row}-byte row")
     else:
         bad(f"{op} has no per-gang segment form")

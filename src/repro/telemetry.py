@@ -264,19 +264,21 @@ class Telemetry:
         """Whole-kernel codegen counters summed over runs, flattened to the
         ``vm.codegen.*`` keys the perf-smoke CI job and diff mode read:
         fresh compiles, in-memory and disk source-cache hits, compiled
-        calls, trap replays on the reference engine, and bailouts — the
+        calls, trap replays on the reference engine, launches whose row
+        nest's no-alias check failed (``row_fallbacks``), and bailouts — the
         latter both as an aggregate and per reason
         (``vm.codegen.bailout.<reason>``), so a coverage regression (a
         new bailout reason appearing) is visible in the telemetry diff."""
         totals = {"vm.codegen.compiles": 0, "vm.codegen.cache_hits": 0,
                   "vm.codegen.disk_hits": 0, "vm.codegen.calls": 0,
-                  "vm.codegen.replays": 0, "vm.codegen.bailouts": 0}
+                  "vm.codegen.replays": 0, "vm.codegen.row_fallbacks": 0,
+                  "vm.codegen.bailouts": 0}
         for run in self.vm_runs:
             report = run.get("codegen")
             if not report:
                 continue
             for key in ("compiles", "cache_hits", "disk_hits", "calls",
-                        "replays"):
+                        "replays", "row_fallbacks"):
                 totals[f"vm.codegen.{key}"] += int(report.get(key, 0))
             bailouts = report.get("bailouts") or {}
             for reason, n in bailouts.items():

@@ -179,6 +179,9 @@ class Interpreter:
         #: Trap (and batched-bailout) replays on the unbatched twin this
         #: run (see :meth:`_run_replayable`).
         self.batch_replays = 0
+        #: Launches in which a collapsed row nest's no-alias check failed,
+        #: so the nest ran one row per trip (see :mod:`repro.backend.batch`).
+        self.row_fallbacks = 0
         self._fallback_interp: Optional["Interpreter"] = None
         #: Function -> its generated callable (owned by the function's
         #: emission, shared with every other interpreter), or ``None``
@@ -343,6 +346,7 @@ class Interpreter:
         self.edge_calls.clear()
         self._child_cycles = 0.0
         self.batch_replays = 0
+        self.row_fallbacks = 0
         self.codegen_stats["calls"] = 0
         self.codegen_stats["replays"] = 0
         return stats
@@ -499,6 +503,7 @@ class Interpreter:
             "disk_hits": self.codegen_stats["disk_hits"],
             "calls": self.codegen_stats["calls"],
             "replays": self.codegen_stats["replays"],
+            "row_fallbacks": self.row_fallbacks,
             "bailouts": dict(self.codegen_bailouts),
         }
 

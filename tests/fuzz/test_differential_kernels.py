@@ -40,7 +40,12 @@ move.  The leg reaches the per-gang forms: constant-index shuffles,
 integer reductions and the atomics that fold them, and per-thread arrays
 at uniform indices expanded per gang.  A kernel that reads a row of such
 an array no thread writes (``FuzzKernel.reads_unwritten``) must replay on
-the unbatched twin.
+the unbatched twin.  Every kernel whose region sits in a row loop
+(``FuzzKernel.rows``) runs that leg too, whatever its seed: a collapsed
+nest must agree bitwise, and its in-place variant — ``B`` written one row
+down, which the next row reads — must fail the nest's no-alias check and
+say so (``codegen_report()["row_fallbacks"]``).  Outputs are ``OUT``,
+``IOUT`` and ``B``.
 
 Every ~25th seed compiles the kernel in a *subprocess* with the disk
 cache on, rehydrates that entry in this process, and runs it: cold,
@@ -65,7 +70,12 @@ import numpy as np
 import pytest
 
 from repro import diskcache
-from repro.benchsuite.fuzzgen import N_THREADS, generate_kernel, workload_arrays
+from repro.benchsuite.fuzzgen import (
+    N_CELLS,
+    N_THREADS,
+    generate_kernel,
+    workload_arrays,
+)
 from repro.diagnostics import CompileError
 from repro.driver import clear_compile_cache, compile_parsimony
 from repro.faultinject import FaultPlan, inject
@@ -94,6 +104,9 @@ _BATCH_CORPUS = {"batched": 0, "rejected": 0}
 #: not only elementwise code.
 _BATCH_FORMS = {"shuffle": 0, "int_reduction": 0, "atomic": 0,
                 "expanded": 0, "replayed": 0}
+#: Row kernels whose nest collapsed, and in-place ones among them whose
+#: launch fell back to one row per trip.
+_ROW_CORPUS = {"collapsed": 0, "fell_back": 0}
 
 #: Every Nth seed also runs the forced-codegen differential below.
 _CODEGEN_EVERY = 5
@@ -125,21 +138,26 @@ def _xproc_cache_dir():
     return _XPROC_DIR
 
 
+def _outputs(interp, addrs):
+    """``OUT``, ``IOUT`` and ``B`` (which in-place kernels write)."""
+    memory = interp.memory
+    return (memory.read_array(addrs[3], np.float32, N_THREADS),
+            memory.read_array(addrs[4], np.int32, N_CELLS),
+            memory.read_array(addrs[1], np.float32, N_THREADS))
+
+
+def _launch(module, seed, **engine):
+    A, B, C, OUT, IOUT, sv, si = workload_arrays(seed)
+    interp = Interpreter(module, **engine)
+    addrs = [interp.memory.alloc_array(a) for a in (A, B, C, OUT, IOUT)]
+    interp.run("kernel", *addrs, sv, si, N_THREADS)
+    return _outputs(interp, addrs), interp
+
+
 def _run(module, seed, replays=None, **engine):
     """Outputs and ``ExecStats`` of one launch; with ``replays``, assert
     how many times it replayed on the unbatched twin."""
-    A, B, C, OUT, IOUT, sv, si = workload_arrays(seed)
-    interp = Interpreter(module, **engine)
-    a = interp.memory.alloc_array(A)
-    b = interp.memory.alloc_array(B)
-    c = interp.memory.alloc_array(C)
-    out = interp.memory.alloc_array(OUT)
-    iout = interp.memory.alloc_array(IOUT)
-    interp.run("kernel", a, b, c, out, iout, sv, si, N_THREADS)
-    outputs = (
-        interp.memory.read_array(out, np.float32, N_THREADS),
-        interp.memory.read_array(iout, np.int32, N_THREADS + 1),
-    )
+    outputs, interp = _launch(module, seed, **engine)
     if replays is not None:
         assert interp.batch_replays == replays
     return outputs, interp.stats
@@ -155,8 +173,8 @@ def _classify(module):
 
 
 def _assert_same(got, want, context):
-    np.testing.assert_array_equal(got[0], want[0], err_msg=f"{context}: OUT")
-    np.testing.assert_array_equal(got[1], want[1], err_msg=f"{context}: IOUT")
+    for name, g, w in zip(("OUT", "IOUT", "B"), got, want):
+        np.testing.assert_array_equal(g, w, err_msg=f"{context}: {name}")
 
 
 @pytest.mark.parametrize("seed", range(FUZZ_N))
@@ -216,7 +234,7 @@ def test_differential_fuzz_kernel(seed):
         _assert_same(_run(degraded, seed)[0], plain_out,
                      f"degraded vs plain: {context}")
 
-    if seed % _BATCH_EVERY == 0:
+    if seed % _BATCH_EVERY == 0 or kernel.rows:
         _batched_differential(kernel, seed, plain_out, context)
 
     if seed % _CODEGEN_EVERY == 2:
@@ -239,8 +257,20 @@ def _batched_differential(kernel, seed, plain_out, context):
         applied = batched.attrs.get("batch_applied", [])
         expanded = any(" private " in entry for entry in applied)
         replays = int(kernel.reads_unwritten and expanded)
-        got_out, got_stats = _run(batched, seed, replays=replays)
-        if request == 2:
+        got_out, interp = _launch(batched, seed)
+        got_stats = interp.stats
+        assert interp.batch_replays == replays, context
+        collapsed = any(" rows of " in entry for entry in applied)
+        fell_back = interp.codegen_report()["row_fallbacks"]
+        # The check runs when a row's full gangs fit a trip.
+        fits = (N_THREADS // 3) // kernel.gang_size <= batched.attrs[
+            "batch_factor"]
+        assert fell_back == int(collapsed and kernel.in_place and fits), (
+            context)
+        if request is None and collapsed:
+            _ROW_CORPUS["collapsed"] += 1
+            _ROW_CORPUS["fell_back"] += fell_back
+        if request == 2 and seed % _BATCH_EVERY == 0:
             _BATCH_CORPUS["batched" if applied else "rejected"] += 1
             if applied:
                 for form, present in (
@@ -267,14 +297,7 @@ def _codegen_differential(kernel, plain, seed, plain_out, plain_stats,
     the codegen contract — block-merged charges sum to the exact
     reference totals because every per-instruction cost is a dyadic
     rational)."""
-    A, B, C, OUT, IOUT, sv, si = workload_arrays(seed)
-    interp = Interpreter(plain, codegen=True)
-    addrs = [interp.memory.alloc_array(a) for a in (A, B, C, OUT, IOUT)]
-    interp.run("kernel", *addrs, sv, si, N_THREADS)
-    got_out = (
-        interp.memory.read_array(addrs[3], np.float32, N_THREADS),
-        interp.memory.read_array(addrs[4], np.int32, N_THREADS + 1),
-    )
+    got_out, interp = _launch(plain, seed, codegen=True)
     report = interp.codegen_report()
     _CODEGEN_CORPUS["bailed" if report["bailouts"] else "compiled"] += 1
     if kernel.has_shuffle:
@@ -330,14 +353,7 @@ def _cross_process_differential(kernel, seed, plain_out, plain_stats,
         else:
             os.environ["REPRO_CACHE_DIR"] = saved_dir
 
-    A, B, C, OUT, IOUT, sv, si = workload_arrays(seed)
-    interp = Interpreter(module)
-    addrs = [interp.memory.alloc_array(a) for a in (A, B, C, OUT, IOUT)]
-    interp.run("kernel", *addrs, sv, si, N_THREADS)
-    got_out = (
-        interp.memory.read_array(addrs[3], np.float32, N_THREADS),
-        interp.memory.read_array(addrs[4], np.int32, N_THREADS + 1),
-    )
+    got_out, interp = _launch(module, seed)
     _XPROC_CORPUS["rehydrated"] += 1
     _XPROC_CORPUS["compiled"] += bool(interp.codegen_report()["calls"])
     _assert_same(got_out, plain_out, f"rehydrated vs plain: {context}")
@@ -367,6 +383,15 @@ def test_zz_corpus_exercised_batching():
     assert _BATCH_CORPUS["batched"] > 0, _BATCH_CORPUS
     if FUZZ_N >= 200:
         assert all(_BATCH_FORMS.values()), _BATCH_FORMS
+
+
+def test_zz_corpus_exercised_row_nests():
+    """Row kernels must have collapsed their nest, and in-place ones
+    among them fallen back to one row per trip."""
+    if FUZZ_N < 200:
+        pytest.skip("FUZZ_N too small to draw enough row kernels")
+    assert _ROW_CORPUS["collapsed"] > 0, _ROW_CORPUS
+    assert _ROW_CORPUS["fell_back"] > 0, _ROW_CORPUS
 
 
 def test_zz_corpus_exercised_codegen():

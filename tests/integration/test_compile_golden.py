@@ -24,7 +24,12 @@ remainder loop gave way to a predicated last trip (with a ``batch.exit``
 block, tiles in the preheader, private storage expanded per gang, and
 stencil's nested gang loop at B=4 under a 64-lane cap): the 74 batched
 kernels' module digests changed, no twin digest moved, and
-``binomial_options``' new twin hashes to its old module digest.
+``binomial_options``' new twin hashes to its old module digest.  And once
+more when row nests collapsed into the gang trip (the outer blocks and
+the widened tail annotated, the tail's accesses ``row_stride row``, every
+nested gang loop at the cost model's factor): exactly the 15 nested
+kernels' module digests changed — stencil and the 14 fig5 row filters —
+and no twin digest moved.
 
 Regenerate (only when a PR means to change compiled IR, and says so)::
 

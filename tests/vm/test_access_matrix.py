@@ -242,11 +242,12 @@ def _packed_inline_cases():
 
 @pytest.mark.parametrize("form,mask", _packed_inline_cases())
 def test_which_packed_accesses_stay_out_of_memory(form, mask, monkeypatch):
-    """An aligned in-bounds packed access runs inline whenever its mask is
-    known at emit time — constant or folded, whatever its shape — or is a
-    runtime mask with every lane set; a partial runtime mask, and
-    anything off the typed view, goes to the one implementation in
-    ``Memory`` (which the reference engine always calls)."""
+    """An aligned in-bounds packed access runs inline whatever its mask:
+    known at emit time — constant or folded, whatever its shape — or a
+    runtime mask, all lanes set or not (a load zeroes the inactive lanes,
+    a store writes the active ones); anything off the typed view goes to
+    the one implementation in ``Memory`` (which the reference engine
+    always calls)."""
     calls = []
     for name in ("load_lanes", "store_lanes"):
         real = getattr(Memory, name)
@@ -255,8 +256,7 @@ def test_which_packed_accesses_stay_out_of_memory(form, mask, monkeypatch):
             lambda self, *a, _real=real, _name=name: (
                 calls.append(_name), _real(self, *a))[1])
     _, interp = _drive(form, mask, "inside", "codegen")
-    slow = {"vload": "load_lanes", "vstore": "store_lanes"}[form.split(".")[0]]
-    assert calls == ([] if mask in (None, "full") else [slow])
+    assert calls == []
     if _static_mask(form) and ".f" in form:
         (entry,) = interp.module.functions["f"]._emissions
         assert "folded=2 " in entry[3]  # the shuffle and the ``and``

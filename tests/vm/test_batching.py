@@ -16,9 +16,9 @@ and must be **invisible** to everything but wall-clock:
 * the gang-local horizontal forms — constant-index shuffles, integer
   reductions feeding a broadcast or an atomic — and strided stores batch,
   bit-identically (the acceptance matrix);
-* the auto factor is the cost model's lane target, capped at 64 lanes
-  (but not below 2 gangs) for a gang loop nested in another loop, and a
-  forced request beats both.
+* the auto factor is the cost model's lane target, for a gang loop
+  nested in a row loop too (its trip spans the gangs of several rows),
+  and a forced request beats it.
 """
 
 import numpy as np
@@ -368,13 +368,11 @@ def test_batch_factor_selection():
     # Auto: largest power of two keeping G*B within the lane target.
     assert select_batch_factor(8) * 8 <= 256
     assert select_batch_factor(8) >= 2
-    # A nested gang loop's trip is capped at 64 lanes, not below 2 gangs,
-    # on the auto path only.
-    assert select_batch_factor(8, nested=True) == 8
-    assert select_batch_factor(16, nested=True) == 4
-    assert select_batch_factor(64, nested=True) == 2
-    assert select_batch_factor(512, nested=True) == 1
-    assert select_batch_factor(8, 8, nested=True) == 8
+    # A loop-free body aims at twice the lanes; a gang at the target is
+    # not batched.
+    assert select_batch_factor(16, straight_line=True) == 32
+    assert select_batch_factor(64, straight_line=True) == 8
+    assert select_batch_factor(512, straight_line=True) == 1
     # Requests floor to a power of two; 0/1 disable.
     assert select_batch_factor(8, 8) == 8
     assert select_batch_factor(8, 7) == 4
@@ -382,19 +380,17 @@ def test_batch_factor_selection():
     assert select_batch_factor(8, 0) == 1
 
 
-#: The auto factor of every fig4 and fig5 kernel.  A gang loop inside
-#: another loop spans at most 64 lanes, and at least 2 gangs — stencil
-#: (G=16) gets B=4, the fig5 kernels that walk an image row by row (G=64)
-#: B=2; every other kernel sits at the cost model's lane target (1:
-#: nothing batched, see ``test_batch_forms.py`` for why).
+#: The auto factor of every fig4 and fig5 kernel: the cost model's lane
+#: target, also for the row nests — stencil (G=16) and the fig5 kernels
+#: that walk an image row by row (G=64), whose trips span rows × gangs
+#: (1: nothing batched, see ``test_batch_forms.py`` for why).
 AUTO_FACTORS = {
     1: "AbsDifferenceSumMasked Histogram HistogramMasked Reorder16bit "
        "Reorder32bit",
-    2: "AbsGradientSaturatedSum GaussianBlur3x3 GetAbsDyRowSums GetRowSums "
+    8: "AbsGradientSaturatedSum GaussianBlur3x3 GetAbsDyRowSums GetRowSums "
        "Laplace LaplaceAbs LbpEstimate MeanFilter3x3 MedianFilter3x3 "
-       "MedianFilterRhomb3x3 SobelDx SobelDxAbs SobelDy SobelDyAbs",
-    4: "stencil",
-    8: "AbsDifference AbsDifferenceSum AlphaBlending AlphaFilling "
+       "MedianFilterRhomb3x3 SobelDx SobelDxAbs SobelDy SobelDyAbs "
+       "AbsDifference AbsDifferenceSum AlphaBlending AlphaFilling "
        "AlphaPremultiply BackgroundAdjustRange BackgroundGrowRangeFast "
        "BackgroundGrowRangeSlow BackgroundIncrementCount BackgroundInitMask "
        "BackgroundShiftRange BgrToBgra BgrToGray BgraToBgr BgraToGray "
@@ -411,7 +407,7 @@ AUTO_FACTORS = {
     16: "Int16ToGray InterferenceDecrement InterferenceIncrement "
         "OperationBinary16iAddition OperationBinary16iSaturatedSubtraction "
         "aobench binomial_options mandelbrot volume_rendering",
-    32: "NeuralConvert noise options",
+    32: "NeuralConvert noise options stencil",
 }
 
 
