@@ -15,7 +15,8 @@ compile cache; ``--codegen`` prints, per kernel, the compile/cache/bailout activ
 the whole-kernel codegen engine every run uses; ``--dump-codegen KERNEL``
 prints the Python source that engine generates for one kernel (under a
 header: lines, values folded at emit time, inline vs ``Memory``-only
-accesses, hoisted bindings by kind) and exits.
+accesses, hoisted bindings by kind) and exits; ``--dump-codegen all``
+dumps every kernel, in suite order.
 
 ``--telemetry-diff OLD NEW`` compares two telemetry documents PR-over-PR
 (per-pass timing, per-kernel cycles/wall-clock, every counter) and prints
@@ -224,7 +225,8 @@ def main():
     parser.add_argument(
         "--dump-codegen", metavar="KERNEL",
         help="print the source the codegen engine generates for KERNEL's "
-             "Parsimony build, with its emit-time summary, and exit",
+             "Parsimony build (every kernel, in suite order, for 'all'), "
+             "with its emit-time summary, and exit",
     )
     parser.add_argument(
         "--per-function", action="store_true",
@@ -248,9 +250,14 @@ def main():
     if args.disk_cache:
         diskcache.set_enabled(True)
     if args.dump_codegen:
-        if args.dump_codegen not in BY_NAME:
+        if args.dump_codegen == "all":
+            dumped = BENCHMARKS
+        elif args.dump_codegen in BY_NAME:
+            dumped = [BY_NAME[args.dump_codegen]]
+        else:
             parser.error(f"unknown kernel: {args.dump_codegen}")
-        print(dump_codegen(BY_NAME[args.dump_codegen]))
+        for spec in dumped:
+            print(dump_codegen(spec))
         return
 
     specs = BENCHMARKS

@@ -4,7 +4,7 @@ the 72 Simd Library kernels, for hand-written intrinsics, Parsimony, and
 LLVM auto-vectorization (paper §6).
 
     python examples/fig5_report.py [--full] [--telemetry out.json]
-                                  [--disk-cache] [--dump-codegen KERNEL]
+                                  [--disk-cache] [--dump-codegen KERNEL|all]
 
 ``--telemetry PATH`` collects pipeline observability — pass timings,
 vectorizer shape/memory-form counters, per-function VM cycle
@@ -12,7 +12,7 @@ attribution — and writes it as structured JSON.  ``--dump-codegen
 KERNEL`` prints the Python source the whole-kernel codegen engine
 generates for one kernel (under a header: lines, values folded at emit
 time, inline vs ``Memory``-only accesses, hoisted bindings by kind) and
-exits.
+exits; ``--dump-codegen all`` dumps every kernel, in suite order.
 
 Paper reference points: geomeans 7.91x (hand-written), 7.70x (Parsimony),
 3.46x (auto-vectorization); Parsimony reaches 0.97x of hand-written and
@@ -72,16 +72,22 @@ def main():
     parser.add_argument(
         "--dump-codegen", metavar="KERNEL",
         help="print the source the codegen engine generates for KERNEL's "
-             "Parsimony build, with its emit-time summary, and exit",
+             "Parsimony build (every kernel, in suite order, for 'all'), "
+             "with its emit-time summary, and exit",
     )
     args = parser.parse_args()
 
     if args.disk_cache:
         diskcache.set_enabled(True)
     if args.dump_codegen:
-        if args.dump_codegen not in BY_NAME:
+        if args.dump_codegen == "all":
+            dumped = KERNELS
+        elif args.dump_codegen in BY_NAME:
+            dumped = [BY_NAME[args.dump_codegen]]
+        else:
             parser.error(f"unknown kernel: {args.dump_codegen}")
-        print(dump_codegen(BY_NAME[args.dump_codegen]))
+        for spec in dumped:
+            print(dump_codegen(spec))
         return
 
     if args.telemetry:

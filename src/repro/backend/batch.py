@@ -30,10 +30,11 @@ generated code:
   lanes: B per-gang blocks side by side.  Vector constants tile per gang
   (each distinct constant once per loop); vectors defined outside the
   loop (LICM-hoisted splats) are tiled once, before the loop.  Scalars
-  affine in ``__gang_base`` (``v = v0 + δ·gang_base``) stay scalar: the
-  batched loop keeps gang 0's value, and every ``broadcast`` of a
-  ``δ≠0`` scalar gains a per-gang offset vector ``+ k·δ·G``.  A scalar
-  phi must be gang-invariant (δ=0, an optimistic fixpoint); in a
+  affine in ``__gang_base`` (``v = v0 + δ·gang_base``, δ read from the
+  value's :class:`AffineForms` form) stay scalar: the batched loop keeps
+  gang 0's value, and every ``broadcast`` of a ``δ≠0`` scalar gains a
+  per-gang offset vector ``+ k·δ·G``.  A scalar phi must be
+  gang-invariant (δ=0, an optimistic fixpoint); in a
   divergent loop it keeps stepping while any gang of the trip iterates,
   so nothing computed from it may leave that loop.
 * **Per-gang segments.**  The paper's model (§3) makes horizontal
@@ -85,8 +86,8 @@ generated code:
   divergent loop; gang-dependent branches; values escaping the
   loop; accesses whose rows would overlap (Δ below the access's width);
   and stores that may overlap across gangs.  That last check groups the
-  loop's stores by symbolic base (the sum of the address's
-  loop-invariant terms), needs one Δ per base, and rejects when an
+  loop's stores by symbolic base (the atoms of the address's affine
+  form), needs one Δ per base, and rejects when an
   active byte of one gang shares a byte with another gang's — masks read
   at batch time from constants, a runtime mask counting as all lanes.
   Stores to different bases, and *loads*, are assumed gang-independent:
@@ -105,10 +106,11 @@ generated code:
   gang loop, with the row as the gang, and its accesses carry
   ``row_stride row``); accesses become ``(rows, gangs, lanes)`` views
   whose row stride generated code evaluates at nest entry from the
-  address's :func:`row_form`.  Prologue stores run once per row, in row
+  address's affine form over the nest (the row-index part; every atom is
+  defined before the nest).  Prologue stores run once per row, in row
   order, and an atomic folds each row's gangs into that row's cell
   (``sums + y``).  The check (``codegen._rows_disjoint``) takes each
-  access's byte hull over the nest's rows from its row form — prologue
+  access's byte hull over the nest's rows from its affine form — prologue
   stores, body and tail accesses, atomics — and allows R > 1 only when
   every store's rows are disjoint from each other and from every other
   access's rows: hulls that do not meet, or the same row stride with both
@@ -227,101 +229,80 @@ def batching_request() -> Optional[int]:
     return None
 
 
-def _signed(c: Constant) -> int:
-    """Integer constant payload as a signed value (payloads are stored in
-    canonical two's-complement non-negative form)."""
-    return int(c.as_signed())
+class _Parts:
+    """A record of named parts, listed in each subclass's ``__slots__``."""
+
+    __slots__ = ()
+
+    def __init__(self, **parts):
+        for key, value in parts.items():
+            setattr(self, key, value)
 
 
-# -- gang loop structural match ------------------------------------------------------
+# -- counted loops: the gang loop, and the row loop around it -----------------------
 
 
-class _GangLoop:
-    __slots__ = ("loop", "phi", "icmp", "condbr", "inc", "gang",
-                 "entry_pred", "latch")
+class _CountedLoop(_Parts):
+    """A counted loop: header phis, then ``icmp ult phi, bound`` (``bound``
+    loop-invariant) and a ``condbr`` into the loop or out of it; ``inc =
+    add phi, step`` (a scalar constant) on its one latch; one block
+    entering it."""
 
-    def __init__(self, loop, phi, icmp, condbr, inc, gang, entry_pred, latch):
-        self.loop = loop
-        self.phi = phi
-        self.icmp = icmp
-        self.condbr = condbr
-        self.inc = inc
-        self.gang = gang
-        self.entry_pred = entry_pred
-        self.latch = latch
+    __slots__ = ("loop", "phi", "icmp", "condbr", "inc", "step", "entry",
+                 "latch")
 
 
-def _match_gang_loop(loop: Loop) -> Optional[_GangLoop]:
-    """Recognize the canonical gang loop the driver's lowering emits.
-
-    header: ``p = phi [0, entry], [p+G, latch]; icmp ult p, bound; condbr``
-    with a step ``G >= 2`` (the gang size — step-1 loops are ordinary
-    scalar loops and are left alone).  Non-power-of-two steps *match* so
-    that :func:`batch_module` can reject them with a recorded reason
-    instead of leaving the no-batch path silent.
-    """
+def _match_counted_loop(loop: Loop) -> Optional[_CountedLoop]:
     header = loop.header
-    latches = loop.latches
-    if len(latches) != 1:
-        return None
-    latch = latches[0]
-    phis = header.phis()
-    if len(phis) != 1:
-        return None
-    p = phis[0]
-    if isinstance(p.type, VectorType) or not isinstance(p.type, IntType):
-        return None
+    blocks = loop.blocks
+    entry = [b for b in header.predecessors if b not in blocks]
     rest = header.non_phi_instructions()
-    if len(rest) != 2:
+    if len(loop.latches) != 1 or len(entry) != 1 or len(rest) != 2:
         return None
     cmp, term = rest
-    if (cmp.opcode != "icmp" or cmp.attrs.get("pred") != "ult"
-            or cmp.operands[0] is not p):
+    phi = cmp.operands[0] if cmp.opcode == "icmp" else None
+    if not (isinstance(phi, Instruction) and phi.opcode == "phi"
+            and phi.parent is header and isinstance(phi.type, IntType)
+            and cmp.attrs.get("pred") == "ult"
+            and _invariant(cmp.operands[1], blocks)
+            and term.opcode == "condbr" and term.operands[0] is cmp
+            and term.operands[1] in blocks and term.operands[2] not in blocks):
         return None
-    if term.opcode != "condbr" or term.operands[0] is not cmp:
-        return None
-    if term.operands[1] not in loop.blocks or term.operands[2] in loop.blocks:
-        return None
-    bound = cmp.operands[1]
-    if isinstance(bound, Instruction) and bound.parent in loop.blocks:
-        return None
-    try:
-        inc = p.phi_value_for(latch)
-    except KeyError:
-        return None
+    latch = loop.latches[0]
+    inc = phi.phi_value_for(latch)
     if not (isinstance(inc, Instruction) and inc.opcode == "add"
-            and inc.parent in loop.blocks and inc.operands[0] is p):
+            and inc.parent in blocks and inc.operands[0] is phi
+            and isinstance(inc.operands[1], Constant)
+            and not isinstance(inc.operands[1].type, VectorType)):
         return None
-    step = inc.operands[1]
-    if not isinstance(step, Constant) or isinstance(step.type, VectorType):
+    return _CountedLoop(loop=loop, phi=phi, icmp=cmp, condbr=term, inc=inc,
+                        step=int(inc.operands[1].as_signed()), entry=entry[0],
+                        latch=latch)
+
+
+def _match_gang_loop(loop: Loop) -> Optional[_CountedLoop]:
+    """Recognize the canonical gang loop the driver's lowering emits: a
+    counted loop whose only header phi starts at 0 and steps by ``G >= 2``
+    (the gang size — step-1 loops are ordinary scalar loops and are left
+    alone).  Non-power-of-two steps *match* so that :func:`batch_module`
+    can reject them with a recorded reason instead of leaving the
+    no-batch path silent."""
+    gl = _match_counted_loop(loop)
+    if gl is None or gl.step < 2 or loop.header.phis() != [gl.phi]:
         return None
-    gang = _signed(step)
-    if gang < 2:
-        return None
-    entry_preds = [b for b in header.predecessors if b not in loop.blocks]
-    if len(entry_preds) != 1:
-        return None
-    try:
-        init = p.phi_value_for(entry_preds[0])
-    except KeyError:
-        return None
-    if not (isinstance(init, Constant) and init.value == 0):
-        return None
-    return _GangLoop(loop, p, cmp, term, inc, gang, entry_preds[0], latch)
+    init = gl.phi.phi_value_for(gl.entry)
+    return gl if isinstance(init, Constant) and init.value == 0 else None
+
+
+def _invariant(v: Value, blocks: Set[BasicBlock]) -> bool:
+    return not (isinstance(v, Instruction) and v.parent in blocks)
 
 
 # -- divergent inner loops -----------------------------------------------------------
 
 
-class _DivergentLoop:
+class _DivergentLoop(_Parts):
     __slots__ = ("loop", "lid", "mask_any", "condbr", "taken_idx")
-
-    def __init__(self, loop, lid, mask_any, condbr, taken_idx):
-        self.loop = loop
-        self.lid = lid
-        self.mask_any = mask_any
-        self.condbr = condbr
-        self.taken_idx = taken_idx
 
 
 def _match_divergent_loop(inner: Loop, gang: int):
@@ -350,91 +331,191 @@ def _match_divergent_loop(inner: Loop, gang: int):
         return None, "divergent condbr has no in-loop edge"
     if term.operands[3 - taken_idx] in inner.blocks:
         return None, "divergent condbr never exits"
-    return _DivergentLoop(inner, inner.header.name, cond, term, taken_idx), None
+    return _DivergentLoop(loop=inner, lid=inner.header.name, mask_any=cond,
+                          condbr=term, taken_idx=taken_idx), None
 
 
-# -- scalar forms: affine in gang_base, or per-gang ----------------------------------
+# -- affine forms --------------------------------------------------------------------
+
+#: Monomials of an affine form (see :class:`AffineForms`) besides atoms:
+#: the constant 1, the row index and the gang base.  ``("y", atom)`` is
+#: the row index times an atom.
+ONE, ROW, GANG = ("1",), ("y",), ("p",)
+
+_M64 = (1 << 64) - 1
+
+#: Ops an affine form sees through (64-bit integer or pointer results).
+_AFFINE_OPS = frozenset("add sub mul shl gep ptrtoint inttoptr".split())
+
+#: Which operand of a memory op is its address.
+_ADDRESS_OPERAND = {"load": 0, "vload": 0, "gather": 0, "atomicrmw": 0,
+                    "store": 1, "vstore": 1, "scatter": 1}
 
 
-def _scalar_forms(phi: Optional[Instruction], blocks_rpo: List[BasicBlock],
-                  loop_blocks: Set[BasicBlock], skip: Set[Instruction]):
-    """Classify the loop's scalars.  Returns ``(deltas, per_gang,
-    delta_of)``:
+def _signed64(c: int) -> int:
+    """A coefficient (mod 2**64) read as a signed 64-bit value."""
+    return c - (1 << 64) if c >> 63 else c
 
-    * ``deltas`` — δ per scalar, where ``v = v0 + δ·gang_base`` along the
-      gang loop ``phi`` (a row tail has none: its scalars are
-      gang-invariant or per-gang); ``None`` marks a gang-dependent scalar with no affine
-      form.  Values defined outside the loop are gang-invariant by
-      definition (δ=0); constants and arguments likewise (``delta_of``
-      also resolves those).
-    * ``per_gang`` — the integer reductions and every scalar computed
-      from one, in RPO (a dict used as an ordered set, so rejection
-      reasons are deterministic): a different value per gang, which the
-      batched loop holds as B lanes.
 
-    Scalar phis start at δ=0 and keep it when every incoming value comes
-    out δ=0 (an optimistic fixpoint); any other phi gets ``None``.
+def row_monomial(m) -> bool:
+    """``m`` is the row index, or the row index times an atom."""
+    return m is ROW or (isinstance(m, tuple) and len(m) == 2)
+
+
+def row_dependent(form: Optional[dict]) -> bool:
+    """A form with a row-index monomial."""
+    return bool(form) and any(row_monomial(m) for m in form)
+
+
+def _form_sum(a: dict, b: dict, k: int = 1) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = (out.get(m, 0) + k * c) & _M64
+    return {m: c for m, c in out.items() if c}
+
+
+def _form_product(a: dict, b: dict) -> Optional[dict]:
+    """The product of two forms: a constant times a form, or a multiple
+    of the row index times a sum of atoms; ``None`` otherwise."""
+    if set(a) <= {ONE}:
+        a, b = b, a
+    if set(b) <= {ONE}:
+        k = b.get(ONE, 0)
+        return {m: c * k & _M64 for m, c in a.items() if c * k & _M64}
+    out: Dict[object, int] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            if ma is ROW and not isinstance(mb, tuple):
+                m = ("y", mb)
+            elif mb is ROW and not isinstance(ma, tuple):
+                m = ("y", ma)
+            else:
+                return None
+            out[m] = (out.get(m, 0) + ca * cb) & _M64
+    return {m: c for m, c in out.items() if c}
+
+
+class AffineForms:
+    """The scalars of a ``region`` — a gang loop, a row tail, or a row nest
+    — as affine forms ``{monomial: coefficient mod 2**64}`` over the
+    constant (``ONE``), *atoms*, the ``gang`` base (``GANG``), the ``row``
+    index (``ROW``) and the row index times an atom; ``None`` for a value
+    that depends on the gang base or the row index without such a form.
+
+    * Outside the region a scalar is an atom, an integer constant its
+      value; a vector has no form.
+    * In the region a 64-bit integer or pointer ``add``, ``sub``, ``mul``,
+      ``shl``, ``gep`` (its index 64-bit or a constant) or pointer cast
+      combines its operands' forms (see :func:`_form_product`).
+    * Any other scalar the region computes from gang- and row-free
+      operands is an opaque *invariant atom*, and so is a scalar phi:
+      seeding phis invariant is an optimistic fixpoint that
+      :func:`_scan_region` confirms.  A memory read, and an instruction
+      in ``skip``, has no form.
+
+    Batching reads one gang's delta δ from a form (``v = v0 +
+    δ·gang_base``, :meth:`delta`), and a store's footprint group, its
+    atoms and constant bytes (:func:`_footprint_key`).  A row nest's
+    legality walk reads the forms codegen can evaluate on entering the
+    nest (:meth:`at_entry`), and codegen its addresses and row strides
+    from them.
     """
-    deltas: Dict[Value, Optional[int]] = {} if phi is None else {phi: 1}
-    per_gang: Dict[Instruction, None] = {}
-    phis = [phi for block in blocks_rpo for phi in block.phis()
-            if phi not in skip and not isinstance(phi.type, VectorType)]
-    deltas.update(dict.fromkeys(phis, 0))
 
-    def delta_of(v: Value) -> Optional[int]:
-        if isinstance(v, Instruction):
-            if v.parent not in loop_blocks:
-                return 0
-            return deltas.get(v)
-        return 0  # constants, arguments, undef
+    def __init__(self, region: Set[BasicBlock], gang: Optional[Value] = None,
+                 row: Optional[Value] = None, skip=frozenset()):
+        self.region = region
+        self.gang = gang
+        self.row = row
+        self.skip = skip
+        self.memo: Dict[Value, Optional[dict]] = {}
 
-    for block in blocks_rpo:
-        for instr in block.instructions:
-            if instr in skip or instr in deltas or isinstance(
-                    instr.type, VectorType):
-                continue
-            op = instr.opcode
-            ops = instr.operands
-            if op in ("br", "condbr", "ret", "unreachable", "vstore",
-                      "scatter", "store", "mask_any", "atomicrmw"):
-                continue
-            if op in REDUCE_OPS or any(o in per_gang for o in ops):
-                per_gang[instr] = None
-                continue
-            if any(isinstance(o.type, VectorType) for o in ops):
-                deltas[instr] = None  # scalar extracted from vector state
-                continue
-            ds = [delta_of(o) for o in ops]
-            d: Optional[int] = None
-            if None not in ds:
-                if op == "add":
-                    d = ds[0] + ds[1]
-                elif op == "sub":
-                    d = ds[0] - ds[1]
-                elif op == "mul":
-                    if ds[0] == 0 and ds[1] == 0:
-                        d = 0
-                    elif isinstance(ops[1], Constant) and ds[1] == 0:
-                        d = ds[0] * _signed(ops[1])
-                    elif isinstance(ops[0], Constant) and ds[0] == 0:
-                        d = ds[1] * _signed(ops[0])
-                elif op == "shl":
-                    if ds[0] == 0 and ds[1] == 0:
-                        d = 0
-                    elif isinstance(ops[1], Constant) and ds[1] == 0:
-                        d = ds[0] * (1 << _signed(ops[1]))
-                elif op == "gep":
-                    d = ds[0] + ds[1] * instr.type.pointee.size_bytes()
-                elif op in ("ptrtoint", "inttoptr"):
-                    d = ds[0]
-                elif all(x == 0 for x in ds):
-                    # Any op over gang-invariant scalars is gang-invariant.
-                    d = 0
-            deltas[instr] = d
-    for phi in phis:
-        if any(delta_of(v) != 0 for v, _ in phi.phi_incoming()):
-            deltas[phi] = None
-    return deltas, per_gang, delta_of
+    def __call__(self, v: Value) -> Optional[dict]:
+        if isinstance(v, Constant):
+            if v.type.is_int:
+                return {ONE: v.value} if v.value else {}
+            return None if isinstance(v.type, VectorType) else {v: 1}
+        if v not in self.memo:  # only phis close cycles, and they are atoms
+            self.memo[v] = self._form(v)
+        return self.memo[v]
+
+    def _form(self, v: Value) -> Optional[dict]:
+        t = v.type
+        if not t.is_scalar:
+            return None
+        if v is self.gang:
+            return {GANG: 1}
+        if v is self.row:
+            return {ROW: 1}
+        if not (isinstance(v, Instruction) and v.parent in self.region):
+            return {v: 1}
+        op = v.opcode
+        if op == "phi":
+            return {v: 1}
+        if v in self.skip or op in _ADDRESS_OPERAND:
+            return None
+        ops = v.operands
+        form = None
+        if op in _AFFINE_OPS and (t.is_pointer or t.bits == 64):
+            form = self._combine(op, ops, t)
+        if form is None and all(self.free(o) for o in ops):
+            form = {v: 1}
+        return form
+
+    def _combine(self, op: str, ops, t: Type) -> Optional[dict]:
+        parts = [self(o) for o in ops]
+        if None in parts:
+            return None
+        a = parts[0]
+        if op in ("ptrtoint", "inttoptr"):
+            return a
+        if op == "add":
+            return _form_sum(a, parts[1])
+        if op == "sub":
+            return _form_sum(a, parts[1], -1)
+        if op == "mul":
+            return _form_product(a, parts[1])
+        if set(parts[1]) <= {ONE}:
+            k = parts[1].get(ONE, 0)
+            if op == "shl":
+                return _form_product(a, {ONE: 1 << k}) if k < 64 else None
+            bits = ops[1].type.bits
+            index = k - (1 << bits) if k >> (bits - 1) else k
+            return _form_sum(a, {ONE: index * t.pointee.size_bytes() & _M64})
+        if op == "gep" and ops[1].type.bits == 64:
+            return _form_sum(a, _form_product(
+                parts[1], {ONE: t.pointee.size_bytes()}))
+        return None
+
+    def free(self, v: Value) -> bool:
+        """``v`` has a form free of the gang base and the row index."""
+        form = self(v)
+        return form is not None and GANG not in form and (
+            self.row is None or not row_dependent(form))
+
+    def delta(self, v: Value) -> Optional[int]:
+        """How far ``v`` moves from one gang to the next, per unit of
+        gang base (δ, signed), or ``None``."""
+        form = self(v)
+        return None if form is None else _signed64(form.get(GANG, 0))
+
+    def at_entry(self, v: Value) -> Optional[dict]:
+        """``v``'s form if no atom of it is computed in the region, so that
+        it can be evaluated on entering the region; else ``None``."""
+        form = self(v)
+        for m in form or ():
+            atom = m[-1] if isinstance(m, tuple) else m  # ("y", atom) too
+            if isinstance(atom, Instruction) and atom.parent in self.region:
+                return None
+        return form
+
+
+def _footprint_key(form: dict) -> Tuple[frozenset, int]:
+    """A gang-0 address as ``(base, offset)``: its atoms with their
+    coefficients (stencil addresses such as ``src + row + w + x`` are
+    sums, so a single root would not do) and its constant bytes."""
+    return (frozenset((m, c) for m, c in form.items()
+                      if m is not ONE and m is not GANG),
+            _signed64(form.get(ONE, 0)))
 
 
 def _loop_state_reason(divergent: List["_DivergentLoop"],
@@ -459,13 +540,8 @@ def _loop_state_reason(divergent: List["_DivergentLoop"],
     return None
 
 
-#: Which operand of a memory op is its address.
-_ADDRESS_OPERAND = {"load": 0, "vload": 0, "gather": 0, "atomicrmw": 0,
-                    "store": 1, "vstore": 1, "scatter": 1}
-
-
 def _private_storage(function: Function, loop_blocks: Set[BasicBlock],
-                     delta_of):
+                     forms: AffineForms):
     """The allocas the loop expands per gang, ``{alloca: (rows,
     row_bytes, accesses)}`` (see the module docstring), or a rejection
     reason.  Accesses outside the loop use the VM block, which every
@@ -491,7 +567,7 @@ def _private_storage(function: Function, loop_blocks: Set[BasicBlock],
                         accesses.append(user)
                 elif (op == "gep" and idx == 0 and v in chain
                         and not isinstance(user.type, VectorType)
-                        and (not inside or delta_of(user) == 0)):
+                        and (not inside or forms.delta(user) == 0)):
                     chain.add(user)
                 else:
                     escapes = escapes or inside
@@ -512,7 +588,8 @@ def _private_storage(function: Function, loop_blocks: Set[BasicBlock],
     return expanded
 
 
-def _per_gang_reason(per_gang: Dict[Instruction, None], delta_of) -> Optional[str]:
+def _per_gang_reason(per_gang: Dict[Instruction, None],
+                     forms: AffineForms) -> Optional[str]:
     """Why the per-gang values cannot stay per-gang, or ``None``: each
     use must be a lane-wise integer op over other per-gang values and
     gang-invariant scalars, a ``broadcast``, or the value of an
@@ -529,57 +606,12 @@ def _per_gang_reason(per_gang: Dict[Instruction, None], delta_of) -> Optional[st
             return f"per-gang value reaches {_PER_GANG_SINKS.get(op, op)}"
     for user in lane_wise:
         for o in user.operands:
-            if o not in per_gang and delta_of(o) != 0:
+            if o not in per_gang and forms.delta(o) != 0:
                 return "per-gang value meets a gang-affine scalar"
     return None
 
 
 # -- memory footprints ---------------------------------------------------------------
-
-
-def _address_form(addr: Value, gl: _GangLoop, loop_blocks: Set[BasicBlock]):
-    """``(base, offset)`` of an affine address: ``base`` is the multiset
-    of its loop-invariant terms (value → coefficient in bytes), ``offset``
-    its constant bytes; the ``gang_base`` term is left out (its δ comes
-    from :func:`_scalar_forms`).  Stencil addresses such as ``src + row
-    + w + x`` are sums, so a single root would not do."""
-    terms: Dict[Value, int] = {}
-    offset = 0
-    work = [(addr, 1)]
-    while work:
-        v, k = work.pop()
-        if isinstance(v, Constant):
-            offset += k * _signed(v)
-            continue
-        if v is gl.phi:
-            continue
-        if isinstance(v, Instruction) and v.parent in loop_blocks:
-            op = v.opcode
-            ops = v.operands
-            if op == "add":
-                work += [(ops[0], k), (ops[1], k)]
-                continue
-            if op == "sub":
-                work += [(ops[0], k), (ops[1], -k)]
-                continue
-            if op == "gep":
-                esize = v.type.pointee.size_bytes()
-                work += [(ops[0], k), (ops[1], k * esize)]
-                continue
-            if op in ("ptrtoint", "inttoptr"):
-                work.append((ops[0], k))
-                continue
-            if op == "mul" and isinstance(ops[1], Constant):
-                work.append((ops[0], k * _signed(ops[1])))
-                continue
-            if op == "mul" and isinstance(ops[0], Constant):
-                work.append((ops[1], k * _signed(ops[0])))
-                continue
-            if op == "shl" and isinstance(ops[1], Constant):
-                work.append((ops[0], k << _signed(ops[1])))
-                continue
-        terms[v] = terms.get(v, 0) + k
-    return frozenset((v, k) for v, k in terms.items() if k), offset
 
 
 def _known_lanes(v: Value, memo: Dict[Value, Optional[tuple]]) -> Optional[tuple]:
@@ -710,8 +742,8 @@ def _annotate(instr: Instruction, charges: Tuple[Instruction, ...], mult) -> Non
     The whole-kernel codegen emitter *specializes on these attrs at
     emission time* —
     ``batch_mult`` ints become literal constants in the generated
-    source and lid-tuple multiplicities become per-loop activity
-    locals.  Because the generated code bakes these values in, the
+    source and lid-tuple multiplicities ``_act.get`` chains over the
+    divergent loops' activity counts.  Because the generated code bakes these values in, the
     emission cache is keyed by a batch fingerprint (the ``batched``
     attr plus the annotated-instruction count): re-annotating a
     function with different values must re-emit, not reuse.
@@ -758,7 +790,7 @@ def _instr_reason(instr: Instruction, region: Set[BasicBlock],
     return None
 
 
-def _atomic_reason(instr: Instruction, per_gang, delta_of,
+def _atomic_reason(instr: Instruction, per_gang, forms: AffineForms,
                    divergent: bool) -> Optional[str]:
     """Why an ``atomicrmw`` cannot fold its B gangs into one update."""
     t = instr.type
@@ -766,40 +798,51 @@ def _atomic_reason(instr: Instruction, per_gang, delta_of,
         return f"{t} atomicrmw in gang loop"
     if instr.uses:
         return "atomicrmw result is used in gang loop"
-    if delta_of(instr.operands[0]) != 0:
+    if forms.delta(instr.operands[0]) != 0:
         return "atomicrmw cell is not gang-invariant"
     value = instr.operands[1]
-    if value not in per_gang and delta_of(value) != 0:
+    if value not in per_gang and forms.delta(value) != 0:
         return "atomicrmw value is gang-affine"
     if divergent:
         return "atomicrmw under a divergent loop"
     return None
 
 
-def _divergent_loops(function: Function, region: Set[BasicBlock],
-                     ordered: List[BasicBlock], gang: int, batch: int,
-                     header: Optional[BasicBlock] = None):
-    """The divergent loops inside ``region`` — a gang loop's blocks (less
-    its ``header``), or a row tail's — as ``(divergent, control, chain)``,
-    or why one is not canonical.  ``control`` holds their ``mask_any``
-    and backedge ``condbr`` s; ``chain[block]`` the lids of the divergent
-    loops enclosing it, innermost first, ending in the static batch
-    factor.  Codegen resolves the first lid with a live activity count (a
-    divergent loop that has completed an iteration knows how many gangs
-    continue); before that it falls through to the outer loop's count or
-    to B."""
+class _Region(_Parts):
+    """What widening needs of a region that passed :func:`_scan_region`:
+    its blocks in function order, gang size, batch factor, divergent loops
+    and per block their ``chain`` — the lids of the divergent loops around
+    it, innermost first, then B (codegen charges by the first lid with a
+    live activity count) — its ``per_gang`` scalars and affine ``forms``."""
+
+    __slots__ = ("ordered", "gang", "batch", "divergent", "chain",
+                 "per_gang", "forms")
+
+
+def _scan_region(function: Function, ordered: List[BasicBlock], gang: int,
+                 batch: int, where: str, gl: Optional[_CountedLoop] = None):
+    """Why the blocks ``ordered`` cannot run ``batch`` gangs of ``gang``
+    lanes wide, judged by the rules a gang loop ``gl`` and a row tail (no
+    ``gl``: its rows are the gangs) share, or else their :class:`_Region`.
+    In order: every divergent loop inside must be canonical; no op may
+    lack a per-gang form (:func:`_instr_reason`) and no value may escape;
+    every scalar must have an affine form or be *per-gang* — an integer
+    reduction, or computed from one, which the batched region holds as B
+    lanes, one per gang — and every scalar phi must be gang-invariant;
+    per-gang values, divergent-loop state and atomics must stay where
+    they can be batched; and no branch may depend on the gang."""
+    region = set(ordered)
+    fixed = set() if gl is None else {gl.phi, gl.icmp, gl.condbr, gl.inc}
     divergent: List[_DivergentLoop] = []
-    control: Set[Instruction] = set()
     for inner in find_loops(function):
-        if (inner.header is header or inner.header not in region
-                or not inner.blocks <= region):
+        if ((gl is not None and inner.header is gl.loop.header)
+                or inner.header not in region or not inner.blocks <= region):
             continue
         dl, reason = _match_divergent_loop(inner, gang)
         if dl is None:
             return reason
         divergent.append(dl)
-        control.add(dl.mask_any)
-        control.add(dl.condbr)
+        fixed.update((dl.mask_any, dl.condbr))
     chain: Dict[BasicBlock, tuple] = {}
     for block in ordered:
         enclosing = sorted(
@@ -807,18 +850,67 @@ def _divergent_loops(function: Function, region: Set[BasicBlock],
             key=lambda dl: len(dl.loop.blocks),
         )
         chain[block] = tuple(dl.lid for dl in enclosing) + (batch,)
-    return divergent, control, chain
+
+    for block in ordered:
+        for instr in block.instructions:
+            reason = instr not in fixed and _instr_reason(instr, region, where)
+            if reason:
+                return reason
+            for user, _ in instr.uses:
+                if user.parent not in region:
+                    return f"value escapes the {where}"
+
+    forms = AffineForms(region, None if gl is None else gl.phi, skip=fixed)
+    per_gang: Dict[Instruction, None] = {}  # an ordered set
+    for block in reverse_postorder(function):
+        if block not in region:
+            continue
+        for instr in block.instructions:
+            op = instr.opcode
+            t = instr.type
+            if (instr in fixed or isinstance(t, VectorType) or t is VOID
+                    or op in _ADDRESS_OPERAND):
+                continue
+            if op == "phi":
+                affine = all(forms.delta(v) == 0
+                             for v, _ in instr.phi_incoming())
+            elif op in REDUCE_OPS or any(o in per_gang for o in instr.operands):
+                per_gang[instr] = None
+                continue
+            else:
+                affine = forms(instr) is not None
+            if not affine:
+                return f"gang-dependent scalar {op} is not affine"
+    reason = (_per_gang_reason(per_gang, forms)
+              or _loop_state_reason(divergent, ordered))
+    if reason is not None:
+        return reason
+    for block in ordered:
+        for instr in block.instructions:
+            if instr.opcode == "atomicrmw":
+                reason = _atomic_reason(instr, per_gang, forms,
+                                        len(chain[block]) > 1)
+                if reason is not None:
+                    return reason
+            elif (instr.opcode == "condbr" and instr not in fixed
+                    and forms.delta(instr.operands[0]) != 0):
+                return "gang-dependent scalar branch"
+    return _Region(ordered=ordered, gang=gang, batch=batch,
+                   divergent=divergent, chain=chain, per_gang=per_gang,
+                   forms=forms)
 
 
-def _mark_divergent(divergent: List[_DivergentLoop], batch: int,
-                    gang: int) -> None:
-    """The activity contract of each divergent loop (see codegen)."""
-    for dl in divergent:
-        dl.mask_any.attrs["batch_activity"] = (dl.lid, batch, gang)
+def _mark_divergent(region: _Region) -> None:
+    """The activity contract of each divergent loop (see codegen): its
+    backedge ``mask_any`` counts the trip's gangs still iterating, and its
+    backedge ``condbr`` commits that count for the charges in the loop."""
+    for dl in region.divergent:
+        dl.mask_any.attrs["batch_activity"] = (dl.lid, region.batch,
+                                               region.gang)
         dl.condbr.attrs["batch_backedge"] = (dl.lid, dl.taken_idx)
 
 
-def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
+def _batch_one_loop(function: Function, gl: _CountedLoop, batch: int,
                     module: Module, protos: _Prototypes,
                     nest: Optional["_RowNest"] = None):
     """Batch one matched gang loop in place; returns a rejection reason,
@@ -827,61 +919,27 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
     row and loop-invariant vectors tile before the nest.  All legality
     checks run before any mutation."""
     loop = gl.loop
-    gang = gl.gang
+    gang = gl.step
     loop_blocks = loop.blocks
-    # Deterministic orders: function block order for rewriting, RPO for
-    # the dataflow scan.
     ordered = [b for b in function.blocks if b in loop_blocks]
-    rpo = [b for b in reverse_postorder(function) if b in loop_blocks]
 
-    header_fixed = {gl.phi, gl.icmp, gl.condbr, gl.inc}
-
-    # ---- legality: loop-shape hazards ---------------------------------------------
+    # ---- legality ------------------------------------------------------------------
     if gl.latch.terminator is None or gl.latch.terminator.opcode != "br":
         return "gang backedge is conditional"
     gang_exiting = [b for b in ordered
                     if any(s not in loop_blocks for s in b.successors)]
     if gang_exiting != [loop.header]:
         return "gang loop has side exits"
-
-    # ---- legality: divergent inner loops -------------------------------------------
-    found = _divergent_loops(function, loop_blocks, ordered, gang, batch,
-                             loop.header)
-    if isinstance(found, str):
-        return found
-    divergent, control, chain = found
-
-    # ---- legality: per-instruction scan --------------------------------------------
-    for block in ordered:
-        for instr in block.instructions:
-            if instr in header_fixed or instr in control:
-                continue
-            reason = _instr_reason(instr, loop_blocks, "gang loop")
-            if reason is not None:
-                return reason
-        for instr in block.instructions:
-            for user, _ in instr.uses:
-                if isinstance(user, Instruction) and user.parent not in loop_blocks:
-                    return "value escapes the gang loop"
-
-    # ---- legality: affine and per-gang scalars -------------------------------------
-    skip_affine = header_fixed | control
-    deltas, per_gang, delta_of = _scalar_forms(gl.phi, rpo, loop_blocks,
-                                               skip_affine)
-    for block in rpo:
-        for instr in block.instructions:
-            if deltas.get(instr, 0) is None:
-                return f"gang-dependent scalar {instr.opcode} is not affine"
-    reason = (_per_gang_reason(per_gang, delta_of)
-              or _loop_state_reason(divergent, ordered))
-    if reason is not None:
-        return reason
-    private = _private_storage(function, loop_blocks, delta_of)
+    region = _scan_region(function, ordered, gang, batch, "gang loop", gl)
+    if isinstance(region, str):
+        return region
+    forms = region.forms
+    private = _private_storage(function, loop_blocks, forms)
     if isinstance(private, str):
         return private
     served = {a for _, _, accesses in private.values() for a in accesses}
 
-    # ---- legality: memory access, atomic and branch forms --------------------------
+    # Memory: strided rows, and stores that may meet across gangs.
     row_strides: Dict[Instruction, int] = {}
     stores: Dict[frozenset, list] = {}
     atomic_bases: List[frozenset] = []
@@ -894,42 +952,32 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
                 addr = instr.operands[0 if op == "vload" else 1]
                 esize = data.elem.size_bytes()
                 row = data.count * esize
-                step = delta_of(addr) * gang  # affine: checked above
+                step = forms.delta(addr) * gang  # affine: checked above
                 if step != row:
                     if step < row:
                         return (f"{op} rows overlap across gangs (stride"
                                 f" {step} below the {row}-byte row)")
                     row_strides[instr] = step
                 if op == "vstore":
-                    base, offset = _address_form(addr, gl, loop_blocks)
+                    base, offset = _footprint_key(forms(addr))
                     lanes = _known_lanes(instr.operands[2], known)
                     stores.setdefault(base, []).append(
                         (offset, step, _store_bytes(lanes, data.count, esize)))
             elif op == "atomicrmw":
-                reason = _atomic_reason(instr, per_gang, delta_of,
-                                        len(chain[block]) > 1)
-                if reason is not None:
-                    return reason
-                atomic_bases.append(
-                    _address_form(instr.operands[0], gl, loop_blocks)[0])
-            elif (op == "condbr" and instr not in control
-                    and instr is not gl.condbr):
-                if delta_of(instr.operands[0]) != 0:
-                    return "gang-dependent scalar branch"
+                atomic_bases.append(_footprint_key(forms(instr.operands[0]))[0])
     if any(base in stores for base in atomic_bases):
         return "atomicrmw and vstore share a base"
     reason = _footprint_reason(stores)
     if reason is not None:
         return reason
-    if nest is not None and private:
-        return "private storage in a row nest"
 
     # ======= point of no return: all checks passed, start mutating ==================
 
     # ---- annotate originals with narrow charge prototypes --------------------------
     ptype = gl.phi.type
+    header_fixed = (gl.phi, gl.icmp, gl.condbr, gl.inc)
     for block in ordered:
-        mult = chain[block]
+        mult = region.chain[block]
         for instr in block.instructions:
             if instr not in header_fixed:
                 _annotate(instr, (protos.of(instr),), mult)
@@ -940,9 +988,8 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
     # the exit block the last header visit (of every row of a collapsed
     # nest), which reconciles the narrow engine's header accounting
     # exactly.
-    zero: Tuple[Instruction, ...] = ()
-    for instr in (gl.phi, gl.icmp, gl.condbr, gl.inc):
-        _annotate(instr, zero, 0)
+    for instr in header_fixed:
+        _annotate(instr, (), 0)
     overhead = (
         protos.make("br", VOID, ()),
         protos.make("phi", ptype, ()),
@@ -951,7 +998,7 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
         protos.make("add", ptype, (ptype, ptype)),
     )
     _annotate(gl.latch.terminator, overhead, (batch,))
-    _mark_divergent(divergent, batch, gang)
+    _mark_divergent(region)
     for rows, row, accesses in private.values():
         for access in accesses:
             access.attrs["private"] = rows
@@ -972,23 +1019,23 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
             if phi.operands[idx] is header:
                 phi.set_operand(idx, done)
 
-    _widen(function, module, ordered, header_fixed, batch, gang, per_gang,
-           delta_of, row_strides, nest.preheader if nest else gl.entry_pred)
+    _widen(function, module, region, row_strides,
+           nest.row.entry if nest else gl.entry)
     function.attrs["batched"] = batch
     return private
 
 
-def _widen(function: Function, module: Module, ordered: List[BasicBlock],
-           fixed: Set[Instruction], batch: int, gang: int, per_gang,
-           delta_of, row_strides: Dict[Instruction, int],
-           tile_block: BasicBlock, rows_at_runtime: bool = False) -> None:
-    """Widen the blocks ``ordered`` — a gang loop's, or a row tail's —
-    ``batch`` gangs wide in place (see "Widening", "Per-gang segments" and
+def _widen(function: Function, module: Module, region: _Region,
+           row_strides: Dict[Instruction, int], tile_block: BasicBlock,
+           rows_at_runtime: bool = False) -> None:
+    """Widen a ``region`` — a gang loop, or a row tail — ``batch`` gangs
+    wide in place (see "Widening", "Per-gang segments" and
     "Memory" in the module docstring); loop-invariant vectors tile once,
     at the end of ``tile_block``.  In a row tail (``rows_at_runtime``)
     every packed access becomes B rows whose stride generated code reads
     from the nest (``segments = B``, ``row_stride = "row"``)."""
-    region = set(ordered)
+    blocks = set(region.ordered)
+    batch, gang, per_gang = region.batch, region.gang, region.per_gang
     zero: Tuple[Instruction, ...] = ()
     inserted: Set[Instruction] = set()
     tiles: Dict[Value, Instruction] = {}
@@ -1026,7 +1073,7 @@ def _widen(function: Function, module: Module, ordered: List[BasicBlock],
         if not isinstance(t, VectorType):
             return None
         if isinstance(v, Instruction):
-            if v.parent in region:
+            if v.parent in blocks:
                 return None  # widened in place
             return tile(v)
         if isinstance(v, Constant):
@@ -1040,20 +1087,30 @@ def _widen(function: Function, module: Module, ordered: List[BasicBlock],
             return UndefValue(VectorType(t.elem, t.count * batch))
         return tile(v)  # vector-typed argument
 
-    def per_gang_operand(v: Value, block: BasicBlock,
-                         user: Instruction) -> Optional[Value]:
-        """A gang-invariant scalar operand of a per-gang op, as B lanes
-        (``None``: already per-gang)."""
-        if v in per_gang:
-            return None
-        lanes = VectorType(v.type, batch)
-        if isinstance(v, Constant):
-            return Constant.from_canonical(lanes, (v.value,) * batch)
-        return helper("broadcast", lanes, [v], "batch.lift", block, user)
+    def widen_operands(instr: Instruction, first: int = 0,
+                       last: Optional[int] = None) -> None:
+        for idx, v in enumerate(instr.operands[first:last], first):
+            m = map_operand(v)
+            if m is not None:
+                instr.set_operand(idx, m)
 
-    for block in ordered:
+    def lift_operands(instr: Instruction, first: int = 0,
+                      last: Optional[int] = None) -> None:
+        """Gang-invariant scalar operands of a per-gang op, as B lanes."""
+        for idx, v in enumerate(instr.operands[first:last], first):
+            if v in per_gang:
+                continue
+            lanes = VectorType(v.type, batch)
+            if isinstance(v, Constant):
+                lifted = Constant.from_canonical(lanes, (v.value,) * batch)
+            else:
+                lifted = helper("broadcast", lanes, [v], "batch.lift",
+                                instr.parent, instr)
+            instr.set_operand(idx, lifted)
+
+    for block in region.ordered:
         for instr in list(block.instructions):
-            if instr in inserted or instr in fixed:
+            if instr in inserted:
                 continue
             op = instr.opcode
             t = instr.type
@@ -1064,21 +1121,14 @@ def _widen(function: Function, module: Module, ordered: List[BasicBlock],
                 instr.type = VectorType(t, batch)
                 if op in REDUCE_OPS:
                     instr.attrs["segments"] = batch
-                    m = map_operand(instr.operands[0])
-                    if m is not None:
-                        instr.set_operand(0, m)
-                    continue
-                for idx, o in enumerate(instr.operands):
-                    m = per_gang_operand(o, block, instr)
-                    if m is not None:
-                        instr.set_operand(idx, m)
+                    widen_operands(instr, 0, 1)
+                else:
+                    lift_operands(instr)
                 continue
 
             if op == "atomicrmw":
                 instr.attrs["segments"] = batch
-                m = per_gang_operand(instr.operands[1], block, instr)
-                if m is not None:
-                    instr.set_operand(1, m)
+                lift_operands(instr, 1, 2)
                 continue
 
             if op == "broadcast":
@@ -1087,19 +1137,15 @@ def _widen(function: Function, module: Module, ordered: List[BasicBlock],
                 if scalar in per_gang:
                     instr.attrs["segments"] = batch
                     continue
-                d = delta_of(scalar) or 0
+                d = region.forms.delta(scalar) or 0
                 if d:
                     # Gang k's scalar is offset by k·δ·G from gang 0's;
                     # add the per-gang offset blocks.
                     offsets = Constant(instr.type, tuple(
                         k * d * gang for k in range(batch) for _ in range(t.count)))
-                    adjusted = Instruction(
-                        "add", instr.type, [instr, offsets],
-                        name=function.unique_name("batch.off"),
-                    )
-                    _annotate(adjusted, zero, 0)
-                    inserted.add(adjusted)
-                    block.insert(block.instructions.index(instr) + 1, adjusted)
+                    after = block.instructions[block.instructions.index(instr) + 1]
+                    adjusted = helper("add", instr.type, [instr, offsets],
+                                      "batch.off", block, after)
                     for user, idx in list(instr.uses):
                         if user is not adjusted and isinstance(user, Instruction):
                             user.set_operand(idx, adjusted)
@@ -1109,9 +1155,7 @@ def _widen(function: Function, module: Module, ordered: List[BasicBlock],
                 # The narrow constant index applies within each gang.
                 instr.attrs["segments"] = batch
                 instr.type = VectorType(t.elem, t.count * batch)
-                m = map_operand(instr.operands[0])
-                if m is not None:
-                    instr.set_operand(0, m)
+                widen_operands(instr, 0, 1)
                 continue
 
             if op == "call":
@@ -1123,12 +1167,7 @@ def _widen(function: Function, module: Module, ordered: List[BasicBlock],
                 )
                 instr.set_operand(0, wide_ext)
                 instr.type = VectorType(t.elem, t.count * batch)
-                for idx, o in enumerate(instr.operands):
-                    if idx == 0:
-                        continue
-                    m = map_operand(o)
-                    if m is not None:
-                        instr.set_operand(idx, m)
+                widen_operands(instr, 1)
                 continue
 
             # Generic elementwise / vload / vstore / sad / mask_any / phi /
@@ -1142,132 +1181,22 @@ def _widen(function: Function, module: Module, ordered: List[BasicBlock],
                 instr.attrs["row_stride"] = "row"
             if isinstance(t, VectorType):
                 instr.type = VectorType(t.elem, t.count * batch)
-            for idx, o in enumerate(instr.operands):
-                m = map_operand(o)
-                if m is not None:
-                    instr.set_operand(idx, m)
+            widen_operands(instr)
 
 
 # -- row nests -----------------------------------------------------------------------
-
-#: Monomials of a row form (see :func:`row_form`) besides atoms: the
-#: constant 1, the row index and the gang base.  ``(ROW, atom)`` is the
-#: row index times an atom.
-ONE, ROW, GANG = ("1",), ("y",), ("p",)
 
 #: The multiplicity spec of a row nest's outer blocks (and of its gang
 #: loop's exit block): the rows the outer trip runs.
 ROWS = "rows"
 
-_M64 = (1 << 64) - 1
 
-
-def _form_sum(a: dict, b: dict, k: int = 1) -> dict:
-    out = dict(a)
-    for m, c in b.items():
-        out[m] = (out.get(m, 0) + k * c) & _M64
-    return {m: c for m, c in out.items() if c}
-
-
-def _form_product(a: dict, b: dict) -> Optional[dict]:
-    """The product of two forms, or ``None`` when it is not of degree
-    one in the row index or has a product of two atoms."""
-    if set(a) <= {ONE}:
-        a, b = b, a
-    if set(b) <= {ONE}:
-        k = b.get(ONE, 0)
-        return {m: c * k & _M64 for m, c in a.items() if c * k & _M64}
-    out: Dict[object, int] = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            if ma is ROW and not isinstance(mb, tuple):
-                m = ("y", mb)
-            elif mb is ROW and not isinstance(ma, tuple):
-                m = ("y", ma)
-            else:
-                return None
-            out[m] = (out.get(m, 0) + ca * cb) & _M64
-    return {m: c for m, c in out.items() if c}
-
-
-def row_form(v: Value, nest: Set[BasicBlock], row: Value,
-             gang: Optional[Value], memo: Dict[Value, Optional[dict]]
-             ) -> Optional[dict]:
-    """``v`` as ``{monomial: coefficient mod 2**64}`` — a sum of the
-    constant, atoms (values defined outside the ``nest`` blocks), the
-    ``row`` index, the row index times an atom, and the ``gang`` base —
-    or ``None`` when it has no such form (a 64-bit ``add``/``sub``/
-    ``mul``/``shl``/``gep``/pointer cast chain is affine; anything else in
-    the nest is not).  Generated code evaluates the form at a row to get
-    an address, and its row-index part to get the row stride."""
-    if isinstance(v, Constant):
-        if isinstance(v.type, VectorType) or not isinstance(v.value, int):
-            return None
-        return {ONE: v.value & _M64} if v.value else {}
-    if v is row:
-        return {ROW: 1}
-    if v is gang:
-        return {GANG: 1}
-    if not isinstance(v, Instruction) or v.parent not in nest:
-        t = v.type
-        return {v: 1} if isinstance(t, IntType) or t.is_pointer else None
-    if v in memo:
-        return memo[v]
-    memo[v] = None  # a cycle (through a phi) is not affine
-    t = v.type
-    op = v.opcode
-    ops = v.operands
-    form = None
-    wide = (isinstance(t, IntType) and t.bits == 64) or t.is_pointer
-    if wide and op in ("add", "sub", "mul", "shl", "gep", "ptrtoint",
-                       "inttoptr"):
-        parts = [row_form(o, nest, row, gang, memo) for o in ops]
-        if None not in parts:
-            a = parts[0]
-            if op in ("ptrtoint", "inttoptr"):
-                form = a
-            elif op == "add":
-                form = _form_sum(a, parts[1])
-            elif op == "sub":
-                form = _form_sum(a, parts[1], -1)
-            elif op == "mul":
-                form = _form_product(a, parts[1])
-            elif set(parts[1]) <= {ONE}:
-                k = parts[1].get(ONE, 0)
-                if op == "shl" and k < 64:
-                    form = _form_product(a, {ONE: 1 << k})
-                elif op == "gep":
-                    bits = ops[1].type.bits
-                    index = k - (1 << bits) if k >> (bits - 1) else k
-                    esize = t.pointee.size_bytes()
-                    form = _form_sum(a, {ONE: index * esize & _M64})
-            elif op == "gep" and ops[1].type.bits == 64:
-                esize = t.pointee.size_bytes()
-                form = _form_sum(a, _form_product(parts[1], {ONE: esize}))
-    memo[v] = form
-    return form
-
-
-def row_dependent(form: Optional[dict]) -> bool:
-    """A form with a row-index monomial."""
-    return bool(form) and any(m is ROW or (isinstance(m, tuple) and len(m) == 2)
-                              for m in form)
-
-
-class _RowNest:
+class _RowNest(_Parts):
     """A row loop around a gang loop (see "Row nests" in the module
-    docstring): the counted loop's ``phi``/``icmp``/``condbr``/``inc``,
-    the block entering it, the prologue, tail check, tail and latch
-    blocks, and what the tail's widening needs (``per_gang``,
-    ``delta_of``, its divergent loops and their ``chain``)."""
+    docstring): the counted ``row`` loop, the prologue, tail check, tail
+    and latch blocks, and the tail as a :class:`_Region`."""
 
-    __slots__ = ("loop", "phi", "icmp", "condbr", "inc", "preheader",
-                 "prologue", "tailcheck", "tail", "latch", "per_gang",
-                 "delta_of", "divergent", "chain")
-
-    def __init__(self, **parts):
-        for key, value in parts.items():
-            setattr(self, key, value)
+    __slots__ = ("row", "prologue", "tailcheck", "tail", "latch")
 
 
 def _dead_phi(phi: Instruction) -> bool:
@@ -1284,11 +1213,7 @@ def _dead_phi(phi: Instruction) -> bool:
     return True
 
 
-def _invariant(v: Value, blocks: Set[BasicBlock]) -> bool:
-    return not (isinstance(v, Instruction) and v.parent in blocks)
-
-
-def _match_row_nest(function: Function, gl: _GangLoop, batch: int):
+def _match_row_nest(function: Function, gl: _CountedLoop, batch: int):
     """The row loop around ``gl`` as a :class:`_RowNest`, or why it cannot
     collapse into the gang trip.  Runs before any mutation."""
     outer = gl.loop.parent
@@ -1297,41 +1222,26 @@ def _match_row_nest(function: Function, gl: _GangLoop, batch: int):
     if len(outer.latches) != 1 or outer.exiting_blocks() != [header]:
         return "row loop has several latches or exits"
     latch = outer.latches[0]
-    preds = [b for b in header.predecessors if b not in blocks]
-    rest = header.non_phi_instructions()
-    counted = None
-    if len(preds) == 1 and len(rest) == 2 and rest[1].opcode == "condbr":
-        cmp, term = rest
-        y = cmp.operands[0] if cmp.opcode == "icmp" else None
-        if (cmp.attrs.get("pred") == "ult" and term.operands[0] is cmp
-                and isinstance(y, Instruction) and y.opcode == "phi"
-                and y.parent is header and y.type == I64
-                and _invariant(cmp.operands[1], blocks)
-                and term.operands[1] in blocks):
-            inc = y.phi_value_for(latch)
-            if (isinstance(inc, Instruction) and inc.opcode == "add"
-                    and inc.operands[0] is y and inc.parent is latch
-                    and isinstance(inc.operands[1], Constant)
-                    and inc.operands[1].value == 1):
-                counted = (y, cmp, term, inc)
-    if counted is None:
+    row = _match_counted_loop(outer)
+    if (row is None or row.step != 1 or row.phi.type != I64
+            or row.inc.parent is not latch):
         return "row loop is not a counted step-1 loop"
-    y, cmp, term, inc = counted
+    y = row.phi
     if any(phi is not y and not _dead_phi(phi) for phi in header.phis()):
         return "row loop carries scalar state"
-    if latch.instructions != [inc, latch.terminator]:
+    if latch.instructions != [row.inc, latch.terminator]:
         return "row latch does more than step the row index"
 
     # Shape: prologue -> gang loop -> tail check -> tail -> latch.
     prologue: List[BasicBlock] = []
-    block = term.operands[1]
+    block = row.condbr.operands[1]
     while block is not gl.loop.header:
         if (block in prologue or block.phis() or len(block.successors) != 1
                 or block.terminator.opcode != "br"):
             return "row prologue is not straight-line"
         prologue.append(block)
         block = block.successors[0]
-    if not prologue or prologue[-1] is not gl.entry_pred:
+    if not prologue or prologue[-1] is not gl.entry:
         return "row prologue is not straight-line"
     if not _invariant(gl.icmp.operands[1], blocks):
         return "thread count varies by row"
@@ -1354,7 +1264,6 @@ def _match_row_nest(function: Function, gl: _GangLoop, batch: int):
                 return "row tail leaves the row loop"
             tail.append(block)
             work += block.successors
-    tail_set = set(tail)
     parts = {header, latch, *prologue, *gl.loop.blocks, *tail}
     if tailcheck is not None:
         parts.add(tailcheck)
@@ -1365,10 +1274,10 @@ def _match_row_nest(function: Function, gl: _GangLoop, batch: int):
 
     # The row index may reach only affine scalars, the addresses of
     # accesses and the prologue's stored values; every access address
-    # must have a row form (the no-alias check at nest entry reads it).
-    memo: Dict[Value, Optional[dict]] = {}
+    # must have a form codegen can evaluate at nest entry (the no-alias
+    # check reads it).
+    forms = AffineForms(blocks, gl.phi, y)
     in_prologue = {i for b in prologue for i in b.instructions}
-    ordered = [b for b in function.blocks if b in blocks]
     dependent: Set[Value] = {y}  # the scalars computed from the row index
     work = [y]
     while work:
@@ -1379,7 +1288,7 @@ def _match_row_nest(function: Function, gl: _GangLoop, batch: int):
                     and not isinstance(user.type, VectorType)):
                 dependent.add(user)
                 work.append(user)
-    for block in ordered:
+    for block in [b for b in function.blocks if b in blocks]:
         for instr in block.instructions:
             op = instr.opcode
             if instr in in_prologue:
@@ -1388,24 +1297,23 @@ def _match_row_nest(function: Function, gl: _GangLoop, batch: int):
                 if op in ("call", "alloca") or (
                         op in _ADDRESS_OPERAND and op != "store"):
                     return f"{op} in a row prologue"
-                if op not in ("store", "br") and row_form(
-                        instr, blocks, y, gl.phi, memo) is None:
+                if op not in ("store", "br") and forms.at_entry(instr) is None:
                     return "row prologue scalar not affine in the row index"
             if op in ("gather", "scatter"):
                 return f"{op} in a row nest"
-            if op in _ADDRESS_OPERAND and row_form(
-                    instr.operands[_ADDRESS_OPERAND[op]], blocks, y, gl.phi,
-                    memo) is None:
+            if op in _ADDRESS_OPERAND and forms.at_entry(
+                    instr.operands[_ADDRESS_OPERAND[op]]) is None:
                 return "row nest address not affine in the row index"
-            if instr in (cmp, inc) or (op == "phi" and instr.parent is header):
+            if instr in (row.icmp, row.inc) or (
+                    op == "phi" and instr.parent is header):
                 continue  # the loop's own test and step, and dead phis
             for idx, o in enumerate(instr.operands):
                 if o not in dependent:
                     continue
                 if _ADDRESS_OPERAND.get(op) == idx or instr in in_prologue:
-                    continue  # an address, or a stored row form
+                    continue  # an address, or a prologue value (checked above)
                 if instr in dependent:
-                    if row_form(instr, blocks, y, gl.phi, memo) is None:
+                    if forms.at_entry(instr) is None:
                         return (f"row-dependent scalar {op} is not affine in"
                                 " the row index")
                     continue
@@ -1413,63 +1321,33 @@ def _match_row_nest(function: Function, gl: _GangLoop, batch: int):
 
     # The tail runs its R rows as one trip of R gangs: the gang loop's
     # rules, with the row as the gang.
-    tail_ordered = [b for b in function.blocks if b in tail_set]
-    found = _divergent_loops(function, tail_set, tail_ordered, gl.gang, batch)
-    if isinstance(found, str):
-        return found
-    divergent, control, chain = found
-    for block in tail_ordered:
-        for instr in block.instructions:
-            reason = None if instr in control else \
-                _instr_reason(instr, tail_set, "row tail")
-            if reason is not None:
-                return reason
-            if any(user.parent not in tail_set for user, _ in instr.uses):
-                return "value escapes the row tail"
-    tail_rpo = [b for b in reverse_postorder(function) if b in tail_set]
-    deltas, per_gang, delta_of = _scalar_forms(None, tail_rpo, tail_set,
-                                               control)
-    for instr, delta in deltas.items():
-        if delta is None:
-            return f"gang-dependent scalar {instr.opcode} is not affine"
-    reason = (_per_gang_reason(per_gang, delta_of)
-              or _loop_state_reason(divergent, tail_ordered))
-    if reason is not None:
-        return reason
-    for block in tail_ordered:
-        for instr in block.instructions:
-            if instr.opcode == "atomicrmw":
-                reason = _atomic_reason(instr, per_gang, delta_of,
-                                        len(chain[block]) > 1)
-                if reason is not None:
-                    return reason
-    return _RowNest(loop=outer, phi=y, icmp=cmp, condbr=term, inc=inc,
-                    preheader=preds[0], prologue=prologue,
-                    tailcheck=tailcheck, tail=tail_ordered, latch=latch,
-                    per_gang=per_gang, delta_of=delta_of,
-                    divergent=divergent, chain=chain)
+    tail = _scan_region(function, [b for b in function.blocks if b in tail],
+                        gl.step, batch, "row tail")
+    if isinstance(tail, str):
+        return tail
+    return _RowNest(row=row, prologue=prologue, tailcheck=tailcheck,
+                    tail=tail, latch=latch)
 
 
-def _collapse(function: Function, nest: _RowNest, gl: _GangLoop, batch: int,
-              module: Module, protos: _Prototypes) -> None:
+def _collapse(function: Function, nest: _RowNest, gl: _CountedLoop,
+              batch: int, module: Module, protos: _Prototypes) -> None:
     """Collapse a legal row nest whose gang loop is already batched: the
     outer blocks charge once per row of the outer trip, and the tail
     widens into one trip of B row slots."""
-    outer = [nest.loop.header, *nest.prologue, nest.latch]
+    outer = [nest.row.loop.header, *nest.prologue, nest.latch]
     if nest.tailcheck is not None:
         outer.append(nest.tailcheck)
         nest.tailcheck.terminator.attrs["row_tail"] = batch
     for block in outer:
         for instr in block.instructions:
             _annotate(instr, (protos.of(instr),), ROWS)
-    for block in nest.tail:
+    tail = nest.tail
+    for block in tail.ordered:
         for instr in block.instructions:
-            _annotate(instr, (protos.of(instr),), nest.chain[block])
-    _mark_divergent(nest.divergent, batch, gl.gang)
-    _widen(function, module, nest.tail, set(), batch, gl.gang,
-           nest.per_gang, nest.delta_of, {}, nest.preheader,
-           rows_at_runtime=True)
-    nest.condbr.attrs["row_nest"] = (gl.gang, batch)
+            _annotate(instr, (protos.of(instr),), tail.chain[block])
+    _mark_divergent(tail)
+    _widen(function, module, tail, {}, nest.row.entry, rows_at_runtime=True)
+    nest.row.condbr.attrs["row_nest"] = (gl.step, batch)
 
 
 def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport:
@@ -1502,17 +1380,17 @@ def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport
                        for o in matches)
         ]
         for gl in matches:
-            if gl.gang & (gl.gang - 1):
+            if gl.step & (gl.step - 1):
                 # suggest_batch_factor returns 1 for these; surface the
                 # silent no-batch path as an observable rejection.
                 rejected.append((function.name, gl.loop.header.name,
-                                 f"non-power-of-two gang size {gl.gang}"))
+                                 f"non-power-of-two gang size {gl.step}"))
                 continue
             # The bit of loop shape the factor looks at.
             straight_line = not any(
                 inner.header is not gl.loop.header
                 and inner.header in gl.loop.blocks for inner in loops)
-            b = select_batch_factor(gl.gang, requested,
+            b = select_batch_factor(gl.step, requested,
                                     straight_line=straight_line)
             if b < 2:
                 rejected.append((function.name, gl.loop.header.name,
@@ -1537,8 +1415,8 @@ def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport
                 bound = gl.icmp.operands[1]
                 count = bound.value if isinstance(bound, Constant) \
                     else f"%{bound.name}"
-                entry += (f" rows of {nest.loop.header.name}:"
-                          f" P = {count} / {gl.gang} gangs per row")
+                entry += (f" rows of {nest.row.loop.header.name}:"
+                          f" P = {count} / {gl.step} gangs per row")
             applied.append(entry)
             factor = max(factor, b)
     if not applied and not rejected:

@@ -44,11 +44,10 @@ IR runs nowhere else):
   the access needs are resolved by the emitter, and the in-bounds case
   runs inline against the interpreter's buffer;
 * gang-batched blocks charge what the unbatched build would (see
-  "Accounting contract"); divergent-loop activity state lives in
-  *specialized Python locals* (``_a0``/``_p0``) with the batch factor,
-  gang width, and mask reshape emitted as literals (batch-factor
-  specialization) — the activity-dict protocol only remains as a
-  fallback for shapes the specializer cannot prove;
+  "Accounting contract"); a divergent loop's activity counts live in
+  the ``_act``/``_pend`` dicts, keyed by loop id, which only a function
+  with a divergent loop in a batched region sets up; the batch factor,
+  gang width and mask reshape are emitted as literals;
 * a batched gang loop (its header ``condbr`` carries ``batch_trip``)
   sets ``_r``, the gangs the trip runs, on entering each trip.  The
   last trip may run fewer than B — the *predicated trip*: stores write
@@ -107,11 +106,12 @@ protocol covers the rest:
   count wins, so code under a divergent loop charges once per gang that
   would still be iterating unbatched.  A loop's
   pending count (its ``batch_activity`` ``mask_any``: the gangs with an
-  active lane) commits at its ``batch_backedge`` and drops at its exit.
+  active lane, ``_pend[lid]``) commits at its ``batch_backedge``
+  (``_act[lid]``) and drops at its exit.
   Charges fold like plain ones, grouped by spec: static multiplicities
-  fold at emit time, divergent ones resolve through the specialized
-  activity locals (activity is constant within a block — it only
-  changes at backedge commits).  Prefix sums of the unbatched charge
+  fold at emit time, divergent ones resolve through ``_act.get`` chains
+  (activity is constant within a block — it only changes at backedge
+  commits).  Prefix sums of the unbatched charge
   sequence are a superset of the batched ones — in a collapsed row nest
   the charges of an outer trip's R rows run ahead of the unbatched order
   but never past its total for those rows — so a budget crossing
@@ -276,7 +276,8 @@ import numpy as np
 
 from .. import diskcache
 from ..ir.cfg import Loop, find_loops, reverse_postorder
-from .batch import GANG, ONE, ROW, ROWS, row_dependent, row_form
+from .batch import (GANG, ONE, ROW, ROWS, AffineForms, row_dependent,
+                    row_monomial)
 from ..ir.instructions import (
     ATOMIC_RMW_OPS,
     CAST_OPS,
@@ -695,11 +696,12 @@ def _last_lane_end(mask, width: int, gangs: int, rho: int, delta: int,
 class _Nest:
     """A collapsed row nest being emitted (its header ``condbr`` carries
     ``row_nest``): the row index, its bound and step, the nest's blocks
-    and gang base (for :func:`~repro.backend.batch.row_form`), and the
-    row-stride locals computed at nest entry."""
+    and gang base, their affine ``form`` s
+    (:class:`~repro.backend.batch.AffineForms`), and the row-stride locals
+    computed at nest entry."""
 
     __slots__ = ("header", "row", "bound", "inc", "blocks", "gang_phi",
-                 "gang", "batch", "memo", "strides")
+                 "gang", "batch", "form", "strides")
 
     def __init__(self, loop: Loop, gang: int, batch: int):
         term = loop.header.instructions[-1]
@@ -713,12 +715,9 @@ class _Nest:
         self.gang_phi = gang_header.instructions[0]
         self.gang = gang
         self.batch = batch
-        self.memo: Dict[Value, Optional[dict]] = {}
+        self.form = AffineForms(self.blocks, self.gang_phi, self.row)
         #: Row part of a form -> the local holding its signed row stride.
         self.strides: Dict[frozenset, str] = {}
-
-    def form(self, v: Value) -> dict:
-        return row_form(v, self.blocks, self.row, self.gang_phi, self.memo)
 
 
 def _private_alloca(access: Instruction) -> Instruction:
@@ -992,85 +991,12 @@ class _Emitter:
         #: ``None``; whether any nest's no-alias check was emitted.
         self.nest: Optional[_Nest] = None
         self.row_checks = False
-        self._scan_batch_shapes()
-
-    # -- divergent-activity specialization ---------------------------------------
-
-    def _scan_batch_shapes(self) -> None:
-        """Decide whether divergent-loop activity state can live in
-        specialized Python locals instead of the ``_act``/``_pend`` dict
-        protocol.
-
-        Locals mode needs every loop id to commit from exactly one loop's
-        latch and every multiplicity-spec tail to be consistent; a *clean*
-        lid (its loop's only exiting edge is the committing latch) is
-        additionally re-initialized at loop entry so reads collapse to
-        the bare local.  Anything the scan cannot prove falls back to the
-        dict protocol, which commits and drops activity per loop id at
-        run time.
-        """
-        self.act_ok = False
-        self.lid_act: Dict[str, str] = {}
-        self.lid_pend: Dict[str, str] = {}
-        self.lid_clean: Dict[str, bool] = {}
-        self.lid_tail: Dict[str, tuple] = {}
-        self.loop_lid_entries: Dict[BasicBlock, List[str]] = {}
-        if not self.fn_batched:
-            return
-        ok = True
-        lids_seen: Set[str] = set()
-        tails: Dict[str, tuple] = {}
-        for b in self.fn.blocks:
-            for ins in b.instructions:
-                bm = ins.attrs.get("batch_mult")
-                if isinstance(bm, tuple):
-                    for x in bm:
-                        if isinstance(x, str):
-                            lids_seen.add(x)
-                    first = bm[0]
-                    if isinstance(first, str):
-                        prev = tails.get(first)
-                        if prev is None:
-                            tails[first] = bm[1:]
-                        elif prev != bm[1:]:
-                            ok = False
-                ba = ins.attrs.get("batch_activity")
-                if ba is not None:
-                    lids_seen.add(ba[0])
-                be = ins.attrs.get("batch_backedge")
-                if be is not None:
-                    lids_seen.add(be[0])
-        committed: Set[str] = set()
-        entries: Dict[BasicBlock, List[str]] = {}
-        clean: Dict[str, bool] = {}
-        for loop in self.loops_by_header.values():
-            latches = loop.latches
-            exiting = set(loop.exiting_blocks())
-            for latch in latches:
-                if not latch.instructions:
-                    continue
-                be = latch.instructions[-1].attrs.get("batch_backedge")
-                if be is None:
-                    continue
-                lid = be[0]
-                if lid in committed:
-                    ok = False  # one lid committed by two loops
-                committed.add(lid)
-                entries.setdefault(loop.header, []).append(lid)
-                clean[lid] = len(latches) == 1 and exiting == {latch}
-        # Every lid a spec can *read* must have a commit site.
-        for lid in lids_seen:
-            if lid not in committed:
-                ok = False
-        if not ok:
-            return
-        self.act_ok = True
-        self.lid_tail = tails
-        self.lid_clean = clean
-        self.loop_lid_entries = entries
-        for n, lid in enumerate(sorted(lids_seen)):
-            self.lid_act[lid] = f"_a{n}"
-            self.lid_pend[lid] = f"_p{n}"
+        #: Whether a divergent loop runs in a batched region: its
+        #: activity counts live in the ``_act``/``_pend`` dicts (see
+        #: "Accounting contract").
+        self.activity = self.fn_batched and any(
+            "batch_activity" in ins.attrs
+            for b in function.blocks for ins in b.instructions)
 
     def _mult_expr(self, spec: tuple) -> str:
         """Runtime multiplicity of a spec: the first lid with a live
@@ -1079,19 +1005,8 @@ class _Emitter:
         row of the outer trip (``_R``)."""
         if spec == ROWS:
             return "_R"
-        if self.act_ok:
-            x = spec[0]
-            if isinstance(x, int):
-                return "_r"
-            a = self.lid_act[x]
-            if self.lid_clean.get(x):
-                # Entry-init makes the local total: committed activity
-                # while iterating, the chain fallback otherwise.
-                return a
-            return f"({a} if {a} is not None else {self._mult_expr(spec[1:])})"
-        lids = [x for x in spec if isinstance(x, str)]
         expr = "_r"
-        for lid in reversed(lids):
+        for lid in reversed([x for x in spec if isinstance(x, str)]):
             expr = f"_act.get({lid!r}, {expr})"
         return expr
 
@@ -2110,11 +2025,7 @@ class _Emitter:
         active = "[:_r]" if self.trip else ""  # the trip's gangs only
         expr = (f"{self._int()}({self._cnz()}("
                 f"{mask}.reshape({batch}, -1){active}.any(axis=1)))")
-        p = self.lid_pend.get(lid)
-        if p is not None:
-            self.line(f"{p} = {expr}")
-        else:
-            self.line(f"_pend[{lid!r}] = {expr}")
+        self.line(f"_pend[{lid!r}] = {expr}")
 
     # -- edges -------------------------------------------------------------------
 
@@ -2189,13 +2100,6 @@ class _Emitter:
         re-classify their target one loop level up (this is what retires
         the ``multi-exit-loop`` / ``multi-level-break`` /
         ``multi-level-continue`` bailouts)."""
-        for lid in self.loop_lid_entries.get(header, ()):
-            # Divergent-activity entry init: makes the committed local
-            # total over the loop body (see _scan_batch_shapes).
-            if self.lid_clean.get(lid):
-                tail = self.lid_tail.get(lid)
-                if tail is not None:
-                    self.line(f"{self.lid_act[lid]} = {self._mult_expr(tail)}")
         outer_trip, outer_nest = self.trip, self.nest
         term = header.instructions[-1]
         trip = self.fn_batched and term.attrs.get("batch_trip")
@@ -2302,13 +2206,13 @@ class _Emitter:
     # -- collapsed row nests -----------------------------------------------------
 
     def _form_expr(self, form: dict, stride: bool) -> str:
-        """A row form as Python: its value at the current row and gang 0,
-        or (``stride``) its row-index part — the row stride."""
+        """An affine form over the nest as Python: its value at the current
+        row and gang 0, or (``stride``) its row-index part — the row
+        stride."""
         row = self.ref(self.nest.row)
         terms = []
         for m, c in form.items():
-            by_row = m is ROW or (isinstance(m, tuple) and len(m) == 2)
-            if m is GANG or (stride and not by_row):
+            if m is GANG or (stride and not row_monomial(m)):
                 continue  # gang 0; a stride keeps the row-index part
             if m is ONE:
                 terms.append(str(c))
@@ -2326,8 +2230,7 @@ class _Emitter:
         the nest): a local computed at nest entry, or ``0``."""
         nest = self.nest
         form = nest.form(v)
-        part = frozenset((m, c) for m, c in form.items()
-                         if m is ROW or (isinstance(m, tuple) and len(m) == 2))
+        part = frozenset((m, c) for m, c in form.items() if row_monomial(m))
         if not part:
             return "0"
         name = nest.strides.get(part)
@@ -2462,8 +2365,7 @@ class _Emitter:
                 # is positive iff any lane is active: branch on it and
                 # skip the extra .any() reduction entirely.
                 self.emit_pend(cond, ba)
-                p = self.lid_pend.get(ba[0])
-                return p if p is not None else f"_pend[{ba[0]!r}]"
+                return f"_pend[{ba[0]!r}]"
             return f"{self._cnz()}({self.ref(cond.operands[0])})"
         if op == "mask_all":
             ba = cond.attrs.get("batch_activity") if self.fn_batched else None
@@ -2514,8 +2416,7 @@ class _Emitter:
                 # A divergent backedge's mask_any the condbr does not fold:
                 # the trip's gangs with an active lane, and whether any is.
                 self.emit_pend(ins, ba)
-                pend = self.lid_pend.get(ba[0], f"_pend[{ba[0]!r}]")
-                self.line(f"{self.name_of(ins)} = 1 if {pend} else 0")
+                self.line(f"{self.name_of(ins)} = 1 if _pend[{ba[0]!r}] else 0")
                 continue
             if op == "call":
                 self.emit_call(ins)
@@ -2575,16 +2476,8 @@ class _Emitter:
                 # count the mask reduction just produced before the next
                 # iteration (or reset the loop's state on exit).
                 lid, taken_idx = backedge
-                a = self.lid_act.get(lid)
-                if a is not None:
-                    commit = [f"{a} = {self.lid_pend[lid]}"]
-                    drop = [] if self.lid_clean.get(lid) else [f"{a} = None"]
-                else:
-                    commit = [f"_act[{lid!r}] = _pend[{lid!r}]"]
-                    drop = [
-                        f"_act.pop({lid!r}, None)",
-                        f"_pend.pop({lid!r}, None)",
-                    ]
+                commit = [f"_act[{lid!r}] = _pend[{lid!r}]"]
+                drop = [f"_act.pop({lid!r}, None)", f"_pend.pop({lid!r}, None)"]
                 commits = (commit, drop) if taken_idx == 1 else (drop, commit)
             tail = self.nest is not None and "row_tail" in term.attrs
             if tail:
@@ -2733,18 +2626,9 @@ class _Emitter:
             )
         if self.row_checks:
             head.append("    _fb = 0")
-        if self.fn_batched:
-            if self.act_ok:
-                unclean = [
-                    self.lid_act[lid]
-                    for lid in sorted(self.lid_act)
-                    if not self.lid_clean.get(lid)
-                ]
-                if unclean:
-                    head.append("    " + " = ".join(unclean) + " = None")
-            else:
-                head.append("    _act = {}")
-                head.append("    _pend = {}")
+        if self.activity:
+            head.append("    _act = {}")
+            head.append("    _pend = {}")
         tail = ["    finally:", "        _mem._brk = _mk"]
         if self.raises_fp_flags:
             # The inlined forms rely on the errstate the impls install

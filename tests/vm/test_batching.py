@@ -176,6 +176,12 @@ REJECTED = {
         "        out[i] = V[(u64)(a[i] % 4u)];",
         "private storage read through a gather",
     ),
+    # Gang k reads and writes the rows below gang 0's: the per-gang delta
+    # is negative, read as a signed 64-bit coefficient.
+    "reversed": (
+        "out[n - 1 - i] = a[n - 1 - i];",
+        "vload rows overlap across gangs (stride -32 below the 32-byte row)",
+    ),
 }
 
 
@@ -202,7 +208,8 @@ def test_legality_rejects_cross_gang_unsafe_kernels(case):
 # legality-acceptance matrix: the gang-local forms that batch
 # ---------------------------------------------------------------------------
 
-#: case -> (kernel body, a batched form its IR must print).
+#: case -> (kernel body, a batched form its IR must print; ``batch.exit``,
+#: the batched loop's exit block, when the form is just a wider trip).
 ACCEPTED = {
     "constant_shuffle": (
         "u32 v = a[i];\n        out[i] = psim_shuffle_sync(v, psim_get_lane_num() ^ 1);",
@@ -226,6 +233,23 @@ ACCEPTED = {
     "reduce_broadcast_store": (
         "u32 s = psim_reduce_add_sync(a[i]);\n        out[i] = a[i] + s;",
         "segments",
+    ),
+    # A shift by a constant scales the per-gang delta like a multiply.
+    "shl_store": (
+        "out[i << 1] = a[i];",
+        "row_stride",
+    ),
+    # An op the affine form cannot see into, over loop-invariant
+    # operands, is an opaque invariant term of the address.
+    "opaque_offset": (
+        "u64 k = (n / 3) ^ 5;\n        out[i + k] = a[i];",
+        "batch.exit",
+    ),
+    # A scalar phi fed only by gang-invariant values stays invariant.
+    "invariant_phi": (
+        "u32 s = a[i];\n        for (u32 j = 0u; j < 4u; j++) s = s + j;\n"
+        "        out[i] = s;",
+        "batch.exit",
     ),
 }
 
