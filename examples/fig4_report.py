@@ -66,23 +66,14 @@ def _print_degradations(session):
     """Summarize graceful-degradation events seen during the run.
 
     A clean fig4 run reports none; under fault injection (or a vectorizer
-    regression) this shows how much vector code each degraded function
-    kept — whole-function fallbacks keep none, region-granular partial
-    fallbacks keep everything outside the scalarized region.
+    regression) this lists each function that fell back whole to the
+    scalar lane loop, and why.
     """
-    partials = session.partial_fallbacks
     fulls = session.fallbacks
-    if not partials and not fulls:
+    if not fulls:
         return
     print()
-    print(f"degradations: {len(partials)} region-granular, "
-          f"{len(fulls)} whole-function")
-    for entry in partials:
-        kept = 1.0 - entry["block_fraction"]
-        print(f"  partial {entry['function']}: "
-              f"{entry['blocks_scalarized']}/{entry['blocks_total']} blocks "
-              f"scalarized into {len(entry['regions'])} outlined region(s), "
-              f"{kept:.0%} of blocks still vectorized")
+    print(f"degradations: {len(fulls)} whole-function")
     for entry in fulls:
         reason = entry["reason"].get("error", "?")
         print(f"  whole   {entry['function']}: {reason}")

@@ -8,8 +8,8 @@ Every seed generates one random SPMD kernel (``repro.benchsuite.fuzzgen``)
 and compares the fully vectorized build bitwise against the
 whole-function-scalarized build (``vectorize`` fault).  On a
 deterministic 10% of the seeds a single-shot ``vectorize_block`` fault
-additionally forces the region-granular partial-fallback path, and that
-build must agree bitwise too.  Every seed also runs the plain build —
+additionally fails the vectorizer mid-emission; that build must degrade
+the whole function and agree bitwise too.  Every seed also runs the plain build —
 gang-batched at the cost model's factor — as generated code
 (``codegen=True``) against its unbatched twin on the reference engine,
 which must agree bitwise on outputs *and* on cycles/instructions (the
@@ -19,17 +19,16 @@ row below the input) must fall back to one row per trip.
 
 Kernels containing a ``psim_reduce_*_sync`` intrinsic have no scalar
 execution strategy — cross-lane communication cannot be scalarized — so
-their whole-function-degraded compile must *refuse* with
-``CompileError`` rather than fall back; the region-granular build may
-either succeed (the faulted region avoided the sync point) or refuse.
+their degraded compiles must *refuse* with ``CompileError`` rather
+than fall back.
 
 ``--telemetry PATH`` writes the session JSON — including
-``vectorizer.partial_fallbacks`` records — for the CI fuzz-smoke job's
+``vectorizer.fallbacks`` records — for the CI fuzz-smoke job's
 artifact.
 
-Exits non-zero on any mismatch, or if the forced-partial seeds never
-engaged the region path, or if the codegen seeds never ran compiled
-code (either would mean the smoke was silently fuzzing a dead feature).
+Exits non-zero on any mismatch, or if the block-fault seeds never
+degraded a build, or if the codegen seeds never ran compiled code
+(either would mean the smoke was silently fuzzing a dead feature).
 """
 
 import argparse
@@ -48,6 +47,7 @@ from repro.benchsuite.fuzzgen import (
 from repro.diagnostics import CompileError
 from repro.driver import compile_parsimony
 from repro.faultinject import FaultPlan, inject
+from repro.vectorizer import parsimony_records
 from repro.vm import Interpreter
 
 
@@ -86,20 +86,29 @@ def check_seed(seed, counts):
         with inject(FaultPlan(site="vectorize")):
             builds.append(("whole", compile_parsimony(kernel.source)))
     if seed % 10 == 0:
-        # Force the region-granular path on a deterministic 10% of seeds:
-        # fault a block past the entry so the failure carries provenance.
+        # Fail the vectorizer mid-emission on a deterministic 10% of seeds:
+        # fault a block past the entry, with a half-built vector function
+        # in hand.
         plan = FaultPlan(site="vectorize_block", after=1 + seed % 5, times=1)
         try:
             with inject(plan):
-                builds.append(("partial", compile_parsimony(kernel.source)))
+                module = compile_parsimony(kernel.source)
         except CompileError:
-            # Legal only for cross-lane kernels, when the faulted region
-            # contains the sync point.
+            # Legal only for cross-lane kernels: no scalar strategy.
             if not kernel.refuses_whole_fallback:
-                print(f"  FAIL seed {seed}: partial fallback refused a "
-                      f"kernel without cross-lane ops\n{kernel.source}")
+                print(f"  FAIL seed {seed}: block fault refused a kernel "
+                      f"without cross-lane ops\n{kernel.source}")
                 return False
             counts["refused"] += 1
+        else:
+            degraded = any(r.get("parsimony_fallback")
+                           for r in parsimony_records(module).values())
+            if plan.fired and not degraded:
+                print(f"  FAIL seed {seed}: block fault left no "
+                      f"whole-function fallback\n{kernel.source}")
+                return False
+            counts["block_whole"] += degraded
+            builds.append(("block-fault", module))
 
     ok = True
     for label, module in builds:
@@ -145,22 +154,21 @@ def main():
     )
     parser.add_argument(
         "--telemetry", metavar="PATH",
-        help="write session telemetry (incl. partial-fallback records) to PATH",
+        help="write session telemetry (incl. fallback records) to PATH",
     )
     args = parser.parse_args()
 
     print(f"differential kernel fuzz — {args.n} seeds, "
-          f"partial fallback forced on every 10th, codegen on every seed")
+          f"block fault forced on every 10th, codegen on every seed")
     failures = 0
-    counts = {"refused": 0, "compiled": 0, "bailed": 0, "collapsed": 0,
-              "fell_back": 0}
+    counts = {"refused": 0, "block_whole": 0, "compiled": 0, "bailed": 0,
+              "collapsed": 0, "fell_back": 0}
     with telemetry.collect() as session:
         for seed in range(args.n):
             if not check_seed(seed, counts):
                 failures += 1
-    partials = len(session.partial_fallbacks)
-    if args.n >= 10 and partials == 0:
-        print("FAIL: forced-partial seeds never engaged the region path")
+    if args.n >= 10 and counts["block_whole"] == 0:
+        print("FAIL: block-fault seeds never degraded a build")
         failures += 1
     if args.n >= 15 and counts["compiled"] == 0:
         print("FAIL: codegen seeds never ran compiled code")
@@ -171,7 +179,7 @@ def main():
 
     session.meta["harness"] = "fuzz_smoke"
     session.meta["cases"] = args.n
-    session.meta["partial_fallbacks_engaged"] = partials
+    session.meta["block_fault_fallbacks"] = counts["block_whole"]
     session.meta["reduction_refusals"] = counts["refused"]
     session.meta["codegen_compiled"] = counts["compiled"]
     session.meta["codegen_bailed"] = counts["bailed"]
@@ -187,7 +195,7 @@ def main():
         print(f"\n{failures} seed(s) FAILED")
         return 1
     print(f"\nall {args.n} seeds agree bitwise "
-          f"({partials} region-granular fallback(s), "
+          f"({counts['block_whole']} block-fault fallback(s), "
           f"{counts['refused']} reduction refusal(s), "
           f"{counts['compiled']} codegen-compiled)")
     return 0

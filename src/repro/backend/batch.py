@@ -81,7 +81,7 @@ generated code:
   index the loop computes (a runtime index); float reductions and float
   atomics; per-gang values reaching an address, a branch, a store or any
   other op; an atomic on a gang-dependent cell, under a divergent loop
-  or with a used result; partial-fallback seams; non-affine
+  or with a used result; internal calls; non-affine
   gang-dependent scalars and phis; scalar loop state leaving its
   divergent loop; gang-dependent branches; values escaping the
   loop; accesses whose rows would overlap (Δ below the access's width);
@@ -781,7 +781,7 @@ def _instr_reason(instr: Instruction, region: Set[BasicBlock],
     if op == "call":
         callee = instr.operands[0]
         if isinstance(callee, Function):
-            return f"internal call (partial-fallback seam) in {where}"
+            return f"internal call to @{callee.name} in {where}"
         if not (isinstance(callee, ExternalFunction)
                 and callee.name.startswith("ml.")
                 and isinstance(instr.type, VectorType)

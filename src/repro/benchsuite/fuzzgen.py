@@ -5,8 +5,8 @@ divergence, bounded ``while`` loops, gathers over indexed/varying shapes,
 lane-private arrays (SoA-swizzled, §4.2.3), and convergent gang
 reductions — whose semantics are engine-independent: no read-after-write
 aliasing between lanes, loop bounds that provably terminate.  Any two
-correct execution strategies (full vectorization, region-granular partial
-fallback, whole-function scalarization, whole-kernel codegen) must
+correct execution strategies (full vectorization, whole-function
+scalarization, gang batching, whole-kernel codegen) must
 therefore produce bit-identical outputs, which is exactly what
 ``tests/fuzz/test_differential_kernels.py`` checks.
 

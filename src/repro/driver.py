@@ -214,8 +214,7 @@ def _build_unbatched_twin(source: str, config: Optional[VectorizeConfig],
 
 def _is_spmd_region(function) -> bool:
     """An outlined SPMD region (``kernel.psim0``, its ``.tail`` variant and
-    their ``.scalarref`` originals) — never a source-level function, and
-    never a partial-fallback helper, whose name avoids the marker."""
+    their ``.scalarref`` originals) — never a source-level function."""
     return ".psim" in function.name
 
 

@@ -12,9 +12,10 @@ Hook sites (the ``site`` of a :class:`FaultPlan`):
 
 * ``"vectorize"`` — entry of ``vectorize_function`` (name = function name);
 * ``"vectorize_block"`` — before each basic block is vectorized
-  (name = ``"<function>:<block>"``); the failure carries block-level
-  provenance, so ``vectorize_module`` attempts region-granular fallback
-  instead of degrading the whole function;
+  (name = ``"<function>:<block>"``); the only way to fail mid-emission,
+  with a half-built vector function in hand, which ``vectorize_module``
+  must discard before degrading the whole function (the failure's
+  record names the block);
 * ``"mathlib"``   — inside every ``ml.*`` math-external implementation
   (name = the external's full name, e.g. ``"ml.exp.f32"`` or
   ``"ml.sleef.pow.f32x8"``); survives disk-cache rehydration;

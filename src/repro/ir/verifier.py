@@ -140,50 +140,6 @@ def verify_function(function: Function) -> None:
                         f"use in {block.name}",
                     )
 
-    if function.attrs.get("parsimony_partial_region"):
-        _check_partial_region(function)
-
-
-def _check_partial_region(function: Function) -> None:
-    """Seam invariants for the scalar helpers the region-granular fallback
-    outlines (:mod:`repro.vectorizer.regions`).
-
-    The vectorizer serializes the seam call one active lane at a time, so
-    the helper must be a plain scalar function whose only communication
-    with the vector caller is per-lane scalar parameters (including the
-    out-slot pointers): void return, no SPMD annotation, no vector-typed
-    parameters, and no ``psim.*`` intrinsics left inside (``lane_num`` is
-    rewritten to the lane parameter; cross-lane intrinsics must have
-    forced whole-function fallback instead).  ``noinline`` keeps the
-    normalization pipeline from re-absorbing the body into the caller,
-    which would re-trigger the original vectorization failure.
-    """
-    if function.spmd is not None:
-        _fail(function, "partial-fallback region helper carries an SPMD annotation")
-    if not function.return_type.is_void:
-        _fail(function, "partial-fallback region helper must return void")
-    if not function.attrs.get("noinline"):
-        _fail(function, "partial-fallback region helper must be marked noinline")
-    for arg in function.args:
-        if arg.type.is_vector:
-            _fail(
-                function,
-                f"partial-fallback region parameter {arg.name} is vector-typed; "
-                f"the seam passes per-lane scalars only",
-            )
-    for block in function.blocks:
-        for instr in block.instructions:
-            if instr.opcode != "call":
-                continue
-            callee = getattr(instr.operands[0], "name", "")
-            if callee.startswith("psim."):
-                _fail(
-                    function,
-                    f"psim intrinsic {callee} inside an outlined "
-                    f"partial-fallback region has no per-lane schedule",
-                    block, instr,
-                )
-
 
 def _check_instruction(function: Function, instr: Instruction) -> None:
     op = instr.opcode

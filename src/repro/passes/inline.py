@@ -149,8 +149,6 @@ def inline_module_calls(module: Module, should_inline=None) -> bool:
 
 
 def _default_heuristic(callee: Function) -> bool:
-    if callee.attrs.get("noinline"):
-        return False
     if callee.attrs.get("always_inline"):
         return True
     size = sum(len(b.instructions) for b in callee.blocks)

@@ -35,7 +35,6 @@ __all__ = [
     "current",
     "diff_documents",
     "record_fallback",
-    "record_partial_fallback",
     "record_pass",
     "record_vectorization",
     "record_vm_run",
@@ -64,7 +63,10 @@ __all__ = [
 #: v10: the sharded executor is gone — runs carry no ``shard`` record and
 #: ``vm`` no ``shard_totals``; diff mode still reads a v9 document and
 #: shows its ``vm.shard.*`` counters with the new side at 0.
-SCHEMA = "repro-telemetry/10"
+#: v11: region-granular fallback is gone — ``vectorizer`` carries no
+#: partial-fallback record list; diff mode still reads a v10 document and
+#: shows its count with the new side at 0.
+SCHEMA = "repro-telemetry/11"
 DIFF_SCHEMA = "repro-telemetry-diff/2"
 
 
@@ -81,9 +83,6 @@ class Telemetry:
         self.vectorized: List[Dict[str, object]] = []
         #: one entry per function that fell back to the scalar lane loop
         self.fallbacks: List[Dict[str, object]] = []
-        #: one entry per function that kept vector code but outlined one or
-        #: more failing regions to scalar helpers (region-granular fallback)
-        self.partial_fallbacks: List[Dict[str, object]] = []
         #: one entry per VM run
         self.vm_runs: List[Dict[str, object]] = []
         self.meta: Dict[str, object] = {"started_at": time.time()}
@@ -156,25 +155,6 @@ class Telemetry:
         }
         if entry not in self.fallbacks:
             self.fallbacks.append(entry)
-
-    def record_partial_fallback(
-        self, module_name: str, function_name: str, gang_size: int,
-        info: Dict[str, object],
-    ) -> None:
-        """One SPMD function vectorized with scalar-outlined regions.
-
-        ``info`` carries the per-region records (helper name, region entry
-        and blocks, failure reason) plus the scalarized block/instruction
-        fractions.  Deduplicated like :meth:`record_fallback`.
-        """
-        entry = {
-            "module": module_name,
-            "function": function_name,
-            "gang_size": gang_size,
-            **info,
-        }
-        if entry not in self.partial_fallbacks:
-            self.partial_fallbacks.append(entry)
 
     def record_vm_run(
         self,
@@ -299,7 +279,6 @@ class Telemetry:
                 "functions": self.vectorized,
                 "totals": self.vectorizer_totals(),
                 "fallbacks": self.fallbacks,
-                "partial_fallbacks": self.partial_fallbacks,
             },
             "vm": {
                 "runs": self.vm_runs,
@@ -401,16 +380,11 @@ def _flat_counters(doc: Dict) -> Dict[str, float]:
         for key, n in doc.get(section, {}).items():
             if isinstance(n, (int, float)):
                 flat[f"{section}.{key}"] = n
-    flat["vectorizer.fallbacks"] = len(
-        doc.get("vectorizer", {}).get("fallbacks", [])
-    )
-    partials = doc.get("vectorizer", {}).get("partial_fallbacks", [])
-    flat["vectorizer.partial_fallbacks"] = len(partials)
-    for entry in partials:
-        for region in entry.get("regions", []):
-            error = region.get("reason", {}).get("error", "unknown")
-            key = f"vectorizer.partial_fallback_reason.{error}"
-            flat[key] = flat.get(key, 0) + 1
+    # Every degradation record list counts under its own name, so an older
+    # document's retired lists diff against 0 like the tables above.
+    for section, records in doc.get("vectorizer", {}).items():
+        if section.endswith("fallbacks"):
+            flat[f"vectorizer.{section}"] = len(records)
     return flat
 
 
@@ -458,10 +432,3 @@ def diff_documents(old: Dict, new: Dict) -> Dict[str, object]:
 def record_fallback(module_name, function_name, gang_size, reason):
     if _current is not None:
         _current.record_fallback(module_name, function_name, gang_size, reason)
-
-
-def record_partial_fallback(module_name, function_name, gang_size, info):
-    if _current is not None:
-        _current.record_partial_fallback(
-            module_name, function_name, gang_size, info
-        )

@@ -9,20 +9,16 @@ flow linearization, and shape-directed instruction transformation.
 (``repro.driver``): it can be placed anywhere in the scalar optimization
 pipeline, which is the integration property the paper argues for.
 
-Degradation is two-tiered.  When vectorizing a function fails at a known
-block, the *region-granular* fallback (:mod:`.regions`) outlines the
-minimal single-entry region around the failure into a scalar helper and
-retries, so the rest of the function still vectorizes; only when no such
-region exists (or the failure carries no block provenance) does the
-whole function drop to the sequential lane loop of :mod:`.scalarize`.
+A function the vectorizer cannot handle degrades whole: it drops to the
+sequential lane loop of :mod:`.scalarize`, which is exact by
+construction.
 
 What the pass records about a function — ``parsimony_fallback``,
-``parsimony_partial_fallback``, ``parsimony_warnings``,
-``parsimony_telemetry`` — is stamped on its ``attrs``.  The driver's
-cleanup re-inlines the region functions and deletes them, moving their
-attrs to one module-level record (:func:`record_provenance`);
-:func:`parsimony_records` reads both, so a compiled module still says
-whether it degraded, and why.
+``parsimony_warnings``, ``parsimony_telemetry`` — is stamped on its
+``attrs``.  The driver's cleanup re-inlines the region functions and
+deletes them, moving their attrs to one module-level record
+(:func:`record_provenance`); :func:`parsimony_records` reads both, so a
+compiled module still says whether it degraded, and why.
 """
 
 from typing import Dict, List, Optional
@@ -34,7 +30,6 @@ from ..ir.verifier import verify_function
 from ..passes import constant_fold, dce, loop_simplify, mem2reg, simplify_cfg
 from ..passes.clone import clone_function
 from ..passes.inline import inline_function_calls
-from .regions import RegionError, compute_fallback_region, outline_region
 from .scalarize import ScalarizeError, scalarize_spmd_function
 from .shape import Shape
 from .shapes import ShapeAnalysis
@@ -75,18 +70,13 @@ def parsimony_records(module: Module) -> Dict[str, Dict[str, object]]:
     """Function name -> the ``parsimony_*`` attrs the pass stamped on it,
     over the module's live functions and the provenance record of the
     ones cleanup deleted: the one place to ask whether (and why) a compile
-    fell back, partially fell back, or warned."""
+    fell back or warned."""
     records = dict(module.attrs.get(PROVENANCE, {}))
     for function in module.functions.values():
         attrs = _parsimony_attrs(function)
         if attrs:
             records[function.name] = attrs
     return records
-
-#: Cap on outlined regions per function before giving up on partial
-#: fallback: each attempt re-runs normalization plus the vectorizer, and a
-#: function defeating the pass this many times is better off whole-scalar.
-_MAX_PARTIAL_REGIONS = 8
 
 
 def _normalize_spmd_function(function: Function) -> None:
@@ -102,61 +92,6 @@ def _normalize_spmd_function(function: Function) -> None:
     verify_function(function)
 
 
-def _vectorize_normalized(module: Module, function: Function, config: VectorizeConfig):
-    """Run shape analysis + the vectorizer on an already-normalized
-    function; returns ``(vectorized, vectorizer, analysis)`` without
-    splicing anything into the module."""
-    analysis = ShapeAnalysis(
-        function,
-        function.spmd.gang_size,
-        assume_nsw=config.assume_nsw,
-        enabled=config.enable_shape_analysis,
-    )
-    vectorizer = Vectorizer(module, function, analysis, config)
-    vectorized = vectorizer.run()
-    constant_fold(vectorized)
-    dce(vectorized)
-    verify_function(vectorized)
-    return vectorized, vectorizer, analysis
-
-
-def _splice_and_record(
-    module: Module,
-    name: str,
-    scalar_source: Function,
-    vectorized: Function,
-    vectorizer: Vectorizer,
-    analysis: ShapeAnalysis,
-) -> None:
-    """Install ``vectorized`` under ``name``; keep ``scalar_source`` as
-    ``<name>.scalarref`` (until the driver's cleanup deletes both with the
-    other re-inlined region functions); rewire all call sites."""
-    registered = module.functions.pop(name)
-    scalar_source.name = name + ".scalarref"
-    module.functions[scalar_source.name] = scalar_source
-    vectorized.name = name
-    module.functions[name] = vectorized
-    registered.replace_all_uses_with(vectorized)  # rewire gang-loop callers
-    if registered is not scalar_source:
-        _discard_clone(registered)
-    vectorized.attrs["parsimony_warnings"] = vectorizer.warnings
-
-    counters = {
-        "shapes": _shape_counts(analysis),
-        "memory_forms": dict(vectorizer.memform_counts),
-        "mask_ops": _mask_op_counts(vectorized),
-    }
-    vectorized.attrs["parsimony_telemetry"] = counters
-    telemetry.record_vectorization(
-        name,
-        scalar_source.spmd.gang_size,
-        counters["shapes"],
-        counters["memory_forms"],
-        counters["mask_ops"],
-        vectorizer.warnings,
-    )
-
-
 def vectorize_function(
     module: Module, function: Function, config: Optional[VectorizeConfig] = None
 ) -> Function:
@@ -168,12 +103,51 @@ def vectorize_function(
     is kept: both are re-inlined or unreferenced, and deleted.
     """
     config = config or VectorizeConfig()
-    faultinject.maybe_fail("vectorize", function.name)
+    name = function.name
+    faultinject.maybe_fail("vectorize", name)
     _normalize_spmd_function(function)
-    vectorized, vectorizer, analysis = _vectorize_normalized(module, function, config)
-    _splice_and_record(
-        module, function.name, function, vectorized, vectorizer, analysis
+    gang_size = function.spmd.gang_size
+    analysis = ShapeAnalysis(
+        function,
+        gang_size,
+        assume_nsw=config.assume_nsw,
+        enabled=config.enable_shape_analysis,
     )
+    vectorizer = Vectorizer(module, function, analysis, config)
+    vectorized = vectorizer.vf
+    try:
+        vectorizer.run()
+        constant_fold(vectorized)
+        dce(vectorized)
+        verify_function(vectorized)
+    except Exception:
+        # A half-built body holds uses of the module's constants and
+        # externals; unlink it, or they would name code that never runs.
+        _discard_clone(vectorized)
+        raise
+
+    vectorized.attrs["parsimony_warnings"] = vectorizer.warnings
+    counters = {
+        "shapes": _shape_counts(analysis),
+        "memory_forms": dict(vectorizer.memform_counts),
+        "mask_ops": _mask_op_counts(vectorized),
+    }
+    vectorized.attrs["parsimony_telemetry"] = counters
+    telemetry.record_vectorization(
+        name,
+        gang_size,
+        counters["shapes"],
+        counters["memory_forms"],
+        counters["mask_ops"],
+        vectorizer.warnings,
+    )
+
+    module.functions.pop(name)
+    function.name = name + ".scalarref"
+    module.functions[function.name] = function
+    vectorized.name = name
+    module.functions[name] = vectorized
+    function.replace_all_uses_with(vectorized)  # rewire gang-loop callers
     return vectorized
 
 
@@ -214,20 +188,12 @@ def vectorize_module(
     """Run the Parsimony pass over every SPMD-annotated function.
 
     Graceful degradation (the pass "can be placed anywhere in the
-    optimization pipeline", §4.2 — so it must never take the build down)
-    is two-tiered.  When vectorizing a function fails:
-
-    1. if the failure names a block, the minimal single-entry region
-       around it is outlined into a scalar helper (:mod:`.regions`) and
-       vectorization retries — supported blocks keep their vector forms
-       and only the offending region runs one lane at a time;
-    2. otherwise (or when no partial region exists), the whole function
-       falls back to a correct sequential lane loop (:mod:`.scalarize`).
-
-    Either way the degradation is recorded in :mod:`repro.telemetry` and
-    the remaining functions still vectorize.  ``strict=True`` disables
-    both fallbacks and re-raises the first failure (for tests and
-    debugging).
+    optimization pipeline", §4.2 — so it must never take the build down):
+    when vectorizing a function fails, the whole function falls back to a
+    correct sequential lane loop (:mod:`.scalarize`).  The degradation is
+    recorded in :mod:`repro.telemetry` and the remaining functions still
+    vectorize.  ``strict=True`` disables the fallback and re-raises the
+    first failure (for tests and debugging).
 
     The only failure that still surfaces as a :class:`CompileError` is a
     function that can *neither* vectorize *nor* scalarize (a cross-lane
@@ -251,128 +217,19 @@ def vectorize_module(
         except Exception as exc:
             if strict:
                 raise
-            partial = _try_partial_fallback(
-                module, name, function, pristine, exc, config
-            )
-            if partial is not None:
-                results.append(partial)
-            else:
-                _fall_back_to_scalar(module, name, function, pristine, exc)
+            _fall_back_to_scalar(module, name, function, pristine, exc)
         else:
             _discard_clone(pristine)
     return results
 
 
 def _discard_clone(clone: Function) -> None:
-    """Unregister a never-used pristine clone's def-use edges (its
-    instructions hold uses of constants/externals shared with the module)."""
+    """Unregister the def-use edges of a function leaving the module — an
+    unused pristine clone, a failed attempt's input or half-built output
+    (their instructions hold uses of constants/externals shared with the
+    module)."""
     for block in list(clone.blocks):
         clone.remove_block(block)
-
-
-def _failing_block(exc: Exception, function_name: str) -> Optional[str]:
-    """The scalar block the vectorizer was emitting when ``exc`` was
-    raised, or None when the failure carries no usable block provenance
-    (pre-normalization faults, verifier rejections of the *output*
-    function, shape-analysis inconsistencies)."""
-    if not isinstance(exc, ReproError):
-        return None
-    diag = exc.diagnostic
-    if diag.function != function_name or not diag.block:
-        return None
-    return diag.block
-
-
-def _try_partial_fallback(
-    module: Module,
-    name: str,
-    function: Function,
-    pristine: Function,
-    exc: Exception,
-    config: Optional[VectorizeConfig],
-) -> Optional[Function]:
-    """Attempt region-granular degradation after ``vectorize_function``
-    failed.  Returns the spliced vectorized function on success, or None —
-    with the module restored to its pre-attempt state — when the caller
-    should fall back whole-function."""
-    config = config or VectorizeConfig()
-    block = _failing_block(exc, name)
-    if block is None:
-        return None
-
-    # Work on a fresh clone of the pristine body: ``function`` was already
-    # mutated by the failed attempt.  Normalization is deterministic, so
-    # the failing block name resolves against the re-normalized clone.
-    working = clone_function(pristine, name + ".partial")
-    helpers: List[Function] = []
-    regions: List[Dict[str, object]] = []
-
-    def give_up() -> None:
-        for helper in helpers:
-            module.functions.pop(helper.name, None)
-            _discard_clone(helper)
-        _discard_clone(working)
-        return None
-
-    try:
-        _normalize_spmd_function(working)
-    except Exception:
-        return give_up()
-    blocks_total = len(working.blocks)
-    instrs_total = sum(len(b.instructions) for b in working.blocks)
-
-    for _ in range(_MAX_PARTIAL_REGIONS):
-        try:
-            region = compute_fallback_region(working, block)
-            outlined = outline_region(module, working, region, len(helpers))
-        except Exception:
-            return give_up()  # RegionError or an unexpected outliner failure
-        helpers.append(outlined.function)
-        regions.append(
-            {
-                "helper": outlined.function.name,
-                "entry": outlined.entry,
-                "blocks": outlined.blocks,
-                "blocks_scalarized": outlined.blocks_scalarized,
-                "instrs_scalarized": outlined.instrs_scalarized,
-                "reason": _fallback_reason(exc),
-            }
-        )
-        try:
-            _normalize_spmd_function(working)
-            vectorized, vectorizer, analysis = _vectorize_normalized(
-                module, working, config
-            )
-        except Exception as retry_exc:
-            exc = retry_exc
-            block = _failing_block(exc, working.name)
-            if block is None:
-                return give_up()
-            continue
-
-        # Success: splice the mixed vector/scalar result into the module.
-        gang_size = working.spmd.gang_size
-        _splice_and_record(module, name, working, vectorized, vectorizer, analysis)
-        _discard_clone(pristine)
-        blocks_scalarized = sum(r["blocks_scalarized"] for r in regions)
-        instrs_scalarized = sum(r["instrs_scalarized"] for r in regions)
-        info = {
-            "regions": regions,
-            "blocks_total": blocks_total,
-            "blocks_scalarized": blocks_scalarized,
-            "instrs_total": instrs_total,
-            "instrs_scalarized": instrs_scalarized,
-            # Fractions are measured against the normalized pre-outline
-            # body; later outlines count helper instructions (incl. seam
-            # stubs), so clamp at 1.0.
-            "block_fraction": min(1.0, blocks_scalarized / max(1, blocks_total)),
-            "instr_fraction": min(1.0, instrs_scalarized / max(1, instrs_total)),
-        }
-        vectorized.attrs["parsimony_partial_fallback"] = info
-        telemetry.record_partial_fallback(module.name, name, gang_size, info)
-        return vectorized
-
-    return give_up()
 
 
 def _fall_back_to_scalar(
@@ -383,22 +240,13 @@ def _fall_back_to_scalar(
     gang_size = pristine.spmd.gang_size
     reason = _fallback_reason(exc)
 
-    # Undo whatever the failed attempt left in the module.  The splice in
-    # vectorize_function happens only after verification, so normally the
-    # module still maps ``name`` to the (mutated) original; handle the
-    # post-splice window too for completeness.
-    stale = set()
-    for key in (name, name + ".scalarref"):
-        left = module.functions.pop(key, None)
-        if left is not None and left is not pristine:
-            stale.add(left)
-    stale.add(function)
-
+    # vectorize_function splices only as its last step, so the module
+    # still maps ``name`` to the original the failed attempt mutated.
+    module.functions.pop(name)
     pristine.name = name
     module.add_function(pristine)
-    for old in stale:
-        old.replace_all_uses_with(pristine)  # rewire gang-loop call sites
-        _discard_clone(old)
+    function.replace_all_uses_with(pristine)  # rewire gang-loop call sites
+    _discard_clone(function)
 
     try:
         scalarize_spmd_function(pristine)
@@ -416,9 +264,8 @@ def _fall_back_to_scalar(
 
 
 def _fallback_reason(exc: Exception) -> Dict[str, object]:
-    """Structured record of why a function (or region) fell back to scalar
-    code, including block/instruction provenance when the failure named
-    one."""
+    """Structured record of why a function fell back to scalar code,
+    including block/instruction provenance when the failure named one."""
     if isinstance(exc, ReproError):
         diag = exc.diagnostic
         stage = diag.stage or "vectorizer"

@@ -19,6 +19,10 @@ The result is an ordinary scalar function (``spmd`` cleared), so the
 driver's ``post_vectorize_cleanup`` re-inlines it into its gang loop just
 like a vectorized region, and execution matches ``compile_scalar``
 bit-for-bit (same scalar ops, same order per element).
+
+This is the vectorizer's one degraded path.  No valid program reaches it
+(only :mod:`repro.faultinject` does); it stays so that a construct the
+vectorizer does not handle costs speed, not the build.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from ..ir.verifier import verify_function
 
 __all__ = [
     "ScalarizeError",
-    "cross_lane_blocker",
     "scalarization_blocker",
     "scalarize_spmd_function",
 ]
@@ -49,24 +52,16 @@ class ScalarizeError(CompileError):
     default_stage = "scalarize"
 
 
-def cross_lane_blocker(instructions) -> Optional[str]:
-    """The name of the first cross-lane ``psim.*`` intrinsic in the iterable
-    of instructions, or None when one-lane-at-a-time execution is a legal
-    schedule.  Shared by the whole-function lane loop below and the
-    region-granular outliner (:mod:`.regions`)."""
-    for instr in instructions:
+def scalarization_blocker(function: Function) -> Optional[str]:
+    """The name of the first cross-lane ``psim.*`` intrinsic in ``function``,
+    or None when a sequential lane loop is a legal schedule."""
+    for instr in function.instructions():
         if instr.opcode != "call":
             continue
         callee = getattr(instr.operands[0], "name", "")
         if callee.startswith("psim.") and callee not in _LANE_LOCAL_PSIM:
             return callee
     return None
-
-
-def scalarization_blocker(function: Function) -> Optional[str]:
-    """The name of the first cross-lane ``psim.*`` intrinsic in ``function``,
-    or None when a sequential lane loop is a legal schedule."""
-    return cross_lane_blocker(function.instructions())
 
 
 def scalarize_spmd_function(function: Function) -> Function:

@@ -246,9 +246,8 @@ class Vectorizer:
             )
             self._emit_block_body(block)
         except ReproError as exc:
-            # Block provenance feeds the region-granular fallback planner
-            # (repro.vectorizer.regions): it must know *which scalar block*
-            # defeated the pass to outline the minimal region around it.
+            # Block provenance names *which scalar block* defeated the
+            # pass, in the diagnostic and in the fallback record.
             attach_location(exc, function=self.sf.name, block=block.name)
             raise
 

@@ -1,12 +1,14 @@
-"""Differential SPMD kernel fuzzer (issue 4, satellite of partial fallback).
+"""Differential SPMD kernel fuzzer.
 
 Each seed deterministically generates one random SPMD kernel (see
 ``repro.benchsuite.fuzzgen``) and compiles it three ways:
 
-* **plain** — the normal Parsimony pipeline (fully vectorized);
-* **partial** — with an injected single-shot ``vectorize_block`` fault,
-  which engages region-granular scalar fallback when the failing block
-  admits a valid region (and whole-function fallback otherwise);
+* **plain** — the normal Parsimony pipeline, which must vectorize every
+  SPMD function: valid source never degrades;
+* **block-fault** — with an injected single-shot ``vectorize_block``
+  fault, which fails the vectorizer mid-emission and degrades the whole
+  function to the scalar lane loop (or misses every emitted block and
+  builds clean);
 * **whole** — with a ``vectorize`` fault, which always degrades the
   entire function to the scalar pipeline.
 
@@ -84,12 +86,12 @@ from repro.vm import Interpreter
 
 FUZZ_N = int(os.environ.get("REPRO_FUZZ_N", "200"))
 
-#: Corpus-wide tally of how each degraded compile landed, so the suite can
-#: assert the fuzzer actually exercises the region path (not just the
-#: whole-function one) instead of silently fuzzing a dead feature.
-#: ``sync`` counts reduction kernels whose degraded legs correctly raised
-#: (no scalar strategy exists for cross-lane communication).
-_CORPUS = {"partial": 0, "whole": 0, "clean": 0, "sync": 0}
+#: Corpus-wide tally of how each block-fault compile landed, so the suite
+#: can assert the fault actually degraded builds instead of silently
+#: missing every emitted block.  ``sync`` counts cross-lane kernels, whose
+#: degraded legs must raise (no scalar strategy exists for cross-lane
+#: communication).
+_CORPUS = {"whole": 0, "clean": 0, "sync": 0}
 
 #: Every Nth seed also runs the forced-batch differential below.
 _BATCH_EVERY = 3
@@ -165,8 +167,6 @@ def _run(module, seed, replays=None, **engine):
 
 def _classify(module):
     records = parsimony_records(module).values()
-    if any(r.get("parsimony_partial_fallback") for r in records):
-        return "partial"
     if any(r.get("parsimony_fallback") for r in records):
         return "whole"
     return "clean"
@@ -183,6 +183,7 @@ def test_differential_fuzz_kernel(seed):
     context = f"seed={seed} gang={kernel.gang_size}\n{kernel.source}"
 
     plain = compile_parsimony(kernel.source)
+    assert _classify(plain) == "clean", context
     # The oracle leg runs on the reference engine — on the unbatched twin
     # when the auto build batched; every other leg runs the default
     # engine (whole-kernel codegen), so each comparison also crosses
@@ -202,16 +203,14 @@ def test_differential_fuzz_kernel(seed):
                                   times=1)):
                 degraded = compile_parsimony(kernel.source)
         except CompileError:
-            # The faulted region contained the sync point: correctly
-            # refused rather than scalarized.
+            # The fault degraded the function whole: correctly refused
+            # rather than scalarized.
             pass
         else:
-            # The fault missed every emitted block (clean) or landed on a
-            # sync-free region (partial, with the reduction kept in vector
-            # code) — either way the build must agree with plain.  A
-            # whole-function fallback here would be a bug: it cannot
-            # represent the reduction.
-            assert _classify(degraded) in ("clean", "partial"), context
+            # The fault missed every emitted block, so the build is clean
+            # and must agree with plain.  A whole-function fallback here
+            # would be a bug: it cannot represent the cross-lane op.
+            assert _classify(degraded) == "clean", context
             _assert_same(_run(degraded, seed)[0], plain_out,
                          f"degraded-sync vs plain: {context}")
         _CORPUS["sync"] += 1
@@ -222,11 +221,9 @@ def test_differential_fuzz_kernel(seed):
         _assert_same(_run(whole, seed)[0], plain_out,
                      f"whole vs plain: {context}")
 
-        # Fault the (seed%6)-th emitted block: depending on the kernel's
-        # shape this lands on a valid region (partial fallback), the entry
-        # block (whole-function fallback), or past the last emission
-        # (clean build) — all three must still be bit-identical to the
-        # plain build.
+        # Fault the (seed%6)-th emitted block: this degrades the whole
+        # function, or lands past the last emission (clean build) —
+        # either must still be bit-identical to the plain build.
         with inject(FaultPlan(site="vectorize_block", after=seed % 6,
                               times=1)):
             degraded = compile_parsimony(kernel.source)
@@ -366,12 +363,12 @@ def _cross_process_differential(kernel, seed, plain_out, plain_stats,
         f"rehydrated per-opcode counts diverge: {context}")
 
 
-def test_zz_corpus_exercised_partial_fallback():
-    """Runs after the matrix above (pytest preserves file order): the corpus
-    must have engaged the region-granular path, not just whole-function,
-    and must have generated reduction kernels (the ``sync`` bucket)."""
+def test_zz_corpus_exercised_whole_fallback():
+    """Runs after the matrix above (pytest preserves file order): the
+    block-fault leg must have degraded at least one build whole, and the
+    corpus must have generated cross-lane kernels (the ``sync`` bucket)."""
     assert sum(_CORPUS.values()) == FUZZ_N
-    assert _CORPUS["partial"] > 0, _CORPUS
+    assert _CORPUS["whole"] > 0, _CORPUS
     assert _CORPUS["sync"] > 0, _CORPUS
 
 

@@ -40,6 +40,21 @@ def test_forced_fallback_is_bit_identical_to_scalar(name):
         np.testing.assert_array_equal(g, w)
 
 
+def test_whole_function_fallback_execstats_deterministic():
+    """Repeated launches of one degraded build report identical
+    ``ExecStats``: the fallback's accounting is as exact as its outputs."""
+    spec = SPECS["mandelbrot"]
+    with inject(FaultPlan(site="vectorize_block", after=3, times=1)):
+        module = compile_parsimony(spec.psim_src, module_name="statsdet")
+    assert any(r.get("parsimony_fallback")
+               for r in parsimony_records(module).values())
+    first = run_impl(spec, "parsimony", module=module).stats
+    second = run_impl(spec, "parsimony", module=module).stats
+    assert first.cycles == second.cycles
+    assert first.instructions == second.instructions
+    assert dict(first.counts) == dict(second.counts)
+
+
 def test_strict_mode_reraises_instead_of_degrading():
     spec = SPECS["mandelbrot"]
     with inject(FaultPlan(site="vectorize")):

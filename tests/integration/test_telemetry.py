@@ -160,56 +160,26 @@ def test_fallback_counter_not_inflated_by_recompiles():
     assert flat["vectorizer.fallbacks"] == len(once)
 
 
-def test_partial_fallback_counter_not_inflated_by_recompiles():
-    from repro.faultinject import FaultPlan, inject
-
-    def forced_partial():
-        # after=1 lands past the region entry block for this kernel, so the
-        # failure carries block provenance and the region path engages.
-        with inject(FaultPlan(site="vectorize_block", after=1, times=1)):
-            driver.compile_parsimony(SRC, module_name="pdedupchk")
-
-    with telemetry.collect() as session:
-        forced_partial()
-        once = [dict(e) for e in session.partial_fallbacks]
-        forced_partial()
-    assert once, "vectorize_block fault engaged no partial fallback"
-    assert session.partial_fallbacks == once
-    flat = telemetry._flat_counters(json.loads(session.to_json()))
-    assert flat["vectorizer.partial_fallbacks"] == len(once)
-
-
 def test_fallbacks_of_two_kernels_in_one_session_are_both_recorded():
     """Every kernel's SPMD function is ``kernel.psim0``: the dedup key must
     include the module, or a session records only its first kernel's
     degradation (and ``vectorizer.fallbacks`` under-counts)."""
     from repro.faultinject import FaultPlan, inject
 
-    def forced_partial(module_name):
-        with inject(FaultPlan(site="vectorize_block", after=1, times=1)):
-            driver.compile_parsimony(SRC, module_name=module_name)
-
     with telemetry.collect() as session:
         with inject(FaultPlan(site="vectorize")):
             driver.compile_parsimony(SRC, module_name="first")
             one = len(session.fallbacks)
             driver.compile_parsimony(SRC, module_name="second")
-        forced_partial("first")
-        one_partial = len(session.partial_fallbacks)
-        forced_partial("second")
     assert one and len(session.fallbacks) == 2 * one
     assert {e["module"] for e in session.fallbacks} == {"first", "second"}
-    assert one_partial and len(session.partial_fallbacks) == 2 * one_partial
-    assert {e["module"] for e in session.partial_fallbacks} == {
-        "first", "second"}
     doc = json.loads(session.to_json())
     assert telemetry._flat_counters(doc)["vectorizer.fallbacks"] == 2 * one
 
     # Diff mode still reads a v7 document (records without ``module``).
     old = json.loads(session.to_json())
     old["schema"] = "repro-telemetry/7"
-    for entry in (old["vectorizer"]["fallbacks"]
-                  + old["vectorizer"]["partial_fallbacks"]):
+    for entry in old["vectorizer"]["fallbacks"]:
         del entry["module"]
     diff = telemetry.diff_documents(old, doc)
     assert diff["base_schemas"] == {"old": "repro-telemetry/7",
@@ -252,7 +222,7 @@ def test_diff_lists_the_retired_shard_counters_of_a_v9_document():
     with telemetry.collect() as session:
         _compile_and_run()
     doc = json.loads(session.to_json())
-    assert doc["schema"] == "repro-telemetry/10"
+    assert doc["schema"] == telemetry.SCHEMA
     assert "shard_totals" not in doc["vm"]
     assert all("shard" not in run for run in doc["vm"]["runs"])
 
@@ -270,6 +240,31 @@ def test_diff_lists_the_retired_shard_counters_of_a_v9_document():
                if key.startswith("vm.shard.")}
     assert removed == {f"vm.shard.{key}": {"old": n, "new": 0, "delta": -n}
                        for key, n in counts.items()}
+    assert diff["vm_runs"]["t/parsimony"]["cycles"]["delta"] == 0
+
+
+def test_diff_lists_the_retired_partial_fallbacks_of_a_v10_document():
+    """v11 dropped region-granular fallback.  A v10 document still
+    carries a ``partial_fallbacks`` record list; diff mode reads it and
+    lists its count as removed."""
+    with telemetry.collect() as session:
+        _compile_and_run()
+    doc = json.loads(session.to_json())
+    assert doc["schema"] == "repro-telemetry/11"
+    assert set(doc["vectorizer"]) == {"functions", "totals", "fallbacks"}
+
+    old = json.loads(session.to_json())
+    old["schema"] = "repro-telemetry/10"
+    old["vectorizer"]["partial_fallbacks"] = [
+        {"module": "m", "function": "kernel.psim0", "gang_size": 8,
+         "regions": [{"reason": {"error": "InjectedFault"}}]}]
+    diff = telemetry.diff_documents(old, doc)
+    assert diff["base_schemas"] == {"old": "repro-telemetry/10",
+                                    "new": telemetry.SCHEMA}
+    counters = diff["counters"]
+    assert counters["vectorizer.partial_fallbacks"]["value"] == {
+        "old": 1, "new": 0, "delta": -1}
+    assert counters["vectorizer.fallbacks"]["value"]["delta"] == 0
     assert diff["vm_runs"]["t/parsimony"]["cycles"]["delta"] == 0
 
 

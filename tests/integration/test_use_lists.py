@@ -16,7 +16,9 @@ from repro import driver
 from repro.backend.batch import unbatched_twin
 from repro.benchsuite.ispc_suite import BENCHMARKS as FIG4
 from repro.benchsuite.simdlib import KERNELS as FIG5
+from repro.faultinject import FaultPlan, inject
 from repro.ir.instructions import Instruction
+from repro.vectorizer import parsimony_records
 
 SPECS = list(FIG4) + list(FIG5)
 
@@ -53,3 +55,28 @@ def test_every_use_names_a_placed_instruction(spec):
     for built in (module, unbatched_twin(module)):
         if built is not None:
             assert phantom_uses(built) == []
+
+
+#: Block-fault indices tried per fig4 kernel: every emitted block, except
+#: aobench's 106, sampled every 8th (and the last) to keep the matrix fast.
+_FAULT_STRIDE = {"aobench": 8}
+
+
+@pytest.mark.parametrize("spec", FIG4, ids=lambda s: s.name)
+def test_block_fault_leaves_no_phantom_uses(spec):
+    """A vectorizer failure at any emitted block degrades the function
+    whole, and the half-built vector body it leaves is unlinked."""
+    probe = FaultPlan(site="vectorize_block", after=10**9)
+    with inject(probe):
+        driver.compile_parsimony(spec.psim_src, module_name="probe")
+    assert probe.hits > 0, "vectorizer emitted no blocks — probe site dead?"
+    stride = _FAULT_STRIDE.get(spec.name, 1)
+    for i in sorted({*range(0, probe.hits, stride), probe.hits - 1}):
+        plan = FaultPlan(site="vectorize_block", after=i, times=1)
+        with inject(plan):
+            module = driver.compile_parsimony(
+                spec.psim_src, module_name=f"{spec.name}.fault{i}")
+        assert plan.fired == 1, i
+        records = parsimony_records(module).values()
+        assert any(r.get("parsimony_fallback") for r in records), i
+        assert phantom_uses(module) == [], f"{spec.name}: fault at block {i}"

@@ -2,8 +2,8 @@
 
 Cleanup deletes the outlined region functions once they are re-inlined,
 so whatever the Parsimony pass stamped on them — a whole-function
-fallback's reason, a partial fallback's regions, the racy-uniform-store
-warning — moves to the module's provenance record.  The contract:
+fallback's reason, the racy-uniform-store warning — moves to the
+module's provenance record.  The contract:
 ``repro.vectorizer.parsimony_records`` answers the same right after
 cleanup deleted the functions, after ``freeze()``, and after the module
 went through the disk cache into a second process.
@@ -52,16 +52,6 @@ def _cleaned(source, plan=None):
     return module
 
 
-def _partial_fallback_module():
-    for after in range(64):
-        module = _cleaned(
-            MANDELBROT, FaultPlan(site="vectorize_block", after=after, times=1))
-        if any(r.get("parsimony_partial_fallback")
-               for r in parsimony_records(module).values()):
-            return module
-    pytest.fail("no fault offset produced a partial fallback")
-
-
 def _canonical(module):
     return json.dumps(parsimony_records(module), sort_keys=True, default=repr)
 
@@ -100,26 +90,15 @@ def _whole(records):
         assert records[name]["parsimony_fallback"]["error"] == "InjectedFault"
 
 
-def _partial(records):
-    (info,) = [r["parsimony_partial_fallback"] for r in records.values()
-               if "parsimony_partial_fallback" in r]
-    assert info["regions"]
-    assert all(r["reason"]["error"] == "InjectedFault" for r in info["regions"])
-    # The outlined region helper is live and keeps its own attrs.
-    assert any("parsimony_partial_region" in r for r in records.values())
-
-
 def _racy(records):
     warnings = [w for r in records.values() for w in r.get("parsimony_warnings", ())]
     assert any("racy" in w for w in warnings)
 
 
-@pytest.mark.parametrize("case", ["whole", "partial", "racy"])
+@pytest.mark.parametrize("case", ["whole", "racy"])
 def test_provenance_survives_deletion_freeze_and_rehydration(case, disk_cache):
     if case == "whole":
         module, check = _cleaned(MANDELBROT, FaultPlan(site="vectorize")), _whole
-    elif case == "partial":
-        module, check = _partial_fallback_module(), _partial
     else:
         module, check = _cleaned(RACY), _racy
 

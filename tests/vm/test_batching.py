@@ -11,7 +11,7 @@ and must be **invisible** to everything but wall-clock:
   effects exactly;
 * cross-gang-unsafe kernels (per-lane atomics, runtime-index shuffles,
   per-gang values reaching an address, private storage read through a
-  gather, partial-fallback seams) are rejected by the legality scan, run
+  gather, internal calls) are rejected by the legality scan, run
   unbatched, and surface in ``vm.batch.rejected``;
 * the gang-local horizontal forms — constant-index shuffles, integer
   reductions feeding a broadcast or an atomic — and strided stores batch,
@@ -31,10 +31,7 @@ from repro.benchsuite.ispc_suite import BENCHMARKS
 from repro.benchsuite.simdlib import KERNELS
 from repro.diagnostics import ReproWarning
 from repro.driver import compile_parsimony
-from repro.faultinject import FaultPlan, inject
 from repro.ir import Constant, Function, FunctionType, I32, IRBuilder, Module
-from repro.passes import clone_module
-from repro.vectorizer import parsimony_records
 from repro.vm import ExecutionLimitExceeded, Interpreter
 
 SPECS = {spec.name: spec for spec in BENCHMARKS}
@@ -346,33 +343,41 @@ def test_stores_that_may_meet_across_gangs_stay_unbatched(src, reason):
     assert reasons == [reason], reasons
 
 
-def test_partial_fallback_seam_is_rejected():
-    """A region-granular scalar fallback outlines part of the gang loop
-    into an internal call; the batcher must refuse to widen across it."""
-    src = _TEMPLATE.format(
-        body="u32 v = a[i];\n"
-             "        if (v > 16u) { v = v * 3u; } else { v = v + 7u; }\n"
-             "        out[i] = v;")
-    seam = None
-    for after in range(8):
-        with inject(FaultPlan(site="vectorize_block", after=after, times=1)):
-            module = compile_parsimony(src, module_name=f"seam.{after}")
-        if any(r.get("parsimony_partial_fallback")
-               for r in parsimony_records(module).values()):
-            seam = module
-            break
-    assert seam is not None, "no fault offset produced a partial fallback"
+def test_recursive_internal_call_is_rejected():
+    """A recursive user function survives inlining as an internal call in
+    the gang loop; the batcher names the callee and leaves the loop
+    unbatched, bit-identical to the unbatched build."""
+    src = """
+i32 f(i32 x) {
+    if (x <= (i32)0) { return (i32)0; }
+    return x + f(x - (i32)1);
+}
 
-    # Fault injection already gates batching off in the driver; feeding the
-    # seamed module to the pass directly must hit the legality wall too.
-    report = batch_module(clone_module(seam), None)
-    assert not report["applied"]
-    assert report["rejected"], report
-    # Outlining stages region state through allocas and an internal call;
-    # whichever the scan reaches first, the seam must not be widened over.
-    reasons = " | ".join(r for _, _, r in report["rejected"])
-    assert ("partial-fallback seam" in reasons or "alloca" in reasons
-            or "gang loop" in reasons), reasons
+void kernel(i32* a, i32* b, i32 k, u64 n) {
+    psim (gang_size=8, num_threads=n) {
+        u64 i = psim_get_thread_num();
+        b[i] = a[i] + f(k);
+    }
+}
+"""
+    n = 100
+
+    def run(module):
+        interp = Interpreter(module)
+        a = interp.memory.alloc_array(np.arange(n, dtype=np.int32))
+        b = interp.memory.alloc_array(np.zeros(n, np.int32))
+        interp.run("kernel", a, b, 5, n)
+        return interp.memory.read_array(b, np.int32, n), interp.stats
+
+    module = compile_parsimony(src)
+    assert not module.attrs.get("batch_applied")
+    reasons = [r["reason"] for r in module.attrs["batch_rejected"]]
+    assert reasons == ["internal call to @f in gang loop"], reasons
+    got, got_stats = run(module)
+    want, want_stats = run(compile_parsimony(src, batch_request=0))
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(want, np.arange(n) + 15)
+    _assert_stats_equal(got_stats, want_stats, "recursive call")
 
 
 def test_rejections_surface_in_telemetry():

@@ -150,5 +150,4 @@ def test_an_armed_compile_plan_cannot_degrade_the_twin():
     assert twin is not None
     records = parsimony_records(twin).values()
     assert records and not any(r.get("parsimony_fallback")
-                               or r.get("parsimony_partial_fallback")
                                for r in records)
