@@ -60,6 +60,7 @@ def run(module, seed, codegen=False):
         interp.memory.read_array(addrs[3], np.float32, N_THREADS),
         interp.memory.read_array(addrs[4], np.int32, N_CELLS),
         interp.memory.read_array(addrs[1], np.float32, N_THREADS),
+        interp.memory.read_array(addrs[2], np.int32, N_THREADS),
     )
     return outs, interp
 

@@ -22,7 +22,7 @@ a bailout runs) — and **fails (exit 1)** if:
   0.95× its unbatched build, measured interleaved; the default sweep
   holds four row nests that collapse into the gang trip — stencil,
   ``Laplace``, ``LbpEstimate`` and ``GetRowSums`` with its per-row
-  atomic cells),
+  atomic cells — and the two histograms' scatter-adds),
 * the codegen engine never runs a compiled kernel across the sweep
   (``vm.codegen.calls`` stays zero — every kernel bailed out), or a
   kernel where codegen *did* engage runs slower than the codegen floor
@@ -57,9 +57,10 @@ from repro.benchsuite.simdlib import KERNELS
 from repro.driver import compile_parsimony
 
 #: binomial_options batches with its lattice expanded per gang; stencil
-#: and the three fig5 filters collapse their row nests.
+#: and the three fig5 filters collapse their row nests; the histograms
+#: run their serialized atomics as one scatter-add per trip.
 DEFAULT_KERNELS = ("mandelbrot,noise,stencil,binomial_options,"
-                   "Laplace,LbpEstimate,GetRowSums")
+                   "Laplace,LbpEstimate,GetRowSums,Histogram,HistogramMasked")
 DEFAULT_IMPLS = "scalar,parsimony"
 
 #: Every (suite, implementations) pair the figure reports build.

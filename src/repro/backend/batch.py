@@ -64,6 +64,19 @@ generated code:
   block keeps its size and receives the last active gang's flagged rows
   at the end of every trip; a read of an unflagged row or a partial
   store replays the launch on the twin.
+* **Serialized atomics.**  An atomic whose address varies across lanes
+  is serialized per lane (§4.2.3), each lane in a ``lane.then`` diamond
+  when masked.  An integer ``add``/``sub`` chain with unused results,
+  outside divergent loops, widens to one ``atomicrmw`` on the trip's
+  ``G·B`` addresses (a *scatter-add*, ``segments = B``): unbatched, gang
+  k's accesses and lane updates all precede gang k+1's, batched every
+  gang's other accesses keep their places around one pass of updates.
+  Adds to one cell commute mod 2**n and no result is read, so the orders
+  agree when no two cells partly overlap and no other access of the trip
+  touches a cell — which codegen checks per trip, at no charge, replaying
+  the launch on the twin when it fails.  So every other access of the
+  loop needs an address form codegen can evaluate on entering the trip,
+  and the loop no private storage and no second chain.
 * **Accounting.**  Every original loop instruction is annotated with
   narrow *charge prototypes* plus a multiplicity (the trip's active gang
   count, or the live gang count of the enclosing divergent loop), so
@@ -71,12 +84,15 @@ generated code:
   ``ExecStats`` stay bit-identical by construction.  Inserted helper
   instructions charge nothing; the gang backedge charges the whole
   per-gang loop overhead (phi/icmp/condbr/add/br) once per active gang,
-  and the exit block the last header visit.
+  and the exit block the last header visit.  A masked scatter-add
+  charges its lane tests once per gang and lane 0's ``lane.then`` once
+  per active lane of its mask in the trip (``LANES``).
 * **Legality.**  Rejected with a reason (surfaced as
   ``vm.batch.rejected`` telemetry), the loop then runs unbatched: an
   alloca in the loop, private storage read through a gather or whose
-  address escapes; scalar ``load``/``store``,
-  ``scatter``, ``insertelement``/``extractelement``, ``shuffle2``,
+  address escapes; scalar ``load``/``store``, ``scatter``,
+  ``insertelement``/``extractelement`` outside a serialized atomic,
+  ``shuffle2``,
   ``mask_all``/``mask_popcnt`` and ``psim.*`` calls; a shuffle whose
   index the loop computes (a runtime index); float reductions and float
   atomics; per-gang values reaching an address, a branch, a store or any
@@ -808,15 +824,111 @@ def _atomic_reason(instr: Instruction, per_gang, forms: AffineForms,
     return None
 
 
+# -- serialized atomics --------------------------------------------------------------
+
+
+class _ScatterAdd(_Parts):
+    """A serialized atomic (§4.2.3, the vectorizer's ``_serialize_lanes``):
+    lanes ``j = 0..G-1`` in order, each an ``atomicrmw add|sub`` with an
+    unused result on ``extractelement addrs, j``, straight-line in
+    ``head`` or each in a ``lane.then``/``lane.cont`` diamond on
+    ``extractelement mask, j``; a lane's value ``extractelement value,
+    j``, or the scalar ``value``.  ``instrs`` are the chain's
+    instructions, ``blocks`` its diamonds' blocks but the last
+    ``lane.cont``, ``cont``."""
+
+    __slots__ = ("first", "addrs", "value", "mask", "instrs", "blocks",
+                 "head", "cont")
+
+
+def _lane_of(v: Value, region: Set[BasicBlock]) -> tuple:
+    """``(vector, lane, inside)`` for an ``extractelement`` at a constant
+    lane, outside ``region`` or inside it with one use; else ``(v, None,
+    False)``."""
+    if (isinstance(v, Instruction) and v.opcode == "extractelement"
+            and isinstance(v.operands[1], Constant)
+            and (v.parent not in region or len(v.uses) == 1)):
+        return v.operands[0], v.operands[1].value, v.parent in region
+    return v, None, False
+
+
+def _match_scatter_add(first: Instruction, region: Set[BasicBlock],
+                       gang: int) -> Optional[_ScatterAdd]:
+    """The chain whose lane 0 is the atomic ``first``, or ``None``."""
+    t = first.type
+    addrs, lane, ain = _lane_of(first.operands[0], region)
+    value, vlane, vin = _lane_of(first.operands[1], region)
+    if not (first.attrs.get("op") in ("add", "sub") and isinstance(t, IntType)
+            and t.bits >= 8 and lane == 0 and addrs.type.count == gang
+            and (vlane is None or vlane == 0 and value.type.count == gang)):
+        return None
+
+    def lane_ok(group: List[Instruction], j: int) -> bool:
+        *extracts, atomic = group
+        a, v = atomic.operands if atomic.opcode == "atomicrmw" else (0, 0)
+        return (not atomic.uses and atomic.attrs == first.attrs
+                and atomic.type == t and _lane_of(a, region) == (addrs, j, ain)
+                and _lane_of(v, region) == (value, vlane if vlane is None
+                                            else j, vin)
+                and sorted(extracts, key=id) == sorted([a] * ain + [v] * vin,
+                                                       key=id))
+
+    size = 1 + ain + vin
+    block = first.parent
+    preds = block.predecessors
+    test = preds[0].terminator if len(preds) == 1 else None
+    mask = None
+    if (test is not None and test.opcode == "condbr"
+            and test.operands[1] is block and block.terminator.opcode == "br"):
+        tested, lane, inside = _lane_of(test.operands[0], region)
+        mask = tested if inside and lane == 0 and \
+            tested.type.count == gang else None
+    if mask is None:  # straight-line: G lane groups in a row
+        instrs = block.instructions
+        start = instrs.index(first) - size + 1
+        chain = instrs[max(start, 0):start + gang * size]
+        if not (ain or vin) or len(chain) != gang * size or not all(
+                lane_ok(chain[j * size:(j + 1) * size], j)
+                for j in range(gang)):
+            return None  # (G gang-invariant atomics batch one by one)
+        return _ScatterAdd(first=first, addrs=addrs, value=value, mask=None,
+                           instrs=chain, blocks=[], head=block, cont=block)
+    # Guarded: a test, then_j | cont_j, and cont_j tests lane j + 1.
+    head, instrs, blocks, then = test.parent, [test.operands[0], test], [], block
+    for j in range(gang):
+        cont = test.operands[2]
+        if not (then.predecessors == [test.parent] and cont in region
+                and len(then.instructions) == size + 1
+                and then.terminator.operands[0] is cont and not cont.phis()
+                and set(cont.predecessors) == {test.parent, then}
+                and lane_ok(then.instructions[:-1], j)):
+            return None
+        instrs += then.instructions
+        blocks.append(then)
+        if j + 1 < gang:
+            test = cont.terminator
+            if not (len(cont.instructions) == 2 and test.opcode == "condbr"
+                    and test.operands[0] is cont.instructions[0]
+                    and _lane_of(test.operands[0], region)
+                    == (mask, j + 1, True)):
+                return None
+            instrs += cont.instructions
+            blocks.append(cont)
+            then = test.operands[1]
+    return _ScatterAdd(first=first, addrs=addrs, value=value, mask=mask,
+                       instrs=instrs, blocks=blocks, head=head, cont=cont)
+
+
 class _Region(_Parts):
     """What widening needs of a region that passed :func:`_scan_region`:
     its blocks in function order, gang size, batch factor, divergent loops
     and per block their ``chain`` — the lids of the divergent loops around
     it, innermost first, then B (codegen charges by the first lid with a
-    live activity count) — its ``per_gang`` scalars and affine ``forms``."""
+    live activity count) — its ``per_gang`` scalars, affine ``forms`` and
+    serialized atomics (``scatters``)."""
 
     __slots__ = ("ordered", "gang", "batch", "divergent", "chain",
-                 "per_gang", "forms")
+                 "per_gang", "forms", "scatters")
 
 
 def _scan_region(function: Function, ordered: List[BasicBlock], gang: int,
@@ -850,6 +962,18 @@ def _scan_region(function: Function, ordered: List[BasicBlock], gang: int,
             key=lambda dl: len(dl.loop.blocks),
         )
         chain[block] = tuple(dl.lid for dl in enclosing) + (batch,)
+    # A serialized atomic of the gang loop, outside every divergent loop,
+    # is one unit: none of its extracts and lane tests is judged alone.
+    scatters: List[_ScatterAdd] = []
+    for block in ordered if gl is not None else ():
+        for instr in block.instructions:
+            if instr.opcode == "atomicrmw" and instr not in fixed:
+                sa = _match_scatter_add(instr, region, gang)
+                if sa is not None and len(chain[sa.head]) == 1:
+                    scatters.append(sa)
+                    fixed.update(sa.instrs)
+    if len(scatters) > 1:
+        return "several scatter-adds in gang loop"
 
     for block in ordered:
         for instr in block.instructions:
@@ -885,19 +1009,25 @@ def _scan_region(function: Function, ordered: List[BasicBlock], gang: int,
               or _loop_state_reason(divergent, ordered))
     if reason is not None:
         return reason
+    for sa in scatters:
+        if not isinstance(sa.value.type, VectorType) \
+                and forms.delta(sa.value) != 0:
+            return "atomicrmw value is gang-affine"
     for block in ordered:
         for instr in block.instructions:
+            if instr in fixed:
+                continue
             if instr.opcode == "atomicrmw":
                 reason = _atomic_reason(instr, per_gang, forms,
                                         len(chain[block]) > 1)
                 if reason is not None:
                     return reason
-            elif (instr.opcode == "condbr" and instr not in fixed
+            elif (instr.opcode == "condbr"
                     and forms.delta(instr.operands[0]) != 0):
                 return "gang-dependent scalar branch"
     return _Region(ordered=ordered, gang=gang, batch=batch,
                    divergent=divergent, chain=chain, per_gang=per_gang,
-                   forms=forms)
+                   forms=forms, scatters=scatters)
 
 
 def _mark_divergent(region: _Region) -> None:
@@ -914,7 +1044,8 @@ def _batch_one_loop(function: Function, gl: _CountedLoop, batch: int,
                     module: Module, protos: _Prototypes,
                     nest: Optional["_RowNest"] = None):
     """Batch one matched gang loop in place; returns a rejection reason,
-    or on success the allocas it expanded (see :func:`_private_storage`).
+    or on success what its ``batch_applied`` entry adds: each alloca it
+    expanded (see :func:`_private_storage`) and its scatter-add.
     Inside a row ``nest`` that collapses, the exit block charges once per
     row and loop-invariant vectors tile before the nest.  All legality
     checks run before any mutation."""
@@ -938,6 +1069,18 @@ def _batch_one_loop(function: Function, gl: _CountedLoop, batch: int,
     if isinstance(private, str):
         return private
     served = {a for _, _, accesses in private.values() for a in accesses}
+    # A scatter-add's cells are known at run time only: codegen checks them
+    # against every other access of the trip, from address forms it
+    # evaluates in the trip (see "Serialized atomics" above).
+    chained = {i for sa in region.scatters for i in sa.instrs}
+    if chained and private:
+        return "scatter-add beside private storage"
+    if chained and any(
+            op in _ADDRESS_OPERAND and instr not in chained
+            and forms.at_entry(instr.operands[_ADDRESS_OPERAND[op]]) is None
+            for block in ordered for instr in block.instructions
+            for op in [instr.opcode]):
+        return "scatter-add beside an access with no entry form"
 
     # Memory: strided rows, and stores that may meet across gangs.
     row_strides: Dict[Instruction, int] = {}
@@ -963,7 +1106,7 @@ def _batch_one_loop(function: Function, gl: _CountedLoop, batch: int,
                     lanes = _known_lanes(instr.operands[2], known)
                     stores.setdefault(base, []).append(
                         (offset, step, _store_bytes(lanes, data.count, esize)))
-            elif op == "atomicrmw":
+            elif op == "atomicrmw" and instr not in chained:
                 atomic_bases.append(_footprint_key(forms(instr.operands[0]))[0])
     if any(base in stores for base in atomic_bases):
         return "atomicrmw and vstore share a base"
@@ -1022,7 +1165,10 @@ def _batch_one_loop(function: Function, gl: _CountedLoop, batch: int,
     _widen(function, module, region, row_strides,
            nest.row.entry if nest else gl.entry)
     function.attrs["batched"] = batch
-    return private
+    return [f" private %{alloca.name} {rows} rows x {row} bytes"
+            for alloca, (rows, row, _) in private.items()] + [
+        f" scatter-add %{sa.first.name} x{gang} lanes"
+        for sa in region.scatters]
 
 
 def _widen(function: Function, module: Module, region: _Region,
@@ -1108,6 +1254,11 @@ def _widen(function: Function, module: Module, region: _Region,
                                 instr.parent, instr)
             instr.set_operand(idx, lifted)
 
+    for sa in region.scatters:
+        wide = _widen_scatter_add(function, sa, region.chain[sa.head], batch)
+        inserted.add(wide)
+        widen_operands(wide)
+
     for block in region.ordered:
         for instr in list(block.instructions):
             if instr in inserted:
@@ -1184,11 +1335,51 @@ def _widen(function: Function, module: Module, region: _Region,
             widen_operands(instr)
 
 
+def _widen_scatter_add(function: Function, sa: _ScatterAdd, mult: tuple,
+                       batch: int) -> Instruction:
+    """Replace a serialized atomic by one batched-only ``atomicrmw`` on the
+    ``G·B``-lane address vector (``segments = B``), the value vector or
+    the scalar, and a guarded chain's mask; returns it.  It charges the
+    chain's narrow prototypes, already annotated: a straight-line chain's
+    once per gang of the trip; a guarded chain's lane tests so too, on the
+    ``br`` out of the ``batch.scatter`` block that replaces its diamonds,
+    and lane 0's ``lane.then`` once per active lane (``LANES``)."""
+    def charges(instrs) -> Tuple[Instruction, ...]:
+        return tuple(p for i in instrs for p in i.attrs["batch_charges"])
+
+    attrs = {k: v for k, v in sa.first.attrs.items() if k in ("op", "ordering")}
+    wide = Instruction("atomicrmw", VOID, [sa.addrs, sa.value] + (
+        [sa.mask] if sa.mask is not None else []),
+                       attrs=dict(attrs, segments=batch))
+    if sa.mask is None:
+        _annotate(wide, charges(sa.instrs), mult)
+        sa.head.insert(sa.head.instructions.index(sa.instrs[0]), wide)
+    else:
+        _annotate(wide, charges(sa.blocks[0].instructions), LANES)
+        block = function.add_block("batch.scatter", before=sa.blocks[0])
+        block.append(wide)
+        block.append(Instruction("br", VOID, [sa.cont]))
+        _annotate(block.terminator, charges(
+            i for i in sa.instrs if i.parent not in sa.blocks[::2]), mult)
+    for instr in reversed(sa.instrs):
+        instr.erase()
+    for dead in sa.blocks:
+        function.remove_block(dead)
+    if sa.mask is not None:
+        sa.head.append(Instruction("br", VOID, [block]))
+        _annotate(sa.head.terminator, (), 0)
+    return wide
+
+
 # -- row nests -----------------------------------------------------------------------
 
 #: The multiplicity spec of a row nest's outer blocks (and of its gang
 #: loop's exit block): the rows the outer trip runs.
 ROWS = "rows"
+
+#: The multiplicity spec of a guarded scatter-add's lane work: the active
+#: lanes of its mask in the trip, which codegen counts where it runs.
+LANES = "lanes"
 
 
 class _RowNest(_Parts):
@@ -1299,7 +1490,9 @@ def _match_row_nest(function: Function, gl: _CountedLoop, batch: int):
                     return f"{op} in a row prologue"
                 if op not in ("store", "br") and forms.at_entry(instr) is None:
                     return "row prologue scalar not affine in the row index"
-            if op in ("gather", "scatter"):
+            if op in ("gather", "scatter", "extractelement"):
+                # (an extractelement: a serialized atomic's, which batches
+                # in its own gang loop only)
                 return f"{op} in a row nest"
             if op in _ADDRESS_OPERAND and forms.at_entry(
                     instr.operands[_ADDRESS_OPERAND[op]]) is None:
@@ -1407,9 +1600,7 @@ def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport
             if isinstance(result, str):
                 rejected.append((function.name, gl.loop.header.name, result))
                 continue
-            entry = f"{function.name}:{gl.loop.header.name}" + "".join(
-                f" private %{alloca.name} {rows} rows x {row} bytes"
-                for alloca, (rows, row, _) in result.items())
+            entry = f"{function.name}:{gl.loop.header.name}" + "".join(result)
             if nest is not None:
                 _collapse(function, nest, gl, b, module, protos)
                 bound = gl.icmp.operands[1]

@@ -66,7 +66,11 @@ IR runs nowhere else):
   gang per row (``_g = 1``, ``_r = _R``).  Packed accesses in those trips
   are ``(_R, _g, lanes)`` views (:meth:`_Emitter._emit_slots`),
   prologue stores and per-row atomics update ``_R`` cells a row stride
-  apart (:func:`_store_rows`, :func:`_rmw_rows`).
+  apart (:func:`_store_rows`, :func:`_rmw_rows`);
+* a scatter-add (a batched serialized atomic) is one ``np.add.at`` per
+  trip behind a zero-charge check of its cells against the trip's other
+  accesses (:func:`_scatter_add`); a failed check replays the launch on
+  the unbatched twin.
 
 Accounting contract
 -------------------
@@ -101,7 +105,9 @@ protocol covers the rest:
   how many unbatched executions one batched step stands for.  A spec is
   an int (header bookkeeping ×0, the exit block's last header visit ×1),
   ``"rows"`` (a collapsed row nest's outer blocks and gang-loop exit: the
-  rows of the outer trip, ``_R``), or a tuple of divergent-loop ids ending in the static B, which inside
+  rows of the outer trip, ``_R``), ``"lanes"`` (a masked scatter-add's
+  lane work: the active lanes of its mask in the trip), or a tuple of
+  divergent-loop ids ending in the static B, which inside
   the gang loop stands for ``_r``; the first id with a live activity
   count wins, so code under a divergent loop charges once per gang that
   would still be iterating unbatched.  A loop's
@@ -155,9 +161,9 @@ instruction's; the call itself is the plain flush + ``_exec``).
 Kept deliberately: ``function-too-large`` / ``deep-nesting`` (size
 guards), ``block-re-emitted`` (irreducible control flow the dispatch
 merge cannot structure), ``no-terminator`` / ``use-before-def`` /
-``batch-spec-outside-gang-loop`` / ``batch-trip-shape`` (malformed
-IR), and ``injected-fault`` (fault plans must not be double-counted
-through generated code).
+``batch-spec-outside-gang-loop`` / ``batch-trip-shape`` /
+``scatter-add-window`` (malformed IR), and ``injected-fault`` (fault
+plans must not be double-counted through generated code).
 
 Emit-time folding
 -----------------
@@ -276,8 +282,8 @@ import numpy as np
 
 from .. import diskcache
 from ..ir.cfg import Loop, find_loops, reverse_postorder
-from .batch import (GANG, ONE, ROW, ROWS, AffineForms, row_dependent,
-                    row_monomial)
+from .batch import (GANG, LANES, ONE, ROW, ROWS, AffineForms,
+                    row_dependent, row_monomial)
 from ..ir.instructions import (
     ATOMIC_RMW_OPS,
     CAST_OPS,
@@ -572,6 +578,38 @@ def _slot_lanes(memory, addr: int, dtype, count: int, batch: int, rows: int,
             memory.store_rows(at, dtype, values[lo:lo + span], gangs, delta,
                               part)
     return out
+
+
+def _scatter_add(memory, sub: bool, addrs, values, mask, lane: int,
+                 gangs: int, windows) -> None:
+    """A trip's scatter-add (see :mod:`repro.backend.batch`): each active
+    lane adds (``sub``: subtracts) its value at its cell of
+    ``memory.lanes[lane]``, as the unbatched lanes do one by one, in one
+    ``np.add.at`` — when the order cannot matter: every active address is
+    in bounds and a multiple of the cell size (two cells are one cell,
+    where adds commute mod 2**n, or share no byte), and the cells' hull
+    meets none of the ``windows``, the trip's other accesses: gang k's
+    ``[base + k·step, base + k·step + width)`` for each of its ``gangs``.
+    Anything else replays the launch on the unbatched twin."""
+    if mask is not None:
+        addrs = addrs[mask]
+        if isinstance(values, np.ndarray):
+            values = values[mask]
+    if not len(addrs):
+        return
+    cells = memory.lanes[lane]
+    size = cells.itemsize
+    lo, end = int(addrs.min()), int(addrs.max()) + size
+    if lo < NULL_GUARD or end > len(cells) * size or (addrs % size).any():
+        raise _BatchedBailout("scatter-add cell out of bounds or misaligned")
+    for base, step, width in windows:
+        reach = (gangs - 1) * step
+        top = base + max(reach, 0) + width
+        if base + min(reach, 0) < end and lo < top or top > _M64 + 1:
+            raise _BatchedBailout("scatter-add meets another access")
+    if end > memory._extent:
+        memory._extent = end
+    (np.subtract if sub else np.add).at(cells, addrs // size, values)
 
 
 #: ``atomicrmw`` ops :func:`_rmw_rows` applies to a row of cells at once.
@@ -1005,6 +1043,8 @@ class _Emitter:
         row of the outer trip (``_R``)."""
         if spec == ROWS:
             return "_R"
+        if isinstance(spec, str):
+            return spec  # an expression (a scatter-add's active lanes)
         expr = "_r"
         for lid in reversed([x for x in spec if isinstance(x, str)]):
             expr = f"_act.get({lid!r}, {expr})"
@@ -1144,6 +1184,10 @@ class _Emitter:
                     items = self._charge_items[charges] = batch_charge_items(
                         ins, self.machine, cost)
                 spec = ins.attrs["batch_mult"]
+                if spec == LANES:  # a scatter-add's active lanes
+                    mask, lanes = ins.operands[2], ins.operands[0].type.count
+                    spec = (f"{self._int()}({self._cnz()}({self.ref(mask)}"
+                            f"[:_r * {lanes // ins.attrs['segments']}]))")
                 if isinstance(spec, tuple) and not self.trip:
                     raise CodegenBailout("batch-spec-outside-gang-loop")
                 if spec == ROWS and not self.nest:
@@ -1579,6 +1623,8 @@ class _Emitter:
         elif op == "store" and self.nest is None:
             self._emit_cell(ins, ops[0].type, self.ref(ops[1]),
                             store=self.ref(ops[0]))
+        elif op == "atomicrmw" and isinstance(ops[0].type, VectorType):
+            self._emit_scatter_add(ins)
         elif op == "atomicrmw":
             rmw = ins.attrs["op"]
             if rmw not in ATOMIC_RMW_OPS:
@@ -1643,6 +1689,42 @@ class _Emitter:
                 f" {self.ref(ops[0])},"
                 f" {self._mask_ref(ops[2], self._mask_lanes(ops[2]))})"
             )
+
+    def _emit_scatter_add(self, ins) -> None:
+        """A batched serialized atomic (:func:`_scatter_add`) on the trip's
+        ``_r`` gangs, checked against every other access of the gang loop:
+        its address at the trip's gang 0 (an affine form whose atoms are
+        defined before the loop), its per-gang step, its one-gang width."""
+        header = self.trip.header
+        phi = header.instructions[0]
+        forms = AffineForms(self.loops_by_header[header].blocks, phi)
+        windows = ""
+        for block in self.loops_by_header[header].ordered_blocks():
+            for other in block.instructions:
+                op = other.opcode
+                if op not in _MEMORY_OPS or other is ins:
+                    continue
+                addr = other.operands[1 if op == "vstore" else 0]
+                form = forms.at_entry(addr)
+                if form is None or op not in ("vload", "vstore", "atomicrmw"):
+                    raise CodegenBailout("scatter-add-window")
+                width = (other.type if op != "vstore" else other.operands[0]
+                         .type).size_bytes() // (self.trip.batch if op[0] == "v"
+                                                 else 1)
+                terms = [str(c) if m is ONE else ("" if c == 1 else f"{c} * ")
+                         + self.ref(phi if m is GANG else m)
+                         for m, c in form.items()]
+                windows += (f"(({' + '.join(terms) or '0'}) & {_M64:#x},"
+                            f" {forms.delta(addr) * self.trip.gang}, {width}),")
+        addrs, value, *mask = ins.operands
+        n = f"[:_r * {addrs.type.count // ins.attrs['segments']}]"
+        values = self.ref(value) + (n if value.type.is_vector else "")
+        mask = f"{self.ref(mask[0])}{n}" if mask else "None"
+        lane = _LANE_INDEX[elem_dtype(addrs.type.elem.pointee)]
+        self.slow_sites += 1
+        self.line(f"{self.hoist(_scatter_add, key=('b', 'scatter_add'))}(_mem,"
+                  f" {ins.attrs['op'] == 'sub'}, {self.ref(addrs)}{n}, {values},"
+                  f" {mask}, {lane}, _r, ({windows}))")
 
     def _emit_cell(self, ins, t, addr: str, store: Optional[str] = None) -> None:
         """A scalar ``load`` (``store`` is None), ``store``, or — when

@@ -42,6 +42,15 @@ row reads: the output
 aliases the input one row apart, so a collapsed nest's no-alias check
 fails and the rows run one per trip.
 
+Two in five kernels (drawn last of all) add to a cell their lanes' state
+picks — the serialized atomic of §4.2.3, a scatter-add once batched:
+``IOUT[n + 4 + (e & 15)]``, unguarded or under a varying ``if``, or in
+the *aliasing* variant (``FuzzKernel.scatter_aliases``) ``C[e & 15]``,
+which the loop reads, from threads ``i >= 16`` only: their updates land
+after every read of those cells in any order, but a batched trip holding
+both replays.  Like row kernels, these read no gathers and keep no
+per-thread array at uniform indices.
+
 Everything is derived from one integer seed via ``random.Random``, so a
 failing kernel reproduces from its seed alone.
 """
@@ -62,9 +71,9 @@ __all__ = ["FuzzKernel", "generate_kernel", "workload_arrays", "N_THREADS",
 #: gang size below, so the tail gang (partial last gang) is always covered.
 N_THREADS = 37
 
-#: ``IOUT`` cells: one per thread, the gang atomics' cell ``IOUT[n]``, and
-#: the per-row cells of the row variant.
-N_CELLS = N_THREADS + 4
+#: ``IOUT`` cells: one per thread, the gang atomics' cell ``IOUT[n]``, the
+#: per-row cells of the row variant and the 16 cells of the scatter-adds.
+N_CELLS = N_THREADS + 4 + 16
 
 _GANGS = (4, 8, 16)
 
@@ -102,6 +111,10 @@ class FuzzKernel:
     rows: bool = False
     #: ... and writes ``B`` one row down, which the next row reads.
     in_place: bool = False
+    #: Kernel adds to a cell its lanes' state picks (a scatter-add) ...
+    scatter_add: bool = False
+    #: ... inside ``C``, which the loop reads.
+    scatter_aliases: bool = False
 
     @property
     def refuses_whole_fallback(self) -> bool:
@@ -373,13 +386,24 @@ class _Gen:
                 "            y = y + u[(u64)ur] * 0.25f;\n"
                 "            ur = ur + 1;\n"
                 "        }\n")
-        # The row loop (drawn last of all).  A row kernel keeps no
+        # The row loop (drawn last but one).  A row kernel keeps no
         # per-thread array at uniform indices and reads no gathers (their
         # indices become values): private storage and data-dependent
         # addresses keep a row nest from collapsing.
         rows = self.rng.random() < 0.35
         in_place = rows and self.rng.random() < 0.35
-        if rows:
+        scatter = self.rng.random() < 0.40  # the scatter-add (drawn last)
+        variant = self.rng.randrange(3) if scatter else 0
+        scatter_line = ""
+        if scatter:
+            add = (f"psim_atomic_add(IOUT + n + 4 + (u64)(({self.i_expr(1)})"
+                   f" & 15), {self.rng.choice(('q', '1', 'p - q'))});")
+            if variant == 1:
+                add = f"if ({self.condition()}) {{ {add} }}"
+            elif variant == 2:
+                add = f"if (i >= (u64)16) {{ {add.replace('IOUT + n + 4', 'C')} }}"
+            scatter_line = f"        {add}\n"
+        if rows or scatter:
             uniform_line, uniform, unwritten = "", False, False
             body = _GATHER.sub(r"(f32)abs(\1)", body)
         region = f"""    psim (gang_size={self.gang}, num_threads=n) {{
@@ -391,7 +415,7 @@ class _Gen:
         f32 y = sv - vb;
         i32 q = si + p;
 {int_line}{decls}{uniform_line}{body}
-{shuffle_line}{reduce_line}        OUT[i] = x + y;
+{shuffle_line}{reduce_line}{scatter_line}        OUT[i] = x + y;
         IOUT[i] = p + q * 3;
     }}
 """
@@ -424,7 +448,8 @@ void kernel(f32* A, f32* B, i32* C, f32* OUT, i32* IOUT,
                           has_atomic=atomic,
                           has_uniform_array=uniform,
                           reads_unwritten=unwritten,
-                          rows=rows, in_place=in_place)
+                          rows=rows, in_place=in_place, scatter_add=scatter,
+                          scatter_aliases=variant == 2)
 
 
 def generate_kernel(seed: int) -> FuzzKernel:

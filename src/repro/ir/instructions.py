@@ -216,10 +216,6 @@ class Instruction(Value):
         return self.opcode in CAST_OPS
 
     @property
-    def is_commutative(self) -> bool:
-        return self.opcode in COMMUTATIVE_OPS
-
-    @property
     def has_side_effects(self) -> bool:
         """True if the instruction may write memory or transfer control."""
         return self.opcode in (

@@ -152,10 +152,6 @@ class _Parser:
 
     # -- values ----------------------------------------------------------------------
 
-    def parse_typed_value(self) -> Tuple[Type, Value]:
-        type = self.parse_type()
-        return type, self.parse_value_of(type)
-
     def parse_value_of(self, type: Type) -> Value:
         kind, text = self.tok
         if kind == "local":
@@ -381,9 +377,12 @@ class _Parser:
             operand()
             self.expect(",")
             operand()
+            if self.accept(","):
+                operand()  # a scatter-add's mask
             if self.tok[1] in ("relaxed", "acquire", "release", "seq_cst"):
                 attrs["ordering"] = self.advance()[1]
-            rtype = ops[1].type
+            # A scatter-add (addresses, one per lane) returns nothing.
+            rtype = VOID if ops[0].type.is_vector else ops[1].type
         elif opcode == "phi":
             rtype = self.parse_type()
             while self.accept("["):

@@ -120,12 +120,6 @@ class Constant(Value):
             return tuple(_to_signed(self.type.elem, v) for v in self.value)
         return _to_signed(self.type, self.value)
 
-    @property
-    def is_zero(self) -> bool:
-        if isinstance(self.type, VectorType):
-            return all(v == 0 for v in self.value)
-        return self.value == 0
-
     def __repr__(self) -> str:
         return f"{self.type} {self.value}"
 

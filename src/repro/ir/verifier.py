@@ -14,7 +14,7 @@ from .cfg import dominator_tree
 from .instructions import REDUCE_OPS, TERMINATORS, Instruction
 from .module import BasicBlock, Function, Module
 from .printer import format_instruction, print_function
-from .types import I1, VectorType
+from .types import I1, IntType, VectorType
 from .values import Argument, Constant, UndefValue, Value
 
 __all__ = ["VerificationError", "verify_function", "verify_module"]
@@ -247,10 +247,11 @@ def _check_instruction(function: Function, instr: Instruction) -> None:
 def _check_batch_form(function: Function, instr: Instruction) -> None:
     """The gang-batched forms (:mod:`repro.backend.batch`): ``segments``
     splits an op's lanes into per-gang segments, which must divide the
-    lane count; a ``row_stride`` access reads or writes one row per
-    segment, rows no closer than their own width — or, in a collapsed row
-    nest's tail (``row_stride row``), one row per row of the nest, at the
-    stride generated code reads from the nest."""
+    lane count (a scatter-add, ``atomicrmw`` on a vector of addresses,
+    updates B gangs' lanes); a ``row_stride`` access reads or writes one
+    row per segment, rows no closer than their own width — or, in a
+    collapsed row nest's tail (``row_stride row``), one row per row of the
+    nest, at the stride generated code reads from the nest."""
     op = instr.opcode
     ops = instr.operands
     segments = instr.attrs.get("segments")
@@ -275,6 +276,15 @@ def _check_batch_form(function: Function, instr: Instruction) -> None:
         if ops[0].type != VectorType(instr.type.elem, segments) \
                 or instr.type.count % segments:
             bad("segmented broadcast lane count not divisible by its segments")
+    elif op == "atomicrmw" and ops[0].type.is_vector:
+        # A scatter-add: a serialized atomic's lanes, B gangs of them.
+        n, cell = ops[0].type.count, getattr(ops[0].type.elem, "pointee", None)
+        if not (isinstance(cell, IntType) and cell.bits >= 8
+                and instr.attrs.get("op") in ("add", "sub") and n % segments
+                == 0 and instr.type.is_void
+                and ops[1].type in (cell, VectorType(cell, n))
+                and all(m.type == VectorType(I1, n) for m in ops[2:])):
+            bad("scatter-add must add a value (per lane) to integer cells")
     elif op == "atomicrmw":
         if ops[1].type != VectorType(instr.type, segments):
             bad("segmented atomicrmw must fold one lane per segment")

@@ -171,13 +171,3 @@ class PassManager:
                 elif dirty and self.verify_each:
                     self._verify_after(pass_, function)
         return changed
-
-    def run_function(self, function: Function) -> bool:
-        changed = False
-        paranoid = self._paranoid()
-        for pass_ in self.passes:
-            dirty = self._apply(pass_, function, paranoid)
-            changed |= dirty
-            if paranoid or (dirty and self.verify_each):
-                self._verify_after(pass_, function)
-        return changed

@@ -24,6 +24,7 @@ instrumented code paths cost nothing in normal runs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -136,7 +137,7 @@ class Telemetry:
 
     def record_fallback(
         self, module_name: str, function_name: str, gang_size: int,
-        reason: Dict[str, object],
+        reason: Dict[str, object], source: str,
     ) -> None:
         """One SPMD function degraded to the scalar lane loop (and why).
 
@@ -144,12 +145,15 @@ class Telemetry:
         driver bypasses the compile cache, so the same source compiled
         twice degrades the same functions twice — one *distinct*
         degradation, not two (``vectorizer.fallbacks`` used to
-        double-count here).  The module name is part of the identity:
-        SPMD function names repeat across kernels.
+        double-count here).  The module name and a digest of the
+        function's ``source`` are part of the identity: every kernel's
+        SPMD function is ``kernel.psim0``, and every module compiled
+        without a name is ``parsimony``.
         """
         entry = {
             "module": module_name,
             "function": function_name,
+            "source": hashlib.sha256(source.encode()).hexdigest()[:16],
             "gang_size": gang_size,
             "reason": dict(reason),
         }
@@ -429,6 +433,7 @@ def diff_documents(old: Dict, new: Dict) -> Dict[str, object]:
     }
 
 
-def record_fallback(module_name, function_name, gang_size, reason):
+def record_fallback(module_name, function_name, gang_size, reason, source):
     if _current is not None:
-        _current.record_fallback(module_name, function_name, gang_size, reason)
+        _current.record_fallback(module_name, function_name, gang_size,
+                                 reason, source)

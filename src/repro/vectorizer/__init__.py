@@ -26,6 +26,7 @@ from typing import Dict, List, Optional
 from .. import faultinject, telemetry
 from ..diagnostics import CompileError, ReproError
 from ..ir.module import Function, Module
+from ..ir.printer import print_function
 from ..ir.verifier import verify_function
 from ..passes import constant_fold, dce, loop_simplify, mem2reg, simplify_cfg
 from ..passes.clone import clone_function
@@ -239,6 +240,7 @@ def _fall_back_to_scalar(
     """Replace a failed vectorization with a scalarized lane loop."""
     gang_size = pristine.spmd.gang_size
     reason = _fallback_reason(exc)
+    source = print_function(pristine)  # the kernel, as the pass saw it
 
     # vectorize_function splices only as its last step, so the module
     # still maps ``name`` to the original the failed attempt mutated.
@@ -260,7 +262,7 @@ def _fall_back_to_scalar(
         ) from exc
 
     pristine.attrs["parsimony_fallback"] = reason
-    telemetry.record_fallback(module.name, name, gang_size, reason)
+    telemetry.record_fallback(module.name, name, gang_size, reason, source)
 
 
 def _fallback_reason(exc: Exception) -> Dict[str, object]:

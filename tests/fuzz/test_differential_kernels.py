@@ -46,8 +46,11 @@ the unbatched twin.  Every kernel whose region sits in a row loop
 (``FuzzKernel.rows``) runs that leg too, whatever its seed: a collapsed
 nest must agree bitwise, and its in-place variant — ``B`` written one row
 down, which the next row reads — must fail the nest's no-alias check and
-say so (``codegen_report()["row_fallbacks"]``).  Outputs are ``OUT``,
-``IOUT`` and ``B``.
+say so (``codegen_report()["row_fallbacks"]``).  A data-dependent atomic
+batches as one scatter-add per trip; in its aliasing variant
+(``FuzzKernel.scatter_aliases``) a trip whose cells meet the loop's reads
+of ``C`` must replay on the unbatched twin, and the corpus must reach
+both.  Outputs are ``OUT``, ``IOUT``, ``B`` and ``C``.
 
 Every ~25th seed compiles the kernel in a *subprocess* with the disk
 cache on, rehydrates that entry in this process, and runs it: cold,
@@ -109,6 +112,9 @@ _BATCH_FORMS = {"shuffle": 0, "int_reduction": 0, "atomic": 0,
 #: Row kernels whose nest collapsed, and in-place ones among them whose
 #: launch fell back to one row per trip.
 _ROW_CORPUS = {"collapsed": 0, "fell_back": 0}
+#: Batched builds holding a scatter-add, and launches of aliasing ones
+#: that replayed on the unbatched twin.
+_SCATTER_CORPUS = {"batched": 0, "replayed": 0}
 
 #: Every Nth seed also runs the forced-codegen differential below.
 _CODEGEN_EVERY = 5
@@ -141,11 +147,13 @@ def _xproc_cache_dir():
 
 
 def _outputs(interp, addrs):
-    """``OUT``, ``IOUT`` and ``B`` (which in-place kernels write)."""
+    """``OUT``, ``IOUT``, ``B`` (which in-place kernels write) and ``C``
+    (which aliasing scatter-adds update)."""
     memory = interp.memory
     return (memory.read_array(addrs[3], np.float32, N_THREADS),
             memory.read_array(addrs[4], np.int32, N_CELLS),
-            memory.read_array(addrs[1], np.float32, N_THREADS))
+            memory.read_array(addrs[1], np.float32, N_THREADS),
+            memory.read_array(addrs[2], np.int32, N_THREADS))
 
 
 def _launch(module, seed, **engine):
@@ -173,7 +181,7 @@ def _classify(module):
 
 
 def _assert_same(got, want, context):
-    for name, g, w in zip(("OUT", "IOUT", "B"), got, want):
+    for name, g, w in zip(("OUT", "IOUT", "B", "C"), got, want):
         np.testing.assert_array_equal(g, w, err_msg=f"{context}: {name}")
 
 
@@ -256,6 +264,13 @@ def _batched_differential(kernel, seed, plain_out, context):
         replays = int(kernel.reads_unwritten and expanded)
         got_out, interp = _launch(batched, seed)
         got_stats = interp.stats
+        if any(" scatter-add " in entry for entry in applied):
+            # A trip whose scatter-add meets C's reads replays; any other
+            # scatter-add never does.
+            _SCATTER_CORPUS["batched"] += 1
+            if kernel.scatter_aliases:
+                _SCATTER_CORPUS["replayed"] += interp.batch_replays
+                replays = min(interp.batch_replays, 1)
         assert interp.batch_replays == replays, context
         collapsed = any(" rows of " in entry for entry in applied)
         fell_back = interp.codegen_report()["row_fallbacks"]
@@ -380,6 +395,15 @@ def test_zz_corpus_exercised_batching():
     assert _BATCH_CORPUS["batched"] > 0, _BATCH_CORPUS
     if FUZZ_N >= 200:
         assert all(_BATCH_FORMS.values()), _BATCH_FORMS
+
+
+def test_zz_corpus_exercised_scatter_adds():
+    """Kernels with a data-dependent atomic must have batched it as a
+    scatter-add, and aliasing ones among them replayed on the twin."""
+    if FUZZ_N < 200:
+        pytest.skip("FUZZ_N too small to draw enough scatter-add kernels")
+    assert _SCATTER_CORPUS["batched"] > 0, _SCATTER_CORPUS
+    assert _SCATTER_CORPUS["replayed"] > 0, _SCATTER_CORPUS
 
 
 def test_zz_corpus_exercised_row_nests():

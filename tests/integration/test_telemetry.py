@@ -187,6 +187,31 @@ def test_fallbacks_of_two_kernels_in_one_session_are_both_recorded():
     assert diff["counters"]["vectorizer.fallbacks"]["value"]["delta"] == 0
 
 
+def test_fallbacks_of_two_kernels_under_the_default_name_are_both_recorded():
+    """Without ``module_name`` every module is ``parsimony`` and every SPMD
+    function ``kernel.psim0``: the identity also digests the function's
+    source, so two different kernels that fall back for the same reason
+    are two records, and one kernel compiled twice is one."""
+    from repro.faultinject import FaultPlan, inject
+
+    other = SRC.replace("(f32)2.0", "(f32)3.0")
+    with telemetry.collect() as session:
+        with inject(FaultPlan(site="vectorize")):
+            driver.compile_parsimony(SRC)
+            one = [dict(e) for e in session.fallbacks]
+            driver.compile_parsimony(SRC)
+            assert session.fallbacks == one
+            driver.compile_parsimony(other)
+    assert one and len(session.fallbacks) == 2 * len(one)
+    for first, second in zip(one, session.fallbacks[len(one):]):
+        assert first["module"] == second["module"] == "parsimony"
+        assert first["function"] == second["function"]
+        assert first["reason"] == second["reason"]
+        assert first["source"] != second["source"]
+    doc = json.loads(session.to_json())
+    assert telemetry._flat_counters(doc)["vectorizer.fallbacks"] == 2 * len(one)
+
+
 def test_diff_lists_the_retired_tuner_counters_of_a_v8_document():
     """v9 dropped the batch tuner.  A v8 document still carries its event
     list, its totals table and a tuner record per run; diff mode reads it

@@ -139,8 +139,11 @@ def _fig5(name):
         # folding them (GetStatistic).
         (lambda: _fig5("BgrToBgra"), ("row_stride", "shuffle")),
         (lambda: _fig5("GetStatistic"), ("reduce_min_u", "atomicrmw")),
+        # A masked scatter-add: a serialized atomic on B gangs' addresses.
+        (lambda: _fig5("HistogramMasked"), ("atomicrmw add <512 x i32*>",)),
     ],
-    ids=["scalar", "autovec", "parsimony", "batched_rows", "batched_segments"],
+    ids=["scalar", "autovec", "parsimony", "batched_rows", "batched_segments",
+         "batched_scatter_add"],
 )
 def test_roundtrip_real_compiler_output(module_factory, forms):
     """print(parse(print(M))) == print(M) for real pipeline output."""

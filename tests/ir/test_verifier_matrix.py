@@ -180,6 +180,24 @@ def test_row_stride_below_its_row_rejected():
     verify_function(f)
 
 
+def test_scatter_add_mask_of_another_width_rejected():
+    """A scatter-add (gang batching's serialized atomic: ``atomicrmw`` on a
+    vector of addresses) takes one mask lane per address."""
+    f = Function("f", FunctionType(VOID, (PointerType(I32),)), ["p"])
+    entry = f.add_block("entry")
+    b = IRBuilder(f, entry)
+    addrs = UndefValue(VectorType(PointerType(I32), 8), "a")
+    mask = UndefValue(VectorType(I1, 4), "m")
+    add = _append_raw(entry, Instruction(
+        "atomicrmw", VOID, [addrs, Constant(I32, 1), mask], "",
+        {"op": "add", "segments": 2}))
+    b.ret()
+    with pytest.raises(VerificationError, match="scatter-add must add"):
+        verify_function(f)
+    add.set_operand(2, UndefValue(VectorType(I1, 8), "m"))
+    verify_function(f)
+
+
 def test_select_vector_cond_count_mismatch_rejected():
     f, entry = _void_function()
     b = IRBuilder(f, entry)

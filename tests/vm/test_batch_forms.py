@@ -13,7 +13,12 @@ covers, never what a launch computes or what it is charged:
   build runs that same unbatched twin, so it needs no leg of its own);
 * a budget trap and an out-of-bounds access inside a batched trip replay
   on the unbatched twin bit-identically (``BgrToBgra``: row-strided
-  stores; ``AbsDifferenceSum``: segmented sums folded into an atomic);
+  stores; ``AbsDifferenceSum``: segmented sums folded into an atomic;
+  the histograms: a scatter-add);
+* the histograms' serialized atomics run as one scatter-add per trip:
+  with their cells inside the image they count, the launch replays on
+  the twin, and budget traps anywhere in a scatter-add trip replay
+  bit-identically;
 * the predicated last trip: every gang count from 1 to B+1, with and
   without a partial tail gang, at every B, over private storage,
   divergent loops, row-strided stores and atomics; with the arrays at the
@@ -76,8 +81,10 @@ def test_batching_is_invisible_at_every_factor(name):
         assert got == want, (name, factor)
 
 
-def test_fig5_kernels_batch_but_the_known_five():
-    """What stays unbatched, and why (ROADMAP's open item)."""
+def test_fig5_kernels_batch_but_the_known_three():
+    """What stays unbatched, and why (ROADMAP's open item).  The
+    histograms batch since their serialized atomics run as one
+    scatter-add per trip."""
     rejected = {}
     for spec in FIG5:
         module = driver.compile_parsimony(spec.psim_src)
@@ -87,8 +94,6 @@ def test_fig5_kernels_batch_but_the_known_five():
         "Reorder16bit": "gang-dependent scalar xor is not affine",
         "Reorder32bit": "gang-dependent scalar xor is not affine",
         "AbsDifferenceSumMasked": "mask_popcnt in gang loop",
-        "Histogram": "extractelement in gang loop",
-        "HistogramMasked": "extractelement in gang loop",
     }
 
 
@@ -98,8 +103,10 @@ def test_fig5_kernels_batch_but_the_known_five():
 
 #: kernel -> the array a memory cut runs through: ``BgrToBgra``'s output
 #: (row-strided stores), ``AbsDifferenceSum``'s second input (loads
-#: feeding the segmented sums).
-CUT = {"BgrToBgra": 1, "AbsDifferenceSum": 1}
+#: feeding the segmented sums), the histograms' cells (a scatter-add
+#: whose upper cells lie past the end of memory).
+CUT = {"BgrToBgra": 1, "AbsDifferenceSum": 1, "Histogram": 1,
+       "HistogramMasked": 2}
 
 
 def _trapping_launch(module, spec, budget=500_000_000, cut=None):
@@ -153,6 +160,83 @@ def test_trap_in_a_batched_trip_replays_bit_identically(name, kind):
     # Halfway through the work: the trap lands inside the gang loop.
     assert want["stats"][2].get("vstore" if name == "BgrToBgra" else "vload")
     got, replays = _trapping_launch(batched, spec, **trap_args)
+    assert replays == 1
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the scatter-add: a serialized atomic, one np.add.at per trip
+# ---------------------------------------------------------------------------
+
+HISTOGRAMS = ("Histogram", "HistogramMasked")
+
+
+def _histogram_launch(module, spec, overlap=False, budget=500_000_000):
+    """One launch; with ``overlap``, the histogram's cells lie inside the
+    image it counts (``hist = src + 64``), which every trip reads."""
+    workload = spec.workload()
+    interp = Interpreter(module, max_instructions=budget)
+    addrs = [interp.memory.alloc_array(a) for a in workload.arrays]
+    if overlap:
+        addrs[workload.outputs[0]] = addrs[0] + 64
+    trap = None
+    try:
+        interp.run("kernel", *addrs, *workload.scalars)
+    except ExecutionError as exc:
+        trap = f"{type(exc).__name__}: {exc}"
+    stats = interp.stats
+    assert all(type(n) is int for n in stats.counts.values())
+    return {
+        "trap": trap,
+        "stats": (stats.cycles, stats.instructions, dict(stats.counts)),
+        "image": interp.memory.image().tobytes(),
+        "extent": interp.memory.extent,
+    }, interp.batch_replays
+
+
+@pytest.mark.parametrize("name", HISTOGRAMS)
+def test_histograms_batch_as_one_scatter_add_per_trip(name):
+    spec = BY_NAME[name]
+    module = driver.compile_parsimony(spec.psim_src)
+    assert module.attrs["batch_applied"] == [
+        f"kernel:gang.header scatter-add %{'old.5' if name == 'Histogram' else 'old.8'}"
+        " x16 lanes"]
+    got, replays = _histogram_launch(module, spec)
+    want, _ = _histogram_launch(
+        driver.compile_parsimony(spec.psim_src, batch_request=0), spec)
+    assert replays == 0 and got == want
+
+
+@pytest.mark.parametrize("name", HISTOGRAMS)
+def test_scatter_add_over_its_own_input_replays_on_the_twin(name):
+    """The cells meet the image the trip reads: an update of an earlier
+    gang would reach a later gang's load unbatched, so the trip must not
+    reorder them — the launch replays on the unbatched twin."""
+    spec = BY_NAME[name]
+    want, replays = _histogram_launch(
+        driver.compile_parsimony(spec.psim_src, batch_request=0), spec,
+        overlap=True)
+    assert replays == 0 and want["trap"] is None
+    got, replays = _histogram_launch(
+        driver.compile_parsimony(spec.psim_src), spec, overlap=True)
+    assert replays == 1
+    assert got == want
+
+
+@pytest.mark.parametrize("name", HISTOGRAMS)
+@pytest.mark.parametrize("part", range(1, 8))
+def test_budget_trap_in_a_scatter_add_trip_replays_bit_identically(name, part):
+    """Budgets spread over the launch: the crossing lands on each kind of
+    check of a trip — the body's, the scatter-add's own (its lanes, once
+    per active lane under a mask) and the backedge's."""
+    spec = BY_NAME[name]
+    unbatched = driver.compile_parsimony(spec.psim_src, batch_request=0)
+    clean, _ = _histogram_launch(unbatched, spec)
+    budget = clean["stats"][1] * part // 8
+    want, _ = _histogram_launch(unbatched, spec, budget=budget)
+    assert want["trap"] is not None and want["stats"][2].get("atomicrmw")
+    got, replays = _histogram_launch(
+        driver.compile_parsimony(spec.psim_src), spec, budget=budget)
     assert replays == 1
     assert got == want
 

@@ -148,9 +148,10 @@ void kernel(u32* a, u32* out, u64 n) {{
 
 REJECTED = {
     "atomic": (
-        # The atomic fastpath lowers this through per-lane extracts; either
-        # the atomicrmw itself or its extractelement chain trips the scan.
-        "u32 v = a[i];\n        psim_atomic_add(out, v);",
+        # The vectorizer serializes this per lane; a serialized add runs as
+        # a scatter-add (ACCEPTED below), a max keeps the extractelement
+        # chain, which trips the scan.
+        "u32 v = a[i];\n        psim_atomic_max(out, v);",
         "in gang loop",
     ),
     # A constant-index shuffle batches (ACCEPTED below); an index read
@@ -248,6 +249,20 @@ ACCEPTED = {
         "        out[i] = s;",
         "batch.exit",
     ),
+    # Serialized atomic adds run as one scatter-add per trip: on a cell
+    # the data picks, under a mask, and on one cell for every lane.
+    "scatter_add": (
+        "psim_atomic_add(out + (u64)(a[i] & 7u), a[i]);",
+        "atomicrmw add <",
+    ),
+    "masked_scatter_add": (
+        "if ((a[i] & 3u) != 0u) { psim_atomic_add(out + (u64)(a[i] & 7u), 1u); }",
+        "atomicrmw add <",
+    ),
+    "uniform_cell_add": (
+        "u32 v = a[i];\n        psim_atomic_add(out, v);",
+        "atomicrmw add <",
+    ),
 }
 
 #: Threads for the acceptance runs: not a multiple of G·B, so full
@@ -276,8 +291,9 @@ def _run_accepted(module, **engine):
 
 @pytest.mark.parametrize("case", sorted(ACCEPTED))
 def test_legality_accepts_gang_local_forms(case):
-    """Constant-index shuffles, strided stores, and integer reductions
-    feeding an atomic or a broadcast batch — and stay invisible: outputs,
+    """Constant-index shuffles, strided stores, integer reductions feeding
+    an atomic or a broadcast, and serialized atomic adds batch — and stay
+    invisible: outputs,
     ``ExecStats``, the memory image and its extent match the unbatched
     build on both engines, at the cost model's factor and at B=4."""
     from repro.ir.printer import print_module
@@ -381,7 +397,7 @@ void kernel(i32* a, i32* b, i32 k, u64 n) {
 
 
 def test_rejections_surface_in_telemetry():
-    spec = {s.name: s for s in KERNELS}["Histogram"]
+    spec = {s.name: s for s in KERNELS}["Reorder16bit"]
     with telemetry.collect() as session:
         run_impl(spec, "parsimony")
     totals = session.vm_batch_totals()
@@ -414,8 +430,7 @@ def test_batch_factor_selection():
 #: that walk an image row by row (G=64), whose trips span rows × gangs
 #: (1: nothing batched, see ``test_batch_forms.py`` for why).
 AUTO_FACTORS = {
-    1: "AbsDifferenceSumMasked Histogram HistogramMasked Reorder16bit "
-       "Reorder32bit",
+    1: "AbsDifferenceSumMasked Reorder16bit Reorder32bit",
     8: "AbsGradientSaturatedSum GaussianBlur3x3 GetAbsDyRowSums GetRowSums "
        "Laplace LaplaceAbs LbpEstimate MeanFilter3x3 MedianFilter3x3 "
        "MedianFilterRhomb3x3 SobelDx SobelDxAbs SobelDy SobelDyAbs "
@@ -436,7 +451,7 @@ AUTO_FACTORS = {
     16: "Int16ToGray InterferenceDecrement InterferenceIncrement "
         "OperationBinary16iAddition OperationBinary16iSaturatedSubtraction "
         "aobench binomial_options mandelbrot volume_rendering",
-    32: "NeuralConvert noise options stencil",
+    32: "Histogram HistogramMasked NeuralConvert noise options stencil",
 }
 
 

@@ -227,10 +227,13 @@ def test_a_trap_in_generated_code_shows_the_emitted_line():
 # -- host work per launch ----------------------------------------------------------
 
 #: Profiled calls one warm launch may make (measured / at the commit
-#: before emit-time folding): BgrToBgra 3183 / 16570, Histogram 9862 /
-#: 25662, FillBgr 214 / 1049, Copy 69 / 135.
-CALL_BUDGET = {"BgrToBgra": 4000, "Histogram": 12000, "FillBgr": 400,
-               "Copy": 110}
+#: before emit-time folding): BgrToBgra 3183 / 16570, FillBgr 214 / 1049,
+#: Copy 69 / 135.  The histograms, measured since their serialized
+#: atomics batch as one scatter-add per trip (/ before): Histogram 178 /
+#: 9862, HistogramMasked 247 / 6232, each budget the measured count plus
+#: the 22 % headroom Histogram had before.
+CALL_BUDGET = {"BgrToBgra": 4000, "Histogram": 217, "HistogramMasked": 301,
+               "FillBgr": 400, "Copy": 110}
 
 
 @pytest.mark.parametrize("kernel", sorted(CALL_BUDGET))
