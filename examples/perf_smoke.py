@@ -27,6 +27,12 @@ a bailout runs) — and **fails (exit 1)** if:
   (``vm.codegen.calls`` stays zero — every kernel bailed out), or a
   kernel where codegen *did* engage runs slower than the codegen floor
   (default 0.9× the reference engine, measured interleaved),
+* a swept kernel whose thread count is its last scalar, launched with
+  one gang of threads — a single predicated trip of one live gang —
+  runs its batched build slower than the same codegen floor times its
+  unbatched build (each build bound once, launches interleaved, min of
+  15), or ends in different memory or ``ExecStats``: a trip computes only
+  its live gangs, so a short launch must not pay for the batch factor,
 * any build of the fig4 **or** fig5 suite (every kernel × every
   implementation) records a codegen bailout, a trap replay, or a row
   nest that ran one row per trip because its no-alias check failed: the
@@ -45,16 +51,20 @@ batched-vs-unbatched and codegen-vs-reference ratios land in
 """
 
 import argparse
+import dataclasses
 import json
+import re
 import sys
+import time
 
 import numpy as np
 
 from repro import telemetry
-from repro.benchsuite import IMPLEMENTATIONS, run_impl
+from repro.benchsuite import IMPLEMENTATIONS, build_impl, run_impl
 from repro.benchsuite.ispc_suite import BENCHMARKS
 from repro.benchsuite.simdlib import KERNELS
 from repro.driver import compile_parsimony
+from repro.vm import Interpreter
 
 #: binomial_options batches with its lattice expanded per gang; stencil
 #: and the three fig5 filters collapse their row nests; the histograms
@@ -71,10 +81,15 @@ COVERAGE_SUITES = (
 
 
 def _stats_equal(a, b):
+    """Bitwise equal ``ExecStats``, counts exact Python ints on both sides
+    (a ``numpy.int64`` count compares equal but breaks JSON)."""
     return (
         a.stats.cycles == b.stats.cycles
         and a.stats.instructions == b.stats.instructions
         and dict(a.stats.counts) == dict(b.stats.counts)
+        and all(type(s.instructions) is int
+                and all(type(n) is int for n in s.counts.values())
+                for s in (a.stats, b.stats))
     )
 
 
@@ -93,6 +108,53 @@ def _unbatched(spec, impl):
     return compile_parsimony(spec.psim_src,
                              module_name=f"{spec.name}.parsimony",
                              batch_request=0)
+
+
+def _one_gang(spec):
+    """The kernel's workload cut to one gang of threads, when its thread
+    count is its last scalar (``num_threads=n``, ``n`` last); else None."""
+    params = re.search(r"void kernel\(([^)]*)\)", spec.psim_src)
+    psim = re.search(r"gang_size=(\d+), num_threads=(\w+)\)", spec.psim_src)
+    if not (params and psim) or \
+            params.group(1).split()[-1] != psim.group(2):
+        return None
+    workload = spec.workload()
+    return dataclasses.replace(
+        workload, scalars=list(workload.scalars[:-1]) + [int(psim.group(1))])
+
+
+def _one_gang_ratio(spec, impl):
+    """Unbatched over batched wall-clock of a one-gang launch — each build
+    bound once, as a server launches a kernel, the launches interleaved,
+    min of 15 each after a warm one — and whether the two builds end
+    bitwise equal in memory and ``ExecStats`` (None when the kernel's
+    thread count is not its last scalar)."""
+    workload = _one_gang(spec)
+    if workload is None:
+        return None
+    launches = {}
+    for batched in (True, False):
+        interp = Interpreter(build_impl(spec, impl) if batched
+                             else _unbatched(spec, impl))
+        addrs = []
+        for array in workload.arrays:
+            addrs.append(interp.memory.alloc_array(array))
+            interp.memory.alloc(4096)  # run_impl's guard after each array
+        launches[batched] = (interp, addrs)
+    walls = {True: [], False: []}
+    for i in range(16):
+        for batched, (interp, addrs) in launches.items():
+            interp.reset_stats()
+            start = time.perf_counter()
+            interp.run("kernel", *addrs, *workload.scalars)
+            if i:
+                walls[batched].append(time.perf_counter() - start)
+    (b, _), (u, _) = launches[True], launches[False]
+    wall_b, wall_nb = min(walls[True]), min(walls[False])
+    return {"wall_batched": wall_b, "wall_unbatched": wall_nb,
+            "ratio": wall_nb / wall_b if wall_b else None,
+            "bitwise": np.array_equal(b.memory.image(), u.memory.image())
+            and _stats_equal(b, u)}
 
 
 def _coverage_sweep(session, failures):
@@ -216,7 +278,21 @@ def main():
                         f"its unbatched build (< {args.batch_floor} floor): "
                         f"{batch}")
 
+                one_gang = None
+                if impl == "parsimony" and batch.get("applied"):
+                    one_gang = _one_gang_ratio(spec, impl)
+                if one_gang and not one_gang["bitwise"]:
+                    failures.append(f"{name}: one-gang launch: batched and "
+                                    f"unbatched builds diverge")
+                if one_gang and one_gang["ratio"] is not None \
+                        and one_gang["ratio"] < args.codegen_floor:
+                    failures.append(
+                        f"{name}: a one-gang launch runs its batched build at "
+                        f"{one_gang['ratio']:.2f}x its unbatched build "
+                        f"(< {args.codegen_floor} floor): {one_gang}")
+
                 rows[name] = {
+                    "one_gang": one_gang,
                     "wall_batched": wall_b,
                     "wall_unbatched": wall_nb,
                     "wall_reference": wall_ref,
@@ -234,7 +310,9 @@ def main():
                     f"reference={wall_ref * 1e3:7.1f}ms "
                     f"batchx={rows[name]['batch_speedup']:5.2f} "
                     f"cgx={cg_ratio:5.2f} "
-                    f"stats={'ok' if stats_ok else 'DIVERGED'} "
+                    + (f"1gangx={one_gang['ratio']:5.2f} " if one_gang
+                       else "")
+                    + f"stats={'ok' if stats_ok else 'DIVERGED'} "
                     f"out={'ok' if out_ok else 'DIVERGED'}"
                 )
 

@@ -22,10 +22,13 @@ generated code:
   is batched in place: its step becomes ``G·B`` and its header
   ``condbr`` carries ``batch_trip = (G, B)``.  A trip runs the ``r =
   min(B, ⌈(bound − p)/G⌉)`` gangs left, so the last ``r < B`` gangs run
-  as one *predicated trip*: generated code masks off the inactive gangs'
-  loads, stores and atomics and counts only the active gangs in activity
-  counts and charges.  A ``batch.exit`` block on the exit edge charges
-  the unbatched loop's last header visit.
+  as one *predicated trip*, which generated code runs at live width: the
+  trip's values are ``c·r`` lanes wide, so it computes, loads and stores
+  its ``r`` gangs only, and counts them alone in activity counts and
+  charges.  A ``batch.exit`` block on the exit edge charges the
+  unbatched loop's last header visit.  B is the cost model's one lane
+  target over G (``costmodel.TARGET_BATCHED_LANES``), whatever the
+  loop's shape.
 * **Widening.**  A ``c``-lane vector inside the loop becomes ``c·B``
   lanes: B per-gang blocks side by side.  Vector constants tile per gang
   (each distinct constant once per loop); vectors defined outside the
@@ -142,9 +145,9 @@ generated code:
 * **Traps.**  Any trap inside a batched run is replayed wholesale on the
   twin by the interpreter, so trap ordering, messages, and
   trap-point ``ExecStats`` stay bit-identical to the unbatched engine.
-  Spurious batched-only traps (a finished or inactive gang's unmasked
-  arithmetic feeding ``sdiv``, say) are therefore harmless: the replay
-  completes cleanly and its results stand.
+  Spurious batched-only traps (a finished gang's unmasked arithmetic
+  feeding ``sdiv``, say) are therefore harmless: the replay completes
+  cleanly and its results stand.
 """
 
 from __future__ import annotations
@@ -199,16 +202,14 @@ class BatchReport(dict):
     """``{"factor": B, "applied": [...], "rejected": [(fn, loop, reason)]}``."""
 
 
-def select_batch_factor(gang_size: int, requested: Optional[int] = None,
-                        machine=None, straight_line: bool = False) -> int:
+def select_batch_factor(gang_size: int,
+                        requested: Optional[int] = None) -> int:
     """Resolve the batch factor for one gang loop.
 
     ``requested`` comes from ``REPRO_BATCH`` (rounded down to a power of
-    two); ``None`` asks the cost model, which honors ``machine``'s
-    register/lane width when one is given and aims higher for a
-    ``straight_line`` loop body.  A gang loop nested in a row loop gets
-    the same lane target: its trip spans the gangs of several rows (see
-    the module docstring), so a short row no longer pays for whole trips.
+    two); ``None`` asks the cost model for its one lane target, whatever
+    the loop's shape: a gang loop nested in a row loop gets it too, since
+    its trip spans the gangs of several rows (see the module docstring).
     Returns 1 when batching is not worthwhile.
     """
     if requested is not None:
@@ -218,7 +219,7 @@ def select_batch_factor(gang_size: int, requested: Optional[int] = None,
         while b * 2 <= requested:
             b *= 2
         return b
-    return suggest_batch_factor(gang_size, machine, straight_line)
+    return suggest_batch_factor(gang_size)
 
 
 def batching_request() -> Optional[int]:
@@ -1579,12 +1580,7 @@ def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport
                 rejected.append((function.name, gl.loop.header.name,
                                  f"non-power-of-two gang size {gl.step}"))
                 continue
-            # The bit of loop shape the factor looks at.
-            straight_line = not any(
-                inner.header is not gl.loop.header
-                and inner.header in gl.loop.blocks for inner in loops)
-            b = select_batch_factor(gl.step, requested,
-                                    straight_line=straight_line)
+            b = select_batch_factor(gl.step, requested)
             if b < 2:
                 rejected.append((function.name, gl.loop.header.name,
                                  "gang already at the lane target"))

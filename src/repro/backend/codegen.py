@@ -49,15 +49,23 @@ IR runs nowhere else):
   with a divergent loop in a batched region sets up; the batch factor,
   gang width and mask reshape are emitted as literals;
 * a batched gang loop (its header ``condbr`` carries ``batch_trip``)
-  sets ``_r``, the gangs the trip runs, on entering each trip.  The
-  last trip may run fewer than B — the *predicated trip*: stores write
-  the active gangs' lanes only, every ``Memory`` slow path gets its mask
-  cut to them (:func:`_active_mask`), activity counts and atomic folds
-  take the first ``_r`` gangs; loads may read inactive lanes inside the
-  physical buffer, which carry no meaning.  Accesses to an alloca
-  expanded per gang (``private`` rows) use a ``(rows, G·B)`` array and
-  per-trip row flags instead of VM memory (:meth:`_Emitter._emit_private`),
-  written back at the gang backedge (:func:`_private_writeback`);
+  sets ``_r``, the gangs the trip runs, and ``_n = _r·G``, its live
+  lanes, on entering each trip.  The last trip may run fewer than B —
+  the *predicated trip* — and every value a trip makes is as wide as
+  its live gangs: loads build ``_n`` lanes (``(_r, width)`` slots of a
+  row-strided access), broadcasts and lane ids take ``_n``, per-gang
+  segments reshape by rows of a gang's width, activity counts and
+  atomic folds see ``_r`` gangs, ``Memory`` slow paths get the live
+  lanes and their own mask.  What a trip reads but does not compute — a
+  constant, a folded value, a tile of a value defined before the loop,
+  an expanded alloca's rows — it reads through a view bound at its
+  width whenever ``_r`` changes (:class:`_Trip`); a tile is built at
+  that width straight from its source (:meth:`_Emitter._tile`).  No
+  dead gang is computed, loaded, bounds-checked or stored.  Accesses to
+  an alloca expanded per gang (``private`` rows) use a ``(rows, G·B)``
+  array and per-trip row flags instead of VM memory
+  (:meth:`_Emitter._emit_private`), written back at the gang backedge
+  (:func:`_private_writeback`);
 * a collapsed row nest (its header ``condbr`` carries ``row_nest``)
   computes its accesses' row strides and ``_Rn``, the rows per outer
   trip, at entry (:meth:`_Emitter._emit_nest_entry`, with the no-alias
@@ -112,7 +120,8 @@ protocol covers the rest:
   count wins, so code under a divergent loop charges once per gang that
   would still be iterating unbatched.  A loop's
   pending count (its ``batch_activity`` ``mask_any``: the gangs with an
-  active lane, ``_pend[lid]``) commits at its ``batch_backedge``
+  active lane, ``_pend[lid]``, a Python int — no lane count comes back
+  from numpy unwrapped) commits at its ``batch_backedge``
   (``_act[lid]``) and drops at its exit.
   Charges fold like plain ones, grouped by spec: static multiplicities
   fold at emit time, divergent ones resolve through ``_act.get`` chains
@@ -275,7 +284,7 @@ import functools
 import hashlib
 import linecache
 import struct
-from collections import OrderedDict, namedtuple
+from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -494,38 +503,52 @@ def _budget_trap(interp, fname: str):
     raise ExecutionLimitExceeded(f"exceeded {limit} instructions in @{fname}")
 
 
-def _active_mask(mask, count: int, lanes: int):
-    """``mask`` (``None``: every lane) cut to its first ``lanes`` lanes —
-    the active gangs of a predicated trip — for a ``Memory`` call."""
-    out = np.zeros(count, dtype=bool)
-    out[:lanes] = True if mask is None else mask[:lanes]
-    return out
-
-
-def _private_miss(mask, lanes: int, count: int, dtype):
+def _private_miss(mask, count: int, dtype):
     """A load the expanded private copy cannot serve (a row this trip
-    has not stored, or an offset off the rows): zeros when no active
-    lane reads, else the launch replays on the unbatched twin."""
-    if mask is not None and not count_nonzero(mask[:lanes]):
+    has not stored, or an offset off the rows): zeros when no lane
+    reads, else the launch replays on the unbatched twin."""
+    if mask is not None and not count_nonzero(mask):
         return np.zeros(count, dtype)
     raise _BatchedBailout("private storage read before the trip wrote it")
 
 
-def _private_writeback(memory, base: int, private, flags, lo: int, hi: int):
+def _private_writeback(memory, base: int, private, flags, lanes: int):
     """End of a batched trip: every row of the VM block the trip stored
-    gets the last active gang's lanes ``private[k, lo:hi]`` — what the
-    unbatched gangs leave there."""
+    gets the trip's last gang's ``lanes`` lanes of ``private`` (at live
+    width) — what the unbatched gangs leave there."""
     rows = [k for k, flag in enumerate(flags) if flag]
     if rows:
-        block = np.ndarray((len(flags), hi - lo), private.dtype,
+        block = np.ndarray((len(flags), lanes), private.dtype,
                            memory.data, base)
-        block[rows] = private[rows, lo:hi]
+        block[rows] = private[rows, -lanes:]
 
 
-#: The gang loop being emitted: its ``batch_trip`` factors, header, and
-#: the allocas it expands, each ``alloca -> (rows, row bytes, lanes per
-#: gang, array local, flags local)``.  A row tail's trip has no header.
-_Trip = namedtuple("_Trip", "gang batch header privates")
+class _Trip:
+    """The trips being emitted — a gang loop's, or a row tail's (no
+    header) — which run at live width (see "Accounting contract"): the
+    ``batch_trip`` factors, the region's blocks, the allocas it expands,
+    each ``alloca -> (rows, row bytes, lanes per gang, array view, flags
+    local)``, and its *views*: each batched-width value the region reads
+    but does not compute — a constant, a folded value, a tile of a value
+    defined before the loop, a private array — as ``expression at live
+    width -> local``.  The locals are bound on entering a trip whose
+    ``_r`` differs from ``rv``'s, the ``_r`` they were last bound for
+    (zeroed on entering the region), into the line slot ``mark`` once
+    the region is emitted and its views are known."""
+
+    __slots__ = ("gang", "batch", "header", "blocks", "privates", "views",
+                 "rv", "mark")
+
+    def __init__(self, gang: int, batch: int, header, blocks, rv: str):
+        self.gang = gang
+        self.batch = batch
+        self.header = header
+        self.blocks = blocks
+        self.rv = rv
+        self.privates: Dict[Instruction, tuple] = {}
+        self.views: Dict[str, str] = {}
+        self.mark = -1
+
 
 _M64 = (1 << 64) - 1
 
@@ -559,14 +582,14 @@ def _rows_disjoint(rows: int, accesses) -> bool:
     return True
 
 
-def _slot_lanes(memory, addr: int, dtype, count: int, batch: int, rows: int,
+def _slot_lanes(memory, addr: int, dtype, width: int, rows: int,
                 gangs: int, rho: int, delta: int, mask, values=None):
     """The ``Memory`` path of a trip's packed access over ``(rows, gangs,
-    lanes)`` slots (:meth:`_Emitter._emit_slots`): row by row, each a
+    width)`` slots (:meth:`_Emitter._emit_slots`): row by row, each a
     row-strided access of its ``gangs`` gangs ``delta`` bytes apart, so
     every gang validates and traps as its unbatched access does."""
-    span = gangs * (count // batch)
-    out = np.zeros(count, dtype) if values is None else None
+    span = gangs * width
+    out = np.zeros(rows * span, dtype) if values is None else None
     for i in range(rows):
         at = (addr + i * rho) & _M64
         lo = i * span
@@ -589,27 +612,34 @@ def _scatter_add(memory, sub: bool, addrs, values, mask, lane: int,
     in bounds and a multiple of the cell size (two cells are one cell,
     where adds commute mod 2**n, or share no byte), and the cells' hull
     meets none of the ``windows``, the trip's other accesses: gang k's
-    ``[base + k·step, base + k·step + width)`` for each of its ``gangs``.
+    ``[base + k·step, base + k·step + width)`` for each of its ``gangs``
+    (a trip of one gang runs its accesses in the unbatched order).
     Anything else replays the launch on the unbatched twin."""
     if mask is not None:
         addrs = addrs[mask]
         if isinstance(values, np.ndarray):
             values = values[mask]
-    if not len(addrs):
-        return
+        if not len(addrs):
+            return
     cells = memory.lanes[lane]
     size = cells.itemsize
-    lo, end = int(addrs.min()), int(addrs.max()) + size
-    if lo < NULL_GUARD or end > len(cells) * size or (addrs % size).any():
+    lo = int(np.minimum.reduce(addrs))
+    end = int(np.maximum.reduce(addrs)) + size
+    if lo < NULL_GUARD or end > len(cells) * size \
+            or size > 1 and count_nonzero(addrs & (size - 1)):
         raise _BatchedBailout("scatter-add cell out of bounds or misaligned")
-    for base, step, width in windows:
+    # One gang's trip is its unbatched order: only cells can differ.
+    for base, step, width in windows if gangs > 1 else ():
         reach = (gangs - 1) * step
         top = base + max(reach, 0) + width
         if base + min(reach, 0) < end and lo < top or top > _M64 + 1:
             raise _BatchedBailout("scatter-add meets another access")
     if end > memory._extent:
         memory._extent = end
-    (np.subtract if sub else np.add).at(cells, addrs // size, values)
+    # Cell indices as ``intp`` (every address is below the buffer's end),
+    # the index type ``ufunc.at`` takes without a cast.
+    (np.subtract if sub else np.add).at(
+        cells, addrs.view(np.int64) >> (size.bit_length() - 1), values)
 
 
 #: ``atomicrmw`` ops :func:`_rmw_rows` applies to a row of cells at once.
@@ -652,7 +682,7 @@ def _rmw_rows(memory, addr: int, rho: int, rows: int, ctype, rmw: str,
     """A per-gang ``atomicrmw`` in a collapsed trip: row ``i`` folds its
     gangs' lanes into the cell at ``addr + i·rho`` (a per-row cell,
     ``sums + y``; rows update in row order)."""
-    folds = lanes[:rows * gangs].reshape(rows, gangs)
+    folds = lanes.reshape(rows, gangs)
     ufunc = _ROW_RMW.get(rmw)
     cells = None if ufunc is None else \
         _row_cells(memory, addr, rho, rows, lanes.dtype)
@@ -739,7 +769,7 @@ class _Nest:
     computed at nest entry."""
 
     __slots__ = ("header", "row", "bound", "inc", "blocks", "gang_phi",
-                 "gang", "batch", "form", "strides")
+                 "gang", "batch", "form", "strides", "tail", "rvs")
 
     def __init__(self, loop: Loop, gang: int, batch: int):
         term = loop.header.instructions[-1]
@@ -756,6 +786,10 @@ class _Nest:
         self.form = AffineForms(self.blocks, self.gang_phi, self.row)
         #: Row part of a form -> the local holding its signed row stride.
         self.strides: Dict[frozenset, str] = {}
+        #: The row tail's blocks, and the ``_r`` the gang loop's and the
+        #: tail's views are bound for (set at nest entry).
+        self.tail: Set[BasicBlock] = set()
+        self.rvs: Tuple[str, str] = ("", "")
 
 
 def _private_alloca(access: Instruction) -> Instruction:
@@ -1023,8 +1057,14 @@ class _Emitter:
         #: instructions repeat a tuple already priced.
         self._charge_items: Dict[tuple, tuple] = {}
         self.exit_counter = 0
-        #: The gang loop being emitted (a :data:`_Trip`), or ``None``.
-        self.trip = None
+        #: The trips being emitted (a :class:`_Trip`), or ``None``; views
+        #: and trip regions named so far (every trip names its own).
+        self.trip: Optional[_Trip] = None
+        self.view_count = 0
+        self.rv_count = 0
+        #: Tiles built at live width, where a trip reads them:
+        #: ``id(shuffle) -> (source, selector)`` (see :meth:`_tile`).
+        self.tiles: Dict[int, Tuple[str, str]] = {}
         #: The collapsed row nest being emitted (a :class:`_Nest`), or
         #: ``None``; whether any nest's no-alias check was emitted.
         self.nest: Optional[_Nest] = None
@@ -1097,7 +1137,69 @@ class _Emitter:
             value = self.known[id(v)] = _constant_payload(v)
         return value
 
-    def ref(self, v: Value) -> str:
+    def _live(self, count: int) -> str:
+        """The lanes a trip's ``count``-lane (batched-width) value has at
+        live width: ``c`` per gang of the trip, ``_n`` being ``_r·G``."""
+        c = count // self.trip.batch
+        return "_n" if c == self.trip.gang else "_r" if c == 1 \
+            else f"_r * {c}"
+
+    def _view(self, expr: str) -> str:
+        """The local a trip reads ``expr`` — a value at the trip's live
+        width — through (see :class:`_Trip`)."""
+        views = self.trip.views
+        name = views.get(expr)
+        if name is None:
+            name = views[expr] = f"_t{self.view_count}"
+            self.view_count += 1
+        return name
+
+    def _new_rv(self) -> str:
+        """A fresh local for the ``_r`` a trip region's views are bound
+        for."""
+        self.rv_count += 1
+        return f"_rv{self.rv_count - 1}"
+
+    def _mark(self) -> None:
+        """The line slot of the trip's view bindings (:meth:`_close_trip`)."""
+        self.trip.mark = len(self.lines)
+        self.line("")
+
+    def _close_trip(self) -> None:
+        """The trip's region is emitted: fill its view slot, which binds
+        every view at the trip's width whenever ``_r`` changed."""
+        trip = self.trip
+        if trip.views:
+            pad = self.lines[trip.mark]
+            self.lines[trip.mark] = "\n".join(
+                [f"{pad}if _r != {trip.rv}:", f"{pad}    {trip.rv} = _r"]
+                + [f"{pad}    {name} = {expr}"
+                   for expr, name in trip.views.items()])
+        else:
+            self.lines[trip.mark] = ""
+
+    def ref(self, v: Value, narrow: bool = False) -> str:
+        """``v`` as a Python expression.  In a trip, a batched-width vector
+        the trip does not compute itself is read through its view, at live
+        width — unless the use is ``narrow`` (a per-gang shuffle's index)."""
+        trip = self.trip
+        tile = self.tiles.get(id(v))
+        if tile is not None:
+            source, sel = tile
+            if trip is None:  # a nest's entry reads a row tail's mask
+                return f"{source}[{sel}]"
+            # One gang's tile is its source (values are never written).
+            return self._view(f"{source} if _r == 1 else"
+                              f" {source}[{sel}[:{self._live(v.type.count)}]]")
+        r = self._ref(v)
+        if trip is None or narrow or not isinstance(v.type, VectorType) \
+                or v.type.count % trip.batch or (
+                    isinstance(v, Instruction) and v.parent in trip.blocks
+                    and id(v) not in self.known):
+            return r
+        return self._view(f"{r}[:{self._live(v.type.count)}]")
+
+    def _ref(self, v: Value) -> str:
         if isinstance(v, Constant):  # before ``names`` hashes it by value
             return self.hoist(self.payload(v), key=("c", id(v)))
         name = self.names.get(v)
@@ -1185,9 +1287,8 @@ class _Emitter:
                         ins, self.machine, cost)
                 spec = ins.attrs["batch_mult"]
                 if spec == LANES:  # a scatter-add's active lanes
-                    mask, lanes = ins.operands[2], ins.operands[0].type.count
-                    spec = (f"{self._int()}({self._cnz()}({self.ref(mask)}"
-                            f"[:_r * {lanes // ins.attrs['segments']}]))")
+                    spec = (f"{self._int()}({self._cnz()}("
+                            f"{self.ref(ins.operands[2])}))")
                 if isinstance(spec, tuple) and not self.trip:
                     raise CodegenBailout("batch-spec-outside-gang-loop")
                 if spec == ROWS and not self.nest:
@@ -1352,7 +1453,7 @@ class _Emitter:
                 if not self.is_known(index):
                     return None
                 row = n // segments
-                return (f"{argrefs[0]}.reshape({segments}, {row})"
+                return (f"{argrefs[0]}.reshape(-1, {row})"
                         f"[:, {self._selector(index, row)}].reshape(-1)")
             if self.is_known(index):
                 return f"{argrefs[0]}[{self._selector(index, n)}]"
@@ -1366,7 +1467,8 @@ class _Emitter:
             if getattr(src, "bits", 1) == 1 or op not in (
                     "reduce_add", "reduce_min_u", "reduce_max_u"):
                 return None
-            rows = f"{argrefs[0]}.reshape({ins.attrs['segments']}, -1)"
+            rows = (f"{argrefs[0]}.reshape(-1,"
+                    f" {ins.operands[0].type.count // ins.attrs['segments']})")
             if op == "reduce_add":
                 add = self.hoist(np.add.reduce, key=("np", "add.reduce"))
                 return f"{add}({rows}, axis=1, dtype={self._dtype(src)})"
@@ -1517,11 +1619,12 @@ class _Emitter:
         t = ins.type
         dtype = elem_dtype(t.elem)
         dst = self.name_of(ins)
+        count = self._live(t.count) if self.trip else t.count
         if dtype.kind == "u" and dtype.itemsize == 8:
-            self.line(f"{dst} = {self._np(np.full)}({t.count}, {scalar},"
+            self.line(f"{dst} = {self._np(np.full)}({count}, {scalar},"
                       f" {self._dtype(t.elem)})")
         else:
-            self.line(f"{dst} = {self._np(np.empty)}({t.count},"
+            self.line(f"{dst} = {self._np(np.empty)}({count},"
                       f" {self._dtype(t.elem)})")
             self.line(f"{dst}.fill({scalar})")
 
@@ -1557,9 +1660,12 @@ class _Emitter:
         else:
             if self._fold(ins):
                 return
-        argrefs = [self.ref(o) for o in ins.operands]
+        if self._tile(ins):
+            return
+        segments = ins.attrs.get("segments")
+        argrefs = [self.ref(o, narrow=segments is not None and i == 1)
+                   for i, o in enumerate(ins.operands)]
         if ins.opcode == "broadcast":
-            segments = ins.attrs.get("segments")
             if segments is not None:
                 # A per-gang value: each lane over its gang's lanes.
                 self.line(f"{self.name_of(ins)} = {argrefs[0]}.repeat("
@@ -1570,10 +1676,41 @@ class _Emitter:
         expr = self._scalar_expr(ins, argrefs)
         if expr is None:
             expr = self._vec_expr(ins, argrefs)
+        if expr is None and segments is not None:
+            # Per-gang segments at live width: one per gang of the trip.
+            if ins.opcode == "shuffle":
+                fn = self.hoist(shuffle_segments, key=("b", "shuffle"))
+                expr = f"{fn}({argrefs[0]}, {argrefs[1]}, _r)"
+            else:
+                fn = self.hoist(reduce_segments, key=("b", "reduce"))
+                expr = f"{fn}({ins.opcode!r}, {argrefs[0]}, _r)"
         if expr is None:
             impl = self.hoist(_value_impl(ins), key=("impl", id(ins)))
             expr = f"{impl}({', '.join(argrefs)})"
         self.line(f"{self.name_of(ins)} = {expr}")
+
+    def _tile(self, ins: Instruction) -> bool:
+        """A shuffle that repeats a ``c``-lane vector across B gangs (gang
+        batching's tile of a value defined before the loop), read only by
+        trips: no line here — each trip builds it at its live width, one
+        fancy index of the source, or a one-gang trip reads the source
+        itself (see :meth:`ref`); what reads it outside a trip builds it
+        whole."""
+        if ins.opcode != "shuffle" or self.trip or "segments" in ins.attrs:
+            return False
+        source, index = ins.operands
+        c = source.type.count
+        if not self.is_known(index) or ins.type.count <= c or \
+                ins.type.count % c or not all(
+                    isinstance(user.attrs.get("batch_mult"), tuple)
+                    or user.attrs.get("batch_mult") == LANES
+                    for user, _ in ins.uses):
+            return False
+        lanes = self.payload(index)
+        if not np.array_equal(lanes, np.tile(np.arange(c), len(lanes) // c)):
+            return False
+        self.tiles[id(ins)] = (self.ref(source), self._selector(index, c))
+        return True
 
     # -- memory access (see "Memory access" in the module docstring) -------------
 
@@ -1643,10 +1780,8 @@ class _Emitter:
                 return
             if segments:
                 # Per-gang lanes: one read-modify-write with the fold of
-                # the trip's active gangs.
+                # the trip's gangs.
                 fold = self.hoist(fold_lanes, key=("fold",))
-                if self.trip:
-                    x = f"{x}[:_r]"
                 self.line(f"_f = {fold}({rmw!r}, {t.bits}, {x})")
                 x = "_f"
             new = _int_binop_expr(rmw, t.bits, old, x) \
@@ -1676,11 +1811,10 @@ class _Emitter:
                      store=self.ref(ops[0]))
         elif op == "gather":
             self.slow_sites += 1
-            mref = self._mask_ref(ops[1], self._mask_lanes(ops[1]))
             self.line(
                 f"{self.name_of(ins)} = _mem.gather({self.ref(ops[0])},"
                 f" {self._type(ins.type.elem)},"
-                f" {self._slow_mask(mref, ins.type.count)})"
+                f" {self._mask_ref(ops[1], self._mask_lanes(ops[1]))})"
             )
         else:  # scatter
             self.slow_sites += 1
@@ -1717,14 +1851,17 @@ class _Emitter:
                 windows += (f"(({' + '.join(terms) or '0'}) & {_M64:#x},"
                             f" {forms.delta(addr) * self.trip.gang}, {width}),")
         addrs, value, *mask = ins.operands
-        n = f"[:_r * {addrs.type.count // ins.attrs['segments']}]"
-        values = self.ref(value) + (n if value.type.is_vector else "")
-        mask = f"{self.ref(mask[0])}{n}" if mask else "None"
+        mask = self.ref(mask[0]) if mask else "None"
         lane = _LANE_INDEX[elem_dtype(addrs.type.elem.pointee)]
+        values = self.ref(value)
+        if self.is_known(value) and value.type.is_vector:
+            lanes = self.payload(value)
+            if (lanes == lanes[0]).all():  # one value for every lane
+                values = self.hoist(lanes[0], key=("k0", id(lanes)))
         self.slow_sites += 1
         self.line(f"{self.hoist(_scatter_add, key=('b', 'scatter_add'))}(_mem,"
-                  f" {ins.attrs['op'] == 'sub'}, {self.ref(addrs)}{n}, {values},"
-                  f" {mask}, {lane}, _r, ({windows}))")
+                  f" {ins.attrs['op'] == 'sub'}, {self.ref(addrs)},"
+                  f" {values}, {mask}, {lane}, _r, ({windows}))")
 
     def _emit_cell(self, ins, t, addr: str, store: Optional[str] = None) -> None:
         """A scalar ``load`` (``store`` is None), ``store``, or — when
@@ -1774,20 +1911,27 @@ class _Emitter:
         past its last active lane), whether there are holes below it, and
         whether there is an access at all; a runtime mask joins the test
         (``count_nonzero(mask) == count``) and takes the all-active form.
+        In a trip the access covers the trip's live lanes, and a known
+        mask is read per gang: the lanes needed end at the last gang's.
         Whatever the test rejects calls ``Memory`` with the original
         mask."""
         dtype = elem_dtype(vtype.elem)
         dt = self._dtype(vtype.elem)
-        count = vtype.count
-        lanes = self._mask_lanes(mask)
-        active, needed = lanes if lanes is not None else (count, count)
-        mref = self._mask_ref(mask, lanes)
-        smask = self._slow_mask(mref, count)
+        count = width = vtype.count
+        if self.trip:
+            width //= self.trip.batch
+            lanes = self._mask_lanes(mask, self.trip.batch)
+            count = self._live(count)
+        else:
+            lanes = self._mask_lanes(mask)
+        active, needed = lanes if lanes is not None else (width, width)
+        mref = "None" if lanes is not None and active == width \
+            else self.ref(mask)
         if store is None:
             dst = self.name_of(ins)
-            slow = f"{dst} = _mem.load_lanes({addr}, {dt}, {count}, {smask})"
+            slow = f"{dst} = _mem.load_lanes({addr}, {dt}, {count}, {mref})"
         else:
-            slow = f"_mem.store_lanes({addr}, {dt}, {store}, {smask})"
+            slow = f"_mem.store_lanes({addr}, {dt}, {store}, {mref})"
         self.inline_sites += 1
         if not needed:
             # No active lane: the address is never validated.
@@ -1796,28 +1940,27 @@ class _Emitter:
             return
         shift = dtype.itemsize.bit_length() - 1
         ln = self.hoist(len, key=("b", "len"))
-        keep = self._keep(mask, active, needed)
-        reach = needed
-        part = "" if needed == count else f"[:{needed}]"
-        if store is not None and self.trip:
-            # A store writes the active gangs' lanes only (a load may
-            # read the others: inactive lanes carry no meaning).
-            n = f"_r * {count // self.trip.batch}"
-            self.line(f"_n = {n}" if needed == count
-                      else f"_n = {needed} if {n} > {needed} else {n}")
-            reach, part = "_n", "[:_n]"
-            if keep is not None:
-                keep += "[:_n]"
+        short = width - needed  # lanes past the last one needed
+        reach = count if not short else count - short \
+            if isinstance(count, int) else f"{count} - {short}"
+        part = "" if not short else f"[:{reach}]"
+        keep = None
+        if active != needed or self.trip and short:
+            # Holes below the last lane needed: in a trip, also every
+            # gang's lanes past its ``needed`` but the last gang's.
+            keep = self._keep(mask, vtype.count - short)
+            if self.trip:
+                keep = self._view(f"{keep}[:{reach}]")
         test = f"_i < {NULL_GUARD >> shift} or _i + {reach} > {ln}(_w)"
         if shift:
             test = f"{addr} & {dtype.itemsize - 1} or {test}"
         span = f"_w[_i:_i + {reach}]"
         if lanes is None:
             inline = self._masked_inline(ins, dt, dtype.itemsize, count, addr,
-                                         mref, span, reach, part, store)
+                                         mref, span, store)
         elif store is not None:
-            nbytes = needed * dtype.itemsize if reach == needed \
-                else f"_n * {dtype.itemsize}"
+            nbytes = reach * dtype.itemsize if isinstance(reach, int) \
+                else f"({reach}) * {dtype.itemsize}"
             inline = [f"_e = {addr} + {nbytes}",
                       "if _e > _mem._extent:",
                       "    _mem._extent = _e",
@@ -1843,8 +1986,8 @@ class _Emitter:
         pad += "    "
         self.lines += [pad + text for text in inline]
 
-    def _masked_inline(self, ins, dt: str, itemsize: int, count: int,
-                       addr: str, mref: str, span: str, reach, part: str,
+    def _masked_inline(self, ins, dt: str, itemsize: int, count, addr: str,
+                       mref: str, span: str,
                        store: Optional[str]) -> List[str]:
         """The in-bounds form of a packed access under a runtime mask: all
         lanes active is a plain slice; otherwise a load zeroes its inactive
@@ -1861,21 +2004,20 @@ class _Emitter:
                     "else:",
                     f"    {dst} = {self._np(np.zeros)}({count}, {dt})",
                     f"    {copyto}({dst}, {span}, where={mref})"]
-        m = f"{mref}{part}"
-        nbytes = reach * itemsize if isinstance(reach, int) \
-            else f"{reach} * {itemsize}"
-        last = f"({self._int()}({m}.nonzero()[0][-1]) + 1) * {itemsize}"
-        return [f"_nc = {cnz}({m})",
-                f"if _nc == {reach}:",
+        nbytes = count * itemsize if isinstance(count, int) \
+            else f"{count} * {itemsize}"
+        last = f"({self._int()}({mref}.nonzero()[0][-1]) + 1) * {itemsize}"
+        return [f"_nc = {cnz}({mref})",
+                f"if _nc == {count}:",
                 f"    _e = {addr} + {nbytes}",
                 "    if _e > _mem._extent:",
                 "        _mem._extent = _e",
-                f"    {span} = {store}{part}",
+                f"    {span} = {store}",
                 "elif _nc:",
                 f"    _e = {addr} + {last}",
                 "    if _e > _mem._extent:",
                 "        _mem._extent = _e",
-                f"    {copyto}({span}, {store}{part}, where={m})"]
+                f"    {copyto}({span}, {store}, where={mref})"]
 
     def _emit_slots(self, ins, vtype, addr: str, mask: Value,
                     store: Optional[str] = None) -> None:
@@ -1884,21 +2026,20 @@ class _Emitter:
         gangs)·ρ + (k % gangs)·Δ`` — Δ the per-gang delta (``row_stride``,
         or the access's width when its gangs are contiguous).  A flat gang
         loop's trip is one row of ``_r`` gangs (the row-strided form), a
-        ``(gangs, lanes)`` view; a collapsed row nest's is ``_R`` rows of
+        ``(_r, lanes)`` view; a collapsed row nest's is ``_R`` rows of
         ``_g`` gangs, ρ the address's row stride (a row tail runs one gang
-        per row), a ``(rows, gangs, lanes)`` view.  One range test over the
-        trip's span, then the view of the byte buffer; a mask known at emit
-        time and the same in every slot decides how many lanes each slot
-        needs and whether ``copyto(where=KEEP)`` skips holes, a runtime
-        mask becomes the ``where`` of the copy.  Whatever the test rejects
-        goes row by row through ``Memory.load_rows``/``store_rows``
-        (:func:`_slot_lanes`)."""
+        per row), a ``(_R, _g, lanes)`` view — the trip's live lanes either
+        way.  One range test over the trip's span, then the view of the
+        byte buffer; a mask known at emit time and the same in every slot
+        decides how many lanes each slot needs and whether
+        ``copyto(where=KEEP)`` skips holes, a runtime mask becomes the
+        ``where`` of the copy.  Whatever the test rejects goes row by row
+        through ``Memory.load_rows``/``store_rows`` (:func:`_slot_lanes`)."""
         batch = self.trip.batch
         dtype = elem_dtype(vtype.elem)
         es = dtype.itemsize
         dt = self._dtype(vtype.elem)
-        count = vtype.count
-        width = count // batch
+        width = vtype.count // batch
         step = ins.attrs.get("row_stride")
         delta = step if isinstance(step, int) else width * es
         lanes = self._mask_lanes(mask, batch)
@@ -1907,40 +2048,33 @@ class _Emitter:
             # No active lane: the address is never validated.
             if store is None:
                 self.line(f"{self.name_of(ins)} = {self._np(np.zeros)}("
-                          f"{count}, {dt})")
+                          f"{self._live(vtype.count)}, {dt})")
             return
         self.inline_sites += 1
-        lanes_of = "" if needed == width else f":{needed}"
+        lanes_of = "" if needed == width else f"[..., :{needed}]"
         if self.nest:
             rho = self._row_stride(ins.operands[0 if store is None else 1])
             rows, gangs, lead = "_R", "_g", "_R, _g"
             strides = f"{rho}, {delta}, {es}"
             reach = f"(_R - 1) * {rho} + (_g - 1) * {delta}"
-
-            def slots(rows_by_gang: str) -> str:
-                """The trip's slots of a ``(B, width)`` array, by row."""
-                return (f"{rows_by_gang}[:_r].reshape(_R, _g, {width})"
-                        + (f"[:, :, {lanes_of}]" if lanes_of else ""))
         else:
             rho, rows, gangs, lead = "0", "1", "_r", "_r"
             strides = f"{delta}, {es}"
             reach = f"(_r - 1) * {delta}"
-
-            def slots(rows_by_gang: str) -> str:
-                return f"{rows_by_gang}[:_r{', ' + lanes_of if lanes_of else ''}]"
-        keep = self._keep(mask, active, needed) if lanes is not None else None
         mref = "None" if lanes is not None and active == width \
             else self.ref(mask)
-        where = keep if lanes is not None else \
-            slots(f"{mref}.reshape({batch}, {width})")
+        if lanes is None:
+            where = f"{mref}.reshape({lead}, {width})"
+        else:
+            where = None if active == needed else self._keep(mask, needed)
         nd = self.hoist(np.ndarray, key=("np", "ndarray"))
         copyto = self._np(np.copyto)
         view = f"{nd}(({lead}, {needed}), {dt}, _d, {addr}, ({strides}))"
         end = f"{reach} + {needed * es}"
         ln = self.hoist(len, key=("b", "len"))
         lanes_fn = self.hoist(_slot_lanes, key=("b", "slot_lanes"))
-        slow = (f"{lanes_fn}(_mem, {addr}, {dt}, {count}, {batch}, {rows},"
-                f" {gangs}, {rho}, {delta}, {mref}")
+        slow = (f"{lanes_fn}(_mem, {addr}, {dt}, {width}, {rows}, {gangs},"
+                f" {rho}, {delta}, {mref}")
         pad = "    " * self.indent
         self.lines += [f"{pad}_d = _mem.data",
                        f"{pad}if {addr} < {NULL_GUARD} or {addr} + {end}"
@@ -1949,77 +2083,58 @@ class _Emitter:
             dst = self.name_of(ins)
             self.lines.append(f"{pad}    {dst} = {slow})")
             self.lines.append(f"{pad}else:")
-            body = []
             if where is None and not lanes_of:
-                body += [f"if _r == {batch}:",
-                         f"    {dst} = {view}.flatten()",
-                         "else:"]
-                indent = "    "
+                body = [f"{dst} = {view}.flatten()"]
             else:
-                indent = ""
-            fill = slots(dst)
-            body += [indent + f"{dst} = {self._np(np.zeros)}(({batch},"
-                     f" {width}), {dt})",
-                     indent + (f"{fill}[...] = {view}" if where is None else
-                               f"{copyto}({fill}, {view}, where={where})"),
-                     indent + f"{dst} = {dst}.reshape(-1)"]
+                body = [f"{dst} = {self._np(np.zeros)}(({lead}, {width}),"
+                        f" {dt})",
+                        f"{dst}{lanes_of} = {view}" if where is None else
+                        f"{copyto}({dst}{lanes_of}, {view}, where={where})",
+                        f"{dst} = {dst}.reshape(-1)"]
             self.lines += [f"{pad}    {text}" for text in body]
             return
         self.lines.append(f"{pad}    {slow}, {store})")
         self.lines.append(f"{pad}else:")
-        src = slots(f"{store}.reshape({batch}, {width})")
+        src = f"{store}.reshape({lead}, {width}){lanes_of}"
         if lanes is None:
             # A runtime mask: the extent rises to its last active lane.
             last = self.hoist(_last_lane_end, key=("b", "last_lane_end"))
-            body = [f"_m = {mref}.reshape({batch}, {width})",
-                    f"_e = {last}(_m[:_r].reshape(-1), {width}, {gangs},"
-                    f" {rho}, {delta}, {es})",
+            body = [f"_e = {last}({mref}, {width}, {gangs}, {rho}, {delta},"
+                    f" {es})",
                     "if _e:",
                     f"    _e += {addr}",
                     "    if _e > _mem._extent:",
                     "        _mem._extent = _e",
-                    f"    {copyto}({view}, {src}, where={slots('_m')})"]
+                    f"    {copyto}({view}, {src}, where={where})"]
         else:
             body = [f"_e = {addr} + {end}",
                     "if _e > _mem._extent:",
                     "    _mem._extent = _e",
-                    f"{view}[...] = {src}" if keep is None else
-                    f"{copyto}({view}, {src}, where={keep})"]
+                    f"{view}[...] = {src}" if where is None else
+                    f"{copyto}({view}, {src}, where={where})"]
         self.lines += [f"{pad}    {text}" for text in body]
-
-    def _slow_mask(self, mref: str, count: int) -> str:
-        """The mask a ``Memory`` call gets: in a gang loop, cut to the
-        active gangs' lanes on a predicated trip."""
-        if not self.trip:
-            return mref
-        batch = self.trip.batch
-        cut = self.hoist(_active_mask, key=("b", "active_mask"))
-        return (f"({mref} if _r == {batch} else"
-                f" {cut}({mref}, {count}, _r * {count // batch}))")
 
     def _emit_private(self, ins, vtype, addr: str, mask: Value,
                       store: Optional[str] = None) -> None:
         """A ``vload``/``vstore`` of per-gang expanded storage (see
         :mod:`repro.backend.batch`): row ``(addr - alloca) / row_bytes``
-        of the trip's ``(rows, G·B)`` array.  A store whose mask covers
-        every active lane writes the row and flags it; any other store
-        with an active lane, and a load with an active lane from an
-        unflagged row or an offset off the rows, replay the launch on the
-        unbatched twin (``_BatchedBailout``)."""
+        of the trip's ``(rows, G·B)`` array, at live width.  A store whose
+        mask covers every lane of the trip writes the row and flags it; any
+        other store with an active lane, and a load with an active lane
+        from an unflagged row or an offset off the rows, replay the launch
+        on the unbatched twin (``_BatchedBailout``)."""
         base = _private_alloca(ins)
-        rows, row_bytes, lanes_per_gang, array, flags = \
-            self.trip.privates[base]
-        count = vtype.count
+        rows, row_bytes, _, array, flags = self.trip.privates[base]
         lanes = self._mask_lanes(mask)
+        n = self._live(vtype.count)
         if lanes is not None and not lanes[1]:
             if store is None:  # no active lane: nothing read or checked
                 self.line(f"{self.name_of(ins)} = {self._np(np.zeros)}("
-                          f"{count}, {self._dtype(vtype.elem)})")
+                          f"{n}, {self._dtype(vtype.elem)})")
             return
         self.inline_sites += 1
-        full = lanes is not None and lanes[0] == count
+        full = lanes is not None and lanes[0] == vtype.count
         mref = self._mask_ref(mask, lanes)
-        n = f"_r * {lanes_per_gang}"
         cnz = self._cnz()
         off = f"_o % {row_bytes} or not 0 <= _k < {rows}"
         self.line(f"_o = {addr} - {self.ref(base)}")
@@ -2027,10 +2142,10 @@ class _Emitter:
         if store is not None:
             bail = self.hoist(_BatchedBailout, key=("b", "bailout"))
             if not full:
-                self.line(f"_n = {cnz}({mref}[:{n}])")
-                self.line("if _n:")
+                self.line(f"_nc = {cnz}({mref})")
+                self.line("if _nc:")
                 self.indent += 1
-                off += f" or _n != {n}"
+                off += f" or _nc != {n}"
             self.line(f"if {off}:")
             self.line(f"    raise {bail}('partial store to private storage')")
             self.line(f"{array}[_k] = {store}")
@@ -2041,20 +2156,17 @@ class _Emitter:
         dst = self.name_of(ins)
         miss = self.hoist(_private_miss, key=("b", "private_miss"))
         self.line(f"if {off} or not {flags}[_k]:")
-        self.line(f"    {dst} = {miss}({mref}, {n}, {count},"
+        self.line(f"    {dst} = {miss}({mref}, {n},"
                   f" {self._dtype(vtype.elem)})")
         self.line("else:")
         self.line(f"    {dst} = {array}[_k].copy()")
         if not full:
-            self.line(f"    if {cnz}({mref}[:{n}]) != {n}:")
+            self.line(f"    if {cnz}({mref}) != {n}:")
             self.line(f"        {dst}[~{mref}] = 0")
 
-    def _keep(self, mask: Value, active: int, needed: int) -> Optional[str]:
-        """The hoisted keep-vector of a known mask whose first ``needed``
-        lanes have holes (``None`` without holes): its lanes below
-        ``needed`` — for a row-strided access, those of its first row."""
-        if active == needed:
-            return None
+    def _keep(self, mask: Value, needed: int) -> str:
+        """The hoisted keep-vector of a known mask with holes: its first
+        ``needed`` lanes — for a row-strided access, its first row's."""
         whole = self.payload(mask)
         keep = whole[:needed].copy()
         keep.setflags(write=False)
@@ -2100,14 +2212,18 @@ class _Emitter:
     def emit_pend(self, ins, ba) -> None:
         """Divergent-loop pending activity: the number of gangs with an
         active lane in the loop's continue-mask — each charges one more
-        trip, as the unbatched build would — with the batch factor
-        inlined as a literal."""
-        mask = self.ref(ins.operands[0])
+        trip, as the unbatched build would — with the gang's lanes inlined
+        as a literal.  Counting the active lanes first settles the common
+        cases without a per-gang reduction: none, or more than all but
+        one gang's lanes (every gang has one; a one-gang trip)."""
+        mask = ins.operands[0]
         lid, batch = ba[0], ba[1]
-        active = "[:_r]" if self.trip else ""  # the trip's gangs only
-        expr = (f"{self._int()}({self._cnz()}("
-                f"{mask}.reshape({batch}, -1){active}.any(axis=1)))")
-        self.line(f"_pend[{lid!r}] = {expr}")
+        lanes = mask.type.count // batch
+        ref, cnz = self.ref(mask), self._cnz()
+        self.line(f"_na = {cnz}({ref})")
+        self.line(f"_pend[{lid!r}] = _r if _na > {self._live(mask.type.count)}"
+                  f" - {lanes} else {self._int()}({cnz}({ref}.reshape(-1,"
+                  f" {lanes}).any(axis=1))) if _na else 0")
 
     # -- edges -------------------------------------------------------------------
 
@@ -2196,6 +2312,8 @@ class _Emitter:
         self._suite(lambda: self.emit_from(header, None))
         self.open.pop()
         self.open_headers.discard(header)
+        if trip:
+            self._close_trip()
         self.trip, self.nest = outer_trip, outer_nest
         targets = frame.targets
         if not targets:
@@ -2239,32 +2357,39 @@ class _Emitter:
         return join
 
     def _emit_trip_entry(self, loop: Loop, trip: tuple) -> None:
-        """Entering a batched gang loop: its trip state, and one
-        ``(rows, G·B)`` array per alloca it expands."""
-        gang, batch = trip
-        privates = {}
+        """Entering a batched gang loop: its trip state and one ``(rows,
+        G·B)`` array per alloca it expands (read through a view); its
+        views are unbound (in a row nest, from the nest's entry on: what
+        they view is defined before the nest)."""
+        if self.nest:
+            rv = self.nest.rvs[0]
+        else:
+            rv = self._new_rv()
+            self.line(f"{rv} = 0")
+        self.trip = _Trip(*trip, loop.header, loop.blocks, rv)
         for block in loop.ordered_blocks():
             for ins in block.instructions:
                 rows = ins.attrs.get("private")
                 if rows is None:
                     continue
                 base = _private_alloca(ins)
-                if base not in privates:
+                if base not in self.trip.privates:
                     name = self.ref(base)
                     vtype = ins.type if ins.opcode == "vload" \
                         else ins.operands[0].type
                     row_bytes = ins.attrs["row_bytes"]
-                    privates[base] = (
+                    self.trip.privates[base] = (
                         rows, row_bytes, row_bytes // vtype.elem.size_bytes(),
-                        f"_P{name}", f"_F{name}")
+                        self._view(f"_P{name}[:, :{self._live(vtype.count)}]"),
+                        f"_F{name}")
                     self.line(f"_P{name} = {self._np(np.empty)}(({rows},"
                               f" {vtype.count}), {self._dtype(vtype.elem)})")
-        self.trip = _Trip(gang, batch, loop.header, privates)
 
     def _emit_trip_count(self, term) -> None:
         """Entering a trip of the gang loop: ``_r``, the gangs it runs —
-        B, or the ``r < B`` left for the predicated last trip — and no
-        private row stored yet."""
+        B, or the ``r < B`` left for the predicated last trip — its live
+        lanes ``_n``, the views at that width, and no private row stored
+        yet."""
         gang, batch = term.attrs["batch_trip"]
         cond = term.operands[0]
         left = f"{self.ref(cond.operands[1])} - {self.ref(cond.operands[0])}"
@@ -2274,6 +2399,8 @@ class _Emitter:
         if self.nest:
             # The trip runs those gangs of each row of the outer trip.
             self.line("_r = _R * _g")
+        self.line(f"_n = _r * {gang}")
+        self._mark()
         for rows, _, _, _, flags in self.trip.privates.values():
             self.line(f"{flags} = [0] * {rows}")
 
@@ -2283,7 +2410,7 @@ class _Emitter:
         wb = self.hoist(_private_writeback, key=("b", "writeback"))
         for base, (_, _, lanes, array, flags) in self.trip.privates.items():
             self.line(f"{wb}(_mem, {self.ref(base)}, {array}, {flags},"
-                      f" (_r - 1) * {lanes}, _r * {lanes})")
+                      f" {lanes})")
 
     # -- collapsed row nests -----------------------------------------------------
 
@@ -2342,6 +2469,8 @@ class _Emitter:
         for block in loop.ordered_blocks():
             in_tail = block not in gang_loop.blocks and \
                 block.instructions[-1].attrs.get("batch_mult") != ROWS
+            if in_tail:
+                nest.tail.add(block)
             for ins in block.instructions:
                 op = ins.opcode
                 if op not in ("vload", "vstore", "atomicrmw", "store"):
@@ -2373,6 +2502,8 @@ class _Emitter:
         gbound = self.ref(nest.gang_phi.parent.instructions[-2].operands[1])
         check = self.hoist(_rows_disjoint, key=("b", "rows_disjoint"))
         self.row_checks = True
+        nest.rvs = (self._new_rv(), self._new_rv())
+        self.line(f"{nest.rvs[0]} = {nest.rvs[1]} = 0")
         self.line(f"_Pn = ({gbound} + {gang - 1}) >> {gang.bit_length() - 1}")
         self.line(f"_Rn = {bound} - {y} if {y} < {bound} else 0")
         self.line(f"if _Rn < 2 or _Pn > {batch}:")
@@ -2564,13 +2695,18 @@ class _Emitter:
             tail = self.nest is not None and "row_tail" in term.attrs
             if tail:
                 # A row tail: one predicated trip of a gang per row.
+                nest = self.nest
+                self.trip = _Trip(nest.gang, nest.batch, None, nest.tail,
+                                  nest.rvs[1])
                 self.line("_g = 1")
                 self.line("_r = _R")
-                self.trip = _Trip(self.nest.gang, self.nest.batch, None, {})
+                self.line(f"_n = _R * {nest.gang}")
+                self._mark()
             body = self.emit_condbr(
                 block, cond, term.operands[1], term.operands[2], stop, commits
             )
             if tail:
+                self._close_trip()
                 self.trip = None
             if self.fn_batched and "batch_trip" in term.attrs:
                 # The gang loop's header: the exit was a guarded break,
@@ -2675,7 +2811,8 @@ class _Emitter:
         body: List[str] = []
         for text in self.lines:
             if _FLUSH not in text:
-                body.append(text)
+                if text:  # an empty view slot (see :meth:`_close_trip`)
+                    body.append(text)
                 continue
             # Internal-call flush: push the local accumulators into
             # ExecStats and reset them (the key set is only complete now).

@@ -10,6 +10,10 @@ The table is calibrated against published x86 reciprocal throughputs at
 the granularity that matters for the paper's evaluation: relative costs of
 scalar vs packed vs gathered access, cheap vertical ops vs multi-cycle
 divide/sqrt, and single-op complex horizontals (``sad``).
+
+It also holds gang batching's one lane target
+(:data:`TARGET_BATCHED_LANES`), which sizes the interpreter's batched
+trips on the host and moves no cycle the model charges.
 """
 
 from __future__ import annotations
@@ -23,56 +27,31 @@ from ..ir.types import Type, VectorType
 from .machine import ExecStats, Machine
 
 __all__ = ["CostModel", "DEFAULT_COST_MODEL", "TARGET_BATCHED_LANES",
-           "TARGET_STRAIGHT_LINE_LANES", "MAX_LEGALIZE_OPS",
            "suggest_batch_factor"]
 
-#: Lane target for a gang loop whose body contains a loop.  numpy dispatch
-#: overhead is per-op, so widening pays until the arrays are a few hundred
-#: lanes wide; past that a divergent inner loop keeps every lane of the
-#: batch iterating until its slowest gang is done (512 lanes: aobench
-#: 2.2x, volume_rendering 4.3x slower), the footprint stops buying
-#: anything and the trap-replay restore cost grows with no return.
-TARGET_BATCHED_LANES = 256
-
-#: Lane target for a *straight-line* gang loop (no loop inside the body):
-#: no lane is ever wasted on divergence, so the per-op dispatch amortizes
-#: over twice the lanes before memory traffic takes over (fig5 launch
-#: geomean x0.88, fig4 noise x0.67; at 1024 lanes noise is 6x slower).
-TARGET_STRAIGHT_LINE_LANES = 512
-
-#: Machine-aware ceiling: a widened op should legalize into at most this
-#: many machine ops for 32-bit elements, else the modeled back-end would
-#: unroll one IR op into an unreasonable register-pressure blob.  At
-#: AVX-512 widths (16 f32 lanes) this caps the batched width at
-#: ``16 * 16 = 256`` lanes — exactly :data:`TARGET_BATCHED_LANES`, so the
-#: default machine keeps the calibrated targets; narrower machines scale
-#: both proportionally (AVX2 → 128 / 256 lanes, SSE4 → 64 / 128).
-MAX_LEGALIZE_OPS = 16
+#: Lane target of a batched gang loop: one trip runs ``G·B`` lanes with
+#: ``G·B`` close to this.  A trip's host cost is numpy dispatch per op,
+#: so fewer, wider trips win until the arrays stop fitting the caches;
+#: the predicated last trip computes only its live gangs, so a launch of
+#: fewer gangs than B pays for those alone.  Swept at 128–2048 lanes over
+#: fig4 and fig5 (DESIGN.md, "B selection"): 1024 is the fastest single
+#: target, whether the body holds a divergent loop or none.
+TARGET_BATCHED_LANES = 1024
 
 
-def suggest_batch_factor(gang_size: int, machine: Optional[Machine] = None,
-                         straight_line: bool = False) -> int:
+def suggest_batch_factor(gang_size: int) -> int:
     """How many gangs the batching pass should fuse for ``gang_size``.
 
-    Returns a power of two ``B >= 1`` such that ``gang_size * B`` is close
-    to the lane target — :data:`TARGET_STRAIGHT_LINE_LANES` when the gang
-    loop's body is ``straight_line`` (contains no loop), else
-    :data:`TARGET_BATCHED_LANES` — scaled down by the ratio of
-    ``MAX_LEGALIZE_OPS * machine.lanes(32)`` to the latter when a narrower
-    ``machine`` is given, so the batched vectors respect that machine's
-    register/lane width.  ``1`` means batching is not worth it (the gang
-    is already at or past the target, or is not a power of two — the
-    batching pass records the latter as a ``vm.batch.rejected`` reason).
+    Returns the largest power of two ``B >= 1`` with ``gang_size * B``
+    within :data:`TARGET_BATCHED_LANES`.  ``1`` means batching is not
+    worth it (the gang is already at or past the target, or is not a
+    power of two — the batching pass records the latter as a
+    ``vm.batch.rejected`` reason).
     """
     if gang_size <= 0 or gang_size & (gang_size - 1):
         return 1
-    target = TARGET_STRAIGHT_LINE_LANES if straight_line \
-        else TARGET_BATCHED_LANES
-    if machine is not None:
-        cap = MAX_LEGALIZE_OPS * machine.lanes(32)
-        target = min(target, target * cap // TARGET_BATCHED_LANES)
     factor = 1
-    while gang_size * factor * 2 <= target:
+    while gang_size * factor * 2 <= TARGET_BATCHED_LANES:
         factor *= 2
     return factor
 

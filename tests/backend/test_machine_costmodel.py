@@ -69,58 +69,39 @@ def test_custom_machine_widths():
     assert m.legalize_factor(VectorType(I8, 64)) == 1
 
 
-def test_suggest_batch_factor_honors_machine():
-    """Regression: the ``machine`` parameter must cap the batched width at
-    ``MAX_LEGALIZE_OPS`` machine ops — it used to be accepted and ignored."""
-    from repro.backend.costmodel import (
-        MAX_LEGALIZE_OPS,
-        TARGET_BATCHED_LANES,
-        suggest_batch_factor,
-    )
+def test_suggest_batch_factor_takes_no_machine():
+    """The batch factor depends on the gang size alone: the machine cap
+    and the loop-shape bit are deleted, so neither function takes them."""
+    import inspect
 
-    # AVX-512's cap (16 ops x 16 f32 lanes = 256) equals the calibrated
-    # lane target, so the default machine keeps the historical answer.
-    assert suggest_batch_factor(8) == suggest_batch_factor(8, AVX512) == 32
-    assert MAX_LEGALIZE_OPS * AVX512.lanes(32) == TARGET_BATCHED_LANES
+    from repro.backend import batch, costmodel
 
-    # Narrower machines scale the cap down proportionally.
-    assert suggest_batch_factor(8, AVX2) == 16   # 8*16 = 128 lanes
-    assert suggest_batch_factor(8, SSE4) == 8    # 8*8  =  64 lanes
-    for machine in (AVX512, AVX2, SSE4):
-        cap = min(TARGET_BATCHED_LANES, MAX_LEGALIZE_OPS * machine.lanes(32))
-        for gang in (2, 4, 8, 16, 32):
-            assert gang * suggest_batch_factor(gang, machine) <= cap
-
+    assert list(inspect.signature(costmodel.suggest_batch_factor)
+                .parameters) == ["gang_size"]
+    assert list(inspect.signature(batch.select_batch_factor)
+                .parameters) == ["gang_size", "requested"]
+    assert not hasattr(costmodel, "MAX_LEGALIZE_OPS")
     # Non-power-of-two and degenerate gangs still mean "don't batch".
-    assert suggest_batch_factor(12, AVX2) == 1
-    assert suggest_batch_factor(0, SSE4) == 1
+    assert costmodel.suggest_batch_factor(12) == 1
+    assert costmodel.suggest_batch_factor(0) == 1
 
 
-def test_straight_line_gang_loops_get_twice_the_lane_target():
-    """The one bit of loop shape the cost model sees: a gang loop with no
-    loop inside wastes no lane on divergence and batches to 512 lanes;
-    the machine cap scales alike."""
-    from repro.backend.costmodel import (
-        TARGET_BATCHED_LANES,
-        TARGET_STRAIGHT_LINE_LANES,
-        suggest_batch_factor,
-    )
+def test_one_lane_target_for_every_gang():
+    """Every power-of-two gang below the target batches to exactly 1024
+    lanes; a gang at or past it does not batch."""
+    from repro.backend import costmodel
 
-    assert TARGET_STRAIGHT_LINE_LANES == 2 * TARGET_BATCHED_LANES == 512
-    for gang in (2, 4, 8, 16, 32, 64, 128, 256):
-        wide = suggest_batch_factor(gang, straight_line=True)
-        assert wide == 2 * suggest_batch_factor(gang)
-        assert gang * wide == TARGET_STRAIGHT_LINE_LANES
-        for machine, lanes in ((AVX512, 512), (AVX2, 256), (SSE4, 128)):
-            factor = suggest_batch_factor(gang, machine, straight_line=True)
-            assert factor == max(1, lanes // gang)
-    assert suggest_batch_factor(512, straight_line=True) == 1
-    assert suggest_batch_factor(12, straight_line=True) == 1
+    assert costmodel.TARGET_BATCHED_LANES == 1024
+    assert not hasattr(costmodel, "TARGET_STRAIGHT_LINE_LANES")
+    for gang in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512):
+        assert gang * costmodel.suggest_batch_factor(gang) == 1024
+    for gang in (1024, 2048):
+        assert costmodel.suggest_batch_factor(gang) == 1
 
 
-def test_batch_module_reads_the_loop_shape():
-    """A flat gang loop batches to 512 lanes, one with a divergent inner
-    loop to 256; a forced factor overrides both."""
+def test_one_lane_target_whatever_the_loop_shape():
+    """A gang loop batches to the one target whether or not its body
+    holds a loop; a forced factor overrides it."""
     from repro.driver import compile_parsimony
 
     flat = """
@@ -141,8 +122,8 @@ def test_batch_module_reads_the_loop_shape():
         }
     }
     """
-    assert compile_parsimony(flat).attrs["batch_factor"] == 8
-    assert compile_parsimony(looping).attrs["batch_factor"] == 4
+    assert compile_parsimony(flat).attrs["batch_factor"] == 16
+    assert compile_parsimony(looping).attrs["batch_factor"] == 16
     assert compile_parsimony(flat, batch_request=2).attrs["batch_factor"] == 2
-    assert compile_parsimony(looping, batch_request=16) \
-        .attrs["batch_factor"] == 16
+    assert compile_parsimony(looping, batch_request=4) \
+        .attrs["batch_factor"] == 4

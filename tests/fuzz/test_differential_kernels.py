@@ -180,6 +180,15 @@ def _classify(module):
     return "clean"
 
 
+def _assert_exact_counts(stats, context):
+    """``ExecStats`` counts are Python ints: a ``numpy.int64`` (say, an
+    unwrapped ``count_nonzero`` in generated code) passes every ``==``
+    above and fails only where the stats are serialized."""
+    assert type(stats.instructions) is int, context
+    for key, n in stats.counts.items():
+        assert type(n) is int, (key, type(n), context)
+
+
 def _assert_same(got, want, context):
     for name, g, w in zip(("OUT", "IOUT", "B", "C"), got, want):
         np.testing.assert_array_equal(g, w, err_msg=f"{context}: {name}")
@@ -300,6 +309,7 @@ def _batched_differential(kernel, seed, plain_out, context):
             f"batched instruction count diverges, {where}")
         assert dict(got_stats.counts) == dict(ref_stats.counts), (
             f"batched per-opcode counts diverge, {where}")
+        _assert_exact_counts(got_stats, where)
 
 
 def _codegen_differential(kernel, plain, seed, plain_out, plain_stats,
@@ -322,6 +332,7 @@ def _codegen_differential(kernel, plain, seed, plain_out, plain_stats,
         f"codegen instruction count diverges: {context}")
     assert dict(got_stats.counts) == dict(plain_stats.counts), (
         f"codegen per-opcode counts diverge: {context}")
+    _assert_exact_counts(got_stats, context)
 
 
 def _cross_process_differential(kernel, seed, plain_out, plain_stats,
@@ -376,6 +387,7 @@ def _cross_process_differential(kernel, seed, plain_out, plain_stats,
         f"rehydrated instruction count diverges: {context}")
     assert dict(got_stats.counts) == dict(plain_stats.counts), (
         f"rehydrated per-opcode counts diverge: {context}")
+    _assert_exact_counts(got_stats, context)
 
 
 def test_zz_corpus_exercised_whole_fallback():

@@ -31,7 +31,11 @@ nested gang loop at the cost model's factor): exactly the 15 nested
 kernels' module digests changed — stencil and the 14 fig5 row filters —
 and no twin digest moved.  And once more when serialized atomics began
 to batch as one scatter-add per trip: exactly the two histograms
-changed, each new twin hashing to the kernel's old module digest.
+changed, each new twin hashing to the kernel's old module digest.  And
+once more when one lane target of 1024 replaced the two targets (256
+lanes for a body with a loop, 512 for a straight-line one): exactly the
+76 batched kernels' module digests changed, to their wider factor, and
+no twin digest moved.
 
 Regenerate (only when a PR means to change compiled IR, and says so)::
 

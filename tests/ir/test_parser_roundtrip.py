@@ -140,7 +140,7 @@ def _fig5(name):
         (lambda: _fig5("BgrToBgra"), ("row_stride", "shuffle")),
         (lambda: _fig5("GetStatistic"), ("reduce_min_u", "atomicrmw")),
         # A masked scatter-add: a serialized atomic on B gangs' addresses.
-        (lambda: _fig5("HistogramMasked"), ("atomicrmw add <512 x i32*>",)),
+        (lambda: _fig5("HistogramMasked"), ("atomicrmw add <1024 x i32*>",)),
     ],
     ids=["scalar", "autovec", "parsimony", "batched_rows", "batched_segments",
          "batched_scatter_add"],

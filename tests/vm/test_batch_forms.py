@@ -79,6 +79,10 @@ def test_batching_is_invisible_at_every_factor(name):
         assert report["calls"] > 0 and not report["bailouts"], (
             name, factor, report)
         assert got == want, (name, factor)
+        # Exact ints: a ``numpy.int64`` count passes ``==`` above.
+        _, instructions, counts = got["stats"]
+        assert type(instructions) is int, (name, factor)
+        assert all(type(n) is int for n in counts.values()), (name, factor)
 
 
 def test_fig5_kernels_batch_but_the_known_three():
@@ -308,6 +312,11 @@ MATRIX = {
                    "        out[3 * i + 2] = v + 2u;",
     "atomic": "u32 s = psim_reduce_add_sync(v * 3u);\n"
               "        if (psim_get_lane_num() == 0) { psim_atomic_add(out, s); }",
+    # A mask known at emit time that ends before the gang does: every
+    # gang's last lanes stay unwritten, in the trip's span too.
+    "prefix": "if (psim_get_lane_num() < 5) { out[i] = v * 3u + 1u; }",
+    # A known mask with holes up to the gang's last lane.
+    "holes": "if ((psim_get_lane_num() & 1) == 1) { out[i] = v * 5u; }",
 }
 
 #: A private row read before any thread wrote it: the unbatched gangs read
@@ -364,17 +373,21 @@ def _matrix_module(body, factor):
 
 @pytest.mark.parametrize("name", sorted(MATRIX))
 def test_predicated_trip_at_every_gang_count(name):
-    """1…B+1 gangs, each with and without a partial tail gang: full trips,
-    a predicated last trip, both, or (one gang at B=2) a trip whose second
-    gang is inactive — bitwise against the unbatched build, no bailout,
-    no replay.  With the input or the output array ending memory, no
-    inactive gang may touch it."""
+    """1…B+1 gangs at B = 2…16, and 1, 2, B−1, B and B+1 gangs at the
+    cost model's factor (B = 128), each with and without a partial tail
+    gang: full trips, a predicated last trip, both, or (one gang at B=2) a
+    trip of one gang — bitwise against the unbatched build, no bailout,
+    no replay.  With the input or the output array ending memory, a
+    predicated trip touches nothing past its live gangs."""
     body = MATRIX[name]
     unbatched = _matrix_module(body, 0)
     wants = {}
-    for factor in (2, 4, 8, 16):
+    for factor in (2, 4, 8, 16, None):
         module = _matrix_module(body, factor)
-        for gangs in range(1, factor + 2):
+        b = module.attrs["batch_factor"]
+        counts = range(1, b + 2) if factor else (1, 2, b - 1, b, b + 1)
+        assert factor or b == 128
+        for gangs in counts:
             for n in (8 * gangs, 8 * gangs + 3):
                 for last in (None, "a", "out"):
                     key = (n, last)
@@ -392,7 +405,7 @@ def test_predicated_trip_at_every_gang_count(name):
 def test_budget_trap_in_a_predicated_trip_replays_bit_identically(kind):
     """``predicated``: three gangs at B=4 run as one predicated trip, and
     the budget runs out halfway through it.  ``private``:
-    ``binomial_options`` — eight gangs at B=16, one predicated trip —
+    ``binomial_options`` — eight gangs at B=64, one predicated trip —
     runs out inside the loops over its expanded lattice."""
     if kind == "predicated":
         batched = _matrix_module(MATRIX["private"], 4)
@@ -468,12 +481,12 @@ def test_binomial_batches_with_its_lattice_expanded_per_gang():
     ``f32 V[16]`` lattice expanded per gang (16 rows of 16 lanes), and
     runs — like ``FillBgra`` — as exactly one predicated trip."""
     module = driver.compile_parsimony(SPECS["binomial_options"].psim_src)
-    assert module.attrs["batch_factor"] == 16
+    assert module.attrs["batch_factor"] == 64
     assert module.attrs["batch_applied"] == [
         "kernel:gang.header private %V.0 16 rows x 64 bytes"]
     assert _trips(module, SPECS["binomial_options"]) == [8]
     fill = driver.compile_parsimony(SPECS["FillBgra"].psim_src)
-    assert fill.attrs["batch_factor"] == 8
+    assert fill.attrs["batch_factor"] == 16
     assert _trips(fill, SPECS["FillBgra"]) == [4]
 
 

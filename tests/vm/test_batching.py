@@ -410,14 +410,12 @@ def test_rejections_surface_in_telemetry():
 # ---------------------------------------------------------------------------
 
 def test_batch_factor_selection():
-    # Auto: largest power of two keeping G*B within the lane target.
-    assert select_batch_factor(8) * 8 <= 256
-    assert select_batch_factor(8) >= 2
-    # A loop-free body aims at twice the lanes; a gang at the target is
-    # not batched.
-    assert select_batch_factor(16, straight_line=True) == 32
-    assert select_batch_factor(64, straight_line=True) == 8
-    assert select_batch_factor(512, straight_line=True) == 1
+    # Auto: the largest power of two keeping G*B within the one lane
+    # target; a gang at the target is not batched.
+    assert select_batch_factor(8) == 128
+    assert select_batch_factor(16) == 64
+    assert select_batch_factor(64) == 16
+    assert select_batch_factor(1024) == 1
     # Requests floor to a power of two; 0/1 disable.
     assert select_batch_factor(8, 8) == 8
     assert select_batch_factor(8, 7) == 4
@@ -425,33 +423,35 @@ def test_batch_factor_selection():
     assert select_batch_factor(8, 0) == 1
 
 
-#: The auto factor of every fig4 and fig5 kernel: the cost model's lane
-#: target, also for the row nests — stencil (G=16) and the fig5 kernels
-#: that walk an image row by row (G=64), whose trips span rows × gangs
-#: (1: nothing batched, see ``test_batch_forms.py`` for why).
+#: The auto factor of every fig4 and fig5 kernel: the cost model's one
+#: lane target (1024 lanes, whatever the loop shape), also for the row
+#: nests — stencil (G=16) and the fig5 kernels that walk an image row by
+#: row (G=64), whose trips span rows × gangs (1: nothing batched, see
+#: ``test_batch_forms.py`` for why).
 AUTO_FACTORS = {
     1: "AbsDifferenceSumMasked Reorder16bit Reorder32bit",
-    8: "AbsGradientSaturatedSum GaussianBlur3x3 GetAbsDyRowSums GetRowSums "
-       "Laplace LaplaceAbs LbpEstimate MeanFilter3x3 MedianFilter3x3 "
-       "MedianFilterRhomb3x3 SobelDx SobelDxAbs SobelDy SobelDyAbs "
-       "AbsDifference AbsDifferenceSum AlphaBlending AlphaFilling "
-       "AlphaPremultiply BackgroundAdjustRange BackgroundGrowRangeFast "
-       "BackgroundGrowRangeSlow BackgroundIncrementCount BackgroundInitMask "
-       "BackgroundShiftRange BgrToBgra BgrToGray BgraToBgr BgraToGray "
-       "Binarization ChangeColors ConditionalCount8u Copy CorrelationSum "
-       "DeinterleaveUv EdgeBackgroundGrowRangeFast EdgeBackgroundGrowRangeSlow "
-       "Fill FillBgr FillBgra GetStatistic GrayToBgr GrayToBgra InterleaveUv "
-       "OperationBinary8uAnd OperationBinary8uAverage OperationBinary8uMaximum "
-       "OperationBinary8uMinimum OperationBinary8uOr "
-       "OperationBinary8uSaturatedAddition "
-       "OperationBinary8uSaturatedSubtraction ReduceGray2x2 "
-       "SegmentationChangeIndex ShiftBilinear SquareSum SquaredDifference "
-       "SquaredDifferenceSum StretchGray2x2 TextureBoostedUv "
-       "TexturePerformCompensation ValueSum",
-    16: "Int16ToGray InterferenceDecrement InterferenceIncrement "
-        "OperationBinary16iAddition OperationBinary16iSaturatedSubtraction "
-        "aobench binomial_options mandelbrot volume_rendering",
-    32: "Histogram HistogramMasked NeuralConvert noise options stencil",
+    16: "AbsGradientSaturatedSum GaussianBlur3x3 GetAbsDyRowSums GetRowSums "
+        "Laplace LaplaceAbs LbpEstimate MeanFilter3x3 MedianFilter3x3 "
+        "MedianFilterRhomb3x3 SobelDx SobelDxAbs SobelDy SobelDyAbs "
+        "AbsDifference AbsDifferenceSum AlphaBlending AlphaFilling "
+        "AlphaPremultiply BackgroundAdjustRange BackgroundGrowRangeFast "
+        "BackgroundGrowRangeSlow BackgroundIncrementCount BackgroundInitMask "
+        "BackgroundShiftRange BgrToBgra BgrToGray BgraToBgr BgraToGray "
+        "Binarization ChangeColors ConditionalCount8u Copy CorrelationSum "
+        "DeinterleaveUv EdgeBackgroundGrowRangeFast "
+        "EdgeBackgroundGrowRangeSlow Fill FillBgr FillBgra GetStatistic "
+        "GrayToBgr GrayToBgra InterleaveUv OperationBinary8uAnd "
+        "OperationBinary8uAverage OperationBinary8uMaximum "
+        "OperationBinary8uMinimum OperationBinary8uOr "
+        "OperationBinary8uSaturatedAddition "
+        "OperationBinary8uSaturatedSubtraction ReduceGray2x2 "
+        "SegmentationChangeIndex ShiftBilinear SquareSum SquaredDifference "
+        "SquaredDifferenceSum StretchGray2x2 TextureBoostedUv "
+        "TexturePerformCompensation ValueSum",
+    32: "Int16ToGray InterferenceDecrement InterferenceIncrement "
+        "OperationBinary16iAddition OperationBinary16iSaturatedSubtraction",
+    64: "aobench binomial_options mandelbrot volume_rendering "
+        "Histogram HistogramMasked NeuralConvert noise options stencil",
 }
 
 

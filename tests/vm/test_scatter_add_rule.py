@@ -126,8 +126,10 @@ def test_whatever_the_check_admits_the_batched_order_matches():
 
 #: Seeded faults in the check, each a one-line edit of its source.
 MUTANTS = {
-    "no alignment test": (" or (addrs % size).any()", ""),
-    "hull one byte short": ("int(addrs.max()) + size", "int(addrs.max()) + size - 1"),
+    "no alignment test": ("or size > 1 and count_nonzero(addrs & (size - 1))",
+                          "or False"),
+    "hull one byte short": ("int(np.maximum.reduce(addrs)) + size",
+                            "int(np.maximum.reduce(addrs)) + size - 1"),
     "mask ignored": ("if mask is not None:", "if False:"),
     "later gangs' windows ignored": ("reach = (gangs - 1) * step", "reach = 0"),
 }
