@@ -31,9 +31,8 @@ SLEEF's AVX-512 ``pow`` being 2.6x slower than ispc's built-in.
 
 import argparse
 import json
-import os
 
-from repro import telemetry
+from repro import compile_parsimony, telemetry
 from repro.benchsuite import (dump_codegen, geomean, run_impl,
                               summarize_telemetry)
 from repro.benchsuite.ispc_suite import BENCHMARKS, BY_NAME
@@ -42,12 +41,26 @@ from repro import diskcache
 IMPLS = ("scalar", "autovec", "parsimony", "ispc")
 
 
-def report(specs):
+def _build(spec, impl, batch_request):
+    """The module ``run_impl`` runs: its own build, except a Parsimony
+    build with an explicit ``batch_request``."""
+    if impl != "parsimony" or batch_request is None:
+        return None
+    return compile_parsimony(spec.psim_src,
+                             module_name=f"{spec.name}.parsimony",
+                             batch_request=batch_request)
+
+
+def report(specs, batch_request=None):
     print("Figure 4 — speedup over LLVM auto-vectorization (model cycles)")
     print(f"{'benchmark':20s} {'parsimony':>10s} {'ispc':>10s} {'psim/ispc':>10s}")
     rows = []
     for spec in specs:
-        cycles = {impl: run_impl(spec, impl).cycles for impl in IMPLS}
+        cycles = {
+            impl: run_impl(spec, impl,
+                           module=_build(spec, impl, batch_request)).cycles
+            for impl in IMPLS
+        }
         base = cycles["autovec"]
         parsimony = base / cycles["parsimony"]
         ispc = base / cycles["ispc"]
@@ -206,7 +219,8 @@ def main():
     )
     parser.add_argument(
         "--no-batch", action="store_true",
-        help="disable the gang-batching layer (sets REPRO_BATCH=0)",
+        help="run the report's Parsimony builds without the gang-batching"
+             " layer (batch_request=0)",
     )
     parser.add_argument(
         "--codegen", action="store_true",
@@ -236,8 +250,6 @@ def main():
                        per_function=args.per_function)
         return
 
-    if args.no_batch:
-        os.environ["REPRO_BATCH"] = "0"
     if args.disk_cache:
         diskcache.set_enabled(True)
     if args.dump_codegen:
@@ -251,6 +263,7 @@ def main():
             print(dump_codegen(spec))
         return
 
+    batch_request = 0 if args.no_batch else None
     specs = BENCHMARKS
     if args.smoke:
         specs = [s for s in BENCHMARKS if s.name == "mandelbrot"]
@@ -265,7 +278,7 @@ def main():
         # --codegen collects a session even without --telemetry: its
         # report reads the per-run records.
         with telemetry.collect() as session:
-            report(specs)
+            report(specs, batch_request)
         _print_degradations(session)
         if args.codegen:
             _print_codegen(session)
@@ -277,7 +290,7 @@ def main():
             session.write(args.telemetry)
             print(f"\ntelemetry written to {args.telemetry}")
     else:
-        report(specs)
+        report(specs, batch_request)
 
 
 if __name__ == "__main__":

@@ -26,9 +26,11 @@ than fall back.
 ``vectorizer.fallbacks`` records — for the CI fuzz-smoke job's
 artifact.
 
-Exits non-zero on any mismatch, or if the block-fault seeds never
-degraded a build, or if the codegen seeds never ran compiled code
-(either would mean the smoke was silently fuzzing a dead feature).
+Exits non-zero on any mismatch, on any codegen bailout (``error:*``
+included: an emitter exception the interpreter swallows and runs on the
+reference engine), or if the block-fault seeds never degraded a build,
+or if the codegen seeds never ran compiled code (either would mean the
+smoke was silently fuzzing a dead feature).
 """
 
 import argparse
@@ -125,6 +127,9 @@ def check_seed(seed, counts):
     report = engine.codegen_report()
     if report["bailouts"]:
         counts["bailed"] += 1
+        print(f"  FAIL seed {seed}: codegen bailed out"
+              f" {report['bailouts']}\n{kernel.source}")
+        ok = False
     else:
         counts["compiled"] += 1
     if any(" rows of " in e for e in plain.attrs.get("batch_applied", ())):

@@ -152,12 +152,10 @@ generated code:
 
 from __future__ import annotations
 
-import os
 import struct
 from typing import Dict, List, Optional, Set, Tuple
 
 from .. import faultinject
-from ..diagnostics import emit_warning
 from ..ir.cfg import Loop, find_loops, reverse_postorder
 from ..ir.instructions import Instruction, INT_BINOPS, REDUCE_OPS
 from ..ir.module import BasicBlock, ExternalFunction, Function, Module
@@ -172,9 +170,11 @@ from ..ir.types import (
 )
 from ..ir.values import Constant, UndefValue, Value
 from ..runtime.mathlib import vector_math_external
+from ..vm.interp import _constant_payload
+from ..vm.ops import value_impl
 from .costmodel import suggest_batch_factor
 
-__all__ = ["batch_module", "batching_request", "select_batch_factor", "BatchReport"]
+__all__ = ["batch_module", "select_batch_factor", "BatchReport"]
 
 
 #: Opcodes that are never legal inside a batched gang loop.  Scalar
@@ -206,10 +206,11 @@ def select_batch_factor(gang_size: int,
                         requested: Optional[int] = None) -> int:
     """Resolve the batch factor for one gang loop.
 
-    ``requested`` comes from ``REPRO_BATCH`` (rounded down to a power of
-    two); ``None`` asks the cost model for its one lane target, whatever
-    the loop's shape: a gang loop nested in a row loop gets it too, since
-    its trip spans the gangs of several rows (see the module docstring).
+    ``requested`` is the driver's ``batch_request`` (rounded down to a
+    power of two); ``None`` asks the cost model for its one lane target,
+    whatever the loop's shape: a gang loop nested in a row loop gets it
+    too, since its trip spans the gangs of several rows (see the module
+    docstring).
     Returns 1 when batching is not worthwhile.
     """
     if requested is not None:
@@ -220,30 +221,6 @@ def select_batch_factor(gang_size: int,
             b *= 2
         return b
     return suggest_batch_factor(gang_size)
-
-
-def batching_request() -> Optional[int]:
-    """``REPRO_BATCH``: ``0`` = disabled, int = forced B, unset = ``None``
-    (auto).
-
-    An unparsable ``REPRO_BATCH`` is a *misconfiguration*, not a silent
-    request for auto mode: it falls back to the cost model but emits a
-    structured :class:`~repro.diagnostics.ReproWarning` saying so.
-    """
-    forced = os.environ.get("REPRO_BATCH", "")
-    if forced:
-        try:
-            return max(0, int(forced))
-        except ValueError:
-            emit_warning(
-                f"unparsable REPRO_BATCH={forced!r} (expected an integer); "
-                "falling back to cost-model batch selection",
-                stage="backend",
-                pass_name="batch",
-                detail={"variable": "REPRO_BATCH", "value": forced},
-            )
-            return None
-    return None
 
 
 class _Parts:
@@ -631,44 +608,33 @@ def _per_gang_reason(per_gang: Dict[Instruction, None],
 # -- memory footprints ---------------------------------------------------------------
 
 
-def _known_lanes(v: Value, memo: Dict[Value, Optional[tuple]]) -> Optional[tuple]:
-    """The canonical lane payloads of an integer vector known at batch
-    time — a constant, or an expression over constants (the masks the
-    vectorizer's packed forms compute and LICM hoists) — else ``None``."""
+#: The vector opcodes :func:`_known_lanes` evaluates over known operands.
+_KNOWN_LANE_OPS = frozenset(("and", "or", "xor", "shuffle", "select",
+                             "broadcast"))
+
+
+def _known_lanes(v: Value, memo: Dict[Value, object]):
+    """The lane payload of an integer vector known at batch time — a
+    constant, or an expression over constants (the masks the vectorizer's
+    packed forms compute and LICM hoists), evaluated as the engines
+    evaluate it (:func:`~repro.vm.ops.value_impl`) — else ``None``."""
     if isinstance(v, Constant):
-        return v.value if isinstance(v.type, VectorType) else None
-    if not isinstance(v, Instruction) or not isinstance(v.type, VectorType):
+        return _constant_payload(v)
+    if not (isinstance(v, Instruction) and isinstance(v.type, VectorType)
+            and v.opcode in _KNOWN_LANE_OPS) or (
+                v.opcode == "select"
+                and not isinstance(v.operands[0].type, VectorType)):
         return None
     if v in memo:
         return memo[v]
     memo[v] = None
-    op = v.opcode
-    ops = v.operands
-    lanes = None
-    if op in ("and", "or", "xor"):
-        a, b = _known_lanes(ops[0], memo), _known_lanes(ops[1], memo)
-        if a is not None and b is not None:
-            fn = {"and": int.__and__, "or": int.__or__, "xor": int.__xor__}[op]
-            lanes = tuple(map(fn, a, b))
-    elif op == "shuffle":
-        src, idx = _known_lanes(ops[0], memo), _known_lanes(ops[1], memo)
-        if src is not None and idx is not None:
-            # As the engines index: a 64-bit lane with its top bit set is
-            # negative (narrower lanes never have bit 63).
-            lanes = tuple(src[(i - (1 << 64) if i >> 63 else i) % len(src)]
-                          for i in idx)
-    elif op == "select" and isinstance(ops[0].type, VectorType):
-        c = _known_lanes(ops[0], memo)
-        a, b = _known_lanes(ops[1], memo), _known_lanes(ops[2], memo)
-        if c is not None and a is not None and b is not None:
-            lanes = tuple(x if k else y for k, x, y in zip(c, a, b))
-    elif op == "broadcast" and isinstance(ops[0], Constant):
-        lanes = (ops[0].value,) * v.type.count
+    args = [_known_lanes(o, memo) for o in v.operands]
+    lanes = None if any(a is None for a in args) else value_impl(v)(*args)
     memo[v] = lanes
     return lanes
 
 
-def _store_bytes(lanes: Optional[tuple], count: int, esize: int) -> int:
+def _store_bytes(lanes, count: int, esize: int) -> int:
     """The bytes a packed store writes, as a bitset over its own span
     (``lanes``: its known mask, ``None`` for a runtime one = every lane)."""
     if lanes is None:
@@ -1087,7 +1053,7 @@ def _batch_one_loop(function: Function, gl: _CountedLoop, batch: int,
     row_strides: Dict[Instruction, int] = {}
     stores: Dict[frozenset, list] = {}
     atomic_bases: List[frozenset] = []
-    known: Dict[Value, Optional[tuple]] = {}
+    known: Dict[Value, object] = {}
     for block in ordered:
         for instr in block.instructions:
             op = instr.opcode

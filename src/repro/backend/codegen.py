@@ -34,8 +34,9 @@ IR runs nowhere else):
   (:meth:`_Emitter._scalar_expr` — inlined f32 rounding, literal int
   masks, XOR-sign-bit signed compares and sign extension) and vector ops
   to raw numpy expressions (``v34 * v34`` instead of an impl-closure
-  call); everything else calls a pre-resolved :func:`_value_impl`
-  closure.  A body that contains a float or an integer-division op runs
+  call); everything else calls the instruction's
+  :func:`~repro.vm.ops.value_impl`, resolved at emit time.  A body that
+  contains a float or an integer-division op runs
   under a saved/restored ``np.seterr(all="ignore")`` so the inlined
   forms match the impls' per-call ``errstate`` guards; an integer-only
   kernel can raise no floating-point flag and gets no ``seterr`` pair;
@@ -87,7 +88,9 @@ Accounting contract
 unbatched build for every run that completes, and the trap-replay
 protocol covers the rest:
 
-* a block's charges are a **static histogram of its IR**: what the
+* a block's charges are a **static histogram of its IR**, each
+  instruction's :func:`~repro.backend.costmodel.charge_items` — the
+  items the reference engine charges one by one: what the
   emitter folded, inlined or left to an impl never enters it, so an
   instruction whose value is known at emit time (and emits no line) is
   charged exactly like one that runs.  A batched multiplicity that is a
@@ -178,12 +181,13 @@ Emit-time folding
 -----------------
 
 The emitter keeps a map of SSA values whose payload it knows
-(:attr:`_Emitter.known`): IR ``Constant`` s, and any ``_COMPUTE_OPS``
+(:attr:`_Emitter.known`): IR ``Constant`` s, and any ``COMPUTE_OPS``
 instruction all of whose operands are known.  Such an instruction is
-evaluated once, with its own :func:`_value_impl` closure — the single
-definition of every op the folder evaluates — under
-``errstate(all="ignore")``; the result is hoisted read-only (every
-launch shares it) and no line is emitted.  An evaluation that raises is
+evaluated once, with its own :func:`~repro.vm.ops.value_impl` — the one
+resolver that defines every compute opcode for both engines,
+``constant_fold`` and gang batching — under ``errstate(all="ignore")``;
+the result is hoisted read-only (every launch shares it) and no line is
+emitted.  An evaluation that raises is
 not folded: the instruction is emitted as usual and raises at run time,
 where the replay gives the trap its authoritative text.  Knownness is
 decided from the IR alone; a payload is only built for a constant that
@@ -280,7 +284,6 @@ profiles name the kernel and tracebacks show the emitted line.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import linecache
 import struct
@@ -293,14 +296,12 @@ from .. import diskcache
 from ..ir.cfg import Loop, find_loops, reverse_postorder
 from .batch import (GANG, LANES, ONE, ROW, ROWS, AffineForms,
                     row_dependent, row_monomial)
+from .costmodel import charge_items
 from ..ir.instructions import (
     ATOMIC_RMW_OPS,
-    CAST_OPS,
     FLOAT_BINOPS,
-    INT_BINOPS,
     Instruction,
     REDUCE_OPS,
-    UNARY_OPS,
 )
 from ..ir.module import BasicBlock, ExternalFunction, Function
 from ..ir.types import FloatType, IntType, VectorType
@@ -310,36 +311,25 @@ from ..vm.interp import (
     _BatchedBailout,
     _constant_payload,
     _undef_payload,
-    reduce_lanes,
 )
 from ..vm.memory import LANE_DTYPES, NULL_GUARD
 from ..vm.nputil import (
     as_unsigned,
     count_nonzero,
     elem_dtype,
-    mask_int,
     signed_dtype,
     signed_view,
     to_signed,
 )
 from ..vm.ops import (
+    COMPUTE_OPS,
     VMTrap,
     _c_float,
-    eval_scalar_cast,
-    eval_scalar_unop,
-    eval_vector_cast,
-    eval_vector_fcmp,
-    eval_vector_icmp,
-    eval_vector_unop,
     fold_lanes,
     reduce_segments,
-    repeat_lanes,
-    round_float,
     scalar_binop_impl,
-    scalar_fcmp_impl,
-    scalar_icmp_impl,
     shuffle_segments,
-    vector_binop_impl,
+    value_impl,
 )
 
 __all__ = ["CodegenBailout", "lower_function", "forget_emission",
@@ -367,20 +357,6 @@ CODE_CACHE_ENTRIES = 512
 #: Generated source → compiled code object, least recently used first
 #: (the source embeds no payloads, so the code is shareable).
 _CODE_CACHE: "OrderedDict[str, object]" = OrderedDict()
-
-_BINOPS = INT_BINOPS | FLOAT_BINOPS
-
-#: Every body opcode :func:`_value_impl` can compute: all of them except
-#: ``call`` (calls re-enter the interpreter, see ``emit_call``) and the
-#: memory ops (``emit_memory`` writes those against ``_mem``).
-_COMPUTE_OPS = frozenset(
-    _BINOPS | UNARY_OPS | CAST_OPS | REDUCE_OPS
-    | {
-        "icmp", "fcmp", "select", "fma", "gep", "broadcast",
-        "extractelement", "insertelement", "shuffle", "shuffle2", "sad",
-        "mask_any", "mask_all", "mask_popcnt",
-    }
-)
 
 _MEMORY_OPS = frozenset(
     ("load", "store", "vload", "vstore", "gather", "scatter",
@@ -426,7 +402,7 @@ _CMP_U = {"eq": "==", "ne": "!=", "ult": "<", "ule": "<=",
           "ugt": ">", "uge": ">="}
 _CMP_S = {"slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
 #: Ordered *scalar* fcmp preds where the Python operator already yields
-#: False on NaN, matching eval_scalar_fcmp's unordered→0 rule ("one" is
+#: False on NaN, matching scalar_fcmp_impl's unordered→0 rule ("one" is
 #: NOT inlinable: Python ``nan != x`` is True but the reference returns 0).
 _SCALAR_FCMP = {"oeq": "==", "olt": "<", "ole": "<=", "ogt": ">", "oge": ">="}
 
@@ -472,29 +448,13 @@ class CodegenBailout(Exception):
         self.reason = reason
 
 
-def batch_charge_items(instr: Instruction, machine, cost) -> tuple:
-    """The narrow charges one batch-annotated instruction stands for: a
-    tuple of ``(counts_key, narrow_cost)``, ``cost`` being ``instr ->
-    cycles``.  An external-call prototype contributes the unbatched
-    engine's two charges (``call`` dispatch + the narrow ``ext:`` cost)."""
-    items = []
-    for proto in instr.attrs["batch_charges"]:
-        if proto.opcode == "call":
-            callee = proto.operands[0]
-            items.append(("call", cost(proto)))
-            items.append((f"ext:{callee.name}", _ext_cost(
-                callee, machine, (o.type for o in proto.operands[1:]))))
-        else:
-            items.append((proto.opcode, cost(proto)))
-    return tuple(items)
-
-
-def _ext_cost(callee: ExternalFunction, machine, arg_types) -> float:
-    """An external call's ``ext:`` charge on ``machine``."""
-    cost = callee.cost
-    if callable(cost):
-        cost = cost(machine, list(arg_types))
-    return float(cost)
+def batch_charge_items(instr: Instruction, machine, cost_model) -> tuple:
+    """The narrow charges one batch-annotated instruction stands for: the
+    :func:`~repro.backend.costmodel.charge_items` of each of its narrow
+    prototypes, in order (an external-call prototype's are the ``call``
+    dispatch and the narrow ``ext:`` cost)."""
+    return tuple(item for proto in instr.attrs["batch_charges"]
+                 for item in charge_items(proto, machine, cost_model))
 
 
 def _budget_trap(interp, fname: str):
@@ -806,113 +766,6 @@ def _uses_exactly(value: Value, user, idx: int) -> bool:
     return len(uses) == 1 and uses[0][0] is user and uses[0][1] == idx
 
 
-def _binop_impl(instr: Instruction):
-    """One pre-resolved 2-arg callable for a scalar or vector binop."""
-    if isinstance(instr.type, VectorType):
-        return vector_binop_impl(instr.opcode, instr.type.elem)
-    return scalar_binop_impl(instr.opcode, instr.type)
-
-
-def _value_impl(instr: Instruction):
-    """A value-level callable ``fn(*operand_payloads) -> payload``.
-
-    These do not read an ``env`` — the emitter wires operands itself
-    (every SSA value is a Python local).  Defined for every
-    ``_COMPUTE_OPS`` opcode; operands map positionally.  The closures
-    depend on the instruction alone.
-    """
-    op = instr.opcode
-    ops = instr.operands
-    vec = isinstance(instr.type, VectorType)
-
-    if op in _BINOPS:
-        return _binop_impl(instr)
-    if op in UNARY_OPS:
-        if vec:
-            elem = instr.type.elem
-            return lambda a: eval_vector_unop(op, elem, a)
-        t = instr.type
-        return lambda a: eval_scalar_unop(op, t, a)
-    if op == "icmp":
-        pred = instr.attrs["pred"]
-        src_t = ops[0].type
-        if isinstance(src_t, VectorType):
-            elem = src_t.elem
-            return lambda a, b: eval_vector_icmp(pred, elem, a, b)
-        return scalar_icmp_impl(pred, src_t)
-    if op == "fcmp":
-        pred = instr.attrs["pred"]
-        if isinstance(ops[0].type, VectorType):
-            return lambda a, b: eval_vector_fcmp(pred, a, b)
-        return scalar_fcmp_impl(pred)
-    if op in CAST_OPS:
-        from_t, to_t = ops[0].type, instr.type
-        if isinstance(to_t, VectorType):
-            from_e, to_e = from_t.elem, to_t.elem
-            return lambda v: eval_vector_cast(op, from_e, to_e, v)
-        return lambda v: eval_scalar_cast(op, from_t, to_t, v)
-    if op == "select":
-        if isinstance(ops[0].type, VectorType) or vec:
-            return lambda c, a, b: np.where(c, a, b)
-        return lambda c, a, b: a if c else b
-    if op == "fma":
-        if vec:
-            return lambda a, b, c: a * b + c
-        t = instr.type
-        return lambda a, b, c: round_float(t, round_float(t, a * b) + c)
-    if op == "gep":
-        bits = ops[1].type.bits
-        esize = instr.type.pointee.size_bytes()
-        return lambda base, idx: mask_int(
-            base + to_signed(idx, bits) * esize, 64
-        )
-    segments = instr.attrs.get("segments")
-    if op == "broadcast":
-        count = instr.type.count
-        if segments is not None:
-            return lambda s: repeat_lanes(s, count)
-        dtype = elem_dtype(instr.type.elem)
-        return lambda s: np.full(count, s, dtype=dtype)
-    if op == "extractelement":
-        if instr.type.is_float:
-            return lambda v, i: float(v[int(i) % len(v)])
-        return lambda v, i: int(v[int(i) % len(v)])
-    if op == "insertelement":
-        def _insert(v, i, e):
-            v = v.copy()
-            v[int(i) % len(v)] = e
-            return v
-        return _insert
-    if op == "shuffle":
-        if segments is not None:
-            return lambda a, i: shuffle_segments(a, i, segments)
-        return lambda a, i: a[i.astype(np.int64) % len(a)]
-    if op == "shuffle2":
-        def _shuffle2(lo, hi, i):
-            both = np.concatenate([lo, hi])
-            return both[i.astype(np.int64) % len(both)]
-        return _shuffle2
-    if op == "sad":
-        def _sad(a, b):
-            diffs = np.abs(
-                a.astype(np.int64) - b.astype(np.int64)
-            ).reshape(-1, 8).sum(axis=1)
-            return diffs.astype(np.uint64)
-        return _sad
-    if op in REDUCE_OPS:
-        if segments is not None:
-            return lambda v: reduce_segments(op, v, segments)
-        return lambda v: reduce_lanes(op, instr, v)
-    if op == "mask_any":
-        return lambda m: 1 if count_nonzero(m) else 0
-    if op == "mask_all":
-        return lambda m: 1 if count_nonzero(m) == len(m) else 0
-    if op == "mask_popcnt":
-        return lambda m: int(count_nonzero(m))
-
-    raise NotImplementedError(f"codegen: opcode {op}")
-
-
 def _postdominators(function: Function) -> Dict[BasicBlock, object]:
     """Immediate postdominators of the reachable CFG (Cooper–Harvey–
     Kennedy on the reverse graph, with a virtual exit joining every
@@ -1014,7 +867,7 @@ class _Emitter:
 
     def __init__(self, function: Function, machine, cost_model):
         self.machine = machine
-        self._cost = functools.partial(cost_model.cost, machine=machine)
+        self.cost_model = cost_model
         self.fn = function
         self.fn_batched = bool(function.attrs.get("batched"))
         self.lines: List[str] = []
@@ -1266,7 +1119,7 @@ class _Emitter:
         under any association; counts commute); a trap's exact
         trap-point stats come from the replay.
         """
-        cost = self._cost
+        machine, cost_model = self.machine, self.cost_model
         cycles = 0.0
         instrs = 0
         counts: Dict[str, int] = {}
@@ -1284,7 +1137,7 @@ class _Emitter:
                 items = self._charge_items.get(charges)
                 if items is None:
                     items = self._charge_items[charges] = batch_charge_items(
-                        ins, self.machine, cost)
+                        ins, machine, cost_model)
                 spec = ins.attrs["batch_mult"]
                 if spec == LANES:  # a scatter-add's active lanes
                     spec = (f"{self._int()}({self._cnz()}("
@@ -1307,21 +1160,10 @@ class _Emitter:
                         g[1] += 1
                         g[2][key] = g[2].get(key, 0) + 1
             else:
-                op = ins.opcode
-                # The engines hardcode phi charges at 0.0 cycles.
-                cycles += 0.0 if op == "phi" else cost(ins)
-                instrs += 1
-                counts[op] = counts.get(op, 0) + 1
-                if op == "call":
-                    callee = ins.operands[0]
-                    if isinstance(callee, ExternalFunction):
-                        label = f"ext:{callee.name}"
-                        cycles += _ext_cost(
-                            callee, self.machine,
-                            (o.type for o in ins.operands[1:])
-                        )
-                        instrs += 1
-                        counts[label] = counts.get(label, 0) + 1
+                for key, c in charge_items(ins, machine, cost_model):
+                    cycles += c
+                    instrs += 1
+                    counts[key] = counts.get(key, 0) + 1
         checked = False
         if cycles:
             self.line(f"_cy += {cycles!r}")
@@ -1504,7 +1346,8 @@ class _Emitter:
         round_float wrapper) for the ops that dominate benchsuite
         dispatch.  Every template is bit-identical to the ops.py impl;
         vectors and anything subtle (shifts, division, signed-overflowing
-        casts to float, ...) fall back to :func:`_value_impl`.
+        casts to float, ...) fall back to
+        :func:`~repro.vm.ops.value_impl`.
         """
         op = instr.opcode
         t = instr.type
@@ -1512,7 +1355,7 @@ class _Emitter:
             return None
         # Mask reductions: scalar-typed with one vector operand; they gate
         # every divergent-loop backedge, so skipping the closure layer
-        # matters.  Same values as the _value_impl lambdas.
+        # matters.  Same values as the value_impl lambdas.
         if op == "mask_any":
             return f"(1 if {self._cnz()}({argrefs[0]}) else 0)"
         if op == "mask_all":
@@ -1633,12 +1476,12 @@ class _Emitter:
         joins :attr:`known` (arrays read-only: every launch will share it)
         and no line is emitted.  The block's charge prologue still counts
         the instruction.  Evaluation goes through the instruction's own
-        :func:`_value_impl` under the errstate generated code runs in
-        (:meth:`emit` installs it around the whole walk); an evaluation
-        that raises (a trapping division by a zero lane, an overflow) is
-        left to run time, which raises it there."""
+        :func:`~repro.vm.ops.value_impl` under the errstate generated code
+        runs in (:meth:`emit` installs it around the whole walk); an
+        evaluation that raises (a trapping division by a zero lane, an
+        overflow) is left to run time, which raises it there."""
         try:
-            value = _value_impl(ins)(*map(self.payload, ins.operands))
+            value = value_impl(ins)(*map(self.payload, ins.operands))
         except Exception:
             return False
         if isinstance(value, np.ndarray):
@@ -1685,7 +1528,7 @@ class _Emitter:
                 fn = self.hoist(reduce_segments, key=("b", "reduce"))
                 expr = f"{fn}({ins.opcode!r}, {argrefs[0]}, _r)"
         if expr is None:
-            impl = self.hoist(_value_impl(ins), key=("impl", id(ins)))
+            impl = self.hoist(value_impl(ins), key=("impl", id(ins)))
             expr = f"{impl}({', '.join(argrefs)})"
         self.line(f"{self.name_of(ins)} = {expr}")
 
@@ -2185,7 +2028,7 @@ class _Emitter:
             return False
         block = load.parent.instructions
         between = block[block.index(load) + 1:block.index(user)]
-        return all(i.opcode in _COMPUTE_OPS or i.opcode == "vload"
+        return all(i.opcode in COMPUTE_OPS or i.opcode == "vload"
                    for i in between)
 
     def emit_call(self, ins) -> None:
@@ -2633,7 +2476,7 @@ class _Emitter:
                 continue
             if op == "call":
                 self.emit_call(ins)
-            elif op in _COMPUTE_OPS:
+            elif op in COMPUTE_OPS:
                 self.emit_compute(ins)
             elif op in _MEMORY_OPS:
                 self.emit_memory(ins)

@@ -11,6 +11,10 @@ the granularity that matters for the paper's evaluation: relative costs of
 scalar vs packed vs gathered access, cheap vertical ops vs multi-cycle
 divide/sqrt, and single-op complex horizontals (``sad``).
 
+:func:`charge_items` is the one definition of what an instruction
+charges, read by both execution engines and by gang batching's narrow
+charge prototypes; what it computes is :func:`repro.vm.ops.value_impl`.
+
 It also holds gang batching's one lane target
 (:data:`TARGET_BATCHED_LANES`), which sizes the interpreter's batched
 trips on the host and moves no cycle the model charges.
@@ -23,11 +27,12 @@ from typing import Optional
 
 from .. import faultinject
 from ..ir.instructions import Instruction, REDUCE_OPS
+from ..ir.module import ExternalFunction
 from ..ir.types import Type, VectorType
 from .machine import ExecStats, Machine
 
 __all__ = ["CostModel", "DEFAULT_COST_MODEL", "TARGET_BATCHED_LANES",
-           "suggest_batch_factor"]
+           "charge_items", "suggest_batch_factor"]
 
 #: Lane target of a batched gang loop: one trip runs ``G·B`` lanes with
 #: ``G·B`` close to this.  A trip's host cost is numpy dispatch per op,
@@ -152,3 +157,23 @@ class CostModel:
 
 #: Shared default instance.
 DEFAULT_COST_MODEL = CostModel()
+
+
+def charge_items(instr: Instruction, machine: Machine,
+                 cost_model: CostModel) -> tuple:
+    """What one execution of ``instr`` charges: a tuple of ``(counts_key,
+    cycles)``, each item one instruction in ``ExecStats``.  A ``phi`` is
+    free; a call of an external function is the ``call`` dispatch plus
+    the callee's ``ext:<name>`` cost on ``machine``."""
+    op = instr.opcode
+    if op == "phi":
+        return (("phi", 0.0),)
+    items = ((op, cost_model.cost(instr, machine)),)
+    if op == "call":
+        callee = instr.operands[0]
+        if isinstance(callee, ExternalFunction):
+            cost = callee.cost
+            if callable(cost):
+                cost = cost(machine, [o.type for o in instr.operands[1:]])
+            items += ((f"ext:{callee.name}", float(cost)),)
+    return items

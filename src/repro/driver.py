@@ -22,7 +22,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, Optional, Tuple
 
 from . import diskcache, faultinject
-from .backend.batch import batch_module, batching_request
+from .backend.batch import batch_module
 from .backend.codegen import clear_code_cache
 from .backend.costmodel import CostModel
 from .backend.machine import AVX512, ExecStats, Machine
@@ -147,15 +147,10 @@ def compile_autovec(source: str, machine: Machine = AVX512,
     )
 
 
-#: Sentinel: ``compile_parsimony(batch_request=...)`` not passed — resolve
-#: from the environment.
-_BATCH_UNSET = object()
-
-
 def compile_parsimony(source: str, config: Optional[VectorizeConfig] = None,
                       module_name: str = "parsimony",
                       strict: bool = False,
-                      batch_request=_BATCH_UNSET) -> Module:
+                      batch_request: Optional[int] = None) -> Module:
     """The Parsimony flow (§4): standard pipeline + the SPMD pass, then the
     back-end cleanup the paper relies on (re-inline the vectorized region
     into its gang loop, hoist per-gang-invariant setup).
@@ -165,14 +160,11 @@ def compile_parsimony(source: str, config: Optional[VectorizeConfig] = None,
     ``strict=True`` disables that fallback and re-raises the failure.
 
     ``batch_request`` pins the gang-batching configuration (``0`` = off,
-    ``N`` = forced factor, ``None`` = cost-model auto).  When omitted it
-    resolves from ``REPRO_BATCH``.  A request below 2
-    batches nothing, so it is the unbatched build and shares its cache
-    entry.
+    ``N`` = forced factor, ``None``, the default = cost-model auto).  A
+    request below 2 batches nothing, so it is the unbatched build and
+    shares its cache entry.
     """
 
-    if batch_request is _BATCH_UNSET:
-        batch_request = batching_request()
     if batch_request is not None and batch_request < 2:
         batch_request = 0
 

@@ -6,7 +6,7 @@ Ad-hoc parsing gets them wrong in both directions: ``value in ("1",
 ("", "0")`` turns ``REPRO_PARANOID=false`` *on*.  An unparsable value is a
 misconfiguration, not a silent request for the default: it keeps the
 default but emits a structured :class:`~repro.diagnostics.ReproWarning`
-saying so, matching the ``REPRO_BATCH`` precedent.
+saying so.
 """
 
 from __future__ import annotations

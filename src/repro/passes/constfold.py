@@ -1,8 +1,10 @@
 """Constant folding and algebraic simplification.
 
-Reuses the VM's operational semantics (``repro.vm.ops``) as the folding
-oracle, so the compiler and the machine can never disagree about an
-operation's result — a property the folding tests assert directly.
+Folds scalar binops, unary ops, compares and casts over constant
+operands through :func:`repro.vm.ops.value_impl` — the one resolver both
+execution engines evaluate those opcodes with — so the compiler and the
+machine can never disagree about an operation's result, a property the
+folding tests assert directly.
 """
 
 from __future__ import annotations
@@ -11,10 +13,13 @@ from ..ir.instructions import CAST_OPS, FLOAT_BINOPS, INT_BINOPS, Instruction, U
 from ..ir.module import Function
 from ..ir.types import VectorType
 from ..ir.values import Constant, Value
-from ..vm import ops as vmops
-from ..vm.nputil import elem_dtype
+from ..vm.ops import VMTrap, value_impl
 
 __all__ = ["constant_fold"]
+
+#: The scalar opcode families folded over all-constant operands (casts
+#: too, when their source is scalar).
+_FOLDED_OPS = INT_BINOPS | FLOAT_BINOPS | UNARY_OPS | {"icmp", "fcmp"}
 
 
 def constant_fold(function: Function) -> bool:
@@ -43,29 +48,17 @@ def _fold(instr: Instruction):
         return None  # vector constants are folded lane-wise only when needed
     consts = [o for o in operands if isinstance(o, Constant)]
 
-    try:
-        if (op in INT_BINOPS or op in FLOAT_BINOPS) and len(consts) == 2:
-            a, b = consts[0], consts[1]
-            result = vmops.eval_scalar_binop(op, instr.type, a.value, b.value)
-            return Constant(instr.type, result)
-        if op in UNARY_OPS and len(consts) == 1:
-            result = vmops.eval_scalar_unop(op, instr.type, consts[0].value)
-            return Constant(instr.type, result)
-        if op == "icmp" and len(consts) == 2:
-            r = vmops.eval_scalar_icmp(
-                instr.attrs["pred"], operands[0].type, consts[0].value, consts[1].value
-            )
-            return Constant(instr.type, r)
-        if op == "fcmp" and len(consts) == 2:
-            r = vmops.eval_scalar_fcmp(instr.attrs["pred"], consts[0].value, consts[1].value)
-            return Constant(instr.type, r)
-        if op in CAST_OPS and len(consts) == 1 and not operands[0].type.is_vector:
-            r = vmops.eval_scalar_cast(op, operands[0].type, instr.type, consts[0].value)
-            return Constant(instr.type, r)
-        if op == "select" and isinstance(operands[0], Constant):
-            return operands[1] if operands[0].value else operands[2]
-    except (vmops.VMTrap, NotImplementedError):
-        return None  # e.g. constant division by zero: leave for runtime trap
+    if op == "select" and isinstance(operands[0], Constant):
+        return operands[1] if operands[0].value else operands[2]
+    if len(consts) == len(operands) and (
+        op in _FOLDED_OPS
+        or (op in CAST_OPS and not operands[0].type.is_vector)
+    ):
+        try:
+            result = value_impl(instr)(*(c.value for c in consts))
+        except (VMTrap, NotImplementedError):
+            return None  # a constant division by zero traps at run time
+        return Constant(instr.type, result)
 
     return _algebraic(instr)
 

@@ -31,6 +31,18 @@ trap-point stats:
   specification codegen is compared against.  Its replay outcome is
   authoritative.
 
+What the engines share is the per-instruction record: what an
+instruction charges is :func:`~repro.backend.costmodel.charge_items`,
+what a compute opcode evaluates to is :func:`~repro.vm.ops.value_impl`.
+The reference engine holds one ``(charge items, impl)`` record per
+instruction (:meth:`Interpreter._record`); codegen folds, and calls for
+what it does not inline, the same impls, and charges the same items.
+What they do not share is control flow (a dispatch loop over blocks vs
+structured Python loops), memory access (``Memory`` calls vs inline
+buffer fast paths) and charge timing (per instruction vs one merged
+prologue per block), so the differential check between them still
+compares two executions.
+
 Gang batching (:mod:`repro.backend.batch`) promises outputs and
 ``ExecStats`` equal to the unbatched build, so that build is the spec of
 batched IR.  Batched IR runs only as generated code; every other launch
@@ -64,15 +76,15 @@ callable up.  References run one way, so an interpreter — and its
 launch touched, not the 4 MB it may address — is reclaimed by reference
 counting the moment its last user drops it, without waiting for the
 cyclic collector.  Nothing an interpreter owns may hold it strongly:
-helpers that need no interpreter state (:func:`reduce_lanes`) are
-module-level functions, not bound methods.
+helpers that need no interpreter state (:func:`~repro.vm.ops.value_impl`
+and its impls) are module-level functions, not bound methods.
 
 Both engines assume the module is not mutated once execution has started
 (the driver's ``compile_*`` results are frozen, so they cannot be);
 call :meth:`Interpreter.clear_decode_cache` after transforming a function
 of a hand-built module that has already run (this drops compiled
-functions, cached costs and the replay twin).  Constant payloads are
-shared across dynamic uses in generated code — no opcode mutates its
+functions, instruction records and the replay twin).  Constant payloads
+are shared across dynamic uses in generated code — no opcode mutates its
 operand arrays, so this is observationally equivalent to the reference
 engine's fresh-per-use arrays.
 """
@@ -84,36 +96,21 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import faultinject
-from ..backend.costmodel import DEFAULT_COST_MODEL, CostModel
+from ..backend.costmodel import DEFAULT_COST_MODEL, CostModel, charge_items
 from ..backend.machine import AVX512, ExecStats, Machine
 from ..diagnostics import ExecutionError
-from ..ir.instructions import (
-    ATOMIC_RMW_OPS,
-    CAST_OPS,
-    FLOAT_BINOPS,
-    INT_BINOPS,
-    Instruction,
-    REDUCE_OPS,
-    UNARY_OPS,
-)
+from ..ir.instructions import ATOMIC_RMW_OPS, Instruction
 from ..ir.module import BasicBlock, ExternalFunction, Function, Module
 from ..ir.types import FloatType, IntType, PointerType, Type, VectorType
 from ..ir.values import Argument, Constant, UndefValue, Value
 from .memory import Memory, MemoryError_
-from .nputil import elem_dtype, mask_int, to_signed
+from .nputil import elem_dtype, mask_int
 from .ops import (
+    COMPUTE_OPS,
     VMTrap,
-    eval_scalar_binop,
-    eval_scalar_cast,
-    eval_scalar_fcmp,
-    eval_scalar_icmp,
-    eval_scalar_unop,
-    eval_vector_binop,
-    eval_vector_cast,
-    eval_vector_fcmp,
-    eval_vector_icmp,
-    eval_vector_unop,
     round_float,
+    scalar_binop_impl,
+    value_impl,
 )
 
 __all__ = ["Interpreter", "VMTrap", "ExecutionLimitExceeded"]
@@ -175,7 +172,9 @@ class Interpreter:
         self.edge_calls: Dict[Tuple[str, str], int] = {}
         self._call_stack: List[str] = []
         self._child_cycles = 0.0
-        self._cost_cache: Dict[Instruction, float] = {}
+        #: Instruction -> its reference-engine record, ``(charge items,
+        #: impl)`` (see :meth:`_record`).
+        self._records: Dict[Instruction, tuple] = {}
         #: Trap (and batched-bailout) replays on the unbatched twin this
         #: run (see :meth:`_run_replayable`).
         self.batch_replays = 0
@@ -353,12 +352,12 @@ class Interpreter:
 
     def clear_decode_cache(self) -> None:
         """Drop compiled functions (with their cached emissions) and
-        cached costs, after mutating the module.
+        instruction records, after mutating the module.
 
-        The trap-replay twin goes too: it cached costs of the same module,
-        and replays are authoritative.
+        The trap-replay twin goes too: it holds records of the same
+        module, and replays are authoritative.
         """
-        self._cost_cache.clear()
+        self._records.clear()
         self._fallback_interp = None
         if self._codegen_fns:
             from ..backend.codegen import forget_emission
@@ -521,7 +520,10 @@ class Interpreter:
         block = function.entry
         prev: Optional[BasicBlock] = None
         stats = self.stats
+        counts = stats.counts
         limit = self.max_instructions
+        records = self._records
+        value = self._value
         try:
             while True:
                 instructions = block.instructions
@@ -534,9 +536,13 @@ class Interpreter:
                             break
                         n_phi += 1
                         phi_vals.append(
-                            self._value(env, instr.phi_value_for(prev))
+                            value(env, instr.phi_value_for(prev))
                         )
-                        stats.charge("phi", 0.0)
+                        key, cycles = (records.get(instr)
+                                       or self._record(instr))[0][0]
+                        stats.cycles += cycles
+                        stats.instructions += 1
+                        counts[key] = counts.get(key, 0) + 1
                         if stats.instructions > limit:
                             raise ExecutionLimitExceeded(
                                 f"exceeded {limit} instructions"
@@ -545,169 +551,104 @@ class Interpreter:
                     for instr, val in zip(instructions[:n_phi], phi_vals):
                         env[instr] = val
                 for instr in instructions[n_phi:]:
-                    stats.charge(instr.opcode, self._cost(instr))
+                    items, impl = records.get(instr) or self._record(instr)
+                    key, cycles = items[0]
+                    stats.cycles += cycles
+                    stats.instructions += 1
+                    counts[key] = counts.get(key, 0) + 1
                     if stats.instructions > limit:
                         raise ExecutionLimitExceeded(
                             f"exceeded {limit} instructions in @{function.name}"
                         )
+                    if impl is not None:
+                        env[instr] = impl(
+                            *[value(env, o) for o in instr.operands])
+                        continue
                     op = instr.opcode
                     if op == "br":
                         prev, block = block, instr.operands[0]
                         break
                     if op == "condbr":
-                        cond = self._value(env, instr.operands[0])
+                        cond = value(env, instr.operands[0])
                         target = instr.operands[1] if cond else instr.operands[2]
                         prev, block = block, target
                         break
                     if op == "ret":
                         if instr.operands:
-                            return self._value(env, instr.operands[0])
+                            return value(env, instr.operands[0])
                         return None
                     if op == "unreachable":
                         raise VMTrap(f"reached 'unreachable' in @{function.name}")
-                    env[instr] = self._exec_instr(env, instr, depth)
+                    env[instr] = self._exec_instr(env, instr, items, depth)
         finally:
             self.memory._brk = stack_mark
 
-    def _exec_instr(self, env: Dict, instr: Instruction, depth: int):
+    def _record(self, instr: Instruction) -> tuple:
+        """``instr``'s record, built on its first execution: what it
+        charges (:func:`~repro.backend.costmodel.charge_items`) and, for a
+        compute opcode, what it computes (:func:`~repro.vm.ops.value_impl`;
+        ``None`` for the memory, call and control opcodes the engine
+        executes itself).  Keyed by the instruction object (identity
+        hash): unlike ``id()``, a live key can never be recycled to alias
+        a different instruction."""
+        impl = value_impl(instr) if instr.opcode in COMPUTE_OPS else None
+        record = self._records[instr] = (
+            charge_items(instr, self.machine, self.cost_model), impl)
+        return record
+
+    def _exec_instr(self, env: Dict, instr: Instruction, items: tuple,
+                    depth: int):
+        """The memory and call opcodes (compute opcodes run their record's
+        impl; ``items`` are the instruction's charges)."""
         op = instr.opcode
         ops = instr.operands
-        vec = isinstance(instr.type, VectorType)
+        value = self._value
+        memory = self.memory
 
-        if op in INT_BINOPS or op in FLOAT_BINOPS:
-            a = self._value(env, ops[0])
-            b = self._value(env, ops[1])
-            if vec:
-                return eval_vector_binop(op, instr.type.elem, a, b)
-            return eval_scalar_binop(op, instr.type, a, b)
-        if op in UNARY_OPS:
-            a = self._value(env, ops[0])
-            if vec:
-                return eval_vector_unop(op, instr.type.elem, a)
-            return eval_scalar_unop(op, instr.type, a)
-        if op == "icmp":
-            a, b = self._value(env, ops[0]), self._value(env, ops[1])
-            src_t = ops[0].type
-            if isinstance(src_t, VectorType):
-                return eval_vector_icmp(instr.attrs["pred"], src_t.elem, a, b)
-            return eval_scalar_icmp(instr.attrs["pred"], src_t, a, b)
-        if op == "fcmp":
-            a, b = self._value(env, ops[0]), self._value(env, ops[1])
-            if isinstance(ops[0].type, VectorType):
-                return eval_vector_fcmp(instr.attrs["pred"], a, b)
-            return eval_scalar_fcmp(instr.attrs["pred"], a, b)
-        if op in CAST_OPS:
-            v = self._value(env, ops[0])
-            from_t, to_t = ops[0].type, instr.type
-            if isinstance(to_t, VectorType):
-                return eval_vector_cast(op, from_t.elem, to_t.elem, v)
-            return eval_scalar_cast(op, from_t, to_t, v)
-        if op == "select":
-            cond = self._value(env, ops[0])
-            a, b = self._value(env, ops[1]), self._value(env, ops[2])
-            if isinstance(ops[0].type, VectorType) or vec:
-                return np.where(cond, a, b)
-            return a if cond else b
-        if op == "fma":
-            a, b, c = (self._value(env, o) for o in ops)
-            if vec:
-                return a * b + c
-            return round_float(instr.type, round_float(instr.type, a * b) + c)
-
-        # -- memory -------------------------------------------------------------------
         if op == "load":
-            return self.memory.load_scalar(self._value(env, ops[0]), instr.type)
+            return memory.load_scalar(value(env, ops[0]), instr.type)
         if op == "store":
-            value = self._value(env, ops[0])
-            self.memory.store_scalar(self._value(env, ops[1]), ops[0].type, value)
+            memory.store_scalar(value(env, ops[1]), ops[0].type,
+                                value(env, ops[0]))
             return None
-        if op == "gep":
-            base = self._value(env, ops[0])
-            idx = self._value(env, ops[1])
-            idx = to_signed(idx, ops[1].type.bits)
-            return mask_int(base + idx * instr.type.pointee.size_bytes(), 64)
         if op == "alloca":
             size = instr.type.pointee.size_bytes() * instr.attrs.get("count", 1)
-            return self.memory.alloc(max(size, 1))
+            return memory.alloc(max(size, 1))
         if op == "atomicrmw":
             rmw = instr.attrs["op"]
             if rmw not in ATOMIC_RMW_OPS:
                 raise VMTrap(f"atomicrmw: unsupported op {rmw!r}")
-            addr = self._value(env, ops[0])
-            val = self._value(env, ops[1])
+            addr = value(env, ops[0])
+            val = value(env, ops[1])
             t = instr.type
-            old = self.memory.load_scalar(addr, t)
-            new = eval_scalar_binop(rmw, t, old, val)
-            self.memory.store_scalar(addr, t, new)
+            old = memory.load_scalar(addr, t)
+            memory.store_scalar(addr, t, scalar_binop_impl(rmw, t)(old, val))
             return old
-
-        # -- vector -------------------------------------------------------------------
-        if op == "broadcast":
-            scalar = self._value(env, ops[0])
-            return np.full(instr.type.count, scalar, dtype=elem_dtype(instr.type.elem))
-        if op == "extractelement":
-            v = self._value(env, ops[0])
-            idx = self._value(env, ops[1])
-            lane = v[int(idx) % len(v)]
-            return float(lane) if instr.type.is_float else int(lane)
-        if op == "insertelement":
-            v = self._value(env, ops[0]).copy()
-            idx = self._value(env, ops[1])
-            v[int(idx) % len(v)] = self._value(env, ops[2])
-            return v
-        if op == "shuffle":
-            src = self._value(env, ops[0])
-            idx = self._value(env, ops[1]).astype(np.int64) % len(src)
-            return src[idx]
-        if op == "shuffle2":
-            both = np.concatenate(
-                [self._value(env, ops[0]), self._value(env, ops[1])]
-            )
-            idx = self._value(env, ops[2]).astype(np.int64) % len(both)
-            return both[idx]
         if op == "vload":
-            addr = self._value(env, ops[0])
-            mask = self._value(env, ops[1])
-            return self.memory.load_packed(addr, instr.type.elem, instr.type.count, mask)
+            return memory.load_packed(value(env, ops[0]), instr.type.elem,
+                                      instr.type.count, value(env, ops[1]))
         if op == "vstore":
-            value = self._value(env, ops[0])
-            addr = self._value(env, ops[1])
-            mask = self._value(env, ops[2])
-            self.memory.store_packed(addr, ops[0].type.elem, value, mask)
+            memory.store_packed(value(env, ops[1]), ops[0].type.elem,
+                                value(env, ops[0]), value(env, ops[2]))
             return None
         if op == "gather":
-            addrs = self._value(env, ops[0])
-            mask = self._value(env, ops[1])
-            return self.memory.gather(addrs, instr.type.elem, mask)
+            return memory.gather(value(env, ops[0]), instr.type.elem,
+                                 value(env, ops[1]))
         if op == "scatter":
-            value = self._value(env, ops[0])
-            addrs = self._value(env, ops[1])
-            mask = self._value(env, ops[2])
-            self.memory.scatter(addrs, ops[0].type.elem, value, mask)
+            memory.scatter(value(env, ops[1]), ops[0].type.elem,
+                           value(env, ops[0]), value(env, ops[2]))
             return None
-        if op == "sad":
-            a = self._value(env, ops[0]).astype(np.int64)
-            b = self._value(env, ops[1]).astype(np.int64)
-            diffs = np.abs(a - b).reshape(-1, 8).sum(axis=1)
-            return diffs.astype(np.uint64)
-        if op in REDUCE_OPS:
-            return reduce_lanes(op, instr, self._value(env, ops[0]))
-        if op == "mask_any":
-            return 1 if bool(self._value(env, ops[0]).any()) else 0
-        if op == "mask_all":
-            return 1 if bool(self._value(env, ops[0]).all()) else 0
-        if op == "mask_popcnt":
-            return int(self._value(env, ops[0]).sum())
-
-        # -- calls --------------------------------------------------------------------
         if op == "call":
             callee = ops[0]
-            args = [self._value(env, o) for o in ops[1:]]
+            args = [value(env, o) for o in ops[1:]]
             if isinstance(callee, ExternalFunction):
-                cost = callee.cost
-                if callable(cost):
-                    cost = cost(self.machine, [o.type for o in ops[1:]])
-                self.stats.charge(f"ext:{callee.name}", float(cost))
+                # The ``ext:`` leg charges at the call, after the
+                # ``call`` item's budget check.
+                key, cycles = items[1]
+                stats = self.stats
+                stats.cycles += cycles
+                stats.instructions += 1
+                stats.counts[key] = stats.counts.get(key, 0) + 1
                 return callee.impl(*args)
             return self._exec_function(callee, args, depth + 1)
 
@@ -725,47 +666,6 @@ class Interpreter:
         if isinstance(value, (BasicBlock, Function, ExternalFunction)):
             return value
         raise TypeError(f"cannot evaluate {value!r}")
-
-    def _cost(self, instr: Instruction) -> float:
-        # Keyed by the instruction object (identity hash): unlike id(), a
-        # live key can never be recycled to alias a different instruction.
-        cost = self._cost_cache.get(instr)
-        if cost is None:
-            cost = self.cost_model.cost(instr, self.machine)
-            self._cost_cache[instr] = cost
-        return cost
-
-
-def reduce_lanes(op: str, instr: Instruction, v: np.ndarray):
-    """A horizontal ``reduce_*`` over one vector payload (all engines)."""
-    elem = instr.operands[0].type.elem
-    if op == "reduce_add":
-        if elem.is_float:
-            return round_float(instr.type, float(np.sum(v, dtype=v.dtype)))
-        if elem.bits == 1:
-            return 1 if bool(np.bitwise_xor.reduce(v)) else 0
-        return int(np.add.reduce(v, dtype=v.dtype))
-    if op in ("reduce_min_s", "reduce_max_s"):
-        from .nputil import from_signed, signed_view
-
-        sv = signed_view(v)
-        r = int(sv.min() if op.endswith("min_s") else sv.max())
-        return from_signed(r, elem.bits)
-    if op == "reduce_min_u":
-        r = v.min()
-        return float(r) if elem.is_float else int(r)
-    if op == "reduce_max_u":
-        r = v.max()
-        return float(r) if elem.is_float else int(r)
-    if op == "reduce_and":
-        if elem.bits == 1:
-            return 1 if bool(v.all()) else 0
-        return int(np.bitwise_and.reduce(v))
-    if op == "reduce_or":
-        if elem.bits == 1:
-            return 1 if bool(v.any()) else 0
-        return int(np.bitwise_or.reduce(v))
-    raise NotImplementedError(op)
 
 
 def _constant_payload(const: Constant):

@@ -1,9 +1,15 @@
-"""Operational semantics for IR arithmetic, compares, and casts.
+"""Operational semantics of the IR's compute opcodes.
 
-Two evaluation paths share these tables: scalar values (Python ints /
-floats) and vector values (numpy arrays).  Integer semantics are two's
-complement with silent wraparound, matching LLVM's sign-less integers;
-signedness comes from the opcode (``sdiv`` vs ``udiv`` etc.).
+:func:`value_impl` is the one definition of what each compute opcode
+(:data:`COMPUTE_OPS`) evaluates to: it resolves an instruction, once, to
+a callable over its operand payloads — scalar values (Python ints /
+floats) or vector values (numpy arrays).  The reference engine, the code
+generator's emit-time folding and slow-op calls, ``constant_fold`` and
+gang batching's known-lane evaluation all call it; what an instruction
+*charges* is :func:`repro.backend.costmodel.charge_items`.  Integer
+semantics are two's complement with silent wraparound, matching LLVM's
+sign-less integers; signedness comes from the opcode (``sdiv`` vs
+``udiv`` etc.).
 
 f32 scalar results are rounded through ``numpy.float32`` so that scalar
 and vectorized executions of the same program produce bit-identical
@@ -19,9 +25,18 @@ import math
 import numpy as np
 
 from ..diagnostics import ExecutionError
-from ..ir.types import FloatType, IntType, Type
+from ..ir.instructions import (
+    CAST_OPS,
+    FLOAT_BINOPS,
+    INT_BINOPS,
+    Instruction,
+    REDUCE_OPS,
+    UNARY_OPS,
+)
+from ..ir.types import FloatType, IntType, Type, VectorType
 from .nputil import (
     as_unsigned,
+    count_nonzero,
     elem_dtype,
     from_signed,
     mask_int,
@@ -32,13 +47,13 @@ from .nputil import (
 
 __all__ = [
     "VMTrap",
-    "eval_scalar_binop",
+    "COMPUTE_OPS",
+    "value_impl",
+    "reduce_lanes",
     "eval_vector_binop",
     "eval_scalar_unop",
     "eval_vector_unop",
-    "eval_scalar_icmp",
     "eval_vector_icmp",
-    "eval_scalar_fcmp",
     "eval_vector_fcmp",
     "eval_scalar_cast",
     "eval_vector_cast",
@@ -240,27 +255,9 @@ def _f_div32(a, b):
         return float(np.float32(a) / np.float32(b))
 
 
-def eval_scalar_binop(opcode: str, type: Type, a, b):
-    if isinstance(type, FloatType):
-        if opcode == "fdiv" and type.bits == 32:
-            return _f_div32(a, b)
-        impl = SCALAR_FLOAT_BINOPS.get(opcode)
-        if impl is None:
-            raise NotImplementedError(f"scalar float binop {opcode}")
-        return round_float(type, impl(a, b))
-    impl = SCALAR_INT_BINOPS.get(opcode)
-    if impl is None:
-        raise NotImplementedError(f"scalar int binop {opcode}")
-    return impl(type.bits, a, b)
-
-
 def scalar_binop_impl(opcode: str, type: Type):
-    """Resolve ``(opcode, type)`` once, returning a 2-arg callable.
-
-    Used by the pre-decoding interpreter so per-dynamic-instruction
-    dispatch reduces to one call; produces exactly the same results as
-    :func:`eval_scalar_binop`.
-    """
+    """Resolve a scalar binop (or an ``atomicrmw`` op) on ``type`` once,
+    returning a 2-arg callable; f32 results round to f32."""
     if isinstance(type, FloatType):
         if opcode == "fdiv" and type.bits == 32:
             return _f_div32
@@ -402,7 +399,7 @@ def _errstate_binop(sym_impl):
     return _impl
 
 
-#: Pre-resolved hot vector binops (the decode/emit-time fast path of
+#: Pre-resolved hot vector binops (the fast path of
 #: :func:`vector_binop_impl`).  Each entry must be bit-identical to the
 #: corresponding :func:`eval_vector_binop` branch.
 _VECTOR_FLOAT_IMPLS = {
@@ -425,14 +422,10 @@ _VECTOR_INT_IMPLS = {
 
 
 def vector_binop_impl(opcode: str, elem: Type):
-    """Resolve ``(opcode, elem)`` once, returning a 2-arg callable.
-
-    The superinstruction decoder and the whole-kernel codegen emitter use
-    this for binop constituents bound at decode/emit time; the hot
-    opcodes skip :func:`eval_vector_binop`'s per-call dispatch chain
-    entirely (each fast-path impl is the same expression that branch
-    evaluates), everything else falls back to it.
-    """
+    """Resolve a vector binop on ``elem`` lanes once, returning a 2-arg
+    callable: the hot opcodes skip :func:`eval_vector_binop`'s per-call
+    dispatch chain (each fast-path impl is the same expression that
+    branch evaluates), everything else falls back to it."""
     if isinstance(elem, FloatType):
         impl = _VECTOR_FLOAT_IMPLS.get(opcode)
         if impl is not None:
@@ -543,16 +536,9 @@ _SCALAR_CMP_S = {
 }
 
 
-def eval_scalar_icmp(pred: str, type: Type, a: int, b: int) -> int:
-    impl = _SCALAR_CMP_U.get(pred)
-    if impl is not None:
-        return 1 if impl(a, b) else 0
-    bits = getattr(type, "bits", 64)
-    return 1 if _SCALAR_CMP_S[pred](to_signed(a, bits), to_signed(b, bits)) else 0
-
-
 def scalar_icmp_impl(pred: str, type: Type):
-    """Resolve ``(pred, type)`` once, returning a 2-arg callable."""
+    """Resolve a scalar ``icmp`` of ``type`` operands once, returning a
+    2-arg callable with a 0/1 result."""
     impl = _SCALAR_CMP_U.get(pred)
     if impl is not None:
         return lambda a, b: 1 if impl(a, b) else 0
@@ -585,14 +571,10 @@ _SCALAR_FCMP = {
 }
 
 
-def eval_scalar_fcmp(pred: str, a: float, b: float) -> int:
-    if math.isnan(a) or math.isnan(b):
-        return 0
-    return 1 if _SCALAR_FCMP[pred](a, b) else 0
-
-
 def scalar_fcmp_impl(pred: str):
-    """Resolve ``pred`` once, returning a 2-arg callable."""
+    """Resolve a scalar ``fcmp`` once, returning a 2-arg callable with a
+    0/1 result (0 when either operand is NaN: every predicate is
+    ordered)."""
     impl = _SCALAR_FCMP[pred]
 
     def run(a, b):
@@ -756,3 +738,155 @@ def fold_lanes(rmw: str, bits: int, v: np.ndarray) -> int:
     if rmw == "smax":
         return from_signed(int(signed_view(v).max()), bits)
     raise NotImplementedError(rmw)
+
+
+def reduce_lanes(op: str, instr: Instruction, v: np.ndarray):
+    """A horizontal ``reduce_*`` over one vector payload."""
+    elem = instr.operands[0].type.elem
+    if op == "reduce_add":
+        if elem.is_float:
+            return round_float(instr.type, float(np.sum(v, dtype=v.dtype)))
+        if elem.bits == 1:
+            return 1 if bool(np.bitwise_xor.reduce(v)) else 0
+        return int(np.add.reduce(v, dtype=v.dtype))
+    if op in ("reduce_min_s", "reduce_max_s"):
+        sv = signed_view(v)
+        r = int(sv.min() if op.endswith("min_s") else sv.max())
+        return from_signed(r, elem.bits)
+    if op == "reduce_min_u":
+        r = v.min()
+        return float(r) if elem.is_float else int(r)
+    if op == "reduce_max_u":
+        r = v.max()
+        return float(r) if elem.is_float else int(r)
+    if op == "reduce_and":
+        if elem.bits == 1:
+            return 1 if bool(v.all()) else 0
+        return int(np.bitwise_and.reduce(v))
+    if op == "reduce_or":
+        if elem.bits == 1:
+            return 1 if bool(v.any()) else 0
+        return int(np.bitwise_or.reduce(v))
+    raise NotImplementedError(op)
+
+
+# --------------------------------------------------------------------------------
+# the resolver
+# --------------------------------------------------------------------------------
+
+_BINOPS = INT_BINOPS | FLOAT_BINOPS
+
+#: Every opcode :func:`value_impl` computes: all of them except the
+#: control flow, ``phi``, ``call`` (calls re-enter an engine) and the
+#: memory ops (each engine accesses memory its own way).
+COMPUTE_OPS = frozenset(
+    _BINOPS | UNARY_OPS | CAST_OPS | REDUCE_OPS
+    | {
+        "icmp", "fcmp", "select", "fma", "gep", "broadcast",
+        "extractelement", "insertelement", "shuffle", "shuffle2", "sad",
+        "mask_any", "mask_all", "mask_popcnt",
+    }
+)
+
+
+def value_impl(instr: Instruction):
+    """What ``instr`` computes, as a callable ``fn(*operand_payloads) ->
+    payload`` — the one definition of every :data:`COMPUTE_OPS` opcode.
+
+    Resolved once per instruction (opcode, types and attrs are read
+    here, not per call); operands map positionally and no ``env`` is
+    read.  A per-gang op of batched IR (a ``segments`` attr) evaluates
+    per segment.
+    """
+    op = instr.opcode
+    ops = instr.operands
+    vec = isinstance(instr.type, VectorType)
+
+    if op in _BINOPS:
+        if vec:
+            return vector_binop_impl(op, instr.type.elem)
+        return scalar_binop_impl(op, instr.type)
+    if op in UNARY_OPS:
+        if vec:
+            elem = instr.type.elem
+            return lambda a: eval_vector_unop(op, elem, a)
+        t = instr.type
+        return lambda a: eval_scalar_unop(op, t, a)
+    if op == "icmp":
+        pred = instr.attrs["pred"]
+        src_t = ops[0].type
+        if isinstance(src_t, VectorType):
+            elem = src_t.elem
+            return lambda a, b: eval_vector_icmp(pred, elem, a, b)
+        return scalar_icmp_impl(pred, src_t)
+    if op == "fcmp":
+        pred = instr.attrs["pred"]
+        if isinstance(ops[0].type, VectorType):
+            return lambda a, b: eval_vector_fcmp(pred, a, b)
+        return scalar_fcmp_impl(pred)
+    if op in CAST_OPS:
+        from_t, to_t = ops[0].type, instr.type
+        if isinstance(to_t, VectorType):
+            from_e, to_e = from_t.elem, to_t.elem
+            return lambda v: eval_vector_cast(op, from_e, to_e, v)
+        return lambda v: eval_scalar_cast(op, from_t, to_t, v)
+    if op == "select":
+        if isinstance(ops[0].type, VectorType) or vec:
+            return lambda c, a, b: np.where(c, a, b)
+        return lambda c, a, b: a if c else b
+    if op == "fma":
+        if vec:
+            return lambda a, b, c: a * b + c
+        t = instr.type
+        return lambda a, b, c: round_float(t, round_float(t, a * b) + c)
+    if op == "gep":
+        bits = ops[1].type.bits
+        esize = instr.type.pointee.size_bytes()
+        return lambda base, idx: mask_int(
+            base + to_signed(idx, bits) * esize, 64
+        )
+    segments = instr.attrs.get("segments")
+    if op == "broadcast":
+        count = instr.type.count
+        if segments is not None:
+            return lambda s: repeat_lanes(s, count)
+        dtype = elem_dtype(instr.type.elem)
+        return lambda s: np.full(count, s, dtype=dtype)
+    if op == "extractelement":
+        if instr.type.is_float:
+            return lambda v, i: float(v[int(i) % len(v)])
+        return lambda v, i: int(v[int(i) % len(v)])
+    if op == "insertelement":
+        def _insert(v, i, e):
+            v = v.copy()
+            v[int(i) % len(v)] = e
+            return v
+        return _insert
+    if op == "shuffle":
+        if segments is not None:
+            return lambda a, i: shuffle_segments(a, i, segments)
+        return lambda a, i: a[i.astype(np.int64) % len(a)]
+    if op == "shuffle2":
+        def _shuffle2(lo, hi, i):
+            both = np.concatenate([lo, hi])
+            return both[i.astype(np.int64) % len(both)]
+        return _shuffle2
+    if op == "sad":
+        def _sad(a, b):
+            diffs = np.abs(
+                a.astype(np.int64) - b.astype(np.int64)
+            ).reshape(-1, 8).sum(axis=1)
+            return diffs.astype(np.uint64)
+        return _sad
+    if op in REDUCE_OPS:
+        if segments is not None:
+            return lambda v: reduce_segments(op, v, segments)
+        return lambda v: reduce_lanes(op, instr, v)
+    if op == "mask_any":
+        return lambda m: 1 if count_nonzero(m) else 0
+    if op == "mask_all":
+        return lambda m: 1 if count_nonzero(m) == len(m) else 0
+    if op == "mask_popcnt":
+        return lambda m: int(count_nonzero(m))
+
+    raise NotImplementedError(f"value_impl: opcode {op}")

@@ -56,6 +56,6 @@ def test_knob_census_matches_readme():
     table = table[:table.index("\n## ")]
     documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)`", table, re.M))
     in_src = _knobs_read_under(ROOT / "src")
-    assert len(in_src) == 4, sorted(in_src)
+    assert len(in_src) == 3, sorted(in_src)
     assert in_src | {"REPRO_FUZZ_N"} == documented
     assert "REPRO_FUZZ_N" in _knobs_read_under(ROOT / "tests")

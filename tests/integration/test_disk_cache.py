@@ -117,18 +117,16 @@ def test_faultinject_bypasses_disk_layer(disk_cache):
     assert diskcache.stats() == {"hits": 0, "misses": 0, "writes": 0, "errors": 0}
 
 
-def test_batch_configuration_is_part_of_the_key(disk_cache, monkeypatch):
+def test_batch_configuration_is_part_of_the_key(disk_cache):
     """Regression: a cached unbatched module must never be rehydrated into
     a batched run (or vice versa) — the batch request is part of both the
     in-memory and the on-disk cache key."""
-    monkeypatch.setenv("REPRO_BATCH", "0")
-    unbatched = driver.compile_parsimony(SRC)
+    unbatched = driver.compile_parsimony(SRC, batch_request=0)
     assert "batch_factor" not in unbatched.attrs
     assert diskcache.stats()["writes"] == 1
 
     # Same source, batching re-enabled, fresh "process": the unbatched disk
     # entry must miss and a batched module must be compiled and stored.
-    monkeypatch.delenv("REPRO_BATCH")
     driver.clear_compile_cache()
     diskcache.reset_stats()
     batched = driver.compile_parsimony(SRC)
@@ -142,9 +140,8 @@ def test_batch_configuration_is_part_of_the_key(disk_cache, monkeypatch):
     again = driver.compile_parsimony(SRC)
     assert diskcache.stats()["hits"] == 1
     assert again.attrs.get("batch_applied")
-    monkeypatch.setenv("REPRO_BATCH", "0")
     driver.clear_compile_cache()
-    again = driver.compile_parsimony(SRC)
+    again = driver.compile_parsimony(SRC, batch_request=0)
     assert diskcache.stats()["hits"] == 2
     assert "batch_factor" not in again.attrs
 
@@ -154,13 +151,11 @@ def test_batch_configuration_is_part_of_the_key(disk_cache, monkeypatch):
     assert cycles_u == cycles_b
 
 
-def test_forced_batch_factor_is_part_of_the_key(disk_cache, monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH", "2")
-    forced = driver.compile_parsimony(SRC)
+def test_forced_batch_factor_is_part_of_the_key(disk_cache):
+    forced = driver.compile_parsimony(SRC, batch_request=2)
     driver.clear_compile_cache()
     diskcache.reset_stats()
-    monkeypatch.setenv("REPRO_BATCH", "4")
-    other = driver.compile_parsimony(SRC)
+    other = driver.compile_parsimony(SRC, batch_request=4)
     stats = diskcache.stats()
     assert stats["hits"] == 0 and stats["writes"] == 1, stats
     assert forced.attrs.get("batch_factor") != other.attrs.get("batch_factor")

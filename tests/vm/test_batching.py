@@ -25,11 +25,10 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.backend.batch import batch_module, batching_request, select_batch_factor
+from repro.backend.batch import batch_module, select_batch_factor
 from repro.benchsuite import run_impl
 from repro.benchsuite.ispc_suite import BENCHMARKS
 from repro.benchsuite.simdlib import KERNELS
-from repro.diagnostics import ReproWarning
 from repro.driver import compile_parsimony
 from repro.ir import Constant, Function, FunctionType, I32, IRBuilder, Module
 from repro.vm import ExecutionLimitExceeded, Interpreter
@@ -50,11 +49,11 @@ def _assert_stats_equal(got, want, context):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(SPECS))
-def test_fig4_batched_matches_unbatched(name, monkeypatch):
+def test_fig4_batched_matches_unbatched(name):
     spec = SPECS[name]
     batched = run_impl(spec, "parsimony")
-    monkeypatch.setenv("REPRO_BATCH", "0")
-    unbatched = run_impl(spec, "parsimony")
+    unbatched = run_impl(spec, "parsimony", module=compile_parsimony(
+        spec.psim_src, module_name=f"{spec.name}.parsimony", batch_request=0))
 
     _assert_stats_equal(batched.stats, unbatched.stats, name)
     sig_b, sig_u = batched.output_signature(), unbatched.output_signature()
@@ -455,8 +454,7 @@ AUTO_FACTORS = {
 }
 
 
-def test_auto_factor_of_every_suite_kernel(monkeypatch):
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
+def test_auto_factor_of_every_suite_kernel():
     want = {name: factor for factor, names in AUTO_FACTORS.items()
             for name in names.split()}
     specs = list(BENCHMARKS) + list(KERNELS)
@@ -470,51 +468,21 @@ def test_auto_factor_of_every_suite_kernel(monkeypatch):
     assert got == want
 
 
-def test_forced_batch_request_overrides_the_nesting_rule(monkeypatch):
+def test_forced_batch_request_overrides_the_nesting_rule():
     src = SPECS["stencil"].psim_src
     assert compile_parsimony(src, batch_request=8).attrs["batch_factor"] == 8
-    monkeypatch.setenv("REPRO_BATCH", "16")
-    assert compile_parsimony(src).attrs["batch_factor"] == 16
+    assert compile_parsimony(src, batch_request=16).attrs["batch_factor"] == 16
 
 
-def test_batch_request_of_one_is_the_unbatched_build(monkeypatch):
-    """A request below 2 batches nothing: it hands out the unbatched build
-    itself (one compile, one cache slot), not a second copy that ran the
-    batcher for nothing and recorded a rejection."""
+def test_batch_request_of_one_is_the_unbatched_build():
+    """A request below 2 — one, or a negative one — batches nothing: it
+    hands out the unbatched build itself (one compile, one cache slot),
+    not a second copy that ran the batcher for nothing and recorded a
+    rejection."""
     off = compile_parsimony(TRAP_SRC, batch_request=0)
     assert compile_parsimony(TRAP_SRC, batch_request=1) is off
-    monkeypatch.setenv("REPRO_BATCH", "1")
-    assert compile_parsimony(TRAP_SRC) is off
+    assert compile_parsimony(TRAP_SRC, batch_request=-3) is off
     assert "batch_rejected" not in off.attrs
-
-
-# ---------------------------------------------------------------------------
-# environment-knob parsing
-# ---------------------------------------------------------------------------
-
-def test_batching_request_env_parsing(monkeypatch):
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-    assert batching_request() is None
-    monkeypatch.setenv("REPRO_BATCH", "8")
-    assert batching_request() == 8
-    # 0 disables; a negative request does too.
-    monkeypatch.setenv("REPRO_BATCH", "0")
-    assert batching_request() == 0
-    monkeypatch.setenv("REPRO_BATCH", "-3")
-    assert batching_request() == 0
-
-
-def test_unparsable_batch_request_warns(monkeypatch):
-    """An unparsable REPRO_BATCH is a misconfiguration, not a silent auto
-    request: the fallback to the cost model must come with a structured
-    warning (issue 6 satellite)."""
-    monkeypatch.setenv("REPRO_BATCH", "banana")
-    with pytest.warns(ReproWarning, match="unparsable REPRO_BATCH") as caught:
-        assert batching_request() is None
-    diag = caught[0].message.diagnostic
-    assert diag.stage == "backend"
-    assert diag.pass_name == "batch"
-    assert diag.detail == {"variable": "REPRO_BATCH", "value": "banana"}
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ class _Calls:
     """Counts calls into the emission machinery of ``repro.backend.codegen``
     (``compile``/``exec`` are shadowed as module globals)."""
 
-    NAMES = ("_value_impl", "_Emitter", "_batch_fingerprint",
+    NAMES = ("value_impl", "charge_items", "_Emitter", "_batch_fingerprint",
              "compile", "exec")
 
     def __init__(self, monkeypatch):

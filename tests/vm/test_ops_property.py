@@ -46,7 +46,7 @@ def test_vector_binop_matches_scalar_lanewise(data, op):
     va, vb = lanes_for(type, a), lanes_for(type, b)
     vec = vmops.eval_vector_binop(op, type, va, vb)
     for lane in range(len(a)):
-        scalar = vmops.eval_scalar_binop(op, type, a[lane], b[lane])
+        scalar = vmops.scalar_binop_impl(op, type)(a[lane], b[lane])
         assert int(vec[lane]) == scalar, (
             f"{op} {type}: lane {lane}: a={a[lane]} b={b[lane]} "
             f"vector={int(vec[lane])} scalar={scalar}"
@@ -67,7 +67,7 @@ def test_vector_division_matches_scalar_lanewise(data, op):
     va, vb = lanes_for(type, a), lanes_for(type, b)
     vec = vmops.eval_vector_binop(op, type, va, vb)
     for lane in range(len(a)):
-        scalar = vmops.eval_scalar_binop(op, type, a[lane], b[lane])
+        scalar = vmops.scalar_binop_impl(op, type)(a[lane], b[lane])
         assert int(vec[lane]) == scalar
 
 
@@ -78,7 +78,7 @@ def test_vector_icmp_matches_scalar_lanewise(data, pred):
     va, vb = lanes_for(type, a), lanes_for(type, b)
     vec = vmops.eval_vector_icmp(pred, type, va, vb)
     for lane in range(len(a)):
-        scalar = vmops.eval_scalar_icmp(pred, type, a[lane], b[lane])
+        scalar = vmops.scalar_icmp_impl(pred, type)(a[lane], b[lane])
         assert int(bool(vec[lane])) == scalar
 
 
@@ -111,7 +111,7 @@ def test_vector_cast_matches_scalar(value, cast):
 def test_f32_scalar_rounding_matches_vector(a, b, op):
     """Scalar f32 semantics round exactly like numpy float32 vector math —
     the invariant behind every bit-identical cross-implementation check."""
-    scalar = vmops.eval_scalar_binop(op, F32, a, b)
+    scalar = vmops.scalar_binop_impl(op, F32)(a, b)
     va = np.array([a], dtype=np.float32)
     vb = np.array([b], dtype=np.float32)
     vec = vmops.eval_vector_binop(op, F32, va, vb)
