@@ -27,10 +27,11 @@ than fall back.
 artifact.
 
 Exits non-zero on any mismatch, on any codegen bailout (``error:*``
-included: an emitter exception the interpreter swallows and runs on the
-reference engine), or if the block-fault seeds never degraded a build,
-or if the codegen seeds never ran compiled code (either would mean the
-smoke was silently fuzzing a dead feature).
+included: an emitter or ``compile()`` failure, which still agrees
+bitwise because the launch replays whole on the reference engine, so
+only the bailout count shows it), or if the block-fault seeds never
+degraded a build, or if the codegen seeds never ran compiled code
+(either would mean the smoke was silently fuzzing a dead feature).
 """
 
 import argparse

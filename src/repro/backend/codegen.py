@@ -6,10 +6,11 @@ the tree that generates source and calls ``compile()`` on it.  The
 reference engine pays an opcode-string dispatch per instruction and an
 ``env`` lookup per operand.  This module retires that loop — on a
 function's first launch it *linearizes* the function's structurized CFG
-into a single generated Python function over the live payloads; what it
-cannot express bails out to the reference engine, and what traps
-replays there (a batched module's launch on its unbatched twin — batched
-IR runs nowhere else):
+into a single generated Python function over the live payloads.  A
+launch leaves generated code one way: a trap, a failed zero-charge check,
+or a function it has no code for rolls the launch back and replays it
+whole on the reference engine (a batched module's on its unbatched twin
+— batched IR runs nowhere else):
 
 * every SSA value becomes a Python local (``v7``), so the per-value
   ``env`` dict disappears along with its reads and writes;
@@ -145,37 +146,29 @@ protocol covers the rest:
 * a trap's exact trap-point stats, message, and memory effects come from
   the **replay**: the codegen engine only ever runs under
   :meth:`Interpreter._run_replayable`, which snapshots memory + stats,
-  rolls back on any ``VMTrap``/``MemoryError_`` (including the partial
-  flush the ``finally`` performed on the way out), and re-runs on the
-  reference engine (``codegen=False``; a batched module's unbatched
-  twin), whose outcome is authoritative.  The interpreter arms the
+  rolls back on any ``VMTrap``/``MemoryError_``/``_Replay`` (including
+  the partial flush the ``finally`` performed on the way out), and
+  re-runs on the reference engine (``codegen=False``; a batched module's
+  unbatched twin), whose outcome is authoritative.  The interpreter arms the
   codegen engine *only* inside that wrapper, so fault-injected runs
   (which skip the wrapper) run on the reference engine.
 
-Bailout taxonomy
-----------------
+Bailouts
+--------
 
-Linearization is best-effort: any shape the structurer cannot express as
-native Python control flow raises :class:`CodegenBailout` with a reason
-and the function falls back to the reference engine — a batched one
-replays its launch on the unbatched twin, like a trap.  Reasons are
-tallied per interpreter and surface as ``vm.codegen.bailouts``
-telemetry.
-
-Retired (now compiled): ``multi-exit-loop``, ``multi-level-break`` and
-``multi-level-continue`` (dispatch-variable exit merge), ``ret`` inside
-batched bodies, mixed annotated/plain batched blocks (each instruction
-charged by its own annotation, or plainly without one), and
-``batched-internal-call`` (an annotated internal call's narrow
-prototypes join the block prologue like any other annotated
-instruction's; the call itself is the plain flush + ``_exec``).
-
-Kept deliberately: ``function-too-large`` / ``deep-nesting`` (size
-guards), ``block-re-emitted`` (irreducible control flow the dispatch
-merge cannot structure), ``no-terminator`` / ``use-before-def`` /
-``batch-spec-outside-gang-loop`` / ``batch-trip-shape`` /
-``scatter-add-window`` (malformed IR), and ``injected-fault`` (fault
-plans must not be double-counted through generated code).
+Emission either returns the bound callable or fails with a reason
+(:func:`lower_function`): a :class:`CodegenBailout` — one site,
+``function-too-large``, above :data:`MAX_CODEGEN_INSTRS` — or
+``error:<type>`` for any exception the emitter, ``compile()`` or binding
+raises (19 nested loops exceed the 20 statically nested blocks CPython's
+``compile()`` takes: ``error:SyntaxError``).  What the IR verifier, the
+IR builder or :mod:`repro.backend.batch` already rules out — a block
+without a terminator, an unknown opcode, irreducible control flow, a
+batch annotation outside its loop — has no reason of its own: a plain
+``assert`` (or the error the IR would cause) lands in the same handler.
+A frozen function memoizes its failure like its code; the interpreter
+counts the reason (``vm.codegen.bailouts``), replays the launch on the
+reference engine and runs its later launches there outright.
 
 Emit-time folding
 -----------------
@@ -256,10 +249,11 @@ model)*: it takes the interpreter as its first argument and reads
 ``stats``, ``memory``, ``max_instructions`` (and ``_exec_function`` when
 it makes internal calls) from it in the prologue; everything else —
 payloads, impls, dtypes — binds once, at ``exec`` time, through default
-arguments.  So one emission serves every interpreter: the entry on
-``Function._emissions`` (``(machine, cost_model, fingerprint, source,
-kfn, reason)``) owns the bound callable (and through it the code
-object), the compile cache hands every caller the same frozen module,
+arguments.  So one emission serves every interpreter: the entry on a
+frozen ``Function._emissions`` (``(machine, cost_model, source, kfn,
+reason)``) owns the bound callable (and through it the code object) or
+the reason there is none, the compile cache hands every caller the same
+frozen module,
 identity finds the entry, and a second ``Interpreter`` over the same
 module does no emission work at all.  Entries live exactly as long as
 their module — no process-global table references IR — and a generated
@@ -267,12 +261,10 @@ function references no interpreter, so there is no cycle to avoid.
 Module → function → emission → (code, callable); interpreters own only
 stats and memory.
 
-Entries carry a **batch fingerprint** — the ``batched`` attr plus the
-count of annotated instructions — so a bailout or emission memoized
-against one batching configuration of a *mutable* function never
-answers for another (an attrs-only mutation is invisible to identity).
-A frozen function cannot change, and freezing drops whatever was emitted
-while it was mutable, so its entries need no fingerprint walk.
+Only a frozen function has entries: it cannot change, so an entry can
+never describe other IR.  A mutable (hand-built) function is emitted
+afresh for every interpreter, which memoizes it until
+``Interpreter.clear_decode_cache``.
 
 Source → code object is a bounded process-wide LRU
 (:data:`CODE_CACHE_ENTRIES`), persisted across processes by
@@ -293,12 +285,11 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from .. import diskcache
-from ..ir.cfg import Loop, find_loops, reverse_postorder
+from ..ir.cfg import Loop, find_loops, postdominators
 from .batch import (GANG, LANES, ONE, ROW, ROWS, AffineForms,
                     row_dependent, row_monomial)
 from .costmodel import charge_items
 from ..ir.instructions import (
-    ATOMIC_RMW_OPS,
     FLOAT_BINOPS,
     Instruction,
     REDUCE_OPS,
@@ -308,7 +299,7 @@ from ..ir.types import FloatType, IntType, VectorType
 from ..ir.values import Constant, UndefValue, Value
 from ..vm.interp import (
     ExecutionLimitExceeded,
-    _BatchedBailout,
+    _Replay,
     _constant_payload,
     _undef_payload,
 )
@@ -332,19 +323,12 @@ from ..vm.ops import (
     value_impl,
 )
 
-__all__ = ["CodegenBailout", "lower_function", "forget_emission",
-           "compiled_code", "clear_code_cache"]
+__all__ = ["CodegenBailout", "lower_function", "compiled_code",
+           "clear_code_cache"]
 
 #: Emission refuses functions above this static instruction count — the
 #: generated source would dwarf the dispatch win and slow ``compile()``.
 MAX_CODEGEN_INSTRS = 8000
-
-#: Emission refuses nesting deeper than this (the CPython tokenizer caps
-#: indentation at 100 levels; structured kernels sit far below this).
-MAX_NESTING = 40
-
-#: Virtual exit node for the postdominator computation.
-_EXIT = object()
 
 #: Marker line expanded into an accumulator flush+reset in :meth:`emit`
 #: (the full set of counter locals is only known once emission finishes).
@@ -439,9 +423,9 @@ def _int_binop_expr(op: str, bits: int, a: str, b: str) -> Optional[str]:
 
 
 class CodegenBailout(Exception):
-    """This function's CFG or opcode mix cannot be linearized; the caller
-    records ``reason`` and falls back to the reference engine (for a
-    batched function: replays the launch on the unbatched twin)."""
+    """No generated code for this function, and ``reason`` says why; the
+    interpreter records it and replays the launch on the reference
+    engine."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -469,7 +453,7 @@ def _private_miss(mask, count: int, dtype):
     reads, else the launch replays on the unbatched twin."""
     if mask is not None and not count_nonzero(mask):
         return np.zeros(count, dtype)
-    raise _BatchedBailout("private storage read before the trip wrote it")
+    raise _Replay("private storage read before the trip wrote it")
 
 
 def _private_writeback(memory, base: int, private, flags, lanes: int):
@@ -587,13 +571,13 @@ def _scatter_add(memory, sub: bool, addrs, values, mask, lane: int,
     end = int(np.maximum.reduce(addrs)) + size
     if lo < NULL_GUARD or end > len(cells) * size \
             or size > 1 and count_nonzero(addrs & (size - 1)):
-        raise _BatchedBailout("scatter-add cell out of bounds or misaligned")
+        raise _Replay("scatter-add cell out of bounds or misaligned")
     # One gang's trip is its unbatched order: only cells can differ.
     for base, step, width in windows if gangs > 1 else ():
         reach = (gangs - 1) * step
         top = base + max(reach, 0) + width
         if base + min(reach, 0) < end and lo < top or top > _M64 + 1:
-            raise _BatchedBailout("scatter-add meets another access")
+            raise _Replay("scatter-add meets another access")
     if end > memory._extent:
         memory._extent = end
     # Cell indices as ``intp`` (every address is below the buffer's end),
@@ -766,79 +750,6 @@ def _uses_exactly(value: Value, user, idx: int) -> bool:
     return len(uses) == 1 and uses[0][0] is user and uses[0][1] == idx
 
 
-def _postdominators(function: Function) -> Dict[BasicBlock, object]:
-    """Immediate postdominators of the reachable CFG (Cooper–Harvey–
-    Kennedy on the reverse graph, with a virtual exit joining every
-    ``ret``/``unreachable`` block).  Blocks that cannot reach an exit
-    (infinite loops) are absent from the result.
-    """
-    reachable = reverse_postorder(function)
-    reachable_set = set(reachable)
-    exits = [
-        b for b in reachable
-        if b.instructions and b.instructions[-1].opcode in ("ret", "unreachable")
-    ]
-    # Reverse-graph successors: CFG predecessors (restricted to reachable).
-    rsucc: Dict[object, List[object]] = {
-        b: [p for p in b.predecessors if p in reachable_set] for b in reachable
-    }
-    rsucc[_EXIT] = list(exits)
-
-    # Postorder of the reverse graph from the virtual exit (iterative).
-    visited: Set[object] = {_EXIT}
-    postorder: List[object] = []
-    stack: List[Tuple[object, object]] = [(_EXIT, iter(rsucc[_EXIT]))]
-    while stack:
-        _node, it = stack[-1]
-        advanced = False
-        for nxt in it:
-            if nxt not in visited:
-                visited.add(nxt)
-                stack.append((nxt, iter(rsucc[nxt])))
-                advanced = True
-                break
-        if not advanced:
-            postorder.append(stack.pop()[0])
-    rpo = postorder[::-1]
-    index = {b: i for i, b in enumerate(rpo)}
-    ipdom: Dict[object, object] = {_EXIT: _EXIT}
-
-    def intersect(b1: object, b2: object) -> object:
-        while b1 is not b2:
-            while index[b1] > index[b2]:
-                b1 = ipdom[b1]
-            while index[b2] > index[b1]:
-                b2 = ipdom[b2]
-        return b1
-
-    changed = True
-    while changed:
-        changed = False
-        for block in rpo:
-            if block is _EXIT:
-                continue
-            # Reverse-graph predecessors: CFG successors (+ the virtual
-            # exit edge for exit blocks).
-            preds: List[object] = [
-                s for s in block.successors
-                if s in reachable_set and ipdom.get(s) is not None
-            ]
-            if block.instructions and block.instructions[-1].opcode in (
-                "ret", "unreachable"
-            ):
-                preds.append(_EXIT)
-            if not preds:
-                continue
-            new = preds[0]
-            for p in preds[1:]:
-                new = intersect(p, new)
-            if ipdom.get(block) is not new:
-                ipdom[block] = new
-                changed = True
-    ipdom.pop(_EXIT, None)
-    return ipdom
-
-
 class _LoopFrame:
     """One open ``while True:`` during emission, tracking the distinct
     out-of-loop targets its body breaks to.  A single target keeps the
@@ -902,7 +813,7 @@ class _Emitter:
         self.loops_by_header: Dict[BasicBlock, Loop] = {
             loop.header: loop for loop in find_loops(function)
         }
-        self.pdom = _postdominators(function)
+        self.pdom = postdominators(function)
         #: Counter key → integer accumulator local (``_k0``…).
         self.count_locals: Dict[str, str] = {}
         #: Charge prototypes → their ``(counts_key, cost)`` items: gang
@@ -1066,7 +977,7 @@ class _Emitter:
             # Phi locals are assigned on every incoming edge before any
             # read, so naming on demand is safe.
             return self.name_of(v)
-        raise CodegenBailout("use-before-def")
+        raise AssertionError(f"{v!r} used before its definition")
 
     def kind(self, target: BasicBlock, stop: Optional[BasicBlock]) -> str:
         """Classify an edge target relative to the innermost open loop.
@@ -1142,10 +1053,8 @@ class _Emitter:
                 if spec == LANES:  # a scatter-add's active lanes
                     spec = (f"{self._int()}({self._cnz()}("
                             f"{self.ref(ins.operands[2])}))")
-                if isinstance(spec, tuple) and not self.trip:
-                    raise CodegenBailout("batch-spec-outside-gang-loop")
-                if spec == ROWS and not self.nest:
-                    raise CodegenBailout("batch-spec-outside-row-nest")
+                assert self.trip or not isinstance(spec, tuple), spec
+                assert self.nest or spec != ROWS, spec
                 if isinstance(spec, int):
                     m = spec
                     if m:
@@ -1607,9 +1516,6 @@ class _Emitter:
             self._emit_scatter_add(ins)
         elif op == "atomicrmw":
             rmw = ins.attrs["op"]
-            if rmw not in ATOMIC_RMW_OPS:
-                # The reference engine raises the VMTrap for it.
-                raise CodegenBailout("atomicrmw-op")
             t = ins.type
             old, x = self.name_of(ins), self.ref(ops[1])
             addr = self.ref(ops[0])
@@ -1683,8 +1589,8 @@ class _Emitter:
                     continue
                 addr = other.operands[1 if op == "vstore" else 0]
                 form = forms.at_entry(addr)
-                if form is None or op not in ("vload", "vstore", "atomicrmw"):
-                    raise CodegenBailout("scatter-add-window")
+                assert form is not None and op in (
+                    "vload", "vstore", "atomicrmw"), other
                 width = (other.type if op != "vstore" else other.operands[0]
                          .type).size_bytes() // (self.trip.batch if op[0] == "v"
                                                  else 1)
@@ -1965,7 +1871,7 @@ class _Emitter:
         mask covers every lane of the trip writes the row and flags it; any
         other store with an active lane, and a load with an active lane
         from an unflagged row or an offset off the rows, replay the launch
-        on the unbatched twin (``_BatchedBailout``)."""
+        on the unbatched twin (``_Replay``)."""
         base = _private_alloca(ins)
         rows, row_bytes, _, array, flags = self.trip.privates[base]
         lanes = self._mask_lanes(mask)
@@ -1983,7 +1889,7 @@ class _Emitter:
         self.line(f"_o = {addr} - {self.ref(base)}")
         self.line(f"_k = _o // {row_bytes}")
         if store is not None:
-            bail = self.hoist(_BatchedBailout, key=("b", "bailout"))
+            bail = self.hoist(_Replay, key=("b", "bailout"))
             if not full:
                 self.line(f"_nc = {cnz}({mref})")
                 self.line("if _nc:")
@@ -2106,8 +2012,6 @@ class _Emitter:
 
     def _suite(self, emit_fn) -> None:
         self.indent += 1
-        if self.indent > MAX_NESTING:
-            raise CodegenBailout("deep-nesting")
         mark = len(self.lines)
         emit_fn()
         if len(self.lines) == mark:
@@ -2320,8 +2224,7 @@ class _Emitter:
                     continue
                 addr = ins.operands[1 if op in ("vstore", "store") else 0]
                 form = nest.form(addr)
-                if form is None:
-                    raise CodegenBailout("row-nest-address")
+                assert form is not None, ins
                 if op in ("vload", "vstore"):
                     vtype = ins.type if op == "vload" else ins.operands[0].type
                     row = vtype.count // batch * vtype.elem.size_bytes()
@@ -2446,12 +2349,11 @@ class _Emitter:
                    stop: Optional[BasicBlock]) -> Optional[BasicBlock]:
         """Emit one block's charges + body + terminator; returns the
         inline continuation block, or ``None`` when the suite ends here."""
-        if block in self.emitted:
-            raise CodegenBailout("block-re-emitted")
+        # Reducible control flow — all a PsimC program has — never
+        # reaches a block twice.
+        assert block not in self.emitted, block
         self.emitted.add(block)
         instrs = block.instructions
-        if not instrs or not instrs[-1].is_terminator:
-            raise CodegenBailout("no-terminator")
         if self.nest is not None and block is self.nest.header:
             # The rows this outer trip runs: R, the rows left, or 1 on
             # the last header visit (the exit test charges once).
@@ -2478,10 +2380,9 @@ class _Emitter:
                 self.emit_call(ins)
             elif op in COMPUTE_OPS:
                 self.emit_compute(ins)
-            elif op in _MEMORY_OPS:
-                self.emit_memory(ins)
             else:
-                raise CodegenBailout(f"opcode:{op}")
+                assert op in _MEMORY_OPS, op
+                self.emit_memory(ins)
         cond_expr = self._fold_cond_expr(fold) if fold is not None else None
         return self.emit_terminator(block, term, stop, cond_expr)
 
@@ -2517,48 +2418,46 @@ class _Emitter:
                 self._emit_writeback()
             self.emit_phi_moves(block, term.operands[0])
             return self._goto(term.operands[0], stop)
-        if op == "condbr":
-            cond = (
-                cond_expr if cond_expr is not None
-                else self.ref(term.operands[0])
-            )
-            commits: Optional[Tuple[List[str], List[str]]] = None
-            backedge = (
-                term.attrs.get("batch_backedge") if self.fn_batched else None
-            )
-            if backedge is not None:
-                # Divergent-loop backedge: this block's prologue charged
-                # with the *previous* iteration's activity; commit the
-                # count the mask reduction just produced before the next
-                # iteration (or reset the loop's state on exit).
-                lid, taken_idx = backedge
-                commit = [f"_act[{lid!r}] = _pend[{lid!r}]"]
-                drop = [f"_act.pop({lid!r}, None)", f"_pend.pop({lid!r}, None)"]
-                commits = (commit, drop) if taken_idx == 1 else (drop, commit)
-            tail = self.nest is not None and "row_tail" in term.attrs
-            if tail:
-                # A row tail: one predicated trip of a gang per row.
-                nest = self.nest
-                self.trip = _Trip(nest.gang, nest.batch, None, nest.tail,
-                                  nest.rvs[1])
-                self.line("_g = 1")
-                self.line("_r = _R")
-                self.line(f"_n = _R * {nest.gang}")
-                self._mark()
-            body = self.emit_condbr(
-                block, cond, term.operands[1], term.operands[2], stop, commits
-            )
-            if tail:
-                self._close_trip()
-                self.trip = None
-            if self.fn_batched and "batch_trip" in term.attrs:
-                # The gang loop's header: the exit was a guarded break,
-                # and what follows is its body.
-                if body is not term.operands[1]:
-                    raise CodegenBailout("batch-trip-shape")
-                self._emit_trip_count(term)
-            return body
-        raise CodegenBailout(f"terminator:{op}")
+        assert op == "condbr", op
+        cond = (
+            cond_expr if cond_expr is not None
+            else self.ref(term.operands[0])
+        )
+        commits: Optional[Tuple[List[str], List[str]]] = None
+        backedge = (
+            term.attrs.get("batch_backedge") if self.fn_batched else None
+        )
+        if backedge is not None:
+            # Divergent-loop backedge: this block's prologue charged
+            # with the *previous* iteration's activity; commit the
+            # count the mask reduction just produced before the next
+            # iteration (or reset the loop's state on exit).
+            lid, taken_idx = backedge
+            commit = [f"_act[{lid!r}] = _pend[{lid!r}]"]
+            drop = [f"_act.pop({lid!r}, None)", f"_pend.pop({lid!r}, None)"]
+            commits = (commit, drop) if taken_idx == 1 else (drop, commit)
+        tail = self.nest is not None and "row_tail" in term.attrs
+        if tail:
+            # A row tail: one predicated trip of a gang per row.
+            nest = self.nest
+            self.trip = _Trip(nest.gang, nest.batch, None, nest.tail,
+                              nest.rvs[1])
+            self.line("_g = 1")
+            self.line("_r = _R")
+            self.line(f"_n = _R * {nest.gang}")
+            self._mark()
+        body = self.emit_condbr(
+            block, cond, term.operands[1], term.operands[2], stop, commits
+        )
+        if tail:
+            self._close_trip()
+            self.trip = None
+        if self.fn_batched and "batch_trip" in term.attrs:
+            # The gang loop's header: the exit was a guarded break,
+            # and what follows is its body.
+            assert body is term.operands[1], block
+            self._emit_trip_count(term)
+        return body
 
     def _goto(self, target: BasicBlock,
               stop: Optional[BasicBlock]) -> Optional[BasicBlock]:
@@ -2724,70 +2623,48 @@ class _Emitter:
         return source, self.hoisted
 
 
-def _batch_fingerprint(function: Function) -> tuple:
-    """Batching configuration visible to emission: the ``batched`` attr
-    (the batch factor, or ``None``) and the number of annotated
-    instructions.  Attrs-only mutations — stripping or re-running the
-    batch pass on the same unfrozen module — keep the function's
-    identity, which alone would replay a stale emission (or worse, a
-    stale *bailout*) for a configuration it never saw."""
-    n = 0
-    for b in function.blocks:
-        for ins in b.instructions:
-            if "batch_mult" in ins.attrs:
-                n += 1
-    return (function.attrs.get("batched"), n)
-
-
-def forget_emission(function: Function) -> None:
-    """Drop ``function``'s cached emissions: its IR was mutated in place,
-    which object identity cannot see."""
-    function._emissions = None
-
-
 def lower_function(function: Function, machine, cost_model):
     """The generated callable for ``function`` on ``machine`` under
     ``cost_model``: ``(kfn, origin)``, to be called as
     ``kfn(interp, argvals, depth)``.
 
-    Raises :class:`CodegenBailout` when the function cannot be
-    linearized.  Emissions (and bailouts) hang off the function object
-    itself (``Function._emissions``: a list of ``(machine, cost_model,
-    fingerprint, source, kfn, reason)``), so they are found by identity —
-    the compile cache hands every caller of a kernel the same frozen
-    module — and live exactly as long as their module: nothing
-    process-global references a ``Function`` or its ``Instruction`` s.
-    Finding an entry is all a second interpreter over the same kernel
-    pays (``origin == "cache"``); otherwise ``origin`` says where the code
-    object came from (see :func:`compiled_code`).  A mutable function's
-    entries match on the batch fingerprint too, which keeps a bailout
-    memoized against one batching configuration from suppressing emission
-    for another; a frozen function's entries were all made after it froze
-    (``Function._freeze`` drops earlier ones), so they need no walk.
+    Raises :class:`CodegenBailout` when there is none: the emitter refused
+    the function (its reason), or emission, ``compile()`` or binding
+    raised (``error:<exception type>``).  On a frozen function the outcome
+    — callable or reason — hangs off the function object itself
+    (``Function._emissions``: a list of ``(machine, cost_model, source,
+    kfn, reason)``), so it is found by identity — the compile cache hands
+    every caller of a kernel the same frozen module — and lives exactly as
+    long as its module: nothing process-global references a ``Function``
+    or its ``Instruction`` s.  Finding an entry is all a second
+    interpreter over the same kernel pays (``origin == "cache"``);
+    otherwise ``origin`` says where the code object came from (see
+    :func:`compiled_code`).  A mutable function can change under any memo,
+    so each call emits it afresh.
     """
-    entries = function._emissions
-    if entries is None:
-        entries = function._emissions = []
-    fingerprint = None if function.frozen else _batch_fingerprint(function)
-    for entry_machine, entry_cost_model, fp, _, kfn, reason in entries:
-        if (
-            entry_machine is machine
-            and entry_cost_model is cost_model
-            and fp == fingerprint
-        ):
-            if reason is not None:
-                raise CodegenBailout(reason)
-            return kfn, "cache"
+    entries = None
+    if function.frozen:
+        entries = function._emissions
+        if entries is None:
+            entries = function._emissions = []
+        for entry_machine, entry_cost_model, _, kfn, reason in entries:
+            if entry_machine is machine and entry_cost_model is cost_model:
+                if reason is not None:
+                    raise CodegenBailout(reason)
+                return kfn, "cache"
+    source = kfn = reason = None
     try:
         source, bindings = _Emitter(function, machine, cost_model).emit()
+        code, origin = compiled_code(source, function.name)
+        kfn = _bind(code, bindings)
     except CodegenBailout as exc:
-        entries.append(
-            (machine, cost_model, fingerprint, None, None, exc.reason)
-        )
-        raise
-    code, origin = compiled_code(source, function.name)
-    kfn = _bind(code, bindings)
-    entries.append((machine, cost_model, fingerprint, source, kfn, None))
+        reason = exc.reason
+    except Exception as exc:  # an emitter bug, or a source compile() refuses
+        reason = f"error:{type(exc).__name__}"
+    if entries is not None:
+        entries.append((machine, cost_model, source, kfn, reason))
+    if reason is not None:
+        raise CodegenBailout(reason)
     return kfn, origin
 
 

@@ -224,8 +224,8 @@ def dump_codegen(spec: KernelSpec, machine: Machine = AVX512) -> str:
         except codegen.CodegenBailout as exc:
             out.append(f"== @{function.name}: not compiled ({exc.reason})")
             continue
-        source = next(entry[3] for entry in function._emissions
-                      if entry[4] is kfn)
+        source = next(entry[2] for entry in function._emissions
+                      if entry[3] is kfn)
         signature, summary, *body = source.splitlines()
         counts, _, hoisted = summary.strip("# ").partition(" hoisted: ")
         fields = dict(item.split("=") for item in counts.split())

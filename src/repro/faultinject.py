@@ -26,14 +26,15 @@ Hook sites (the ``site`` of a :class:`FaultPlan`):
 * ``"smt"``       — entry of the SMT rule probe (name = rule name);
 * ``"memory"``    — inside ``vm.Memory`` bounds checks (name = ``"check"``
   for scalar accesses, ``"lanes"`` for vector accesses);
-* ``"codegen"``   — in ``Interpreter._codegen_lower``, before a function's
-  generated code is looked up or emitted (name = function name): the
-  function runs on the reference engine, its bailout counted as
-  ``injected-fault``.  ``Interpreter.run`` never arms codegen while a
-  plan is active, so only a direct call reaches this site;
 * ``"corrupt"``   — after each pass, *silently corrupts the IR* instead of
   raising (drops the entry block's terminator), so tests can prove the
   paranoid verifier catches miscompiles and names the offending pass.
+
+No site sits in codegen: ``Interpreter.run`` never arms generated code
+while a plan is active (a replay would fire a one-shot plan twice), and a
+codegen failure needs no forcing — valid source reaches it (a function
+above ``MAX_CODEGEN_INSTRS``, or nested deeper than ``compile()`` takes),
+and the launch replays whole on the reference engine.
 
 Usage::
 

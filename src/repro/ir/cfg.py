@@ -1,8 +1,10 @@
 """Control-flow-graph analyses: orderings, dominators, natural loops.
 
-Implements the Cooper–Harvey–Kennedy iterative dominator algorithm and
+Implements the Cooper–Harvey–Kennedy iterative dominator algorithm — once,
+for dominators and for postdominators (codegen's structural joins) — and
 classic back-edge based natural-loop discovery.  These feed mem2reg, the
-auto-vectorizer's loop finder, and the Parsimony structurizer/mask builder.
+auto-vectorizer's loop finder, the Parsimony structurizer/mask builder and
+the codegen structurer.
 
 Every consumer takes its tree from :func:`dominator_tree`, which hands
 back the tree it last built for a function while the function's CFG —
@@ -24,6 +26,7 @@ __all__ = [
     "DominatorTree",
     "dominator_tree",
     "dominance_frontiers",
+    "postdominators",
     "Loop",
     "find_loops",
 ]
@@ -31,24 +34,59 @@ __all__ = [
 
 def reverse_postorder(function: Function) -> List[BasicBlock]:
     """Blocks reachable from entry, in reverse postorder."""
-    visited: Set[BasicBlock] = set()
-    postorder: List[BasicBlock] = []
+    return _reverse_postorder(function.entry, lambda block: block.successors)
+
+
+def _reverse_postorder(root, successors) -> list:
+    """Nodes reachable from ``root`` along ``successors(node)``, in
+    reverse postorder."""
+    visited = {root}
+    postorder = []
 
     # Iterative DFS to avoid recursion limits on deep CFGs.
-    stack = [(function.entry, iter(function.entry.successors))]
-    visited.add(function.entry)
+    stack = [(root, iter(successors(root)))]
     while stack:
-        _block, it = stack[-1]
+        _node, it = stack[-1]
         advanced = False
         for succ in it:
             if succ not in visited:
                 visited.add(succ)
-                stack.append((succ, iter(succ.successors)))
+                stack.append((succ, iter(successors(succ))))
                 advanced = True
                 break
         if not advanced:
             postorder.append(stack.pop()[0])
     return postorder[::-1]
+
+
+def _immediate_dominators(rpo: list, preds: dict) -> dict:
+    """Cooper–Harvey–Kennedy: the immediate dominator of every node of a
+    graph given in reverse postorder from its root ``rpo[0]`` (which maps
+    to itself), each node's predecessors listed in ``preds``."""
+    index = {node: i for i, node in enumerate(rpo)}
+    idom = dict.fromkeys(rpo)
+    idom[rpo[0]] = rpo[0]
+
+    def intersect(b1, b2):
+        while b1 is not b2:
+            while index[b1] > index[b2]:
+                b1 = idom[b1]
+            while index[b2] > index[b1]:
+                b2 = idom[b2]
+        return b1
+
+    changed = True
+    while changed:
+        changed = False
+        for node in rpo[1:]:
+            new = None
+            for pred in preds[node]:
+                if idom[pred] is not None:
+                    new = pred if new is None else intersect(pred, new)
+            if new is not None and idom[node] is not new:
+                idom[node] = new
+                changed = True
+    return idom
 
 
 class DominatorTree:
@@ -66,37 +104,12 @@ class DominatorTree:
                 self.children[parent].append(block)
 
     def _compute(self) -> None:
-        entry = self.function.entry
-        idom: Dict[BasicBlock, Optional[BasicBlock]] = {b: None for b in self.rpo}
-        idom[entry] = entry
         # Edges do not move while the fixpoint runs: list each block's
         # reachable predecessors once, not once per round.
-        reachable_preds = {
-            block: [p for p in block.predecessors if p in idom]
-            for block in self.rpo if block is not entry
-        }
-        changed = True
-        while changed:
-            changed = False
-            for block, all_preds in reachable_preds.items():
-                preds = [p for p in all_preds if idom[p] is not None]
-                if not preds:
-                    continue
-                new_idom = preds[0]
-                for pred in preds[1:]:
-                    new_idom = self._intersect(idom, pred, new_idom)
-                if idom[block] is not new_idom:
-                    idom[block] = new_idom
-                    changed = True
-        self.idom = idom
-
-    def _intersect(self, idom, b1: BasicBlock, b2: BasicBlock) -> BasicBlock:
-        while b1 is not b2:
-            while self._rpo_index[b1] > self._rpo_index[b2]:
-                b1 = idom[b1]
-            while self._rpo_index[b2] > self._rpo_index[b1]:
-                b2 = idom[b2]
-        return b1
+        index = self._rpo_index
+        self.idom = _immediate_dominators(self.rpo, {
+            block: [p for p in block.predecessors if p in index]
+            for block in self.rpo})
 
     def dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         """True if ``a`` dominates ``b`` (reflexively)."""
@@ -169,6 +182,35 @@ def dominance_frontiers(dt: DominatorTree) -> Dict[BasicBlock, Set[BasicBlock]]:
                 if runner is None:  # unreachable pred chains
                     break
     return df
+
+
+_EXITS = ("ret", "unreachable")
+
+
+def postdominators(
+        function: Function) -> Dict[BasicBlock, Optional[BasicBlock]]:
+    """Immediate postdominators of the reachable CFG: the dominators of
+    the reverse graph rooted at a virtual exit that joins every
+    ``ret``/``unreachable`` block.  A block postdominated by nothing but
+    that exit maps to ``None``; a block that cannot reach an exit (an
+    infinite loop) is absent."""
+    reachable = reverse_postorder(function)
+    exit_node = object()
+    reachable_set = set(reachable)
+    # Reverse-graph successors are CFG predecessors, and its predecessors
+    # CFG successors (the exit's edge for an exiting block).
+    rsucc = {b: [p for p in b.predecessors if p in reachable_set]
+             for b in reachable}
+    rsucc[exit_node] = [b for b in reachable
+                        if getattr(b.terminator, "opcode", None) in _EXITS]
+    rpo = _reverse_postorder(exit_node, rsucc.__getitem__)
+    exiting = set(rpo)
+    rpreds = {b: [s for s in b.successors if s in exiting] for b in rpo[1:]}
+    for b in rsucc[exit_node]:
+        rpreds[b].append(exit_node)
+    ipdom = _immediate_dominators(rpo, rpreds)
+    del ipdom[exit_node]
+    return {b: None if p is exit_node else p for b, p in ipdom.items()}
 
 
 class Loop:

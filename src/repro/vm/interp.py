@@ -20,11 +20,12 @@ trap-point stats:
 * **whole-kernel codegen** (the default): each function linearized into
   one generated Python function by :mod:`repro.backend.codegen` — the
   only module that generates source.  It runs only under
-  :meth:`Interpreter._run_replayable`; any trap rolls the launch back
-  and replays it on the reference engine.  An unbatched function it
-  cannot express (:class:`~repro.backend.codegen.CodegenBailout`) runs
-  on the reference engine in place; a batched one is handled like a
-  trap;
+  :meth:`Interpreter._run_replayable`, and there is one way out of it:
+  a trap, a failed zero-charge check, or a function without generated
+  code (:class:`~repro.backend.codegen.CodegenBailout`, batched or not)
+  rolls the launch back and replays it whole on the reference engine.
+  A launch never mixes engines, and an interpreter that recorded a
+  bailout runs its later launches on the reference engine outright;
 * the **reference engine** (``codegen=False``): the opcode-string
   dispatch loop, charging per instruction in charge-then-execute order.
   It interprets *unbatched* IR only, and is the executable
@@ -47,7 +48,7 @@ Gang batching (:mod:`repro.backend.batch`) promises outputs and
 ``ExecStats`` equal to the unbatched build, so that build is the spec of
 batched IR.  Batched IR runs only as generated code; every other launch
 of a batched module — ``codegen=False``, a run while a fault plan is
-armed, a trap replay, a bailout — runs the module's
+armed, a replay — runs the module's
 :func:`~repro.backend.batch.unbatched_twin` on the reference engine.
 
 ``predecode=False`` is an older spelling of ``codegen=False``, kept for
@@ -58,12 +59,13 @@ Ownership
 
 Generated code belongs to the module, not to an interpreter::
 
-    Module ──► Function ──► _emissions: one entry per (machine, cost
-                   model) ──► (code object, the one bound callable)
+    Module ──► Function ──► _emissions (frozen only): one entry per
+                   (machine, cost model) ──► (code object, the one bound
+                   callable) or the reason there is none
 
     Interpreter ──► Memory, ExecStats              (plain data)
-        ├──► _codegen_fns: Function ──► that callable (a reference, or
-        │        ``None`` for a sticky bailout; nothing is built here)
+        ├──► _codegen_fns: Function ──► that callable (a reference; a
+        │        mutable function's is its own emission)
         ├──► _fallback_interp: the reference engine over the module, or
         │        over its unbatched twin ──► the same Memory
         └──► module (shared, frozen; never references an interpreter)
@@ -82,8 +84,9 @@ and its impls) are module-level functions, not bound methods.
 Both engines assume the module is not mutated once execution has started
 (the driver's ``compile_*`` results are frozen, so they cannot be);
 call :meth:`Interpreter.clear_decode_cache` after transforming a function
-of a hand-built module that has already run (this drops compiled
-functions, instruction records and the replay twin).  Constant payloads
+of a hand-built module that has already run (this drops the
+interpreter's compiled functions, instruction records, bailouts and
+replay twin).  Constant payloads
 are shared across dynamic uses in generated code — no opcode mutates its
 operand arrays, so this is observationally equivalent to the reference
 engine's fresh-per-use arrays.
@@ -120,9 +123,10 @@ class ExecutionLimitExceeded(VMTrap):
     """The dynamic instruction budget was exhausted (likely infinite loop)."""
 
 
-class _BatchedBailout(Exception):
-    """Codegen bailed out on a batched function: the launch rolls back and
-    runs on the unbatched twin, as after a trap."""
+class _Replay(Exception):
+    """The launch cannot finish in generated code — a function has none,
+    or a zero-charge check of a batched trip failed: it rolls back and
+    replays whole on the reference engine, as after a trap."""
 
 
 def _holds_batched_ir(module: Module) -> bool:
@@ -132,10 +136,6 @@ def _holds_batched_ir(module: Module) -> bool:
 
 
 _MAX_CALL_DEPTH = 256
-
-#: Sentinel distinguishing "never attempted" from a sticky ``None``
-#: bailout in the per-function codegen memo.
-_CODEGEN_UNCOMPILED = object()
 
 
 class Interpreter:
@@ -158,8 +158,8 @@ class Interpreter:
         self.max_instructions = max_instructions
         #: Whole-kernel codegen engine (see :mod:`repro.backend.codegen`);
         #: off, every launch runs on the reference engine (a batched
-        #: module's on its unbatched twin), which is also the bailout and
-        #: trap-replay target.
+        #: module's on its unbatched twin), which is also the replay
+        #: target.
         self.codegen = bool(codegen) and predecode
         self.stats = ExecStats()
         #: Exclusive (self-only) cycles per function name, for hot-spot telemetry.
@@ -175,16 +175,15 @@ class Interpreter:
         #: Instruction -> its reference-engine record, ``(charge items,
         #: impl)`` (see :meth:`_record`).
         self._records: Dict[Instruction, tuple] = {}
-        #: Trap (and batched-bailout) replays on the unbatched twin this
-        #: run (see :meth:`_run_replayable`).
+        #: Replays on the unbatched twin this run (see
+        #: :meth:`_run_replayable`).
         self.batch_replays = 0
         #: Launches in which a collapsed row nest's no-alias check failed,
         #: so the nest ran one row per trip (see :mod:`repro.backend.batch`).
         self.row_fallbacks = 0
         self._fallback_interp: Optional["Interpreter"] = None
-        #: Function -> its generated callable (owned by the function's
-        #: emission, shared with every other interpreter), or ``None``
-        #: (sticky) when emission bailed out.
+        #: Function -> its generated callable (a frozen function's is
+        #: owned by its emission and shared with every other interpreter).
         self._codegen_fns: Dict[Function, object] = {}
         #: ``vm.codegen.*`` counters.  compiles/cache_hits/disk_hits are
         #: binding artifacts; calls/replays are run counters
@@ -193,7 +192,8 @@ class Interpreter:
             "compiles": 0, "cache_hits": 0, "disk_hits": 0,
             "calls": 0, "replays": 0,
         }
-        #: Bailout reason -> count (binding artifact).
+        #: Bailout reason -> count (binding artifact).  Once it holds one,
+        #: every launch runs on the reference engine.
         self.codegen_bailouts: Dict[str, int] = {}
         #: True only while executing under :meth:`_run_replayable`: the
         #: generated code's block-merged charges are exact for completed
@@ -214,7 +214,8 @@ class Interpreter:
         argvals = [
             _coerce_arg(a.type, v) for a, v in zip(function.args, args)
         ]
-        if self.codegen and not faultinject.active():
+        if self.codegen and not self.codegen_bailouts \
+                and not faultinject.active():
             return self._run_replayable(function, argvals)
         if _holds_batched_ir(self.module):
             # The reference engine interprets unbatched IR only.
@@ -226,8 +227,9 @@ class Interpreter:
         contract.
 
         Any trap (a genuine kernel trap, a budget trap, or a spurious
-        batched-only trap from a finished gang's unmasked lanes), and a
-        codegen bailout on a batched function, rolls the VM back to the
+        batched-only trap from a finished gang's unmasked lanes), and any
+        :class:`_Replay` (a function without generated code, a batched
+        trip's failed zero-charge check), rolls the VM back to the
         pre-run state (an extent-bounded :meth:`Memory.snapshot`, not a
         copy of the whole image) and replays the call wholesale on the
         reference engine (:meth:`_run_reference`): on the module's
@@ -251,7 +253,7 @@ class Interpreter:
         self._codegen_armed = self.codegen
         try:
             return self._exec_function(function, argvals, depth=0)
-        except (VMTrap, MemoryError_, _BatchedBailout):
+        except (VMTrap, MemoryError_, _Replay):
             memory.restore(rollback)
             stats.cycles, stats.instructions = snap[0], snap[1]
             stats.counts.clear()
@@ -355,16 +357,12 @@ class Interpreter:
         instruction records, after mutating the module.
 
         The trap-replay twin goes too: it holds records of the same
-        module, and replays are authoritative.
+        module, and replays are authoritative.  Only a mutable function
+        can have changed, and only this interpreter memoized its emission.
         """
         self._records.clear()
         self._fallback_interp = None
-        if self._codegen_fns:
-            from ..backend.codegen import forget_emission
-
-            for function in self._codegen_fns:
-                forget_emission(function)
-            self._codegen_fns.clear()
+        self._codegen_fns.clear()
         self.codegen_bailouts.clear()
         for key in ("compiles", "cache_hits", "disk_hits"):
             self.codegen_stats[key] = 0
@@ -427,18 +425,11 @@ class Interpreter:
                 # bulk-charges per block, so its trap-point stats are
                 # approximate and a replay on the reference engine must be
                 # standing by.  Fault-injected runs skip the wrapper and
-                # therefore run on the reference engine.  Batched IR has no
-                # reference execution: its bailout replays like a trap.
-                kfn = self._codegen_fns.get(
-                    function, _CODEGEN_UNCOMPILED
-                )
-                if kfn is _CODEGEN_UNCOMPILED:
-                    kfn = self._codegen_lower(function)
-                if kfn is not None:
-                    self.codegen_stats["calls"] += 1
-                    return kfn(self, argvals, depth)
-                if function.attrs.get("batched"):
-                    raise _BatchedBailout(function.name)
+                # therefore run on the reference engine.
+                kfn = self._codegen_fns.get(function) \
+                    or self._codegen_lower(function)
+                self.codegen_stats["calls"] += 1
+                return kfn(self, argvals, depth)
             return self._exec_reference(function, argvals, depth)
         finally:
             stack.pop()
@@ -458,38 +449,31 @@ class Interpreter:
     # -- whole-kernel codegen engine -------------------------------------------------
 
     def _codegen_lower(self, function: Function):
-        """Look up (first time per module: emit, compile and bind)
-        ``function``'s generated callable, or ``None``.
+        """``function``'s generated callable (emitted, compiled and bound
+        the first time per frozen module), noting where it came from in
+        ``codegen_stats`` (``compiles`` / ``cache_hits`` / ``disk_hits``;
+        an emission another interpreter already bound is a cache hit).
 
-        Bailouts are sticky per function (the reason lands in
-        ``codegen_bailouts``); successes report where the code came from
-        in ``codegen_stats`` (``compiles`` / ``cache_hits`` /
-        ``disk_hits``; an emission another interpreter already bound is a
-        cache hit).  Emission failures of *any* kind degrade to the
-        reference engine (a batched function's launch to its unbatched
-        twin) — codegen is an accelerator, never a requirement.
+        Without one — any failure, memoized with its reason by
+        :func:`~repro.backend.codegen.lower_function` — the reason lands
+        in ``codegen_bailouts`` and :class:`_Replay` sends the launch to
+        the reference engine: codegen is an accelerator, never a
+        requirement.
         """
         from ..backend import codegen as _cg
 
-        bailouts = self.codegen_bailouts
-        kfn = None
         try:
-            faultinject.maybe_fail("codegen", function.name)
             kfn, origin = _cg.lower_function(
                 function, self.machine, self.cost_model
             )
         except _cg.CodegenBailout as exc:
+            bailouts = self.codegen_bailouts
             bailouts[exc.reason] = bailouts.get(exc.reason, 0) + 1
-        except faultinject.InjectedFault:
-            bailouts["injected-fault"] = bailouts.get("injected-fault", 0) + 1
-        except Exception as exc:  # defensive: an emitter bug must not trap
-            reason = f"error:{type(exc).__name__}"
-            bailouts[reason] = bailouts.get(reason, 0) + 1
-        else:
-            key = {"cache": "cache_hits", "disk": "disk_hits"}.get(
-                origin, "compiles"
-            )
-            self.codegen_stats[key] += 1
+            raise _Replay(exc.reason) from None
+        key = {"cache": "cache_hits", "disk": "disk_hits"}.get(
+            origin, "compiles"
+        )
+        self.codegen_stats[key] += 1
         self._codegen_fns[function] = kfn
         return kfn
 

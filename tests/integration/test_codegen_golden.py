@@ -52,8 +52,8 @@ def digests(spec) -> dict:
         except codegen.CodegenBailout as exc:
             out[function.name] = f"bailout:{exc.reason}"
             continue
-        source = next(entry[3] for entry in function._emissions
-                      if entry[4] is kfn)
+        source = next(entry[2] for entry in function._emissions
+                      if entry[3] is kfn)
         out[function.name] = hashlib.sha256(source.encode()).hexdigest()
     return out
 

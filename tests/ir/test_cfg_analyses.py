@@ -1,4 +1,7 @@
-"""Unit tests for CFG analyses: RPO, dominators, frontiers, loops."""
+"""Unit tests for CFG analyses: RPO, dominators, postdominators,
+frontiers, loops."""
+
+import pytest
 
 from repro.ir import (
     I1,
@@ -12,6 +15,7 @@ from repro.ir import (
     find_loops,
     reverse_postorder,
 )
+from repro.ir.cfg import postdominators
 
 
 def diamond():
@@ -187,3 +191,87 @@ def test_freezing_and_pickling_drop_the_memo():
     assert f._dominators is None
     dominator_tree(f)
     assert f._dominators is None  # a frozen function keeps no memo
+
+
+# -- postdominators ------------------------------------------------------------
+
+
+def _cfg(edges):
+    """A void function over ``edges``: block name -> successor names, or
+    ``"ret"``/``"unreachable"``; two successors branch on the argument."""
+    from repro.ir import VOID
+
+    f = Function("p", FunctionType(VOID, (I1,)), ["c"])
+    blocks = {name: f.add_block(name) for name in edges}
+    b = IRBuilder(f, blocks["entry"])
+    for name, succs in edges.items():
+        b.position_at_end(blocks[name])
+        if succs == "ret":
+            b.ret()
+        elif succs == "unreachable":
+            b.unreachable()
+        elif len(succs) == 1:
+            b.br(blocks[succs[0]])
+        else:
+            b.condbr(f.args[0], blocks[succs[0]], blocks[succs[1]])
+    return f, blocks
+
+
+def _brute_ipdom(f):
+    """Immediate postdominators by the path definition: ``d`` postdominates
+    ``b`` iff every path from ``b`` to a ``ret``/``unreachable`` passes
+    through ``d``, i.e. none is left once ``d`` is removed."""
+    blocks = reverse_postorder(f)
+
+    def reaches_exit(start, removed):
+        seen, stack = set(), [start]
+        while stack:
+            block = stack.pop()
+            if block is removed or block in seen:
+                continue
+            seen.add(block)
+            if block.terminator.opcode in ("ret", "unreachable"):
+                return True
+            stack.extend(block.successors)
+        return False
+
+    def strict(b):
+        return {d for d in blocks if d is not b and not reaches_exit(b, d)}
+
+    want = {}
+    for b in blocks:
+        if not reaches_exit(b, None):
+            continue  # no exit to postdominate it
+        pdoms = strict(b)
+        want[b] = next((d for d in pdoms if strict(d) == pdoms - {d}), None)
+    return want
+
+
+POSTDOM_CFGS = {
+    "diamond": {"entry": ("then", "else"), "then": ("join",),
+                "else": ("join",), "join": "ret"},
+    "multi-exit": {"entry": ("a", "b"), "a": ("join", "early"),
+                   "b": ("join",), "early": "ret", "join": ("c", "trap"),
+                   "c": "ret", "trap": "unreachable"},
+    "early-ret-in-loop": {"entry": ("header",), "header": ("body", "done"),
+                          "body": ("found", "latch"), "found": "ret",
+                          "latch": ("header",), "done": "ret"},
+    "infinite-loop": {"entry": ("spin", "out"), "spin": ("spin2",),
+                      "spin2": ("spin",), "out": ("tail", "spin"),
+                      "tail": "ret"},
+}
+
+
+
+@pytest.mark.parametrize("name", sorted(POSTDOM_CFGS))
+def test_postdominators_match_the_path_definition(name):
+    f, blocks = _cfg(POSTDOM_CFGS[name])
+    got = postdominators(f)
+    assert got == _brute_ipdom(f)
+    if name == "infinite-loop":
+        assert blocks["spin"] not in got and blocks["spin2"] not in got
+        assert got[blocks["entry"]] is blocks["out"]
+        assert got[blocks["out"]] is blocks["tail"]
+    if name == "multi-exit":
+        assert got[blocks["entry"]] is None  # only the virtual exit
+        assert got[blocks["b"]] is blocks["join"]

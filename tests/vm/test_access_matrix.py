@@ -15,6 +15,7 @@ message, ``Memory.image()`` and ``Memory.extent``.
 import numpy as np
 import pytest
 
+from repro.backend.codegen import _Emitter
 from repro.ir import (
     I1,
     I32,
@@ -258,8 +259,9 @@ def test_which_packed_accesses_stay_out_of_memory(form, mask, monkeypatch):
     _, interp = _drive(form, mask, "inside", "codegen")
     assert calls == []
     if _static_mask(form) and ".f" in form:
-        (entry,) = interp.module.functions["f"]._emissions
-        assert "folded=2 " in entry[3]  # the shuffle and the ``and``
+        source, _ = _Emitter(interp.module.functions["f"], interp.machine,
+                             interp.cost_model).emit()
+        assert "folded=2 " in source  # the shuffle and the ``and``
     calls.clear()
     _drive(form, mask, "misaligned", "codegen")
     assert len(calls) == (0 if _static_mask(form) == "none" else 1)

@@ -13,6 +13,7 @@ trap.
 import numpy as np
 import pytest
 
+from repro.backend.codegen import _Emitter
 from repro.ir import (
     I1,
     I8,
@@ -72,8 +73,10 @@ def _drive(module, *args, setup=None):
 
 
 def _source(interp):
-    (entry,) = interp.module.functions["f"]._emissions
-    return entry[3]
+    """The source ``interp`` ran (a hand-built function is emitted afresh
+    by each interpreter, and emission is deterministic)."""
+    return _Emitter(interp.module.functions["f"], interp.machine,
+                    interp.cost_model).emit()[0]
 
 
 def _agree(seen):

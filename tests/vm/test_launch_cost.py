@@ -52,8 +52,7 @@ class _Calls:
     """Counts calls into the emission machinery of ``repro.backend.codegen``
     (``compile``/``exec`` are shadowed as module globals)."""
 
-    NAMES = ("value_impl", "charge_items", "_Emitter", "_batch_fingerprint",
-             "compile", "exec")
+    NAMES = ("value_impl", "charge_items", "_Emitter", "compile", "exec")
 
     def __init__(self, monkeypatch):
         self.counts = dict.fromkeys(self.NAMES, 0)
@@ -101,7 +100,7 @@ def test_generated_code_is_shared_not_rebuilt():
     b, _ = _launch(module, COPY.workload())
     assert a._codegen_fns and a._codegen_fns == b._codegen_fns
     for function, kfn in a._codegen_fns.items():
-        assert any(entry[4] is kfn for entry in function._emissions)
+        assert any(entry[3] is kfn for entry in function._emissions)
         assert not any(isinstance(v, (Interpreter, Memory))
                        for v in kfn.__defaults__ or ())
 
@@ -264,7 +263,7 @@ def test_generated_source_recomputes_nothing_it_knew_at_emit_time():
     module = compile_parsimony(spec.psim_src)
     _launch(module, spec.workload())
     (entry,) = module.functions["kernel"]._emissions
-    lines = entry[3].splitlines()
+    lines = entry[2].splitlines()
     # A constant shuffle index is a hoisted selector, not a per-launch
     # ``IDX.astype(int64) % n``.
     assert not any(re.search(r"_h\d+\.astype\(", line) for line in lines)

@@ -113,25 +113,15 @@ def test_batched_ir_never_reaches_the_reference_engine(name, reference_visits):
         _launch(orphan, spec, codegen=False)
 
 
-@pytest.mark.parametrize("force", ["fault-site", "too-large"])
 @pytest.mark.parametrize("name", sorted(SPECS))
-def test_codegen_bailout_on_batched_ir_replays_on_the_twin(name, force,
-                                                           monkeypatch):
+def test_codegen_bailout_on_batched_ir_replays_on_the_twin(name, monkeypatch):
     spec = SPECS[name]
     module = _fresh_batched(spec)
     want = _unbatched_reference(spec)
-    interp = Interpreter(module)
-    kernel = module.get("kernel")
-    if force == "fault-site":
-        with inject(FaultPlan(site="codegen")):
-            assert interp._codegen_lower(kernel) is None
-        reason = "injected-fault"
-    else:
-        monkeypatch.setattr(cg, "MAX_CODEGEN_INSTRS", 4)
-        reason = "function-too-large"
-    got, interp = _launch(module, spec, interp=interp)
+    monkeypatch.setattr(cg, "MAX_CODEGEN_INSTRS", 4)
+    got, interp = _launch(module, spec)
     assert got == want
-    assert interp.codegen_bailouts == {reason: 1}
+    assert interp.codegen_bailouts == {"function-too-large": 1}
     assert interp.batch_replays == 1
     assert module._unbatched_twin is not None
 

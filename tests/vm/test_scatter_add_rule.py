@@ -26,7 +26,7 @@ import pytest
 
 from repro.backend import codegen
 from repro.vm import Memory
-from repro.vm.interp import _BatchedBailout
+from repro.vm.interp import _Replay
 from repro.vm.memory import LANE_DTYPES
 
 #: Bytes of the region the cells and windows live in, at a base aligned
@@ -85,7 +85,7 @@ def _batched(check, data, gangs, lanes, addrs, mask, size, load, store):
     try:
         check(memory, False, np.array(addrs, np.uint64) + np.uint64(base),
               values, np.array(mask, bool), lane, gangs, windows)
-    except _BatchedBailout:
+    except _Replay:
         return None
     view = memory.data[base:base + REGION]
     if store is not None:
