@@ -109,9 +109,22 @@ generated code:
   form), needs one Δ per base, and rejects when an
   active byte of one gang shares a byte with another gang's — masks read
   at batch time from constants, a runtime mask counting as all lanes.
-  Stores to different bases, and *loads*, are assumed gang-independent:
-  the SPMD model's unordered-threads contract already makes a cross-gang
-  data race unspecified.
+  Stores to different bases are assumed gang-independent: the SPMD
+  model's unordered-threads contract already makes a cross-gang data
+  race unspecified.  A *load* of a cell another gang of the trip writes
+  is not, because the unbatched build (the spec) gives it one answer:
+  gang k sees what gangs below k stored and not what gangs above will.
+  So a ``vload`` in a store footprint group is rejected unless its bytes
+  meet only its own gang's (the chunk test above, over reads and
+  writes), and so is one at an atomic's base; a ``gather``, which has no
+  base, is rejected when its pointer roots — the scalar pointers its
+  address arithmetic starts from, or a pointer read from memory — meet
+  those of any ``vstore`` or atomic of the loop (``gather may read
+  another gang's store``).  That is a scan over the kernel's own output:
+  ``find`` inlined into the gang loop, reading every ``a[j]`` while gang
+  k writes ``a[8k..8k+7]``.  The test is conservative: a read of a
+  later gang's cells before the store is as safe batched as unbatched,
+  and is rejected too.
 * **Row nests.**  A gang loop inside a counted row loop (step 1, bound
   invariant) whose body is a straight-line scalar prologue affine in the
   row index (``row = y*w``, ``sums[y] = 0``), the gang loop with a
@@ -168,7 +181,7 @@ from ..ir.types import (
     I64,
     VOID,
 )
-from ..ir.values import Constant, UndefValue, Value
+from ..ir.values import Argument, Constant, UndefValue, Value
 from ..runtime.mathlib import vector_math_external
 from ..vm.interp import _constant_payload
 from ..vm.ops import value_impl
@@ -659,18 +672,104 @@ def _footprint_reason(groups: Dict[frozenset, list]) -> Optional[str]:
             return "stores to one base advance by different per-gang deltas"
         step = steps.pop()
         low = min(offset for offset, _, _ in stores)
-        footprint = 0
-        for offset, _, bits in stores:
-            footprint |= bits << (offset - low)
-        chunk = (1 << step) - 1
         seen = 0
-        while footprint:
-            part = footprint & chunk
+        for part in _chunks([(o, bits) for o, _, bits in stores], low, step):
             if seen & part:
                 return "stores may overlap across gangs"
             seen |= part
-            footprint >>= step
     return None
+
+
+def _chunks(accesses, low: int, step: int) -> List[int]:
+    """The bytes of ``(offset, bitset)`` accesses as one footprint from
+    ``low``, cut into ``step``-byte chunks: chunk i holds what gang i
+    would touch at gang 0's positions."""
+    footprint = 0
+    for offset, bits in accesses:
+        footprint |= bits << (offset - low)
+    chunk = (1 << step) - 1
+    out = []
+    while footprint:
+        out.append(footprint & chunk)
+        footprint >>= step
+    return out
+
+
+def _pointer_roots(addr: Value) -> frozenset:
+    """The objects ``addr`` may point into, named as the symbolic bases of
+    the footprint check name them: the scalar pointers where its address
+    arithmetic starts — an argument, alloca, phi or select — and ``None``
+    for a pointer read from memory or returned by a call, or an address
+    made from integers alone.  A loaded integer is data (an index), not
+    a root."""
+    roots = set()
+    seen = set()
+    stack = [addr]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        t = v.type
+        if t.is_pointer and (isinstance(v, Argument) or v.opcode in (
+                "alloca", "phi", "select")):
+            roots.add(v)
+        elif isinstance(v, Instruction) and v.opcode not in _READS:
+            stack.extend(o for o in v.operands
+                         if isinstance(o, (Instruction, Argument)))
+        elif t.is_pointer or (isinstance(t, VectorType)
+                              and t.elem.is_pointer):
+            roots.add(None)
+    return frozenset(roots) if roots else frozenset((None,))
+
+
+#: Opcodes whose result comes from memory or a callee, not from operands.
+_READS = frozenset(("load", "vload", "gather", "atomicrmw", "call"))
+
+
+def _read_reason(reads: List[Instruction], writes: List[Instruction],
+                 forms: AffineForms, gang: int, stores: Dict[frozenset, list],
+                 atomic_bases: List[frozenset],
+                 known: Dict[Value, object]) -> Optional[str]:
+    """Whether a load of the gang loop may read a cell another gang of
+    the trip writes (see "Legality"), as a rejection reason."""
+    written = None
+    for r in reads:
+        addr = r.operands[0]
+        if r.opcode == "vload":
+            base, offset = _footprint_key(forms(addr))
+            group = stores.get(base)
+            if base in atomic_bases or group is not None and not \
+                    _reads_own_gang(r, offset, forms.delta(addr) * gang,
+                                    group, known):
+                return "vload may read another gang's store"
+            continue
+        if written is None:
+            written = [_pointer_roots(w.operands[_ADDRESS_OPERAND[w.opcode]])
+                       for w in writes]
+        roots = _pointer_roots(addr)
+        if any(None in roots or None in w or not roots.isdisjoint(w)
+               for w in written):
+            return f"{r.opcode} may read another gang's store"
+    return None
+
+
+def _reads_own_gang(load: Instruction, offset: int, step: int, group: list,
+                    known: Dict[Value, object]) -> bool:
+    """A ``vload`` at ``offset`` of a store footprint group whose bytes meet
+    only its own gang's stores: the group advances by the load's
+    ``step``, and no read byte sits in another step-sized chunk than a
+    written byte at the same position — gang k reads its bytes plus
+    k·step, so it meets gang k' ≠ k exactly there."""
+    if any(s != step for _, s, _ in group):
+        return False
+    lanes = _known_lanes(load.operands[1], known)
+    read = _store_bytes(lanes, load.type.count, load.type.elem.size_bytes())
+    low = min([offset] + [o for o, _, _ in group])
+    written = _chunks([(o, bits) for o, _, bits in group], low, step)
+    return not any(i != j and r & w
+                   for i, r in enumerate(_chunks([(offset, read)], low, step))
+                   for j, w in enumerate(written))
 
 
 # -- annotation helpers --------------------------------------------------------------
@@ -1049,15 +1148,24 @@ def _batch_one_loop(function: Function, gl: _CountedLoop, batch: int,
             for op in [instr.opcode]):
         return "scatter-add beside an access with no entry form"
 
-    # Memory: strided rows, and stores that may meet across gangs.
+    # Memory: strided rows, stores that may meet across gangs, and loads
+    # that may read another gang's store.
     row_strides: Dict[Instruction, int] = {}
     stores: Dict[frozenset, list] = {}
     atomic_bases: List[frozenset] = []
     known: Dict[Value, object] = {}
+    reads: List[Instruction] = []
+    writes: List[Instruction] = []
     for block in ordered:
         for instr in block.instructions:
             op = instr.opcode
-            if op in ("vload", "vstore") and instr not in served:
+            if instr in served or instr in chained:
+                continue  # private rows; a scatter-add checks at run time
+            if op in ("vload", "gather"):
+                reads.append(instr)
+            elif op in ("vstore", "atomicrmw"):
+                writes.append(instr)
+            if op in ("vload", "vstore"):
                 data = instr.type if op == "vload" else instr.operands[0].type
                 addr = instr.operands[0 if op == "vload" else 1]
                 esize = data.elem.size_bytes()
@@ -1073,11 +1181,13 @@ def _batch_one_loop(function: Function, gl: _CountedLoop, batch: int,
                     lanes = _known_lanes(instr.operands[2], known)
                     stores.setdefault(base, []).append(
                         (offset, step, _store_bytes(lanes, data.count, esize)))
-            elif op == "atomicrmw" and instr not in chained:
+            elif op == "atomicrmw":
                 atomic_bases.append(_footprint_key(forms(instr.operands[0]))[0])
     if any(base in stores for base in atomic_bases):
         return "atomicrmw and vstore share a base"
-    reason = _footprint_reason(stores)
+    reason = (_footprint_reason(stores)
+              or _read_reason(reads, writes, forms, gang, stores,
+                              atomic_bases, known))
     if reason is not None:
         return reason
 

@@ -166,7 +166,7 @@ IR builder or :mod:`repro.backend.batch` already rules out — a block
 without a terminator, an unknown opcode, irreducible control flow, a
 batch annotation outside its loop — has no reason of its own: a plain
 ``assert`` (or the error the IR would cause) lands in the same handler.
-A frozen function memoizes its failure like its code; the interpreter
+The code cache memoizes a failure like code; the interpreter
 counts the reason (``vm.codegen.bailouts``), replays the launch on the
 reference engine and runs its later launches there outright.
 
@@ -244,34 +244,35 @@ enters while a fault plan is armed.
 Caching and ownership
 ---------------------
 
-A generated function is a pure function of *(function, machine, cost
+A generated function is a pure function of *(function IR, machine, cost
 model)*: it takes the interpreter as its first argument and reads
-``stats``, ``memory``, ``max_instructions`` (and ``_exec_function`` when
-it makes internal calls) from it in the prologue; everything else —
-payloads, impls, dtypes — binds once, at ``exec`` time, through default
-arguments.  So one emission serves every interpreter: the entry on a
-frozen ``Function._emissions`` (``(machine, cost_model, source, kfn,
-reason)``) owns the bound callable (and through it the code object) or
-the reason there is none, the compile cache hands every caller the same
-frozen module,
-identity finds the entry, and a second ``Interpreter`` over the same
-module does no emission work at all.  Entries live exactly as long as
-their module — no process-global table references IR — and a generated
-function references no interpreter, so there is no cycle to avoid.
-Module → function → emission → (code, callable); interpreters own only
-stats and memory.
+``stats``, ``memory``, ``max_instructions`` — and, when it makes
+internal calls, ``_exec_function`` and each callee *by name* from
+``_interp.module`` — in the prologue; everything else — payloads,
+impls, dtypes — binds once, at ``exec`` time, through default
+arguments.  So a bound callable references no interpreter and no IR
+object, and one emission serves every interpreter over every module
+with the same IR.
 
-Only a frozen function has entries: it cannot change, so an entry can
-never describe other IR.  A mutable (hand-built) function is emitted
+The driver stamps each module it freezes with its compile key
+(``Module.fingerprint``), which fixes the IR (the golden IR digests pin
+that).  :func:`lower_function` memoizes its outcome — ``(source, kfn)``
+or the bailout reason — in one bounded process-wide LRU
+(:data:`CODE_CACHE_ENTRIES`) under ``(fingerprint, function name,
+machine, cost model)``: a kernel compiled again, whether it is the
+cached module or a recompile after the compile cache evicted it, emits,
+compiles and binds nothing.  A module without a fingerprint (hand-built
+IR, a fault-plan build, the unbatched twin) is emitted and compiled
 afresh for every interpreter, which memoizes it until
-``Interpreter.clear_decode_cache``.
+``Interpreter.clear_decode_cache``.  Interpreters own only stats and
+memory.
 
-Source → code object is a bounded process-wide LRU
-(:data:`CODE_CACHE_ENTRIES`), persisted across processes by
-:mod:`repro.diskcache` (``store_code``/``load_code``).  Each source
-compiles under its own filename, ``<repro-vm-codegen:NAME:DIGEST8>``,
-registered with :mod:`linecache` for as long as the LRU holds it, so
-profiles name the kernel and tracebacks show the emitted line.
+Only a miss emits; its source goes to :mod:`repro.diskcache`
+(``store_code``/``load_code``, keyed by the source) before
+``compile()``.  Each source compiles under its own filename,
+``<repro-vm-codegen:NAME:DIGEST8>``, registered with :mod:`linecache`
+for as long as the LRU holds it, so profiles name the kernel and
+tracebacks show the emitted line.
 """
 
 from __future__ import annotations
@@ -323,8 +324,8 @@ from ..vm.ops import (
     value_impl,
 )
 
-__all__ = ["CodegenBailout", "lower_function", "compiled_code",
-           "clear_code_cache"]
+__all__ = ["CodegenBailout", "lower_function", "generated_source",
+           "compiled_code", "clear_code_cache"]
 
 #: Emission refuses functions above this static instruction count — the
 #: generated source would dwarf the dispatch win and slow ``compile()``.
@@ -334,13 +335,15 @@ MAX_CODEGEN_INSTRS = 8000
 #: (the full set of counter locals is only known once emission finishes).
 _FLUSH = "\x00flush"
 
-#: Most generated sources the process keeps compiled at once.  The whole
-#: fig4 + fig5 suite, batched and unbatched, is under 200 sources.
+#: Most lowered functions the process keeps at once.  The whole fig4 +
+#: fig5 suite, batched and unbatched, is under 200 functions.
 CODE_CACHE_ENTRIES = 512
 
-#: Generated source → compiled code object, least recently used first
-#: (the source embeds no payloads, so the code is shareable).
-_CODE_CACHE: "OrderedDict[str, object]" = OrderedDict()
+#: ``(module fingerprint, function name, machine, cost model)`` → the
+#: outcome of lowering that function: ``(source, bound kfn)``, or the
+#: bailout reason; least recently used first.  A bound ``kfn`` references
+#: no IR, so every module with that fingerprint shares it.
+_CODE_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
 
 _MEMORY_OPS = frozenset(
     ("load", "store", "vload", "vstore", "gather", "scatter",
@@ -791,8 +794,10 @@ class _Emitter:
             "_trap": _budget_trap,
             "_VMTrap": VMTrap,
         }
-        #: An internal call was emitted: the prologue binds ``_exec``.
-        self.calls_internal = False
+        #: Internal callee name → the local the prologue binds it to,
+        #: looked up by name in the interpreter's module (generated code
+        #: references no IR); any entry also binds ``_exec``.
+        self.callees: Dict[str, str] = {}
         self._memo: Dict[object, str] = {}
         #: ``id(value)`` → payload known at emit time (see "Emit-time
         #: folding"): folded instructions, and constants once something
@@ -1950,8 +1955,9 @@ class _Emitter:
             # The callee charges ExecStats directly: flush the local
             # accumulators around the call and re-derive the headroom.
             # (An annotated call's narrow charges are in the prologue.)
-            fref = self.hoist(callee, key=("fn", callee.name))
-            self.calls_internal = True
+            fref = self.callees.get(callee.name)
+            if fref is None:
+                fref = self.callees[callee.name] = f"_f{len(self.callees)}"
             self.line(_FLUSH)
             self.line(
                 f"{self.name_of(ins)} = _exec({fref}, [{args}], depth + 1)"
@@ -2574,8 +2580,11 @@ class _Emitter:
         head.append("    _s = _interp.stats")
         head.append("    _c = _s.counts")
         head.append("    _mem = _interp.memory")
-        if self.calls_internal:
+        if self.callees:
             head.append("    _exec = _interp._exec_function")
+            head.append("    _fns = _interp.module.functions")
+            for callee, local in self.callees.items():
+                head.append(f"    {local} = _fns[{callee!r}]")
         head.append("    _L = _interp.max_instructions")
         head.append("    _rem = _L - _s.instructions")
         head.append("    _mk = _mem._brk")
@@ -2623,92 +2632,110 @@ class _Emitter:
         return source, self.hoisted
 
 
-def lower_function(function: Function, machine, cost_model):
+def lower_function(function: Function, machine, cost_model,
+                   fingerprint=None):
     """The generated callable for ``function`` on ``machine`` under
     ``cost_model``: ``(kfn, origin)``, to be called as
     ``kfn(interp, argvals, depth)``.
 
     Raises :class:`CodegenBailout` when there is none: the emitter refused
     the function (its reason), or emission, ``compile()`` or binding
-    raised (``error:<exception type>``).  On a frozen function the outcome
-    — callable or reason — hangs off the function object itself
-    (``Function._emissions``: a list of ``(machine, cost_model, source,
-    kfn, reason)``), so it is found by identity — the compile cache hands
-    every caller of a kernel the same frozen module — and lives exactly as
-    long as its module: nothing process-global references a ``Function``
-    or its ``Instruction`` s.  Finding an entry is all a second
-    interpreter over the same kernel pays (``origin == "cache"``);
-    otherwise ``origin`` says where the code object came from (see
-    :func:`compiled_code`).  A mutable function can change under any memo,
-    so each call emits it afresh.
+    raised (``error:<exception type>``).
+
+    ``fingerprint`` is the compile key of the module ``function`` belongs
+    to (``Module.fingerprint``), which fixes its IR.  With one, the
+    outcome — ``(source, kfn)`` or the reason — is memoized in the
+    bounded process-wide LRU under ``(fingerprint, function name,
+    machine, cost model)``: a kernel compiled again, by another
+    interpreter or after its module left the compile cache, emits,
+    compiles and binds nothing (``origin == "cache"``).  Otherwise
+    ``origin`` says where the code object came from (see
+    :func:`compiled_code`).  Without a fingerprint (hand-built IR, a
+    fault-plan build, the unbatched twin) each call emits afresh.
     """
-    entries = None
-    if function.frozen:
-        entries = function._emissions
-        if entries is None:
-            entries = function._emissions = []
-        for entry_machine, entry_cost_model, _, kfn, reason in entries:
-            if entry_machine is machine and entry_cost_model is cost_model:
-                if reason is not None:
-                    raise CodegenBailout(reason)
-                return kfn, "cache"
-    source = kfn = reason = None
-    try:
-        source, bindings = _Emitter(function, machine, cost_model).emit()
-        code, origin = compiled_code(source, function.name)
-        kfn = _bind(code, bindings)
-    except CodegenBailout as exc:
-        reason = exc.reason
-    except Exception as exc:  # an emitter bug, or a source compile() refuses
-        reason = f"error:{type(exc).__name__}"
-    if entries is not None:
-        entries.append((machine, cost_model, source, kfn, reason))
-    if reason is not None:
-        raise CodegenBailout(reason)
+    (_, kfn), origin = _lowered(function, machine, cost_model, fingerprint)
     return kfn, origin
 
 
-def _register(source: str, code) -> None:
-    """Enter ``code`` in the LRU (evicting past the cap) and show its
-    source to :mod:`linecache` under the filename it was compiled with."""
-    _CODE_CACHE[source] = code
-    filename = code.co_filename
-    # mtime None: ``linecache.checkcache`` leaves the entry alone.
-    linecache.cache[filename] = (
-        len(source), None, source.splitlines(True), filename
-    )
+def generated_source(function: Function, machine, cost_model,
+                     fingerprint=None) -> str:
+    """The Python source :func:`lower_function` binds for ``function``
+    (from the code cache when ``fingerprint`` has it); raises
+    :class:`CodegenBailout` like it."""
+    return _lowered(function, machine, cost_model, fingerprint)[0][0]
+
+
+def _lowered(function: Function, machine, cost_model, fingerprint):
+    """``((source, kfn), origin)`` for :func:`lower_function`."""
+    key = None
+    if fingerprint is not None:
+        key = (fingerprint, function.name, machine, cost_model)
+        outcome = _CODE_CACHE.get(key)
+        if outcome is not None:
+            _CODE_CACHE.move_to_end(key)
+            if type(outcome) is str:
+                raise CodegenBailout(outcome)
+            return outcome, "cache"
+    try:
+        source, bindings = _Emitter(function, machine, cost_model).emit()
+        code, origin = compiled_code(source, function.name)
+        outcome = (source, _bind(code, bindings))
+    except CodegenBailout as exc:
+        outcome = exc.reason
+    except Exception as exc:  # an emitter bug, or a source compile() refuses
+        outcome = f"error:{type(exc).__name__}"
+    if key is not None:
+        _remember(key, outcome)
+    if type(outcome) is str:
+        raise CodegenBailout(outcome)
+    return outcome, origin
+
+
+def _remember(key: tuple, outcome) -> None:
+    """Enter ``outcome`` in the LRU (evicting past the cap) and show a
+    bound source to :mod:`linecache` under the filename it was compiled
+    with, for as long as an entry holds it."""
+    _CODE_CACHE[key] = outcome
+    if type(outcome) is not str:
+        source, kfn = outcome
+        filename = kfn.__code__.co_filename
+        # mtime None: ``linecache.checkcache`` leaves the entry alone.
+        linecache.cache[filename] = (
+            len(source), None, source.splitlines(True), filename
+        )
     while len(_CODE_CACHE) > CODE_CACHE_ENTRIES:
         _, evicted = _CODE_CACHE.popitem(last=False)
-        linecache.cache.pop(evicted.co_filename, None)
+        if type(evicted) is not str:
+            filename = evicted[1].__code__.co_filename
+            # Two kernels that emit the same source share its filename.
+            if not any(type(o) is not str
+                       and o[1].__code__.co_filename == filename
+                       for o in _CODE_CACHE.values()):
+                linecache.cache.pop(filename, None)
 
 
 def clear_code_cache() -> None:
-    """Drop every compiled source (and its :mod:`linecache` entry).
-    Functions already bound keep working; the next emission of the same
-    source compiles again."""
-    for code in _CODE_CACHE.values():
-        linecache.cache.pop(code.co_filename, None)
+    """Drop every memoized outcome (and its :mod:`linecache` entry).
+    Functions already bound keep working; the next lowering of a kernel
+    emits and compiles it again."""
+    for outcome in _CODE_CACHE.values():
+        if type(outcome) is not str:
+            linecache.cache.pop(outcome[1].__code__.co_filename, None)
     _CODE_CACHE.clear()
 
 
 def compiled_code(source: str, name: str) -> Tuple[object, str]:
-    """Code object for a generated source: process cache → disk → compile.
+    """Code object for a generated source: disk → compile.
 
-    Returns ``(code, origin)`` with origin in ``{"cache", "disk",
-    "compiled"}`` for the ``vm.codegen.*`` counters.  ``name`` (the IR
-    function's) goes into the filename a fresh compile gets.
+    Returns ``(code, origin)`` with origin ``"disk"`` or ``"compiled"``
+    for the ``vm.codegen.*`` counters.  ``name`` (the IR function's) goes
+    into the filename a fresh compile gets.
     """
-    code = _CODE_CACHE.get(source)
-    if code is not None:
-        _CODE_CACHE.move_to_end(source)
-        return code, "cache"
     code = diskcache.load_code(source)
     if code is not None:
-        _register(source, code)
         return code, "disk"
     digest = hashlib.sha256(source.encode()).hexdigest()[:8]
     code = compile(source, f"<repro-vm-codegen:{name}:{digest}>", "exec")
-    _register(source, code)
     diskcache.store_code(source, code)
     return code, "compiled"
 

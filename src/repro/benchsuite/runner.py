@@ -200,7 +200,7 @@ _HOISTED_KINDS = {
     "np": "numpy functions", "dt": "dtypes", "sdt": "signed dtypes",
     "t": "IR types", "impl": "op impls", "rmw": "atomic impls",
     "cf": "f32 rounding", "pack": "cell writers", "unpack": "cell readers",
-    "ext": "externals", "fn": "callees", "u": "undef payloads",
+    "ext": "externals", "u": "undef payloads",
 }
 
 
@@ -219,13 +219,11 @@ def dump_codegen(spec: KernelSpec, machine: Machine = AVX512) -> str:
         if not function.blocks:
             continue
         try:
-            kfn, _ = codegen.lower_function(function, machine,
-                                            DEFAULT_COST_MODEL)
+            source = codegen.generated_source(
+                function, machine, DEFAULT_COST_MODEL, module.fingerprint)
         except codegen.CodegenBailout as exc:
             out.append(f"== @{function.name}: not compiled ({exc.reason})")
             continue
-        source = next(entry[2] for entry in function._emissions
-                      if entry[3] is kfn)
         signature, summary, *body = source.splitlines()
         counts, _, hoisted = summary.strip("# ").partition(" hoisted: ")
         fields = dict(item.split("=") for item in counts.split())

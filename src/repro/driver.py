@@ -55,9 +55,10 @@ __all__ = [
 # fails at its first write (``FrozenModuleError``) instead of being
 # absorbed by a private deep copy nobody asked for.  One contract for
 # every ``compile_*`` result, cached or not: frozen; the rare caller that
-# transforms IR takes ``clone_module(module)``.  What hangs off a function
-# object downstream (codegen emissions) is therefore shared by every user
-# of a kernel and dies with its cache entry.
+# transforms IR takes ``clone_module(module)``.  The key itself is stamped
+# on the module (``Module.fingerprint``): it fixes the IR, so generated
+# code is cached by it and outlives the module's cache entry — a kernel
+# compiled again after eviction reruns every stage but emits nothing.
 
 _COMPILE_CACHE: "OrderedDict[tuple, Module]" = OrderedDict()
 _COMPILE_CACHE_CAPACITY = 64
@@ -65,8 +66,8 @@ _COMPILE_CACHE_STATS = {"hits": 0, "misses": 0}
 
 
 def clear_compile_cache() -> None:
-    """Drop all cached modules — and the code objects compiled from their
-    generated sources — and zero the hit/miss counters."""
+    """Drop all cached modules — and the generated code cached by their
+    fingerprints — and zero the hit/miss counters."""
     _COMPILE_CACHE.clear()
     clear_code_cache()
     _COMPILE_CACHE_STATS["hits"] = 0
@@ -95,7 +96,8 @@ def _verified(module: Module) -> Module:
 def _cached_compile(key: tuple, build: Callable[[], Module]) -> Module:
     # Armed fault plans make compilation impure: neither serve a module
     # compiled before the faults were armed, nor let a fault-degraded
-    # module poison the cache for later clean compiles.
+    # module poison the cache for later clean compiles (it gets no
+    # fingerprint either).
     if faultinject.active():
         return _verified(build()).freeze()
     cached = _COMPILE_CACHE.get(key)
@@ -105,6 +107,7 @@ def _cached_compile(key: tuple, build: Callable[[], Module]) -> Module:
         if cached is None:
             cached = _verified(build())
             diskcache.store(key, cached)
+        cached.fingerprint = key
         _COMPILE_CACHE[key] = cached.freeze()
         if len(_COMPILE_CACHE) > _COMPILE_CACHE_CAPACITY:
             _COMPILE_CACHE.popitem(last=False)

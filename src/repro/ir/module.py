@@ -152,11 +152,6 @@ class Function(Value):
         self._name_counter = itertools.count()
         self._used_names: set = set()
 
-    #: Back-end emissions of this very function object (owned by
-    #: ``repro.backend.codegen``): they live and die with the function,
-    #: are never cloned and never pickled.
-    _emissions = None
-
     #: ``(cfg key, DominatorTree)`` memo of ``repro.ir.cfg.dominator_tree``
     #: while the function can still change; never cloned, never pickled.
     _dominators = None
@@ -213,9 +208,6 @@ class Function(Value):
             yield from block.instructions
 
     def _freeze(self) -> None:
-        # Whatever was emitted while the function could still change is
-        # dropped, so a frozen function's emissions all describe it.
-        self._emissions = None
         self._dominators = None
         self.uses = tuple(self.uses)
         for arg in self.args:
@@ -275,9 +267,16 @@ class Module:
         self.attrs: Dict[str, object] = {}
 
     #: The unbatched trap-replay twin of this very module object, once a
-    #: trap made ``repro.backend.batch.unbatched_twin`` compile it: like
-    #: ``Function._emissions`` it is never cloned and never pickled.
+    #: trap made ``repro.backend.batch.unbatched_twin`` compile it: never
+    #: cloned and never pickled.
     _unbatched_twin = None
+
+    #: The compile key ``repro.driver`` froze this module under (a hit, a
+    #: miss and a disk load alike), which fixes its IR: generated code is
+    #: cached by it (``repro.backend.codegen.lower_function``).  ``None``
+    #: for what bypasses the compile cache — hand-built IR, fault-plan
+    #: builds, the unbatched twin.  Never cloned and never pickled.
+    fingerprint = None
 
     __getstate__ = thawed_state
 

@@ -27,7 +27,7 @@ def thawed_state(node) -> dict:
     would have (``mappingproxy`` does not pickle at all) and unpickles
     mutable."""
     state = dict(node.__dict__)
-    state.pop("_emissions", None)
+    state.pop("fingerprint", None)
     state.pop("_dominators", None)
     state.pop("_unbatched_twin", None)
     for key in _SEALED_LISTS:

@@ -14,11 +14,15 @@ Indexed values keep their base in a scalar register and their offsets as
 compiler metadata (exactly the paper's representation), which is what lets
 the transformer emit scalar instructions, scalar branches, and packed
 memory accesses.
+
+A ``Shape`` is immutable: nothing writes ``offsets`` in place, so the
+analysis shares one read-only uniform shape per lane count and one
+varying shape instead of building a fresh one per query.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -28,17 +32,26 @@ __all__ = ["Shape", "uniform", "indexed", "varying", "lane_shape"]
 class Shape:
     """Shape of one SSA value across the gang's lanes."""
 
-    __slots__ = ("offsets",)
+    __slots__ = ("offsets", "_uniform")
 
     def __init__(self, offsets: Optional[np.ndarray]):
         #: ``None`` means varying; otherwise an int64 array of per-lane offsets.
         self.offsets = offsets
+        #: :attr:`is_uniform`, once asked.
+        self._uniform: Optional[bool] = None
 
     # -- constructors ------------------------------------------------------------
 
     @staticmethod
     def uniform(lanes: int) -> "Shape":
-        return Shape(np.zeros(lanes, dtype=np.int64))
+        """The one (read-only) uniform shape of ``lanes`` lanes."""
+        shape = _UNIFORM.get(lanes)
+        if shape is None:
+            offsets = np.zeros(lanes, dtype=np.int64)
+            offsets.setflags(write=False)
+            shape = _UNIFORM[lanes] = Shape(offsets)
+            shape._uniform = True
+        return shape
 
     @staticmethod
     def indexed(offsets) -> "Shape":
@@ -46,7 +59,7 @@ class Shape:
 
     @staticmethod
     def varying() -> "Shape":
-        return Shape(None)
+        return _VARYING
 
     # -- predicates --------------------------------------------------------------
 
@@ -60,7 +73,11 @@ class Shape:
 
     @property
     def is_uniform(self) -> bool:
-        return self.offsets is not None and not self.offsets.any()
+        uniform = self._uniform
+        if uniform is None:
+            uniform = self._uniform = (self.offsets is not None
+                                       and not self.offsets.any())
+        return uniform
 
     def stride(self) -> Optional[int]:
         """The constant stride if offsets are ``k·lane``, else ``None``."""
@@ -75,6 +92,8 @@ class Shape:
         return None
 
     def same_as(self, other: "Shape") -> bool:
+        if self is other:
+            return True
         if self.is_varying or other.is_varying:
             return self.is_varying and other.is_varying
         return np.array_equal(self.offsets, other.offsets)
@@ -88,6 +107,11 @@ class Shape:
         if stride is not None:
             return f"indexed(stride={stride})"
         return f"indexed({self.offsets.tolist()})"
+
+
+#: Lane count -> its uniform shape (see :meth:`Shape.uniform`).
+_UNIFORM: Dict[int, Shape] = {}
+_VARYING = Shape(None)
 
 
 def uniform(lanes: int) -> Shape:

@@ -221,7 +221,7 @@ class ShapeAnalysis:
             cond = self.shape_of(ops[0])
             a, b = self.shape_of(ops[1]), self.shape_of(ops[2])
             if cond.is_uniform and a.is_indexed and a.same_as(b):
-                return Shape(a.offsets), F.meet(self.facts_of(ops[1]), self.facts_of(ops[2]))
+                return a, F.meet(self.facts_of(ops[1]), self.facts_of(ops[2]))
             return Shape.varying(), TOP
         if op == "atomicrmw":
             return Shape.varying(), TOP
@@ -396,9 +396,9 @@ class ShapeAnalysis:
         if s.is_uniform:
             return Shape.uniform(self.gang), f
         if op in ("bitcast", "ptrtoint", "inttoptr"):
-            return Shape(s.offsets), f
+            return s, f
         if op == "trunc":  # rule: trunc (unconditional, modular)
-            return Shape(s.offsets), Facts()
+            return s, Facts()
         if op == "zext":  # rule: zext_no_wrap
             bits = src.type.bits
             offs = s.offsets
@@ -408,20 +408,20 @@ class ShapeAnalysis:
                 and f.range[1] + int(offs.max()) < (1 << bits)
                 and self._rule_ok("zext_no_wrap")
             ):
-                return Shape(offs), f
+                return s, f
             return Shape.varying(), TOP
         if op == "sext":  # rule: sext_no_signed_wrap (or C's signed-overflow UB)
             bits = src.type.bits
             offs = s.offsets
             if self.assume_nsw:
-                return Shape(offs), f
+                return s, f
             if (
                 f.range is not None
                 and f.range[1] + int(offs.max()) < (1 << (bits - 1))
                 and f.range[0] + int(offs.min()) >= 0
                 and self._rule_ok("sext_no_signed_wrap")
             ):
-                return Shape(offs), f
+                return s, f
             return Shape.varying(), TOP
         return Shape.varying(), TOP
 

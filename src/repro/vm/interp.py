@@ -57,27 +57,29 @@ callers that still pass it.
 Ownership
 ---------
 
-Generated code belongs to the module, not to an interpreter::
+Generated code belongs to the compile key, not to a module or an
+interpreter::
 
-    Module ──► Function ──► _emissions (frozen only): one entry per
-                   (machine, cost model) ──► (code object, the one bound
-                   callable) or the reason there is none
+    codegen._CODE_CACHE (bounded LRU): (Module.fingerprint, function
+        name, machine, cost model) ──► (source, the one bound callable)
+        or the reason there is none          (no IR, no interpreter)
 
     Interpreter ──► Memory, ExecStats              (plain data)
         ├──► _codegen_fns: Function ──► that callable (a reference; a
-        │        mutable function's is its own emission)
+        │        function without a fingerprint gets its own emission)
         ├──► _fallback_interp: the reference engine over the module, or
         │        over its unbatched twin ──► the same Memory
         └──► module (shared, frozen; never references an interpreter)
 
 A generated function takes the interpreter as an argument and reads its
-stats and memory in the prologue, so it references no interpreter at
-all, and a second interpreter over the same module binds by looking the
-callable up.  References run one way, so an interpreter — and its
-:class:`~repro.vm.memory.Memory`, whose buffer is as large as what the
-launch touched, not the 4 MB it may address — is reclaimed by reference
-counting the moment its last user drops it, without waiting for the
-cyclic collector.  Nothing an interpreter owns may hold it strongly:
+stats, its memory and (by name) its module's internal callees in the
+prologue, so it references no interpreter and no IR at all: a second
+interpreter over the same module — or over a recompile of the same
+kernel — binds by looking the callable up.  References run one way, so
+an interpreter — and its :class:`~repro.vm.memory.Memory`, whose buffer
+is as large as what the launch touched, not the 4 MB it may address — is
+reclaimed by reference counting the moment its last user drops it,
+without waiting for the cyclic collector.  Nothing an interpreter owns may hold it strongly:
 helpers that need no interpreter state (:func:`~repro.vm.ops.value_impl`
 and its impls) are module-level functions, not bound methods.
 
@@ -182,8 +184,8 @@ class Interpreter:
         #: so the nest ran one row per trip (see :mod:`repro.backend.batch`).
         self.row_fallbacks = 0
         self._fallback_interp: Optional["Interpreter"] = None
-        #: Function -> its generated callable (a frozen function's is
-        #: owned by its emission and shared with every other interpreter).
+        #: Function -> its generated callable (a fingerprinted module's is
+        #: owned by the code cache and shared with every other interpreter).
         self._codegen_fns: Dict[Function, object] = {}
         #: ``vm.codegen.*`` counters.  compiles/cache_hits/disk_hits are
         #: binding artifacts; calls/replays are run counters
@@ -358,7 +360,8 @@ class Interpreter:
 
         The trap-replay twin goes too: it holds records of the same
         module, and replays are authoritative.  Only a mutable function
-        can have changed, and only this interpreter memoized its emission.
+        can have changed, and it has no fingerprint: only this
+        interpreter memoized its emission.
         """
         self._records.clear()
         self._fallback_interp = None
@@ -450,9 +453,9 @@ class Interpreter:
 
     def _codegen_lower(self, function: Function):
         """``function``'s generated callable (emitted, compiled and bound
-        the first time per frozen module), noting where it came from in
+        the first time per compile key), noting where it came from in
         ``codegen_stats`` (``compiles`` / ``cache_hits`` / ``disk_hits``;
-        an emission another interpreter already bound is a cache hit).
+        an emission bound earlier in the process is a cache hit).
 
         Without one — any failure, memoized with its reason by
         :func:`~repro.backend.codegen.lower_function` — the reason lands
@@ -462,9 +465,12 @@ class Interpreter:
         """
         from ..backend import codegen as _cg
 
+        module = self.module
+        fingerprint = module.fingerprint \
+            if module.functions.get(function.name) is function else None
         try:
             kfn, origin = _cg.lower_function(
-                function, self.machine, self.cost_model
+                function, self.machine, self.cost_model, fingerprint
             )
         except _cg.CodegenBailout as exc:
             bailouts = self.codegen_bailouts

@@ -740,12 +740,12 @@ def fold_lanes(rmw: str, bits: int, v: np.ndarray) -> int:
     raise NotImplementedError(rmw)
 
 
-def reduce_lanes(op: str, instr: Instruction, v: np.ndarray):
-    """A horizontal ``reduce_*`` over one vector payload."""
-    elem = instr.operands[0].type.elem
+def reduce_lanes(op: str, elem, ret_type, v: np.ndarray):
+    """A horizontal ``reduce_*`` of ``elem`` lanes into ``ret_type`` over
+    one vector payload."""
     if op == "reduce_add":
         if elem.is_float:
-            return round_float(instr.type, float(np.sum(v, dtype=v.dtype)))
+            return round_float(ret_type, float(np.sum(v, dtype=v.dtype)))
         if elem.bits == 1:
             return 1 if bool(np.bitwise_xor.reduce(v)) else 0
         return int(np.add.reduce(v, dtype=v.dtype))
@@ -881,7 +881,8 @@ def value_impl(instr: Instruction):
     if op in REDUCE_OPS:
         if segments is not None:
             return lambda v: reduce_segments(op, v, segments)
-        return lambda v: reduce_lanes(op, instr, v)
+        elem, ret_type = ops[0].type.elem, instr.type
+        return lambda v: reduce_lanes(op, elem, ret_type, v)
     if op == "mask_any":
         return lambda m: 1 if count_nonzero(m) else 0
     if op == "mask_all":

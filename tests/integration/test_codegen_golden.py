@@ -47,13 +47,11 @@ def digests(spec) -> dict:
         if not function.blocks:
             continue
         try:
-            kfn, _ = codegen.lower_function(function, AVX512,
-                                            DEFAULT_COST_MODEL)
+            source = codegen.generated_source(
+                function, AVX512, DEFAULT_COST_MODEL, module.fingerprint)
         except codegen.CodegenBailout as exc:
             out[function.name] = f"bailout:{exc.reason}"
             continue
-        source = next(entry[2] for entry in function._emissions
-                      if entry[3] is kfn)
         out[function.name] = hashlib.sha256(source.encode()).hexdigest()
     return out
 

@@ -223,10 +223,37 @@ def _run_spec(spec, module):
             dict(interp.stats.counts))
 
 
+#: A kernel whose generated code makes an internal call (recursion
+#: cannot be inlined): the callee is reached by name, through the
+#: interpreter's module.
+RECURSIVE_SRC = """
+u64 tri(u64 x) {
+    if (x == (u64)0) { return (u64)0; }
+    return x + tri(x - (u64)1);
+}
+void kernel(u64* a, u64 n) {
+    for (u64 i = (u64)0; i < n; i = i + (u64)1) {
+        a[i] = tri(a[i]);
+    }
+}
+"""
+
+
+def _run_recursive(module):
+    interp = Interpreter(module)
+    addr = interp.memory.alloc_array(np.arange(6, dtype=np.uint64))
+    interp.run("kernel", addr, 6)
+    np.testing.assert_array_equal(
+        interp.memory.read_array(addr, np.uint64, 6), [0, 1, 3, 6, 10, 15])
+    return interp.codegen_report()
+
+
 def test_emissions_die_with_their_module():
     """The emission cache used to pin the ``Instruction`` s of whichever
     clone emitted first (a whole module per kernel, until a 512-entry
-    reset): emissions now hang off the function they belong to."""
+    reset): generated code is cached by the compile key and references
+    no IR, so a module dies with its cache entry while its bound code
+    stays cached."""
     spec = BY_NAME["mandelbrot"]
     module = driver.compile_parsimony(spec.psim_src, module_name="mandelbrot.p")
     _run_spec(spec, module)
@@ -236,15 +263,28 @@ def test_emissions_die_with_their_module():
     gc.collect()
     assert kernel() is None
 
-    # ... and after LRU eviction: 65 kernels through a 64-entry cache.
-    specs = SIMDLIB[:65]
-    first = driver.compile_parsimony(
-        specs[0].psim_src, module_name=f"{specs[0].name}.p")
-    _run_spec(specs[0], first)
-    kernel = weakref.ref(first.functions["kernel"])
-    del first
-    for spec in specs[1:]:
+    # ... and after LRU eviction: 66 kernels through a 64-entry cache,
+    # with noise (which keeps its helper ``latticehash``) and a kernel
+    # whose generated code calls an internal function among them.
+    from repro.backend import codegen as cg
+
+    noise = BY_NAME["noise"]
+    first = driver.compile_parsimony(noise.psim_src, module_name="noise.p")
+    _run_spec(noise, first)
+    recursive = driver.compile_parsimony(RECURSIVE_SRC)
+    assert _run_recursive(recursive)["compiles"] == 2  # kernel and tri
+    keys = [key for key in cg._CODE_CACHE
+            if key[0] in (first.fingerprint, recursive.fingerprint)]
+    assert len(keys) == 3
+    refs = [weakref.ref(f) for m in (first, recursive)
+            for f in m.functions.values()]
+    del first, recursive
+    for spec in SIMDLIB[:64]:
         driver.compile_parsimony(spec.psim_src, module_name=f"{spec.name}.p")
     assert driver.compile_cache_stats()["entries"] == 64
     gc.collect()
-    assert kernel() is None
+    assert not any(ref() for ref in refs)
+    assert all(key in cg._CODE_CACHE for key in keys)
+    # A recompile after eviction binds the cached code: nothing is emitted.
+    report = _run_recursive(driver.compile_parsimony(RECURSIVE_SRC))
+    assert report["compiles"] == 0 and report["cache_hits"] == 2

@@ -99,3 +99,48 @@ def test_fig4_module_holds_the_kernel_and_its_source_functions(name):
     expected = {"aobench": ["sphere_hit", "kernel"],
                 "noise": ["latticehash", "kernel"]}.get(name, ["kernel"])
     assert list(_compiled(FIG4[name]).functions) == expected
+
+
+def test_a_recompiled_kernel_emits_and_compiles_no_generated_code(
+        monkeypatch):
+    """A kernel compiled again after its module left the 64-entry LRU
+    reruns every compile stage, but its generated code is cached by the
+    compile key it shares with the first build: 0 emissions, 0
+    ``compile()`` calls, one cache hit."""
+    from repro.backend import codegen as cg
+    from repro.vm import Interpreter
+
+    calls = {"emit": 0, "compile": 0}
+
+    def counting(name, real):
+        def counted(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+        return counted
+
+    monkeypatch.setattr(cg._Emitter, "emit",
+                        counting("emit", cg._Emitter.emit))
+    monkeypatch.setattr(cg, "compile", counting("compile", compile),
+                        raising=False)
+    spec = FIG5["Copy"]
+
+    def launch():
+        module = _compiled(spec)
+        interp = Interpreter(module)
+        workload = spec.workload()
+        addrs = [interp.memory.alloc_array(a) for a in workload.arrays]
+        interp.run("kernel", *addrs, *workload.scalars)
+        return module, interp.codegen_report()
+
+    driver.clear_compile_cache()
+    first, report = launch()
+    assert calls == {"emit": 1, "compile": 1} and report["compiles"] == 1
+    for other in [s for s in KERNELS if s is not spec][:64]:
+        _compiled(other)
+    misses = driver.compile_cache_stats()["misses"]
+    second, report = launch()
+    assert driver.compile_cache_stats()["misses"] == misses + 1
+    assert second is not first and second.fingerprint == first.fingerprint
+    assert calls == {"emit": 1, "compile": 1}
+    assert report["compiles"] == 0 and report["cache_hits"] == 1
+    driver.clear_compile_cache()

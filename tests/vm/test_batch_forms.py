@@ -28,7 +28,10 @@ covers, never what a launch computes or what it is charged:
   before it is written, which replays on the twin;
 * ``Memory.load_rows``/``store_rows``, the slow path of the row form, go
   row by row through ``load_lanes``/``store_lanes``: a row traps with the
-  unbatched access's text before any of its lanes is written.
+  unbatched access's text before any of its lanes is written;
+* a gang loop whose loads may read another gang's stores stays
+  unbatched: an inlined scan over the kernel's own output (a gather),
+  and a ``vload`` shifted into the next gang's stores.
 """
 
 import linecache
@@ -496,3 +499,57 @@ def test_no_compiled_module_holds_a_remainder_loop():
             module = driver.compile_parsimony(spec.psim_src, batch_request=factor)
             names = [b.name for f in module.functions.values() for b in f.blocks]
             assert not [n for n in names if n.endswith(".rem")], spec.name
+
+
+#: ``find`` scans ``a`` with an early ``break`` and is inlined into the
+#: gang loop, where its read of ``a[j]`` is a gather over cells every gang
+#: stores: unbatched, gang k sees what gangs below k stored.
+SCAN_OWN_OUTPUT = """
+i32 find(i32* a, u64 n, i32 v) {
+    i32 r = (i32)0;
+    for (u64 j = (u64)0; j < n; j = j + (u64)1) {
+        if (a[j] < (i32)0) { break; }
+        if (a[j] == v) { r = r + (i32)1; }
+    }
+    return r;
+}
+void kernel(i32* a, u64 n) {
+    psim (gang_size=8, num_threads=n) {
+        u64 i = psim_get_thread_num();
+        a[i] = find(a, n, a[i]);
+    }
+}
+"""
+
+#: Gang k reads the cells gang k + 1 stores.
+SHIFTED = """
+void kernel(i32* a, u64 n) {
+    psim (gang_size=8, num_threads=n) {
+        u64 i = psim_get_thread_num();
+        a[i] = a[i + (u64)8] + (i32)1;
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("src, reason", [
+    (SCAN_OWN_OUTPUT, "gather may read another gang's store"),
+    (SHIFTED, "vload may read another gang's store"),
+], ids=["scan-own-output", "shifted-vload"])
+def test_a_load_of_another_gangs_store_keeps_its_loop_unbatched(src, reason):
+    def launch(module):
+        interp = Interpreter(module)
+        addr = interp.memory.alloc_array(np.arange(-5, 35, dtype=np.int32))
+        interp.run("kernel", addr, 32)
+        stats = interp.stats
+        return (interp.memory.image().tobytes(), stats.cycles,
+                stats.instructions, dict(stats.counts))
+
+    module = driver.compile_parsimony(src)
+    assert not module.attrs.get("batch_applied")
+    assert [r["reason"] for r in module.attrs["batch_rejected"]] == [reason]
+    assert launch(module) == launch(
+        driver.compile_parsimony(src, batch_request=0))
+    # Forcing a factor does not get round the check either.
+    assert not driver.compile_parsimony(
+        src, batch_request=4).attrs.get("batch_applied")

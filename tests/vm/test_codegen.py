@@ -663,12 +663,15 @@ def test_bailout_memo_keyed_by_batch_fingerprint():
     """A memo entry — an emission or a bailout — recorded against one
     batching configuration must not answer for another.  Stripping the
     batch annotations mutates only attrs (block/instruction counts and
-    object identity are unchanged); a mutable function is never memoized
-    on itself, so every lowering emits what the IR says now."""
+    object identity are unchanged); a hand-built module has no
+    fingerprint, so nothing is memoized and every lowering emits what the
+    IR says now."""
     module, f = _batched_internal_call_module()
+    assert module.fingerprint is None
     interp = Interpreter(module)
+    cached = len(cg._CODE_CACHE)
     batched, _ = cg.lower_function(f, interp.machine, interp.cost_model)
-    assert f._emissions is None
+    assert len(cg._CODE_CACHE) == cached
     # Unbatched re-run of the same Function object: attrs-only mutation.
     del f.attrs["batched"]
     for block in f.blocks:

@@ -1,13 +1,14 @@
 """What a launch costs, counted (never timed).
 
-Generated code is bound once per module, so the second and every later
-``Interpreter`` over a cached module must do no emission work at all; a
-``Memory`` is as large as its extent; generated code (whose inline
+Generated code is bound once per compile key, so the second and every
+later ``Interpreter`` over a cached module must do no emission work at
+all; a ``Memory`` is as large as its extent; generated code (whose inline
 accesses skip the ``memory`` fault hook) never runs while a fault plan is
-armed; the source→code cache is bounded and cleared with the compile
-cache; every generated source compiles under its own filename, with
-its text in ``linecache``; and a launch makes a bounded number of host
-calls per kernel, because the emitter folds what it knows at emit time.
+armed; the code cache, keyed by (module fingerprint, function name,
+machine, cost model), is bounded and cleared with the compile cache;
+every generated source compiles under its own filename, with its text in
+``linecache``; and a launch makes a bounded number of host calls per
+kernel, because the emitter folds what it knows at emit time.
 """
 
 import builtins
@@ -21,11 +22,14 @@ import numpy as np
 import pytest
 
 from repro.backend import codegen as cg
+from repro.backend.costmodel import DEFAULT_COST_MODEL
+from repro.backend.machine import AVX512
 from repro.benchsuite.ispc_suite import BENCHMARKS
 from repro.benchsuite.runner import _GUARD_BYTES
 from repro.benchsuite.simdlib import BY_NAME, KERNELS
 from repro.driver import clear_compile_cache, compile_parsimony
 from repro.faultinject import FaultPlan, InjectedFault, inject
+from repro.ir.parser import parse_ir
 from repro.ir.types import VectorType
 from repro.ir.values import Constant
 from repro.vm import Interpreter, Memory, MemoryError_
@@ -93,14 +97,15 @@ def test_second_interpreter_over_a_cached_module_does_no_emission_work(
 
 
 def test_generated_code_is_shared_not_rebuilt():
-    """One callable per (function, machine, cost model): interpreters
-    hold a reference to it, and it references none of them."""
+    """One callable per (fingerprint, function, machine, cost model):
+    interpreters hold a reference to it, and it references none of them."""
     module = compile_parsimony(COPY.psim_src)
     a, _ = _launch(module, COPY.workload())
     b, _ = _launch(module, COPY.workload())
     assert a._codegen_fns and a._codegen_fns == b._codegen_fns
     for function, kfn in a._codegen_fns.items():
-        assert any(entry[3] is kfn for entry in function._emissions)
+        key = (module.fingerprint, function.name, a.machine, a.cost_model)
+        assert cg._CODE_CACHE[key][1] is kfn
         assert not any(isinstance(v, (Interpreter, Memory))
                        for v in kfn.__defaults__ or ())
 
@@ -146,58 +151,88 @@ def test_armed_memory_fault_plan_never_enters_generated_code():
     assert interp.codegen_report()["calls"] == 0
 
 
-# -- the source → code cache ---------------------------------------------------
+# -- the code cache ----------------------------------------------------------------
 
-def _source(i):
-    return f"def _kfn(_interp, _args, depth):\n    return {i}\n"
+def _function(i):
+    """A one-block function returning ``i``: each ``i`` emits its own
+    source."""
+    return parse_ir(f"define i64 @k{i}() {{\nentry:\n  ret i64 {i}\n}}\n"
+                    ).functions[f"k{i}"]
 
 
-def test_code_cache_is_bounded_and_evicted_sources_recompile(monkeypatch):
+def _lower(function, fingerprint):
+    return cg.lower_function(function, AVX512, DEFAULT_COST_MODEL,
+                             fingerprint)
+
+
+def _key(fingerprint, i):
+    return (fingerprint, f"k{i}", AVX512, DEFAULT_COST_MODEL)
+
+
+def test_code_cache_is_bounded_and_evicted_kernels_recompile(monkeypatch):
     monkeypatch.setattr(cg, "CODE_CACHE_ENTRIES", 4)
     cg.clear_code_cache()
+    functions = [_function(i) for i in range(5)]
     filenames = []
-    for i in range(5):
-        code, origin = cg.compiled_code(_source(i), f"k{i}")
+    for i, function in enumerate(functions):
+        kfn, origin = _lower(function, ("fp", i))
         assert origin == "compiled" and len(cg._CODE_CACHE) <= 4
-        filenames.append(code.co_filename)
+        filenames.append(kfn.__code__.co_filename)
     assert len(set(filenames)) == 5
     assert filenames[0].startswith("<repro-vm-codegen:k0:")
     # Least recently used went first, and took its linecache entry along.
-    assert _source(0) not in cg._CODE_CACHE
+    assert _key(("fp", 0), 0) not in cg._CODE_CACHE
     assert filenames[0] not in linecache.cache
     assert all(name in linecache.cache for name in filenames[1:])
-    assert cg.compiled_code(_source(1), "k1")[1] == "cache"
-    code, origin = cg.compiled_code(_source(0), "k0")
+    assert _lower(functions[1], ("fp", 1))[1] == "cache"
+    kfn, origin = _lower(functions[0], ("fp", 0))
     assert origin == "compiled" and len(cg._CODE_CACHE) == 4
-    assert _source(2) not in cg._CODE_CACHE  # 1 was touched, 2 was oldest
-    assert cg._bind(code, {})(None, [], 0) == 0
+    assert _key(("fp", 2), 2) not in cg._CODE_CACHE  # 1 was touched
+    assert kfn.__code__.co_filename == filenames[0]
+    # Without a fingerprint nothing is remembered: every call emits.
+    assert _lower(functions[3], None)[1] == "compiled"
+    assert _lower(functions[3], None)[1] == "compiled"
     cg.clear_code_cache()
     assert not cg._CODE_CACHE
     assert not any(name in linecache.cache for name in filenames)
 
 
-def test_a_kernel_whose_source_was_evicted_still_runs_and_recompiles(
+def test_kernels_sharing_a_source_keep_its_linecache_entry(monkeypatch):
+    """Two fingerprints whose function emits the same source compile under
+    one filename: evicting one leaves the other's lines in place."""
+    monkeypatch.setattr(cg, "CODE_CACHE_ENTRIES", 2)
+    cg.clear_code_cache()
+    twin, shared = _function(7), _function(7)
+    filename = _lower(twin, ("fp", "a"))[0].__code__.co_filename
+    assert _lower(shared, ("fp", "b"))[0].__code__.co_filename == filename
+    _lower(_function(8), ("fp", "c"))  # evicts ("fp", "a")
+    assert filename in linecache.cache
+    _lower(_function(9), ("fp", "d"))  # evicts ("fp", "b")
+    assert filename not in linecache.cache
+    cg.clear_code_cache()
+
+
+def test_a_kernel_whose_code_was_evicted_still_runs_and_recompiles(
         monkeypatch):
     monkeypatch.setattr(cg, "CODE_CACHE_ENTRIES", 1)
     clear_compile_cache()
     assert not cg._CODE_CACHE  # clear_compile_cache() drops this layer too
     workload = COPY.workload()
-    first, addrs = _launch(compile_parsimony(COPY.psim_src), workload)
+    module = compile_parsimony(COPY.psim_src)
+    first, addrs = _launch(module, workload)
     want = first.memory.read_array(addrs[1], workload.arrays[1].dtype,
                                    workload.arrays[1].size)
-    cg.compiled_code(_source(99), "other")  # evicts Copy's source
+    _lower(_function(99), ("fp", 99))  # evicts Copy's kernel
     assert len(cg._CODE_CACHE) == 1
     # The bound callable outlives the cache entry ...
-    again, addrs = _launch(compile_parsimony(COPY.psim_src), workload)
-    assert again.codegen_report()["compiles"] == 0
-    # ... and a new module for the same source compiles it afresh.
-    clear_compile_cache()
-    fresh, addrs = _launch(compile_parsimony(COPY.psim_src), workload)
+    first.run("kernel", *addrs, *workload.scalars)
+    assert first.codegen_report()["compiles"] == 1
+    # ... and a new interpreter of the same kernel lowers it afresh.
+    fresh, addrs = _launch(module, workload)
     assert fresh.codegen_report()["compiles"] >= 1
-    for interp in (again, fresh):
-        np.testing.assert_array_equal(
-            interp.memory.read_array(addrs[1], workload.arrays[1].dtype,
-                                     workload.arrays[1].size), want)
+    np.testing.assert_array_equal(
+        fresh.memory.read_array(addrs[1], workload.arrays[1].dtype,
+                                workload.arrays[1].size), want)
 
 
 def test_a_trap_in_generated_code_shows_the_emitted_line():
@@ -262,8 +297,9 @@ def test_generated_source_recomputes_nothing_it_knew_at_emit_time():
     spec = BY_NAME["BgrToBgra"]
     module = compile_parsimony(spec.psim_src)
     _launch(module, spec.workload())
-    (entry,) = module.functions["kernel"]._emissions
-    lines = entry[2].splitlines()
+    lines = cg.generated_source(module.functions["kernel"], AVX512,
+                                DEFAULT_COST_MODEL,
+                                module.fingerprint).splitlines()
     # A constant shuffle index is a hoisted selector, not a per-launch
     # ``IDX.astype(int64) % n``.
     assert not any(re.search(r"_h\d+\.astype\(", line) for line in lines)
@@ -299,7 +335,8 @@ def test_emission_builds_one_payload_per_distinct_constant(monkeypatch):
         module = compile_parsimony(spec.psim_src)
         _launch(module, spec.workload())
         for function in module.functions.values():
-            if function._emissions:
+            if (module.fingerprint, function.name, AVX512,
+                    DEFAULT_COST_MODEL) in cg._CODE_CACHE:
                 distinct += len({
                     id(operand) for ins in function.instructions()
                     for operand in ins.operands
