@@ -202,7 +202,8 @@ instead of a ``.copy()`` for a loaded slice whose only use is an
 ``.astype`` cast.
 
 The first body line of every generated source is a comment —
-``# folded=N inline=N slow=N hoisted: kind=N ...`` — that
+``# folded=N inline=N slow=N hoisted: kind=N ...``, with ``windows=N``
+after ``slow=`` when window groups run as one view — that
 ``examples/fig5_report.py --dump-codegen KERNEL`` reads back.
 
 Memory access
@@ -241,6 +242,35 @@ it).  The inline paths skip the fault hook: generated code runs only
 under ``Interpreter._run_replayable``, which ``Interpreter.run`` never
 enters while a fault plan is armed.
 
+Window accesses
+---------------
+
+The vectorizer lowers a bounded-stride access (§4.2.3: "a packed
+load/store plus shuffle operation(s)") as ``k`` packed accesses ``G``
+lanes apart: a load's ``vload`` s under static masks, each read by a
+``shuffle`` by one constant selector and combined by ``select`` s on
+static picks; a store's ``vstore`` s of ``shuffle(src, sel_j)`` under
+``and(shuffle(M, sel_j), valid_j)`` (or static masks) whose masks
+partition the window.  Before emission, :meth:`_Emitter._find_windows`
+recognises such a group from the IR alone (batched or not, its masks
+tiled or not) when lane ``l`` sits at position ``s·l`` of the window,
+``s >= 2``, and no other memory access or call lies among its
+instructions.  The group runs where its first access stood, as one
+strided view of the lane memory — ``G`` lanes of the typed view, or in
+a trip a ``(slots, G)`` array over the byte buffer with
+:meth:`_Emitter._emit_slots`' strides: a load copies it, a store assigns
+it (``copyto(where=M)`` under a runtime mask) and raises the extent as
+the per-window stores would.  The ``vload`` s, shuffles, selects, geps
+and masks the group absorbs emit nothing (what a row nest's entry reads
+stays); they are still charged, so ``ExecStats`` is unchanged.  One range
+test covers what the ``k`` per-window tests would; whatever it rejects
+runs the per-window accesses, in order, through ``Memory``
+(:func:`_window_load`, :func:`_window_store`), which owns trap text and
+growth.  So does a store under a runtime mask in a trip whose gangs'
+windows interleave, where the last active lane need not set the extent.
+Other selectors (Reorder's ``x ^ 1``) keep their packed accesses and
+shuffles.
+
 Caching and ownership
 ---------------------
 
@@ -271,8 +301,8 @@ Only a miss emits; its source goes to :mod:`repro.diskcache`
 (``store_code``/``load_code``, keyed by the source) before
 ``compile()``.  Each source compiles under its own filename,
 ``<repro-vm-codegen:NAME:DIGEST8>``, registered with :mod:`linecache`
-for as long as the LRU holds it, so profiles name the kernel and
-tracebacks show the emitted line.
+for as long as a function bound from it lives (cached or not), so
+profiles name the kernel and tracebacks show the emitted line.
 """
 
 from __future__ import annotations
@@ -280,6 +310,7 @@ from __future__ import annotations
 import hashlib
 import linecache
 import struct
+import weakref
 from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -550,6 +581,45 @@ def _slot_lanes(memory, addr: int, dtype, width: int, rows: int,
     return out
 
 
+def _window_load(memory, addr: int, dtype, width: int, rows: int,
+                 gangs: int, rho: int, delta: int, needed, lanes):
+    """The ``Memory`` path of a window load (:class:`_Window`): window
+    ``j`` — ``width`` lanes at ``addr + j·width`` elements in every slot,
+    under its ``needed`` mask — through :func:`_slot_lanes`, one window
+    after another, as its own packed load would; lane ``l`` of each slot
+    is position ``lanes[l]`` of its windows laid end to end."""
+    slots = rows * gangs
+    step = width * dtype.itemsize
+    parts = [_slot_lanes(memory, (addr + j * step) & _M64, dtype, width, rows,
+                         gangs, rho, delta,
+                         None if keep.all() else np.tile(keep, slots))
+             for j, keep in enumerate(needed)]
+    return np.concatenate([p.reshape(slots, width) for p in parts],
+                          axis=1)[:, lanes].reshape(-1)
+
+
+def _window_store(memory, addr: int, dtype, width: int, rows: int,
+                  gangs: int, rho: int, delta: int, windows, values, mask):
+    """The ``Memory`` path of a window store (:class:`_Window`): window
+    ``j`` of every slot gets lane ``sel[p]`` of ``values`` at its lane
+    ``p`` where ``valid[p]`` (and ``mask`` has that lane), for each
+    ``(sel, valid)`` of ``windows`` in order, through :func:`_slot_lanes`
+    as its own packed store would.  ``values`` and ``mask`` may be one
+    slot's lanes, shared by every slot."""
+    slots = rows * gangs
+    step = width * dtype.itemsize
+    values = np.broadcast_to(values.reshape(-1, width), (slots, width))
+    lanes = None if mask is None else \
+        np.broadcast_to(mask.reshape(-1, width), (slots, width))
+    for j, (sel, valid) in enumerate(windows):
+        if lanes is not None:
+            part = (lanes[:, sel] & valid).reshape(-1)
+        else:
+            part = None if valid.all() else np.tile(valid, slots)
+        _slot_lanes(memory, (addr + j * step) & _M64, dtype, width, rows,
+                    gangs, rho, delta, part, values[:, sel].reshape(-1))
+
+
 def _scatter_add(memory, sub: bool, addrs, values, mask, lane: int,
                  gangs: int, windows) -> None:
     """A trip's scatter-add (see :mod:`repro.backend.batch`): each active
@@ -696,16 +766,17 @@ def _mask_bound(mask: Value, nest: Set[BasicBlock], memo: dict):
 
 
 def _last_lane_end(mask, width: int, gangs: int, rho: int, delta: int,
-                   itemsize: int) -> int:
+                   itemsize: int, step: Optional[int] = None) -> int:
     """One past the last active lane of a collapsed trip's runtime
     ``mask`` (its active slots, flattened), relative to the access's
-    address — what ``store_lanes`` raises the extent to — or 0."""
+    address — what ``store_lanes`` raises the extent to — or 0.  Lanes
+    are ``step`` bytes apart (a window store's), else contiguous."""
     lanes = mask.nonzero()[0]
     if not len(lanes):
         return 0
     last = int(lanes[-1])
     (i, j), lane = divmod(last // width, gangs), last % width
-    return i * rho + j * delta + (lane + 1) * itemsize
+    return i * rho + j * delta + lane * (step or itemsize) + itemsize
 
 
 class _Nest:
@@ -737,6 +808,47 @@ class _Nest:
         #: tail's views are bound for (set at nest entry).
         self.tail: Set[BasicBlock] = set()
         self.rvs: Tuple[str, str] = ("", "")
+
+
+class _Window:
+    """A window group, recognised from the IR (see "Window accesses"): the
+    vectorizer's packed+shuffle form of an access whose lane ``l`` is at
+    ``first + stride·l`` elements — ``k`` packed accesses ``G`` lanes
+    apart whose shuffles move each lane to or from its position.  It runs
+    as one strided view.  ``reach``: one past the last element the ``k``
+    range tests of the per-window code cover; ``delta``: a trip's per-gang
+    bytes.  A load defines ``value`` (the last select of its chain) and
+    keeps each window's ``needed`` mask; a store writes ``value`` — one
+    gang's lanes for every gang when ``narrow`` — under ``mask`` (a
+    runtime mask, one gang's for every gang when ``mask_narrow``; or
+    ``None``: the static masks cover every lane), and keeps each window's
+    ``(sel, valid)`` lanes."""
+
+    __slots__ = ("load", "first", "elem", "width", "stride", "reach",
+                 "delta", "value", "narrow", "mask", "mask_narrow", "parts")
+
+    def __init__(self, load: bool, first: Value, elem, width: int,
+                 stride: int, reach: int, delta: int, value: Value,
+                 parts: tuple, narrow: bool = False,
+                 mask: Optional[Value] = None, mask_narrow: bool = False):
+        self.load = load
+        self.first = first
+        self.elem = elem
+        self.width = width
+        self.stride = stride
+        self.reach = reach
+        self.delta = delta
+        self.value = value
+        self.parts = parts
+        self.narrow = narrow
+        self.mask = mask
+        self.mask_narrow = mask_narrow
+
+
+def _same_lanes(a: Value, b: Value) -> bool:
+    """Two constant vectors with the same lanes."""
+    return isinstance(a, Constant) and isinstance(b, Constant) \
+        and a.value == b.value
 
 
 def _private_alloca(access: Instruction) -> Instruction:
@@ -844,6 +956,16 @@ class _Emitter:
         self.activity = self.fn_batched and any(
             "batch_activity" in ins.attrs
             for b in function.blocks for ins in b.instructions)
+        #: Window groups by their first access, the instructions they
+        #: absorb (nothing emits them), how many were emitted, and the
+        #: payloads :meth:`_static` evaluated (``None``: not static).
+        self.windows: Dict[Instruction, _Window] = {}
+        self.absorbed: Set[Instruction] = set()
+        self.window_sites = 0
+        self._inputs: Set[int] = set()
+        self._statics: Dict[int, object] = {}
+        #: Each instruction's index in its block (for the window search).
+        self._order: Dict[Instruction, int] = {}
 
     def _mult_expr(self, spec: tuple) -> str:
         """Runtime multiplicity of a spec: the first lid with a live
@@ -1553,6 +1675,8 @@ class _Emitter:
             self.line(f"{rows}(_mem, {self.ref(ops[1])},"
                       f" {self._row_stride(ops[1])}, _R, {self._type(ops[0].type)},"
                       f" {self.ref(ops[0])}, {step})")
+        elif ins in self.windows:
+            self._emit_window(self.windows[ins], ins.parent)
         elif op in ("vload", "vstore"):
             attrs = ins.attrs
             emit = self._emit_private if "private" in attrs else \
@@ -1941,6 +2065,399 @@ class _Emitter:
         between = block[block.index(load) + 1:block.index(user)]
         return all(i.opcode in COMPUTE_OPS or i.opcode == "vload"
                    for i in between)
+
+    # -- window groups (see "Window accesses" in the module docstring) ----------
+
+    def _static(self, v: Value):
+        """The payload of ``v`` if the IR alone fixes it — a constant, or
+        a compute op over such — else ``None``; what emission would fold,
+        decided before emission starts."""
+        if isinstance(v, Constant):
+            return self.payload(v)
+        if not isinstance(v, Instruction) or v.opcode not in COMPUTE_OPS:
+            return None
+        memo = self._statics
+        if id(v) not in memo:
+            memo[id(v)] = None
+            args = [self._static(o) for o in v.operands]
+            if all(a is not None for a in args):
+                try:
+                    memo[id(v)] = value_impl(v)(*args)
+                except Exception:
+                    pass
+        return memo[id(v)]
+
+    def _static_rows(self, v: Value, rows: int):
+        """One row's lanes of a static ``v`` whose ``rows`` rows (gangs)
+        are equal, as bools — else ``None``."""
+        lanes = self._static(v)
+        if lanes is None:
+            return None
+        lanes = np.asarray(lanes, bool).reshape(rows, -1)
+        return lanes[0] if (lanes == lanes[0]).all() else None
+
+    def _find_windows(self) -> None:
+        """Recognise every window group of the function (before emission:
+        a group absorbs instructions of blocks emitted before its own).  A
+        collapsed row nest's entry reads its accesses' masks (the no-alias
+        check, :meth:`_tail_reach`): there they stay."""
+        self._order = {ins: n for block in self.fn.blocks
+                       for n, ins in enumerate(block.instructions)}
+        nests = set()
+        for loop in self.loops_by_header.values():
+            if "row_nest" in loop.header.instructions[-1].attrs:
+                nests.update(loop.blocks)
+        for block in self.fn.blocks:
+            for ins in block.instructions:
+                if ins in self.absorbed:
+                    continue
+                if ins.opcode == "vload":
+                    found = self._load_window(ins)
+                elif ins.opcode == "vstore":
+                    found = self._store_window(ins)
+                else:
+                    continue
+                if found is not None:
+                    win, members, inputs = found
+                    if block in nests:
+                        inputs += tuple(
+                            access.operands[1 if win.load else 2]
+                            for access in [ins] + members
+                            if access.opcode in ("vload", "vstore"))
+                    self._absorb(ins, win, members, inputs)
+
+    def _absorb(self, head: Instruction, win: _Window, members,
+                inputs) -> None:
+        """Enter ``win``, run by its first access ``head``: its other
+        ``members`` emit nothing, nor does a compute op all of whose uses
+        are absorbed or a group's first access (a gep, a mask's shuffle,
+        a tile) — unless some group reads it, as one of its ``inputs``."""
+        self.windows[head] = win
+        self._inputs.update(map(id, inputs))
+        absorbed, heads = self.absorbed, self.windows
+        absorbed.update(members)
+        work = list(members) + [head]
+        while work:
+            for v in work.pop().operands:
+                if isinstance(v, Instruction) and v not in absorbed \
+                        and v.opcode in COMPUTE_OPS \
+                        and id(v) not in self._inputs \
+                        and all(u in absorbed or u in heads
+                                for u, _ in v.uses):
+                    absorbed.add(v)
+                    work.append(v)
+
+    def _window_span(self, first: Instruction, last: Instruction,
+                     members) -> bool:
+        """No memory access or call but the group's ``members`` lies from
+        ``first`` to ``last`` in their block, so the group may run at
+        ``first``."""
+        order = self._order
+        ins = first.parent.instructions
+        for i in ins[order[first] + 1:order[last] + 1]:
+            if (i.opcode in _MEMORY_OPS or i.opcode == "call") \
+                    and i not in members:
+                return False
+        return True
+
+    def _window_delta(self, access: Instruction, width: int):
+        """A trip's per-gang bytes for ``access`` (:meth:`_emit_slots`'
+        Δ); ``None`` for a form the group does not cover."""
+        if "private" in access.attrs:
+            return None
+        step = access.attrs.get("row_stride")
+        vtype = access.type if access.opcode == "vload" \
+            else access.operands[0].type
+        return step if isinstance(step, int) \
+            else width * vtype.elem.size_bytes()
+
+    @staticmethod
+    def _window_addr(access: Instruction, first: Value, offset: int) -> bool:
+        """``access`` is ``offset`` elements past ``first``."""
+        addr = access.operands[0 if access.opcode == "vload" else 1]
+        if not offset:
+            return addr is first
+        return getattr(addr, "opcode", None) == "gep" \
+            and addr.operands[0] is first \
+            and isinstance(addr.operands[1], Constant) \
+            and addr.operands[1].value == offset
+
+    @staticmethod
+    def _stride_of(positions) -> int:
+        """``s`` when lane ``l`` is at position ``s·l`` (``s >= 1``), else 0."""
+        s = int(positions[1]) if len(positions) > 1 else 1
+        ok = s >= 1 and np.array_equal(
+            positions, np.arange(len(positions)) * s)
+        return s if ok else 0
+
+    def _load_window(self, head: Instruction):
+        """``(window, members, inputs)`` when ``head`` starts a window
+        load — ``k`` vloads at ``first + j·G`` under static masks, each
+        read by a shuffle by one constant selector, chained by selects on
+        static picks (the vectorizer's ``_emit_window_load``) — whose
+        lanes sit at a stride; else ``None``."""
+        if len(head.uses) != 1 or head.uses[0][1]:
+            return None
+        shuf = head.uses[0][0]
+        if shuf.opcode != "shuffle" or not isinstance(shuf.operands[1],
+                                                      Constant):
+            return None
+        index = shuf.operands[1]
+        width, count = index.type.count, head.type.count
+        rows = count // width
+        delta = self._window_delta(head, width)
+        if count % width or shuf.type.count != count or delta is None \
+                or ("segments" in shuf.attrs) != (rows > 1):
+            return None
+        block, first = head.parent, head.operands[0]
+        loads, members, picks = [head], [shuf], []
+        value = shuf
+        while len(value.uses) == 1 and value.uses[0][1] == 2:
+            sel = value.uses[0][0]
+            if sel.opcode != "select" or sel.parent is not block:
+                break
+            other = sel.operands[1]
+            if getattr(other, "opcode", None) != "shuffle" \
+                    or len(other.uses) != 1 or other.attrs != shuf.attrs \
+                    or not _same_lanes(other.operands[1], index):
+                break
+            load = other.operands[0]
+            pick = self._static_rows(sel.operands[0], rows)
+            if getattr(load, "opcode", None) != "vload" or len(load.uses) != 1 \
+                    or load.parent is not block or pick is None \
+                    or load.type != head.type \
+                    or self._window_delta(load, width) != delta \
+                    or not self._window_addr(load, first, len(loads) * width):
+                break
+            loads.append(load)
+            picks.append(pick)
+            members += [load, other, sel]
+            value = sel
+        needed = [self._static_rows(load.operands[1], rows) for load in loads]
+        if any(keep is None for keep in needed):
+            return None
+        window = np.zeros(width, np.int64)
+        for j, pick in enumerate(picks, 1):
+            window[pick] = j
+        lanes = np.asarray(index.value, np.int64) % width
+        positions = window * width + lanes
+        stride = self._stride_of(positions)
+        if stride < 2 or not all(needed[j][p] for j, p in zip(window, lanes)) \
+                or not self._window_span(head, value, members) \
+                or any(self._order[load] < self._order[head]
+                       for load in loads):
+            return None
+        reach = max((j * width + int(keep.nonzero()[0][-1]) + 1
+                     for j, keep in enumerate(needed) if keep.any()),
+                    default=0)
+        for keep in needed:
+            keep.setflags(write=False)
+        positions.setflags(write=False)
+        win = _Window(True, first, head.type.elem, width, stride, reach,
+                      delta, value, (tuple(needed), positions))
+        return win, members, (first,)
+
+    def _emit_window(self, win: _Window, block: BasicBlock) -> None:
+        """A window group as one strided view of the lane memory: in a
+        trip ``(slots, G)`` — :meth:`_emit_slots`' slots, a row stride
+        and the per-gang Δ apart — else ``G`` lanes of the typed view,
+        ``stride`` elements apart.  One range test covers what the
+        per-window tests would; whatever it rejects runs the per-window
+        accesses through ``Memory`` (:func:`_window_load`,
+        :func:`_window_store`).  So does every launch of a store under a
+        runtime mask whose gangs' windows interleave (Δ below the window's
+        span), where the extent the last active lane sets need not be the
+        highest."""
+        dtype = elem_dtype(win.elem)
+        es = dtype.itemsize
+        dt = self._dtype(win.elem)
+        width, step = win.width, win.stride * es
+        span = win.stride * (width - 1) + 1
+        addr = self.ref(win.first)
+        ln = self.hoist(len, key=("b", "len"))
+        if self.trip:
+            if self.nest:
+                rho = self._row_stride(win.first)
+                rows, gangs, lead = "_R", "_g", "_R, _g"
+                strides = f"{rho}, {win.delta}, {step}"
+                last = f"{addr} + (_R - 1) * {rho} + (_g - 1) * {win.delta}"
+            else:
+                rho, rows, gangs, lead = "0", "1", "_r", "_r"
+                strides = f"{win.delta}, {step}"
+                last = f"{addr} + (_r - 1) * {win.delta}"
+            nd = self.hoist(np.ndarray, key=("np", "ndarray"))
+            view = f"{nd}(({lead}, {width}), {dt}, _d, {addr}, ({strides}))"
+            head = ["_d = _mem.data"]
+            test = (f"{addr} < {NULL_GUARD} or {last} + {win.reach * es}"
+                    f" > {ln}(_d)")
+        else:
+            rho, rows, gangs, lead, last = "0", "1", "1", None, addr
+            shift = es.bit_length() - 1
+            view = f"_w[_i:_i + {span}:{win.stride}]"
+            head = [f"_w = _mem.lanes[{_LANE_INDEX[dtype]}]",
+                    f"_i = {addr} >> {shift}" if shift else f"_i = {addr}"]
+            test = (f"_i < {NULL_GUARD >> shift} or _i + {win.reach}"
+                    f" > {ln}(_w)")
+            if shift:
+                test = f"{addr} & {es - 1} or {test}"
+        args = (f"(_mem, {addr}, {dt}, {width}, {rows}, {gangs}, {rho},"
+                f" {win.delta}, ")
+        if win.load:
+            dst = self.name_of(win.value)
+            needed, lanes = map(self.hoist, win.parts)
+            slow = (f"{dst} = {self.hoist(_window_load, key=('b', 'wload'))}"
+                    f"{args}{needed}, {lanes})")
+            if self.trip:
+                body = [f"{dst} = {view}.flatten()"]
+            else:
+                copy = "" if self._cast_copies(win.value) else ".copy()"
+                body = [f"{dst} = {view}{copy}"]
+        else:
+            src = self.ref(win.value, narrow=win.narrow)
+            mask = "None" if win.mask is None \
+                else self.ref(win.mask, narrow=win.mask_narrow)
+            slow = (f"{self.hoist(_window_store, key=('b', 'wstore'))}{args}"
+                    f"{self.hoist(win.parts)}, {src}, {mask})")
+            if lead and not win.narrow:
+                src = f"{src}.reshape({lead}, {width})"
+            if win.mask is None:
+                body = [f"_e = {last} + {win.reach * es}",
+                        "if _e > _mem._extent:",
+                        "    _mem._extent = _e",
+                        f"{view}[...] = {src}"]
+            else:
+                end = self.hoist(_last_lane_end, key=("b", "last_lane_end"))
+                if win.mask_narrow or not lead:
+                    # One gang's mask: its last lane in the last slot.
+                    where, base = mask, last
+                    end = f"{end}({mask}, {width}, 1, 0, 0, {es}, {step})"
+                else:
+                    where, base = f"{mask}.reshape({lead}, {width})", addr
+                    end = (f"{end}({mask}, {width}, {gangs}, {rho},"
+                           f" {win.delta}, {es}, {step})")
+                # The last active lane ends highest unless the gangs'
+                # windows interleave (a row tail runs one gang per row).
+                body = None if lead and win.delta < span * es and not (
+                    self.nest and block in self.nest.tail) else [
+                    f"_e = {end}",
+                    "if _e:",
+                    f"    _e += {base}",
+                    "    if _e > _mem._extent:",
+                    "        _mem._extent = _e",
+                    f"    {self._np(np.copyto)}({view}, {src},"
+                    f" where={where})"]
+        pad = "    " * self.indent
+        if body is None:
+            self.slow_sites += 1
+            self.lines.append(pad + slow)
+            return
+        self.window_sites += 1
+        self.inline_sites += 1
+        self.lines += [pad + text for text in head]
+        self.lines += [f"{pad}if {test}:", f"{pad}    {slow}", f"{pad}else:"]
+        self.lines += [f"{pad}    {text}" for text in body]
+
+    def _untile(self, value: Value, rows: int):
+        """``(source, [tile])`` when ``value`` is a trip's tile — batching's
+        repeat, gang by gang, of a one-gang vector defined before the loop
+        — read only once; else ``(value, [])``."""
+        if rows > 1 and getattr(value, "opcode", None) == "shuffle" \
+                and "segments" not in value.attrs and len(value.uses) == 1:
+            source, index = value.operands
+            if isinstance(index, Constant) \
+                    and index.value == tuple(range(source.type.count)) * rows:
+                return source, [value]
+        return value, []
+
+    def _window_source(self, value: Value, rows: int):
+        """A window store's value — ``shuffle(src, sel)``, or a tile of one
+        (``narrow``: one gang's lanes) — as ``(src, sel, narrow,
+        members)``, else ``None``."""
+        value, tile = self._untile(value, rows)
+        if getattr(value, "opcode", None) != "shuffle" or len(value.uses) != 1 \
+                or not isinstance(value.operands[1], Constant) \
+                or ("segments" in value.attrs) != (rows > 1 and not tile):
+            return None
+        return value.operands[0], value.operands[1], bool(tile), tile + [value]
+
+    def _store_mask(self, store: Instruction, index: Value, rows: int):
+        """A window store's mask as ``(valid, M, narrow)``: its static
+        lanes (``M`` is ``None``), or ``and(shuffle(M, index), valid)`` —
+        the window's share of the runtime mask ``M`` — or a tile of that
+        (``narrow``); else ``None``."""
+        bits = store.operands[2]
+        valid = self._static_rows(bits, rows)
+        if valid is not None:
+            return valid, None, False
+        bits, tile = self._untile(bits, rows)
+        narrow = bool(tile)
+        if getattr(bits, "opcode", None) != "and" or len(bits.uses) != 1:
+            return None
+        for lanes, valid in (bits.operands, bits.operands[::-1]):
+            valid = self._static_rows(valid, 1 if narrow else rows)
+            if valid is not None and getattr(lanes, "opcode", None) \
+                    == "shuffle" and _same_lanes(lanes.operands[1], index) \
+                    and ("segments" in lanes.attrs) == (rows > 1 and not narrow):
+                return valid, lanes.operands[0], narrow
+        return None
+
+    def _store_window(self, head: Instruction):
+        """``(window, members, inputs)`` when ``head`` starts a window
+        store — vstores of ``shuffle(src, sel_j)`` at ``first + j·G``,
+        under static masks or ``and(shuffle(M, sel_j), valid_j)``, that
+        write each lane of ``src`` once, at a stride (the vectorizer's
+        ``_emit_window_store``) — else ``None``."""
+        value, first, _ = head.operands
+        if getattr(value, "opcode", None) != "shuffle":
+            return None
+        count = value.type.count
+        width = count // value.attrs["segments"] if "segments" in value.attrs \
+            else value.operands[0].type.count
+        rows = count // width
+        delta = self._window_delta(head, width)
+        if count % width or delta is None:
+            return None
+        insts = head.parent.instructions
+        stores = [head]
+        for n in range(self._order[head] + 1, len(insts)):
+            ins = insts[n]
+            if ins.opcode == "vstore" \
+                    and self._window_addr(ins, first, len(stores) * width):
+                stores.append(ins)
+            elif ins.opcode in _MEMORY_OPS or ins.opcode == "call":
+                break
+        cover = np.zeros(width, np.int64)
+        positions = np.zeros(width, np.int64)
+        parts, members, sources = [], [], set()
+        for j, store in enumerate(stores):
+            found = self._window_source(store.operands[0], rows)
+            if found is None or store.operands[0].type != value.type \
+                    or self._window_delta(store, width) != delta \
+                    or len(found[1].value) != width:
+                return None
+            src, index, narrow, values = found
+            found = self._store_mask(store, index, rows)
+            if found is None:
+                return None
+            valid, mask, mask_narrow = found
+            sources.add((id(src), narrow, id(mask), mask_narrow))
+            sel = np.asarray(index.value, np.int64) % width
+            np.add.at(cover, sel[valid], 1)
+            positions[sel[valid]] = j * width + np.nonzero(valid)[0]
+            sel.setflags(write=False)
+            valid.setflags(write=False)
+            parts.append((sel, valid))
+            members += values + ([store] if j else [])
+        stride = self._stride_of(positions)
+        if len(sources) != 1 or stride < 2 or not (cover == 1).all() \
+                or not self._window_span(head, stores[-1], members):
+            return None
+        reach = len(stores) * width if mask is not None \
+            else stride * (width - 1) + 1
+        win = _Window(False, first, value.type.elem, width, stride, reach,
+                      delta, src, tuple(parts), narrow, mask, mask_narrow)
+        return win, members, (first, src) if mask is None \
+            else (first, src, mask)
 
     def emit_call(self, ins) -> None:
         callee = ins.operands[0]
@@ -2374,6 +2891,8 @@ class _Emitter:
         fold = self._fold_cond(body, term)
         emit_n = len(body) - 1 if fold is not None else len(body)
         for ins in body[:emit_n]:
+            if ins in self.absorbed:
+                continue  # a window group's: its first access runs it
             op = ins.opcode
             ba = ins.attrs.get("batch_activity") if self.fn_batched else None
             if ba is not None:
@@ -2555,6 +3074,7 @@ class _Emitter:
         if size > MAX_CODEGEN_INSTRS:
             raise CodegenBailout("function-too-large")
         with np.errstate(all="ignore"):  # as generated code will run
+            self._find_windows()
             self.emit_from(fn.entry, None)
         body: List[str] = []
         for text in self.lines:
@@ -2622,7 +3142,9 @@ class _Emitter:
         # What --dump-codegen (examples/fig*_report.py) reads back.
         summary = (
             f"    # folded={self.folded} inline={self.inline_sites}"
-            f" slow={self.slow_sites} hoisted: "
+            f" slow={self.slow_sites}"
+            + (f" windows={self.window_sites}" if self.window_sites else "")
+            + " hoisted: "
             + " ".join(f"{k}={n}" for k, n in sorted(kinds.items()))
         )
         source = (
@@ -2680,6 +3202,7 @@ def _lowered(function: Function, machine, cost_model, fingerprint):
         source, bindings = _Emitter(function, machine, cost_model).emit()
         code, origin = compiled_code(source, function.name)
         outcome = (source, _bind(code, bindings))
+        _show_source(*outcome)
     except CodegenBailout as exc:
         outcome = exc.reason
     except Exception as exc:  # an emitter bug, or a source compile() refuses
@@ -2692,26 +3215,36 @@ def _lowered(function: Function, machine, cost_model, fingerprint):
 
 
 def _remember(key: tuple, outcome) -> None:
-    """Enter ``outcome`` in the LRU (evicting past the cap) and show a
-    bound source to :mod:`linecache` under the filename it was compiled
-    with, for as long as an entry holds it."""
+    """Enter ``outcome`` in the LRU, evicting past the cap."""
     _CODE_CACHE[key] = outcome
-    if type(outcome) is not str:
-        source, kfn = outcome
-        filename = kfn.__code__.co_filename
-        # mtime None: ``linecache.checkcache`` leaves the entry alone.
-        linecache.cache[filename] = (
-            len(source), None, source.splitlines(True), filename
-        )
     while len(_CODE_CACHE) > CODE_CACHE_ENTRIES:
-        _, evicted = _CODE_CACHE.popitem(last=False)
-        if type(evicted) is not str:
-            filename = evicted[1].__code__.co_filename
-            # Two kernels that emit the same source share its filename.
-            if not any(type(o) is not str
-                       and o[1].__code__.co_filename == filename
-                       for o in _CODE_CACHE.values()):
-                linecache.cache.pop(filename, None)
+        _CODE_CACHE.popitem(last=False)
+
+
+#: Generated-source filename → how many bound functions compiled under it
+#: are alive; its :mod:`linecache` entry goes with the last of them.
+_LIVE_SOURCES: Dict[str, int] = {}
+
+
+def _show_source(source: str, kfn) -> None:
+    """Show ``source`` to :mod:`linecache` under the filename ``kfn`` was
+    compiled with, for as long as ``kfn`` (or another function bound from
+    the same source) lives — every bound emission, cached or not."""
+    filename = kfn.__code__.co_filename
+    _LIVE_SOURCES[filename] = _LIVE_SOURCES.get(filename, 0) + 1
+    # mtime None: ``linecache.checkcache`` leaves the entry alone.
+    linecache.cache[filename] = (
+        len(source), None, source.splitlines(True), filename
+    )
+    weakref.finalize(kfn, _hide_source, filename)
+
+
+def _hide_source(filename: str) -> None:
+    live = _LIVE_SOURCES.pop(filename) - 1
+    if live:
+        _LIVE_SOURCES[filename] = live
+    else:
+        linecache.cache.pop(filename, None)
 
 
 def clear_code_cache() -> None:

@@ -208,8 +208,9 @@ def dump_codegen(spec: KernelSpec, machine: Machine = AVX512) -> str:
     """What the whole-kernel code generator emits for ``spec``'s Parsimony
     build (``--dump-codegen`` in ``examples/fig4_report.py`` and
     ``fig5_report.py``): per function, a header — lines, values folded at
-    emit time, inline vs ``Memory``-only accesses, hoisted bindings by
-    kind — then the source, its bindings-as-defaults signature elided."""
+    emit time, inline (window groups run as one view among them) vs
+    ``Memory``-only accesses, hoisted bindings by kind — then the source,
+    its bindings-as-defaults signature elided."""
     from ..backend import codegen
     from ..backend.costmodel import DEFAULT_COST_MODEL
 
@@ -233,7 +234,8 @@ def dump_codegen(spec: KernelSpec, machine: Machine = AVX512) -> str:
         out.append(
             f"== @{function.name}: {len(body)} lines; "
             f"{fields['folded']} values folded at emit time; accesses: "
-            f"{fields['inline']} inline, {fields['slow']} Memory-only; "
+            f"{fields['inline']} inline ({fields.get('windows', 0)} window"
+            f" views), {fields['slow']} Memory-only; "
             f"hoisted: {bindings}")
         out.append(f"def _kfn(_interp, _args, depth, "
                    f"<{signature.count('=')} bindings>):")

@@ -55,10 +55,11 @@ __all__ = [
 # fails at its first write (``FrozenModuleError``) instead of being
 # absorbed by a private deep copy nobody asked for.  One contract for
 # every ``compile_*`` result, cached or not: frozen; the rare caller that
-# transforms IR takes ``clone_module(module)``.  The key itself is stamped
-# on the module (``Module.fingerprint``): it fixes the IR, so generated
-# code is cached by it and outlives the module's cache entry — a kernel
-# compiled again after eviction reruns every stage but emits nothing.
+# transforms IR takes ``clone_module(module)``.  The key, less the module
+# name, is stamped on the module (``Module.fingerprint``): it fixes the
+# functions' IR, so generated code is cached by it and outlives the
+# module's cache entry — a kernel compiled again after eviction, or under
+# another module name, reruns every stage but emits nothing.
 
 _COMPILE_CACHE: "OrderedDict[tuple, Module]" = OrderedDict()
 _COMPILE_CACHE_CAPACITY = 64
@@ -107,7 +108,9 @@ def _cached_compile(key: tuple, build: Callable[[], Module]) -> Module:
         if cached is None:
             cached = _verified(build())
             diskcache.store(key, cached)
-        cached.fingerprint = key
+        # Every flow's key holds the module name third; it names the
+        # module only, and no function's IR (what generated code reads).
+        cached.fingerprint = key[:2] + key[3:]
         _COMPILE_CACHE[key] = cached.freeze()
         if len(_COMPILE_CACHE) > _COMPILE_CACHE_CAPACITY:
             _COMPILE_CACHE.popitem(last=False)

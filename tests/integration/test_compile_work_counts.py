@@ -144,3 +144,31 @@ def test_a_recompiled_kernel_emits_and_compiles_no_generated_code(
     assert calls == {"emit": 1, "compile": 1}
     assert report["compiles"] == 0 and report["cache_hits"] == 1
     driver.clear_compile_cache()
+
+
+def test_a_kernel_under_another_module_name_shares_its_generated_code():
+    """The module name is part of the compile key but not of the
+    fingerprint: it names the module, not the IR, so Copy compiled as
+    ``"parsimony"`` and then as ``"Copy.parsimony"`` is two compile-cache
+    entries and one emission."""
+    from repro.vm import Interpreter
+
+    spec = FIG5["Copy"]
+
+    def launch(name):
+        module = driver.compile_parsimony(spec.psim_src, module_name=name)
+        interp = Interpreter(module)
+        workload = spec.workload()
+        addrs = [interp.memory.alloc_array(a) for a in workload.arrays]
+        interp.run("kernel", *addrs, *workload.scalars)
+        return module, interp.codegen_report()
+
+    driver.clear_compile_cache()
+    first, report = launch("parsimony")
+    assert report["compiles"] == 1
+    second, report = launch("Copy.parsimony")
+    assert second is not first and second.name != first.name
+    assert second.fingerprint == first.fingerprint
+    assert report["compiles"] == 0 and report["cache_hits"] == 1
+    assert driver.compile_cache_stats()["entries"] == 2
+    driver.clear_compile_cache()

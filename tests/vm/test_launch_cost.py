@@ -13,6 +13,7 @@ kernel, because the emitter folds what it knows at emit time.
 
 import builtins
 import cProfile
+import gc
 import linecache
 import pstats
 import re
@@ -30,6 +31,7 @@ from repro.benchsuite.simdlib import BY_NAME, KERNELS
 from repro.driver import clear_compile_cache, compile_parsimony
 from repro.faultinject import FaultPlan, InjectedFault, inject
 from repro.ir.parser import parse_ir
+from repro.passes import clone_module
 from repro.ir.types import VectorType
 from repro.ir.values import Constant
 from repro.vm import Interpreter, Memory, MemoryError_
@@ -235,10 +237,9 @@ def test_a_kernel_whose_code_was_evicted_still_runs_and_recompiles(
                                 workload.arrays[1].size), want)
 
 
-def test_a_trap_in_generated_code_shows_the_emitted_line():
-    """Per-source filenames + linecache: the frame of a trap raised under
-    generated code names the kernel and quotes the access that trapped."""
-    module = compile_parsimony(COPY.psim_src)
+def _trap_frame(module):
+    """The last generated-code frame of a trap in ``module``'s kernel, and
+    the interpreter it ran in."""
     workload = COPY.workload()
     interp, addrs = _launch(module, workload)
     function = module.functions["kernel"]
@@ -257,6 +258,26 @@ def test_a_trap_in_generated_code_shows_the_emitted_line():
     assert name == function.name and len(digest) == 8
     assert "_mem.load_lanes(" in frame.line or "_mem.load_scalar(" in frame.line
     assert frame.line == linecache.getline(frame.filename, frame.lineno).strip()
+    return interp, frame
+
+
+def test_a_trap_in_generated_code_shows_the_emitted_line():
+    """Per-source filenames + linecache: the frame of a trap raised under
+    generated code names the kernel and quotes the access that trapped —
+    for a compiled kernel, whose code the code cache holds, and for a
+    hand-built (cloned) one, which has no fingerprint and is emitted for
+    its interpreter alone.  Either's lines go when its code does."""
+    compiled = compile_parsimony(COPY.psim_src)
+    frame = _trap_frame(compiled)[1]
+    clear_compile_cache()
+    gc.collect()
+    assert not linecache.getline(frame.filename, frame.lineno)
+    clone = clone_module(compiled)
+    assert clone.fingerprint is None
+    interp, frame = _trap_frame(clone)
+    interp.clear_decode_cache()
+    gc.collect()
+    assert not linecache.getline(frame.filename, frame.lineno)
 
 
 # -- host work per launch ----------------------------------------------------------
@@ -294,25 +315,31 @@ def test_a_launch_makes_a_bounded_number_of_host_calls(kernel):
 
 
 def test_generated_source_recomputes_nothing_it_knew_at_emit_time():
-    spec = BY_NAME["BgrToBgra"]
-    module = compile_parsimony(spec.psim_src)
-    _launch(module, spec.workload())
-    lines = cg.generated_source(module.functions["kernel"], AVX512,
-                                DEFAULT_COST_MODEL,
-                                module.fingerprint).splitlines()
-    # A constant shuffle index is a hoisted selector, not a per-launch
-    # ``IDX.astype(int64) % n``.
-    assert not any(re.search(r"_h\d+\.astype\(", line) for line in lines)
-    # ``Memory`` is only ever the arm a failed range test falls into.
-    slow = [i for i, line in enumerate(lines)
-            if "_mem.load_lanes(" in line or "_mem.store_lanes(" in line]
-    assert slow
-    for i in slow:
-        assert re.match(r"\s+if .*_i \+ \d+ > _h\d+\(_w\).*:$", lines[i - 1])
-    header = lines[1]
-    assert header.lstrip().startswith("# folded=")
-    assert int(re.search(r"folded=(\d+)", header).group(1)) >= 30
-    assert " slow=0 " in header
+    # BgrToBgra runs every access as a window view; Reorder16bit keeps its
+    # packed loads and shuffles; unbatched Histogram folds its lane masks.
+    for name, batch, folds in (("BgrToBgra", None, 0), ("Reorder16bit", None, 0),
+                               ("Histogram", 0, 30)):
+        spec = BY_NAME[name]
+        module = compile_parsimony(spec.psim_src, batch_request=batch)
+        _launch(module, spec.workload())
+        lines = cg.generated_source(module.functions["kernel"], AVX512,
+                                    DEFAULT_COST_MODEL,
+                                    module.fingerprint).splitlines()
+        # A constant shuffle index is a hoisted selector, not a per-launch
+        # ``IDX.astype(int64) % n``.
+        assert not any(re.search(r"_h\d+\.astype\(", line) for line in lines)
+        # ``Memory`` is only ever the arm a failed range test falls into:
+        # its methods, or a window group's per-window helper.
+        slow = [i for i, line in enumerate(lines)
+                if "_mem.load_lanes(" in line or "_mem.store_lanes(" in line
+                or "(_mem, " in line]
+        assert slow
+        for i in slow:
+            assert re.match(r"\s+if .* > _h\d+\(_[wd]\).*:$", lines[i - 1])
+        header = lines[1]
+        assert header.lstrip().startswith("# folded=")
+        assert int(re.search(r"folded=(\d+)", header).group(1)) >= folds
+        assert " slow=0 " in header
 
 
 def test_emission_builds_one_payload_per_distinct_constant(monkeypatch):
