@@ -269,7 +269,12 @@ runs the per-window accesses, in order, through ``Memory``
 growth.  So does a store under a runtime mask in a trip whose gangs'
 windows interleave, where the last active lane need not set the extent.
 Other selectors (Reorder's ``x ^ 1``) keep their packed accesses and
-shuffles.
+shuffles.  A window load whose value only a window store of its block
+writes, with no other memory access or call between them, runs in a
+trip with that store (:meth:`_Emitter._emit_copy`): both range tests
+pass, and the store's view is assigned from the load's, with no copy of
+the lanes in between (BgraToBgr's channels); either fails, and the two
+run unpaired, load first.
 
 Caching and ownership
 ---------------------
@@ -960,8 +965,13 @@ class _Emitter:
         #: absorb (nothing emits them), how many were emitted, and the
         #: payloads :meth:`_static` evaluated (``None``: not static).
         self.windows: Dict[Instruction, _Window] = {}
+        #: Window stores that assign a paired load's view, and back (see
+        #: :meth:`_find_copies`).
+        self.copies: Dict[_Window, _Window] = {}
+        self.copied: Dict[_Window, _Window] = {}
         self.absorbed: Set[Instruction] = set()
         self.window_sites = 0
+        self._members: Dict[_Window, list] = {}
         self._inputs: Set[int] = set()
         self._statics: Dict[int, object] = {}
         #: Each instruction's index in its block (for the window search).
@@ -2125,6 +2135,31 @@ class _Emitter:
                             for access in [ins] + members
                             if access.opcode in ("vload", "vstore"))
                     self._absorb(ins, win, members, inputs)
+                    self._members[win] = members
+        self._find_copies()
+
+    def _find_copies(self) -> None:
+        """Pair a window load with the window store of its block that is
+        the only reader of its value (a store of the whole value under
+        static masks, lane for lane of the same element type) when no
+        memory access or call but the two groups' own lies between them:
+        the store then runs both (:meth:`_emit_copy`).  The load moves
+        down to the store past pure arithmetic only."""
+        loads = {win.value: head for head, win in self.windows.items()
+                 if win.load}
+        for head, win in self.windows.items():
+            source = loads.get(win.value)
+            if win.load or source is None or win.mask is not None \
+                    or win.narrow or source.parent is not head.parent:
+                continue
+            load = self.windows[source]
+            members = set(self._members[load] + self._members[win])
+            if load.elem is win.elem and load.width == win.width \
+                    and self._order[source] < self._order[head] \
+                    and all(u in members for u, _ in win.value.uses) \
+                    and self._window_span(source, head, members | {head}):
+                self.copies[win] = load
+                self.copied[load] = win
 
     def _absorb(self, head: Instruction, win: _Window, members,
                 inputs) -> None:
@@ -2267,7 +2302,66 @@ class _Emitter:
         :func:`_window_store`).  So does every launch of a store under a
         runtime mask whose gangs' windows interleave (Δ below the window's
         span), where the extent the last active lane sets need not be the
-        highest."""
+        highest.  In a trip, a load :meth:`_find_copies` paired with a
+        store emits nothing here: the store's group runs both
+        (:meth:`_emit_copy`).  Outside one the pair runs unpaired: numpy
+        copies through a temporary only when an assignment's views are
+        2-D or more, and overlapping 1-D views of unlike strides would
+        read lanes already written."""
+        if win in self.copied:
+            if self.trip:
+                return
+            del self.copies[self.copied.pop(win)]
+        if win in self.copies:
+            self._emit_copy(self.copies[win], win, block)
+            return
+        head, test, slow, body, _ = self._window_code(win, block)
+        pad = "    " * self.indent
+        if body is None:
+            self.slow_sites += 1
+            self.lines.append(pad + slow)
+            return
+        self.window_sites += 1
+        self.inline_sites += 1
+        self.lines += [pad + text for text in head]
+        self.lines += [f"{pad}if {test}:", f"{pad}    {slow}", f"{pad}else:"]
+        self.lines += [f"{pad}    {text}" for text in body]
+
+    def _emit_copy(self, load: _Window, store: _Window,
+                   block: BasicBlock) -> None:
+        """A window load whose value only a window store writes, in a
+        trip: when both range tests pass, the store's ``(slots, G)`` view
+        is assigned from the load's — no copy of the lanes in between
+        (numpy copies through a temporary when the two views overlap, as
+        the loaded value did).  Otherwise the two groups run as each
+        would alone, load first, so the per-window order, trap text and
+        growth are unchanged.  Two window sites, as before pairing."""
+        lhead, ltest, lslow, lbody, lview = self._window_code(load, block)
+        shead, stest, sslow, sbody, sview = self._window_code(store, block)
+        pad = "    " * self.indent
+        self.window_sites += 2
+        self.inline_sites += 2
+        self.lines += [pad + text for text in lhead]
+        self.lines += [pad + text for text in shead if text not in lhead]
+        self.lines += [f"{pad}if {ltest} or {stest}:",
+                       f"{pad}    if {ltest}:", f"{pad}        {lslow}",
+                       f"{pad}    else:"]
+        self.lines += [f"{pad}        {text}" for text in lbody]
+        self.lines += [f"{pad}    {text}" for text in shead]
+        self.lines += [f"{pad}    if {stest}:", f"{pad}        {sslow}",
+                       f"{pad}    else:"]
+        self.lines += [f"{pad}        {text}" for text in sbody]
+        # The store's extent lines, then its view assigned from the load's.
+        self.lines += [f"{pad}else:"]
+        self.lines += [f"{pad}    {text}" for text in sbody[:-1]]
+        self.lines.append(f"{pad}    {sview}[...] = {lview}")
+
+    def _window_code(self, win: _Window, block: BasicBlock):
+        """What :meth:`_emit_window` emits for ``win``: ``(head, test,
+        slow, body, view)`` — the lines binding what the range ``test``
+        reads, the per-window ``Memory`` call, the view path's lines
+        (``None`` where only the ``Memory`` path runs) and the view
+        expression."""
         dtype = elem_dtype(win.elem)
         es = dtype.itemsize
         dt = self._dtype(win.elem)
@@ -2346,16 +2440,7 @@ class _Emitter:
                     "        _mem._extent = _e",
                     f"    {self._np(np.copyto)}({view}, {src},"
                     f" where={where})"]
-        pad = "    " * self.indent
-        if body is None:
-            self.slow_sites += 1
-            self.lines.append(pad + slow)
-            return
-        self.window_sites += 1
-        self.inline_sites += 1
-        self.lines += [pad + text for text in head]
-        self.lines += [f"{pad}if {test}:", f"{pad}    {slow}", f"{pad}else:"]
-        self.lines += [f"{pad}    {text}" for text in body]
+        return head, test, slow, body, view
 
     def _untile(self, value: Value, rows: int):
         """``(source, [tile])`` when ``value`` is a trip's tile — batching's

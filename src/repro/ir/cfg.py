@@ -17,6 +17,7 @@ tree.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Set
 
 from .module import BasicBlock, Function
@@ -220,7 +221,10 @@ class Loop:
         self.header = header
         self.blocks = blocks
         self.parent: Optional["Loop"] = None
-        self.children: List["Loop"] = []
+        #: Weak references to the loops nested directly inside this one: a
+        #: child holds its parent, so strong links both ways would be a
+        #: cycle in every loop nest, freed only by the cycle collector.
+        self._children: List[weakref.ref] = []
 
     @property
     def latches(self) -> List[BasicBlock]:
@@ -266,8 +270,15 @@ class Loop:
             loop = loop.parent
         return depth
 
+    @property
+    def children(self) -> List["Loop"]:
+        """The loops nested directly inside this one (that are still
+        alive: ``find_loops``'s list holds them all)."""
+        return [loop for loop in (ref() for ref in self._children)
+                if loop is not None]
+
     def is_innermost(self) -> bool:
-        return not self.children
+        return not self._children
 
     def __repr__(self) -> str:
         return f"<loop header={self.header.name} blocks={len(self.blocks)}>"
@@ -307,6 +318,6 @@ def find_loops(function: Function, dt: Optional[DominatorTree] = None) -> List[L
                     best = other
         loop.parent = best
         if best is not None:
-            best.children.append(loop)
+            best._children.append(weakref.ref(loop))
     loops.sort(key=lambda l: l.depth)
     return loops

@@ -93,10 +93,15 @@ class Instruction(Value):
 
     Operands are held in a private list with def-use bookkeeping: mutating
     them must go through ``set_operand`` so that ``Value.uses`` stays
-    consistent and ``replace_all_uses_with`` works.  ``Module.freeze``
-    seals the list (and ``uses`` and ``attrs``); the mutators then raise
+    consistent and ``replace_all_uses_with`` works.  ``operands`` is a
+    fresh tuple; the hot read-only walkers (verifier, constant folding,
+    CSE keys, range and shape analysis) read ``_operands`` itself and
+    never write it.  ``Module.freeze`` seals the list (and ``uses`` and
+    ``attrs``); the mutators then raise
     :class:`~repro.diagnostics.FrozenModuleError`.
     """
+
+    __slots__ = ("opcode", "attrs", "parent", "_operands")
 
     def __init__(
         self,
@@ -108,11 +113,14 @@ class Instruction(Value):
     ):
         super().__init__(type, name)
         self.opcode = opcode
-        self.attrs: Dict = dict(attrs or {})
+        self.attrs: Dict = dict(attrs) if attrs else {}
         self.parent = None  # set when inserted into a BasicBlock
-        self._operands: List[Value] = []
-        for op in operands:
-            self._append_operand(op)
+        self._operands: List[Value] = list(operands)
+        for idx, op in enumerate(self._operands):
+            if not isinstance(op, Value):
+                del self._operands[idx:]
+                raise TypeError(f"operand of {opcode} is not a Value: {op!r}")
+            op.uses.append((self, idx))
 
     @classmethod
     def copy_of(cls, source: "Instruction", operands: List[Value],

@@ -37,9 +37,15 @@ from .values import Argument, Value, thawed_state
 
 __all__ = ["BasicBlock", "Function", "ExternalFunction", "Module", "SpmdInfo"]
 
+#: The sealed attrs of every frozen instruction that has none: one shared
+#: read-only mapping instead of an empty dict and its proxy apiece.
+_NO_ATTRS = MappingProxyType({})
+
 
 class BasicBlock(Value):
     """A straight-line sequence of instructions ending in a terminator."""
+
+    __slots__ = ("instructions", "parent")
 
     def __init__(self, name: str = ""):
         super().__init__(VOID, name)
@@ -70,8 +76,15 @@ class BasicBlock(Value):
 
     @property
     def successors(self) -> List["BasicBlock"]:
-        term = self.terminator
-        return term.successors() if term is not None else []
+        # ``terminator.successors()``, inlined: CFG walks and every
+        # dominator-memo key read it once per block.
+        if self.instructions:
+            last = self.instructions[-1]
+            if last.opcode == "br":
+                return [last._operands[0]]
+            if last.opcode == "condbr":
+                return [last._operands[1], last._operands[2]]
+        return []
 
     @property
     def predecessors(self) -> List["BasicBlock"]:
@@ -191,6 +204,20 @@ class Function(Value):
         self.blocks.remove(block)
         block.parent = None
 
+    def teardown(self) -> None:
+        """Unlink a function that leaves its module (deleted, or a
+        discarded clone): each block goes through ``remove_block``, so
+        shared constants, externals and callees keep no use of its
+        instructions, and the arguments' back references and the
+        dominator memo are dropped.  Each of those is a reference cycle
+        through the function, so what a compile discards is freed by
+        reference counting, not left for the cycle collector."""
+        for block in list(self.blocks):
+            self.remove_block(block)
+        for arg in self.args:
+            arg.function = None
+        self._dominators = None
+
     def unique_name(self, hint: str = "v") -> str:
         hint = hint or "v"
         if hint not in self._used_names:
@@ -221,7 +248,8 @@ class Function(Value):
                         op.uses = tuple(op.uses)
                 instr._operands = tuple(instr._operands)
                 instr.uses = tuple(instr.uses)
-                instr.attrs = MappingProxyType(instr.attrs)
+                instr.attrs = (MappingProxyType(instr.attrs) if instr.attrs
+                               else _NO_ATTRS)
             block.uses = tuple(block.uses)
             block.instructions = tuple(block.instructions)
         self.blocks = tuple(self.blocks)

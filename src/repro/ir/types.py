@@ -2,8 +2,11 @@
 
 The IR is a typed SSA representation closely modelled on LLVM's, which is
 what the Parsimony prototype targets (paper §4).  Types are immutable and
-interned, so identity comparison (``is``) works for the common scalar types
-and ``==`` works everywhere.
+interned — every kind, ``FunctionType`` included — so there is one object
+per type and equality is identity: ``==`` and ``hash`` are ``object``'s,
+and the kind predicates (``is_int`` …) are class constants, not
+``isinstance`` tests.  Unpickling re-enters the intern tables
+(``__reduce__``), so a type loaded from the disk cache is the same object.
 
 Supported kinds:
 
@@ -50,51 +53,23 @@ POINTER_BITS = 64
 class Type:
     """Base class for all IR types."""
 
-    #: Populated by subclasses; used for interning and hashing.
+    #: Populated by subclasses: the arguments that intern the type.
     _key: tuple = ()
 
-    def __eq__(self, other: object) -> bool:
-        # Every type but ``FunctionType`` is interned, so the common
-        # "equal" answer is an identity test.
-        return self is other or (
-            type(self) is type(other) and self._key == other._key  # type: ignore[attr-defined]
-        )
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self._key))
+    #: Kind predicates, fixed per class (``is_scalar``: ints, floats and
+    #: pointers — anything with one lane).
+    is_int = False
+    is_float = False
+    is_pointer = False
+    is_vector = False
+    is_void = False
+    is_scalar = False
 
     def __reduce__(self):
-        # Types are interned via __new__/__init__ taking exactly the intern
-        # key, so unpickling re-enters the cache and preserves ``is``
-        # identity (needed by the on-disk compile cache).
+        # Types are interned via __new__ taking exactly the intern key, so
+        # unpickling re-enters the cache and preserves ``is`` identity
+        # (needed by the on-disk compile cache).
         return (type(self), tuple(self._key))
-
-    # -- convenience predicates -------------------------------------------------
-
-    @property
-    def is_int(self) -> bool:
-        return isinstance(self, IntType)
-
-    @property
-    def is_float(self) -> bool:
-        return isinstance(self, FloatType)
-
-    @property
-    def is_pointer(self) -> bool:
-        return isinstance(self, PointerType)
-
-    @property
-    def is_vector(self) -> bool:
-        return isinstance(self, VectorType)
-
-    @property
-    def is_void(self) -> bool:
-        return isinstance(self, VoidType)
-
-    @property
-    def is_scalar(self) -> bool:
-        """True for ints, floats, and pointers (anything with one lane)."""
-        return self.is_int or self.is_float or self.is_pointer
 
     def size_bytes(self) -> int:
         """Size of a value of this type in the VM's memory, in bytes."""
@@ -103,11 +78,14 @@ class Type:
     @property
     def scalar_type(self) -> "Type":
         """The element type for vectors; the type itself for scalars."""
-        return self.elem if isinstance(self, VectorType) else self
+        return self.elem if self.is_vector else self
 
 
 class IntType(Type):
     """A sign-less integer type of a fixed bit width."""
+
+    is_int = True
+    is_scalar = True
 
     _cache: dict = {}
 
@@ -133,6 +111,9 @@ class IntType(Type):
 class FloatType(Type):
     """An IEEE-754 floating point type (f32 or f64)."""
 
+    is_float = True
+    is_scalar = True
+
     _cache: dict = {}
 
     def __new__(cls, bits: int) -> "FloatType":
@@ -156,6 +137,9 @@ class FloatType(Type):
 
 class PointerType(Type):
     """A typed pointer.  ``pointee`` is the scalar type loaded/stored."""
+
+    is_pointer = True
+    is_scalar = True
 
     _cache: dict = {}
 
@@ -185,6 +169,8 @@ class PointerType(Type):
 
 class VectorType(Type):
     """A fixed-length vector ``<count x elem>`` of scalar elements."""
+
+    is_vector = True
 
     _cache: dict = {}
 
@@ -219,6 +205,8 @@ class VectorType(Type):
 class VoidType(Type):
     """The type of instructions that produce no value."""
 
+    is_void = True
+
     _inst = None
 
     def __new__(cls) -> "VoidType":
@@ -233,10 +221,20 @@ class VoidType(Type):
 class FunctionType(Type):
     """A function signature: return type plus parameter types."""
 
-    def __init__(self, ret: Type, params: Tuple[Type, ...]):
-        self.ret = ret
-        self.params = tuple(params)
-        self._key = (ret, self.params)
+    _cache: dict = {}
+
+    def __new__(cls, ret: Type, params: Tuple[Type, ...]) -> "FunctionType":
+        key = (ret, tuple(params))
+        inst = cls._cache.get(key)
+        if inst is None:
+            inst = super().__new__(cls)
+            inst.ret, inst.params = key
+            inst._key = key
+            cls._cache[key] = inst
+        return inst
+
+    ret: Type
+    params: Tuple[Type, ...]
 
     def __repr__(self) -> str:
         params = ", ".join(map(repr, self.params))

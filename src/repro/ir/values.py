@@ -10,7 +10,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import List, Optional, Tuple, Union
 
-from .types import IntType, Type, VectorType
+from .types import IntType, Type
 
 __all__ = ["Value", "Constant", "UndefValue", "Argument", "const_int", "const_bool"]
 
@@ -21,12 +21,15 @@ _SEALED_LISTS = ("uses", "_operands", "instructions", "blocks")
 
 
 def thawed_state(node) -> dict:
-    """``__getstate__`` for IR nodes: the node's ``__dict__`` with sealed
-    containers back in their mutable form and identity-scoped caches
-    dropped, so a frozen module pickles to exactly what its unfrozen self
-    would have (``mappingproxy`` does not pickle at all) and unpickles
-    mutable."""
-    state = dict(node.__dict__)
+    """``__getstate__`` for IR nodes: the node's slots (and ``__dict__``,
+    for the unslotted ``Function``/``Module``) with sealed containers back
+    in their mutable form and identity-scoped caches dropped, so a frozen
+    module pickles to exactly what its unfrozen self would have
+    (``mappingproxy`` does not pickle at all) and unpickles mutable."""
+    state = dict(getattr(node, "__dict__", ()))
+    for klass in type(node).__mro__:
+        for name in klass.__dict__.get("__slots__", ()):
+            state[name] = getattr(node, name)
     state.pop("fingerprint", None)
     state.pop("_dominators", None)
     state.pop("_unbatched_twin", None)
@@ -41,8 +44,17 @@ def thawed_state(node) -> dict:
     return state
 
 
+def _set_state(node, state: dict) -> None:
+    """``__setstate__`` for slotted IR nodes: slots and ``__dict__``
+    alike are written through ``setattr``."""
+    for name, value in state.items():
+        setattr(node, name, value)
+
+
 class Value:
     """Base class for everything that can appear as an instruction operand."""
+
+    __slots__ = ("type", "name", "uses")
 
     def __init__(self, type: Type, name: str = ""):
         self.type = type
@@ -52,6 +64,7 @@ class Value:
         self.uses: List[Tuple["Value", int]] = []
 
     __getstate__ = thawed_state
+    __setstate__ = _set_state
 
     @property
     def users(self):
@@ -85,11 +98,13 @@ class Constant(Value):
     types a tuple of per-lane payloads.
     """
 
+    __slots__ = ("value",)
+
     def __init__(self, type: Type, value):
         super().__init__(type)
-        if isinstance(type, VectorType):
+        if type.is_vector:
             elem = type.elem
-            if isinstance(elem, IntType):
+            if elem.is_int:
                 # Per lane what ``_canonical_scalar`` does, minus a call
                 # and a type test each: lane tables run to 64 entries.
                 mask = (1 << elem.bits) - 1
@@ -116,7 +131,7 @@ class Constant(Value):
 
     def as_signed(self) -> Union[int, float, tuple]:
         """Interpret integer payload(s) as signed two's complement."""
-        if isinstance(self.type, VectorType):
+        if self.type.is_vector:
             return tuple(_to_signed(self.type.elem, v) for v in self.value)
         return _to_signed(self.type, self.value)
 
@@ -126,7 +141,7 @@ class Constant(Value):
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Constant)
-            and other.type == self.type
+            and other.type is self.type
             and other.value == self.value
         )
 
@@ -136,7 +151,7 @@ class Constant(Value):
 
 def _canonical_scalar(type: Type, value):
     """Canonicalize a scalar constant payload for its type."""
-    if isinstance(type, IntType):
+    if type.is_int:
         return int(value) & ((1 << type.bits) - 1)
     if type.is_float:
         return float(value)
@@ -146,7 +161,7 @@ def _canonical_scalar(type: Type, value):
 
 
 def _to_signed(type: Type, value: int):
-    if isinstance(type, IntType) and value >= (1 << (type.bits - 1)):
+    if type.is_int and value >= (1 << (type.bits - 1)):
         return value - (1 << type.bits)
     return value
 
@@ -164,12 +179,16 @@ def const_bool(value: bool) -> Constant:
 class UndefValue(Value):
     """An undefined value of a given type (used for placeholder phi inputs)."""
 
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return f"{self.type} undef"
 
 
 class Argument(Value):
     """A formal parameter of a ``Function``."""
+
+    __slots__ = ("index", "function")
 
     def __init__(self, type: Type, name: str, index: int, function=None):
         super().__init__(type, name)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .. import faultinject
 from ..diagnostics import CompileError
 from .cfg import dominator_tree
-from .instructions import REDUCE_OPS, TERMINATORS, Instruction
+from .instructions import FLOAT_BINOPS, INT_BINOPS, REDUCE_OPS, TERMINATORS, Instruction
 from .module import BasicBlock, Function, Module
 from .printer import format_instruction, print_function
 from .types import I1, IntType, VectorType
@@ -52,15 +52,16 @@ def verify_function(function: Function) -> None:
     if not function.blocks:
         _fail(function, "function has no blocks")
 
-    # Structural checks per block (and each instruction's position, for
-    # the dominance check below).
+    # Structural checks per block (and each instruction's index in its
+    # block, for the dominance check below: its block is its checked
+    # ``parent``).
     positions = {}
     for block in function.blocks:
         if block.parent is not function:
             _fail(function, f"block {block.name} has wrong parent")
-        if block.terminator is None:
-            _fail(function, f"block {block.name} lacks a terminator")
         instructions = block.instructions
+        if not instructions or instructions[-1].opcode not in TERMINATORS:
+            _fail(function, f"block {block.name} lacks a terminator")
         last = instructions[-1]
         seen_non_phi = False
         for idx, instr in enumerate(instructions):
@@ -75,7 +76,7 @@ def verify_function(function: Function) -> None:
             if opcode in TERMINATORS and instr is not last:
                 _fail(function, f"terminator mid-block in {block.name}")
             _check_instruction(function, instr)
-            positions[instr] = (block, idx)
+            positions[instr] = idx
 
     # Phi / predecessor agreement (phis lead their block: checked above).
     for block in function.blocks:
@@ -110,12 +111,13 @@ def verify_function(function: Function) -> None:
             for op_index, op in enumerate(instr._operands):
                 if not isinstance(op, Instruction):
                     continue
-                def_block, def_idx = positions.get(op, (None, None))
-                if def_block is None:
+                def_idx = positions.get(op)
+                if def_idx is None:
                     _fail(
                         function,
                         f"use of detached instruction %{op.name} in {format_instruction(instr)}",
                     )
+                def_block = op.parent
                 if is_phi:
                     # The def must dominate the end of the incoming block.
                     pred = instr._operands[op_index + 1] if op_index % 2 == 0 else None
@@ -143,7 +145,7 @@ def verify_function(function: Function) -> None:
 
 def _check_instruction(function: Function, instr: Instruction) -> None:
     op = instr.opcode
-    ops = instr.operands
+    ops = instr._operands  # read only: no tuple per check
     block = instr.parent
     if op == "phi":
         # Structural phi invariants must hold before phi_incoming() may
@@ -191,7 +193,7 @@ def _check_instruction(function: Function, instr: Instruction) -> None:
     elif op == "load":
         if not ops[0].type.is_pointer or ops[0].type.pointee != instr.type:
             _fail(function, f"bad load: {format_instruction(instr)}", block, instr)
-    elif instr.is_binop:
+    elif op in INT_BINOPS or op in FLOAT_BINOPS:
         if ops[0].type != ops[1].type or ops[0].type != instr.type:
             _fail(function, f"binop type mismatch: {format_instruction(instr)}",
                   block, instr)
@@ -240,7 +242,8 @@ def _check_instruction(function: Function, instr: Instruction) -> None:
     elif op == "broadcast" and "segments" not in instr.attrs:
         if not instr.type.is_vector or instr.type.elem != ops[0].type:
             _fail(function, f"bad broadcast: {format_instruction(instr)}", block, instr)
-    if "segments" in instr.attrs or "row_stride" in instr.attrs:
+    attrs = instr.attrs
+    if attrs and ("segments" in attrs or "row_stride" in attrs):
         _check_batch_form(function, instr)
 
 
@@ -253,7 +256,7 @@ def _check_batch_form(function: Function, instr: Instruction) -> None:
     collapsed row nest's tail (``row_stride row``), one row per row of the
     nest, at the stride generated code reads from the nest."""
     op = instr.opcode
-    ops = instr.operands
+    ops = instr._operands  # read only: no tuple per check
     segments = instr.attrs.get("segments")
 
     def bad(why: str) -> None:

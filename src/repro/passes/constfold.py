@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from ..ir.instructions import CAST_OPS, FLOAT_BINOPS, INT_BINOPS, Instruction, UNARY_OPS
 from ..ir.module import Function
-from ..ir.types import VectorType
 from ..ir.values import Constant, Value
 from ..vm.ops import VMTrap, value_impl
 
@@ -39,14 +38,13 @@ def constant_fold(function: Function) -> bool:
 
 
 def _fold(instr: Instruction):
-    if instr.uses == [] and not instr.type.is_void:
-        # Leave pure dead code for DCE; nothing to fold into.
-        pass
-    op = instr.opcode
-    operands = instr.operands
-    if isinstance(instr.type, VectorType):
+    if instr.type.is_vector:
         return None  # vector constants are folded lane-wise only when needed
+    operands = instr._operands  # read only: no tuple per visit
     consts = [o for o in operands if isinstance(o, Constant)]
+    if not consts:
+        return None  # every rule below needs a constant operand
+    op = instr.opcode
 
     if op == "select" and isinstance(operands[0], Constant):
         return operands[1] if operands[0].value else operands[2]
@@ -60,56 +58,54 @@ def _fold(instr: Instruction):
             return None  # a constant division by zero traps at run time
         return Constant(instr.type, result)
 
-    return _algebraic(instr)
-
-
-def _algebraic(instr: Instruction):
-    """Identity simplifications on one constant operand."""
-    op = instr.opcode
-    operands = instr.operands
     if len(operands) != 2:
         return None
-    a, b = operands
+    return _algebraic(op, *operands)
 
-    def is_const(v: Value, value) -> bool:
-        return isinstance(v, Constant) and not v.type.is_vector and v.value == _canon(v, value)
 
-    def _canon(v: Constant, value):
-        if v.type.is_int:
-            return value & ((1 << v.type.bits) - 1)
-        return value
+def _is_const(v: Value, value) -> bool:
+    """``v`` is a scalar constant equal to ``value`` (an int read at
+    ``v``'s width)."""
+    if not isinstance(v, Constant) or v.type.is_vector:
+        return False
+    if v.type.is_int:
+        value &= (1 << v.type.bits) - 1
+    return v.value == value
 
+
+def _algebraic(op: str, a: Value, b: Value):
+    """Identity simplifications on one constant operand."""
     if op in ("add", "or", "xor"):
-        if is_const(b, 0):
+        if _is_const(b, 0):
             return a
-        if is_const(a, 0):
+        if _is_const(a, 0):
             return b
-    if op == "sub" and is_const(b, 0):
+    if op == "sub" and _is_const(b, 0):
         return a
     if op == "mul":
-        if is_const(b, 1):
+        if _is_const(b, 1):
             return a
-        if is_const(a, 1):
+        if _is_const(a, 1):
             return b
-        if is_const(a, 0):
+        if _is_const(a, 0):
             return a
-        if is_const(b, 0):
+        if _is_const(b, 0):
             return b
     if op == "and":
-        if is_const(b, -1):
+        if _is_const(b, -1):
             return a
-        if is_const(a, -1):
+        if _is_const(a, -1):
             return b
-        if is_const(a, 0):
+        if _is_const(a, 0):
             return a
-        if is_const(b, 0):
+        if _is_const(b, 0):
             return b
-    if op in ("shl", "lshr", "ashr") and is_const(b, 0):
+    if op in ("shl", "lshr", "ashr") and _is_const(b, 0):
         return a
-    if op in ("udiv", "sdiv") and is_const(b, 1):
+    if op in ("udiv", "sdiv") and _is_const(b, 1):
         return a
-    if op == "fmul" and is_const(b, 1.0):
+    if op == "fmul" and _is_const(b, 1.0):
         return a
-    if op == "fadd" and is_const(b, 0.0):
+    if op == "fadd" and _is_const(b, 0.0):
         return a
     return None

@@ -9,7 +9,7 @@ store to *the same* address instruction.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from ..ir.cfg import dominator_tree
 from ..ir.instructions import CAST_OPS, FLOAT_BINOPS, INT_BINOPS, Instruction, UNARY_OPS
@@ -27,7 +27,7 @@ _PURE = (
 
 
 def _key(instr: Instruction) -> Tuple:
-    operands = tuple(id(op) for op in instr.operands)
+    operands = tuple(map(id, instr._operands))
     attrs = tuple(sorted(instr.attrs.items())) if instr.attrs else ()
     return (instr.opcode, instr.type, operands, attrs)
 
@@ -35,10 +35,13 @@ def _key(instr: Instruction) -> Tuple:
 def cse(function: Function) -> bool:
     changed = False
     dt = dominator_tree(function)
-    available: Dict[Tuple, Instruction] = {}
-
-    def visit(block: BasicBlock, scope: Dict[Tuple, Instruction]) -> None:
-        nonlocal changed
+    # Preorder over the dominator tree, each block starting from a copy
+    # of its immediate dominator's scope.  A worklist, not a recursive
+    # closure: the closure would hold itself through its own cell, a
+    # cycle left for the collector on every run.
+    work: List[Tuple[BasicBlock, Dict[Tuple, Instruction]]] = [(function.entry, {})]
+    while work:
+        block, scope = work.pop()
         scope = dict(scope)
         for instr in list(block.instructions):
             if instr.opcode not in _PURE or instr.type.is_void:
@@ -51,8 +54,5 @@ def cse(function: Function) -> bool:
                 changed = True
             else:
                 scope[key] = instr
-        for child in dt.children.get(block, ()):
-            visit(child, scope)
-
-    visit(function.entry, available)
+        work.extend((child, scope) for child in reversed(dt.children.get(block, ())))
     return changed

@@ -21,7 +21,7 @@ def delete_dead_functions(module: Module,
     """Delete every function ``internal`` accepts that nothing references
     (``function.uses`` is empty); returns them in deletion order.
 
-    A deleted body's blocks are unlinked with ``remove_block``, so shared
+    A deleted function is torn down (``Function.teardown``), so shared
     constants, externals and callees keep no use of a deleted instruction —
     which may leave another internal function unreferenced, so the sweep
     repeats until nothing more dies.
@@ -33,7 +33,6 @@ def delete_dead_functions(module: Module,
         if not dead:
             return deleted
         for function in dead:
-            for block in list(function.blocks):
-                function.remove_block(block)
+            function.teardown()
             del module.functions[function.name]
         deleted.extend(dead)

@@ -12,7 +12,7 @@ LLVM pipeline.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 from ..ir.cfg import DominatorTree, dominance_frontiers, dominator_tree
 from ..ir.instructions import Instruction
@@ -81,10 +81,14 @@ def mem2reg(function: Function) -> bool:
                 frontier.insert(0, phi)
                 phis[phi] = alloca
 
-    # 2. Rename: walk the dominator tree, tracking the live value per alloca.
+    # 2. Rename: walk the dominator tree in preorder, tracking the live
+    #    value per alloca; each block starts from a copy of its immediate
+    #    dominator's map.  A worklist, not a recursive closure (which would
+    #    hold itself through its own cell: a cycle left for the collector).
     to_erase: List[Instruction] = []
-
-    def rename(block: BasicBlock, incoming: Dict[Instruction, Value]) -> None:
+    work: List[Tuple[BasicBlock, Dict[Instruction, Value]]] = [(function.entry, {})]
+    while work:
+        block, incoming = work.pop()
         incoming = dict(incoming)
         for instr in list(block.instructions):
             if instr.opcode == "phi" and instr in phis:
@@ -109,10 +113,7 @@ def mem2reg(function: Function) -> bool:
                     value = UndefValue(alloca.type.pointee)
                 phi.append_operand(value)
                 phi.append_operand(block)
-        for child in dt.children.get(block, ()):
-            rename(child, incoming)
-
-    rename(function.entry, {})
+        work.extend((child, incoming) for child in reversed(dt.children.get(block, ())))
 
     for instr in to_erase:
         instr.erase()

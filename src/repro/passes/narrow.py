@@ -83,15 +83,16 @@ def _compute_range(value: Value, cache: Dict, depth: int):
     if not isinstance(value, Instruction):
         return None
     op = value.opcode
+    ops = value._operands  # read only: no tuple per range query
     if op == "zext":
-        src = value.operands[0]
+        src = ops[0]
         inner = _range_of(src, cache, depth + 1)
         if inner is not None and inner[0] >= 0:
             return inner
         bits = src.type.bits
         return (0, (1 << bits) - 1)
     if op == "sext":
-        src = value.operands[0]
+        src = ops[0]
         inner = _range_of(src, cache, depth + 1)
         if inner is not None:
             return inner
@@ -100,20 +101,20 @@ def _compute_range(value: Value, cache: Dict, depth: int):
     if op not in _RANGE_OPS:
         return None
     if op == "select":
-        a = _range_of(value.operands[1], cache, depth + 1)
-        b = _range_of(value.operands[2], cache, depth + 1)
+        a = _range_of(ops[1], cache, depth + 1)
+        b = _range_of(ops[2], cache, depth + 1)
         if a is None or b is None:
             return None
         return (min(a[0], b[0]), max(a[1], b[1]))
     if op == "iabs":
-        a = _range_of(value.operands[0], cache, depth + 1)
+        a = _range_of(ops[0], cache, depth + 1)
         if a is None:
             return None
         lo = 0 if a[0] <= 0 <= a[1] else min(abs(a[0]), abs(a[1]))
         return (lo, max(abs(a[0]), abs(a[1])))
 
-    a = _range_of(value.operands[0], cache, depth + 1)
-    b = _range_of(value.operands[1], cache, depth + 1)
+    a = _range_of(ops[0], cache, depth + 1)
+    b = _range_of(ops[1], cache, depth + 1)
     if a is None or b is None:
         return None
     if op == "add":
@@ -132,9 +133,9 @@ def _compute_range(value: Value, cache: Dict, depth: int):
             return (0, min(a[1], b[1]))
         return (0, bound)
     if op in ("shl", "lshr", "ashr"):
-        if not isinstance(value.operands[1], Constant):
+        if not isinstance(ops[1], Constant):
             return None
-        k = value.operands[1].value
+        k = ops[1].value
         if isinstance(k, tuple):  # splat vector shift amount
             if len(set(k)) != 1:
                 return None

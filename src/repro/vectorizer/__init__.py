@@ -124,7 +124,7 @@ def vectorize_function(
     except Exception:
         # A half-built body holds uses of the module's constants and
         # externals; unlink it, or they would name code that never runs.
-        _discard_clone(vectorized)
+        vectorized.teardown()
         raise
 
     vectorized.attrs["parsimony_warnings"] = vectorizer.warnings
@@ -220,17 +220,8 @@ def vectorize_module(
                 raise
             _fall_back_to_scalar(module, name, function, pristine, exc)
         else:
-            _discard_clone(pristine)
+            pristine.teardown()  # unused: it leaves no use behind
     return results
-
-
-def _discard_clone(clone: Function) -> None:
-    """Unregister the def-use edges of a function leaving the module — an
-    unused pristine clone, a failed attempt's input or half-built output
-    (their instructions hold uses of constants/externals shared with the
-    module)."""
-    for block in list(clone.blocks):
-        clone.remove_block(block)
 
 
 def _fall_back_to_scalar(
@@ -248,7 +239,7 @@ def _fall_back_to_scalar(
     pristine.name = name
     module.add_function(pristine)
     function.replace_all_uses_with(pristine)  # rewire gang-loop call sites
-    _discard_clone(function)
+    function.teardown()
 
     try:
         scalarize_spmd_function(pristine)

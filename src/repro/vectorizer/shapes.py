@@ -178,7 +178,7 @@ class ShapeAnalysis:
             return None, TOP
 
         op = instr.opcode
-        ops = instr.operands
+        ops = instr._operands  # read only: no tuple per transfer
 
         if not self.enabled:
             # Even with shape analysis ablated, lane_num's shape is part of
@@ -278,7 +278,7 @@ class ShapeAnalysis:
         return Shape.varying(), TOP  # serialized scalar call: per-lane results
 
     def _transfer_gep(self, instr: Instruction):
-        ptr, idx = instr.operands
+        ptr, idx = instr._operands
         ptr_s, idx_s = self.shape_of(ptr), self.shape_of(idx)
         if ptr_s.is_varying or idx_s.is_varying:
             return Shape.varying(), TOP
@@ -295,7 +295,7 @@ class ShapeAnalysis:
 
     def _transfer_int_binop(self, instr: Instruction):
         op = instr.opcode
-        a, b = instr.operands
+        a, b = instr._operands
         sa, sb = self.shape_of(a), self.shape_of(b)
         fa, fb = self.facts_of(a), self.facts_of(b)
         if sa.is_varying or sb.is_varying:

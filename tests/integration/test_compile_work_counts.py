@@ -11,9 +11,13 @@ functions before optimizing what is left — so the counts depend on the
 kernel and are pinned here, as upper bounds, for three fig5 kernels and
 ``mandelbrot``.  The counts repeat exactly from compile to compile, so a
 bound that trips is a regression in the pipeline, never a slow machine.
+The same holds for what a miss leaves the cycle collector (nothing) and
+for the GC-tracked objects a frozen module keeps, both counted here.
 """
 
+import gc
 import sys
+import types
 
 import pytest
 
@@ -85,6 +89,72 @@ def test_compile_miss_work_is_bounded_and_repeatable(name):
 
 def _compiled(spec):
     return driver.compile_parsimony(spec.psim_src, module_name=f"{spec.name}.parsimony")
+
+
+ALL_BUILDS = list(KERNELS) + [FIG4[name] for name in sorted(FIG4)]
+
+
+def test_a_compile_miss_leaves_no_cyclic_garbage():
+    """Everything a miss discards — deleted and discarded functions,
+    dominator trees, loop nests, worklists — is freed by reference
+    counting: with the collector off, a sweep after a miss of each of the
+    79 builds finds nothing unreachable while the caller holds every
+    module (the LRU evicts some; the caller's list keeps them).  Only an
+    evicted module a caller dropped is left for the collector."""
+    assert len(ALL_BUILDS) == 79
+    for spec in ALL_BUILDS:  # one-time caches (SMT probes, interning)
+        _compiled(spec)
+    driver.clear_compile_cache()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        held = [_compiled(spec) for spec in ALL_BUILDS]
+        found = gc.collect()
+        garbage = sorted({type(o).__name__ for o in gc.garbage})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+        driver.clear_compile_cache()
+    assert len(held) == 79
+    assert found == 0, f"{found} objects in cycles: {garbage}"
+
+
+#: kernel -> GC-tracked objects reachable from its frozen module (the
+#: IR, its sealed containers, attrs and types; not code, classes or
+#: modules) — 335, 1340, 700, 1017 while an instruction without attrs
+#: sealed an empty dict of its own.
+RETAINED = {
+    "AbsDifference": 318,
+    "GaussianBlur3x3": 1325,
+    "GetStatistic": 662,
+    "mandelbrot": 963,
+}
+
+_SHARED = (types.ModuleType, type, types.FunctionType,
+           types.BuiltinFunctionType, types.MethodType, types.CodeType)
+
+
+def _retained(module) -> int:
+    gc.collect()  # untracks the tuples and dicts that hold no containers
+    seen, work = {id(module)}, [module]
+    while work:
+        for ref in gc.get_referents(work.pop()):
+            if id(ref) not in seen and gc.is_tracked(ref) \
+                    and not isinstance(ref, _SHARED):
+                seen.add(id(ref))
+                work.append(ref)
+    return len(seen)
+
+
+@pytest.mark.parametrize("name", sorted(RETAINED))
+def test_a_frozen_module_retains_a_bounded_object_graph(name):
+    assert sorted(RETAINED) == sorted(BOUNDS)
+    driver.clear_compile_cache()
+    count = _retained(_compiled(FIG5.get(name) or FIG4[name]))
+    driver.clear_compile_cache()
+    assert count <= RETAINED[name], f"{name}: {count} objects retained"
 
 
 @pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s.name)

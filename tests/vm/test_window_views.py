@@ -115,11 +115,18 @@ def _arrays(kind, dtype, stride, n):
 
 def _run(module, arrays, scalars, size=1 << 20, **engine):
     """Everything a launch leaves: trap text, stats, image, extent."""
+    return _launch(module, lambda memory: [
+        *(memory.alloc_array(a) for a in arrays), *scalars], size, **engine)
+
+
+def _launch(module, place, size=1 << 20, **engine):
+    """Everything a launch leaves; ``place(memory)`` allocates the inputs
+    and returns the kernel's arguments."""
     interp = Interpreter(module, memory=Memory(size), **engine)
-    addrs = [interp.memory.alloc_array(a) for a in arrays]
+    args = place(interp.memory)
     trap = None
     try:
-        interp.run("kernel", *addrs, *scalars)
+        interp.run("kernel", *args)
     except ExecutionError as exc:
         trap = f"{type(exc).__name__}: {exc}"
     stats = interp.stats
@@ -248,6 +255,136 @@ def test_a_window_that_straddles_the_end_of_memory_traps_as_the_reference(
     del slow_calls[:]
     _check(source, [(arrays, [n - GANG])])
     assert not slow_calls
+
+
+# -- a window load that only a window store reads --------------------------------
+
+#: BgraToBgr's shape: each channel a window load whose value only a window
+#: store writes, so the store assigns its view from the load's view.
+COPY = """
+void kernel({t}* src, {t}* dst, u64 n) {{
+    psim (gang_size={g}, num_threads=n) {{
+        u64 i = psim_get_thread_num();
+{body}
+    }}
+}}
+"""
+
+
+def _copy_source(t, s, d, channels=2):
+    return COPY.format(t=t, g=GANG, body="\n".join(
+        f"        dst[{d} * i + {c}] = src[{s} * i + {c}];"
+        for c in range(channels)))
+
+
+COPY_CASES = [(t, s, d) for t in ("u8", "i16", "f32")
+              for s, d in ((4, 3), (3, 2), (2, 3))]
+
+
+def _copies(module) -> int:
+    """Window stores assigned straight from a window load's view."""
+    source = cg.generated_source(module.functions["kernel"], AVX512,
+                                 DEFAULT_COST_MODEL, module.fingerprint)
+    return len(re.findall(r"\[\.\.\.\] = (_h\d+\(|_w\[)", source))
+
+
+def _copy_runs(t, s, d):
+    runs = []
+    for n in (GANG * 5 + 3, GANG * 16, GANG - 3):
+        src = np.arange(s * n + GANG * s, dtype=TYPES[t])
+        runs.append(([src, np.zeros(d * n + GANG * d, TYPES[t])], [n]))
+    return runs
+
+
+@pytest.mark.parametrize("t,s,d", COPY_CASES,
+                         ids=[f"{t}-s{s}-d{d}" for t, s, d in COPY_CASES])
+def test_a_window_copy_matches_the_reference(t, s, d, slow_calls):
+    source = _copy_source(t, s, d)
+    assert _copies(driver.compile_parsimony(source)) == 2
+    _check(source, _copy_runs(t, s, d))
+    assert not slow_calls
+
+
+def _in_place(n, s, shift):
+    """One buffer, ``dst`` ``shift`` elements past ``src``."""
+    def place(memory):
+        base = memory.alloc_array(np.arange(s * n + 64, dtype=np.uint8))
+        return [base, base + shift, n]
+    return place
+
+
+@pytest.mark.parametrize("shift", [0, 1, 5])
+def test_a_window_copy_in_place_matches_the_reference(shift, slow_calls):
+    """Compaction in place (``dst`` at or just past ``src``, stride 3 from
+    stride 4): no gang reads what another gang writes before it, so the
+    batched trip owes the reference engine's answer — with the two views
+    of one trip overlapping."""
+    source = _copy_source("u8", 4, 3, channels=1)
+    reference = driver.compile_parsimony(source, batch_request=0)
+    for n in (GANG * 5 + 3, GANG * 16):
+        want, _ = _launch(reference, _in_place(n, 4, shift), codegen=False)
+        for batch, copies in ((None, 1), (0, 0)):
+            module = driver.compile_parsimony(source, batch_request=batch)
+            assert _copies(module) == copies  # a trip's views only
+            got, _ = _launch(module, _in_place(n, 4, shift))
+            assert got == want, (batch, n)
+    assert not slow_calls
+
+
+def test_an_overlapping_window_copy_is_what_load_then_store_was(
+        monkeypatch):
+    """Expansion in place (stride 3 to stride 4 over one buffer, two
+    channels) is a cross-gang race the SPMD model leaves unspecified, so
+    the batched build need not match the reference engine.  It must
+    still match the unpaired groups exactly: load every slot of the trip,
+    then store — what numpy's copy through a temporary of overlapping
+    views is."""
+    source = _copy_source("u8", 3, 4)
+
+    def outcomes():
+        driver.clear_compile_cache()
+        module = driver.compile_parsimony(source)
+        got = [_launch(module, _in_place(n, 3, shift))[0]
+               for n in (GANG * 5 + 3, GANG * 16) for shift in (0, 2, 9)]
+        return _copies(module), got
+
+    paired, want = outcomes()
+    monkeypatch.setattr(cg._Emitter, "_find_copies", lambda self: None)
+    unpaired, got = outcomes()
+    monkeypatch.undo()
+    driver.clear_compile_cache()
+    assert (paired, unpaired) == (2, 0)
+    assert got == want
+
+
+@pytest.mark.parametrize("end", ["src", "dst"])
+def test_a_window_copy_at_the_end_of_memory_runs_as_the_reference(
+        end, slow_calls):
+    """The load (``src`` ends memory) or the store (``dst`` does) fails its
+    range test: the pair runs as its two groups would, load first,
+    through the per-window path — which traps as the reference engine
+    does where the tail gang's load window runs past memory, and writes
+    just the active lanes where its store window would."""
+    source = _copy_source("u8", 4, 3)
+    n = GANG * 5 + 3
+    src, dst = np.arange(4 * n, dtype=np.uint8), np.zeros(3 * n, np.uint8)
+    first, last = (dst, src) if end == "src" else (src, dst)
+    size = 64 + -(-first.size // 64) * 64 + last.size  # ``last`` ends memory
+
+    def place(memory):
+        a_first = memory.alloc_array(first)
+        a_last = memory.alloc_array(last)
+        return ([a_last, a_first] if end == "src" else [a_first, a_last]) \
+            + [n]
+
+    reference = driver.compile_parsimony(source, batch_request=0)
+    want, _ = _launch(reference, place, size, codegen=False)
+    assert (want["trap"] is not None) == (end == "src")
+    for batch in (None, 0):
+        got, _ = _launch(driver.compile_parsimony(source, batch_request=batch),
+                         place, size)
+        assert got == want, batch
+    assert slow_calls
 
 
 # -- seeded mutants of the recognizer ---------------------------------------------
