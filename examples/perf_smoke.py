@@ -34,14 +34,17 @@ a bailout runs) — and **fails (exit 1)** if:
   15), or ends in different memory or ``ExecStats``: a trip computes only
   its live gangs, so a short launch must not pay for the batch factor,
 * any build of the fig4 **or** fig5 suite (every kernel × every
-  implementation) records a codegen bailout, a trap replay, or a row
-  nest that ran one row per trip because its no-alias check failed: the
-  coverage floor — every suite build must compile and complete on the
-  default engine; a new bailout reason is a coverage regression, not an
+  implementation) records a codegen bailout, a trap replay, a row
+  nest that ran one row per trip because its no-alias check failed, or a
+  call of generated code's out-of-line view pair (a packed access whose
+  range test failed on the suite's own inputs): the coverage floor —
+  every suite build must compile and complete on the default engine, in
+  bounds; a new bailout reason is a coverage regression, not an
   acceptable fallback.
 
-``--bailout-out`` writes the per-build codegen bailout histogram as a
-JSON artifact so a coverage regression names the reason in CI.
+``--bailout-out`` writes the per-build codegen bailout histogram and
+out-of-line view calls as a JSON artifact so a coverage regression names
+the reason in CI.
 
 ``--out`` writes the collected telemetry JSON (flattened ``vm.batch.*``
 and ``vm.codegen.*`` counters, per-run wall-clock) for upload as a CI
@@ -60,6 +63,7 @@ import time
 import numpy as np
 
 from repro import telemetry
+from repro.backend import codegen
 from repro.benchsuite import IMPLEMENTATIONS, build_impl, run_impl
 from repro.benchsuite.ispc_suite import BENCHMARKS
 from repro.benchsuite.simdlib import KERNELS
@@ -157,26 +161,43 @@ def _one_gang_ratio(spec, impl):
             and _stats_equal(b, u)}
 
 
-def _coverage_sweep(session, failures):
+def _count_out_of_line_calls():
+    """Wrap generated code's out-of-line view pair in a counter — before
+    any emission, since generated code binds the pair when it is emitted —
+    and return the one-element count."""
+    calls = [0]
+    for name in ("_window_load", "_window_store"):
+        def counted(*args, _real=getattr(codegen, name)):
+            calls[0] += 1
+            return _real(*args)
+        setattr(codegen, name, counted)
+    return calls
+
+
+def _coverage_sweep(session, failures, pair_calls):
     """Run every fig4 and fig5 build once on the default engine; returns
-    the per-build bailout histogram (empty dicts when all compiled)."""
-    per_build = {}
+    the per-build bailout histogram (empty dicts when all compiled) and
+    the per-build out-of-line view calls."""
+    per_build, out_of_line = {}, {}
     for suite, impls in COVERAGE_SUITES:
         for spec in suite:
             for impl in impls:
                 name = f"{spec.name}/{impl}"
+                before = pair_calls[0]
                 run_impl(spec, impl)
+                out_of_line[name] = pair_calls[0] - before
                 report = session.vm_runs[-1].get("codegen") or {}
                 bailouts = dict(report.get("bailouts") or {})
                 per_build[name] = bailouts
                 if (bailouts or report.get("replays")
                         or report.get("row_fallbacks")
-                        or not report.get("calls")):
+                        or out_of_line[name] or not report.get("calls")):
                     failures.append(
                         f"{name}: coverage floor is zero bailouts, zero "
-                        f"replays and zero row fallbacks on the default "
-                        f"engine: {report}")
-    return per_build
+                        f"replays, zero row fallbacks and zero out-of-line "
+                        f"view calls on the default engine: {report}, "
+                        f"{out_of_line[name]} out-of-line calls")
+    return per_build, out_of_line
 
 
 def main():
@@ -199,6 +220,7 @@ def main():
                         help="write the per-build codegen bailout "
                              "histogram JSON (CI artifact)")
     args = parser.parse_args()
+    pair_calls = _count_out_of_line_calls()
 
     wanted = args.kernels.split(",")
     specs = [s for s in list(BENCHMARKS) + list(KERNELS) if s.name in wanted]
@@ -316,7 +338,8 @@ def main():
                     f"out={'ok' if out_ok else 'DIVERGED'}"
                 )
 
-        bailouts_by_build.update(_coverage_sweep(session, failures))
+        swept, out_of_line = _coverage_sweep(session, failures, pair_calls)
+        bailouts_by_build.update(swept)
 
     session.meta["perf_smoke"] = rows
     batch_totals = session.vm_batch_totals()
@@ -341,6 +364,8 @@ def main():
                 "schema": "repro-codegen-bailouts/1",
                 "histogram": histogram,
                 "per_kernel": bailouts_by_build,
+                "out_of_line_calls": sum(out_of_line.values()),
+                "out_of_line_per_build": out_of_line,
             }, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"codegen bailout histogram written to {args.bailout_out}")
@@ -352,7 +377,7 @@ def main():
         sys.exit(1)
     print("\nperf-smoke OK: batched/unbatched/reference bit-identical, "
           f"{len(bailouts_by_build)} suite builds compiled with zero "
-          "bailouts and zero replays")
+          "bailouts, zero replays and zero out-of-line view calls")
 
 
 if __name__ == "__main__":

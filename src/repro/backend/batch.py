@@ -782,11 +782,13 @@ class _Prototypes:
     the VM recomputes the exact narrow cost under whatever cost model and
     machine actually run.  A prototype is a description no walk ever
     reaches, so one per distinct signature serves every instruction that
-    has it (and one undef per type every prototype)."""
+    has it (and one undef per type every prototype), and one
+    ``batch_charges`` tuple every instruction it describes."""
 
     def __init__(self):
         self._undefs: Dict[Type, UndefValue] = {}
         self._memo: Dict[tuple, Instruction] = {}
+        self._charges: Dict[Instruction, Tuple[Instruction, ...]] = {}
 
     def make(self, opcode: str, rtype: Type, operands, attrs=None) -> Instruction:
         """``operands``: operand types, or the external a call invokes."""
@@ -810,6 +812,12 @@ class _Prototypes:
             for op in instr.operands
             if not isinstance(op, (BasicBlock, Function))
         ], instr.attrs)
+
+    def charges(self, instr: Instruction) -> Tuple[Instruction, ...]:
+        """``instr``'s own ``batch_charges``: its prototype, in the one
+        tuple every instruction with that prototype shares."""
+        proto = self.of(instr)
+        return self._charges.setdefault(proto, (proto,))
 
     def _undef(self, t: Type) -> UndefValue:
         undef = self._undefs.get(t)
@@ -1200,7 +1208,7 @@ def _batch_one_loop(function: Function, gl: _CountedLoop, batch: int,
         mult = region.chain[block]
         for instr in block.instructions:
             if instr not in header_fixed:
-                _annotate(instr, (protos.of(instr),), mult)
+                _annotate(instr, protos.charges(instr), mult)
     # Header bookkeeping executes once per *batched* iteration and charges
     # nothing; the backedge br instead charges the whole per-gang loop
     # overhead — phi copy, bound check, branch out of the header, the
@@ -1610,11 +1618,11 @@ def _collapse(function: Function, nest: _RowNest, gl: _CountedLoop,
         nest.tailcheck.terminator.attrs["row_tail"] = batch
     for block in outer:
         for instr in block.instructions:
-            _annotate(instr, (protos.of(instr),), ROWS)
+            _annotate(instr, protos.charges(instr), ROWS)
     tail = nest.tail
     for block in tail.ordered:
         for instr in block.instructions:
-            _annotate(instr, (protos.of(instr),), tail.chain[block])
+            _annotate(instr, protos.charges(instr), tail.chain[block])
     _mark_divergent(tail)
     _widen(function, module, tail, {}, nest.row.entry, rows_at_runtime=True)
     nest.row.condbr.attrs["row_nest"] = (gl.step, batch)

@@ -42,9 +42,9 @@ whole on the reference engine (a batched module's on its unbatched twin
   forms match the impls' per-call ``errstate`` guards; an integer-only
   kernel can raise no floating-point flag and gets no ``seterr`` pair;
 * memory accesses are specialized at emit time (see "Memory access"
-  below): dtype, byte count and — when the mask is known — which lanes
-  the access needs are resolved by the emitter, and the in-bounds case
-  runs inline against the interpreter's buffer;
+  and "Views" below): dtype, byte count and — when the mask is known —
+  which lanes the access needs are resolved by the emitter, and the
+  in-bounds case runs inline against the interpreter's buffer;
 * gang-batched blocks charge what the unbatched build would (see
   "Accounting contract"); a divergent loop's activity counts live in
   the ``_act``/``_pend`` dicts, keyed by loop id, which only a function
@@ -57,8 +57,8 @@ whole on the reference engine (a batched module's on its unbatched twin
   its live gangs: loads build ``_n`` lanes (``(_r, width)`` slots of a
   row-strided access), broadcasts and lane ids take ``_n``, per-gang
   segments reshape by rows of a gang's width, activity counts and
-  atomic folds see ``_r`` gangs, ``Memory`` slow paths get the live
-  lanes and their own mask.  What a trip reads but does not compute — a
+  atomic folds see ``_r`` gangs, the out-of-line view path gets the
+  live lanes and their own mask.  What a trip reads but does not compute — a
   constant, a folded value, a tile of a value defined before the loop,
   an expanded alloca's rows — it reads through a view bound at its
   width whenever ``_r`` changes (:class:`_Trip`); a tile is built at
@@ -74,8 +74,7 @@ whole on the reference engine (a batched module's on its unbatched twin
   check :func:`_rows_disjoint`); each outer trip runs ``_R`` rows, its
   gang loop trips ``_g`` gangs of each (``_r = _R * _g``) and its tail one
   gang per row (``_g = 1``, ``_r = _R``).  Packed accesses in those trips
-  are ``(_R, _g, lanes)`` views (:meth:`_Emitter._emit_slots`),
-  prologue stores and per-row atomics update ``_R`` cells a row stride
+  are ``(_R, _g, lanes)`` views (see "Views"), prologue stores and per-row atomics update ``_R`` cells a row stride
   apart (:func:`_store_rows`, :func:`_rmw_rows`);
 * a scatter-add (a batched serialized atomic) is one ``np.add.at`` per
   trip behind a zero-charge check of its cells against the trip's other
@@ -203,7 +202,8 @@ instead of a ``.copy()`` for a loaded slice whose only use is an
 
 The first body line of every generated source is a comment —
 ``# folded=N inline=N slow=N hoisted: kind=N ...``, with ``windows=N``
-after ``slow=`` when window groups run as one view — that
+after ``slow=`` when window groups run as one view (``slow``: the
+accesses that always call ``Memory``) — that
 ``examples/fig5_report.py --dump-codegen KERNEL`` reads back.
 
 Memory access
@@ -212,69 +212,73 @@ Memory access
 For ``load``/``store``/``atomicrmw`` the emitter resolves the cell's
 ``struct`` format from the IR type and emits one range test and the
 access itself: ``unpack_from``/``pack_into`` on the byte buffer under
-``16 <= addr and end <= len(_mem.data)``.
+``16 <= addr and end <= len(_mem.data)``; whatever the test rejects, and
+i1 cells, call ``Memory.load_scalar``/``store_scalar``.  Gather and
+scatter always call ``Memory`` (under a known all-true mask with
+``None`` for it).  ``Memory`` owns trap text, lane order,
+trap-before-any-write, growth and the ``faultinject`` hook; the inline
+paths skip the hook: generated code runs only under
+``Interpreter._run_replayable``, which ``Interpreter.run`` never enters
+while a fault plan is armed.
 
-For ``vload``/``vstore`` it resolves lane dtype and count, and — when
-the mask is *known* (a constant, or folded from constants) — how many
-lanes are active, ``needed`` (one past the last active lane: bounds are
-only required up to there, as in :class:`~repro.vm.memory.Memory`) and
-whether there are holes below it.  The access is one range test in lane
-units over ``needed`` lanes plus an alignment bit, then a slice of the
-typed view ``_mem.lanes[i]``: all lanes → slice copy / slice assign; a
-prefix → ``zeros`` + slice assign / ``values[:needed]``; holes →
-``copyto(..., where=KEEP)`` with the hoisted keep-vector; no active
-lane → ``zeros`` / nothing at all, the address never validated.  Under
-a *runtime* mask the in-bounds access is the all-active form when every
-lane is set; otherwise a load zeroes the inactive lanes (``copyto(...,
-where=mask)`` into ``zeros``) and a store writes the active ones and
-raises the extent to the end of its last active lane, as
-``Memory.store_lanes`` does.
+Views
+-----
 
-Whatever the test rejects — NULL page, out of bounds, an address past
-the physical buffer, a misaligned packed address, a runtime mask with
-a lane clear — and every form that is not resolved at emit time
-(gather, scatter, i1 cells) calls the one implementation in
-:class:`~repro.vm.memory.Memory`, with the *original* mask: it owns
-trap text, lane order, trap-before-any-write, growth and the
-``faultinject`` hook (``load_lanes``/``store_lanes`` take a pre-resolved
-dtype; gather/scatter under a known all-true mask pass ``None`` for
-it).  The inline paths skip the fault hook: generated code runs only
-under ``Interpreter._run_replayable``, which ``Interpreter.run`` never
-enters while a fault plan is armed.
+The paper sorts every vector access by its address shape (§4.2.2–4.2.3):
+packed, bounded-stride (a packed load/store plus shuffles) or
+gather/scatter.  In generated code every ``vload``/``vstore`` that is not
+to private storage is one *view*: ``(rows, gangs, lanes)`` slots with
+byte strides ``(ρ, Δ, s·esize)`` — a collapsed row nest's ``_R`` rows ρ
+apart, a trip's ``_g`` (flat: ``_r``) gangs Δ apart, lanes ``s``
+elements apart; outside a trip, one slot.  A packed access is a window
+of one access (``k = 1``, ``s = 1``, :meth:`_Emitter._packed_view`).
 
-Window accesses
----------------
+*Window groups.*  The vectorizer lowers a bounded-stride access as ``k``
+packed accesses ``G`` lanes apart plus shuffles and selects
+(:meth:`_Emitter._load_window`, :meth:`_Emitter._store_window` give the
+shapes).  Before emission :meth:`_Emitter._find_windows` recognises such
+a group from the IR alone when lane ``l`` sits at position ``s·l``, ``s
+>= 2``, and no other memory access or call lies among its instructions;
+it runs where its first access stood, and what it absorbs emits nothing
+(what a row nest's entry reads stays) but is still charged.  Other
+selectors (Reorder's ``x ^ 1``) keep their packed accesses and shuffles.
 
-The vectorizer lowers a bounded-stride access (§4.2.3: "a packed
-load/store plus shuffle operation(s)") as ``k`` packed accesses ``G``
-lanes apart: a load's ``vload`` s under static masks, each read by a
-``shuffle`` by one constant selector and combined by ``select`` s on
-static picks; a store's ``vstore`` s of ``shuffle(src, sel_j)`` under
-``and(shuffle(M, sel_j), valid_j)`` (or static masks) whose masks
-partition the window.  Before emission, :meth:`_Emitter._find_windows`
-recognises such a group from the IR alone (batched or not, its masks
-tiled or not) when lane ``l`` sits at position ``s·l`` of the window,
-``s >= 2``, and no other memory access or call lies among its
-instructions.  The group runs where its first access stood, as one
-strided view of the lane memory — ``G`` lanes of the typed view, or in
-a trip a ``(slots, G)`` array over the byte buffer with
-:meth:`_Emitter._emit_slots`' strides: a load copies it, a store assigns
-it (``copyto(where=M)`` under a runtime mask) and raises the extent as
-the per-window stores would.  The ``vload`` s, shuffles, selects, geps
-and masks the group absorbs emit nothing (what a row nest's entry reads
-stays); they are still charged, so ``ExecStats`` is unchanged.  One range
-test covers what the ``k`` per-window tests would; whatever it rejects
-runs the per-window accesses, in order, through ``Memory``
-(:func:`_window_load`, :func:`_window_store`), which owns trap text and
-growth.  So does a store under a runtime mask in a trip whose gangs'
-windows interleave, where the last active lane need not set the extent.
-Other selectors (Reorder's ``x ^ 1``) keep their packed accesses and
-shuffles.  A window load whose value only a window store of its block
-writes, with no other memory access or call between them, runs in a
-trip with that store (:meth:`_Emitter._emit_copy`): both range tests
-pass, and the store's view is assigned from the load's, with no copy of
-the lanes in between (BgraToBgr's channels); either fails, and the two
-run unpaired, load first.
+*One emitter* (:meth:`_Emitter._view_code`) picks the form from what it
+knows at emit time.  Lanes in one evenly spaced run — no trip, or a flat
+trip of contiguous gangs — are a slice of the typed lane view,
+``_w[_i:_i + n(:s)]``, behind a range test in lanes and the alignment
+bit; any other view is ``ndarray((rows, gangs, lanes), dt, _d, addr, (ρ,
+Δ, s·esize))`` behind a range test in bytes.  A mask known at emit time
+and the same in every gang decides ``needed``, one past each slot's last
+active lane (bounds are only required up to there, as in
+:class:`~repro.vm.memory.Memory`), and holes below it — in a contiguous
+trip also each gang's lanes past ``needed`` — become
+``copyto(where=KEEP)``; no active lane is ``zeros`` / nothing, the
+address never validated.  A runtime mask with every lane set takes the
+static form; otherwise a load zeroes the inactive lanes
+(``copyto(where=mask)`` into ``zeros``) and a store writes the active
+ones and raises the extent to the end of its last active lane
+(:func:`_last_lane_end` for slots), as ``Memory.store_lanes`` does; a row
+tail's gangs are partial, so there the first arm is left out.  In a trip,
+a window load whose value only a window store of its block writes, with
+no other memory access or call between them, runs with it
+(:meth:`_Emitter._emit_copy`): the store's view is assigned from the
+load's (BgraToBgr's channels).
+
+*One way out.*  The range test covers every byte the IR's accesses would
+validate (a window load's each window's last needed lane, a store under a
+runtime mask its ``k`` windows whole).  Whatever it rejects — the NULL
+page, past the end, past the physical buffer, a misaligned slice,
+inactive lanes hanging off memory — and a partial runtime-mask store
+whose gangs' windows interleave (its last active lane need not end
+highest) call one out-of-line pair, :func:`_window_load` /
+:func:`_window_store`: slot by slot and window by window through
+``Memory.load_lanes``/``store_lanes``, each window under its own mask, so
+it validates, grows and raises the extent exactly as the IR's accesses
+do, holes below a window's last needed lane included.  Trap text and
+trap-point stats come from the replay.  No benchmark input reaches the
+pair (``examples/perf_smoke.py`` enforces it on the fig4 and fig5
+builds).
 
 Caching and ownership
 ---------------------
@@ -565,64 +569,59 @@ def _rows_disjoint(rows: int, accesses) -> bool:
     return True
 
 
-def _slot_lanes(memory, addr: int, dtype, width: int, rows: int,
-                gangs: int, rho: int, delta: int, mask, values=None):
-    """The ``Memory`` path of a trip's packed access over ``(rows, gangs,
-    width)`` slots (:meth:`_Emitter._emit_slots`): row by row, each a
-    row-strided access of its ``gangs`` gangs ``delta`` bytes apart, so
-    every gang validates and traps as its unbatched access does."""
-    span = gangs * width
-    out = np.zeros(rows * span, dtype) if values is None else None
-    for i in range(rows):
-        at = (addr + i * rho) & _M64
-        lo = i * span
-        part = None if mask is None else mask[lo:lo + span]
-        if values is None:
-            out[lo:lo + span] = memory.load_rows(at, dtype, span, gangs,
-                                                 delta, part)
-        else:
-            memory.store_rows(at, dtype, values[lo:lo + span], gangs, delta,
-                              part)
-    return out
-
-
 def _window_load(memory, addr: int, dtype, width: int, rows: int,
-                 gangs: int, rho: int, delta: int, needed, lanes):
-    """The ``Memory`` path of a window load (:class:`_Window`): window
-    ``j`` — ``width`` lanes at ``addr + j·width`` elements in every slot,
-    under its ``needed`` mask — through :func:`_slot_lanes`, one window
-    after another, as its own packed load would; lane ``l`` of each slot
-    is position ``lanes[l]`` of its windows laid end to end."""
-    slots = rows * gangs
+                 gangs: int, rho: int, delta: int, parts, mask):
+    """The out-of-line path of a view load (see "Views"): slot by slot —
+    slot ``(i, g)`` at ``addr + i·rho + g·delta`` — and window by window —
+    window ``j`` is the ``width`` lanes ``j·width`` elements into the slot,
+    read under its ``needed`` lanes (``None``: all) and the slot's lanes of
+    the runtime ``mask`` — through ``Memory.load_lanes``, as the IR's
+    packed loads read them.  Lane ``l`` of a slot is position ``lanes[l]``
+    of its windows laid end to end (``None``: the one window's lane
+    ``l``); ``parts`` is ``(needed, lanes)``."""
+    needed, lanes = parts
     step = width * dtype.itemsize
-    parts = [_slot_lanes(memory, (addr + j * step) & _M64, dtype, width, rows,
-                         gangs, rho, delta,
-                         None if keep.all() else np.tile(keep, slots))
-             for j, keep in enumerate(needed)]
-    return np.concatenate([p.reshape(slots, width) for p in parts],
-                          axis=1)[:, lanes].reshape(-1)
+    slots = rows * gangs
+    out = np.empty((slots, len(needed) * width), dtype)
+    for slot in range(slots):
+        i, g = divmod(slot, gangs)
+        base = addr + i * rho + g * delta
+        part = None if mask is None else mask[slot * width:(slot + 1) * width]
+        for j, keep in enumerate(needed):
+            if keep is not None:
+                keep = keep if part is None else keep & part
+            out[slot, j * width:(j + 1) * width] = memory.load_lanes(
+                (base + j * step) & _M64, dtype, width,
+                part if keep is None else keep)
+    return (out if lanes is None else out[:, lanes]).reshape(-1)
 
 
 def _window_store(memory, addr: int, dtype, width: int, rows: int,
                   gangs: int, rho: int, delta: int, windows, values, mask):
-    """The ``Memory`` path of a window store (:class:`_Window`): window
-    ``j`` of every slot gets lane ``sel[p]`` of ``values`` at its lane
-    ``p`` where ``valid[p]`` (and ``mask`` has that lane), for each
-    ``(sel, valid)`` of ``windows`` in order, through :func:`_slot_lanes`
-    as its own packed store would.  ``values`` and ``mask`` may be one
-    slot's lanes, shared by every slot."""
-    slots = rows * gangs
+    """The out-of-line path of a view store (see "Views"), slot by slot as
+    :func:`_window_load`: for each ``(sel, valid)`` of ``windows`` in
+    order, window ``j`` of the slot gets lane ``sel[p]`` of the slot's
+    ``values`` at its lane ``p`` where ``valid[p]`` and the slot's runtime
+    ``mask`` has lane ``sel[p]`` (``None``: every lane, in order), through
+    ``Memory.store_lanes`` as the IR's packed stores write them.
+    ``values`` and ``mask`` may be one slot's lanes, shared by every
+    slot."""
     step = width * dtype.itemsize
+    slots = rows * gangs
     values = np.broadcast_to(values.reshape(-1, width), (slots, width))
-    lanes = None if mask is None else \
-        np.broadcast_to(mask.reshape(-1, width), (slots, width))
-    for j, (sel, valid) in enumerate(windows):
-        if lanes is not None:
-            part = (lanes[:, sel] & valid).reshape(-1)
-        else:
-            part = None if valid.all() else np.tile(valid, slots)
-        _slot_lanes(memory, (addr + j * step) & _M64, dtype, width, rows,
-                    gangs, rho, delta, part, values[:, sel].reshape(-1))
+    if mask is not None:
+        mask = np.broadcast_to(mask.reshape(-1, width), (slots, width))
+    for slot in range(slots):
+        i, g = divmod(slot, gangs)
+        base = addr + i * rho + g * delta
+        for j, (sel, valid) in enumerate(windows):
+            part = None if mask is None else \
+                mask[slot] if sel is None else mask[slot, sel]
+            if valid is not None:
+                part = valid if part is None else part & valid
+            memory.store_lanes((base + j * step) & _M64, dtype,
+                               values[slot] if sel is None
+                               else values[slot, sel], part)
 
 
 def _scatter_add(memory, sub: bool, addrs, values, mask, lane: int,
@@ -771,17 +770,22 @@ def _mask_bound(mask: Value, nest: Set[BasicBlock], memo: dict):
 
 
 def _last_lane_end(mask, width: int, gangs: int, rho: int, delta: int,
-                   itemsize: int, step: Optional[int] = None) -> int:
-    """One past the last active lane of a collapsed trip's runtime
-    ``mask`` (its active slots, flattened), relative to the access's
-    address — what ``store_lanes`` raises the extent to — or 0.  Lanes
-    are ``step`` bytes apart (a window store's), else contiguous."""
+                   itemsize: int, step: int) -> int:
+    """One past the last active lane of a view's runtime ``mask`` (slot
+    ``k`` is gang ``k % gangs`` of row ``k // gangs``, rows ``rho`` and
+    gangs ``delta`` bytes apart, lanes ``step``), relative to the view's
+    address — what ``store_lanes`` raises the extent to — or 0."""
     lanes = mask.nonzero()[0]
     if not len(lanes):
         return 0
     last = int(lanes[-1])
     (i, j), lane = divmod(last // width, gangs), last % width
-    return i * rho + j * delta + lane * (step or itemsize) + itemsize
+    return i * rho + j * delta + lane * step + itemsize
+
+
+#: The out-of-line pair's static arguments for a packed store and load
+#: whose lanes are all needed (see :class:`_Window`).
+_PACKED_PARTS = (((None, None),), ((None,), None))
 
 
 class _Nest:
@@ -816,26 +820,30 @@ class _Nest:
 
 
 class _Window:
-    """A window group, recognised from the IR (see "Window accesses"): the
-    vectorizer's packed+shuffle form of an access whose lane ``l`` is at
-    ``first + stride·l`` elements — ``k`` packed accesses ``G`` lanes
-    apart whose shuffles move each lane to or from its position.  It runs
-    as one strided view.  ``reach``: one past the last element the ``k``
-    range tests of the per-window code cover; ``delta``: a trip's per-gang
-    bytes.  A load defines ``value`` (the last select of its chain) and
-    keeps each window's ``needed`` mask; a store writes ``value`` — one
-    gang's lanes for every gang when ``narrow`` — under ``mask`` (a
-    runtime mask, one gang's for every gang when ``mask_narrow``; or
-    ``None``: the static masks cover every lane), and keeps each window's
-    ``(sel, valid)`` lanes."""
+    """One access as a view (see "Views"): ``k`` packed accesses ``width``
+    lanes apart whose lane ``l`` is at ``first + stride·l`` elements — a
+    window group recognised from the IR, or a packed access (``k = 1``,
+    ``stride = 1``).  ``reach``: one past the last element the IR's range
+    tests cover, from a slot's base; ``delta``: a trip's per-gang bytes;
+    ``needed``: the lanes of each slot the view covers (one past the last
+    a static mask sets), ``keep``: the holes among them (``None``: none).
+    A load defines ``value`` (a window group's last select); a store
+    writes ``value`` — one gang's lanes for every gang when ``narrow``.
+    ``mask`` is the runtime mask (one gang's for every gang when
+    ``mask_narrow``), or ``None``: static masks cover every lane.
+    ``parts`` are the out-of-line pair's static arguments: a load's
+    ``(needed masks per window, lane positions)``, a store's ``(sel,
+    valid)`` per window (``None``: all lanes, in order)."""
 
     __slots__ = ("load", "first", "elem", "width", "stride", "reach",
-                 "delta", "value", "narrow", "mask", "mask_narrow", "parts")
+                 "delta", "value", "narrow", "mask", "mask_narrow", "parts",
+                 "needed", "keep")
 
     def __init__(self, load: bool, first: Value, elem, width: int,
                  stride: int, reach: int, delta: int, value: Value,
                  parts: tuple, narrow: bool = False,
-                 mask: Optional[Value] = None, mask_narrow: bool = False):
+                 mask: Optional[Value] = None, mask_narrow: bool = False,
+                 needed: Optional[int] = None, keep=None):
         self.load = load
         self.first = first
         self.elem = elem
@@ -848,6 +856,8 @@ class _Window:
         self.narrow = narrow
         self.mask = mask
         self.mask_narrow = mask_narrow
+        self.needed = width if needed is None else needed
+        self.keep = keep
 
 
 def _same_lanes(a: Value, b: Value) -> bool:
@@ -868,6 +878,17 @@ def _uses_exactly(value: Value, user, idx: int) -> bool:
     """True iff ``value`` has exactly one use: operand ``idx`` of ``user``."""
     uses = value.uses
     return len(uses) == 1 and uses[0][0] is user and uses[0][1] == idx
+
+
+class _BlockOrder(dict):
+    """Each instruction's index in its block, indexed a block at a time
+    when one of its instructions is first asked for (only window
+    candidates are)."""
+
+    def __missing__(self, ins: Instruction) -> int:
+        for n, other in enumerate(ins.parent.instructions):
+            self[other] = n
+        return self[ins]
 
 
 class _LoopFrame:
@@ -916,6 +937,8 @@ class _Emitter:
         #: references no IR); any entry also binds ``_exec``.
         self.callees: Dict[str, str] = {}
         self._memo: Dict[object, str] = {}
+        #: Lane type -> its hoisted dtype (types are interned).
+        self._dtypes: Dict[object, str] = {}
         #: ``id(value)`` → payload known at emit time (see "Emit-time
         #: folding"): folded instructions, and constants once something
         #: asked for their payload.  Knownness itself never builds one;
@@ -975,7 +998,10 @@ class _Emitter:
         self._inputs: Set[int] = set()
         self._statics: Dict[int, object] = {}
         #: Each instruction's index in its block (for the window search).
-        self._order: Dict[Instruction, int] = {}
+        self._order = _BlockOrder()
+        #: :meth:`_mask_lanes` by ``(id(mask), rows)``: batching shares one
+        #: widened mask constant among a trip's accesses.
+        self._lanes: Dict[tuple, Optional[Tuple[int, int]]] = {}
 
     def _mult_expr(self, spec: tuple) -> str:
         """Runtime multiplicity of a spec: the first lid with a live
@@ -1016,8 +1042,11 @@ class _Emitter:
         return self.hoist(int, key=("b", "int"))
 
     def _dtype(self, elem) -> str:
-        dt = elem_dtype(elem)
-        return self.hoist(dt, key=("dt", dt.str))
+        name = self._dtypes.get(elem)
+        if name is None:
+            dt = elem_dtype(elem)
+            name = self._dtypes[elem] = self.hoist(dt, key=("dt", dt.str))
+        return name
 
     def _type(self, t) -> str:
         return self.hoist(t, key=("t", id(t)))
@@ -1601,7 +1630,7 @@ class _Emitter:
         self.tiles[id(ins)] = (self.ref(source), self._selector(index, c))
         return True
 
-    # -- memory access (see "Memory access" in the module docstring) -------------
+    # -- memory access (see "Memory access" and "Views" in the module docstring) --
 
     def _mask_lanes(self, mask: Value, rows: int = 1) -> Optional[Tuple[int, int]]:
         """``(active, needed)`` of a mask known at emit time — how many
@@ -1609,6 +1638,9 @@ class _Emitter:
         runtime mask.  With ``rows``, those of each of that many equal
         rows (``None`` when the rows differ).  Reads a constant's lanes
         without building its payload."""
+        key = (id(mask), rows)
+        if key in self._lanes:
+            return self._lanes[key]
         if isinstance(mask, Constant):
             lanes = mask.value
         elif id(mask) in self.known:
@@ -1617,16 +1649,14 @@ class _Emitter:
             return None
         if rows > 1:
             row = lanes[:len(lanes) // rows]
-            if row * rows != lanes:
-                return None
-            lanes = row
-        count = len(lanes)
-        if all(lanes):
-            return count, count
-        needed = count
-        while needed and not lanes[needed - 1]:
-            needed -= 1
-        return count - lanes.count(0), needed
+            lanes = row if row * rows == lanes else None
+        if lanes is not None:
+            needed = count = len(lanes)
+            while needed and not lanes[needed - 1]:
+                needed -= 1
+            lanes = count - lanes.count(0), needed
+        self._lanes[key] = lanes
+        return lanes
 
     def _mask_ref(self, mask: Value, lanes) -> str:
         """The mask argument of a ``Memory`` call, given
@@ -1685,18 +1715,14 @@ class _Emitter:
             self.line(f"{rows}(_mem, {self.ref(ops[1])},"
                       f" {self._row_stride(ops[1])}, _R, {self._type(ops[0].type)},"
                       f" {self.ref(ops[0])}, {step})")
-        elif ins in self.windows:
-            self._emit_window(self.windows[ins], ins.parent)
-        elif op in ("vload", "vstore"):
-            attrs = ins.attrs
-            emit = self._emit_private if "private" in attrs else \
-                self._emit_slots if self.nest and self.trip \
-                or "row_stride" in attrs else self._emit_packed
+        elif "private" in ins.attrs:
             if op == "vload":
-                emit(ins, ins.type, self.ref(ops[0]), ops[1])
+                self._emit_private(ins, ins.type, self.ref(ops[0]), ops[1])
             else:
-                emit(ins, ops[0].type, self.ref(ops[1]), ops[2],
-                     store=self.ref(ops[0]))
+                self._emit_private(ins, ops[0].type, self.ref(ops[1]), ops[2],
+                                   store=self.ref(ops[0]))
+        elif op in ("vload", "vstore"):
+            self._emit_view(self.windows.get(ins) or self._packed_view(ins))
         elif op == "gather":
             self.slow_sites += 1
             self.line(
@@ -1791,217 +1817,6 @@ class _Emitter:
             self.line(text)
         self.indent -= 1
 
-    def _emit_packed(self, ins, vtype, addr: str, mask: Value,
-                     store: Optional[str] = None) -> None:
-        """``vload`` (``store`` is None) or ``vstore``: one range test in
-        lane units over the lanes the access needs, then a slice of the
-        typed view.  A mask known at emit time decides ``needed`` (one
-        past its last active lane), whether there are holes below it, and
-        whether there is an access at all; a runtime mask joins the test
-        (``count_nonzero(mask) == count``) and takes the all-active form.
-        In a trip the access covers the trip's live lanes, and a known
-        mask is read per gang: the lanes needed end at the last gang's.
-        Whatever the test rejects calls ``Memory`` with the original
-        mask."""
-        dtype = elem_dtype(vtype.elem)
-        dt = self._dtype(vtype.elem)
-        count = width = vtype.count
-        if self.trip:
-            width //= self.trip.batch
-            lanes = self._mask_lanes(mask, self.trip.batch)
-            count = self._live(count)
-        else:
-            lanes = self._mask_lanes(mask)
-        active, needed = lanes if lanes is not None else (width, width)
-        mref = "None" if lanes is not None and active == width \
-            else self.ref(mask)
-        if store is None:
-            dst = self.name_of(ins)
-            slow = f"{dst} = _mem.load_lanes({addr}, {dt}, {count}, {mref})"
-        else:
-            slow = f"_mem.store_lanes({addr}, {dt}, {store}, {mref})"
-        self.inline_sites += 1
-        if not needed:
-            # No active lane: the address is never validated.
-            if store is None:
-                self.line(f"{dst} = {self._np(np.zeros)}({count}, {dt})")
-            return
-        shift = dtype.itemsize.bit_length() - 1
-        ln = self.hoist(len, key=("b", "len"))
-        short = width - needed  # lanes past the last one needed
-        reach = count if not short else count - short \
-            if isinstance(count, int) else f"{count} - {short}"
-        part = "" if not short else f"[:{reach}]"
-        keep = None
-        if active != needed or self.trip and short:
-            # Holes below the last lane needed: in a trip, also every
-            # gang's lanes past its ``needed`` but the last gang's.
-            keep = self._keep(mask, vtype.count - short)
-            if self.trip:
-                keep = self._view(f"{keep}[:{reach}]")
-        test = f"_i < {NULL_GUARD >> shift} or _i + {reach} > {ln}(_w)"
-        if shift:
-            test = f"{addr} & {dtype.itemsize - 1} or {test}"
-        span = f"_w[_i:_i + {reach}]"
-        if lanes is None:
-            inline = self._masked_inline(ins, dt, dtype.itemsize, count, addr,
-                                         mref, span, store)
-        elif store is not None:
-            nbytes = reach * dtype.itemsize if isinstance(reach, int) \
-                else f"({reach}) * {dtype.itemsize}"
-            inline = [f"_e = {addr} + {nbytes}",
-                      "if _e > _mem._extent:",
-                      "    _mem._extent = _e",
-                      f"{span} = {store}{part}" if keep is None else
-                      f"{self._np(np.copyto)}({span}, {store}{part},"
-                      f" where={keep})"]
-        elif not part and keep is None:
-            copy = "" if self._cast_copies(ins) else ".copy()"
-            inline = [f"{dst} = {span}{copy}"]
-        else:
-            inline = [f"{dst} = {self._np(np.zeros)}({count}, {dt})",
-                      f"{dst}{part} = {span}" if keep is None else
-                      f"{self._np(np.copyto)}({dst}{part}, {span},"
-                      f" where={keep})"]
-        pad = "    " * self.indent
-        self.lines += [
-            f"{pad}_w = _mem.lanes[{_LANE_INDEX[dtype]}]",
-            f"{pad}_i = {addr} >> {shift}" if shift else f"{pad}_i = {addr}",
-            f"{pad}if {test}:",
-            f"{pad}    {slow}",
-            f"{pad}else:",
-        ]
-        pad += "    "
-        self.lines += [pad + text for text in inline]
-
-    def _masked_inline(self, ins, dt: str, itemsize: int, count, addr: str,
-                       mref: str, span: str,
-                       store: Optional[str]) -> List[str]:
-        """The in-bounds form of a packed access under a runtime mask: all
-        lanes active is a plain slice; otherwise a load zeroes its inactive
-        lanes (``copyto(where=mask)`` into zeros) and a store writes its
-        active ones, raising the extent to the end of its last active lane
-        as ``Memory.store_lanes`` does (no active lane: no write)."""
-        cnz = self._cnz()
-        copyto = self._np(np.copyto)
-        if store is None:
-            dst = self.name_of(ins)
-            copy = "" if self._cast_copies(ins) else ".copy()"
-            return [f"if {cnz}({mref}) == {count}:",
-                    f"    {dst} = {span}{copy}",
-                    "else:",
-                    f"    {dst} = {self._np(np.zeros)}({count}, {dt})",
-                    f"    {copyto}({dst}, {span}, where={mref})"]
-        nbytes = count * itemsize if isinstance(count, int) \
-            else f"{count} * {itemsize}"
-        last = f"({self._int()}({mref}.nonzero()[0][-1]) + 1) * {itemsize}"
-        return [f"_nc = {cnz}({mref})",
-                f"if _nc == {count}:",
-                f"    _e = {addr} + {nbytes}",
-                "    if _e > _mem._extent:",
-                "        _mem._extent = _e",
-                f"    {span} = {store}",
-                "elif _nc:",
-                f"    _e = {addr} + {last}",
-                "    if _e > _mem._extent:",
-                "        _mem._extent = _e",
-                f"    {copyto}({span}, {store}, where={mref})"]
-
-    def _emit_slots(self, ins, vtype, addr: str, mask: Value,
-                    store: Optional[str] = None) -> None:
-        """A ``vload``/``vstore`` of a trip as slots: slot ``k < _r`` is
-        gang ``k % gangs`` of row ``k // gangs``, at ``addr + (k //
-        gangs)·ρ + (k % gangs)·Δ`` — Δ the per-gang delta (``row_stride``,
-        or the access's width when its gangs are contiguous).  A flat gang
-        loop's trip is one row of ``_r`` gangs (the row-strided form), a
-        ``(_r, lanes)`` view; a collapsed row nest's is ``_R`` rows of
-        ``_g`` gangs, ρ the address's row stride (a row tail runs one gang
-        per row), a ``(_R, _g, lanes)`` view — the trip's live lanes either
-        way.  One range test over the trip's span, then the view of the
-        byte buffer; a mask known at emit time and the same in every slot
-        decides how many lanes each slot needs and whether
-        ``copyto(where=KEEP)`` skips holes, a runtime mask becomes the
-        ``where`` of the copy.  Whatever the test rejects goes row by row
-        through ``Memory.load_rows``/``store_rows`` (:func:`_slot_lanes`)."""
-        batch = self.trip.batch
-        dtype = elem_dtype(vtype.elem)
-        es = dtype.itemsize
-        dt = self._dtype(vtype.elem)
-        width = vtype.count // batch
-        step = ins.attrs.get("row_stride")
-        delta = step if isinstance(step, int) else width * es
-        lanes = self._mask_lanes(mask, batch)
-        active, needed = lanes if lanes is not None else (width, width)
-        if not needed:
-            # No active lane: the address is never validated.
-            if store is None:
-                self.line(f"{self.name_of(ins)} = {self._np(np.zeros)}("
-                          f"{self._live(vtype.count)}, {dt})")
-            return
-        self.inline_sites += 1
-        lanes_of = "" if needed == width else f"[..., :{needed}]"
-        if self.nest:
-            rho = self._row_stride(ins.operands[0 if store is None else 1])
-            rows, gangs, lead = "_R", "_g", "_R, _g"
-            strides = f"{rho}, {delta}, {es}"
-            reach = f"(_R - 1) * {rho} + (_g - 1) * {delta}"
-        else:
-            rho, rows, gangs, lead = "0", "1", "_r", "_r"
-            strides = f"{delta}, {es}"
-            reach = f"(_r - 1) * {delta}"
-        mref = "None" if lanes is not None and active == width \
-            else self.ref(mask)
-        if lanes is None:
-            where = f"{mref}.reshape({lead}, {width})"
-        else:
-            where = None if active == needed else self._keep(mask, needed)
-        nd = self.hoist(np.ndarray, key=("np", "ndarray"))
-        copyto = self._np(np.copyto)
-        view = f"{nd}(({lead}, {needed}), {dt}, _d, {addr}, ({strides}))"
-        end = f"{reach} + {needed * es}"
-        ln = self.hoist(len, key=("b", "len"))
-        lanes_fn = self.hoist(_slot_lanes, key=("b", "slot_lanes"))
-        slow = (f"{lanes_fn}(_mem, {addr}, {dt}, {width}, {rows}, {gangs},"
-                f" {rho}, {delta}, {mref}")
-        pad = "    " * self.indent
-        self.lines += [f"{pad}_d = _mem.data",
-                       f"{pad}if {addr} < {NULL_GUARD} or {addr} + {end}"
-                       f" > {ln}(_d):"]
-        if store is None:
-            dst = self.name_of(ins)
-            self.lines.append(f"{pad}    {dst} = {slow})")
-            self.lines.append(f"{pad}else:")
-            if where is None and not lanes_of:
-                body = [f"{dst} = {view}.flatten()"]
-            else:
-                body = [f"{dst} = {self._np(np.zeros)}(({lead}, {width}),"
-                        f" {dt})",
-                        f"{dst}{lanes_of} = {view}" if where is None else
-                        f"{copyto}({dst}{lanes_of}, {view}, where={where})",
-                        f"{dst} = {dst}.reshape(-1)"]
-            self.lines += [f"{pad}    {text}" for text in body]
-            return
-        self.lines.append(f"{pad}    {slow}, {store})")
-        self.lines.append(f"{pad}else:")
-        src = f"{store}.reshape({lead}, {width}){lanes_of}"
-        if lanes is None:
-            # A runtime mask: the extent rises to its last active lane.
-            last = self.hoist(_last_lane_end, key=("b", "last_lane_end"))
-            body = [f"_e = {last}({mref}, {width}, {gangs}, {rho}, {delta},"
-                    f" {es})",
-                    "if _e:",
-                    f"    _e += {addr}",
-                    "    if _e > _mem._extent:",
-                    "        _mem._extent = _e",
-                    f"    {copyto}({view}, {src}, where={where})"]
-        else:
-            body = [f"_e = {addr} + {end}",
-                    "if _e > _mem._extent:",
-                    "    _mem._extent = _e",
-                    f"{view}[...] = {src}" if where is None else
-                    f"{copyto}({view}, {src}, where={where})"]
-        self.lines += [f"{pad}    {text}" for text in body]
-
     def _emit_private(self, ins, vtype, addr: str, mask: Value,
                       store: Optional[str] = None) -> None:
         """A ``vload``/``vstore`` of per-gang expanded storage (see
@@ -2052,14 +1867,6 @@ class _Emitter:
             self.line(f"    if {cnz}({mref}) != {n}:")
             self.line(f"        {dst}[~{mref}] = 0")
 
-    def _keep(self, mask: Value, needed: int) -> str:
-        """The hoisted keep-vector of a known mask with holes: its first
-        ``needed`` lanes — for a row-strided access, its first row's."""
-        whole = self.payload(mask)
-        keep = whole[:needed].copy()
-        keep.setflags(write=False)
-        return self.hoist(keep, key=("keep", id(whole), needed))
-
     def _cast_copies(self, load: Instruction) -> bool:
         """The loaded slice's only use is an ``.astype`` cast later in the
         same block with no store or call in between: the cast makes the
@@ -2076,7 +1883,7 @@ class _Emitter:
         return all(i.opcode in COMPUTE_OPS or i.opcode == "vload"
                    for i in between)
 
-    # -- window groups (see "Window accesses" in the module docstring) ----------
+    # -- window groups (see "Views" in the module docstring) --------------------
 
     def _static(self, v: Value):
         """The payload of ``v`` if the IR alone fixes it — a constant, or
@@ -2089,8 +1896,12 @@ class _Emitter:
         memo = self._statics
         if id(v) not in memo:
             memo[id(v)] = None
-            args = [self._static(o) for o in v.operands]
-            if all(a is not None for a in args):
+            args = []
+            for o in v.operands:  # no payload past the first runtime one
+                args.append(self._static(o))
+                if args[-1] is None:
+                    break
+            else:
                 try:
                     memo[id(v)] = value_impl(v)(*args)
                 except Exception:
@@ -2111,8 +1922,6 @@ class _Emitter:
         a group absorbs instructions of blocks emitted before its own).  A
         collapsed row nest's entry reads its accesses' masks (the no-alias
         check, :meth:`_tail_reach`): there they stay."""
-        self._order = {ins: n for block in self.fn.blocks
-                       for n, ins in enumerate(block.instructions)}
         nests = set()
         for loop in self.loops_by_header.values():
             if "row_nest" in loop.header.instructions[-1].attrs:
@@ -2196,8 +2005,8 @@ class _Emitter:
         return True
 
     def _window_delta(self, access: Instruction, width: int):
-        """A trip's per-gang bytes for ``access`` (:meth:`_emit_slots`'
-        Δ); ``None`` for a form the group does not cover."""
+        """A trip's per-gang bytes Δ for ``access`` (its ``row_stride``,
+        or its width); ``None`` for a form the group does not cover."""
         if "private" in access.attrs:
             return None
         step = access.attrs.get("row_stride")
@@ -2292,43 +2101,67 @@ class _Emitter:
                       delta, value, (tuple(needed), positions))
         return win, members, (first,)
 
-    def _emit_window(self, win: _Window, block: BasicBlock) -> None:
-        """A window group as one strided view of the lane memory: in a
-        trip ``(slots, G)`` — :meth:`_emit_slots`' slots, a row stride
-        and the per-gang Δ apart — else ``G`` lanes of the typed view,
-        ``stride`` elements apart.  One range test covers what the
-        per-window tests would; whatever it rejects runs the per-window
-        accesses through ``Memory`` (:func:`_window_load`,
-        :func:`_window_store`).  So does every launch of a store under a
-        runtime mask whose gangs' windows interleave (Δ below the window's
-        span), where the extent the last active lane sets need not be the
-        highest.  In a trip, a load :meth:`_find_copies` paired with a
-        store emits nothing here: the store's group runs both
+    def _packed_view(self, ins: Instruction) -> _Window:
+        """A ``vload``/``vstore`` as a window of one access (``k = 1``,
+        ``s = 1``, see "Views"): a mask known at emit time and the same in
+        every gang gives the lanes each slot needs and its holes; any other
+        mask stays a runtime ``mask``."""
+        load = ins.opcode == "vload"
+        ops = ins.operands
+        vtype, addr, mask = (ins.type, ops[0], ops[1]) if load \
+            else (ops[0].type, ops[1], ops[2])
+        width = vtype.count // (self.trip.batch if self.trip else 1)
+        known = self._mask_lanes(mask, vtype.count // width)
+        lanes = keep = None
+        needed = width
+        if known is not None:
+            active, needed = known
+            if active < width:  # a gang's lanes: the mask's first
+                lanes = np.array(self.payload(mask)[:width], bool)
+                lanes.setflags(write=False)
+                if active != needed:
+                    keep = lanes[:needed]
+            mask = None
+        parts = _PACKED_PARTS[load] if lanes is None \
+            else ((lanes,), None) if load else ((None, lanes),)
+        return _Window(load, addr, vtype.elem, width, 1, needed,
+                       self._window_delta(ins, width), ins if load else ops[0],
+                       parts, False, mask, False, needed, keep)
+
+    def _emit_view(self, win: _Window) -> None:
+        """One access as one view of the lane memory (see "Views"): the
+        range test, the out-of-line pair in its failing arm, the view in
+        the other.  In a trip, a window load :meth:`_find_copies` paired
+        with a store emits nothing here: the store runs both
         (:meth:`_emit_copy`).  Outside one the pair runs unpaired: numpy
         copies through a temporary only when an assignment's views are
         2-D or more, and overlapping 1-D views of unlike strides would
         read lanes already written."""
-        if win in self.copied:
+        if self.copies and win in self.copied:
             if self.trip:
                 return
             del self.copies[self.copied.pop(win)]
-        if win in self.copies:
-            self._emit_copy(self.copies[win], win, block)
+        if self.copies and win in self.copies:
+            self._emit_copy(self.copies[win], win)
             return
-        head, test, slow, body, _ = self._window_code(win, block)
-        pad = "    " * self.indent
-        if body is None:
-            self.slow_sites += 1
-            self.lines.append(pad + slow)
+        if not win.needed:
+            # No active lane: the address is never validated.
+            if win.load:
+                count = self._live(win.width * self.trip.batch) \
+                    if self.trip else win.width
+                self.line(f"{self.name_of(win.value)} = {self._np(np.zeros)}("
+                          f"{count}, {self._dtype(win.elem)})")
             return
-        self.window_sites += 1
+        head, test, slow, body, _ = self._view_code(win)
+        if win.stride > 1:
+            self.window_sites += 1
         self.inline_sites += 1
-        self.lines += [pad + text for text in head]
-        self.lines += [f"{pad}if {test}:", f"{pad}    {slow}", f"{pad}else:"]
-        self.lines += [f"{pad}    {text}" for text in body]
+        pad = "    " * self.indent
+        self.lines.append(pad + f"\n{pad}".join(
+            head + [f"if {test}:", "    " + slow, "else:"]
+            + ["    " + text for text in body]))
 
-    def _emit_copy(self, load: _Window, store: _Window,
-                   block: BasicBlock) -> None:
+    def _emit_copy(self, load: _Window, store: _Window) -> None:
         """A window load whose value only a window store writes, in a
         trip: when both range tests pass, the store's ``(slots, G)`` view
         is assigned from the load's — no copy of the lanes in between
@@ -2336,8 +2169,8 @@ class _Emitter:
         the loaded value did).  Otherwise the two groups run as each
         would alone, load first, so the per-window order, trap text and
         growth are unchanged.  Two window sites, as before pairing."""
-        lhead, ltest, lslow, lbody, lview = self._window_code(load, block)
-        shead, stest, sslow, sbody, sview = self._window_code(store, block)
+        lhead, ltest, lslow, lbody, lview = self._view_code(load)
+        shead, stest, sslow, sbody, sview = self._view_code(store)
         pad = "    " * self.indent
         self.window_sites += 2
         self.inline_sites += 2
@@ -2356,91 +2189,137 @@ class _Emitter:
         self.lines += [f"{pad}    {text}" for text in sbody[:-1]]
         self.lines.append(f"{pad}    {sview}[...] = {lview}")
 
-    def _window_code(self, win: _Window, block: BasicBlock):
-        """What :meth:`_emit_window` emits for ``win``: ``(head, test,
-        slow, body, view)`` — the lines binding what the range ``test``
-        reads, the per-window ``Memory`` call, the view path's lines
-        (``None`` where only the ``Memory`` path runs) and the view
-        expression."""
-        dtype = elem_dtype(win.elem)
-        es = dtype.itemsize
+    def _view_code(self, win: _Window):
+        """What :meth:`_emit_view` emits for ``win`` (see "Views"):
+        ``(head, test, slow, body, view)`` — the lines binding what the
+        range ``test`` reads, the out-of-line call, the in-bounds lines and
+        the view expression."""
         dt = self._dtype(win.elem)
-        width, step = win.width, win.stride * es
-        span = win.stride * (width - 1) + 1
+        dtype = self.hoisted[dt]
+        es = dtype.itemsize
+        width, s, needed, delta = win.width, win.stride, win.needed, win.delta
+        step = s * es
         addr = self.ref(win.first)
+        trip, nest = self.trip, self.nest
         ln = self.hoist(len, key=("b", "len"))
-        if self.trip:
-            if self.nest:
-                rho = self._row_stride(win.first)
-                rows, gangs, lead = "_R", "_g", "_R, _g"
-                strides = f"{rho}, {win.delta}, {step}"
-                last = f"{addr} + (_R - 1) * {rho} + (_g - 1) * {win.delta}"
-            else:
-                rho, rows, gangs, lead = "0", "1", "_r", "_r"
-                strides = f"{win.delta}, {step}"
-                last = f"{addr} + (_r - 1) * {win.delta}"
-            nd = self.hoist(np.ndarray, key=("np", "ndarray"))
-            view = f"{nd}(({lead}, {width}), {dt}, _d, {addr}, ({strides}))"
-            head = ["_d = _mem.data"]
-            test = (f"{addr} < {NULL_GUARD} or {last} + {win.reach * es}"
-                    f" > {ln}(_d)")
-        else:
-            rho, rows, gangs, lead, last = "0", "1", "1", None, addr
+        # The value's lanes, and the view's: up to the last slot's last
+        # needed lane.
+        count = self._live(width * trip.batch) if trip else width
+        total = count if needed == width else count + needed - width \
+            if trip is None else f"{count} - {width - needed}"
+        rows, gangs, rho, lead = ("1", "1", "0", "") if trip is None else \
+            ("_R", "_g", self._row_stride(win.first), "_R, _g") if nest \
+            else ("1", "_r", "0", "_r")
+        mask = None if win.mask is None \
+            else self.ref(win.mask, narrow=win.mask_narrow)
+        value = None if win.load else self.ref(win.value, narrow=win.narrow)
+        sliced = not lead or not nest and s == 1 and delta == width * es
+        keep = offset = None
+        if sliced:
+            # One evenly spaced run of lanes: a slice of the typed view.
             shift = es.bit_length() - 1
-            view = f"_w[_i:_i + {span}:{win.stride}]"
             head = [f"_w = _mem.lanes[{_LANE_INDEX[dtype]}]",
                     f"_i = {addr} >> {shift}" if shift else f"_i = {addr}"]
-            test = (f"_i < {NULL_GUARD >> shift} or _i + {win.reach}"
+            test = (f"_i < {NULL_GUARD >> shift} or"
+                    f" _i + {count + win.reach - width if trip is None else total}"
                     f" > {ln}(_w)")
             if shift:
                 test = f"{addr} & {es - 1} or {test}"
+            span = total if s == 1 else s * (total - 1) + 1
+            view = f"_w[_i:_i + {span}]" if s == 1 \
+                else f"_w[_i:_i + {span}:{s}]"
+            shape, part = count, "" if total == count else f"[:{total}]"
+            src, where = value and value + part, mask
+            if win.keep is not None or trip and needed < width:
+                # Holes below the last lane needed: in a trip, also every
+                # gang's lanes past its ``needed`` but the last gang's.
+                slot = np.zeros(width, bool)
+                slot[:needed] = True if win.keep is None else win.keep
+                batch = trip.batch if trip else 1
+                keep = self.hoist(
+                    np.tile(slot, batch)[:batch * width + needed - width])
+                if trip:
+                    keep = self._view(f"{keep}[:{total}]")
+            assign = "{} = {}"
+        else:
+            nd = self.hoist(np.ndarray, key=("np", "ndarray"))
+            offset = f"(_R - 1) * {rho} + (_g - 1) * {delta}" if nest \
+                else f"(_r - 1) * {delta}"
+            head = ["_d = _mem.data"]
+            test = (f"{addr} < {NULL_GUARD} or {addr} + {offset}"
+                    f" + {win.reach * es} > {ln}(_d)")
+            strides = f"{rho}, {delta}, {step}" if nest else f"{delta}, {step}"
+            view = f"{nd}(({lead}, {needed}), {dt}, _d, {addr}, ({strides}))"
+            shape = f"({lead}, {width})"
+            part = "" if needed == width else f"[..., :{needed}]"
+            if win.keep is not None:
+                keep = self.hoist(win.keep)
+            src = value if win.narrow or value is None \
+                else f"{value}.reshape({lead}, {width}){part}"
+            where = mask if win.mask_narrow or mask is None \
+                else f"{mask}.reshape({lead}, {width})"
+            assign = "{}[...] = {}"
         args = (f"(_mem, {addr}, {dt}, {width}, {rows}, {gangs}, {rho},"
-                f" {win.delta}, ")
+                f" {delta}, ")
+        # A row tail's gangs are partial: its masks never set every lane.
+        full = mask is None or trip is None or trip.header is not None
         if win.load:
             dst = self.name_of(win.value)
-            needed, lanes = map(self.hoist, win.parts)
             slow = (f"{dst} = {self.hoist(_window_load, key=('b', 'wload'))}"
-                    f"{args}{needed}, {lanes})")
-            if self.trip:
-                body = [f"{dst} = {view}.flatten()"]
-            else:
-                copy = "" if self._cast_copies(win.value) else ".copy()"
+                    f"{args}{self.hoist(win.parts)}, {mask})")
+            if mask is None and keep is None and not part or full and mask:
+                copy = ".flatten()" if not sliced else \
+                    "" if self._cast_copies(win.value) else ".copy()"
                 body = [f"{dst} = {view}{copy}"]
+                if mask is None:
+                    return head, test, slow, body, view
+            lanes = [f"{dst} = {self._np(np.zeros)}({shape}, {dt})",
+                     f"{dst}{part} = {view}" if where is None and keep is None
+                     else f"{self._np(np.copyto)}({dst}{part}, {view},"
+                     f" where={where or keep})"]
+            if not sliced:
+                lanes.append(f"{dst} = {dst}.reshape(-1)")
+            if full and mask:
+                lanes = [f"if {self._cnz()}({mask}) == {count}:",
+                         "    " + body[0], "else:"] \
+                    + ["    " + text for text in lanes]
+            return head, test, slow, lanes, view
+        slow = (f"{self.hoist(_window_store, key=('b', 'wstore'))}{args}"
+                f"{self.hoist(win.parts)}, {value}, {mask})")
+        end = (f"{addr} + {span * es}" if isinstance(span, int) else
+               f"{addr} + ({span}) * {es}") if sliced else \
+            f"{addr} + {offset} + {(s * (needed - 1) + 1) * es}"
+        extent = ["if _e > _mem._extent:", "    _mem._extent = _e"]
+        whole = [f"_e = {end}"] + extent + [
+            assign.format(view, src) if keep is None else
+            f"{self._np(np.copyto)}({view}, {src}, where={keep})"]
+        if mask is None:
+            return head, test, slow, whole, view
+        # A runtime mask: the extent rises to the end of its last active
+        # lane — inline where the mask's lanes lie in one run (a slice, or
+        # one gang's mask for the last slot) — which ends highest unless
+        # the gangs' windows interleave.
+        if sliced or win.mask_narrow:
+            last = f"{self._int()}({mask}.nonzero()[0][-1])"
+            last = f"({last} + 1) * {es}" if s == 1 \
+                else f"{last} * {step} + {es}"
         else:
-            src = self.ref(win.value, narrow=win.narrow)
-            mask = "None" if win.mask is None \
-                else self.ref(win.mask, narrow=win.mask_narrow)
-            slow = (f"{self.hoist(_window_store, key=('b', 'wstore'))}{args}"
-                    f"{self.hoist(win.parts)}, {src}, {mask})")
-            if lead and not win.narrow:
-                src = f"{src}.reshape({lead}, {width})"
-            if win.mask is None:
-                body = [f"_e = {last} + {win.reach * es}",
-                        "if _e > _mem._extent:",
-                        "    _mem._extent = _e",
-                        f"{view}[...] = {src}"]
-            else:
-                end = self.hoist(_last_lane_end, key=("b", "last_lane_end"))
-                if win.mask_narrow or not lead:
-                    # One gang's mask: its last lane in the last slot.
-                    where, base = mask, last
-                    end = f"{end}({mask}, {width}, 1, 0, 0, {es}, {step})"
-                else:
-                    where, base = f"{mask}.reshape({lead}, {width})", addr
-                    end = (f"{end}({mask}, {width}, {gangs}, {rho},"
-                           f" {win.delta}, {es}, {step})")
-                # The last active lane ends highest unless the gangs'
-                # windows interleave (a row tail runs one gang per row).
-                body = None if lead and win.delta < span * es and not (
-                    self.nest and block in self.nest.tail) else [
-                    f"_e = {end}",
-                    "if _e:",
-                    f"    _e += {base}",
-                    "    if _e > _mem._extent:",
-                    "        _mem._extent = _e",
-                    f"    {self._np(np.copyto)}({view}, {src},"
-                    f" where={where})"]
-        return head, test, slow, body, view
+            last = f"{self.hoist(_last_lane_end, key=('b', 'last_lane_end'))}" \
+                f"({mask}, {width}, {gangs}, {rho}, {delta}, {es}, {step})"
+        base = f"{addr} + {offset}" if win.mask_narrow else addr
+        lanes = extent + [f"{self._np(np.copyto)}({view}, {src},"
+                          f" where={where})"]
+        if not full:  # a row tail: ``_last_lane_end`` is 0 for no lane
+            body = [f"_e = {last}", "if _e:", f"    _e += {base}"]
+            return head, test, slow, body + ["    " + t for t in lanes], view
+        if lead and delta < (s * (width - 1) + 1) * es:
+            lanes = [slow]
+        else:
+            lanes.insert(0, f"_e = {base} + {last}")
+        body = [f"_nc = {self._cnz()}({mask})",
+                f"if _nc == {width if win.mask_narrow else count}:"] \
+            + ["    " + text for text in whole] + ["elif _nc:"]
+        return head, test, slow, body + ["    " + t for t in lanes], view
 
     def _untile(self, value: Value, rows: int):
         """``(source, [tile])`` when ``value`` is a trip's tile — batching's

@@ -29,7 +29,6 @@ from ..ir.module import Function, Module
 from ..ir.printer import print_function
 from ..ir.verifier import verify_function
 from ..passes import constant_fold, dce, loop_simplify, mem2reg, simplify_cfg
-from ..passes.clone import clone_function
 from ..passes.inline import inline_function_calls
 from .scalarize import ScalarizeError, scalarize_spmd_function
 from .shape import Shape
@@ -206,11 +205,6 @@ def vectorize_module(
     for function in list(module.functions.values()):
         if function.spmd is None or function.name.endswith(".scalarref"):
             continue
-        name = function.name
-        # Pristine snapshot: vectorize_function mutates the input in place
-        # (inlining, mem2reg, ...) before building the vector body, so the
-        # fallback must restore from an untouched copy.
-        pristine = clone_function(function, name + ".fallback")
         try:
             results.append(vectorize_function(module, function, config))
         except ScalarizeError:
@@ -218,31 +212,24 @@ def vectorize_module(
         except Exception as exc:
             if strict:
                 raise
-            _fall_back_to_scalar(module, name, function, pristine, exc)
-        else:
-            pristine.teardown()  # unused: it leaves no use behind
+            _fall_back_to_scalar(module, function, exc)
     return results
 
 
-def _fall_back_to_scalar(
-    module: Module, name: str, function: Function, pristine: Function,
-    exc: Exception,
-) -> None:
-    """Replace a failed vectorization with a scalarized lane loop."""
-    gang_size = pristine.spmd.gang_size
+def _fall_back_to_scalar(module: Module, function: Function,
+                         exc: Exception) -> None:
+    """Replace a failed vectorization with a scalarized lane loop.
+
+    ``vectorize_function`` only normalizes its input (inlining, mem2reg,
+    folding: semantics-preserving) before building the vector body in a
+    function of its own, and splices only as its last step: the module
+    still maps the name to the original, which the lane loop replaces in
+    place."""
+    name, gang_size = function.name, function.spmd.gang_size
     reason = _fallback_reason(exc)
-    source = print_function(pristine)  # the kernel, as the pass saw it
-
-    # vectorize_function splices only as its last step, so the module
-    # still maps ``name`` to the original the failed attempt mutated.
-    module.functions.pop(name)
-    pristine.name = name
-    module.add_function(pristine)
-    function.replace_all_uses_with(pristine)  # rewire gang-loop call sites
-    function.teardown()
-
+    source = print_function(function)  # the kernel, as the pass saw it
     try:
-        scalarize_spmd_function(pristine)
+        scalarize_spmd_function(function)
     except ScalarizeError as blocked:
         raise CompileError(
             f"@{name}: vectorization failed ({reason['message']}) and no "
@@ -252,7 +239,7 @@ def _fall_back_to_scalar(
             detail={"vectorize_error": reason, **blocked.diagnostic.detail},
         ) from exc
 
-    pristine.attrs["parsimony_fallback"] = reason
+    function.attrs["parsimony_fallback"] = reason
     telemetry.record_fallback(module.name, name, gang_size, reason, source)
 
 

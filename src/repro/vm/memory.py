@@ -44,8 +44,7 @@ for the whole image either.  ``Memory.extent`` is one past the highest
 byte ever allocated or written, ``extent <= len(data)``, and the
 invariant **``data[extent:] == 0``** always holds: every write path
 (``alloc``, ``alloc_array``, ``write_array``, ``store_scalar``,
-``store_packed``, ``store_rows``, ``scatter``, and the inline stores of
-generated code)
+``store_lanes``, ``scatter``, and the inline stores of generated code)
 raises the extent before it writes, and nothing outside this module and
 generated code assigns into ``data``.
 :meth:`Memory.snapshot` therefore copies only ``[0, extent)`` and
@@ -250,8 +249,8 @@ class Memory:
 
     def load_lanes(self, addr: int, dtype: np.dtype, count: int, mask=None) -> np.ndarray:
         """:meth:`load_packed` with the lane dtype already resolved (what
-        generated code calls: for runtime masks, and when its inline
-        range test fails).
+        generated code's out-of-line view path calls, window by window,
+        for whatever its inline range test rejects).
 
         With a mask, inactive lanes read as zero and, when every lane is
         inactive, the address is never validated (mirrors hardware masked
@@ -297,33 +296,6 @@ class Memory:
         nbytes = dtype.itemsize * len(values)
         self._check_write(addr, nbytes)
         self.data[addr : addr + nbytes].view(dtype)[:] = values
-
-    def load_rows(self, addr: int, dtype: np.dtype, count: int, rows: int,
-                  stride: int, mask=None) -> np.ndarray:
-        """A row-strided packed load (a gang-batched access, see
-        :mod:`repro.backend.batch`): ``rows`` rows of ``count // rows``
-        contiguous lanes, row ``k`` at ``addr + k * stride``.  Row by row
-        through :meth:`load_lanes`, so each row validates and traps as
-        the unbatched access of its gang does."""
-        row = count // rows
-        out = np.empty(count, dtype=dtype)
-        for k in range(rows):
-            lo = k * row
-            out[lo:lo + row] = self.load_lanes(
-                addr + k * stride, dtype, row,
-                None if mask is None else mask[lo:lo + row])
-        return out
-
-    def store_rows(self, addr: int, dtype: np.dtype, values: np.ndarray,
-                   rows: int, stride: int, mask=None) -> None:
-        """The row-strided store matching :meth:`load_rows`: row by row
-        through :meth:`store_lanes` (each row checked before any of its
-        lanes is written)."""
-        row = len(values) // rows
-        for k in range(rows):
-            lo = k * row
-            self.store_lanes(addr + k * stride, dtype, values[lo:lo + row],
-                             None if mask is None else mask[lo:lo + row])
 
     def gather(self, addrs: np.ndarray, type: Type, mask=None) -> np.ndarray:
         """Per-lane loads from arbitrary addresses, vectorized.

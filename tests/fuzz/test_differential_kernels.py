@@ -52,6 +52,14 @@ batches as one scatter-add per trip; in its aliasing variant
 of ``C`` must replay on the unbatched twin, and the corpus must reach
 both.  Outputs are ``OUT``, ``IOUT``, ``B`` and ``C``.
 
+Both of those legs run their builds again in a memory that ends where
+``OUT`` does (``tight``): a tail gang's inactive lanes fall off the end,
+so generated code takes its out-of-line view path, which must leave
+exactly what the reference engine leaves in the same memory — outputs,
+``ExecStats``, image and extent — and the corpus must reach that path.
+(A kernel that allocates at launch needs room past its arrays and skips
+this variant.)
+
 Every ~25th seed compiles the kernel in a *subprocess* with the disk
 cache on, rehydrates that entry in this process, and runs it: cold,
 cross-process builds must agree bitwise with the in-process one,
@@ -75,6 +83,7 @@ import numpy as np
 import pytest
 
 from repro import diskcache
+from repro.backend import codegen
 from repro.benchsuite.fuzzgen import (
     N_CELLS,
     N_THREADS,
@@ -85,7 +94,7 @@ from repro.diagnostics import CompileError
 from repro.driver import clear_compile_cache, compile_parsimony
 from repro.faultinject import FaultPlan, inject
 from repro.vectorizer import parsimony_records
-from repro.vm import Interpreter
+from repro.vm import Interpreter, Memory
 
 FUZZ_N = int(os.environ.get("REPRO_FUZZ_N", "200"))
 
@@ -135,6 +144,30 @@ _XPROC_CORPUS = {"rehydrated": 0, "compiled": 0}
 
 _XPROC_DIR = None
 
+#: Launches of the ``tight`` variant, and those among them in which
+#: generated code took the out-of-line view pair.
+_TIGHT_CORPUS = {"launched": 0, "out_of_line": 0}
+
+#: Calls of the out-of-line view pair (``codegen._window_load`` /
+#: ``_window_store``) from code emitted by this module's tests.
+_PAIR_CALLS = [0]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _count_the_out_of_line_pair():
+    """Wrap the pair before any emission (the code cache is emptied on
+    entry and exit, so every kernel here binds the counted pair)."""
+    patch = pytest.MonkeyPatch()
+    for name in ("_window_load", "_window_store"):
+        def counted(*args, _real=getattr(codegen, name)):
+            _PAIR_CALLS[0] += 1
+            return _real(*args)
+        patch.setattr(codegen, name, counted)
+    clear_compile_cache()
+    yield
+    patch.undo()
+    clear_compile_cache()
+
 
 def _xproc_cache_dir():
     global _XPROC_DIR
@@ -154,13 +187,24 @@ def _outputs(interp, addrs):
             memory.read_array(addrs[2], np.int32, N_THREADS))
 
 
-def _launch(module, seed, **engine):
+def _launch(module, seed, tight=False, **engine):
     """One launch; a codegen bailout of any kind fails it — including
     ``error:*``, an emitter exception the interpreter degrades to the
-    reference engine instead of raising."""
+    reference engine instead of raising.  ``tight``: ``OUT`` is allocated
+    last, and memory ends where it does."""
     A, B, C, OUT, IOUT, sv, si = workload_arrays(seed)
-    interp = Interpreter(module, **engine)
-    addrs = [interp.memory.alloc_array(a) for a in (A, B, C, OUT, IOUT)]
+    order = (4, 0, 1, 2, 3) if tight else range(5)
+    arrays = (A, B, C, OUT, IOUT)
+    memory = None
+    if tight:
+        size = 64
+        for k in order:
+            size = (size + 63) // 64 * 64 + arrays[k].nbytes
+        memory = Memory(size)
+    interp = Interpreter(module, memory=memory, **engine)
+    addrs = [None] * 5
+    for k in order:
+        addrs[k] = interp.memory.alloc_array(arrays[k])
     interp.run("kernel", *addrs, sv, si, N_THREADS)
     bailouts = interp.codegen_report()["bailouts"]
     assert not bailouts, f"codegen bailed out on seed {seed}: {bailouts}"
@@ -313,6 +357,30 @@ def _batched_differential(kernel, seed, plain_out, context):
         assert dict(got_stats.counts) == dict(ref_stats.counts), (
             f"batched per-opcode counts diverge, {where}")
         _assert_exact_counts(got_stats, where)
+        _tight_differential(batched, reference, seed, where)
+
+
+def _tight_differential(module, reference, seed, context):
+    """``module`` on the default engine against ``reference`` on the
+    reference engine, both in a memory that ends where ``OUT`` does:
+    outputs, ``ExecStats``, image and extent, bitwise."""
+    if any(i.opcode == "alloca" for f in reference.functions.values()
+           for i in f.instructions()):
+        return  # its allocas need room past the arrays
+    want_out, want = _launch(reference, seed, tight=True, codegen=False)
+    calls = _PAIR_CALLS[0]
+    got_out, got = _launch(module, seed, tight=True)
+    _TIGHT_CORPUS["launched"] += 1
+    _TIGHT_CORPUS["out_of_line"] += _PAIR_CALLS[0] > calls
+    context = f"tight memory, {context}"
+    _assert_same(got_out, want_out, context)
+    assert (got.stats.cycles, got.stats.instructions,
+            dict(got.stats.counts)) == (want.stats.cycles,
+                                        want.stats.instructions,
+                                        dict(want.stats.counts)), context
+    assert got.memory.extent == want.memory.extent, context
+    np.testing.assert_array_equal(got.memory.image(), want.memory.image(),
+                                  err_msg=context)
 
 
 def _codegen_differential(kernel, plain, seed, plain_out, plain_stats,
@@ -335,6 +403,7 @@ def _codegen_differential(kernel, plain, seed, plain_out, plain_stats,
     assert dict(got_stats.counts) == dict(plain_stats.counts), (
         f"codegen per-opcode counts diverge: {context}")
     _assert_exact_counts(got_stats, context)
+    _tight_differential(plain, plain, seed, f"codegen: {context}")
 
 
 def _cross_process_differential(kernel, seed, plain_out, plain_stats,
@@ -440,6 +509,15 @@ def test_zz_corpus_exercised_codegen():
         # Cross-lane exchange kernels must flow through the codegen leg
         # (p≈0.3 per seed: 20 draws miss with probability < 0.1%).
         assert _CODEGEN_CORPUS["shuffle"] > 0, _CODEGEN_CORPUS
+
+
+def test_zz_corpus_exercised_the_out_of_line_view_path():
+    """The tight variant must have run, and generated code must have taken
+    its out-of-line view pair in at least one of those launches."""
+    if FUZZ_N < 20:
+        pytest.skip("FUZZ_N too small for the tight variant")
+    assert _TIGHT_CORPUS["launched"] > 0, _TIGHT_CORPUS
+    assert _TIGHT_CORPUS["out_of_line"] > 0, _TIGHT_CORPUS
 
 
 def test_zz_corpus_exercised_cross_process_rehydration():

@@ -10,12 +10,24 @@ page, one byte past the logical end, straddling the physical capacity,
 an address >= 2**63, an in-bounds address that is not lane-aligned} on
 the codegen engine and the reference engine, which must agree on the returned value, ``ExecStats``, trap class and
 message, ``Memory.image()`` and ``Memory.extent``.
+
+The same holds for every view form of generated code — plain, contiguous
+trip, row-strided trip, collapsed row nest, window load, window store
+under static and under runtime masks, window copy — with its array inside
+memory, ending it under a tail gang, misaligned, on the NULL page and past
+the end; there the one out-of-line pair runs exactly when a range test
+fails.
 """
+
+import re
 
 import numpy as np
 import pytest
 
+from repro.backend import codegen as cg
 from repro.backend.codegen import _Emitter
+from repro.backend.costmodel import DEFAULT_COST_MODEL
+from repro.backend.machine import AVX512
 from repro.ir import (
     I1,
     I32,
@@ -29,6 +41,8 @@ from repro.ir import (
     verify_function,
 )
 from repro.ir.types import VOID
+from repro import driver
+from repro.diagnostics import ExecutionError
 from repro.vm import Interpreter, Memory, MemoryError_
 
 LANES = 8
@@ -248,14 +262,15 @@ def test_which_packed_accesses_stay_out_of_memory(form, mask, monkeypatch):
     runtime mask, all lanes set or not (a load zeroes the inactive lanes,
     a store writes the active ones); anything off the typed view goes to
     the one implementation in ``Memory`` (which the reference engine
-    always calls)."""
+    always calls) through the one out-of-line pair."""
     calls = []
-    for name in ("load_lanes", "store_lanes"):
-        real = getattr(Memory, name)
+    for module, name in ((Memory, "load_lanes"), (Memory, "store_lanes"),
+                         (cg, "_window_load"), (cg, "_window_store")):
+        real = getattr(module, name)
         monkeypatch.setattr(
-            Memory, name,
-            lambda self, *a, _real=real, _name=name: (
-                calls.append(_name), _real(self, *a))[1])
+            module, name,
+            lambda *a, _real=real, _name=name: (
+                calls.append(_name), _real(*a))[1])
     _, interp = _drive(form, mask, "inside", "codegen")
     assert calls == []
     if _static_mask(form) and ".f" in form:
@@ -264,7 +279,236 @@ def test_which_packed_accesses_stay_out_of_memory(form, mask, monkeypatch):
         assert "folded=2 " in source  # the shuffle and the ``and``
     calls.clear()
     _drive(form, mask, "misaligned", "codegen")
-    assert len(calls) == (0 if _static_mask(form) == "none" else 1)
+    # The one out-of-line pair, then its one window through ``Memory``.
+    kind = form.split(".")[0]
+    assert calls == ([] if _static_mask(form) == "none" else
+                     [f"_window_{kind[1:]}", f"{kind[1:]}_lanes"])
     calls.clear()
     _drive(form, mask, "inside", "reference")
     assert len(calls) == 1
+
+
+# -- the one out-of-line path, across every view form -------------------------------
+#
+# Every packed access of generated code is a view — ``(rows, gangs, lanes)``
+# slots a row stride and a per-gang delta apart, its lanes ``s`` elements
+# apart — and whatever a view's range test rejects goes through one
+# out-of-line pair (``codegen._window_load`` / ``_window_store``), slot by
+# slot and window by window through ``Memory``.  Each view form below runs
+# with the array it accesses placed inside memory (allocated one gang
+# short, so its stores set the extent), ending memory under a tail gang
+# whose inactive lanes fall off the end, misaligned, on the NULL page and
+# past the end (its first gang fits, the next does not: a store traps
+# after writing it): the batched (or, for ``plain``, unbatched) build on
+# the codegen engine must leave what the reference engine leaves, replay
+# only where the reference traps, and run the pair exactly when a range
+# test fails.
+
+G = 8
+
+FLAT = """
+void kernel(u16* src, u16* dst, u64 n) {
+    psim (gang_size=8, num_threads=n) {
+        u64 i = psim_get_thread_num();
+        dst[i] = src[i] * (u16)3 + (u16)1;
+    }
+}
+"""
+
+#: Packed within a gang, gangs two gangs' lanes apart: ``row_stride``.
+ROW_STRIDED = """
+void kernel(u16* src, u16* dst, u64 n) {
+    psim (gang_size=8, num_threads=n) {
+        u64 l = psim_get_lane_num();
+        u64 k = 2 * (psim_get_thread_num() - l) + l;
+        dst[k] = src[k] + (u16)7;
+    }
+}
+"""
+
+NEST = """
+void kernel(u16* src, u16* dst, u64 w, u64 h) {
+    for (u64 y = 0; y < h; y++) {
+        u64 row = y * w;
+        psim (gang_size=8, num_threads=w) {
+            u64 x = psim_get_thread_num();
+            dst[row + x] = src[row + x] * (u16)5;
+        }
+    }
+}
+"""
+
+WINDOW_LOAD = """
+void kernel(u16* src, u16* dst, u64 n) {
+    psim (gang_size=8, num_threads=n) {
+        u64 i = psim_get_thread_num();
+        dst[i] = src[3 * i + 2] + src[3 * i];
+    }
+}
+"""
+
+WINDOW_STORE = """
+void kernel(u16* src, u16* dst, u64 n) {
+    psim (gang_size=8, num_threads=n) {
+        u64 i = psim_get_thread_num();
+        u16 v = src[i];
+        dst[3 * i] = v;
+        dst[3 * i + 2] = v + v;
+    }
+}
+"""
+
+#: The runtime mask ``M`` inside the window group.
+WINDOW_STORE_MASKED = """
+void kernel(u16* src, u16* dst, u64 n) {
+    psim (gang_size=8, num_threads=n) {
+        u64 i = psim_get_thread_num();
+        u16 v = src[i];
+        if ((v & (u16)1) == (u16)1) { dst[3 * i + 1] = v; }
+    }
+}
+"""
+
+#: A window load that only a window store reads: one view from another.
+COPY = """
+void kernel(u16* src, u16* dst, u64 n) {
+    psim (gang_size=8, num_threads=n) {
+        u64 i = psim_get_thread_num();
+        dst[3 * i] = src[4 * i];
+        dst[3 * i + 1] = src[4 * i + 1];
+    }
+}
+"""
+
+N = 5 * G + 3  # a partial trip and a tail gang
+W, H = 2 * G + 5, 4  # two full gangs and a tail per row
+
+#: form -> (source, batch request, the array placed, elements of src and
+#: dst: exactly what the threads touch).
+VIEW_FORMS = {
+    "plain": (FLAT, 0, "src", N, N),
+    "trip": (FLAT, None, "dst", N, N),
+    "row-strided": (ROW_STRIDED, None, "dst", 2 * N - 3, 2 * N - 3),
+    "row-nest": (NEST, None, "dst", W * H, W * H),
+    "window-load": (WINDOW_LOAD, None, "src", 3 * N, N),
+    "window-store": (WINDOW_STORE, None, "dst", N, 3 * N),
+    "window-store-masked": (WINDOW_STORE_MASKED, None, "dst", N, 3 * N - 1),
+    "copy": (COPY, None, "src", 4 * N - 2, 3 * N - 1),
+}
+PLACEMENTS = ("inside", "tail", "misaligned", "null", "past-end")
+
+#: Forms whose placed array a window load reads.
+WINDOW_LOADS = {"window-load", "copy"}
+
+#: A collapsed nest runs every access as an ``ndarray`` over the bytes,
+#: which takes any address: misaligned, it stays inline.
+ALIGNMENT_FREE = {"row-nest"}
+
+
+def _view_launch(module, form, where, **engine):
+    """One launch of ``form`` with its placed array ``where``: everything it
+    leaves."""
+    source, _, placed, n_src, n_dst = VIEW_FORMS[form]
+    rng = np.random.default_rng(len(form))
+    arrays = {"src": rng.integers(0, 1 << 16, n_src, dtype=np.uint16),
+              "dst": rng.integers(0, 1 << 16, n_dst, dtype=np.uint16)}
+    other = "dst" if placed == "src" else "src"
+    size = 1 << 20
+    if where == "tail":  # the placed array ends memory
+        size = (64 + arrays[other].nbytes + 63) // 64 * 64 \
+            + arrays[placed].nbytes
+    interp = Interpreter(module, memory=Memory(size), **engine)
+    memory = interp.memory
+    addrs = {other: memory.alloc_array(arrays[other])}
+    if where == "inside":
+        # One gang short: its last gang reads and writes past every
+        # allocation, so the extent ends where its stores do.
+        addrs[placed] = memory.alloc_array(arrays[placed][:-G])
+    elif where == "tail":
+        addrs[placed] = memory.alloc_array(arrays[placed])
+    elif where == "misaligned":
+        addrs[placed] = memory.alloc(arrays[placed].nbytes + 64) + 1
+        memory.write_array(addrs[placed], arrays[placed])
+    else:
+        addrs[placed] = 0 if where == "null" else size - 16
+    scalars = [W, H] if form == "row-nest" else [N]
+    trap = None
+    try:
+        interp.run("kernel", addrs["src"], addrs["dst"], *scalars)
+    except ExecutionError as exc:
+        trap = f"{type(exc).__name__}: {exc}"
+    stats = interp.stats
+    return {
+        "trap": trap,
+        "stats": (stats.cycles, stats.instructions, dict(stats.counts)),
+        "image": memory.image().tobytes(),
+        "extent": memory.extent,
+    }, interp
+
+
+@pytest.fixture(scope="module")
+def pair_calls():
+    """Counts the out-of-line pair, bound into code emitted while the
+    fixture lives (the code cache is emptied on entry and exit)."""
+    calls = []
+    patch = pytest.MonkeyPatch()
+    for name in ("_window_load", "_window_store"):
+        real = getattr(cg, name)
+        patch.setattr(cg, name, lambda *args, _real=real:
+                      calls.append(args) or _real(*args))
+    driver.clear_compile_cache()
+    yield calls
+    patch.undo()
+    driver.clear_compile_cache()
+
+
+@pytest.mark.parametrize("where", PLACEMENTS)
+@pytest.mark.parametrize("form", sorted(VIEW_FORMS))
+def test_every_view_form_leaves_what_the_reference_leaves(form, where,
+                                                          pair_calls):
+    source, batch = VIEW_FORMS[form][:2]
+    reference = driver.compile_parsimony(source, batch_request=0)
+    want, _ = _view_launch(reference, form, where, codegen=False)
+    module = driver.compile_parsimony(source, batch_request=batch)
+    if batch is None:
+        assert module.attrs["batch_applied"], module.attrs["batch_rejected"]
+    del pair_calls[:]
+    got, interp = _view_launch(module, form, where)
+    assert got == want, (form, where)
+    # A tail gang's window load reads every lane's position: placed
+    # last, its source runs past the end.
+    assert (want["trap"] is not None) == (where in ("null", "past-end")
+                                          or where == "tail"
+                                          and form in WINDOW_LOADS)
+    report = interp.codegen_report()
+    assert not report["bailouts"]
+    # A replay means generated code trapped: only where the IR traps.
+    assert report["replays"] + interp.batch_replays == (
+        want["trap"] is not None), (form, where)
+    if where == "inside" or where == "misaligned" and form in ALIGNMENT_FREE:
+        assert not pair_calls, (form, where)
+    else:
+        assert pair_calls, (form, where)
+
+
+#: What each form's build must emit for the matrix to mean what it names.
+VIEW_MARKERS = {
+    "plain": r"_w\[_i:_i \+ 8\]",
+    "trip": r"_w\[_i:_i \+ _n\]",
+    "row-strided": r"\(\(_r, 8\), _h\d+, _d, v\d+, \(32, 2\)\)",
+    "row-nest": r"\(\(_R, _g, 8\), _h\d+, _d, v\d+, \(_rs0, 16, 2\)\)",
+    "window-load": r"v\d+ = _h\d+\(\(_r, 8\), _h\d+, _d, v\d+, \(48, 6\)\)",
+    "window-store": r"\(48, 6\)\)\[\.\.\.\] = v\d+\.reshape",
+    "window-store-masked": r"\(48, 6\)\), v\d+\.reshape\(_r, 8\), where=",
+    "copy": r"\(48, 6\)\)\[\.\.\.\] = _h\d+\(\(_r, 8\)",
+}
+
+
+@pytest.mark.parametrize("form", sorted(VIEW_FORMS))
+def test_each_view_form_emits_the_view_it_names(form):
+    source, batch = VIEW_FORMS[form][:2]
+    module = driver.compile_parsimony(source, batch_request=batch)
+    text = cg.generated_source(module.functions["kernel"], AVX512,
+                               DEFAULT_COST_MODEL, module.fingerprint)
+    assert re.search(VIEW_MARKERS[form], text), form
+    assert ("_r = " in text) == (batch is None)

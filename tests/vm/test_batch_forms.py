@@ -26,9 +26,6 @@ covers, never what a launch computes or what it is charged:
   and replay); a budget trap inside a predicated trip and inside the
   expanded-storage loops of ``binomial_options``; a private array read
   before it is written, which replays on the twin;
-* ``Memory.load_rows``/``store_rows``, the slow path of the row form, go
-  row by row through ``load_lanes``/``store_lanes``: a row traps with the
-  unbatched access's text before any of its lanes is written;
 * a gang loop whose loads may read another gang's stores stays
   unbatched: an inlined scan over the kernel's own output (a gather),
   and a ``vload`` shifted into the next gang's stores.
@@ -45,7 +42,6 @@ from repro.benchsuite.ispc_suite import BENCHMARKS as FIG4
 from repro.benchsuite.simdlib import BY_NAME, KERNELS as FIG5
 from repro.diagnostics import ExecutionError
 from repro.vm import Interpreter, Memory
-from repro.vm.memory import MemoryError_
 
 SPECS = {spec.name: spec for spec in list(FIG4) + list(FIG5)}
 
@@ -246,39 +242,6 @@ def test_budget_trap_in_a_scatter_add_trip_replays_bit_identically(name, part):
         driver.compile_parsimony(spec.psim_src), spec, budget=budget)
     assert replays == 1
     assert got == want
-
-
-# ---------------------------------------------------------------------------
-# the row form's one slow path
-# ---------------------------------------------------------------------------
-
-def test_rows_go_through_the_lane_accesses_row_by_row():
-    memory = Memory(4096)
-    base = memory.alloc(4000)
-    u2 = np.dtype(np.uint16)
-    values = np.arange(24, dtype=np.uint16)
-    mask = np.array([1, 0, 1, 1, 0, 0] * 4, dtype=bool)
-    memory.store_rows(base, u2, values, 4, 20, mask)
-    for k in range(4):
-        row = memory.load_lanes(base + 20 * k, u2, 6)
-        np.testing.assert_array_equal(
-            row, np.where(mask[:6], values[6 * k:6 * k + 6], 0))
-    np.testing.assert_array_equal(
-        memory.load_rows(base, u2, 24, 4, 20, mask),
-        np.where(mask, values, 0))
-
-    # A row that leaves memory traps as its own packed access would, after
-    # the rows before it were written and before any lane of it is.
-    top = 4096 - 20
-    memory.write_array(top - 40, np.zeros(20, np.uint16))
-    with pytest.raises(MemoryError_) as rows_exc:
-        memory.store_rows(top - 40, u2, values + 100, 4, 20)
-    with pytest.raises(MemoryError_) as lanes_exc:
-        Memory(4096).store_lanes(top + 20, u2, values[18:])
-    assert str(rows_exc.value) == str(lanes_exc.value)
-    written = memory.read_array(top - 40, u2, 20)
-    np.testing.assert_array_equal(written[:6], values[:6] + 100)
-    np.testing.assert_array_equal(written[10:16], values[6:12] + 100)
 
 
 # ---------------------------------------------------------------------------

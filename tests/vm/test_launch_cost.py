@@ -256,7 +256,8 @@ def _trap_frame(module):
     assert frame.filename == kfn.__code__.co_filename
     name, digest = frame.filename[len("<repro-vm-codegen:"):-1].rsplit(":", 1)
     assert name == function.name and len(digest) == 8
-    assert "_mem.load_lanes(" in frame.line or "_mem.load_scalar(" in frame.line
+    # The out-of-line view pair (``_window_load``, hoisted as ``_hN``).
+    assert re.match(r"v\d+ = _h\d+\(_mem, ", frame.line), frame.line
     assert frame.line == linecache.getline(frame.filename, frame.lineno).strip()
     return interp, frame
 
@@ -328,11 +329,9 @@ def test_generated_source_recomputes_nothing_it_knew_at_emit_time():
         # A constant shuffle index is a hoisted selector, not a per-launch
         # ``IDX.astype(int64) % n``.
         assert not any(re.search(r"_h\d+\.astype\(", line) for line in lines)
-        # ``Memory`` is only ever the arm a failed range test falls into:
-        # its methods, or a window group's per-window helper.
-        slow = [i for i, line in enumerate(lines)
-                if "_mem.load_lanes(" in line or "_mem.store_lanes(" in line
-                or "(_mem, " in line]
+        # The out-of-line view pair is only ever the arm a failed range
+        # test falls into.
+        slow = [i for i, line in enumerate(lines) if "(_mem, " in line]
         assert slow
         for i in slow:
             assert re.match(r"\s+if .* > _h\d+\(_[wd]\).*:$", lines[i - 1])

@@ -10,10 +10,12 @@ mask, a launch must leave what the reference engine leaves:
   reference engine's (``codegen=False``: the unbatched build), for the
   batched and the unbatched build, with and without a tail gang;
 * the view form runs (``windows=`` in the source header) and, in bounds,
-  never the per-window ``Memory`` path; a window that straddles the end of
-  memory takes that path and traps as the reference does;
+  never the out-of-line pair (window by window through ``Memory``); a
+  window that straddles the end of memory takes that path and traps as the
+  reference does;
 * seeded mutants of the recognizer — a wrong stride, a runtime mask
-  ignored, a wrong extent — fail these checks;
+  ignored, a wrong extent (a view one lane short: its extent ends a lane
+  early, the lane unwritten) — fail these checks;
 * across the 79 benchsuite builds, every window the vectorizer emits with
   a stride selector runs as one access (the ``windows=`` count), so the
   view form cannot silently revert.
@@ -145,8 +147,9 @@ def _windows(module) -> int:
 
 @pytest.fixture
 def slow_calls(monkeypatch):
-    """Counts the per-window ``Memory`` path, bound into code emitted from
-    now on (the code cache is emptied on entry and exit)."""
+    """Counts the out-of-line view pair — every access, windows and packed
+    alike, goes through it when its range test fails — bound into code
+    emitted from now on (the code cache is emptied on entry and exit)."""
     calls = []
     for name in ("_window_load", "_window_store"):
         real = getattr(cg, name)
@@ -411,7 +414,7 @@ def _wrong_extent(monkeypatch):
     def mutant(self, head):
         found = real(self, head)
         if found is not None and found[0].mask is None:
-            found[0].reach -= 1
+            found[0].needed -= 1
         return found
 
     monkeypatch.setattr(cg._Emitter, "_store_window", mutant)
