@@ -23,7 +23,9 @@ their degraded compiles must *refuse* with ``CompileError`` rather
 than fall back.
 
 ``--telemetry PATH`` writes the session JSON — including
-``vectorizer.fallbacks`` records — for the CI fuzz-smoke job's
+``vectorizer.fallbacks`` records, and in its meta how many plain builds
+gang batching widened (``batched``) and why it left loops unbatched
+(``batch_rejections``, reason → loops) — for the CI fuzz-smoke job's
 artifact.
 
 Exits non-zero on any mismatch, on any codegen bailout (``error:*``
@@ -35,6 +37,7 @@ degraded a build, or if the codegen seeds never ran compiled code
 """
 
 import argparse
+import collections
 import os
 import sys
 
@@ -68,9 +71,11 @@ def run(module, seed, codegen=False):
     return outs, interp
 
 
-def check_seed(seed, counts):
+def check_seed(seed, counts, rejections):
     kernel = generate_kernel(seed)
     plain = compile_parsimony(kernel.source)
+    counts["batched"] += bool(plain.attrs.get("batch_applied"))
+    rejections.update(r["reason"] for r in plain.attrs.get("batch_rejected", ()))
     want, base = run(plain, seed)
 
     builds = []
@@ -169,10 +174,11 @@ def main():
           f"block fault forced on every 10th, codegen on every seed")
     failures = 0
     counts = {"refused": 0, "block_whole": 0, "compiled": 0, "bailed": 0,
-              "collapsed": 0, "fell_back": 0}
+              "collapsed": 0, "fell_back": 0, "batched": 0}
+    rejections = collections.Counter()
     with telemetry.collect() as session:
         for seed in range(args.n):
-            if not check_seed(seed, counts):
+            if not check_seed(seed, counts, rejections):
                 failures += 1
     if args.n >= 10 and counts["block_whole"] == 0:
         print("FAIL: block-fault seeds never degraded a build")
@@ -192,6 +198,8 @@ def main():
     session.meta["codegen_bailed"] = counts["bailed"]
     session.meta["row_nests_collapsed"] = counts["collapsed"]
     session.meta["row_fallbacks"] = counts["fell_back"]
+    session.meta["batched"] = counts["batched"]
+    session.meta["batch_rejections"] = dict(rejections.most_common())
     session.meta["failures"] = failures
 
     if args.telemetry:
@@ -204,7 +212,8 @@ def main():
     print(f"\nall {args.n} seeds agree bitwise "
           f"({counts['block_whole']} block-fault fallback(s), "
           f"{counts['refused']} reduction refusal(s), "
-          f"{counts['compiled']} codegen-compiled)")
+          f"{counts['compiled']} codegen-compiled, "
+          f"{counts['batched']} batched)")
     return 0
 
 

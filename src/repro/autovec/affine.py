@@ -3,14 +3,16 @@
 Classifies integer/pointer values inside a loop as ``sym + coeff·i +
 const`` where ``i`` is the canonical induction variable, ``coeff`` and
 ``const`` are compile-time integers, and ``sym`` is a canonical form of
-the loop-invariant symbolic part.  This powers the classical loop
-vectorizer's two decisions (paper §2: "alias analysis as well as
-target-dependent heuristics"):
+the loop-invariant symbolic part — a loop-invariant pointer cast or
+offset counts as its root plus a byte offset, so ``(u32*)((u8*)a + 2)``
+and ``a`` share a ``sym``.  This powers the classical loop vectorizer's
+two decisions (paper §2: "alias analysis as well as target-dependent
+heuristics"):
 
 * **access classification** — unit-stride / small-stride / unanalyzable;
-* **dependence testing** — two accesses with the same symbolic base
-  conflict across iterations when ``coeff·Δ == const₁ - const₂`` for an
-  integer Δ; flow dependences with ``0 < Δ < VF`` block vectorization.
+* **dependence testing** — each access is a lockstep
+  :class:`~repro.backend.lockstep.MemRef` on base ``sym``: offset
+  ``const``, step ``coeff``, its element's bytes (whole or in part).
 """
 
 from __future__ import annotations
@@ -33,13 +35,6 @@ class Affine:
     const: int
     sym: FrozenSet[Tuple[int, int]]  # frozenset of (id(value), factor)
 
-    def same_base(self, other: "Affine") -> bool:
-        return self.sym == other.sym
-
-    @property
-    def is_invariant(self) -> bool:
-        return self.coeff == 0
-
 
 def _sym_add(a: FrozenSet, b: FrozenSet) -> FrozenSet:
     combined: Dict[int, int] = {}
@@ -48,10 +43,8 @@ def _sym_add(a: FrozenSet, b: FrozenSet) -> FrozenSet:
     return frozenset((vid, f) for vid, f in combined.items() if f != 0)
 
 
-def _sym_scale(a: FrozenSet, k: int) -> Optional[FrozenSet]:
-    if k == 0:
-        return frozenset()
-    return frozenset((vid, f * k) for vid, f in a)
+def _sym_scale(a: FrozenSet, k: int) -> FrozenSet:
+    return frozenset((vid, f * k) for vid, f in a) if k else frozenset()
 
 
 class AffineAnalysis:
@@ -82,8 +75,11 @@ class AffineAnalysis:
             return Affine(coeff=1, const=0, sym=frozenset())
         if isinstance(value, Constant) and value.type.is_int:
             return Affine(coeff=0, const=value.as_signed(), sym=frozenset())
-        if not isinstance(value, Instruction) or value.parent not in self.loop.blocks:
-            # Loop-invariant: a pure symbol.
+        if not isinstance(value, Instruction) or (
+                value.parent not in self.loop.blocks
+                and value.opcode not in ("bitcast", "gep")):
+            # Loop-invariant: a pure symbol (a pointer cast or offset goes
+            # on to its root).
             return Affine(coeff=0, const=0, sym=frozenset([(id(value), 1)]))
 
         op = value.opcode
@@ -105,10 +101,8 @@ class AffineAnalysis:
                 return None
             for x, y in ((a, b), (b, a)):
                 if x.coeff == 0 and not x.sym:  # pure constant factor
-                    sym = _sym_scale(y.sym, x.const)
-                    if sym is None:
-                        return None
-                    return Affine(y.coeff * x.const, y.const * x.const, sym)
+                    return Affine(y.coeff * x.const, y.const * x.const,
+                                  _sym_scale(y.sym, x.const))
             return None
         if op == "shl":
             a = self.analyze(ops[0])
@@ -116,22 +110,16 @@ class AffineAnalysis:
             if a is None or b is None or b.coeff != 0 or b.sym:
                 return None
             k = 1 << b.const
-            sym = _sym_scale(a.sym, k)
-            return Affine(a.coeff * k, a.const * k, sym) if sym is not None else None
+            return Affine(a.coeff * k, a.const * k, _sym_scale(a.sym, k))
         if op == "gep":
             ptr = self.analyze(ops[0])
             idx = self.analyze(ops[1])
             if ptr is None or idx is None:
                 return None
             size = value.type.pointee.size_bytes()
-            sym = _sym_scale(idx.sym, size)
-            if sym is None:
-                return None
-            return Affine(
-                ptr.coeff + idx.coeff * size,
-                ptr.const + idx.const * size,
-                _sym_add(ptr.sym, sym),
-            )
+            return Affine(ptr.coeff + idx.coeff * size,
+                          ptr.const + idx.const * size,
+                          _sym_add(ptr.sym, _sym_scale(idx.sym, size)))
         if op in ("sext", "zext", "trunc", "ptrtoint", "inttoptr", "bitcast"):
             # Width changes preserve affine form under the vectorizer's
             # standard no-wrap assumption for induction expressions.

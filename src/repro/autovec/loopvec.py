@@ -12,11 +12,10 @@ is exactly the behaviour the paper contrasts SPMD programming against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
+from ..backend.lockstep import MemRef, lockstep_conflict
 from ..backend.machine import Machine
 from ..ir import Constant, Function, IRBuilder, Instruction, Module, UndefValue, Value
 from ..ir.cfg import Loop, find_loops
@@ -36,11 +35,6 @@ class AutoVecConfig:
 
     #: Allow reassociating float reductions (LLVM requires -ffast-math).
     fast_math: bool = False
-    #: Maximum interleave-group stride handled with shuffles (elements).
-    max_stride: int = 4
-    #: Emit gathers/scatters for unanalyzable addresses (off by default,
-    #: like LLVM's cost model on most bodies).
-    allow_gather: bool = False
     #: Vectorize libm calls through a vector math library.  Off by default:
     #: without -fveclib, LLVM cannot vectorize loops containing math calls,
     #: which is a major practical limiter of auto-vectorization (§2).
@@ -52,12 +46,11 @@ class LoopVecReport:
     """What happened per function (for tests and the bench harness)."""
 
     vectorized: int = 0
-    rejected: List[str] = None
+    rejected: List[str] = field(default_factory=list)
 
-    def __post_init__(self):
-        if self.rejected is None:
-            self.rejected = []
 
+#: Maximum interleave-group stride handled with shuffles (elements).
+_MAX_STRIDE = 4
 
 _REDUCTION_OPS = frozenset("add fadd and or smin smax umin umax fmin fmax".split())
 
@@ -143,16 +136,9 @@ def _canonical_induction(loop: Loop):
     if not (isinstance(iv, Instruction) and iv.opcode == "phi" and iv.parent is header):
         raise _Rejected("compare operand is not a header phi")
     step = iv.phi_value_for(latch)
-    if not (
-        isinstance(step, Instruction)
-        and step.opcode == "add"
-        and (
-            (step.operands[0] is iv and isinstance(step.operands[1], Constant)
-             and step.operands[1].value == 1)
-            or (step.operands[1] is iv and isinstance(step.operands[0], Constant)
-                and step.operands[0].value == 1)
-        )
-    ):
+    if not (isinstance(step, Instruction) and step.opcode == "add" and any(
+            a is iv and isinstance(b, Constant) and b.value == 1
+            for a, b in (step.operands, step.operands[::-1]))):
         raise _Rejected("induction step is not +1")
     init = iv.phi_value_for(loop.preheader)
     return iv, step, init, bound, pred == "slt", cond
@@ -189,72 +175,17 @@ def _find_reductions(loop: Loop, iv, config: AutoVecConfig):
     return reductions
 
 
-def _classify_access(affine: Optional[Affine], elem: Type, config: AutoVecConfig) -> Tuple[str, int]:
+def _classify_access(affine: Optional[Affine], elem: Type) -> Tuple[str, int]:
     if affine is None:
-        if config.allow_gather:
-            return ("gather", 0)
         raise _Rejected("unanalyzable memory address")
     size = elem.size_bytes()
     if affine.coeff == 0:
         return ("invariant", 0)
     if affine.coeff == size:
         return ("unit", 1)
-    if affine.coeff % size == 0:
-        stride = affine.coeff // size
-        if 2 <= stride <= config.max_stride:
-            return ("strided", stride)
-    if config.allow_gather:
-        return ("gather", 0)
+    if affine.coeff % size == 0 and 2 <= affine.coeff // size <= _MAX_STRIDE:
+        return ("strided", affine.coeff // size)
     raise _Rejected(f"stride of {affine.coeff} bytes is not vectorizable")
-
-
-def _check_dependences(accesses, vf: int) -> None:
-    """Affine dependence test: reject loop-carried conflicts within VF.
-
-    ``accesses`` is in body (program) order.  A conflict with iteration
-    distance ``0 < |Δ| < VF`` is safe only when the widened execution
-    preserves the serial producer→consumer order: the vector body runs
-    instruction by instruction with all VF lanes simultaneous, so a store
-    feeding a *later* iteration's load (flow dep, Δ > 0) is only correct
-    when the store instruction precedes the load in body order, and an
-    anti dependence (Δ < 0) only when the load precedes the store.
-    """
-    indexed = list(enumerate(accesses))
-    for s_pos, (a_store, s_inst, is_store) in indexed:
-        if not is_store:
-            continue
-        if a_store is None:
-            raise _Rejected("store through unanalyzable address")
-        if a_store.coeff == 0:
-            raise _Rejected("store to loop-invariant address")
-        for o_pos, (a_other, o_inst, other_is_store) in indexed:
-            if o_inst is s_inst:
-                continue
-            if a_other is None or not a_store.same_base(a_other):
-                continue  # distinct symbolic bases: assumed no-alias
-            if a_store.coeff != a_other.coeff:
-                raise _Rejected("same-base accesses with different strides")
-            delta_bytes = a_store.const - a_other.const
-            if delta_bytes % a_store.coeff:
-                continue  # never the same address
-            # store at iteration k hits the other access of iteration k+delta
-            delta = delta_bytes // a_store.coeff
-            if delta == 0:
-                if other_is_store:
-                    raise _Rejected("two stores to the same address per iteration")
-                continue  # same-iteration load+store: fine
-            if 0 < abs(delta) < vf:
-                if other_is_store:
-                    raise _Rejected("loop-carried output dependence")
-                load_first = o_pos < s_pos
-                if delta > 0 and load_first:
-                    raise _Rejected(
-                        f"loop-carried flow dependence (distance {delta})"
-                    )
-                if delta < 0 and not load_first:
-                    raise _Rejected(
-                        f"loop-carried anti dependence (distance {-delta})"
-                    )
 
 
 _WIDENABLE = (
@@ -299,8 +230,8 @@ def _vectorize_loop(module: Module, function: Function, loop: Loop,
     reductions = _find_reductions(loop, iv, config)
     affine = AffineAnalysis(loop, iv)
 
-    # Legality walk + access classification.
-    accesses = []  # (Affine, instr, is_store)
+    # Legality walk + access classification: each access a lockstep ref.
+    refs: List[MemRef] = []
     body_instrs: List[Instruction] = []
     skip = {iv, step, exit_cmp}
     skip.update(phi for phi, _ in reductions)
@@ -308,10 +239,13 @@ def _vectorize_loop(module: Module, function: Function, loop: Loop,
         for instr in block.instructions:
             if instr.is_terminator or instr in skip:
                 continue
-            if instr.opcode == "load":
-                accesses.append((affine.analyze(instr.operands[0]), instr, False))
-            elif instr.opcode == "store":
-                accesses.append((affine.analyze(instr.operands[1]), instr, True))
+            if instr.opcode in ("load", "store"):
+                store = instr.opcode == "store"
+                elem = (instr.operands[0] if store else instr).type
+                a = affine.analyze(instr.operands[store])
+                _classify_access(a, elem)
+                refs.append(MemRef(a.sym, a.const, a.coeff,
+                                   (1 << elem.size_bytes()) - 1, store, len(refs)))
             elif instr.opcode == "call":
                 callee = instr.operands[0]
                 if not (isinstance(callee, ExternalFunction) and callee.name.startswith("ml.")):
@@ -334,16 +268,16 @@ def _vectorize_loop(module: Module, function: Function, loop: Loop,
                 continue
             raise _Rejected(f"%{special.name} has uses beyond loop control")
 
+    # Dependences: VF iterations run each access in lockstep.
     widest = _widest_bits(loop)
     vf = max(2, machine.vector_bits // widest)
-    for a, inst, is_store in accesses:
-        elem = inst.type if inst.opcode == "load" else inst.operands[0].type
-        _classify_access(a, elem, config)
-    _check_dependences(accesses, vf)
+    reason = lockstep_conflict(refs, vf)
+    if reason is not None:
+        raise _Rejected(reason)
 
     _emit_vector_loop(
         module, function, loop, blocks, iv, step, init, bound, signed,
-        exit_cmp, reductions, affine, body_instrs, vf, config,
+        exit_cmp, reductions, affine, body_instrs, vf,
     )
 
 
@@ -372,7 +306,7 @@ def _linear_blocks(loop: Loop) -> List[BasicBlock]:
 
 
 def _emit_vector_loop(module, function, loop, blocks, iv, step, init, bound, signed,
-                      exit_cmp, reductions, affine, body_instrs, vf, config) -> None:
+                      exit_cmp, reductions, affine, body_instrs, vf) -> None:
     ity = iv.type
     preheader = loop.preheader
     header = loop.header
@@ -405,7 +339,7 @@ def _emit_vector_loop(module, function, loop, blocks, iv, step, init, bound, sig
         vacc.append_operand(vpre)
         vaccs[phi] = vacc
 
-    emitter = _BodyEmitter(module, function, b, loop, affine, iv, viv, vf, config)
+    emitter = _BodyEmitter(module, function, b, loop, affine, iv, viv, vf)
     for phi, update in reductions:
         emitter.vec[phi] = vaccs[phi]
     for instr in body_instrs:
@@ -457,24 +391,10 @@ def _emit_vector_loop(module, function, loop, blocks, iv, step, init, bound, sig
 
 
 def _reduction_identity(opcode: str, type: Type, vf: int) -> Constant:
-    if opcode in ("add", "fadd", "or", "xor"):
-        value = 0.0 if type.is_float else 0
-    elif opcode == "and":
-        value = (1 << type.bits) - 1
-    elif opcode in ("smin",):
-        value = (1 << (type.bits - 1)) - 1
-    elif opcode in ("smax",):
-        value = 1 << (type.bits - 1)
-    elif opcode in ("umin",):
-        value = (1 << type.bits) - 1
-    elif opcode in ("umax",):
-        value = 0
-    elif opcode in ("fmin",):
-        value = float("inf")
-    elif opcode in ("fmax",):
-        value = float("-inf")
-    else:  # pragma: no cover
-        raise _Rejected(f"no identity for reduction {opcode}")
+    top = (1 << type.bits) - 1
+    value = {"and": top, "umin": top, "smin": top >> 1, "smax": (top >> 1) + 1,
+             "fmin": float("inf"), "fmax": float("-inf")}.get(
+                 opcode, 0.0 if type.is_float else 0)
     return Constant(VectorType(type, vf), [value] * vf)
 
 
@@ -494,7 +414,7 @@ class _BodyEmitter:
     """Widen one straight-line loop body by VF."""
 
     def __init__(self, module, function, b: IRBuilder, loop, affine: AffineAnalysis,
-                 iv, viv, vf: int, config: AutoVecConfig):
+                 iv, viv, vf: int):
         self.module = module
         self.function = function
         self.b = b
@@ -503,7 +423,6 @@ class _BodyEmitter:
         self.iv = iv
         self.viv = viv
         self.vf = vf
-        self.config = config
         self.vec: Dict[Value, Value] = {}
         self.scalar_clone: Dict[Value, Value] = {iv: viv}
         self._mask = Constant(VectorType(I1, vf), [1] * vf)
@@ -574,22 +493,20 @@ class _BodyEmitter:
     def _emit_load(self, instr: Instruction) -> Value:
         addr = instr.operands[0]
         form = self.affine.analyze(addr)
-        kind, stride = _classify_access(form, instr.type, self.config)
+        kind, stride = _classify_access(form, instr.type)
         if kind == "invariant":
             scalar = self.b.load(self.clone_scalar(addr), "vec." + instr.name)
             return self.b.broadcast(scalar, self.vf, "vec." + instr.name)
         base = self.clone_scalar(addr)
         if kind == "unit":
             return self.b.vload(base, self.vf, self._mask, "vec." + instr.name)
-        if kind == "strided":
-            return self._window_load(base, stride, instr)
-        return self._gather(base, form, instr)
+        return self._window_load(base, stride, instr)
 
     def _window_load(self, base: Value, stride: int, instr: Instruction) -> Value:
         vf = self.vf
-        rel = np.arange(vf, dtype=np.int64) * stride
-        idx = Constant(VectorType(I64, vf), [int(e) for e in rel])
-        positions = set(int(e) for e in rel)
+        rel = [lane * stride for lane in range(vf)]
+        idx = Constant(VectorType(I64, vf), rel)
+        positions = set(rel)
         result = None
         for j in range(stride):
             ptr = self.b.gep(base, Constant(I64, j * vf)) if j else base
@@ -608,40 +525,24 @@ class _BodyEmitter:
                 result = self.b.select(pick, shuffled, result)
         return result
 
-    def _gather(self, base: Value, form, instr: Instruction) -> Value:
-        addr_scalar = self.b.ptrtoint(base, I64)
-        splat = self.b.broadcast(addr_scalar, self.vf)
-        offs = Constant(
-            VectorType(I64, self.vf),
-            [form.coeff * lane for lane in range(self.vf)] if form else [0] * self.vf,
-        )
-        ptrs = self.b.inttoptr(
-            self.b.add(splat, offs), VectorType(instr.operands[0].type, self.vf)
-        )
-        return self.b.gather(ptrs, self._mask, "vec." + instr.name)
-
     def _emit_store(self, instr: Instruction) -> None:
         value, addr = instr.operands
         form = self.affine.analyze(addr)
-        kind, stride = _classify_access(form, value.type, self.config)
+        kind, stride = _classify_access(form, value.type)
         wide = self.widen(value)
         base = self.clone_scalar(addr)
         if kind == "unit":
             self.b.vstore(wide, base, self._mask)
-            return
-        if kind == "strided":
+        else:
             self._window_store(base, stride, wide)
-            return
-        raise _Rejected(f"cannot vectorize store of kind {kind}")
 
     def _window_store(self, base: Value, stride: int, wide: Value) -> None:
         vf = self.vf
-        rel = np.arange(vf, dtype=np.int64) * stride
+        rel = [lane * stride for lane in range(vf)]
         for j in range(stride):
             inv = [0] * vf
             valid = [0] * vf
             for lane, e in enumerate(rel):
-                e = int(e)
                 if j * vf <= e < (j + 1) * vf:
                     inv[e - j * vf] = lane
                     valid[e - j * vf] = 1

@@ -103,28 +103,24 @@ generated code:
   or with a used result; internal calls; non-affine
   gang-dependent scalars and phis; scalar loop state leaving its
   divergent loop; gang-dependent branches; values escaping the
-  loop; accesses whose rows would overlap (Δ below the access's width);
-  and stores that may overlap across gangs.  That last check groups the
-  loop's stores by symbolic base (the atoms of the address's affine
-  form), needs one Δ per base, and rejects when an
-  active byte of one gang shares a byte with another gang's — masks read
-  at batch time from constants, a runtime mask counting as all lanes.
-  Stores to different bases are assumed gang-independent: the SPMD
+  loop; accesses whose rows would overlap (Δ below the access's width).
+  Memory is one question — does running B consecutive gangs in lockstep
+  reverse a dependence of the unbatched order? — answered by
+  :mod:`~repro.backend.lockstep`, the auto-vectorizer's test too, over
+  one ref per ``vload``, ``vstore`` and folded atomic: base and offset
+  its address's atoms and constant bytes (:func:`_footprint_key`), step
+  δ·G, bytes the lanes its mask may set (a runtime mask: every lane).
+  So a read of a later gang's cells before that gang's store batches —
+  unbatched, gang k sees what gangs below k stored and not what gangs
+  above will — and a read of them after this gang's store does not.
+  Accesses to different bases are assumed gang-independent: the SPMD
   model's unordered-threads contract already makes a cross-gang data
-  race unspecified.  A *load* of a cell another gang of the trip writes
-  is not, because the unbatched build (the spec) gives it one answer:
-  gang k sees what gangs below k stored and not what gangs above will.
-  So a ``vload`` in a store footprint group is rejected unless its bytes
-  meet only its own gang's (the chunk test above, over reads and
-  writes), and so is one at an atomic's base; a ``gather``, which has no
-  base, is rejected when its pointer roots — the scalar pointers its
-  address arithmetic starts from, or a pointer read from memory — meet
-  those of any ``vstore`` or atomic of the loop (``gather may read
-  another gang's store``).  That is a scan over the kernel's own output:
-  ``find`` inlined into the gang loop, reading every ``a[j]`` while gang
-  k writes ``a[8k..8k+7]``.  The test is conservative: a read of a
-  later gang's cells before the store is as safe batched as unbatched,
-  and is rejected too.
+  race unspecified.  A ``gather``, which has no base, is rejected when
+  its pointer roots — the scalar pointers its address arithmetic starts
+  from, or a pointer read from memory — meet those of any ``vstore`` or
+  atomic of the loop (``gather may read another gang's store``): ``find``
+  inlined into the gang loop, reading every ``a[j]`` while gang k writes
+  ``a[8k..8k+7]``.
 * **Row nests.**  A gang loop inside a counted row loop (step 1, bound
   invariant) whose body is a straight-line scalar prologue affine in the
   row index (``row = y*w``, ``sums[y] = 0``), the gang loop with a
@@ -186,6 +182,7 @@ from ..runtime.mathlib import vector_math_external
 from ..vm.interp import _constant_payload
 from ..vm.ops import value_impl
 from .costmodel import suggest_batch_factor
+from .lockstep import MemRef, lockstep_conflict
 
 __all__ = ["batch_module", "select_batch_factor", "BatchReport"]
 
@@ -421,7 +418,7 @@ class AffineForms:
       in ``skip``, has no form.
 
     Batching reads one gang's delta δ from a form (``v = v0 +
-    δ·gang_base``, :meth:`delta`), and a store's footprint group, its
+    δ·gang_base``, :meth:`delta`), and an access's lockstep ref, its
     atoms and constant bytes (:func:`_footprint_key`).  A row nest's
     legality walk reads the forms codegen can evaluate on entering the
     nest (:meth:`at_entry`), and codegen its addresses and row strides
@@ -618,7 +615,7 @@ def _per_gang_reason(per_gang: Dict[Instruction, None],
     return None
 
 
-# -- memory footprints ---------------------------------------------------------------
+# -- memory refs ------------------------------------------------------------------
 
 
 #: The vector opcodes :func:`_known_lanes` evaluates over known operands.
@@ -647,57 +644,18 @@ def _known_lanes(v: Value, memo: Dict[Value, object]):
     return lanes
 
 
-def _store_bytes(lanes, count: int, esize: int) -> int:
-    """The bytes a packed store writes, as a bitset over its own span
+def _lane_bytes(lanes, count: int, esize: int) -> int:
+    """The bytes a packed access touches, as a bitset over its own span
     (``lanes``: its known mask, ``None`` for a runtime one = every lane)."""
     if lanes is None:
         return (1 << (count * esize)) - 1
     cell = (1 << esize) - 1
-    bits = 0
-    for lane, on in enumerate(lanes):
-        if on:
-            bits |= cell << (lane * esize)
-    return bits
-
-
-def _footprint_reason(groups: Dict[frozenset, list]) -> Optional[str]:
-    """One check over every store to one symbolic base: with a per-gang
-    byte delta Δ, gang k writes each byte of gang 0's footprint plus k·Δ,
-    so two gangs meet exactly when two written bytes differ by a nonzero
-    multiple of Δ — the footprint cut into Δ-byte chunks then has two
-    chunks sharing a bit.  Integer bitsets only."""
-    for stores in groups.values():
-        steps = {step for _, step, _ in stores}
-        if len(steps) != 1:
-            return "stores to one base advance by different per-gang deltas"
-        step = steps.pop()
-        low = min(offset for offset, _, _ in stores)
-        seen = 0
-        for part in _chunks([(o, bits) for o, _, bits in stores], low, step):
-            if seen & part:
-                return "stores may overlap across gangs"
-            seen |= part
-    return None
-
-
-def _chunks(accesses, low: int, step: int) -> List[int]:
-    """The bytes of ``(offset, bitset)`` accesses as one footprint from
-    ``low``, cut into ``step``-byte chunks: chunk i holds what gang i
-    would touch at gang 0's positions."""
-    footprint = 0
-    for offset, bits in accesses:
-        footprint |= bits << (offset - low)
-    chunk = (1 << step) - 1
-    out = []
-    while footprint:
-        out.append(footprint & chunk)
-        footprint >>= step
-    return out
+    return sum(cell << (lane * esize) for lane, on in enumerate(lanes) if on)
 
 
 def _pointer_roots(addr: Value) -> frozenset:
     """The objects ``addr`` may point into, named as the symbolic bases of
-    the footprint check name them: the scalar pointers where its address
+    the lockstep refs name them: the scalar pointers where its address
     arithmetic starts — an argument, alloca, phi or select — and ``None``
     for a pointer read from memory or returned by a call, or an address
     made from integers alone.  A loaded integer is data (an index), not
@@ -727,49 +685,20 @@ def _pointer_roots(addr: Value) -> frozenset:
 _READS = frozenset(("load", "vload", "gather", "atomicrmw", "call"))
 
 
-def _read_reason(reads: List[Instruction], writes: List[Instruction],
-                 forms: AffineForms, gang: int, stores: Dict[frozenset, list],
-                 atomic_bases: List[frozenset],
-                 known: Dict[Value, object]) -> Optional[str]:
-    """Whether a load of the gang loop may read a cell another gang of
-    the trip writes (see "Legality"), as a rejection reason."""
-    written = None
-    for r in reads:
-        addr = r.operands[0]
-        if r.opcode == "vload":
-            base, offset = _footprint_key(forms(addr))
-            group = stores.get(base)
-            if base in atomic_bases or group is not None and not \
-                    _reads_own_gang(r, offset, forms.delta(addr) * gang,
-                                    group, known):
-                return "vload may read another gang's store"
-            continue
-        if written is None:
-            written = [_pointer_roots(w.operands[_ADDRESS_OPERAND[w.opcode]])
-                       for w in writes]
-        roots = _pointer_roots(addr)
+def _gather_reason(gathers: List[Instruction],
+                   writes: List[Instruction]) -> Optional[str]:
+    """Whether a gather of the gang loop, which has no affine base, may
+    read a cell another gang of the trip writes (see "Legality")."""
+    if not gathers:
+        return None
+    written = [_pointer_roots(w.operands[_ADDRESS_OPERAND[w.opcode]])
+               for w in writes]
+    for g in gathers:
+        roots = _pointer_roots(g.operands[0])
         if any(None in roots or None in w or not roots.isdisjoint(w)
                for w in written):
-            return f"{r.opcode} may read another gang's store"
+            return "gather may read another gang's store"
     return None
-
-
-def _reads_own_gang(load: Instruction, offset: int, step: int, group: list,
-                    known: Dict[Value, object]) -> bool:
-    """A ``vload`` at ``offset`` of a store footprint group whose bytes meet
-    only its own gang's stores: the group advances by the load's
-    ``step``, and no read byte sits in another step-sized chunk than a
-    written byte at the same position — gang k reads its bytes plus
-    k·step, so it meets gang k' ≠ k exactly there."""
-    if any(s != step for _, s, _ in group):
-        return False
-    lanes = _known_lanes(load.operands[1], known)
-    read = _store_bytes(lanes, load.type.count, load.type.elem.size_bytes())
-    low = min([offset] + [o for o, _, _ in group])
-    written = _chunks([(o, bits) for o, _, bits in group], low, step)
-    return not any(i != j and r & w
-                   for i, r in enumerate(_chunks([(offset, read)], low, step))
-                   for j, w in enumerate(written))
 
 
 # -- annotation helpers --------------------------------------------------------------
@@ -1156,26 +1085,29 @@ def _batch_one_loop(function: Function, gl: _CountedLoop, batch: int,
             for op in [instr.opcode]):
         return "scatter-add beside an access with no entry form"
 
-    # Memory: strided rows, stores that may meet across gangs, and loads
-    # that may read another gang's store.
+    # Memory: strided rows, then one lockstep test over the affine
+    # accesses (see "Legality"), and the gathers' pointer roots.
     row_strides: Dict[Instruction, int] = {}
-    stores: Dict[frozenset, list] = {}
-    atomic_bases: List[frozenset] = []
-    known: Dict[Value, object] = {}
-    reads: List[Instruction] = []
+    refs: List[MemRef] = []
+    gathers: List[Instruction] = []
     writes: List[Instruction] = []
-    for block in ordered:
+    known: Dict[Value, object] = {}
+    for block in reverse_postorder(function):
+        if block not in loop_blocks:
+            continue
+        looped = len(region.chain[block]) > 1
         for instr in block.instructions:
             op = instr.opcode
-            if instr in served or instr in chained:
+            if op not in _ADDRESS_OPERAND or instr in served or instr in chained:
                 continue  # private rows; a scatter-add checks at run time
-            if op in ("vload", "gather"):
-                reads.append(instr)
-            elif op in ("vstore", "atomicrmw"):
-                writes.append(instr)
-            if op in ("vload", "vstore"):
+            if op == "gather":
+                gathers.append(instr)
+                continue
+            addr = instr.operands[_ADDRESS_OPERAND[op]]
+            if op == "atomicrmw":
+                step, bits = 0, (1 << instr.type.size_bytes()) - 1
+            else:
                 data = instr.type if op == "vload" else instr.operands[0].type
-                addr = instr.operands[0 if op == "vload" else 1]
                 esize = data.elem.size_bytes()
                 row = data.count * esize
                 step = forms.delta(addr) * gang  # affine: checked above
@@ -1184,18 +1116,14 @@ def _batch_one_loop(function: Function, gl: _CountedLoop, batch: int,
                         return (f"{op} rows overlap across gangs (stride"
                                 f" {step} below the {row}-byte row)")
                     row_strides[instr] = step
-                if op == "vstore":
-                    base, offset = _footprint_key(forms(addr))
-                    lanes = _known_lanes(instr.operands[2], known)
-                    stores.setdefault(base, []).append(
-                        (offset, step, _store_bytes(lanes, data.count, esize)))
-            elif op == "atomicrmw":
-                atomic_bases.append(_footprint_key(forms(instr.operands[0]))[0])
-    if any(base in stores for base in atomic_bases):
-        return "atomicrmw and vstore share a base"
-    reason = (_footprint_reason(stores)
-              or _read_reason(reads, writes, forms, gang, stores,
-                              atomic_bases, known))
+                lanes = _known_lanes(instr.operands[-1], known)
+                bits = _lane_bytes(lanes, data.count, esize)
+            if op != "vload":
+                writes.append(instr)
+            base, offset = _footprint_key(forms(addr))
+            refs.append(MemRef(base, offset, step, bits, op != "vload",
+                               len(refs), looped, op == "atomicrmw"))
+    reason = lockstep_conflict(refs, batch) or _gather_reason(gathers, writes)
     if reason is not None:
         return reason
 

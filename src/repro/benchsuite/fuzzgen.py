@@ -64,8 +64,8 @@ from typing import List
 
 import numpy as np
 
-__all__ = ["FuzzKernel", "generate_kernel", "workload_arrays", "N_THREADS",
-           "N_CELLS"]
+__all__ = ["FuzzKernel", "generate_kernel", "generate_shifted_kernel",
+           "workload_arrays", "N_THREADS", "N_CELLS"]
 
 #: Thread count for every fuzz kernel: deliberately not a multiple of any
 #: gang size below, so the tail gang (partial last gang) is always covered.
@@ -455,6 +455,37 @@ void kernel(f32* A, f32* B, i32* C, f32* OUT, i32* IOUT,
 def generate_kernel(seed: int) -> FuzzKernel:
     """One deterministic random SPMD kernel for ``seed``."""
     return _Gen(seed).generate()
+
+
+def generate_shifted_kernel(seed: int) -> FuzzKernel:
+    """A kernel for ``seed`` whose ``n - k`` threads read ``B`` (or ``C``)
+    ``k`` cells from where they write it — at ``i + k`` and ``i``, or at
+    ``i`` and ``i + k`` — before the write or after it: gang batching
+    must keep what each thread sees unbatched, or stay unbatched."""
+    rng = random.Random(seed)
+    gang = rng.choice(_GANGS)
+    k = rng.randrange(1, 2 * gang + 2)
+    at = ["i", f"i + (u64){k}"]
+    read, write = at if rng.random() < 0.5 else at[::-1]
+    array, t, value, out = rng.choice((
+        ("B", "f32", "va * 0.5f + sv", "OUT"),
+        ("C", "i32", "si * (i32)3 + (i32)1", "IOUT")))
+    body = [f"{t} v = {array}[{read}];", f"{array}[{write}] = v + {value};"]
+    if rng.random() < 0.5:  # the write first, of a value the read is not
+        body = [body[1].replace("v + ", ""), body[0]]
+    return FuzzKernel(seed=seed, gang_size=gang, source=f"""
+void kernel(f32* A, f32* B, i32* C, f32* OUT, i32* IOUT,
+            f32 sv, i32 si, u64 n) {{
+    u64 m = n - (u64){k};
+    psim (gang_size={gang}, num_threads=m) {{
+        u64 i = psim_get_thread_num();
+        f32 va = A[i];
+        {body[0]}
+        {body[1]}
+        {out}[i] = v;
+    }}
+}}
+""")
 
 
 def workload_arrays(seed: int):

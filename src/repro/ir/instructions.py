@@ -216,10 +216,6 @@ class Instruction(Value):
         return self.opcode in TERMINATORS
 
     @property
-    def is_binop(self) -> bool:
-        return self.opcode in INT_BINOPS or self.opcode in FLOAT_BINOPS
-
-    @property
     def is_cast(self) -> bool:
         return self.opcode in CAST_OPS
 

@@ -195,11 +195,6 @@ class Vectorizer:
             return a
         return self.b.and_(a, b, "mask")
 
-    def _or_vec(self, a: Optional[Value], b: Optional[Value]) -> Optional[Value]:
-        if a is None or b is None:
-            return None
-        return self.b.or_(a, b, "mask")
-
     def _not_vec(self, m: Optional[Value]) -> Value:
         if m is None:
             return Constant(self.mask_type, [0] * self.gang)

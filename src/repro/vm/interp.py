@@ -580,8 +580,20 @@ class Interpreter:
         ``None`` for the memory, call and control opcodes the engine
         executes itself).  Keyed by the instruction object (identity
         hash): unlike ``id()``, a live key can never be recycled to alias
-        a different instruction."""
-        impl = value_impl(instr) if instr.opcode in COMPUTE_OPS else None
+        a different instruction.  A ``vload``/``vstore``'s impl is its
+        memory access, its operands in order, the lane dtype resolved."""
+        op = instr.opcode
+        impl = None
+        if op in COMPUTE_OPS:
+            impl = value_impl(instr)
+        elif op == "vload":
+            load, dt, n = (self.memory.load_lanes,
+                           elem_dtype(instr.type.elem), instr.type.count)
+            impl = lambda addr, mask: load(addr, dt, n, mask)
+        elif op == "vstore":
+            store = self.memory.store_lanes
+            dt = elem_dtype(instr.operands[0].type.elem)
+            impl = lambda values, addr, mask: store(addr, dt, values, mask)
         record = self._records[instr] = (
             charge_items(instr, self.machine, self.cost_model), impl)
         return record
@@ -614,13 +626,6 @@ class Interpreter:
             old = memory.load_scalar(addr, t)
             memory.store_scalar(addr, t, scalar_binop_impl(rmw, t)(old, val))
             return old
-        if op == "vload":
-            return memory.load_packed(value(env, ops[0]), instr.type.elem,
-                                      instr.type.count, value(env, ops[1]))
-        if op == "vstore":
-            memory.store_packed(value(env, ops[1]), ops[0].type.elem,
-                                value(env, ops[0]), value(env, ops[2]))
-            return None
         if op == "gather":
             return memory.gather(value(env, ops[0]), instr.type.elem,
                                  value(env, ops[1]))

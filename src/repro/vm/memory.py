@@ -240,17 +240,10 @@ class Memory:
 
     # -- vector access ------------------------------------------------------------
 
-    def load_packed(self, addr: int, type: Type, count: int, mask=None) -> np.ndarray:
-        """Packed load of ``count`` consecutive elements of IR ``type``."""
-        return self.load_lanes(addr, elem_dtype(type), count, mask)
-
-    def store_packed(self, addr: int, type: Type, values: np.ndarray, mask=None) -> None:
-        self.store_lanes(addr, elem_dtype(type), values, mask)
-
     def load_lanes(self, addr: int, dtype: np.dtype, count: int, mask=None) -> np.ndarray:
-        """:meth:`load_packed` with the lane dtype already resolved (what
-        generated code's out-of-line view path calls, window by window,
-        for whatever its inline range test rejects).
+        """Packed load of ``count`` ``dtype`` lanes (the reference engine's
+        ``vload``, and generated code's out-of-line view path, window by
+        window, for whatever its inline range test rejects).
 
         With a mask, inactive lanes read as zero and, when every lane is
         inactive, the address is never validated (mirrors hardware masked
@@ -277,7 +270,7 @@ class Memory:
         return self.data[addr : addr + nbytes].view(dtype).copy()
 
     def store_lanes(self, addr: int, dtype: np.dtype, values: np.ndarray, mask=None) -> None:
-        """:meth:`store_packed` with the lane dtype already resolved."""
+        """Packed store of ``values`` as ``dtype`` lanes."""
         if mask is not None:
             active = count_nonzero(mask)
             if active != len(mask):

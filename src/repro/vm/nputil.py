@@ -13,6 +13,8 @@ Runtime representation conventions:
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from ..ir.types import FloatType, IntType, PointerType, Type, VectorType
@@ -45,6 +47,7 @@ _SIGNED = {8: np.int8, 16: np.int16, 32: np.int32, 64: np.int64}
 _FLOAT = {32: np.float32, 64: np.float64}
 
 
+@cache  # types are interned: one entry per type, found by identity
 def elem_dtype(type: Type):
     """The numpy dtype used to store lanes (or memory cells) of ``type``."""
     if isinstance(type, IntType):

@@ -278,17 +278,6 @@ def scalar_binop_impl(opcode: str, type: Type):
 # vector binops
 # --------------------------------------------------------------------------------
 
-_WIDER = {np.uint8: np.uint16, np.uint16: np.uint32, np.uint32: np.uint64}
-_WIDER_S = {np.uint8: np.int16, np.uint16: np.int32, np.uint32: np.int64}
-
-
-def _widen_u(a: np.ndarray):
-    wider = _WIDER.get(a.dtype.type)
-    if wider is None:
-        raise NotImplementedError(f"no wider dtype for {a.dtype}")
-    return a.astype(wider)
-
-
 def eval_vector_binop(opcode: str, elem: Type, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if isinstance(elem, FloatType):
         return _vector_float_binop(opcode, a, b)

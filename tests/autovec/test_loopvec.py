@@ -120,6 +120,38 @@ def test_distance_beyond_vf_is_allowed():
     assert interp.stats.count("vload") > 0
 
 
+#: ``b`` is ``a`` two bytes on: ``b[i]`` is the upper half of ``a[i]`` and
+#: the lower half of ``a[i + 1]``, so each access meets two elements of
+#: the other.
+MISALIGNED = """
+void shift(u32* a, i32 n) {
+    u32* b = (u32*)((u8*)a + 2);
+    for (i32 i = 0; i < n; i++) {
+        a[%s] = b[i] + 1;
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("store, vectorizes", [
+    # a[i + 1] is written before iteration i + 1 reads its lower half:
+    # a flow dependence that an exact-distance test (whole elements
+    # only) misses.
+    ("i + 1", False),
+    # a[i] is written after every read of it: an anti dependence that
+    # runs in order in a vector iteration.
+    ("i", True),
+], ids=["misaligned-flow", "misaligned-anti"])
+def test_a_partial_overlap_is_a_dependence(store, vectorizes):
+    src = MISALIGNED % store
+    a = np.random.default_rng(1).integers(0, 2**32, 72, dtype=np.uint32)
+    _, (want,), _ = run_with_arrays(compile_scalar(src), "shift", [a.copy()],
+                                    (64,))
+    _, (got,), interp = run_with_arrays(build(src), "shift", [a.copy()], (64,))
+    np.testing.assert_array_equal(got, want)
+    assert (interp.stats.count("vload") > 0) == vectorizes
+
+
 def test_if_conversion_enables_vectorization():
     src = """
     void relu(f32* x, f32* y, i32 n) {

@@ -52,7 +52,16 @@ batches as one scatter-add per trip; in its aliasing variant
 of ``C`` must replay on the unbatched twin, and the corpus must reach
 both.  Outputs are ``OUT``, ``IOUT``, ``B`` and ``C``.
 
-Both of those legs run their builds again in a memory that ends where
+A second generator, ``fuzzgen.generate_shifted_kernel``, reads one array
+``k`` cells from where it writes it, before or after the write: gang
+batching must batch exactly the kernels whose lockstep order keeps the
+unbatched one (``backend.lockstep``).  Its batched leg pits forced
+``batch_request=2`` and the cost model's factor against the unbatched
+build, outputs and ``ExecStats`` bitwise, and the corpus must reach
+kernels that batch and kernels that stay unbatched at both factors.
+
+Both of the first generator's batched legs run their builds again in a
+memory that ends where
 ``OUT`` does (``tight``): a tail gang's inactive lanes fall off the end,
 so generated code takes its out-of-line view path, which must leave
 exactly what the reference engine leaves in the same memory — outputs,
@@ -88,6 +97,7 @@ from repro.benchsuite.fuzzgen import (
     N_CELLS,
     N_THREADS,
     generate_kernel,
+    generate_shifted_kernel,
     workload_arrays,
 )
 from repro.diagnostics import CompileError
@@ -124,6 +134,11 @@ _ROW_CORPUS = {"collapsed": 0, "fell_back": 0}
 #: Batched builds holding a scatter-add, and launches of aliasing ones
 #: that replayed on the unbatched twin.
 _SCATTER_CORPUS = {"batched": 0, "replayed": 0}
+
+#: Shifted kernels per batch request (2, or the cost model's: ``None``)
+#: that batched, and that stayed unbatched.
+_SHIFTED_CORPUS = {(request, applied): 0 for request in (2, None)
+                   for applied in (True, False)}
 
 #: Every Nth seed also runs the forced-codegen differential below.
 _CODEGEN_EVERY = 5
@@ -360,6 +375,30 @@ def _batched_differential(kernel, seed, plain_out, context):
         _tight_differential(batched, reference, seed, where)
 
 
+def _assert_same_stats(got, want, context):
+    assert (got.cycles, got.instructions, dict(got.counts)) == (
+        want.cycles, want.instructions, dict(want.counts)), context
+    _assert_exact_counts(got, context)
+
+
+@pytest.mark.parametrize("seed", range(FUZZ_N // 2))
+def test_shifted_kernel_batches_only_in_order(seed):
+    """Batched builds of a shifted kernel against its unbatched build:
+    outputs and ``ExecStats``, bitwise, whether the loop batched or not."""
+    kernel = generate_shifted_kernel(seed)
+    context = f"shifted seed={seed}\n{kernel.source}"
+    want_out, want = _run(compile_parsimony(kernel.source, batch_request=0),
+                          seed, replays=0)
+    for request in (2, None):
+        module = compile_parsimony(kernel.source, batch_request=request)
+        applied = bool(module.attrs.get("batch_applied"))
+        _SHIFTED_CORPUS[request, applied] += 1
+        got_out, got = _run(module, seed, replays=0)
+        where = f"B={request or 'auto'}: {context}"
+        _assert_same(got_out, want_out, where)
+        _assert_same_stats(got, want, where)
+
+
 def _tight_differential(module, reference, seed, context):
     """``module`` on the default engine against ``reference`` on the
     reference engine, both in a memory that ends where ``OUT`` does:
@@ -496,6 +535,14 @@ def test_zz_corpus_exercised_row_nests():
         pytest.skip("FUZZ_N too small to draw enough row kernels")
     assert _ROW_CORPUS["collapsed"] > 0, _ROW_CORPUS
     assert _ROW_CORPUS["fell_back"] > 0, _ROW_CORPUS
+
+
+def test_zz_corpus_exercised_both_sides_of_the_lockstep_test():
+    """Shifted kernels must have batched, and stayed unbatched, at each
+    batch request."""
+    if FUZZ_N < 40:
+        pytest.skip("FUZZ_N too small to draw both kinds of shifted kernel")
+    assert all(_SHIFTED_CORPUS.values()), _SHIFTED_CORPUS
 
 
 def test_zz_corpus_exercised_codegen():

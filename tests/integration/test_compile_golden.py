@@ -37,9 +37,16 @@ lanes for a body with a loop, 512 for a straight-line one): exactly the
 76 batched kernels' module digests changed, to their wider factor, and
 no twin digest moved.
 
+``golden_autovec_digests.json`` holds, for the same 79 kernels, the
+sha256 of ``print_module`` of ``compile_autovec`` over the kernel's
+scalar source (the baseline the figures normalize against), recorded
+before the auto-vectorizer's dependence test became the one lockstep test
+it shares with gang batching (``backend.lockstep``).
+
 Regenerate (only when a PR means to change compiled IR, and says so)::
 
     PYTHONPATH=src python tests/integration/test_compile_golden.py --write
+    PYTHONPATH=src python tests/integration/test_compile_golden.py --write-autovec
 """
 
 import hashlib
@@ -50,6 +57,7 @@ from pathlib import Path
 import pytest
 
 from repro import driver
+from repro.backend import AVX512
 from repro.backend.batch import unbatched_twin
 from repro.benchsuite.ispc_suite import BENCHMARKS as FIG4
 from repro.benchsuite.simdlib import KERNELS as FIG5
@@ -57,6 +65,7 @@ from repro.ir.module import Module
 from repro.ir.printer import print_module
 
 GOLDEN = Path(__file__).with_name("golden_ir_digests.json")
+AUTOVEC = Path(__file__).with_name("golden_autovec_digests.json")
 SPECS = list(FIG4) + list(FIG5)
 
 
@@ -69,6 +78,11 @@ def digests(spec) -> dict:
         spec.psim_src, module_name=f"{spec.name}.parsimony")
     twin = unbatched_twin(module)
     return {"module": _sha(module), "twin": None if twin is None else _sha(twin)}
+
+
+def autovec_digest(spec) -> str:
+    return _sha(driver.compile_autovec(spec.scalar_src, AVX512,
+                                       f"{spec.name}.autovec"))
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +111,19 @@ def test_compiled_ir_matches_golden_digest(spec, golden):
         assert _sha(unbatched) == got["twin"]
 
 
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+def test_autovec_ir_matches_golden_digest(spec):
+    driver.clear_compile_cache()
+    assert autovec_digest(spec) == json.loads(AUTOVEC.read_text())[spec.name]
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
+    writers = {"--write": (GOLDEN, digests),
+               "--write-autovec": (AUTOVEC, autovec_digest)}
+    if len(sys.argv) != 2 or sys.argv[1] not in writers:
         sys.exit(__doc__)
-    GOLDEN.write_text(json.dumps(
-        {spec.name: digests(spec) for spec in SPECS}, indent=1, sort_keys=True
+    path, digest = writers[sys.argv[1]]
+    path.write_text(json.dumps(
+        {spec.name: digest(spec) for spec in SPECS}, indent=1, sort_keys=True
     ) + "\n")
-    print(f"wrote {len(SPECS)} digests to {GOLDEN}")
+    print(f"wrote {len(SPECS)} digests to {path}")

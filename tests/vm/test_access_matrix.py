@@ -17,9 +17,17 @@ under static and under runtime masks, window copy — with its array inside
 memory, ending it under a tail gang, misaligned, on the NULL page and past
 the end; there the one out-of-line pair runs exactly when a range test
 fails.
+
+And it holds for a collapsed row nest's per-row cells — a row prologue's
+store and a per-row atomic, ``sums[y]`` for each row of the trip — which
+generated code updates as one strided view, or row by row through
+``Memory`` where no view serves: the cells outside the physical buffer,
+on the NULL page or past the end, or an atomic no numpy ufunc folds
+(``smin``).
 """
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -512,3 +520,72 @@ def test_each_view_form_emits_the_view_it_names(form):
                                DEFAULT_COST_MODEL, module.fingerprint)
     assert re.search(VIEW_MARKERS[form], text), form
     assert ("_r = " in text) == (batch is None)
+
+
+#: A row prologue's store and a per-row atomic of a collapsed nest.
+ROW_CELLS = """
+void kernel(u16* src, i32* sums, u64 w, u64 h) {
+    for (u64 y = 0; y < h; y++) {
+        sums[y] = (i32)7;
+        u64 row = y * w;
+        psim (gang_size=8, num_threads=w) {
+            u64 x = psim_get_thread_num();
+            i32 t = psim_reduce_add_sync((i32)src[row + x] - (i32)40);
+            if (psim_get_lane_num() == 0) { %s(sums + y, t); }
+        }
+    }
+}
+"""
+
+#: case -> (the atomic, where ``sums`` is: allocated, or an address).
+ROW_CELL_CASES = {
+    "inside": ("psim_atomic_add", None),
+    "signed-min": ("psim_atomic_smin", None),
+    "beyond-buffer": ("psim_atomic_add", 1 << 19),
+    "null": ("psim_atomic_add", 0),
+    "past-end": ("psim_atomic_add", (1 << 20) - 8),
+}
+
+
+def _row_cell_launch(module, case, **engine):
+    interp = Interpreter(module, memory=Memory(1 << 20), **engine)
+    memory = interp.memory
+    src = memory.alloc_array(np.arange(W * H, dtype=np.uint16) * 7 % 97)
+    sums = ROW_CELL_CASES[case][1]
+    if sums is None:
+        sums = memory.alloc_array(np.zeros(H, np.int32))
+    trap = None
+    try:
+        interp.run("kernel", src, sums, W, H)
+    except ExecutionError as exc:
+        trap = f"{type(exc).__name__}: {exc}"
+    stats = interp.stats
+    return {
+        "trap": trap,
+        "stats": (stats.cycles, stats.instructions, dict(stats.counts)),
+        "image": memory.image().tobytes(),
+        "extent": memory.extent,
+    }, interp
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CELL_CASES))
+def test_row_cells_leave_what_the_reference_leaves(case, monkeypatch):
+    source = ROW_CELLS % ROW_CELL_CASES[case][0]
+    want, _ = _row_cell_launch(driver.compile_parsimony(
+        source, batch_request=0), case, codegen=False)
+    module = driver.compile_parsimony(source)
+    assert any(" rows of " in e for e in module.attrs["batch_applied"])
+    row_by_row = []
+    scalar = Memory.store_scalar
+
+    def store_scalar(self, addr, type, value):
+        if sys._getframe(1).f_code.co_name in ("_store_rows", "_rmw_rows"):
+            row_by_row.append(addr)
+        return scalar(self, addr, type, value)
+
+    monkeypatch.setattr(Memory, "store_scalar", store_scalar)
+    got, interp = _row_cell_launch(module, case)
+    assert got == want, case
+    assert (want["trap"] is not None) == (case in ("null", "past-end"))
+    assert interp.batch_replays == (want["trap"] is not None)
+    assert bool(row_by_row) == (case != "inside"), case

@@ -26,9 +26,12 @@ covers, never what a launch computes or what it is charged:
   and replay); a budget trap inside a predicated trip and inside the
   expanded-storage loops of ``binomial_options``; a private array read
   before it is written, which replays on the twin;
-* a gang loop whose loads may read another gang's stores stays
-  unbatched: an inlined scan over the kernel's own output (a gather),
-  and a ``vload`` shifted into the next gang's stores.
+* a gang loop whose gather may read another gang's stores stays
+  unbatched (an inlined scan over the kernel's own output), and one
+  whose ``vload`` is shifted into a neighbour gang's stores batches
+  exactly when lockstep keeps the unbatched order of the two: a read
+  of the next gang's cells before the store, or of the previous gang's
+  after it.
 """
 
 import linecache
@@ -484,21 +487,9 @@ void kernel(i32* a, u64 n) {
 }
 """
 
-#: Gang k reads the cells gang k + 1 stores.
-SHIFTED = """
-void kernel(i32* a, u64 n) {
-    psim (gang_size=8, num_threads=n) {
-        u64 i = psim_get_thread_num();
-        a[i] = a[i + (u64)8] + (i32)1;
-    }
-}
-"""
-
-
 @pytest.mark.parametrize("src, reason", [
     (SCAN_OWN_OUTPUT, "gather may read another gang's store"),
-    (SHIFTED, "vload may read another gang's store"),
-], ids=["scan-own-output", "shifted-vload"])
+], ids=["scan-own-output"])
 def test_a_load_of_another_gangs_store_keeps_its_loop_unbatched(src, reason):
     def launch(module):
         interp = Interpreter(module)
@@ -516,3 +507,60 @@ def test_a_load_of_another_gangs_store_keeps_its_loop_unbatched(src, reason):
     # Forcing a factor does not get round the check either.
     assert not driver.compile_parsimony(
         src, batch_request=4).attrs.get("batch_applied")
+
+
+#: ``a`` read one gang (8 threads) away from where it is stored: before or
+#: after the store, from the next gang's cells or the previous gang's.
+#: Unbatched, gang k sees what gangs below k stored and not what gangs
+#: above will; a batched trip runs each access for all its gangs at once.
+SHIFTED = """
+void kernel(i32* a, i32* b, u64 n) {
+    psim (gang_size=8, num_threads=n) {
+        u64 i = psim_get_thread_num();
+        %s
+    }
+}
+"""
+
+#: ``None``: the loop batches, else its rejection reason.
+SHIFTED_CASES = {
+    # The next gang's cells before it stores them: old values both ways.
+    "shifted-vload": ("a[i] = a[i + (u64)8] + (i32)1;", None),
+    # The previous gang's cells after it stored them: new values both ways.
+    "store-then-earlier": ("a[i + (u64)8] = b[i] + (i32)1; b[i] = a[i];",
+                           None),
+    # Listing 1's a[i+1] = a[i], a gang apart: unbatched, gang k reads
+    # what gang k - 1 stored; in lockstep it reads before that store.
+    "shifted-store": ("a[i + (u64)8] = a[i] + (i32)1;",
+                      "lockstep reverses a read-after-write dependence at"
+                      " distance 1"),
+    # The next gang's cells after this gang's store: unbatched they are
+    # old; in lockstep the next gang has stored them.
+    "store-then-later": ("a[i] = b[i] + (i32)1; b[i] = a[i + (u64)8];",
+                         "lockstep reverses a write-after-read dependence"
+                         " at distance 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHIFTED_CASES))
+def test_a_shifted_load_batches_when_lockstep_keeps_its_order(case):
+    body, reason = SHIFTED_CASES[case]
+    src = SHIFTED % body
+
+    def launch(module):
+        interp = Interpreter(module)
+        a = interp.memory.alloc_array(np.arange(-5, 35, dtype=np.int32))
+        b = interp.memory.alloc_array(np.arange(100, 140, dtype=np.int32))
+        interp.run("kernel", a, b, 32)
+        stats = interp.stats
+        assert not interp.batch_replays
+        return (interp.memory.image().tobytes(), stats.cycles,
+                stats.instructions, dict(stats.counts))
+
+    want = launch(driver.compile_parsimony(src, batch_request=0))
+    for request in (None, 2, 4):
+        module = driver.compile_parsimony(src, batch_request=request)
+        got = [r["reason"] for r in module.attrs.get("batch_rejected", ())]
+        assert got == ([] if reason is None else [reason]), (case, request)
+        assert bool(module.attrs.get("batch_applied")) == (reason is None)
+        assert launch(module) == want, (case, request)

@@ -337,8 +337,9 @@ void kernel(u8* a, u8* dst, u64 n) {
 
 
 @pytest.mark.parametrize("src, reason", [
-    (OVERLAP_SRC, "stores may overlap across gangs"),
-    (TWO_DELTA_SRC, "stores to one base advance by different per-gang deltas"),
+    (OVERLAP_SRC,
+     "lockstep reverses a write-after-write dependence at distance 1"),
+    (TWO_DELTA_SRC, "accesses to one base advance by different steps"),
 ], ids=["overlapping_stores", "two_deltas_one_base"])
 def test_stores_that_may_meet_across_gangs_stay_unbatched(src, reason):
     n = 1024

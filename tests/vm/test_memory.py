@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.ir.types import F32, I8, I16, I32
 from repro.vm import Memory, MemoryError_
+from repro.vm.nputil import elem_dtype
 
 
 def test_alloc_alignment():
@@ -80,10 +81,11 @@ def test_masked_tail_load_does_not_fault_at_array_end():
     tail = mem.alloc(8)  # 8 bytes left at the very end
     mask = np.zeros(64, dtype=bool)
     mask[:8] = True
-    out = mem.load_packed(tail, I8, 64, mask)  # full width would fault
+    out = mem.load_lanes(tail, elem_dtype(I8), 64, mask)  # full width would fault
     assert len(out) == 64
     # all-inactive: no bounds check at all
-    none = mem.load_packed(tail + 10_000, I8, 64, np.zeros(64, dtype=bool))
+    none = mem.load_lanes(tail + 10_000, elem_dtype(I8), 64,
+                         np.zeros(64, dtype=bool))
     assert (none == 0).all()
 
 
@@ -92,7 +94,7 @@ def test_masked_store_preserves_inactive_lanes():
     addr = mem.alloc_array(np.arange(16, dtype=np.uint8))
     mask = np.zeros(16, dtype=bool)
     mask[::2] = True
-    mem.store_packed(addr, I8, np.full(16, 99, np.uint8), mask)
+    mem.store_lanes(addr, elem_dtype(I8), np.full(16, 99, np.uint8), mask)
     got = mem.read_array(addr, np.uint8, 16)
     assert (got[::2] == 99).all()
     assert (got[1::2] == np.arange(16, dtype=np.uint8)[1::2]).all()
@@ -154,7 +156,7 @@ def test_packed_store_traps_before_any_write():
     mem = Memory(size=4096)
     addr = mem.alloc_array(np.arange(64, dtype=np.uint8))
     with pytest.raises(MemoryError_, match="out-of-bounds"):
-        mem.store_packed(4096 - 8, I8, np.full(64, 7, np.uint8))
+        mem.store_lanes(4096 - 8, elem_dtype(I8), np.full(64, 7, np.uint8))
     assert mem.read_array(addr, np.uint8, 64).tolist() == list(range(64))
 
 
@@ -243,8 +245,9 @@ def test_snapshot_restore_matches_an_eager_full_copy(data):
                                                max_size=n)))
             mask = data.draw(st.sampled_from((None, mask)))
             addr = anywhere(2 * n)
-            both(lambda m: m.store_packed(
-                addr, I16, np.arange(1, n + 1, dtype=np.uint16), mask))
+            both(lambda m: m.store_lanes(
+                addr, elem_dtype(I16), np.arange(1, n + 1, dtype=np.uint16),
+                mask))
         elif op == "scatter":
             n = data.draw(st.integers(1, 16))
             addrs = np.array([anywhere(4) for _ in range(n)], dtype=np.uint64)
@@ -262,7 +265,7 @@ def test_snapshot_restore_matches_an_eager_full_copy(data):
             # above the extent and never move it.
             n = data.draw(st.integers(1, 64))
             addr = anywhere(4 * n)
-            both(lambda m: m.load_packed(addr, I32, n).tolist())
+            both(lambda m: m.load_lanes(addr, elem_dtype(I32), n).tolist())
         elif op == "frame":
             nbytes = data.draw(st.integers(1, 2000))
             both(lambda m: frame(m, nbytes))

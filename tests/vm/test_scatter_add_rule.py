@@ -13,7 +13,8 @@ parameters — gangs per trip, lanes per gang, cell size, lane addresses
 window around the cells — and requires that whenever the check admits a
 trip, the two orders read the same bytes and leave the same memory (a
 load and a store that meet across gangs are left out: that order is the
-store footprint rule's, in ``backend.batch``).  A seeded mutation of the check (a dropped alignment test, an off-by-one in
+lockstep dependence test's, ``backend.lockstep``, proven in
+``tests/backend/test_lockstep_rule.py``).  A seeded mutation of the check (a dropped alignment test, an off-by-one in
 the hull, an ignored mask, windows cut to gang 0's) must fail the same
 enumeration.
 """
