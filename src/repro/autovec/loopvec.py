@@ -260,6 +260,21 @@ def _vectorize_loop(module: Module, function: Function, loop: Loop,
                 raise _Rejected(f"unvectorizable instruction {instr.opcode}")
             body_instrs.append(instr)
 
+    # The body emitter widens every operand but an access's address, and a
+    # gep has no widened form (loads and stores consume it as an address):
+    # refuse here, before anything is built, what it could not widen.
+    widened = set(skip) | {i for i in body_instrs if i.opcode != "gep"}
+    for instr in body_instrs:
+        op = instr.opcode
+        if op in ("load", "gep"):
+            continue  # addresses only
+        values = instr.operands[:1] if op == "store" \
+            else instr.operands[1:] if op == "call" else instr.operands
+        for value in values:
+            if isinstance(value, Instruction) and value.parent in loop.blocks \
+                    and value not in widened:
+                raise _Rejected(f"no widened form for %{value.name}")
+
     # The induction step and exit compare are rewritten, not widened; they
     # must not feed anything else (or the mid-transform state would break).
     for special, allowed in ((step, {iv, exit_cmp}), (exit_cmp, set())):

@@ -35,7 +35,12 @@ whole on the reference engine (a batched module's on its unbatched twin
   (:meth:`_Emitter._scalar_expr` — inlined f32 rounding, literal int
   masks, XOR-sign-bit signed compares and sign extension) and vector ops
   to raw numpy expressions (``v34 * v34`` instead of an impl-closure
-  call); everything else calls the instruction's
+  call) that do only what the instruction means: an ordered ``fcmp``
+  is the bare operator (numpy's is False on NaN; only ``one`` keeps a
+  NaN mask), ``fptosi``/``fptoui`` the ``trunc → int64 → width``
+  chain, and a signed read of 8–64-bit lanes a ``.view`` of a dtype
+  hoisted at emit time (a known operand hoisted already signed);
+  everything else calls the instruction's
   :func:`~repro.vm.ops.value_impl`, resolved at emit time.  A body that
   contains a float or an integer-division op runs
   under a saved/restored ``np.seterr(all="ignore")`` so the inlined
@@ -202,8 +207,9 @@ instead of a ``.copy()`` for a loaded slice whose only use is an
 
 The first body line of every generated source is a comment —
 ``# folded=N inline=N slow=N hoisted: kind=N ...``, with ``windows=N``
-after ``slow=`` when window groups run as one view (``slow``: the
-accesses that always call ``Memory``) — that
+after ``slow=`` when window groups run as one view and ``gathers=N``
+for the inline gathers (``slow``: the accesses that always call
+``Memory``) — that
 ``examples/fig5_report.py --dump-codegen KERNEL`` reads back.
 
 Memory access
@@ -213,8 +219,14 @@ For ``load``/``store``/``atomicrmw`` the emitter resolves the cell's
 ``struct`` format from the IR type and emits one range test and the
 access itself: ``unpack_from``/``pack_into`` on the byte buffer under
 ``16 <= addr and end <= len(_mem.data)``; whatever the test rejects, and
-i1 cells, call ``Memory.load_scalar``/``store_scalar``.  Gather and
-scatter always call ``Memory`` (under a known all-true mask with
+i1 cells, call ``Memory.load_scalar``/``store_scalar``.  A gather
+(:meth:`_Emitter._emit_gather`) reads its active lanes as one index of
+the typed lane view, ``_w[_x >> shift]``, behind one range test over
+their addresses — at or above the NULL page, inside the view, aligned —
+into ``zeros`` at the active lanes (every lane active: the index
+itself); no active lane is ``zeros``, the addresses never validated.
+Whatever the test rejects, and i1 lanes, call ``Memory.gather``.
+Scatter always calls ``Memory`` (under a known all-true mask with
 ``None`` for it).  ``Memory`` owns trap text, lane order,
 trap-before-any-write, growth and the ``faultinject`` hook; the inline
 paths skip the hook: generated code runs only under
@@ -412,9 +424,10 @@ _VEC_IBIN = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "
 _VEC_BBIN = {"and": "&", "umin": "&", "mul": "&", "smax": "&",
              "or": "|", "umax": "|",
              "xor": "^", "add": "^", "sub": "^"}
-#: Vector fcmp inlines the ordered-mask form of ops.eval_vector_fcmp;
-#: unlike the scalar table, ``one`` is safe here (the explicit
-#: ``~(isnan|isnan)`` mask owns the NaN behaviour, not the operator).
+#: Vector fcmp inlines ops.eval_vector_fcmp.  numpy's ``==``, ``<``,
+#: ``<=``, ``>`` and ``>=`` are already False on a NaN lane, so they are
+#: the bare operator; only ``one`` (``!=`` is True on NaN) keeps the
+#: ``~(isnan|isnan)`` ordered mask.
 _VEC_FCMP = {"oeq": "==", "one": "!=", "olt": "<", "ole": "<=",
              "ogt": ">", "oge": ">="}
 #: Vector casts that are a single ``.astype`` in ops.eval_vector_cast.
@@ -948,6 +961,8 @@ class _Emitter:
         #: Inline / ``Memory``-only access sites, for the source header.
         self.inline_sites = 0
         self.slow_sites = 0
+        #: Inline gathers among the inline sites.
+        self.gather_sites = 0
         #: Something emitted can raise a numpy floating-point flag (see
         #: :data:`_FP_FLAG_OPS`): the body needs ``np.seterr(all="ignore")``.
         self.raises_fp_flags = False
@@ -961,9 +976,11 @@ class _Emitter:
         self.pdom = postdominators(function)
         #: Counter key → integer accumulator local (``_k0``…).
         self.count_locals: Dict[str, str] = {}
-        #: Charge prototypes → their ``(counts_key, cost)`` items: gang
-        #: batching shares one prototype per signature, so most batched
-        #: instructions repeat a tuple already priced.
+        #: Charge prototypes, and plain instructions' signatures (opcode,
+        #: result and operand types, a call's callee) → their
+        #: ``(counts_key, cost)`` items: gang batching shares one prototype
+        #: per signature, and most instructions repeat a signature already
+        #: priced.
         self._charge_items: Dict[tuple, tuple] = {}
         self.exit_counter = 0
         #: The trips being emitted (a :class:`_Trip`), or ``None``; views
@@ -1048,6 +1065,11 @@ class _Emitter:
             name = self._dtypes[elem] = self.hoist(dt, key=("dt", dt.str))
         return name
 
+    def _sdtype(self, elem) -> str:
+        """The hoisted signed companion dtype of integer lanes ``elem``."""
+        sdt = signed_dtype(elem)
+        return self.hoist(sdt, key=("sdt", sdt.str))
+
     def _type(self, t) -> str:
         return self.hoist(t, key=("t", id(t)))
 
@@ -1108,10 +1130,15 @@ class _Emitter:
         else:
             self.lines[trip.mark] = ""
 
-    def ref(self, v: Value, narrow: bool = False) -> str:
+    def ref(self, v: Value, narrow: bool = False,
+            signed: Optional[str] = None) -> str:
         """``v`` as a Python expression.  In a trip, a batched-width vector
         the trip does not compute itself is read through its view, at live
-        width — unless the use is ``narrow`` (a per-gang shuffle's index)."""
+        width — unless the use is ``narrow`` (a per-gang shuffle's index).
+        With ``signed`` (a hoisted signed dtype), its lanes viewed as
+        that; a known value is hoisted in its signed form."""
+        if signed is not None and not self.is_known(v):
+            return f"{self.ref(v, narrow)}.view({signed})"
         trip = self.trip
         tile = self.tiles.get(id(v))
         if tile is not None:
@@ -1121,7 +1148,8 @@ class _Emitter:
             # One gang's tile is its source (values are never written).
             return self._view(f"{source} if _r == 1 else"
                               f" {source}[{sel}[:{self._live(v.type.count)}]]")
-        r = self._ref(v)
+        r = self._ref(v) if signed is None else self.hoist(
+            self.payload(v).view(self.hoisted[signed]), key=("s", id(v)))
         if trip is None or narrow or not isinstance(v.type, VectorType) \
                 or v.type.count % trip.batch or (
                     isinstance(v, Instruction) and v.parent in trip.blocks
@@ -1235,7 +1263,16 @@ class _Emitter:
                         g[1] += 1
                         g[2][key] = g[2].get(key, 0) + 1
             else:
-                for key, c in charge_items(ins, machine, cost_model):
+                # A charge reads the opcode and types only (and a call's
+                # callee): one pricing per signature.
+                ops = ins.operands
+                sig = (ins.opcode, ins.type, ops[0] if ins.opcode == "call"
+                       else None, *[o.type for o in ops])
+                items = self._charge_items.get(sig)
+                if items is None:
+                    items = self._charge_items[sig] = charge_items(
+                        ins, machine, cost_model)
+                for key, c in items:
                     cycles += c
                     instrs += 1
                     counts[key] = counts.get(key, 0) + 1
@@ -1271,15 +1308,29 @@ class _Emitter:
 
     # -- value emission ----------------------------------------------------------
 
+    def _reads_signed(self, ins) -> Optional[str]:
+        """The hoisted signed dtype :meth:`_vec_expr` reads ``ins``'s
+        operands as — a signed ``icmp``, ``sitofp`` or ``sext`` of 8–64-bit
+        integer lanes — else ``None`` (i1 lanes keep ``signed_view``)."""
+        op = ins.opcode
+        if op not in ("icmp", "sitofp", "sext") or op == "icmp" \
+                and ins.attrs["pred"] not in _CMP_S:
+            return None
+        src = ins.operands[0].type
+        if not isinstance(src, VectorType) or src.elem.bits == 1:
+            return None
+        return self._sdtype(src.elem)
+
     def _vec_expr(self, ins, argrefs) -> Optional[str]:
         """Emit a vector op as a raw numpy expression, or ``None``.
 
         The vector analogue of :meth:`_scalar_expr`: every
         template is the exact expression the ops.py impl evaluates
         (the per-call ``errstate`` guards are covered by the generated
-        function's body-wide ``np.seterr(all="ignore")``); anything
-        subtle — shifts, trapping division, saturating forms,
-        float→int casts — falls back to the impl closure.
+        function's body-wide ``np.seterr(all="ignore")``), and an
+        operand read as signed lanes arrives as its signed view
+        (:meth:`_reads_signed`); anything subtle — shifts, trapping
+        division, saturating forms — falls back to the impl closure.
         """
         op = ins.opcode
         t = ins.type
@@ -1294,11 +1345,15 @@ class _Emitter:
                 if sym is not None:
                     return f"({a} {sym} {b})"
                 sym = _CMP_S.get(pred)
+                if src_t.elem.bits != 1:  # signed views (_reads_signed)
+                    return f"({a} {sym} {b})"
                 sv = self._np(signed_view)
                 return f"({sv}({a}) {sym} {sv}({b}))"
             sym = _VEC_FCMP.get(pred)
             if sym is None:
                 return None
+            if pred != "one":
+                return f"({a} {sym} {b})"
             isn = self._np(np.isnan)
             return f"(({a} {sym} {b}) & ~({isn}({a}) | {isn}({b})))"
         if op == "select":
@@ -1390,7 +1445,8 @@ class _Emitter:
                 add = self.hoist(np.add.reduce, key=("np", "add.reduce"))
                 return f"{add}({rows}, axis=1, dtype={self._dtype(src)})"
             return f"{rows}.{'min' if op == 'reduce_min_u' else 'max'}(axis=1)"
-        if op in _VEC_CAST_ASTYPE or op in ("bitcast", "sext", "sitofp"):
+        if op in _VEC_CAST_ASTYPE or op in ("bitcast", "sext", "sitofp",
+                                            "fptosi", "fptoui"):
             src_t = ins.operands[0].type
             if not isinstance(src_t, VectorType):
                 return None
@@ -1402,15 +1458,23 @@ class _Emitter:
                     return f"{v}.view({dt})"
                 return f"{v}.astype({dt})"
             if op == "sitofp":
-                return f"{self._np(signed_view)}({v}).astype({dt})"
+                if from_e.bits == 1:
+                    v = f"{self._np(signed_view)}({v})"
+                return f"{v}.astype({dt})"
             if op == "sext":
-                if getattr(from_e, "bits", 0) == 1:
+                if from_e.bits == 1:
                     return None
-                sdt = signed_dtype(elem)
-                sd = self.hoist(sdt, key=("sdt", np.dtype(sdt).str))
-                sv = self._np(signed_view)
-                au = self._np(as_unsigned)
-                return f"{au}({sv}({v}).astype({sd}))"
+                return f"{v}.astype({self._sdtype(elem)}).view({dt})"
+            if op in ("fptosi", "fptoui"):
+                # trunc → int64, then the target's width (the errstate
+                # of ops.eval_vector_cast is the body-wide one).
+                i64 = self.hoist(np.int64, key=("np", "int64"))
+                v = f"{self._np(np.trunc)}({v}).astype({i64})"
+                if op == "fptoui":
+                    return f"({v} & {(1 << elem.bits) - 1:#x}).astype({dt})"
+                if elem.bits != 64:
+                    v = f"{v}.astype({self._sdtype(elem)})"
+                return f"{v}.view({dt})"
             return f"{v}.astype({dt})"
         return None
 
@@ -1581,7 +1645,8 @@ class _Emitter:
         if self._tile(ins):
             return
         segments = ins.attrs.get("segments")
-        argrefs = [self.ref(o, narrow=segments is not None and i == 1)
+        signed = self._reads_signed(ins)
+        argrefs = [self.ref(o, segments is not None and i == 1, signed)
                    for i, o in enumerate(ins.operands)]
         if ins.opcode == "broadcast":
             if segments is not None:
@@ -1724,12 +1789,7 @@ class _Emitter:
         elif op in ("vload", "vstore"):
             self._emit_view(self.windows.get(ins) or self._packed_view(ins))
         elif op == "gather":
-            self.slow_sites += 1
-            self.line(
-                f"{self.name_of(ins)} = _mem.gather({self.ref(ops[0])},"
-                f" {self._type(ins.type.elem)},"
-                f" {self._mask_ref(ops[1], self._mask_lanes(ops[1]))})"
-            )
+            self._emit_gather(ins)
         else:  # scatter
             self.slow_sites += 1
             self.line(
@@ -1737,6 +1797,59 @@ class _Emitter:
                 f" {self.ref(ops[0])},"
                 f" {self._mask_ref(ops[2], self._mask_lanes(ops[2]))})"
             )
+
+    def _emit_gather(self, ins) -> None:
+        """A masked gather as one typed index of the lane view: one range
+        test over the active lanes' addresses — at or above the NULL page,
+        inside the view, aligned — then ``_w[_x >> shift]`` into the active
+        lanes.  Whatever the test rejects calls ``Memory.gather`` (trap
+        text, growth, a misaligned lane), and so does an element without
+        an inline view (i1).  No active lane is ``zeros``: ``Memory``
+        validates nothing then either."""
+        addrs, mask = ins.operands
+        dst = self.name_of(ins)
+        dt = self._dtype(ins.type.elem)
+        dtype = self.hoisted[dt]
+        lanes = self._mask_lanes(mask)
+        slow = (f"{dst} = _mem.gather({self.ref(addrs)},"
+                f" {self._type(ins.type.elem)}, {self._mask_ref(mask, lanes)})")
+        if dtype.kind == "b":
+            self.slow_sites += 1
+            self.line(slow)
+            return
+        count = self._live(ins.type.count) if self.trip else ins.type.count
+        zeros = f"{dst} = {self._np(np.zeros)}({count}, {dt})"
+        if lanes is not None and not lanes[0]:
+            self.line(zeros)
+            return
+        self.inline_sites += 1
+        self.gather_sites += 1
+        es = dtype.itemsize
+        shift = es.bit_length() - 1
+        x, m = self.ref(addrs), self.ref(mask)
+        # ``_x``: the active lanes' addresses; ``q``: their element indices.
+        q = "_q" if shift else "_x"
+        body = [f"_w = _mem.lanes[{_LANE_INDEX[dtype]}]"]
+        test = f"{q}.min() < {NULL_GUARD >> shift} or {q}.max() >= " \
+            f"{self.hoist(len, key=('b', 'len'))}(_w)"
+        if shift:
+            body.append(f"_q = _x >> {shift}")
+            bor = self.hoist(np.bitwise_or.reduce, key=("np", "or.reduce"))
+            test += f" or {bor}(_x) & {es - 1}"
+        body += [f"if {test}:", f"    {slow}"]
+        if lanes is not None and lanes[0] == ins.type.count:
+            self.line(f"_x = {x}")
+            for text in body + ["else:", f"    {dst} = _w[{q}]"]:
+                self.line(text)
+            return
+        self.line(f"_nc = {self._cnz()}({m})")
+        self.line("if _nc:")
+        for text in [f"_x = {x} if _nc == {count} else {x}[{m}]"] + body + [
+                f"elif _nc == {count}:", f"    {dst} = _w[{q}]", "else:",
+                f"    {zeros}", f"    {dst}[{m}] = _w[{q}]"]:
+            self.line("    " + text)
+        self.line("else:")
+        self.line("    " + zeros)
 
     def _emit_scatter_add(self, ins) -> None:
         """A batched serialized atomic (:func:`_scatter_add`) on the trip's
@@ -3108,6 +3221,7 @@ class _Emitter:
             f"    # folded={self.folded} inline={self.inline_sites}"
             f" slow={self.slow_sites}"
             + (f" windows={self.window_sites}" if self.window_sites else "")
+            + (f" gathers={self.gather_sites}" if self.gather_sites else "")
             + " hoisted: "
             + " ".join(f"{k}={n}" for k, n in sorted(kinds.items()))
         )

@@ -200,7 +200,7 @@ _HOISTED_KINDS = {
     "np": "numpy functions", "dt": "dtypes", "sdt": "signed dtypes",
     "t": "IR types", "impl": "op impls", "rmw": "atomic impls",
     "cf": "f32 rounding", "pack": "cell writers", "unpack": "cell readers",
-    "ext": "externals", "u": "undef payloads",
+    "ext": "externals", "u": "undef payloads", "s": "signed constants",
 }
 
 
@@ -208,8 +208,9 @@ def dump_codegen(spec: KernelSpec, machine: Machine = AVX512) -> str:
     """What the whole-kernel code generator emits for ``spec``'s Parsimony
     build (``--dump-codegen`` in ``examples/fig4_report.py`` and
     ``fig5_report.py``): per function, a header — lines, values folded at
-    emit time, inline (window groups run as one view among them) vs
-    ``Memory``-only accesses, hoisted bindings by kind — then the source,
+    emit time, inline (window groups run as one view, and gathers as one
+    index of the lane view, among them) vs ``Memory``-only accesses,
+    hoisted bindings by kind — then the source,
     its bindings-as-defaults signature elided."""
     from ..backend import codegen
     from ..backend.costmodel import DEFAULT_COST_MODEL
@@ -235,7 +236,8 @@ def dump_codegen(spec: KernelSpec, machine: Machine = AVX512) -> str:
             f"== @{function.name}: {len(body)} lines; "
             f"{fields['folded']} values folded at emit time; accesses: "
             f"{fields['inline']} inline ({fields.get('windows', 0)} window"
-            f" views), {fields['slow']} Memory-only; "
+            f" views, {fields.get('gathers', 0)} gathers),"
+            f" {fields['slow']} Memory-only; "
             f"hoisted: {bindings}")
         out.append(f"def _kfn(_interp, _args, depth, "
                    f"<{signature.count('=')} bindings>):")

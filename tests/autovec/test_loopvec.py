@@ -263,3 +263,35 @@ def test_autovec_speedup_on_streaming_kernel():
     scalar_cycles = measure(compile_scalar(SAXPY))
     vector_cycles = measure(build(SAXPY))
     assert vector_cycles < scalar_cycles / 4
+
+
+@pytest.mark.parametrize("offset", [256, 2])
+def test_in_loop_pointer_cast_chain_stays_scalar(offset):
+    """The address ``(u32*)((u8*)a + offset)`` is rebuilt inside the loop
+    as bitcast → gep → bitcast.  The body emitter widens the outer bitcast
+    but has no widened form for the gep it casts, so the legality walk
+    refuses the loop before anything is built: it runs scalar, bitwise as
+    the scalar build does (both offsets pass the lockstep test)."""
+    src = f"""
+    void f(u32* a, u64 n) {{
+        for (u64 i = 0; i < n; i = i + 1) {{
+            a[i] = ((u32*)((u8*)a + {offset}))[i] + (u32)1;
+        }}
+    }}
+    """
+    from repro.passes import clone_module
+
+    module = clone_module(compile_scalar(src))
+    report = auto_vectorize_module(module, AVX512)["f"]
+    assert report.vectorized == 0
+    assert any("no widened form" in why for why in report.rejected), report
+
+    a = np.arange(160, dtype=np.uint32) * np.uint32(2654435761)
+    images = []
+    for built in (compile_scalar(src), build(src)):
+        interp = Interpreter(built)
+        addr = interp.memory.alloc_array(a)
+        interp.run("f", addr, 64)
+        images.append(interp.memory.image())
+        assert interp.stats.count("vload", "vstore") == 0
+    assert np.array_equal(images[0], images[1])

@@ -179,6 +179,38 @@ def test_fig4_module_holds_the_kernel_and_its_source_functions(name):
     assert list(_compiled(FIG4[name]).functions) == expected
 
 
+#: ``charge_items`` calls while the code generator emits every function of
+#: the 79 builds once: 2 999, against 5 230 while every instruction
+#: outside a batched block was priced afresh (a charge reads only the
+#: opcode, the types and a call's callee, so each emission prices a
+#: signature once).
+EMIT_CHARGE_ITEMS = 2999
+
+
+def test_emission_prices_each_charge_signature_once():
+    from repro.backend import codegen as cg
+    from repro.backend.costmodel import DEFAULT_COST_MODEL, charge_items
+    from repro.backend.machine import AVX512
+
+    functions = [f for spec in ALL_BUILDS
+                 for f in _compiled(spec).functions.values() if f.blocks]
+    driver.clear_compile_cache()
+    calls = [0]
+
+    def on_call(frame, event, arg):
+        if event == "call" and frame.f_code is charge_items.__code__:
+            calls[0] += 1
+
+    sys.setprofile(on_call)
+    try:
+        for function in functions:
+            cg._Emitter(function, AVX512, DEFAULT_COST_MODEL).emit()
+    finally:
+        sys.setprofile(None)
+    assert calls[0] <= EMIT_CHARGE_ITEMS, (
+        f"{calls[0]} charge_items calls per emission pass")
+
+
 def test_a_recompiled_kernel_emits_and_compiles_no_generated_code(
         monkeypatch):
     """A kernel compiled again after its module left the 64-entry LRU

@@ -37,8 +37,12 @@ from repro.backend.codegen import _Emitter
 from repro.backend.costmodel import DEFAULT_COST_MODEL
 from repro.backend.machine import AVX512
 from repro.ir import (
+    F64,
     I1,
+    I8,
+    I16,
     I32,
+    I64,
     Constant,
     Function,
     FunctionType,
@@ -52,6 +56,8 @@ from repro.ir.types import VOID
 from repro import driver
 from repro.diagnostics import ExecutionError
 from repro.vm import Interpreter, Memory, MemoryError_
+from repro.vm.memory import NULL_GUARD
+from repro.vm.nputil import elem_dtype
 
 LANES = 8
 SIZE = 1 << 16  # logical; the physical buffer starts at 4096 bytes
@@ -589,3 +595,129 @@ def test_row_cells_leave_what_the_reference_leaves(case, monkeypatch):
     assert (want["trap"] is not None) == (case in ("null", "past-end"))
     assert interp.batch_replays == (want["trap"] is not None)
     assert bool(row_by_row) == (case != "inside"), case
+
+
+# -- masked gathers: one typed index of the lane view --------------------------------
+#
+# Generated code reads a gather's active lanes as ``_mem.lanes[k][ix >>
+# shift]`` behind one range test — every active address at or above the
+# NULL page, inside the typed view, aligned — and calls ``Memory.gather``
+# for whatever the test rejects, and for an element with no inline view
+# (i1).  No active lane is ``zeros`` without a call.  Each case: lane 2
+# carries the address under test, the other lanes read the array.
+
+GATHER_ELEMS = {"i1": I1, "i8": I8, "i16": I16, "i32": I32, "i64": I64,
+                "f64": F64}
+
+#: mask -> its lanes (``None``: the constant all-true operand; ``c``: a
+#: constant operand, else an argument).
+GATHER_MASKS = {
+    "const": None,
+    "full": [1] * LANES,
+    "gaps": MASKS["gaps"],  # lane 2 active
+    "holes": MASKS["holes"],  # lane 2 inactive
+    "none": MASKS["none"],
+    "cnone": MASKS["none"],
+}
+
+GATHER_PLACES = ("inside", "null", "beyond-buffer", "past-end", "misaligned")
+
+
+def _gather_module(elem, mask):
+    ptrs = VectorType(PointerType(elem), LANES)
+    vec = VectorType(elem, LANES)
+    if mask in ("const", "cnone"):
+        lanes = Constant(MASK, [1] * LANES if mask == "const"
+                         else GATHER_MASKS[mask])
+        return _function(vec, [ptrs], ["ps"],
+                         lambda b, ps: b.gather(ps, lanes))
+    return _function(vec, [ptrs, MASK], ["ps", "m"],
+                     lambda b, ps, m: b.gather(ps, m))
+
+
+def _gather_address(where, es, base, capacity):
+    return {
+        "inside": base + 2 * es,
+        "null": NULL_GUARD - es,  # the last element below the guard
+        "beyond-buffer": capacity,  # the first element past the view
+        "past-end": SIZE - es + 1,
+        "misaligned": base + 2 * es + 1,
+    }[where]
+
+
+def _gather_launch(module, elem, mask, where, **engine):
+    interp = Interpreter(module, memory=Memory(SIZE), **engine)
+    memory = interp.memory
+    dtype = elem_dtype(elem)
+    values = np.arange(3, 67, dtype=np.uint64) * np.uint64(0x0123456789ABCDEF)
+    array = values % 3 == 0 if dtype.kind == "b" \
+        else values.view(np.float64) if dtype.kind == "f" \
+        else values.astype(dtype)
+    base = memory.alloc_array(array)
+    capacity = len(memory.data)
+    es = dtype.itemsize
+    addrs = base + 3 * es * np.arange(LANES, dtype=np.uint64)
+    addrs[2] = _gather_address(where, es, base, capacity)
+    args = [addrs]
+    if mask not in ("const", "cnone"):
+        args.append(np.array(GATHER_MASKS[mask], dtype=bool))
+    try:
+        returned = interp.run("f", *args)
+        outcome = ("ok", np.asarray(returned).view(f"u{es}").tolist())
+    except MemoryError_ as exc:
+        outcome = (type(exc).__name__, str(exc))
+    stats = interp.stats
+    return {
+        "outcome": outcome,
+        "stats": (stats.cycles, stats.instructions, dict(stats.counts)),
+        "image": memory.image().tobytes(),
+        "extent": memory.extent,
+        "grown": len(memory.data) > capacity,
+    }, interp
+
+
+@pytest.mark.parametrize("where", GATHER_PLACES)
+@pytest.mark.parametrize("mask", sorted(GATHER_MASKS))
+@pytest.mark.parametrize("elem", sorted(GATHER_ELEMS))
+def test_gathers_leave_what_the_reference_leaves(elem, mask, where,
+                                                 monkeypatch):
+    t = GATHER_ELEMS[elem]
+    module = _gather_module(t, mask)
+    want, _ = _gather_launch(module, t, mask, where, codegen=False)
+    lanes = GATHER_MASKS[mask]
+    tested = lanes is None or lanes[2]  # lane 2 active
+    assert (want["outcome"][0] != "ok") == (
+        tested and where in ("null", "past-end"))
+    if where == "past-end" and tested:
+        assert f"of {SIZE}" in want["outcome"][1]
+    assert want["grown"] == (where == "beyond-buffer" and tested)
+    calls = []
+    real = Memory.gather
+    monkeypatch.setattr(Memory, "gather", lambda self, *a: (
+        calls.append(a), real(self, *a))[1])
+    got, interp = _gather_launch(module, t, mask, where)
+    assert got == want, (elem, mask, where)
+    report = interp.codegen_report()
+    assert not report["bailouts"] and report["calls"] == 1
+    assert report["replays"] == (want["outcome"][0] != "ok")
+    es = elem_dtype(t).itemsize
+    in_range = where == "inside" or not tested or (
+        where == "misaligned" and es == 1)
+    if t is I1:
+        assert calls  # no inline view of i1 lanes
+    elif in_range or not any(lanes or [1]):
+        assert not calls, (elem, mask, where)
+    else:
+        assert calls, (elem, mask, where)
+
+
+def test_an_inline_gather_is_one_index_of_the_lane_view():
+    module = _gather_module(I32, "gaps")
+    text = cg.generated_source(module.functions["f"], AVX512,
+                               DEFAULT_COST_MODEL)
+    assert "gathers=1" in text and "slow=0" in text
+    assert re.search(r"_w = _mem\.lanes\[3\]\n.*_q = _x >> 2\n", text)
+    assert re.search(r"v\d+\[a1\] = _w\[_q\]", text)
+    i1 = cg.generated_source(_gather_module(I1, "gaps").functions["f"],
+                             AVX512, DEFAULT_COST_MODEL)
+    assert "gathers=" not in i1 and "slow=1" in i1

@@ -28,7 +28,7 @@ from repro.ir import Function, FunctionType, IRBuilder, Instruction, UndefValue
 from repro.ir.types import (F32, F64, I1, I8, I16, I32, I64, PointerType,
                             VectorType, VOID)
 from repro.vm.nputil import elem_dtype
-from repro.vm.ops import value_impl
+from repro.vm.ops import eval_vector_cast, eval_vector_fcmp, value_impl
 
 LANES = 8
 INTS = [I8, I16, I32, I64]
@@ -71,9 +71,13 @@ def _emitter():
 
 def _template(ins, vector: bool):
     """The expression the emitter writes for ``ins`` over operands
-    ``x0``, ``x1``…, and the bindings it evaluates against."""
+    ``x0``, ``x1``…, and the bindings it evaluates against.  An operand
+    the emitter reads as signed lanes is passed as its signed view, as
+    ``_Emitter.ref`` writes it for a value not known at emit time."""
     em = _emitter()
-    refs = [f"x{i}" for i in range(len(ins.operands))]
+    signed = em._reads_signed(ins) if vector else None
+    refs = [f"x{i}" if signed is None else f"x{i}.view({signed})"
+            for i in range(len(ins.operands))]
     expr = (em._vec_expr if vector else em._scalar_expr)(ins, refs)
     return expr, dict(em.hoisted)
 
@@ -178,7 +182,8 @@ _VEC_CASTS = [
     ("uitofp", I1, F32), ("ptrtoint", PointerType(I32), I64),
     ("inttoptr", I64, PointerType(I8)), ("bitcast", F32, I32),
     ("bitcast", I64, F64), ("sext", I8, I32), ("sext", I16, I64),
-    ("sitofp", I32, F32), ("sitofp", I64, F64),
+    ("sitofp", I32, F32), ("sitofp", I64, F64), ("fptosi", F32, I32),
+    ("fptosi", F64, I8), ("fptoui", F32, I16), ("fptoui", F64, I32),
 ]
 
 
@@ -195,6 +200,69 @@ def test_vector_cast_templates(op, src, dst, data):
     v = data.draw(lanes(scalar_src)).astype(elem_dtype(src))
     ins = _instr(op, VectorType(dst, LANES), [VectorType(src, LANES)])
     check(ins, [v], vector=True)
+
+
+#: Every pair of these is an ordered compare's corner: NaN of either
+#: sign, infinities, signed zeros, units, the smallest denormal, the
+#: largest finite value.
+def _fcmp_corners(t):
+    info = np.finfo(elem_dtype(t))
+    return np.array([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+                     1.0, -1.0, info.smallest_subnormal, info.max],
+                    dtype=elem_dtype(t))
+
+
+@pytest.mark.parametrize("elem", FLOATS, ids=str)
+@pytest.mark.parametrize("pred", sorted(cg._VEC_FCMP))
+def test_vector_fcmp_on_every_corner_pair(pred, elem):
+    """Every ordered predicate over all pairs of corner values, bit for
+    bit against ``ops.eval_vector_fcmp``: only ``one`` needs the NaN mask
+    (numpy's ``!=`` is True on NaN), the others are the bare operator."""
+    corners = _fcmp_corners(elem)
+    a, b = np.repeat(corners, len(corners)), np.tile(corners, len(corners))
+    vt = VectorType(elem, len(a))
+    ins = _instr("fcmp", VectorType(I1, len(a)), [vt, vt], pred=pred)
+    expr, scope = _template(ins, vector=True)
+    assert ("isnan" in repr(scope)) == (pred == "one"), expr
+    scope.update(x0=a, x1=b)
+    with np.errstate(all="ignore"):
+        got = eval(expr, {"__builtins__": {}}, scope)
+    want = eval_vector_fcmp(pred, a, b)
+    assert got.dtype == want.dtype and np.array_equal(got, want), (
+        [(x, y) for x, y, g, w in zip(a, b, got, want) if g != w])
+
+
+_CAST_CORNERS = [math.nan, math.inf, -math.inf, 0.5, -0.5, 2.0 ** 31,
+                 -2.0 ** 31, 3e9, 2.0 ** 63, -2.0 ** 63]
+
+
+@pytest.mark.parametrize("src", FLOATS, ids=str)
+@pytest.mark.parametrize("dst", INTS, ids=str)
+@pytest.mark.parametrize("op", ["fptosi", "fptoui"])
+def test_vector_float_to_int_casts_on_corners(op, dst, src):
+    """``fptosi``/``fptoui`` inline as ``ops.eval_vector_cast`` writes
+    them (trunc → int64 → the target width), on NaN, ±inf, ±0.5, ±2³¹,
+    3e9 and ±2⁶³, bit for bit — and, where the reference raises (the
+    64-bit ``fptoui`` mask is no int64), with the same exception."""
+    v = np.array(_CAST_CORNERS, dtype=elem_dtype(src))
+    ins = _instr(op, VectorType(dst, len(v)), [VectorType(src, len(v))])
+    expr, scope = _template(ins, vector=True)
+    assert expr is not None, f"no inline template for {op}"
+    scope["x0"] = v
+    outcomes = []
+    for run in (lambda: eval(expr, {"__builtins__": {}}, scope),
+                lambda: eval_vector_cast(op, src, dst, v)):
+        with np.errstate(all="ignore"):
+            try:
+                outcomes.append(run())
+            except OverflowError as exc:
+                outcomes.append(type(exc))
+    got, want = outcomes
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want), (
+            v, got, want)
 
 
 # -- scalar ops ------------------------------------------------------------------
