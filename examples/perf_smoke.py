@@ -34,19 +34,17 @@ a bailout runs) — and **fails (exit 1)** if:
   15), or ends in different memory or ``ExecStats``: a trip computes only
   its live gangs, so a short launch must not pay for the batch factor,
 * any build of the fig4 **or** fig5 suite (every kernel × every
-  implementation) records a codegen bailout, a trap replay, a row
-  nest that ran one row per trip because its no-alias check failed, a
-  call of generated code's out-of-line view pair (a packed access whose
-  range test failed on the suite's own inputs), or a call of
-  ``Memory.gather`` (a gather whose inline range test failed): the
-  coverage floor —
-  every suite build must compile and complete on the default engine, in
+  implementation) records a codegen bailout, a replay (a trap, or an
+  inline access whose range test failed on the suite's own inputs, on
+  the module or its unbatched twin), or a row nest that ran one row per
+  trip because its no-alias check failed: the coverage floor — every
+  suite build must compile and complete on the default engine, in
   bounds; a new bailout reason is a coverage regression, not an
   acceptable fallback.
 
-``--bailout-out`` writes the per-build codegen bailout histogram,
-out-of-line view calls and ``Memory.gather`` calls as a JSON artifact so
-a coverage regression names the reason in CI.
+``--bailout-out`` writes the per-build codegen bailout histogram and
+replays as a JSON artifact so a coverage regression names the reason in
+CI.
 
 ``--out`` writes the collected telemetry JSON (flattened ``vm.batch.*``
 and ``vm.codegen.*`` counters, per-run wall-clock) for upload as a CI
@@ -65,12 +63,11 @@ import time
 import numpy as np
 
 from repro import telemetry
-from repro.backend import codegen
 from repro.benchsuite import IMPLEMENTATIONS, build_impl, run_impl
 from repro.benchsuite.ispc_suite import BENCHMARKS
 from repro.benchsuite.simdlib import KERNELS
 from repro.driver import compile_parsimony
-from repro.vm import Interpreter, Memory
+from repro.vm import Interpreter
 
 #: binomial_options batches with its lattice expanded per gang; stencil
 #: and the three fig5 filters collapse their row nests; the histograms
@@ -163,52 +160,30 @@ def _one_gang_ratio(spec, impl):
             and _stats_equal(b, u)}
 
 
-def _count_out_of_line_calls():
-    """Wrap generated code's out-of-line view pair in a counter — before
-    any emission, since generated code binds the pair when it is emitted —
-    and ``Memory.gather``, which an inline gather calls for whatever its
-    range test rejects; return the two one-element counts."""
-    calls = [0]
-    for name in ("_window_load", "_window_store"):
-        def counted(*args, _real=getattr(codegen, name)):
-            calls[0] += 1
-            return _real(*args)
-        setattr(codegen, name, counted)
-    gathers = [0]
-
-    def gather(self, *args, _real=Memory.gather):
-        gathers[0] += 1
-        return _real(self, *args)
-    Memory.gather = gather
-    return calls, gathers
-
-
-def _coverage_sweep(session, failures, pair_calls, gather_calls):
+def _coverage_sweep(session, failures):
     """Run every fig4 and fig5 build once on the default engine; returns
-    the per-build bailout histogram (empty dicts when all compiled), the
-    per-build out-of-line view calls and ``Memory.gather`` calls."""
-    per_build, out_of_line, gathers = {}, {}, {}
+    the per-build bailout histogram (empty dicts when all compiled) and
+    the per-build replays (on the module and on its unbatched twin)."""
+    per_build, replays = {}, {}
     for suite, impls in COVERAGE_SUITES:
         for spec in suite:
             for impl in impls:
                 name = f"{spec.name}/{impl}"
-                before, gathered = pair_calls[0], gather_calls[0]
                 run_impl(spec, impl)
-                out_of_line[name] = pair_calls[0] - before
-                gathers[name] = gather_calls[0] - gathered
-                report = session.vm_runs[-1].get("codegen") or {}
+                run = session.vm_runs[-1]
+                report = run.get("codegen") or {}
                 bailouts = dict(report.get("bailouts") or {})
                 per_build[name] = bailouts
-                if (bailouts or report.get("replays")
-                        or report.get("row_fallbacks") or out_of_line[name]
-                        or gathers[name] or not report.get("calls")):
+                replays[name] = int(report.get("replays") or 0) + int(
+                    (run.get("batch") or {}).get("replays") or 0)
+                if (bailouts or replays[name]
+                        or report.get("row_fallbacks")
+                        or not report.get("calls")):
                     failures.append(
                         f"{name}: coverage floor is zero bailouts, zero "
-                        f"replays, zero row fallbacks, zero out-of-line "
-                        f"view calls and zero Memory.gather calls on the "
-                        f"default engine: {report}, {out_of_line[name]} "
-                        f"out-of-line calls, {gathers[name]} gathers")
-    return per_build, out_of_line, gathers
+                        f"replays and zero row fallbacks on the default "
+                        f"engine: {report}, {replays[name]} replays")
+    return per_build, replays
 
 
 def main():
@@ -231,7 +206,6 @@ def main():
                         help="write the per-build codegen bailout "
                              "histogram JSON (CI artifact)")
     args = parser.parse_args()
-    pair_calls, gather_calls = _count_out_of_line_calls()
 
     wanted = args.kernels.split(",")
     specs = [s for s in list(BENCHMARKS) + list(KERNELS) if s.name in wanted]
@@ -349,8 +323,7 @@ def main():
                     f"out={'ok' if out_ok else 'DIVERGED'}"
                 )
 
-        swept, out_of_line, gathers = _coverage_sweep(
-            session, failures, pair_calls, gather_calls)
+        swept, replays = _coverage_sweep(session, failures)
         bailouts_by_build.update(swept)
 
     session.meta["perf_smoke"] = rows
@@ -376,10 +349,7 @@ def main():
                 "schema": "repro-codegen-bailouts/1",
                 "histogram": histogram,
                 "per_kernel": bailouts_by_build,
-                "out_of_line_calls": sum(out_of_line.values()),
-                "out_of_line_per_build": out_of_line,
-                "gather_calls": sum(gathers.values()),
-                "gather_per_build": gathers,
+                "replays_per_build": replays,
             }, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"codegen bailout histogram written to {args.bailout_out}")
@@ -391,8 +361,7 @@ def main():
         sys.exit(1)
     print("\nperf-smoke OK: batched/unbatched/reference bit-identical, "
           f"{len(bailouts_by_build)} suite builds compiled with zero "
-          "bailouts, zero replays, zero out-of-line view calls and zero "
-          "Memory.gather calls")
+          "bailouts and zero replays")
 
 
 if __name__ == "__main__":

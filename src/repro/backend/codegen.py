@@ -7,10 +7,10 @@ reference engine pays an opcode-string dispatch per instruction and an
 ``env`` lookup per operand.  This module retires that loop — on a
 function's first launch it *linearizes* the function's structurized CFG
 into a single generated Python function over the live payloads.  A
-launch leaves generated code one way: a trap, a failed zero-charge check,
-or a function it has no code for rolls the launch back and replays it
-whole on the reference engine (a batched module's on its unbatched twin
-— batched IR runs nowhere else):
+launch leaves generated code one way: a trap, a failed range test or
+zero-charge check, or a function it has no code for rolls the launch
+back and replays it whole on the reference engine (a batched module's on
+its unbatched twin — batched IR runs nowhere else):
 
 * every SSA value becomes a Python local (``v7``), so the per-value
   ``env`` dict disappears along with its reads and writes;
@@ -61,9 +61,8 @@ whole on the reference engine (a batched module's on its unbatched twin
   the *predicated trip* — and every value a trip makes is as wide as
   its live gangs: loads build ``_n`` lanes (``(_r, width)`` slots of a
   row-strided access), broadcasts and lane ids take ``_n``, per-gang
-  segments reshape by rows of a gang's width, activity counts and
-  atomic folds see ``_r`` gangs, the out-of-line view path gets the
-  live lanes and their own mask.  What a trip reads but does not compute — a
+  segments reshape by rows of a gang's width, and activity counts and
+  atomic folds see ``_r`` gangs.  What a trip reads but does not compute — a
   constant, a folded value, a tile of a value defined before the loop,
   an expanded alloca's rows — it reads through a view bound at its
   width whenever ``_r`` changes (:class:`_Trip`); a tile is built at
@@ -79,8 +78,10 @@ whole on the reference engine (a batched module's on its unbatched twin
   check :func:`_rows_disjoint`); each outer trip runs ``_R`` rows, its
   gang loop trips ``_g`` gangs of each (``_r = _R * _g``) and its tail one
   gang per row (``_g = 1``, ``_r = _R``).  Packed accesses in those trips
-  are ``(_R, _g, lanes)`` views (see "Views"), prologue stores and per-row atomics update ``_R`` cells a row stride
-  apart (:func:`_store_rows`, :func:`_rmw_rows`);
+  are ``(_R, _g, lanes)`` views (see "Views"); prologue stores and
+  per-row atomics update ``_R`` cells a row stride apart as one strided
+  view (:func:`_store_rows`, :func:`_rmw_rows`; ``smin``/``smax`` on its
+  signed view);
 * a scatter-add (a batched serialized atomic) is one ``np.add.at`` per
   trip behind a zero-charge check of its cells against the trip's other
   accesses (:func:`_scatter_add`); a failed check replays the launch on
@@ -215,23 +216,25 @@ for the inline gathers (``slow``: the accesses that always call
 Memory access
 -------------
 
-For ``load``/``store``/``atomicrmw`` the emitter resolves the cell's
-``struct`` format from the IR type and emits one range test and the
-access itself: ``unpack_from``/``pack_into`` on the byte buffer under
-``16 <= addr and end <= len(_mem.data)``; whatever the test rejects, and
-i1 cells, call ``Memory.load_scalar``/``store_scalar``.  A gather
-(:meth:`_Emitter._emit_gather`) reads its active lanes as one index of
-the typed lane view, ``_w[_x >> shift]``, behind one range test over
-their addresses — at or above the NULL page, inside the view, aligned —
-into ``zeros`` at the active lanes (every lane active: the index
-itself); no active lane is ``zeros``, the addresses never validated.
-Whatever the test rejects, and i1 lanes, call ``Memory.gather``.
-Scatter always calls ``Memory`` (under a known all-true mask with
-``None`` for it).  ``Memory`` owns trap text, lane order,
-trap-before-any-write, growth and the ``faultinject`` hook; the inline
-paths skip the hook: generated code runs only under
-``Interpreter._run_replayable``, which ``Interpreter.run`` never enters
-while a fault plan is armed.
+Every access with an inline form is one range test and the access
+itself; whatever the test rejects leaves generated code (see "One way
+out" below).  For ``load``/``store``/``atomicrmw`` the emitter resolves
+the cell's ``struct`` format from the IR type: ``unpack_from``/
+``pack_into`` on the byte buffer under ``16 <= addr and end <=
+len(_mem.data)``.  A gather (:meth:`_Emitter._emit_gather`) reads its
+active lanes as one index of the typed lane view, ``_w[_x >> shift]``,
+behind one range test over their addresses — at or above the NULL page,
+inside the view, aligned — into ``zeros`` at the active lanes (every
+lane active: the index itself); no active lane is ``zeros``, the
+addresses never validated.  A collapsed nest's per-row cells are one
+strided view behind the same test (:func:`_row_cells`).  Where no inline
+form exists generated code calls ``Memory``: i1 cells
+(``load_scalar``/``store_scalar``) and i1 gathers, every plain scatter
+(under a known all-true mask with ``None`` for it) and ``alloc``.
+``Memory`` owns trap text, lane order, trap-before-any-write, growth and
+the ``faultinject`` hook; the inline paths skip the hook: generated code
+runs only under ``Interpreter._run_replayable``, which ``Interpreter.run``
+never enters while a fault plan is armed.
 
 Views
 -----
@@ -269,28 +272,31 @@ trip also each gang's lanes past ``needed`` — become
 address never validated.  A runtime mask with every lane set takes the
 static form; otherwise a load zeroes the inactive lanes
 (``copyto(where=mask)`` into ``zeros``) and a store writes the active
-ones and raises the extent to the end of its last active lane
-(:func:`_last_lane_end` for slots), as ``Memory.store_lanes`` does; a row
-tail's gangs are partial, so there the first arm is left out.  In a trip,
+ones and raises the extent to the end of its highest active lane
+(:func:`_last_lane_end` for slots, whose windows may interleave), as
+the IR's stores do; a row tail's gangs are partial, so there the first
+arm is left out.  In a trip,
 a window load whose value only a window store of its block writes, with
 no other memory access or call between them, runs with it
 (:meth:`_Emitter._emit_copy`): the store's view is assigned from the
 load's (BgraToBgr's channels).
 
-*One way out.*  The range test covers every byte the IR's accesses would
-validate (a window load's each window's last needed lane, a store under a
-runtime mask its ``k`` windows whole).  Whatever it rejects — the NULL
-page, past the end, past the physical buffer, a misaligned slice,
-inactive lanes hanging off memory — and a partial runtime-mask store
-whose gangs' windows interleave (its last active lane need not end
-highest) call one out-of-line pair, :func:`_window_load` /
-:func:`_window_store`: slot by slot and window by window through
-``Memory.load_lanes``/``store_lanes``, each window under its own mask, so
-it validates, grows and raises the extent exactly as the IR's accesses
-do, holes below a window's last needed lane included.  Trap text and
-trap-point stats come from the replay.  No benchmark input reaches the
-pair (``examples/perf_smoke.py`` enforces it on the fig4 and fig5
-builds).
+One way out
+-----------
+
+A view's range test covers every byte the IR's accesses would validate
+(a window load's each window's last needed lane, a store under a runtime
+mask its ``k`` windows whole); a gather's, a cell's and a row's cells'
+cover theirs.  Whatever a test rejects — the NULL page, past the end,
+past the physical buffer, a misaligned slice or lane, inactive lanes
+hanging off memory — raises ``_Replay`` before the access writes
+anything, and the launch replays on the reference engine exactly as
+after a trap: ``Memory`` validates, grows and raises the extent there,
+and trap text and trap-point stats are the replay's.  A valid program
+whose access the test rejects (misaligned, or its inactive tail lanes
+past the end of memory) pays for that launch on the reference engine; no
+benchmark input does (``examples/perf_smoke.py`` requires zero replays
+of every fig4 and fig5 build).
 
 Caching and ownership
 ---------------------
@@ -358,7 +364,6 @@ from ..vm.interp import (
 )
 from ..vm.memory import LANE_DTYPES, NULL_GUARD
 from ..vm.nputil import (
-    as_unsigned,
     count_nonzero,
     elem_dtype,
     signed_dtype,
@@ -434,6 +439,14 @@ _VEC_FCMP = {"oeq": "==", "one": "!=", "olt": "<", "ole": "<=",
 _VEC_CAST_ASTYPE = frozenset(
     ("ptrtoint", "inttoptr", "trunc", "zext", "fptrunc", "fpext", "uitofp")
 )
+#: ``condbr`` attributes that give the branch a form of its own (a trip,
+#: a divergent backedge, a row nest or its tail): such a branch is emitted
+#: as that form even when its condition is known.
+_BRANCH_FORMS = frozenset(("batch_trip", "batch_backedge", "row_nest",
+                           "row_tail"))
+#: Vector ops whose 8–64-bit integer operands :meth:`_Emitter._vec_expr`
+#: reads through a signed view (``icmp`` only for its signed predicates).
+_READS_SIGNED = frozenset(("icmp", "sitofp", "sext", "smin", "smax", "iabs"))
 
 #: Integer compare predicate → operator, shared by the scalar inliner,
 #: the vector inliner and the condbr-condition fold (signed forms apply
@@ -582,61 +595,6 @@ def _rows_disjoint(rows: int, accesses) -> bool:
     return True
 
 
-def _window_load(memory, addr: int, dtype, width: int, rows: int,
-                 gangs: int, rho: int, delta: int, parts, mask):
-    """The out-of-line path of a view load (see "Views"): slot by slot —
-    slot ``(i, g)`` at ``addr + i·rho + g·delta`` — and window by window —
-    window ``j`` is the ``width`` lanes ``j·width`` elements into the slot,
-    read under its ``needed`` lanes (``None``: all) and the slot's lanes of
-    the runtime ``mask`` — through ``Memory.load_lanes``, as the IR's
-    packed loads read them.  Lane ``l`` of a slot is position ``lanes[l]``
-    of its windows laid end to end (``None``: the one window's lane
-    ``l``); ``parts`` is ``(needed, lanes)``."""
-    needed, lanes = parts
-    step = width * dtype.itemsize
-    slots = rows * gangs
-    out = np.empty((slots, len(needed) * width), dtype)
-    for slot in range(slots):
-        i, g = divmod(slot, gangs)
-        base = addr + i * rho + g * delta
-        part = None if mask is None else mask[slot * width:(slot + 1) * width]
-        for j, keep in enumerate(needed):
-            if keep is not None:
-                keep = keep if part is None else keep & part
-            out[slot, j * width:(j + 1) * width] = memory.load_lanes(
-                (base + j * step) & _M64, dtype, width,
-                part if keep is None else keep)
-    return (out if lanes is None else out[:, lanes]).reshape(-1)
-
-
-def _window_store(memory, addr: int, dtype, width: int, rows: int,
-                  gangs: int, rho: int, delta: int, windows, values, mask):
-    """The out-of-line path of a view store (see "Views"), slot by slot as
-    :func:`_window_load`: for each ``(sel, valid)`` of ``windows`` in
-    order, window ``j`` of the slot gets lane ``sel[p]`` of the slot's
-    ``values`` at its lane ``p`` where ``valid[p]`` and the slot's runtime
-    ``mask`` has lane ``sel[p]`` (``None``: every lane, in order), through
-    ``Memory.store_lanes`` as the IR's packed stores write them.
-    ``values`` and ``mask`` may be one slot's lanes, shared by every
-    slot."""
-    step = width * dtype.itemsize
-    slots = rows * gangs
-    values = np.broadcast_to(values.reshape(-1, width), (slots, width))
-    if mask is not None:
-        mask = np.broadcast_to(mask.reshape(-1, width), (slots, width))
-    for slot in range(slots):
-        i, g = divmod(slot, gangs)
-        base = addr + i * rho + g * delta
-        for j, (sel, valid) in enumerate(windows):
-            part = None if mask is None else \
-                mask[slot] if sel is None else mask[slot, sel]
-            if valid is not None:
-                part = valid if part is None else part & valid
-            memory.store_lanes((base + j * step) & _M64, dtype,
-                               values[slot] if sel is None
-                               else values[slot, sel], part)
-
-
 def _scatter_add(memory, sub: bool, addrs, values, mask, lane: int,
                  gangs: int, windows) -> None:
     """A trip's scatter-add (see :mod:`repro.backend.batch`): each active
@@ -676,62 +634,46 @@ def _scatter_add(memory, sub: bool, addrs, values, mask, lane: int,
         cells, addrs.view(np.int64) >> (size.bit_length() - 1), values)
 
 
-#: ``atomicrmw`` ops :func:`_rmw_rows` applies to a row of cells at once.
+#: ``atomicrmw`` op -> the ufunc :func:`_rmw_rows` applies to a row of
+#: cells at once (``smin``/``smax`` on the cells' signed view).
 _ROW_RMW = {"add": np.add, "sub": np.subtract, "and": np.bitwise_and,
             "or": np.bitwise_or, "xor": np.bitwise_xor,
-            "umin": np.minimum, "umax": np.maximum}
+            "umin": np.minimum, "umax": np.maximum,
+            "smin": np.minimum, "smax": np.maximum}
 
 
 def _row_cells(memory, addr: int, rho: int, rows: int, dtype):
     """The cells ``addr + i·rho`` (``i < rows``) of a collapsed nest as
-    one strided view, after raising the extent over them — or ``None``
-    when one is outside the physical buffer or two overlap (then the
-    caller goes row by row through ``Memory``)."""
+    one strided view, after raising the extent over them.  One outside
+    the physical buffer, or two that overlap, replay the launch."""
     size = dtype.itemsize
     end = addr + (rows - 1) * rho + size
     if addr < NULL_GUARD or end > len(memory.data) or (
             rows > 1 and rho < size):
-        return None
+        raise _Replay("row cells out of range")
     if end > memory._extent:
         memory._extent = end
     return np.ndarray((rows,), dtype, memory.data, addr, (rho,))
 
 
-def _store_rows(memory, addr: int, rho: int, rows: int, ctype, value,
+def _store_rows(memory, addr: int, rho: int, rows: int, dtype, value,
                 step: int) -> None:
     """A row prologue's scalar store for each row of the outer trip, in
     row order: row ``i`` stores ``value + i·step`` at ``addr + i·rho``."""
-    values = [(value + i * step) & _M64 for i in range(rows)] if step \
-        else [value] * rows
-    cells = _row_cells(memory, addr, rho, rows, elem_dtype(ctype))
-    if cells is not None:
-        cells[...] = values
-        return
-    for i, v in enumerate(values):
-        memory.store_scalar((addr + i * rho) & _M64, ctype, v)
+    _row_cells(memory, addr, rho, rows, dtype)[...] = \
+        [(value + i * step) & _M64 for i in range(rows)] if step else value
 
 
-def _rmw_rows(memory, addr: int, rho: int, rows: int, ctype, rmw: str,
+def _rmw_rows(memory, addr: int, rho: int, rows: int, dtype, rmw: str,
               lanes, gangs: int) -> None:
     """A per-gang ``atomicrmw`` in a collapsed trip: row ``i`` folds its
     gangs' lanes into the cell at ``addr + i·rho`` (a per-row cell,
-    ``sums + y``; rows update in row order)."""
-    folds = lanes.reshape(rows, gangs)
-    ufunc = _ROW_RMW.get(rmw)
-    cells = None if ufunc is None else \
-        _row_cells(memory, addr, rho, rows, lanes.dtype)
-    if cells is not None:
-        cells[...] = ufunc(cells, ufunc.reduce(folds, axis=1,
-                                               dtype=lanes.dtype)
-                           if rmw != "sub" else
-                           np.add.reduce(folds, axis=1, dtype=lanes.dtype))
-        return
-    apply = scalar_binop_impl(rmw, ctype)
-    for i in range(rows):
-        at = (addr + i * rho) & _M64
-        old = memory.load_scalar(at, ctype)
-        memory.store_scalar(at, ctype, apply(
-            old, fold_lanes(rmw, ctype.bits, folds[i])))
+    ``sums + y``; rows update in row order), both read as ``dtype``."""
+    ufunc = _ROW_RMW[rmw]
+    folds = lanes.view(dtype).reshape(rows, gangs)
+    cells = _row_cells(memory, addr, rho, rows, dtype)
+    cells[...] = ufunc(cells, (np.add if rmw == "sub" else ufunc).reduce(
+        folds, axis=1, dtype=dtype))
 
 
 def _mask_end(mask, width: int) -> int:
@@ -784,21 +726,24 @@ def _mask_bound(mask: Value, nest: Set[BasicBlock], memo: dict):
 
 def _last_lane_end(mask, width: int, gangs: int, rho: int, delta: int,
                    itemsize: int, step: int) -> int:
-    """One past the last active lane of a view's runtime ``mask`` (slot
-    ``k`` is gang ``k % gangs`` of row ``k // gangs``, rows ``rho`` and
-    gangs ``delta`` bytes apart, lanes ``step``), relative to the view's
-    address — what ``store_lanes`` raises the extent to — or 0."""
+    """One past the highest active lane of a view's runtime ``mask``
+    (slot ``k`` is gang ``k % gangs`` of row ``k // gangs``, rows ``rho``
+    and gangs ``delta`` bytes apart, lanes ``step``), relative to the
+    view's address — what the IR's stores raise the extent to, whether
+    or not the gangs' windows interleave — or 0."""
     lanes = mask.nonzero()[0]
     if not len(lanes):
         return 0
-    last = int(lanes[-1])
-    (i, j), lane = divmod(last // width, gangs), last % width
-    return i * rho + j * delta + lane * step + itemsize
-
-
-#: The out-of-line pair's static arguments for a packed store and load
-#: whose lanes are all needed (see :class:`_Window`).
-_PACKED_PARTS = (((None, None),), ((None,), None))
+    span = (width - 1) * step + itemsize  # a slot's bytes
+    if (gangs == 1 or delta >= span) and (
+            len(mask) <= gangs * width or rho >= (gangs - 1) * delta + span):
+        # Slots in address order: the last active lane ends highest.
+        last = int(lanes[-1])
+        (i, j), lane = divmod(last // width, gangs), last % width
+        return i * rho + j * delta + lane * step + itemsize
+    slot, lane = np.divmod(lanes, width)
+    row, gang = np.divmod(slot, gangs)
+    return int((row * rho + gang * delta + lane * step).max()) + itemsize
 
 
 class _Nest:
@@ -843,18 +788,15 @@ class _Window:
     A load defines ``value`` (a window group's last select); a store
     writes ``value`` — one gang's lanes for every gang when ``narrow``.
     ``mask`` is the runtime mask (one gang's for every gang when
-    ``mask_narrow``), or ``None``: static masks cover every lane.
-    ``parts`` are the out-of-line pair's static arguments: a load's
-    ``(needed masks per window, lane positions)``, a store's ``(sel,
-    valid)`` per window (``None``: all lanes, in order)."""
+    ``mask_narrow``), or ``None``: static masks cover every lane."""
 
     __slots__ = ("load", "first", "elem", "width", "stride", "reach",
-                 "delta", "value", "narrow", "mask", "mask_narrow", "parts",
-                 "needed", "keep")
+                 "delta", "value", "narrow", "mask", "mask_narrow", "needed",
+                 "keep")
 
     def __init__(self, load: bool, first: Value, elem, width: int,
                  stride: int, reach: int, delta: int, value: Value,
-                 parts: tuple, narrow: bool = False,
+                 narrow: bool = False,
                  mask: Optional[Value] = None, mask_narrow: bool = False,
                  needed: Optional[int] = None, keep=None):
         self.load = load
@@ -865,7 +807,6 @@ class _Window:
         self.reach = reach
         self.delta = delta
         self.value = value
-        self.parts = parts
         self.narrow = narrow
         self.mask = mask
         self.mask_narrow = mask_narrow
@@ -1072,6 +1013,11 @@ class _Emitter:
 
     def _type(self, t) -> str:
         return self.hoist(t, key=("t", id(t)))
+
+    def _replay(self, kind: str) -> str:
+        """The statement that leaves generated code for the reference
+        engine: the launch rolls back and replays (see "One way out")."""
+        return f"raise {self.hoist(_Replay, key=('b', 'bailout'))}({kind!r})"
 
     def name_of(self, instr: Value) -> str:
         name = self.names.get(instr)
@@ -1310,10 +1256,11 @@ class _Emitter:
 
     def _reads_signed(self, ins) -> Optional[str]:
         """The hoisted signed dtype :meth:`_vec_expr` reads ``ins``'s
-        operands as — a signed ``icmp``, ``sitofp`` or ``sext`` of 8–64-bit
-        integer lanes — else ``None`` (i1 lanes keep ``signed_view``)."""
+        operands as — a signed ``icmp``, ``sitofp``, ``sext``, ``smin``,
+        ``smax`` or ``iabs`` of 8–64-bit integer lanes — else ``None`` (i1
+        lanes keep ``signed_view``)."""
         op = ins.opcode
-        if op not in ("icmp", "sitofp", "sext") or op == "icmp" \
+        if op not in _READS_SIGNED or op == "icmp" \
                 and ins.attrs["pred"] not in _CMP_S:
             return None
         src = ins.operands[0].type
@@ -1395,11 +1342,9 @@ class _Emitter:
                 return f"{self._np(np.minimum)}({a}, {b})"
             if op == "umax":
                 return f"{self._np(np.maximum)}({a}, {b})"
-            if op in ("smin", "smax"):
+            if op in ("smin", "smax"):  # signed views (_reads_signed)
                 npf = self._np(np.minimum if op == "smin" else np.maximum)
-                sv = self._np(signed_view)
-                au = self._np(as_unsigned)
-                return f"{au}({npf}({sv}({a}), {sv}({b})))"
+                return f"{npf}({a}, {b}).view({self._dtype(elem)})"
             return None
         if op == "fneg":
             return f"(-{argrefs[0]})"
@@ -1409,10 +1354,9 @@ class _Emitter:
             return f"{self._np(np.sqrt)}({argrefs[0]})"
         if op == "not":
             return f"(~{argrefs[0]})"
-        if op == "iabs":
-            sv = self._np(signed_view)
-            au = self._np(as_unsigned)
-            return f"{au}({self._np(np.abs)}({sv}({argrefs[0]})))"
+        if op == "iabs" and elem.bits != 1:  # a signed view (_reads_signed)
+            return (f"{self._np(np.abs)}({argrefs[0]})"
+                    f".view({self._dtype(elem)})")
         if op == "fma":
             a, b, c = argrefs
             return f"({a} * {b} + {c})"
@@ -1470,7 +1414,7 @@ class _Emitter:
                 # of ops.eval_vector_cast is the body-wide one).
                 i64 = self.hoist(np.int64, key=("np", "int64"))
                 v = f"{self._np(np.trunc)}({v}).astype({i64})"
-                if op == "fptoui":
+                if op == "fptoui" and elem.bits != 64:
                     return f"({v} & {(1 << elem.bits) - 1:#x}).astype({dt})"
                 if elem.bits != 64:
                     v = f"{v}.astype({self._sdtype(elem)})"
@@ -1756,8 +1700,10 @@ class _Emitter:
                 # A collapsed row nest: each row of the trip folds its
                 # gangs into its own cell (``sums + y``).
                 rows = self.hoist(_rmw_rows, key=("b", "rmw_rows"))
+                dt = self._sdtype(t) if rmw in ("smin", "smax") \
+                    else self._dtype(t)
                 self.line(f"{rows}(_mem, {addr}, {self._row_stride(ops[0])},"
-                          f" _R, {self._type(t)}, {rmw!r}, {x}, _g)")
+                          f" _R, {dt}, {rmw!r}, {x}, _g)")
                 return
             if segments:
                 # Per-gang lanes: one read-modify-write with the fold of
@@ -1778,7 +1724,7 @@ class _Emitter:
                 if row_dependent(self.nest.form(ops[0])) else 0
             rows = self.hoist(_store_rows, key=("b", "store_rows"))
             self.line(f"{rows}(_mem, {self.ref(ops[1])},"
-                      f" {self._row_stride(ops[1])}, _R, {self._type(ops[0].type)},"
+                      f" {self._row_stride(ops[1])}, _R, {self._dtype(ops[0].type)},"
                       f" {self.ref(ops[0])}, {step})")
         elif "private" in ins.attrs:
             if op == "vload":
@@ -1802,20 +1748,19 @@ class _Emitter:
         """A masked gather as one typed index of the lane view: one range
         test over the active lanes' addresses — at or above the NULL page,
         inside the view, aligned — then ``_w[_x >> shift]`` into the active
-        lanes.  Whatever the test rejects calls ``Memory.gather`` (trap
-        text, growth, a misaligned lane), and so does an element without
-        an inline view (i1).  No active lane is ``zeros``: ``Memory``
-        validates nothing then either."""
+        lanes; whatever the test rejects replays the launch.  An element
+        without an inline view (i1) calls ``Memory.gather``.  No active
+        lane is ``zeros``: ``Memory`` validates nothing then either."""
         addrs, mask = ins.operands
         dst = self.name_of(ins)
         dt = self._dtype(ins.type.elem)
         dtype = self.hoisted[dt]
         lanes = self._mask_lanes(mask)
-        slow = (f"{dst} = _mem.gather({self.ref(addrs)},"
-                f" {self._type(ins.type.elem)}, {self._mask_ref(mask, lanes)})")
         if dtype.kind == "b":
             self.slow_sites += 1
-            self.line(slow)
+            self.line(f"{dst} = _mem.gather({self.ref(addrs)},"
+                      f" {self._type(ins.type.elem)},"
+                      f" {self._mask_ref(mask, lanes)})")
             return
         count = self._live(ins.type.count) if self.trip else ins.type.count
         zeros = f"{dst} = {self._np(np.zeros)}({count}, {dt})"
@@ -1836,7 +1781,7 @@ class _Emitter:
             body.append(f"_q = _x >> {shift}")
             bor = self.hoist(np.bitwise_or.reduce, key=("np", "or.reduce"))
             test += f" or {bor}(_x) & {es - 1}"
-        body += [f"if {test}:", f"    {slow}"]
+        body += [f"if {test}:", "    " + self._replay("gather")]
         if lanes is not None and lanes[0] == ins.type.count:
             self.line(f"_x = {x}")
             for text in body + ["else:", f"    {dst} = _w[{q}]"]:
@@ -1893,20 +1838,18 @@ class _Emitter:
     def _emit_cell(self, ins, t, addr: str, store: Optional[str] = None) -> None:
         """A scalar ``load`` (``store`` is None), ``store``, or — when
         ``store`` reads this instruction's own name — ``atomicrmw``:
-        one range test, then ``struct`` straight on the byte buffer."""
+        one range test, then ``struct`` straight on the byte buffer; what
+        the test rejects replays the launch.  An i1 cell calls ``Memory``."""
         loads = ins.opcode != "store"
         dst = self.name_of(ins) if loads else None
-        tref = self._type(t)
-        slow: List[str] = []
-        if loads:
-            slow.append(f"{dst} = _mem.load_scalar({addr}, {tref})")
-        if store is not None:
-            slow.append(f"_mem.store_scalar({addr}, {tref}, {store})")
         fmt = _CELL_FORMAT.get(elem_dtype(t).str[1:])
         if fmt is None:
             self.slow_sites += 1
-            for text in slow:
-                self.line(text)
+            tref = self._type(t)
+            if loads:
+                self.line(f"{dst} = _mem.load_scalar({addr}, {tref})")
+            if store is not None:
+                self.line(f"_mem.store_scalar({addr}, {tref}, {store})")
             return
         self.inline_sites += 1
         cell = struct.Struct(fmt)
@@ -1925,10 +1868,7 @@ class _Emitter:
             self.line(f"{pack}(_d, {addr}, {store})")
         self.indent -= 1
         self.line("else:")
-        self.indent += 1
-        for text in slow:
-            self.line(text)
-        self.indent -= 1
+        self.line("    " + self._replay("cell"))
 
     def _emit_private(self, ins, vtype, addr: str, mask: Value,
                       store: Optional[str] = None) -> None:
@@ -1956,14 +1896,13 @@ class _Emitter:
         self.line(f"_o = {addr} - {self.ref(base)}")
         self.line(f"_k = _o // {row_bytes}")
         if store is not None:
-            bail = self.hoist(_Replay, key=("b", "bailout"))
             if not full:
                 self.line(f"_nc = {cnz}({mref})")
                 self.line("if _nc:")
                 self.indent += 1
                 off += f" or _nc != {n}"
             self.line(f"if {off}:")
-            self.line(f"    raise {bail}('partial store to private storage')")
+            self.line("    " + self._replay("partial store to private storage"))
             self.line(f"{array}[_k] = {store}")
             self.line(f"{flags}[_k] = 1")
             if not full:
@@ -2207,11 +2146,8 @@ class _Emitter:
         reach = max((j * width + int(keep.nonzero()[0][-1]) + 1
                      for j, keep in enumerate(needed) if keep.any()),
                     default=0)
-        for keep in needed:
-            keep.setflags(write=False)
-        positions.setflags(write=False)
         win = _Window(True, first, head.type.elem, width, stride, reach,
-                      delta, value, (tuple(needed), positions))
+                      delta, value)
         return win, members, (first,)
 
     def _packed_view(self, ins: Instruction) -> _Window:
@@ -2225,26 +2161,22 @@ class _Emitter:
             else (ops[0].type, ops[1], ops[2])
         width = vtype.count // (self.trip.batch if self.trip else 1)
         known = self._mask_lanes(mask, vtype.count // width)
-        lanes = keep = None
+        keep = None
         needed = width
         if known is not None:
             active, needed = known
-            if active < width:  # a gang's lanes: the mask's first
-                lanes = np.array(self.payload(mask)[:width], bool)
-                lanes.setflags(write=False)
-                if active != needed:
-                    keep = lanes[:needed]
+            if active != needed:  # a gang's lanes: the mask's first
+                keep = np.array(self.payload(mask)[:needed], bool)
+                keep.setflags(write=False)
             mask = None
-        parts = _PACKED_PARTS[load] if lanes is None \
-            else ((lanes,), None) if load else ((None, lanes),)
         return _Window(load, addr, vtype.elem, width, 1, needed,
                        self._window_delta(ins, width), ins if load else ops[0],
-                       parts, False, mask, False, needed, keep)
+                       False, mask, False, needed, keep)
 
     def _emit_view(self, win: _Window) -> None:
         """One access as one view of the lane memory (see "Views"): the
-        range test, the out-of-line pair in its failing arm, the view in
-        the other.  In a trip, a window load :meth:`_find_copies` paired
+        range test, a replay in its failing arm, the view in the other.
+        In a trip, a window load :meth:`_find_copies` paired
         with a store emits nothing here: the store runs both
         (:meth:`_emit_copy`).  Outside one the pair runs unpaired: numpy
         copies through a temporary only when an assignment's views are
@@ -2265,13 +2197,13 @@ class _Emitter:
                 self.line(f"{self.name_of(win.value)} = {self._np(np.zeros)}("
                           f"{count}, {self._dtype(win.elem)})")
             return
-        head, test, slow, body, _ = self._view_code(win)
+        head, test, body, _ = self._view_code(win)
         if win.stride > 1:
             self.window_sites += 1
         self.inline_sites += 1
         pad = "    " * self.indent
         self.lines.append(pad + f"\n{pad}".join(
-            head + [f"if {test}:", "    " + slow, "else:"]
+            head + [f"if {test}:", "    " + self._replay("view"), "else:"]
             + ["    " + text for text in body]))
 
     def _emit_copy(self, load: _Window, store: _Window) -> None:
@@ -2279,34 +2211,25 @@ class _Emitter:
         trip: when both range tests pass, the store's ``(slots, G)`` view
         is assigned from the load's — no copy of the lanes in between
         (numpy copies through a temporary when the two views overlap, as
-        the loaded value did).  Otherwise the two groups run as each
-        would alone, load first, so the per-window order, trap text and
-        growth are unchanged.  Two window sites, as before pairing."""
-        lhead, ltest, lslow, lbody, lview = self._view_code(load)
-        shead, stest, sslow, sbody, sview = self._view_code(store)
+        the loaded value did).  Either test failing replays the launch.
+        Two window sites, as before pairing."""
+        lhead, ltest, _, lview = self._view_code(load)
+        shead, stest, sbody, sview = self._view_code(store)
         pad = "    " * self.indent
         self.window_sites += 2
         self.inline_sites += 2
         self.lines += [pad + text for text in lhead]
         self.lines += [pad + text for text in shead if text not in lhead]
-        self.lines += [f"{pad}if {ltest} or {stest}:",
-                       f"{pad}    if {ltest}:", f"{pad}        {lslow}",
-                       f"{pad}    else:"]
-        self.lines += [f"{pad}        {text}" for text in lbody]
-        self.lines += [f"{pad}    {text}" for text in shead]
-        self.lines += [f"{pad}    if {stest}:", f"{pad}        {sslow}",
-                       f"{pad}    else:"]
-        self.lines += [f"{pad}        {text}" for text in sbody]
         # The store's extent lines, then its view assigned from the load's.
-        self.lines += [f"{pad}else:"]
+        self.lines += [f"{pad}if {ltest} or {stest}:",
+                       f"{pad}    {self._replay('view')}", f"{pad}else:"]
         self.lines += [f"{pad}    {text}" for text in sbody[:-1]]
         self.lines.append(f"{pad}    {sview}[...] = {lview}")
 
     def _view_code(self, win: _Window):
         """What :meth:`_emit_view` emits for ``win`` (see "Views"):
-        ``(head, test, slow, body, view)`` — the lines binding what the
-        range ``test`` reads, the out-of-line call, the in-bounds lines and
-        the view expression."""
+        ``(head, test, body, view)`` — the lines binding what the range
+        ``test`` reads, the in-bounds lines and the view expression."""
         dt = self._dtype(win.elem)
         dtype = self.hoisted[dt]
         es = dtype.itemsize
@@ -2320,9 +2243,9 @@ class _Emitter:
         count = self._live(width * trip.batch) if trip else width
         total = count if needed == width else count + needed - width \
             if trip is None else f"{count} - {width - needed}"
-        rows, gangs, rho, lead = ("1", "1", "0", "") if trip is None else \
-            ("_R", "_g", self._row_stride(win.first), "_R, _g") if nest \
-            else ("1", "_r", "0", "_r")
+        gangs, rho, lead = ("1", "0", "") if trip is None else \
+            ("_g", self._row_stride(win.first), "_R, _g") if nest \
+            else ("_r", "0", "_r")
         mask = None if win.mask is None \
             else self.ref(win.mask, narrow=win.mask_narrow)
         value = None if win.load else self.ref(win.value, narrow=win.narrow)
@@ -2372,20 +2295,16 @@ class _Emitter:
             where = mask if win.mask_narrow or mask is None \
                 else f"{mask}.reshape({lead}, {width})"
             assign = "{}[...] = {}"
-        args = (f"(_mem, {addr}, {dt}, {width}, {rows}, {gangs}, {rho},"
-                f" {delta}, ")
         # A row tail's gangs are partial: its masks never set every lane.
         full = mask is None or trip is None or trip.header is not None
         if win.load:
             dst = self.name_of(win.value)
-            slow = (f"{dst} = {self.hoist(_window_load, key=('b', 'wload'))}"
-                    f"{args}{self.hoist(win.parts)}, {mask})")
             if mask is None and keep is None and not part or full and mask:
                 copy = ".flatten()" if not sliced else \
                     "" if self._cast_copies(win.value) else ".copy()"
                 body = [f"{dst} = {view}{copy}"]
                 if mask is None:
-                    return head, test, slow, body, view
+                    return head, test, body, view
             lanes = [f"{dst} = {self._np(np.zeros)}({shape}, {dt})",
                      f"{dst}{part} = {view}" if where is None and keep is None
                      else f"{self._np(np.copyto)}({dst}{part}, {view},"
@@ -2396,9 +2315,7 @@ class _Emitter:
                 lanes = [f"if {self._cnz()}({mask}) == {count}:",
                          "    " + body[0], "else:"] \
                     + ["    " + text for text in lanes]
-            return head, test, slow, lanes, view
-        slow = (f"{self.hoist(_window_store, key=('b', 'wstore'))}{args}"
-                f"{self.hoist(win.parts)}, {value}, {mask})")
+            return head, test, lanes, view
         end = (f"{addr} + {span * es}" if isinstance(span, int) else
                f"{addr} + ({span}) * {es}") if sliced else \
             f"{addr} + {offset} + {(s * (needed - 1) + 1) * es}"
@@ -2407,11 +2324,11 @@ class _Emitter:
             assign.format(view, src) if keep is None else
             f"{self._np(np.copyto)}({view}, {src}, where={keep})"]
         if mask is None:
-            return head, test, slow, whole, view
-        # A runtime mask: the extent rises to the end of its last active
-        # lane — inline where the mask's lanes lie in one run (a slice, or
-        # one gang's mask for the last slot) — which ends highest unless
-        # the gangs' windows interleave.
+            return head, test, whole, view
+        # A runtime mask: the extent rises to the end of its highest
+        # active lane — inline where the mask's lanes lie in one run (a
+        # slice, or one gang's mask for the last slot), else the highest
+        # over every slot (the gangs' windows may interleave).
         if sliced or win.mask_narrow:
             last = f"{self._int()}({mask}.nonzero()[0][-1])"
             last = f"({last} + 1) * {es}" if s == 1 \
@@ -2424,15 +2341,12 @@ class _Emitter:
                           f" where={where})"]
         if not full:  # a row tail: ``_last_lane_end`` is 0 for no lane
             body = [f"_e = {last}", "if _e:", f"    _e += {base}"]
-            return head, test, slow, body + ["    " + t for t in lanes], view
-        if lead and delta < (s * (width - 1) + 1) * es:
-            lanes = [slow]
-        else:
-            lanes.insert(0, f"_e = {base} + {last}")
+            return head, test, body + ["    " + t for t in lanes], view
         body = [f"_nc = {self._cnz()}({mask})",
                 f"if _nc == {width if win.mask_narrow else count}:"] \
-            + ["    " + text for text in whole] + ["elif _nc:"]
-        return head, test, slow, body + ["    " + t for t in lanes], view
+            + ["    " + text for text in whole] + ["elif _nc:",
+                                                  f"    _e = {base} + {last}"]
+        return head, test, body + ["    " + t for t in lanes], view
 
     def _untile(self, value: Value, rows: int):
         """``(source, [tile])`` when ``value`` is a trip's tile — batching's
@@ -2505,7 +2419,7 @@ class _Emitter:
                 break
         cover = np.zeros(width, np.int64)
         positions = np.zeros(width, np.int64)
-        parts, members, sources = [], [], set()
+        members, sources = [], set()
         for j, store in enumerate(stores):
             found = self._window_source(store.operands[0], rows)
             if found is None or store.operands[0].type != value.type \
@@ -2521,9 +2435,6 @@ class _Emitter:
             sel = np.asarray(index.value, np.int64) % width
             np.add.at(cover, sel[valid], 1)
             positions[sel[valid]] = j * width + np.nonzero(valid)[0]
-            sel.setflags(write=False)
-            valid.setflags(write=False)
-            parts.append((sel, valid))
             members += values + ([store] if j else [])
         stride = self._stride_of(positions)
         if len(sources) != 1 or stride < 2 or not (cover == 1).all() \
@@ -2532,7 +2443,7 @@ class _Emitter:
         reach = len(stores) * width if mask is not None \
             else stride * (width - 1) + 1
         win = _Window(False, first, value.type.elem, width, stride, reach,
-                      delta, src, tuple(parts), narrow, mask, mask_narrow)
+                      delta, src, narrow, mask, mask_narrow)
         return win, members, (first, src) if mask is None \
             else (first, src, mask)
 
@@ -2966,8 +2877,7 @@ class _Emitter:
             nphi += 1
         body, term = instrs[nphi:-1], instrs[-1]
         fold = self._fold_cond(body, term)
-        emit_n = len(body) - 1 if fold is not None else len(body)
-        for ins in body[:emit_n]:
+        for ins in body[:-1] if fold is not None else body:
             if ins in self.absorbed:
                 continue  # a window group's: its first access runs it
             op = ins.opcode
@@ -2985,6 +2895,10 @@ class _Emitter:
             else:
                 assert op in _MEMORY_OPS, op
                 self.emit_memory(ins)
+        if fold is not None and fold.opcode in ("icmp", "fcmp") \
+                and all(map(self.is_known, fold.operands)):
+            self.emit_compute(fold)  # known: the condbr takes one arm
+            fold = None
         cond_expr = self._fold_cond_expr(fold) if fold is not None else None
         return self.emit_terminator(block, term, stop, cond_expr)
 
@@ -3015,11 +2929,16 @@ class _Emitter:
         if op == "unreachable":
             self.line(f"raise _VMTrap({self._unreachable_msg()!r})")
             return None
-        if op == "br":
-            if self.trip and term.operands[0] is self.trip.header:
+        if op == "br" or cond_expr is None \
+                and _BRANCH_FORMS.isdisjoint(term.attrs) \
+                and self.is_known(term.operands[0]):
+            # (A condbr whose condition the emitter knows takes one arm.)
+            target = term.operands[0] if op == "br" else term.operands[
+                1 if self.payload(term.operands[0]) else 2]
+            if self.trip and target is self.trip.header:
                 self._emit_writeback()
-            self.emit_phi_moves(block, term.operands[0])
-            return self._goto(term.operands[0], stop)
+            self.emit_phi_moves(block, target)
+            return self._goto(target, stop)
         assert op == "condbr", op
         cond = (
             cond_expr if cond_expr is not None

@@ -24,8 +24,10 @@ Every method of this class goes through a hooked check.  Generated code
 (:mod:`repro.backend.codegen`) inlines the in-bounds case of the access
 forms it can resolve at emit time and skips the hook there; that is
 sound because ``Interpreter.run`` never enters generated code while a
-fault plan is armed, and everything the inline range test rejects comes
-back here.
+fault plan is armed.  Whatever an inline range test rejects replays the
+launch on the reference engine, whose accesses all come here; generated
+code itself calls this class only where it has no inline form (i1 cells
+and gathers, plain scatters, ``alloc``).
 
 Logical size vs physical capacity: ``Memory(size)`` is a ``size``-byte
 address space — every bounds check and every trap message uses ``size``
@@ -242,8 +244,8 @@ class Memory:
 
     def load_lanes(self, addr: int, dtype: np.dtype, count: int, mask=None) -> np.ndarray:
         """Packed load of ``count`` ``dtype`` lanes (the reference engine's
-        ``vload``, and generated code's out-of-line view path, window by
-        window, for whatever its inline range test rejects).
+        ``vload``; generated code reads its views inline, and a launch
+        whose range test rejects one replays here).
 
         With a mask, inactive lanes read as zero and, when every lane is
         inactive, the address is never validated (mirrors hardware masked

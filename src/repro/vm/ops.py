@@ -645,7 +645,10 @@ def eval_vector_cast(opcode: str, from_elem: Type, to_elem: Type, v: np.ndarray)
             return np.trunc(v).astype(np.int64).astype(signed_dtype(to_elem)).view(dst)
     if opcode == "fptoui":
         with np.errstate(invalid="ignore"):
-            return (np.trunc(v).astype(np.int64) & ((1 << to_elem.bits) - 1)).astype(dst)
+            lanes = np.trunc(v).astype(np.int64)
+            if to_elem.bits == 64:  # the mask is the identity mod 2**64
+                return lanes.view(dst)
+            return (lanes & ((1 << to_elem.bits) - 1)).astype(dst)
     if opcode == "sitofp":
         return signed_view(v).astype(dst)
     if opcode == "uitofp":

@@ -63,9 +63,10 @@ kernels that batch and kernels that stay unbatched at both factors.
 Both of the first generator's batched legs run their builds again in a
 memory that ends where
 ``OUT`` does (``tight``): a tail gang's inactive lanes fall off the end,
-so generated code takes its out-of-line view path, which must leave
-exactly what the reference engine leaves in the same memory — outputs,
-``ExecStats``, image and extent — and the corpus must reach that path.
+so a range test of generated code fails and the launch replays on the
+reference engine, which must leave exactly what the reference engine
+leaves in the same memory — outputs, ``ExecStats``, image and extent —
+and the corpus must reach that replay.
 (A kernel that allocates at launch needs room past its arrays and skips
 this variant.)
 
@@ -92,7 +93,6 @@ import numpy as np
 import pytest
 
 from repro import diskcache
-from repro.backend import codegen
 from repro.benchsuite.fuzzgen import (
     N_CELLS,
     N_THREADS,
@@ -159,29 +159,9 @@ _XPROC_CORPUS = {"rehydrated": 0, "compiled": 0}
 
 _XPROC_DIR = None
 
-#: Launches of the ``tight`` variant, and those among them in which
-#: generated code took the out-of-line view pair.
-_TIGHT_CORPUS = {"launched": 0, "out_of_line": 0}
-
-#: Calls of the out-of-line view pair (``codegen._window_load`` /
-#: ``_window_store``) from code emitted by this module's tests.
-_PAIR_CALLS = [0]
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _count_the_out_of_line_pair():
-    """Wrap the pair before any emission (the code cache is emptied on
-    entry and exit, so every kernel here binds the counted pair)."""
-    patch = pytest.MonkeyPatch()
-    for name in ("_window_load", "_window_store"):
-        def counted(*args, _real=getattr(codegen, name)):
-            _PAIR_CALLS[0] += 1
-            return _real(*args)
-        patch.setattr(codegen, name, counted)
-    clear_compile_cache()
-    yield
-    patch.undo()
-    clear_compile_cache()
+#: Launches of the ``tight`` variant, and those among them that left
+#: generated code at a failed range test and replayed.
+_TIGHT_CORPUS = {"launched": 0, "replayed": 0}
 
 
 def _xproc_cache_dir():
@@ -407,10 +387,10 @@ def _tight_differential(module, reference, seed, context):
            for i in f.instructions()):
         return  # its allocas need room past the arrays
     want_out, want = _launch(reference, seed, tight=True, codegen=False)
-    calls = _PAIR_CALLS[0]
     got_out, got = _launch(module, seed, tight=True)
     _TIGHT_CORPUS["launched"] += 1
-    _TIGHT_CORPUS["out_of_line"] += _PAIR_CALLS[0] > calls
+    _TIGHT_CORPUS["replayed"] += \
+        got.codegen_report()["replays"] + got.batch_replays > 0
     context = f"tight memory, {context}"
     _assert_same(got_out, want_out, context)
     assert (got.stats.cycles, got.stats.instructions,
@@ -558,13 +538,14 @@ def test_zz_corpus_exercised_codegen():
         assert _CODEGEN_CORPUS["shuffle"] > 0, _CODEGEN_CORPUS
 
 
-def test_zz_corpus_exercised_the_out_of_line_view_path():
-    """The tight variant must have run, and generated code must have taken
-    its out-of-line view pair in at least one of those launches."""
+def test_zz_corpus_exercised_the_range_test_replay():
+    """The tight variant must have run, and a range test of generated code
+    must have failed — replaying the launch — in at least one of those
+    launches."""
     if FUZZ_N < 20:
         pytest.skip("FUZZ_N too small for the tight variant")
     assert _TIGHT_CORPUS["launched"] > 0, _TIGHT_CORPUS
-    assert _TIGHT_CORPUS["out_of_line"] > 0, _TIGHT_CORPUS
+    assert _TIGHT_CORPUS["replayed"] > 0, _TIGHT_CORPUS
 
 
 def test_zz_corpus_exercised_cross_process_rehydration():

@@ -7,7 +7,8 @@ folds at emit time (constant shuffle ``&`` constant) and under a runtime
 mask (full, tail, holes, all-inactive), gather, scatter (constant and
 runtime mask), atomicrmw} is driven at {an in-bounds address, the NULL
 page, one byte past the logical end, straddling the physical capacity,
-an address >= 2**63, an in-bounds address that is not lane-aligned} on
+ending exactly at it, one element past it, an address >= 2**63, an
+in-bounds address that is not lane-aligned} on
 the codegen engine and the reference engine, which must agree on the returned value, ``ExecStats``, trap class and
 message, ``Memory.image()`` and ``Memory.extent``.
 
@@ -15,19 +16,17 @@ The same holds for every view form of generated code — plain, contiguous
 trip, row-strided trip, collapsed row nest, window load, window store
 under static and under runtime masks, window copy — with its array inside
 memory, ending it under a tail gang, misaligned, on the NULL page and past
-the end; there the one out-of-line pair runs exactly when a range test
-fails.
+the end; there the launch replays on the reference engine exactly when a
+range test fails.
 
 And it holds for a collapsed row nest's per-row cells — a row prologue's
 store and a per-row atomic, ``sums[y]`` for each row of the trip — which
-generated code updates as one strided view, or row by row through
-``Memory`` where no view serves: the cells outside the physical buffer,
-on the NULL page or past the end, or an atomic no numpy ufunc folds
-(``smin``).
+generated code updates as one strided view (``smin``/``smax`` on its
+signed view), and whose range test sends cells outside the physical
+buffer, on the NULL page or past the end to a replay.
 """
 
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -160,8 +159,8 @@ def _static_mask(form):
 def _cases():
     for form in FORMS:
         for mask in MASKS if form.endswith(".mask") else (None,):
-            for where in ("inside", "null", "past-end", "straddle", "huge",
-                          "misaligned"):
+            for where in ("inside", "null", "past-end", "straddle", "fit",
+                          "edge", "huge", "misaligned"):
                 yield pytest.param(form, mask, where,
                                    id=f"{form}-{mask or 'x'}-{where}")
 
@@ -174,6 +173,10 @@ def _address(where, nbytes, base, capacity):
         # Inside the logical image, across the end of the physical buffer
         # (and, at 4 bytes, not lane-aligned either).
         "straddle": capacity - (nbytes // 2 if nbytes > 4 else 2),
+        # Ending exactly where the physical buffer does, and one (4-byte)
+        # element past it: the range test's boundary.
+        "fit": capacity - nbytes,
+        "edge": capacity - nbytes + 4,
         "huge": (1 << 63) + 64,
         # In bounds, but off the typed view generated code slices.
         "misaligned": base + 18,
@@ -245,7 +248,31 @@ def test_access_forms_agree_across_engines(form, mask, where):
                                   err_msg=f"{context}: image")
     report = interp.codegen_report()
     assert not report["bailouts"], report
-    assert report["calls"] == 1 and report["replays"] == trapped
+    rejected = _range_test_rejects(form, mask, where)
+    assert rejected or not trapped
+    assert report["calls"] == 1 and report["replays"] == rejected
+
+
+def _range_test_rejects(form, mask, where) -> bool:
+    """Whether the matrix's access fails its inline range test, so the
+    launch replays on the reference engine."""
+    kind = form.split(".")[0]
+    lane2_active = mask is None or MASKS[mask][2]
+    if kind == "scatter":  # always ``Memory``: only a trap replays
+        return lane2_active and where in ("null", "past-end", "huge")
+    if where == "inside":
+        return False
+    if kind in ("load", "store", "atomicrmw"):
+        # ``struct`` takes any byte address.
+        return where not in ("fit", "misaligned")
+    if kind == "gather":  # the test covers the active lanes
+        return lane2_active and where != "fit"
+    # A runtime mask's test covers every lane, past the last active one.
+    if where == "fit":
+        return form.endswith(".mask") and any(MASKS[mask]) \
+            and not MASKS[mask][-1]
+    # No active lane known at emit time: nothing to test.
+    return _static_mask(form) != "none"
 
 
 def test_a_trapping_store_leaves_the_image_untouched():
@@ -274,49 +301,48 @@ def test_which_packed_accesses_stay_out_of_memory(form, mask, monkeypatch):
     """An aligned in-bounds packed access runs inline whatever its mask:
     known at emit time — constant or folded, whatever its shape — or a
     runtime mask, all lanes set or not (a load zeroes the inactive lanes,
-    a store writes the active ones); anything off the typed view goes to
-    the one implementation in ``Memory`` (which the reference engine
-    always calls) through the one out-of-line pair."""
+    a store writes the active ones); anything off the typed view replays
+    the launch on the reference engine, which runs it through the one
+    implementation in ``Memory``."""
     calls = []
-    for module, name in ((Memory, "load_lanes"), (Memory, "store_lanes"),
-                         (cg, "_window_load"), (cg, "_window_store")):
-        real = getattr(module, name)
+    for name in ("load_lanes", "store_lanes"):
+        real = getattr(Memory, name)
         monkeypatch.setattr(
-            module, name,
+            Memory, name,
             lambda *a, _real=real, _name=name: (
                 calls.append(_name), _real(*a))[1])
     _, interp = _drive(form, mask, "inside", "codegen")
-    assert calls == []
+    assert calls == [] and interp.codegen_report()["replays"] == 0
     if _static_mask(form) and ".f" in form:
         source, _ = _Emitter(interp.module.functions["f"], interp.machine,
                              interp.cost_model).emit()
         assert "folded=2 " in source  # the shuffle and the ``and``
     calls.clear()
-    _drive(form, mask, "misaligned", "codegen")
-    # The one out-of-line pair, then its one window through ``Memory``.
+    _, interp = _drive(form, mask, "misaligned", "codegen")
+    # One replay, then the reference engine's one call of ``Memory``.
     kind = form.split(".")[0]
-    assert calls == ([] if _static_mask(form) == "none" else
-                     [f"_window_{kind[1:]}", f"{kind[1:]}_lanes"])
+    silent = _static_mask(form) == "none"
+    assert interp.codegen_report()["replays"] == (not silent)
+    assert calls == ([] if silent else [f"{kind[1:]}_lanes"])
     calls.clear()
     _drive(form, mask, "inside", "reference")
     assert len(calls) == 1
 
 
-# -- the one out-of-line path, across every view form -------------------------------
+# -- the range-test replay, across every view form ---------------------------------
 #
 # Every packed access of generated code is a view — ``(rows, gangs, lanes)``
 # slots a row stride and a per-gang delta apart, its lanes ``s`` elements
-# apart — and whatever a view's range test rejects goes through one
-# out-of-line pair (``codegen._window_load`` / ``_window_store``), slot by
-# slot and window by window through ``Memory``.  Each view form below runs
+# apart — and whatever a view's range test rejects replays the launch on
+# the reference engine.  Each view form below runs
 # with the array it accesses placed inside memory (allocated one gang
 # short, so its stores set the extent), ending memory under a tail gang
 # whose inactive lanes fall off the end, misaligned, on the NULL page and
 # past the end (its first gang fits, the next does not: a store traps
 # after writing it): the batched (or, for ``plain``, unbatched) build on
-# the codegen engine must leave what the reference engine leaves, replay
-# only where the reference traps, and run the pair exactly when a range
-# test fails.
+# the codegen engine must leave what the reference engine leaves, and
+# replay exactly when a range test fails — always where the reference
+# traps.
 
 G = 8
 
@@ -460,33 +486,15 @@ def _view_launch(module, form, where, **engine):
     }, interp
 
 
-@pytest.fixture(scope="module")
-def pair_calls():
-    """Counts the out-of-line pair, bound into code emitted while the
-    fixture lives (the code cache is emptied on entry and exit)."""
-    calls = []
-    patch = pytest.MonkeyPatch()
-    for name in ("_window_load", "_window_store"):
-        real = getattr(cg, name)
-        patch.setattr(cg, name, lambda *args, _real=real:
-                      calls.append(args) or _real(*args))
-    driver.clear_compile_cache()
-    yield calls
-    patch.undo()
-    driver.clear_compile_cache()
-
-
 @pytest.mark.parametrize("where", PLACEMENTS)
 @pytest.mark.parametrize("form", sorted(VIEW_FORMS))
-def test_every_view_form_leaves_what_the_reference_leaves(form, where,
-                                                          pair_calls):
+def test_every_view_form_leaves_what_the_reference_leaves(form, where):
     source, batch = VIEW_FORMS[form][:2]
     reference = driver.compile_parsimony(source, batch_request=0)
     want, _ = _view_launch(reference, form, where, codegen=False)
     module = driver.compile_parsimony(source, batch_request=batch)
     if batch is None:
         assert module.attrs["batch_applied"], module.attrs["batch_rejected"]
-    del pair_calls[:]
     got, interp = _view_launch(module, form, where)
     assert got == want, (form, where)
     # A tail gang's window load reads every lane's position: placed
@@ -496,13 +504,86 @@ def test_every_view_form_leaves_what_the_reference_leaves(form, where,
                                           and form in WINDOW_LOADS)
     report = interp.codegen_report()
     assert not report["bailouts"]
-    # A replay means generated code trapped: only where the IR traps.
-    assert report["replays"] + interp.batch_replays == (
-        want["trap"] is not None), (form, where)
-    if where == "inside" or where == "misaligned" and form in ALIGNMENT_FREE:
-        assert not pair_calls, (form, where)
-    else:
-        assert pair_calls, (form, where)
+    in_range = where == "inside" or where == "misaligned" \
+        and form in ALIGNMENT_FREE
+    assert report["replays"] + interp.batch_replays == (not in_range), (
+        form, where)
+
+
+def test_a_runtime_mask_store_raises_the_extent_to_its_highest_lane():
+    """The extent a view store under a runtime mask leaves
+    (``_last_lane_end``): the end of its highest active lane, as the IR's
+    stores, one per window, leave it — also where the gangs' windows
+    interleave (each gang ``delta`` bytes past the last, less than a
+    window spans), so the last active lane in slot order need not end
+    highest."""
+    rng = np.random.default_rng(5)
+    width, step, es = 8, 6, 2  # a window spans 44 bytes
+    # Interleaved gangs, interleaved rows, then slots in address order.
+    for rows, gangs, rho, delta in ((1, 4, 0, 10), (2, 3, 200, 14),
+                                    (3, 2, 64, 48), (2, 3, 200, 48),
+                                    (3, 1, 44, 0), (1, 1, 0, 0)):
+        for _ in range(50):
+            mask = rng.random(rows * gangs * width) < 0.3
+            want = max((k // width // gangs * rho + k // width % gangs * delta
+                        + k % width * step + es
+                        for k in np.flatnonzero(mask)), default=0)
+            assert cg._last_lane_end(mask, width, gangs, rho, delta, es,
+                                     step) == want, (rows, gangs, delta)
+
+
+#: form -> (source, the array placed, its elements that four gangs of
+#: threads touch, the scalars): no tail gang, so the last gang's view ends
+#: exactly where the array does.
+EDGE_FORMS = {
+    "row-strided": (ROW_STRIDED, "dst", 56, [4 * G]),
+    "row-nest": (NEST, "dst", 64, [2 * G, 4]),
+    "window-load": (WINDOW_LOAD, "src", 96, [4 * G]),
+    "window-store": (WINDOW_STORE, "dst", 96, [4 * G]),
+}
+
+
+def _edge_launch(module, form, short, **engine):
+    """One launch of ``form`` with its placed array ending memory, ``short``
+    elements short of what the threads touch; what it leaves, and how
+    often it replayed."""
+    source, placed, touched, scalars = EDGE_FORMS[form]
+    other = "dst" if placed == "src" else "src"
+    arrays = {other: np.arange(128, dtype=np.uint16) * 7,
+              placed: np.arange(touched - short, dtype=np.uint16) * 3}
+    size = 64 + arrays[other].nbytes + arrays[placed].nbytes
+    interp = Interpreter(module, memory=Memory(size), **engine)
+    addrs = {name: interp.memory.alloc_array(arrays[name])
+             for name in (other, placed)}
+    trap = None
+    try:
+        interp.run("kernel", addrs["src"], addrs["dst"], *scalars)
+    except ExecutionError as exc:
+        trap = f"{type(exc).__name__}: {exc}"
+    stats = interp.stats
+    return {
+        "trap": trap,
+        "stats": (stats.cycles, stats.instructions, dict(stats.counts)),
+        "image": interp.memory.image().tobytes(),
+        "extent": interp.memory.extent,
+    }, interp.codegen_report()["replays"] + interp.batch_replays
+
+
+@pytest.mark.parametrize("short", [0, 1], ids=["fit", "one-past"])
+@pytest.mark.parametrize("form", sorted(EDGE_FORMS))
+def test_a_view_ending_memory_replays_exactly_when_it_runs_past(form, short):
+    """The boundary of the strided views' range test: a trip whose last
+    gang ends exactly where memory does runs inline; one element more
+    traps on the reference engine, and generated code replays there."""
+    source = EDGE_FORMS[form][0]
+    want, _ = _edge_launch(driver.compile_parsimony(source, batch_request=0),
+                           form, short, codegen=False)
+    assert (want["trap"] is not None) == bool(short)
+    module = driver.compile_parsimony(source)
+    assert module.attrs["batch_applied"], module.attrs["batch_rejected"]
+    got, replays = _edge_launch(module, form, short)
+    assert got == want, (form, short)
+    assert replays == short, (form, short)
 
 
 #: What each form's build must emit for the matrix to mean what it names.
@@ -547,6 +628,10 @@ void kernel(u16* src, i32* sums, u64 w, u64 h) {
 ROW_CELL_CASES = {
     "inside": ("psim_atomic_add", None),
     "signed-min": ("psim_atomic_smin", None),
+    "signed-max": ("psim_atomic_smax", None),
+    # The cells end exactly where the physical buffer does, or one past.
+    "buffer-fit": ("psim_atomic_add", "fit"),
+    "buffer-edge": ("psim_atomic_add", "edge"),
     "beyond-buffer": ("psim_atomic_add", 1 << 19),
     "null": ("psim_atomic_add", 0),
     "past-end": ("psim_atomic_add", (1 << 20) - 8),
@@ -560,6 +645,8 @@ def _row_cell_launch(module, case, **engine):
     sums = ROW_CELL_CASES[case][1]
     if sums is None:
         sums = memory.alloc_array(np.zeros(H, np.int32))
+    elif isinstance(sums, str):
+        sums = len(memory.data) - (H - (sums == "edge")) * 4
     trap = None
     try:
         interp.run("kernel", src, sums, W, H)
@@ -575,36 +662,30 @@ def _row_cell_launch(module, case, **engine):
 
 
 @pytest.mark.parametrize("case", sorted(ROW_CELL_CASES))
-def test_row_cells_leave_what_the_reference_leaves(case, monkeypatch):
+def test_row_cells_leave_what_the_reference_leaves(case):
     source = ROW_CELLS % ROW_CELL_CASES[case][0]
     want, _ = _row_cell_launch(driver.compile_parsimony(
         source, batch_request=0), case, codegen=False)
     module = driver.compile_parsimony(source)
     assert any(" rows of " in e for e in module.attrs["batch_applied"])
-    row_by_row = []
-    scalar = Memory.store_scalar
-
-    def store_scalar(self, addr, type, value):
-        if sys._getframe(1).f_code.co_name in ("_store_rows", "_rmw_rows"):
-            row_by_row.append(addr)
-        return scalar(self, addr, type, value)
-
-    monkeypatch.setattr(Memory, "store_scalar", store_scalar)
     got, interp = _row_cell_launch(module, case)
     assert got == want, case
     assert (want["trap"] is not None) == (case in ("null", "past-end"))
-    assert interp.batch_replays == (want["trap"] is not None)
-    assert bool(row_by_row) == (case != "inside"), case
+    # Cells the strided view cannot serve replay the launch; signed
+    # atomics fold on the view like the others.
+    assert interp.batch_replays == (
+        case in ("beyond-buffer", "buffer-edge", "null", "past-end")), case
 
 
 # -- masked gathers: one typed index of the lane view --------------------------------
 #
 # Generated code reads a gather's active lanes as ``_mem.lanes[k][ix >>
 # shift]`` behind one range test — every active address at or above the
-# NULL page, inside the typed view, aligned — and calls ``Memory.gather``
-# for whatever the test rejects, and for an element with no inline view
-# (i1).  No active lane is ``zeros`` without a call.  Each case: lane 2
-# carries the address under test, the other lanes read the array.
+# NULL page, inside the typed view, aligned — and replays the launch for
+# whatever the test rejects; an element with no inline view (i1) calls
+# ``Memory.gather``.  No active lane is ``zeros`` without a test.  Each
+# case: lane 2 carries the address under test, the other lanes read the
+# array.
 
 GATHER_ELEMS = {"i1": I1, "i8": I8, "i16": I16, "i32": I32, "i64": I64,
                 "f64": F64}
@@ -699,16 +780,14 @@ def test_gathers_leave_what_the_reference_leaves(elem, mask, where,
     assert got == want, (elem, mask, where)
     report = interp.codegen_report()
     assert not report["bailouts"] and report["calls"] == 1
-    assert report["replays"] == (want["outcome"][0] != "ok")
     es = elem_dtype(t).itemsize
     in_range = where == "inside" or not tested or (
         where == "misaligned" and es == 1)
     if t is I1:
-        assert calls  # no inline view of i1 lanes
-    elif in_range or not any(lanes or [1]):
-        assert not calls, (elem, mask, where)
+        assert calls  # no inline view of i1 lanes: ``Memory`` decides
+        assert report["replays"] == (want["outcome"][0] != "ok")
     else:
-        assert calls, (elem, mask, where)
+        assert report["replays"] == (not in_range), (elem, mask, where)
 
 
 def test_an_inline_gather_is_one_index_of_the_lane_view():

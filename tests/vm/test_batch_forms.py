@@ -347,7 +347,9 @@ def test_predicated_trip_at_every_gang_count(name):
     gang: full trips, a predicated last trip, both, or (one gang at B=2) a
     trip of one gang — bitwise against the unbatched build, no bailout,
     no replay.  With the input or the output array ending memory, a
-    predicated trip touches nothing past its live gangs."""
+    predicated trip touches nothing past its live gangs.  Only a partial
+    tail gang may replay there: its range tests cover its inactive lanes,
+    which fall off the end when its array ends memory."""
     body = MATRIX[name]
     unbatched = _matrix_module(body, 0)
     wants = {}
@@ -366,7 +368,9 @@ def test_predicated_trip_at_every_gang_count(name):
                     report = interp.codegen_report()
                     assert got == wants[key], (name, factor, n, last)
                     assert got["trap"] is None, (name, factor, n, last)
-                    assert interp.batch_replays == 0, (name, factor, n, last)
+                    assert interp.batch_replays == 0 or (
+                        last and n % 8 and interp.batch_replays == 1), (
+                            name, factor, n, last)
                     assert report["calls"] and not report["bailouts"]
 
 

@@ -5,15 +5,23 @@ it knows at emit time, and picks cheaper host primitives for a few ops
 (``count_nonzero`` for the mask reductions, ``empty``+``fill`` for
 ``broadcast``, a sign-bit XOR for a narrow ``gep`` index, a literal lane
 for ``extractelement``, a masked Python expression for integer
-``atomicrmw``).  Each case runs on the codegen and the reference
-engine, which must agree on the returned value, ``ExecStats`` and the
-trap.
+``atomicrmw``, only the taken arm of a branch whose condition it knows).
+Each case runs on the codegen and the reference engine, which must agree
+on the returned value, ``ExecStats`` and the trap.
 """
+
+import re
 
 import numpy as np
 import pytest
 
+from repro import driver
+from repro.backend import codegen
 from repro.backend.codegen import _Emitter
+from repro.backend.costmodel import DEFAULT_COST_MODEL
+from repro.backend.machine import AVX512
+from repro.benchsuite.ispc_suite import BENCHMARKS as FIG4
+from repro.benchsuite.simdlib import KERNELS as FIG5
 from repro.ir import (
     I1,
     I8,
@@ -252,3 +260,60 @@ def test_errstate_is_installed_only_where_a_flag_can_be_raised():
         interp = Interpreter(module)
         interp.run("f", lanes)
         assert ("(all='ignore')" in _source(interp)) is wants
+
+
+def _diamond(bound):
+    """``f(x)``: ``x + 1`` if ``3 < bound`` else ``x * 3`` — a condition
+    the emitter folds — joined by a phi."""
+    module = Module("t")
+    f = Function("f", FunctionType(I32, (I32,)), ["x"])
+    module.add_function(f)
+    entry, yes, no, join = (f.add_block(name)
+                            for name in ("entry", "yes", "no", "join"))
+    b = IRBuilder(f, entry)
+    b.condbr(b.icmp("ult", Constant(I32, 3), Constant(I32, bound)), yes, no)
+    b.position_at_end(yes)
+    plus = b.binop("add", f.args[0], Constant(I32, 1))
+    b.br(join)
+    b.position_at_end(no)
+    times = b.binop("mul", f.args[0], Constant(I32, 3))
+    b.br(join)
+    b.position_at_end(join)
+    phi = b.phi(I32)
+    for value, block in ((plus, yes), (times, no)):
+        phi.append_operand(value)
+        phi.append_operand(block)
+    b.ret(phi)
+    verify_function(f)
+    return module
+
+
+@pytest.mark.parametrize("bound,want", [(5, 11), (2, 30)])
+def test_a_known_branch_condition_emits_only_its_taken_arm(bound, want):
+    seen, interp = _drive(_diamond(bound), 10)
+    assert _agree(seen) == ("ok", want)
+    source = _source(interp)
+    assert not _KNOWN_BRANCH.search(source) and "else:" not in source
+    assert ("(a0 + " in source) == (bound > 3), source
+    assert ("(a0 * " in source) == (bound <= 3), source
+
+
+#: A branch on a hoisted scalar: ``if _h3:``, ``if not (_h3):``, or a
+#: compare of two hoisted values.
+_KNOWN_BRANCH = re.compile(
+    r"^\s*(el)?if (not \()?_h\d+( [<>=!]+ _h\d+)?\)?:$", re.M)
+
+
+def test_no_suite_build_branches_on_a_known_condition():
+    """Across the 79 benchsuite builds no generated source tests a value
+    it knew at emit time (GetRowSums' per-row ``if _h27:`` and ten
+    others did)."""
+    for spec in list(FIG4) + list(FIG5):
+        module = driver.compile_parsimony(
+            spec.psim_src, module_name=f"{spec.name}.parsimony")
+        for function in module.functions.values():
+            if function.blocks:
+                source = codegen.generated_source(
+                    function, AVX512, DEFAULT_COST_MODEL, module.fingerprint)
+                assert not _KNOWN_BRANCH.search(source), (
+                    spec.name, _KNOWN_BRANCH.search(source).group(0))

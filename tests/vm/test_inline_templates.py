@@ -22,11 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import codegen as cg
+from repro.driver import compile_parsimony, compile_scalar
 from repro.backend.costmodel import DEFAULT_COST_MODEL
 from repro.backend.machine import AVX512
 from repro.ir import Function, FunctionType, IRBuilder, Instruction, UndefValue
 from repro.ir.types import (F32, F64, I1, I8, I16, I32, I64, PointerType,
                             VectorType, VOID)
+from repro.vm import Interpreter
 from repro.vm.nputil import elem_dtype
 from repro.vm.ops import eval_vector_cast, eval_vector_fcmp, value_impl
 
@@ -242,27 +244,77 @@ _CAST_CORNERS = [math.nan, math.inf, -math.inf, 0.5, -0.5, 2.0 ** 31,
 def test_vector_float_to_int_casts_on_corners(op, dst, src):
     """``fptosi``/``fptoui`` inline as ``ops.eval_vector_cast`` writes
     them (trunc → int64 → the target width), on NaN, ±inf, ±0.5, ±2³¹,
-    3e9 and ±2⁶³, bit for bit — and, where the reference raises (the
-    64-bit ``fptoui`` mask is no int64), with the same exception."""
+    3e9 and ±2⁶³, bit for bit; every corner an int64 holds truncates to
+    its value modulo 2**bits (64-bit ``fptoui`` too: its mask is the
+    identity modulo 2**64)."""
     v = np.array(_CAST_CORNERS, dtype=elem_dtype(src))
     ins = _instr(op, VectorType(dst, len(v)), [VectorType(src, len(v))])
     expr, scope = _template(ins, vector=True)
     assert expr is not None, f"no inline template for {op}"
     scope["x0"] = v
-    outcomes = []
-    for run in (lambda: eval(expr, {"__builtins__": {}}, scope),
-                lambda: eval_vector_cast(op, src, dst, v)):
-        with np.errstate(all="ignore"):
-            try:
-                outcomes.append(run())
-            except OverflowError as exc:
-                outcomes.append(type(exc))
-    got, want = outcomes
-    if isinstance(want, type):
-        assert got is want
-    else:
-        assert got.dtype == want.dtype and np.array_equal(got, want), (
-            v, got, want)
+    with np.errstate(all="ignore"):
+        got = eval(expr, {"__builtins__": {}}, scope)
+        want = eval_vector_cast(op, src, dst, v)
+    assert got.dtype == want.dtype and np.array_equal(got, want), (
+        v, got, want)
+    for x, lane in zip(v.tolist(), got.tolist()):
+        if math.isfinite(x) and -2.0 ** 63 <= x < 2.0 ** 63:
+            assert lane == int(x) % (1 << dst.bits), (op, x, lane)
+
+
+U64_CAST = """
+void kernel(f32* a, u64* b, u64 n) {
+    psim (gang_size=8, num_threads=n) {
+        u64 i = psim_get_thread_num();
+        b[i] = (u64)a[i];
+    }
+}
+"""
+U64_CAST_SERIAL = """
+void kernel(f32* a, u64* b, u64 n) {
+    for (u64 i = 0; i < n; i++) { b[i] = (u64)a[i]; }
+}
+"""
+
+
+def test_a_float_to_u64_kernel_matches_the_scalar_build():
+    """``b[i] = (u64)a[i]`` over f32 lanes in [0, 2**40) and a tail gang:
+    the vector ``fptoui`` to 64-bit lanes, on both engines, bit for bit
+    what the scalar build leaves."""
+    n = 8 * 5 + 3
+    a = np.random.default_rng(40).uniform(0, 2.0 ** 40, n).astype(np.float32)
+
+    def run(module, **engine):
+        interp = Interpreter(module, **engine)
+        addrs = [interp.memory.alloc_array(a),
+                 interp.memory.alloc_array(np.zeros(n, np.uint64))]
+        interp.run("kernel", *addrs, n)
+        return interp.memory.read_array(addrs[1], np.uint64, n)
+
+    want = run(compile_scalar(U64_CAST_SERIAL))
+    assert want.tolist() == [int(x) for x in a.tolist()]
+    for batch in (None, 0):
+        module = compile_parsimony(U64_CAST, batch_request=batch)
+        for engine in ({}, {"codegen": False}):
+            np.testing.assert_array_equal(run(module, **engine), want)
+
+
+@pytest.mark.parametrize("elem", INTS, ids=str)
+@pytest.mark.parametrize("op", ["smin", "smax", "iabs"])
+def test_signed_lane_ops_on_every_corner_pair(op, elem):
+    """``smin``/``smax``/``iabs`` read their lanes through a hoisted
+    signed dtype (no ``signed_view``/``as_unsigned`` call), bit for bit
+    against ``value_impl`` over every pair of MIN, −1, 0 and MAX."""
+    top = 1 << elem.bits
+    corners = np.array([top >> 1, top - 1, 0, (top >> 1) - 1],
+                       dtype=elem_dtype(elem))
+    a, b = np.repeat(corners, 4), np.tile(corners, 4)
+    vt = VectorType(elem, len(a))
+    ins = _instr(op, vt, [vt] if op == "iabs" else [vt, vt])
+    expr, scope = _template(ins, vector=True)
+    assert ".view(" in expr and not {"signed_view", "as_unsigned"} & {
+        getattr(v, "__name__", None) for v in scope.values()}, expr
+    check(ins, [a] if op == "iabs" else [a, b], vector=True)
 
 
 # -- scalar ops ------------------------------------------------------------------

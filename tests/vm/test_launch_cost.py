@@ -34,7 +34,8 @@ from repro.ir.parser import parse_ir
 from repro.passes import clone_module
 from repro.ir.types import VectorType
 from repro.ir.values import Constant
-from repro.vm import Interpreter, Memory, MemoryError_
+from repro.vm import Interpreter, Memory
+from repro.vm.interp import _Replay
 
 COPY = BY_NAME["Copy"]
 
@@ -238,15 +239,16 @@ def test_a_kernel_whose_code_was_evicted_still_runs_and_recompiles(
 
 
 def _trap_frame(module):
-    """The last generated-code frame of a trap in ``module``'s kernel, and
-    the interpreter it ran in."""
+    """The last generated-code frame of a replay out of ``module``'s
+    kernel — an access whose range test failed — and the interpreter it
+    ran in."""
     workload = COPY.workload()
     interp, addrs = _launch(module, workload)
     function = module.functions["kernel"]
     kfn = interp._codegen_fns[function]
     # Called directly: under run() the replay would swallow this frame
-    # and raise the reference engine's (identical) trap instead.
-    with pytest.raises(MemoryError_, match="out-of-bounds") as caught:
+    # and raise the reference engine's trap instead.
+    with pytest.raises(_Replay) as caught:
         kfn(interp, [interp.memory.size - 8] + addrs[1:]
             + list(workload.scalars), 0)
     frames = [f for f in traceback.extract_tb(caught.value.__traceback__)
@@ -256,15 +258,15 @@ def _trap_frame(module):
     assert frame.filename == kfn.__code__.co_filename
     name, digest = frame.filename[len("<repro-vm-codegen:"):-1].rsplit(":", 1)
     assert name == function.name and len(digest) == 8
-    # The out-of-line view pair (``_window_load``, hoisted as ``_hN``).
-    assert re.match(r"v\d+ = _h\d+\(_mem, ", frame.line), frame.line
+    # The failing arm of a view's range test (``_Replay``, hoisted).
+    assert re.match(r"raise _h\d+\('view'\)$", frame.line), frame.line
     assert frame.line == linecache.getline(frame.filename, frame.lineno).strip()
     return interp, frame
 
 
 def test_a_trap_in_generated_code_shows_the_emitted_line():
-    """Per-source filenames + linecache: the frame of a trap raised under
-    generated code names the kernel and quotes the access that trapped —
+    """Per-source filenames + linecache: the frame of a replay raised
+    under generated code names the kernel and quotes the line that left —
     for a compiled kernel, whose code the code cache holds, and for a
     hand-built (cloned) one, which has no fingerprint and is emitted for
     its interpreter alone.  Either's lines go when its code does."""
@@ -329,12 +331,16 @@ def test_generated_source_recomputes_nothing_it_knew_at_emit_time():
         # A constant shuffle index is a hoisted selector, not a per-launch
         # ``IDX.astype(int64) % n``.
         assert not any(re.search(r"_h\d+\.astype\(", line) for line in lines)
-        # The out-of-line view pair is only ever the arm a failed range
-        # test falls into.
-        slow = [i for i, line in enumerate(lines) if "(_mem, " in line]
-        assert slow
-        for i in slow:
-            assert re.match(r"\s+if .* > _h\d+\(_[wd]\).*:$", lines[i - 1])
+        # Generated code leaves only from the arm a failed range test
+        # falls into, and calls ``Memory`` for nothing.
+        replays = [i for i, line in enumerate(lines) if " raise _h" in line]
+        assert replays
+        for i in replays:
+            assert re.match(r"\s+(if .* > _h\d+\(_[wd]\).*|else):$",
+                            lines[i - 1])
+        assert not any("_mem." in line and "_mem.lanes[" not in line
+                       and "_mem.data" not in line and "_extent" not in line
+                       and "_mem._brk" not in line for line in lines)
         header = lines[1]
         assert header.lstrip().startswith("# folded=")
         assert int(re.search(r"folded=(\d+)", header).group(1)) >= folds

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro import driver
-from repro.backend import codegen as cg
 from repro.diagnostics import ExecutionError
 from repro.vm import Interpreter, Memory
 
@@ -195,7 +194,8 @@ void kernel(u32* a, u32* out, u64 n) {
 
 def _masked_launch(module, n, tight, **engine):
     """``n`` threads: a tail gang unless 8 divides ``n``, holes wherever
-    ``a`` is even; ``tight``: ``out`` ends memory."""
+    ``a`` is even; ``tight``: ``out`` ends memory.  Returns what the launch
+    leaves, and how often it replayed."""
     rng = np.random.default_rng(n)
     a = rng.integers(0, 1 << 16, n, dtype=np.uint32)
     out = rng.integers(0, 1 << 16, n, dtype=np.uint32)
@@ -206,29 +206,20 @@ def _masked_launch(module, n, tight, **engine):
     addrs = [interp.memory.alloc_array(x) for x in (a, out)]
     interp.run("kernel", *addrs, n)
     return (interp.memory.image().tobytes(), interp.memory.extent,
-            interp.stats.instructions)
+            interp.stats.instructions), \
+        interp.codegen_report()["replays"] + interp.batch_replays
 
 
 @pytest.mark.parametrize("factor", [0, None])
-def test_runtime_masked_accesses_run_inline_bitwise(factor, monkeypatch):
-    slow = []
-    for name in ("_window_load", "_window_store"):
-        real = getattr(cg, name)
-        monkeypatch.setattr(cg, name, lambda *args, _real=real, _name=name:
-                            slow.append(_name) or _real(*args))
-    driver.clear_compile_cache()  # emit afresh, binding the counted pair
+def test_runtime_masked_accesses_run_inline_bitwise(factor):
     module = driver.compile_parsimony(MASKED_SRC, batch_request=factor)
     reference = driver.compile_parsimony(MASKED_SRC, batch_request=0)
-    try:
-        for n in (5, 8, 21, 64, 67):
-            for tight in (False, True):
-                want = _masked_launch(reference, n, tight, codegen=False)
-                del slow[:]
-                got = _masked_launch(module, n, tight)
-                assert got == want, (factor, n, tight)
-                # In bounds nothing leaves generated code; a tail gang
-                # whose inactive lanes fall off memory takes the pair.
-                assert bool(slow) == (tight and n % 8 != 0), (factor, n)
-    finally:
-        monkeypatch.undo()
-        driver.clear_compile_cache()
+    for n in (5, 8, 21, 64, 67):
+        for tight in (False, True):
+            want, _ = _masked_launch(reference, n, tight, codegen=False)
+            got, replays = _masked_launch(module, n, tight)
+            assert got == want, (factor, n, tight)
+            # In bounds nothing leaves generated code; a tail gang whose
+            # inactive lanes fall off memory fails its range test and
+            # the launch replays.
+            assert replays == (tight and n % 8 != 0), (factor, n)

@@ -10,9 +10,9 @@ mask, a launch must leave what the reference engine leaves:
   reference engine's (``codegen=False``: the unbatched build), for the
   batched and the unbatched build, with and without a tail gang;
 * the view form runs (``windows=`` in the source header) and, in bounds,
-  never the out-of-line pair (window by window through ``Memory``); a
-  window that straddles the end of memory takes that path and traps as the
-  reference does;
+  never leaves generated code; a window that straddles the end of memory
+  fails its range test, and the launch replays on the reference engine
+  and traps as it does;
 * seeded mutants of the recognizer — a wrong stride, a runtime mask
   ignored, a wrong extent (a view one lane short: its extent ends a lane
   early, the lane unwritten) — fail these checks;
@@ -145,28 +145,16 @@ def _windows(module) -> int:
     return _windows_of(module, module.functions["kernel"])
 
 
-@pytest.fixture
-def slow_calls(monkeypatch):
-    """Counts the out-of-line view pair — every access, windows and packed
-    alike, goes through it when its range test fails — bound into code
-    emitted from now on (the code cache is emptied on entry and exit)."""
-    calls = []
-    for name in ("_window_load", "_window_store"):
-        real = getattr(cg, name)
-
-        def counted(*args, real=real):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(cg, name, counted)
-    driver.clear_compile_cache()
-    yield calls
-    driver.clear_compile_cache()
+def _replays(interp) -> int:
+    """Launches that left generated code for the reference engine — every
+    access, windows and packed alike, does when its range test fails."""
+    return interp.codegen_report()["replays"] + interp.batch_replays
 
 
 def _check(source, runs, batch_requests=(None, 0), size=1 << 20):
     """Each build of ``source`` against the reference engine, over each
-    ``(arrays, scalars)`` of ``runs``; returns the outcomes."""
+    ``(arrays, scalars)`` of ``runs``; returns the outcomes.  A launch
+    replays only where it traps: in bounds, every view ran."""
     reference = driver.compile_parsimony(source, batch_request=0)
     outcomes = []
     for batch in batch_requests:
@@ -178,6 +166,7 @@ def _check(source, runs, batch_requests=(None, 0), size=1 << 20):
             assert got == want, (batch, scalars)
             report = interp.codegen_report()
             assert report["calls"] and not report["bailouts"]
+            assert _replays(interp) == (got["trap"] is not None)
             outcomes.append(got)
     return outcomes
 
@@ -194,12 +183,11 @@ CASES = [(kind, t, s) for kind in ("load", "store", "cond")
 
 @pytest.mark.parametrize("kind,t,stride", CASES,
                          ids=[f"{k}-{t}-s{s}" for k, t, s in CASES])
-def test_flat_windows_match_the_reference(kind, t, stride, slow_calls):
+def test_flat_windows_match_the_reference(kind, t, stride):
     template = {"load": LOAD, "store": STORE, "cond": COND_STORE}[kind]
     source = template.format(t=t, g=GANG, s=stride, o=stride - 1)
     outcomes = _check(source, _flat_runs(kind, TYPES[t], stride))
     assert not any(o["trap"] for o in outcomes)
-    assert not slow_calls  # every window was in bounds: the view ran
 
 
 def _row_runs(load, w, h):
@@ -211,23 +199,21 @@ def _row_runs(load, w, h):
 
 @pytest.mark.parametrize("source", [STRETCH_ROWS, REDUCE_ROWS],
                          ids=["stretch", "reduce"])
-def test_windows_in_a_row_nest_match_the_reference(source, slow_calls):
+def test_windows_in_a_row_nest_match_the_reference(source):
     module = driver.compile_parsimony(source)
     assert "rows of" in module.attrs["batch_applied"][0]
     load = source is REDUCE_ROWS
     runs = [_row_runs(load, w, h)
             for w, h in ((8, 1), (16, 5), (21, 3), (3, 4), (64, 9))]
     _check(source, runs)
-    assert not slow_calls
 
 
-def test_a_window_that_straddles_the_end_of_memory_traps_as_the_reference(
-        slow_calls):
+def test_a_window_that_straddles_the_end_of_memory_traps_as_the_reference():
     """A tail gang's window load reads every lane's position (its masks
     are the window's, not the launch's): with ``src`` ending memory, the
-    window runs past it — the range test sends it down the per-window
-    path, which traps exactly as the reference engine does.  A launch
-    whose windows stop short of the end runs the view."""
+    window runs past it — its range test fails and the launch replays on
+    the reference engine, which traps.  A launch whose windows stop short
+    of the end runs the view."""
     source = LOAD.format(t="u8", g=GANG, s=3, o=2)
     n = GANG * 5 + 3
     arrays = [np.arange(3 * n, dtype=np.uint8), np.zeros(n, np.uint8)]
@@ -252,12 +238,9 @@ def test_a_window_that_straddles_the_end_of_memory_traps_as_the_reference(
                                                    batch_request=batch))
         assert got == want
         # The trap left generated code and replayed on the reference.
-        assert interp.codegen_report()["replays"] + interp.batch_replays == 1
-    assert slow_calls
+        assert _replays(interp) == 1
     # Room for the whole window: the same launch runs the view.
-    del slow_calls[:]
     _check(source, [(arrays, [n - GANG])])
-    assert not slow_calls
 
 
 # -- a window load that only a window store reads --------------------------------
@@ -301,11 +284,10 @@ def _copy_runs(t, s, d):
 
 @pytest.mark.parametrize("t,s,d", COPY_CASES,
                          ids=[f"{t}-s{s}-d{d}" for t, s, d in COPY_CASES])
-def test_a_window_copy_matches_the_reference(t, s, d, slow_calls):
+def test_a_window_copy_matches_the_reference(t, s, d):
     source = _copy_source(t, s, d)
     assert _copies(driver.compile_parsimony(source)) == 2
     _check(source, _copy_runs(t, s, d))
-    assert not slow_calls
 
 
 def _in_place(n, s, shift):
@@ -317,7 +299,7 @@ def _in_place(n, s, shift):
 
 
 @pytest.mark.parametrize("shift", [0, 1, 5])
-def test_a_window_copy_in_place_matches_the_reference(shift, slow_calls):
+def test_a_window_copy_in_place_matches_the_reference(shift):
     """Compaction in place (``dst`` at or just past ``src``, stride 3 from
     stride 4): no gang reads what another gang writes before it, so the
     batched trip owes the reference engine's answer — with the two views
@@ -329,9 +311,9 @@ def test_a_window_copy_in_place_matches_the_reference(shift, slow_calls):
         for batch, copies in ((None, 1), (0, 0)):
             module = driver.compile_parsimony(source, batch_request=batch)
             assert _copies(module) == copies  # a trip's views only
-            got, _ = _launch(module, _in_place(n, 4, shift))
+            got, interp = _launch(module, _in_place(n, 4, shift))
             assert got == want, (batch, n)
-    assert not slow_calls
+            assert not _replays(interp), (batch, n)
 
 
 def test_an_overlapping_window_copy_is_what_load_then_store_was(
@@ -361,13 +343,11 @@ def test_an_overlapping_window_copy_is_what_load_then_store_was(
 
 
 @pytest.mark.parametrize("end", ["src", "dst"])
-def test_a_window_copy_at_the_end_of_memory_runs_as_the_reference(
-        end, slow_calls):
+def test_a_window_copy_at_the_end_of_memory_runs_as_the_reference(end):
     """The load (``src`` ends memory) or the store (``dst`` does) fails its
-    range test: the pair runs as its two groups would, load first,
-    through the per-window path — which traps as the reference engine
-    does where the tail gang's load window runs past memory, and writes
-    just the active lanes where its store window would."""
+    range test: the launch replays on the reference engine — which traps
+    where the tail gang's load window runs past memory, and writes just
+    the active lanes where its store window would."""
     source = _copy_source("u8", 4, 3)
     n = GANG * 5 + 3
     src, dst = np.arange(4 * n, dtype=np.uint8), np.zeros(3 * n, np.uint8)
@@ -384,10 +364,10 @@ def test_a_window_copy_at_the_end_of_memory_runs_as_the_reference(
     want, _ = _launch(reference, place, size, codegen=False)
     assert (want["trap"] is not None) == (end == "src")
     for batch in (None, 0):
-        got, _ = _launch(driver.compile_parsimony(source, batch_request=batch),
-                         place, size)
+        got, interp = _launch(
+            driver.compile_parsimony(source, batch_request=batch), place, size)
         assert got == want, batch
-    assert slow_calls
+        assert _replays(interp) == 1, batch
 
 
 # -- seeded mutants of the recognizer ---------------------------------------------
