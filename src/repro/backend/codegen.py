@@ -38,8 +38,10 @@ its unbatched twin — batched IR runs nowhere else):
   call) that do only what the instruction means: an ordered ``fcmp``
   is the bare operator (numpy's is False on NaN; only ``one`` keeps a
   NaN mask), ``fptosi``/``fptoui`` the ``trunc → int64 → width``
-  chain, and a signed read of 8–64-bit lanes a ``.view`` of a dtype
-  hoisted at emit time (a known operand hoisted already signed);
+  chain (to 64-bit lanes :func:`~repro.vm.ops.float_lanes_to_int64`,
+  exact past 2**63), and a signed read of 8–64-bit lanes a ``.view`` of
+  a dtype hoisted at emit time (a known operand hoisted already
+  signed);
   everything else calls the instruction's
   :func:`~repro.vm.ops.value_impl`, resolved at emit time.  A body that
   contains a float or an integer-division op runs
@@ -374,6 +376,7 @@ from ..vm.ops import (
     COMPUTE_OPS,
     VMTrap,
     _c_float,
+    float_lanes_to_int64,
     fold_lanes,
     reduce_segments,
     scalar_binop_impl,
@@ -734,13 +737,6 @@ def _last_lane_end(mask, width: int, gangs: int, rho: int, delta: int,
     lanes = mask.nonzero()[0]
     if not len(lanes):
         return 0
-    span = (width - 1) * step + itemsize  # a slot's bytes
-    if (gangs == 1 or delta >= span) and (
-            len(mask) <= gangs * width or rho >= (gangs - 1) * delta + span):
-        # Slots in address order: the last active lane ends highest.
-        last = int(lanes[-1])
-        (i, j), lane = divmod(last // width, gangs), last % width
-        return i * rho + j * delta + lane * step + itemsize
     slot, lane = np.divmod(lanes, width)
     row, gang = np.divmod(slot, gangs)
     return int((row * rho + gang * delta + lane * step).max()) + itemsize
@@ -1410,15 +1406,16 @@ class _Emitter:
                     return None
                 return f"{v}.astype({self._sdtype(elem)}).view({dt})"
             if op in ("fptosi", "fptoui"):
-                # trunc → int64, then the target's width (the errstate
-                # of ops.eval_vector_cast is the body-wide one).
+                # ops.eval_vector_cast's chain (its errstate is the
+                # body-wide one): 64-bit lanes wrap int(x) exactly, the
+                # rest trunc → int64 → the target's width.
+                if elem.bits == 64:
+                    return f"{self._np(float_lanes_to_int64)}({v}).view({dt})"
                 i64 = self.hoist(np.int64, key=("np", "int64"))
                 v = f"{self._np(np.trunc)}({v}).astype({i64})"
-                if op == "fptoui" and elem.bits != 64:
+                if op == "fptoui":
                     return f"({v} & {(1 << elem.bits) - 1:#x}).astype({dt})"
-                if elem.bits != 64:
-                    v = f"{v}.astype({self._sdtype(elem)})"
-                return f"{v}.view({dt})"
+                return f"{v}.astype({self._sdtype(elem)}).view({dt})"
             return f"{v}.astype({dt})"
         return None
 

@@ -622,6 +622,22 @@ def _bit_reinterpret_scalar(v, src_dtype, dst_dtype, to_t: Type):
     return float(arr[0]) if to_t.is_float else int(arr[0])
 
 
+def float_lanes_to_int64(v: np.ndarray) -> np.ndarray:
+    """The ``fptosi``/``fptoui`` to 64-bit lanes: ``int(x)`` modulo 2**64
+    of every finite lane ``x`` of ``v``, as int64 — what the scalar casts
+    leave.  A plain ``astype(int64)`` saturates from 2**63 on, where a u64
+    lane still holds the value; ``fmod`` by 2**64 and the one shift of
+    ±2**64 into [-2**63, 2**63) are exact in binary floating point.
+    Narrower targets truncate through a plain ``astype(int64)``: every
+    value they hold fits it, and one past their range is poison (as for
+    LLVM's casts).  NaN and ±inf lanes are unspecified (the caller's
+    ``errstate`` silences them)."""
+    t = np.fmod(np.trunc(v), 2.0 ** 64)
+    t = np.where(t >= 2.0 ** 63, t - 2.0 ** 64,
+                 np.where(t < -2.0 ** 63, t + 2.0 ** 64, t))
+    return t.astype(np.int64)
+
+
 def eval_vector_cast(opcode: str, from_elem: Type, to_elem: Type, v: np.ndarray) -> np.ndarray:
     dst = elem_dtype(to_elem)
     if opcode == "bitcast":
@@ -640,15 +656,14 @@ def eval_vector_cast(opcode: str, from_elem: Type, to_elem: Type, v: np.ndarray)
         return as_unsigned(signed_view(v).astype(signed_dtype(to_elem)))
     if opcode in ("fptrunc", "fpext"):
         return v.astype(dst)
-    if opcode == "fptosi":
+    if opcode in ("fptosi", "fptoui"):
         with np.errstate(invalid="ignore"):
-            return np.trunc(v).astype(np.int64).astype(signed_dtype(to_elem)).view(dst)
-    if opcode == "fptoui":
-        with np.errstate(invalid="ignore"):
+            if to_elem.bits == 64:  # int(x) mod 2**64: the lanes' bits
+                return float_lanes_to_int64(v).view(dst)
             lanes = np.trunc(v).astype(np.int64)
-            if to_elem.bits == 64:  # the mask is the identity mod 2**64
-                return lanes.view(dst)
-            return (lanes & ((1 << to_elem.bits) - 1)).astype(dst)
+            if opcode == "fptoui":
+                return (lanes & ((1 << to_elem.bits) - 1)).astype(dst)
+            return lanes.astype(signed_dtype(to_elem)).view(dst)
     if opcode == "sitofp":
         return signed_view(v).astype(dst)
     if opcode == "uitofp":

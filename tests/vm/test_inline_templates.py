@@ -30,7 +30,8 @@ from repro.ir.types import (F32, F64, I1, I8, I16, I32, I64, PointerType,
                             VectorType, VOID)
 from repro.vm import Interpreter
 from repro.vm.nputil import elem_dtype
-from repro.vm.ops import eval_vector_cast, eval_vector_fcmp, value_impl
+from repro.vm.ops import (eval_scalar_cast, eval_vector_cast,
+                          eval_vector_fcmp, value_impl)
 
 LANES = 8
 INTS = [I8, I16, I32, I64]
@@ -235,7 +236,8 @@ def test_vector_fcmp_on_every_corner_pair(pred, elem):
 
 
 _CAST_CORNERS = [math.nan, math.inf, -math.inf, 0.5, -0.5, 2.0 ** 31,
-                 -2.0 ** 31, 3e9, 2.0 ** 63, -2.0 ** 63]
+                 -2.0 ** 31, 3e9, 2.0 ** 63, -2.0 ** 63, 1e19, -1e19,
+                 2.0 ** 64, 3e38, -3e38]
 
 
 @pytest.mark.parametrize("src", FLOATS, ids=str)
@@ -243,10 +245,12 @@ _CAST_CORNERS = [math.nan, math.inf, -math.inf, 0.5, -0.5, 2.0 ** 31,
 @pytest.mark.parametrize("op", ["fptosi", "fptoui"])
 def test_vector_float_to_int_casts_on_corners(op, dst, src):
     """``fptosi``/``fptoui`` inline as ``ops.eval_vector_cast`` writes
-    them (trunc → int64 → the target width), on NaN, ±inf, ±0.5, ±2³¹,
-    3e9 and ±2⁶³, bit for bit; every corner an int64 holds truncates to
-    its value modulo 2**bits (64-bit ``fptoui`` too: its mask is the
-    identity modulo 2**64)."""
+    them (trunc → int64 → the target width; to 64-bit lanes
+    ``float_lanes_to_int64``), on NaN, ±inf, ±0.5, ±2³¹, 3e9, ±2⁶³,
+    ±1e19, 2⁶⁴ and ±3e38, bit for bit.  A finite corner is what the
+    scalar cast leaves, its value modulo 2**bits: at 64 bits every one
+    (a u64 lane holds 1e19), narrower every one an int64 holds (past the
+    target's range the IR's value is poison)."""
     v = np.array(_CAST_CORNERS, dtype=elem_dtype(src))
     ins = _instr(op, VectorType(dst, len(v)), [VectorType(src, len(v))])
     expr, scope = _template(ins, vector=True)
@@ -258,8 +262,9 @@ def test_vector_float_to_int_casts_on_corners(op, dst, src):
     assert got.dtype == want.dtype and np.array_equal(got, want), (
         v, got, want)
     for x, lane in zip(v.tolist(), got.tolist()):
-        if math.isfinite(x) and -2.0 ** 63 <= x < 2.0 ** 63:
-            assert lane == int(x) % (1 << dst.bits), (op, x, lane)
+        if math.isfinite(x) and (dst.bits == 64 or abs(x) < 2.0 ** 63):
+            assert lane == int(x) % (1 << dst.bits) \
+                == eval_scalar_cast(op, src, dst, x), (op, x, lane)
 
 
 U64_CAST = """
@@ -278,11 +283,13 @@ void kernel(f32* a, u64* b, u64 n) {
 
 
 def test_a_float_to_u64_kernel_matches_the_scalar_build():
-    """``b[i] = (u64)a[i]`` over f32 lanes in [0, 2**40) and a tail gang:
-    the vector ``fptoui`` to 64-bit lanes, on both engines, bit for bit
-    what the scalar build leaves."""
+    """``b[i] = (u64)a[i]`` over f32 lanes in [0, 2**40), 2**63 and 1e19
+    (past what an int64 holds), and a tail gang: the vector ``fptoui`` to
+    64-bit lanes, on both engines, bit for bit what the scalar build
+    leaves."""
     n = 8 * 5 + 3
     a = np.random.default_rng(40).uniform(0, 2.0 ** 40, n).astype(np.float32)
+    a[[3, 17, n - 1]] = [2.0 ** 63, 1e19, 1e19]
 
     def run(module, **engine):
         interp = Interpreter(module, **engine)
