@@ -163,7 +163,7 @@ def _one_gang_ratio(spec, impl):
 def _coverage_sweep(session, failures):
     """Run every fig4 and fig5 build once on the default engine; returns
     the per-build bailout histogram (empty dicts when all compiled) and
-    the per-build replays (on the module and on its unbatched twin)."""
+    the per-build replays (on the module or on its unbatched twin)."""
     per_build, replays = {}, {}
     for suite, impls in COVERAGE_SUITES:
         for spec in suite:
@@ -174,8 +174,7 @@ def _coverage_sweep(session, failures):
                 report = run.get("codegen") or {}
                 bailouts = dict(report.get("bailouts") or {})
                 per_build[name] = bailouts
-                replays[name] = int(report.get("replays") or 0) + int(
-                    (run.get("batch") or {}).get("replays") or 0)
+                replays[name] = int(report.get("replays") or 0)
                 if (bailouts or replays[name]
                         or report.get("row_fallbacks")
                         or not report.get("calls")):

@@ -374,6 +374,7 @@ from ..vm.nputil import (
 )
 from ..vm.ops import (
     COMPUTE_OPS,
+    VEC_CAST_ASTYPE,
     VMTrap,
     _c_float,
     float_lanes_to_int64,
@@ -438,10 +439,6 @@ _VEC_BBIN = {"and": "&", "umin": "&", "mul": "&", "smax": "&",
 #: ``~(isnan|isnan)`` ordered mask.
 _VEC_FCMP = {"oeq": "==", "one": "!=", "olt": "<", "ole": "<=",
              "ogt": ">", "oge": ">="}
-#: Vector casts that are a single ``.astype`` in ops.eval_vector_cast.
-_VEC_CAST_ASTYPE = frozenset(
-    ("ptrtoint", "inttoptr", "trunc", "zext", "fptrunc", "fpext", "uitofp")
-)
 #: ``condbr`` attributes that give the branch a form of its own (a trip,
 #: a divergent backedge, a row nest or its tail): such a branch is emitted
 #: as that form even when its condition is known.
@@ -1385,7 +1382,7 @@ class _Emitter:
                 add = self.hoist(np.add.reduce, key=("np", "add.reduce"))
                 return f"{add}({rows}, axis=1, dtype={self._dtype(src)})"
             return f"{rows}.{'min' if op == 'reduce_min_u' else 'max'}(axis=1)"
-        if op in _VEC_CAST_ASTYPE or op in ("bitcast", "sext", "sitofp",
+        if op in VEC_CAST_ASTYPE or op in ("bitcast", "sext", "sitofp",
                                             "fptosi", "fptoui"):
             src_t = ins.operands[0].type
             if not isinstance(src_t, VectorType):
@@ -1925,7 +1922,7 @@ class _Emitter:
             return False
         user = uses[0][0]
         if not (isinstance(user, Instruction) and user.parent is load.parent
-                and user.opcode in _VEC_CAST_ASTYPE):
+                and user.opcode in VEC_CAST_ASTYPE):
             return False
         block = load.parent.instructions
         between = block[block.index(load) + 1:block.index(user)]

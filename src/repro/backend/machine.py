@@ -97,11 +97,5 @@ class ExecStats:
         self.instructions += 1
         self.counts[opcode] = self.counts.get(opcode, 0) + 1
 
-    def merge(self, other: "ExecStats") -> None:
-        self.cycles += other.cycles
-        self.instructions += other.instructions
-        for op, n in other.counts.items():
-            self.counts[op] = self.counts.get(op, 0) + n
-
     def count(self, *opcodes: str) -> int:
         return sum(self.counts.get(op, 0) for op in opcodes)

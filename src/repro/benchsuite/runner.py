@@ -112,7 +112,6 @@ def run_impl(spec: KernelSpec, impl: str, machine: Machine = AVX512,
             "factor": module.attrs["batch_factor"],
             "applied": len(module.attrs.get("batch_applied", ())),
             "rejected": len(module.attrs.get("batch_rejected", ())),
-            "replays": interp.batch_replays,
         }
     telemetry.record_vm_run(
         f"{spec.name}/{impl}", interp.stats, interp.hotspots(),

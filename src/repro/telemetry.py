@@ -67,7 +67,11 @@ __all__ = [
 #: v11: region-granular fallback is gone — ``vectorizer`` carries no
 #: partial-fallback record list; diff mode still reads a v10 document and
 #: shows its count with the new side at 0.
-SCHEMA = "repro-telemetry/11"
+#: v12: a replay on a batched module's unbatched twin counts in
+#: ``vm.codegen.replays`` like any other replay — runs' ``batch`` record
+#: carries no ``replays`` and ``batch_totals`` no ``vm.batch.replays``; diff
+#: mode still reads a v11 document and lists that key as removed.
+SCHEMA = "repro-telemetry/12"
 DIFF_SCHEMA = "repro-telemetry-diff/2"
 
 
@@ -232,16 +236,14 @@ class Telemetry:
     def vm_batch_totals(self) -> Dict[str, int]:
         """Gang-batching counters summed over runs, flattened to the
         ``vm.batch.*`` keys the perf-smoke CI job and diff mode read:
-        loops batched, loops rejected by legality, and trap replays."""
-        totals = {"vm.batch.applied": 0, "vm.batch.rejected": 0,
-                  "vm.batch.replays": 0}
+        loops batched and loops rejected by legality."""
+        totals = {"vm.batch.applied": 0, "vm.batch.rejected": 0}
         for run in self.vm_runs:
             batch = run.get("batch")
             if not batch:
                 continue
             totals["vm.batch.applied"] += int(batch.get("applied", 0))
             totals["vm.batch.rejected"] += int(batch.get("rejected", 0))
-            totals["vm.batch.replays"] += int(batch.get("replays", 0))
         return totals
 
     def vm_codegen_totals(self) -> Dict[str, int]:

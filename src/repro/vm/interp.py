@@ -23,9 +23,12 @@ trap-point stats:
   :meth:`Interpreter._run_replayable`, and there is one way out of it:
   a trap, a failed zero-charge check, or a function without generated
   code (:class:`~repro.backend.codegen.CodegenBailout`, batched or not)
-  rolls the launch back and replays it whole on the reference engine.
-  A launch never mixes engines, and an interpreter that recorded a
-  bailout runs its later launches on the reference engine outright;
+  rolls the launch back and replays it whole on the reference engine,
+  in the interpreter that launched it: from its rolled-back stats,
+  attribution, memory and instruction budget, counted once in
+  ``codegen_stats["replays"]``.  A launch never mixes engines, and an
+  interpreter that recorded a bailout runs its later launches on the
+  reference engine outright;
 * the **reference engine** (``codegen=False``): the opcode-string
   dispatch loop, charging per instruction in charge-then-execute order.
   It interprets *unbatched* IR only, and is the executable
@@ -67,9 +70,8 @@ interpreter::
     Interpreter ──► Memory, ExecStats              (plain data)
         ├──► _codegen_fns: Function ──► that callable (a reference; a
         │        function without a fingerprint gets its own emission)
-        ├──► _fallback_interp: the reference engine over the module, or
-        │        over its unbatched twin ──► the same Memory
         └──► module (shared, frozen; never references an interpreter)
+                 └──► its unbatched twin, once built (the same)
 
 A generated function takes the interpreter as an argument and reads its
 stats, its memory and (by name) its module's internal callees in the
@@ -87,11 +89,10 @@ Both engines assume the module is not mutated once execution has started
 (the driver's ``compile_*`` results are frozen, so they cannot be);
 call :meth:`Interpreter.clear_decode_cache` after transforming a function
 of a hand-built module that has already run (this drops the
-interpreter's compiled functions, instruction records, bailouts and
-replay twin).  Constant payloads
-are shared across dynamic uses in generated code — no opcode mutates its
-operand arrays, so this is observationally equivalent to the reference
-engine's fresh-per-use arrays.
+interpreter's compiled functions, instruction records and bailouts).
+Constant payloads are shared across dynamic uses in generated code — no
+opcode mutates its operand arrays, so this is observationally equivalent
+to the reference engine's fresh-per-use arrays.
 """
 
 from __future__ import annotations
@@ -132,9 +133,7 @@ class _Replay(Exception):
 
 
 def _holds_batched_ir(module: Module) -> bool:
-    return "unbatched_recipe" in module.attrs or any(
-        f.attrs.get("batched") for f in module.functions.values()
-    )
+    return any(f.attrs.get("batched") for f in module.functions.values())
 
 
 _MAX_CALL_DEPTH = 256
@@ -164,32 +163,25 @@ class Interpreter:
         #: target.
         self.codegen = bool(codegen) and predecode
         self.stats = ExecStats()
-        #: Exclusive (self-only) cycles per function name, for hot-spot telemetry.
-        self.func_cycles: Dict[str, float] = {}
-        #: Dynamic call count per function name.
-        self.func_calls: Dict[str, int] = {}
-        #: (caller, callee) -> inclusive cycles / dynamic calls along that edge.
-        #: The root edge uses caller name ``"<root>"``.
+        #: (caller, callee) -> inclusive cycles / dynamic calls along that
+        #: edge, the one attribution table (:meth:`hotspots` derives the
+        #: per-function view).  The root edge uses caller name ``"<root>"``.
         self.edge_cycles: Dict[Tuple[str, str], float] = {}
         self.edge_calls: Dict[Tuple[str, str], int] = {}
         self._call_stack: List[str] = []
-        self._child_cycles = 0.0
         #: Instruction -> its reference-engine record, ``(charge items,
-        #: impl)`` (see :meth:`_record`).
+        #: impl)`` (see :meth:`_record`), for the module and its twin.
         self._records: Dict[Instruction, tuple] = {}
-        #: Replays on the unbatched twin this run (see
-        #: :meth:`_run_replayable`).
-        self.batch_replays = 0
         #: Launches in which a collapsed row nest's no-alias check failed,
         #: so the nest ran one row per trip (see :mod:`repro.backend.batch`).
         self.row_fallbacks = 0
-        self._fallback_interp: Optional["Interpreter"] = None
         #: Function -> its generated callable (a fingerprinted module's is
         #: owned by the code cache and shared with every other interpreter).
         self._codegen_fns: Dict[Function, object] = {}
         #: ``vm.codegen.*`` counters.  compiles/cache_hits/disk_hits are
         #: binding artifacts; calls/replays are run counters
-        #: (:meth:`reset_stats` zeroes only the latter).
+        #: (:meth:`reset_stats` zeroes only the latter).  ``replays``
+        #: counts every replay, on the module or on its unbatched twin.
         self.codegen_stats: Dict[str, int] = {
             "compiles": 0, "cache_hits": 0, "disk_hits": 0,
             "calls": 0, "replays": 0,
@@ -219,10 +211,7 @@ class Interpreter:
         if self.codegen and not self.codegen_bailouts \
                 and not faultinject.active():
             return self._run_replayable(function, argvals)
-        if _holds_batched_ir(self.module):
-            # The reference engine interprets unbatched IR only.
-            return self._run_reference(function, argvals)
-        return self._exec_function(function, argvals, depth=0)
+        return self._run_reference(function, argvals)
 
     def _run_replayable(self, function: Function, argvals: List):
         """Top-level run of the codegen engine, with the trap-replay
@@ -233,11 +222,10 @@ class Interpreter:
         :class:`_Replay` (a function without generated code, a batched
         trip's failed zero-charge check), rolls the VM back to the
         pre-run state (an extent-bounded :meth:`Memory.snapshot`, not a
-        copy of the whole image) and replays the call wholesale on the
-        reference engine (:meth:`_run_reference`): on the module's
-        :func:`~repro.backend.batch.unbatched_twin` — compiled now if this
-        is its first replay — or, when the module is not batched, on the
-        module itself.  The replay's outcome — result or trap — is
+        copy of the whole image) and replays the call wholesale, in this
+        interpreter, on the reference engine (:meth:`_run_reference`).
+        The replay continues from the rolled-back stats, attribution and
+        instruction budget, and its outcome — result or trap — is
         authoritative, so trap identity, trap-point ``ExecStats``, and
         attribution all match the reference engine bit-for-bit.  Never
         entered under active fault injection: replaying would double-fire
@@ -248,9 +236,7 @@ class Interpreter:
         stats = self.stats
         snap = (
             stats.cycles, stats.instructions, dict(stats.counts),
-            dict(self.func_cycles), dict(self.func_calls),
             dict(self.edge_cycles), dict(self.edge_calls),
-            self._child_cycles,
         )
         self._codegen_armed = self.codegen
         try:
@@ -258,79 +244,36 @@ class Interpreter:
         except (VMTrap, MemoryError_, _Replay):
             memory.restore(rollback)
             stats.cycles, stats.instructions = snap[0], snap[1]
-            stats.counts.clear()
-            stats.counts.update(snap[2])
-            for live, saved in (
-                (self.func_cycles, snap[3]), (self.func_calls, snap[4]),
-                (self.edge_cycles, snap[5]), (self.edge_calls, snap[6]),
-            ):
+            for live, saved in ((stats.counts, snap[2]),
+                                (self.edge_cycles, snap[3]),
+                                (self.edge_calls, snap[4])):
                 live.clear()
                 live.update(saved)
-            self._child_cycles = snap[7]
         finally:
             self._codegen_armed = False
-        fb = self._reference_interp()
-        if fb.module is self.module:
-            self.codegen_stats["replays"] += 1
-        else:
-            self.batch_replays += 1
+        self.codegen_stats["replays"] += 1
         return self._run_reference(function, argvals)
 
-    def _reference_interp(self) -> "Interpreter":
-        """The reference engine this interpreter replays on, sharing its
-        memory: over the module, or over the unbatched twin of a batched
-        one."""
-        fb = self._fallback_interp
-        if fb is None:
-            # (Imported here: backend.batch sits above the VM.)
-            from ..backend.batch import unbatched_twin
-
-            target = unbatched_twin(self.module)
-            if target is None:
-                if _holds_batched_ir(self.module):
-                    raise ExecutionError(
-                        f"module {self.module.name!r} holds batched IR but no"
-                        " unbatched recipe: batched IR runs only as"
-                        " generated code, and the reference engine needs"
-                        " the unbatched build (compile_parsimony leaves its"
-                        " recipe in attrs['unbatched_recipe'])"
-                    )
-                target = self.module
-            fb = self._fallback_interp = Interpreter(
-                target,
-                machine=self.machine,
-                cost_model=self.cost_model,
-                memory=self.memory,
-                max_instructions=self.max_instructions,
-                codegen=False,
-            )
-        return fb
-
     def _run_reference(self, function: Function, argvals: List):
-        """Run the call on :meth:`_reference_interp` and merge whatever it
-        charged — including a trap's partial charges — into this
-        interpreter's counters."""
-        fb = self._reference_interp()
-        fb.reset_stats()
-        try:
-            return fb._exec_function(
-                fb.module.get(function.name), argvals, depth=0
+        """Run the call on the reference engine, in this interpreter: on
+        the module's :func:`~repro.backend.batch.unbatched_twin` —
+        compiled now if this is its first use — or, when the module is
+        not batched, on the module itself."""
+        # (Imported here: backend.batch sits above the VM.)
+        from ..backend.batch import unbatched_twin
+
+        twin = unbatched_twin(self.module)
+        if twin is not None:
+            function = twin.get(function.name)
+        elif _holds_batched_ir(self.module):
+            raise ExecutionError(
+                f"module {self.module.name!r} holds batched IR but no"
+                " unbatched recipe: batched IR runs only as generated"
+                " code, and the reference engine needs the unbatched"
+                " build (compile_parsimony leaves its recipe in"
+                " attrs['unbatched_recipe'])"
             )
-        finally:
-            self.stats.merge(fb.stats)
-            for live, other in (
-                (self.func_cycles, fb.func_cycles),
-                (self.edge_cycles, fb.edge_cycles),
-            ):
-                for k, v in other.items():
-                    live[k] = live.get(k, 0.0) + v
-            for live, other in (
-                (self.func_calls, fb.func_calls),
-                (self.edge_calls, fb.edge_calls),
-            ):
-                for k, v in other.items():
-                    live[k] = live.get(k, 0) + v
-            self._child_cycles += fb._child_cycles
+        return self._exec_function(function, argvals, depth=0)
 
     def reset_stats(self) -> ExecStats:
         """Zero all counters in place (``self.stats`` stays the same object).
@@ -343,12 +286,8 @@ class Interpreter:
         stats.cycles = 0.0
         stats.instructions = 0
         stats.counts.clear()
-        self.func_cycles.clear()
-        self.func_calls.clear()
         self.edge_cycles.clear()
         self.edge_calls.clear()
-        self._child_cycles = 0.0
-        self.batch_replays = 0
         self.row_fallbacks = 0
         self.codegen_stats["calls"] = 0
         self.codegen_stats["replays"] = 0
@@ -358,42 +297,46 @@ class Interpreter:
         """Drop compiled functions (with their cached emissions) and
         instruction records, after mutating the module.
 
-        The trap-replay twin goes too: it holds records of the same
-        module, and replays are authoritative.  Only a mutable function
-        can have changed, and it has no fingerprint: only this
-        interpreter memoized its emission.
+        Only a mutable function can have changed, and it has no
+        fingerprint: only this interpreter memoized its emission.
         """
         self._records.clear()
-        self._fallback_interp = None
         self._codegen_fns.clear()
         self.codegen_bailouts.clear()
         for key in ("compiles", "cache_hits", "disk_hits"):
             self.codegen_stats[key] = 0
 
     def hotspots(self) -> List[Dict[str, object]]:
-        """Per-function cycle attribution, hottest first (for telemetry).
+        """Per-function cycle attribution, hottest first (for telemetry;
+        ties in first-completion order).
 
-        Each entry carries the function's exclusive cycles plus its incoming
-        call edges (``callers``: caller name → inclusive cycles and dynamic
-        calls along that edge; the entry function's caller is ``"<root>"``).
+        Each entry carries the function's exclusive cycles — its in-edges'
+        inclusive cycles minus its out-edges' — and calls (its in-edges'),
+        plus its incoming call edges (``callers``: caller name → inclusive
+        cycles and dynamic calls along that edge; the entry function's
+        caller is ``"<root>"``).
         """
         incoming: Dict[str, Dict[str, Dict[str, object]]] = {}
+        outgoing: Dict[str, float] = {}
         for (caller, callee), cycles in self.edge_cycles.items():
             incoming.setdefault(callee, {})[caller] = {
                 "inclusive_cycles": cycles,
-                "calls": self.edge_calls.get((caller, callee), 0),
+                "calls": self.edge_calls[caller, callee],
             }
-        return [
+            outgoing[caller] = outgoing.get(caller, 0.0) + cycles
+        entries = [
             {
                 "function": name,
-                "exclusive_cycles": cycles,
-                "calls": self.func_calls.get(name, 0),
-                "callers": incoming.get(name, {}),
+                "exclusive_cycles": sum(
+                    e["inclusive_cycles"] for e in callers.values()
+                ) - outgoing.get(name, 0.0),
+                "calls": sum(e["calls"] for e in callers.values()),
+                "callers": callers,
             }
-            for name, cycles in sorted(
-                self.func_cycles.items(), key=lambda kv: -kv[1]
-            )
+            for name, callers in incoming.items()
         ]
+        entries.sort(key=lambda e: -e["exclusive_cycles"])
+        return entries
 
     def call_edges(self) -> List[Dict[str, object]]:
         """Caller→callee cycle edges, heaviest first (for telemetry)."""
@@ -416,8 +359,6 @@ class Interpreter:
             raise VMTrap(f"call depth exceeded calling @{function.name}")
         stats = self.stats
         cycles_at_entry = stats.cycles
-        saved_child_cycles = self._child_cycles
-        self._child_cycles = 0.0
         name = function.name
         stack = self._call_stack
         caller = stack[-1] if stack else "<root>"
@@ -436,18 +377,11 @@ class Interpreter:
             return self._exec_reference(function, argvals, depth)
         finally:
             stack.pop()
-            inclusive = stats.cycles - cycles_at_entry
-            exclusive = inclusive - self._child_cycles
-            fc = self.func_cycles
-            fc[name] = fc.get(name, 0.0) + exclusive
-            calls = self.func_calls
-            calls[name] = calls.get(name, 0) + 1
             edge = (caller, name)
             ec = self.edge_cycles
-            ec[edge] = ec.get(edge, 0.0) + inclusive
+            ec[edge] = ec.get(edge, 0.0) + (stats.cycles - cycles_at_entry)
             en = self.edge_calls
             en[edge] = en.get(edge, 0) + 1
-            self._child_cycles = saved_child_cycles + inclusive
 
     # -- whole-kernel codegen engine -------------------------------------------------
 

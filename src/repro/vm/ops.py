@@ -57,6 +57,7 @@ __all__ = [
     "eval_vector_fcmp",
     "eval_scalar_cast",
     "eval_vector_cast",
+    "VEC_CAST_ASTYPE",
     "round_float",
     "scalar_binop_impl",
     "scalar_icmp_impl",
@@ -496,8 +497,6 @@ def eval_vector_unop(opcode: str, elem: Type, a: np.ndarray) -> np.ndarray:
     if opcode == "iabs":
         return as_unsigned(np.abs(signed_view(a)))
     if opcode == "not":
-        if elem.bits == 1:
-            return ~a
         return ~a
     raise NotImplementedError(f"vector unop {opcode}")
 
@@ -638,18 +637,18 @@ def float_lanes_to_int64(v: np.ndarray) -> np.ndarray:
     return t.astype(np.int64)
 
 
+#: Vector casts that are one ``.astype`` to the destination lane dtype.
+VEC_CAST_ASTYPE = frozenset(
+    ("ptrtoint", "inttoptr", "trunc", "zext", "fptrunc", "fpext", "uitofp")
+)
+
+
 def eval_vector_cast(opcode: str, from_elem: Type, to_elem: Type, v: np.ndarray) -> np.ndarray:
     dst = elem_dtype(to_elem)
+    if opcode in VEC_CAST_ASTYPE:
+        return v.astype(dst)
     if opcode == "bitcast":
         return v.view(dst) if v.dtype.itemsize == dst.itemsize else v.astype(dst)
-    if opcode in ("ptrtoint", "inttoptr"):
-        return v.astype(dst)
-    if opcode == "trunc":
-        return v.astype(dst)
-    if opcode == "zext":
-        if from_elem.bits == 1:
-            return v.astype(dst)
-        return v.astype(dst)
     if opcode == "sext":
         if from_elem.bits == 1:
             return as_unsigned(np.where(v, -1, 0).astype(signed_dtype(to_elem)))
@@ -666,10 +665,6 @@ def eval_vector_cast(opcode: str, from_elem: Type, to_elem: Type, v: np.ndarray)
             return lanes.astype(signed_dtype(to_elem)).view(dst)
     if opcode == "sitofp":
         return signed_view(v).astype(dst)
-    if opcode == "uitofp":
-        if v.dtype == np.bool_:
-            return v.astype(dst)
-        return v.astype(dst)
     raise NotImplementedError(f"vector cast {opcode}")
 
 

@@ -208,10 +208,10 @@ def _launch(module, seed, tight=False, **engine):
 
 def _run(module, seed, replays=None, **engine):
     """Outputs and ``ExecStats`` of one launch; with ``replays``, assert
-    how many times it replayed on the unbatched twin."""
+    how many times it replayed."""
     outputs, interp = _launch(module, seed, **engine)
     if replays is not None:
-        assert interp.batch_replays == replays
+        assert interp.codegen_report()["replays"] == replays
     return outputs, interp.stats
 
 
@@ -320,9 +320,10 @@ def _batched_differential(kernel, seed, plain_out, context):
             # scatter-add never does.
             _SCATTER_CORPUS["batched"] += 1
             if kernel.scatter_aliases:
-                _SCATTER_CORPUS["replayed"] += interp.batch_replays
-                replays = min(interp.batch_replays, 1)
-        assert interp.batch_replays == replays, context
+                replayed = interp.codegen_report()["replays"]
+                _SCATTER_CORPUS["replayed"] += replayed
+                replays = min(replayed, 1)
+        assert interp.codegen_report()["replays"] == replays, context
         collapsed = any(" rows of " in entry for entry in applied)
         fell_back = interp.codegen_report()["row_fallbacks"]
         # The check runs when a row's full gangs fit a trip.
@@ -390,7 +391,7 @@ def _tight_differential(module, reference, seed, context):
     got_out, got = _launch(module, seed, tight=True)
     _TIGHT_CORPUS["launched"] += 1
     _TIGHT_CORPUS["replayed"] += \
-        got.codegen_report()["replays"] + got.batch_replays > 0
+        got.codegen_report()["replays"] > 0
     context = f"tight memory, {context}"
     _assert_same(got_out, want_out, context)
     assert (got.stats.cycles, got.stats.instructions,

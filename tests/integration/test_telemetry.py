@@ -6,6 +6,7 @@ import json
 import numpy as np
 
 from repro import driver, telemetry
+from repro.backend.machine import ExecStats
 from repro.vm import Interpreter
 
 SRC = """
@@ -275,7 +276,7 @@ def test_diff_lists_the_retired_partial_fallbacks_of_a_v10_document():
     with telemetry.collect() as session:
         _compile_and_run()
     doc = json.loads(session.to_json())
-    assert doc["schema"] == "repro-telemetry/11"
+    assert doc["schema"] == telemetry.SCHEMA
     assert set(doc["vectorizer"]) == {"functions", "totals", "fallbacks"}
 
     old = json.loads(session.to_json())
@@ -291,6 +292,41 @@ def test_diff_lists_the_retired_partial_fallbacks_of_a_v10_document():
         "old": 1, "new": 0, "delta": -1}
     assert counters["vectorizer.fallbacks"]["value"]["delta"] == 0
     assert diff["vm_runs"]["t/parsimony"]["cycles"]["delta"] == 0
+
+
+def test_diff_lists_the_retired_batch_replay_count_of_a_v11_document():
+    """v12 counts a replay on a batched module's unbatched twin in
+    ``vm.codegen.replays``.  A v11 document still carries
+    ``vm.batch.replays`` and a ``replays`` field in each run's ``batch``
+    record; diff mode reads it and lists the key as removed."""
+    with telemetry.collect() as session:
+        _compile_and_run()
+        telemetry.record_vm_run(
+            "t/batched", ExecStats(), [],
+            batch={"factor": 4, "applied": 1, "rejected": 0},
+            codegen={"calls": 1, "replays": 1})
+    doc = json.loads(session.to_json())
+    assert doc["schema"] == "repro-telemetry/12"
+    assert doc["vm"]["batch_totals"] == {"vm.batch.applied": 1,
+                                         "vm.batch.rejected": 0}
+    assert doc["vm"]["codegen_totals"]["vm.codegen.replays"] == 1
+
+    old = json.loads(session.to_json())
+    old["schema"] = "repro-telemetry/11"
+    old["vm"]["batch_totals"]["vm.batch.replays"] = 1
+    old["vm"]["codegen_totals"]["vm.codegen.replays"] = 0
+    for run in old["vm"]["runs"]:
+        if "batch" in run:
+            run["batch"]["replays"] = 1
+    diff = telemetry.diff_documents(old, doc)
+    assert diff["base_schemas"] == {"old": "repro-telemetry/11",
+                                    "new": telemetry.SCHEMA}
+    counters = diff["counters"]
+    assert counters["vm.batch.replays"]["value"] == {
+        "old": 1, "new": 0, "delta": -1}
+    assert counters["vm.codegen.replays"]["value"] == {
+        "old": 0, "new": 1, "delta": 1}
+    assert counters["vm.batch.applied"]["value"]["delta"] == 0
 
 
 def test_nested_sessions_restore_the_outer_one():

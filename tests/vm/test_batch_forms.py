@@ -65,7 +65,7 @@ def _launch(module, spec, **engine):
         "stats": (stats.cycles, stats.instructions, dict(stats.counts)),
         "image": interp.memory.image().tobytes(),
         "extent": interp.memory.extent,
-        "replays": interp.batch_replays + interp.codegen_stats["replays"],
+        "replays": interp.codegen_stats["replays"],
     }, interp.codegen_report()
 
 
@@ -146,7 +146,7 @@ def _trapping_launch(module, spec, budget=500_000_000, cut=None):
         "stats": (stats.cycles, stats.instructions, dict(stats.counts)),
         "image": interp.memory.image().tobytes(),
         "extent": interp.memory.extent,
-    }, interp.batch_replays
+    }, interp.codegen_report()["replays"]
 
 
 @pytest.mark.parametrize("name", sorted(CUT))
@@ -162,7 +162,9 @@ def test_trap_in_a_batched_trip_replays_bit_identically(name, kind):
     else:
         trap_args = {"cut": CUT[name]}
     want, replays = _trapping_launch(unbatched, spec, **trap_args)
-    assert want["trap"] is not None and replays == 0
+    # The unbatched build replays once, on itself: it has no twin.
+    assert want["trap"] is not None and replays == 1
+    assert "unbatched_recipe" not in unbatched.attrs
     # Halfway through the work: the trap lands inside the gang loop.
     assert want["stats"][2].get("vstore" if name == "BgrToBgra" else "vload")
     got, replays = _trapping_launch(batched, spec, **trap_args)
@@ -197,7 +199,7 @@ def _histogram_launch(module, spec, overlap=False, budget=500_000_000):
         "stats": (stats.cycles, stats.instructions, dict(stats.counts)),
         "image": interp.memory.image().tobytes(),
         "extent": interp.memory.extent,
-    }, interp.batch_replays
+    }, interp.codegen_report()["replays"]
 
 
 @pytest.mark.parametrize("name", HISTOGRAMS)
@@ -376,7 +378,7 @@ def test_predicated_trip_at_every_gang_count(name):
                     past = {"a": lanes > n,
                             "out": (3 if name == "row_strided" else 1)
                             * lanes > 3 * n + 1}
-                    assert interp.batch_replays == (
+                    assert interp.codegen_report()["replays"] == (
                         last is not None and not allocas and past[last]), (
                             name, factor, n, last)
                     assert report["calls"] and not report["bailouts"]
@@ -394,7 +396,7 @@ def test_budget_trap_in_a_predicated_trip_replays_bit_identically(kind):
 
         def launch(module, budget):
             got, interp = _matrix_launch(module, 24, budget=budget)
-            return got, interp.batch_replays
+            return got, interp.codegen_report()["replays"]
     else:
         spec = SPECS["binomial_options"]
         batched = driver.compile_parsimony(spec.psim_src)
@@ -420,7 +422,7 @@ def test_private_row_read_before_written_replays_on_the_twin():
     assert "private" in " ".join(module.attrs["batch_applied"])
     want, _ = _matrix_launch(_matrix_module(READ_BEFORE_WRITE, 0), 40)
     got, interp = _matrix_launch(module, 40)
-    assert interp.batch_replays == 1
+    assert interp.codegen_report()["replays"] == 1
     assert got == want
 
 
@@ -453,7 +455,7 @@ def _trips(module, spec):
         interp.run("kernel", *addrs, *workload.scalars)
     finally:
         sys.settrace(None)
-    assert not interp.codegen_report()["bailouts"] and not interp.batch_replays
+    assert not interp.codegen_report()["bailouts"] and not interp.codegen_report()["replays"]
     return trips
 
 
@@ -565,7 +567,7 @@ def test_a_shifted_load_batches_when_lockstep_keeps_its_order(case):
         b = interp.memory.alloc_array(np.arange(100, 140, dtype=np.int32))
         interp.run("kernel", a, b, 32)
         stats = interp.stats
-        assert not interp.batch_replays
+        assert not interp.codegen_report()["replays"]
         return (interp.memory.image().tobytes(), stats.cycles,
                 stats.instructions, dict(stats.counts))
 

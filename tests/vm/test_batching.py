@@ -114,7 +114,7 @@ def test_mid_batch_budget_trap_replays_bit_exactly(monkeypatch):
 
     # A generous budget does not trap and replays nothing.
     trap, stats, out, interp = _run_trapping(batched, 500_000_000)
-    assert trap is None and interp.batch_replays == 0
+    assert trap is None and interp.codegen_report()["replays"] == 0
     _assert_stats_equal(stats, clean_stats, "clean batched run")
     np.testing.assert_array_equal(out, clean_out)
 
@@ -126,7 +126,7 @@ def test_mid_batch_budget_trap_replays_bit_exactly(monkeypatch):
         assert want_trap is not None
         got_trap, got_stats, got_out, interp = _run_trapping(batched, budget)
         assert got_trap == want_trap, f"budget={budget}"
-        assert interp.batch_replays == 1, f"budget={budget}"
+        assert interp.codegen_report()["replays"] == 1, f"budget={budget}"
         _assert_stats_equal(got_stats, want_stats, f"budget={budget}")
         np.testing.assert_array_equal(got_out, want_out,
                                       err_msg=f"budget={budget}")
@@ -198,7 +198,7 @@ def test_legality_rejects_cross_gang_unsafe_kernels(case):
     a = interp.memory.alloc_array(np.arange(1, 33, dtype=np.uint32))
     out = interp.memory.alloc_array(np.zeros(32, np.uint32))
     interp.run("kernel", a, out, 32)
-    assert interp.batch_replays == 0
+    assert interp.codegen_report()["replays"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +284,7 @@ def _run_accepted(module, **engine):
                   dict(interp.stats.counts)),
         "image": interp.memory.image().tobytes(),
         "extent": interp.memory.extent,
-        "replays": interp.batch_replays,
+        "replays": interp.codegen_report()["replays"],
     }
 
 

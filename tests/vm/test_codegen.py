@@ -78,16 +78,15 @@ def _snapshot(interp, ret):
         "cycles": s.cycles,
         "instructions": s.instructions,
         "counts": dict(s.counts),
-        "func_cycles": dict(interp.func_cycles),
-        "func_calls": dict(interp.func_calls),
+        "hotspots": interp.hotspots(),
         "edge_cycles": dict(interp.edge_cycles),
         "edge_calls": dict(interp.edge_calls),
     }
 
 
 def _assert_bitwise(got, want, context):
-    for key in ("cycles", "instructions", "counts", "func_cycles",
-                "func_calls", "edge_cycles", "edge_calls"):
+    for key in ("cycles", "instructions", "counts", "hotspots",
+                "edge_cycles", "edge_calls"):
         assert got[key] == want[key], f"{context}: {key} diverges"
     np.testing.assert_array_equal(got["mem"], want["mem"],
                                   err_msg=f"{context}: memory image")
@@ -150,8 +149,7 @@ def test_interpreter_is_reclaimed_without_the_cyclic_collector(spec, engine):
             else:
                 with pytest.raises(ExecutionLimitExceeded):
                     interp.run("kernel", *addrs, *workload.scalars)
-                replays = (interp.batch_replays
-                           + interp.codegen_report()["replays"])
+                replays = interp.codegen_report()["replays"]
                 # The reference engine runs a batched build's twin
                 # outright: it has nothing to replay.
                 assert replays == (engine == "codegen")
@@ -202,7 +200,7 @@ def test_budget_trap_replays_on_the_reference_engine():
     compiled = trap_run(True)
     # The kernel batches (its uniform loop counter is a gang-invariant
     # scalar phi), so the replay runs on its unbatched twin.
-    assert compiled.batch_replays == 1
+    assert compiled.codegen_report()["replays"] == 1
     # Trap fires on exactly the first instruction past the budget, and the
     # replayed trap point matches the reference engine's bitwise.
     assert reference.stats.instructions == 501

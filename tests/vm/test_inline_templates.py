@@ -30,8 +30,8 @@ from repro.ir.types import (F32, F64, I1, I8, I16, I32, I64, PointerType,
                             VectorType, VOID)
 from repro.vm import Interpreter
 from repro.vm.nputil import elem_dtype
-from repro.vm.ops import (eval_scalar_cast, eval_vector_cast,
-                          eval_vector_fcmp, value_impl)
+from repro.vm.ops import (VEC_CAST_ASTYPE, eval_scalar_cast,
+                          eval_vector_cast, eval_vector_fcmp, value_impl)
 
 LANES = 8
 INTS = [I8, I16, I32, I64]
@@ -191,7 +191,7 @@ _VEC_CASTS = [
 
 
 def test_every_astype_cast_is_covered():
-    assert {op for op, _, _ in _VEC_CASTS} >= cg._VEC_CAST_ASTYPE
+    assert {op for op, _, _ in _VEC_CASTS} >= VEC_CAST_ASTYPE
 
 
 @pytest.mark.parametrize("op,src,dst", _VEC_CASTS,

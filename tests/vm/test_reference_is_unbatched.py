@@ -96,7 +96,7 @@ def test_batched_ir_never_reaches_the_reference_engine(name, reference_visits):
     trapped = Interpreter(module, max_instructions=budget)
     with pytest.raises(ExecutionError, match="exceeded"):
         _launch(module, spec, interp=trapped)
-    assert trapped.batch_replays == 1
+    assert trapped.codegen_report()["replays"] == 1
     assert reference_visits
     assert not any(f.attrs.get("batched") for f in reference_visits)
 
@@ -122,7 +122,7 @@ def test_codegen_bailout_on_batched_ir_replays_on_the_twin(name, monkeypatch):
     got, interp = _launch(module, spec)
     assert got == want
     assert interp.codegen_bailouts == {"function-too-large": 1}
-    assert interp.batch_replays == 1
+    assert interp.codegen_report()["replays"] == 1
     assert module._unbatched_twin is not None
 
 

@@ -110,7 +110,7 @@ def test_nest_matrix_matches_the_twin(factor):
                         where = (factor, args, tight)
                         assert got == want, where
                         assert got["trap"] is None, where
-                        assert interp.batch_replays == 0, where
+                        assert interp.codegen_report()["replays"] == 0, where
                         report = interp.codegen_report()
                         assert report["calls"] and not report["bailouts"]
                         assert report["row_fallbacks"] == 0, where
@@ -128,7 +128,7 @@ def test_aliased_rows_run_one_per_trip(alias):
         want, _ = _launch(unbatched, *args, alias=alias, codegen=False)
         got, interp = _launch(batched, *args, alias=alias)
         assert got == want, (alias, n)
-        assert interp.batch_replays == 0
+        assert interp.codegen_report()["replays"] == 0
         assert interp.codegen_report()["row_fallbacks"] == 1
         interp.reset_stats()
         assert interp.codegen_report()["row_fallbacks"] == 0
@@ -143,7 +143,7 @@ def test_budget_trap_in_a_collapsed_trip_replays_on_the_twin():
     want, _ = _launch(unbatched, *args, budget=budget, codegen=False)
     assert want["trap"] is not None
     got, interp = _launch(batched, *args, budget=budget)
-    assert interp.batch_replays == 1
+    assert interp.codegen_report()["replays"] == 1
     assert got == want
 
 
@@ -207,7 +207,7 @@ def _masked_launch(module, n, tight, **engine):
     interp.run("kernel", *addrs, n)
     return (interp.memory.image().tobytes(), interp.memory.extent,
             interp.stats.instructions), \
-        interp.codegen_report()["replays"] + interp.batch_replays
+        interp.codegen_report()["replays"]
 
 
 @pytest.mark.parametrize("factor", [0, None])

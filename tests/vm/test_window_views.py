@@ -148,7 +148,7 @@ def _windows(module) -> int:
 def _replays(interp) -> int:
     """Launches that left generated code for the reference engine — every
     access, windows and packed alike, does when its range test fails."""
-    return interp.codegen_report()["replays"] + interp.batch_replays
+    return interp.codegen_report()["replays"]
 
 
 def _check(source, runs, batch_requests=(None, 0), size=1 << 20):
